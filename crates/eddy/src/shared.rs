@@ -24,7 +24,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use tcq_common::{BitSet, Expr, Result, Schema, SchemaRef, TcqError, Tuple, Value};
-use tcq_stems::{MatchScratch, QueryStem};
+use tcq_stems::{MatchScratch, QueryStem, SlotRing};
 
 /// Query identifier within a shared eddy.
 pub type QueryId = usize;
@@ -44,12 +44,13 @@ pub struct SharedEddyStats {
     pub join_matches: u64,
 }
 
-/// A SteM whose stored tuples carry query lineage.
+/// A SteM whose stored tuples carry query lineage. Storage is the same
+/// window-sized [`SlotRing`] the dedicated `SteM` uses.
 struct SharedStem {
     key_col: usize,
-    buckets: HashMap<Value, Vec<usize>>,
-    slots: Vec<Option<(Tuple, BitSet)>>,
-    arrival: VecDeque<(i64, usize)>,
+    buckets: HashMap<Value, Vec<u32>>,
+    slots: SlotRing<(Tuple, BitSet)>,
+    arrival: VecDeque<(i64, u32)>,
     live: usize,
 }
 
@@ -58,17 +59,25 @@ impl SharedStem {
         SharedStem {
             key_col,
             buckets: HashMap::new(),
-            slots: Vec::new(),
+            slots: SlotRing::new(),
             arrival: VecDeque::new(),
             live: 0,
+        }
+    }
+
+    /// A store whose slot ids start at `base` (to cross the `u32` wrap).
+    #[cfg(test)]
+    fn starting_at(key_col: usize, base: u32) -> Self {
+        SharedStem {
+            slots: SlotRing::starting_at(base),
+            ..Self::new(key_col)
         }
     }
 
     fn insert(&mut self, tuple: Tuple, lineage: BitSet) {
         let key = tuple.value(self.key_col).clone();
         let seq = tuple.timestamp().seq();
-        let slot = self.slots.len();
-        self.slots.push(Some((tuple, lineage)));
+        let slot = self.slots.push((tuple, lineage));
         self.buckets.entry(key).or_default().push(slot);
         self.arrival.push_back((seq, slot));
         self.live += 1;
@@ -76,11 +85,7 @@ impl SharedStem {
 
     fn probe<'a>(&'a self, key: &Value, out: &mut Vec<&'a (Tuple, BitSet)>) {
         if let Some(slots) = self.buckets.get(key) {
-            for &s in slots {
-                if let Some(entry) = &self.slots[s] {
-                    out.push(entry);
-                }
-            }
+            out.extend(slots.iter().filter_map(|&s| self.slots.get(s)));
         }
     }
 
@@ -91,7 +96,7 @@ impl SharedStem {
                 break;
             }
             self.arrival.pop_front();
-            if let Some((t, _)) = self.slots[slot].take() {
+            if let Some((t, _)) = self.slots.take(slot) {
                 let key = t.value(self.key_col);
                 if let Some(slots) = self.buckets.get_mut(key) {
                     slots.retain(|&s| s != slot);
@@ -103,6 +108,7 @@ impl SharedStem {
                 evicted += 1;
             }
         }
+        self.slots.reclaim_front();
         evicted
     }
 
@@ -114,13 +120,12 @@ impl SharedStem {
     /// hash/arrival bookkeeping.
     fn approx_bytes(&self) -> usize {
         let mut b = self.slots.capacity() * std::mem::size_of::<Option<(Tuple, BitSet)>>()
-            + self.arrival.capacity() * std::mem::size_of::<(i64, usize)>()
-            + self.buckets.capacity() * std::mem::size_of::<(Value, Vec<usize>)>();
+            + self.arrival.capacity() * std::mem::size_of::<(i64, u32)>()
+            + self.buckets.capacity() * std::mem::size_of::<(Value, Vec<u32>)>();
         for (k, slots) in &self.buckets {
-            b += k.approx_bytes() + slots.capacity() * std::mem::size_of::<usize>();
+            b += k.approx_bytes() + slots.capacity() * std::mem::size_of::<u32>();
         }
-        for entry in self.slots.iter().flatten() {
-            let (t, lineage) = entry;
+        for (_, (t, lineage)) in self.slots.iter() {
             b += lineage.approx_bytes();
             b += (0..t.arity())
                 .map(|i| t.value(i).approx_bytes())
@@ -554,6 +559,58 @@ mod tests {
         assert!(eddy.push_right(row(&r, 3, 0, 21)).unwrap().is_empty());
         // Recent partner (k=19, ts=19) still in window [17, 21] -> match.
         assert_eq!(eddy.push_right(row(&r, 19, 0, 21)).unwrap().len(), 1);
+    }
+
+    /// A shared join that runs for 64 windows holds one window of state:
+    /// the footprint after the first window is the footprint forever.
+    #[test]
+    fn shared_join_footprint_is_flat_after_the_first_window() {
+        const WIDTH: i64 = 4096;
+        let l = sided("L");
+        let r = sided("R");
+        let mut eddy = SharedEddy::joined(l.clone(), "k", r.clone(), "k", Some(WIDTH)).unwrap();
+        eddy.add_join_query(0, None, None).unwrap();
+        let mut first_window = 0usize;
+        for ts in 1..=64 * WIDTH {
+            // Alternate sides; 256 recurring keys keep bucket shapes steady.
+            if ts % 2 == 0 {
+                eddy.push_left(row(&l, ts % 256, ts, ts)).unwrap();
+            } else {
+                eddy.push_right(row(&r, ts % 256, ts, ts)).unwrap();
+            }
+            if ts % WIDTH == 0 {
+                assert!(eddy.state_size() <= WIDTH as usize);
+                let bytes = eddy.approx_bytes();
+                if first_window == 0 {
+                    first_window = bytes;
+                }
+                assert!(
+                    bytes <= first_window + first_window / 10,
+                    "window {}: {bytes} B vs {first_window} B after window 1",
+                    ts / WIDTH
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shared_stem_slot_ids_wrap_without_aliasing() {
+        let l = sided("L");
+        let mut stem = SharedStem::starting_at(0, u32::MAX - 100);
+        let lineage = BitSet::from_iter([0usize]);
+        for ts in 1..=400i64 {
+            stem.insert(row(&l, ts % 7, ts, ts), lineage.clone());
+            stem.evict_before_seq(ts - 49);
+            assert_eq!(stem.len(), ts.min(50) as usize);
+            assert_eq!(stem.slots.span(), stem.len(), "ts={ts}");
+            let mut out = Vec::new();
+            stem.probe(&Value::Int(ts % 7), &mut out);
+            let got: Vec<i64> = out.iter().map(|(t, _)| t.timestamp().seq()).collect();
+            let want: Vec<i64> = ((ts - 49).max(1)..=ts)
+                .filter(|s| s % 7 == ts % 7)
+                .collect();
+            assert_eq!(got, want, "ts={ts}");
+        }
     }
 
     #[test]

@@ -113,6 +113,14 @@ impl StemOp {
         self
     }
 
+    /// Track dirty key-hash groups for delta checkpoints (default on).
+    /// A planner turns it off when no checkpoint will ever export this
+    /// op's state — only a checkpoint drains the dirty set.
+    pub fn with_dirty_tracking(mut self, enabled: bool) -> Self {
+        self.stem = self.stem.with_dirty_tracking(enabled);
+        self
+    }
+
     /// Is `tuple` a build tuple for this SteM? True when its schema is
     /// qualified entirely by our build qualifier (i.e. it is a base tuple of
     /// the stored stream, not an intermediate join result).
@@ -173,6 +181,13 @@ impl StemOp {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.stem.is_empty()
+    }
+
+    /// Slots the underlying SteM holds, live or awaiting reclamation
+    /// ([`SteM::slot_span`]) — the observable behind the bounded-state
+    /// tests.
+    pub fn slot_span(&self) -> usize {
+        self.stem.slot_span()
     }
 
     /// (builds, probes, matches) counters from the underlying SteM.
@@ -565,6 +580,36 @@ mod tests {
         assert_eq!(op.state_size(), 5);
     }
 
+    /// State follows the window, not the stream: after 64 windows the op
+    /// holds one window of tuples *and* one window of slots.
+    #[test]
+    fn long_run_holds_one_window_of_slots() {
+        const WIDTH: i64 = 4096;
+        const BATCH: i64 = 64;
+        let s = schema("S");
+        let r = schema("T");
+        let (stem_s, _) = symmetric_hash_join(&s, "S", "k", &r, "T", "k").unwrap();
+        let mut op = stem_s.with_window_width(WIDTH);
+        let mut routed = Vec::new();
+        for first in (1..=64 * WIDTH).step_by(BATCH as usize) {
+            let batch: Vec<Tuple> = (first..first + BATCH)
+                .map(|ts| t(&s, ts % 509, "b", ts))
+                .collect();
+            routed.clear();
+            op.process_batch(&batch, &mut routed).unwrap();
+            if (first + BATCH - 1) % WIDTH == 0 {
+                assert!(op.state_size() <= WIDTH as usize);
+                assert!(
+                    op.slot_span() <= (WIDTH + BATCH) as usize,
+                    "after {} rows the SteM holds {} slots",
+                    first + BATCH - 1,
+                    op.slot_span()
+                );
+            }
+        }
+        assert_eq!(op.counters().0, 64 * WIDTH as u64);
+    }
+
     #[test]
     fn intermediate_tuples_probe_not_build() {
         // A joined (S,T) tuple arriving at SteM_S must probe, not build:
@@ -746,10 +791,14 @@ mod tests {
             let (stem_s, _) = symmetric_hash_join(&s, "S", "k", &r, "T", "k").unwrap();
             stem_s.with_window_width(8)
         };
+        // The checkpoint is cut after five full window slides: the live
+        // op's slot store has long since given back its first slots, so
+        // its slot ids start far from the restored op's.
         let mut live = mk();
-        for ts in 1..=20i64 {
+        for ts in 1..=40i64 {
             live.process(&t(&s, ts % 4, "b", ts)).unwrap();
         }
+        assert_eq!((live.len(), live.slot_span()), (8, 8));
         // Export the delta, rebuild a fresh op from it.
         let mut delta = Vec::new();
         live.export_dirty_groups(&mut delta).unwrap();
@@ -765,22 +814,36 @@ mod tests {
         assert_eq!(restored.len(), live.len());
         assert_eq!(restored.dirty_len(), 0, "restored state is clean");
         // Identical probe results after restore.
-        for k in 0..4i64 {
-            let probe = t(&r, k, "p", 21);
-            let a = live.process(&probe).unwrap();
-            let b = restored.process(&probe).unwrap();
-            assert_eq!(a.outputs, b.outputs, "probe k={k} diverged");
-        }
-        // latest_seq was restored: the window keeps sliding correctly.
-        restored.process(&t(&s, 0, "late", 30)).unwrap();
-        assert_eq!(restored.len(), 1, "old state evicted by restored window");
+        let probe_both = |live: &mut StemOp, restored: &mut StemOp, ts: i64| {
+            for k in 0..4i64 {
+                let probe = t(&r, k, "p", ts);
+                let a = live.process(&probe).unwrap();
+                let b = restored.process(&probe).unwrap();
+                assert_eq!(a.outputs, b.outputs, "probe k={k} at ts={ts} diverged");
+            }
+        };
+        probe_both(&mut live, &mut restored, 41);
 
-        // Incremental follow-up: touching one group dirties only it (ts 20
+        // Incremental follow-up: touching one group dirties only it (ts 40
         // keeps the window edge still, so no eviction dirties others).
-        live.process(&t(&s, 2, "b", 20)).unwrap();
+        live.process(&t(&s, 2, "b", 40)).unwrap();
+        restored.process(&t(&s, 2, "b", 40)).unwrap();
         let mut second = Vec::new();
         live.export_dirty_groups(&mut second).unwrap();
         assert_eq!(second.len(), 1, "delta scales with churn");
+
+        // latest_seq was restored, so the window keeps sliding and the two
+        // ops evict in lockstep: same survivors, same probe output order,
+        // and the restored op's group-ordered slots drain to one window.
+        for ts in 41..=60i64 {
+            live.process(&t(&s, ts % 4, "b", ts)).unwrap();
+            restored.process(&t(&s, ts % 4, "b", ts)).unwrap();
+            assert_eq!(restored.len(), live.len(), "ts={ts}");
+            probe_both(&mut live, &mut restored, ts);
+        }
+        assert_eq!((restored.len(), restored.slot_span()), (8, 8));
+        restored.process(&t(&s, 0, "late", 90)).unwrap();
+        assert_eq!(restored.len(), 1, "old state evicted by restored window");
     }
 
     #[test]

@@ -959,7 +959,7 @@ impl TelegraphCQ {
         if partitions > 1 && exchange::partitionable(aq) {
             return self.start_partitioned_join(qid, aq, partitions);
         }
-        let (eddy, _key_cols) = self.build_join_eddy(aq)?;
+        let (eddy, _key_cols) = self.build_join_eddy(aq, true)?;
 
         // Inputs: one subscription per physical stream; aliases grouped.
         let mut by_stream: HashMap<String, Vec<SchemaRef>> = HashMap::new();
@@ -1058,7 +1058,17 @@ impl TelegraphCQ {
     /// column. Called once for a sequential plan and P times for a
     /// partitioned one — every instance is identical (same policy, same
     /// seed), which is half of the exchange determinism argument.
-    fn build_join_eddy(&self, aq: &AnalyzedQuery) -> Result<(Eddy, Vec<usize>)> {
+    ///
+    /// `checkpointed` says whether [`TelegraphCQ::checkpoint`] exports this
+    /// eddy (the sequential plan) or not (partition workers). SteMs keep
+    /// dirty sets only when it does *and* a checkpoint store is open:
+    /// nothing but a checkpoint drains them.
+    fn build_join_eddy(
+        &self,
+        aq: &AnalyzedQuery,
+        checkpointed: bool,
+    ) -> Result<(Eddy, Vec<usize>)> {
+        let track_dirty = checkpointed && self.ckpt.is_some();
         // Eddy over the query's aliases.
         let aliases: Vec<String> = aq.sources.iter().map(|s| s.alias.clone()).collect();
         let mut eddy = Eddy::new(
@@ -1124,7 +1134,9 @@ impl TelegraphCQ {
             for extra in specs {
                 stem = stem.with_extra_probe_key(extra);
             }
-            stem = stem.with_prehash(self.config.compiled_kernels);
+            stem = stem
+                .with_prehash(self.config.compiled_kernels)
+                .with_dirty_tracking(track_dirty);
             if let Some(width) = planner::join_window_width(aq, &source.alias)? {
                 stem = stem.with_window_width(width);
             }
@@ -1221,7 +1233,7 @@ impl TelegraphCQ {
         let mut eddies = Vec::with_capacity(partitions);
         let mut key_cols = Vec::new();
         for _ in 0..partitions {
-            let (eddy, kc) = self.build_join_eddy(aq)?;
+            let (eddy, kc) = self.build_join_eddy(aq, false)?;
             key_cols = kc;
             eddies.push(eddy);
         }
@@ -1709,4 +1721,76 @@ impl TelegraphCQ {
 pub struct QueryInfo {
     /// The query id.
     pub id: QueryId,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcq_common::{DataType, Field, Schema, Timestamp, TupleBuilder};
+
+    /// Without a checkpoint store nothing drains a SteM's dirty set, so a
+    /// no-checkpoint server must not keep one: 100k rows over 100k distinct
+    /// keys leave zero dirty groups. With a store open the same rows do
+    /// leave dirt (the checkpoint's delta).
+    #[test]
+    fn join_stems_track_dirt_only_when_a_checkpoint_store_is_open() {
+        let dir = std::env::temp_dir().join(format!("tcq-dirty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (checkpoint_path, partitioned) in [
+            (None, false),
+            (Some(dir.join("ckpt")), false),
+            (Some(dir.join("ckpt-part")), true),
+        ] {
+            let durable = checkpoint_path.is_some();
+            let server = TelegraphCQ::start(ServerConfig {
+                checkpoint_path,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let schema = Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new("v", DataType::Int),
+            ])
+            .into_ref();
+            server.register_stream("a", schema.clone()).unwrap();
+            server.register_stream("b", schema).unwrap();
+            let stmt = parse(
+                "SELECT a.v, b.v FROM a, b WHERE a.k = b.k \
+                 for (t = ST; t >= 0; t++) { WindowIs(a, t - 1024, t); WindowIs(b, t - 1024, t); }",
+            )
+            .unwrap();
+            let aq = analyze(&stmt, &server.catalog).unwrap();
+            let (mut eddy, _) = server.build_join_eddy(&aq, !partitioned).unwrap();
+            let mut out = Vec::new();
+            for first in (0..100_000i64).step_by(64) {
+                let batch = (first..first + 64)
+                    .map(|i| {
+                        TupleBuilder::new(aq.sources[(i % 2) as usize].schema.clone())
+                            .push(i)
+                            .push(i)
+                            .at(Timestamp::logical(i + 1))
+                            .build()
+                            .unwrap()
+                    })
+                    .collect();
+                out.clear();
+                eddy.process_batch(batch, &mut out).unwrap();
+            }
+            assert!(eddy.state_size() <= 2 * 1025);
+            if durable && !partitioned {
+                assert!(
+                    eddy.dirty_len() > 0,
+                    "a checkpointed join records its delta"
+                );
+            } else {
+                assert_eq!(
+                    eddy.dirty_len(),
+                    0,
+                    "durable={durable} partitioned={partitioned}"
+                );
+            }
+            server.shutdown().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

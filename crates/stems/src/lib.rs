@@ -6,7 +6,9 @@
 //!
 //! * **build** — insert a tuple,
 //! * **probe** — find matches for a tuple from another source, and
-//! * **evict** — drop tuples that have fallen out of every window.
+//! * **evict** — drop tuples that have fallen out of every window; the
+//!   slot store ([`SlotRing`]) gives the storage back as the window
+//!   slides, so state is sized by the window, not by stream history.
 //!
 //! Two SteMs plus an eddy implement a symmetric hash join (paper Figure 2);
 //! adding a remote access method to the same plumbing yields the
@@ -40,8 +42,10 @@
 
 pub mod grouped_filter;
 pub mod query_stem;
+pub mod slot_ring;
 pub mod stem;
 
 pub use grouped_filter::{EpochStats, GroupedFilter};
 pub use query_stem::{MatchScratch, QueryId, QueryStem};
+pub use slot_ring::SlotRing;
 pub use stem::{IndexKind, SteM};

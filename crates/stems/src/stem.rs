@@ -13,6 +13,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use tcq_common::{hash_value, IdentityBuildHasher, Result, SchemaRef, TcqError, Tuple, Value};
 
+use crate::slot_ring::SlotRing;
+
 /// Which index a SteM maintains on its key column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
@@ -54,13 +56,15 @@ impl Ord for OrdValue {
 /// Eviction is timestamp-ordered: sliding windows call
 /// [`SteM::evict_before_seq`] as the window's trailing edge advances, which
 /// is how TelegraphCQ bounds the state of joins over infinite streams.
+/// Evicted slots are reclaimed as the window slides (see [`SlotRing`]), so
+/// storage follows the window's extent, not the stream's history.
 pub struct SteM {
     name: String,
     schema: SchemaRef,
     key_col: usize,
     kind: IndexKind,
-    /// Slot-addressed storage; `None` marks an evicted slot.
-    slots: Vec<Option<Tuple>>,
+    /// Slot-addressed storage; the indexes below hold slot ids.
+    slots: SlotRing<Tuple>,
     /// Equality index keyed by the key value's FNV-1a hash. The identity
     /// build-hasher passes the (already well-mixed) hash straight
     /// through — no SipHash on the probe path.
@@ -80,8 +84,11 @@ pub struct SteM {
     /// Key-hash groups mutated (insert/evict/drain) since the last
     /// [`SteM::clear_dirty`]. `BTreeSet` so checkpoint export iterates in
     /// a deterministic order — delta checkpoints must be byte-identical
-    /// across same-seed runs.
-    dirty: BTreeSet<u64>,
+    /// across same-seed runs. `None` when nothing will ever checkpoint
+    /// this SteM ([`SteM::with_dirty_tracking`]): the set is drained only
+    /// by a checkpoint, so without one it would grow with every distinct
+    /// key the stream has ever carried.
+    dirty: Option<BTreeSet<u64>>,
 }
 
 impl SteM {
@@ -102,7 +109,7 @@ impl SteM {
             schema,
             key_col,
             kind,
-            slots: Vec::new(),
+            slots: SlotRing::new(),
             hash: HashMap::default(),
             ordered: BTreeMap::new(),
             arrival: VecDeque::new(),
@@ -111,8 +118,25 @@ impl SteM {
             probes: 0,
             matches: 0,
             hash_computes: 0,
-            dirty: BTreeSet::new(),
+            dirty: Some(BTreeSet::new()),
         })
+    }
+
+    /// Track dirty key-hash groups for delta checkpoints (default on).
+    /// Turn it off for a SteM no checkpoint will ever export: nothing else
+    /// drains the dirty set.
+    pub fn with_dirty_tracking(mut self, enabled: bool) -> Self {
+        self.dirty = enabled.then(BTreeSet::new);
+        self
+    }
+
+    /// Start slot ids at `base` rather than 0, so tests can cross the
+    /// `u32` id wrap without four billion builds.
+    #[doc(hidden)]
+    pub fn with_slot_base(mut self, base: u32) -> Self {
+        debug_assert!(self.slots.span() == 0, "slot base set on a used SteM");
+        self.slots = SlotRing::starting_at(base);
+        self
     }
 
     /// Diagnostic name.
@@ -134,7 +158,7 @@ impl SteM {
     /// for this SteM's key column (computed upstream by partition routing
     /// or a prior probe), the hash index reuses it; otherwise one FNV
     /// pass is computed here and memoized on the stored tuple — so
-    /// eviction and compaction never rehash.
+    /// eviction never rehashes.
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         if tuple.arity() != self.schema.len() {
             return Err(TcqError::SchemaMismatch(format!(
@@ -145,17 +169,19 @@ impl SteM {
             )));
         }
         let seq = tuple.timestamp().seq();
-        let slot = self.slots.len() as u32;
         let h = self.key_hash_of(&tuple);
-        self.dirty.insert(h);
+        self.mark_dirty(h);
+        let ordered_key = self
+            .kind
+            .has_ordered()
+            .then(|| OrdValue(tuple.value(self.key_col).clone()));
+        let slot = self.slots.push(tuple);
         if self.kind.has_hash() {
             self.hash.entry(h).or_default().push(slot);
         }
-        if self.kind.has_ordered() {
-            let key = tuple.value(self.key_col).clone();
-            self.ordered.entry(OrdValue(key)).or_default().push(slot);
+        if let Some(key) = ordered_key {
+            self.ordered.entry(key).or_default().push(slot);
         }
-        self.slots.push(Some(tuple));
         // Keep the eviction index sorted by timestamp. Streams deliver in
         // timestamp order (O(1) append); out-of-order inserts (e.g. state
         // absorbed from a Flux peer) pay a positional insert.
@@ -168,6 +194,31 @@ impl SteM {
         self.live += 1;
         self.builds += 1;
         Ok(())
+    }
+
+    fn mark_dirty(&mut self, hash: u64) {
+        if let Some(dirty) = &mut self.dirty {
+            dirty.insert(hash);
+        }
+    }
+
+    /// The key hash of a stored tuple. `insert` memoized it, so this is
+    /// rehash-free (the fallback only fires for tuples memoized on a
+    /// different column upstream).
+    fn stored_hash(&self, t: &Tuple) -> u64 {
+        t.cached_key_hash(self.key_col)
+            .unwrap_or_else(|| hash_value(t.value(self.key_col)))
+    }
+
+    /// Drop `slot` from the ordered index entry of `key`.
+    fn unindex_ordered(&mut self, key: &Value, slot: u32) {
+        let ok = OrdValue(key.clone());
+        if let Some(slots) = self.ordered.get_mut(&ok) {
+            slots.retain(|&s| s != slot);
+            if slots.is_empty() {
+                self.ordered.remove(&ok);
+            }
+        }
     }
 
     /// The key hash of `t`, reusing its memo when present and billing a
@@ -207,7 +258,7 @@ impl SteM {
         let mut n = 0;
         if let Some(slots) = self.hash.get(&hash) {
             for &s in slots {
-                if let Some(t) = &self.slots[s as usize] {
+                if let Some(t) = self.slots.get(s) {
                     if t.value(self.key_col) == key {
                         out.push(t.clone());
                         n += 1;
@@ -225,7 +276,7 @@ impl SteM {
         let mut n = 0;
         if let Some(slots) = self.ordered.get(&OrdValue(key.clone())) {
             for &s in slots {
-                if let Some(t) = &self.slots[s as usize] {
+                if let Some(t) = self.slots.get(s) {
                     out.push(t.clone());
                     n += 1;
                 }
@@ -251,7 +302,7 @@ impl SteM {
             .range(OrdValue(lo.clone())..=OrdValue(hi.clone()));
         for (_, slots) in range {
             for &s in slots {
-                if let Some(t) = &self.slots[s as usize] {
+                if let Some(t) = self.slots.get(s) {
                     out.push(t.clone());
                     n += 1;
                 }
@@ -264,7 +315,7 @@ impl SteM {
     /// Iterate over all live tuples (used for residual predicates the
     /// indexes cannot answer, and by Flux state movement).
     pub fn scan(&self) -> impl Iterator<Item = &Tuple> {
-        self.slots.iter().filter_map(|s| s.as_ref())
+        self.slots.iter().map(|(_, t)| t)
     }
 
     /// Evict every tuple with logical timestamp `< seq` (the trailing edge
@@ -276,15 +327,9 @@ impl SteM {
                 break;
             }
             self.arrival.pop_front();
-            if let Some(t) = self.slots[slot as usize].take() {
-                let key = t.value(self.key_col);
-                // insert() memoized the hash on the stored tuple, so
-                // eviction is rehash-free (the fallback only fires for
-                // tuples memoized on a different column upstream).
-                let h = t
-                    .cached_key_hash(self.key_col)
-                    .unwrap_or_else(|| hash_value(key));
-                self.dirty.insert(h);
+            if let Some(t) = self.slots.take(slot) {
+                let h = self.stored_hash(&t);
+                self.mark_dirty(h);
                 if self.kind.has_hash() {
                     if let Some(slots) = self.hash.get_mut(&h) {
                         slots.retain(|&s| s != slot);
@@ -294,18 +339,13 @@ impl SteM {
                     }
                 }
                 if self.kind.has_ordered() {
-                    let ok = OrdValue(key.clone());
-                    if let Some(slots) = self.ordered.get_mut(&ok) {
-                        slots.retain(|&s| s != slot);
-                        if slots.is_empty() {
-                            self.ordered.remove(&ok);
-                        }
-                    }
+                    self.unindex_ordered(t.value(self.key_col), slot);
                 }
                 self.live -= 1;
                 evicted += 1;
             }
         }
+        self.slots.reclaim_front();
         evicted
     }
 
@@ -314,17 +354,14 @@ impl SteM {
     /// group is marked dirty: its content here is now empty, and the next
     /// checkpoint must record the clearing.
     pub fn drain_all(&mut self) -> Vec<Tuple> {
-        let out: Vec<Tuple> = self.slots.iter_mut().filter_map(|s| s.take()).collect();
+        let out = self.slots.drain_all();
         for t in &out {
-            let h = t
-                .cached_key_hash(self.key_col)
-                .unwrap_or_else(|| hash_value(t.value(self.key_col)));
-            self.dirty.insert(h);
+            let h = self.stored_hash(t);
+            self.mark_dirty(h);
         }
         self.hash.clear();
         self.ordered.clear();
         self.arrival.clear();
-        self.slots.clear();
         self.live = 0;
         out
     }
@@ -332,18 +369,20 @@ impl SteM {
     /// Key-hash groups mutated since the last [`SteM::clear_dirty`], in
     /// ascending hash order (deterministic checkpoint deltas).
     pub fn dirty_groups(&self) -> impl Iterator<Item = u64> + '_ {
-        self.dirty.iter().copied()
+        self.dirty.iter().flatten().copied()
     }
 
     /// Number of currently dirty groups.
     pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
+        self.dirty.as_ref().map_or(0, BTreeSet::len)
     }
 
     /// Mark every group clean — call only after the delta containing them
     /// has been durably committed.
     pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        if let Some(dirty) = &mut self.dirty {
+            dirty.clear();
+        }
     }
 
     /// Append all live tuples whose key hash is `hash` to `out`, in
@@ -354,20 +393,13 @@ impl SteM {
         if self.kind.has_hash() {
             if let Some(slots) = self.hash.get(&hash) {
                 for &s in slots {
-                    if let Some(t) = &self.slots[s as usize] {
+                    if let Some(t) = self.slots.get(s) {
                         out.push(t.clone());
                     }
                 }
             }
         } else {
-            for t in self.scan() {
-                let h = t
-                    .cached_key_hash(self.key_col)
-                    .unwrap_or_else(|| hash_value(t.value(self.key_col)));
-                if h == hash {
-                    out.push(t.clone());
-                }
-            }
+            out.extend(self.scan().filter(|t| self.stored_hash(t) == hash).cloned());
         }
     }
 
@@ -382,26 +414,14 @@ impl SteM {
         } else {
             self.slots
                 .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|t| (i as u32, t)))
-                .filter(|(_, t)| {
-                    t.cached_key_hash(self.key_col)
-                        .unwrap_or_else(|| hash_value(t.value(self.key_col)))
-                        == hash
-                })
-                .map(|(i, _)| i)
+                .filter(|(_, t)| self.stored_hash(t) == hash)
+                .map(|(slot, _)| slot)
                 .collect()
         };
         for slot in stale {
-            if let Some(t) = self.slots[slot as usize].take() {
+            if let Some(t) = self.slots.take(slot) {
                 if self.kind.has_ordered() {
-                    let ok = OrdValue(t.value(self.key_col).clone());
-                    if let Some(slots) = self.ordered.get_mut(&ok) {
-                        slots.retain(|&s| s != slot);
-                        if slots.is_empty() {
-                            self.ordered.remove(&ok);
-                        }
-                    }
+                    self.unindex_ordered(t.value(self.key_col), slot);
                 }
                 self.arrival.retain(|&(_, s)| s != slot);
                 self.live -= 1;
@@ -410,19 +430,25 @@ impl SteM {
         if self.kind.has_hash() {
             self.hash.remove(&hash);
         }
-        let dirty = std::mem::take(&mut self.dirty);
+        let dirty = self.dirty.take();
         let builds = self.builds;
-        for t in tuples {
-            self.insert(t)?;
-        }
+        let imported = tuples.into_iter().try_for_each(|t| self.insert(t));
         self.builds = builds;
         self.dirty = dirty;
-        Ok(())
+        self.slots.reclaim_front();
+        imported
     }
 
     /// Number of live tuples.
     pub fn len(&self) -> usize {
         self.live
+    }
+
+    /// Slots held, live or evicted-but-not-yet-reclaimed: newest slot id −
+    /// oldest held id + 1. Equals [`SteM::len`] on in-order streams and is
+    /// bounded by the window's extent otherwise.
+    pub fn slot_span(&self) -> usize {
+        self.slots.span()
     }
 
     /// True when no live tuple is stored.
@@ -441,37 +467,6 @@ impl SteM {
     /// hashed-exactly-once regression test pins.
     pub fn hash_computes(&self) -> u64 {
         self.hash_computes
-    }
-
-    /// Reclaim slot storage when most slots are evicted. Called
-    /// opportunistically by long-running joins; invalidates nothing callers
-    /// can observe (slots are private).
-    pub fn compact(&mut self) {
-        if self.slots.len() < 64 || self.live * 2 > self.slots.len() {
-            return;
-        }
-        let old_slots = std::mem::take(&mut self.slots);
-        self.hash.clear();
-        self.ordered.clear();
-        let mut old_arrival = std::mem::take(&mut self.arrival);
-        // Rebuild in arrival order to preserve eviction semantics.
-        let mut remap: HashMap<u32, Tuple> = HashMap::new();
-        for (slot, t) in old_slots.into_iter().enumerate() {
-            if let Some(t) = t {
-                remap.insert(slot as u32, t);
-            }
-        }
-        self.live = 0;
-        let builds = self.builds; // insert() increments; restore after
-        let dirty = std::mem::take(&mut self.dirty); // contents unchanged
-        while let Some((_, slot)) = old_arrival.pop_front() {
-            if let Some(t) = remap.remove(&slot) {
-                // insert cannot fail: tuples came from this SteM
-                let _ = self.insert(t);
-            }
-        }
-        self.builds = builds;
-        self.dirty = dirty;
     }
 }
 
@@ -592,21 +587,90 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_contents_and_eviction_order() {
+    fn reclamation_preserves_contents_and_eviction_order() {
         let mut stem = SteM::new("S", schema(), 0, IndexKind::Both).unwrap();
         for ts in 1..=100 {
             stem.insert(t(ts % 5, "x", ts)).unwrap();
         }
+        assert_eq!(stem.slot_span(), 100);
         stem.evict_before_seq(80);
         assert_eq!(stem.len(), 21);
-        stem.compact();
-        assert_eq!(stem.len(), 21);
+        assert_eq!(stem.slot_span(), 21, "the evicted prefix went with it");
         let mut out = Vec::new();
         stem.probe_eq(&Value::Int(0), &mut out);
-        assert!(out.iter().all(|t| t.timestamp().seq() >= 80));
-        // Eviction still works post-compaction.
+        let seqs: Vec<i64> = out.iter().map(|t| t.timestamp().seq()).collect();
+        assert_eq!(seqs, vec![80, 85, 90, 95, 100], "bucket order survives");
+        // Eviction still works on the reclaimed store.
         assert_eq!(stem.evict_before_seq(90), 10);
         assert_eq!(stem.len(), 11);
+        assert_eq!(stem.slot_span(), 11);
+        let seqs: Vec<i64> = stem.scan().map(|t| t.timestamp().seq()).collect();
+        assert_eq!(seqs, (90..=100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn out_of_order_hole_is_reclaimed_when_the_front_reaches_it() {
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash).unwrap();
+        stem.insert(t(1, "a", 10)).unwrap();
+        stem.insert(t(2, "b", 5)).unwrap(); // absorbed late: older than slot 0
+        stem.insert(t(3, "c", 20)).unwrap();
+        // The oldest timestamp sits in the middle slot.
+        assert_eq!(stem.evict_before_seq(7), 1);
+        assert_eq!((stem.len(), stem.slot_span()), (2, 3), "hole waits");
+        assert_eq!(stem.evict_before_seq(15), 1);
+        assert_eq!((stem.len(), stem.slot_span()), (1, 1), "front took it");
+        let mut out = Vec::new();
+        assert_eq!(stem.probe_eq(&Value::Int(3), &mut out), 1);
+    }
+
+    /// Slot ids are `u32` and a server that runs for days hands out more
+    /// than 2³² of them: every operation must work across the wrap.
+    #[test]
+    fn slot_ids_wrap_without_aliasing() {
+        for kind in [IndexKind::Hash, IndexKind::Ordered, IndexKind::Both] {
+            let mut stem = SteM::new("S", schema(), 0, kind)
+                .unwrap()
+                .with_slot_base(u32::MAX - 100);
+            // Window of 50 sliding over 400 builds: ids run from
+            // u32::MAX - 100 through the wrap to 299.
+            for ts in 1..=400i64 {
+                stem.insert(t(ts % 7, "x", ts)).unwrap();
+                stem.evict_before_seq(ts - 49);
+                assert_eq!(stem.len(), ts.min(50) as usize);
+                assert_eq!(stem.slot_span(), stem.len(), "ts={ts}");
+                // Probe sees exactly the window's tuples of this key, in
+                // insertion order, on both sides of the wrap.
+                let mut out = Vec::new();
+                stem.probe_eq(&Value::Int(ts % 7), &mut out);
+                let got: Vec<i64> = out.iter().map(|t| t.timestamp().seq()).collect();
+                let want: Vec<i64> = ((ts - 49).max(1)..=ts)
+                    .filter(|s| s % 7 == ts % 7)
+                    .collect();
+                assert_eq!(got, want, "{kind:?} ts={ts}");
+            }
+            // import_group across the wrap: a second ring parked so the
+            // imported group itself straddles id 0.
+            let h = tcq_common::hash_value(&Value::Int(3));
+            let mut group = Vec::new();
+            stem.export_group(h, &mut group);
+            assert_eq!(group.len(), 7);
+            let mut other = SteM::new("O", schema(), 0, kind)
+                .unwrap()
+                .with_slot_base(u32::MAX - 3);
+            other.insert(t(9, "old", 1)).unwrap();
+            other.import_group(h, group.clone()).unwrap();
+            other.import_group(h, group.clone()).unwrap(); // replace in place
+            assert_eq!(other.len(), 8);
+            let mut out = Vec::new();
+            assert_eq!(other.probe_eq(&Value::Int(3), &mut out), 7);
+            assert_eq!(out, group);
+            // Evicting the pre-wrap tuple lets the front run through the
+            // first import's seven dead slots to the live copy.
+            assert_eq!(other.evict_before_seq(2), 1);
+            assert_eq!((other.len(), other.slot_span()), (7, 7));
+            assert_eq!(other.drain_all(), group);
+            assert_eq!(other.slot_span(), 0);
+        }
     }
 
     #[test]
@@ -660,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_reuses_memoized_hashes() {
+    fn eviction_and_reclamation_reuse_memoized_hashes() {
         let mut stem = SteM::new("S", schema(), 0, IndexKind::Both).unwrap();
         for ts in 1..=100 {
             stem.insert(t(ts % 5, "x", ts)).unwrap();
@@ -668,8 +732,9 @@ mod tests {
         let computes = stem.hash_computes();
         assert_eq!(computes, 100);
         stem.evict_before_seq(80);
-        stem.compact();
-        // Eviction and compaction reuse the memoized per-tuple hashes.
+        assert_eq!(stem.slot_span(), 21);
+        // Eviction reuses the memoized per-tuple hashes, and giving the
+        // slots back moves no survivor: nothing is rehashed.
         assert_eq!(stem.hash_computes(), computes);
         let mut out = Vec::new();
         assert_eq!(
@@ -678,9 +743,10 @@ mod tests {
                 &Value::Int(0),
                 &mut out,
             ),
-            out.len()
+            5
         );
         assert!(out.iter().all(|t| t.timestamp().seq() >= 80));
+        assert_eq!(stem.hash_computes(), computes);
     }
 
     #[test]
@@ -713,16 +779,24 @@ mod tests {
         stem.clear_dirty();
         stem.evict_before_seq(11);
         assert_eq!(stem.dirty_len(), 10, "seqs 1..=10 span all ten groups");
-        // Compaction is content-neutral: no new dirt.
-        stem.clear_dirty();
-        let mut big = SteM::new("B", schema(), 0, IndexKind::Both).unwrap();
+    }
+
+    #[test]
+    fn untracked_stem_keeps_no_dirty_set() {
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash)
+            .unwrap()
+            .with_dirty_tracking(false);
         for ts in 1..=100 {
-            big.insert(t(ts % 5, "x", ts)).unwrap();
+            stem.insert(t(ts, "x", ts)).unwrap();
         }
-        big.evict_before_seq(80);
-        big.clear_dirty();
-        big.compact();
-        assert_eq!(big.dirty_len(), 0, "compact dirties nothing");
+        stem.evict_before_seq(50);
+        let h = tcq_common::hash_value(&Value::Int(60));
+        let mut group = Vec::new();
+        stem.export_group(h, &mut group);
+        stem.import_group(h, group).unwrap();
+        stem.drain_all();
+        assert_eq!(stem.dirty_len(), 0);
+        assert_eq!(stem.dirty_groups().count(), 0);
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Differential property tests for the epoch-rebuilt grouped filter and the
-//! tiered query SteM: randomized interleaved insert/remove/probe sequences
-//! checked against naive per-factor (resp. per-query) evaluation.
+//! Differential property tests for the epoch-rebuilt grouped filter, the
+//! tiered query SteM and the ring-stored data SteM: randomized interleaved
+//! operation sequences checked against naive per-factor (resp. per-query,
+//! per-tuple) evaluation.
 //!
 //! Removals tombstone range entries and inserts buffer in a pending run
 //! until a rebuild threshold trips, so interleaving guarantees many probes
 //! land *mid-epoch* — after a removal, before compaction — where a stale
 //! prefix-bitmap bit would surface instantly as a disagreement.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use tcq_common::{
     BitSet, CmpOp, DataType, Expr, Field, Schema, SchemaRef, Timestamp, Tuple, TupleBuilder, Value,
 };
-use tcq_stems::{GroupedFilter, MatchScratch, QueryStem};
+use tcq_stems::{GroupedFilter, IndexKind, MatchScratch, QueryStem, SteM};
 
 const OPS: &[CmpOp] = &[
     CmpOp::Eq,
@@ -176,5 +177,175 @@ fn query_stem_agrees_with_naive_under_churn() {
                 "disagreement at step {step} on {t:?}"
             );
         }
+    }
+}
+
+/// The SteM's contract, naively: live tuples in insertion order, each with
+/// the position it was inserted at (`id`), plus the dirty key hashes.
+#[derive(Default)]
+struct StemModel {
+    live: Vec<(u64, Tuple)>,
+    next_id: u64,
+    dirty: BTreeSet<u64>,
+}
+
+impl StemModel {
+    fn insert(&mut self, t: Tuple) {
+        self.live.push((self.next_id, t));
+        self.next_id += 1;
+    }
+
+    fn matching(&self, keep: impl Fn(&Tuple) -> bool) -> Vec<Tuple> {
+        let live = self.live.iter().map(|(_, t)| t);
+        live.filter(|t| keep(t)).cloned().collect()
+    }
+
+    /// Slots a store that frees only a dead *prefix* must still hold:
+    /// everything from the oldest live insert to the newest insert.
+    fn span(&self) -> usize {
+        self.live
+            .iter()
+            .map(|(id, _)| (self.next_id - id) as usize)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+fn key_of(t: &Tuple) -> i64 {
+    t.value(0).as_int().unwrap()
+}
+
+fn hash_of(t: &Tuple) -> u64 {
+    tcq_common::hash_value(t.value(0))
+}
+
+/// Drive `ops` seeded operations through a SteM and the model, comparing
+/// every result *as a sequence* (probe and scan order feed join output
+/// order, which seeded replay pins). With `out_of_order` clear the run is
+/// what a single stream delivers — timestamp-ordered builds, no restore —
+/// and the slot store must then hold exactly the live tuples.
+fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: usize) {
+    const KEYS: i64 = 24;
+    const WINDOW: i64 = 160;
+    let mut rng = tcq_common::rng::seeded(0x57E4 ^ u64::from(base) ^ ops as u64);
+    let mut stem = SteM::new("S", schema(), 0, kind)
+        .unwrap()
+        .with_slot_base(base);
+    let mut model = StemModel::default();
+    let mut clock = 1i64;
+    let mut serial = 0.0f64;
+    let mut evictions = 0usize;
+    let has_ordered = matches!(kind, IndexKind::Ordered | IndexKind::Both);
+
+    for step in 0..ops {
+        let ctx = format!("{kind:?} base={base} step={step}");
+        let key = rng.gen_range(0..KEYS);
+        let hash = tcq_common::hash_value(&Value::Int(key));
+        let mut got = Vec::new();
+        match rng.gen_range(0..100u32) {
+            // Build. `serial` makes every tuple distinguishable.
+            0..=44 => {
+                let late = out_of_order && rng.gen_bool(0.25);
+                let ts = if late {
+                    clock - rng.gen_range(0..WINDOW)
+                } else {
+                    clock += rng.gen_range(0..3i64);
+                    clock
+                };
+                serial += 1.0;
+                let t = reading(ts, key, serial);
+                model.dirty.insert(hash);
+                model.insert(t.clone());
+                stem.insert(t).unwrap();
+            }
+            // Slide the window (sometimes a no-op, sometimes past `clock`).
+            45..=59 => {
+                let cut = clock - WINDOW + rng.gen_range(0..WINDOW + 8);
+                let before = model.live.len();
+                for (_, t) in model.live.iter().filter(|(_, t)| t.timestamp().seq() < cut) {
+                    model.dirty.insert(hash_of(t));
+                }
+                model.live.retain(|(_, t)| t.timestamp().seq() >= cut);
+                assert_eq!(
+                    stem.evict_before_seq(cut),
+                    before - model.live.len(),
+                    "{ctx}"
+                );
+                assert_eq!(stem.slot_span(), model.span(), "{ctx}");
+                if !out_of_order {
+                    assert_eq!(stem.slot_span(), stem.len(), "{ctx}");
+                }
+                evictions += 1;
+            }
+            60..=74 => {
+                let n = stem.probe_eq_hashed(hash, &Value::Int(key), &mut got);
+                assert_eq!(got, model.matching(|t| key_of(t) == key), "{ctx}");
+                assert_eq!(n, got.len(), "{ctx}");
+            }
+            75..=79 if has_ordered => {
+                let hi = key + rng.gen_range(0..6i64);
+                stem.probe_range(&Value::Int(key), &Value::Int(hi), &mut got)
+                    .unwrap();
+                // Ordered index: ascending key, insertion order within one.
+                let mut want = model.matching(|t| (key..=hi).contains(&key_of(t)));
+                want.sort_by_key(key_of);
+                assert_eq!(got, want, "{ctx}");
+            }
+            80..=84 => {
+                stem.export_group(hash, &mut got);
+                assert_eq!(got, model.matching(|t| hash_of(t) == hash), "{ctx}");
+            }
+            // Restore path: replace one group with an edited copy of itself
+            // (some tuples dropped, some new). Leaves dirt as it was.
+            85..=89 if out_of_order => {
+                let mut group = model.matching(|t| hash_of(t) == hash);
+                group.retain(|_| rng.gen_bool(0.7));
+                for _ in 0..rng.gen_range(0..3u32) {
+                    serial += 1.0;
+                    group.push(reading(clock - rng.gen_range(0..WINDOW), key, serial));
+                }
+                model.live.retain(|(_, t)| hash_of(t) != hash);
+                for t in &group {
+                    model.insert(t.clone());
+                }
+                stem.import_group(hash, group).unwrap();
+                assert_eq!(stem.slot_span(), model.span(), "{ctx}");
+            }
+            90 => {
+                for (_, t) in &model.live {
+                    model.dirty.insert(hash_of(t));
+                }
+                let want = model.matching(|_| true);
+                model.live.clear();
+                assert_eq!(stem.drain_all(), want, "{ctx}");
+                assert_eq!(stem.slot_span(), 0, "{ctx}");
+            }
+            // A checkpoint committed.
+            91..=93 => {
+                model.dirty.clear();
+                stem.clear_dirty();
+            }
+            _ => {
+                let scanned: Vec<Tuple> = stem.scan().cloned().collect();
+                assert_eq!(scanned, model.matching(|_| true), "{ctx}");
+            }
+        }
+        assert_eq!(stem.len(), model.live.len(), "{ctx}");
+        assert!(
+            stem.dirty_groups().eq(model.dirty.iter().copied()),
+            "{ctx}: dirty groups diverged"
+        );
+    }
+    assert!(evictions > ops / 10, "schedule must slide the window");
+    assert!(model.next_id > 2000, "schedule must cross base + 1000");
+}
+
+#[test]
+fn stem_agrees_with_naive_model_from_zero_and_across_the_id_wrap() {
+    for base in [0, u32::MAX - 1000] {
+        stem_agrees_with_model(IndexKind::Both, base, true, 20_000);
+        stem_agrees_with_model(IndexKind::Both, base, false, 20_000);
+        stem_agrees_with_model(IndexKind::Hash, base, true, 5_000);
+        stem_agrees_with_model(IndexKind::Ordered, base, true, 5_000);
     }
 }

@@ -20,6 +20,9 @@ echo "release build took $((build_end - build_start))s"
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+echo "== cargo test (benchmark package: its own workspace, so not covered above) =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== exp_chaos --smoke (server-level chaos, reduced scale) =="
 ./target/release/exp_chaos --smoke
 
@@ -43,6 +46,27 @@ echo "== exp_liveness --smoke (robustness tripwire: watchdog detects and recover
 
 echo "== exp_clients --smoke (transport tripwire: real TCP fleet, exact dead-client ledger) =="
 ./target/release/exp_clients --smoke
+
+echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 40 MiB) =="
+# Memory is the one end-to-end cost that repeats on a shared host (0.2-2.8 %
+# spread), so it is the one that carries a gate. A windowed join holds one
+# window of SteM state (~26 MiB here); history-sized state reads ~95 MiB.
+verdict=$(bash benchmark/run.sh --workload join_inproc --seed 1 --seconds 24 --trace 0 | tail -n 1)
+echo "$verdict"
+failed=$(printf '%s' "$verdict" | sed -n 's/.*"failed": *\([0-9][0-9]*\).*/\1/p')
+rss=$(printf '%s' "$verdict" | sed -n 's/.*"peak_rss_mb": *{"value": *\([0-9.][0-9.]*\).*/\1/p')
+if [ -z "$failed" ] || [ -z "$rss" ]; then
+    echo "ci: could not parse the benchmark's last line" >&2
+    exit 1
+fi
+if [ "$failed" -ne 0 ]; then
+    echo "ci: join_inproc failed $failed result rows" >&2
+    exit 1
+fi
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss <= 40) }'; then
+    echo "ci: join_inproc peak_rss_mb $rss > 40 MiB" >&2
+    exit 1
+fi
 
 echo
 echo "ci: all green"
