@@ -13,14 +13,14 @@
 //! remove+insert pairs per second through the tombstone + pending-run
 //! epoch machinery.
 //!
-//! Part B sweeps the full [`QueryStem`] tier stack end to end: n
-//! anchored queries (`sensor = k AND val` band — the PSoup regime where
-//! most standing queries pin an equality) plus a fixed population of 256
-//! scan-tier monitor bands, probed via `matching_into` with a reused
-//! [`MatchScratch`]. Because probe work is bounded by the anchor
-//! bucket's candidates plus the fixed scan population — and scratch
-//! clearing is O(|previous matches|), not O(n) — per-tuple cost must
-//! stay within 3x while the query population grows 100x.
+//! Part B sweeps the full [`QueryStem`] end to end: n anchored queries
+//! (`sensor = k AND val` band — the PSoup regime where most standing
+//! queries pin an equality) plus a fixed population of 256 range-only
+//! monitor bands (one interval each), probed via `matching_into` with a
+//! reused [`MatchScratch`]. Because probe work is bounded by the anchor
+//! bucket's candidates plus an O(log n + matches) interval stab — and
+//! scratch clearing is O(|previous matches|), not O(n) — per-tuple cost
+//! must stay within 3x while the query population grows 100x.
 //!
 //! Claims demonstrated:
 //!
@@ -31,7 +31,9 @@
 //! * the steady-state probe path performs zero heap allocations (scratch
 //!   reuse end to end), enforced with a counting global allocator;
 //! * growing 1k -> 100k standing queries raises per-tuple match cost by
-//!   <= 3x (the tiered stem keeps probe work off the query count);
+//!   <= 3x, both on the wall clock and in index entries examined
+//!   ([`MatchScratch::examined`]): one access path per query keeps probe
+//!   work off the query count;
 //! * the run emits machine-readable `BENCH_query_scale.json` with
 //!   resident-size accounting per population.
 //!
@@ -60,7 +62,7 @@ const SIZES: &[usize] = &[1_000, 10_000, 100_000];
 /// Constants (and probe values) live in this domain.
 const DOMAIN: i64 = 100_000;
 
-/// Scan-tier monitor bands standing alongside Part B's anchored
+/// Range-only monitor bands standing alongside Part B's anchored
 /// population (windowless `val` range watchers with no equality anchor).
 const MONITORS: usize = 256;
 
@@ -74,7 +76,9 @@ const NAIVE_SPEEDUP_FLOOR: f64 = 20.0;
 /// return to O(n)-per-op compaction, which lands around 1k/s.
 const CHURN_FLOOR: f64 = 30_000.0;
 
-/// Maximum per-tuple match-cost growth across the 100x population span.
+/// Maximum per-tuple match-cost growth across the 100x population span,
+/// applied to the wall-clock probe time and to the index entries examined
+/// (a count that repeats exactly).
 const SCALE_RATIO_CEIL: f64 = 3.0;
 
 fn factor_shape(i: usize) -> CmpOp {
@@ -224,11 +228,13 @@ fn stem_schema() -> SchemaRef {
 struct StemOutcome {
     n: usize,
     probe_ns: f64,
+    /// Mean [`MatchScratch::examined`] over the probe pool.
+    examined_per_probe: f64,
     allocs_per_probe: f64,
     approx_bytes: usize,
 }
 
-/// Part B: the full tier stack end to end — n anchored queries plus a
+/// Part B: the full query SteM end to end — n anchored queries plus a
 /// fixed scan-tier monitor population, probed through `matching_into`.
 fn run_stem_scale(n: usize, probes: usize) -> StemOutcome {
     let mut rng = tcq_common::rng::seeded(0x57E6 ^ n as u64);
@@ -251,7 +257,7 @@ fn run_stem_scale(n: usize, probes: usize) -> StemOutcome {
             );
         qs.insert_query(i, Some(&pred)).unwrap();
     }
-    // Plus the standing monitors with no equality anchor (scan tier).
+    // Plus the standing monitors with no equality anchor (interval index).
     for m in 0..MONITORS {
         let lo = rng.gen_range(0.0..90.0);
         let hi = lo + rng.gen_range(1.0..10.0);
@@ -275,8 +281,10 @@ fn run_stem_scale(n: usize, probes: usize) -> StemOutcome {
         .collect();
 
     let mut scratch = MatchScratch::new();
+    let mut examined = 0usize;
     for t in &pool {
         qs.matching_into(t, &mut scratch).unwrap();
+        examined += scratch.examined();
     }
     let mut probe_ns = f64::INFINITY;
     let mut allocs_per_probe = 0.0;
@@ -302,12 +310,19 @@ fn run_stem_scale(n: usize, probes: usize) -> StemOutcome {
     StemOutcome {
         n,
         probe_ns,
+        examined_per_probe: examined as f64 / pool.len() as f64,
         allocs_per_probe,
         approx_bytes: qs.approx_bytes() + scratch.approx_bytes(),
     }
 }
 
-fn write_json(filters: &[FilterOutcome], stems: &[StemOutcome], speedup_100k: f64, ratio: f64) {
+fn write_json(
+    filters: &[FilterOutcome],
+    stems: &[StemOutcome],
+    speedup_100k: f64,
+    ratio: f64,
+    work_ratio: f64,
+) {
     let filter_entries: Vec<String> = filters
         .iter()
         .map(|o| {
@@ -332,10 +347,12 @@ fn write_json(filters: &[FilterOutcome], stems: &[StemOutcome], speedup_100k: f6
         .map(|o| {
             format!(
                 "    {{\"n\": {}, \"probe_ns\": {:.1}, \"tuples_per_sec\": {:.0}, \
+                 \"examined_per_probe\": {:.2}, \
                  \"allocs_per_probe\": {:.4}, \"approx_bytes\": {}}}",
                 o.n,
                 o.probe_ns,
                 1e9 / o.probe_ns,
+                o.examined_per_probe,
                 o.allocs_per_probe,
                 o.approx_bytes
             )
@@ -343,14 +360,16 @@ fn write_json(filters: &[FilterOutcome], stems: &[StemOutcome], speedup_100k: f6
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"query_scale\",\n  \"pipeline\": \
-         \"boundary-indexed grouped filter + tiered query stem, 1k..100k standing CQs\",\n  \
+         \"boundary-indexed grouped filter + anchor/interval query stem, 1k..100k standing CQs\",\n  \
          \"grouped_filter\": [\n{}\n  ],\n  \"query_stem\": [\n{}\n  ],\n  \
          \"speedup_100k_vs_naive\": {:.1},\n  \
-         \"per_tuple_ratio_100k_vs_1k\": {:.2}\n}}\n",
+         \"per_tuple_ratio_100k_vs_1k\": {:.2},\n  \
+         \"examined_ratio_100k_vs_1k\": {:.2}\n}}\n",
         filter_entries.join(",\n"),
         stem_entries.join(",\n"),
         speedup_100k,
-        ratio
+        ratio,
+        work_ratio
     );
     std::fs::write("BENCH_query_scale.json", json).unwrap();
     println!("  wrote BENCH_query_scale.json");
@@ -393,8 +412,14 @@ fn main() {
     }
     filter_table.print();
 
-    let mut stem_table =
-        Table::new(&["queries", "probe ns", "tuples/sec", "allocs/probe", "bytes"]);
+    let mut stem_table = Table::new(&[
+        "queries",
+        "probe ns",
+        "tuples/sec",
+        "examined/probe",
+        "allocs/probe",
+        "bytes",
+    ]);
     let mut stems = Vec::new();
     for &n in SIZES {
         let o = run_stem_scale(n, stem_probes);
@@ -402,6 +427,7 @@ fn main() {
             o.n.to_string(),
             format!("{:.0}", o.probe_ns),
             format!("{:.0}", 1e9 / o.probe_ns),
+            format!("{:.1}", o.examined_per_probe),
             format!("{:.4}", o.allocs_per_probe),
             o.approx_bytes.to_string(),
         ]);
@@ -411,13 +437,16 @@ fn main() {
     stem_table.print();
 
     let top = filters.last().unwrap();
-    let ratio = stems.last().unwrap().probe_ns / stems.first().unwrap().probe_ns;
+    let (small, large) = (stems.first().unwrap(), stems.last().unwrap());
+    let ratio = large.probe_ns / small.probe_ns;
+    let work_ratio = large.examined_per_probe / small.examined_per_probe;
     println!("\n  indexed vs naive at 100k factors: {:.1}x", top.speedup);
     println!(
-        "  per-tuple cost ratio 100k vs 1k queries: {ratio:.2}x (ceiling {SCALE_RATIO_CEIL}x)"
+        "  per-tuple cost ratio 100k vs 1k queries: {ratio:.2}x wall clock, \
+         {work_ratio:.2}x entries examined (ceiling {SCALE_RATIO_CEIL}x each)"
     );
     if !smoke {
-        write_json(&filters, &stems, top.speedup, ratio);
+        write_json(&filters, &stems, top.speedup, ratio, work_ratio);
     }
 
     if top.speedup < NAIVE_SPEEDUP_FLOOR {
@@ -457,6 +486,13 @@ fn main() {
         eprintln!(
             "FAIL: per-tuple cost grew {ratio:.2}x from 1k to 100k queries \
              (ceiling {SCALE_RATIO_CEIL}x)"
+        );
+        std::process::exit(1);
+    }
+    if work_ratio > SCALE_RATIO_CEIL {
+        eprintln!(
+            "FAIL: index entries examined per tuple grew {work_ratio:.2}x from 1k to 100k \
+             queries (ceiling {SCALE_RATIO_CEIL}x)"
         );
         std::process::exit(1);
     }

@@ -21,15 +21,16 @@
 //!   and a walk of at most one partial block — instead of one bitset insert
 //!   per matching factor.
 //!
-//! Registration churn is epoch-based: inserts land in a small sorted
-//! `pending` side-buffer and removals tombstone into a `dead` bitmap; probes
-//! consult both, and the sorted run plus its block bitmaps are rebuilt only
-//! when pending or dead counts cross a threshold (amortized O(1) per op, no
-//! O(n) `Vec::insert`/`retain` on the hot registration path).
+//! Registration churn is epoch-based ([`crate::epoch`]): inserts land in a
+//! small sorted `pending` side-buffer and removals tombstone into a `dead`
+//! bitmap; probes consult both, and the sorted run plus its block bitmaps
+//! are rebuilt only when pending or dead counts cross a threshold.
 
 use std::collections::HashMap;
 
 use tcq_common::{BitSet, CmpOp, Result, TcqError, Value};
+
+use crate::epoch::{compaction_due, EpochStats, REBUILD_PENDING};
 
 /// Identifies one registered boolean factor within a grouped filter. Factor
 /// ids are assigned by the caller (typically a [`crate::QueryStem`]) so one
@@ -40,11 +41,6 @@ pub type FactorId = usize;
 /// partial block per index, so this bounds per-probe work; rebuild cost per
 /// epoch is O(entries + entries/BLOCK bitmap unions).
 const BLOCK: usize = 256;
-
-/// Pending (not yet merged) inserts that trigger an epoch rebuild. Probes
-/// scan the pending buffer linearly, so this also bounds mid-epoch probe
-/// overhead.
-const REBUILD_PENDING: usize = 256;
 
 /// An entry in one of the two sorted range tables.
 #[derive(Debug, Clone)]
@@ -64,17 +60,6 @@ enum RangeKind {
     /// `value < constant` family: matches constants *above* the probe, so
     /// block bitmaps are suffix unions.
     Upper,
-}
-
-/// Counts of mid-epoch state, exposed for tests and the scale bench.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochStats {
-    /// Range factors waiting in the sorted side-buffers.
-    pub pending: usize,
-    /// Removed range factors still tombstoned in the sorted runs.
-    pub tombstones: usize,
-    /// Range factors in the compacted sorted runs (live + tombstoned).
-    pub entries: usize,
 }
 
 /// One direction of range factors: a compacted constant-sorted run with
@@ -136,9 +121,7 @@ impl RangeIndex {
         }
         self.dead.insert(id);
         self.dead_count += 1;
-        // Compact when a quarter of the run is tombstones (slack so tiny
-        // runs don't thrash).
-        if self.dead_count * 4 > self.entries.len() + 64 {
+        if compaction_due(self.dead_count, self.entries.len()) {
             self.rebuild();
         }
     }
@@ -704,7 +687,7 @@ mod tests {
         }
         let stats = f.epoch_stats();
         assert!(
-            stats.tombstones * 4 <= stats.entries + 64,
+            !compaction_due(stats.tombstones, stats.entries),
             "sustained removal must compact: {stats:?}"
         );
         let got = f.eval_collect(&Value::Int(-1));

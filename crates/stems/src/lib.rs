@@ -21,7 +21,9 @@
 //!   predicates of *all* standing queries on an attribute at once.
 //! * [`QueryStem`] — PSoup's index of whole queries ("a generalization of
 //!   the notion of a grouped filter", §3.2): insert/remove queries, and for
-//!   each arriving tuple compute the exact set of queries it satisfies.
+//!   each arriving tuple compute the exact set of queries it satisfies. Each
+//!   query is reached through one access path — an equality hash anchor or
+//!   an interval stabbed in O(log n + matches) — and verified directly.
 //!
 //! # Example: one probe answers many predicates
 //!
@@ -40,12 +42,15 @@
 
 #![warn(missing_docs)]
 
+mod epoch;
 pub mod grouped_filter;
+mod interval_index;
 pub mod query_stem;
 pub mod slot_ring;
 pub mod stem;
 
-pub use grouped_filter::{EpochStats, GroupedFilter};
+pub use epoch::EpochStats;
+pub use grouped_filter::GroupedFilter;
 pub use query_stem::{MatchScratch, QueryId, QueryStem};
 pub use slot_ring::SlotRing;
 pub use stem::{IndexKind, SteM};

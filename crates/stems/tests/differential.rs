@@ -1,5 +1,5 @@
 //! Differential property tests for the epoch-rebuilt grouped filter, the
-//! tiered query SteM and the ring-stored data SteM: randomized interleaved
+//! query SteM (anchors + interval index) and the ring-stored data SteM: randomized interleaved
 //! operation sequences checked against naive per-factor (resp. per-query,
 //! per-tuple) evaluation.
 //!
@@ -108,38 +108,110 @@ fn reading(ts: i64, sensor: i64, val: f64) -> Tuple {
         .unwrap()
 }
 
-/// A random predicate spanning all three stem tiers: anchored (sensor
-/// equality + band), scan (band only), and unindexed (match-all).
+/// A random predicate spanning every access path of the stem — anchored
+/// (sensor equality + band), interval (range factors only, in every shape
+/// `insert_query` normalises) and none (match-all, `!=` only) — with Int and
+/// Float constants mixed against the Float column.
 fn random_pred(rng: &mut tcq_common::rng::TcqRng) -> Option<Expr> {
-    let lo = rng.gen_range(0.0..80.0);
-    let hi = lo + rng.gen_range(0.0..40.0);
-    let band = Expr::col("val")
-        .cmp(CmpOp::Ge, Expr::lit(lo))
-        .and(Expr::col("val").cmp(CmpOp::Le, Expr::lit(hi)));
-    match rng.gen_range(0..10u32) {
-        0 => None,
-        1..=5 => Some(
-            Expr::col("sensor")
-                .cmp(CmpOp::Eq, Expr::lit(rng.gen_range(0..16i64)))
-                .and(band),
-        ),
-        _ => Some(band),
+    fn lit(rng: &mut tcq_common::rng::TcqRng, c: i64) -> Expr {
+        match rng.gen_range(0..3u32) {
+            0 => Expr::lit(c),
+            1 => Expr::lit(c as f64),
+            _ => Expr::lit(c as f64 + 0.5),
+        }
+    }
+    let lower = [CmpOp::Gt, CmpOp::Ge][rng.gen_range(0..2usize)];
+    let upper = [CmpOp::Lt, CmpOp::Le][rng.gen_range(0..2usize)];
+    let lo = rng.gen_range(0..80i64);
+    let hi = lo + rng.gen_range(0..40i64);
+    let val = |op: CmpOp, c: Expr| Expr::col("val").cmp(op, c);
+    let sensor = |op: CmpOp, c: i64| Expr::col("sensor").cmp(op, Expr::lit(c));
+    let band = val(lower, lit(rng, lo)).and(val(upper, lit(rng, hi)));
+    Some(match rng.gen_range(0..16u32) {
+        0 => return None,
+        1..=4 => sensor(CmpOp::Eq, rng.gen_range(0..16i64)).and(band),
+        5..=7 => band,
+        8 => val(lower, lit(rng, lo)),
+        9 => val(upper, lit(rng, hi)),
+        // Point: `>= c AND <= c`.
+        10 => val(CmpOp::Ge, Expr::lit(lo)).and(val(CmpOp::Le, Expr::lit(lo as f64))),
+        // Empty: the bounds cross.
+        11 => val(lower, lit(rng, hi + 1)).and(val(upper, lit(rng, lo))),
+        // Repeated bounds on one column: the tighter one must win.
+        12 => {
+            let (again, c) = (rng.gen_range(0..2usize), rng.gen_range(0..80i64));
+            band.and(val([CmpOp::Gt, CmpOp::Ge][again], lit(rng, c)))
+        }
+        // Ranges on two columns: one is the interval, the other verified.
+        13 => sensor(CmpOp::Ge, rng.gen_range(0..10i64))
+            .and(band)
+            .and(sensor(CmpOp::Lt, rng.gen_range(5..20i64))),
+        14 => band.and(val(CmpOp::Ne, Expr::lit(rng.gen_range(lo..=hi)))),
+        _ => sensor(CmpOp::Ne, rng.gen_range(0..16i64)),
+    })
+}
+
+/// A probe tuple on the constants' grid (so bounds are hit exactly), NULL
+/// in either column now and then.
+fn random_reading(rng: &mut tcq_common::rng::TcqRng, ts: i64) -> Tuple {
+    let sensor = match rng.gen_range(0..16u32) {
+        0 => Value::Null,
+        _ => Value::Int(rng.gen_range(0..20i64)),
+    };
+    let val = match rng.gen_range(0..16u32) {
+        0 => Value::Null,
+        1..=8 => Value::Float(rng.gen_range(-10..130i64) as f64),
+        _ => Value::Float(rng.gen_range(-10..130i64) as f64 + 0.5),
+    };
+    Tuple::new(schema(), vec![sensor, val], Timestamp::logical(ts)).unwrap()
+}
+
+/// What a standing query must match, evaluated query by query.
+enum Oracle {
+    /// The bound predicate on the tree-walking interpreter (`None` = no
+    /// WHERE clause).
+    Pred(Option<tcq_common::BoundExpr>),
+    /// `lo < val AND val <= hi`, spelled out: the preloaded population is
+    /// too large to interpret per probe in a debug build.
+    Band(f64, f64),
+}
+
+impl Oracle {
+    fn admits(&self, t: &Tuple) -> bool {
+        match self {
+            Oracle::Pred(p) => p.as_ref().is_none_or(|p| p.eval_pred(t).unwrap()),
+            Oracle::Band(lo, hi) => t.value(1).as_float().is_ok_and(|v| *lo < v && v <= *hi),
+        }
     }
 }
 
-#[test]
-fn query_stem_agrees_with_naive_under_churn() {
-    let mut rng = tcq_common::rng::seeded(0xC0_FFEE);
+/// `ops` operations at 45/25/30 insert/remove/probe against per-query
+/// evaluation of the bound predicates, on top of `preloaded` narrow ranges
+/// (so removals tombstone a deep run and stabs descend a real tree).
+fn query_stem_churn(seed: u64, preloaded: usize, ops: usize) {
+    let mut rng = tcq_common::rng::seeded(seed);
     let schema = schema();
     let mut qs = QueryStem::new(schema.clone());
     let mut scratch = MatchScratch::new();
-    let mut model: HashMap<usize, Option<tcq_common::BoundExpr>> = HashMap::new();
-    let mut next_q = 0usize;
+    let mut model = HashMap::new();
+    let mut live: Vec<usize> = Vec::new();
     let mut freed: Vec<usize> = Vec::new();
+    let mut next_q = 0usize;
+    let mut mid_epoch_probes = 0usize;
+    for id in 0..preloaded {
+        let (lo, hi) = ((id % 120) as f64, (id % 120) as f64 + 0.5 * (id % 5) as f64);
+        let band = Expr::col("val")
+            .cmp(CmpOp::Gt, Expr::lit(lo))
+            .and(Expr::col("val").cmp(CmpOp::Le, Expr::lit(hi)));
+        qs.insert_query(id, Some(&band)).unwrap();
+        model.insert(id, Oracle::Band(lo, hi));
+        live.push(id);
+        next_q += 1;
+    }
 
-    for step in 0..4000 {
+    for step in 0..ops {
         let roll = rng.gen_range(0..100u32);
-        if roll < 40 || model.is_empty() {
+        if roll < 45 || live.is_empty() {
             // Half the time reuse a removed query id (the server's shared
             // filter never does, but PSoup callers may).
             let id = if !freed.is_empty() && rng.gen_range(0..2u32) == 0 {
@@ -149,35 +221,61 @@ fn query_stem_agrees_with_naive_under_churn() {
                 next_q - 1
             };
             let pred = random_pred(&mut rng);
+            // A constant its column cannot be compared with is refused at
+            // registration (it would fail every probe that reaches it) and
+            // leaves the stem as it was, so `id` registers next.
+            if let (Some(p), 0) = (&pred, rng.gen_range(0..8u32)) {
+                let (col, op) = [
+                    ("sensor", CmpOp::Ne),
+                    ("val", CmpOp::Lt),
+                    ("sensor", CmpOp::Eq),
+                ][rng.gen_range(0..3usize)];
+                let mistyped = p.clone().and(Expr::col(col).cmp(op, Expr::lit("abc")));
+                assert!(qs.insert_query(id, Some(&mistyped)).is_err());
+            }
             qs.insert_query(id, pred.as_ref()).unwrap();
-            let bound = pred.map(|p| p.bind(&schema).unwrap());
-            model.insert(id, bound);
-        } else if roll < 65 {
-            let ids: Vec<usize> = model.keys().copied().collect();
-            let id = ids[rng.gen_range(0..ids.len())];
+            model.insert(id, Oracle::Pred(pred.map(|p| p.bind(&schema).unwrap())));
+            live.push(id);
+        } else if roll < 70 {
+            let id = live.swap_remove(rng.gen_range(0..live.len()));
             qs.remove_query(id).unwrap();
             model.remove(&id);
             freed.push(id);
         } else {
-            let t = reading(
-                step as i64,
-                rng.gen_range(0..20i64),
-                rng.gen_range(-10.0..140.0),
-            );
+            let t = random_reading(&mut rng, step as i64);
+            let stats = qs.epoch_stats();
+            if stats.pending > 0 && stats.tombstones > 0 {
+                mid_epoch_probes += 1;
+            }
             qs.matching_into(&t, &mut scratch).unwrap();
             let mut expect: Vec<usize> = model
                 .iter()
-                .filter(|(_, p)| p.as_ref().is_none_or(|p| p.eval_pred(&t).unwrap()))
+                .filter(|(_, oracle)| oracle.admits(&t))
                 .map(|(&id, _)| id)
                 .collect();
             expect.sort_unstable();
             assert_eq!(
                 scratch.matches(),
                 expect.as_slice(),
-                "disagreement at step {step} on {t:?}"
+                "disagreement at step {step} on {t:?} ({stats:?})"
             );
         }
+        assert_eq!(qs.len(), model.len(), "query count drift at {step}");
     }
+    assert!(
+        mid_epoch_probes > ops / 10,
+        "churn schedule must actually exercise mid-epoch probes, got {mid_epoch_probes}"
+    );
+}
+
+#[test]
+fn query_stem_agrees_with_naive_under_churn() {
+    query_stem_churn(0xC0_FFEE, 0, 20_000);
+}
+
+#[test]
+fn query_stem_agrees_with_naive_under_churn_on_10k_preloaded_ranges() {
+    query_stem_churn(0x5EED_1E55, 10_000, 20_000);
 }
 
 /// The SteM's contract, naively: live tuples in insertion order, each with

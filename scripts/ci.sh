@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release =="
 build_start=$(date +%s)
-cargo build --release
+cargo build --release --workspace
 build_end=$(date +%s)
 echo "release build took $((build_end - build_start))s"
 
@@ -47,26 +47,40 @@ echo "== exp_liveness --smoke (robustness tripwire: watchdog detects and recover
 echo "== exp_clients --smoke (transport tripwire: real TCP fleet, exact dead-client ledger) =="
 ./target/release/exp_clients --smoke
 
+# End-to-end tripwires: one benchmark run must verify every result row and
+# stay under a peak-RSS ceiling. Memory is the one end-to-end cost that
+# repeats on a shared host (0.2-2.8 % spread), so it is the one that carries
+# a gate; speed is guarded by deterministic work counts in the test suites.
+bench_gate() {
+    workload=$1
+    rss_max=$2
+    verdict=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 24 --trace 0 | tail -n 1)
+    echo "$verdict"
+    failed=$(printf '%s' "$verdict" | sed -n 's/.*"failed": *\([0-9][0-9]*\).*/\1/p')
+    rss=$(printf '%s' "$verdict" | sed -n 's/.*"peak_rss_mb": *{"value": *\([0-9.][0-9.]*\).*/\1/p')
+    if [ -z "$failed" ] || [ -z "$rss" ]; then
+        echo "ci: could not parse the benchmark's last line" >&2
+        exit 1
+    fi
+    if [ "$failed" -ne 0 ]; then
+        echo "ci: $workload failed $failed result rows" >&2
+        exit 1
+    fi
+    if ! awk -v rss="$rss" -v max="$rss_max" 'BEGIN { exit !(rss <= max) }'; then
+        echo "ci: $workload peak_rss_mb $rss > $rss_max MiB" >&2
+        exit 1
+    fi
+}
+
 echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 40 MiB) =="
-# Memory is the one end-to-end cost that repeats on a shared host (0.2-2.8 %
-# spread), so it is the one that carries a gate. A windowed join holds one
-# window of SteM state (~26 MiB here); history-sized state reads ~95 MiB.
-verdict=$(bash benchmark/run.sh --workload join_inproc --seed 1 --seconds 24 --trace 0 | tail -n 1)
-echo "$verdict"
-failed=$(printf '%s' "$verdict" | sed -n 's/.*"failed": *\([0-9][0-9]*\).*/\1/p')
-rss=$(printf '%s' "$verdict" | sed -n 's/.*"peak_rss_mb": *{"value": *\([0-9.][0-9.]*\).*/\1/p')
-if [ -z "$failed" ] || [ -z "$rss" ]; then
-    echo "ci: could not parse the benchmark's last line" >&2
-    exit 1
-fi
-if [ "$failed" -ne 0 ]; then
-    echo "ci: join_inproc failed $failed result rows" >&2
-    exit 1
-fi
-if ! awk -v rss="$rss" 'BEGIN { exit !(rss <= 40) }'; then
-    echo "ci: join_inproc peak_rss_mb $rss > 40 MiB" >&2
-    exit 1
-fi
+# A windowed join holds one window of SteM state (~26 MiB here);
+# history-sized state reads ~95 MiB.
+bench_gate join_inproc 40
+
+echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <= 25 MiB) =="
+# 10 000 standing CQs with a submit + stop per batch read ~18.5 MiB; state
+# keyed by the query ids ever issued, or a superlinear index, shows here.
+bench_gate manycq_churn 25
 
 echo
 echo "ci: all green"

@@ -420,3 +420,170 @@ fn three_way_star_join_via_server() {
     }
     server.shutdown().unwrap();
 }
+
+/// What a standing query of the churn test selects, evaluated on its own.
+#[derive(Clone, Copy)]
+enum TickCq {
+    /// `sym = s AND price > 500`
+    Sym(i64),
+    /// `price > lo AND price < hi`
+    Range(i64, i64),
+}
+
+impl TickCq {
+    fn sql(self) -> String {
+        match self {
+            TickCq::Sym(s) => format!("SELECT seq FROM ticks WHERE sym = {s} AND price > 500"),
+            TickCq::Range(lo, hi) => {
+                format!("SELECT seq FROM ticks WHERE price > {lo} AND price < {hi}")
+            }
+        }
+    }
+
+    fn admits(self, sym: i64, price: i64) -> bool {
+        match self {
+            TickCq::Sym(s) => sym == s && price > 500,
+            TickCq::Range(lo, hi) => lo < price && price < hi,
+        }
+    }
+}
+
+#[test]
+fn range_cqs_churn_under_load_with_exact_per_query_deliveries() {
+    // 2 000 two-sided range CQs (one interval each in the shared QueryStem)
+    // beside 200 anchored ones; every 64 rows a range CQ is submitted and
+    // the oldest standing range CQ is stopped, so registrations pile up in
+    // the interval index's pending buffer while stops tombstone its run.
+    const RANGES: i64 = 2_000;
+    const SYMS: i64 = 200;
+    const ROWS: i64 = 5_000;
+    const BATCH: i64 = 64;
+    const SPAN: i64 = 1_000_000;
+    use std::collections::{HashMap, VecDeque};
+    let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("sym", DataType::Int),
+        Field::new("price", DataType::Int),
+        Field::new("seq", DataType::Int),
+    ])
+    .into_ref();
+    server.register_stream("ticks", schema.clone()).unwrap();
+    let (client, rx) = server.connect_push_client(1 << 16).unwrap();
+
+    // qid -> (predicate, seqs it must deliver, seqs it delivered).
+    type Ledger = HashMap<usize, (TickCq, Vec<i64>, Vec<i64>)>;
+    let mut queries = Ledger::new();
+    let mut live: Vec<usize> = Vec::new();
+    let submit = |queries: &mut Ledger, cq: TickCq| {
+        let qid = server.submit(&cq.sql(), client).unwrap();
+        queries.insert(qid, (cq, Vec::new(), Vec::new()));
+        qid
+    };
+    let step = SPAN / RANGES;
+    let mut standing_ranges: VecDeque<usize> = (0..RANGES)
+        .map(|j| TickCq::Range(j * step, j * step + 3 * step + 1))
+        .map(|cq| submit(&mut queries, cq))
+        .collect();
+    live.extend(standing_ranges.iter().copied());
+    live.extend((0..SYMS).map(|s| submit(&mut queries, TickCq::Sym(s))));
+
+    let mut rng = telegraphcq::common::rng::seeded(0x17_C0DE);
+    let (mut expected, mut received) = (0u64, 0u64);
+    let mut seq = 0i64;
+    while seq < ROWS {
+        let mut batch = Vec::new();
+        for _ in 0..BATCH.min(ROWS - seq) {
+            seq += 1;
+            let (sym, price) = (rng.gen_range(0..SYMS), rng.gen_range(0..SPAN));
+            for qid in &live {
+                let (cq, want, _) = queries.get_mut(qid).unwrap();
+                if cq.admits(sym, price) {
+                    want.push(seq);
+                    expected += 1;
+                }
+            }
+            let row = TupleBuilder::new(schema.clone())
+                .push(sym)
+                .push(price)
+                .push(seq)
+                .at(Timestamp::logical(seq));
+            batch.push(row.build().unwrap());
+        }
+        server.push_batch("ticks", batch).unwrap();
+        // Closed loop: the engine has seen every row before the population
+        // changes, so each query's expected rows are exact.
+        while received < expected {
+            let (qid, t) = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{received} of {expected} deliveries by seq {seq}"));
+            queries
+                .get_mut(&qid)
+                .unwrap()
+                .2
+                .push(t.value(0).as_int().unwrap());
+            received += 1;
+        }
+        // A wide range (a fifth of the stream matches), rotated around.
+        let lo = (seq * 7_919) % SPAN;
+        let qid = submit(&mut queries, TickCq::Range(lo, lo + SPAN / 5));
+        live.push(qid);
+        standing_ranges.push_back(qid);
+        let old = standing_ranges.pop_front().unwrap();
+        server.stop_query(old).unwrap();
+        live.retain(|q| *q != old);
+    }
+    settle(&server);
+    assert!(
+        rx.try_recv().is_err(),
+        "deliveries beyond the expected ones"
+    );
+    for (qid, (cq, want, got)) in &queries {
+        assert_eq!(got, want, "query {qid} ({})", cq.sql());
+    }
+    let churned = queries.len() as i64 - RANGES - SYMS;
+    assert_eq!(churned, (ROWS + BATCH - 1) / BATCH);
+    let ledger = server.egress_stats_full();
+    assert_eq!(
+        (ledger.offered, ledger.delivered),
+        (expected, expected),
+        "{ledger:?}"
+    );
+    assert_eq!(server.query_count() as i64, RANGES + SYMS);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn mistyped_cq_is_refused_at_submit_and_the_stream_keeps_delivering() {
+    // A constant the column cannot be compared with would fail the shared
+    // filter's probe for every standing query on the stream; the query SteM
+    // refuses it at registration instead.
+    let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
+    let schema = sensor_schema();
+    server.register_stream("sensors", schema.clone()).unwrap();
+    let (client, rx) = server.connect_push_client(1024).unwrap();
+    let good = server
+        .submit(
+            "SELECT sensorId FROM sensors WHERE temperature > 20.0",
+            client,
+        )
+        .unwrap();
+    for bad in [
+        "SELECT sensorId FROM sensors WHERE temperature > 1.0 AND sensorId != 'abc'",
+        "SELECT sensorId FROM sensors WHERE sensorId = 3 AND temperature < 'abc'",
+    ] {
+        assert!(server.submit(bad, client).is_err(), "{bad}");
+    }
+    assert_eq!(server.query_count(), 1);
+    for ts in 1..=10 {
+        server
+            .push("sensors", reading(&schema, ts, ts, 15.0 + ts as f64))
+            .unwrap();
+    }
+    settle(&server);
+    let got: Vec<(usize, i64)> = rx
+        .try_iter()
+        .map(|(q, t)| (q, t.value(0).as_int().unwrap()))
+        .collect();
+    assert_eq!(got, (6..=10).map(|id| (good, id)).collect::<Vec<_>>());
+    server.shutdown().unwrap();
+}
