@@ -21,7 +21,7 @@
 //!   processing must be made robust to the addition of new queries and the
 //!   removal of old ones over time", §1.1).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use tcq_common::{BitSet, Expr, Result, Schema, SchemaRef, TcqError, Tuple, Value};
 use tcq_stems::{MatchScratch, QueryStem, SlotRing};
@@ -45,12 +45,12 @@ pub struct SharedEddyStats {
 }
 
 /// A SteM whose stored tuples carry query lineage. Storage is the same
-/// window-sized [`SlotRing`] the dedicated `SteM` uses.
+/// window-sized [`SlotRing`] the dedicated `SteM` uses; builds arrive in
+/// timestamp order, so the ring's front is the oldest tuple.
 struct SharedStem {
     key_col: usize,
     buckets: HashMap<Value, Vec<u32>>,
     slots: SlotRing<(Tuple, BitSet)>,
-    arrival: VecDeque<(i64, u32)>,
     live: usize,
 }
 
@@ -60,7 +60,6 @@ impl SharedStem {
             key_col,
             buckets: HashMap::new(),
             slots: SlotRing::new(),
-            arrival: VecDeque::new(),
             live: 0,
         }
     }
@@ -76,10 +75,8 @@ impl SharedStem {
 
     fn insert(&mut self, tuple: Tuple, lineage: BitSet) {
         let key = tuple.value(self.key_col).clone();
-        let seq = tuple.timestamp().seq();
         let slot = self.slots.push((tuple, lineage));
         self.buckets.entry(key).or_default().push(slot);
-        self.arrival.push_back((seq, slot));
         self.live += 1;
     }
 
@@ -91,22 +88,17 @@ impl SharedStem {
 
     fn evict_before_seq(&mut self, seq: i64) -> usize {
         let mut evicted = 0;
-        while let Some(&(ts, slot)) = self.arrival.front() {
-            if ts >= seq {
-                break;
-            }
-            self.arrival.pop_front();
-            if let Some((t, _)) = self.slots.take(slot) {
-                let key = t.value(self.key_col);
-                if let Some(slots) = self.buckets.get_mut(key) {
-                    slots.retain(|&s| s != slot);
-                    if slots.is_empty() {
-                        self.buckets.remove(key);
-                    }
+        while let Some((slot, (t, _))) = self.slots.pop_front_if(|(t, _)| t.timestamp().seq() < seq)
+        {
+            let key = t.value(self.key_col);
+            if let Some(slots) = self.buckets.get_mut(key) {
+                slots.retain(|&s| s != slot);
+                if slots.is_empty() {
+                    self.buckets.remove(key);
                 }
-                self.live -= 1;
-                evicted += 1;
             }
+            self.live -= 1;
+            evicted += 1;
         }
         self.slots.reclaim_front();
         evicted
@@ -117,10 +109,9 @@ impl SharedStem {
     }
 
     /// Approximate heap footprint: stored tuples, lineage bitmaps, and the
-    /// hash/arrival bookkeeping.
+    /// hash bookkeeping.
     fn approx_bytes(&self) -> usize {
         let mut b = self.slots.capacity() * std::mem::size_of::<Option<(Tuple, BitSet)>>()
-            + self.arrival.capacity() * std::mem::size_of::<(i64, u32)>()
             + self.buckets.capacity() * std::mem::size_of::<(Value, Vec<u32>)>();
         for (k, slots) in &self.buckets {
             b += k.approx_bytes() + slots.capacity() * std::mem::size_of::<u32>();

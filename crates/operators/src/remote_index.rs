@@ -95,7 +95,10 @@ pub struct RemoteIndexOp {
     /// Probe key in the routed tuple, resolved per schema like StemOp.
     probe_key_qualifier: Option<String>,
     probe_key_name: String,
-    plans: HashMap<usize, (usize, SchemaRef)>,
+    /// `(probing schema, key column, joined schema)` keyed by the probing
+    /// schema's address; the entry holds the schema so the address cannot
+    /// be reused by one of another shape.
+    plans: HashMap<usize, (SchemaRef, usize, SchemaRef)>,
 }
 
 impl RemoteIndexOp {
@@ -137,10 +140,12 @@ impl EddyModule for RemoteIndexOp {
                 .schema()
                 .index_of(self.probe_key_qualifier.as_deref(), &self.probe_key_name)?;
             let joined: SchemaRef = Arc::new(Schema::concat(tuple.schema(), self.index.schema()));
-            self.plans.insert(key, (col, joined));
+            self.plans
+                .insert(key, (Arc::clone(tuple.schema()), col, joined));
         }
         let (col, joined) = {
-            let (c, j) = &self.plans[&key];
+            let (s, c, j) = &self.plans[&key];
+            debug_assert!(Arc::ptr_eq(s, tuple.schema()), "plan of another schema");
             (*c, j.clone())
         };
         let mut matches = Vec::new();
@@ -217,6 +222,30 @@ mod tests {
             );
         }
         assert_eq!(op.lookups(), 1);
+    }
+
+    #[test]
+    fn probe_plan_is_not_shared_with_a_schema_that_reuses_a_freed_address() {
+        let index = RemoteIndex::new(t_schema(), 0, vec![t_row(1, "one")], Duration::ZERO);
+        let mut op = RemoteIndexOp::new("idx(T)", index, (Some("S".into()), "k".into()));
+        for round in 0..64 {
+            // The key column moves between rounds; each probing schema is
+            // dropped before the next is allocated.
+            let wide = round % 2 == 1;
+            let mut fields = vec![Field::new("k", DataType::Int)];
+            if wide {
+                fields.insert(0, Field::new("pad", DataType::Str));
+            }
+            let mut b = TupleBuilder::new(Schema::qualified("S", fields).into_ref());
+            if wide {
+                b = b.push("x");
+            }
+            let probe = b.push(1i64).build().unwrap();
+            let r = op.process(&probe).unwrap();
+            assert_eq!(r.outputs.len(), 1, "round {round}");
+            let joined = r.outputs.first().unwrap();
+            assert_eq!(joined.schema().len(), probe.arity() + 2, "round {round}");
+        }
     }
 
     #[test]

@@ -25,6 +25,10 @@ use crate::module::{ColumnarVerdict, EddyModule, Outputs, Routed};
 
 /// Cached plan for probing with tuples of one schema.
 struct ProbePlan {
+    /// The probing schema itself. The cache is keyed by its address, and
+    /// holding the `Arc` is what keeps that address from being reused by a
+    /// schema of another shape while the plan is cached.
+    schema: SchemaRef,
     /// Column in the probing tuple whose value keys the probe.
     key_col: usize,
     /// Schema of `probe ⋈ stored` outputs.
@@ -42,7 +46,8 @@ pub struct StemOp {
     /// sources in multiway joins (an RS intermediate can probe SteM_T via
     /// `R.k` or `S.k`; after the equi-join they are equal).
     probe_keys: Vec<(Option<String>, String)>,
-    /// Probe plans keyed by schema identity.
+    /// Probe plans keyed by schema identity (the address of a schema the
+    /// entry keeps alive).
     plans: HashMap<usize, ProbePlan>,
     /// Optional sliding-window width in logical time; tuples older than
     /// (latest - width) are evicted on insert.
@@ -162,9 +167,19 @@ impl StemOp {
                 }
             };
             let joined: SchemaRef = Arc::new(Schema::concat(schema, self.stem.schema()));
-            self.plans.insert(key, ProbePlan { key_col, joined });
+            let schema = Arc::clone(schema);
+            self.plans.insert(
+                key,
+                ProbePlan {
+                    schema,
+                    key_col,
+                    joined,
+                },
+            );
         }
-        Ok(&self.plans[&key])
+        let plan = &self.plans[&key];
+        debug_assert!(Arc::ptr_eq(&plan.schema, schema), "plan of another schema");
+        Ok(plan)
     }
 
     /// Direct probe access (used by hybrid-join experiments to compare the
@@ -188,6 +203,19 @@ impl StemOp {
     /// tests.
     pub fn slot_span(&self) -> usize {
         self.stem.slot_span()
+    }
+
+    /// Heap bytes the underlying SteM holds, counted from its containers
+    /// ([`SteM::approx_bytes`]); divide by [`StemOp::len`] for the cost of
+    /// one window row.
+    pub fn state_bytes(&self) -> usize {
+        self.stem.approx_bytes()
+    }
+
+    /// Slot-store chunks the underlying SteM has ever allocated
+    /// ([`SteM::chunks_allocated`]).
+    pub fn chunks_allocated(&self) -> u64 {
+        self.stem.chunks_allocated()
     }
 
     /// (builds, probes, matches) counters from the underlying SteM.
@@ -844,6 +872,91 @@ mod tests {
         assert_eq!((restored.len(), restored.slot_span()), (8, 8));
         restored.process(&t(&s, 0, "late", 90)).unwrap();
         assert_eq!(restored.len(), 1, "old state evicted by restored window");
+    }
+
+    /// Probing schemas come and go (every query that joins against this
+    /// SteM brings its own); a new one allocated where a dropped one lived
+    /// must get its own plan, not the dead schema's key column and joined
+    /// schema.
+    #[test]
+    fn probe_plan_is_not_shared_with_a_schema_that_reuses_a_freed_address() {
+        let s = schema("S");
+        let mut op =
+            StemOp::new("a", s.clone(), "S", 0, (None, "k".into()), IndexKind::Hash).unwrap();
+        op.process(&t(&s, 1, "stored", 1)).unwrap();
+        for round in 0..64 {
+            // Two shapes with the key in different columns, each schema
+            // dropped before the next is allocated.
+            let wide = round % 2 == 1;
+            let mut fields = vec![Field::new("k", DataType::Int)];
+            if wide {
+                fields.insert(0, Field::new("pad", DataType::Str));
+                fields.insert(0, Field::new("pad2", DataType::Str));
+            }
+            let probing = Schema::qualified("T", fields).into_ref();
+            let mut b = TupleBuilder::new(probing);
+            if wide {
+                b = b.push("x").push("y");
+            }
+            let probe = b.push(1i64).at(Timestamp::logical(2)).build().unwrap();
+            let routed = op.process(&probe).unwrap();
+            assert_eq!(routed.outputs.len(), 1, "round {round}");
+            let joined = routed.outputs.first().unwrap();
+            assert_eq!(joined.schema().len(), probe.arity() + 2, "round {round}");
+            assert_eq!(joined.get(Some("T"), "k").unwrap(), &Value::Int(1));
+        }
+    }
+
+    /// Bytes per window row, counted from the SteM's containers: the
+    /// figure `peak_rss_mb` moves with, without the process around it. A
+    /// 3-`Int` row is 72 B of values in a 16 B `Arc` header; everything
+    /// else here is what storing it costs: 56 B × 66 048 ring slots, 8 B of
+    /// hash bucket, 153 B in all. The layout this replaced — an 80 B
+    /// `Tuple` handle per slot in a `VecDeque` doubled to 131 072 slots,
+    /// plus a 16 B arrival entry per slot — fails this test at window 1
+    /// with 284 B/row under the same accounting (160 + 88 + 32 + 4–8).
+    #[test]
+    fn a_window_row_costs_at_most_160_bytes_and_a_warm_window_allocates_no_chunks() {
+        const WIDTH: i64 = 65_537;
+        let s = Schema::qualified(
+            "S",
+            vec![
+                Field::new("k", DataType::Int),
+                Field::new("v", DataType::Int),
+                Field::new("tag", DataType::Int),
+            ],
+        )
+        .into_ref();
+        let mut op = StemOp::new("a", s.clone(), "S", 0, (None, "k".into()), IndexKind::Hash)
+            .unwrap()
+            .with_window_width(WIDTH)
+            .with_dirty_tracking(false);
+        let mut warm = None;
+        for ts in 1..=10 * WIDTH {
+            let row = TupleBuilder::new(s.clone())
+                .push(ts % 1024)
+                .push(ts)
+                .push(7i64)
+                .at(Timestamp::logical(ts))
+                .build()
+                .unwrap();
+            op.process(&row).unwrap();
+            if ts % WIDTH == 0 {
+                let window = ts / WIDTH;
+                assert_eq!(op.len(), WIDTH as usize);
+                let (bytes, chunks) = (op.state_bytes(), op.chunks_allocated());
+                assert!(
+                    bytes <= 160 * op.len(),
+                    "window {window}: {} B per row",
+                    bytes / op.len()
+                );
+                if window >= 2 {
+                    let (warm_bytes, warm_chunks) = *warm.get_or_insert((bytes, chunks));
+                    assert_eq!(chunks, warm_chunks, "window {window} allocated a chunk");
+                    assert_eq!(bytes, warm_bytes, "window {window} changed the footprint");
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use tcq_stems::IndexKind;
 use tcq_storage::{
     BufferPool, CheckpointRecovery, CheckpointStats, CheckpointStore, StreamArchive,
 };
-use tcq_windows::WindowSeq;
+use tcq_windows::{LoopLength, WindowAssignment, WindowSeq};
 
 use crate::dispatcher::{OverloadPolicy, StreamDispatcher, SubscriberSet};
 use crate::exchange::{self, ExchangeInput, MergeDu, PartitionDu, WorkerDu};
@@ -1192,26 +1192,27 @@ impl TelegraphCQ {
                 .map(|st| st.latest_seq.load(Ordering::Acquire))
                 .max()
                 .unwrap_or(0);
-            const CAP: u64 = 1_000_000;
-            let mut iterations = 0u64;
-            let mut last_close = i64::MIN;
-            for wa in WindowSeq::new(w.clone(), now.max(1)).with_max_iterations(CAP) {
-                let wa = wa?;
-                if iterations == 0 {
-                    floor = wa
-                        .windows
-                        .iter()
-                        .map(|(_, win)| win.left)
-                        .min()
-                        .unwrap_or(i64::MIN);
+            // The loop's extent in closed form: window bounds are linear in
+            // a monotone `t`, so the first and last iterations carry the
+            // extremes (and any `left > right` the loop would run into).
+            // An unbounded loop is checked at its first iteration only.
+            let st = now.max(1);
+            let min_left = |wa: &WindowAssignment| {
+                let lefts = wa.windows.iter().map(|(_, win)| win.left);
+                lefts.min().unwrap_or(i64::MIN)
+            };
+            match w.extent(st)? {
+                LoopLength::Empty => {}
+                LoopLength::Unbounded { first_t } => floor = min_left(&w.windows_at(first_t, st)?),
+                // Finite loops retire the query after their final window.
+                LoopLength::Finite {
+                    first_t, last_t, ..
+                } => {
+                    let first = w.windows_at(first_t, st)?;
+                    let last = w.windows_at(last_t, st)?;
+                    floor = min_left(&first);
+                    deadline = first.close_time().max(last.close_time());
                 }
-                iterations += 1;
-                last_close = last_close.max(wa.close_time());
-            }
-            // Loops that hit the iteration cap are treated as unbounded;
-            // finite loops retire the query after their final window.
-            if iterations > 0 && iterations < CAP {
-                deadline = last_close;
             }
         }
         Ok((floor, deadline))

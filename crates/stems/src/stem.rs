@@ -1,5 +1,27 @@
 //! The SteM: a temporary, indexed repository of homogeneous tuples.
 //!
+//! **What a stored row is.** Every tuple in one SteM has the SteM's schema
+//! and is indexed on the SteM's key column, so a stored row keeps only
+//! what differs from row to row: the shared value vector, the timestamp
+//! and the key's hash — 56 bytes, against 80 for a [`Tuple`] handle with
+//! its own schema `Arc` and hash memo. The values stay the producer's
+//! `Arc<[Value]>`: building shares them with every other consumer of the
+//! tuple (no copy on insert), and a probe, scan or export hands out a
+//! [`Tuple`] rebuilt around the same allocation ([`Tuple::from_shared`] —
+//! two `Arc` bumps, what `clone` costs). Rows live in a chunked
+//! [`SlotRing`]; the indexes hold slot ids.
+//!
+//! **Eviction needs no arrival queue.** Slot ids are insertion order and a
+//! stream delivers in timestamp order, so the oldest row is the ring's
+//! front: [`SteM::evict_before_seq`] pops the front while it is older than
+//! the window edge. Only a row inserted *below* the newest timestamp seen
+//! (state absorbed from a Flux peer, a restored checkpoint group) can be
+//! older than a row in front of it; those rows — and only those — are
+//! also listed in a timestamp-sorted side index that eviction drains
+//! first. Whatever the front walk then meets that is still inside the
+//! window ends it: every row behind that one was either inserted in order
+//! (so is no older) or was in the side index.
+//!
 //! The equality index is keyed by the *precomputed* FNV-1a hash of the
 //! key value ([`tcq_common::hash_value`]), not by the value itself, so a
 //! prehashed probe ([`SteM::probe_eq_hashed`]) touches the index without
@@ -10,8 +32,12 @@
 //! to the old `HashMap<Value, _>` index.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::mem::size_of;
+use std::sync::Arc;
 
-use tcq_common::{hash_value, IdentityBuildHasher, Result, SchemaRef, TcqError, Tuple, Value};
+use tcq_common::{
+    hash_value, IdentityBuildHasher, Result, SchemaRef, TcqError, Timestamp, Tuple, Value,
+};
 
 use crate::slot_ring::SlotRing;
 
@@ -51,6 +77,16 @@ impl Ord for OrdValue {
     }
 }
 
+/// One stored tuple, minus what the SteM holds once for all of them (see
+/// the module docs). `Option<StoredRow>` is no larger: the `Arc` pointer
+/// is the niche.
+struct StoredRow {
+    values: Arc<[Value]>,
+    ts: Timestamp,
+    /// `hash_value` of the key column, computed (or carried in) at insert.
+    key_hash: u64,
+}
+
 /// A State Module: build / probe / evict over homogeneous tuples.
 ///
 /// Eviction is timestamp-ordered: sliding windows call
@@ -64,14 +100,20 @@ pub struct SteM {
     key_col: usize,
     kind: IndexKind,
     /// Slot-addressed storage; the indexes below hold slot ids.
-    slots: SlotRing<Tuple>,
+    slots: SlotRing<StoredRow>,
     /// Equality index keyed by the key value's FNV-1a hash. The identity
     /// build-hasher passes the (already well-mixed) hash straight
     /// through — no SipHash on the probe path.
     hash: HashMap<u64, Vec<u32>, IdentityBuildHasher>,
     ordered: BTreeMap<OrdValue, Vec<u32>>,
-    /// (logical timestamp, slot) in arrival order, for eviction.
-    arrival: VecDeque<(i64, u32)>,
+    /// Highest logical timestamp among the rows inserted since the SteM
+    /// was last empty: a row at or above it is in order.
+    newest_seq: i64,
+    /// (logical timestamp, slot) of the live rows inserted below
+    /// `newest_seq`, sorted by timestamp — the rows the front walk of
+    /// [`SteM::evict_before_seq`] cannot find by position. Empty on a
+    /// stream that delivers in timestamp order.
+    late: VecDeque<(i64, u32)>,
     live: usize,
     /// Counters for adaptive routing policies and experiments.
     builds: u64,
@@ -112,7 +154,8 @@ impl SteM {
             slots: SlotRing::new(),
             hash: HashMap::default(),
             ordered: BTreeMap::new(),
-            arrival: VecDeque::new(),
+            newest_seq: i64::MIN,
+            late: VecDeque::new(),
             live: 0,
             builds: 0,
             probes: 0,
@@ -157,8 +200,8 @@ impl SteM {
     /// Insert (build) a tuple. If the tuple carries a memoized key hash
     /// for this SteM's key column (computed upstream by partition routing
     /// or a prior probe), the hash index reuses it; otherwise one FNV
-    /// pass is computed here and memoized on the stored tuple — so
-    /// eviction never rehashes.
+    /// pass is computed here. Either way the hash is kept with the stored
+    /// row, so eviction never rehashes.
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         if tuple.arity() != self.schema.len() {
             return Err(TcqError::SchemaMismatch(format!(
@@ -168,28 +211,40 @@ impl SteM {
                 tuple.arity()
             )));
         }
-        let seq = tuple.timestamp().seq();
-        let h = self.key_hash_of(&tuple);
-        self.mark_dirty(h);
+        let key_hash = match tuple.cached_key_hash(self.key_col) {
+            Some(h) => h,
+            None => {
+                self.hash_computes += 1;
+                hash_value(tuple.value(self.key_col))
+            }
+        };
+        self.mark_dirty(key_hash);
+        let (values, ts) = tuple.into_shared();
+        let seq = ts.seq();
         let ordered_key = self
             .kind
             .has_ordered()
-            .then(|| OrdValue(tuple.value(self.key_col).clone()));
-        let slot = self.slots.push(tuple);
+            .then(|| OrdValue(values[self.key_col].clone()));
+        let slot = self.slots.push(StoredRow {
+            values,
+            ts,
+            key_hash,
+        });
         if self.kind.has_hash() {
-            self.hash.entry(h).or_default().push(slot);
+            self.hash.entry(key_hash).or_default().push(slot);
         }
         if let Some(key) = ordered_key {
             self.ordered.entry(key).or_default().push(slot);
         }
-        // Keep the eviction index sorted by timestamp. Streams deliver in
-        // timestamp order (O(1) append); out-of-order inserts (e.g. state
-        // absorbed from a Flux peer) pay a positional insert.
-        if self.arrival.back().is_some_and(|&(last, _)| last > seq) {
-            let pos = self.arrival.partition_point(|&(s, _)| s <= seq);
-            self.arrival.insert(pos, (seq, slot));
+        // Streams deliver in timestamp order, and then the slot id alone
+        // orders eviction. A row below the newest timestamp (state
+        // absorbed from a Flux peer, a restored group) pays a positional
+        // insert into the side index instead.
+        if self.live > 0 && seq < self.newest_seq {
+            let pos = self.late.partition_point(|&(s, _)| s <= seq);
+            self.late.insert(pos, (seq, slot));
         } else {
-            self.arrival.push_back((seq, slot));
+            self.newest_seq = seq;
         }
         self.live += 1;
         self.builds += 1;
@@ -202,35 +257,56 @@ impl SteM {
         }
     }
 
-    /// The key hash of a stored tuple. `insert` memoized it, so this is
-    /// rehash-free (the fallback only fires for tuples memoized on a
-    /// different column upstream).
-    fn stored_hash(&self, t: &Tuple) -> u64 {
-        t.cached_key_hash(self.key_col)
-            .unwrap_or_else(|| hash_value(t.value(self.key_col)))
+    /// A tuple handle around stored row `row`: shared values, this SteM's
+    /// schema, and the stored key hash as the handle's memo.
+    fn handle(&self, row: &StoredRow) -> Tuple {
+        Tuple::from_shared(
+            Arc::clone(&self.schema),
+            Arc::clone(&row.values),
+            row.ts,
+            Some((self.key_col, row.key_hash)),
+        )
     }
 
-    /// Drop `slot` from the ordered index entry of `key`.
-    fn unindex_ordered(&mut self, key: &Value, slot: u32) {
-        let ok = OrdValue(key.clone());
-        if let Some(slots) = self.ordered.get_mut(&ok) {
-            slots.retain(|&s| s != slot);
-            if slots.is_empty() {
-                self.ordered.remove(&ok);
-            }
-        }
+    /// Handles for the live rows among `slots`, appended to `out` in
+    /// `slots` order; `keep` filters on the stored key.
+    fn push_handles(
+        &self,
+        slots: &[u32],
+        keep: impl Fn(&Value) -> bool,
+        out: &mut Vec<Tuple>,
+    ) -> usize {
+        let before = out.len();
+        out.extend(
+            slots
+                .iter()
+                .filter_map(|&s| self.slots.get(s))
+                .filter(|row| keep(&row.values[self.key_col]))
+                .map(|row| self.handle(row)),
+        );
+        out.len() - before
     }
 
-    /// The key hash of `t`, reusing its memo when present and billing a
-    /// real computation to `hash_computes` otherwise.
-    fn key_hash_of(&mut self, t: &Tuple) -> u64 {
-        match t.cached_key_hash(self.key_col) {
-            Some(h) => h,
-            None => {
-                self.hash_computes += 1;
-                t.key_hash(self.key_col)
+    /// Drop row `slot`, just taken out of the slot store, from the indexes.
+    fn unindex(&mut self, slot: u32, row: &StoredRow) {
+        if self.kind.has_hash() {
+            if let Some(slots) = self.hash.get_mut(&row.key_hash) {
+                slots.retain(|&s| s != slot);
+                if slots.is_empty() {
+                    self.hash.remove(&row.key_hash);
+                }
             }
         }
+        if self.kind.has_ordered() {
+            let key = OrdValue(row.values[self.key_col].clone());
+            if let Some(slots) = self.ordered.get_mut(&key) {
+                slots.retain(|&s| s != slot);
+                if slots.is_empty() {
+                    self.ordered.remove(&key);
+                }
+            }
+        }
+        self.live -= 1;
     }
 
     /// Probe for tuples whose key equals `key`, appending matches to `out`.
@@ -255,17 +331,10 @@ impl SteM {
             return self.probe_eq_ordered(key, out);
         }
         self.probes += 1;
-        let mut n = 0;
-        if let Some(slots) = self.hash.get(&hash) {
-            for &s in slots {
-                if let Some(t) = self.slots.get(s) {
-                    if t.value(self.key_col) == key {
-                        out.push(t.clone());
-                        n += 1;
-                    }
-                }
-            }
-        }
+        let n = match self.hash.get(&hash) {
+            Some(slots) => self.push_handles(slots, |stored| stored == key, out),
+            None => 0,
+        };
         self.matches += n as u64;
         n
     }
@@ -273,15 +342,10 @@ impl SteM {
     /// Equality probe through the ordered index (ordered-only SteMs).
     fn probe_eq_ordered(&mut self, key: &Value, out: &mut Vec<Tuple>) -> usize {
         self.probes += 1;
-        let mut n = 0;
-        if let Some(slots) = self.ordered.get(&OrdValue(key.clone())) {
-            for &s in slots {
-                if let Some(t) = self.slots.get(s) {
-                    out.push(t.clone());
-                    n += 1;
-                }
-            }
-        }
+        let n = match self.ordered.get(&OrdValue(key.clone())) {
+            Some(slots) => self.push_handles(slots, |_| true, out),
+            None => 0,
+        };
         self.matches += n as u64;
         n
     }
@@ -296,57 +360,48 @@ impl SteM {
             )));
         }
         self.probes += 1;
-        let mut n = 0;
         let range = self
             .ordered
             .range(OrdValue(lo.clone())..=OrdValue(hi.clone()));
-        for (_, slots) in range {
-            for &s in slots {
-                if let Some(t) = self.slots.get(s) {
-                    out.push(t.clone());
-                    n += 1;
-                }
-            }
-        }
+        let n = range
+            .map(|(_, slots)| self.push_handles(slots, |_| true, out))
+            .sum();
         self.matches += n as u64;
         Ok(n)
     }
 
-    /// Iterate over all live tuples (used for residual predicates the
-    /// indexes cannot answer, and by Flux state movement).
-    pub fn scan(&self) -> impl Iterator<Item = &Tuple> {
-        self.slots.iter().map(|(_, t)| t)
+    /// Iterate over all live tuples in insertion order (used for residual
+    /// predicates the indexes cannot answer, and by Flux state movement).
+    /// Each item is a handle rebuilt around the stored values.
+    pub fn scan(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.slots.iter().map(|(_, row)| self.handle(row))
     }
 
     /// Evict every tuple with logical timestamp `< seq` (the trailing edge
     /// of a sliding window). Returns the number evicted.
     pub fn evict_before_seq(&mut self, seq: i64) -> usize {
-        let mut evicted = 0;
-        while let Some(&(ts, slot)) = self.arrival.front() {
+        let before = self.live;
+        // Late rows first: what the front walk meets below `seq` after
+        // this is in order, and the first row it meets at or above `seq`
+        // bounds every in-order row behind it.
+        while let Some(&(ts, slot)) = self.late.front() {
             if ts >= seq {
                 break;
             }
-            self.arrival.pop_front();
-            if let Some(t) = self.slots.take(slot) {
-                let h = self.stored_hash(&t);
-                self.mark_dirty(h);
-                if self.kind.has_hash() {
-                    if let Some(slots) = self.hash.get_mut(&h) {
-                        slots.retain(|&s| s != slot);
-                        if slots.is_empty() {
-                            self.hash.remove(&h);
-                        }
-                    }
-                }
-                if self.kind.has_ordered() {
-                    self.unindex_ordered(t.value(self.key_col), slot);
-                }
-                self.live -= 1;
-                evicted += 1;
-            }
+            self.late.pop_front();
+            let row = self.slots.take(slot).expect("late index lists live rows");
+            self.evicted(slot, &row);
+        }
+        while let Some((slot, row)) = self.slots.pop_front_if(|row| row.ts.seq() < seq) {
+            self.evicted(slot, &row);
         }
         self.slots.reclaim_front();
-        evicted
+        before - self.live
+    }
+
+    fn evicted(&mut self, slot: u32, row: &StoredRow) {
+        self.mark_dirty(row.key_hash);
+        self.unindex(slot, row);
     }
 
     /// Drain all tuples out (Flux state movement: the whole partition moves
@@ -354,14 +409,14 @@ impl SteM {
     /// group is marked dirty: its content here is now empty, and the next
     /// checkpoint must record the clearing.
     pub fn drain_all(&mut self) -> Vec<Tuple> {
-        let out = self.slots.drain_all();
-        for t in &out {
-            let h = self.stored_hash(t);
-            self.mark_dirty(h);
+        let rows = self.slots.drain_all();
+        let out = rows.iter().map(|row| self.handle(row)).collect();
+        for row in &rows {
+            self.mark_dirty(row.key_hash);
         }
         self.hash.clear();
         self.ordered.clear();
-        self.arrival.clear();
+        self.late.clear();
         self.live = 0;
         out
     }
@@ -392,14 +447,14 @@ impl SteM {
     pub fn export_group(&self, hash: u64, out: &mut Vec<Tuple>) {
         if self.kind.has_hash() {
             if let Some(slots) = self.hash.get(&hash) {
-                for &s in slots {
-                    if let Some(t) = self.slots.get(s) {
-                        out.push(t.clone());
-                    }
-                }
+                self.push_handles(slots, |_| true, out);
             }
         } else {
-            out.extend(self.scan().filter(|t| self.stored_hash(t) == hash).cloned());
+            let rows = self.slots.iter().map(|(_, row)| row);
+            out.extend(
+                rows.filter(|row| row.key_hash == hash)
+                    .map(|row| self.handle(row)),
+            );
         }
     }
 
@@ -414,21 +469,18 @@ impl SteM {
         } else {
             self.slots
                 .iter()
-                .filter(|(_, t)| self.stored_hash(t) == hash)
+                .filter(|(_, row)| row.key_hash == hash)
                 .map(|(slot, _)| slot)
                 .collect()
         };
-        for slot in stale {
-            if let Some(t) = self.slots.take(slot) {
-                if self.kind.has_ordered() {
-                    self.unindex_ordered(t.value(self.key_col), slot);
-                }
-                self.arrival.retain(|&(_, s)| s != slot);
-                self.live -= 1;
+        for &slot in &stale {
+            if let Some(row) = self.slots.take(slot) {
+                self.unindex(slot, &row);
             }
         }
-        if self.kind.has_hash() {
-            self.hash.remove(&hash);
+        if !stale.is_empty() {
+            // A freed slot's id must not outlive it in the side index.
+            self.late.retain(|&(_, s)| self.slots.get(s).is_some());
         }
         let dirty = self.dirty.take();
         let builds = self.builds;
@@ -449,6 +501,31 @@ impl SteM {
     /// bounded by the window's extent otherwise.
     pub fn slot_span(&self) -> usize {
         self.slots.span()
+    }
+
+    /// Slot-store chunks this SteM has ever allocated; flat once a sliding
+    /// window is warm ([`SlotRing::chunks_allocated`]).
+    pub fn chunks_allocated(&self) -> u64 {
+        self.slots.chunks_allocated()
+    }
+
+    /// Heap bytes this SteM holds, counted from its containers rather than
+    /// clocked from the process: the slot ring by capacity (spare chunk
+    /// included), one `Arc<[Value]>` allocation per live row (two counters
+    /// plus the values inline; string payloads behind a `Value` are not
+    /// followed), hash buckets and ordered index by capacity, the late-row
+    /// index and the dirty set. Allocator rounding and headers are not
+    /// included, so the process pays a little more than this.
+    pub fn approx_bytes(&self) -> usize {
+        let ids = |slots: &Vec<u32>| slots.capacity() * size_of::<u32>();
+        self.slots.capacity() * size_of::<Option<StoredRow>>()
+            + self.live * (2 * size_of::<usize>() + self.schema.len() * size_of::<Value>())
+            + self.hash.capacity() * size_of::<(u64, Vec<u32>)>()
+            + self.hash.values().map(ids).sum::<usize>()
+            + self.ordered.len() * size_of::<(OrdValue, Vec<u32>)>()
+            + self.ordered.values().map(ids).sum::<usize>()
+            + self.late.capacity() * size_of::<(i64, u32)>()
+            + self.dirty_len() * size_of::<u64>()
     }
 
     /// True when no live tuple is stored.
@@ -579,6 +656,34 @@ mod tests {
         let other = Schema::new(vec![Field::new("z", DataType::Int)]).into_ref();
         let bad = TupleBuilder::new(other).push(1i64).build().unwrap();
         assert!(stem.insert(bad).is_err());
+    }
+
+    /// A partition drained to a Flux peer and refilled later starts over:
+    /// rows older than what it once held are in order again, not "late"
+    /// (16 B and a positional insert each).
+    #[test]
+    fn an_emptied_stem_takes_older_rows_as_in_order() {
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash).unwrap();
+        let refill = |stem: &mut SteM| {
+            (1..=50).for_each(|ts| stem.insert(t(ts % 7, "x", ts)).unwrap());
+            assert!(stem.late.is_empty());
+            stem.insert(t(1, "newest", 9_000)).unwrap();
+            stem.insert(t(1, "late", 60)).unwrap();
+            assert_eq!(stem.late.len(), 1);
+        };
+        refill(&mut stem);
+        assert_eq!(stem.drain_all().len(), 52);
+        refill(&mut stem);
+        // Evicted to empty counts as empty too.
+        assert_eq!(stem.evict_before_seq(10_000), 52);
+        refill(&mut stem);
+    }
+
+    #[test]
+    fn a_stored_row_is_56_bytes_and_its_option_is_free() {
+        assert_eq!(size_of::<StoredRow>(), 56);
+        assert_eq!(size_of::<Option<StoredRow>>(), 56);
+        assert!(size_of::<Tuple>() >= 80, "what a slot held before");
     }
 
     #[test]

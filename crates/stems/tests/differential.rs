@@ -317,14 +317,44 @@ fn hash_of(t: &Tuple) -> u64 {
     tcq_common::hash_value(t.value(0))
 }
 
+/// What identifies a row handed back by the SteM: the value allocation it
+/// shares (not a copy of it), its full timestamp, and the key-hash memo.
+type RowPrint = (*const Value, Timestamp, Option<u64>);
+
+/// The SteM stores rows without their handle; what it hands back must be
+/// the inserted row again — same allocation, same timestamp (absent
+/// components included), key hash memoized on the key column.
+#[track_caller]
+fn assert_same_rows(got: &[Tuple], want: &[Tuple], ctx: &str) {
+    let print =
+        |t: &Tuple, hash: Option<u64>| -> RowPrint { (t.values().as_ptr(), t.timestamp(), hash) };
+    let got: Vec<RowPrint> = got.iter().map(|t| print(t, t.cached_key_hash(0))).collect();
+    let want: Vec<RowPrint> = want.iter().map(|t| print(t, Some(hash_of(t)))).collect();
+    assert_eq!(got, want, "{ctx}");
+}
+
+/// A timestamp whose `seq()` is `ts` in most shapes, and 0 — below every
+/// window edge — when the logical component is absent.
+fn random_stamp(rng: &mut tcq_common::rng::TcqRng, ts: i64) -> Timestamp {
+    match rng.gen_range(0..16u32) {
+        0 => Timestamp::physical(ts * 1000),
+        1 => Timestamp::unknown(),
+        2..=4 => Timestamp::both(ts, ts * 1000 + 7),
+        _ => Timestamp::logical(ts),
+    }
+}
+
 /// Drive `ops` seeded operations through a SteM and the model, comparing
 /// every result *as a sequence* (probe and scan order feed join output
-/// order, which seeded replay pins). With `out_of_order` clear the run is
-/// what a single stream delivers — timestamp-ordered builds, no restore —
-/// and the slot store must then hold exactly the live tuples.
-fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: usize) {
+/// order, which seeded replay pins) and every returned handle against the
+/// row that was inserted. With `out_of_order` clear the run is what a
+/// single stream delivers — timestamp-ordered builds, no restore — and the
+/// slot store must then hold exactly the live tuples. With it set, a
+/// quarter of the builds arrive late: below the newest timestamp, often
+/// below the window edge already evicted to, sometimes with no logical
+/// timestamp at all — the rows eviction cannot find by slot position.
+fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, window: i64, ops: usize) {
     const KEYS: i64 = 24;
-    const WINDOW: i64 = 160;
     let mut rng = tcq_common::rng::seeded(0x57E4 ^ u64::from(base) ^ ops as u64);
     let mut stem = SteM::new("S", schema(), 0, kind)
         .unwrap()
@@ -333,6 +363,8 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
     let mut clock = 1i64;
     let mut serial = 0.0f64;
     let mut evictions = 0usize;
+    let (mut builds, mut late_builds, mut below_edge) = (0usize, 0usize, 0usize);
+    let mut edge = i64::MIN;
     let has_ordered = matches!(kind, IndexKind::Ordered | IndexKind::Both);
 
     for step in 0..ops {
@@ -343,22 +375,31 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
         match rng.gen_range(0..100u32) {
             // Build. `serial` makes every tuple distinguishable.
             0..=44 => {
-                let late = out_of_order && rng.gen_bool(0.25);
-                let ts = if late {
-                    clock - rng.gen_range(0..WINDOW)
+                let stamp = if out_of_order && rng.gen_bool(0.25) {
+                    let ts = clock - rng.gen_range(0..window);
+                    random_stamp(&mut rng, ts)
                 } else {
                     clock += rng.gen_range(0..3i64);
-                    clock
+                    Timestamp::logical(clock)
                 };
+                builds += 1;
+                late_builds += usize::from(stamp.seq() < clock);
+                below_edge += usize::from(stamp.seq() < edge);
                 serial += 1.0;
-                let t = reading(ts, key, serial);
+                let mut t = reading(0, key, serial).with_timestamp(stamp);
+                // Half the builds arrive prehashed (the partitioner's work).
+                if rng.gen_bool(0.5) {
+                    t = t.clone();
+                    t.key_hash(0);
+                }
                 model.dirty.insert(hash);
                 model.insert(t.clone());
                 stem.insert(t).unwrap();
             }
             // Slide the window (sometimes a no-op, sometimes past `clock`).
             45..=59 => {
-                let cut = clock - WINDOW + rng.gen_range(0..WINDOW + 8);
+                let cut = clock - window + rng.gen_range(0..window + 8);
+                edge = edge.max(cut);
                 let before = model.live.len();
                 for (_, t) in model.live.iter().filter(|(_, t)| t.timestamp().seq() < cut) {
                     model.dirty.insert(hash_of(t));
@@ -369,6 +410,9 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
                     before - model.live.len(),
                     "{ctx}"
                 );
+                // Same survivors in the same order = the same evicted set.
+                let survivors: Vec<Tuple> = stem.scan().collect();
+                assert_same_rows(&survivors, &model.matching(|_| true), &ctx);
                 assert_eq!(stem.slot_span(), model.span(), "{ctx}");
                 if !out_of_order {
                     assert_eq!(stem.slot_span(), stem.len(), "{ctx}");
@@ -377,7 +421,7 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
             }
             60..=74 => {
                 let n = stem.probe_eq_hashed(hash, &Value::Int(key), &mut got);
-                assert_eq!(got, model.matching(|t| key_of(t) == key), "{ctx}");
+                assert_same_rows(&got, &model.matching(|t| key_of(t) == key), &ctx);
                 assert_eq!(n, got.len(), "{ctx}");
             }
             75..=79 if has_ordered => {
@@ -387,11 +431,11 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
                 // Ordered index: ascending key, insertion order within one.
                 let mut want = model.matching(|t| (key..=hi).contains(&key_of(t)));
                 want.sort_by_key(key_of);
-                assert_eq!(got, want, "{ctx}");
+                assert_same_rows(&got, &want, &ctx);
             }
             80..=84 => {
                 stem.export_group(hash, &mut got);
-                assert_eq!(got, model.matching(|t| hash_of(t) == hash), "{ctx}");
+                assert_same_rows(&got, &model.matching(|t| hash_of(t) == hash), &ctx);
             }
             // Restore path: replace one group with an edited copy of itself
             // (some tuples dropped, some new). Leaves dirt as it was.
@@ -400,7 +444,9 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
                 group.retain(|_| rng.gen_bool(0.7));
                 for _ in 0..rng.gen_range(0..3u32) {
                     serial += 1.0;
-                    group.push(reading(clock - rng.gen_range(0..WINDOW), key, serial));
+                    let ts = clock - rng.gen_range(0..window);
+                    let stamp = random_stamp(&mut rng, ts);
+                    group.push(reading(0, key, serial).with_timestamp(stamp));
                 }
                 model.live.retain(|(_, t)| hash_of(t) != hash);
                 for t in &group {
@@ -409,13 +455,14 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
                 stem.import_group(hash, group).unwrap();
                 assert_eq!(stem.slot_span(), model.span(), "{ctx}");
             }
-            90 => {
+            // Rare on a wide window, which takes thousands of builds to fill.
+            90 if window < 1000 || rng.gen_range(0..40u32) == 0 => {
                 for (_, t) in &model.live {
                     model.dirty.insert(hash_of(t));
                 }
                 let want = model.matching(|_| true);
                 model.live.clear();
-                assert_eq!(stem.drain_all(), want, "{ctx}");
+                assert_same_rows(&stem.drain_all(), &want, &ctx);
                 assert_eq!(stem.slot_span(), 0, "{ctx}");
             }
             // A checkpoint committed.
@@ -424,8 +471,8 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
                 stem.clear_dirty();
             }
             _ => {
-                let scanned: Vec<Tuple> = stem.scan().cloned().collect();
-                assert_eq!(scanned, model.matching(|_| true), "{ctx}");
+                let scanned: Vec<Tuple> = stem.scan().collect();
+                assert_same_rows(&scanned, &model.matching(|_| true), &ctx);
             }
         }
         assert_eq!(stem.len(), model.live.len(), "{ctx}");
@@ -436,14 +483,36 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, ops: u
     }
     assert!(evictions > ops / 10, "schedule must slide the window");
     assert!(model.next_id > 2000, "schedule must cross base + 1000");
+    if window > 1000 {
+        assert!(
+            stem.chunks_allocated() >= 4,
+            "a wide window must span several slot-ring chunks"
+        );
+    }
+    if out_of_order {
+        assert!(
+            late_builds * 10 >= builds && below_edge * 50 >= builds,
+            "schedule must build late: {late_builds} late, {below_edge} below the edge, of {builds}"
+        );
+    }
 }
 
 #[test]
 fn stem_agrees_with_naive_model_from_zero_and_across_the_id_wrap() {
     for base in [0, u32::MAX - 1000] {
-        stem_agrees_with_model(IndexKind::Both, base, true, 20_000);
-        stem_agrees_with_model(IndexKind::Both, base, false, 20_000);
-        stem_agrees_with_model(IndexKind::Hash, base, true, 5_000);
-        stem_agrees_with_model(IndexKind::Ordered, base, true, 5_000);
+        stem_agrees_with_model(IndexKind::Both, base, true, 160, 20_000);
+        stem_agrees_with_model(IndexKind::Both, base, false, 160, 20_000);
+        stem_agrees_with_model(IndexKind::Hash, base, true, 160, 20_000);
+        stem_agrees_with_model(IndexKind::Ordered, base, true, 160, 20_000);
     }
+}
+
+/// The same schedule with a window several slot-ring chunks wide and few
+/// drains, so the ring actually fills: late rows, holes and replaced
+/// groups then sit chunks away from the front, and the front gives whole
+/// chunks back for the tail to reuse.
+#[test]
+fn stem_agrees_with_naive_model_over_a_multi_chunk_window() {
+    stem_agrees_with_model(IndexKind::Both, u32::MAX - 1000, true, 2_000, 16_000);
+    stem_agrees_with_model(IndexKind::Hash, 0, false, 2_000, 16_000);
 }

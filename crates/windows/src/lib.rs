@@ -52,6 +52,6 @@
 pub mod spec;
 
 pub use spec::{
-    classify, CondOp, Condition, ForLoop, LinExpr, Step, WindowAssignment, WindowInstance,
-    WindowIs, WindowKind, WindowSeq, WindowSeqPos,
+    classify, CondOp, Condition, ForLoop, LinExpr, LoopLength, Step, WindowAssignment,
+    WindowInstance, WindowIs, WindowKind, WindowSeq, WindowSeqPos,
 };

@@ -207,6 +207,97 @@ pub struct ForLoop {
     pub windows: Vec<WindowIs>,
 }
 
+/// How long a for-loop runs, and between which values of `t`, in closed
+/// form (see [`ForLoop::extent`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoopLength {
+    /// The continue condition fails at the initial `t`.
+    Empty,
+    /// The loop ends.
+    Finite {
+        /// Number of iterations (at least 1).
+        iterations: u64,
+        /// `t` at the first iteration.
+        first_t: i64,
+        /// `t` at the last iteration.
+        last_t: i64,
+    },
+    /// The condition holds forever (a continuous query).
+    Unbounded {
+        /// `t` at the first iteration.
+        first_t: i64,
+    },
+}
+
+impl ForLoop {
+    /// How many times the loop instantiated at query start time `st`
+    /// iterates, and between which values of `t`, computed from `init`,
+    /// `cond` and `step` without running it — [`WindowSeq`] yields exactly
+    /// this many assignments, the first at `first_t` and the last at
+    /// `last_t`. `t` moves monotonically, and every window bound is linear
+    /// in `t`, so the loop's extreme bounds are those of its first and
+    /// last iterations ([`ForLoop::windows_at`]).
+    pub fn extent(&self, st: i64) -> Result<LoopLength> {
+        let t0 = self.init.eval(0, st);
+        if !self.cond.holds(t0, st)? {
+            return Ok(LoopLength::Empty);
+        }
+        let finite = |iterations: u64, last_t: i64| LoopLength::Finite {
+            iterations,
+            first_t: t0,
+            last_t,
+        };
+        let k = match self.step {
+            // `t = k`: the iteration after a Set runs at `k`; a second Set
+            // leaves `t` where it was, which WindowSeq treats as terminal.
+            Step::Set(k) if k != t0 && self.cond.holds(k, st)? => return Ok(finite(2, k)),
+            Step::Set(_) => return Ok(finite(1, t0)),
+            Step::Add(k) => k,
+        };
+        // Steps the condition survives after the first iteration, given
+        // that it holds at `t0`: how far `t` can travel towards the bound
+        // in whole steps. i128: `bound - t0` can exceed i64.
+        let bound = i128::from(self.cond.bound.eval(0, st));
+        let (t0w, kw) = (i128::from(t0), i128::from(k));
+        let more_steps = match self.cond.op {
+            CondOp::Eq if k == 0 => None,
+            CondOp::Eq => Some(0),
+            CondOp::Lt if k > 0 => Some((bound - 1 - t0w) / kw),
+            CondOp::Le if k > 0 => Some((bound - t0w) / kw),
+            CondOp::Gt if k < 0 => Some((t0w - bound - 1) / -kw),
+            CondOp::Ge if k < 0 => Some((t0w - bound) / -kw),
+            // `t` stands still or moves away from the bound.
+            CondOp::Lt | CondOp::Le | CondOp::Gt | CondOp::Ge => None,
+        };
+        Ok(match more_steps {
+            None => LoopLength::Unbounded { first_t: t0 },
+            Some(n) => {
+                let last_t = i64::try_from(t0w + n * kw).expect("between t0 and the bound");
+                // 2^64 iterations (t from i64::MIN to i64::MAX by 1) saturate.
+                finite(u64::try_from(n + 1).unwrap_or(u64::MAX), last_t)
+            }
+        })
+    }
+
+    /// Every stream's window at loop variable `t`, with the validity check
+    /// [`WindowSeq`] applies at each iteration (`left <= right`).
+    pub fn windows_at(&self, t: i64, st: i64) -> Result<WindowAssignment> {
+        let mut windows = Vec::with_capacity(self.windows.len());
+        for w in &self.windows {
+            let left = w.left.eval(t, st);
+            let right = w.right.eval(t, st);
+            if left > right {
+                return Err(TcqError::InvalidWindow(format!(
+                    "window [{left}, {right}] on {} has left > right at t={t}",
+                    w.stream
+                )));
+            }
+            windows.push((w.stream.clone(), WindowInstance { left, right }));
+        }
+        Ok(WindowAssignment { t, windows })
+    }
+}
+
 /// One stream's concrete window at one loop iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowInstance {
@@ -378,19 +469,13 @@ impl Iterator for WindowSeq {
             }
             Ok(true) => {}
         }
-        let mut windows = Vec::with_capacity(self.spec.windows.len());
-        for w in &self.spec.windows {
-            let left = w.left.eval(self.t, self.st);
-            let right = w.right.eval(self.t, self.st);
-            if left > right {
+        let assignment = match self.spec.windows_at(self.t, self.st) {
+            Ok(assignment) => assignment,
+            Err(e) => {
                 self.done = true;
-                return Some(Err(TcqError::InvalidWindow(format!(
-                    "window [{left}, {right}] on {} has left > right at t={}",
-                    w.stream, self.t
-                ))));
+                return Some(Err(e));
             }
-            windows.push((w.stream.clone(), WindowInstance { left, right }));
-        }
+        };
         let t = self.t;
         self.t = self.spec.step.apply(self.t);
         self.iterations += 1;
@@ -401,7 +486,7 @@ impl Iterator for WindowSeq {
                 self.done = true;
             }
         }
-        Some(Ok(WindowAssignment { t, windows }))
+        Some(Ok(assignment))
     }
 }
 
@@ -707,6 +792,146 @@ mod tests {
         };
         let n = WindowSeq::new(spec, 0).with_max_iterations(100).count();
         assert_eq!(n, 100);
+    }
+
+    /// Run the loop and report what `extent` claims to know without
+    /// running it; `None` when it outlives `cap` iterations.
+    fn brute_force_extent(spec: &ForLoop, st: i64, cap: u64) -> Option<LoopLength> {
+        let ts: Vec<i64> = WindowSeq::new(spec.clone(), st)
+            .with_max_iterations(cap)
+            .map(|wa| wa.unwrap().t)
+            .collect();
+        match (ts.first(), ts.last()) {
+            _ if ts.len() as u64 == cap => None,
+            (Some(&first_t), Some(&last_t)) => Some(LoopLength::Finite {
+                iterations: ts.len() as u64,
+                first_t,
+                last_t,
+            }),
+            _ => Some(LoopLength::Empty),
+        }
+    }
+
+    #[test]
+    fn extent_agrees_with_iteration_on_random_small_loops() {
+        let mut rng = tcq_common::rng::seeded(0x100B);
+        let ops = [CondOp::Eq, CondOp::Lt, CondOp::Le, CondOp::Gt, CondOp::Ge];
+        let (mut finite, mut empty, mut unbounded, mut two_step) = (0, 0, 0, 0);
+        for case in 0..20_000 {
+            let st = rng.gen_range(-20..20i64);
+            let lin = |rng: &mut tcq_common::rng::TcqRng| LinExpr {
+                t_coeff: 0,
+                st_coeff: rng.gen_range(0..2i64),
+                constant: rng.gen_range(-30..30i64),
+            };
+            let spec = ForLoop {
+                init: lin(&mut rng),
+                cond: Condition {
+                    op: ops[rng.gen_range(0..ops.len())],
+                    bound: lin(&mut rng),
+                },
+                // Forward, backward, standing still (k = 0), and Set.
+                step: match rng.gen_range(0..4u32) {
+                    0 => Step::Set(rng.gen_range(-30..30i64)),
+                    _ => Step::Add(rng.gen_range(-7..8i64)),
+                },
+                windows: vec![WindowIs::new("s", LinExpr::t_plus(-4), LinExpr::t())],
+            };
+            let got = spec.extent(st).unwrap();
+            match brute_force_extent(&spec, st, 500) {
+                Some(want) => assert_eq!(got, want, "case {case}: {spec:?} at ST={st}"),
+                None => {
+                    let first_t = spec.init.eval(0, st);
+                    assert_eq!(
+                        got,
+                        LoopLength::Unbounded { first_t },
+                        "case {case}: {spec:?}"
+                    );
+                }
+            }
+            match got {
+                LoopLength::Empty => empty += 1,
+                LoopLength::Unbounded { .. } => unbounded += 1,
+                LoopLength::Finite {
+                    iterations,
+                    first_t,
+                    last_t,
+                } => {
+                    finite += 1;
+                    two_step += usize::from(iterations > 1);
+                    // What join planning reads off the extent: the loop's
+                    // extreme window bounds are at its two ends.
+                    let all: Vec<_> = WindowSeq::new(spec.clone(), st)
+                        .collect::<Result<Vec<_>>>()
+                        .unwrap();
+                    let ends = [first_t, last_t].map(|t| spec.windows_at(t, st).unwrap());
+                    assert_eq!(ends[0], all[0]);
+                    assert_eq!(&ends[1], all.last().unwrap());
+                    assert_eq!(
+                        ends.iter().map(WindowAssignment::close_time).max(),
+                        all.iter().map(WindowAssignment::close_time).max()
+                    );
+                }
+            }
+        }
+        assert!(
+            finite > 2000 && two_step > 1000 && empty > 2000 && unbounded > 2000,
+            "every outcome must be exercised: {finite} finite ({two_step} multi-step), \
+             {empty} empty, {unbounded} unbounded"
+        );
+    }
+
+    #[test]
+    fn extent_is_exact_where_iterating_is_out_of_reach() {
+        // A finite loop of 10^9 iterations: counted, not run.
+        let mut spec = sliding_spec();
+        spec.cond.bound = LinExpr::st_plus(5_000_000_000);
+        assert_eq!(
+            spec.extent(100).unwrap(),
+            LoopLength::Finite {
+                iterations: 1_000_000_000,
+                first_t: 100,
+                last_t: 100 + 5 * 999_999_999,
+            }
+        );
+        // The paper's continuous-query idiom never ends.
+        spec.cond = Condition {
+            op: CondOp::Ge,
+            bound: LinExpr::constant(0),
+        };
+        assert_eq!(
+            spec.extent(100).unwrap(),
+            LoopLength::Unbounded { first_t: 100 }
+        );
+        // The snapshot idiom runs once; the widest finite loop saturates.
+        assert_eq!(
+            snapshot_spec().extent(7).unwrap(),
+            LoopLength::Finite {
+                iterations: 1,
+                first_t: 0,
+                last_t: 0,
+            }
+        );
+        let widest = ForLoop {
+            init: LinExpr::constant(i64::MIN),
+            cond: Condition {
+                op: CondOp::Le,
+                bound: LinExpr::constant(i64::MAX),
+            },
+            step: Step::Add(1),
+            windows: vec![],
+        };
+        assert_eq!(
+            widest.extent(0).unwrap(),
+            LoopLength::Finite {
+                iterations: u64::MAX,
+                first_t: i64::MIN,
+                last_t: i64::MAX,
+            }
+        );
+        // A bound that references `t` is rejected, as WindowSeq rejects it.
+        spec.cond.bound = LinExpr::t();
+        assert!(spec.extent(100).is_err());
     }
 
     #[test]

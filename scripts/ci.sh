@@ -72,10 +72,11 @@ bench_gate() {
     fi
 }
 
-echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 40 MiB) =="
-# A windowed join holds one window of SteM state (~26 MiB here);
-# history-sized state reads ~95 MiB.
-bench_gate join_inproc 40
+echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 22 MiB) =="
+# A windowed join holds one window of compact SteM rows (~18.5 MiB here);
+# a Tuple handle per slot in a doubling buffer reads ~26.5 MiB, and
+# history-sized state ~95 MiB.
+bench_gate join_inproc 22
 
 echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <= 25 MiB) =="
 # 10 000 standing CQs with a submit + stop per batch read ~18.5 MiB; state

@@ -190,6 +190,50 @@ fn example3_sliding_avg_query() {
     server.shutdown().unwrap();
 }
 
+/// A loop too long to run is still finite: the query must retire at its
+/// exact final window, not be mistaken for a continuous query (planning
+/// used to iterate the loop and give up after 10^6 windows).
+#[test]
+fn band_join_over_a_billion_windows_still_retires_on_time() {
+    let server = archived_server();
+    let client = server.connect_pull_client(4096).unwrap();
+    server
+        .submit(
+            "Select c2.* \
+             FROM ClosingStockPrices as c1, ClosingStockPrices as c2 \
+             WHERE c1.stockSymbol = 'MSFT' and \
+                   c2.stockSymbol != 'MSFT' and \
+                   c2.timestamp = c1.timestamp \
+             for (t = ST; t < ST + 1000000000; t++ ){ \
+                 WindowIs(c1, t - 4, t); \
+                 WindowIs(c2, t - 4, t); \
+             }",
+            client,
+        )
+        .unwrap();
+    // ST = 1: the last window closes at day 10^9. Three days at the start,
+    // the last two days of the loop, then three days past its end.
+    let schema = stock_schema();
+    let days = [1, 2, 3, 999_999_999, 1_000_000_000];
+    for day in days.into_iter().chain(1_000_000_001..=1_000_000_003) {
+        for (sym, price) in [("MSFT", 50.0), ("IBM", 90.0)] {
+            server
+                .push("ClosingStockPrices", tick(&schema, day, sym, price))
+                .unwrap();
+        }
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    settle(&server);
+    let results = server.fetch(client, 4096).unwrap();
+    let mut matched: Vec<i64> = results
+        .iter()
+        .map(|(_, row)| row.value(0).as_int().unwrap())
+        .collect();
+    matched.sort_unstable();
+    assert_eq!(matched, days, "one match per day the query stood for");
+    server.shutdown().unwrap();
+}
+
 #[test]
 fn example4_temporal_band_join() {
     // "For the five most recent trading days starting today, select all
