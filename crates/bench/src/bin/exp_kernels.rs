@@ -1,21 +1,14 @@
-//! Experiment E-kernels (DESIGN.md "Compiled kernels & prehashed
-//! probes" + "Columnar batches & vectorized kernels"): the same
+//! Experiment E-kernels (DESIGN.md "One join hot path"): the same
 //! end-to-end select-project-join pipeline as E-throughput, run at the
-//! batched sweet spot (K = 64) across three configurations —
-//! interpreted row, compiled row, and compiled columnar
-//! (`ServerConfig::{compiled_kernels, columnar}`).
+//! batched sweet spot (K = 64) on the server's one hot path.
 //!
-//! Compiled: WHERE-clause predicates are lowered to flat bytecode
-//! kernels ([`tcq_common::kernel`]), join keys are FNV-hashed once per
-//! tuple at ingress and the memo reused by every SteM build and probe,
-//! and probe scratch is recycled. Columnar adds the
-//! [`tcq_common::ColumnBatch`] hot path: one row→column conversion per
-//! ingress batch, vectorized predicate/probe/project kernels over
-//! contiguous buffers, and whole-batch egress to a column client — no
-//! per-row tuple is materialized anywhere past the conversion edge.
-//! Interpreted reproduces the tree-walking interpreter and per-site
-//! hashing of earlier PRs. Results are byte-identical in all three
-//! (the chaos suite asserts this); only the work per tuple changes.
+//! WHERE-clause predicates are lowered to flat bytecode kernels
+//! ([`tcq_common::kernel`]) wherever their shape allows, join keys are
+//! FNV-hashed once per tuple at ingress and the memo reused by every SteM
+//! build and probe, and each ingress batch becomes one
+//! [`tcq_common::ColumnBatch`]: vectorized predicate/probe/project kernels
+//! over contiguous buffers, and whole-batch egress to a column client —
+//! no per-row tuple is materialized anywhere past the conversion edge.
 //!
 //! The query carries a deliberately predicate-heavy WHERE clause — twelve
 //! single-column comparisons plus one cross-source band factor — so
@@ -25,31 +18,29 @@
 //!
 //! Claims demonstrated:
 //!
-//! * compiled kernels + prehashed probes raise sustained tuples/sec over
-//!   the interpreted configuration on the identical workload;
-//! * columnar batches raise tuples/sec again over the compiled row path
-//!   and collapse allocs/tuple to near the bench's own tuple-building
-//!   floor (batch-amortized pipeline, zero per-row egress);
 //! * the allocator is hit a bounded number of times per delivered tuple,
-//!   reported as `allocs/tuple` (the recycling budget);
-//! * the run emits machine-readable `BENCH_kernels.json`.
+//!   reported as `allocs/tuple` — near the bench's own tuple-building
+//!   floor (batch-amortized pipeline, zero per-row egress);
+//! * every admitted tuple is delivered.
+//!
+//! Until PR 21 this binary A/B'd three configurations (interpreted row,
+//! compiled row, compiled columnar); `BENCH_kernels.json` keeps that
+//! sweep as the historical record and is no longer rewritten.
 //!
 //! ```text
 //! cargo run --release -p tcq-bench --bin exp_kernels [-- --smoke]
 //! ```
 //!
-//! `--smoke` runs a reduced workload and exits non-zero if the compiled
-//! configuration is slower than the interpreted one, the columnar
-//! configuration misses its speedup or allocation gates, or a row
-//! allocation budget is blown — the perf tripwire `scripts/ci.sh`
-//! relies on.
+//! `--smoke` runs a reduced workload and exits non-zero if the
+//! allocs-per-tuple budget is blown — the count tripwire `scripts/ci.sh`
+//! relies on (full mode checks it too).
 
 use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 use tcq_bench::Table;
 use tcq_common::{DataType, Field, Schema, SchemaRef, Timestamp, Tuple, TupleBuilder};
-use tcq_egress::{ColumnDelivery, Delivery};
+use tcq_egress::ColumnDelivery;
 use tcq_server::{ServerConfig, TelegraphCQ};
 
 /// Counting allocator for the allocs-per-tuple budget.
@@ -69,23 +60,12 @@ const DIM_ROWS: i64 = 64;
 /// top out at `(DIM_ROWS - 1) * 10`). The reaper subtracts it back out.
 const V_OFFSET: i64 = 1_000_000;
 
-/// Allocation events per delivered tuple the smoke tripwire tolerates on
-/// the compiled path. The measured end-to-end value is ~8 (tuple build,
-/// join concat, projection, delivery); 3× headroom keeps scheduler noise
-/// from flaking CI while still catching a reintroduced per-tuple clone
-/// storm.
-const ALLOC_BUDGET: f64 = 24.0;
-
-/// Allocation events per delivered tuple the smoke tripwire tolerates on
-/// the columnar path. The bench's own TupleBuilder loop costs ~2 allocs
-/// per pushed tuple *inside* the measured window; the pipeline itself
-/// must stay batch-amortized (column buffers, whole-batch egress) to fit
-/// under this.
-const COLUMNAR_ALLOC_BUDGET: f64 = 3.0;
-
-/// Minimum columnar-over-compiled-row speedup the smoke tripwire
-/// demands: the vectorized path must pay for its conversion edge.
-const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.3;
+/// Allocation events per delivered tuple the tripwire tolerates. The
+/// bench's own TupleBuilder loop costs ~2 allocs per pushed tuple
+/// *inside* the measured window; the pipeline itself must stay
+/// batch-amortized (column buffers, whole-batch egress) to fit under
+/// this.
+const ALLOC_BUDGET: f64 = 3.0;
 
 fn dim_schema() -> SchemaRef {
     Schema::new(vec![
@@ -104,8 +84,6 @@ fn hot_schema() -> SchemaRef {
 }
 
 struct Outcome {
-    compiled: bool,
-    columnar: bool,
     tuples_per_sec: f64,
     p50_us: u64,
     p99_us: u64,
@@ -122,77 +100,46 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Drains deliveries into per-tuple latencies until `n` arrive or the
-/// deadline passes. Row runs get a push client (one message per tuple);
-/// columnar runs get a column client (one message per emitted batch, no
-/// per-row materialization anywhere in egress).
-enum Reaper {
-    Rows(Receiver<Delivery>),
-    Columns(Receiver<ColumnDelivery>),
-}
-
-impl Reaper {
-    fn drain(&self, epoch: Instant, n: usize) -> Vec<u64> {
-        let mut latencies = Vec::with_capacity(n);
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while latencies.len() < n && Instant::now() < deadline {
-            let before = latencies.len();
-            match self {
-                Reaper::Rows(rx) => {
-                    for (_q, t) in rx.try_iter() {
-                        let sent_us = t.value(0).as_int().unwrap() - V_OFFSET;
-                        let now_us = epoch.elapsed().as_micros() as i64;
-                        latencies.push((now_us - sent_us).max(0) as u64);
-                        if latencies.len() >= n {
-                            break;
-                        }
-                    }
-                }
-                Reaper::Columns(rx) => {
-                    for (_q, batch) in rx.try_iter() {
-                        let now_us = epoch.elapsed().as_micros() as i64;
-                        let col = batch.column(0);
-                        for row in 0..batch.len() {
-                            let sent_us = col.value(row).as_int().unwrap() - V_OFFSET;
-                            latencies.push((now_us - sent_us).max(0) as u64);
-                        }
-                        if latencies.len() >= n {
-                            break;
-                        }
-                    }
-                }
+/// Drains column deliveries (one message per emitted batch) into
+/// per-tuple latencies until `n` arrive or the deadline passes.
+fn drain(rx: &Receiver<ColumnDelivery>, epoch: Instant, n: usize) -> Vec<u64> {
+    let mut latencies = Vec::with_capacity(n);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while latencies.len() < n && Instant::now() < deadline {
+        let before = latencies.len();
+        for (_q, batch) in rx.try_iter() {
+            let now_us = epoch.elapsed().as_micros() as i64;
+            let col = batch.column(0);
+            for row in 0..batch.len() {
+                let sent_us = col.value(row).as_int().unwrap() - V_OFFSET;
+                latencies.push((now_us - sent_us).max(0) as u64);
             }
-            if latencies.len() == before {
-                std::thread::sleep(Duration::from_micros(200));
+            if latencies.len() >= n {
+                break;
             }
         }
-        latencies
+        if latencies.len() == before {
+            std::thread::sleep(Duration::from_micros(200));
+        }
     }
+    latencies
 }
 
 /// One full pipeline run: `n` hot tuples joined against the pre-loaded
 /// dimension stream under a predicate-heavy WHERE clause, timed from
 /// first push to last delivery. Latency rides in `v` exactly as in
 /// E-throughput.
-fn run_pipeline(compiled: bool, columnar: bool, n: usize) -> Outcome {
+fn run_pipeline(n: usize) -> Outcome {
     let server = TelegraphCQ::start(ServerConfig {
         io_batch: K,
         eddy_batch: K,
-        compiled_kernels: compiled,
-        columnar,
         ..ServerConfig::default()
     })
     .unwrap();
     server.register_stream("s", hot_schema()).unwrap();
     server.register_stream("dim", dim_schema()).unwrap();
 
-    let (client, reaper_rx) = if columnar {
-        let (client, rx) = server.connect_column_client(n + 1024).unwrap();
-        (client, Reaper::Columns(rx))
-    } else {
-        let (client, rx) = server.connect_push_client(n + 1024).unwrap();
-        (client, Reaper::Rows(rx))
-    };
+    let (client, rx) = server.connect_column_client(n + 1024).unwrap();
     // Twelve single-column factors (six per source, each a compilable
     // Cmp(col, lit) shape) plus one cross-source band factor compiled
     // against the joined schema — the CACQ regime where every tuple
@@ -233,7 +180,7 @@ fn run_pipeline(compiled: bool, columnar: bool, n: usize) -> Outcome {
 
     let epoch = Instant::now();
     let reaper = std::thread::spawn(move || {
-        let latencies = reaper_rx.drain(epoch, n);
+        let latencies = drain(&rx, epoch, n);
         (latencies, Instant::now())
     });
 
@@ -268,8 +215,6 @@ fn run_pipeline(compiled: bool, columnar: bool, n: usize) -> Outcome {
     server.shutdown().unwrap();
 
     Outcome {
-        compiled,
-        columnar,
         tuples_per_sec: delivered as f64 / elapsed,
         p50_us: percentile(&latencies, 0.50),
         p99_us: percentile(&latencies, 0.99),
@@ -279,55 +224,27 @@ fn run_pipeline(compiled: bool, columnar: bool, n: usize) -> Outcome {
     }
 }
 
-fn write_json(path: &str, n: usize, outcomes: &[Outcome], speedup: f64, col_speedup: f64) {
-    let mut entries = Vec::new();
-    for o in outcomes {
-        entries.push(format!(
-            "    {{\"compiled\": {}, \"columnar\": {}, \"tuples_per_sec\": {:.1}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"delivered\": {}, \"offered\": {}, \
-             \"allocs_per_tuple\": {:.1}}}",
-            o.compiled,
-            o.columnar,
-            o.tuples_per_sec,
-            o.p50_us,
-            o.p99_us,
-            o.delivered,
-            o.offered,
-            o.allocs_per_tuple
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"pipeline\": \
-         \"predicate-heavy select-project-join at K=64: interpreted row vs compiled row \
-         vs compiled columnar\",\n  \
-         \"tuples\": {},\n  \"k\": {},\n  \"results\": [\n{}\n  ],\n  \
-         \"speedup_compiled_vs_interpreted\": {:.2},\n  \
-         \"speedup_columnar_vs_row\": {:.2}\n}}\n",
-        n,
-        K,
-        entries.join(",\n"),
-        speedup,
-        col_speedup
-    );
-    std::fs::write(path, json).unwrap();
-    println!("  wrote {path}");
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // Best-of-`runs` per configuration, interleaved so ambient load hits
-    // both sides evenly. Smoke also takes best-of-3: one 8k-tuple pass on
-    // a busy single-core box is inside scheduler noise for the ~1.3×
-    // compiled-vs-interpreted margin, and a tripwire that flakes trains
-    // people to ignore it.
-    let (n, runs): (usize, usize) = if smoke { (8_000, 3) } else { (200_000, 3) };
+    // Best-of-`runs` for the throughput figure; the gate is a count.
+    let (n, runs): (usize, usize) = if smoke { (8_000, 1) } else { (200_000, 3) };
     println!(
-        "E-kernels — compiled predicate kernels + prehashed probes + columnar\n\
-         batches vs the tree-walking row interpreter ({n} tuples per run, K = {K})\n"
+        "E-kernels — compiled predicate kernels, prehashed probes and columnar\n\
+         batches on the one join hot path ({n} tuples per run, K = {K})\n"
     );
 
+    let mut o = run_pipeline(n);
+    for _ in 1..runs {
+        let again = run_pipeline(n);
+        if again.tuples_per_sec > o.tuples_per_sec {
+            o = again;
+        }
+    }
+    assert_eq!(
+        o.delivered, o.offered,
+        "every admitted tuple must be delivered"
+    );
     let mut table = Table::new(&[
-        "mode",
         "tuples/sec",
         "p50 latency (us)",
         "p99 latency (us)",
@@ -335,85 +252,25 @@ fn main() {
         "offered",
         "allocs/tuple",
     ]);
-    let mut outcomes = Vec::new();
-    for &(compiled, columnar) in &[(false, false), (true, false), (true, true)] {
-        let mut o = run_pipeline(compiled, columnar, n);
-        for _ in 1..runs {
-            let again = run_pipeline(compiled, columnar, n);
-            if again.tuples_per_sec > o.tuples_per_sec {
-                o = again;
-            }
-        }
-        assert_eq!(
-            o.delivered, o.offered,
-            "every admitted tuple must be delivered (compiled={compiled}, columnar={columnar})"
-        );
-        table.row(vec![
-            match (o.compiled, o.columnar) {
-                (_, true) => "columnar",
-                (true, false) => "compiled",
-                (false, false) => "interpreted",
-            }
-            .to_string(),
-            format!("{:.0}", o.tuples_per_sec),
-            o.p50_us.to_string(),
-            o.p99_us.to_string(),
-            o.delivered.to_string(),
-            o.offered.to_string(),
-            format!("{:.1}", o.allocs_per_tuple),
-        ]);
-        outcomes.push(o);
-    }
+    table.row(vec![
+        format!("{:.0}", o.tuples_per_sec),
+        o.p50_us.to_string(),
+        o.p99_us.to_string(),
+        o.delivered.to_string(),
+        o.offered.to_string(),
+        format!("{:.1}", o.allocs_per_tuple),
+    ]);
     table.print();
 
-    let interp = outcomes.iter().find(|o| !o.compiled).unwrap();
-    let comp = outcomes.iter().find(|o| o.compiled && !o.columnar).unwrap();
-    let col = outcomes.iter().find(|o| o.columnar).unwrap();
-    let speedup = comp.tuples_per_sec / interp.tuples_per_sec;
-    let col_speedup = col.tuples_per_sec / comp.tuples_per_sec;
-    println!("\n  speedup compiled vs interpreted: {speedup:.2}x");
-    println!("  speedup columnar vs compiled row: {col_speedup:.2}x");
-    println!(
-        "  allocs/tuple: {:.1} columnar vs {:.1} compiled vs {:.1} interpreted",
-        col.allocs_per_tuple, comp.allocs_per_tuple, interp.allocs_per_tuple
-    );
-    if !smoke {
-        write_json("BENCH_kernels.json", n, &outcomes, speedup, col_speedup);
-    }
-
-    if speedup < 1.0 {
+    if o.allocs_per_tuple > ALLOC_BUDGET {
         eprintln!(
-            "FAIL: compiled throughput ({:.0}/s) below interpreted ({:.0}/s)",
-            comp.tuples_per_sec, interp.tuples_per_sec
-        );
-        std::process::exit(1);
-    }
-    if comp.allocs_per_tuple > ALLOC_BUDGET {
-        eprintln!(
-            "FAIL: compiled path hits the allocator {:.1} times per tuple (budget {ALLOC_BUDGET})",
-            comp.allocs_per_tuple
-        );
-        std::process::exit(1);
-    }
-    if col_speedup < COLUMNAR_SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: columnar throughput ({:.0}/s) under {COLUMNAR_SPEEDUP_FLOOR}x the \
-             compiled row path ({:.0}/s)",
-            col.tuples_per_sec, comp.tuples_per_sec
-        );
-        std::process::exit(1);
-    }
-    if col.allocs_per_tuple > COLUMNAR_ALLOC_BUDGET {
-        eprintln!(
-            "FAIL: columnar path hits the allocator {:.1} times per tuple \
-             (budget {COLUMNAR_ALLOC_BUDGET})",
-            col.allocs_per_tuple
+            "FAIL: the hot path hits the allocator {:.1} times per tuple (budget {ALLOC_BUDGET})",
+            o.allocs_per_tuple
         );
         std::process::exit(1);
     }
     println!(
-        "\n  shape check: lowering predicates to kernels, hashing each join key\n\
-         \x20 once per tuple, and moving batches as columns outruns per-tuple\n\
-         \x20 tree-walking, inside a bounded allocs-per-tuple budget.\n"
+        "\n  shape check: kernels, one hash per join key and column batches keep\n\
+         \x20 the hot path inside a bounded allocs-per-tuple budget.\n"
     );
 }

@@ -16,26 +16,16 @@
 //!   perf trajectory the ROADMAP commits every PR to extend.
 //!
 //! ```text
-//! cargo run --release -p tcq-bench --bin exp_throughput [-- --smoke] [-- --interpreted]
+//! cargo run --release -p tcq-bench --bin exp_throughput [-- --smoke]
 //! ```
 //!
 //! `--smoke` runs a reduced workload at K ∈ {1, 64} only and exits
 //! non-zero if K=64 throughput falls below K=1 — the coarse
 //! perf-regression tripwire `scripts/ci.sh` relies on.
 //!
-//! `--interpreted` runs the whole sweep with
-//! `ServerConfig::compiled_kernels` off (tree-walking predicates,
-//! per-site key hashing) and `--columnar` runs it with
-//! `ServerConfig::columnar` on (vectorized `ColumnBatch` kernels), so
-//! the batching curve can be A/B'd under any evaluation engine; results
-//! are byte-identical either way (the chaos suite pins this), and the
-//! committed `BENCH_throughput.json` trajectory is only refreshed by
-//! default (compiled, row-path) full runs — the `"columnar"` field in
-//! the JSON records which engine produced it. The
-//! allocs-per-tuple budget is measured by `exp_kernels`, not here: its
-//! counting-allocator harness makes every allocation call opaque to the
-//! optimizer and costs ~20% throughput, so it is confined to the A/B
-//! experiment where both configurations pay it equally.
+//! The allocs-per-tuple budget is measured by `exp_kernels`, not here:
+//! its counting-allocator harness makes every allocation call opaque to
+//! the optimizer and costs ~20% throughput.
 
 use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
@@ -88,12 +78,10 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// delivery. Per-tuple latency rides inside the tuple itself: `v` carries
 /// the send instant as micros-since-epoch (+1 so the `v > 0` select
 /// factor always passes), and the receiver subtracts on arrival.
-fn run_pipeline(k: usize, n: usize, compiled_kernels: bool, columnar: bool) -> KOutcome {
+fn run_pipeline(k: usize, n: usize) -> KOutcome {
     let server = TelegraphCQ::start(ServerConfig {
         io_batch: k,
         eddy_batch: k,
-        compiled_kernels,
-        columnar,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -193,7 +181,7 @@ fn run_pipeline(k: usize, n: usize, compiled_kernels: bool, columnar: bool) -> K
     }
 }
 
-fn write_json(path: &str, n: usize, outcomes: &[KOutcome], speedup: f64, columnar: bool) {
+fn write_json(path: &str, n: usize, outcomes: &[KOutcome], speedup: f64) {
     let mut entries = Vec::new();
     for o in outcomes {
         entries.push(format!(
@@ -205,9 +193,7 @@ fn write_json(path: &str, n: usize, outcomes: &[KOutcome], speedup: f64, columna
     let json = format!(
         "{{\n  \"bench\": \"throughput\",\n  \"pipeline\": \
          \"single-stream select-project-join (push -> fjord -> dispatcher -> eddy join -> egress)\",\n  \
-         \"compiled_kernels\": true,\n  \"columnar\": {},\n  \
          \"tuples\": {},\n  \"results\": [\n{}\n  ],\n  \"speedup_k64_vs_k1\": {:.2}\n}}\n",
-        columnar,
         n,
         entries.join(",\n"),
         speedup
@@ -218,8 +204,6 @@ fn write_json(path: &str, n: usize, outcomes: &[KOutcome], speedup: f64, columna
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let compiled = !std::env::args().any(|a| a == "--interpreted");
-    let columnar = std::env::args().any(|a| a == "--columnar");
     // Best-of-`runs` per K: on a busy (or single-core) box a single pass
     // is at the mercy of scheduler luck; the max over a few passes is the
     // stable measure of what the configuration can sustain.
@@ -230,9 +214,7 @@ fn main() {
     };
     println!(
         "E-throughput — batched hot path, single-stream select-project-join\n\
-         ({n} tuples per run, K = fjord io_batch = eddy batch_size, {}{} evaluation)\n",
-        if compiled { "compiled" } else { "interpreted" },
-        if columnar { " columnar" } else { "" }
+         ({n} tuples per run, K = fjord io_batch = eddy batch_size)\n"
     );
 
     let mut table = Table::new(&[
@@ -245,9 +227,9 @@ fn main() {
     ]);
     let mut outcomes = Vec::new();
     for &k in ks {
-        let mut o = run_pipeline(k, n, compiled, columnar);
+        let mut o = run_pipeline(k, n);
         for _ in 1..runs {
-            let again = run_pipeline(k, n, compiled, columnar);
+            let again = run_pipeline(k, n);
             if again.tuples_per_sec > o.tuples_per_sec {
                 o = again;
             }
@@ -273,11 +255,9 @@ fn main() {
     let speedup = batched / base;
     println!("\n  speedup K=64 vs K=1: {speedup:.2}x");
     // Smoke passes are a pass/fail tripwire at reduced scale; only the
-    // default-engine full sweep refreshes the committed perf trajectory
-    // (interpreted/columnar runs are for ad-hoc A/B comparison — the
-    // columnar-vs-row comparison lives in exp_kernels).
-    if !smoke && compiled && !columnar {
-        write_json("BENCH_throughput.json", n, &outcomes, speedup, columnar);
+    // full sweep refreshes the committed perf trajectory.
+    if !smoke {
+        write_json("BENCH_throughput.json", n, &outcomes, speedup);
     }
 
     if speedup < 1.0 {

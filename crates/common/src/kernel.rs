@@ -611,33 +611,30 @@ fn compile_pred(e: &BoundExpr, ops: &mut Vec<KernelOp>, depth: &mut usize) -> Op
 }
 
 /// A predicate ready for the hot path: compiled when the expression fits
-/// the kernel grammar (and compilation is enabled), interpreted
-/// otherwise. Either way the observable behaviour — values, NULL
-/// semantics, errors, evaluation order — is identical.
+/// the kernel grammar, interpreted otherwise. Either way the observable
+/// behaviour — values, NULL semantics, errors, evaluation order — is
+/// identical.
 #[derive(Debug, Clone)]
 pub enum Predicate {
     /// Flat compiled kernel.
     Compiled(Kernel),
-    /// Interpreter fallback (also the `compiled_kernels = false` path).
+    /// Interpreter fallback for shapes outside the kernel grammar.
     Interpreted(BoundExpr),
 }
 
 impl Predicate {
     /// Bind `expr` against `schema` (surfacing the same binding errors as
-    /// [`Expr::bind`]) and compile when `allow_compile` is set and the
-    /// shape permits.
-    pub fn new(expr: &Expr, schema: &Schema, allow_compile: bool) -> Result<Predicate> {
-        Ok(Self::from_bound(expr.bind(schema)?, allow_compile))
+    /// [`Expr::bind`]) and compile when the shape permits.
+    pub fn new(expr: &Expr, schema: &Schema) -> Result<Predicate> {
+        Ok(Self::from_bound(expr.bind(schema)?))
     }
 
     /// Wrap an already-bound expression, compiling if possible.
-    pub fn from_bound(bound: BoundExpr, allow_compile: bool) -> Predicate {
-        if allow_compile {
-            if let Some(k) = Kernel::compile(&bound) {
-                return Predicate::Compiled(k);
-            }
+    pub fn from_bound(bound: BoundExpr) -> Predicate {
+        match Kernel::compile(&bound) {
+            Some(k) => Predicate::Compiled(k),
+            None => Predicate::Interpreted(bound),
         }
-        Predicate::Interpreted(bound)
     }
 
     /// True iff the compiled path is active (diagnostics / experiments).
@@ -697,7 +694,7 @@ mod tests {
     }
 
     fn compiled(e: &Expr, s: &SchemaRef) -> Kernel {
-        match Predicate::new(e, s, true).unwrap() {
+        match Predicate::new(e, s).unwrap() {
             Predicate::Compiled(k) => k,
             Predicate::Interpreted(_) => panic!("expected {e:?} to compile"),
         }
@@ -717,7 +714,7 @@ mod tests {
             Expr::lit(true),
         ] {
             assert!(
-                Predicate::new(&e, &s, true).unwrap().is_compiled(),
+                Predicate::new(&e, &s).unwrap().is_compiled(),
                 "{e} should compile"
             );
         }
@@ -742,20 +739,17 @@ mod tests {
             Expr::lit(1i64).and(Expr::lit(true)),
         ] {
             assert!(
-                !Predicate::new(&e, &s, true).unwrap().is_compiled(),
+                !Predicate::new(&e, &s).unwrap().is_compiled(),
                 "{e} should fall back to the interpreter"
             );
         }
-        // And the toggle forces the interpreter even on compilable shapes.
-        let simple = Expr::col("i").cmp(CmpOp::Gt, Expr::lit(3i64));
-        assert!(!Predicate::new(&simple, &s, false).unwrap().is_compiled());
     }
 
     #[test]
     fn binding_errors_surface_before_compilation() {
         let s = schema();
         let e = Expr::col("missing").cmp(CmpOp::Gt, Expr::lit(3i64));
-        let kernel_err = Predicate::new(&e, &s, true).unwrap_err();
+        let kernel_err = Predicate::new(&e, &s).unwrap_err();
         let bind_err = e.bind(&s).unwrap_err();
         assert_eq!(kernel_err.to_string(), bind_err.to_string());
     }
@@ -825,7 +819,7 @@ mod tests {
             let mut fuel = rng.gen_range(0usize..5);
             let pred = gen_pred(&mut rng, COLS, &mut fuel);
             let bound = pred.bind(&schema).unwrap();
-            let p = Predicate::from_bound(bound.clone(), true);
+            let p = Predicate::from_bound(bound.clone());
             compiled_seen += p.is_compiled() as usize;
             for _ in 0..8 {
                 let vals: Vec<Value> = (0..COLS).map(|_| gen_value(&mut rng)).collect();
@@ -873,7 +867,7 @@ mod tests {
         for case in 0..2_000 {
             let mut fuel = rng.gen_range(0usize..5);
             let pred = gen_pred(&mut rng, COLS, &mut fuel);
-            let p = Predicate::from_bound(pred.bind(&schema).unwrap(), true);
+            let p = Predicate::from_bound(pred.bind(&schema).unwrap());
             let Predicate::Compiled(k) = &p else { continue };
             let n = rng.gen_range(0usize..24);
             // Columns are homogeneous-biased (real streams are typed) so
@@ -963,7 +957,7 @@ mod tests {
         for _ in 0..(MAX_STACK + 2) {
             e = leaf().and(e);
         }
-        let p = Predicate::new(&e, &s, true).unwrap();
+        let p = Predicate::new(&e, &s).unwrap();
         assert!(!p.is_compiled(), "past-MAX_STACK nesting must fall back");
         // ... and still evaluates correctly through the interpreter.
         let t = Tuple::new(

@@ -278,11 +278,13 @@ fn get_timestamp(r: &mut CkptReader<'_>) -> Result<Timestamp> {
 /// `Schema` frame, later batches reference the id.
 #[derive(Debug, Default)]
 pub struct FrameWriter {
-    /// Schema identity (by `Arc` pointer) → assigned id. Two structurally
+    /// Schema identity (by `Arc` pointer) → the schema and its assigned
+    /// id. Holding the `Arc` is what keeps that address from being reused
+    /// by a schema of another shape while the id is live. Two structurally
     /// equal but distinct `Arc`s would ship the schema twice under two
     /// ids — wasteful, never wrong — and in practice every batch for a
     /// query shares one `SchemaRef`.
-    ids: HashMap<usize, u32>,
+    ids: HashMap<usize, (SchemaRef, u32)>,
     next_id: u32,
 }
 
@@ -302,12 +304,12 @@ impl FrameWriter {
 
     fn schema_id(&mut self, out: &mut Vec<u8>, schema: &SchemaRef) -> u32 {
         let key = std::sync::Arc::as_ptr(schema) as usize;
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
+        if let Some((_, id)) = self.ids.get(&key) {
+            return *id;
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.ids.insert(key, id);
+        self.ids.insert(key, (schema.clone(), id));
         let mut w = CkptWriter::new();
         put_schema(&mut w, id, schema);
         Self::frame(out, KIND_SCHEMA, &w.into_bytes());
@@ -579,6 +581,55 @@ mod tests {
         }
         assert_eq!(off, buf.len());
         assert_eq!(got, frames);
+    }
+
+    /// The schema table must not key on an address a freed schema can
+    /// hand to a new one: a connection that stops one query and submits
+    /// another would send the new query's rows under the old schema id.
+    #[test]
+    fn a_recycled_schema_address_gets_a_fresh_schema_id() {
+        let mut w = FrameWriter::new();
+        let mut buf = Vec::new();
+        let a = Schema::new(vec![Field::new("x", DataType::Int)]).into_ref();
+        let a_addr = std::sync::Arc::as_ptr(&a) as usize;
+        let rows = vec![TupleBuilder::new(a).push(7i64).build().unwrap()];
+        w.encode(
+            &Frame::Results {
+                query: 1,
+                tuples: rows,
+            },
+            &mut buf,
+        );
+        // Schema A is gone. The allocator usually hands its block to the
+        // next schema at once; misses are held so each retry gets a fresh
+        // address.
+        let mut misses = Vec::new();
+        let b = loop {
+            let b = Schema::new(vec![Field::new("y", DataType::Str)]).into_ref();
+            if std::sync::Arc::as_ptr(&b) as usize == a_addr || misses.len() == 64 {
+                break b;
+            }
+            misses.push(b);
+        };
+        w.encode(
+            &Frame::Results {
+                query: 2,
+                tuples: vec![TupleBuilder::new(b).push("hi").build().unwrap()],
+            },
+            &mut buf,
+        );
+        let mut r = FrameReader::new();
+        let mut last = None;
+        let mut off = 0;
+        while let Some((f, n)) = r.decode(&buf[off..]).expect("B's rows decode") {
+            last = Some(f);
+            off += n;
+        }
+        let Some(Frame::Results { query: 2, tuples }) = last else {
+            panic!("expected query 2's results last, got {last:?}");
+        };
+        assert_eq!(tuples[0].schema().field(0).name, "y");
+        assert_eq!(tuples[0].value(0), &tcq_common::Value::str("hi"));
     }
 
     #[test]

@@ -50,17 +50,6 @@ impl ProjectOp {
         })
     }
 
-    /// Enable or disable the column-copy fast path (default on). Off, even
-    /// bare-column projections walk their bound expressions per tuple —
-    /// the pre-kernel behaviour, kept so A/B experiments can isolate
-    /// projection compilation.
-    pub fn with_compiled_kernels(mut self, enabled: bool) -> Self {
-        if !enabled {
-            self.columns = None;
-        }
-        self
-    }
-
     /// The identity projection (`SELECT *`).
     pub fn star(input: &SchemaRef) -> Result<Self> {
         let items: Vec<(Expr, Option<String>)> = (0..input.len())

@@ -27,7 +27,6 @@ pub struct SelectOp {
     pred: Expr,
     bound: std::collections::HashMap<usize, Predicate>,
     cost_units: u64,
-    compiled_kernels: bool,
     /// Lane buffers reused across columnar batches.
     scratch: ColumnarScratch,
 }
@@ -39,14 +38,13 @@ impl SelectOp {
         let mut bound = std::collections::HashMap::new();
         bound.insert(
             std::sync::Arc::as_ptr(schema) as usize,
-            Predicate::new(pred, schema, true)?,
+            Predicate::new(pred, schema)?,
         );
         Ok(SelectOp {
             name: name.into(),
             pred: pred.clone(),
             bound,
             cost_units: 0,
-            compiled_kernels: true,
             scratch: ColumnarScratch::new(),
         })
     }
@@ -55,19 +53,6 @@ impl SelectOp {
     /// reproducing expensive-operator workloads.
     pub fn with_cost_units(mut self, units: u64) -> Self {
         self.cost_units = units;
-        self
-    }
-
-    /// Enable or disable kernel compilation (default on). Disabling
-    /// re-lowers any cached bindings onto the interpreter, so A/B
-    /// experiments measure the old tree-walking path faithfully.
-    pub fn with_compiled_kernels(mut self, enabled: bool) -> Self {
-        if self.compiled_kernels != enabled {
-            self.compiled_kernels = enabled;
-            // Cached entries were lowered under the old flag; rebuilding
-            // lazily is safe because each schema already bound once.
-            self.bound.clear();
-        }
         self
     }
 
@@ -84,7 +69,7 @@ impl SelectOp {
         burn(self.cost_units);
         let key = std::sync::Arc::as_ptr(tuple.schema()) as usize;
         if !self.bound.contains_key(&key) {
-            let p = Predicate::new(&self.pred, tuple.schema(), self.compiled_kernels)?;
+            let p = Predicate::new(&self.pred, tuple.schema())?;
             self.bound.insert(key, p);
         }
         self.bound[&key].eval_pred(tuple)
@@ -117,7 +102,7 @@ impl crate::module::EddyModule for SelectOp {
         for t in tuples {
             let key = std::sync::Arc::as_ptr(t.schema()) as usize;
             if !self.bound.contains_key(&key) {
-                let p = Predicate::new(&self.pred, t.schema(), self.compiled_kernels)?;
+                let p = Predicate::new(&self.pred, t.schema())?;
                 self.bound.insert(key, p);
             }
         }
@@ -156,7 +141,7 @@ impl crate::module::EddyModule for SelectOp {
     ) -> Result<ColumnarVerdict> {
         let key = std::sync::Arc::as_ptr(batch.schema()) as usize;
         if !self.bound.contains_key(&key) {
-            let p = Predicate::new(&self.pred, batch.schema(), self.compiled_kernels)?;
+            let p = Predicate::new(&self.pred, batch.schema())?;
             self.bound.insert(key, p);
         }
         if self.bound[&key].eval_columns(batch, &mut self.scratch, keep) {
@@ -418,16 +403,14 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_interpreted_select_agree() {
+    fn compiled_select_agrees_with_the_interpreter() {
         let s = schema();
         let pred = Expr::col("price")
             .cmp(CmpOp::Gt, Expr::lit(50.0))
             .and(Expr::col("sym").cmp(CmpOp::Ne, Expr::lit("HALT")));
         let mut compiled = SelectOp::new("sel", &pred, &s).unwrap();
         assert!(compiled.is_compiled_for(&s));
-        let mut interp = SelectOp::new("sel", &pred, &s)
-            .unwrap()
-            .with_compiled_kernels(false);
+        let interp = pred.bind(&s).unwrap();
         let mut rng = tcq_common::rng::seeded(0x5E1E);
         for i in 0..300 {
             let sym = ["MSFT", "HALT"][rng.gen_range(0..2usize)];
@@ -439,11 +422,10 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 compiled.matches(&t).unwrap(),
-                interp.matches(&t).unwrap(),
+                interp.eval_pred(&t).unwrap(),
                 "divergence on {t:?}"
             );
         }
-        assert!(!interp.is_compiled_for(&s));
     }
 
     #[test]
@@ -471,10 +453,18 @@ mod tests {
             v => panic!("compiled predicate over typed columns must claim the batch, got {v:?}"),
         }
         assert_eq!(keep, expect);
-        // The interpreter has no columnar lowering: fall back to rows.
-        let mut interp = SelectOp::new("sel", &pred, &schema())
-            .unwrap()
-            .with_compiled_kernels(false);
+        // A shape outside the kernel grammar (arithmetic inside the
+        // comparison) stays interpreted, which has no columnar lowering:
+        // fall back to rows.
+        let arith = Expr::Arith {
+            op: tcq_common::ArithOp::Mul,
+            lhs: Box::new(Expr::col("price")),
+            rhs: Box::new(Expr::lit(2.0)),
+        }
+        .cmp(CmpOp::Gt, Expr::lit(100.0));
+        let s = schema();
+        let mut interp = SelectOp::new("sel", &arith, &s).unwrap();
+        assert!(!interp.is_compiled_for(&s));
         keep.clear();
         assert!(matches!(
             interp.process_columnar(&batch, None, &mut keep).unwrap(),

@@ -53,10 +53,6 @@ pub struct StemOp {
     /// (latest - width) are evicted on insert.
     window_width: Option<i64>,
     latest_seq: i64,
-    /// When set (the default), probes reuse the tuple's memoized key hash
-    /// via [`SteM::probe_eq_hashed`]; when clear, every probe hashes its
-    /// key afresh (the pre-kernel behaviour, kept for A/B experiments).
-    prehash: bool,
     /// Probe-match scratch reused across calls — probing allocates no
     /// fresh buffer per tuple.
     match_scratch: Vec<Tuple>,
@@ -90,17 +86,8 @@ impl StemOp {
             plans: HashMap::new(),
             window_width: None,
             latest_seq: i64::MIN,
-            prehash: true,
             match_scratch: Vec::new(),
         })
-    }
-
-    /// Enable or disable the prehashed probe path (default on). Off, each
-    /// probe recomputes its key hash — the per-site hashing the engine did
-    /// before key hashes were memoized on tuples.
-    pub fn with_prehash(mut self, enabled: bool) -> Self {
-        self.prehash = enabled;
-        self
     }
 
     /// Add a fallback probe-key spec, tried when earlier specs do not
@@ -243,44 +230,28 @@ impl StemOp {
     }
 
     /// Probe with `tuple`'s key column into the reusable scratch buffer.
-    /// On the prehash path the tuple's memoized key hash (computed at most
-    /// once in its lifetime, possibly upstream at the partitioner) feeds
-    /// the hashed index directly.
+    /// The tuple's memoized key hash (computed at most once in its
+    /// lifetime, possibly upstream at the partitioner) feeds the hashed
+    /// index directly.
     fn probe_into_scratch(&mut self, tuple: &Tuple, key_col: usize) {
         self.match_scratch.clear();
-        if self.prehash {
-            let hash = tuple.key_hash(key_col);
-            self.stem
-                .probe_eq_hashed(hash, tuple.value(key_col), &mut self.match_scratch);
-        } else {
-            self.stem
-                .probe_eq(tuple.value(key_col), &mut self.match_scratch);
-        }
+        let hash = tuple.key_hash(key_col);
+        self.stem
+            .probe_eq_hashed(hash, tuple.value(key_col), &mut self.match_scratch);
     }
 
-    /// Concatenate the scratch matches with `tuple` into join outputs. On
-    /// the recycling (prehash) path the empty and single-match cases use
-    /// [`Outputs`]' inline representation and never allocate an output
-    /// buffer; the legacy path keeps the pre-kernel one-`Vec`-per-probe
-    /// shape for honest A/B allocation accounting.
+    /// Concatenate the scratch matches with `tuple` into join outputs. The
+    /// empty and single-match cases use [`Outputs`]' inline representation
+    /// and never allocate an output buffer.
     fn concat_scratch(&self, tuple: &Tuple, joined: &SchemaRef) -> Outputs {
-        if self.prehash {
-            match self.match_scratch.as_slice() {
-                [] => Outputs::None,
-                [stored] => Outputs::One(tuple.concat(stored, joined.clone())),
-                many => Outputs::Many(
-                    many.iter()
-                        .map(|stored| tuple.concat(stored, joined.clone()))
-                        .collect(),
-                ),
-            }
-        } else {
-            Outputs::Many(
-                self.match_scratch
-                    .iter()
+        match self.match_scratch.as_slice() {
+            [] => Outputs::None,
+            [stored] => Outputs::One(tuple.concat(stored, joined.clone())),
+            many => Outputs::Many(
+                many.iter()
                     .map(|stored| tuple.concat(stored, joined.clone()))
                     .collect(),
-            )
+            ),
         }
     }
 }
@@ -361,9 +332,9 @@ impl EddyModule for StemOp {
     /// emit join concatenations as a new columnar batch — probe columns
     /// flat-copied, stored values appended, in exactly the row path's
     /// (probe-first, stored-second, slot-order) sequence. Falls back when
-    /// the batch carries no hash column for the plan's key, when prehash
-    /// is off (the legacy A/B path stays row-shaped), or when probe keys
-    /// are strings (reconstructing an `Arc<str>` per key would allocate).
+    /// the batch carries no hash column for the plan's key, or when probe
+    /// keys are strings (reconstructing an `Arc<str>` per key would
+    /// allocate).
     fn process_columnar(
         &mut self,
         batch: &ColumnBatch,
@@ -386,9 +357,6 @@ impl EddyModule for StemOp {
                 }
             }
             return Ok(ColumnarVerdict::KeepAll);
-        }
-        if !self.prehash {
-            return Ok(ColumnarVerdict::Fallback);
         }
         let (key_col, joined) = {
             let plan = self.probe_plan(batch.schema())?;
@@ -715,64 +683,56 @@ mod tests {
     }
 
     #[test]
-    fn prehash_and_legacy_probe_agree_and_differ_only_in_hash_count() {
+    fn probes_reuse_the_tuples_memoized_key_hash() {
         let s = schema("S");
         let r = schema("T");
-        let mk = |prehash: bool| {
-            let (stem_s, _) = symmetric_hash_join(&s, "S", "k", &r, "T", "k").unwrap();
-            stem_s.with_prehash(prehash)
-        };
-        let mut fast = mk(true);
-        let mut slow = mk(false);
+        let mk = || symmetric_hash_join(&s, "S", "k", &r, "T", "k").unwrap().0;
+        let mut op = mk();
+        // A twin fed its own tuple instances is the row-path reference for
+        // the columnar probes below: the hash memo rides on the tuple, so
+        // sharing one would pre-warm the other op.
+        let mut rows = mk();
         for ts in 1..=40i64 {
-            // Separate tuple instances per op: the hash memo rides on the
-            // tuple, so sharing one would let `fast` pre-warm `slow`.
-            for op in [&mut fast, &mut slow] {
-                op.process(&t(&s, ts % 5, "b", ts)).unwrap();
-            }
-            let of = fast.process(&t(&r, ts % 7, "p", ts)).unwrap();
-            let os = slow.process(&t(&r, ts % 7, "p", ts)).unwrap();
-            assert_eq!(of.outputs, os.outputs, "join outputs diverged at ts={ts}");
+            op.process(&t(&s, ts % 5, "b", ts)).unwrap();
+            rows.process(&t(&s, ts % 5, "b", ts)).unwrap();
+            let p = t(&r, ts % 7, "p", ts);
+            let joined = op.process(&p).unwrap().outputs.len();
+            assert_eq!(joined, (1..=ts).filter(|b| b % 5 == ts % 7).count());
+            // The cold probe hashed its key once, onto itself.
+            assert!(p.cached_key_hash(0).is_some());
         }
-        assert_eq!(fast.counters(), slow.counters());
-        // Builds hash once either way (40 each); legacy probes add one
-        // hash per probe (40 more), prehashed probes memoize on the probe
-        // tuple so each costs at most one — here exactly one, since the
-        // probe tuples arrive cold.
-        assert_eq!(slow.hash_computes(), 80);
-        assert_eq!(fast.hash_computes(), 40);
+        // Builds hash once each (40); probes memoize on the probe tuple
+        // and add no SteM-side hash.
+        assert_eq!(op.hash_computes(), 40);
         // A probe tuple hashed upstream (e.g. by the partitioner) costs
         // the SteM nothing.
         let p = t(&r, 1, "warm", 99);
         p.key_hash(0);
-        let before = fast.hash_computes();
-        fast.process(&p).unwrap();
-        assert_eq!(fast.hash_computes(), before);
+        let before = op.hash_computes();
+        op.process(&p).unwrap();
+        assert_eq!(op.hash_computes(), before);
 
         // Columnar probes ride the ingress-built hash column: converting
         // rows to a batch hashes each probe key once (memoizing it back
         // onto the source tuple), and the SteM then computes nothing.
         let probes: Vec<Tuple> = (1..=10i64).map(|ts| t(&r, ts % 7, "cp", 50 + ts)).collect();
-        let key_col = fast.key_column_hint(&r).unwrap();
+        let key_col = op.key_column_hint(&r).unwrap();
         let expect: Vec<Tuple> = probes
             .iter()
-            .flat_map(|p| slow.process(p).unwrap().outputs)
+            .flat_map(|p| rows.process(p).unwrap().outputs)
             .collect();
         let batch = tcq_common::ColumnBatch::from_tuples(r.clone(), &probes, Some(key_col));
         assert!(
             probes.iter().all(|p| p.cached_key_hash(key_col).is_some()),
             "ingress conversion memoizes the key hash on each source row"
         );
-        let before = fast.hash_computes();
-        let out = match fast
-            .process_columnar(&batch, None, &mut Vec::new())
-            .unwrap()
-        {
+        let before = op.hash_computes();
+        let out = match op.process_columnar(&batch, None, &mut Vec::new()).unwrap() {
             ColumnarVerdict::Consumed(b) => b,
             v => panic!("probe batch must be consumed, got {v:?}"),
         };
         assert_eq!(
-            fast.hash_computes(),
+            op.hash_computes(),
             before,
             "columnar probes compute no hashes"
         );
@@ -787,10 +747,10 @@ mod tests {
         // insert a memo hit — one hash per tuple across the whole
         // row → columnar → build trip.
         let builds: Vec<Tuple> = (1..=5i64).map(|ts| t(&s, ts, "cb", 60 + ts)).collect();
-        let bcol = fast.key_column_hint(&s).unwrap();
+        let bcol = op.key_column_hint(&s).unwrap();
         let bbatch = tcq_common::ColumnBatch::from_tuples(s.clone(), &builds, Some(bcol));
-        let before = fast.hash_computes();
-        match fast
+        let before = op.hash_computes();
+        match op
             .process_columnar(&bbatch, Some(&builds), &mut Vec::new())
             .unwrap()
         {
@@ -798,7 +758,7 @@ mod tests {
             v => panic!("build batch passes through, got {v:?}"),
         }
         assert_eq!(
-            fast.hash_computes(),
+            op.hash_computes(),
             before,
             "ingress-hashed builds insert without rehashing"
         );
@@ -806,7 +766,7 @@ mod tests {
         let lone = vec![t(&s, 9, "nb", 70)];
         let lb = tcq_common::ColumnBatch::from_tuples(s.clone(), &lone, Some(bcol));
         assert!(matches!(
-            fast.process_columnar(&lb, None, &mut Vec::new()).unwrap(),
+            op.process_columnar(&lb, None, &mut Vec::new()).unwrap(),
             ColumnarVerdict::Fallback
         ));
     }

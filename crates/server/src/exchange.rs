@@ -86,9 +86,7 @@
 
 use std::collections::VecDeque;
 
-use tcq_common::{
-    hash_value, FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, Timestamp, Tuple,
-};
+use tcq_common::{FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, Timestamp, Tuple};
 use tcq_eddy::Eddy;
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
@@ -190,10 +188,6 @@ pub struct PartitionDu {
     outbox: VecDeque<(Hop, FjordMessage)>,
     open_run: Option<usize>,
     finished: bool,
-    /// When set (the default), the routing hash is memoized on the tuple
-    /// so downstream SteMs reuse it; when clear, every route hashes
-    /// afresh and leaves no memo (the pre-kernel per-site behaviour).
-    prehash: bool,
     /// Fresh hash computations performed while routing (memo hits are
     /// free) — the partitioner's half of the hashed-exactly-once story.
     hash_computes: u64,
@@ -224,7 +218,6 @@ impl PartitionDu {
             outbox: VecDeque::new(),
             open_run: None,
             finished: false,
-            prehash: true,
             hash_computes: 0,
         }
     }
@@ -235,32 +228,20 @@ impl PartitionDu {
         self
     }
 
-    /// Enable or disable hash memoization on routed tuples (default on).
-    pub fn with_prehash(mut self, enabled: bool) -> Self {
-        self.prehash = enabled;
-        self
-    }
-
     /// Fresh key-hash computations performed while routing.
     pub fn hash_computes(&self) -> u64 {
         self.hash_computes
     }
 
     fn route(&mut self, t: Tuple, key_col: usize) {
-        // Same FNV-1a either way, so partition assignment is independent
-        // of the toggle; prehash additionally memoizes the hash on the
-        // tuple for downstream SteM reuse.
-        let hash = if self.prehash {
-            match t.cached_key_hash(key_col) {
-                Some(h) => h,
-                None => {
-                    self.hash_computes += 1;
-                    t.key_hash(key_col)
-                }
+        // The routing hash is memoized on the tuple so downstream SteMs
+        // reuse it.
+        let hash = match t.cached_key_hash(key_col) {
+            Some(h) => h,
+            None => {
+                self.hash_computes += 1;
+                t.key_hash(key_col)
             }
-        } else {
-            self.hash_computes += 1;
-            hash_value(t.value(key_col))
         };
         let p = (hash % self.parts.len() as u64) as usize;
         if self.open_run != Some(p) {
@@ -1056,8 +1037,6 @@ mod tests {
     /// computes each routed tuple's key hash once (memoized on the
     /// tuple), and the per-partition SteMs that later build and probe on
     /// the same key reuse the memo, computing zero hashes of their own.
-    /// With prehash off, every site hashes for itself — the counters
-    /// recover the old per-site totals.
     #[test]
     fn key_hash_computed_once_across_exchange_and_stems() {
         use tcq_operators::{module::EddyModule, StemOp};
@@ -1080,7 +1059,7 @@ mod tests {
             ],
         )
         .into_ref();
-        let run = |prehash: bool| -> (u64, u64, usize) {
+        let (part_hashes, stem_hashes, matches) = {
             let (sp, sc) = fjord(4096, QueueKind::Push);
             let (tp, tc) = fjord(4096, QueueKind::Push);
             let mut parts = Vec::new();
@@ -1101,8 +1080,7 @@ mod tests {
                 sched_p,
                 i64::MIN,
                 i64::MAX,
-            )
-            .with_prehash(prehash);
+            );
             // Builds from s arrive before probes from t (separate inputs;
             // the partitioner drains input 0 first).
             for i in 0..N {
@@ -1146,8 +1124,7 @@ mod tests {
                     (Some("t".into()), "k".into()),
                     IndexKind::Hash,
                 )
-                .unwrap()
-                .with_prehash(prehash);
+                .unwrap();
                 while let Ok(msg) = c.dequeue_blocking() {
                     if let FjordMessage::Tuple(tu) = msg {
                         matches += stem.process(&tu).unwrap().outputs.len();
@@ -1157,16 +1134,8 @@ mod tests {
             }
             (part_hashes, stem_hashes, matches)
         };
-        let (part_on, stem_on, matches_on) = run(true);
-        let (part_off, stem_off, matches_off) = run(false);
-        // Same join results either way.
-        assert_eq!(matches_on, matches_off);
-        assert!(matches_on > 0, "the workload must actually join");
-        // Prehash: 2N tuples hashed once each at the partitioner, zero at
-        // the SteMs. Legacy: the partitioner hashes 2N and the SteMs hash
-        // again for every build and probe — double the total.
-        assert_eq!((part_on, stem_on), (2 * N as u64, 0));
-        assert_eq!(part_off, 2 * N as u64);
-        assert_eq!(stem_off, 2 * N as u64);
+        assert!(matches > 0, "the workload must actually join");
+        // 2N tuples hashed once each at the partitioner, zero at the SteMs.
+        assert_eq!((part_hashes, stem_hashes), (2 * N as u64, 0));
     }
 }

@@ -57,15 +57,9 @@ impl FilterCqShared {
     /// Empty shared state over a stream's schema, residuals compiled to
     /// kernels.
     pub fn new(schema: SchemaRef) -> Self {
-        Self::with_compiled_kernels(schema, true)
-    }
-
-    /// Like [`FilterCqShared::new`], choosing whether residual predicates
-    /// compile to kernels or run on the interpreter.
-    pub fn with_compiled_kernels(schema: SchemaRef, compiled: bool) -> Self {
         FilterCqShared {
             inner: Arc::new(Mutex::new(FilterInner {
-                qstem: QueryStem::with_compiled_kernels(schema, compiled),
+                qstem: QueryStem::new(schema),
                 scratch: MatchScratch::new(),
                 projections: HashMap::new(),
                 min_seq: HashMap::new(),
@@ -235,9 +229,6 @@ impl DispatchUnit for FilterCqDu {
 pub struct LazyProject {
     items: Vec<(Expr, Option<String>)>,
     bound: HashMap<usize, ProjectOp>,
-    /// Whether bound projections may use the column-copy fast path
-    /// (`ServerConfig::compiled_kernels`).
-    compiled_kernels: bool,
 }
 
 impl LazyProject {
@@ -246,23 +237,14 @@ impl LazyProject {
         LazyProject {
             items,
             bound: HashMap::new(),
-            compiled_kernels: true,
         }
-    }
-
-    /// Enable or disable the column-copy fast path on projections bound
-    /// from here on (default on).
-    pub fn with_compiled_kernels(mut self, enabled: bool) -> Self {
-        self.compiled_kernels = enabled;
-        self
     }
 
     /// Apply to a tuple of any compatible schema.
     pub fn apply(&mut self, tuple: &Tuple) -> Result<Tuple> {
         let key = Arc::as_ptr(tuple.schema()) as usize;
         if !self.bound.contains_key(&key) {
-            let op = ProjectOp::new(&self.items, tuple.schema())?
-                .with_compiled_kernels(self.compiled_kernels);
+            let op = ProjectOp::new(&self.items, tuple.schema())?;
             self.bound.insert(key, op);
         }
         self.bound[&key].apply(tuple)
@@ -274,8 +256,7 @@ impl LazyProject {
     pub fn apply_columnar(&mut self, batch: &ColumnBatch) -> Result<Option<ColumnBatch>> {
         let key = Arc::as_ptr(batch.schema()) as usize;
         if !self.bound.contains_key(&key) {
-            let op = ProjectOp::new(&self.items, batch.schema())?
-                .with_compiled_kernels(self.compiled_kernels);
+            let op = ProjectOp::new(&self.items, batch.schema())?;
             self.bound.insert(key, op);
         }
         Ok(self.bound[&key].apply_columnar(batch))
@@ -308,10 +289,6 @@ pub struct JoinCqDu {
     qid: QueryId,
     emitted_buf: Vec<Tuple>,
     emitted_cols: Vec<Emitted>,
-    /// Route single-alias batches through the columnar hot path
-    /// (`ServerConfig::columnar`): one row→column conversion per ingress
-    /// batch, vectorized module visits, columnar projection and egress.
-    columnar: bool,
     io_batch: usize,
     msg_buf: Vec<FjordMessage>,
     /// Tuples before this logical time precede every window — skipped.
@@ -346,7 +323,6 @@ impl JoinCqDu {
             qid,
             emitted_buf: Vec::new(),
             emitted_cols: Vec::new(),
-            columnar: false,
             io_batch: DEFAULT_IO_BATCH,
             msg_buf: Vec::new(),
             floor,
@@ -356,20 +332,11 @@ impl JoinCqDu {
     }
 
     /// Messages moved per input-lock acquisition (clamped to ≥ 1). Each
-    /// drained batch enters the eddy through one
-    /// [`tcq_eddy::Eddy::process_batch`] call, so routing decisions are
-    /// amortized over the batch as well.
+    /// drained single-alias batch enters the eddy through one
+    /// [`tcq_eddy::Eddy::process_batch_columnar`] call, so routing
+    /// decisions are amortized over the batch as well.
     pub fn with_io_batch(mut self, io_batch: usize) -> Self {
         self.io_batch = io_batch.max(1);
-        self
-    }
-
-    /// Enable the columnar hot path (default off): single-alias batches
-    /// enter the eddy through [`tcq_eddy::Eddy::process_batch_columnar`],
-    /// and columnar eddy outputs stay columnar through projection and
-    /// egress. Self-join inputs keep the per-tuple row path either way.
-    pub fn with_columnar(mut self, enabled: bool) -> Self {
-        self.columnar = enabled;
         self
     }
 
@@ -447,64 +414,45 @@ impl DispatchUnit for JoinCqDu {
                 }
                 let aliases = self.inputs[i].alias_schemas.clone();
                 if let [alias] = aliases.as_slice() {
-                    // The common case: one alias per input, so the whole
-                    // drained batch enters the eddy in a single
-                    // process_batch call (one routing decision per
-                    // signature group) and the results leave through one
-                    // egress lock.
+                    // The common case: one alias per input. The whole
+                    // drained batch takes one row→column conversion at the
+                    // eddy's ingress edge (one routing decision per
+                    // signature group), then each emitted run stays in
+                    // whichever representation it left the eddy in —
+                    // columnar runs take the whole-column projection and
+                    // batched egress, row runs the per-tuple pair. One
+                    // egress session per ingress batch keeps the delivery
+                    // ledger identical to a per-batch deliver.
                     let qualified: Vec<Tuple> = batch
                         .iter()
                         .map(|t| t.with_schema(alias.clone()))
                         .collect::<Result<_>>()?;
-                    if self.columnar {
-                        // Columnar hot path: one row→column conversion at
-                        // the eddy's ingress edge, then each emitted run
-                        // stays in whichever representation it left the
-                        // eddy in — columnar runs take the whole-column
-                        // projection and batched egress, row runs the
-                        // classic per-tuple pair. One egress session per
-                        // ingress batch keeps the delivery ledger
-                        // byte-identical to the row path's deliver_batch.
-                        self.emitted_cols.clear();
-                        eddy.process_batch_columnar(qualified, &mut self.emitted_cols)?;
-                        let mut session = self.egress.session();
-                        let mut row_buf: Vec<Tuple> = Vec::new();
-                        for e in self.emitted_cols.drain(..) {
-                            match e {
-                                Emitted::Rows(rows) => {
+                    self.emitted_cols.clear();
+                    eddy.process_batch_columnar(qualified, &mut self.emitted_cols)?;
+                    let mut session = self.egress.session();
+                    let mut row_buf: Vec<Tuple> = Vec::new();
+                    for e in self.emitted_cols.drain(..) {
+                        match e {
+                            Emitted::Rows(rows) => {
+                                row_buf.clear();
+                                for t in &rows {
+                                    row_buf.push(self.project.apply(t)?);
+                                }
+                                session.deliver_rows([self.qid], &row_buf);
+                            }
+                            Emitted::Columns(b) => match self.project.apply_columnar(&b)? {
+                                Some(out) => session.deliver_columns([self.qid], &out),
+                                None => {
+                                    // Expression projection: no columnar
+                                    // impl; evaluate per materialized row.
                                     row_buf.clear();
-                                    for t in &rows {
-                                        row_buf.push(self.project.apply(t)?);
+                                    for t in b.to_tuples() {
+                                        row_buf.push(self.project.apply(&t)?);
                                     }
                                     session.deliver_rows([self.qid], &row_buf);
                                 }
-                                Emitted::Columns(b) => {
-                                    match self.project.apply_columnar(&b)? {
-                                        Some(out) => {
-                                            session.deliver_columns([self.qid], &out);
-                                        }
-                                        None => {
-                                            // Expression projection: no
-                                            // columnar impl; evaluate per
-                                            // materialized row.
-                                            row_buf.clear();
-                                            for t in b.to_tuples() {
-                                                row_buf.push(self.project.apply(&t)?);
-                                            }
-                                            session.deliver_rows([self.qid], &row_buf);
-                                        }
-                                    }
-                                }
-                            }
+                            },
                         }
-                    } else {
-                        self.emitted_buf.clear();
-                        eddy.process_batch(qualified, &mut self.emitted_buf)?;
-                        let mut outs = Vec::with_capacity(self.emitted_buf.len());
-                        for e in self.emitted_buf.drain(..) {
-                            outs.push(self.project.apply(&e)?);
-                        }
-                        self.egress.deliver_batch([self.qid], &outs);
                     }
                 } else {
                     // Self-join: each tuple enters the eddy once per alias,
@@ -1077,8 +1025,7 @@ mod tests {
             },
             1,
         );
-        let pred =
-            Predicate::new(&Expr::col("ts").cmp(CmpOp::Gt, Expr::lit(2i64)), &s, true).unwrap();
+        let pred = Predicate::new(&Expr::col("ts").cmp(CmpOp::Gt, Expr::lit(2i64)), &s).unwrap();
         let mut du = AggregateCqDu::new(
             "agg",
             c,

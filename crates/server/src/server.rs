@@ -99,21 +99,6 @@ pub struct ServerConfig {
     /// delivered results and egress ledger are byte-identical to `P=1`
     /// for the same seed (see `crate::exchange`).
     pub partitions: usize,
-    /// Compiled hot-path kernels (default on). Gates both predicate
-    /// compilation ([`tcq_common::kernel`]) and the prehashed SteM/exchange
-    /// probe path. Off reproduces the tree-walking interpreter and
-    /// per-site hashing of earlier engines — results are byte-identical
-    /// either way; only the work per tuple changes.
-    pub compiled_kernels: bool,
-    /// Columnar hot path (default off). Single-alias dedicated joins
-    /// convert each ingress batch to a [`tcq_common::ColumnBatch`] once
-    /// and run vectorized select/project/probe kernels over contiguous
-    /// column buffers; emitted runs flow to egress without per-tuple
-    /// re-materialization when only column clients subscribe. Results,
-    /// egress ledger, and chaos replays are byte-identical to the row
-    /// path — only the per-tuple work changes. Self-join and
-    /// partitioned (`partitions > 1`) plans keep the row path.
-    pub columnar: bool,
     /// Durable checkpoint store path; `None` disables checkpointing
     /// ([`TelegraphCQ::checkpoint`] errors, [`TelegraphCQ::restore`]
     /// refuses to boot). Checkpoints are incremental: each
@@ -221,8 +206,6 @@ impl Default for ServerConfig {
             fault_plan: None,
             egress_policy: EgressPolicy::default(),
             partitions: 1,
-            compiled_kernels: true,
-            columnar: false,
             checkpoint_path: None,
             liveness: None,
             transport: TransportConfig::InProcess,
@@ -523,8 +506,7 @@ impl TelegraphCQ {
         self.executor.submit(class, Box::new(dispatcher))?;
 
         // The shared CACQ filter DU for this stream.
-        let filter_shared =
-            FilterCqShared::with_compiled_kernels(qualified, self.config.compiled_kernels);
+        let filter_shared = FilterCqShared::new(qualified);
         let (fp, fc) = self.make_fjord(format!("filter({name})"), self.config.queue_capacity);
         subscribers.add(fp);
         let filter_du = FilterCqDu::new(
@@ -747,10 +729,10 @@ impl TelegraphCQ {
 
     /// Connect a column client; results stream into the returned receiver
     /// as whole [`tcq_common::ColumnBatch`] runs instead of per-row
-    /// messages. Pair with [`ServerConfig::columnar`] for an egress path
-    /// with zero per-row allocations; rows produced on the row path are
-    /// still delivered (as single-row batches), so subscriptions behave
-    /// like push clients either way.
+    /// messages. Columnar join runs reach it with zero per-row
+    /// allocations; rows produced on the row path are still delivered (as
+    /// single-row batches), so subscriptions behave like push clients
+    /// either way.
     pub fn connect_column_client(
         &self,
         capacity: usize,
@@ -866,7 +848,7 @@ impl TelegraphCQ {
             let archive = st.archive.as_ref().expect("checked above");
             let base = st.def.schema.with_qualifier(&source.name).into_ref();
             let bound = match &pred {
-                Some(p) => Some(Predicate::new(p, &base, self.config.compiled_kernels)?),
+                Some(p) => Some(Predicate::new(p, &base)?),
                 None => None,
             };
             let project = tcq_operators::ProjectOp::new(&projection, &base)?;
@@ -897,7 +879,7 @@ impl TelegraphCQ {
         })?;
         let base = st.def.schema.with_qualifier(&source.name).into_ref();
         let pred = match stripped_predicate(aq) {
-            Some(p) => Some(Predicate::new(&p, &base, self.config.compiled_kernels)?),
+            Some(p) => Some(Predicate::new(&p, &base)?),
             None => None,
         };
         let aggs = resolve_aggregates(aq)?;
@@ -989,8 +971,7 @@ impl TelegraphCQ {
         }
 
         let (floor, deadline) = self.join_bounds(aq)?;
-        let project = LazyProject::new(aq.projection.clone())
-            .with_compiled_kernels(self.config.compiled_kernels);
+        let project = LazyProject::new(aq.projection.clone());
         let du = JoinCqDu::new(
             format!("join-cq(q{qid})"),
             inputs,
@@ -1001,8 +982,7 @@ impl TelegraphCQ {
             floor,
             deadline,
         )
-        .with_io_batch(self.config.io_batch)
-        .with_columnar(self.config.columnar);
+        .with_io_batch(self.config.io_batch);
         let handle = du.eddy_handle();
         if self.restoring {
             self.import_join_state(qid, &handle)?;
@@ -1134,9 +1114,7 @@ impl TelegraphCQ {
             for extra in specs {
                 stem = stem.with_extra_probe_key(extra);
             }
-            stem = stem
-                .with_prehash(self.config.compiled_kernels)
-                .with_dirty_tracking(track_dirty);
+            stem = stem.with_dirty_tracking(track_dirty);
             if let Some(width) = planner::join_window_width(aq, &source.alias)? {
                 stem = stem.with_window_width(width);
             }
@@ -1146,8 +1124,7 @@ impl TelegraphCQ {
         for (i, source) in aq.sources.iter().enumerate() {
             if let Some(pred) = source_predicate(aq, i) {
                 let bit = eddy.source_bit(&source.alias)?;
-                let op = SelectOp::new(format!("sel({})", source.alias), &pred, &source.schema)?
-                    .with_compiled_kernels(self.config.compiled_kernels);
+                let op = SelectOp::new(format!("sel({})", source.alias), &pred, &source.schema)?;
                 eddy.add_module(ModuleSpec::filter(Box::new(op), bit))?;
             }
         }
@@ -1169,8 +1146,7 @@ impl TelegraphCQ {
                 };
                 bits |= eddy.source_bit(&aq.sources[idx].alias)?;
             }
-            let op = SelectOp::new(format!("band{k}"), factor, &aq.combined_schema)?
-                .with_compiled_kernels(self.config.compiled_kernels);
+            let op = SelectOp::new(format!("band{k}"), factor, &aq.combined_schema)?;
             eddy.add_module(ModuleSpec::filter(Box::new(op), bits))?;
         }
         let key_cols: Vec<usize> = key_col.into_iter().flatten().collect();
@@ -1283,8 +1259,7 @@ impl TelegraphCQ {
                 input,
                 output,
                 eddy,
-                LazyProject::new(aq.projection.clone())
-                    .with_compiled_kernels(self.config.compiled_kernels),
+                LazyProject::new(aq.projection.clone()),
             )
             .with_io_batch(self.config.io_batch);
             if let Some(inj) = &self.injector {
@@ -1321,8 +1296,7 @@ impl TelegraphCQ {
             floor,
             deadline,
         )
-        .with_io_batch(self.config.io_batch)
-        .with_prehash(self.config.compiled_kernels);
+        .with_io_batch(self.config.io_batch);
         dus.push(self.executor.submit(ingress_class, Box::new(part))?);
 
         Ok(QueryRecord::Dedicated { dus, subscriptions })
@@ -1455,7 +1429,7 @@ impl TelegraphCQ {
         })?;
         let base = st.def.schema.with_qualifier(&source.name).into_ref();
         let pred = match stripped_predicate(aq) {
-            Some(p) => Some(Predicate::new(&p, &base, self.config.compiled_kernels)?),
+            Some(p) => Some(Predicate::new(&p, &base)?),
             None => None,
         };
         let projection: Vec<(tcq_common::Expr, Option<String>)> = aq

@@ -23,34 +23,12 @@ cargo test --workspace -q
 echo "== cargo test (benchmark package: its own workspace, so not covered above) =="
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== exp_chaos --smoke (server-level chaos, reduced scale) =="
-./target/release/exp_chaos --smoke
-
-echo "== exp_throughput --smoke (perf tripwire: batched must beat per-tuple) =="
-./target/release/exp_throughput --smoke
-
-echo "== exp_scaling --smoke (perf tripwire: partitioned exchange vs sequential) =="
-./target/release/exp_scaling --smoke
-
-echo "== exp_kernels --smoke (perf tripwire: compiled + columnar kernels vs interpreter; columnar >= 1.3x row, <= 3.0 allocs/tuple) =="
-./target/release/exp_kernels --smoke
-
-echo "== exp_query_scale --smoke (scale tripwire: 100k-CQ probe >= 20x naive, churn floor, zero probe allocs) =="
-./target/release/exp_query_scale --smoke
-
-echo "== exp_recovery --smoke (robustness tripwire: kill -> restore loses nothing) =="
-./target/release/exp_recovery --smoke
-
-echo "== exp_liveness --smoke (robustness tripwire: watchdog detects and recovers wedges) =="
-./target/release/exp_liveness --smoke
-
-echo "== exp_clients --smoke (transport tripwire: real TCP fleet, exact dead-client ledger) =="
-./target/release/exp_clients --smoke
-
 # End-to-end tripwires: one benchmark run must verify every result row and
 # stay under a peak-RSS ceiling. Memory is the one end-to-end cost that
 # repeats on a shared host (0.2-2.8 % spread), so it is the one that carries
 # a gate; speed is guarded by deterministic work counts in the test suites.
+# They run before the wall-clock exp_* smokes, which `set -e` can stop on a
+# small host (exp_scaling on 2 vCPUs) before these are reached.
 bench_gate() {
     workload=$1
     rss_max=$2
@@ -82,6 +60,30 @@ echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <=
 # 10 000 standing CQs with a submit + stop per batch read ~18.5 MiB; state
 # keyed by the query ids ever issued, or a superlinear index, shows here.
 bench_gate manycq_churn 25
+
+echo "== exp_chaos --smoke (server-level chaos, reduced scale) =="
+./target/release/exp_chaos --smoke
+
+echo "== exp_throughput --smoke (perf tripwire: batched must beat per-tuple) =="
+./target/release/exp_throughput --smoke
+
+echo "== exp_scaling --smoke (perf tripwire: partitioned exchange vs sequential) =="
+./target/release/exp_scaling --smoke
+
+echo "== exp_kernels --smoke (count tripwire: join hot path <= 3.0 allocs/tuple) =="
+./target/release/exp_kernels --smoke
+
+echo "== exp_query_scale --smoke (scale tripwire: 100k-CQ probe >= 20x naive, churn floor, zero probe allocs) =="
+./target/release/exp_query_scale --smoke
+
+echo "== exp_recovery --smoke (robustness tripwire: kill -> restore loses nothing) =="
+./target/release/exp_recovery --smoke
+
+echo "== exp_liveness --smoke (robustness tripwire: watchdog detects and recovers wedges) =="
+./target/release/exp_liveness --smoke
+
+echo "== exp_clients --smoke (transport tripwire: real TCP fleet, exact dead-client ledger) =="
+./target/release/exp_clients --smoke
 
 echo
 echo "ci: all green"

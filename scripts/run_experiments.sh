@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run every experiment binary in crates/bench/src/bin/, regenerating the
 # series DESIGN.md's per-experiment index describes and the BENCH_*.json
-# perf trajectory. Pass --smoke to run each at reduced CI scale.
+# perf trajectory, then the microbenchmarks. Pass --smoke to run each
+# experiment at reduced CI scale and skip the microbenchmarks.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -22,5 +23,15 @@ for exp in exp_eddy_adaptivity exp_adaptivity_knobs exp_cacq_sharing \
     ./target/release/"$exp" $SMOKE
 done
 
+if [ -n "$SMOKE" ]; then
+    echo
+    echo "run_experiments: all experiments completed"
+    exit 0
+fi
+
 echo
-echo "run_experiments: all experiments completed"
+echo "==== microbenchmarks (std timer harness) ===="
+cargo bench -p tcq-bench
+
+echo
+echo "run_experiments: all experiments and microbenchmarks completed"

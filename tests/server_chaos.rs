@@ -338,51 +338,22 @@ const DIM_ROWS: i64 = 64;
 /// dimension stream is fully loaded *and closed* before the hot stream
 /// flows, so every d-side SteM insert precedes every s-side probe in both
 /// plans and delivery order is the hot stream's arrival order.
-fn run_scenario_with_partitions(dir: &std::path::Path, partitions: usize) -> Outcome {
-    // Unequal window widths keep the join off the CACQ shared path, so
-    // P=1 runs the dedicated JoinCqDu the exchange must be equivalent to.
-    run_join_scenario(
-        dir,
-        partitions,
-        true,
-        "SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id \
-         for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }",
-    )
-}
-
-fn run_join_scenario(
-    dir: &std::path::Path,
-    partitions: usize,
-    compiled_kernels: bool,
-    query: &str,
-) -> Outcome {
-    run_join_scenario_cfg(dir, partitions, compiled_kernels, false, query, None, None)
+fn run_join_scenario(dir: &std::path::Path, partitions: usize, query: &str) -> Outcome {
+    run_join_scenario_cfg(dir, partitions, query, None, None)
 }
 
 fn run_join_scenario_with_checkpoints(
     dir: &std::path::Path,
     partitions: usize,
-    compiled_kernels: bool,
     query: &str,
     checkpoint_path: Option<PathBuf>,
 ) -> Outcome {
-    run_join_scenario_cfg(
-        dir,
-        partitions,
-        compiled_kernels,
-        false,
-        query,
-        checkpoint_path,
-        None,
-    )
+    run_join_scenario_cfg(dir, partitions, query, checkpoint_path, None)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_join_scenario_cfg(
     dir: &std::path::Path,
     partitions: usize,
-    compiled_kernels: bool,
-    columnar: bool,
     query: &str,
     checkpoint_path: Option<PathBuf>,
     liveness: Option<LivenessConfig>,
@@ -396,8 +367,6 @@ fn run_join_scenario_cfg(
             disconnect_after: 4,
         },
         partitions,
-        compiled_kernels,
-        columnar,
         checkpoint_path,
         liveness,
         ..ServerConfig::default()
@@ -496,110 +465,28 @@ fn sequential_and_partitioned_join_replay_identically() {
     // partitioner re-serializes the canonical input order, the merger
     // replays it, and no exchange DU polls a fault point — so a same-seed
     // run is byte-identical whether the join runs on one eddy or four.
-    let dir_a = temp_dir("part-1");
-    let dir_b = temp_dir("part-4");
-    let a = run_scenario_with_partitions(&dir_a, 1);
-    let b = run_scenario_with_partitions(&dir_b, 4);
-    assert!(!a.results.is_empty(), "the join must produce results");
-    assert_eq!(a.results, b.results, "answers diverged across P=1 / P=4");
-    assert_eq!(a.egress, b.egress, "egress accounting diverged");
-    assert_eq!(a.dispatcher_shed, b.dispatcher_shed);
-    assert_eq!(a.archive_errors, b.archive_errors);
-    assert_eq!(
-        (
-            a.archive.appended,
-            a.archive.torn_pages,
-            a.archive.lost_records
-        ),
-        (
-            b.archive.appended,
-            b.archive.torn_pages,
-            b.archive.lost_records
-        ),
-        "archive accounting diverged"
-    );
-    assert_eq!(a.sup.delivered, b.sup.delivered);
-    assert_eq!(
-        normalised(a.log),
-        normalised(b.log),
-        "fired-fault logs diverged across partition counts"
-    );
-}
-
-#[test]
-fn compiled_and_interpreted_kernels_replay_identically() {
-    // Compiled kernels must be invisible to the chaos contract: lowering
-    // predicates to bytecode and prehashing SteM/exchange keys changes
-    // how much work each tuple costs, never which tuples pass, match, or
-    // get delivered — so a same-seed run is byte-identical with kernels
-    // on or off. The query carries real per-source predicates (compiled
-    // on the fast side, interpreted on the slow side) and runs through
-    // the partitioned exchange so the prehashed routing path is covered.
-    let query = "SELECT s.v, d.tag FROM s s, d d \
-         WHERE s.k = d.id AND s.v > 0 AND d.tag < 1000000 \
+    // P=1 runs the columnar JoinCqDu, P=4 the row exchange. The second
+    // query's computed select item has no columnar projection and its
+    // residual (arithmetic, so interpreted) drops rows from some runs but
+    // not others: the P=1 eddy emits both row and column runs.
+    // Unequal window widths keep both joins off the CACQ shared path, so
+    // P=1 runs the dedicated JoinCqDu the exchange must be equivalent to.
+    let computed = "SELECT s.v * 2 + d.tag FROM s s, d d WHERE s.k = d.id AND s.v + d.tag > 300 \
          for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
-    let dir_a = temp_dir("kern-on");
-    let dir_b = temp_dir("kern-off");
-    let a = run_join_scenario(&dir_a, 2, true, query);
-    let b = run_join_scenario(&dir_b, 2, false, query);
-    assert!(!a.results.is_empty(), "the join must produce results");
-    assert_eq!(
-        a.results, b.results,
-        "answers diverged across kernels on/off"
-    );
-    assert_eq!(a.egress, b.egress, "egress accounting diverged");
-    assert_eq!(a.dispatcher_shed, b.dispatcher_shed);
-    assert_eq!(a.archive_errors, b.archive_errors);
-    assert_eq!(
-        (
-            a.archive.appended,
-            a.archive.torn_pages,
-            a.archive.lost_records
-        ),
-        (
-            b.archive.appended,
-            b.archive.torn_pages,
-            b.archive.lost_records
-        ),
-        "archive accounting diverged"
-    );
-    assert_eq!(a.sup.delivered, b.sup.delivered);
-    assert_eq!(
-        normalised(a.log),
-        normalised(b.log),
-        "fired-fault logs diverged across kernel modes"
-    );
-}
-
-#[test]
-fn columnar_and_row_paths_replay_identically() {
-    // The columnar knob must be invisible to the chaos contract: batches
-    // convert to column runs at the eddy's ingress edge, vectorized
-    // kernels filter/probe/project whole columns, and egress re-offers
-    // row clients in the same per-row order — so a same-seed run is
-    // byte-identical columnar on or off. Covered at P=1 (the dedicated
-    // JoinCqDu, where the columnar path actually runs) and P=4 (the
-    // exchange keeps rows internally; the knob must stay inert there).
-    let query = "SELECT s.v, d.tag FROM s s, d d \
-         WHERE s.k = d.id AND s.v > 0 AND d.tag < 1000000 \
-         for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
-    for partitions in [1usize, 4] {
-        let dir_a = temp_dir(&format!("col-off-p{partitions}"));
-        let dir_b = temp_dir(&format!("col-on-p{partitions}"));
-        let a = run_join_scenario_cfg(&dir_a, partitions, true, false, query, None, None);
-        let b = run_join_scenario_cfg(&dir_b, partitions, true, true, query, None, None);
+    for (tag, query) in [("plain", JOIN_Q), ("computed", computed)] {
+        let dir_a = temp_dir(&format!("part-1-{tag}"));
+        let dir_b = temp_dir(&format!("part-4-{tag}"));
+        let a = run_join_scenario(&dir_a, 1, query);
+        let b = run_join_scenario(&dir_b, 4, query);
         assert!(
             !a.results.is_empty(),
-            "the join must produce results (P={partitions})"
+            "the join must produce results ({tag})"
         );
         assert_eq!(
             a.results, b.results,
-            "answers diverged across columnar on/off (P={partitions})"
+            "answers diverged across P=1 / P=4 ({tag})"
         );
-        assert_eq!(
-            a.egress, b.egress,
-            "egress accounting diverged (P={partitions})"
-        );
+        assert_eq!(a.egress, b.egress, "egress accounting diverged ({tag})");
         assert_eq!(a.dispatcher_shed, b.dispatcher_shed);
         assert_eq!(a.archive_errors, b.archive_errors);
         assert_eq!(
@@ -613,13 +500,13 @@ fn columnar_and_row_paths_replay_identically() {
                 b.archive.torn_pages,
                 b.archive.lost_records
             ),
-            "archive accounting diverged (P={partitions})"
+            "archive accounting diverged ({tag})"
         );
         assert_eq!(a.sup.delivered, b.sup.delivered);
         assert_eq!(
             normalised(a.log),
             normalised(b.log),
-            "fired-fault logs diverged across columnar on/off (P={partitions})"
+            "fired-fault logs diverged across partition counts ({tag})"
         );
     }
 }
@@ -634,9 +521,8 @@ fn checkpointing_on_and_off_replay_identically() {
          for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
     let dir_a = temp_dir("ckpt-off");
     let dir_b = temp_dir("ckpt-on");
-    let a = run_join_scenario_with_checkpoints(&dir_a, 1, true, query, None);
-    let b =
-        run_join_scenario_with_checkpoints(&dir_b, 1, true, query, Some(dir_b.join("server.tcqk")));
+    let a = run_join_scenario_with_checkpoints(&dir_a, 1, query, None);
+    let b = run_join_scenario_with_checkpoints(&dir_b, 1, query, Some(dir_b.join("server.tcqk")));
     assert!(!a.results.is_empty(), "the join must produce results");
     assert_eq!(
         a.results, b.results,
@@ -1516,16 +1402,8 @@ fn watchdog_on_and_off_replay_identically_under_chaos() {
     // and the armed run records zero watchdog activity.
     let dir_a = temp_dir("wd-off");
     let dir_b = temp_dir("wd-on");
-    let a = run_join_scenario_cfg(&dir_a, 2, true, false, JOIN_Q, None, None);
-    let b = run_join_scenario_cfg(
-        &dir_b,
-        2,
-        true,
-        false,
-        JOIN_Q,
-        None,
-        Some(LivenessConfig::default()),
-    );
+    let a = run_join_scenario_cfg(&dir_a, 2, JOIN_Q, None, None);
+    let b = run_join_scenario_cfg(&dir_b, 2, JOIN_Q, None, Some(LivenessConfig::default()));
     assert!(!a.results.is_empty(), "the join must produce results");
     assert_eq!(
         a.results, b.results,
