@@ -330,7 +330,6 @@ fn main() {
         transport: TransportConfig::Tcp(TcpTransportConfig {
             addr: "127.0.0.1:0".into(),
             client_queue: CLIENT_QUEUE,
-            ..TcpTransportConfig::default()
         }),
         ..ServerConfig::default()
     })

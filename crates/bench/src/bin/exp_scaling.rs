@@ -22,12 +22,12 @@
 //! ```
 //!
 //! `--smoke` runs a reduced workload at P ∈ {1, 4} only, as the CI
-//! tripwire. On a multi-core box it exits non-zero unless P=4 beats P=1.
-//! On a single-core box (where P threads only add coordination cost and
-//! no speedup is physically possible) it instead enforces that the
-//! exchange overhead stays bounded: P=4 must sustain at least 0.4x of
-//! P=1. The core count is printed and recorded so the gate's meaning is
-//! never ambiguous.
+//! tripwire. With at least four cores — one per worker — it exits
+//! non-zero unless P=4 beats P=1. With fewer, the four workers share the
+//! cores with the partitioner, the merge and the load threads, so no
+//! speedup is promised; it instead enforces that the exchange overhead
+//! stays bounded: P=4 must sustain at least 0.4x of P=1. The core count
+//! is printed and recorded so the gate's meaning is never ambiguous.
 
 use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
@@ -356,7 +356,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    if cores >= 2 {
+    if cores >= 4 {
         if speedup <= 1.0 {
             eprintln!(
                 "FAIL: P=4 throughput ({par:.0}/s) not above P=1 ({base:.0}/s) on {cores} cores"
@@ -364,11 +364,11 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        // One core: parallel speedup is physically impossible, so the gate
-        // degrades to an overhead bound — the exchange must not cost more
-        // than half the sequential plan's throughput.
+        // Fewer cores than workers: a speedup is not promised, so the gate
+        // degrades to an overhead bound — P=4 must keep at least 0.4x of
+        // the sequential plan's throughput.
         println!(
-            "  note: single core — strict P=4 > P=1 gate waived; \
+            "  note: {cores} core(s) < 4 workers — strict P=4 > P=1 gate waived; \
              enforcing bounded exchange overhead instead"
         );
         if speedup < 0.4 {

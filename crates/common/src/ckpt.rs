@@ -1,19 +1,23 @@
-//! Checkpoint codec: the byte-level vocabulary of durable engine state.
+//! The one value and tuple codec: what every byte the engine writes says.
 //!
-//! Crash recovery serializes heterogeneous state — SteM groups, aggregate
-//! partials, egress ledgers, ingress cursors — into opaque fragments that
-//! a `CheckpointStore` (in `tcq_storage`) persists under checksummed
-//! blocks. This module is the one encoding those fragments share, kept in
-//! `tcq_common` so every layer (Flux, operators, the server) can speak it
-//! without depending on storage.
+//! Wire frames (`tcq_net::wire`), archive pages (`tcq_storage::StreamArchive`)
+//! and checkpoint blocks (`tcq_storage::CheckpointStore`) all carry
+//! payloads written by [`CkptWriter`] and read back by [`CkptReader`], inside
+//! the one checksummed header of [`crate::frame`]. Checkpoint fragments —
+//! SteM groups, aggregate partials, egress ledgers, ingress cursors — are
+//! the same encoding nested one level down. It lives in `tcq_common` so
+//! every layer (Flux, operators, the server, net, storage) speaks it
+//! without depending on another.
 //!
-//! Encoding rules mirror the archive's tuple codec: little-endian
-//! integers, tagged values, length-prefixed strings, and *every*
-//! truncation is an error, never a panic — checkpoint bytes come off a
-//! disk that may have torn mid-write. Floats travel as raw IEEE-754 bits,
-//! so NaN payloads and signed zeros survive a round trip bit-exactly;
-//! replaying a restored run must not be distinguishable from an
-//! uncheckpointed one.
+//! Encoding rules: little-endian integers, tagged values, length-prefixed
+//! strings, and *every* truncation is an error, never a panic — the bytes
+//! come off a disk that may have torn mid-write or a socket that may lie.
+//! A tuple is its timestamp prefix ([`CkptWriter::put_timestamp`]), a `u32`
+//! arity and its tagged values; the schema travels out of band (one archive
+//! per stream, a schema id per wire batch, the restoring site's own).
+//! Floats travel as raw IEEE-754 bits, so NaN payloads and signed zeros
+//! survive a round trip bit-exactly; replaying a restored run must not be
+//! distinguishable from an uncheckpointed one.
 
 use crate::error::{Result, TcqError};
 use crate::schema::SchemaRef;
@@ -28,10 +32,10 @@ const TAG_FLOAT: u8 = 3;
 const TAG_STR: u8 = 4;
 
 fn truncated(what: &str) -> TcqError {
-    TcqError::Storage(format!("truncated checkpoint fragment: {what}"))
+    TcqError::Storage(format!("truncated payload: {what}"))
 }
 
-/// Append-only encoder for one checkpoint fragment.
+/// Append-only encoder for one payload.
 #[derive(Debug, Default)]
 pub struct CkptWriter {
     buf: Vec<u8>,
@@ -48,7 +52,7 @@ impl CkptWriter {
         &self.buf
     }
 
-    /// Consume the writer, yielding the fragment bytes.
+    /// Consume the writer, yielding the payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -123,10 +127,9 @@ impl CkptWriter {
         }
     }
 
-    /// Append one tuple: timestamp flags, timestamps, arity, tagged values.
-    /// The schema travels out of band (the restoring site knows it).
-    pub fn put_tuple(&mut self, t: &Tuple) {
-        let ts = t.timestamp();
+    /// Append a timestamp: a flags byte (bit 0 logical, bit 1 physical),
+    /// then each present component.
+    pub fn put_timestamp(&mut self, ts: Timestamp) {
         let flags: u8 = (ts.logical.is_some() as u8) | ((ts.physical.is_some() as u8) << 1);
         self.put_u8(flags);
         if let Some(l) = ts.logical {
@@ -135,6 +138,12 @@ impl CkptWriter {
         if let Some(p) = ts.physical {
             self.put_i64(p);
         }
+    }
+
+    /// Append one tuple: timestamp, arity, tagged values. The schema
+    /// travels out of band.
+    pub fn put_tuple(&mut self, t: &Tuple) {
+        self.put_timestamp(t.timestamp());
         self.put_u32(t.arity() as u32);
         for v in t.values() {
             self.put_value(v);
@@ -142,7 +151,7 @@ impl CkptWriter {
     }
 }
 
-/// Bounds-checked decoder over a checkpoint fragment.
+/// Bounds-checked decoder over one payload.
 #[derive(Debug)]
 pub struct CkptReader<'a> {
     buf: &'a [u8],
@@ -159,7 +168,7 @@ impl<'a> CkptReader<'a> {
         self.buf.len()
     }
 
-    /// True when the fragment is fully consumed.
+    /// True when the payload is fully consumed.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -207,7 +216,7 @@ impl<'a> CkptReader<'a> {
         let b = self.take(len, what)?;
         std::str::from_utf8(b)
             .map(|s| s.to_string())
-            .map_err(|_| TcqError::Storage(format!("invalid utf8 in checkpoint fragment: {what}")))
+            .map_err(|_| TcqError::Storage(format!("invalid utf8 in payload: {what}")))
     }
 
     /// Read a length-prefixed byte slice.
@@ -224,17 +233,13 @@ impl<'a> CkptReader<'a> {
             TAG_INT => Value::Int(self.get_i64("int")?),
             TAG_FLOAT => Value::Float(self.get_f64("float")?),
             TAG_STR => Value::Str(self.get_str("string")?.into()),
-            tag => {
-                return Err(TcqError::Storage(format!(
-                    "unknown checkpoint value tag {tag}"
-                )))
-            }
+            tag => return Err(TcqError::Storage(format!("unknown value tag {tag}"))),
         })
     }
 
-    /// Read one tuple, rebuilt against `schema` (arity validated).
-    pub fn get_tuple(&mut self, schema: &SchemaRef) -> Result<Tuple> {
-        let flags = self.get_u8("tuple flags")?;
+    /// Read a timestamp written by [`CkptWriter::put_timestamp`].
+    pub fn get_timestamp(&mut self) -> Result<Timestamp> {
+        let flags = self.get_u8("timestamp flags")?;
         let mut ts = Timestamp::unknown();
         if flags & 1 != 0 {
             ts.logical = Some(self.get_i64("logical ts")?);
@@ -242,10 +247,16 @@ impl<'a> CkptReader<'a> {
         if flags & 2 != 0 {
             ts.physical = Some(self.get_i64("physical ts")?);
         }
+        Ok(ts)
+    }
+
+    /// Read one tuple, rebuilt against `schema` (arity validated).
+    pub fn get_tuple(&mut self, schema: &SchemaRef) -> Result<Tuple> {
+        let ts = self.get_timestamp()?;
         let arity = self.get_u32("tuple arity")? as usize;
         if arity != schema.len() {
             return Err(TcqError::SchemaMismatch(format!(
-                "checkpointed arity {arity} != schema arity {}",
+                "stored arity {arity} != schema arity {}",
                 schema.len()
             )));
         }
@@ -318,26 +329,62 @@ mod tests {
             vec![
                 Field::new("a", DataType::Int),
                 Field::new("b", DataType::Str),
+                Field::new("c", DataType::Float),
+                Field::new("d", DataType::Bool),
             ],
         )
         .into_ref();
-        let t = TupleBuilder::new(schema.clone())
-            .push(42i64)
-            .push("hi")
-            .at(Timestamp::both(9, 99))
-            .build()
-            .unwrap();
-        let mut w = CkptWriter::new();
-        w.put_tuple(&t);
-        let bytes = w.into_bytes();
-        let back = CkptReader::new(&bytes).get_tuple(&schema).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.timestamp(), t.timestamp());
-        for cut in 0..bytes.len() {
-            assert!(
-                CkptReader::new(&bytes[..cut]).get_tuple(&schema).is_err(),
-                "cut at {cut} must error"
-            );
+        let mut tuples =
+            vec![Tuple::new(schema.clone(), vec![Value::Null; 4], Timestamp::unknown()).unwrap()];
+        for i in 0..10i64 {
+            let ts = if i % 3 == 0 {
+                Timestamp::both(i, 100 + i)
+            } else {
+                Timestamp::logical(i)
+            };
+            let t = TupleBuilder::new(schema.clone())
+                .push(i - 5)
+                .push(format!("hi '{i}'"))
+                .push(i as f64 * 0.5)
+                .push(i % 2 == 0)
+                .at(ts)
+                .build()
+                .unwrap();
+            tuples.push(t);
         }
+        // One stream of many tuples decodes back in order, to the last byte.
+        let mut w = CkptWriter::new();
+        for t in &tuples {
+            w.put_tuple(t);
+        }
+        let bytes = w.into_bytes();
+        let mut r = CkptReader::new(&bytes);
+        for t in &tuples {
+            let back = r.get_tuple(&schema).unwrap();
+            assert_eq!(&back, t);
+            assert_eq!(back.timestamp(), t.timestamp());
+        }
+        assert!(r.is_empty());
+        for t in &tuples {
+            let mut w = CkptWriter::new();
+            w.put_tuple(t);
+            let one = w.into_bytes();
+            for cut in 0..one.len() {
+                assert!(
+                    CkptReader::new(&one[..cut]).get_tuple(&schema).is_err(),
+                    "cut at {cut} must error"
+                );
+            }
+        }
+        // Read against a schema of another arity: refused, not misparsed.
+        let narrow = Schema::new(vec![Field::new("x", DataType::Int)]).into_ref();
+        assert!(matches!(
+            CkptReader::new(&bytes).get_tuple(&narrow),
+            Err(TcqError::SchemaMismatch(_))
+        ));
+        // Flags 0, arity 1, value tag 99.
+        assert!(CkptReader::new(&[0, 1, 0, 0, 0, 99])
+            .get_tuple(&narrow)
+            .is_err());
     }
 }

@@ -9,6 +9,9 @@
 //! * [`Timestamp`] — logical (sequence) and physical (wall-clock) time, as a
 //!   partial order (TelegraphCQ §4.1: "we treat time as a partial order").
 //! * [`TcqError`] — the error type used across the workspace.
+//! * [`CkptWriter`] / [`CkptReader`] and [`frame`] — the one value and tuple
+//!   codec, and the one checksummed frame that wire frames, archive pages
+//!   and checkpoint blocks carry it in.
 //!
 //! Everything here is deliberately free of engine policy: no queues, no
 //! operators, no routing. Those live in the crates layered above.
@@ -22,6 +25,7 @@ pub mod ckpt;
 pub mod column;
 pub mod error;
 pub mod expr;
+pub mod frame;
 pub mod hash;
 pub mod kernel;
 pub mod progress;

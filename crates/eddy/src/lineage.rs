@@ -24,12 +24,13 @@ pub type SourceSet = u64;
 ///
 /// Qualifier → bit assignments are fixed at eddy construction; schemas are
 /// interned by `Arc` pointer so signature lookup is a hash probe, not a
-/// per-column string scan.
+/// per-column string scan. Each entry holds its schema, so the address
+/// cannot be reused by another schema while the entry lives.
 pub struct SignatureCache {
     /// source qualifier (lowercase) -> bit index.
     bits: HashMap<String, u8>,
-    /// schema ptr -> signature.
-    cache: HashMap<usize, SourceSet>,
+    /// schema ptr -> (that schema, its signature).
+    cache: HashMap<usize, (SchemaRef, SourceSet)>,
 }
 
 impl SignatureCache {
@@ -80,8 +81,9 @@ impl SignatureCache {
     /// qualifier appearing in it. Errors on qualifiers unknown to the eddy.
     pub fn signature(&mut self, schema: &SchemaRef) -> Result<SourceSet> {
         let key = Arc::as_ptr(schema) as usize;
-        if let Some(&sig) = self.cache.get(&key) {
-            return Ok(sig);
+        if let Some((held, sig)) = self.cache.get(&key) {
+            debug_assert!(Arc::ptr_eq(held, schema), "signature of another schema");
+            return Ok(*sig);
         }
         let mut sig = 0u64;
         for i in 0..schema.len() {
@@ -94,7 +96,7 @@ impl SignatureCache {
             })?;
             sig |= 1u64 << bit;
         }
-        self.cache.insert(key, sig);
+        self.cache.insert(key, (schema.clone(), sig));
         Ok(sig)
     }
 
@@ -140,6 +142,27 @@ mod tests {
         // A different allocation with identical content also works.
         let s2 = schema("S");
         assert_eq!(sc.signature(&s2).unwrap(), a);
+    }
+
+    /// A freed schema's address handed to a schema of another source must
+    /// not return the old source's signature.
+    #[test]
+    fn a_recycled_schema_address_gets_a_fresh_signature() {
+        let mut sc = SignatureCache::new(&["S", "T"]).unwrap();
+        let s = schema("S");
+        let s_addr = Arc::as_ptr(&s) as usize;
+        assert_eq!(sc.signature(&s).unwrap(), 0b01);
+        drop(s);
+        // Misses are held so each retry gets a fresh address.
+        let mut misses = Vec::new();
+        let t = loop {
+            let t = schema("T");
+            if Arc::as_ptr(&t) as usize == s_addr || misses.len() == 64 {
+                break t;
+            }
+            misses.push(t);
+        };
+        assert_eq!(sc.signature(&t).unwrap(), 0b10);
     }
 
     #[test]

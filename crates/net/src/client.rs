@@ -11,16 +11,14 @@ use tcq_common::{Result, TcqError, Timestamp, Tuple};
 
 use crate::wire::{Frame, FrameReader, FrameWriter, WIRE_VERSION};
 
-/// A batch of result rows received from the server: the query id, the
-/// rows, and whether they traveled as a columnar frame.
+/// A batch of result rows received from the server: the query id and the
+/// rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultBatch {
     /// The standing query these rows answer.
     pub query: u64,
     /// The rows, in delivery order.
     pub tuples: Vec<Tuple>,
-    /// True when the server sent a `ColumnResults` frame (columnar egress).
-    pub columnar: bool,
 }
 
 /// A blocking TCP client speaking the [`crate::wire`] protocol.
@@ -146,18 +144,7 @@ impl TcqClient {
             while let Some(f) = self.inbox.pop_front() {
                 match f {
                     Frame::Results { query, tuples } => {
-                        return Ok(Some(ResultBatch {
-                            query,
-                            tuples,
-                            columnar: false,
-                        }))
-                    }
-                    Frame::ColumnResults { query, tuples } => {
-                        return Ok(Some(ResultBatch {
-                            query,
-                            tuples,
-                            columnar: true,
-                        }))
+                        return Ok(Some(ResultBatch { query, tuples }))
                     }
                     Frame::Error { message } => return Err(TcqError::Ingress(message)),
                     _ => {}

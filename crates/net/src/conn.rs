@@ -13,7 +13,7 @@
 //!   the peer sent, independent of kernel segmentation;
 //! - a **writer thread** that drains the delivery queue, coalesces
 //!   consecutive same-query rows into one `Results` frame inside a large
-//!   write buffer, and flushes when the buffer crosses the configured
+//!   write buffer, and flushes when the buffer crosses a fixed
 //!   threshold or the queue runs dry — amortizing syscalls the way
 //!   `io_batch` amortizes lock acquisitions in-process. Each frame written
 //!   polls [`FaultPoint::NetWrite`].
@@ -41,6 +41,11 @@ use tcq_server::{TcpTransportConfig, TelegraphCQ};
 
 use crate::wire::{Frame, FrameReader, FrameWriter, WIRE_VERSION};
 
+/// Writer coalescing threshold in bytes: the connection writer drains its
+/// egress queue into one buffer and flushes when it crosses this size (or
+/// the queue runs dry), amortizing syscalls the way `io_batch` amortizes
+/// lock acquisitions in-process.
+const WRITE_COALESCE: usize = 64 * 1024;
 /// Stack size for connection threads: thousands of mostly-blocked threads
 /// must not cost 8 MB of address space each.
 const CONN_STACK: usize = 256 * 1024;
@@ -505,7 +510,6 @@ fn dispatch(
         | Frame::SubmitOk { .. }
         | Frame::SubscribeOk { .. }
         | Frame::Results { .. }
-        | Frame::ColumnResults { .. }
         | Frame::Pong { .. }
         | Frame::Error { .. } => Some(Frame::Error {
             message: "unexpected server-side frame".into(),
@@ -531,7 +535,7 @@ fn writer_loop(
 ) {
     let injector = shared.server.injector().cloned();
     let mut enc = FrameWriter::new();
-    let mut out: Vec<u8> = Vec::with_capacity(shared.cfg.write_coalesce * 2);
+    let mut out: Vec<u8> = Vec::with_capacity(WRITE_COALESCE * 2);
     let mut run: Vec<tcq_common::Tuple> = Vec::new();
     let mut run_bytes = 0usize;
     let mut run_q: Option<usize> = None;
@@ -578,7 +582,7 @@ fn writer_loop(
         }
         // Coalesce deliveries: consecutive same-query rows share a frame,
         // frames pack into `out` until the flush threshold.
-        while out.len() + run_bytes < shared.cfg.write_coalesce {
+        while out.len() + run_bytes < WRITE_COALESCE {
             let d = match carry.take() {
                 Some(d) => d,
                 None => match rx.try_recv() {

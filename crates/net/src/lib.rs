@@ -4,9 +4,9 @@
 //! `push_batch`, `submit`, bounded egress channels. This crate puts a wire
 //! on that API without the core noticing:
 //!
-//! - [`wire`] — the length-prefixed, FNV-1a-checksummed frame codec
-//!   (tuple batches, column batches, puncts/EOF, subscribe/submit control
-//!   frames), built on the checkpoint codec;
+//! - [`wire`] — the frame codec (tuple batches, puncts/EOF,
+//!   subscribe/submit control frames): `tcq_common`'s one checksummed
+//!   frame around its one tuple codec;
 //! - [`TcpTransport`] — a listener plus per-connection reader/writer
 //!   threads with bounded per-connection egress queues and a coalescing
 //!   writer ([`conn`] module docs);

@@ -1,12 +1,13 @@
 //! The TelegraphCQ wire protocol: length-prefixed, checksummed frames.
 //!
-//! Every frame is `magic(4) | kind(1) | len(4) | checksum(8) | payload(len)`,
-//! all integers little-endian. The checksum is FNV-1a ([`tcq_common::Fnv1a`],
-//! the same function the storage layer trusts) over `kind || len || payload`,
-//! so a bit flip anywhere past the magic — including a kind byte rewritten
-//! into a *different valid kind* — is detected, not misparsed.
+//! Every frame is one [`tcq_common::frame`] — the header archive pages and
+//! checkpoint blocks use too: `magic u32 | tag u32 | len u32 |
+//! fnv1a-64(tag ‖ len ‖ payload) u64 | payload`, all little-endian, the tag
+//! holding the frame kind. The checksum covers the kind and length, so a
+//! bit flip anywhere past the magic — including a kind rewritten into a
+//! *different valid kind* — is detected, not misparsed.
 //!
-//! Payloads reuse the checkpoint codec ([`CkptWriter`]/[`CkptReader`]):
+//! Payloads are the workspace's one codec ([`CkptWriter`]/[`CkptReader`]):
 //! tagged values, length-prefixed strings, out-of-band schemas. Schemas
 //! travel once per connection as a `Schema` frame assigning a small id;
 //! every tuple-carrying frame then references the id. [`FrameReader`] keeps
@@ -23,39 +24,38 @@
 //! boundary to resynchronize on — the connection dies instead).
 
 use std::collections::HashMap;
-use std::hash::Hasher;
 
+use tcq_common::frame;
 use tcq_common::{
-    CkptReader, CkptWriter, DataType, Field, Fnv1a, Result, Schema, SchemaRef, TcqError, Timestamp,
-    Tuple,
+    CkptReader, CkptWriter, DataType, Field, Result, Schema, SchemaRef, TcqError, Timestamp, Tuple,
 };
+
+pub use tcq_common::frame::HEADER_LEN;
 
 /// Frame magic: "TCQ!" little-endian.
 pub const WIRE_MAGIC: u32 = 0x2151_4354;
-/// Protocol version carried in `Hello`/`Welcome`.
-pub const WIRE_VERSION: u32 = 1;
-/// Fixed header size: magic(4) + kind(1) + len(4) + checksum(8).
-pub const HEADER_LEN: usize = 17;
+/// Protocol version carried in `Hello`/`Welcome`. Version 2 moved to the
+/// shared 20-byte frame header (a `u32` kind).
+pub const WIRE_VERSION: u32 = 2;
 /// Upper bound on one frame's payload; a larger advertised length is
 /// corruption (or an unreasonable peer), not something to buffer for.
 pub const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
-const KIND_HELLO: u8 = 1;
-const KIND_WELCOME: u8 = 2;
-const KIND_SCHEMA: u8 = 3;
-const KIND_SUBMIT: u8 = 4;
-const KIND_SUBMIT_OK: u8 = 5;
-const KIND_SUBSCRIBE: u8 = 6;
-const KIND_SUBSCRIBE_OK: u8 = 7;
-const KIND_INGEST: u8 = 8;
-const KIND_INGEST_EOF: u8 = 9;
-const KIND_PUNCT: u8 = 10;
-const KIND_RESULTS: u8 = 11;
-const KIND_COLUMN_RESULTS: u8 = 12;
-const KIND_PING: u8 = 13;
-const KIND_PONG: u8 = 14;
-const KIND_ERROR: u8 = 15;
-const KIND_BYE: u8 = 16;
+const KIND_HELLO: u32 = 1;
+const KIND_WELCOME: u32 = 2;
+const KIND_SCHEMA: u32 = 3;
+const KIND_SUBMIT: u32 = 4;
+const KIND_SUBMIT_OK: u32 = 5;
+const KIND_SUBSCRIBE: u32 = 6;
+const KIND_SUBSCRIBE_OK: u32 = 7;
+const KIND_INGEST: u32 = 8;
+const KIND_INGEST_EOF: u32 = 9;
+const KIND_PUNCT: u32 = 10;
+const KIND_RESULTS: u32 = 11;
+const KIND_PING: u32 = 13;
+const KIND_PONG: u32 = 14;
+const KIND_ERROR: u32 = 15;
+const KIND_BYE: u32 = 16;
 
 /// One decoded wire frame. Tuple-carrying variants hold materialized rows;
 /// the schema-id indirection is internal to the codec (resolved by
@@ -131,15 +131,6 @@ pub enum Frame {
         /// The result rows.
         tuples: Vec<Tuple>,
     },
-    /// Result rows that left the server as one columnar batch (the
-    /// columnar egress path); the kind tag is distinct so clients can
-    /// observe which path produced them, but rows decode identically.
-    ColumnResults {
-        /// The answered query.
-        query: u64,
-        /// The batch rows.
-        tuples: Vec<Tuple>,
-    },
     /// Liveness probe.
     Ping {
         /// Echoed back in the `Pong`.
@@ -160,7 +151,7 @@ pub enum Frame {
 }
 
 impl Frame {
-    fn kind(&self) -> u8 {
+    fn kind(&self) -> u32 {
         match self {
             Frame::Hello { .. } => KIND_HELLO,
             Frame::Welcome { .. } => KIND_WELCOME,
@@ -173,7 +164,6 @@ impl Frame {
             Frame::IngestEof { .. } => KIND_INGEST_EOF,
             Frame::Punct { .. } => KIND_PUNCT,
             Frame::Results { .. } => KIND_RESULTS,
-            Frame::ColumnResults { .. } => KIND_COLUMN_RESULTS,
             Frame::Ping { .. } => KIND_PING,
             Frame::Pong { .. } => KIND_PONG,
             Frame::Error { .. } => KIND_ERROR,
@@ -185,20 +175,10 @@ impl Frame {
     /// frames) — what the transport's row ledgers count.
     pub fn row_count(&self) -> usize {
         match self {
-            Frame::Ingest { tuples, .. }
-            | Frame::Results { tuples, .. }
-            | Frame::ColumnResults { tuples, .. } => tuples.len(),
+            Frame::Ingest { tuples, .. } | Frame::Results { tuples, .. } => tuples.len(),
             _ => 0,
         }
     }
-}
-
-fn checksum(kind: u8, payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(&[kind]);
-    h.write(&(payload.len() as u32).to_le_bytes());
-    h.write(payload);
-    h.finish()
 }
 
 fn corrupt(what: impl Into<String>) -> TcqError {
@@ -250,29 +230,6 @@ fn get_schema(r: &mut CkptReader<'_>) -> Result<(u32, Schema)> {
     Ok((id, acc.unwrap_or_else(|| Schema::new(Vec::new()))))
 }
 
-fn put_timestamp(w: &mut CkptWriter, ts: Timestamp) {
-    let flags: u8 = (ts.logical.is_some() as u8) | ((ts.physical.is_some() as u8) << 1);
-    w.put_u8(flags);
-    if let Some(l) = ts.logical {
-        w.put_i64(l);
-    }
-    if let Some(p) = ts.physical {
-        w.put_i64(p);
-    }
-}
-
-fn get_timestamp(r: &mut CkptReader<'_>) -> Result<Timestamp> {
-    let flags = r.get_u8("timestamp flags")?;
-    let mut ts = Timestamp::unknown();
-    if flags & 1 != 0 {
-        ts.logical = Some(r.get_i64("logical ts")?);
-    }
-    if flags & 2 != 0 {
-        ts.physical = Some(r.get_i64("physical ts")?);
-    }
-    Ok(ts)
-}
-
 /// Encodes frames into a byte buffer, managing the connection's outbound
 /// schema table: the first batch under a given schema is preceded by a
 /// `Schema` frame, later batches reference the id.
@@ -294,14 +251,6 @@ impl FrameWriter {
         FrameWriter::default()
     }
 
-    fn frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-        out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-        out.push(kind);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&checksum(kind, payload).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-
     fn schema_id(&mut self, out: &mut Vec<u8>, schema: &SchemaRef) -> u32 {
         let key = std::sync::Arc::as_ptr(schema) as usize;
         if let Some((_, id)) = self.ids.get(&key) {
@@ -312,7 +261,7 @@ impl FrameWriter {
         self.ids.insert(key, (schema.clone(), id));
         let mut w = CkptWriter::new();
         put_schema(&mut w, id, schema);
-        Self::frame(out, KIND_SCHEMA, &w.into_bytes());
+        frame::encode(out, WIRE_MAGIC, KIND_SCHEMA, w.as_slice());
         id
     }
 
@@ -349,9 +298,9 @@ impl FrameWriter {
             Frame::IngestEof { stream } => w.put_str(stream),
             Frame::Punct { stream, ts } => {
                 w.put_str(stream);
-                put_timestamp(&mut w, *ts);
+                w.put_timestamp(*ts);
             }
-            Frame::Results { query, tuples } | Frame::ColumnResults { query, tuples } => {
+            Frame::Results { query, tuples } => {
                 let sid = match tuples.first() {
                     Some(t) => self.schema_id(out, t.schema()),
                     None => u32::MAX,
@@ -368,7 +317,7 @@ impl FrameWriter {
             Frame::Error { message } => w.put_str(message),
             Frame::Bye => {}
         }
-        Self::frame(out, frame.kind(), &w.into_bytes());
+        frame::encode(out, WIRE_MAGIC, frame.kind(), w.as_slice());
     }
 }
 
@@ -395,28 +344,12 @@ impl FrameReader {
     ///   payload mismatch): the stream is poisoned and the connection
     ///   must close. Frames decoded before this point remain valid.
     pub fn decode(&mut self, buf: &[u8]) -> Result<Option<(Frame, usize)>> {
-        if buf.len() < HEADER_LEN {
+        let Some(raw) =
+            frame::decode(buf, WIRE_MAGIC, MAX_PAYLOAD).map_err(|e| corrupt(e.to_string()))?
+        else {
             return Ok(None);
-        }
-        let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-        if magic != WIRE_MAGIC {
-            return Err(corrupt(format!("bad magic {magic:#010x}")));
-        }
-        let kind = buf[4];
-        let len = u32::from_le_bytes(buf[5..9].try_into().expect("4 bytes")) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(corrupt(format!("payload length {len} exceeds cap")));
-        }
-        let want = u64::from_le_bytes(buf[9..17].try_into().expect("8 bytes"));
-        if buf.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-        if checksum(kind, payload) != want {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let frame = self.parse(kind, payload)?;
-        Ok(Some((frame, HEADER_LEN + len)))
+        };
+        Ok(Some((self.parse(raw.tag, raw.payload)?, raw.len())))
     }
 
     fn schema(&self, id: u32, what: &str) -> Result<SchemaRef> {
@@ -439,7 +372,7 @@ impl FrameReader {
         Ok(rows)
     }
 
-    fn parse(&mut self, kind: u8, payload: &[u8]) -> Result<Frame> {
+    fn parse(&mut self, kind: u32, payload: &[u8]) -> Result<Frame> {
         let mut r = CkptReader::new(payload);
         let frame = match kind {
             KIND_HELLO => Frame::Hello {
@@ -478,17 +411,13 @@ impl FrameReader {
             },
             KIND_PUNCT => Frame::Punct {
                 stream: r.get_str("punct stream")?,
-                ts: get_timestamp(&mut r)?,
+                ts: r.get_timestamp()?,
             },
-            KIND_RESULTS | KIND_COLUMN_RESULTS => {
+            KIND_RESULTS => {
                 let query = r.get_u64("results query")?;
                 let sid = r.get_u32("results schema id")?;
                 let tuples = self.get_rows(&mut r, sid, "results")?;
-                if kind == KIND_RESULTS {
-                    Frame::Results { query, tuples }
-                } else {
-                    Frame::ColumnResults { query, tuples }
-                }
+                Frame::Results { query, tuples }
             }
             KIND_PING => Frame::Ping {
                 token: r.get_u64("ping token")?,

@@ -36,7 +36,6 @@ fn tcp_config(client_queue: usize) -> ServerConfig {
         transport: TransportConfig::Tcp(TcpTransportConfig {
             addr: "127.0.0.1:0".into(),
             client_queue,
-            ..TcpTransportConfig::default()
         }),
         ..ServerConfig::default()
     }

@@ -94,7 +94,7 @@ fn random_frame(rng: &mut TcqRng, a: &SchemaRef, b: &SchemaRef) -> Frame {
                 .map(|_| row_b(b, rng))
                 .collect(),
         },
-        9 => Frame::ColumnResults {
+        9 => Frame::Results {
             query: rng.next_u64() % 100,
             tuples: (0..rng.gen_range(1usize..5))
                 .map(|_| row_a(a, rng))

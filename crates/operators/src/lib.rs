@@ -8,10 +8,9 @@
 //! Modules come in two flavours here:
 //!
 //! * **Eddy modules** ([`EddyModule`]) — commutative, tuple-at-a-time
-//!   operators an eddy routes through: [`SelectOp`], [`GroupedFilterOp`],
-//!   [`StemOp`] (build/probe halves of joins), [`RemoteIndexOp`] (the
-//!   simulated remote access method used for join hybridization), and
-//!   [`DupElimOp`].
+//!   operators an eddy routes through: [`SelectOp`], [`StemOp`]
+//!   (build/probe halves of joins), [`RemoteIndexOp`] (the simulated remote
+//!   access method used for join hybridization), and [`DupElimOp`].
 //! * **Consumers** — operators applied to the eddy's *output* stream, where
 //!   ordering is fixed: [`ProjectOp`], the window aggregates
 //!   ([`WindowAggregator`], [`GroupByAggregator`]), and [`Juggle`] (online
@@ -38,5 +37,5 @@ pub use juggle::Juggle;
 pub use module::{ColumnarVerdict, EddyModule, Outputs, Routed};
 pub use project::ProjectOp;
 pub use remote_index::{RemoteIndex, RemoteIndexOp};
-pub use select::{GroupedFilterOp, SelectOp};
+pub use select::SelectOp;
 pub use stem_op::{symmetric_hash_join, StemOp};

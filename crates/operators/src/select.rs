@@ -1,10 +1,10 @@
-//! Selection modules: single-predicate filters and CACQ grouped filters.
+//! The selection module: a single-predicate filter.
 
-use tcq_common::{
-    BitSet, CmpOp, ColumnBatch, ColumnData, ColumnarScratch, Expr, Predicate, Result, SchemaRef,
-    TcqError, Tuple, Value,
-};
-use tcq_stems::GroupedFilter;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use tcq_common::{ColumnBatch, ColumnarScratch, Expr, Predicate, Result, SchemaRef, Tuple};
 
 use crate::module::ColumnarVerdict;
 
@@ -14,10 +14,12 @@ use crate::module::ColumnarVerdict;
 /// a filter on `S.x` applies to base `S` tuples and to any join output
 /// containing `S` columns, whose column order depends on which side probed.
 /// The op therefore keeps the unbound predicate and a per-schema
-/// [`Predicate`] cache (schemas are interned by `Arc` pointer, so the
-/// cache hit is one hash probe). Each cached predicate is a compiled
-/// kernel when the expression's shape allows it, falling back to the
-/// tree-walking interpreter otherwise — see [`tcq_common::kernel`].
+/// [`Predicate`] cache keyed by `Arc` address, so the cache hit is one
+/// hash probe; each entry holds its schema, so no other schema can be
+/// allocated at that address while the entry lives. Each cached predicate
+/// is a compiled kernel when the expression's shape allows it, falling
+/// back to the tree-walking interpreter otherwise — see
+/// [`tcq_common::kernel`].
 ///
 /// An optional artificial cost (in "work units" of busy looping) lets
 /// experiments reproduce the expensive-predicate scenarios of the eddies
@@ -25,7 +27,7 @@ use crate::module::ColumnarVerdict;
 pub struct SelectOp {
     name: String,
     pred: Expr,
-    bound: std::collections::HashMap<usize, Predicate>,
+    bound: HashMap<usize, (SchemaRef, Predicate)>,
     cost_units: u64,
     /// Lane buffers reused across columnar batches.
     scratch: ColumnarScratch,
@@ -35,18 +37,15 @@ impl SelectOp {
     /// Build from an unbound predicate; `schema` is the primary input
     /// schema, bound eagerly so construction surfaces name errors.
     pub fn new(name: impl Into<String>, pred: &Expr, schema: &SchemaRef) -> Result<Self> {
-        let mut bound = std::collections::HashMap::new();
-        bound.insert(
-            std::sync::Arc::as_ptr(schema) as usize,
-            Predicate::new(pred, schema)?,
-        );
-        Ok(SelectOp {
+        let mut op = SelectOp {
             name: name.into(),
             pred: pred.clone(),
-            bound,
+            bound: HashMap::new(),
             cost_units: 0,
             scratch: ColumnarScratch::new(),
-        })
+        };
+        bind(&mut op.bound, &op.pred, schema)?;
+        Ok(op)
     }
 
     /// Add an artificial per-tuple cost (busy-loop iterations), for
@@ -59,21 +58,30 @@ impl SelectOp {
     /// True when the predicate bound to `schema` runs as a compiled kernel.
     pub fn is_compiled_for(&self, schema: &SchemaRef) -> bool {
         self.bound
-            .get(&(std::sync::Arc::as_ptr(schema) as usize))
-            .is_some_and(|p| p.is_compiled())
+            .get(&(Arc::as_ptr(schema) as usize))
+            .is_some_and(|(_, p)| p.is_compiled())
     }
 
     /// Evaluate the predicate against a tuple of any schema the predicate
     /// binds to.
     pub fn matches(&mut self, tuple: &Tuple) -> Result<bool> {
         burn(self.cost_units);
-        let key = std::sync::Arc::as_ptr(tuple.schema()) as usize;
-        if !self.bound.contains_key(&key) {
-            let p = Predicate::new(&self.pred, tuple.schema())?;
-            self.bound.insert(key, p);
-        }
-        self.bound[&key].eval_pred(tuple)
+        bind(&mut self.bound, &self.pred, tuple.schema())?.eval_pred(tuple)
     }
+}
+
+/// The predicate bound to `schema`, binding it on first sight.
+fn bind<'a>(
+    bound: &'a mut HashMap<usize, (SchemaRef, Predicate)>,
+    pred: &Expr,
+    schema: &SchemaRef,
+) -> Result<&'a Predicate> {
+    let (held, p) = match bound.entry(Arc::as_ptr(schema) as usize) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => e.insert((schema.clone(), Predicate::new(pred, schema)?)),
+    };
+    debug_assert!(Arc::ptr_eq(held, schema), "predicate of another schema");
+    Ok(p)
 }
 
 impl crate::module::EddyModule for SelectOp {
@@ -100,20 +108,16 @@ impl crate::module::EddyModule for SelectOp {
     ) -> Result<()> {
         burn(self.cost_units.saturating_mul(tuples.len() as u64));
         for t in tuples {
-            let key = std::sync::Arc::as_ptr(t.schema()) as usize;
-            if !self.bound.contains_key(&key) {
-                let p = Predicate::new(&self.pred, t.schema())?;
-                self.bound.insert(key, p);
-            }
+            bind(&mut self.bound, &self.pred, t.schema())?;
         }
         out.reserve(tuples.len());
         let mut cached: Option<(usize, &Predicate)> = None;
         for t in tuples {
-            let key = std::sync::Arc::as_ptr(t.schema()) as usize;
+            let key = Arc::as_ptr(t.schema()) as usize;
             let bound = match cached {
                 Some((k, b)) if k == key => b,
                 _ => {
-                    let b = &self.bound[&key];
+                    let b = &self.bound[&key].1;
                     cached = Some((key, b));
                     b
                 }
@@ -139,12 +143,8 @@ impl crate::module::EddyModule for SelectOp {
         _rows: Option<&[Tuple]>,
         keep: &mut Vec<bool>,
     ) -> Result<ColumnarVerdict> {
-        let key = std::sync::Arc::as_ptr(batch.schema()) as usize;
-        if !self.bound.contains_key(&key) {
-            let p = Predicate::new(&self.pred, batch.schema())?;
-            self.bound.insert(key, p);
-        }
-        if self.bound[&key].eval_columns(batch, &mut self.scratch, keep) {
+        let bound = bind(&mut self.bound, &self.pred, batch.schema())?;
+        if bound.eval_columns(batch, &mut self.scratch, keep) {
             burn(self.cost_units.saturating_mul(batch.len() as u64));
             Ok(ColumnarVerdict::Filtered)
         } else {
@@ -163,157 +163,11 @@ pub(crate) fn burn(units: u64) {
     }
 }
 
-/// A CACQ grouped-filter module: evaluates the single-column factors of
-/// *many* queries in one pass over each tuple (§3.1).
-///
-/// `process` passes every tuple (shared processing cannot drop a tuple any
-/// single query still needs — that decision belongs to the eddy's lineage
-/// logic); callers use [`GroupedFilterOp::matching`] to learn which factors
-/// a tuple satisfied.
-pub struct GroupedFilterOp {
-    name: String,
-    column: usize,
-    filter: GroupedFilter,
-    /// Scratch reused across calls; taken by `matching`.
-    last_matches: BitSet,
-    /// Per-tuple match sets from the last `process_batch` call (buffers
-    /// reused across batches).
-    batch_matches: Vec<BitSet>,
-}
-
-impl GroupedFilterOp {
-    /// A grouped filter over `column` of the stream schema.
-    pub fn new(name: impl Into<String>, schema: &SchemaRef, column: usize) -> Result<Self> {
-        if column >= schema.len() {
-            return Err(TcqError::SchemaMismatch(format!(
-                "grouped filter column {column} out of range for {schema}"
-            )));
-        }
-        Ok(GroupedFilterOp {
-            name: name.into(),
-            column,
-            filter: GroupedFilter::new(),
-            last_matches: BitSet::new(),
-            batch_matches: Vec::new(),
-        })
-    }
-
-    /// Register a factor (see [`GroupedFilter::insert`]).
-    pub fn insert_factor(&mut self, id: usize, op: CmpOp, constant: Value) -> Result<()> {
-        self.filter.insert(id, op, constant)
-    }
-
-    /// Remove a factor.
-    pub fn remove_factor(&mut self, id: usize) {
-        self.filter.remove(id);
-    }
-
-    /// All registered factor ids.
-    pub fn owners(&self) -> &BitSet {
-        self.filter.owners()
-    }
-
-    /// Factors satisfied by the most recently processed tuple.
-    pub fn matching(&self) -> &BitSet {
-        &self.last_matches
-    }
-
-    /// Per-tuple factor matches from the most recent `process_batch`
-    /// call, one `BitSet` per tuple in batch order.
-    pub fn batch_matching(&self) -> &[BitSet] {
-        &self.batch_matches
-    }
-
-    /// Probe without going through the module interface.
-    pub fn eval(&self, value: &Value, out: &mut BitSet) {
-        self.filter.eval(value, out);
-    }
-
-    /// Approximate heap footprint of the underlying grouped filter plus the
-    /// reusable per-tuple/per-batch match scratch, in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.filter.approx_bytes()
-            + self.last_matches.approx_bytes()
-            + self
-                .batch_matches
-                .iter()
-                .map(|b| b.approx_bytes())
-                .sum::<usize>()
-            + self.batch_matches.capacity() * std::mem::size_of::<BitSet>()
-    }
-}
-
-impl crate::module::EddyModule for GroupedFilterOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, tuple: &Tuple) -> Result<crate::module::Routed> {
-        self.last_matches.clear();
-        self.filter
-            .eval(tuple.value(self.column), &mut self.last_matches);
-        Ok(crate::module::Routed::pass())
-    }
-
-    /// Batch grouped filter: one pass fills a per-tuple match set
-    /// (exposed via [`GroupedFilterOp::batch_matching`]); `matching()`
-    /// afterwards reflects the batch's last tuple, as if the batch had
-    /// been processed tuple-at-a-time.
-    fn process_batch(
-        &mut self,
-        tuples: &[Tuple],
-        out: &mut Vec<crate::module::Routed>,
-    ) -> Result<()> {
-        self.batch_matches.resize_with(tuples.len(), BitSet::new);
-        out.reserve(tuples.len());
-        for (t, m) in tuples.iter().zip(self.batch_matches.iter_mut()) {
-            m.clear();
-            self.filter.eval(t.value(self.column), m);
-            out.push(crate::module::Routed::pass());
-        }
-        if let Some(last) = self.batch_matches.last() {
-            self.last_matches.clear();
-            self.last_matches.union_with(last);
-        }
-        Ok(())
-    }
-
-    /// Columnar grouped filter: probes the factor index straight off the
-    /// filter column without materializing rows. Typed numeric/bool cells
-    /// reconstruct stack `Value`s for free; `Str` arenas would need a
-    /// fresh `Arc<str>` per row, so string columns fall back to the row
-    /// path (whose tuples already share the `Arc`).
-    fn process_columnar(
-        &mut self,
-        batch: &ColumnBatch,
-        _rows: Option<&[Tuple]>,
-        _keep: &mut Vec<bool>,
-    ) -> Result<ColumnarVerdict> {
-        if self.column >= batch.schema().len() {
-            return Ok(ColumnarVerdict::Fallback);
-        }
-        let col = batch.column(self.column);
-        if matches!(col.data(), ColumnData::Str { .. }) {
-            return Ok(ColumnarVerdict::Fallback);
-        }
-        self.batch_matches.resize_with(batch.len(), BitSet::new);
-        for (row, m) in self.batch_matches.iter_mut().enumerate() {
-            m.clear();
-            self.filter.eval(&col.value(row), m);
-        }
-        if let Some(last) = self.batch_matches.last() {
-            self.last_matches.clear();
-            self.last_matches.union_with(last);
-        }
-        Ok(ColumnarVerdict::KeepAll)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::module::EddyModule;
-    use tcq_common::{DataType, Field, Schema, Timestamp, TupleBuilder};
+    use tcq_common::{CmpOp, DataType, Field, Schema, Timestamp, TupleBuilder, Value};
 
     fn schema() -> SchemaRef {
         Schema::qualified(
@@ -350,23 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_filter_op_tracks_last_matches() {
-        let mut op = GroupedFilterOp::new("gf(price)", &schema(), 1).unwrap();
-        op.insert_factor(0, CmpOp::Gt, Value::Float(50.0)).unwrap();
-        op.insert_factor(1, CmpOp::Lt, Value::Float(50.0)).unwrap();
-        let r = op.process(&tick("MSFT", 60.0)).unwrap();
-        assert!(r.keep); // grouped filters never drop
-        assert_eq!(op.matching().iter().collect::<Vec<_>>(), vec![0]);
-        op.process(&tick("MSFT", 40.0)).unwrap();
-        assert_eq!(op.matching().iter().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn grouped_filter_bad_column_rejected() {
-        assert!(GroupedFilterOp::new("gf", &schema(), 9).is_err());
-    }
-
-    #[test]
     fn select_batch_matches_per_tuple_results() {
         let pred = Expr::col("price").cmp(CmpOp::Gt, Expr::lit(50.0));
         let tuples: Vec<Tuple> = (0..20)
@@ -381,25 +218,6 @@ mod tests {
         let mut out = Vec::new();
         batched.process_batch(&tuples, &mut out).unwrap();
         assert_eq!(out.iter().map(|r| r.keep).collect::<Vec<_>>(), expect);
-    }
-
-    #[test]
-    fn grouped_filter_batch_exposes_per_tuple_matches() {
-        let mut op = GroupedFilterOp::new("gf(price)", &schema(), 1).unwrap();
-        op.insert_factor(0, CmpOp::Gt, Value::Float(50.0)).unwrap();
-        op.insert_factor(1, CmpOp::Lt, Value::Float(50.0)).unwrap();
-        let tuples = vec![tick("A", 60.0), tick("B", 40.0), tick("C", 70.0)];
-        let mut out = Vec::new();
-        op.process_batch(&tuples, &mut out).unwrap();
-        assert!(out.iter().all(|r| r.keep));
-        let per_tuple: Vec<Vec<usize>> = op
-            .batch_matching()
-            .iter()
-            .map(|m| m.iter().collect())
-            .collect();
-        assert_eq!(per_tuple, vec![vec![0], vec![1], vec![0]]);
-        // matching() reflects the batch's last tuple.
-        assert_eq!(op.matching().iter().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -472,54 +290,36 @@ mod tests {
         ));
     }
 
+    /// The binding cache must not key on an address a freed schema can
+    /// hand to a new one: the new schema's tuples would be filtered on the
+    /// old schema's column.
     #[test]
-    fn columnar_grouped_filter_matches_row_path() {
-        let mut rng = tcq_common::rng::seeded(0xC0_6F17);
-        let tuples: Vec<Tuple> = (0..100)
-            .map(|_| tick("X", rng.gen_range(0.0..100.0)))
-            .collect();
-        let mk = || {
-            let mut op = GroupedFilterOp::new("gf(price)", &schema(), 1).unwrap();
-            op.insert_factor(0, CmpOp::Gt, Value::Float(50.0)).unwrap();
-            op.insert_factor(1, CmpOp::Lt, Value::Float(50.0)).unwrap();
-            op.insert_factor(2, CmpOp::Le, Value::Float(75.0)).unwrap();
-            op
+    fn a_recycled_schema_address_gets_a_fresh_binding() {
+        let pred = Expr::col("x").cmp(CmpOp::Gt, Expr::lit(5i64));
+        let a = Schema::new(vec![Field::new("x", DataType::Int)]).into_ref();
+        let a_addr = Arc::as_ptr(&a) as usize;
+        let mut op = SelectOp::new("sel", &pred, &a).unwrap();
+        assert!(op
+            .matches(&TupleBuilder::new(a).push(10i64).build().unwrap())
+            .unwrap());
+        // Schema A is gone. B has four fields, so none of its own buffers
+        // is the size of a schema allocation and its `Arc` can land on A's
+        // freed block; misses are held so each retry gets a fresh address.
+        let mut misses = Vec::new();
+        let b = loop {
+            let mut fields: Vec<Field> = (0..3)
+                .map(|i| Field::new(format!("pad{i}"), DataType::Int))
+                .collect();
+            fields.push(Field::new("x", DataType::Int));
+            let b = Schema::new(fields).into_ref();
+            if Arc::as_ptr(&b) as usize == a_addr || misses.len() == 64 {
+                break b;
+            }
+            misses.push(b);
         };
-        let mut row = mk();
-        let mut out = Vec::new();
-        row.process_batch(&tuples, &mut out).unwrap();
-        let expect: Vec<Vec<usize>> = row
-            .batch_matching()
-            .iter()
-            .map(|m| m.iter().collect())
-            .collect();
-        let batch = ColumnBatch::from_tuples(schema(), &tuples, None);
-        let mut col = mk();
-        match col.process_columnar(&batch, None, &mut Vec::new()).unwrap() {
-            ColumnarVerdict::KeepAll => {}
-            v => panic!("grouped filters pass every tuple, got {v:?}"),
-        }
-        let got: Vec<Vec<usize>> = col
-            .batch_matching()
-            .iter()
-            .map(|m| m.iter().collect())
-            .collect();
-        assert_eq!(got, expect);
-        assert_eq!(
-            col.matching().iter().collect::<Vec<_>>(),
-            row.matching().iter().collect::<Vec<_>>(),
-            "matching() reflects the batch's last tuple either way"
-        );
-        // String filter columns fall back (cell reconstruction would
-        // allocate an Arc per row).
-        let mut on_sym = GroupedFilterOp::new("gf(sym)", &schema(), 0).unwrap();
-        on_sym.insert_factor(0, CmpOp::Eq, Value::str("X")).unwrap();
-        assert!(matches!(
-            on_sym
-                .process_columnar(&batch, None, &mut Vec::new())
-                .unwrap(),
-            ColumnarVerdict::Fallback
-        ));
+        let row = [10, 10, 10, 0].map(Value::Int).to_vec();
+        let t = Tuple::new(b, row, Timestamp::unknown()).unwrap();
+        assert!(!op.matches(&t).unwrap(), "x = 0 must fail x > 5");
     }
 
     #[test]

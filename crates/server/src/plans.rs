@@ -9,6 +9,7 @@
 //!   the windowed stream, closes each window of the §4.1 for-loop as
 //!   stream time passes it, emits one result set per window.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -225,10 +226,12 @@ impl DispatchUnit for FilterCqDu {
 // ------------------------------------------------------------------ joins
 
 /// A projection that binds lazily per input schema — join outputs arrive
-/// with column orders that depend on which side probed.
+/// with column orders that depend on which side probed. Bindings are keyed
+/// by schema address and hold the schema, so the address cannot be handed
+/// to another schema while the binding lives.
 pub struct LazyProject {
     items: Vec<(Expr, Option<String>)>,
-    bound: HashMap<usize, ProjectOp>,
+    bound: HashMap<usize, (SchemaRef, ProjectOp)>,
 }
 
 impl LazyProject {
@@ -240,26 +243,25 @@ impl LazyProject {
         }
     }
 
+    fn bind(&mut self, schema: &SchemaRef) -> Result<&ProjectOp> {
+        let (held, op) = match self.bound.entry(Arc::as_ptr(schema) as usize) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert((schema.clone(), ProjectOp::new(&self.items, schema)?)),
+        };
+        debug_assert!(Arc::ptr_eq(held, schema), "projection of another schema");
+        Ok(op)
+    }
+
     /// Apply to a tuple of any compatible schema.
     pub fn apply(&mut self, tuple: &Tuple) -> Result<Tuple> {
-        let key = Arc::as_ptr(tuple.schema()) as usize;
-        if !self.bound.contains_key(&key) {
-            let op = ProjectOp::new(&self.items, tuple.schema())?;
-            self.bound.insert(key, op);
-        }
-        self.bound[&key].apply(tuple)
+        self.bind(tuple.schema())?.apply(tuple)
     }
 
     /// Apply to a whole columnar batch. `Ok(None)` means the bound
     /// projection needs per-row expression evaluation — callers fall back
     /// to [`LazyProject::apply`] over materialized rows.
     pub fn apply_columnar(&mut self, batch: &ColumnBatch) -> Result<Option<ColumnBatch>> {
-        let key = Arc::as_ptr(batch.schema()) as usize;
-        if !self.bound.contains_key(&key) {
-            let op = ProjectOp::new(&self.items, batch.schema())?;
-            self.bound.insert(key, op);
-        }
-        Ok(self.bound[&key].apply_columnar(batch))
+        Ok(self.bind(batch.schema())?.apply_columnar(batch))
     }
 }
 
@@ -933,6 +935,38 @@ mod tests {
             .unwrap();
         let out_b = lp.apply(&tb).unwrap();
         assert_eq!(out_b.value(0).as_int().unwrap(), 42);
+    }
+
+    /// A binding must not outlive its schema's address: a join whose
+    /// output schema is freed and reallocated with another column order
+    /// would project the wrong column.
+    #[test]
+    fn a_recycled_schema_address_gets_a_fresh_projection() {
+        let mut lp = LazyProject::new(vec![(Expr::col("v"), None)]);
+        let a = Schema::new(vec![Field::new("v", DataType::Int)]).into_ref();
+        let a_addr = Arc::as_ptr(&a) as usize;
+        let out = lp
+            .apply(&TupleBuilder::new(a).push(10i64).build().unwrap())
+            .unwrap();
+        assert_eq!(out.value(0).as_int().unwrap(), 10);
+        // Schema A is gone. B has four fields, so none of its own buffers
+        // is the size of a schema allocation and its `Arc` can land on A's
+        // freed block; misses are held so each retry gets a fresh address.
+        let mut misses = Vec::new();
+        let b = loop {
+            let mut fields: Vec<Field> = (0..3)
+                .map(|i| Field::new(format!("x{i}"), DataType::Int))
+                .collect();
+            fields.push(Field::new("v", DataType::Int));
+            let b = Schema::new(fields).into_ref();
+            if Arc::as_ptr(&b) as usize == a_addr || misses.len() == 64 {
+                break b;
+            }
+            misses.push(b);
+        };
+        let row = [99, 99, 99, 42].map(Value::Int).to_vec();
+        let t = Tuple::new(b, row, Timestamp::unknown()).unwrap();
+        assert_eq!(lp.apply(&t).unwrap().value(0).as_int().unwrap(), 42);
     }
 
     #[test]

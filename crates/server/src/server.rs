@@ -43,6 +43,11 @@ use crate::plans::{
 };
 use crate::shared_join::{SharedJoinDu, SharedJoinKey, SharedJoinShared};
 
+/// Pages in the buffer pool every stream archive shares.
+const POOL_PAGES: usize = 256;
+/// Archive page size in bytes.
+const PAGE_SIZE: usize = 8192;
+
 /// Which routing policy new eddies use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
@@ -68,10 +73,6 @@ pub struct ServerConfig {
     /// Directory for stream archives; `None` disables history (historical
     /// queries will error).
     pub archive_dir: Option<PathBuf>,
-    /// Buffer pool size in pages.
-    pub pool_pages: usize,
-    /// Buffer pool page size in bytes.
-    pub page_size: usize,
     /// Routing policy for join eddies.
     pub policy: PolicyKind,
     /// Eddy batching knob (§4.3 "adapting adaptivity").
@@ -149,11 +150,6 @@ pub struct TcpTransportConfig {
     /// queue and then sheds, never stalling the router or other
     /// clients).
     pub client_queue: usize,
-    /// Writer coalescing threshold in bytes: the connection writer
-    /// drains its egress queue into one buffer and flushes when it
-    /// crosses this size (or the queue runs dry), amortizing syscalls
-    /// the way `io_batch` amortizes lock acquisitions in-process.
-    pub write_coalesce: usize,
 }
 
 impl Default for TcpTransportConfig {
@@ -161,7 +157,6 @@ impl Default for TcpTransportConfig {
         TcpTransportConfig {
             addr: "127.0.0.1:0".to_string(),
             client_queue: 1024,
-            write_coalesce: 64 * 1024,
         }
     }
 }
@@ -196,8 +191,6 @@ impl Default for ServerConfig {
             quantum: 128,
             queue_capacity: 1024,
             archive_dir: None,
-            pool_pages: 256,
-            page_size: 8192,
             policy: PolicyKind::Lottery,
             eddy_batch: 1,
             io_batch: crate::dispatcher::DEFAULT_IO_BATCH,
@@ -359,7 +352,7 @@ impl TelegraphCQ {
         if let Some(dir) = &config.archive_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let pool = BufferPool::new(config.pool_pages, config.page_size);
+        let pool = BufferPool::new(POOL_PAGES, PAGE_SIZE);
         let egress = EgressRouter::new().with_policy(config.egress_policy);
         if let Some(inj) = &injector {
             egress.attach_injector(inj.clone());

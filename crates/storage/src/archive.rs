@@ -1,37 +1,30 @@
 //! The stream archive: append-only page-structured history of one stream.
+//!
+//! A page is one [`tcq_common::frame`] — the 20-byte header
+//! `magic | tag | len | fnv1a-64(tag ‖ len ‖ payload)` shared with wire
+//! frames and checkpoint blocks, the tag holding the page's record count —
+//! zero-padded to the page size. Its payload is the records back to back,
+//! each one [`CkptWriter::put_tuple`] (timestamp, `u32` arity, tagged
+//! values). The archive's recovery policy: a full page that fails
+//! validation is skipped, a trailing partial page is truncated.
 
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tcq_common::{FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, TcqError, Tuple};
+use tcq_common::frame::{self, HEADER_LEN};
+use tcq_common::{
+    CkptReader, CkptWriter, FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, TcqError,
+    Tuple,
+};
 
-use crate::codec::{decode_tuple, encode_tuple};
 use crate::pool::BufferPool;
-
-/// Page layout: `[u32 magic][u32 n_records][u32 payload_len][u32 checksum]`
-/// followed by the record payload, zero-padded to the page size. The
-/// checksum covers the payload bytes, so a torn write (a page that only
-/// partially reached disk) is detectable on reopen.
-const PAGE_HEADER: usize = 16;
 
 /// Sentinel marking a valid archive page ("TCQA").
 const PAGE_MAGIC: u32 = 0x5443_5141;
 
 static NEXT_ARCHIVE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// FNV-1a over `bytes` — the in-tree page checksum (no external deps).
-/// Shared with the checkpoint store so both durable formats carry the
-/// same integrity discipline.
-pub(crate) fn checksum(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
 
 /// Metadata for one sealed page.
 #[derive(Debug, Clone, Copy)]
@@ -97,11 +90,10 @@ pub struct CompactionReport {
 /// Reads serve window scans: each sealed page records its logical-timestamp
 /// range, and [`StreamArchive::scan_window`] touches only overlapping pages.
 ///
-/// Crash safety: every page carries a magic word, record count, payload
-/// length, and payload checksum. [`StreamArchive::open`] rebuilds the page
-/// index from disk, skipping any page that fails validation and truncating
-/// a torn trailing write, so a crashed server resumes appending where the
-/// last *valid* page ended.
+/// Crash safety: every page is one checksummed frame (module docs).
+/// [`StreamArchive::open`] rebuilds the page index from disk, skipping any
+/// page that fails validation and truncating a torn trailing write, so a
+/// crashed server resumes appending where the last *valid* page ended.
 pub struct StreamArchive {
     id: u64,
     schema: SchemaRef,
@@ -159,9 +151,8 @@ impl StreamArchive {
     /// it holds (creates an empty one if the file does not exist).
     ///
     /// Recovery invariant: the readable contents after `open` are exactly
-    /// the pages whose header magic, record count, payload length, and
-    /// payload checksum all validate and whose records decode against
-    /// `schema`. Corrupt full-size pages are skipped and counted; a
+    /// the pages whose frame header and checksum validate and whose
+    /// records decode against `schema`. Corrupt full-size pages are skipped and counted; a
     /// trailing partial page (a torn write interrupted mid-page) is
     /// truncated so subsequent appends land on a fresh page boundary.
     pub fn open(path: impl AsRef<Path>, schema: SchemaRef, pool: BufferPool) -> Result<Self> {
@@ -277,9 +268,10 @@ impl StreamArchive {
             .timestamp()
             .logical
             .ok_or_else(|| TcqError::Storage("archived tuples need logical timestamps".into()))?;
-        let mut record = Vec::new();
-        encode_tuple(tuple, &mut record);
-        let payload_capacity = self.pool.page_size() - PAGE_HEADER;
+        let mut record = CkptWriter::new();
+        record.put_tuple(tuple);
+        let record = record.into_bytes();
+        let payload_capacity = self.pool.page_size() - HEADER_LEN;
         if record.len() > payload_capacity {
             return Err(TcqError::Storage(format!(
                 "tuple of {} bytes exceeds page payload of {payload_capacity} bytes",
@@ -303,11 +295,7 @@ impl StreamArchive {
             return Ok(());
         }
         let mut page = Vec::with_capacity(self.pool.page_size());
-        page.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
-        page.extend_from_slice(&self.tail_records.to_le_bytes());
-        page.extend_from_slice(&(self.tail.len() as u32).to_le_bytes());
-        page.extend_from_slice(&checksum(&self.tail).to_le_bytes());
-        page.extend_from_slice(&self.tail);
+        frame::encode(&mut page, PAGE_MAGIC, self.tail_records, &self.tail);
         let page_no = self.next_page;
         self.next_page += 1;
         if self.torn_pending {
@@ -320,7 +308,7 @@ impl StreamArchive {
             self.stats.torn_pages += 1;
             self.stats.lost_records += self.tail_records as u64;
             self.total_records -= self.tail_records as u64;
-            page.truncate(PAGE_HEADER + self.tail.len() / 2);
+            page.truncate(HEADER_LEN + self.tail.len() / 2);
             self.file
                 .seek(SeekFrom::Start(page_no * self.pool.page_size() as u64))?;
             self.file.write_all(&page)?;
@@ -440,7 +428,7 @@ impl StreamArchive {
     /// Scan the window `[left, right]` (inclusive, logical time), appending
     /// matching tuples to `out` in storage order. Touches only pages whose
     /// range overlaps the window, plus the in-memory tail. Every page read
-    /// is re-validated against its header checksum.
+    /// is re-validated against its frame checksum.
     pub fn scan_window(&mut self, left: i64, right: i64, out: &mut Vec<Tuple>) -> Result<usize> {
         let before = out.len();
         for idx in 0..self.pages.len() {
@@ -451,18 +439,21 @@ impl StreamArchive {
             let data = self
                 .pool
                 .read_page(&mut self.file, (self.id, meta.page_no))?;
-            let (n, payload) = parse_header(&data).ok_or_else(|| {
-                TcqError::Storage(format!("page {} corrupt: bad header", meta.page_no))
-            })?;
-            if n != meta.records {
+            let Ok(Some(page)) = frame::decode(&data, PAGE_MAGIC, usize::MAX) else {
                 return Err(TcqError::Storage(format!(
-                    "page {} corrupt: header says {n} records, index says {}",
-                    meta.page_no, meta.records
+                    "page {} corrupt: bad header",
+                    meta.page_no
+                )));
+            };
+            if page.tag != meta.records {
+                return Err(TcqError::Storage(format!(
+                    "page {} corrupt: header says {} records, index says {}",
+                    meta.page_no, page.tag, meta.records
                 )));
             }
-            let mut slice = payload;
-            for _ in 0..n {
-                let t = decode_tuple(&mut slice, &self.schema)?;
+            let mut r = CkptReader::new(page.payload);
+            for _ in 0..page.tag {
+                let t = r.get_tuple(&self.schema)?;
                 let seq = t.timestamp().seq();
                 if left <= seq && seq <= right {
                     out.push(t);
@@ -471,9 +462,9 @@ impl StreamArchive {
         }
         // Tail (unsealed) records.
         if self.tail_records > 0 && self.tail_min <= right && self.tail_max >= left {
-            let mut slice = self.tail.as_slice();
+            let mut r = CkptReader::new(&self.tail);
             for _ in 0..self.tail_records {
-                let t = decode_tuple(&mut slice, &self.schema)?;
+                let t = r.get_tuple(&self.schema)?;
                 let seq = t.timestamp().seq();
                 if left <= seq && seq <= right {
                     out.push(t);
@@ -492,40 +483,19 @@ fn compact_tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Parse and checksum-validate a page header; returns `(records, payload)`.
-fn parse_header(data: &[u8]) -> Option<(u32, &[u8])> {
-    if data.len() < PAGE_HEADER {
-        return None;
-    }
-    let word = |i: usize| u32::from_le_bytes(data[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-    if word(0) != PAGE_MAGIC {
-        return None;
-    }
-    let records = word(1);
-    let payload_len = word(2) as usize;
-    let sum = word(3);
-    if payload_len > data.len() - PAGE_HEADER {
-        return None;
-    }
-    let payload = &data[PAGE_HEADER..PAGE_HEADER + payload_len];
-    if checksum(payload) != sum {
-        return None;
-    }
-    Some((records, payload))
-}
-
-/// Full validation for recovery: header + checksum + every record decodes
+/// Full validation for recovery: frame + checksum + every record decodes
 /// with a logical timestamp. Returns `(records, min_seq, max_seq)`.
 fn validate_page(data: &[u8], schema: &SchemaRef) -> Option<(u32, i64, i64)> {
-    let (records, payload) = parse_header(data)?;
+    let page = frame::decode(data, PAGE_MAGIC, usize::MAX).ok().flatten()?;
+    let records = page.tag;
     if records == 0 {
         return None;
     }
-    let mut slice = payload;
+    let mut r = CkptReader::new(page.payload);
     let mut min_seq = i64::MAX;
     let mut max_seq = i64::MIN;
     for _ in 0..records {
-        let t = decode_tuple(&mut slice, schema).ok()?;
+        let t = r.get_tuple(schema).ok()?;
         let seq = t.timestamp().logical?;
         min_seq = min_seq.min(seq);
         max_seq = max_seq.max(seq);
@@ -791,7 +761,7 @@ mod tests {
         }
         {
             let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(512 + PAGE_HEADER as u64)).unwrap();
+            f.seek(SeekFrom::Start(512 + HEADER_LEN as u64)).unwrap();
             f.write_all(&[0xFF; 32]).unwrap();
         }
         let mut b = StreamArchive::open(&path, schema(), pool).unwrap();
@@ -885,7 +855,7 @@ mod tests {
         }
         {
             let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(512 + PAGE_HEADER as u64)).unwrap();
+            f.seek(SeekFrom::Start(512 + HEADER_LEN as u64)).unwrap();
             f.write_all(&[0xFF; 32]).unwrap();
         }
         let mut b = StreamArchive::open(&path, schema(), pool.clone()).unwrap();
@@ -957,7 +927,7 @@ mod tests {
         // Corrupt an interior page so compaction has real work to do.
         {
             let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(512 + PAGE_HEADER as u64)).unwrap();
+            f.seek(SeekFrom::Start(512 + HEADER_LEN as u64)).unwrap();
             f.write_all(&[0xFF; 32]).unwrap();
         }
         let mut b = StreamArchive::open(&path, schema(), pool.clone()).unwrap();

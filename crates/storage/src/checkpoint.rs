@@ -6,10 +6,11 @@
 //! dirtied since the previous epoch — checkpoints are incremental, so
 //! their cost scales with churn, not total state size.
 //!
-//! Every block reuses the [`StreamArchive`](crate::StreamArchive) page
-//! discipline: a 16-byte header `[magic][n_records][payload_len][fnv1a]`
-//! whose checksum covers the payload, except blocks are variable-sized
-//! (an epoch writes exactly what changed). On open the store scans the
+//! Every block is one [`tcq_common::frame`], the 20-byte header
+//! `magic | tag | len | fnv1a-64(tag ‖ len ‖ payload)` shared with archive
+//! pages and wire frames, the tag holding the block's fragment count;
+//! unlike a page, a block is exactly as long as its payload (an epoch
+//! writes exactly what changed). On open the store scans the
 //! longest valid *prefix* of blocks — unlike the archive, a mid-file
 //! corrupt block stops the scan, because later epochs' deltas are only
 //! meaningful on top of earlier ones — and replays fragments latest-wins
@@ -34,14 +35,10 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use tcq_common::frame::{self, HEADER_LEN};
 use tcq_common::{
     CkptReader, CkptWriter, FaultAction, FaultPoint, Result, SharedInjector, TcqError,
 };
-
-use crate::archive::checksum;
-
-/// Block header: `[u32 magic][u32 n_records][u32 payload_len][u32 fnv1a]`.
-const BLOCK_HEADER: usize = 16;
 
 /// Sentinel marking a valid checkpoint block ("TCQK").
 const BLOCK_MAGIC: u32 = 0x5443_514B;
@@ -122,34 +119,17 @@ impl CheckpointStore {
         let mut epoch = 0u64;
         let mut recovery = CheckpointRecovery::default();
         let mut offset = 0usize;
-        while offset + BLOCK_HEADER <= bytes.len() {
+        while offset + HEADER_LEN <= bytes.len() {
             if let Some(inj) = &injector {
                 if let Some(FaultAction::Error(_)) = inj.poll(FaultPoint::CheckpointRead) {
                     break;
                 }
             }
-            let word = |i: usize| {
-                u32::from_le_bytes(
-                    bytes[offset + i * 4..offset + i * 4 + 4]
-                        .try_into()
-                        .expect("4 bytes"),
-                )
+            // A torn tail block and a corrupt one both end the prefix.
+            let Ok(Some(block)) = frame::decode(&bytes[offset..], BLOCK_MAGIC, usize::MAX) else {
+                break;
             };
-            if word(0) != BLOCK_MAGIC {
-                break;
-            }
-            let n_records = word(1);
-            let payload_len = word(2) as usize;
-            let sum = word(3);
-            let payload_start = offset + BLOCK_HEADER;
-            if payload_start + payload_len > bytes.len() {
-                break; // torn tail block
-            }
-            let payload = &bytes[payload_start..payload_start + payload_len];
-            if checksum(payload) != sum {
-                break;
-            }
-            let Ok((block_epoch, fragments)) = decode_block(payload, n_records) else {
+            let Ok((block_epoch, fragments)) = decode_block(block.payload, block.tag) else {
                 break;
             };
             // Epochs must ascend; a regression means the file was mixed
@@ -163,7 +143,7 @@ impl CheckpointStore {
             for (component, key, value) in fragments {
                 latest.entry(component).or_default().insert(key, value);
             }
-            offset = payload_start + payload_len;
+            offset += block.len();
         }
         let good_len = offset as u64;
         recovery.truncated_bytes = file_len - good_len;
@@ -253,12 +233,8 @@ impl CheckpointStore {
             payload.put_bytes(value);
         }
         let payload = payload.into_bytes();
-        let mut block = Vec::with_capacity(BLOCK_HEADER + payload.len());
-        block.extend_from_slice(&BLOCK_MAGIC.to_le_bytes());
-        block.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
-        block.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        block.extend_from_slice(&checksum(&payload).to_le_bytes());
-        block.extend_from_slice(&payload);
+        let mut block = Vec::new();
+        frame::encode(&mut block, BLOCK_MAGIC, self.pending.len() as u32, &payload);
 
         // Retry-after-torn: always start the block at the valid prefix.
         self.file.set_len(self.good_len)?;
@@ -268,7 +244,7 @@ impl CheckpointStore {
             // the crash model for "power lost mid-commit". Recovery on
             // reopen rejects the block (bad checksum) and keeps the
             // committed prefix.
-            let cut = BLOCK_HEADER + payload.len() / 2;
+            let cut = HEADER_LEN + payload.len() / 2;
             self.file.write_all(&block[..cut])?;
             self.file.sync_data()?;
             self.stats.torn_commits += 1;

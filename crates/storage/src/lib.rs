@@ -8,7 +8,6 @@
 //!
 //! The design follows that read/write asymmetry:
 //!
-//! * [`codec`] — a compact binary encoding for tuples (values + timestamps).
 //! * [`StreamArchive`] — an append-only, page-structured segment file per
 //!   stream. Writes are strictly sequential ("a log-structured file system
 //!   would enhance write performance"); each sealed page records its
@@ -18,8 +17,14 @@
 //!   archives and the disk, with hit/miss counters for the experiments.
 //! * [`CheckpointStore`] — a durable, incrementally written store of
 //!   checkpoint fragments (SteM groups, aggregate partials, egress
-//!   ledgers, ingress cursors) under the same checksummed-block
-//!   discipline, for crash recovery of operator state.
+//!   ledgers, ingress cursors), for crash recovery of operator state.
+//!
+//! Both write the workspace's one codec ([`tcq_common::CkptWriter`]) inside
+//! its one checksummed frame ([`tcq_common::frame`]) — the bytes a wire
+//! frame carries too. What differs is the recovery policy: the archive
+//! skips a corrupt page and keeps reading, the checkpoint store stops at
+//! the first bad block, because later epochs only mean something on top of
+//! earlier ones.
 //!
 //! # Example: spool a stream, read a window back
 //!
@@ -50,10 +55,8 @@
 
 pub mod archive;
 pub mod checkpoint;
-pub mod codec;
 pub mod pool;
 
 pub use archive::{ArchiveStats, CompactionReport, RecoveryReport, StreamArchive};
 pub use checkpoint::{CheckpointRecovery, CheckpointStats, CheckpointStore};
-pub use codec::{decode_tuple, encode_tuple};
 pub use pool::{BufferPool, PoolStats};

@@ -27,8 +27,8 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # stay under a peak-RSS ceiling. Memory is the one end-to-end cost that
 # repeats on a shared host (0.2-2.8 % spread), so it is the one that carries
 # a gate; speed is guarded by deterministic work counts in the test suites.
-# They run before the wall-clock exp_* smokes, which `set -e` can stop on a
-# small host (exp_scaling on 2 vCPUs) before these are reached.
+# They run before the wall-clock exp_* smokes, so a noisy smoke stopping
+# `set -e` on a small host cannot hide them.
 bench_gate() {
     workload=$1
     rss_max=$2
@@ -67,7 +67,7 @@ echo "== exp_chaos --smoke (server-level chaos, reduced scale) =="
 echo "== exp_throughput --smoke (perf tripwire: batched must beat per-tuple) =="
 ./target/release/exp_throughput --smoke
 
-echo "== exp_scaling --smoke (perf tripwire: partitioned exchange vs sequential) =="
+echo "== exp_scaling --smoke (perf tripwire: P=4 > P=1 on >= 4 cores, else P=4 >= 0.4x P=1) =="
 ./target/release/exp_scaling --smoke
 
 echo "== exp_kernels --smoke (count tripwire: join hot path <= 3.0 allocs/tuple) =="

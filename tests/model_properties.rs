@@ -210,12 +210,12 @@ fn bitset_matches_hashset_model() {
     });
 }
 
-/// decode(encode(t)) == t for random tuples; decoding random bytes is
-/// total (errors, never panics).
+/// decode(encode(t)) == t for random tuples through the one tuple codec
+/// (wire, archive and checkpoint payloads); decoding random bytes is total
+/// (errors, never panics).
 #[test]
 fn codec_roundtrip_and_fuzz() {
-    use telegraphcq::common::{DataType, Field, Schema, Timestamp, Tuple};
-    use telegraphcq::storage::{decode_tuple, encode_tuple};
+    use telegraphcq::common::{CkptReader, CkptWriter, DataType, Field, Schema, Timestamp, Tuple};
     check(0xA7, 64, |rng| {
         let vals: Vec<Value> = (0..rng.gen_range(1usize..8))
             .map(|_| rand_value(rng))
@@ -230,12 +230,14 @@ fn codec_roundtrip_and_fuzz() {
         // is exactly what the codec relies on.
         let schema = Schema::new(fields).into_ref();
         let t = Tuple::new(schema.clone(), vals, Timestamp::logical(7)).unwrap();
-        let mut buf = Vec::new();
-        encode_tuple(&t, &mut buf);
-        let back = decode_tuple(&mut buf.as_slice(), &schema).unwrap();
-        assert_eq!(back, t);
+        let mut w = CkptWriter::new();
+        w.put_tuple(&t);
+        let buf = w.into_bytes();
+        let mut r = CkptReader::new(&buf);
+        assert_eq!(r.get_tuple(&schema).unwrap(), t);
+        assert!(r.is_empty());
         // Fuzz: arbitrary bytes must not panic.
-        let _ = decode_tuple(&mut noise.as_slice(), &schema);
+        let _ = CkptReader::new(&noise).get_tuple(&schema);
     });
 }
 
