@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use tcq_bench::{kv, kv_schema};
+use tcq_bench::{kv, kv_schema, route_one};
 use tcq_common::rng::seeded;
 use tcq_common::{BitSet, CmpOp, Expr, Value};
 use tcq_eddy::{
@@ -162,16 +162,16 @@ fn bench_stem_join() {
     group.bench_function("symmetric_hash_join_2k", |b| {
         b.iter(|| {
             let mut eddy = join_eddy(Box::new(FixedPolicy::new(vec![0, 1])));
-            let mut out = Vec::new();
+            let mut emitted = 0usize;
             for (i, (left, k)) in rows.iter().enumerate() {
                 let row = if *left {
                     kv(&s, *k, 0, i as i64)
                 } else {
                     kv(&t, *k, 0, i as i64)
                 };
-                eddy.process_into(row, &mut out).unwrap();
+                emitted += route_one(&mut eddy, row);
             }
-            out.len()
+            emitted
         })
     });
     group.finish();
@@ -211,7 +211,7 @@ fn bench_routing_policies() {
                 }
                 let mut emitted = 0usize;
                 for (i, v) in vals.iter().enumerate() {
-                    emitted += eddy.process(kv(&schema, 0, *v, i as i64)).unwrap().len();
+                    emitted += route_one(&mut eddy, kv(&schema, 0, *v, i as i64));
                 }
                 emitted
             })

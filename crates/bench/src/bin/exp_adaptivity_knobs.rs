@@ -14,7 +14,7 @@
 //! cargo run --release -p tcq-bench --bin exp_adaptivity_knobs
 //! ```
 
-use tcq_bench::{kv, kv_schema, timed, Table};
+use tcq_bench::{kv, kv_schema, route_one, timed, Table};
 use tcq_common::rng::seeded;
 use tcq_common::{CmpOp, Expr};
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
@@ -59,7 +59,7 @@ fn run(mut eddy: Eddy, phases: i64) -> (u64, u64, u64) {
             } else {
                 (rng.gen_range(0..100i64), rng.gen_range(0..25i64))
             };
-            eddy.process(kv(&schema, k, v, i)).unwrap();
+            route_one(&mut eddy, kv(&schema, k, v, i));
         }
     });
     let stats = eddy.stats();

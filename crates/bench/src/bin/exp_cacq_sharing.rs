@@ -12,7 +12,7 @@
 //! cargo run --release -p tcq-bench --bin exp_cacq_sharing
 //! ```
 
-use tcq_bench::{kv, kv_schema, timed, Table};
+use tcq_bench::{kv, kv_schema, route_one, timed, Table};
 use tcq_common::rng::seeded;
 use tcq_common::{BitSet, BoundExpr, CmpOp, Expr, Value};
 use tcq_stems::{GroupedFilter, QueryStem};
@@ -240,7 +240,7 @@ fn experiment_e3b() {
                     kv(&r, *k, *v, i as i64 + 1)
                 };
                 for e in &mut eddies {
-                    outs += e.process(row.clone()).unwrap().len();
+                    outs += route_one(e, row.clone());
                 }
             }
             outs

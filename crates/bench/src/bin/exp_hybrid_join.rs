@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use tcq_bench::{kv, kv_schema, timed, Table};
+use tcq_bench::{kv, kv_schema, route_one, timed, Table};
 use tcq_common::rng::seeded;
 use tcq_common::Tuple;
 use tcq_eddy::{Eddy, EddyConfig, FixedPolicy, GreedyPolicy, ModuleSpec, RoutingPolicy};
@@ -87,11 +87,11 @@ fn run(mut eddy: Eddy, feed_t: bool) -> (u64, u64) {
         let mut emitted = 0usize;
         if feed_t {
             for row in &t {
-                emitted += eddy.process(row.clone()).unwrap().len();
+                emitted += route_one(&mut eddy, row.clone());
             }
         }
         for row in &s {
-            emitted += eddy.process(row.clone()).unwrap().len();
+            emitted += route_one(&mut eddy, row.clone());
         }
         emitted
     });

@@ -104,29 +104,11 @@ pub struct EddyStats {
     pub decisions: u64,
 }
 
-/// Per-tuple routing state.
-struct InFlight {
-    tuple: Tuple,
-    sig: SourceSet,
-    /// Bit i set ⇔ module i visited.
-    done: u64,
-}
-
-/// A group of in-flight tuples sharing one lineage signature and one
-/// visit history, routed together: each module visit costs the group one
-/// routing decision, one timing probe, and one virtual dispatch (via
-/// [`EddyModule::process_batch`]) instead of one per tuple.
-struct BatchInFlight {
-    tuples: Vec<Tuple>,
-    sig: SourceSet,
-    /// Bit i set ⇔ module i visited (shared by the whole group).
-    done: u64,
-}
-
-/// One run of eddy output from [`Eddy::process_batch_columnar`]: either a
-/// batch that stayed columnar end-to-end, or rows materialized by a
-/// fallback. Runs arrive in exactly the order the row path would have
-/// emitted the same tuples.
+/// One run of eddy output from [`Eddy::process_batch`]: either a batch
+/// that stayed columnar through every visit, or rows (a module answered
+/// [`ColumnarVerdict::Fallback`] and changed the group, or the input run
+/// had no single columnar shape). Runs arrive in the order the eddy
+/// emitted them.
 pub enum Emitted {
     /// Row-materialized output (a module in the chain fell back).
     Rows(Vec<Tuple>),
@@ -148,27 +130,31 @@ impl Emitted {
         self.len() == 0
     }
 
-    /// Materialize this run's tuples, appending to `out`.
-    pub fn append_rows(self, out: &mut Vec<Tuple>) {
+    /// This run's tuples as rows.
+    pub fn into_rows(self) -> Vec<Tuple> {
         match self {
-            Emitted::Rows(mut v) => out.append(&mut v),
-            Emitted::Columns(b) => out.extend(b.to_tuples()),
+            Emitted::Rows(v) => v,
+            Emitted::Columns(b) => b.to_tuples(),
         }
     }
 }
 
-/// A dual-representation in-flight group: the row mirror, the columnar
-/// mirror, or both (ingress runs keep both so SteM builds can store row
-/// tuples while filters and probes stay vectorized). Invariant: when both
-/// are present they describe the same tuples in the same order.
-struct ColGroup {
+/// In-flight tuples sharing one lineage signature and one visit history,
+/// routed together: each module visit costs the group one routing
+/// decision, one timing probe and one virtual dispatch. A group holds the
+/// row mirror, the columnar mirror, or both (ingress runs keep both so
+/// SteM builds can store row tuples while filters and probes stay
+/// vectorized). Invariant: when both are present they describe the same
+/// tuples in the same order.
+struct Group {
     rows: Vec<Tuple>,
     cols: Option<ColumnBatch>,
     sig: SourceSet,
+    /// Bit i set ⇔ module i visited (shared by the whole group).
     done: u64,
 }
 
-impl ColGroup {
+impl Group {
     fn len(&self) -> usize {
         match &self.cols {
             Some(b) => b.len(),
@@ -185,6 +171,52 @@ impl ColGroup {
             }
         }
     }
+
+    /// Compact both mirrors by a per-tuple survival mask.
+    fn retain(&mut self, keep: &[bool]) {
+        if let Some(b) = &mut self.cols {
+            b.retain(keep);
+        }
+        if !self.rows.is_empty() {
+            let mut it = keep.iter();
+            self.rows.retain(|_| *it.next().unwrap());
+        }
+    }
+
+    /// Append a probe's columnar output, staying columnar while this
+    /// group is purely columnar over the same schema.
+    fn push_columns(&mut self, b: ColumnBatch) {
+        if self.len() == 0 {
+            self.cols = Some(b);
+            return;
+        }
+        match &mut self.cols {
+            Some(back) if self.rows.is_empty() && Arc::ptr_eq(back.schema(), b.schema()) => {
+                for row in 0..b.len() {
+                    back.push_row_from(&b, row);
+                }
+            }
+            _ => {
+                self.materialize_rows();
+                self.rows.extend(b.to_tuples());
+            }
+        }
+    }
+}
+
+/// The group that new `(sig, done)` tuples join: the last queued one when
+/// it has the same signature and visit history (outputs of one visit stay
+/// together), else a fresh empty group.
+fn tail_group(work: &mut VecDeque<Group>, sig: SourceSet, done: u64) -> &mut Group {
+    if !work.back().is_some_and(|g| g.sig == sig && g.done == done) {
+        work.push_back(Group {
+            rows: Vec::new(),
+            cols: None,
+            sig,
+            done,
+        });
+    }
+    work.back_mut().expect("a tail group was just ensured")
 }
 
 /// The adaptive tuple router for one continuous query (paper §2.2).
@@ -196,13 +228,14 @@ pub struct Eddy {
     rng: TcqRng,
     config: EddyConfig,
     footprint: SourceSet,
-    queue: VecDeque<InFlight>,
     eddy_stats: EddyStats,
     /// Batching state: per-signature recorded visit order + uses remaining.
     batch: HashMap<SourceSet, (Vec<usize>, usize)>,
     /// Scratch candidate buffer.
     candidates: Vec<usize>,
-    /// Scratch per-tuple results buffer for batched visits.
+    /// Work queue of the run being routed (empty between runs).
+    work: VecDeque<Group>,
+    /// Scratch per-tuple results buffer for row visits.
     routed_scratch: Vec<Routed>,
     /// Scratch per-row survival mask for columnar visits.
     keep_scratch: Vec<bool>,
@@ -226,10 +259,10 @@ impl Eddy {
             rng,
             config,
             footprint,
-            queue: VecDeque::new(),
             eddy_stats: EddyStats::default(),
             batch: HashMap::new(),
             candidates: Vec::new(),
+            work: VecDeque::new(),
             routed_scratch: Vec::new(),
             keep_scratch: Vec::new(),
         })
@@ -252,301 +285,139 @@ impl Eddy {
         self.sig_cache.bit_of(source)
     }
 
-    /// Route one base tuple to completion; returns everything emitted at
+    /// Route base tuples to completion, appending everything emitted at
     /// the eddy output (tuples spanning the full query footprint that have
-    /// visited every applicable module).
-    pub fn process(&mut self, tuple: Tuple) -> Result<Vec<Tuple>> {
-        let mut out = Vec::new();
-        self.process_into(tuple, &mut out)?;
-        Ok(out)
+    /// visited every applicable module) to `out`. This is the eddy's one
+    /// routing entry point; route a single tuple as `vec![t]`.
+    ///
+    /// **Run rule.** The input splits into maximal runs of one lineage
+    /// signature, and each run is routed — together with every tuple it
+    /// derives — to completion before the next run enters. A run's
+    /// descendants never probe its own source's SteM, so routing a run
+    /// whole gives the same results as routing its tuples one at a time,
+    /// and across runs the order is exactly the per-tuple order.
+    ///
+    /// Each run pays **one** routing decision, one timing probe and one
+    /// virtual dispatch per module visit. It is converted to a
+    /// [`ColumnBatch`] once, here at the ingress edge (prehashing the
+    /// join-key column when the applicable SteMs agree on one), and
+    /// modules with a columnar implementation process whole columns. A
+    /// [`ColumnarVerdict::Fallback`] runs that visit on rows; if the visit
+    /// passes every row untouched the columnar mirror stays alive,
+    /// otherwise the group continues row-shaped. The §4.3 batching counter
+    /// is charged per tuple, so `EddyConfig::batch_size` keeps governing
+    /// how long a recorded visit order stays frozen.
+    pub fn process_batch(&mut self, mut tuples: Vec<Tuple>, out: &mut Vec<Emitted>) -> Result<()> {
+        self.eddy_stats.tuples_in += tuples.len() as u64;
+        while let Some(first) = tuples.first() {
+            let sig = self.sig_cache.signature(first.schema())?;
+            let mut len = 1;
+            while len < tuples.len() && self.sig_cache.signature(tuples[len].schema())? == sig {
+                len += 1;
+            }
+            // The last (usually the only) run keeps the caller's buffer.
+            let run = if len == tuples.len() {
+                std::mem::take(&mut tuples)
+            } else {
+                tuples.drain(..len).collect()
+            };
+            self.route_run(run, sig, out)?;
+        }
+        Ok(())
     }
 
-    /// Like [`Eddy::process`] but appends into a caller buffer (hot path).
-    pub fn process_into(&mut self, tuple: Tuple, out: &mut Vec<Tuple>) -> Result<()> {
-        self.eddy_stats.tuples_in += 1;
-        let sig = self.sig_cache.signature(tuple.schema())?;
-        self.queue.push_back(InFlight {
-            tuple,
+    /// Route one ingress run and everything it derives to completion.
+    fn route_run(
+        &mut self,
+        rows: Vec<Tuple>,
+        sig: SourceSet,
+        out: &mut Vec<Emitted>,
+    ) -> Result<()> {
+        let cols = self.ingress_columns(&rows, sig);
+        let mut work = std::mem::take(&mut self.work);
+        work.push_back(Group {
+            rows,
+            cols,
             sig,
             done: 0,
         });
-        while let Some(inf) = self.queue.pop_front() {
-            self.route_to_completion(inf, out)?;
+        while let Some(group) = work.pop_front() {
+            self.route_group(group, &mut work, out)?;
         }
+        self.work = work;
         Ok(())
     }
 
-    fn route_to_completion(&mut self, mut inf: InFlight, out: &mut Vec<Tuple>) -> Result<()> {
-        // Batching: count tuples against the signature's recorded order;
-        // after batch_size tuples, expire it so the policy decides afresh.
+    /// Route one group until it is emitted, filtered away or consumed;
+    /// tuples it produces join `work` with its visit history.
+    fn route_group(
+        &mut self,
+        mut group: Group,
+        work: &mut VecDeque<Group>,
+        out: &mut Vec<Emitted>,
+    ) -> Result<()> {
+        // §4.3 batching: count tuples against the signature's recorded
+        // order; after batch_size tuples, expire it so the policy decides
+        // afresh.
         if self.config.batch_size > 1 {
-            let entry = self.batch.entry(inf.sig).or_insert((Vec::new(), 0));
-            entry.1 += 1;
+            let n = group.len();
+            let entry = self.batch.entry(group.sig).or_insert((Vec::new(), 0));
+            entry.1 += n;
             if entry.1 > self.config.batch_size {
                 entry.0.clear();
-                entry.1 = 1;
+                entry.1 = n;
             }
         }
         loop {
-            // Mandatory build-first visit, outside the policy's purview.
-            let next = if let Some(b) = self.pending_build(&inf) {
-                b
-            } else {
-                self.candidates.clear();
-                for (i, spec) in self.modules.iter().enumerate() {
-                    if inf.done & (1 << i) == 0 && spec.applies(inf.sig) {
-                        self.candidates.push(i);
-                    }
+            let Some(next) = self.next_visit(group.sig, group.done) else {
+                if group.sig == self.footprint {
+                    self.eddy_stats.emitted += group.len() as u64;
+                    out.push(match group.cols {
+                        Some(b) => Emitted::Columns(b),
+                        None => Emitted::Rows(group.rows),
+                    });
                 }
-                if self.candidates.is_empty() {
-                    if inf.sig == self.footprint {
-                        self.eddy_stats.emitted += 1;
-                        out.push(inf.tuple);
+                return Ok(());
+            };
+            group.done |= 1 << next;
+            let n = group.len();
+            let start = Instant::now();
+            let verdict = match &group.cols {
+                Some(batch) => {
+                    let rows = (!group.rows.is_empty()).then_some(group.rows.as_slice());
+                    self.keep_scratch.clear();
+                    self.modules[next].module.process_columnar(
+                        batch,
+                        rows,
+                        &mut self.keep_scratch,
+                    )?
+                }
+                None => ColumnarVerdict::Fallback,
+            };
+            match verdict {
+                ColumnarVerdict::KeepAll => {
+                    self.record_visit(next, start, (0..n).map(|_| (true, 0)));
+                }
+                ColumnarVerdict::Filtered => {
+                    let keep = std::mem::take(&mut self.keep_scratch);
+                    self.record_visit(next, start, keep.iter().map(|&k| (k, 0)));
+                    group.retain(&keep);
+                    self.keep_scratch = keep;
+                }
+                ColumnarVerdict::Consumed(batch) => {
+                    // The batch folds per-row fanout into one result;
+                    // spread it evenly over the observations — the same
+                    // totals as the row arm's exact per-tuple counts.
+                    let (base, rem) = (batch.len() / n, batch.len() % n);
+                    let spread = (0..n).map(|i| (false, base + usize::from(i < rem)));
+                    self.record_visit(next, start, spread);
+                    if !batch.is_empty() {
+                        let sig = self.sig_cache.signature(batch.schema())?;
+                        tail_group(work, sig, group.done).push_columns(batch);
                     }
                     return Ok(());
                 }
-                self.choose(inf.sig)?
-            };
-
-            let start = Instant::now();
-            let routed = self.modules[next].module.process(&inf.tuple)?;
-            let nanos = start.elapsed().as_nanos() as u64;
-            inf.done |= 1 << next;
-            self.eddy_stats.visits += 1;
-
-            let st = &mut self.stats[next];
-            st.routed += 1;
-            st.nanos += nanos;
-            if routed.keep {
-                st.kept += 1;
-            }
-            st.produced += routed.outputs.len() as u64;
-            self.policy.observe(ModuleObservation {
-                module: next,
-                kept: routed.keep,
-                produced: routed.outputs.len(),
-                nanos,
-            });
-
-            for o in routed.outputs {
-                let osig = self.sig_cache.signature(o.schema())?;
-                self.queue.push_back(InFlight {
-                    tuple: o,
-                    sig: osig,
-                    done: inf.done,
-                });
-            }
-            if !routed.keep {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Route a batch of base tuples to completion, appending emissions to
-    /// `out`. Semantically equivalent to calling [`Eddy::process_into`]
-    /// once per tuple in order — modules are commutative, so the emitted
-    /// multiset is identical — but amortized end-to-end: tuples are
-    /// grouped into consecutive runs of one lineage signature, and each
-    /// (signature, batch) group pays **one** routing decision, one timing
-    /// probe, and one virtual dispatch per module visit, via
-    /// [`EddyModule::process_batch`]. The §4.3 batching counter is still
-    /// charged per tuple, so `EddyConfig::batch_size` keeps governing how
-    /// long a recorded visit order stays frozen across drains.
-    pub fn process_batch(&mut self, tuples: Vec<Tuple>, out: &mut Vec<Tuple>) -> Result<()> {
-        if tuples.is_empty() {
-            return Ok(());
-        }
-        self.eddy_stats.tuples_in += tuples.len() as u64;
-        let mut work: VecDeque<BatchInFlight> = VecDeque::new();
-        for t in tuples {
-            let sig = self.sig_cache.signature(t.schema())?;
-            match work.back_mut() {
-                Some(g) if g.sig == sig => g.tuples.push(t),
-                _ => work.push_back(BatchInFlight {
-                    tuples: vec![t],
-                    sig,
-                    done: 0,
-                }),
-            }
-        }
-        while let Some(mut group) = work.pop_front() {
-            // Charge the batching counter once per tuple entering routing,
-            // expiring the recorded order after batch_size tuples — the
-            // same accounting as the per-tuple path.
-            if self.config.batch_size > 1 {
-                let entry = self.batch.entry(group.sig).or_insert((Vec::new(), 0));
-                entry.1 += group.tuples.len();
-                if entry.1 > self.config.batch_size {
-                    entry.0.clear();
-                    entry.1 = group.tuples.len();
-                }
-            }
-            loop {
-                let next = if let Some(b) = self.pending_build_for(group.sig, group.done) {
-                    b
-                } else {
-                    self.candidates.clear();
-                    for (i, spec) in self.modules.iter().enumerate() {
-                        if group.done & (1 << i) == 0 && spec.applies(group.sig) {
-                            self.candidates.push(i);
-                        }
-                    }
-                    if self.candidates.is_empty() {
-                        if group.sig == self.footprint {
-                            self.eddy_stats.emitted += group.tuples.len() as u64;
-                            out.append(&mut group.tuples);
-                        }
-                        break;
-                    }
-                    self.choose(group.sig)?
-                };
-
-                let start = Instant::now();
-                let mut routed = std::mem::take(&mut self.routed_scratch);
-                self.modules[next]
-                    .module
-                    .process_batch(&group.tuples, &mut routed)?;
-                let nanos = start.elapsed().as_nanos() as u64;
-                group.done |= 1 << next;
-                let n = group.tuples.len() as u64;
-                self.eddy_stats.visits += n;
-                let per_tuple_nanos = nanos / n;
-
-                let st = &mut self.stats[next];
-                st.routed += n;
-                st.nanos += nanos;
-                for r in &routed {
-                    if r.keep {
-                        st.kept += 1;
-                    }
-                    st.produced += r.outputs.len() as u64;
-                }
-                for r in &routed {
-                    self.policy.observe(ModuleObservation {
-                        module: next,
-                        kept: r.keep,
-                        produced: r.outputs.len(),
-                        nanos: per_tuple_nanos,
-                    });
-                }
-
-                // Partition: survivors stay grouped; outputs regroup by
-                // their own signature, inheriting the visit history.
-                let visited = std::mem::take(&mut group.tuples);
-                for (t, r) in visited.into_iter().zip(routed.iter_mut()) {
-                    if r.keep {
-                        group.tuples.push(t);
-                    }
-                    for o in std::mem::take(&mut r.outputs) {
-                        let osig = self.sig_cache.signature(o.schema())?;
-                        match work.back_mut() {
-                            Some(g) if g.sig == osig && g.done == group.done => g.tuples.push(o),
-                            _ => work.push_back(BatchInFlight {
-                                tuples: vec![o],
-                                sig: osig,
-                                done: group.done,
-                            }),
-                        }
-                    }
-                }
-                routed.clear();
-                self.routed_scratch = routed;
-                if group.tuples.is_empty() {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Route a batch of base tuples to completion through the columnar
-    /// hot path, appending emitted runs to `out`. Semantically equivalent
-    /// to [`Eddy::process_batch`] over the same tuples — identical
-    /// grouping, batching accounting, and emitted tuples in the same
-    /// order — but each signature run is converted to a [`ColumnBatch`]
-    /// **once at the ingress edge** (prehashing the join-key column when
-    /// the applicable SteMs agree on one) and modules with a columnar
-    /// implementation process whole columns instead of rows. A
-    /// [`ColumnarVerdict::Fallback`] runs the visit on the row path; if
-    /// that visit passes every row untouched the columnar mirror stays
-    /// alive for the rest of the chain, otherwise the run continues
-    /// row-shaped.
-    pub fn process_batch_columnar(
-        &mut self,
-        tuples: Vec<Tuple>,
-        out: &mut Vec<Emitted>,
-    ) -> Result<()> {
-        if tuples.is_empty() {
-            return Ok(());
-        }
-        self.eddy_stats.tuples_in += tuples.len() as u64;
-        let mut work: VecDeque<ColGroup> = VecDeque::new();
-        for t in tuples {
-            let sig = self.sig_cache.signature(t.schema())?;
-            match work.back_mut() {
-                Some(g) if g.sig == sig => g.rows.push(t),
-                _ => work.push_back(ColGroup {
-                    rows: vec![t],
-                    cols: None,
-                    sig,
-                    done: 0,
-                }),
-            }
-        }
-        // Ingress edge: one row→columnar conversion per run.
-        for g in work.iter_mut() {
-            self.attach_columns(g);
-        }
-        while let Some(mut group) = work.pop_front() {
-            if self.config.batch_size > 1 {
-                let entry = self.batch.entry(group.sig).or_insert((Vec::new(), 0));
-                entry.1 += group.len();
-                if entry.1 > self.config.batch_size {
-                    entry.0.clear();
-                    entry.1 = group.len();
-                }
-            }
-            loop {
-                let next = if let Some(b) = self.pending_build_for(group.sig, group.done) {
-                    b
-                } else {
-                    self.candidates.clear();
-                    for (i, spec) in self.modules.iter().enumerate() {
-                        if group.done & (1 << i) == 0 && spec.applies(group.sig) {
-                            self.candidates.push(i);
-                        }
-                    }
-                    if self.candidates.is_empty() {
-                        if group.sig == self.footprint {
-                            self.eddy_stats.emitted += group.len() as u64;
-                            out.push(match group.cols.take() {
-                                Some(b) => Emitted::Columns(b),
-                                None => Emitted::Rows(std::mem::take(&mut group.rows)),
-                            });
-                        }
-                        break;
-                    }
-                    self.choose(group.sig)?
-                };
-
-                let n = group.len() as u64;
-                let start = Instant::now();
-                let verdict = match &group.cols {
-                    Some(batch) => {
-                        let rows = (!group.rows.is_empty()).then_some(group.rows.as_slice());
-                        self.keep_scratch.clear();
-                        self.modules[next].module.process_columnar(
-                            batch,
-                            rows,
-                            &mut self.keep_scratch,
-                        )?
-                    }
-                    None => ColumnarVerdict::Fallback,
-                };
-
-                if matches!(verdict, ColumnarVerdict::Fallback) {
-                    // Row path for this visit — the same accounting and
-                    // regrouping as `process_batch`, plus mirror upkeep.
+                ColumnarVerdict::Fallback => {
                     if group.rows.is_empty() {
                         if let Some(b) = &group.cols {
                             group.rows = b.to_tuples();
@@ -556,213 +427,119 @@ impl Eddy {
                     self.modules[next]
                         .module
                         .process_batch(&group.rows, &mut routed)?;
-                    let nanos = start.elapsed().as_nanos() as u64;
-                    group.done |= 1 << next;
-                    self.eddy_stats.visits += n;
-                    let per_tuple_nanos = nanos / n;
-                    let st = &mut self.stats[next];
-                    st.routed += n;
-                    st.nanos += nanos;
-                    for r in &routed {
-                        if r.keep {
-                            st.kept += 1;
-                        }
-                        st.produced += r.outputs.len() as u64;
-                    }
-                    for r in &routed {
-                        self.policy.observe(ModuleObservation {
-                            module: next,
-                            kept: r.keep,
-                            produced: r.outputs.len(),
-                            nanos: per_tuple_nanos,
-                        });
-                    }
-                    let untouched = routed.iter().all(|r| r.keep && r.outputs.is_empty());
-                    if untouched {
-                        // Pass-through visit: both mirrors stay valid.
-                        routed.clear();
-                        self.routed_scratch = routed;
-                        continue;
-                    }
-                    group.cols = None;
-                    let visited = std::mem::take(&mut group.rows);
-                    for (t, r) in visited.into_iter().zip(routed.iter_mut()) {
-                        if r.keep {
-                            group.rows.push(t);
-                        }
-                        for o in std::mem::take(&mut r.outputs) {
-                            let osig = self.sig_cache.signature(o.schema())?;
-                            match work.back_mut() {
-                                Some(g) if g.sig == osig && g.done == group.done => {
-                                    g.materialize_rows();
-                                    g.rows.push(o);
-                                }
-                                _ => work.push_back(ColGroup {
-                                    rows: vec![o],
-                                    cols: None,
-                                    sig: osig,
-                                    done: group.done,
-                                }),
+                    self.record_visit(
+                        next,
+                        start,
+                        routed.iter().map(|r| (r.keep, r.outputs.len())),
+                    );
+                    // A pass-through visit leaves both mirrors valid.
+                    // Otherwise survivors stay grouped, row-shaped, and
+                    // outputs regroup by their own signature.
+                    if !routed.iter().all(|r| r.keep && r.outputs.is_empty()) {
+                        group.cols = None;
+                        let visited = std::mem::take(&mut group.rows);
+                        for (t, r) in visited.into_iter().zip(routed.iter_mut()) {
+                            if r.keep {
+                                group.rows.push(t);
+                            }
+                            for o in std::mem::take(&mut r.outputs) {
+                                let sig = self.sig_cache.signature(o.schema())?;
+                                let tail = tail_group(work, sig, group.done);
+                                tail.materialize_rows();
+                                tail.rows.push(o);
                             }
                         }
                     }
                     routed.clear();
                     self.routed_scratch = routed;
-                    if group.rows.is_empty() {
-                        break;
-                    }
-                    continue;
-                }
-
-                let nanos = start.elapsed().as_nanos() as u64;
-                group.done |= 1 << next;
-                self.eddy_stats.visits += n;
-                let per_tuple_nanos = nanos / n;
-                let st = &mut self.stats[next];
-                st.routed += n;
-                st.nanos += nanos;
-                match verdict {
-                    ColumnarVerdict::KeepAll => {
-                        st.kept += n;
-                        for _ in 0..n {
-                            self.policy.observe(ModuleObservation {
-                                module: next,
-                                kept: true,
-                                produced: 0,
-                                nanos: per_tuple_nanos,
-                            });
-                        }
-                    }
-                    ColumnarVerdict::Filtered => {
-                        let keep = std::mem::take(&mut self.keep_scratch);
-                        st.kept += keep.iter().filter(|&&k| k).count() as u64;
-                        for &k in &keep {
-                            self.policy.observe(ModuleObservation {
-                                module: next,
-                                kept: k,
-                                produced: 0,
-                                nanos: per_tuple_nanos,
-                            });
-                        }
-                        if let Some(b) = &mut group.cols {
-                            b.retain(&keep);
-                        }
-                        if !group.rows.is_empty() {
-                            let mut it = keep.iter();
-                            group.rows.retain(|_| *it.next().unwrap());
-                        }
-                        self.keep_scratch = keep;
-                        if group.len() == 0 {
-                            break;
-                        }
-                    }
-                    ColumnarVerdict::Consumed(outb) => {
-                        let total = outb.len() as u64;
-                        st.produced += total;
-                        // The batch folds per-row fanout into one result;
-                        // spread it evenly over the observations — same
-                        // totals as the row path's exact per-tuple counts,
-                        // so selectivity estimates agree.
-                        let base = total / n;
-                        let rem = (total % n) as usize;
-                        for i in 0..n as usize {
-                            self.policy.observe(ModuleObservation {
-                                module: next,
-                                kept: false,
-                                produced: (base + u64::from(i < rem)) as usize,
-                                nanos: per_tuple_nanos,
-                            });
-                        }
-                        if !outb.is_empty() {
-                            let osig = self.sig_cache.signature(outb.schema())?;
-                            match work.back_mut() {
-                                Some(g) if g.sig == osig && g.done == group.done => {
-                                    match &mut g.cols {
-                                        Some(back)
-                                            if g.rows.is_empty()
-                                                && Arc::ptr_eq(back.schema(), outb.schema()) =>
-                                        {
-                                            for row in 0..outb.len() {
-                                                back.push_row_from(&outb, row);
-                                            }
-                                        }
-                                        _ => {
-                                            g.materialize_rows();
-                                            g.rows.extend(outb.to_tuples());
-                                        }
-                                    }
-                                }
-                                _ => work.push_back(ColGroup {
-                                    rows: Vec::new(),
-                                    cols: Some(outb),
-                                    sig: osig,
-                                    done: group.done,
-                                }),
-                            }
-                        }
-                        // The whole group was consumed by the probe.
-                        break;
-                    }
-                    ColumnarVerdict::Fallback => unreachable!("handled above"),
                 }
             }
+            if group.len() == 0 {
+                return Ok(());
+            }
         }
-        Ok(())
     }
 
-    /// Build the columnar mirror for an ingress run: one conversion per
-    /// run, prehashing the key column every applicable SteM agrees on so
+    /// Charge one module visit by a group: the module's stats, the eddy's
+    /// visit count, and one policy observation per tuple, given as
+    /// `(kept, produced)`. Every verdict arm reports here, so routing
+    /// feedback is written in exactly one place.
+    fn record_visit(
+        &mut self,
+        module: usize,
+        start: Instant,
+        per_tuple: impl ExactSizeIterator<Item = (bool, usize)>,
+    ) {
+        let nanos = start.elapsed().as_nanos() as u64;
+        let n = per_tuple.len() as u64;
+        self.eddy_stats.visits += n;
+        let st = &mut self.stats[module];
+        st.routed += n;
+        st.nanos += nanos;
+        for (kept, produced) in per_tuple {
+            st.kept += u64::from(kept);
+            st.produced += produced as u64;
+            self.policy.observe(ModuleObservation {
+                module,
+                kept,
+                produced,
+                nanos: nanos / n.max(1),
+            });
+        }
+    }
+
+    /// The columnar mirror for an ingress run: one conversion per run,
+    /// prehashing the key column every applicable SteM agrees on so
     /// builds and probes alike find their key hashes memoized (each key
     /// hashed exactly once per tuple, at the edge).
-    fn attach_columns(&mut self, g: &mut ColGroup) {
-        let Some(first) = g.rows.first() else {
-            return;
-        };
-        let schema = first.schema().clone();
-        if g.rows.iter().any(|t| !Arc::ptr_eq(t.schema(), &schema)) {
+    fn ingress_columns(&mut self, rows: &[Tuple], sig: SourceSet) -> Option<ColumnBatch> {
+        let schema = rows.first()?.schema().clone();
+        if rows.iter().any(|t| !Arc::ptr_eq(t.schema(), &schema)) {
             // A mixed-schema run (same signature, different column order)
             // has no single columnar shape: stay row-shaped.
-            return;
+            return None;
         }
-        let mut hint = None;
-        let mut conflict = false;
-        for spec in self.modules.iter_mut() {
-            if !spec.applies(g.sig) {
-                continue;
-            }
-            if let Some(col) = spec.module.key_column_hint(&schema) {
-                match hint {
-                    None => hint = Some(col),
-                    Some(h) if h == col => {}
-                    Some(_) => conflict = true,
-                }
-            }
-        }
-        let key_col = if conflict { None } else { hint };
-        g.cols = Some(ColumnBatch::from_tuples(schema, &g.rows, key_col));
+        let mut hints = self
+            .modules
+            .iter_mut()
+            .filter(|spec| spec.applies(sig))
+            .filter_map(|spec| spec.module.key_column_hint(&schema));
+        let key_col = hints.next().filter(|&h| hints.all(|col| col == h));
+        Some(ColumnBatch::from_tuples(schema, rows, key_col))
     }
 
-    fn pending_build(&self, inf: &InFlight) -> Option<usize> {
-        self.pending_build_for(inf.sig, inf.done)
-    }
-
-    fn pending_build_for(&self, sig: SourceSet, done: u64) -> Option<usize> {
-        self.modules
-            .iter()
-            .enumerate()
-            .find(|(i, m)| m.is_build_for(sig) && done & (1 << i) == 0)
-            .map(|(i, _)| i)
+    /// The next module for a group of signature `sig` that has visited
+    /// `done`: its pending SteM build (mandatory and first, outside the
+    /// policy's purview), else one routing decision among the unvisited
+    /// applicable modules; `None` once routing is complete.
+    fn next_visit(&mut self, sig: SourceSet, done: u64) -> Option<usize> {
+        let unvisited = |i: usize| done & (1 << i) == 0;
+        if let Some(b) =
+            (0..self.modules.len()).find(|&i| unvisited(i) && self.modules[i].is_build_for(sig))
+        {
+            return Some(b);
+        }
+        self.candidates.clear();
+        for (i, spec) in self.modules.iter().enumerate() {
+            if unvisited(i) && spec.applies(sig) {
+                self.candidates.push(i);
+            }
+        }
+        if self.candidates.is_empty() {
+            return None;
+        }
+        Some(self.choose(sig))
     }
 
     /// One routing decision, honouring the batching knob: within a batch,
     /// the order recorded for the batch's first tuple is replayed; only
     /// when the recording has no applicable module is the policy consulted
     /// (extending the recording).
-    fn choose(&mut self, sig: SourceSet) -> Result<usize> {
+    fn choose(&mut self, sig: SourceSet) -> usize {
         if self.config.batch_size > 1 {
             if let Some((order, _)) = self.batch.get(&sig) {
                 if let Some(&m) = order.iter().find(|&&m| self.candidates.contains(&m)) {
-                    return Ok(m);
+                    return m;
                 }
             }
         }
@@ -776,7 +553,7 @@ impl Eddy {
                 entry.0.push(m);
             }
         }
-        Ok(m)
+        m
     }
 
     /// Window maintenance: evict state older than `seq` in every module.
@@ -885,6 +662,13 @@ mod tests {
             .unwrap()
     }
 
+    /// Route one tuple; the rows it emits.
+    fn route(eddy: &mut Eddy, tuple: Tuple) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        eddy.process_batch(vec![tuple], &mut out).unwrap();
+        out.into_iter().flat_map(Emitted::into_rows).collect()
+    }
+
     fn filter_eddy(policy: Box<dyn RoutingPolicy>) -> (Eddy, SchemaRef) {
         let schema = s_schema("S");
         let mut eddy = Eddy::new(&["S"], policy, EddyConfig::default()).unwrap();
@@ -920,7 +704,7 @@ mod tests {
             let (mut eddy, schema) = filter_eddy(policy);
             let mut emitted = Vec::new();
             for x in 0..100 {
-                emitted.extend(eddy.process(row(&schema, x, x, x)).unwrap());
+                emitted.extend(route(&mut eddy, row(&schema, x, x, x)));
             }
             let xs: Vec<i64> = emitted
                 .iter()
@@ -942,7 +726,7 @@ mod tests {
         let (mut eddy, schema) = filter_eddy(Box::new(LotteryPolicy::new().with_explore(0.02)));
         for i in 0..20_000i64 {
             let x = i % 100;
-            eddy.process(row(&schema, x, x, i)).unwrap();
+            route(&mut eddy, row(&schema, x, x, i));
         }
         let st = eddy.module_stats();
         // If routed first always: f1.routed = 20k, f2.routed ≈ 10k.
@@ -990,11 +774,11 @@ mod tests {
             if rng.gen_bool(0.5) {
                 let r = row(&s, k, x, i);
                 s_rows.push(r.clone());
-                emitted.extend(eddy.process(r).unwrap());
+                emitted.extend(route(&mut eddy, r));
             } else {
                 let r = row(&t, k, x, i);
                 t_rows.push(r.clone());
-                emitted.extend(eddy.process(r).unwrap());
+                emitted.extend(route(&mut eddy, r));
             }
         }
         // Reference: nested loop join with filter.
@@ -1015,52 +799,6 @@ mod tests {
             );
             assert!(e.get(Some("S"), "x").unwrap().as_int().unwrap() > 5);
         }
-    }
-
-    #[test]
-    fn three_way_star_join_on_common_key() {
-        let r = s_schema("R");
-        let s = s_schema("S");
-        let t = s_schema("T");
-        let mut eddy = Eddy::new(
-            &["R", "S", "T"],
-            Box::new(FixedPolicy::new(vec![0, 1, 2])),
-            EddyConfig::default(),
-        )
-        .unwrap();
-        let rb = eddy.source_bit("R").unwrap();
-        let sb = eddy.source_bit("S").unwrap();
-        let tb = eddy.source_bit("T").unwrap();
-        for (schema, q, stores, probed, others) in [
-            (&r, "R", rb, sb | tb, ["S", "T"]),
-            (&s, "S", sb, rb | tb, ["R", "T"]),
-            (&t, "T", tb, rb | sb, ["R", "S"]),
-        ] {
-            let op = tcq_operators::StemOp::new(
-                format!("SteM({q})"),
-                (*schema).clone(),
-                q,
-                0,
-                (Some(others[0].to_string()), "k".to_string()),
-                tcq_stems::IndexKind::Hash,
-            )
-            .unwrap()
-            .with_extra_probe_key((Some(others[1].to_string()), "k".to_string()));
-            eddy.add_module(ModuleSpec::stem(Box::new(op), stores, probed))
-                .unwrap();
-        }
-        let mut emitted = Vec::new();
-        // keys: R{1,2}, S{1,2}, T{1}: expect RST matches only for k=1
-        emitted.extend(eddy.process(row(&r, 1, 0, 1)).unwrap());
-        emitted.extend(eddy.process(row(&r, 2, 0, 2)).unwrap());
-        emitted.extend(eddy.process(row(&s, 1, 0, 3)).unwrap());
-        emitted.extend(eddy.process(row(&s, 2, 0, 4)).unwrap());
-        emitted.extend(eddy.process(row(&t, 1, 0, 5)).unwrap());
-        assert_eq!(emitted.len(), 1);
-        assert_eq!(emitted[0].arity(), 6);
-        // Another round: second T row with k=1 joins with R1 and S1 -> 1 more
-        emitted.extend(eddy.process(row(&t, 1, 9, 6)).unwrap());
-        assert_eq!(emitted.len(), 2);
     }
 
     #[test]
@@ -1091,7 +829,7 @@ mod tests {
                 (eddy, schema)
             };
             for i in 0..5_000i64 {
-                eddy.process(row(&schema, i, i % 100, i)).unwrap();
+                route(&mut eddy, row(&schema, i, i % 100, i));
             }
             eddy.stats()
         };
@@ -1108,186 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn process_batch_matches_per_tuple_join_results() {
-        // The same mixed S/T workload routed per-tuple and in drained
-        // batches must join to the same multiset of outputs, and the
-        // batched run must need far fewer routing decisions.
-        let build = |batch_size: usize| {
-            let s = s_schema("S");
-            let t = s_schema("T");
-            let mut eddy = Eddy::new(
-                &["S", "T"],
-                Box::new(LotteryPolicy::new()),
-                EddyConfig {
-                    batch_size,
-                    seed: 7,
-                },
-            )
-            .unwrap();
-            let (sb, tb) = (eddy.source_bit("S").unwrap(), eddy.source_bit("T").unwrap());
-            let (stem_s, stem_t) = symmetric_hash_join(&s, "S", "k", &t, "T", "k").unwrap();
-            eddy.add_module(ModuleSpec::stem(Box::new(stem_s), sb, tb))
-                .unwrap();
-            eddy.add_module(ModuleSpec::stem(Box::new(stem_t), tb, sb))
-                .unwrap();
-            let f = SelectOp::new(
-                "S.x>5",
-                &Expr::qcol("S", "x").cmp(CmpOp::Gt, Expr::lit(5i64)),
-                &s,
-            )
-            .unwrap();
-            eddy.add_module(ModuleSpec::filter(Box::new(f), sb))
-                .unwrap();
-            (eddy, s, t)
-        };
-        let workload = |s: &SchemaRef, t: &SchemaRef| {
-            let mut rng = tcq_common::rng::seeded(123);
-            (0..600i64)
-                .map(|i| {
-                    let k = rng.gen_range(0..20i64);
-                    let x = rng.gen_range(0..10i64);
-                    if rng.gen_bool(0.5) {
-                        row(s, k, x, i)
-                    } else {
-                        row(t, k, x, i)
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let key = |t: &Tuple| {
-            (
-                t.get(Some("S"), "k").unwrap().as_int().unwrap(),
-                t.get(Some("S"), "x").unwrap().as_int().unwrap(),
-                t.get(Some("T"), "x").unwrap().as_int().unwrap(),
-                t.timestamp().seq(),
-            )
-        };
-
-        // Equivalence must hold whether or not the §4.3 recording knob is
-        // engaged; decision amortization is judged at batch_size = 1,
-        // where the per-tuple path pays one decision per tuple-visit but
-        // the batched path pays one per group-visit.
-        for batch_size in [1usize, 64] {
-            let (mut per, s, t) = build(batch_size);
-            let mut per_out = Vec::new();
-            for tu in workload(&s, &t) {
-                per.process_into(tu, &mut per_out).unwrap();
-            }
-
-            let (mut bat, s, t) = build(batch_size);
-            let mut bat_out = Vec::new();
-            for chunk in workload(&s, &t).chunks(64) {
-                bat.process_batch(chunk.to_vec(), &mut bat_out).unwrap();
-            }
-
-            let mut a: Vec<_> = per_out.iter().map(key).collect();
-            let mut b: Vec<_> = bat_out.iter().map(key).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "batched join diverged (batch_size={batch_size})");
-            assert_eq!(per.stats().tuples_in, bat.stats().tuples_in);
-            assert_eq!(per.stats().emitted, bat.stats().emitted);
-            if batch_size == 1 {
-                assert!(
-                    bat.stats().decisions * 4 < per.stats().decisions,
-                    "batched drains should slash decisions: {} vs {}",
-                    bat.stats().decisions,
-                    per.stats().decisions
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn process_batch_columnar_matches_row_batches() {
-        // Same workload as the row-batch differential: the columnar path
-        // must emit the same multiset and keep identical eddy counters,
-        // and the join hot path must actually stay columnar.
-        let build = |batch_size: usize| {
-            let s = s_schema("S");
-            let t = s_schema("T");
-            let mut eddy = Eddy::new(
-                &["S", "T"],
-                Box::new(LotteryPolicy::new()),
-                EddyConfig {
-                    batch_size,
-                    seed: 7,
-                },
-            )
-            .unwrap();
-            let (sb, tb) = (eddy.source_bit("S").unwrap(), eddy.source_bit("T").unwrap());
-            let (stem_s, stem_t) = symmetric_hash_join(&s, "S", "k", &t, "T", "k").unwrap();
-            eddy.add_module(ModuleSpec::stem(Box::new(stem_s), sb, tb))
-                .unwrap();
-            eddy.add_module(ModuleSpec::stem(Box::new(stem_t), tb, sb))
-                .unwrap();
-            let f = SelectOp::new(
-                "S.x>5",
-                &Expr::qcol("S", "x").cmp(CmpOp::Gt, Expr::lit(5i64)),
-                &s,
-            )
-            .unwrap();
-            eddy.add_module(ModuleSpec::filter(Box::new(f), sb))
-                .unwrap();
-            (eddy, s, t)
-        };
-        let workload = |s: &SchemaRef, t: &SchemaRef| {
-            let mut rng = tcq_common::rng::seeded(123);
-            (0..600i64)
-                .map(|i| {
-                    let k = rng.gen_range(0..20i64);
-                    let x = rng.gen_range(0..10i64);
-                    if rng.gen_bool(0.5) {
-                        row(s, k, x, i)
-                    } else {
-                        row(t, k, x, i)
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let key = |t: &Tuple| {
-            (
-                t.get(Some("S"), "k").unwrap().as_int().unwrap(),
-                t.get(Some("S"), "x").unwrap().as_int().unwrap(),
-                t.get(Some("T"), "x").unwrap().as_int().unwrap(),
-                t.timestamp().seq(),
-            )
-        };
-        for batch_size in [1usize, 64] {
-            let (mut rows, s, t) = build(batch_size);
-            let mut row_out = Vec::new();
-            for chunk in workload(&s, &t).chunks(64) {
-                rows.process_batch(chunk.to_vec(), &mut row_out).unwrap();
-            }
-
-            let (mut cols, s, t) = build(batch_size);
-            let mut runs: Vec<Emitted> = Vec::new();
-            for chunk in workload(&s, &t).chunks(64) {
-                cols.process_batch_columnar(chunk.to_vec(), &mut runs)
-                    .unwrap();
-            }
-            assert!(
-                runs.iter()
-                    .any(|r| matches!(r, Emitted::Columns(b) if !b.is_empty())),
-                "join hot path should stay columnar end-to-end"
-            );
-            let mut col_out = Vec::new();
-            for r in runs {
-                r.append_rows(&mut col_out);
-            }
-
-            let mut a: Vec<_> = row_out.iter().map(key).collect();
-            let mut b: Vec<_> = col_out.iter().map(key).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "columnar join diverged (batch_size={batch_size})");
-            assert_eq!(rows.stats().tuples_in, cols.stats().tuples_in);
-            assert_eq!(rows.stats().emitted, cols.stats().emitted);
-            assert_eq!(rows.stats().visits, cols.stats().visits);
-        }
-    }
-
-    #[test]
     fn base_tuples_never_emitted_for_join_footprint() {
         let s = s_schema("S");
         let t = s_schema("T");
@@ -1300,8 +858,8 @@ mod tests {
         eddy.add_module(ModuleSpec::stem(Box::new(stem_t), tb, sb))
             .unwrap();
         // No matching partner: nothing emitted, though tuples completed.
-        assert!(eddy.process(row(&s, 1, 0, 1)).unwrap().is_empty());
-        assert!(eddy.process(row(&t, 2, 0, 2)).unwrap().is_empty());
+        assert!(route(&mut eddy, row(&s, 1, 0, 1)).is_empty());
+        assert!(route(&mut eddy, row(&t, 2, 0, 2)).is_empty());
         assert_eq!(eddy.stats().emitted, 0);
         assert_eq!(eddy.stats().tuples_in, 2);
     }
@@ -1327,7 +885,7 @@ mod tests {
         };
         let mut live = build();
         for i in 0..10 {
-            live.process(row(&s, i % 3, i, i)).unwrap();
+            route(&mut live, row(&s, i % 3, i, i));
         }
         assert!(live.dirty_len() > 0);
         let mut delta = Vec::new();
@@ -1341,8 +899,8 @@ mod tests {
         }
         assert_eq!(restored.state_size(), live.state_size());
         for k in 0..3 {
-            let a = live.process(row(&t, k, 0, 20 + k)).unwrap();
-            let b = restored.process(row(&t, k, 0, 20 + k)).unwrap();
+            let a = route(&mut live, row(&t, k, 0, 20 + k));
+            let b = route(&mut restored, row(&t, k, 0, 20 + k));
             assert_eq!(a.len(), b.len(), "restored join diverged at k={k}");
         }
         // Fragments aimed at a module the eddy lacks are loud errors.
@@ -1362,13 +920,13 @@ mod tests {
         eddy.add_module(ModuleSpec::stem(Box::new(stem_t), tb, sb))
             .unwrap();
         for i in 0..10 {
-            eddy.process(row(&s, i, 0, i)).unwrap();
+            route(&mut eddy, row(&s, i, 0, i));
         }
         assert_eq!(eddy.state_size(), 10);
         eddy.evict_before_seq(5);
         assert_eq!(eddy.state_size(), 5);
         // A T tuple joining key 3 finds nothing (evicted), key 7 matches.
-        assert!(eddy.process(row(&t, 3, 0, 11)).unwrap().is_empty());
-        assert_eq!(eddy.process(row(&t, 7, 0, 12)).unwrap().len(), 1);
+        assert!(route(&mut eddy, row(&t, 3, 0, 11)).is_empty());
+        assert_eq!(route(&mut eddy, row(&t, 7, 0, 12)).len(), 1);
     }
 }

@@ -9,9 +9,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`Eddy`] — the single-query eddy: commutative modules, per-tuple
-//!   lineage (done bits), pluggable [`RoutingPolicy`], and the §4.3
-//!   "adapting adaptivity" knobs (decision batching).
+//! * [`Eddy`] — the single-query eddy: commutative modules, lineage
+//!   (done bits), pluggable [`RoutingPolicy`], and the §4.3 "adapting
+//!   adaptivity" knobs (decision batching). [`Eddy::process_batch`] is its
+//!   one routing loop, columnar where modules allow and row-shaped where
+//!   one falls back.
 //! * Routing policies — [`FixedPolicy`] (a static plan, the baseline),
 //!   [`RandomPolicy`], [`LotteryPolicy`] (the ticket scheme of \[AH00\]),
 //!   and [`GreedyPolicy`] (rank by observed selectivity/cost).
@@ -22,7 +24,7 @@
 //! ## Routing discipline
 //!
 //! The eddy is single-threaded (it runs inside one executor Dispatch Unit),
-//! so tuples are routed serially to completion. Two invariants:
+//! so tuples are routed serially to completion. Three invariants:
 //!
 //! 1. **Build-first**: a base tuple's first visit is to its own source's
 //!    SteM (when one exists). This is the standard SteM discipline: with
@@ -31,6 +33,11 @@
 //! 2. **Consume-on-probe**: a probe visit consumes the probing tuple; its
 //!    concatenations return to the eddy and continue routing with inherited
 //!    lineage.
+//! 3. **Run-at-a-time**: a batch splits into maximal runs of one source
+//!    signature, and each run is routed with everything it derives to
+//!    completion before the next run builds. A run's descendants never
+//!    probe its own SteM, so a run routed whole equals its tuples routed
+//!    one at a time — serial processing, amortized.
 //!
 //! # Example: an adaptive two-filter query
 //!
@@ -62,7 +69,8 @@
 //!     eddy.add_module(ModuleSpec::filter(Box::new(filter), s)).unwrap();
 //! }
 //!
-//! let mut emitted = 0;
+//! // One tuple per batch: one routing decision per tuple visit.
+//! let mut out = Vec::new();
 //! for i in 0..100i64 {
 //!     let t = TupleBuilder::new(schema.clone())
 //!         .push(i % 20)
@@ -70,8 +78,9 @@
 //!         .at(Timestamp::logical(i))
 //!         .build()
 //!         .unwrap();
-//!     emitted += eddy.process(t).unwrap().len();
+//!     eddy.process_batch(vec![t], &mut out).unwrap();
 //! }
+//! let emitted: usize = out.iter().map(|run| run.len()).sum();
 //! // Conjunction of the two filters, whatever order the eddy chose:
 //! assert_eq!(emitted, (0..100).filter(|i| i % 20 < 10 && i % 15 < 10).count());
 //! ```

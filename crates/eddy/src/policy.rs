@@ -18,7 +18,7 @@ pub struct ModuleStats {
     pub kept: u64,
     /// New tuples the module produced.
     pub produced: u64,
-    /// Total nanoseconds spent inside `process`.
+    /// Total nanoseconds spent inside the module's visits.
     pub nanos: u64,
 }
 

@@ -197,11 +197,14 @@ pub enum ColumnarVerdict {
     Consumed(ColumnBatch),
 }
 
-/// A commutative, tuple-at-a-time query module an eddy can route through.
+/// A commutative query module an eddy can route through.
 ///
-/// Implementations must be cheap to call: the eddy invokes `process` once
-/// per (tuple, module) visit, and routing policies time these calls to
-/// estimate module costs.
+/// The eddy visits a module with a whole group of tuples that share one
+/// routing decision: [`EddyModule::process_columnar`] first, and
+/// [`EddyModule::process_batch`] over rows when that answers
+/// [`ColumnarVerdict::Fallback`]. [`EddyModule::process`] is the
+/// one-tuple contract both must agree with. Implementations must be cheap
+/// to call: routing policies time each visit to estimate module costs.
 pub trait EddyModule: Send {
     /// Short diagnostic name, e.g. `"sel(closingPrice>50)"`.
     fn name(&self) -> &str;

@@ -113,15 +113,9 @@ impl StemOp {
         self
     }
 
-    /// Is `tuple` a build tuple for this SteM? True when its schema is
-    /// qualified entirely by our build qualifier (i.e. it is a base tuple of
-    /// the stored stream, not an intermediate join result).
-    fn is_build(&self, tuple: &Tuple) -> bool {
-        self.is_build_schema(tuple.schema())
-    }
-
-    /// Schema-level build test: batches are schema-homogeneous, so one
-    /// check covers every row.
+    /// Is a tuple of `schema` a build tuple for this SteM? True when the
+    /// schema is qualified entirely by our build qualifier (i.e. a base
+    /// tuple of the stored stream, not an intermediate join result).
     fn is_build_schema(&self, schema: &SchemaRef) -> bool {
         schema.len() == self.stem.schema().len()
             && (0..schema.len()).all(|i| {
@@ -229,6 +223,18 @@ impl StemOp {
         Ok(())
     }
 
+    /// Store one build tuple, sliding the window to its timestamp. Build
+    /// tuples continue routing ("first sent as a build tuple to SteM_S and
+    /// then sent as a probe tuple to SteM_T").
+    fn build(&mut self, tuple: &Tuple) -> Result<()> {
+        self.latest_seq = self.latest_seq.max(tuple.timestamp().seq());
+        self.stem.insert(tuple.clone())?;
+        if let Some(w) = self.window_width {
+            self.stem.evict_before_seq(self.latest_seq - w + 1);
+        }
+        Ok(())
+    }
+
     /// Probe with `tuple`'s key column into the reusable scratch buffer.
     /// The tuple's memoized key hash (computed at most once in its
     /// lifetime, possibly upstream at the partitioner) feeds the hashed
@@ -261,48 +267,25 @@ impl EddyModule for StemOp {
         &self.name
     }
 
+    /// The one-tuple case of [`EddyModule::process_batch`].
     fn process(&mut self, tuple: &Tuple) -> Result<Routed> {
-        if self.is_build(tuple) {
-            let seq = tuple.timestamp().seq();
-            self.latest_seq = self.latest_seq.max(seq);
-            self.stem.insert(tuple.clone())?;
-            if let Some(w) = self.window_width {
-                self.stem.evict_before_seq(self.latest_seq - w + 1);
-            }
-            // Build tuples continue routing ("first sent as a build tuple to
-            // SteM_S and then sent as a probe tuple to SteM_T").
-            return Ok(Routed::pass());
-        }
-        // Probe.
-        let (key_col, joined) = {
-            let plan = self.probe_plan(tuple.schema())?;
-            (plan.key_col, plan.joined.clone())
-        };
-        self.probe_into_scratch(tuple, key_col);
-        let outputs = self.concat_scratch(tuple, &joined);
-        Ok(Routed {
-            keep: false,
-            outputs,
-        })
+        let mut out = Vec::with_capacity(1);
+        self.process_batch(std::slice::from_ref(tuple), &mut out)?;
+        Ok(out.pop().expect("one routed per tuple"))
     }
 
-    /// Batch SteM visit. Tuples are handled strictly in batch order —
-    /// builds insert (and window-evict) exactly as the per-tuple path
-    /// does, so probes later in the same batch observe identical state —
-    /// but consecutive probes of one schema share a single plan lookup
+    /// Row SteM visit. Tuples are handled strictly in batch order — each
+    /// build inserts (and window-evicts) before the next tuple, so a probe
+    /// later in the batch sees exactly what one-tuple calls would show it
+    /// — but consecutive probes of one schema share a single plan lookup
     /// and one reusable matches buffer, and the probe key is borrowed
     /// rather than cloned.
     fn process_batch(&mut self, tuples: &[Tuple], out: &mut Vec<Routed>) -> Result<()> {
         out.reserve(tuples.len());
         let mut plan: Option<(usize, usize, SchemaRef)> = None;
         for tuple in tuples {
-            if self.is_build(tuple) {
-                let seq = tuple.timestamp().seq();
-                self.latest_seq = self.latest_seq.max(seq);
-                self.stem.insert(tuple.clone())?;
-                if let Some(w) = self.window_width {
-                    self.stem.evict_before_seq(self.latest_seq - w + 1);
-                }
+            if self.is_build_schema(tuple.schema()) {
+                self.build(tuple)?;
                 out.push(Routed::pass());
                 continue;
             }
@@ -349,12 +332,7 @@ impl EddyModule for StemOp {
                 return Ok(ColumnarVerdict::Fallback);
             };
             for tuple in rows {
-                let seq = tuple.timestamp().seq();
-                self.latest_seq = self.latest_seq.max(seq);
-                self.stem.insert(tuple.clone())?;
-                if let Some(w) = self.window_width {
-                    self.stem.evict_before_seq(self.latest_seq - w + 1);
-                }
+                self.build(tuple)?;
             }
             return Ok(ColumnarVerdict::KeepAll);
         }

@@ -87,7 +87,7 @@
 use std::collections::VecDeque;
 
 use tcq_common::{FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, Timestamp, Tuple};
-use tcq_eddy::Eddy;
+use tcq_eddy::{Eddy, Emitted};
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{BatchDequeueResult, Consumer, FjordMessage, Producer};
@@ -423,7 +423,7 @@ pub struct WorkerDu {
     project: LazyProject,
     io_batch: usize,
     msg_buf: Vec<FjordMessage>,
-    emitted: Vec<Tuple>,
+    emitted: Vec<Emitted>,
     /// Contiguous tuples of the currently-open run awaiting the eddy.
     batch: Vec<Tuple>,
     outbox: Vec<FjordMessage>,
@@ -493,8 +493,10 @@ impl WorkerDu {
         self.emitted.clear();
         self.eddy.process_batch(batch, &mut self.emitted)?;
         for e in self.emitted.drain(..) {
-            let out = self.project.apply(&e)?;
-            self.outbox.push(FjordMessage::Tuple(out));
+            for t in e.into_rows() {
+                self.outbox
+                    .push(FjordMessage::Tuple(self.project.apply(&t)?));
+            }
         }
         Ok(())
     }

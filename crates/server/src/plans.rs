@@ -289,8 +289,7 @@ pub struct JoinCqDu {
     project: LazyProject,
     egress: EgressRouter,
     qid: QueryId,
-    emitted_buf: Vec<Tuple>,
-    emitted_cols: Vec<Emitted>,
+    emitted: Vec<Emitted>,
     io_batch: usize,
     msg_buf: Vec<FjordMessage>,
     /// Tuples before this logical time precede every window — skipped.
@@ -323,8 +322,7 @@ impl JoinCqDu {
             project,
             egress,
             qid,
-            emitted_buf: Vec::new(),
-            emitted_cols: Vec::new(),
+            emitted: Vec::new(),
             io_batch: DEFAULT_IO_BATCH,
             msg_buf: Vec::new(),
             floor,
@@ -334,9 +332,9 @@ impl JoinCqDu {
     }
 
     /// Messages moved per input-lock acquisition (clamped to ≥ 1). Each
-    /// drained single-alias batch enters the eddy through one
-    /// [`tcq_eddy::Eddy::process_batch_columnar`] call, so routing
-    /// decisions are amortized over the batch as well.
+    /// drained batch enters the eddy through one
+    /// [`tcq_eddy::Eddy::process_batch`] call, so routing decisions are
+    /// amortized over the batch as well.
     pub fn with_io_batch(mut self, io_batch: usize) -> Self {
         self.io_batch = io_batch.max(1);
         self
@@ -385,7 +383,8 @@ impl DispatchUnit for JoinCqDu {
                         break;
                     }
                 }
-                let mut batch: Vec<Tuple> = Vec::with_capacity(msgs.len());
+                let aliases = self.inputs[i].alias_schemas.len();
+                let mut batch: Vec<Tuple> = Vec::with_capacity(msgs.len() * aliases);
                 for msg in msgs.drain(..) {
                     match msg {
                         FjordMessage::Tuple(t) if !self.inputs[i].eof => {
@@ -401,7 +400,13 @@ impl DispatchUnit for JoinCqDu {
                                 self.inputs[i].eof = true;
                                 continue;
                             }
-                            batch.push(t);
+                            // One entry per alias: a self-join's batch
+                            // interleaves them (`t1@a1, t1@a2, t2@a1, …`)
+                            // into one-tuple runs, which the eddy routes
+                            // exactly as it would tuple by tuple.
+                            for alias in &self.inputs[i].alias_schemas {
+                                batch.push(t.with_schema(alias.clone())?);
+                            }
                         }
                         // Tuples read past Eof (or the deadline) in the
                         // same batch are dropped — the per-tuple path
@@ -414,62 +419,38 @@ impl DispatchUnit for JoinCqDu {
                 if batch.is_empty() {
                     continue;
                 }
-                let aliases = self.inputs[i].alias_schemas.clone();
-                if let [alias] = aliases.as_slice() {
-                    // The common case: one alias per input. The whole
-                    // drained batch takes one row→column conversion at the
-                    // eddy's ingress edge (one routing decision per
-                    // signature group), then each emitted run stays in
-                    // whichever representation it left the eddy in —
-                    // columnar runs take the whole-column projection and
-                    // batched egress, row runs the per-tuple pair. One
-                    // egress session per ingress batch keeps the delivery
-                    // ledger identical to a per-batch deliver.
-                    let qualified: Vec<Tuple> = batch
-                        .iter()
-                        .map(|t| t.with_schema(alias.clone()))
-                        .collect::<Result<_>>()?;
-                    self.emitted_cols.clear();
-                    eddy.process_batch_columnar(qualified, &mut self.emitted_cols)?;
-                    let mut session = self.egress.session();
-                    let mut row_buf: Vec<Tuple> = Vec::new();
-                    for e in self.emitted_cols.drain(..) {
-                        match e {
-                            Emitted::Rows(rows) => {
+                // The drained batch takes one row→column conversion per
+                // source run at the eddy's ingress edge, then each emitted
+                // run stays in whichever representation it left the eddy
+                // in — columnar runs take the whole-column projection and
+                // batched egress, row runs the per-tuple pair. One egress
+                // session per ingress batch keeps the delivery ledger
+                // identical to a per-batch deliver.
+                self.emitted.clear();
+                eddy.process_batch(batch, &mut self.emitted)?;
+                let mut session = self.egress.session();
+                let mut row_buf: Vec<Tuple> = Vec::new();
+                for e in self.emitted.drain(..) {
+                    match e {
+                        Emitted::Rows(rows) => {
+                            row_buf.clear();
+                            for t in &rows {
+                                row_buf.push(self.project.apply(t)?);
+                            }
+                            session.deliver_rows([self.qid], &row_buf);
+                        }
+                        Emitted::Columns(b) => match self.project.apply_columnar(&b)? {
+                            Some(out) => session.deliver_columns([self.qid], &out),
+                            None => {
+                                // Expression projection: no columnar impl;
+                                // evaluate per materialized row.
                                 row_buf.clear();
-                                for t in &rows {
-                                    row_buf.push(self.project.apply(t)?);
+                                for t in b.to_tuples() {
+                                    row_buf.push(self.project.apply(&t)?);
                                 }
                                 session.deliver_rows([self.qid], &row_buf);
                             }
-                            Emitted::Columns(b) => match self.project.apply_columnar(&b)? {
-                                Some(out) => session.deliver_columns([self.qid], &out),
-                                None => {
-                                    // Expression projection: no columnar
-                                    // impl; evaluate per materialized row.
-                                    row_buf.clear();
-                                    for t in b.to_tuples() {
-                                        row_buf.push(self.project.apply(&t)?);
-                                    }
-                                    session.deliver_rows([self.qid], &row_buf);
-                                }
-                            },
-                        }
-                    }
-                } else {
-                    // Self-join: each tuple enters the eddy once per alias,
-                    // interleaved per tuple exactly as the per-tuple path
-                    // interleaves them.
-                    for t in &batch {
-                        for alias in &aliases {
-                            let qualified = t.with_schema(alias.clone())?;
-                            self.emitted_buf.clear();
-                            eddy.process_into(qualified, &mut self.emitted_buf)?;
-                            for e in self.emitted_buf.drain(..) {
-                                let out = self.project.apply(&e)?;
-                                self.egress.deliver([self.qid], &out);
-                            }
-                        }
+                        },
                     }
                 }
             }

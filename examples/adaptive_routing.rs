@@ -49,6 +49,7 @@ fn build_eddy(policy: Box<dyn RoutingPolicy>, cost_units: u64) -> (Eddy, SchemaR
 fn run(mut eddy: Eddy, schema: &SchemaRef, n: i64) -> (Eddy, u64) {
     let mut rng = telegraphcq::common::rng::seeded(17);
     let start = std::time::Instant::now();
+    let mut out = Vec::new();
     for i in 0..n {
         let phase2 = i >= n / 2;
         let (a, b) = if phase2 {
@@ -62,7 +63,9 @@ fn run(mut eddy: Eddy, schema: &SchemaRef, n: i64) -> (Eddy, u64) {
             .at(Timestamp::logical(i))
             .build()
             .unwrap();
-        eddy.process(t).unwrap();
+        // One tuple per batch: the eddy may re-route every tuple.
+        out.clear();
+        eddy.process_batch(vec![t], &mut out).unwrap();
     }
     (eddy, start.elapsed().as_micros() as u64)
 }

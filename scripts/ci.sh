@@ -61,6 +61,13 @@ echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <=
 # keyed by the query ids ever issued, or a superlinear index, shows here.
 bench_gate manycq_churn 25
 
+echo "== exp_eddy_adaptivity (count tripwire: lottery < random, within 5% of the oracle order, decay < none) =="
+./target/release/exp_eddy_adaptivity
+
+echo "== exp_adaptivity_knobs + exp_hybrid_join (one-tuple routing smokes) =="
+./target/release/exp_adaptivity_knobs
+./target/release/exp_hybrid_join
+
 echo "== exp_chaos --smoke (server-level chaos, reduced scale) =="
 ./target/release/exp_chaos --smoke
 

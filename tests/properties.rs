@@ -93,16 +93,18 @@ fn eddy_semantics_invariant_under_routing() {
         let mut emitted = Vec::new();
         for (i, (k, v, left)) in rows.iter().enumerate() {
             let ts = i as i64 + 1;
-            if *left {
+            let r = if *left {
                 let r = kv(&s, *k, *v, ts);
                 s_rows.push(r.clone());
-                emitted.extend(eddy.process(r).unwrap());
+                r
             } else {
                 let r = kv(&t, *k, *v, ts);
                 t_rows.push(r.clone());
-                emitted.extend(eddy.process(r).unwrap());
-            }
+                r
+            };
+            eddy.process_batch(vec![r], &mut emitted).unwrap();
         }
+        let emitted: usize = emitted.iter().map(|run| run.len()).sum();
         let mut expected = 0usize;
         for sr in &s_rows {
             for tr in &t_rows {
@@ -111,7 +113,7 @@ fn eddy_semantics_invariant_under_routing() {
                 }
             }
         }
-        assert_eq!(emitted.len(), expected, "policy {policy_sel} seed {seed}");
+        assert_eq!(emitted, expected, "policy {policy_sel} seed {seed}");
     });
 }
 

@@ -511,6 +511,99 @@ fn sequential_and_partitioned_join_replay_identically() {
     }
 }
 
+/// Sorted `(r.x, s.x, t.x)` triples a three-way star join delivers when
+/// `rows` — `(stream, key)` pairs, `x` = arrival index — are pushed one
+/// at a time, so an exchange worker's batches interleave all three
+/// sources.
+fn run_three_way_join(partitions: usize, rows: &[(usize, i64)]) -> Vec<(i64, i64, i64)> {
+    let server = TelegraphCQ::start(ServerConfig {
+        partitions,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    for name in ["r", "s", "t"] {
+        server.register_stream(name, hot_schema()).unwrap();
+    }
+    let (client, rx): (_, Receiver<Delivery>) = server.connect_push_client(1 << 15).unwrap();
+    server
+        .submit(
+            "SELECT r.v, s.v, t.v FROM r r, s s, t t WHERE r.k = s.k AND s.k = t.k \
+             for (t = ST; t >= 0; t++) { WindowIs(r, t - 8000000, t); \
+             WindowIs(s, t - 8000000, t); WindowIs(t, t - 8000000, t); }",
+            client,
+        )
+        .unwrap();
+    let hot = hot_schema();
+    for (i, &(stream, k)) in rows.iter().enumerate() {
+        let i = i as i64 + 1;
+        let row = TupleBuilder::new(hot.clone())
+            .push(k)
+            .push(i)
+            .at(Timestamp::logical(i))
+            .build()
+            .unwrap();
+        server.push(["r", "s", "t"][stream], row).unwrap();
+    }
+    for name in ["r", "s", "t"] {
+        server.finish_stream(name).unwrap();
+    }
+    assert!(
+        server.quiesce(Duration::from_secs(60)),
+        "three-way join must quiesce (P={partitions})"
+    );
+    let mut triples: Vec<_> = rx
+        .try_iter()
+        .map(|(_, t)| {
+            let v = |c| t.value(c).as_int().unwrap();
+            (v(0), v(1), v(2))
+        })
+        .collect();
+    server.shutdown().unwrap();
+    triples.sort_unstable();
+    triples
+}
+
+#[test]
+fn partitioned_three_way_join_delivers_each_triple_once() {
+    // A partition worker routes mixed-source batches. Each source run (and
+    // everything it derives) must finish routing before the next run
+    // builds into its SteM — otherwise an `r ⋈ s` intermediate queued
+    // behind a later `t` run probes SteM(t) after that run already probed
+    // its way to the same triple, and the triple is delivered twice.
+    // Every key hashes to the same one of the four partitions, so one
+    // worker sees the whole interleaved input in long mixed-source runs.
+    let keys: Vec<i64> = (0..)
+        .filter(|&k| telegraphcq::common::hash_value(&Value::Int(k)).is_multiple_of(4))
+        .take(40)
+        .collect();
+    let mut rng = telegraphcq::common::rng::seeded(0x3A_7E);
+    let rows: Vec<(usize, i64)> = (0..900)
+        .map(|_| (rng.gen_range(0..3usize), keys[rng.gen_range(0..keys.len())]))
+        .collect();
+    let side = |stream| {
+        (1..)
+            .zip(&rows)
+            .filter(move |&(_, &(s, _))| s == stream)
+            .map(|(x, &(_, k))| (x, k))
+    };
+    let mut expected = Vec::new();
+    for (rx, rk) in side(0) {
+        for (sx, sk) in side(1).filter(|&(_, sk)| sk == rk) {
+            for (tx, _) in side(2).filter(|&(_, tk)| tk == sk) {
+                expected.push((rx, sx, tx));
+            }
+        }
+    }
+    expected.sort_unstable();
+    assert!(!expected.is_empty());
+    let sequential = run_three_way_join(1, &rows);
+    assert_eq!(sequential.len(), expected.len(), "P=1 vs nested loop");
+    assert_eq!(sequential, expected);
+    let partitioned = run_three_way_join(4, &rows);
+    assert_eq!(partitioned.len(), expected.len(), "P=4 vs nested loop");
+    assert_eq!(partitioned, expected);
+}
+
 #[test]
 fn checkpointing_on_and_off_replay_identically() {
     // Taking checkpoints is pure observation: the cut reads cursors,
