@@ -15,24 +15,20 @@
 //! | *push*     | non-blocking       | non-blocking       |
 //! | *exchange* | non-blocking       | blocking           |
 //!
-//! All endpoints expose both blocking and non-blocking calls; [`QueueKind`]
-//! merely records the intended discipline so plan wiring is self-describing
-//! and so the executor can assert that its non-preemptive dispatch units
-//! only ever use the non-blocking calls ("an overarching principle of
-//! TelegraphCQ is to avoid blocking operations", §4.2.3).
-//!
-//! The [`Module`] trait is the state-machine contract every dataflow module
-//! implements: the executor repeatedly grants a module a *quantum* of work;
-//! the module does bounded work using only non-blocking queue operations and
-//! reports whether it is [`ModuleStatus::Ready`] for more,
-//! [`ModuleStatus::Idle`] (no input available), or [`ModuleStatus::Done`].
+//! All endpoints expose both blocking and non-blocking calls, every one a
+//! thin shell over one locked put/take core. [`QueueKind`] is a label that
+//! records the intended discipline so plan wiring is self-describing;
+//! nothing checks it. The engine's dispatch units (`tcq_executor::
+//! DispatchUnit`) use only the non-blocking calls ("an overarching
+//! principle of TelegraphCQ is to avoid blocking operations", §4.2.3) and
+//! report a [`ModuleStatus`] after each quantum.
 
 #![warn(missing_docs)]
 
 pub mod module;
 pub mod queue;
 
-pub use module::{Module, ModuleStatus};
+pub use module::ModuleStatus;
 pub use queue::{
     fjord, fjord_with_probe, BatchDequeueResult, Consumer, DequeueResult, EnqueueError,
     FjordMessage, Producer, QueueKind, QueueStats,

@@ -1,13 +1,11 @@
-//! The non-preemptive module (state machine) contract.
+//! What a non-preemptive module reports after a scheduling quantum.
 //!
 //! TelegraphCQ's executor maps queries onto "Execution Objects" (threads)
 //! hosting "Dispatch Units" that are *non-preemptive* and "follow the Fjords
-//! model … which gives us control over their scheduling" (§4.2.2). The
-//! [`Module`] trait is that model: the scheduler hands a module a quantum,
-//! the module performs at most that much work using only non-blocking Fjord
-//! operations, then returns control with a status.
-
-use tcq_common::Result;
+//! model … which gives us control over their scheduling" (§4.2.2): the
+//! scheduler hands a unit a quantum, the unit does at most that much work
+//! using only non-blocking Fjord operations, then returns control with a
+//! [`ModuleStatus`]. The contract itself is `tcq_executor::DispatchUnit`.
 
 /// What a module reports after a scheduling quantum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,96 +31,9 @@ impl ModuleStatus {
     }
 }
 
-/// A composable dataflow module, "analogous to the operators used in
-/// traditional database query engines, or the modules used in composable
-/// network routers" (§2).
-///
-/// Modules own their endpoints (constructed with [`crate::fjord`] pairs at
-/// plan-wiring time) and all per-module state. `run` must not block.
-pub trait Module: Send {
-    /// A short, stable diagnostic name (e.g. `"select(price>50)"`).
-    fn name(&self) -> &str;
-
-    /// Perform up to `quantum` units of work (typically: process up to
-    /// `quantum` input messages). Must use only non-blocking queue calls.
-    fn run(&mut self, quantum: usize) -> Result<ModuleStatus>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::{fjord, DequeueResult, FjordMessage, QueueKind};
-    use tcq_common::{DataType, Field, Schema, Timestamp, TupleBuilder};
-
-    /// A toy pass-through module used to validate the contract.
-    struct Identity {
-        input: crate::queue::Consumer,
-        output: crate::queue::Producer,
-        done: bool,
-    }
-
-    impl Module for Identity {
-        fn name(&self) -> &str {
-            "identity"
-        }
-
-        fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
-            if self.done {
-                return Ok(ModuleStatus::Done);
-            }
-            for _ in 0..quantum {
-                match self.input.dequeue() {
-                    DequeueResult::Msg(FjordMessage::Eof) => {
-                        let _ = self.output.enqueue(FjordMessage::Eof);
-                        self.done = true;
-                        return Ok(ModuleStatus::Done);
-                    }
-                    DequeueResult::Msg(m) => {
-                        if let Err(crate::queue::EnqueueError::Full(_)) = self.output.enqueue(m) {
-                            return Ok(ModuleStatus::Idle);
-                        }
-                    }
-                    DequeueResult::Empty => return Ok(ModuleStatus::Idle),
-                    DequeueResult::Disconnected => {
-                        self.done = true;
-                        return Ok(ModuleStatus::Done);
-                    }
-                }
-            }
-            Ok(ModuleStatus::Ready)
-        }
-    }
-
-    #[test]
-    fn quantum_bounds_work_and_statuses_progress() {
-        let (src_p, src_c) = fjord(64, QueueKind::Push);
-        let (out_p, out_c) = fjord(64, QueueKind::Push);
-        let mut m = Identity {
-            input: src_c,
-            output: out_p,
-            done: false,
-        };
-
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]).into_ref();
-        for i in 0..10i64 {
-            let t = TupleBuilder::new(schema.clone())
-                .push(i)
-                .at(Timestamp::logical(i))
-                .build()
-                .unwrap();
-            src_p.enqueue(FjordMessage::Tuple(t)).unwrap();
-        }
-        src_p.enqueue(FjordMessage::Eof).unwrap();
-
-        // First quantum of 4: Ready (more input buffered).
-        assert_eq!(m.run(4).unwrap(), ModuleStatus::Ready);
-        assert_eq!(out_c.stats().enqueued, 4);
-        // Exhaust: 6 tuples + EOF within quantum 100 -> Done.
-        assert_eq!(m.run(100).unwrap(), ModuleStatus::Done);
-        assert_eq!(out_c.stats().enqueued, 11);
-        // Idempotent once done.
-        assert_eq!(m.run(1).unwrap(), ModuleStatus::Done);
-    }
 
     #[test]
     fn merge_semantics() {

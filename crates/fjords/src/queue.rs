@@ -1,9 +1,15 @@
 //! The Fjord queue itself: a bounded MPMC queue with both blocking and
 //! non-blocking endpoints, disconnection tracking, and counters for
 //! back-pressure-aware routing policies.
+//!
+//! Every endpoint is one call to a private core — `Shared::put` or
+//! `Shared::take`, both run with the queue lock held — or a condvar loop
+//! around one. The core owns the capacity check, the counters, the probe
+//! mirror, the wake-ups and the disconnect rule: a consumer sees
+//! `Disconnected` only when, under the lock, the queue is empty and no
+//! producer is left; a producer sees it when no consumer is left.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,7 +46,8 @@ impl FjordMessage {
     }
 }
 
-/// The intended endpoint discipline for a queue (see crate docs).
+/// The endpoint discipline a queue is wired for (see crate docs). A label
+/// only: every endpoint works on every kind, and nothing checks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// Blocking enqueue, blocking dequeue — iterator-style pull pipelines.
@@ -72,7 +79,8 @@ pub enum DequeueResult {
     Disconnected,
 }
 
-/// Non-blocking batch dequeue outcome ([`Consumer::dequeue_batch`]).
+/// Non-blocking batch dequeue outcome ([`Consumer::dequeue_batch`]); also
+/// what the queue core reports to every dequeue endpoint.
 #[derive(Debug, PartialEq)]
 pub enum BatchDequeueResult {
     /// `n ≥ 1` messages were appended to the caller's buffer in FIFO order.
@@ -114,18 +122,84 @@ impl QueueStats {
 }
 
 struct Shared {
-    q: Mutex<VecDeque<FjordMessage>>,
+    state: Mutex<State>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
     kind: QueueKind,
-    producers: AtomicUsize,
-    consumers: AtomicUsize,
-    enqueued: AtomicUsize,
-    dequeued: AtomicUsize,
-    full_rejections: AtomicUsize,
-    displaced: AtomicUsize,
     probe: Option<Arc<ChannelProbe>>,
+}
+
+/// Everything the queue lock guards. The endpoint counts live here too,
+/// so the disconnect rule reads them in the same critical section that
+/// moves messages, and so do the waiter counts, so a transfer wakes a
+/// condvar only when a blocking endpoint is parked on it.
+struct State {
+    buf: VecDeque<FjordMessage>,
+    producers: usize,
+    consumers: usize,
+    waiting_producers: usize,
+    waiting_consumers: usize,
+    enqueued: u64,
+    dequeued: u64,
+    full_rejections: u64,
+    displaced: u64,
+}
+
+/// Every consumer is gone: nothing put into the queue will be read.
+struct Gone;
+
+/// What [`Shared::put`] does with messages that find no room.
+enum OnFull<'a> {
+    /// Leave them with the caller, counted as `full_rejections`.
+    Refuse,
+    /// Leave them with the caller, uncounted: a blocking caller waits for
+    /// room and offers them again.
+    Wait,
+    /// Shed-oldest: make room by displacing the oldest buffered tuple into
+    /// the slot; refuse as [`OnFull::Refuse`] when only control messages
+    /// are buffered.
+    Displace(&'a mut Option<FjordMessage>),
+}
+
+/// A caller's side of a transfer: `Option` for the one-message endpoints
+/// (nothing allocated), `Vec` for the batch endpoints.
+trait MsgBuf {
+    /// The messages held.
+    fn msgs(&self) -> &[FjordMessage];
+    /// Move the first `n` held messages to the back of `q`.
+    fn give(&mut self, q: &mut VecDeque<FjordMessage>, n: usize);
+    /// Move the first `n` messages of `q` to the back of this buffer.
+    fn receive(&mut self, q: &mut VecDeque<FjordMessage>, n: usize);
+}
+
+impl MsgBuf for Option<FjordMessage> {
+    fn msgs(&self) -> &[FjordMessage] {
+        self.as_slice()
+    }
+    fn give(&mut self, q: &mut VecDeque<FjordMessage>, n: usize) {
+        if n > 0 {
+            q.extend(self.take());
+        }
+    }
+    fn receive(&mut self, q: &mut VecDeque<FjordMessage>, n: usize) {
+        debug_assert!(n <= 1 && self.is_none());
+        if n > 0 {
+            *self = q.pop_front();
+        }
+    }
+}
+
+impl MsgBuf for Vec<FjordMessage> {
+    fn msgs(&self) -> &[FjordMessage] {
+        self
+    }
+    fn give(&mut self, q: &mut VecDeque<FjordMessage>, n: usize) {
+        q.extend(self.drain(..n));
+    }
+    fn receive(&mut self, q: &mut VecDeque<FjordMessage>, n: usize) {
+        self.extend(q.drain(..n));
+    }
 }
 
 /// Create a Fjord of the given capacity and discipline, returning its two
@@ -153,17 +227,21 @@ fn fjord_inner(
 ) -> (Producer, Consumer) {
     assert!(capacity >= 1, "fjord capacity must be >= 1");
     let shared = Arc::new(Shared {
-        q: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+        state: Mutex::new(State {
+            buf: VecDeque::with_capacity(capacity.min(1024)),
+            producers: 1,
+            consumers: 1,
+            waiting_producers: 0,
+            waiting_consumers: 0,
+            enqueued: 0,
+            dequeued: 0,
+            full_rejections: 0,
+            displaced: 0,
+        }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         capacity,
         kind,
-        producers: AtomicUsize::new(1),
-        consumers: AtomicUsize::new(1),
-        enqueued: AtomicUsize::new(0),
-        dequeued: AtomicUsize::new(0),
-        full_rejections: AtomicUsize::new(0),
-        displaced: AtomicUsize::new(0),
         probe,
     });
     (
@@ -185,24 +263,23 @@ pub struct Consumer {
     shared: Arc<Shared>,
 }
 
+/// Bounded wait between re-checks in the blocking endpoints: a safety net,
+/// since every transfer and every last-endpoint drop already wakes parked
+/// waiters under the lock.
+const RECHECK: Duration = Duration::from_millis(50);
+
 impl Producer {
     /// Non-blocking enqueue.
     pub fn enqueue(&self, msg: FjordMessage) -> std::result::Result<(), EnqueueError> {
-        if self.shared.consumers.load(Ordering::Acquire) == 0 {
-            return Err(EnqueueError::Disconnected(msg));
+        let mut slot = Some(msg);
+        let put = self
+            .shared
+            .put(&mut self.shared.state.lock(), &mut slot, OnFull::Refuse);
+        match (put, slot) {
+            (_, None) => Ok(()),
+            (Ok(_), Some(msg)) => Err(EnqueueError::Full(msg)),
+            (Err(Gone), Some(msg)) => Err(EnqueueError::Disconnected(msg)),
         }
-        let mut q = self.shared.q.lock();
-        if q.len() >= self.shared.capacity {
-            self.shared.full_rejections.fetch_add(1, Ordering::Relaxed);
-            self.shared.probe_reject(1);
-            return Err(EnqueueError::Full(msg));
-        }
-        self.shared.probe_in(&msg);
-        q.push_back(msg);
-        drop(q);
-        self.shared.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.shared.not_empty.notify_one();
-        Ok(())
     }
 
     /// Enqueue `msg`, displacing the oldest buffered *tuple* when the
@@ -214,97 +291,23 @@ impl Producer {
         &self,
         msg: FjordMessage,
     ) -> std::result::Result<Option<FjordMessage>, EnqueueError> {
-        if self.shared.consumers.load(Ordering::Acquire) == 0 {
-            return Err(EnqueueError::Disconnected(msg));
+        let mut slot = Some(msg);
+        let mut victim = None;
+        let put = self.shared.put(
+            &mut self.shared.state.lock(),
+            &mut slot,
+            OnFull::Displace(&mut victim),
+        );
+        match (put, slot) {
+            (_, None) => Ok(victim),
+            (Ok(_), Some(msg)) => Err(EnqueueError::Full(msg)),
+            (Err(Gone), Some(msg)) => Err(EnqueueError::Disconnected(msg)),
         }
-        let mut q = self.shared.q.lock();
-        if q.len() < self.shared.capacity {
-            self.shared.probe_in(&msg);
-            q.push_back(msg);
-            drop(q);
-            self.shared.enqueued.fetch_add(1, Ordering::Relaxed);
-            self.shared.not_empty.notify_one();
-            return Ok(None);
-        }
-        let Some(idx) = q.iter().position(|m| matches!(m, FjordMessage::Tuple(_))) else {
-            drop(q);
-            self.shared.full_rejections.fetch_add(1, Ordering::Relaxed);
-            self.shared.probe_reject(1);
-            return Err(EnqueueError::Full(msg));
-        };
-        let displaced = q.remove(idx);
-        self.shared.probe_in(&msg);
-        if let Some(d) = &displaced {
-            self.shared.probe_out(d);
-        }
-        q.push_back(msg);
-        drop(q);
-        self.shared.displaced.fetch_add(1, Ordering::Relaxed);
-        self.shared.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.shared.not_empty.notify_one();
-        Ok(displaced)
     }
 
     /// Blocking enqueue: waits while full, errors when all consumers left.
     pub fn enqueue_blocking(&self, msg: FjordMessage) -> Result<()> {
-        let mut q = self.shared.q.lock();
-        loop {
-            if self.shared.consumers.load(Ordering::Acquire) == 0 {
-                return Err(TcqError::Disconnected("consumer side"));
-            }
-            if q.len() < self.shared.capacity {
-                self.shared.probe_in(&msg);
-                q.push_back(msg);
-                drop(q);
-                self.shared.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            // Bounded wait so we recheck disconnection even if the consumer
-            // vanished without a final notify.
-            self.shared
-                .not_full
-                .wait_for(&mut q, Duration::from_millis(50));
-        }
-    }
-
-    /// Deadline-bounded blocking enqueue: waits for space at most
-    /// `deadline`, then gives up with **timeout-as-backpressure**
-    /// semantics — the message comes back as [`EnqueueError::Full`]
-    /// exactly as the non-blocking [`Producer::enqueue`] would return it
-    /// (one `full_rejections` tick), so callers degrade to their existing
-    /// retry/shed logic instead of wedging forever. Ordering, counters,
-    /// and disconnection reporting are otherwise identical to
-    /// [`Producer::enqueue_blocking`].
-    pub fn enqueue_blocking_deadline(
-        &self,
-        msg: FjordMessage,
-        deadline: Duration,
-    ) -> std::result::Result<(), EnqueueError> {
-        let start = std::time::Instant::now();
-        let mut q = self.shared.q.lock();
-        loop {
-            if self.shared.consumers.load(Ordering::Acquire) == 0 {
-                return Err(EnqueueError::Disconnected(msg));
-            }
-            if q.len() < self.shared.capacity {
-                self.shared.probe_in(&msg);
-                q.push_back(msg);
-                drop(q);
-                self.shared.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                drop(q);
-                self.shared.full_rejections.fetch_add(1, Ordering::Relaxed);
-                self.shared.probe_reject(1);
-                return Err(EnqueueError::Full(msg));
-            }
-            let wait = (deadline - elapsed).min(Duration::from_millis(50));
-            self.shared.not_full.wait_for(&mut q, wait);
-        }
+        self.put_blocking(&mut Some(msg)).map(drop)
     }
 
     /// Non-blocking batch enqueue: moves the longest prefix of `msgs` that
@@ -317,34 +320,9 @@ impl Producer {
     /// `full_rejections` by the refused count. Errors `Disconnected` with
     /// `msgs` untouched when every consumer is gone.
     pub fn enqueue_batch(&self, msgs: &mut Vec<FjordMessage>) -> Result<usize> {
-        if msgs.is_empty() {
-            return Ok(0);
-        }
-        if self.shared.consumers.load(Ordering::Acquire) == 0 {
-            return Err(TcqError::Disconnected("consumer side"));
-        }
-        let mut q = self.shared.q.lock();
-        let room = self.shared.capacity.saturating_sub(q.len());
-        let accepted = room.min(msgs.len());
-        self.shared.probe_in_batch(&msgs[..accepted]);
-        q.extend(msgs.drain(..accepted));
-        drop(q);
-        let refused = msgs.len();
-        if refused > 0 {
-            self.shared
-                .full_rejections
-                .fetch_add(refused, Ordering::Relaxed);
-            self.shared.probe_reject(refused as u64);
-        }
-        if accepted > 0 {
-            self.shared.enqueued.fetch_add(accepted, Ordering::Relaxed);
-            if accepted == 1 {
-                self.shared.not_empty.notify_one();
-            } else {
-                self.shared.not_empty.notify_all();
-            }
-        }
-        Ok(accepted)
+        self.shared
+            .put(&mut self.shared.state.lock(), msgs, OnFull::Refuse)
+            .map_err(|Gone| TcqError::Disconnected("consumer side"))
     }
 
     /// Blocking batch enqueue: moves **all** of `msgs` into the queue,
@@ -353,32 +331,22 @@ impl Producer {
     /// once every consumer has disconnected; the unsent suffix stays in
     /// `msgs` in order.
     pub fn enqueue_batch_blocking(&self, msgs: &mut Vec<FjordMessage>) -> Result<usize> {
-        let total = msgs.len();
-        let mut q = self.shared.q.lock();
+        self.put_blocking(msgs)
+    }
+
+    fn put_blocking(&self, msgs: &mut impl MsgBuf) -> Result<usize> {
+        let total = msgs.msgs().len();
+        let mut state = self.shared.state.lock();
         loop {
-            if self.shared.consumers.load(Ordering::Acquire) == 0 {
+            if self.shared.put(&mut state, msgs, OnFull::Wait).is_err() {
                 return Err(TcqError::Disconnected("consumer side"));
             }
-            let room = self.shared.capacity.saturating_sub(q.len());
-            let accepted = room.min(msgs.len());
-            if accepted > 0 {
-                self.shared.probe_in_batch(&msgs[..accepted]);
-                q.extend(msgs.drain(..accepted));
-                self.shared.enqueued.fetch_add(accepted, Ordering::Relaxed);
-                if accepted == 1 {
-                    self.shared.not_empty.notify_one();
-                } else {
-                    self.shared.not_empty.notify_all();
-                }
-            }
-            if msgs.is_empty() {
+            if msgs.msgs().is_empty() {
                 return Ok(total);
             }
-            // Bounded wait so we recheck disconnection even if the consumer
-            // vanished without a final notify.
-            self.shared
-                .not_full
-                .wait_for(&mut q, Duration::from_millis(50));
+            state.waiting_producers += 1;
+            self.shared.not_full.wait_for(&mut state, RECHECK);
+            state.waiting_producers -= 1;
         }
     }
 
@@ -411,73 +379,32 @@ impl Producer {
 impl Consumer {
     /// Non-blocking dequeue.
     pub fn dequeue(&self) -> DequeueResult {
-        let mut q = self.shared.q.lock();
-        match q.pop_front() {
-            Some(msg) => {
-                drop(q);
-                self.shared.probe_out(&msg);
-                self.shared.dequeued.fetch_add(1, Ordering::Relaxed);
-                self.shared.not_full.notify_one();
-                DequeueResult::Msg(msg)
-            }
-            None => {
-                drop(q);
-                if self.shared.producers.load(Ordering::Acquire) == 0 {
-                    DequeueResult::Disconnected
-                } else {
-                    DequeueResult::Empty
-                }
-            }
+        let mut slot = None;
+        let took = self
+            .shared
+            .take(&mut self.shared.state.lock(), &mut slot, 1);
+        match (took, slot) {
+            (_, Some(msg)) => DequeueResult::Msg(msg),
+            (BatchDequeueResult::Disconnected, None) => DequeueResult::Disconnected,
+            _ => DequeueResult::Empty,
         }
     }
 
     /// Blocking dequeue: waits for a message, errors once the queue is empty
     /// and every producer has disconnected.
     pub fn dequeue_blocking(&self) -> Result<FjordMessage> {
-        let mut q = self.shared.q.lock();
+        let mut state = self.shared.state.lock();
         loop {
-            if let Some(msg) = q.pop_front() {
-                drop(q);
-                self.shared.probe_out(&msg);
-                self.shared.dequeued.fetch_add(1, Ordering::Relaxed);
-                self.shared.not_full.notify_one();
-                return Ok(msg);
-            }
-            if self.shared.producers.load(Ordering::Acquire) == 0 {
+            let mut slot = None;
+            if self.shared.take(&mut state, &mut slot, 1) == BatchDequeueResult::Disconnected {
                 return Err(TcqError::Disconnected("producer side"));
             }
-            self.shared
-                .not_empty
-                .wait_for(&mut q, Duration::from_millis(50));
-        }
-    }
-
-    /// Deadline-bounded blocking dequeue: waits for a message at most
-    /// `deadline`, then gives up with [`DequeueResult::Empty`] — exactly
-    /// what the non-blocking [`Consumer::dequeue`] reports on an empty
-    /// queue — so callers degrade to their pursue-other-work path instead
-    /// of wedging forever. Ordering, counters, and disconnection
-    /// reporting are otherwise identical to [`Consumer::dequeue_blocking`].
-    pub fn dequeue_blocking_deadline(&self, deadline: Duration) -> DequeueResult {
-        let start = std::time::Instant::now();
-        let mut q = self.shared.q.lock();
-        loop {
-            if let Some(msg) = q.pop_front() {
-                drop(q);
-                self.shared.probe_out(&msg);
-                self.shared.dequeued.fetch_add(1, Ordering::Relaxed);
-                self.shared.not_full.notify_one();
-                return DequeueResult::Msg(msg);
+            if let Some(msg) = slot {
+                return Ok(msg);
             }
-            if self.shared.producers.load(Ordering::Acquire) == 0 {
-                return DequeueResult::Disconnected;
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                return DequeueResult::Empty;
-            }
-            let wait = (deadline - elapsed).min(Duration::from_millis(50));
-            self.shared.not_empty.wait_for(&mut q, wait);
+            state.waiting_consumers += 1;
+            self.shared.not_empty.wait_for(&mut state, RECHECK);
+            state.waiting_consumers -= 1;
         }
     }
 
@@ -486,76 +413,15 @@ impl Consumer {
     /// (control messages keep their position relative to data tuples).
     /// `dequeued` advances by the popped count.
     pub fn dequeue_batch(&self, out: &mut Vec<FjordMessage>, max: usize) -> BatchDequeueResult {
-        if max == 0 {
-            return BatchDequeueResult::Empty;
-        }
-        let mut q = self.shared.q.lock();
-        let n = q.len().min(max);
-        if n == 0 {
-            drop(q);
-            return if self.shared.producers.load(Ordering::Acquire) == 0 {
-                BatchDequeueResult::Disconnected
-            } else {
-                BatchDequeueResult::Empty
-            };
-        }
-        out.extend(q.drain(..n));
-        drop(q);
-        self.shared.probe_out_batch(&out[out.len() - n..]);
-        self.shared.dequeued.fetch_add(n, Ordering::Relaxed);
-        if n == 1 {
-            self.shared.not_full.notify_one();
-        } else {
-            self.shared.not_full.notify_all();
-        }
-        BatchDequeueResult::Msgs(n)
-    }
-
-    /// Blocking batch dequeue: waits until at least one message is
-    /// available, then pops up to `max` under the same lock acquisition,
-    /// appending to `out`. Returns the count. Errors once the queue is
-    /// empty and every producer has disconnected.
-    pub fn dequeue_batch_blocking(&self, out: &mut Vec<FjordMessage>, max: usize) -> Result<usize> {
-        if max == 0 {
-            return Ok(0);
-        }
-        let mut q = self.shared.q.lock();
-        loop {
-            let n = q.len().min(max);
-            if n > 0 {
-                out.extend(q.drain(..n));
-                drop(q);
-                self.shared.probe_out_batch(&out[out.len() - n..]);
-                self.shared.dequeued.fetch_add(n, Ordering::Relaxed);
-                if n == 1 {
-                    self.shared.not_full.notify_one();
-                } else {
-                    self.shared.not_full.notify_all();
-                }
-                return Ok(n);
-            }
-            if self.shared.producers.load(Ordering::Acquire) == 0 {
-                return Err(TcqError::Disconnected("producer side"));
-            }
-            self.shared
-                .not_empty
-                .wait_for(&mut q, Duration::from_millis(50));
-        }
+        self.shared.take(&mut self.shared.state.lock(), out, max)
     }
 
     /// Drain every currently buffered message without blocking.
     pub fn drain(&self) -> Vec<FjordMessage> {
-        let mut q = self.shared.q.lock();
-        let msgs: Vec<FjordMessage> = q.drain(..).collect();
-        drop(q);
-        self.shared.probe_out_batch(&msgs);
+        let mut out = Vec::new();
         self.shared
-            .dequeued
-            .fetch_add(msgs.len(), Ordering::Relaxed);
-        if !msgs.is_empty() {
-            self.shared.not_full.notify_all();
-        }
-        msgs
+            .take(&mut self.shared.state.lock(), &mut out, usize::MAX);
+        out
     }
 
     /// The queue's discipline.
@@ -570,7 +436,7 @@ impl Consumer {
 
     /// Current buffered length (for back-pressure policies).
     pub fn len(&self) -> usize {
-        self.shared.q.lock().len()
+        self.shared.state.lock().buf.len()
     }
 
     /// True when nothing is buffered.
@@ -580,20 +446,85 @@ impl Consumer {
 }
 
 impl Shared {
-    #[inline]
-    fn probe_in(&self, msg: &FjordMessage) {
-        if let Some(p) = &self.probe {
-            p.note_enqueue(1);
-            match msg {
-                FjordMessage::Punct(_) => p.note_punct(),
-                FjordMessage::Eof => p.note_eof_in(),
-                FjordMessage::Tuple(_) => {}
+    /// The one enqueue rule, called with the queue lock held. Errs [`Gone`]
+    /// when every consumer has left. Otherwise moves the longest prefix of
+    /// `msgs` that fits (after displacing one tuple under
+    /// [`OnFull::Displace`]), counts and mirrors it, wakes parked
+    /// consumers, and returns how many moved; the rest stays in `msgs`.
+    fn put(
+        &self,
+        state: &mut State,
+        msgs: &mut impl MsgBuf,
+        on_full: OnFull<'_>,
+    ) -> std::result::Result<usize, Gone> {
+        if state.consumers == 0 {
+            return Err(Gone);
+        }
+        let count_refused = match on_full {
+            OnFull::Refuse => true,
+            OnFull::Wait => false,
+            OnFull::Displace(victim) => {
+                if state.buf.len() >= self.capacity {
+                    let oldest_tuple = state
+                        .buf
+                        .iter()
+                        .position(|m| matches!(m, FjordMessage::Tuple(_)));
+                    if let Some(i) = oldest_tuple {
+                        *victim = state.buf.remove(i);
+                        state.displaced += 1;
+                        self.probe_out(victim.as_slice());
+                    }
+                }
+                true
+            }
+        };
+        let n = self
+            .capacity
+            .saturating_sub(state.buf.len())
+            .min(msgs.msgs().len());
+        self.probe_in(&msgs.msgs()[..n]);
+        msgs.give(&mut state.buf, n);
+        let refused = msgs.msgs().len();
+        if count_refused && refused > 0 {
+            state.full_rejections += refused as u64;
+            if let Some(p) = &self.probe {
+                p.note_reject(refused as u64);
             }
         }
+        state.enqueued += n as u64;
+        if n > 0 && state.waiting_consumers > 0 {
+            wake(&self.not_empty, n);
+        }
+        Ok(n)
+    }
+
+    /// The one dequeue rule, called with the queue lock held: moves up to
+    /// `max` buffered messages into `out`, counts and mirrors them, and
+    /// wakes parked producers. With nothing moved it reports `Disconnected` only
+    /// if the queue is empty *and* no producer is left — both read under
+    /// this lock, which every enqueue and every producer drop also takes,
+    /// so end-of-stream is never reported while messages are queued.
+    fn take(&self, state: &mut State, out: &mut impl MsgBuf, max: usize) -> BatchDequeueResult {
+        let n = state.buf.len().min(max);
+        if n == 0 {
+            return if state.buf.is_empty() && state.producers == 0 {
+                BatchDequeueResult::Disconnected
+            } else {
+                BatchDequeueResult::Empty
+            };
+        }
+        let before = out.msgs().len();
+        out.receive(&mut state.buf, n);
+        self.probe_out(&out.msgs()[before..]);
+        state.dequeued += n as u64;
+        if state.waiting_producers > 0 {
+            wake(&self.not_full, n);
+        }
+        BatchDequeueResult::Msgs(n)
     }
 
     #[inline]
-    fn probe_in_batch(&self, msgs: &[FjordMessage]) {
+    fn probe_in(&self, msgs: &[FjordMessage]) {
         if let Some(p) = &self.probe {
             p.note_enqueue(msgs.len() as u64);
             for m in msgs {
@@ -607,24 +538,7 @@ impl Shared {
     }
 
     #[inline]
-    fn probe_reject(&self, n: u64) {
-        if let Some(p) = &self.probe {
-            p.note_reject(n);
-        }
-    }
-
-    #[inline]
-    fn probe_out(&self, msg: &FjordMessage) {
-        if let Some(p) = &self.probe {
-            p.note_dequeue(1);
-            if msg.is_eof() {
-                p.note_eof_out();
-            }
-        }
-    }
-
-    #[inline]
-    fn probe_out_batch(&self, msgs: &[FjordMessage]) {
+    fn probe_out(&self, msgs: &[FjordMessage]) {
         if let Some(p) = &self.probe {
             p.note_dequeue(msgs.len() as u64);
             if msgs.iter().any(|m| m.is_eof()) {
@@ -634,20 +548,30 @@ impl Shared {
     }
 
     fn stats(&self) -> QueueStats {
+        let state = self.state.lock();
         QueueStats {
-            len: self.q.lock().len(),
+            len: state.buf.len(),
             capacity: self.capacity,
-            enqueued: self.enqueued.load(Ordering::Relaxed) as u64,
-            dequeued: self.dequeued.load(Ordering::Relaxed) as u64,
-            full_rejections: self.full_rejections.load(Ordering::Relaxed) as u64,
-            displaced: self.displaced.load(Ordering::Relaxed) as u64,
+            enqueued: state.enqueued,
+            dequeued: state.dequeued,
+            full_rejections: state.full_rejections,
+            displaced: state.displaced,
         }
+    }
+}
+
+/// Wake one waiter for one moved message, all of them for more.
+fn wake(cv: &Condvar, moved: usize) {
+    if moved == 1 {
+        cv.notify_one();
+    } else {
+        cv.notify_all();
     }
 }
 
 impl Clone for Producer {
     fn clone(&self) -> Self {
-        self.shared.producers.fetch_add(1, Ordering::AcqRel);
+        self.shared.state.lock().producers += 1;
         Producer {
             shared: Arc::clone(&self.shared),
         }
@@ -656,7 +580,7 @@ impl Clone for Producer {
 
 impl Clone for Consumer {
     fn clone(&self) -> Self {
-        self.shared.consumers.fetch_add(1, Ordering::AcqRel);
+        self.shared.state.lock().consumers += 1;
         Consumer {
             shared: Arc::clone(&self.shared),
         }
@@ -665,7 +589,9 @@ impl Clone for Consumer {
 
 impl Drop for Producer {
     fn drop(&mut self) {
-        if self.shared.producers.fetch_sub(1, Ordering::AcqRel) == 1 {
+        let mut state = self.shared.state.lock();
+        state.producers -= 1;
+        if state.producers == 0 {
             // Last producer gone: wake blocked consumers so they observe it.
             self.shared.not_empty.notify_all();
         }
@@ -674,7 +600,9 @@ impl Drop for Producer {
 
 impl Drop for Consumer {
     fn drop(&mut self) {
-        if self.shared.consumers.fetch_sub(1, Ordering::AcqRel) == 1 {
+        let mut state = self.shared.state.lock();
+        state.consumers -= 1;
+        if state.consumers == 0 {
             self.shared.not_full.notify_all();
         }
     }
@@ -883,7 +811,11 @@ mod tests {
         });
         let mut out = Vec::new();
         while !out.last().is_some_and(|m: &FjordMessage| m.is_eof()) {
-            c.dequeue_batch_blocking(&mut out, 8).unwrap();
+            assert_ne!(
+                c.dequeue_batch(&mut out, 8),
+                BatchDequeueResult::Disconnected,
+                "Disconnected before Eof"
+            );
         }
         assert_eq!(out.len(), 101);
         for (i, m) in out.iter().take(100).enumerate() {

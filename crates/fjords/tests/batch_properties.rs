@@ -171,9 +171,10 @@ fn seeded_interleavings_hold_invariants() {
     }
 }
 
-/// Cross-thread: a batch producer and a batch consumer with a tiny queue
-/// still deliver everything exactly once and in order, control messages
-/// included.
+/// Cross-thread: a blocking batch producer and a spinning batch consumer
+/// with a tiny queue still deliver everything exactly once and in order,
+/// control messages included — and the consumer never sees
+/// `Disconnected` before the producer's `Eof`.
 #[test]
 fn threaded_batch_transfer_is_exact_and_ordered() {
     const N: i64 = 5_000;
@@ -205,7 +206,10 @@ fn threaded_batch_transfer_is_exact_and_ordered() {
     let mut out = Vec::new();
     'outer: loop {
         out.clear();
-        c.dequeue_batch_blocking(&mut out, 16).unwrap();
+        match c.dequeue_batch(&mut out, 16) {
+            BatchDequeueResult::Msgs(_) | BatchDequeueResult::Empty => {}
+            BatchDequeueResult::Disconnected => panic!("Disconnected before Eof"),
+        }
         for m in &out {
             if m.is_eof() {
                 break 'outer;

@@ -1,4 +1,4 @@
-//! Ingress: wrappers, streamers, and synthetic workloads (§4.2.3).
+//! Ingress: wrappers, the streamer thread, and synthetic workloads (§4.2.3).
 //!
 //! > "Two types of sources are supported: pull sources, as found in
 //! > 'traditional' federated database systems, \[and\] push sources, where
@@ -18,23 +18,22 @@
 //!   "may have run out of power or temporarily disconnected", §2.3).
 //! * [`VecSource`] / [`CsvSource`] — replay a fixed set of tuples / a CSV
 //!   file.
-//! * [`Streamer`] — the wrapper-process thread: drains any [`Source`] into
-//!   a Fjord push queue, honouring back-pressure, stamping arrival order.
-//! * [`Supervisor`] — a chaos-hardened streamer: restarts panicking or
-//!   erroring sources with capped exponential backoff, filters malformed
-//!   tuples, and degrades gracefully (shed/sample) under sustained
-//!   overflow, with every lost tuple accounted in [`SupervisorStats`].
+//! * [`Supervisor`] — the streamer: the one wrapper-process thread that
+//!   drains any [`Source`] into a Fjord push queue, honouring
+//!   back-pressure. It catches source panics and errors and restarts the
+//!   source with capped exponential backoff (a restart budget of zero for
+//!   a source that cannot be rebuilt), filters malformed tuples, degrades
+//!   gracefully (shed/sample) under sustained overflow, and sends EOF
+//!   exactly once, with every lost tuple accounted in [`SupervisorStats`].
 
 #![warn(missing_docs)]
 
 pub mod generators;
 pub mod source;
-pub mod streamer;
 pub mod supervisor;
 
 pub use generators::{NetworkPackets, SensorReadings, StockTicks};
 pub use source::{CsvSource, Source, SourceStatus, VecSource};
-pub use streamer::Streamer;
 pub use supervisor::{
     ChaosSource, DegradePolicy, OverflowGate, SourceFactory, Supervisor, SupervisorConfig,
     SupervisorStats,

@@ -1,19 +1,22 @@
-//! Supervised ingress: keep flaky sources flowing.
+//! The streamer: the one thread that delivers a source into a Fjord.
 //!
-//! TelegraphCQ ingests "from an uncertain world": wrappers talk to network
-//! feeds and sensors that disconnect, emit garbage, or crash (§2.3 notes
-//! sensors "may have run out of power or temporarily disconnected"). A
-//! [`Supervisor`] is a [`Streamer`](crate::Streamer) hardened for that
-//! world: it catches source panics and errors, restarts the source with
-//! capped exponential backoff, filters malformed tuples, and applies a
-//! configurable [`DegradePolicy`] when the downstream Fjord stays full —
-//! all reported through [`SupervisorStats`] so loss is *accounted*, never
-//! silent.
+//! §4.2.3: "Streamed data is delivered from the Wrapper process to the
+//! Executor via streamers." TelegraphCQ also ingests "from an uncertain
+//! world": wrappers talk to network feeds and sensors that disconnect,
+//! emit garbage, or crash (§2.3 notes sensors "may have run out of power
+//! or temporarily disconnected"). A [`Supervisor`] is the streamer built
+//! for that world: it drains a source into a push Fjord, yielding under
+//! back-pressure; catches source panics and errors and restarts the source
+//! with capped exponential backoff; filters malformed tuples; applies a
+//! configurable [`DegradePolicy`] when the downstream Fjord stays full; and
+//! sends EOF exactly once — all reported through [`SupervisorStats`] so
+//! loss is *accounted*, never silent.
 //!
 //! The source is rebuilt by a [`SourceFactory`] closure receiving the
 //! restart attempt number and the count of tuples already delivered, so
 //! resumable sources can skip what the pipeline has already seen
-//! (exactly-once across restarts).
+//! (exactly-once across restarts). A source that cannot be rebuilt runs
+//! with `max_restarts: 0`: its first failure ends the stream.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -175,9 +178,10 @@ pub struct SupervisorStats {
     pub delivered: u64,
     /// Source restarts performed (panics + errors that were retried).
     pub restarts: u64,
-    /// Restarts caused by a panicking source.
+    /// Source panics caught (each restarted unless the budget is spent).
     pub panics: u64,
-    /// Restarts caused by a source read error.
+    /// Source read or build errors (each restarted unless the budget is
+    /// spent).
     pub source_errors: u64,
     /// Tuples dropped by the degradation policy (shed-oldest counts the
     /// displaced victim, shed-newest/sample the rejected arrival).
@@ -237,7 +241,8 @@ impl Supervisor {
     /// Spawn a supervised streamer: build a source via `factory`, drain it
     /// into `output`, and on panic or error rebuild and resume per
     /// `config`. EOF is sent exactly once — when the source exhausts, the
-    /// restart budget runs out, or `stop` is requested.
+    /// restart budget runs out, or `stop` is requested — and under
+    /// back-pressure it waits for room rather than being dropped.
     pub fn spawn(
         name: impl Into<String>,
         mut factory: SourceFactory,
@@ -305,7 +310,7 @@ impl Supervisor {
                     stats2.restarts.fetch_add(1, Ordering::Relaxed);
                     backoff(&config, attempt, &stop2);
                 }
-                let _ = output.enqueue(FjordMessage::Eof);
+                send_eof(&output, &stop2, config.policy);
             })
             .expect("spawn supervisor thread");
         Supervisor {
@@ -377,6 +382,20 @@ fn backoff(config: &SupervisorConfig, attempt: u64, stop: &AtomicBool) {
         let step = remaining.min(chunk);
         std::thread::sleep(step);
         remaining = remaining.saturating_sub(step);
+    }
+}
+
+/// End the stream. Under [`DegradePolicy::Backpressure`] the EOF waits for
+/// room like any tuple, until the consumer leaves or stop is requested;
+/// a shedding policy gives it up to a full queue, as it would a tuple.
+fn send_eof(output: &Producer, stop: &AtomicBool, policy: DegradePolicy) {
+    let mut eof = FjordMessage::Eof;
+    while let Err(EnqueueError::Full(m)) = output.enqueue(eof) {
+        if policy != DegradePolicy::Backpressure || stop.load(Ordering::Acquire) {
+            return;
+        }
+        eof = m;
+        std::thread::yield_now();
     }
 }
 
@@ -725,11 +744,7 @@ mod tests {
     fn shed_newest_drops_arrivals_and_accounts_them() {
         let (schema, master) = stock_tuples(50);
         let total = master.len() as u64;
-        let src = VecSource::new(schema, master).unwrap();
-        let factory: SourceFactory = {
-            let mut src = Some(src);
-            Box::new(move |_, _| Ok(Box::new(src.take().expect("single run")) as Box<dyn Source>))
-        };
+        let factory = once(VecSource::new(schema, master).unwrap());
         let (p, c) = fjord(4, QueueKind::Push);
         let s = Supervisor::spawn("shed", factory, p, quick_config(DegradePolicy::ShedNewest));
         let stats = s.join();
@@ -754,11 +769,7 @@ mod tests {
             .iter()
             .map(|t| t.timestamp().seq())
             .collect();
-        let src = VecSource::new(schema, master).unwrap();
-        let factory: SourceFactory = {
-            let mut src = Some(src);
-            Box::new(move |_, _| Ok(Box::new(src.take().expect("single run")) as Box<dyn Source>))
-        };
+        let factory = once(VecSource::new(schema, master).unwrap());
         let (p, c) = fjord(4, QueueKind::Push);
         let s = Supervisor::spawn("fresh", factory, p, quick_config(DegradePolicy::ShedOldest));
         let stats = s.join();
@@ -779,11 +790,7 @@ mod tests {
     fn sample_policy_degrades_instead_of_stalling() {
         let (schema, master) = stock_tuples(200);
         let total = master.len() as u64;
-        let src = VecSource::new(schema, master).unwrap();
-        let factory: SourceFactory = {
-            let mut src = Some(src);
-            Box::new(move |_, _| Ok(Box::new(src.take().expect("single run")) as Box<dyn Source>))
-        };
+        let factory = once(VecSource::new(schema, master).unwrap());
         let (p, c) = fjord(2, QueueKind::Push);
         let s = Supervisor::spawn(
             "sampled",
@@ -916,11 +923,7 @@ mod tests {
     fn token_bucket_policy_degrades_instead_of_stalling() {
         let (schema, master) = stock_tuples(200);
         let total = master.len() as u64;
-        let src = VecSource::new(schema, master).unwrap();
-        let factory: SourceFactory = {
-            let mut src = Some(src);
-            Box::new(move |_, _| Ok(Box::new(src.take().expect("single run")) as Box<dyn Source>))
-        };
+        let factory = once(VecSource::new(schema, master).unwrap());
         let (p, c) = fjord(2, QueueKind::Push);
         let s = Supervisor::spawn(
             "bucketed",
@@ -1015,5 +1018,87 @@ mod tests {
         assert_eq!(stats.panics, 1);
         assert_eq!(stats.restarts, 2);
         assert!(!stats.gave_up);
+    }
+
+    /// Hands `source` to the first build only, as `attach_source` does.
+    fn once(source: impl Source + 'static) -> SourceFactory {
+        let mut source = Some(source);
+        Box::new(move |_, _| Ok(Box::new(source.take().expect("single run")) as Box<dyn Source>))
+    }
+
+    #[test]
+    fn backpressure_loses_nothing_on_a_tiny_queue() {
+        // Tiny queue + slow consumer: every tuple and then the EOF arrive,
+        // in order, though the queue is full whenever the source offers.
+        let g = StockTicks::new("s", &["A"], 7).with_max_days(500);
+        let (p, c) = fjord(2, QueueKind::Push);
+        let s = Supervisor::spawn(
+            "stocks",
+            once(g),
+            p,
+            quick_config(DegradePolicy::Backpressure),
+        );
+        let mut seqs = Vec::new();
+        loop {
+            match c.dequeue() {
+                DequeueResult::Msg(FjordMessage::Tuple(t)) => {
+                    seqs.push(t.timestamp().seq());
+                    if seqs.len() % 50 == 0 {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                }
+                DequeueResult::Msg(FjordMessage::Eof) => break,
+                DequeueResult::Msg(FjordMessage::Punct(_)) | DequeueResult::Empty => {}
+                DequeueResult::Disconnected => panic!("Disconnected before Eof"),
+            }
+        }
+        assert_eq!(seqs.len(), 500);
+        assert!(seqs.windows(2).all(|w| w[0] <= w[1]), "order preserved");
+        assert_eq!(s.join().delivered, 500);
+    }
+
+    #[test]
+    fn eof_waits_for_room_under_backpressure() {
+        // The last tuple fills the queue, so the EOF meets a full queue
+        // (its refusal is the queue's first) and must wait, not vanish.
+        let (schema, master) = stock_tuples(8);
+        let n = master.len();
+        let (p, c) = fjord(n, QueueKind::Push);
+        let src = VecSource::new(schema, master).unwrap();
+        let config = quick_config(DegradePolicy::Backpressure);
+        let s = Supervisor::spawn("full", once(src), p, config);
+        while c.stats().full_rejections == 0 {
+            std::thread::yield_now();
+        }
+        let mut tuples = 0;
+        loop {
+            match c.dequeue() {
+                DequeueResult::Msg(FjordMessage::Tuple(_)) => tuples += 1,
+                DequeueResult::Msg(FjordMessage::Eof) => break,
+                DequeueResult::Msg(FjordMessage::Punct(_)) | DequeueResult::Empty => {}
+                DequeueResult::Disconnected => panic!("EOF dropped on a full queue"),
+            }
+        }
+        assert_eq!(tuples, n);
+        assert_eq!(s.join().delivered, n as u64);
+    }
+
+    #[test]
+    fn stop_and_a_dropped_consumer_both_end_an_infinite_source() {
+        let infinite = || StockTicks::new("s", &["A"], 9);
+        let config = || quick_config(DegradePolicy::Backpressure);
+        let (p, c) = fjord(8, QueueKind::Push);
+        let s = Supervisor::spawn("stopped", once(infinite()), p, config());
+        while c.len() < 8 {
+            std::thread::yield_now();
+        }
+        let stats = s.stop();
+        assert!(stats.delivered >= 8 && !stats.gave_up);
+
+        let (p, c) = fjord(8, QueueKind::Push);
+        let s = Supervisor::spawn("orphaned", once(infinite()), p, config());
+        drop(c);
+        // Returns: the thread noticed no one is reading.
+        assert!(!s.join().gave_up);
     }
 }

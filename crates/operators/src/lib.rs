@@ -9,12 +9,13 @@
 //!
 //! * **Eddy modules** ([`EddyModule`]) — commutative, tuple-at-a-time
 //!   operators an eddy routes through: [`SelectOp`], [`StemOp`]
-//!   (build/probe halves of joins), [`RemoteIndexOp`] (the simulated remote
-//!   access method used for join hybridization), and [`DupElimOp`].
+//!   (build/probe halves of joins) and [`RemoteIndexOp`] (the simulated
+//!   remote access method used for join hybridization).
 //! * **Consumers** — operators applied to the eddy's *output* stream, where
-//!   ordering is fixed: [`ProjectOp`], the window aggregates
-//!   ([`WindowAggregator`], [`GroupByAggregator`]), and [`Juggle`] (online
-//!   reordering for prioritized delivery, \[RRH99\]).
+//!   ordering is fixed: [`ProjectOp`] and the window aggregates
+//!   ([`WindowAggregator`], [`GroupByAggregator`]). Juggle-style
+//!   prioritized delivery (\[RRH99\]) lives at the egress boundary, in
+//!   `tcq_egress`'s prioritized pull client.
 //!
 //! The split mirrors the paper: eddies adaptively order the *commutative*
 //! part of the plan; modules at the eddy's input or output "are not
@@ -23,8 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod dupelim;
-pub mod juggle;
 pub mod module;
 pub mod project;
 pub mod remote_index;
@@ -32,8 +31,6 @@ pub mod select;
 pub mod stem_op;
 
 pub use aggregate::{AggFunc, AggSpec, GroupByAggregator, WindowAggregator, WindowMode};
-pub use dupelim::DupElimOp;
-pub use juggle::Juggle;
 pub use module::{ColumnarVerdict, EddyModule, Outputs, Routed};
 pub use project::ProjectOp;
 pub use remote_index::{RemoteIndex, RemoteIndexOp};

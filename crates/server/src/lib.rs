@@ -10,8 +10,8 @@
 //! [`TelegraphCQ`] wires the crates below into that architecture:
 //!
 //! * catalog + front-end ([`tcq_query`]) — parse / analyze / plan;
-//! * ingress ([`tcq_ingress`]) — wrapper threads (streamers) feeding
-//!   per-stream Fjords;
+//! * ingress ([`tcq_ingress`]) — one supervised source thread (the
+//!   streamer) per attached wrapper, feeding per-stream Fjords;
 //! * a **stream dispatcher** DU per stream — stamps arrival order, spools
 //!   history to a [`tcq_storage::StreamArchive`], and fans tuples out to
 //!   every standing query's input queue;
@@ -37,6 +37,6 @@ pub mod shared_join;
 
 pub use dispatcher::OverloadPolicy;
 pub use server::{
-    CheckpointReport, LivenessConfig, PolicyKind, QueryInfo, ServerConfig, SharedMemoryStat,
+    CheckpointReport, LivenessConfig, QueryInfo, ServerConfig, SharedMemoryStat,
     TcpTransportConfig, TelegraphCQ, TransportConfig,
 };

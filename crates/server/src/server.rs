@@ -14,15 +14,12 @@ use tcq_common::{
     SharedInjector, SourceKind, TcqError, Tuple,
 };
 use tcq_common::{ProgressRegistry, ProgressSnapshot};
-use tcq_eddy::{
-    Eddy, EddyConfig, FixedPolicy, GreedyPolicy, LotteryPolicy, ModuleSpec, RandomPolicy,
-    RoutingPolicy,
-};
+use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
 use tcq_egress::{ClientId, ColumnDelivery, Delivery, EgressPolicy, EgressRouter, EgressStats};
 use tcq_executor::{DuId, Executor, ExecutorConfig, StallDiagnosis, WatchdogConfig};
 use tcq_fjords::{fjord, fjord_with_probe, Consumer, Producer, QueueKind};
 use tcq_ingress::{
-    ChaosSource, Source, SourceFactory, Streamer, Supervisor, SupervisorConfig, SupervisorStats,
+    ChaosSource, Source, SourceFactory, Supervisor, SupervisorConfig, SupervisorStats,
 };
 use tcq_operators::{SelectOp, StemOp};
 use tcq_query::{analyze, parse, AnalyzedQuery};
@@ -48,19 +45,6 @@ const POOL_PAGES: usize = 256;
 /// Archive page size in bytes.
 const PAGE_SIZE: usize = 8192;
 
-/// Which routing policy new eddies use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Ticket lottery (the adaptive default).
-    Lottery,
-    /// Static order (non-adaptive baseline).
-    Fixed,
-    /// Uniform random.
-    Random,
-    /// Rank by observed selectivity/cost.
-    Greedy,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -73,8 +57,6 @@ pub struct ServerConfig {
     /// Directory for stream archives; `None` disables history (historical
     /// queries will error).
     pub archive_dir: Option<PathBuf>,
-    /// Routing policy for join eddies.
-    pub policy: PolicyKind,
     /// Eddy batching knob (§4.3 "adapting adaptivity").
     pub eddy_batch: usize,
     /// Messages moved per Fjord lock acquisition on the tuple hot path
@@ -87,7 +69,7 @@ pub struct ServerConfig {
     /// RNG seed.
     pub seed: u64,
     /// Seeded chaos schedule threaded through the whole server — the
-    /// executor, every streamer and supervisor, each stream's dispatcher
+    /// executor, every source thread, each stream's dispatcher
     /// and archive, and the egress router. `None` runs fault-free.
     pub fault_plan: Option<FaultPlan>,
     /// Slow-client policy for the egress router (default: never
@@ -191,7 +173,6 @@ impl Default for ServerConfig {
             quantum: 128,
             queue_capacity: 1024,
             archive_dir: None,
-            policy: PolicyKind::Lottery,
             eddy_batch: 1,
             io_batch: crate::dispatcher::DEFAULT_IO_BATCH,
             overload: OverloadPolicy::Backpressure,
@@ -283,8 +264,10 @@ pub struct TelegraphCQ {
     streams: Mutex<HashMap<String, Arc<StreamState>>>,
     shared_joins: Mutex<HashMap<SharedJoinKey, SharedJoinEntry>>,
     queries: Mutex<HashMap<QueryId, QueryRecord>>,
-    streamers: Mutex<Vec<Streamer>>,
-    supervisors: Mutex<Vec<Supervisor>>,
+    /// Every stream's source thread, with whether it resumes from a
+    /// checkpointed cursor (`attach_supervised_source`) or cannot skip
+    /// rows (`attach_source`).
+    supervisors: Mutex<Vec<(Supervisor, bool)>>,
     /// One injector for the whole process, shared by every layer, so the
     /// fired-fault log is a single seed-deterministic account of the run.
     injector: Option<SharedInjector>,
@@ -391,7 +374,6 @@ impl TelegraphCQ {
             streams: Mutex::new(HashMap::new()),
             shared_joins: Mutex::new(HashMap::new()),
             queries: Mutex::new(HashMap::new()),
-            streamers: Mutex::new(Vec::new()),
             supervisors: Mutex::new(Vec::new()),
             injector,
             progress,
@@ -546,37 +528,40 @@ impl TelegraphCQ {
             .ok_or_else(|| TcqError::UnknownStream(name.to_string()))
     }
 
-    /// Attach a wrapper: spawn a streamer thread draining `source` into the
-    /// stream's ingress queue. Under a fault plan the source is wrapped in
-    /// a [`ChaosSource`] (read faults) and the streamer polls
-    /// [`tcq_common::FaultPoint::FjordEnqueue`] per tuple.
+    /// Attach a wrapper: spawn the stream's source thread (a
+    /// [`Supervisor`]) draining `source` into the stream's ingress queue.
+    /// The source cannot be rebuilt, so the restart budget is zero: a
+    /// panic or read error is caught, counted in
+    /// [`TelegraphCQ::supervisor_stats`], and ends the stream with EOF;
+    /// rows of the wrong arity are filtered and counted. There is no
+    /// resume cursor — a restored server reads the source from its start.
+    /// Under a fault plan the source is wrapped in a [`ChaosSource`] (read
+    /// faults).
     pub fn attach_source(&self, stream: &str, source: Box<dyn Source>) -> Result<()> {
-        let st = self.stream(stream)?;
-        let source: Box<dyn Source> = match &self.injector {
-            Some(inj) => Box::new(ChaosSource::new(source, inj.clone())),
-            None => source,
+        let mut source = Some(source);
+        let once: SourceFactory = Box::new(move |_, _| {
+            source
+                .take()
+                .ok_or_else(|| TcqError::Ingress("source cannot be rebuilt".into()))
+        });
+        let config = SupervisorConfig {
+            max_restarts: 0,
+            ..SupervisorConfig::default()
         };
-        let streamer = Streamer::spawn_with_injector(
-            stream,
-            source,
-            st.ingress.clone(),
-            self.injector.clone(),
-        );
-        self.streamers.lock().push(streamer);
-        Ok(())
+        self.spawn_source(stream, once, config, false)
     }
 
     /// Attach a supervised wrapper: like [`TelegraphCQ::attach_source`],
     /// but the source is rebuilt by `factory` after panics and errors per
     /// `config` — the ingress survives a flaky wrapper instead of dying
-    /// with it. Under a fault plan each rebuilt source is chaos-wrapped.
+    /// with it. On a restored server the factory's first build resumes
+    /// from the checkpointed cursor.
     pub fn attach_supervised_source(
         &self,
         stream: &str,
-        mut factory: SourceFactory,
+        factory: SourceFactory,
         mut config: SupervisorConfig,
     ) -> Result<()> {
-        let st = self.stream(stream)?;
         if self.restoring && config.initial_delivered == 0 {
             // Seed the resume cursor from the checkpointed watermark: the
             // factory's first build sees the pre-crash delivered count and
@@ -588,6 +573,19 @@ impl TelegraphCQ {
                 }
             }
         }
+        self.spawn_source(stream, factory, config, true)
+    }
+
+    /// Spawn `stream`'s source thread. Under a fault plan each built
+    /// source is chaos-wrapped.
+    fn spawn_source(
+        &self,
+        stream: &str,
+        mut factory: SourceFactory,
+        config: SupervisorConfig,
+        resumable: bool,
+    ) -> Result<()> {
+        let st = self.stream(stream)?;
         let injector = self.injector.clone();
         let wrapped: SourceFactory = Box::new(move |attempt, delivered| {
             let inner = factory(attempt, delivered)?;
@@ -597,17 +595,18 @@ impl TelegraphCQ {
             })
         });
         let supervisor = Supervisor::spawn(stream, wrapped, st.ingress.clone(), config);
-        self.supervisors.lock().push(supervisor);
+        self.supervisors.lock().push((supervisor, resumable));
         Ok(())
     }
 
-    /// Per-stream supervision counters, keyed by the supervisor's stream
-    /// name (empty when no supervised sources are attached).
+    /// Per-source supervision counters, keyed by stream name, for every
+    /// source attached with [`TelegraphCQ::attach_source`] or
+    /// [`TelegraphCQ::attach_supervised_source`], in attach order.
     pub fn supervisor_stats(&self) -> Vec<(String, SupervisorStats)> {
         self.supervisors
             .lock()
             .iter()
-            .map(|s| (s.name().to_string(), s.stats()))
+            .map(|(s, _)| (s.name().to_string(), s.stats()))
             .collect()
     }
 
@@ -912,17 +911,6 @@ impl TelegraphCQ {
         })
     }
 
-    fn make_policy(&self) -> Box<dyn RoutingPolicy> {
-        match self.config.policy {
-            PolicyKind::Lottery => Box::new(LotteryPolicy::new()),
-            PolicyKind::Random => Box::new(RandomPolicy),
-            PolicyKind::Greedy => Box::new(GreedyPolicy::new()),
-            // A fixed order over however many modules get registered; the
-            // natural order is registration order.
-            PolicyKind::Fixed => Box::new(FixedPolicy::new((0..64).collect())),
-        }
-    }
-
     fn start_join(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
         let partitions = self.config.partitions.max(1);
         // CACQ sharing and partition parallelism are competing layouts for
@@ -1046,7 +1034,7 @@ impl TelegraphCQ {
         let aliases: Vec<String> = aq.sources.iter().map(|s| s.alias.clone()).collect();
         let mut eddy = Eddy::new(
             &aliases,
-            self.make_policy(),
+            Box::new(LotteryPolicy::new()),
             EddyConfig {
                 batch_size: self.config.eddy_batch,
                 seed: self.config.seed,
@@ -1571,7 +1559,8 @@ impl TelegraphCQ {
             .supervisors
             .lock()
             .iter()
-            .map(|s| (s.name().to_ascii_lowercase(), s.stats().delivered))
+            .filter(|(_, resumable)| *resumable)
+            .map(|(s, _)| (s.name().to_ascii_lowercase(), s.stats().delivered))
             .collect();
         self.drain_ingress(Duration::from_secs(2));
 
@@ -1642,16 +1631,13 @@ impl TelegraphCQ {
 
     /// Stop ingress, drain what was admitted, then stop the executor.
     ///
-    /// Ordering matters: streamers and supervisors stop *first* so no new
+    /// Ordering matters: source threads stop *first* so no new
     /// tuples arrive, then the executor keeps running until every ingress
     /// queue and subscriber queue is empty (bounded wait), and only then
     /// shuts down. Stopping the executor first would strand admitted
     /// tuples in the queues — results a client was already promised.
     pub fn shutdown(self) -> Result<()> {
-        for s in self.streamers.lock().drain(..) {
-            let _ = s.stop();
-        }
-        for s in self.supervisors.lock().drain(..) {
+        for (s, _) in self.supervisors.lock().drain(..) {
             let _ = s.stop();
         }
         self.drain_ingress(Duration::from_secs(2));

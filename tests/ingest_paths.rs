@@ -125,6 +125,113 @@ fn three_generators_feed_one_engine() {
     server.shutdown().unwrap();
 }
 
+/// Hands out `id = 0, 1, …` eight rows per read, then panics once it has
+/// handed out `panic_after` rows.
+struct DiesMidStream {
+    schema: SchemaRef,
+    next: i64,
+    panic_after: i64,
+}
+
+impl Source for DiesMidStream {
+    fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, _max: usize, out: &mut Vec<Tuple>) -> Result<SourceStatus> {
+        if self.next >= self.panic_after {
+            panic!("wrapper lost its feed after {} rows", self.next);
+        }
+        for _ in 0..8.min(self.panic_after - self.next) {
+            out.push(
+                TupleBuilder::new(self.schema.clone())
+                    .push(self.next)
+                    .at(Timestamp::logical(self.next))
+                    .build()?,
+            );
+            self.next += 1;
+        }
+        Ok(SourceStatus::Ready)
+    }
+}
+
+#[test]
+fn attached_source_panic_delivers_the_prefix_then_eofs() {
+    // A plain `attach_source` runs on the same supervised thread as
+    // `attach_supervised_source`, with a restart budget of zero: the panic
+    // is caught and counted, the rows before it are delivered, and the
+    // stream ends with EOF instead of going silent.
+    const ROWS: i64 = 40;
+    let schema = Schema::new(vec![Field::new("id", DataType::Int)]).into_ref();
+    let server = TelegraphCQ::start(ServerConfig {
+        liveness: Some(LivenessConfig::default()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    server.register_stream("feed", schema.clone()).unwrap();
+    let client = server.connect_pull_client(4096).unwrap();
+    server.submit("SELECT id FROM feed", client).unwrap();
+    server
+        .attach_source(
+            "feed",
+            Box::new(DiesMidStream {
+                schema,
+                next: 0,
+                panic_after: ROWS,
+            }),
+        )
+        .unwrap();
+
+    let ingress_eof_read = || {
+        let snap = server.progress_snapshot().expect("liveness is on");
+        let ingress = snap
+            .channels
+            .iter()
+            .find(|c| c.name == "ingress(feed)")
+            .expect("the stream's ingress channel is probed");
+        ingress.eof_in && ingress.eof_out
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !ingress_eof_read() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the stream never saw EOF"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.quiesce(Duration::from_secs(10));
+    settle(&server);
+
+    let ids: Vec<i64> = server
+        .fetch(client, 4096)
+        .unwrap()
+        .iter()
+        .map(|(_, row)| row.value(0).as_int().unwrap())
+        .collect();
+    assert_eq!(ids, (0..ROWS).collect::<Vec<_>>(), "the prefix, in order");
+    let stats = server.supervisor_stats();
+    assert_eq!(
+        stats.len(),
+        1,
+        "a plain source shows up in supervisor_stats"
+    );
+    let (name, sup) = &stats[0];
+    assert_eq!(name, "feed");
+    assert_eq!(sup.panics, 1);
+    assert!(
+        sup.gave_up,
+        "no restart budget for a source that cannot be rebuilt"
+    );
+    assert_eq!(sup.restarts, 0);
+    assert_eq!(sup.delivered, ROWS as u64);
+    let failure = sup.last_failure.as_deref().unwrap_or_default();
+    assert!(
+        failure.contains("lost its feed"),
+        "panic message kept: {failure}"
+    );
+    server.shutdown().unwrap();
+}
+
 #[test]
 fn sliding_avg_from_generator_matches_recomputation() {
     // Windows driven by generator timestamps (several ticks share one
