@@ -23,10 +23,10 @@ fn sensor_schema() -> SchemaRef {
 }
 
 fn settle(server: &TelegraphCQ) {
-    let mut last = server.egress_stats();
+    let mut last = server.egress_stats_full();
     loop {
         std::thread::sleep(Duration::from_millis(5));
-        let now = server.egress_stats();
+        let now = server.egress_stats_full();
         if now == last {
             return;
         }
@@ -127,7 +127,11 @@ fn experiment_churn() {
         }
     }
     settle(&server);
-    let (delivered, shed) = server.egress_stats();
+    let ledger = server.egress_stats_full();
+    let (delivered, lost) = (
+        ledger.delivered,
+        ledger.shed + ledger.displaced + ledger.disconnected_loss,
+    );
     println!(
         "  {} queries submitted, {} removed, {} standing at the end",
         submitted,
@@ -135,9 +139,9 @@ fn experiment_churn() {
         active.len()
     );
     println!(
-        "  {} results delivered ({} shed) in {} ms — no restarts, no stalls",
+        "  {} results delivered ({} lost) in {} ms — no restarts, no stalls",
         delivered,
-        shed,
+        lost,
         start.elapsed().as_millis()
     );
     server.shutdown().unwrap();

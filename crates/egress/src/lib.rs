@@ -22,6 +22,18 @@
 //! client can never wedge a shared eddy. Every delivery offer is accounted
 //! in [`EgressStats`]: `delivered + shed + displaced + disconnected_loss ==
 //! offered`, always.
+//!
+//! Producers hand the router one batch at a time: a dispatch unit opens
+//! one [`EgressRouter::session`] (or calls [`EgressRouter::deliver_batch`])
+//! per drained input batch, so the router lock is taken once per batch
+//! while the ledger is still charged per (row, client) offer, in row order.
+//!
+//! Teardown ledger rule: a transport closing a push client hands its
+//! delivery queue back through [`EgressRouter::disconnect_push_client`].
+//! The client is dropped and its still-queued rows counted under one lock
+//! hold, so every row charged `delivered` either reached the transport or
+//! is reclassified as `disconnected_loss` — no offer can land between the
+//! count and the drop.
 
 #![warn(missing_docs)]
 
@@ -285,19 +297,17 @@ impl RouterInner {
     }
 
     /// One tuple's full fan-out, under an already-held router lock. This is
-    /// the single definition of delivery semantics: both the per-tuple and
-    /// the batched entry points replay it tuple by tuple, so fault-poll
-    /// order, per-offer outcomes, and disconnection timing are
-    /// byte-identical whichever entry point a caller uses.
+    /// the single definition of delivery semantics: `deliver_batch` and
+    /// every session chunk replay it tuple by tuple, so fault-poll order,
+    /// per-offer outcomes, and disconnection timing do not depend on how a
+    /// caller splits its rows into calls.
     ///
-    /// `stalled` carries fairness state across one caller invocation: a
+    /// `stalled` carries fairness state across one batch or session: a
     /// push client that exhausts its retry budget lands in it, and its
     /// later offers in the same batch skip the retry-yield loop — the shed
     /// is charged to the slow client immediately instead of taxing every
     /// remaining subscriber with `max_retries` scheduler yields per tuple.
-    /// A successful send removes the client again. The per-tuple entry
-    /// point passes a fresh set each call, so its retry behaviour is
-    /// unchanged.
+    /// A successful send removes the client again.
     fn deliver_locked<I: IntoIterator<Item = QueryId>>(
         &mut self,
         queries: I,
@@ -576,8 +586,7 @@ impl RouterInner {
     }
 
     /// Flush every pending columnar batch and drop clients found dead
-    /// while flushing. Called when a delivery session (or a single
-    /// deliver/deliver_batch call) ends.
+    /// while flushing. Called when a delivery session ends.
     fn flush_session(&mut self, pending: &mut Vec<PendingColumns>, stalled: &mut Vec<ClientId>) {
         let mut dead: Vec<ClientId> = Vec::new();
         for p in pending.drain(..) {
@@ -626,11 +635,6 @@ impl EgressRouter {
     pub fn with_policy(self, policy: EgressPolicy) -> Self {
         self.inner.lock().policy = policy;
         self
-    }
-
-    /// Set the slow-client policy on a running router.
-    pub fn set_policy(&self, policy: EgressPolicy) {
-        self.inner.lock().policy = policy;
     }
 
     /// Attach a chaos injector: every delivery offer polls
@@ -765,75 +769,66 @@ impl EgressRouter {
         self.inner.lock().drop_client(client);
     }
 
-    /// Drop a client whose transport died with `undrained` results still
-    /// buffered in its delivery queue. Those rows were counted `delivered`
-    /// when they entered the channel, but the peer never read them — a TCP
-    /// socket that drops mid-batch takes its queued backlog with it. This
-    /// reclassifies exactly those offers from `delivered` to
-    /// `disconnected_loss`, so the ledger invariant
-    /// `delivered + shed + displaced + disconnected_loss == offered` keeps
-    /// describing what the client actually *received*, not what the router
-    /// enqueued. `undrained` is clamped to the delivered count so a buggy
-    /// caller can never break the invariant.
-    pub fn disconnect_with_loss(&self, client: ClientId, undrained: u64) {
+    /// Drop a push client whose transport is going away, handing in its
+    /// delivery queue (`queue`) and the rows the transport had already
+    /// taken off it but not written (`unsent`). Every row still queued or
+    /// unsent was counted `delivered` when it entered the channel, but the
+    /// peer never read it — a TCP socket that drops mid-batch takes its
+    /// backlog with it — so those offers move from `delivered` to
+    /// `disconnected_loss`, and the ledger invariant keeps describing what
+    /// the client actually *received*. Dropping the client and counting
+    /// its queue happen under one router lock hold, so no offer can land
+    /// in the queue in between and be charged `delivered` for a row that
+    /// is dropped with it. A client that leaves with nothing undelivered
+    /// departs cleanly (not counted in `disconnected`). The loss is clamped
+    /// to the delivered count so a caller over-reporting `unsent` cannot
+    /// break the invariant. Returns the rows reclassified.
+    pub fn disconnect_push_client(
+        &self,
+        client: ClientId,
+        queue: Receiver<Delivery>,
+        unsent: u64,
+    ) -> u64 {
         let mut inner = self.inner.lock();
-        if inner.drop_client(client) {
-            inner.stats.disconnected += 1;
+        let existed = inner.drop_client(client);
+        let queued = queue.try_iter().count() as u64;
+        let lost = (unsent + queued).min(inner.stats.delivered);
+        if lost > 0 {
+            if existed {
+                inner.stats.disconnected += 1;
+            }
+            inner.stats.delivered -= lost;
+            inner.stats.disconnected_loss += lost;
         }
-        let lost = undrained.min(inner.stats.delivered);
-        inner.stats.delivered -= lost;
-        inner.stats.disconnected_loss += lost;
+        lost
     }
 
-    /// Deliver `tuple` as an answer to each query in `queries`, fanning out
-    /// to all subscribed clients. Slow/absent clients shed (push, after the
-    /// policy's bounded retry) or rotate (pull) — delivery never blocks the
+    /// Deliver a batch of result tuples for the queries in `queries`,
+    /// fanning each out to every subscribed client under one router lock:
+    /// a one-chunk [`EgressRouter::session`]. The ledger is charged per
+    /// (tuple, client) offer, in tuple order — fault polls, per-offer
+    /// outcomes and stuck-client disconnection timing included — so how
+    /// rows are split into batches never changes what a seeded run
+    /// delivers. Slow or absent clients shed (push, after the policy's
+    /// bounded retry) or rotate (pull) — delivery never blocks the
     /// executor — and a client stuck past `disconnect_after` consecutive
     /// failures is forcibly disconnected and counted.
-    pub fn deliver<I: IntoIterator<Item = QueryId>>(&self, queries: I, tuple: &Tuple) {
-        let mut inner = self.inner.lock();
-        let mut stalled = Vec::new();
-        let mut pending = Vec::new();
-        inner.deliver_locked(queries, Offer::Row(tuple), &mut stalled, &mut pending);
-        inner.flush_session(&mut pending, &mut stalled);
-    }
-
-    /// Deliver a whole batch of result tuples for the queries in `queries`,
-    /// taking the router lock once for the batch instead of once per
-    /// tuple. The per-client ledger is still charged per (tuple, client)
-    /// offer, in the exact order `N` successive [`EgressRouter::deliver`]
-    /// calls would charge it — including fault polls, per-offer outcomes,
-    /// and stuck-client disconnection timing — so batched and unbatched
-    /// runs of the same seed are byte-identical.
     ///
     /// Fairness: retry-yields are a per-client, per-batch budget. Once a
     /// push client exhausts `max_retries` on one tuple, its later offers
     /// in this batch are charged as shed after a single non-blocking
     /// attempt, so one stalled client cannot add `max_retries` scheduler
     /// yields to every remaining tuple's latency for the healthy clients
-    /// behind it. (Only the `retried` counter can differ from the
-    /// per-tuple path, and only for clients that were full anyway.)
+    /// behind it. (Only the `retried` counter depends on the batch split,
+    /// and only for clients that were full anyway.)
     pub fn deliver_batch<I>(&self, queries: I, tuples: &[Tuple])
     where
         I: IntoIterator<Item = QueryId>,
         I::IntoIter: Clone,
     {
-        if tuples.is_empty() {
-            return;
+        if !tuples.is_empty() {
+            self.session().deliver_rows(queries, tuples);
         }
-        let queries = queries.into_iter();
-        let mut stalled = Vec::new();
-        let mut pending = Vec::new();
-        let mut guard = self.inner.lock();
-        for tuple in tuples {
-            guard.deliver_locked(
-                queries.clone(),
-                Offer::Row(tuple),
-                &mut stalled,
-                &mut pending,
-            );
-        }
-        guard.flush_session(&mut pending, &mut stalled);
     }
 
     /// Begin a multi-chunk delivery session: the router lock is taken
@@ -868,13 +863,6 @@ impl EgressRouter {
             }
             None => Err(TcqError::Executor(format!("unknown client {client}"))),
         }
-    }
-
-    /// (delivered, lost) counters — the legacy compact view; `lost` is
-    /// `shed + displaced + disconnected_loss`.
-    pub fn stats(&self) -> (u64, u64) {
-        let s = self.inner.lock().stats;
-        (s.delivered, s.shed + s.displaced + s.disconnected_loss)
     }
 
     /// Full delivery accounting.
@@ -1001,9 +989,9 @@ mod tests {
         let rx2 = r.register_push_client(2, 16).unwrap();
         r.subscribe(1, 100).unwrap();
         r.subscribe(2, 200).unwrap();
-        r.deliver([100usize], &t(1));
-        r.deliver([200usize], &t(2));
-        r.deliver([100usize, 200], &t(3));
+        r.deliver_batch([100usize], &[t(1)]);
+        r.deliver_batch([200usize], &[t(2)]);
+        r.deliver_batch([100usize, 200], &[t(3)]);
         let got1: Vec<_> = rx1.try_iter().collect();
         let got2: Vec<_> = rx2.try_iter().collect();
         assert_eq!(got1.len(), 2);
@@ -1017,11 +1005,11 @@ mod tests {
         let _rx = r.register_push_client(1, 2).unwrap();
         r.subscribe(1, 5).unwrap();
         for i in 0..10 {
-            r.deliver([5usize], &t(i));
+            r.deliver_batch([5usize], &[t(i)]);
         }
-        let (delivered, shed) = r.stats();
-        assert_eq!(delivered, 2);
-        assert_eq!(shed, 8);
+        let s = r.egress_stats();
+        assert_eq!(s.delivered, 2);
+        assert_eq!(s.shed, 8);
     }
 
     #[test]
@@ -1030,7 +1018,7 @@ mod tests {
         r.register_pull_client(7, 100).unwrap();
         r.subscribe(7, 1).unwrap();
         for i in 0..5 {
-            r.deliver([1usize], &t(i));
+            r.deliver_batch([1usize], &[t(i)]);
         }
         // client reconnects and fetches
         let first = r.fetch(7, 3).unwrap();
@@ -1047,12 +1035,12 @@ mod tests {
         r.register_pull_client(7, 3).unwrap();
         r.subscribe(7, 1).unwrap();
         for i in 0..10 {
-            r.deliver([1usize], &t(i));
+            r.deliver_batch([1usize], &[t(i)]);
         }
         let got = r.fetch(7, 10).unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(got[0].1, t(7), "oldest results rotated out");
-        assert_eq!(r.stats().1, 7);
+        assert_eq!(r.egress_stats().displaced, 7);
     }
 
     #[test]
@@ -1063,7 +1051,7 @@ mod tests {
         r.disconnect(1);
         assert_eq!(r.client_count(), 0);
         // delivering to the orphaned query is a no-op
-        r.deliver([9usize], &t(0));
+        r.deliver_batch([9usize], &[t(0)]);
         assert!(r.fetch(1, 1).is_err());
     }
 
@@ -1083,9 +1071,9 @@ mod tests {
         let r = EgressRouter::new();
         r.register_pull_client(1, 10).unwrap();
         r.subscribe(1, 5).unwrap();
-        r.deliver([5usize], &t(1));
+        r.deliver_batch([5usize], &[t(1)]);
         r.unsubscribe(1, 5);
-        r.deliver([5usize], &t(2));
+        r.deliver_batch([5usize], &[t(2)]);
         assert_eq!(r.fetch(1, 10).unwrap().len(), 1);
     }
 
@@ -1098,7 +1086,7 @@ mod tests {
         let _rx = r.register_push_client(1, 1).unwrap();
         r.subscribe(1, 5).unwrap();
         for i in 0..10 {
-            r.deliver([5usize], &t(i));
+            r.deliver_batch([5usize], &[t(i)]);
         }
         let s = r.egress_stats();
         // Offer 1 fills the channel; offers 2-4 shed (failure streak 1..3);
@@ -1122,19 +1110,18 @@ mod tests {
         // A TCP client with a queue of 4 receives a 10-row batch: 4 rows
         // buffer (delivered), 6 shed. The client reads one row, then its
         // socket drops — the 3 rows still in the queue were never on the
-        // wire. The transport drains them and reports the loss.
+        // wire. The transport hands the queue back and the router counts
+        // them as the loss.
         let r = EgressRouter::new();
         let rx = r.register_push_client(1, 4).unwrap();
         r.subscribe(1, 5).unwrap();
         for i in 0..10 {
-            r.deliver([5usize], &t(i));
+            r.deliver_batch([5usize], &[t(i)]);
         }
         let s = r.egress_stats();
         assert_eq!((s.delivered, s.shed), (4, 6));
         let _read = rx.recv().unwrap(); // one row reached the peer
-        drop(rx);
-        let undrained = 3; // what the transport counts while draining
-        r.disconnect_with_loss(1, undrained);
+        assert_eq!(r.disconnect_push_client(1, rx, 0), 3);
         let s = r.egress_stats();
         assert_eq!(s.offered, 10);
         assert_eq!(s.delivered, 1, "only the row the peer actually read");
@@ -1146,21 +1133,38 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_with_loss_clamps_to_delivered() {
+    fn disconnect_push_client_clamps_to_delivered() {
         let r = EgressRouter::new();
-        let _rx = r.register_push_client(1, 4).unwrap();
+        let rx = r.register_push_client(1, 4).unwrap();
         r.subscribe(1, 5).unwrap();
-        r.deliver([5usize], &t(1));
-        // A caller over-reporting undrained rows cannot drive `delivered`
+        r.deliver_batch([5usize], &[t(1)]);
+        // A caller over-reporting unsent rows cannot drive `delivered`
         // negative or break the invariant.
-        r.disconnect_with_loss(1, 99);
+        assert_eq!(r.disconnect_push_client(1, rx, 99), 1);
         let s = r.egress_stats();
         assert_eq!(s.delivered, 0);
         assert_eq!(s.disconnected_loss, 1);
         assert!(s.accounted());
         // Disconnecting an unknown client is a no-op, not a panic.
-        r.disconnect_with_loss(42, 7);
+        let (_tx, rx) = sync_channel(1);
+        assert_eq!(r.disconnect_push_client(42, rx, 7), 0);
         assert_eq!(r.egress_stats().disconnected, 1);
+    }
+
+    #[test]
+    fn a_clean_departure_is_not_a_disconnect() {
+        let r = EgressRouter::new();
+        let rx = r.register_push_client(1, 4).unwrap();
+        r.subscribe(1, 5).unwrap();
+        r.deliver_batch([5usize], &[t(1)]);
+        let _read = rx.recv().unwrap();
+        assert_eq!(r.disconnect_push_client(1, rx, 0), 0);
+        let s = r.egress_stats();
+        assert_eq!(
+            (s.delivered, s.disconnected, s.disconnected_loss),
+            (1, 0, 0)
+        );
+        assert_eq!(r.client_count(), 0);
     }
 
     #[test]
@@ -1172,14 +1176,14 @@ mod tests {
         let rx = r.register_push_client(1, 8).unwrap();
         r.subscribe(1, 5).unwrap();
         drop(rx);
-        r.deliver([5usize], &t(1));
+        r.deliver_batch([5usize], &[t(1)]);
         let s = r.egress_stats();
         assert_eq!(s.disconnected_loss, 1);
         assert_eq!(s.disconnected, 1);
         assert!(s.accounted());
         assert_eq!(r.client_count(), 0, "dead client cleaned up eagerly");
         // Later deliveries are no-ops, not errors.
-        r.deliver([5usize], &t(2));
+        r.deliver_batch([5usize], &[t(2)]);
         assert_eq!(r.egress_stats().offered, 1);
     }
 
@@ -1193,9 +1197,9 @@ mod tests {
         r.subscribe(1, 5).unwrap();
         // Alternate fill/drain: two consecutive failures max, never three.
         for round in 0..6 {
-            r.deliver([5usize], &t(round * 3)); // delivered (channel empty)
-            r.deliver([5usize], &t(round * 3 + 1)); // shed, streak 1
-            r.deliver([5usize], &t(round * 3 + 2)); // shed, streak 2
+            r.deliver_batch([5usize], &[t(round * 3)]); // delivered (channel empty)
+            r.deliver_batch([5usize], &[t(round * 3 + 1)]); // shed, streak 1
+            r.deliver_batch([5usize], &[t(round * 3 + 2)]); // shed, streak 2
             let _ = rx.try_iter().count(); // client catches up
         }
         let s = r.egress_stats();
@@ -1221,7 +1225,7 @@ mod tests {
         let tuples: Vec<Tuple> = (0..20).map(t).collect();
         let (per, per_rx) = mk();
         for tup in &tuples {
-            per.deliver([9usize], tup);
+            per.deliver_batch([9usize], std::slice::from_ref(tup));
         }
         let (bat, bat_rx) = mk();
         bat.deliver_batch([9usize], &tuples);
@@ -1251,7 +1255,7 @@ mod tests {
             r.subscribe(c, 9).unwrap();
         }
         for i in 0..50 {
-            r.deliver([9usize], &t(i));
+            r.deliver_batch([9usize], &[t(i)]);
         }
         let s = r.egress_stats();
         assert!(s.accounted(), "invariant must hold under churn: {s:?}");
@@ -1437,7 +1441,7 @@ mod chaos_tests {
         let _rx = r.register_push_client(1, 16).unwrap();
         r.subscribe(1, 5).unwrap();
         for i in 0..10 {
-            r.deliver([5usize], &t(i));
+            r.deliver_batch([5usize], &[t(i)]);
         }
         let s = r.egress_stats();
         assert_eq!(s.offered, 3, "client gone after the injected stall");
@@ -1458,7 +1462,7 @@ mod chaos_tests {
         r.register_pull_client(1, 100).unwrap();
         r.subscribe(1, 5).unwrap();
         for i in 0..5 {
-            r.deliver([5usize], &t(i));
+            r.deliver_batch([5usize], &[t(i)]);
         }
         let s = r.egress_stats();
         assert_eq!(s.displaced, 1, "forced rotation despite spare capacity");
@@ -1483,7 +1487,7 @@ mod chaos_tests {
         let rx = r.register_push_client(1, 16).unwrap();
         r.subscribe(1, 5).unwrap();
         for i in 0..4 {
-            r.deliver([5usize], &t(i));
+            r.deliver_batch([5usize], &[t(i)]);
         }
         let s = r.egress_stats();
         assert_eq!(s.delivered, 3);
@@ -1522,7 +1526,7 @@ mod prioritized_tests {
         .unwrap();
         r.subscribe(1, 7).unwrap();
         for x in [3, 9, 1, 5] {
-            r.deliver([7usize], &t(x));
+            r.deliver_batch([7usize], &[t(x)]);
         }
         let got = r.fetch(1, 2).unwrap();
         let xs: Vec<i64> = got
@@ -1551,10 +1555,9 @@ mod prioritized_tests {
         .unwrap();
         r.subscribe(1, 1).unwrap();
         for x in 0..10 {
-            r.deliver([1usize], &t(x));
+            r.deliver_batch([1usize], &[t(x)]);
         }
-        let (_, dropped) = r.stats();
-        assert_eq!(dropped, 8);
+        assert_eq!(r.egress_stats().displaced, 8);
         // The BEST two survive the shedding.
         let got = r.fetch(1, 10).unwrap();
         let xs: Vec<i64> = got

@@ -20,14 +20,18 @@
 //! records the intended discipline so plan wiring is self-describing;
 //! nothing checks it. The engine's dispatch units (`tcq_executor::
 //! DispatchUnit`) use only the non-blocking calls ("an overarching
-//! principle of TelegraphCQ is to avoid blocking operations", §4.2.3) and
-//! report a [`ModuleStatus`] after each quantum.
+//! principle of TelegraphCQ is to avoid blocking operations", §4.2.3),
+//! read every input through an [`Inbox`] (batched refills bounded by the
+//! quantum, nothing past `Eof`, leftovers kept), and report a
+//! [`ModuleStatus`] after each quantum.
 
 #![warn(missing_docs)]
 
+pub mod inbox;
 pub mod module;
 pub mod queue;
 
+pub use inbox::Inbox;
 pub use module::ModuleStatus;
 pub use queue::{
     fjord, fjord_with_probe, BatchDequeueResult, Consumer, DequeueResult, EnqueueError,

@@ -20,11 +20,13 @@
 //!
 //! Dead-socket accounting: rows the router counted `delivered` that are
 //! still sitting in the connection's queue when its socket dies never
-//! reached the peer. The writer drains and counts them on every exit path
-//! and calls [`TelegraphCQ::disconnect_client_with_loss`], reclassifying
-//! exactly those offers as `disconnected_loss` — the ledger invariant
-//! `delivered + shed + displaced + disconnected_loss == offered` then
-//! describes bytes on the wire, not bytes in a doomed buffer.
+//! reached the peer. On every exit path the writer hands its queue back
+//! through [`TelegraphCQ::disconnect_push_client`], which drops the client
+//! and reclassifies exactly those rows as `disconnected_loss` under one
+//! router lock hold — the ledger invariant `delivered + shed + displaced +
+//! disconnected_loss == offered` then describes bytes on the wire, not
+//! bytes in a doomed buffer, and no row delivered during teardown escapes
+//! the count.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -639,29 +641,17 @@ fn writer_loop(
         }
     }
 
-    // Teardown accounting. Rows still queued (or carried) were counted
-    // `delivered` by the router but never reached the wire.
-    if kicked {
-        // The router already dropped this client and accounted the loss
-        // (stuck-client disconnect); nothing further to reclassify.
-        let _ = stream.shutdown(Shutdown::Both);
-    } else {
-        let mut undrained = carry.is_some() as u64 + run.len() as u64;
-        while let Ok(_d) = rx.try_recv() {
-            undrained += 1;
-        }
-        if undrained == 0 {
-            // Clean close, queue fully drained: an orderly departure, not
-            // a forcible disconnect.
-            shared.server.disconnect_client(cid);
-        } else {
-            stats
-                .rows_lost_disconnect
-                .fetch_add(undrained, Ordering::Relaxed);
-            shared.server.disconnect_client_with_loss(cid, undrained);
-        }
-        let _ = stream.shutdown(Shutdown::Both);
-    }
+    // Teardown accounting. Rows still queued, carried or staged were
+    // counted `delivered` by the router but never reached the wire; the
+    // router drops the client and counts its queue in one step, so no row
+    // can be delivered in between. (A client the router already dropped —
+    // stuck-client policy — has an empty, closed queue and nothing staged.)
+    let unsent = carry.is_some() as u64 + run.len() as u64;
+    let lost = shared.server.disconnect_push_client(cid, rx, unsent);
+    stats
+        .rows_lost_disconnect
+        .fetch_add(lost, Ordering::Relaxed);
+    let _ = stream.shutdown(Shutdown::Both);
     shared.closed.fetch_add(1, Ordering::Relaxed);
 }
 

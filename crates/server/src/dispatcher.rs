@@ -3,9 +3,9 @@
 //! "In a traditional system, the arrival of queries initiates access to a
 //! stored collection of data, while here, the arrival of data initiates
 //! access to a stored collection of queries" (§1.1). The dispatcher is the
-//! point of that inversion: it drains a stream's ingress Fjord, stamps
-//! arrival order, spools history to the stream's archive, and forwards
-//! every tuple to each standing query's input queue.
+//! point of that inversion: it drains a stream's ingress Fjord through its
+//! [`Inbox`], stamps arrival order, spools history to the stream's archive,
+//! and forwards each drained batch to every standing query's input queue.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -15,11 +15,8 @@ use tcq_common::sync::Mutex;
 
 use tcq_common::{FaultAction, FaultPoint, Result, SharedInjector, Timestamp, Tuple};
 use tcq_executor::{DispatchUnit, ModuleStatus};
-use tcq_fjords::{BatchDequeueResult, Consumer, EnqueueError, FjordMessage, Producer};
+use tcq_fjords::{EnqueueError, FjordMessage, Inbox, Producer};
 use tcq_storage::StreamArchive;
-
-/// Default messages moved per input-lock acquisition by a dispatcher.
-pub const DEFAULT_IO_BATCH: usize = 64;
 
 /// One query's subscription to a stream.
 pub struct Subscription {
@@ -102,7 +99,7 @@ pub enum OverloadPolicy {
 /// The dispatcher DU for one stream.
 pub struct StreamDispatcher {
     name: String,
-    input: Consumer,
+    input: Inbox,
     subscribers: SubscriberSet,
     /// Stream history spool; `None` disables archiving.
     archive: Option<Arc<Mutex<StreamArchive>>>,
@@ -125,21 +122,18 @@ pub struct StreamDispatcher {
     /// Chaos injector polled at [`FaultPoint::FjordEnqueue`] per forwarded
     /// tuple.
     injector: Option<SharedInjector>,
-    /// Messages pulled per input-lock acquisition (1 = per-tuple dispatch).
-    io_batch: usize,
-    /// Scratch buffer reused across quanta (drained, so capacity persists).
-    msg_buf: Vec<FjordMessage>,
-    eof_seen: bool,
     eof_sent: bool,
     /// Subscriber ids whose queues have received the stream's Eof.
     eof_delivered: Vec<u64>,
 }
 
 impl StreamDispatcher {
-    /// Build a dispatcher.
+    /// Build a dispatcher reading the stream's ingress fjord through
+    /// `input`. Faults, stamping and archiving are per message, so a
+    /// same-seed chaos run is byte-identical at any `io_batch`.
     pub fn new(
         name: impl Into<String>,
-        input: Consumer,
+        input: Inbox,
         subscribers: SubscriberSet,
         archive: Option<Arc<Mutex<StreamArchive>>>,
         latest_seq: Arc<AtomicI64>,
@@ -160,9 +154,6 @@ impl StreamDispatcher {
             shed: Arc::new(AtomicI64::new(0)),
             archive_errors: Arc::new(AtomicI64::new(0)),
             injector: None,
-            io_batch: DEFAULT_IO_BATCH,
-            msg_buf: Vec::new(),
-            eof_seen: false,
             eof_sent: false,
             eof_delivered: Vec::new(),
         }
@@ -171,15 +162,6 @@ impl StreamDispatcher {
     /// Select the overload policy (default: lossless back-pressure).
     pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> Self {
         self.overload = policy;
-        self
-    }
-
-    /// Messages moved per input-lock acquisition (clamped to ≥ 1; 1
-    /// reproduces per-tuple dispatch exactly). Faults, stamping, and
-    /// archiving stay per-message regardless, so same-seed chaos replays
-    /// are byte-identical across batch sizes.
-    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
-        self.io_batch = io_batch.max(1);
         self
     }
 
@@ -202,28 +184,6 @@ impl StreamDispatcher {
     /// Shared counter of failed (skipped) archive appends.
     pub fn archive_error_counter(&self) -> Arc<AtomicI64> {
         Arc::clone(&self.archive_errors)
-    }
-
-    /// Poll the injector once for a fresh tuple's fan-out. True when an
-    /// injected `Overflow` drops the fan-out whole: one shed per
-    /// subscriber copy, even under back-pressure — an injected full never
-    /// clears, so waiting would wedge the stream. (Polled per *fresh*
-    /// tuple, not per retry, so the poll count is a pure function of the
-    /// tuple sequence.)
-    fn injected_overflow(&mut self) -> bool {
-        let Some(injector) = &self.injector else {
-            return false;
-        };
-        if matches!(
-            injector.poll(FaultPoint::FjordEnqueue),
-            Some(FaultAction::Overflow)
-        ) {
-            let copies = self.subscribers.len() as i64;
-            self.shed.fetch_add(copies, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
     }
 
     /// Fan a run of stamped tuples out to every subscriber, one
@@ -316,6 +276,28 @@ impl StreamDispatcher {
     }
 }
 
+/// Poll the injector once for a fresh tuple's fan-out. True when an
+/// injected `Overflow` drops the fan-out whole: one shed per subscriber
+/// copy, even under back-pressure — an injected full never clears, so
+/// waiting would wedge the stream. (Polled per *fresh* tuple, not per
+/// retry, so the poll count is a pure function of the tuple sequence.)
+fn injected_overflow(
+    injector: Option<&SharedInjector>,
+    subscribers: &SubscriberSet,
+    shed: &AtomicI64,
+) -> bool {
+    let overflow = injector.is_some_and(|inj| {
+        matches!(
+            inj.poll(FaultPoint::FjordEnqueue),
+            Some(FaultAction::Overflow)
+        )
+    });
+    if overflow {
+        shed.fetch_add(subscribers.len() as i64, Ordering::Relaxed);
+    }
+    overflow
+}
+
 impl DispatchUnit for StreamDispatcher {
     fn name(&self) -> &str {
         &self.name
@@ -337,74 +319,40 @@ impl DispatchUnit for StreamDispatcher {
                 return Ok(ModuleStatus::Idle);
             }
         }
-        while budget > 0 && !self.eof_seen {
-            // Take the scratch buffer so `self` stays borrowable below.
-            let mut msgs = std::mem::take(&mut self.msg_buf);
-            match self
-                .input
-                .dequeue_batch(&mut msgs, self.io_batch.min(budget))
-            {
-                BatchDequeueResult::Msgs(_) => {}
-                BatchDequeueResult::Empty => {
-                    self.msg_buf = msgs;
-                    return Ok(if did_work {
-                        ModuleStatus::Ready
-                    } else {
-                        ModuleStatus::Idle
-                    });
-                }
-                BatchDequeueResult::Disconnected => {
-                    self.msg_buf = msgs;
-                    self.eof_seen = true;
-                    break;
-                }
-            }
-            budget = budget.saturating_sub(msgs.len());
-            let mut fan: Vec<Tuple> = Vec::with_capacity(msgs.len());
-            for msg in msgs.drain(..) {
-                match msg {
-                    FjordMessage::Tuple(t) => {
-                        if self.eof_seen {
-                            // The batch read past the stream's Eof; the
-                            // per-tuple path never dequeues these, so
-                            // dropping them is observably identical.
-                            continue;
-                        }
-                        did_work = true;
-                        self.arrivals += 1;
-                        let t = if t.timestamp().logical.is_some() {
-                            t
-                        } else {
-                            t.with_timestamp(Timestamp::logical(self.arrivals))
-                        };
-                        let seq = t.timestamp().seq();
-                        self.latest_seq.fetch_max(seq, Ordering::AcqRel);
-                        if let Some(archive) = &self.archive {
-                            // A failed append degrades history, not the live
-                            // path: the tuple still reaches every subscriber
-                            // and the loss is counted.
-                            if archive.lock().append(&t).is_err() {
-                                self.archive_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        if self.injected_overflow() {
-                            self.forwarded += 1;
-                            continue;
-                        }
-                        fan.push(t);
-                    }
-                    FjordMessage::Punct(_) => {}
-                    FjordMessage::Eof => {
-                        self.eof_seen = true;
+        while self.input.fill(&mut budget) > 0 {
+            let mut fan: Vec<Tuple> = Vec::with_capacity(self.input.buffered());
+            for msg in self.input.drain() {
+                let FjordMessage::Tuple(t) = msg else {
+                    continue;
+                };
+                did_work = true;
+                self.arrivals += 1;
+                let t = if t.timestamp().logical.is_some() {
+                    t
+                } else {
+                    t.with_timestamp(Timestamp::logical(self.arrivals))
+                };
+                let seq = t.timestamp().seq();
+                self.latest_seq.fetch_max(seq, Ordering::AcqRel);
+                if let Some(archive) = &self.archive {
+                    // A failed append degrades history, not the live
+                    // path: the tuple still reaches every subscriber and
+                    // the loss is counted.
+                    if archive.lock().append(&t).is_err() {
+                        self.archive_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
+                if injected_overflow(self.injector.as_ref(), &self.subscribers, &self.shed) {
+                    self.forwarded += 1;
+                    continue;
+                }
+                fan.push(t);
             }
-            self.msg_buf = msgs;
             if !self.forward_batch(fan) {
                 return Ok(ModuleStatus::Idle);
             }
         }
-        if self.eof_seen && self.pending.is_empty() {
+        if self.input.is_done() && self.pending.is_empty() {
             if self.fan_out_eof() {
                 self.eof_sent = true;
                 return Ok(ModuleStatus::Done);
@@ -413,17 +361,21 @@ impl DispatchUnit for StreamDispatcher {
             // until every Eof lands.
             return Ok(ModuleStatus::Ready);
         }
-        Ok(ModuleStatus::Ready)
+        Ok(if did_work {
+            ModuleStatus::Ready
+        } else {
+            ModuleStatus::Idle
+        })
     }
 
     fn buffered(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + self.input.buffered()
     }
 
     fn nudge(&mut self) -> bool {
         // Only the EOF broadcast can be withheld here; pending tuples
         // must drain first (Eof may never overtake data).
-        if self.eof_seen && !self.eof_sent && self.pending.is_empty() {
+        if self.input.is_done() && !self.eof_sent && self.pending.is_empty() {
             let before = self.eof_delivered.len();
             self.fan_out_eof();
             return self.eof_delivered.len() > before;
@@ -436,7 +388,7 @@ impl DispatchUnit for StreamDispatcher {
 mod tests {
     use super::*;
     use tcq_common::{DataType, Field, Schema, SchemaRef, Timestamp, TupleBuilder};
-    use tcq_fjords::{fjord, DequeueResult, QueueKind};
+    use tcq_fjords::{fjord, Consumer, DequeueResult, QueueKind};
 
     fn schema() -> SchemaRef {
         Schema::qualified("s", vec![Field::new("x", DataType::Int)]).into_ref()
@@ -480,7 +432,13 @@ mod tests {
             subs.add(p);
             consumers.push(c);
         }
-        let mut d = StreamDispatcher::new("d", ic, subs, None, Arc::new(AtomicI64::new(0)));
+        let mut d = StreamDispatcher::new(
+            "d",
+            Inbox::new(ic, 64),
+            subs,
+            None,
+            Arc::new(AtomicI64::new(0)),
+        );
         let s = schema();
         let base = Arc::strong_count(&s);
         for x in 1..=5 {
@@ -516,8 +474,13 @@ mod tests {
         let (narrow_p, narrow_c) = fjord(4, QueueKind::Push);
         subs.add(wide_p);
         subs.add(narrow_p);
-        let mut d = StreamDispatcher::new("d", ic, subs, None, Arc::new(AtomicI64::new(0)))
-            .with_io_batch(8);
+        let mut d = StreamDispatcher::new(
+            "d",
+            Inbox::new(ic, 8),
+            subs,
+            None,
+            Arc::new(AtomicI64::new(0)),
+        );
         let s = schema();
         for x in 1..=10 {
             ip.enqueue(FjordMessage::Tuple(tick(&s, x))).unwrap();

@@ -61,6 +61,11 @@
 //!    canonical order, so ledger counters, retry decisions, and fault
 //!    polls at `EgressDeliver` fire identically for any P.
 //!
+//! All three DUs read their fjords through [`Inbox`]es like every other
+//! DU: what a refill pulled past the point a DU stops — a merger's run
+//! closing mid-refill, a worker owing a dropped punct — waits in the
+//! inbox for the DU's next step.
+//!
 //! The exchange DUs poll no fault points on the data path shared with
 //! the sequential plan; every such point (SourceRead, FjordEnqueue,
 //! ArchiveAppend, EgressDeliver, …) sits upstream of the partitioner or
@@ -90,10 +95,9 @@ use tcq_common::{FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, Tim
 use tcq_eddy::{Eddy, Emitted};
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
-use tcq_fjords::{BatchDequeueResult, Consumer, FjordMessage, Producer};
+use tcq_fjords::{FjordMessage, Inbox, Producer};
 use tcq_query::AnalyzedQuery;
 
-use crate::dispatcher::DEFAULT_IO_BATCH;
 use crate::plans::{LazyProject, QueryId};
 
 /// Whether a join query can run partition-parallel.
@@ -152,21 +156,19 @@ enum Hop {
 
 /// One ingress stream feeding the partitioner.
 pub struct ExchangeInput {
-    consumer: Consumer,
+    inbox: Inbox,
     alias: SchemaRef,
     key_col: usize,
-    eof: bool,
 }
 
 impl ExchangeInput {
-    /// New input draining `consumer`; tuples are re-qualified to `alias`
-    /// and hash-partitioned on `key_col` (an index into `alias`).
-    pub fn new(consumer: Consumer, alias: SchemaRef, key_col: usize) -> Self {
+    /// New input draining `inbox`; tuples are re-qualified to `alias` and
+    /// hash-partitioned on `key_col` (an index into `alias`).
+    pub fn new(inbox: Inbox, alias: SchemaRef, key_col: usize) -> Self {
         ExchangeInput {
-            consumer,
+            inbox,
             alias,
             key_col,
-            eof: false,
         }
     }
 }
@@ -181,8 +183,6 @@ pub struct PartitionDu {
     schedule: Producer,
     floor: i64,
     deadline: i64,
-    io_batch: usize,
-    msg_buf: Vec<FjordMessage>,
     /// Ordered staging area; drained strictly FIFO so a full fjord can
     /// never reorder the canonical sequence.
     outbox: VecDeque<(Hop, FjordMessage)>,
@@ -213,19 +213,11 @@ impl PartitionDu {
             schedule,
             floor,
             deadline,
-            io_batch: DEFAULT_IO_BATCH,
-            msg_buf: Vec::new(),
             outbox: VecDeque::new(),
             open_run: None,
             finished: false,
             hash_computes: 0,
         }
-    }
-
-    /// Set the hot-path batch size (messages per Fjord lock).
-    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
-        self.io_batch = io_batch.max(1);
-        self
     }
 
     /// Fresh key-hash computations performed while routing.
@@ -265,8 +257,8 @@ impl PartitionDu {
         }
     }
 
-    /// Drain the outbox strictly in order, batching maximal same-fjord
-    /// prefixes into one lock acquisition each; stop at the first refusal
+    /// Drain the outbox strictly in order, moving each maximal same-fjord
+    /// prefix under one lock acquisition; stop at the first refusal
     /// (back-pressure). Returns how many messages were placed.
     fn flush_outbox(&mut self) -> usize {
         let mut sent = 0;
@@ -274,7 +266,7 @@ impl PartitionDu {
         while let Some(&(hop, _)) = self.outbox.front() {
             batch.clear();
             while let Some(&(h, _)) = self.outbox.front() {
-                if h != hop || batch.len() >= self.io_batch {
+                if h != hop {
                     break;
                 }
                 batch.push(self.outbox.pop_front().expect("front checked").1);
@@ -313,6 +305,11 @@ impl DispatchUnit for PartitionDu {
 
     fn buffered(&self) -> usize {
         self.outbox.len()
+            + self
+                .inputs
+                .iter()
+                .map(|i| i.inbox.buffered())
+                .sum::<usize>()
     }
 
     /// Close the open run early and retry the staged tail. Run boundaries
@@ -341,51 +338,28 @@ impl DispatchUnit for PartitionDu {
         }
         let per_input = quantum.div_ceil(self.inputs.len().max(1));
         for i in 0..self.inputs.len() {
-            if self.inputs[i].eof {
-                continue;
-            }
-            let mut remaining = per_input;
-            while remaining > 0 && !self.inputs[i].eof {
-                let mut msgs = std::mem::take(&mut self.msg_buf);
-                let max = self.io_batch.min(remaining);
-                match self.inputs[i].consumer.dequeue_batch(&mut msgs, max) {
-                    BatchDequeueResult::Msgs(n) => remaining = remaining.saturating_sub(n),
-                    BatchDequeueResult::Empty => {
-                        self.msg_buf = msgs;
-                        break;
-                    }
-                    BatchDequeueResult::Disconnected => {
-                        self.msg_buf = msgs;
-                        self.inputs[i].eof = true;
-                        break;
-                    }
+            let mut budget = per_input;
+            while let Some(msg) = self.inputs[i].inbox.next(&mut budget) {
+                let FjordMessage::Tuple(t) = msg else {
+                    continue;
+                };
+                did_work = true;
+                let seq = t.timestamp().seq();
+                if seq < self.floor {
+                    continue;
                 }
-                for msg in msgs.drain(..) {
-                    match msg {
-                        FjordMessage::Tuple(t) if !self.inputs[i].eof => {
-                            did_work = true;
-                            let seq = t.timestamp().seq();
-                            if seq < self.floor {
-                                continue;
-                            }
-                            if seq > self.deadline {
-                                // Stream time passed the final window
-                                // (timestamps are monotone per stream).
-                                self.inputs[i].eof = true;
-                                continue;
-                            }
-                            let t = t.with_schema(self.inputs[i].alias.clone())?;
-                            let key_col = self.inputs[i].key_col;
-                            self.route(t, key_col);
-                        }
-                        FjordMessage::Tuple(_) | FjordMessage::Punct(_) => {}
-                        FjordMessage::Eof => self.inputs[i].eof = true,
-                    }
+                if seq > self.deadline {
+                    // Stream time passed the final window (timestamps are
+                    // monotone per stream).
+                    self.inputs[i].inbox.close();
+                    break;
                 }
-                self.msg_buf = msgs;
+                let t = t.with_schema(self.inputs[i].alias.clone())?;
+                let key_col = self.inputs[i].key_col;
+                self.route(t, key_col);
             }
         }
-        if self.inputs.iter().all(|i| i.eof) {
+        if self.inputs.iter().all(|i| i.inbox.is_done()) {
             self.close_run();
             for p in 0..self.parts.len() {
                 self.outbox.push_back((Hop::Part(p), FjordMessage::Eof));
@@ -417,27 +391,22 @@ impl DispatchUnit for PartitionDu {
 /// path takes no locks shared with any other partition.
 pub struct WorkerDu {
     name: String,
-    input: Consumer,
+    input: Inbox,
     output: Producer,
     eddy: Eddy,
     project: LazyProject,
-    io_batch: usize,
-    msg_buf: Vec<FjordMessage>,
     emitted: Vec<Emitted>,
     /// Contiguous tuples of the currently-open run awaiting the eddy.
     batch: Vec<Tuple>,
     outbox: Vec<FjordMessage>,
-    input_eof: bool,
     finished: bool,
     /// Run-closing punctuations an injected fault swallowed
     /// ([`FaultPoint::DropPunctuation`]). While any are owed the worker
-    /// refuses further input — the punct must land *before* the next
-    /// run's outputs — so the merger wedges waiting for the run to close
-    /// until the watchdog nudges us into re-emitting.
+    /// takes no further input — it stays in the inbox, because the punct
+    /// must land *before* the next run's outputs — so the merger wedges
+    /// waiting for the run to close until the watchdog nudges us into
+    /// re-emitting.
     owed_puncts: Vec<Timestamp>,
-    /// Input dequeued after a punct was dropped, parked until the owed
-    /// puncts are re-emitted (preserves exact output order).
-    carry: VecDeque<FjordMessage>,
     injector: Option<SharedInjector>,
 }
 
@@ -446,7 +415,7 @@ impl WorkerDu {
     /// fjord) through `eddy` and `project`.
     pub fn new(
         name: impl Into<String>,
-        input: Consumer,
+        input: Inbox,
         output: Producer,
         eddy: Eddy,
         project: LazyProject,
@@ -457,23 +426,13 @@ impl WorkerDu {
             output,
             eddy,
             project,
-            io_batch: DEFAULT_IO_BATCH,
-            msg_buf: Vec::new(),
             emitted: Vec::new(),
             batch: Vec::new(),
             outbox: Vec::new(),
-            input_eof: false,
             finished: false,
             owed_puncts: Vec::new(),
-            carry: VecDeque::new(),
             injector: None,
         }
-    }
-
-    /// Set the hot-path batch size (messages per Fjord lock).
-    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
-        self.io_batch = io_batch.max(1);
-        self
     }
 
     /// Attach the chaos injector: each run-closing punctuation about to be
@@ -501,31 +460,19 @@ impl WorkerDu {
         Ok(())
     }
 
-    /// Route one input message through the worker. While a dropped punct
-    /// is owed the message is parked in `carry` instead — emitting
-    /// anything past the missing run boundary would corrupt the merge
-    /// order.
-    fn absorb(&mut self, msg: FjordMessage) -> Result<()> {
-        if !self.owed_puncts.is_empty() {
-            self.carry.push_back(msg);
-            return Ok(());
-        }
-        match msg {
-            FjordMessage::Tuple(t) => self.batch.push(t),
-            FjordMessage::Punct(ts) => {
-                self.process_pending()?;
-                let dropped = self
-                    .injector
-                    .as_ref()
-                    .and_then(|inj| inj.poll(FaultPoint::DropPunctuation))
-                    .is_some();
-                if dropped {
-                    self.owed_puncts.push(ts);
-                } else {
-                    self.outbox.push(FjordMessage::Punct(ts));
-                }
-            }
-            FjordMessage::Eof => self.input_eof = true,
+    /// Close the open run: its outputs, then its punct — unless an
+    /// injected fault swallows the punct, which is then owed.
+    fn close_run(&mut self, ts: Timestamp) -> Result<()> {
+        self.process_pending()?;
+        let dropped = self
+            .injector
+            .as_ref()
+            .and_then(|inj| inj.poll(FaultPoint::DropPunctuation))
+            .is_some();
+        if dropped {
+            self.owed_puncts.push(ts);
+        } else {
+            self.outbox.push(FjordMessage::Punct(ts));
         }
         Ok(())
     }
@@ -551,11 +498,11 @@ impl DispatchUnit for WorkerDu {
     }
 
     fn buffered(&self) -> usize {
-        self.outbox.len() + self.batch.len() + self.carry.len() + self.owed_puncts.len()
+        self.outbox.len() + self.batch.len() + self.input.buffered() + self.owed_puncts.len()
     }
 
-    /// Re-emit dropped run-closing punctuations. The parked `carry` input
-    /// replays through the normal path on the next quantum.
+    /// Re-emit dropped run-closing punctuations. The input parked in the
+    /// inbox resumes through the normal path on the next quantum.
     fn nudge(&mut self) -> bool {
         if self.owed_puncts.is_empty() {
             return false;
@@ -586,45 +533,23 @@ impl DispatchUnit for WorkerDu {
         if self.finished {
             return Ok(ModuleStatus::Done);
         }
-        // Replay input parked behind a previously-dropped punct first:
-        // it precedes anything still in the fjord.
+        let mut budget = quantum;
         while self.owed_puncts.is_empty() {
-            let Some(msg) = self.carry.pop_front() else {
+            let Some(msg) = self.input.next(&mut budget) else {
                 break;
             };
             did_work = true;
-            self.absorb(msg)?;
-        }
-        let mut remaining = quantum;
-        while remaining > 0 && !self.input_eof && self.owed_puncts.is_empty() {
-            let mut msgs = std::mem::take(&mut self.msg_buf);
-            match self
-                .input
-                .dequeue_batch(&mut msgs, self.io_batch.min(remaining))
-            {
-                BatchDequeueResult::Msgs(n) => remaining = remaining.saturating_sub(n),
-                BatchDequeueResult::Empty => {
-                    self.msg_buf = msgs;
-                    break;
-                }
-                BatchDequeueResult::Disconnected => {
-                    self.msg_buf = msgs;
-                    self.input_eof = true;
-                    break;
-                }
+            match msg {
+                FjordMessage::Tuple(t) => self.batch.push(t),
+                FjordMessage::Punct(ts) => self.close_run(ts)?,
+                FjordMessage::Eof => {} // an inbox ends the stream instead
             }
-            for msg in msgs.drain(..) {
-                did_work |= !matches!(msg, FjordMessage::Eof);
-                self.absorb(msg)?;
-            }
-            self.msg_buf = msgs;
         }
         // A run prefix without its punct yet: process it now — its
         // outputs precede the punct either way, so order is intact and
         // latency stays low while the run is starved.
         self.process_pending()?;
-        if self.input_eof && self.owed_puncts.is_empty() && self.carry.is_empty() && !self.finished
-        {
+        if self.input.is_done() && self.owed_puncts.is_empty() && !self.finished {
             self.outbox.push(FjordMessage::Eof);
             self.finished = true;
             did_work = true;
@@ -645,21 +570,16 @@ impl DispatchUnit for WorkerDu {
 /// order, drains each granted partition's output fjord up to the
 /// run-closing punct, and delivers every completed run to the egress
 /// router as one batch — restoring the canonical total order exactly.
+/// Messages read past a run's punct wait in that partition's inbox for
+/// the grant that claims them.
 pub struct MergeDu {
     name: String,
-    schedule: Consumer,
-    outputs: Vec<Consumer>,
+    schedule: Inbox,
+    outputs: Vec<Inbox>,
     egress: EgressRouter,
     qid: QueryId,
-    io_batch: usize,
-    msg_buf: Vec<FjordMessage>,
-    /// Messages dequeued from an output fjord past the current run's
-    /// punct; consumed before touching the fjord again.
-    pending: Vec<VecDeque<FjordMessage>>,
     run_buf: Vec<Tuple>,
     current: Option<usize>,
-    schedule_eof: bool,
-    outputs_eof: Vec<bool>,
     done: bool,
     /// Remaining quanta this merger refuses to work, set by an injected
     /// [`FaultPoint::StallConsumer`] fault (a deterministic wedged
@@ -674,35 +594,23 @@ impl MergeDu {
     /// under query `qid`.
     pub fn new(
         name: impl Into<String>,
-        schedule: Consumer,
-        outputs: Vec<Consumer>,
+        schedule: Inbox,
+        outputs: Vec<Inbox>,
         egress: EgressRouter,
         qid: QueryId,
     ) -> Self {
-        let n = outputs.len();
         MergeDu {
             name: name.into(),
             schedule,
             outputs,
             egress,
             qid,
-            io_batch: DEFAULT_IO_BATCH,
-            msg_buf: Vec::new(),
-            pending: (0..n).map(|_| VecDeque::new()).collect(),
             run_buf: Vec::new(),
             current: None,
-            schedule_eof: false,
-            outputs_eof: vec![false; n],
             done: false,
             stall_budget: 0,
             injector: None,
         }
-    }
-
-    /// Set the hot-path batch size (messages per Fjord lock).
-    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
-        self.io_batch = io_batch.max(1);
-        self
     }
 
     /// Attach the chaos injector: each schedule grant consumed polls
@@ -715,10 +623,8 @@ impl MergeDu {
     /// Complete the current run: one egress offer sequence in canonical
     /// order (ledger counters and fault polls fire exactly as at P=1).
     fn finish_run(&mut self) {
-        if !self.run_buf.is_empty() {
-            self.egress.deliver_batch([self.qid], &self.run_buf);
-            self.run_buf.clear();
-        }
+        self.egress.deliver_batch([self.qid], &self.run_buf);
+        self.run_buf.clear();
         self.current = None;
     }
 }
@@ -729,7 +635,9 @@ impl DispatchUnit for MergeDu {
     }
 
     fn buffered(&self) -> usize {
-        self.run_buf.len() + self.pending.iter().map(|p| p.len()).sum::<usize>()
+        self.run_buf.len()
+            + self.schedule.buffered()
+            + self.outputs.iter().map(Inbox::buffered).sum::<usize>()
     }
 
     /// Failover: clear an injected consumer wedge so the ordered-outbox
@@ -755,134 +663,53 @@ impl DispatchUnit for MergeDu {
             return Ok(ModuleStatus::Idle);
         }
         let mut did_work = false;
-        let mut remaining = quantum;
-        'outer: while remaining > 0 && self.stall_budget == 0 {
+        let mut budget = quantum;
+        while self.stall_budget == 0 {
             let Some(p) = self.current else {
-                if self.schedule_eof {
-                    break 'outer;
-                }
-                let mut msgs = std::mem::take(&mut self.msg_buf);
-                match self.schedule.dequeue_batch(&mut msgs, 1) {
-                    BatchDequeueResult::Msgs(_) => {
-                        remaining = remaining.saturating_sub(1);
-                        match msgs.pop().expect("one message") {
-                            FjordMessage::Punct(ts) => {
-                                did_work = true;
-                                self.current = Some(ts.seq() as usize);
-                                if let Some(FaultAction::Stall { ticks }) = self
-                                    .injector
-                                    .as_ref()
-                                    .and_then(|inj| inj.poll(FaultPoint::StallConsumer))
-                                {
-                                    self.stall_budget = ticks;
-                                }
-                            }
-                            FjordMessage::Eof => {
-                                did_work = true;
-                                self.schedule_eof = true;
-                            }
-                            // The partitioner never sends tuples here.
-                            FjordMessage::Tuple(_) => {}
+                match self.schedule.next(&mut budget) {
+                    Some(FjordMessage::Punct(ts)) => {
+                        did_work = true;
+                        self.current = Some(ts.seq() as usize);
+                        if let Some(FaultAction::Stall { ticks }) = self
+                            .injector
+                            .as_ref()
+                            .and_then(|inj| inj.poll(FaultPoint::StallConsumer))
+                        {
+                            self.stall_budget = ticks;
                         }
-                        self.msg_buf = msgs;
-                        continue 'outer;
                     }
-                    BatchDequeueResult::Empty => {
-                        self.msg_buf = msgs;
-                        break 'outer;
-                    }
-                    BatchDequeueResult::Disconnected => {
-                        self.msg_buf = msgs;
-                        self.schedule_eof = true;
-                        continue 'outer;
-                    }
+                    // The partitioner sends only grants here.
+                    Some(_) => {}
+                    None => break,
                 }
+                continue;
             };
             // Drain partition p's output up to the run-closing punct.
-            loop {
-                let mut run_done = false;
-                while let Some(msg) = self.pending[p].pop_front() {
-                    match msg {
-                        FjordMessage::Tuple(t) => self.run_buf.push(t),
-                        FjordMessage::Punct(_) => {
-                            did_work = true;
-                            self.finish_run();
-                            run_done = true;
-                            break;
-                        }
-                        FjordMessage::Eof => {
-                            // Teardown mid-run: deliver what arrived.
-                            did_work = true;
-                            self.finish_run();
-                            self.outputs_eof[p] = true;
-                            run_done = true;
-                            break;
-                        }
-                    }
+            match self.outputs[p].next(&mut budget) {
+                Some(FjordMessage::Tuple(t)) => self.run_buf.push(t),
+                Some(_) => {
+                    did_work = true;
+                    self.finish_run();
                 }
-                if run_done {
-                    continue 'outer;
+                // Teardown mid-run: deliver what arrived.
+                None if self.outputs[p].is_done() => {
+                    did_work = true;
+                    self.finish_run();
                 }
-                if remaining == 0 {
-                    break 'outer;
-                }
-                let mut msgs = std::mem::take(&mut self.msg_buf);
-                match self.outputs[p].dequeue_batch(&mut msgs, self.io_batch.min(remaining)) {
-                    BatchDequeueResult::Msgs(n) => {
-                        remaining = remaining.saturating_sub(n);
-                        self.pending[p].extend(msgs.drain(..));
-                        self.msg_buf = msgs;
-                    }
-                    BatchDequeueResult::Empty => {
-                        // Starved mid-run: the worker hasn't caught up.
-                        self.msg_buf = msgs;
-                        break 'outer;
-                    }
-                    BatchDequeueResult::Disconnected => {
-                        self.msg_buf = msgs;
-                        self.pending[p].push_back(FjordMessage::Eof);
-                    }
-                }
+                // Starved mid-run (the worker hasn't caught up) or out of
+                // budget.
+                None => break,
             }
         }
         // Finale: after the schedule closes, every worker still owes an
         // Eof (their fjords may also hold puncts for runs the schedule
-        // granted before we saw its Eof — those were consumed above).
-        if self.schedule_eof && self.current.is_none() {
+        // granted before its Eof — those were consumed above); skip to it.
+        if self.schedule.is_done() && self.current.is_none() {
             let mut all = true;
-            for p in 0..self.outputs.len() {
-                if self.outputs_eof[p] {
-                    continue;
-                }
-                loop {
-                    if let Some(msg) = self.pending[p].pop_front() {
-                        if matches!(msg, FjordMessage::Eof) {
-                            self.outputs_eof[p] = true;
-                            break;
-                        }
-                        continue;
-                    }
-                    let mut msgs = std::mem::take(&mut self.msg_buf);
-                    match self.outputs[p].dequeue_batch(&mut msgs, self.io_batch) {
-                        BatchDequeueResult::Msgs(_) => {
-                            self.pending[p].extend(msgs.drain(..));
-                            self.msg_buf = msgs;
-                        }
-                        BatchDequeueResult::Empty => {
-                            self.msg_buf = msgs;
-                            all = false;
-                            break;
-                        }
-                        BatchDequeueResult::Disconnected => {
-                            self.msg_buf = msgs;
-                            self.outputs_eof[p] = true;
-                            break;
-                        }
-                    }
-                }
-                if !self.outputs_eof[p] {
-                    all = false;
-                }
+            for output in &mut self.outputs {
+                let mut unmetered = usize::MAX;
+                while output.next(&mut unmetered).is_some() {}
+                all &= output.is_done();
             }
             if all {
                 self.done = true;
@@ -983,17 +810,21 @@ mod tests {
         let (sched_p, sched_c) = fjord(128, QueueKind::Push);
         let mut part = PartitionDu::new(
             "part",
-            vec![ExchangeInput::new(in_cons, schema.clone(), 0)],
+            vec![ExchangeInput::new(
+                Inbox::new(in_cons, 8),
+                schema.clone(),
+                0,
+            )],
             parts,
             sched_p,
             i64::MIN,
             i64::MAX,
-        )
-        .with_io_batch(8);
+        );
         let egress = EgressRouter::new();
         egress.register_pull_client(1, 4096).unwrap();
         egress.subscribe(1, 7).unwrap();
-        let mut merge = MergeDu::new("merge", sched_c, outs, egress.clone(), 7).with_io_batch(8);
+        let outs = outs.into_iter().map(|c| Inbox::new(c, 8)).collect();
+        let mut merge = MergeDu::new("merge", Inbox::new(sched_c, 8), outs, egress.clone(), 7);
 
         for i in 0..N {
             let t = TupleBuilder::new(schema.clone())
@@ -1075,8 +906,8 @@ mod tests {
             let mut part = PartitionDu::new(
                 "part",
                 vec![
-                    ExchangeInput::new(sc, s.clone(), 0),
-                    ExchangeInput::new(tc, tt.clone(), 0),
+                    ExchangeInput::new(Inbox::new(sc, 64), s.clone(), 0),
+                    ExchangeInput::new(Inbox::new(tc, 64), tt.clone(), 0),
                 ],
                 parts,
                 sched_p,

@@ -37,6 +37,6 @@ pub mod shared_join;
 
 pub use dispatcher::OverloadPolicy;
 pub use server::{
-    CheckpointReport, LivenessConfig, QueryInfo, ServerConfig, SharedMemoryStat,
-    TcpTransportConfig, TelegraphCQ, TransportConfig,
+    CheckpointReport, LivenessConfig, ServerConfig, SharedMemoryStat, TcpTransportConfig,
+    TelegraphCQ, TransportConfig,
 };

@@ -9,7 +9,7 @@
 use tcq_common::{Expr, Result, TcqError};
 use tcq_operators::{AggFunc, AggSpec};
 use tcq_query::AnalyzedQuery;
-use tcq_windows::{classify, WindowKind};
+use tcq_windows::{classify, LoopLength, WindowKind};
 
 use crate::plans::ResolvedAgg;
 
@@ -193,14 +193,22 @@ pub fn requalify(expr: &Expr, map: &std::collections::HashMap<String, String>) -
 
 /// Is this join query shareable under CACQ's shared-SteM assumptions?
 /// Exactly two *distinct* physical streams, one equi-join pair, no cross
-/// factors (band predicates need per-query joined-tuple filters), and the
-/// same window width on both sides.
-pub fn shareable_join(aq: &AnalyzedQuery) -> Result<bool> {
+/// factors (band predicates need per-query joined-tuple filters), the
+/// same window width on both sides, and a for-loop that never ends
+/// (instantiated at start time `st`) or none: the shared DU serves every
+/// query for as long as any stands, so it has no per-query deadline to
+/// retire a finite loop at its last window the way a dedicated join does.
+pub fn shareable_join(aq: &AnalyzedQuery, st: i64) -> Result<bool> {
     if aq.sources.len() != 2 || aq.join_pairs.len() != 1 || !aq.cross_factors.is_empty() {
         return Ok(false);
     }
     if aq.sources[0].name.eq_ignore_ascii_case(&aq.sources[1].name) {
         return Ok(false); // self-joins run dedicated
+    }
+    if let Some(w) = &aq.window {
+        if !matches!(w.extent(st)?, LoopLength::Unbounded { .. }) {
+            return Ok(false);
+        }
     }
     let w0 = join_window_width(aq, &aq.sources[0].alias)?;
     let w1 = join_window_width(aq, &aq.sources[1].alias)?;

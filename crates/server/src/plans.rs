@@ -8,6 +8,12 @@
 //! * [`AggregateCqDu`] — the window driver for aggregate queries: buffers
 //!   the windowed stream, closes each window of the §4.1 for-loop as
 //!   stream time passes it, emits one result set per window.
+//!
+//! All three have one skeleton: read each input through an [`Inbox`]
+//! (refills of at most `io_batch` messages, bounded by the quantum, never
+//! past `Eof`), run the operator over the drained batch, and hand the
+//! batch's results to egress in one delivery — one router lock per batch,
+//! the ledger still charged per row.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -22,9 +28,8 @@ use tcq_common::{
 use tcq_eddy::{Eddy, Emitted};
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
-use tcq_fjords::{BatchDequeueResult, Consumer, FjordMessage};
+use tcq_fjords::{FjordMessage, Inbox};
 
-use crate::dispatcher::DEFAULT_IO_BATCH;
 use tcq_operators::{AggSpec, GroupByAggregator, ProjectOp, WindowAggregator, WindowMode};
 use tcq_stems::{MatchScratch, QueryStem};
 use tcq_windows::{WindowAssignment, WindowSeq, WindowSeqPos};
@@ -111,19 +116,16 @@ impl FilterCqShared {
 /// The shared filter DU for one stream.
 pub struct FilterCqDu {
     name: String,
-    input: Consumer,
+    input: Inbox,
     shared: FilterCqShared,
     egress: EgressRouter,
-    io_batch: usize,
-    msg_buf: Vec<FjordMessage>,
-    done: bool,
 }
 
 impl FilterCqDu {
     /// Build the DU.
     pub fn new(
         name: impl Into<String>,
-        input: Consumer,
+        input: Inbox,
         shared: FilterCqShared,
         egress: EgressRouter,
     ) -> Self {
@@ -132,16 +134,7 @@ impl FilterCqDu {
             input,
             shared,
             egress,
-            io_batch: DEFAULT_IO_BATCH,
-            msg_buf: Vec::new(),
-            done: false,
         }
-    }
-
-    /// Messages moved per input-lock acquisition (clamped to ≥ 1).
-    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
-        self.io_batch = io_batch.max(1);
-        self
     }
 }
 
@@ -150,76 +143,49 @@ impl DispatchUnit for FilterCqDu {
         &self.name
     }
 
+    fn buffered(&self) -> usize {
+        self.input.buffered()
+    }
+
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
-        if self.done {
-            return Ok(ModuleStatus::Done);
-        }
         let mut did_work = false;
         let mut budget = quantum;
-        while budget > 0 {
-            let mut msgs = std::mem::take(&mut self.msg_buf);
-            match self
-                .input
-                .dequeue_batch(&mut msgs, self.io_batch.min(budget))
-            {
-                BatchDequeueResult::Msgs(n) => budget = budget.saturating_sub(n),
-                BatchDequeueResult::Empty => {
-                    self.msg_buf = msgs;
-                    return Ok(if did_work {
-                        ModuleStatus::Ready
-                    } else {
-                        ModuleStatus::Idle
-                    });
-                }
-                BatchDequeueResult::Disconnected => {
-                    self.msg_buf = msgs;
-                    self.done = true;
-                    return Ok(ModuleStatus::Done);
-                }
-            }
-            let mut batch: Vec<Tuple> = Vec::with_capacity(msgs.len());
-            let mut saw_eof = false;
-            for msg in msgs.drain(..) {
-                match msg {
-                    // Tuples read past an Eof in the same batch are
-                    // dropped — the per-tuple path never dequeues them.
-                    FjordMessage::Tuple(t) if !saw_eof => batch.push(t),
-                    FjordMessage::Tuple(_) | FjordMessage::Punct(_) => {}
-                    FjordMessage::Eof => saw_eof = true,
-                }
-            }
-            self.msg_buf = msgs;
-            if !batch.is_empty() {
-                did_work = true;
-                // One shared-state lock per batch; the CACQ matching pass
-                // itself still runs per tuple, in order.
-                let mut inner = self.shared.inner.lock();
-                let FilterInner {
-                    qstem,
-                    scratch,
-                    projections,
-                    min_seq,
-                } = &mut *inner;
-                for t in &batch {
-                    let seq = t.timestamp().seq();
-                    qstem.matching_into(t, scratch)?;
-                    for &qid in scratch.matches() {
-                        if min_seq.get(&qid).is_some_and(|&m| seq < m) {
-                            continue;
-                        }
-                        if let Some(project) = projections.get(&qid) {
-                            let out = project.apply(t)?;
-                            self.egress.deliver([qid], &out);
-                        }
+        while self.input.fill(&mut budget) > 0 {
+            did_work = true;
+            // One shared-state lock and one egress session per batch; the
+            // CACQ matching pass itself still runs per tuple, in order.
+            let mut inner = self.shared.inner.lock();
+            let FilterInner {
+                qstem,
+                scratch,
+                projections,
+                min_seq,
+            } = &mut *inner;
+            let mut session = self.egress.session();
+            for msg in self.input.drain() {
+                let FjordMessage::Tuple(t) = msg else {
+                    continue;
+                };
+                let seq = t.timestamp().seq();
+                qstem.matching_into(&t, scratch)?;
+                for &qid in scratch.matches() {
+                    if min_seq.get(&qid).is_some_and(|&m| seq < m) {
+                        continue;
+                    }
+                    if let Some(project) = projections.get(&qid) {
+                        let out = project.apply(&t)?;
+                        session.deliver_rows([qid], std::slice::from_ref(&out));
                     }
                 }
             }
-            if saw_eof {
-                self.done = true;
-                return Ok(ModuleStatus::Done);
-            }
         }
-        Ok(ModuleStatus::Ready)
+        Ok(if self.input.is_done() {
+            ModuleStatus::Done
+        } else if did_work {
+            ModuleStatus::Ready
+        } else {
+            ModuleStatus::Idle
+        })
     }
 }
 
@@ -268,12 +234,10 @@ impl LazyProject {
 /// One physical input of a join DU: a stream consumed under 1+ aliases.
 pub struct JoinInput {
     /// The subscription queue.
-    pub consumer: Consumer,
+    pub inbox: Inbox,
     /// Alias schemas; each arriving tuple enters the eddy once per alias
     /// (twice for the paper's self-join).
     pub alias_schemas: Vec<SchemaRef>,
-    /// Exhausted?
-    pub eof: bool,
 }
 
 /// A dedicated single-query eddy DU for a join.
@@ -290,20 +254,20 @@ pub struct JoinCqDu {
     egress: EgressRouter,
     qid: QueryId,
     emitted: Vec<Emitted>,
-    io_batch: usize,
-    msg_buf: Vec<FjordMessage>,
     /// Tuples before this logical time precede every window — skipped.
     floor: i64,
     /// Tuples after this logical time follow the final window: the query's
     /// stopping condition has been reached (§4.1.1's "keep the query
     /// standing for twenty trading days"). `i64::MAX` = run forever.
     deadline: i64,
-    done: bool,
 }
 
 impl JoinCqDu {
     /// Build the DU from a wired eddy. `floor`/`deadline` bound the query's
     /// lifetime in stream time (use `i64::MIN`/`i64::MAX` for unbounded).
+    /// Each drained input batch enters the eddy through one
+    /// [`tcq_eddy::Eddy::process_batch`] call, so routing decisions are
+    /// amortized over the batch as well.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
@@ -323,26 +287,9 @@ impl JoinCqDu {
             egress,
             qid,
             emitted: Vec::new(),
-            io_batch: DEFAULT_IO_BATCH,
-            msg_buf: Vec::new(),
             floor,
             deadline,
-            done: false,
         }
-    }
-
-    /// Messages moved per input-lock acquisition (clamped to ≥ 1). Each
-    /// drained batch enters the eddy through one
-    /// [`tcq_eddy::Eddy::process_batch`] call, so routing decisions are
-    /// amortized over the batch as well.
-    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
-        self.io_batch = io_batch.max(1);
-        self
-    }
-
-    /// Observed eddy statistics (experiments).
-    pub fn eddy_stats(&self) -> tcq_eddy::EddyStats {
-        self.eddy.lock().stats()
     }
 
     /// Shared handle to the eddy, for checkpoint export / restore import.
@@ -356,66 +303,50 @@ impl DispatchUnit for JoinCqDu {
         &self.name
     }
 
+    fn buffered(&self) -> usize {
+        self.inputs.iter().map(|i| i.inbox.buffered()).sum()
+    }
+
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
-        if self.done {
+        if self.inputs.iter().all(|i| i.inbox.is_done()) {
             return Ok(ModuleStatus::Done);
         }
         let eddy = &mut *self.eddy.lock();
         let mut did_work = false;
         let per_input = quantum.div_ceil(self.inputs.len().max(1));
-        for i in 0..self.inputs.len() {
-            if self.inputs[i].eof {
-                continue;
-            }
-            let mut remaining = per_input;
-            while remaining > 0 && !self.inputs[i].eof {
-                let mut msgs = std::mem::take(&mut self.msg_buf);
-                let max = self.io_batch.min(remaining);
-                match self.inputs[i].consumer.dequeue_batch(&mut msgs, max) {
-                    BatchDequeueResult::Msgs(n) => remaining = remaining.saturating_sub(n),
-                    BatchDequeueResult::Empty => {
-                        self.msg_buf = msgs;
+        for input in &mut self.inputs {
+            let mut budget = per_input;
+            while input.inbox.fill(&mut budget) > 0 {
+                did_work = true;
+                let aliases = input.alias_schemas.len();
+                let mut batch: Vec<Tuple> = Vec::with_capacity(input.inbox.buffered() * aliases);
+                let mut retired = false;
+                for msg in input.inbox.drain() {
+                    let FjordMessage::Tuple(t) = msg else {
+                        continue;
+                    };
+                    let seq = t.timestamp().seq();
+                    if seq < self.floor {
+                        continue;
+                    }
+                    if seq > self.deadline {
+                        // Stream time passed the final window: the query's
+                        // stopping condition fired (timestamps are monotone
+                        // per stream), so nothing behind it is read.
+                        retired = true;
                         break;
                     }
-                    BatchDequeueResult::Disconnected => {
-                        self.msg_buf = msgs;
-                        self.inputs[i].eof = true;
-                        break;
+                    // One entry per alias: a self-join's batch interleaves
+                    // them (`t1@a1, t1@a2, t2@a1, …`) into one-tuple runs,
+                    // which the eddy routes exactly as it would tuple by
+                    // tuple.
+                    for alias in &input.alias_schemas {
+                        batch.push(t.with_schema(alias.clone())?);
                     }
                 }
-                let aliases = self.inputs[i].alias_schemas.len();
-                let mut batch: Vec<Tuple> = Vec::with_capacity(msgs.len() * aliases);
-                for msg in msgs.drain(..) {
-                    match msg {
-                        FjordMessage::Tuple(t) if !self.inputs[i].eof => {
-                            did_work = true;
-                            let seq = t.timestamp().seq();
-                            if seq < self.floor {
-                                continue;
-                            }
-                            if seq > self.deadline {
-                                // Stream time passed the final window: the
-                                // query's stopping condition fired
-                                // (timestamps are monotone per stream).
-                                self.inputs[i].eof = true;
-                                continue;
-                            }
-                            // One entry per alias: a self-join's batch
-                            // interleaves them (`t1@a1, t1@a2, t2@a1, …`)
-                            // into one-tuple runs, which the eddy routes
-                            // exactly as it would tuple by tuple.
-                            for alias in &self.inputs[i].alias_schemas {
-                                batch.push(t.with_schema(alias.clone())?);
-                            }
-                        }
-                        // Tuples read past Eof (or the deadline) in the
-                        // same batch are dropped — the per-tuple path
-                        // never dequeues them.
-                        FjordMessage::Tuple(_) | FjordMessage::Punct(_) => {}
-                        FjordMessage::Eof => self.inputs[i].eof = true,
-                    }
+                if retired {
+                    input.inbox.close();
                 }
-                self.msg_buf = msgs;
                 if batch.is_empty() {
                     continue;
                 }
@@ -423,9 +354,8 @@ impl DispatchUnit for JoinCqDu {
                 // source run at the eddy's ingress edge, then each emitted
                 // run stays in whichever representation it left the eddy
                 // in — columnar runs take the whole-column projection and
-                // batched egress, row runs the per-tuple pair. One egress
-                // session per ingress batch keeps the delivery ledger
-                // identical to a per-batch deliver.
+                // batched egress, row runs the per-tuple pair — all through
+                // one egress session per ingress batch.
                 self.emitted.clear();
                 eddy.process_batch(batch, &mut self.emitted)?;
                 let mut session = self.egress.session();
@@ -455,10 +385,9 @@ impl DispatchUnit for JoinCqDu {
                 }
             }
         }
-        if self.inputs.iter().all(|i| i.eof) {
+        if self.inputs.iter().all(|i| i.inbox.is_done()) {
             // "The Eddy shuts down its connected modules when the end of
             // all of its input streams has been reached" (§2.2).
-            self.done = true;
             return Ok(ModuleStatus::Done);
         }
         Ok(if did_work {
@@ -496,7 +425,6 @@ pub(crate) struct AggCore {
     pub(crate) latest: i64,
     pub(crate) eof: bool,
     pub(crate) done: bool,
-    pub(crate) peak_buffer: usize,
     /// Changed since the last successful checkpoint commit?
     pub(crate) dirty: bool,
 }
@@ -566,7 +494,6 @@ impl AggCqState {
         for _ in 0..n {
             core.buffer.push_back(r.get_tuple(&schema)?);
         }
-        core.peak_buffer = core.peak_buffer.max(core.buffer.len());
         core.dirty = false;
         Ok(())
     }
@@ -597,7 +524,7 @@ pub(crate) fn encode_agg_core(core: &AggCore) -> Vec<u8> {
 /// state lives behind [`AggCqState`] so the server can checkpoint it.
 pub struct AggregateCqDu {
     name: String,
-    input: Consumer,
+    input: Inbox,
     pred: Option<Predicate>,
     aggs: Vec<ResolvedAgg>,
     group_by: Option<usize>,
@@ -605,8 +532,6 @@ pub struct AggregateCqDu {
     out_schema: SchemaRef,
     egress: EgressRouter,
     qid: QueryId,
-    io_batch: usize,
-    msg_buf: Vec<FjordMessage>,
     core: AggCqState,
 }
 
@@ -616,7 +541,7 @@ impl AggregateCqDu {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
-        input: Consumer,
+        input: Inbox,
         input_schema: &SchemaRef,
         pred: Option<Predicate>,
         aggs: Vec<ResolvedAgg>,
@@ -654,8 +579,6 @@ impl AggregateCqDu {
             out_schema: Schema::new(fields).into_ref(),
             egress,
             qid,
-            io_batch: DEFAULT_IO_BATCH,
-            msg_buf: Vec::new(),
             core: AggCqState {
                 inner: Arc::new(Mutex::new(AggCore {
                     windows,
@@ -666,7 +589,6 @@ impl AggregateCqDu {
                     latest: 0,
                     eof: false,
                     done: false,
-                    peak_buffer: 0,
                     dirty: false,
                 })),
             },
@@ -678,18 +600,14 @@ impl AggregateCqDu {
         self.core.clone()
     }
 
-    /// Messages moved per input-lock acquisition (clamped to ≥ 1).
-    pub fn with_io_batch(mut self, io_batch: usize) -> Self {
-        self.io_batch = io_batch.max(1);
-        self
-    }
-
     /// The output row schema: `(t, [group], aggs...)`.
     pub fn out_schema(&self) -> &SchemaRef {
         &self.out_schema
     }
 
-    fn close_ready_windows(&self, core: &mut AggCore) -> Result<()> {
+    /// Close every window stream time has passed, appending its result
+    /// rows to `out`.
+    fn close_ready_windows(&self, core: &mut AggCore, out: &mut Vec<Tuple>) -> Result<()> {
         loop {
             let close_time = match core.peek() {
                 Some(Ok(wa)) => wa.close_time(),
@@ -714,13 +632,18 @@ impl AggregateCqDu {
                 return Ok(());
             }
             let wa = core.next_window().expect("peeked Some")?;
-            self.emit_window(core, &wa)?;
+            self.emit_window(core, &wa, out)?;
             self.evict(core, &wa);
             core.dirty = true;
         }
     }
 
-    fn emit_window(&self, core: &mut AggCore, wa: &WindowAssignment) -> Result<()> {
+    fn emit_window(
+        &self,
+        core: &mut AggCore,
+        wa: &WindowAssignment,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
         let Some(win) = wa.window_for(&self.stream_alias) else {
             return Ok(());
         };
@@ -740,12 +663,11 @@ impl AggregateCqDu {
                     row.push(Value::Int(wa.t));
                     row.push(key);
                     row.extend(vals);
-                    let out = Tuple::new_unchecked(
+                    out.push(Tuple::new_unchecked(
                         self.out_schema.clone(),
                         row,
                         Timestamp::logical(wa.t),
-                    );
-                    self.egress.deliver([self.qid], &out);
+                    ));
                 }
             }
             None => {
@@ -756,9 +678,11 @@ impl AggregateCqDu {
                 let mut row = Vec::with_capacity(1 + self.aggs.len());
                 row.push(Value::Int(wa.t));
                 row.extend(agg.results()?);
-                let out =
-                    Tuple::new_unchecked(self.out_schema.clone(), row, Timestamp::logical(wa.t));
-                self.egress.deliver([self.qid], &out);
+                out.push(Tuple::new_unchecked(
+                    self.out_schema.clone(),
+                    row,
+                    Timestamp::logical(wa.t),
+                ));
             }
         }
         Ok(())
@@ -788,16 +712,15 @@ impl AggregateCqDu {
             core.buffer.pop_front();
         }
     }
-
-    /// Peak number of buffered tuples (experiments).
-    pub fn peak_buffered(&self) -> usize {
-        self.core.lock().peak_buffer
-    }
 }
 
 impl DispatchUnit for AggregateCqDu {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn buffered(&self) -> usize {
+        self.input.buffered()
     }
 
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
@@ -807,49 +730,29 @@ impl DispatchUnit for AggregateCqDu {
         }
         let mut did_work = false;
         let mut budget = quantum;
-        while budget > 0 && !core.eof {
-            let mut msgs = std::mem::take(&mut self.msg_buf);
-            match self
-                .input
-                .dequeue_batch(&mut msgs, self.io_batch.min(budget))
-            {
-                BatchDequeueResult::Msgs(n) => budget = budget.saturating_sub(n),
-                BatchDequeueResult::Empty => {
-                    self.msg_buf = msgs;
-                    break;
-                }
-                BatchDequeueResult::Disconnected => {
-                    self.msg_buf = msgs;
-                    core.eof = true;
-                    break;
+        while self.input.fill(&mut budget) > 0 {
+            for msg in self.input.drain() {
+                let FjordMessage::Tuple(t) = msg else {
+                    continue;
+                };
+                did_work = true;
+                core.latest = core.latest.max(t.timestamp().seq());
+                let passes = match &self.pred {
+                    Some(p) => p.eval_pred(&t)?,
+                    None => true,
+                };
+                if passes {
+                    core.buffer.push_back(t);
                 }
             }
-            for msg in msgs.drain(..) {
-                match msg {
-                    FjordMessage::Tuple(t) if !core.eof => {
-                        did_work = true;
-                        core.latest = core.latest.max(t.timestamp().seq());
-                        let passes = match &self.pred {
-                            Some(p) => p.eval_pred(&t)?,
-                            None => true,
-                        };
-                        if passes {
-                            core.buffer.push_back(t);
-                            core.peak_buffer = core.peak_buffer.max(core.buffer.len());
-                        }
-                    }
-                    // Tuples read past Eof in the same batch are dropped —
-                    // the per-tuple path never dequeues them.
-                    FjordMessage::Tuple(_) | FjordMessage::Punct(_) => {}
-                    FjordMessage::Eof => core.eof = true,
-                }
-            }
-            self.msg_buf = msgs;
         }
+        core.eof = self.input.is_done();
         if did_work {
             core.dirty = true;
         }
-        self.close_ready_windows(core)?;
+        let mut out = Vec::new();
+        self.close_ready_windows(core, &mut out)?;
+        self.egress.deliver_batch([self.qid], &out);
         if core.eof && !core.done {
             // Remaining windows were handled in close_ready_windows (it
             // closes everything reachable once eof is set); anything left
@@ -960,7 +863,7 @@ mod tests {
         let egress = EgressRouter::new();
         egress.register_pull_client(1, 64).unwrap();
         egress.subscribe(1, 0).unwrap();
-        let mut du = FilterCqDu::new("f", c, shared, egress.clone());
+        let mut du = FilterCqDu::new("f", Inbox::new(c, 64), shared, egress.clone());
         let s = schema();
         for ts in 1..=10 {
             p.enqueue(tcq_fjords::FjordMessage::Tuple(row(&s, ts, 0)))
@@ -993,7 +896,7 @@ mod tests {
         );
         let mut du = AggregateCqDu::new(
             "agg",
-            c,
+            Inbox::new(c, 64),
             &s,
             None,
             vec![ResolvedAgg {
@@ -1043,7 +946,7 @@ mod tests {
         let pred = Predicate::new(&Expr::col("ts").cmp(CmpOp::Gt, Expr::lit(2i64)), &s).unwrap();
         let mut du = AggregateCqDu::new(
             "agg",
-            c,
+            Inbox::new(c, 64),
             &s,
             Some(pred),
             vec![ResolvedAgg {

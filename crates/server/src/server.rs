@@ -17,7 +17,7 @@ use tcq_common::{ProgressRegistry, ProgressSnapshot};
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
 use tcq_egress::{ClientId, ColumnDelivery, Delivery, EgressPolicy, EgressRouter, EgressStats};
 use tcq_executor::{DuId, Executor, ExecutorConfig, StallDiagnosis, WatchdogConfig};
-use tcq_fjords::{fjord, fjord_with_probe, Consumer, Producer, QueueKind};
+use tcq_fjords::{fjord, fjord_with_probe, Inbox, Producer, QueueKind};
 use tcq_ingress::{
     ChaosSource, Source, SourceFactory, Supervisor, SupervisorConfig, SupervisorStats,
 };
@@ -59,10 +59,12 @@ pub struct ServerConfig {
     pub archive_dir: Option<PathBuf>,
     /// Eddy batching knob (§4.3 "adapting adaptivity").
     pub eddy_batch: usize,
-    /// Messages moved per Fjord lock acquisition on the tuple hot path
-    /// (dispatchers and query DUs). `1` reproduces per-tuple dispatch
-    /// exactly; faults, stamping, and archiving stay per-message at any
-    /// setting, so same-seed chaos runs are byte-identical across values.
+    /// Messages moved per Fjord lock acquisition: the refill size of every
+    /// DU's [`Inbox`] (default 64), and so the batch each DU hands its
+    /// operator and egress at once. `1` moves one message per lock;
+    /// faults, stamping, archiving and the egress ledger stay per-message
+    /// at any setting, so same-seed chaos runs are byte-identical across
+    /// values.
     pub io_batch: usize,
     /// What dispatchers do when a query's input queue is full (§4.3 QoS).
     pub overload: OverloadPolicy,
@@ -174,7 +176,7 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             archive_dir: None,
             eddy_batch: 1,
-            io_batch: crate::dispatcher::DEFAULT_IO_BATCH,
+            io_batch: 64,
             overload: OverloadPolicy::Backpressure,
             seed: 0x7E1E_C001,
             fault_plan: None,
@@ -409,11 +411,6 @@ impl TelegraphCQ {
         &self.catalog
     }
 
-    /// The shared buffer pool (storage experiments).
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
     /// Register a stream: catalog entry, ingress queue, dispatcher DU, and
     /// the stream's shared filter DU. `schema` is the base schema; columns
     /// will be addressed both bare and qualified by the stream name.
@@ -471,8 +468,7 @@ impl TelegraphCQ {
             archive.clone(),
             Arc::clone(&latest_seq),
         )
-        .with_overload_policy(self.config.overload)
-        .with_io_batch(self.config.io_batch);
+        .with_overload_policy(self.config.overload);
         if let Some(inj) = &self.injector {
             dispatcher = dispatcher.with_injector(inj.clone());
         }
@@ -489,8 +485,7 @@ impl TelegraphCQ {
             fc,
             filter_shared.clone(),
             self.egress.clone(),
-        )
-        .with_io_batch(self.config.io_batch);
+        );
         self.executor.submit(class, Box::new(filter_du))?;
 
         let state = StreamState {
@@ -511,13 +506,16 @@ impl TelegraphCQ {
     }
 
     /// A fjord that reports into the progress registry when liveness
-    /// tracking is on — the single choke point every engine channel is
-    /// created through, so the watchdog's frontier covers them all.
-    fn make_fjord(&self, name: impl Into<String>, capacity: usize) -> (Producer, Consumer) {
-        match &self.progress {
+    /// tracking is on, read through an [`Inbox`] of `io_batch` refills —
+    /// the single choke point every engine channel is created through, so
+    /// the watchdog's frontier covers them all and every DU reads its
+    /// inputs the same way.
+    fn make_fjord(&self, name: impl Into<String>, capacity: usize) -> (Producer, Inbox) {
+        let (producer, consumer) = match &self.progress {
             Some(registry) => fjord_with_probe(capacity, QueueKind::Push, registry.channel(name)),
             None => fjord(capacity, QueueKind::Push),
-        }
+        };
+        (producer, Inbox::new(consumer, self.config.io_batch))
     }
 
     fn stream(&self, name: &str) -> Result<Arc<StreamState>> {
@@ -768,18 +766,19 @@ impl TelegraphCQ {
         self.egress.subscribe(client, query)
     }
 
-    /// Disconnect a client cleanly (its queue was fully drained).
-    pub fn disconnect_client(&self, client: ClientId) {
-        self.egress.disconnect(client);
-    }
-
-    /// Disconnect a client whose transport died with `undrained` results
-    /// still buffered in its egress queue; those rows are reclassified
-    /// from `delivered` to `disconnected_loss` so the ledger counts what
-    /// the peer actually received (see
-    /// [`tcq_egress::EgressRouter::disconnect_with_loss`]).
-    pub fn disconnect_client_with_loss(&self, client: ClientId, undrained: u64) {
-        self.egress.disconnect_with_loss(client, undrained);
+    /// Disconnect a push client whose transport is closing, handing back
+    /// its delivery queue and the rows the transport took off it but never
+    /// sent. Rows still undelivered are reclassified from `delivered` to
+    /// `disconnected_loss` in the same router lock hold that drops the
+    /// client (see [`tcq_egress::EgressRouter::disconnect_push_client`]);
+    /// returns how many.
+    pub fn disconnect_push_client(
+        &self,
+        client: ClientId,
+        queue: Receiver<Delivery>,
+        unsent: u64,
+    ) -> u64 {
+        self.egress.disconnect_push_client(client, queue, unsent)
     }
 
     /// Parse, analyze, plan, and start a continuous query on behalf of
@@ -848,15 +847,17 @@ impl TelegraphCQ {
             archive
                 .lock()
                 .scan_window(min_seq, replay_until, &mut scratch)?;
+            let mut out = Vec::new();
             for t in &scratch {
                 let passes = match &bound {
                     Some(p) => p.eval_pred(t)?,
                     None => true,
                 };
                 if passes {
-                    self.egress.deliver([qid], &project.apply(t)?);
+                    out.push(project.apply(t)?);
                 }
             }
+            self.egress.deliver_batch([qid], &out);
         }
         Ok(QueryRecord::SharedFilter {
             stream: source.name.clone(),
@@ -891,8 +892,7 @@ impl TelegraphCQ {
             source.alias.clone(),
             self.egress.clone(),
             qid,
-        )
-        .with_io_batch(self.config.io_batch);
+        );
         let state = du.state_handle();
         if self.restoring {
             if let Some(bytes) = self.checkpoint_fragment(&format!("q{qid}/agg"), b"") {
@@ -913,10 +913,16 @@ impl TelegraphCQ {
 
     fn start_join(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
         let partitions = self.config.partitions.max(1);
-        // CACQ sharing and partition parallelism are competing layouts for
-        // the same query; a partitioned server keeps every join dedicated
-        // so P=1 and P>1 differ only in the exchange, not the plan kind.
-        if partitions == 1 && planner::shareable_join(aq)? {
+        // CACQ sharing competes with two other layouts for the same query,
+        // and the server keeps every join dedicated where either applies:
+        // on a partitioned server, so P=1 and P>1 differ only in the
+        // exchange, not the plan kind; and on a server with a checkpoint
+        // store, because a `SharedEddy` exports no state — a shared join
+        // would restart empty after `restore`.
+        if partitions == 1
+            && self.ckpt.is_none()
+            && planner::shareable_join(aq, self.start_time(aq))?
+        {
             return self.start_shared_join(qid, aq);
         }
         if partitions > 1 && exchange::partitionable(aq) {
@@ -945,9 +951,8 @@ impl TelegraphCQ {
             let sub_id = st.subscribers.add(p);
             subscriptions.push((stream_name.clone(), sub_id));
             inputs.push(JoinInput {
-                consumer: c,
+                inbox: c,
                 alias_schemas,
-                eof: false,
             });
         }
 
@@ -962,8 +967,7 @@ impl TelegraphCQ {
             qid,
             floor,
             deadline,
-        )
-        .with_io_batch(self.config.io_batch);
+        );
         let handle = du.eddy_handle();
         if self.restoring {
             self.import_join_state(qid, &handle)?;
@@ -1142,18 +1146,11 @@ impl TelegraphCQ {
         let mut floor = i64::MIN;
         let mut deadline = i64::MAX;
         if let Some(w) = &aq.window {
-            let now = aq
-                .sources
-                .iter()
-                .filter_map(|s| self.stream(&s.name).ok())
-                .map(|st| st.latest_seq.load(Ordering::Acquire))
-                .max()
-                .unwrap_or(0);
             // The loop's extent in closed form: window bounds are linear in
             // a monotone `t`, so the first and last iterations carry the
             // extremes (and any `left > right` the loop would run into).
             // An unbounded loop is checked at its first iteration only.
-            let st = now.max(1);
+            let st = self.start_time(aq);
             let min_left = |wa: &WindowAssignment| {
                 let lefts = wa.windows.iter().map(|(_, win)| win.left);
                 lefts.min().unwrap_or(i64::MIN)
@@ -1173,6 +1170,19 @@ impl TelegraphCQ {
             }
         }
         Ok((floor, deadline))
+    }
+
+    /// A join's start time `ST`: the latest logical time across its
+    /// streams (at least 1).
+    fn start_time(&self, aq: &AnalyzedQuery) -> i64 {
+        let now = aq
+            .sources
+            .iter()
+            .filter_map(|s| self.stream(&s.name).ok())
+            .map(|st| st.latest_seq.load(Ordering::Acquire))
+            .max()
+            .unwrap_or(0);
+        now.max(1)
     }
 
     /// Partition-parallel dedicated join (`ServerConfig::partitions > 1`):
@@ -1241,8 +1251,7 @@ impl TelegraphCQ {
                 output,
                 eddy,
                 LazyProject::new(aq.projection.clone()),
-            )
-            .with_io_batch(self.config.io_batch);
+            );
             if let Some(inj) = &self.injector {
                 du = du.with_injector(inj.clone());
             }
@@ -1257,8 +1266,7 @@ impl TelegraphCQ {
             out_cons,
             self.egress.clone(),
             qid,
-        )
-        .with_io_batch(self.config.io_batch);
+        );
         if let Some(inj) = &self.injector {
             merge = merge.with_injector(inj.clone());
         }
@@ -1276,8 +1284,7 @@ impl TelegraphCQ {
             sched_prod,
             floor,
             deadline,
-        )
-        .with_io_batch(self.config.io_batch);
+        );
         dus.push(self.executor.submit(ingress_class, Box::new(part))?);
 
         Ok(QueryRecord::Dedicated { dus, subscriptions })
@@ -1422,6 +1429,7 @@ impl TelegraphCQ {
         let window = aq.window.clone().expect("historical implies window");
         let stt = st.latest_seq.load(Ordering::Acquire);
         let mut scratch = Vec::new();
+        let mut out = Vec::new();
         for wa in WindowSeq::new(window, stt.max(1)).with_max_iterations(100_000) {
             let wa = wa?;
             let Some(win) = wa.window_for(&source.alias) else {
@@ -1431,16 +1439,18 @@ impl TelegraphCQ {
             archive
                 .lock()
                 .scan_window(win.left, win.right, &mut scratch)?;
+            out.clear();
             for t in &scratch {
                 let passes = match &pred {
                     Some(p) => p.eval_pred(t)?,
                     None => true,
                 };
                 if passes {
-                    let out = project.apply(t)?;
-                    self.egress.deliver([qid], &out);
+                    out.push(project.apply(t)?);
                 }
             }
+            // One delivery per window: the window's rows are one result set.
+            self.egress.deliver_batch([qid], &out);
         }
         Ok(QueryRecord::Completed)
     }
@@ -1525,11 +1535,6 @@ impl TelegraphCQ {
     /// `ServerConfig::liveness`).
     pub fn progress_snapshot(&self) -> Option<ProgressSnapshot> {
         self.progress.as_ref().map(ProgressRegistry::snapshot)
-    }
-
-    /// Egress statistics: (delivered, shed).
-    pub fn egress_stats(&self) -> (u64, u64) {
-        self.egress.stats()
     }
 
     /// Full egress accounting (per-disposition counters).
@@ -1668,13 +1673,6 @@ impl TelegraphCQ {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-}
-
-/// Information about a submitted query (reserved for richer introspection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryInfo {
-    /// The query id.
-    pub id: QueryId,
 }
 
 #[cfg(test)]

@@ -7,17 +7,27 @@
 //! and join outputs are delivered to exactly the queries whose lineage
 //! survived ("the tuples accessed by one plan are reused by the other, so
 //! there is minimal wasted effort", §2.2).
+//!
+//! The planner shares a join only where the shared path loses nothing a
+//! dedicated `JoinCqDu` would keep: on an unpartitioned server without a
+//! checkpoint store (a `SharedEddy` exports no state to checkpoint), and
+//! for a for-loop that never ends (a shared DU has no per-query floor or
+//! deadline to retire a finite one) — see `planner::shareable_join`.
+//!
+//! [`SharedJoinDu`] has the engine's one DU skeleton: each side is read
+//! through an [`Inbox`] in `io_batch` refills, and a drained batch takes
+//! one shared-state lock and one egress session.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use tcq_common::sync::Mutex;
 
-use tcq_common::{Expr, Result, SchemaRef, Tuple};
+use tcq_common::{Expr, Result, SchemaRef};
 use tcq_eddy::SharedEddy;
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
-use tcq_fjords::{Consumer, DequeueResult, FjordMessage};
+use tcq_fjords::{FjordMessage, Inbox};
 use tcq_operators::ProjectOp;
 
 use crate::plans::QueryId;
@@ -123,10 +133,8 @@ impl SharedJoinShared {
 /// deliveries out.
 pub struct SharedJoinDu {
     name: String,
-    left: Consumer,
-    right: Consumer,
-    left_eof: bool,
-    right_eof: bool,
+    /// The left and right subscription queues.
+    sides: [Inbox; 2],
     shared: SharedJoinShared,
     egress: EgressRouter,
 }
@@ -135,36 +143,17 @@ impl SharedJoinDu {
     /// Build the DU.
     pub fn new(
         name: impl Into<String>,
-        left: Consumer,
-        right: Consumer,
+        left: Inbox,
+        right: Inbox,
         shared: SharedJoinShared,
         egress: EgressRouter,
     ) -> Self {
         SharedJoinDu {
             name: name.into(),
-            left,
-            right,
-            left_eof: false,
-            right_eof: false,
+            sides: [left, right],
             shared,
             egress,
         }
-    }
-
-    fn deliver(&self, outs: Vec<(Tuple, tcq_common::BitSet)>) -> Result<()> {
-        if outs.is_empty() {
-            return Ok(());
-        }
-        let inner = self.shared.inner.lock();
-        for (tuple, qset) in outs {
-            for qid in qset.iter() {
-                if let Some(project) = inner.projections.get(&qid) {
-                    let out = project.apply(&tuple)?;
-                    self.egress.deliver([qid], &out);
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -173,48 +162,43 @@ impl DispatchUnit for SharedJoinDu {
         &self.name
     }
 
+    fn buffered(&self) -> usize {
+        self.sides.iter().map(Inbox::buffered).sum()
+    }
+
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
-        if self.left_eof && self.right_eof {
-            return Ok(ModuleStatus::Done);
-        }
         let mut did_work = false;
         let per_side = quantum.div_ceil(2);
-        for side in 0..2 {
-            if (side == 0 && self.left_eof) || (side == 1 && self.right_eof) {
-                continue;
-            }
-            for _ in 0..per_side {
-                let consumer = if side == 0 { &self.left } else { &self.right };
-                match consumer.dequeue() {
-                    DequeueResult::Msg(FjordMessage::Tuple(t)) => {
-                        did_work = true;
-                        let outs = {
-                            let mut inner = self.shared.inner.lock();
-                            if side == 0 {
-                                inner.eddy.push_left(t)?
-                            } else {
-                                inner.eddy.push_right(t)?
+        for (side, inbox) in self.sides.iter_mut().enumerate() {
+            let mut budget = per_side;
+            while inbox.fill(&mut budget) > 0 {
+                did_work = true;
+                let mut inner = self.shared.inner.lock();
+                let SharedJoinInner { eddy, projections } = &mut *inner;
+                let mut session = self.egress.session();
+                for msg in inbox.drain() {
+                    let FjordMessage::Tuple(t) = msg else {
+                        continue;
+                    };
+                    let outs = if side == 0 {
+                        eddy.push_left(t)?
+                    } else {
+                        eddy.push_right(t)?
+                    };
+                    for (tuple, qset) in outs {
+                        for qid in qset.iter() {
+                            if let Some(project) = projections.get(&qid) {
+                                let out = project.apply(&tuple)?;
+                                session.deliver_rows([qid], std::slice::from_ref(&out));
                             }
-                        };
-                        self.deliver(outs)?;
-                    }
-                    DequeueResult::Msg(FjordMessage::Punct(_)) => {}
-                    DequeueResult::Msg(FjordMessage::Eof) | DequeueResult::Disconnected => {
-                        if side == 0 {
-                            self.left_eof = true;
-                        } else {
-                            self.right_eof = true;
                         }
-                        break;
                     }
-                    DequeueResult::Empty => break,
                 }
             }
         }
-        if self.left_eof && self.right_eof {
-            return Ok(ModuleStatus::Done);
-        }
-        Ok(if did_work {
+        Ok(if self.sides.iter().all(Inbox::is_done) {
+            ModuleStatus::Done
+        } else if did_work {
             ModuleStatus::Ready
         } else {
             ModuleStatus::Idle

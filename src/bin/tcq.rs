@@ -173,11 +173,13 @@ fn command(server: &TelegraphCQ, client: u64, cmd: &str) -> bool {
         },
         "\\stats" => {
             let ex = server.executor_stats();
-            let (delivered, shed) = server.egress_stats();
+            let ledger = server.egress_stats_full();
             println!(
-                "queries standing: {} | DUs per EO: {:?} | results delivered: {delivered} (shed {shed})",
+                "queries standing: {} | DUs per EO: {:?} | results delivered: {} (shed {})",
                 server.query_count(),
-                ex.dus_per_eo
+                ex.dus_per_eo,
+                ledger.delivered,
+                ledger.shed + ledger.displaced + ledger.disconnected_loss
             );
             for def in server.catalog().list() {
                 let time = server.stream_time(&def.name).unwrap_or(0);

@@ -6,10 +6,10 @@ use std::time::Duration;
 use telegraphcq::prelude::*;
 
 fn settle(server: &TelegraphCQ) {
-    let mut last = server.egress_stats();
+    let mut last = server.egress_stats_full();
     for _ in 0..400 {
         std::thread::sleep(Duration::from_millis(5));
-        let now = server.egress_stats();
+        let now = server.egress_stats_full();
         if now == last {
             return;
         }

@@ -67,10 +67,10 @@ fn archived_server() -> TelegraphCQ {
 fn settle(server: &TelegraphCQ) {
     // The dispatcher and query DUs run asynchronously; wait until egress
     // deliveries stop changing.
-    let mut last = server.egress_stats();
+    let mut last = server.egress_stats_full();
     for _ in 0..200 {
         std::thread::sleep(Duration::from_millis(5));
-        let now = server.egress_stats();
+        let now = server.egress_stats_full();
         if now == last {
             return;
         }

@@ -24,10 +24,10 @@ fn row(s: &SchemaRef, ts: i64, v: f64) -> Tuple {
 }
 
 fn settle(server: &TelegraphCQ) {
-    let mut last = server.egress_stats();
+    let mut last = server.egress_stats_full();
     for _ in 0..400 {
         std::thread::sleep(Duration::from_millis(5));
-        let now = server.egress_stats();
+        let now = server.egress_stats_full();
         if now == last {
             return;
         }

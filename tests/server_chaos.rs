@@ -473,7 +473,15 @@ fn sequential_and_partitioned_join_replay_identically() {
     // P=1 runs the dedicated JoinCqDu the exchange must be equivalent to.
     let computed = "SELECT s.v * 2 + d.tag FROM s s, d d WHERE s.k = d.id AND s.v + d.tag > 300 \
          for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
-    for (tag, query) in [("plain", JOIN_Q), ("computed", computed)] {
+    // Equal widths but a finite loop: the query retires after its last
+    // window at P=1 exactly as the exchange retires it at P=4.
+    let finite = "SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id \
+         for (t = ST; t <= 2500; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 8000000, t); }";
+    for (tag, query) in [
+        ("plain", JOIN_Q),
+        ("computed", computed),
+        ("finite", finite),
+    ] {
         let dir_a = temp_dir(&format!("part-1-{tag}"));
         let dir_b = temp_dir(&format!("part-4-{tag}"));
         let a = run_join_scenario(&dir_a, 1, query);
@@ -794,22 +802,27 @@ fn rows_by_query(rx: &Receiver<Delivery>) -> std::collections::BTreeMap<usize, V
 
 const JOIN_Q: &str = "SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id \
      for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
+/// `JOIN_Q` with equal window widths: shareable, were no checkpoint store
+/// open.
+const EQUAL_JOIN_Q: &str = "SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id \
+     for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 8000000, t); }";
 const AGG_Q: &str =
     "SELECT COUNT(*) FROM s for (t = ST; t >= 0; t += 10) { WindowIs(s, t - 9, t); }";
 
-/// Registers streams, submits the join + aggregate pair, and loads-then-
-/// closes the dimension stream. `feed_dim` is false on the restore path:
-/// the d-side SteM state comes from the checkpoint, and re-feeding would
-/// double-insert it.
+/// Registers streams, submits the two joins and the aggregate, and
+/// loads-then-closes the dimension stream. `feed_dim` is false on the
+/// restore path: the d-side SteM state comes from the checkpoint, and
+/// re-feeding would double-insert it.
 fn boot_recovery_topology(
     server: &TelegraphCQ,
     feed_dim: bool,
-) -> (usize, usize, Receiver<Delivery>) {
+) -> (usize, usize, usize, Receiver<Delivery>) {
     server.register_stream("s", hot_schema()).unwrap();
     server.register_stream("d", dim_schema()).unwrap();
     let (client, rx): (_, Receiver<Delivery>) = server.connect_push_client(8192).unwrap();
     let join_q = server.submit(JOIN_Q, client).unwrap();
     let agg_q = server.submit(AGG_Q, client).unwrap();
+    let equal_q = server.submit(EQUAL_JOIN_Q, client).unwrap();
 
     if feed_dim {
         let dims = dim_schema();
@@ -830,7 +843,7 @@ fn boot_recovery_topology(
     }
     server.finish_stream("d").unwrap();
     std::thread::sleep(Duration::from_millis(50));
-    (join_q, agg_q, rx)
+    (join_q, agg_q, equal_q, rx)
 }
 
 fn hot_master() -> Vec<Tuple> {
@@ -867,7 +880,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
     // Reference: the same topology, uninterrupted, no checkpointing.
     let (ref_join, ref_agg, ref_rows, ref_egress) = {
         let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
-        let (join_q, agg_q, rx) = boot_recovery_topology(&server, true);
+        let (join_q, agg_q, _, rx) = boot_recovery_topology(&server, true);
         let factory: SourceFactory = {
             let master = master.clone();
             let schema = hot_schema();
@@ -896,7 +909,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
     // Phase A: run to HALF, checkpoint, die without shutdown.
     let rows_a = {
         let server = TelegraphCQ::start(config()).unwrap();
-        let (_, _, rx) = boot_recovery_topology(&server, true);
+        let (_, _, _, rx) = boot_recovery_topology(&server, true);
         let factory: SourceFactory = {
             let master = master.clone();
             let schema = hot_schema();
@@ -940,7 +953,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
         recovery.epochs_recovered >= 1,
         "no checkpoint was recovered"
     );
-    let (join_q, agg_q, rx) = boot_recovery_topology(&server, false);
+    let (join_q, agg_q, equal_q, rx) = boot_recovery_topology(&server, false);
     let factory: SourceFactory = {
         let master = master.clone();
         let schema = hot_schema();
@@ -979,7 +992,11 @@ fn checkpoint_restore_after_crash_loses_nothing() {
 
     // Zero loss, zero duplication: per query, A's results followed by B's
     // are exactly the uninterrupted run's results.
-    for (name, qid) in [("join", join_q), ("aggregate", agg_q)] {
+    for (name, qid) in [
+        ("join", join_q),
+        ("aggregate", agg_q),
+        ("equal-width join", equal_q),
+    ] {
         let mut combined = rows_a.get(&qid).cloned().unwrap_or_default();
         combined.extend(rows_b.get(&qid).cloned().unwrap_or_default());
         assert_eq!(

@@ -26,10 +26,10 @@ fn reading(schema: &SchemaRef, ts: i64, id: i64, temp: f64) -> Tuple {
 }
 
 fn settle(server: &TelegraphCQ) {
-    let mut last = server.egress_stats();
+    let mut last = server.egress_stats_full();
     for _ in 0..200 {
         std::thread::sleep(Duration::from_millis(5));
-        let now = server.egress_stats();
+        let now = server.egress_stats_full();
         if now == last {
             return;
         }
@@ -586,4 +586,103 @@ fn mistyped_cq_is_refused_at_submit_and_the_stream_keeps_delivering() {
         .collect();
     assert_eq!(got, (6..=10).map(|id| (good, id)).collect::<Vec<_>>());
     server.shutdown().unwrap();
+}
+
+/// Per-query rows and the egress ledger of a shared filter, a windowed
+/// aggregate and a shared join over two streams, run with `io_batch`.
+fn run_shared_mix(
+    io_batch: usize,
+) -> (
+    std::collections::BTreeMap<usize, Vec<Vec<i64>>>,
+    EgressStats,
+) {
+    let server = TelegraphCQ::start(ServerConfig {
+        io_batch,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let schema = |v: &str| {
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new(v, DataType::Int),
+        ])
+        .into_ref()
+    };
+    let (left, right) = (schema("lv"), schema("rv"));
+    server.register_stream("L", left.clone()).unwrap();
+    server.register_stream("R", right.clone()).unwrap();
+    let (client, rx) = server.connect_push_client(1 << 16).unwrap();
+    let filter = server
+        .submit("SELECT k, lv FROM L WHERE lv > 100", client)
+        .unwrap();
+    let agg = server
+        .submit(
+            "SELECT k, COUNT(*), SUM(lv) FROM L GROUP BY k \
+             for (t = 50; t <= 2000; t += 50) { WindowIs(L, t - 49, t); }",
+            client,
+        )
+        .unwrap();
+    let join = server
+        .submit(
+            "SELECT a.k, a.lv, b.rv FROM L a, R b WHERE a.k = b.k AND b.rv > 20 \
+             for (t = ST; t >= 0; t++) { WindowIs(a, 1, t); WindowIs(b, 1, t); }",
+            client,
+        )
+        .unwrap();
+    assert_eq!(server.shared_join_count(), 1, "the join runs shared");
+
+    let mut rng = telegraphcq::common::rng::seeded(0x5A4E);
+    let mut batch_l = Vec::new();
+    let mut batch_r = Vec::new();
+    for ts in 1..=2000i64 {
+        let (stream, schema, batch) = if rng.gen_range(0..3u32) == 0 {
+            ("R", &right, &mut batch_r)
+        } else {
+            ("L", &left, &mut batch_l)
+        };
+        batch.push(
+            TupleBuilder::new(schema.clone())
+                .push(rng.gen_range(0..16i64))
+                .push(rng.gen_range(0..200i64))
+                .at(Timestamp::logical(ts))
+                .build()
+                .unwrap(),
+        );
+        if batch.len() == 37 {
+            server.push_batch(stream, std::mem::take(batch)).unwrap();
+        }
+    }
+    server.push_batch("L", batch_l).unwrap();
+    server.push_batch("R", batch_r).unwrap();
+    server.finish_stream("L").unwrap();
+    server.finish_stream("R").unwrap();
+    assert!(server.quiesce(Duration::from_secs(60)));
+
+    let mut rows: std::collections::BTreeMap<usize, Vec<Vec<i64>>> = Default::default();
+    for (qid, t) in rx.try_iter() {
+        let row = t.values().iter().map(|v| v.as_int().unwrap()).collect();
+        rows.entry(qid).or_default().push(row);
+    }
+    for qid in [filter, agg, join] {
+        assert!(rows.get(&qid).is_some_and(|r| !r.is_empty()), "q{qid}");
+    }
+    // Unbounded windows: the join's answer is a multiset, whatever order
+    // the two sides' batches met in.
+    rows.get_mut(&join).unwrap().sort_unstable();
+    let ledger = server.egress_stats_full();
+    server.shutdown().unwrap();
+    (rows, ledger)
+}
+
+#[test]
+fn shared_dus_deliver_identically_at_every_io_batch() {
+    let (rows_1, ledger_1) = run_shared_mix(1);
+    let (rows_64, ledger_64) = run_shared_mix(64);
+    assert_eq!(rows_1, rows_64, "per-query rows diverged across io_batch");
+    assert_eq!(
+        ledger_1, ledger_64,
+        "egress ledger diverged across io_batch"
+    );
+    assert!(ledger_64.accounted());
+    assert_eq!(ledger_64.offered, ledger_64.delivered, "{ledger_64:?}");
 }
