@@ -209,6 +209,40 @@ impl Column {
         self.len += 1;
     }
 
+    /// Remove every row, keeping the representation and the buffers'
+    /// capacity (a recycled store refills without reallocating).
+    pub fn clear(&mut self) {
+        match &mut self.data {
+            ColumnData::Int(b) => b.clear(),
+            ColumnData::Float(b) => b.clear(),
+            ColumnData::Bool(b) => b.clear(),
+            ColumnData::Str { offsets, bytes } => {
+                offsets.truncate(1);
+                bytes.clear();
+            }
+            ColumnData::Mixed(b) => b.clear(),
+        }
+        self.nulls.clear();
+        self.len = 0;
+    }
+
+    /// Heap bytes the column's buffers hold, by capacity: the typed buffer
+    /// (a string arena's offsets and bytes; a mixed column's inline
+    /// `Value`s, not the string payloads behind them) and the NULL bitmap.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let data = match &self.data {
+            ColumnData::Int(b) => b.capacity() * size_of::<i64>(),
+            ColumnData::Float(b) => b.capacity() * size_of::<f64>(),
+            ColumnData::Bool(b) => b.capacity(),
+            ColumnData::Str { offsets, bytes } => {
+                offsets.capacity() * size_of::<u32>() + bytes.capacity()
+            }
+            ColumnData::Mixed(b) => b.capacity() * size_of::<Value>(),
+        };
+        data + self.nulls.approx_bytes()
+    }
+
     /// Placeholder slot for a NULL row (bitmap already set by the caller).
     fn push_null_slot(&mut self) {
         match &mut self.data {
@@ -497,22 +531,27 @@ impl ColumnBatch {
     }
 
     /// Append one join output row: row `row` of `left` concatenated with
-    /// the values of `right`. The stamp is the partial-order max of the
-    /// parents, exactly like [`Tuple::concat`]. `self`'s schema must be
-    /// the concatenation of `left`'s schema and `right`'s.
-    pub fn push_joined(&mut self, left: &ColumnBatch, row: usize, right: &Tuple) {
-        debug_assert_eq!(self.columns.len(), left.columns.len() + right.arity());
-        for (dst, src) in self.columns.iter_mut().zip(left.columns.iter()) {
+    /// row `right_row` of the columns `right` (stamped `right_ts`), cell by
+    /// cell with [`Column::push_from`]. The stamp is the partial-order max
+    /// of the parents, exactly like [`Tuple::concat`]. `self`'s schema
+    /// must be the concatenation of `left`'s schema and `right`'s.
+    pub fn push_joined(
+        &mut self,
+        left: &ColumnBatch,
+        row: usize,
+        right: &[Column],
+        right_row: usize,
+        right_ts: Timestamp,
+    ) {
+        debug_assert_eq!(self.columns.len(), left.columns.len() + right.len());
+        let (out_left, out_right) = self.columns.split_at_mut(left.columns.len());
+        for (dst, src) in out_left.iter_mut().zip(left.columns.iter()) {
             dst.push_from(src, row);
         }
-        for (dst, v) in self.columns[left.columns.len()..]
-            .iter_mut()
-            .zip(right.values().iter())
-        {
-            dst.push_value(v);
+        for (dst, src) in out_right.iter_mut().zip(right) {
+            dst.push_from(src, right_row);
         }
-        self.stamps
-            .push(left.stamps[row].join_max(&right.timestamp()));
+        self.stamps.push(left.stamps[row].join_max(&right_ts));
     }
 
     /// Append one row copied from `src` (same schema arity assumed).
@@ -778,9 +817,18 @@ mod tests {
             Timestamp::logical(10),
         );
         let left_batch = ColumnBatch::from_tuples(left_schema, &lefts, Some(0));
+        let right_batch =
+            ColumnBatch::from_tuples(right.schema().clone(), std::slice::from_ref(&right), None);
         let mut out = ColumnBatch::empty(joined.clone());
-        out.push_joined(&left_batch, 1, &right);
-        out.push_joined(&left_batch, 3, &right);
+        for row in [1, 3] {
+            out.push_joined(
+                &left_batch,
+                row,
+                right_batch.columns(),
+                0,
+                right.timestamp(),
+            );
+        }
         assert_eq!(out.tuple_at(0), lefts[1].concat(&right, joined.clone()));
         assert_eq!(out.tuple_at(1), lefts[3].concat(&right, joined.clone()));
         assert_eq!(out.stamp(0).seq(), 10);

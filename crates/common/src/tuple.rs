@@ -67,19 +67,11 @@ impl Tuple {
         }
     }
 
-    /// Split the handle into what a store has to keep per row: the shared
-    /// value vector and the timestamp. The schema `Arc` and the key-hash
-    /// memo are the parts a homogeneous store holds once, not per row;
-    /// [`Tuple::from_shared`] puts a handle back around the same values.
-    pub fn into_shared(self) -> (Arc<[Value]>, Timestamp) {
-        (self.values, self.ts)
-    }
-
-    /// Rebuild a handle around values split off by [`Tuple::into_shared`]:
-    /// two `Arc` bumps at the caller, like [`Tuple::clone`], no copy.
-    /// `key_hash` is `(col, hash_value(values[col]))` when the store kept
-    /// the row's key hash, so the memo survives the round trip and nothing
-    /// downstream hashes the key again.
+    /// A handle around an already-built value vector, without copying it
+    /// (a SteM collects a stored row's cells straight into one). `key_hash`
+    /// is `(col, hash_value(values[col]))` when the caller kept the row's
+    /// key hash, so the memo survives and nothing downstream hashes the
+    /// key again.
     pub fn from_shared(
         schema: SchemaRef,
         values: Arc<[Value]>,
@@ -412,11 +404,17 @@ mod tests {
 
     #[test]
     fn shared_parts_rebuild_the_same_row_without_copying() {
-        let a = tick(4, "MSFT", 2.0).with_timestamp(Timestamp::both(4, 99));
+        let a = tick(4, "MSFT", 2.0);
         let h = a.key_hash(1);
-        let (values, ts) = a.clone().into_shared();
-        let b = Tuple::from_shared(stock_schema(), Arc::clone(&values), ts, Some((1, h)));
+        let values = Arc::clone(&a.values);
+        let b = Tuple::from_shared(
+            stock_schema(),
+            Arc::clone(&values),
+            Timestamp::both(4, 99),
+            Some((1, h)),
+        );
         assert!(std::ptr::eq(a.values.as_ptr(), b.values.as_ptr()));
+        assert_eq!(b, a);
         assert_eq!(b.timestamp(), Timestamp::both(4, 99));
         assert_eq!(b.cached_key_hash(1), Some(h));
         // Without a stored hash the handle comes back cold, not wrong.

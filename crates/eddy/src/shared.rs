@@ -44,13 +44,17 @@ pub struct SharedEddyStats {
     pub join_matches: u64,
 }
 
+/// One stored tuple and the queries still interested in it.
+type Lineaged = (Tuple, BitSet);
+
 /// A SteM whose stored tuples carry query lineage. Storage is the same
-/// window-sized [`SlotRing`] the dedicated `SteM` uses; builds arrive in
-/// timestamp order, so the ring's front is the oldest tuple.
+/// window-sized [`SlotRing`] the dedicated `SteM` uses, with one
+/// `(tuple, lineage)` per slot; builds arrive in timestamp order, so the
+/// ring's front is the oldest tuple.
 struct SharedStem {
     key_col: usize,
     buckets: HashMap<Value, Vec<u32>>,
-    slots: SlotRing<(Tuple, BitSet)>,
+    slots: SlotRing<Vec<Option<Lineaged>>>,
     live: usize,
 }
 
@@ -59,7 +63,7 @@ impl SharedStem {
         SharedStem {
             key_col,
             buckets: HashMap::new(),
-            slots: SlotRing::new(),
+            slots: SlotRing::default(),
             live: 0,
         }
     }
@@ -68,33 +72,39 @@ impl SharedStem {
     #[cfg(test)]
     fn starting_at(key_col: usize, base: u32) -> Self {
         SharedStem {
-            slots: SlotRing::starting_at(base),
+            slots: SlotRing::starting_at((), base),
             ..Self::new(key_col)
         }
     }
 
     fn insert(&mut self, tuple: Tuple, lineage: BitSet) {
         let key = tuple.value(self.key_col).clone();
-        let slot = self.slots.push((tuple, lineage));
+        let slot = self.slots.push(|c| c.push(Some((tuple, lineage))));
         self.buckets.entry(key).or_default().push(slot);
         self.live += 1;
     }
 
-    fn probe<'a>(&'a self, key: &Value, out: &mut Vec<&'a (Tuple, BitSet)>) {
+    fn probe<'a>(&'a self, key: &Value, out: &mut Vec<&'a Lineaged>) {
         if let Some(slots) = self.buckets.get(key) {
-            out.extend(slots.iter().filter_map(|&s| self.slots.get(s)));
+            out.extend(slots.iter().filter_map(|&s| self.get(s)));
         }
+    }
+
+    fn get(&self, slot: u32) -> Option<&Lineaged> {
+        self.slots.get(slot).and_then(|(c, off)| c[off].as_ref())
     }
 
     fn evict_before_seq(&mut self, seq: i64) -> usize {
         let mut evicted = 0;
-        while let Some((slot, (t, _))) = self.slots.pop_front_if(|(t, _)| t.timestamp().seq() < seq)
-        {
-            let key = t.value(self.key_col);
-            if let Some(slots) = self.buckets.get_mut(key) {
+        while let Some((slot, key)) = self.slots.front().and_then(|(slot, c, off)| {
+            let (t, _) = c[off].as_ref()?;
+            (t.timestamp().seq() < seq).then(|| (slot, t.value(self.key_col).clone()))
+        }) {
+            self.slots.kill(slot);
+            if let Some(slots) = self.buckets.get_mut(&key) {
                 slots.retain(|&s| s != slot);
                 if slots.is_empty() {
-                    self.buckets.remove(key);
+                    self.buckets.remove(&key);
                 }
             }
             self.live -= 1;
@@ -111,12 +121,12 @@ impl SharedStem {
     /// Approximate heap footprint: stored tuples, lineage bitmaps, and the
     /// hash bookkeeping.
     fn approx_bytes(&self) -> usize {
-        let mut b = self.slots.capacity() * std::mem::size_of::<Option<(Tuple, BitSet)>>()
+        let mut b = self.slots.capacity() * std::mem::size_of::<Option<Lineaged>>()
             + self.buckets.capacity() * std::mem::size_of::<(Value, Vec<u32>)>();
         for (k, slots) in &self.buckets {
             b += k.approx_bytes() + slots.capacity() * std::mem::size_of::<u32>();
         }
-        for (_, (t, lineage)) in self.slots.iter() {
+        for (t, lineage) in self.slots.iter().filter_map(|(_, c, off)| c[off].as_ref()) {
             b += lineage.approx_bytes();
             b += (0..t.arity())
                 .map(|i| t.value(i).approx_bytes())

@@ -11,13 +11,20 @@
 //! build tuple; a tuple *p ∉ T* is a probe tuple and yields the
 //! concatenations `{p} ⋈ SteM_T`. Because join output schemas depend on the
 //! probing tuple's schema, the op caches a per-schema probe plan.
+//!
+//! **The build filters.** A planner hands the op its source's own
+//! predicate ([`StemOp::with_build_predicate`]); a build tuple that fails
+//! it is not stored and leaves the eddy at the build, so a SteM holds only
+//! rows its query can still join — and the query needs no separate
+//! selection module for that source. Every build tuple, stored or not,
+//! advances the window edge: the window is stream time, not stored time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use tcq_common::{
-    CkptReader, CkptWriter, ColumnBatch, ColumnData, Result, Schema, SchemaRef, TcqError, Tuple,
-    Value,
+    CkptReader, CkptWriter, ColumnBatch, ColumnData, ColumnarScratch, Expr, Predicate, Result,
+    Schema, SchemaRef, TcqError, Tuple, Value,
 };
 use tcq_stems::{IndexKind, SteM};
 
@@ -52,10 +59,13 @@ pub struct StemOp {
     /// Optional sliding-window width in logical time; tuples older than
     /// (latest - width) are evicted on insert.
     window_width: Option<i64>,
+    /// Newest build timestamp seen, stored or filtered out.
     latest_seq: i64,
-    /// Probe-match scratch reused across calls — probing allocates no
-    /// fresh buffer per tuple.
-    match_scratch: Vec<Tuple>,
+    /// The stored source's own predicate, bound to the stored schema:
+    /// build tuples failing it are dropped, not stored.
+    build_predicate: Option<Predicate>,
+    /// Lane buffers for evaluating it over columnar builds.
+    filter_scratch: ColumnarScratch,
 }
 
 impl StemOp {
@@ -86,7 +96,8 @@ impl StemOp {
             plans: HashMap::new(),
             window_width: None,
             latest_seq: i64::MIN,
-            match_scratch: Vec::new(),
+            build_predicate: None,
+            filter_scratch: ColumnarScratch::new(),
         })
     }
 
@@ -103,6 +114,14 @@ impl StemOp {
     pub fn with_window_width(mut self, width: i64) -> Self {
         self.window_width = Some(width);
         self
+    }
+
+    /// Store only build tuples that satisfy `pred` (the stored source's
+    /// own predicate; it must bind to the stored schema). A failing build
+    /// tuple still advances the window, then leaves the eddy here.
+    pub fn with_build_predicate(mut self, pred: &Expr) -> Result<Self> {
+        self.build_predicate = Some(Predicate::new(pred, self.stem.schema())?);
+        Ok(self)
     }
 
     /// Track dirty key-hash groups for delta checkpoints (default on).
@@ -223,42 +242,89 @@ impl StemOp {
         Ok(())
     }
 
-    /// Store one build tuple, sliding the window to its timestamp. Build
-    /// tuples continue routing ("first sent as a build tuple to SteM_S and
-    /// then sent as a probe tuple to SteM_T").
-    fn build(&mut self, tuple: &Tuple) -> Result<()> {
+    /// Build one tuple: slide the window to its timestamp and store it if
+    /// it passes the build predicate. Returns whether it passed; a passing
+    /// build tuple continues routing ("first sent as a build tuple to
+    /// SteM_S and then sent as a probe tuple to SteM_T").
+    fn build(&mut self, tuple: &Tuple) -> Result<bool> {
         self.latest_seq = self.latest_seq.max(tuple.timestamp().seq());
-        self.stem.insert(tuple.clone())?;
+        let pass = match &self.build_predicate {
+            Some(p) => p.eval_pred(tuple)?,
+            None => true,
+        };
+        if pass {
+            self.stem.insert(tuple.clone())?;
+        }
+        self.evict_window();
+        Ok(pass)
+    }
+
+    /// Evict what the newest build timestamp has pushed out of the window.
+    fn evict_window(&mut self) {
         if let Some(w) = self.window_width {
             self.stem.evict_before_seq(self.latest_seq - w + 1);
         }
-        Ok(())
     }
 
-    /// Probe with `tuple`'s key column into the reusable scratch buffer.
-    /// The tuple's memoized key hash (computed at most once in its
-    /// lifetime, possibly upstream at the partitioner) feeds the hashed
-    /// index directly.
-    fn probe_into_scratch(&mut self, tuple: &Tuple, key_col: usize) {
-        self.match_scratch.clear();
+    /// Probe with `tuple`'s key column and concatenate each match onto it:
+    /// one output value vector per match, collected straight from the
+    /// probe row plus the stored cells. The tuple's memoized key hash
+    /// (computed at most once in its lifetime, possibly upstream at the
+    /// partitioner) feeds the hashed index directly; the empty and
+    /// single-match cases use [`Outputs`]' inline representation.
+    fn probe_concat(&mut self, tuple: &Tuple, key_col: usize, joined: &SchemaRef) -> Outputs {
+        let mut outputs = Outputs::None;
         let hash = tuple.key_hash(key_col);
         self.stem
-            .probe_eq_hashed(hash, tuple.value(key_col), &mut self.match_scratch);
+            .probe_eq_hashed_with(hash, tuple.value(key_col), |stored| {
+                let values = tuple.values().iter().cloned().chain(stored.values());
+                let ts = tuple.timestamp().join_max(&stored.timestamp());
+                outputs.push(Tuple::from_shared(
+                    joined.clone(),
+                    values.collect(),
+                    ts,
+                    None,
+                ));
+            });
+        outputs
     }
 
-    /// Concatenate the scratch matches with `tuple` into join outputs. The
-    /// empty and single-match cases use [`Outputs`]' inline representation
-    /// and never allocate an output buffer.
-    fn concat_scratch(&self, tuple: &Tuple, joined: &SchemaRef) -> Outputs {
-        match self.match_scratch.as_slice() {
-            [] => Outputs::None,
-            [stored] => Outputs::One(tuple.concat(stored, joined.clone())),
-            many => Outputs::Many(
-                many.iter()
-                    .map(|stored| tuple.concat(stored, joined.clone()))
-                    .collect(),
-            ),
+    /// A columnar build over `batch` and its row mirror `rows`: every row
+    /// advances the window; the rows passing the build predicate (all rows
+    /// without one) are copied out of the batch's columns into the SteM,
+    /// string cells shared with the mirror. With a predicate, `keep`
+    /// receives its verdicts — from the kernel over the columns, or per
+    /// row of the mirror when the kernel cannot run on them.
+    fn build_columnar(
+        &mut self,
+        batch: &ColumnBatch,
+        rows: &[Tuple],
+        keep: &mut Vec<bool>,
+    ) -> Result<ColumnarVerdict> {
+        let filtered = match &self.build_predicate {
+            None => false,
+            Some(p) => {
+                if !p.eval_columns(batch, &mut self.filter_scratch, keep) {
+                    keep.clear();
+                    for t in rows {
+                        keep.push(p.eval_pred(t)?);
+                    }
+                }
+                true
+            }
+        };
+        for (row, tuple) in rows.iter().enumerate() {
+            self.latest_seq = self.latest_seq.max(tuple.timestamp().seq());
+            if !filtered || keep[row] {
+                self.stem.insert_row(batch, row, tuple)?;
+            }
         }
+        self.evict_window();
+        Ok(if filtered {
+            ColumnarVerdict::Filtered
+        } else {
+            ColumnarVerdict::KeepAll
+        })
     }
 }
 
@@ -285,8 +351,11 @@ impl EddyModule for StemOp {
         let mut plan: Option<(usize, usize, SchemaRef)> = None;
         for tuple in tuples {
             if self.is_build_schema(tuple.schema()) {
-                self.build(tuple)?;
-                out.push(Routed::pass());
+                out.push(if self.build(tuple)? {
+                    Routed::pass()
+                } else {
+                    Routed::drop()
+                });
                 continue;
             }
             let key = Arc::as_ptr(tuple.schema()) as usize;
@@ -299,8 +368,7 @@ impl EddyModule for StemOp {
                     cached
                 }
             };
-            self.probe_into_scratch(tuple, key_col);
-            let outputs = self.concat_scratch(tuple, &joined);
+            let outputs = self.probe_concat(tuple, key_col, &joined);
             out.push(Routed {
                 keep: false,
                 outputs,
@@ -309,11 +377,15 @@ impl EddyModule for StemOp {
         Ok(())
     }
 
-    /// Columnar SteM visit. Builds need the retained row mirror (the SteM
-    /// stores row tuples) and pass every row through; probes feed the
-    /// batch's memoized hash column straight into the hashed index and
-    /// emit join concatenations as a new columnar batch — probe columns
-    /// flat-copied, stored values appended, in exactly the row path's
+    /// Columnar SteM visit. Builds run the build predicate over the
+    /// batch's columns (per row of the mirror when the kernel cannot),
+    /// copy the passing rows' cells into the SteM's column segments and
+    /// answer `Filtered` (`KeepAll` without a predicate); they need the
+    /// retained row mirror, whose string cells the SteM shares rather than
+    /// rebuilding, and fall back without it. Probes feed
+    /// the batch's memoized hash column straight into the hashed index and
+    /// emit join concatenations as a new columnar batch — probe columns and
+    /// stored columns flat-copied, in exactly the row path's
     /// (probe-first, stored-second, slot-order) sequence. Falls back when
     /// the batch carries no hash column for the plan's key, or when probe
     /// keys are strings (reconstructing an `Arc<str>` per key would
@@ -322,19 +394,16 @@ impl EddyModule for StemOp {
         &mut self,
         batch: &ColumnBatch,
         rows: Option<&[Tuple]>,
-        _keep: &mut Vec<bool>,
+        keep: &mut Vec<bool>,
     ) -> Result<ColumnarVerdict> {
         if batch.is_empty() {
             return Ok(ColumnarVerdict::KeepAll);
         }
         if self.is_build_schema(batch.schema()) {
-            let Some(rows) = rows else {
-                return Ok(ColumnarVerdict::Fallback);
+            return match rows {
+                Some(rows) => self.build_columnar(batch, rows, keep),
+                None => Ok(ColumnarVerdict::Fallback),
             };
-            for tuple in rows {
-                self.build(tuple)?;
-            }
-            return Ok(ColumnarVerdict::KeepAll);
         }
         let (key_col, joined) = {
             let plan = self.probe_plan(batch.schema())?;
@@ -353,12 +422,15 @@ impl EddyModule for StemOp {
         let mut out = ColumnBatch::with_capacity(joined, batch.len());
         for (row, &hash) in hashes.iter().enumerate() {
             let key = key_column.value(row);
-            self.match_scratch.clear();
-            self.stem
-                .probe_eq_hashed(hash, &key, &mut self.match_scratch);
-            for stored in &self.match_scratch {
-                out.push_joined(batch, row, stored);
-            }
+            self.stem.probe_eq_hashed_with(hash, &key, |stored| {
+                out.push_joined(
+                    batch,
+                    row,
+                    stored.columns(),
+                    stored.row(),
+                    stored.timestamp(),
+                )
+            });
         }
         Ok(ColumnarVerdict::Consumed(out))
     }
@@ -812,6 +884,119 @@ mod tests {
         assert_eq!(restored.len(), 1, "old state evicted by restored window");
     }
 
+    /// With a build predicate, failing build tuples are neither stored nor
+    /// passed on, on the row and the columnar path alike, yet every one of
+    /// them slides the window.
+    #[test]
+    fn build_predicate_drops_failing_rows_but_slides_the_window() {
+        use tcq_common::CmpOp;
+        let s = schema("S");
+        let mk = || {
+            StemOp::new("a", s.clone(), "S", 0, (None, "k".into()), IndexKind::Hash)
+                .unwrap()
+                .with_window_width(4)
+                .with_build_predicate(&Expr::col("v").cmp(CmpOp::Eq, Expr::lit("keep")))
+                .unwrap()
+        };
+        // ts 1..=6 pass, 7..=10 fail: the window [7, 10] holds no passing row.
+        let rows: Vec<Tuple> = (1..=10i64)
+            .map(|ts| t(&s, 1, if ts <= 6 { "keep" } else { "drop" }, ts))
+            .collect();
+        let mut per_row = mk();
+        let kept: Vec<bool> = rows
+            .iter()
+            .map(|r| per_row.process(r).unwrap().keep)
+            .collect();
+        assert_eq!(kept, (1..=10).map(|ts| ts <= 6).collect::<Vec<_>>());
+
+        let mut columnar = mk();
+        let batch = ColumnBatch::from_tuples(s.clone(), &rows, Some(0));
+        let mut keep = Vec::new();
+        let verdict = columnar
+            .process_columnar(&batch, Some(&rows), &mut keep)
+            .unwrap();
+        assert!(matches!(verdict, ColumnarVerdict::Filtered));
+        assert_eq!(keep, kept);
+        for op in [&mut per_row, &mut columnar] {
+            assert_eq!(op.len(), 0, "the failing rows pushed every stored row out");
+            assert_eq!(op.counters().0, 6, "only passing rows are built");
+            let probe = t(&schema("T"), 1, "p", 11);
+            assert!(op.process(&probe).unwrap().outputs.is_empty());
+        }
+    }
+
+    /// A checkpoint of a column-segment SteM is byte-identical to encoding
+    /// the tuples that were built, whichever path built them: cells keep
+    /// their variant and bits (an `Int` or a string in a FLOAT column,
+    /// NULLs, NaN payloads, `-0.0`), timestamps keep absent components,
+    /// and groups keep insertion order.
+    #[test]
+    fn exported_groups_encode_exactly_the_built_tuples() {
+        let s = Schema::qualified(
+            "S",
+            vec![
+                Field::new("k", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("name", DataType::Str),
+            ],
+        )
+        .into_ref();
+        let nan = f64::from_bits(f64::NAN.to_bits() | 0xBEEF | 1 << 63);
+        let odd = [
+            Value::Int(3),
+            Value::Null,
+            Value::Float(nan),
+            Value::Float(-0.0),
+            Value::str("not a float"),
+            Value::Float(2.5),
+        ];
+        let stamps = [
+            Timestamp::logical(1),
+            Timestamp::both(2, 77),
+            Timestamp::physical(88),
+            Timestamp::unknown(),
+        ];
+        let rows: Vec<Tuple> = (0..48usize)
+            .map(|i| {
+                let name = if i % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(format!("n{i}"))
+                };
+                let values = vec![Value::Int(i as i64 % 4), odd[i % odd.len()].clone(), name];
+                Tuple::new(s.clone(), values, stamps[i % stamps.len()]).unwrap()
+            })
+            .collect();
+        let mut op =
+            StemOp::new("a", s.clone(), "S", 0, (None, "k".into()), IndexKind::Hash).unwrap();
+        // Half the rows build one by one, half as one columnar batch.
+        for t in &rows[..24] {
+            op.process(t).unwrap();
+        }
+        let batch = ColumnBatch::from_tuples(s.clone(), &rows[24..], Some(0));
+        let verdict = op
+            .process_columnar(&batch, Some(&rows[24..]), &mut Vec::new())
+            .unwrap();
+        assert!(matches!(verdict, ColumnarVerdict::KeepAll));
+
+        let mut got = Vec::new();
+        op.export_dirty_groups(&mut got).unwrap();
+        let mut want: Vec<(u64, Vec<u8>)> = (0..4i64)
+            .map(|k| {
+                let group: Vec<&Tuple> = rows
+                    .iter()
+                    .filter(|t| t.value(0) == &Value::Int(k))
+                    .collect();
+                let mut w = CkptWriter::new();
+                w.put_u32(group.len() as u32);
+                group.iter().for_each(|t| w.put_tuple(t));
+                (tcq_common::hash_value(&Value::Int(k)), w.into_bytes())
+            })
+            .collect();
+        want.sort_by_key(|(h, _)| *h);
+        assert_eq!(got, want);
+    }
+
     /// Probing schemas come and go (every query that joins against this
     /// SteM brings its own); a new one allocated where a dropped one lived
     /// must get its own plan, not the dead schema's key column and joined
@@ -847,14 +1032,13 @@ mod tests {
 
     /// Bytes per window row, counted from the SteM's containers: the
     /// figure `peak_rss_mb` moves with, without the process around it. A
-    /// 3-`Int` row is 72 B of values in a 16 B `Arc` header; everything
-    /// else here is what storing it costs: 56 B × 66 048 ring slots, 8 B of
-    /// hash bucket, 153 B in all. The layout this replaced — an 80 B
-    /// `Tuple` handle per slot in a `VecDeque` doubled to 131 072 slots,
-    /// plus a 16 B arrival entry per slot — fails this test at window 1
-    /// with 284 B/row under the same accounting (160 + 88 + 32 + 4–8).
+    /// 3-`Int` row is 24 B of cells in its column segment, 16 B of
+    /// timestamp and 8 B of key hash; the chunks at both ragged ends, the
+    /// spare and the hash buckets' slot ids bring it to about 56 B. The
+    /// layout this replaced — the producer's `Arc<[Value]>` (88 B) behind a
+    /// 56 B slot — read 153 B/row under the same accounting.
     #[test]
-    fn a_window_row_costs_at_most_160_bytes_and_a_warm_window_allocates_no_chunks() {
+    fn a_window_row_costs_at_most_64_bytes_and_a_warm_window_allocates_no_chunks() {
         const WIDTH: i64 = 65_537;
         let s = Schema::qualified(
             "S",
@@ -884,7 +1068,7 @@ mod tests {
                 assert_eq!(op.len(), WIDTH as usize);
                 let (bytes, chunks) = (op.state_bytes(), op.chunks_allocated());
                 assert!(
-                    bytes <= 160 * op.len(),
+                    bytes <= 64 * op.len(),
                     "window {window}: {} B per row",
                     bytes / op.len()
                 );

@@ -214,6 +214,8 @@ enum QueryRecord {
     Dedicated {
         dus: Vec<DuId>,
         subscriptions: Vec<(String, u64)>,
+        /// A sequential join's eddy (its SteMs hold the join state).
+        join: Option<Arc<Mutex<Eddy>>>,
     },
     Completed,
 }
@@ -908,6 +910,7 @@ impl TelegraphCQ {
         Ok(QueryRecord::Dedicated {
             dus: vec![du_id],
             subscriptions: vec![(source.name.clone(), sub_id)],
+            join: None,
         })
     }
 
@@ -975,12 +978,13 @@ impl TelegraphCQ {
         if self.ckpt.is_some() {
             self.ckpt_handles
                 .lock()
-                .push((qid, QueryStateHandle::Join(handle)));
+                .push((qid, QueryStateHandle::Join(Arc::clone(&handle))));
         }
         let du_id = self.executor.submit(class, Box::new(du))?;
         Ok(QueryRecord::Dedicated {
             dus: vec![du_id],
             subscriptions,
+            join: Some(handle),
         })
     }
 
@@ -1018,8 +1022,8 @@ impl TelegraphCQ {
         Ok(())
     }
 
-    /// Build the dedicated eddy (SteMs + filters + band predicates) for a
-    /// join query, returning it together with each source's join-key
+    /// Build the dedicated eddy (SteMs filtering at build + band
+    /// predicates) for a join query, returning it together with each source's join-key
     /// column. Called once for a sequential plan and P times for a
     /// partitioned one — every instance is identical (same policy, same
     /// seed), which is half of the exchange determinism argument.
@@ -1103,15 +1107,13 @@ impl TelegraphCQ {
             if let Some(width) = planner::join_window_width(aq, &source.alias)? {
                 stem = stem.with_window_width(width);
             }
-            eddy.add_module(ModuleSpec::stem(Box::new(stem), my_bit, partners[i]))?;
-        }
-        // Per-source filters.
-        for (i, source) in aq.sources.iter().enumerate() {
+            // The source's own predicate filters at build: a row it
+            // rejects is never stored and never probes, so no separate
+            // selection module runs for this source.
             if let Some(pred) = source_predicate(aq, i) {
-                let bit = eddy.source_bit(&source.alias)?;
-                let op = SelectOp::new(format!("sel({})", source.alias), &pred, &source.schema)?;
-                eddy.add_module(ModuleSpec::filter(Box::new(op), bit))?;
+                stem = stem.with_build_predicate(&pred)?;
             }
+            eddy.add_module(ModuleSpec::stem(Box::new(stem), my_bit, partners[i]))?;
         }
         // Cross factors (band predicates): filters over joined tuples.
         for (k, factor) in aq.cross_factors.iter().enumerate() {
@@ -1287,7 +1289,11 @@ impl TelegraphCQ {
         );
         dus.push(self.executor.submit(ingress_class, Box::new(part))?);
 
-        Ok(QueryRecord::Dedicated { dus, subscriptions })
+        Ok(QueryRecord::Dedicated {
+            dus,
+            subscriptions,
+            join: None,
+        })
     }
 
     /// CACQ shared-join path: queries with the same join signature share one
@@ -1482,7 +1488,9 @@ impl TelegraphCQ {
                     }
                 }
             }
-            QueryRecord::Dedicated { dus, subscriptions } => {
+            QueryRecord::Dedicated {
+                dus, subscriptions, ..
+            } => {
                 for du in dus {
                     self.executor.cancel(du)?;
                 }
@@ -1495,6 +1503,18 @@ impl TelegraphCQ {
             QueryRecord::Completed => {}
         }
         Ok(())
+    }
+
+    /// Rows a sequentially planned join query holds in its SteMs, all
+    /// sources together; `None` for any other plan (filters, aggregates,
+    /// shared or partitioned joins) or an unknown query.
+    pub fn join_state_rows(&self, qid: QueryId) -> Option<usize> {
+        match self.queries.lock().get(&qid)? {
+            QueryRecord::Dedicated {
+                join: Some(eddy), ..
+            } => Some(eddy.lock().state_size()),
+            _ => None,
+        }
     }
 
     /// Standing query count (historical queries complete immediately and

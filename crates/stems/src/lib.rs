@@ -10,6 +10,9 @@
 //!   slot store ([`SlotRing`]) gives the storage back as the window
 //!   slides, so state is sized by the window, not by stream history.
 //!
+//! A SteM stores its rows column by column, one column segment per slot-ring
+//! chunk, and a probe reads them in place ([`StoredRow`]).
+//!
 //! Two SteMs plus an eddy implement a symmetric hash join (paper Figure 2);
 //! adding a remote access method to the same plumbing yields the
 //! *hybridized* joins of \[RDH02\].
@@ -46,11 +49,13 @@ mod epoch;
 pub mod grouped_filter;
 mod interval_index;
 pub mod query_stem;
+mod segment;
 pub mod slot_ring;
 pub mod stem;
 
 pub use epoch::EpochStats;
 pub use grouped_filter::GroupedFilter;
 pub use query_stem::{MatchScratch, QueryId, QueryStem};
-pub use slot_ring::SlotRing;
+pub use segment::StoredRow;
+pub use slot_ring::{Chunk, SlotRing};
 pub use stem::{IndexKind, SteM};

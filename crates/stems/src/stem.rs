@@ -1,44 +1,56 @@
 //! The SteM: a temporary, indexed repository of homogeneous tuples.
 //!
 //! **What a stored row is.** Every tuple in one SteM has the SteM's schema
-//! and is indexed on the SteM's key column, so a stored row keeps only
-//! what differs from row to row: the shared value vector, the timestamp
-//! and the key's hash — 56 bytes, against 80 for a [`Tuple`] handle with
-//! its own schema `Arc` and hash memo. The values stay the producer's
-//! `Arc<[Value]>`: building shares them with every other consumer of the
-//! tuple (no copy on insert), and a probe, scan or export hands out a
-//! [`Tuple`] rebuilt around the same allocation ([`Tuple::from_shared`] —
-//! two `Arc` bumps, what `clone` costs). Rows live in a chunked
-//! [`SlotRing`]; the indexes hold slot ids.
+//! and is indexed on the SteM's key column, so the SteM stores rows column
+//! by column, in the chunks of a [`SlotRing`]: each chunk is a column
+//! segment (`crate::segment`) holding one typed column per field, the
+//! logical and physical timestamps, the key hash and a live bitmap. A
+//! three-`Int` row costs 48 bytes there (24 of cells, 16 of timestamp, 8 of
+//! hash); `Str` cells (and cells whose variant differs from their field's type)
+//! stay [`Value`]s, so stored strings share the producer's allocation and
+//! every cell reads back bit-identical. A build copies its row in — from an
+//! ingress [`ColumnBatch`] with `Column::push_from`
+//! ([`SteM::insert_row`]), or from a [`Tuple`] ([`SteM::insert`]) — and the
+//! producer's tuple is free to go. The indexes hold slot ids.
+//!
+//! **Probes read rows in place.** [`SteM::probe_eq_hashed_with`] hands each
+//! match to a visitor as a [`StoredRow`]: a columnar join copies its cells
+//! straight into the output batch, a row join builds its one output value
+//! vector from the probe row plus these cells, and no per-match [`Tuple`]
+//! exists. [`SteM::probe_eq_hashed`], [`SteM::scan`],
+//! [`SteM::export_group`] and [`SteM::drain_all`] materialize tuples.
 //!
 //! **Eviction needs no arrival queue.** Slot ids are insertion order and a
 //! stream delivers in timestamp order, so the oldest row is the ring's
 //! front: [`SteM::evict_before_seq`] pops the front while it is older than
-//! the window edge. Only a row inserted *below* the newest timestamp seen
-//! (state absorbed from a Flux peer, a restored checkpoint group) can be
-//! older than a row in front of it; those rows — and only those — are
-//! also listed in a timestamp-sorted side index that eviction drains
-//! first. Whatever the front walk then meets that is still inside the
-//! window ends it: every row behind that one was either inserted in order
-//! (so is no older) or was in the side index.
+//! the window edge, and that row is also the front of its hash bucket
+//! (buckets list ids in insertion order), which pops in O(1). Only a row
+//! inserted *below* the newest timestamp seen (state absorbed from a Flux
+//! peer, a restored checkpoint group) can be older than a row in front of
+//! it; those rows — and only those — are also listed in a timestamp-sorted
+//! side index that eviction drains first, and leave their bucket by a scan.
+//! Whatever the front walk then meets that is still inside the window ends
+//! it: every row behind that one was either inserted in order (so is no
+//! older) or was in the side index.
 //!
 //! The equality index is keyed by the *precomputed* FNV-1a hash of the
 //! key value ([`tcq_common::hash_value`]), not by the value itself, so a
 //! prehashed probe ([`SteM::probe_eq_hashed`]) touches the index without
 //! hashing anything — the hash was computed once at ingress and rides on
-//! the tuple ([`Tuple::key_hash`]). Buckets verify stored-key equality on
-//! probe, so a 64-bit collision can never manufacture a false match; with
-//! the hash/Eq coherence `tcq_common::value` pins, results are identical
-//! to the old `HashMap<Value, _>` index.
+//! the tuple ([`Tuple::key_hash`]) or the batch's hash column. Buckets
+//! verify stored-key equality on probe, so a 64-bit collision can never
+//! manufacture a false match; with the hash/Eq coherence `tcq_common::value`
+//! pins, results are identical to a `HashMap<Value, _>` index.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::mem::size_of;
-use std::sync::Arc;
 
 use tcq_common::{
-    hash_value, IdentityBuildHasher, Result, SchemaRef, TcqError, Timestamp, Tuple, Value,
+    hash_value, ColumnBatch, DataType, IdentityBuildHasher, Result, SchemaRef, TcqError, Tuple,
+    Value,
 };
 
+use crate::segment::{Segment, StoredRow};
 use crate::slot_ring::SlotRing;
 
 /// Which index a SteM maintains on its key column.
@@ -77,14 +89,38 @@ impl Ord for OrdValue {
     }
 }
 
-/// One stored tuple, minus what the SteM holds once for all of them (see
-/// the module docs). `Option<StoredRow>` is no larger: the `Arc` pointer
-/// is the niche.
-struct StoredRow {
-    values: Arc<[Value]>,
-    ts: Timestamp,
-    /// `hash_value` of the key column, computed (or carried in) at insert.
-    key_hash: u64,
+/// Slot ids of one index entry, in insertion order.
+type Ids = VecDeque<u32>;
+
+/// Drop `slot` from an index entry: O(1) when it is the oldest (an
+/// in-order eviction), a scan otherwise (late rows, replaced groups).
+fn remove_id(ids: &mut Ids, slot: u32) {
+    if ids.front() == Some(&slot) {
+        ids.pop_front();
+    } else {
+        ids.retain(|&s| s != slot);
+    }
+}
+
+/// Visit the live rows among `ids` whose key `keep` accepts, in `ids`
+/// order; returns how many were visited.
+fn visit_ids<'a>(
+    slots: &'a SlotRing<Segment>,
+    ids: &Ids,
+    keep: impl Fn(&StoredRow<'a>) -> bool,
+    mut visit: impl FnMut(StoredRow<'a>),
+) -> usize {
+    let mut n = 0;
+    for &id in ids {
+        if let Some((seg, off)) = slots.get(id) {
+            let row = seg.row(off);
+            if keep(&row) {
+                n += 1;
+                visit(row);
+            }
+        }
+    }
+    n
 }
 
 /// A State Module: build / probe / evict over homogeneous tuples.
@@ -99,13 +135,13 @@ pub struct SteM {
     schema: SchemaRef,
     key_col: usize,
     kind: IndexKind,
-    /// Slot-addressed storage; the indexes below hold slot ids.
-    slots: SlotRing<StoredRow>,
+    /// Column-segment storage; the indexes below hold slot ids.
+    slots: SlotRing<Segment>,
     /// Equality index keyed by the key value's FNV-1a hash. The identity
     /// build-hasher passes the (already well-mixed) hash straight
     /// through — no SipHash on the probe path.
-    hash: HashMap<u64, Vec<u32>, IdentityBuildHasher>,
-    ordered: BTreeMap<OrdValue, Vec<u32>>,
+    hash: HashMap<u64, Ids, IdentityBuildHasher>,
+    ordered: BTreeMap<OrdValue, Ids>,
     /// Highest logical timestamp among the rows inserted since the SteM
     /// was last empty: a row at or above it is in order.
     newest_seq: i64,
@@ -120,8 +156,8 @@ pub struct SteM {
     probes: u64,
     matches: u64,
     /// Key-hash computations this SteM actually performed (memoized hits
-    /// carried in on the tuple are free and not counted) — the
-    /// double-hash-removal regression test reads this.
+    /// carried in on the tuple or the batch are free and not counted) —
+    /// the double-hash-removal regression test reads this.
     hash_computes: u64,
     /// Key-hash groups mutated (insert/evict/drain) since the last
     /// [`SteM::clear_dirty`]. `BTreeSet` so checkpoint export iterates in
@@ -148,10 +184,10 @@ impl SteM {
         }
         Ok(SteM {
             name: name.into(),
+            slots: SlotRing::new(Self::layout(&schema)),
             schema,
             key_col,
             kind,
-            slots: SlotRing::new(),
             hash: HashMap::default(),
             ordered: BTreeMap::new(),
             newest_seq: i64::MIN,
@@ -163,6 +199,10 @@ impl SteM {
             hash_computes: 0,
             dirty: Some(BTreeSet::new()),
         })
+    }
+
+    fn layout(schema: &SchemaRef) -> Vec<DataType> {
+        schema.fields().iter().map(|f| f.data_type).collect()
     }
 
     /// Track dirty key-hash groups for delta checkpoints (default on).
@@ -178,7 +218,7 @@ impl SteM {
     #[doc(hidden)]
     pub fn with_slot_base(mut self, base: u32) -> Self {
         debug_assert!(self.slots.span() == 0, "slot base set on a used SteM");
-        self.slots = SlotRing::starting_at(base);
+        self.slots = SlotRing::starting_at(Self::layout(&self.schema), base);
         self
     }
 
@@ -197,20 +237,25 @@ impl SteM {
         self.key_col
     }
 
-    /// Insert (build) a tuple. If the tuple carries a memoized key hash
-    /// for this SteM's key column (computed upstream by partition routing
-    /// or a prior probe), the hash index reuses it; otherwise one FNV
-    /// pass is computed here. Either way the hash is kept with the stored
-    /// row, so eviction never rehashes.
-    pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
-        if tuple.arity() != self.schema.len() {
-            return Err(TcqError::SchemaMismatch(format!(
-                "SteM {} expects arity {}, got {}",
-                self.name,
-                self.schema.len(),
-                tuple.arity()
-            )));
+    fn check_arity(&self, arity: usize) -> Result<()> {
+        if arity == self.schema.len() {
+            return Ok(());
         }
+        Err(TcqError::SchemaMismatch(format!(
+            "SteM {} expects arity {}, got {arity}",
+            self.name,
+            self.schema.len(),
+        )))
+    }
+
+    /// Insert (build) a tuple, copying its values into the SteM's columns.
+    /// If the tuple carries a memoized key hash for this SteM's key column
+    /// (computed upstream by partition routing or a prior probe), the hash
+    /// index reuses it; otherwise one FNV pass is computed here. Either
+    /// way the hash is kept with the stored row, so eviction never
+    /// rehashes.
+    pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
+        self.check_arity(tuple.arity())?;
         let key_hash = match tuple.cached_key_hash(self.key_col) {
             Some(h) => h,
             None => {
@@ -218,23 +263,44 @@ impl SteM {
                 hash_value(tuple.value(self.key_col))
             }
         };
-        self.mark_dirty(key_hash);
-        let (values, ts) = tuple.into_shared();
-        let seq = ts.seq();
-        let ordered_key = self
-            .kind
-            .has_ordered()
-            .then(|| OrdValue(values[self.key_col].clone()));
-        let slot = self.slots.push(StoredRow {
-            values,
-            ts,
-            key_hash,
+        self.store(key_hash, tuple.timestamp().seq(), |seg| {
+            seg.push_tuple(&tuple, key_hash)
         });
+        Ok(())
+    }
+
+    /// Insert (build) row `row` of `batch`, copying its typed cells out of
+    /// the batch's columns. `tuple` is the batch's row mirror of that row:
+    /// string cells are shared with it rather than rebuilt. The key hash
+    /// comes from the batch's hash column, else the tuple's memo, else one
+    /// FNV pass here.
+    pub fn insert_row(&mut self, batch: &ColumnBatch, row: usize, tuple: &Tuple) -> Result<()> {
+        self.check_arity(batch.columns().len())?;
+        let carried = match batch.key_hashes() {
+            Some((col, hashes)) if col == self.key_col => Some(hashes[row]),
+            _ => tuple.cached_key_hash(self.key_col),
+        };
+        let key_hash = carried.unwrap_or_else(|| {
+            self.hash_computes += 1;
+            hash_value(tuple.value(self.key_col))
+        });
+        self.store(key_hash, batch.stamp(row).seq(), |seg| {
+            seg.push_batch_row(batch, row, tuple, key_hash)
+        });
+        Ok(())
+    }
+
+    /// Append one row through `fill` and index it.
+    fn store(&mut self, key_hash: u64, seq: i64, fill: impl FnOnce(&mut Segment)) {
+        self.mark_dirty(key_hash);
+        let slot = self.slots.push(fill);
         if self.kind.has_hash() {
-            self.hash.entry(key_hash).or_default().push(slot);
+            self.hash.entry(key_hash).or_default().push_back(slot);
         }
-        if let Some(key) = ordered_key {
-            self.ordered.entry(key).or_default().push(slot);
+        if self.kind.has_ordered() {
+            let (seg, off) = self.slots.get(slot).expect("just pushed");
+            let key = OrdValue(seg.row(off).value(self.key_col));
+            self.ordered.entry(key).or_default().push_back(slot);
         }
         // Streams deliver in timestamp order, and then the slot id alone
         // orders eviction. A row below the newest timestamp (state
@@ -248,7 +314,6 @@ impl SteM {
         }
         self.live += 1;
         self.builds += 1;
-        Ok(())
     }
 
     fn mark_dirty(&mut self, hash: u64) {
@@ -257,56 +322,35 @@ impl SteM {
         }
     }
 
-    /// A tuple handle around stored row `row`: shared values, this SteM's
-    /// schema, and the stored key hash as the handle's memo.
-    fn handle(&self, row: &StoredRow) -> Tuple {
-        Tuple::from_shared(
-            Arc::clone(&self.schema),
-            Arc::clone(&row.values),
-            row.ts,
-            Some((self.key_col, row.key_hash)),
-        )
-    }
-
-    /// Handles for the live rows among `slots`, appended to `out` in
-    /// `slots` order; `keep` filters on the stored key.
-    fn push_handles(
-        &self,
-        slots: &[u32],
-        keep: impl Fn(&Value) -> bool,
-        out: &mut Vec<Tuple>,
-    ) -> usize {
-        let before = out.len();
-        out.extend(
-            slots
-                .iter()
-                .filter_map(|&s| self.slots.get(s))
-                .filter(|row| keep(&row.values[self.key_col]))
-                .map(|row| self.handle(row)),
-        );
-        out.len() - before
-    }
-
-    /// Drop row `slot`, just taken out of the slot store, from the indexes.
-    fn unindex(&mut self, slot: u32, row: &StoredRow) {
+    /// Kill live row `slot` and drop it from the indexes, returning its
+    /// key hash.
+    fn remove(&mut self, slot: u32) -> u64 {
+        let (seg, off) = self.slots.get(slot).expect("removing a live row");
+        let row = seg.row(off);
+        let key_hash = row.key_hash();
+        let ordered_key = self
+            .kind
+            .has_ordered()
+            .then(|| OrdValue(row.value(self.key_col)));
+        self.slots.kill(slot);
         if self.kind.has_hash() {
-            if let Some(slots) = self.hash.get_mut(&row.key_hash) {
-                slots.retain(|&s| s != slot);
-                if slots.is_empty() {
-                    self.hash.remove(&row.key_hash);
+            if let Some(ids) = self.hash.get_mut(&key_hash) {
+                remove_id(ids, slot);
+                if ids.is_empty() {
+                    self.hash.remove(&key_hash);
                 }
             }
         }
-        if self.kind.has_ordered() {
-            let key = OrdValue(row.values[self.key_col].clone());
-            if let Some(slots) = self.ordered.get_mut(&key) {
-                slots.retain(|&s| s != slot);
-                if slots.is_empty() {
+        if let Some(key) = ordered_key {
+            if let Some(ids) = self.ordered.get_mut(&key) {
+                remove_id(ids, slot);
+                if ids.is_empty() {
                     self.ordered.remove(&key);
                 }
             }
         }
         self.live -= 1;
+        key_hash
     }
 
     /// Probe for tuples whose key equals `key`, appending matches to `out`.
@@ -318,33 +362,42 @@ impl SteM {
             let h = hash_value(key);
             self.probe_eq_hashed(h, key, out)
         } else {
-            self.probe_eq_ordered(key, out)
+            self.probe_eq_hashed(0, key, out)
         }
     }
 
     /// Probe with a precomputed key hash (`hash` must be
-    /// [`hash_value`]`(key)`; [`Tuple::key_hash`] produces exactly that).
-    /// No hashing happens here — one bucket lookup plus a stored-key
-    /// equality check per candidate (collision safety).
+    /// [`hash_value`]`(key)`; [`Tuple::key_hash`] produces exactly that),
+    /// appending materialized matches to `out`. No hashing happens here —
+    /// one bucket lookup plus a stored-key equality check per candidate
+    /// (collision safety).
     pub fn probe_eq_hashed(&mut self, hash: u64, key: &Value, out: &mut Vec<Tuple>) -> usize {
-        if !self.kind.has_hash() {
-            return self.probe_eq_ordered(key, out);
-        }
-        self.probes += 1;
-        let n = match self.hash.get(&hash) {
-            Some(slots) => self.push_handles(slots, |stored| stored == key, out),
-            None => 0,
-        };
-        self.matches += n as u64;
-        n
+        let (schema, key_col) = (self.schema.clone(), self.key_col);
+        self.probe_eq_hashed_with(hash, key, |row| out.push(row.to_tuple(&schema, key_col)))
     }
 
-    /// Equality probe through the ordered index (ordered-only SteMs).
-    fn probe_eq_ordered(&mut self, key: &Value, out: &mut Vec<Tuple>) -> usize {
+    /// [`SteM::probe_eq_hashed`] without materializing: each match is
+    /// handed to `visit`, in bucket (= insertion) order, read in place.
+    /// An ordered-only SteM answers through its ordered index and ignores
+    /// `hash`.
+    pub fn probe_eq_hashed_with(
+        &mut self,
+        hash: u64,
+        key: &Value,
+        visit: impl FnMut(StoredRow<'_>),
+    ) -> usize {
         self.probes += 1;
-        let n = match self.ordered.get(&OrdValue(key.clone())) {
-            Some(slots) => self.push_handles(slots, |_| true, out),
-            None => 0,
+        let n = if self.kind.has_hash() {
+            let key_col = self.key_col;
+            match self.hash.get(&hash) {
+                Some(ids) => visit_ids(&self.slots, ids, |r| r.value(key_col) == *key, visit),
+                None => 0,
+            }
+        } else {
+            match self.ordered.get(&OrdValue(key.clone())) {
+                Some(ids) => visit_ids(&self.slots, ids, |_| true, visit),
+                None => 0,
+            }
         };
         self.matches += n as u64;
         n
@@ -360,11 +413,19 @@ impl SteM {
             )));
         }
         self.probes += 1;
+        let (schema, key_col) = (&self.schema, self.key_col);
         let range = self
             .ordered
             .range(OrdValue(lo.clone())..=OrdValue(hi.clone()));
         let n = range
-            .map(|(_, slots)| self.push_handles(slots, |_| true, out))
+            .map(|(_, ids)| {
+                visit_ids(
+                    &self.slots,
+                    ids,
+                    |_| true,
+                    |r| out.push(r.to_tuple(schema, key_col)),
+                )
+            })
             .sum();
         self.matches += n as u64;
         Ok(n)
@@ -372,9 +433,11 @@ impl SteM {
 
     /// Iterate over all live tuples in insertion order (used for residual
     /// predicates the indexes cannot answer, and by Flux state movement).
-    /// Each item is a handle rebuilt around the stored values.
+    /// Each item is materialized from the stored columns.
     pub fn scan(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.slots.iter().map(|(_, row)| self.handle(row))
+        self.slots
+            .iter()
+            .map(|(_, seg, off)| seg.row(off).to_tuple(&self.schema, self.key_col))
     }
 
     /// Evict every tuple with logical timestamp `< seq` (the trailing edge
@@ -389,19 +452,24 @@ impl SteM {
                 break;
             }
             self.late.pop_front();
-            let row = self.slots.take(slot).expect("late index lists live rows");
-            self.evicted(slot, &row);
+            let hash = self.remove(slot);
+            self.mark_dirty(hash);
         }
-        while let Some((slot, row)) = self.slots.pop_front_if(|row| row.ts.seq() < seq) {
-            self.evicted(slot, &row);
+        loop {
+            let front = self
+                .slots
+                .front()
+                .map(|(slot, seg, off)| (slot, seg.row(off).timestamp().seq()));
+            match front {
+                Some((slot, ts)) if ts < seq => {
+                    let hash = self.remove(slot);
+                    self.mark_dirty(hash);
+                }
+                _ => break,
+            }
         }
         self.slots.reclaim_front();
         before - self.live
-    }
-
-    fn evicted(&mut self, slot: u32, row: &StoredRow) {
-        self.mark_dirty(row.key_hash);
-        self.unindex(slot, row);
     }
 
     /// Drain all tuples out (Flux state movement: the whole partition moves
@@ -409,11 +477,15 @@ impl SteM {
     /// group is marked dirty: its content here is now empty, and the next
     /// checkpoint must record the clearing.
     pub fn drain_all(&mut self) -> Vec<Tuple> {
-        let rows = self.slots.drain_all();
-        let out = rows.iter().map(|row| self.handle(row)).collect();
-        for row in &rows {
-            self.mark_dirty(row.key_hash);
+        let out: Vec<Tuple> = self.scan().collect();
+        if let Some(dirty) = &mut self.dirty {
+            dirty.extend(
+                self.slots
+                    .iter()
+                    .map(|(_, seg, off)| seg.row(off).key_hash()),
+            );
         }
+        self.slots.clear();
         self.hash.clear();
         self.ordered.clear();
         self.late.clear();
@@ -440,22 +512,31 @@ impl SteM {
         }
     }
 
+    /// Slot ids of the live rows whose key hash is `hash`, in storage
+    /// order.
+    fn group_ids(&self, hash: u64) -> Vec<u32> {
+        if self.kind.has_hash() {
+            let ids = self.hash.get(&hash);
+            ids.map(|ids| ids.iter().copied().collect())
+                .unwrap_or_default()
+        } else {
+            self.slots
+                .iter()
+                .filter(|(_, seg, off)| seg.row(*off).key_hash() == hash)
+                .map(|(slot, _, _)| slot)
+                .collect()
+        }
+    }
+
     /// Append all live tuples whose key hash is `hash` to `out`, in
     /// storage order. This is a group's *full current content* — a delta
     /// checkpoint writes it for every dirty hash, so an emptied group
     /// (all evicted) exports zero tuples, which restore reads as a clear.
     pub fn export_group(&self, hash: u64, out: &mut Vec<Tuple>) {
-        if self.kind.has_hash() {
-            if let Some(slots) = self.hash.get(&hash) {
-                self.push_handles(slots, |_| true, out);
-            }
-        } else {
-            let rows = self.slots.iter().map(|(_, row)| row);
-            out.extend(
-                rows.filter(|row| row.key_hash == hash)
-                    .map(|row| self.handle(row)),
-            );
-        }
+        out.extend(self.group_ids(hash).into_iter().map(|slot| {
+            let (seg, off) = self.slots.get(slot).expect("group lists live rows");
+            seg.row(off).to_tuple(&self.schema, self.key_col)
+        }));
     }
 
     /// Replace the group keyed by `hash` with `tuples` (restore path).
@@ -464,19 +545,9 @@ impl SteM {
     /// Leaves the dirty set exactly as it was: restored state is clean
     /// with respect to the checkpoint it came from.
     pub fn import_group(&mut self, hash: u64, tuples: Vec<Tuple>) -> Result<()> {
-        let stale: Vec<u32> = if self.kind.has_hash() {
-            self.hash.get(&hash).cloned().unwrap_or_default()
-        } else {
-            self.slots
-                .iter()
-                .filter(|(_, row)| row.key_hash == hash)
-                .map(|(slot, _)| slot)
-                .collect()
-        };
+        let stale = self.group_ids(hash);
         for &slot in &stale {
-            if let Some(row) = self.slots.take(slot) {
-                self.unindex(slot, &row);
-            }
+            self.remove(slot);
         }
         if !stale.is_empty() {
             // A freed slot's id must not outlive it in the side index.
@@ -510,19 +581,17 @@ impl SteM {
     }
 
     /// Heap bytes this SteM holds, counted from its containers rather than
-    /// clocked from the process: the slot ring by capacity (spare chunk
-    /// included), one `Arc<[Value]>` allocation per live row (two counters
-    /// plus the values inline; string payloads behind a `Value` are not
+    /// clocked from the process: every column segment by capacity (spare
+    /// chunk included; string payloads behind a `Value` cell are not
     /// followed), hash buckets and ordered index by capacity, the late-row
     /// index and the dirty set. Allocator rounding and headers are not
     /// included, so the process pays a little more than this.
     pub fn approx_bytes(&self) -> usize {
-        let ids = |slots: &Vec<u32>| slots.capacity() * size_of::<u32>();
-        self.slots.capacity() * size_of::<Option<StoredRow>>()
-            + self.live * (2 * size_of::<usize>() + self.schema.len() * size_of::<Value>())
-            + self.hash.capacity() * size_of::<(u64, Vec<u32>)>()
+        let ids = |ids: &Ids| ids.capacity() * size_of::<u32>();
+        self.slots.chunks().map(Segment::heap_bytes).sum::<usize>()
+            + self.hash.capacity() * size_of::<(u64, Ids)>()
             + self.hash.values().map(ids).sum::<usize>()
-            + self.ordered.len() * size_of::<(OrdValue, Vec<u32>)>()
+            + self.ordered.len() * size_of::<(OrdValue, Ids)>()
             + self.ordered.values().map(ids).sum::<usize>()
             + self.late.capacity() * size_of::<(i64, u32)>()
             + self.dirty_len() * size_of::<u64>()
@@ -550,7 +619,7 @@ impl SteM {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcq_common::{DataType, Field, Schema, Timestamp, TupleBuilder};
+    use tcq_common::{Field, Schema, Timestamp, TupleBuilder};
 
     fn schema() -> SchemaRef {
         Schema::qualified(
@@ -679,11 +748,39 @@ mod tests {
         refill(&mut stem);
     }
 
+    /// Cells go into typed columns but come back as the variant they went
+    /// in as: a string where the schema says INT, NULLs, and timestamps
+    /// with either component missing.
     #[test]
-    fn a_stored_row_is_56_bytes_and_its_option_is_free() {
-        assert_eq!(size_of::<StoredRow>(), 56);
-        assert_eq!(size_of::<Option<StoredRow>>(), 56);
-        assert!(size_of::<Tuple>() >= 80, "what a slot held before");
+    fn stored_rows_read_back_exactly_as_built() {
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Both).unwrap();
+        let odd = [
+            (Value::Int(1), Value::str("a"), Timestamp::both(1, 10)),
+            (Value::str("k"), Value::Null, Timestamp::physical(20)),
+            (Value::Null, Value::Int(7), Timestamp::unknown()),
+            (Value::Int(1), Value::str(""), Timestamp::logical(4)),
+        ];
+        let rows: Vec<Tuple> = odd
+            .iter()
+            .map(|(k, v, ts)| Tuple::new(schema(), vec![k.clone(), v.clone()], *ts).unwrap())
+            .collect();
+        for row in &rows {
+            stem.insert(row.clone()).unwrap();
+        }
+        let back: Vec<Tuple> = stem.scan().collect();
+        assert_eq!(back, rows);
+        for (got, want) in back.iter().zip(&rows) {
+            assert_eq!(got.timestamp(), want.timestamp());
+            assert_eq!(
+                format!("{:?}", got.values()),
+                format!("{:?}", want.values())
+            );
+        }
+        let mut seqs = Vec::new();
+        stem.probe_eq_hashed_with(hash_value(&Value::Int(1)), &Value::Int(1), |r| {
+            seqs.push(r.timestamp().seq())
+        });
+        assert_eq!(seqs, vec![1, 4]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential property tests for the epoch-rebuilt grouped filter, the
-//! query SteM (anchors + interval index) and the ring-stored data SteM: randomized interleaved
-//! operation sequences checked against naive per-factor (resp. per-query,
-//! per-tuple) evaluation.
+//! query SteM (anchors + interval index) and the column-segment data SteM:
+//! randomized interleaved operation sequences checked against naive
+//! per-factor (resp. per-query, per-tuple) evaluation.
 //!
 //! Removals tombstone range entries and inserts buffer in a pending run
 //! until a rebuild threshold trips, so interleaving guarantees many probes
@@ -11,7 +11,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use tcq_common::{
-    BitSet, CmpOp, DataType, Expr, Field, Schema, SchemaRef, Timestamp, Tuple, TupleBuilder, Value,
+    BitSet, CmpOp, ColumnBatch, DataType, Expr, Field, Schema, SchemaRef, Timestamp, Tuple, Value,
 };
 use tcq_stems::{GroupedFilter, IndexKind, MatchScratch, QueryStem, SteM};
 
@@ -97,15 +97,6 @@ fn schema() -> SchemaRef {
         ],
     )
     .into_ref()
-}
-
-fn reading(ts: i64, sensor: i64, val: f64) -> Tuple {
-    TupleBuilder::new(schema())
-        .push(sensor)
-        .push(val)
-        .at(Timestamp::logical(ts))
-        .build()
-        .unwrap()
 }
 
 /// A random predicate spanning every access path of the stem — anchored
@@ -309,6 +300,41 @@ impl StemModel {
     }
 }
 
+/// The data SteM's rows: the `sensor` key, a `serial` that tells every
+/// built row apart, and a FLOAT column `odd` holding what a typed column
+/// must not lose — `Int`s, NULLs, NaN payloads, `-0.0` and strings.
+fn stem_schema() -> SchemaRef {
+    Schema::qualified(
+        "s",
+        vec![
+            Field::new("sensor", DataType::Int),
+            Field::new("serial", DataType::Float),
+            Field::new("odd", DataType::Float),
+        ],
+    )
+    .into_ref()
+}
+
+fn odd_cell(rng: &mut tcq_common::rng::TcqRng) -> Value {
+    match rng.gen_range(0..8u32) {
+        0 => Value::Int(rng.gen_range(-5..5i64)),
+        1 => Value::Null,
+        2 => {
+            let sign = if rng.gen_bool(0.5) { 1u64 << 63 } else { 0 };
+            let payload = rng.gen_range(1..0xFFFFu64);
+            Value::Float(f64::from_bits(f64::NAN.to_bits() | payload | sign))
+        }
+        3 => Value::Float(-0.0),
+        4 => Value::str(["", "x", "a string in a FLOAT column"][rng.gen_range(0..3usize)]),
+        _ => Value::Float(rng.gen_range(0..100i64) as f64 + 0.25),
+    }
+}
+
+fn stored_row(rng: &mut tcq_common::rng::TcqRng, key: i64, serial: f64, ts: Timestamp) -> Tuple {
+    let values = vec![Value::Int(key), Value::Float(serial), odd_cell(rng)];
+    Tuple::new(stem_schema(), values, ts).unwrap()
+}
+
 fn key_of(t: &Tuple) -> i64 {
     t.value(0).as_int().unwrap()
 }
@@ -317,17 +343,39 @@ fn hash_of(t: &Tuple) -> u64 {
     tcq_common::hash_value(t.value(0))
 }
 
-/// What identifies a row handed back by the SteM: the value allocation it
-/// shares (not a copy of it), its full timestamp, and the key-hash memo.
-type RowPrint = (*const Value, Timestamp, Option<u64>);
+/// A cell compared bit-exactly: its variant and its payload, a float by
+/// its bits (so NaN payloads and `-0.0` count).
+#[derive(Debug, PartialEq)]
+enum Cell {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(String),
+}
 
-/// The SteM stores rows without their handle; what it hands back must be
-/// the inserted row again — same allocation, same timestamp (absent
-/// components included), key hash memoized on the key column.
+fn cell(v: &Value) -> Cell {
+    match v {
+        Value::Null => Cell::Null,
+        Value::Bool(b) => Cell::Bool(*b),
+        Value::Int(i) => Cell::Int(*i),
+        Value::Float(f) => Cell::Float(f.to_bits()),
+        Value::Str(s) => Cell::Str(s.to_string()),
+    }
+}
+
+/// What identifies a row handed back by the SteM: its cells, its full
+/// timestamp, and the key-hash memo.
+type RowPrint = (Vec<Cell>, Timestamp, Option<u64>);
+
+/// The SteM copies rows into its columns; what it hands back must be the
+/// inserted row again — the same cells bit for bit, the same timestamp
+/// (absent components included), key hash memoized on the key column.
 #[track_caller]
 fn assert_same_rows(got: &[Tuple], want: &[Tuple], ctx: &str) {
-    let print =
-        |t: &Tuple, hash: Option<u64>| -> RowPrint { (t.values().as_ptr(), t.timestamp(), hash) };
+    let print = |t: &Tuple, hash: Option<u64>| -> RowPrint {
+        (t.values().iter().map(cell).collect(), t.timestamp(), hash)
+    };
     let got: Vec<RowPrint> = got.iter().map(|t| print(t, t.cached_key_hash(0))).collect();
     let want: Vec<RowPrint> = want.iter().map(|t| print(t, Some(hash_of(t)))).collect();
     assert_eq!(got, want, "{ctx}");
@@ -356,7 +404,7 @@ fn random_stamp(rng: &mut tcq_common::rng::TcqRng, ts: i64) -> Timestamp {
 fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, window: i64, ops: usize) {
     const KEYS: i64 = 24;
     let mut rng = tcq_common::rng::seeded(0x57E4 ^ u64::from(base) ^ ops as u64);
-    let mut stem = SteM::new("S", schema(), 0, kind)
+    let mut stem = SteM::new("S", stem_schema(), 0, kind)
         .unwrap()
         .with_slot_base(base);
     let mut model = StemModel::default();
@@ -386,15 +434,23 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, window
                 late_builds += usize::from(stamp.seq() < clock);
                 below_edge += usize::from(stamp.seq() < edge);
                 serial += 1.0;
-                let mut t = reading(0, key, serial).with_timestamp(stamp);
+                let t = stored_row(&mut rng, key, serial, stamp);
                 // Half the builds arrive prehashed (the partitioner's work).
                 if rng.gen_bool(0.5) {
-                    t = t.clone();
                     t.key_hash(0);
                 }
                 model.dirty.insert(hash);
                 model.insert(t.clone());
-                stem.insert(t).unwrap();
+                // A third come in as an ingress batch's row, with or without
+                // its hash column.
+                if rng.gen_bool(0.33) {
+                    let key_col = rng.gen_bool(0.5).then_some(0);
+                    let batch =
+                        ColumnBatch::from_tuples(stem_schema(), std::slice::from_ref(&t), key_col);
+                    stem.insert_row(&batch, 0, &t).unwrap();
+                } else {
+                    stem.insert(t).unwrap();
+                }
             }
             // Slide the window (sometimes a no-op, sometimes past `clock`).
             45..=59 => {
@@ -446,7 +502,7 @@ fn stem_agrees_with_model(kind: IndexKind, base: u32, out_of_order: bool, window
                     serial += 1.0;
                     let ts = clock - rng.gen_range(0..window);
                     let stamp = random_stamp(&mut rng, ts);
-                    group.push(reading(0, key, serial).with_timestamp(stamp));
+                    group.push(stored_row(&mut rng, key, serial, stamp));
                 }
                 model.live.retain(|(_, t)| hash_of(t) != hash);
                 for t in &group {

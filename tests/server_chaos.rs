@@ -1582,8 +1582,11 @@ fn server_core_replays_identically_with_and_without_tcp_transport() {
 
         // With the TCP transport up, a real remote client chatters for the
         // whole run: handshake, pings, a failing submit — wire traffic that
-        // must leave the engine's seeded schedule untouched.
+        // must leave the engine's seeded schedule untouched. The engine
+        // starts only once the first pong is back, so the chatter overlaps
+        // the run however fast the engine finishes it.
         let stop = Arc::new(AtomicBool::new(false));
+        let (ponged, first_pong) = std::sync::mpsc::channel();
         let chatter = server.local_addr().map(|addr| {
             let stop = stop.clone();
             std::thread::spawn(move || {
@@ -1592,6 +1595,9 @@ fn server_core_replays_identically_with_and_without_tcp_transport() {
                 let mut pongs = 0u64;
                 while !stop.load(Ordering::SeqCst) {
                     c.ping(pongs).unwrap();
+                    if pongs == 0 {
+                        ponged.send(()).unwrap();
+                    }
                     pongs += 1;
                     std::thread::sleep(Duration::from_millis(2));
                 }
@@ -1599,6 +1605,9 @@ fn server_core_replays_identically_with_and_without_tcp_transport() {
                 pongs
             })
         });
+        if chatter.is_some() {
+            first_pong.recv().unwrap();
+        }
 
         for batch in workload().chunks(64) {
             server.engine().push_batch("s", batch.to_vec()).unwrap();
