@@ -12,6 +12,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::error::{Result, TcqError};
 use crate::schema::{DataType, Schema, SchemaRef};
@@ -272,6 +273,82 @@ impl Expr {
         })
     }
 
+    /// Structural identity with literals compared by [`Value::identical`]:
+    /// unlike `==`, `seq + 1` is not identical to `seq + 1.0`, so identical
+    /// expressions bind to the same types and evaluate to the same values.
+    /// Column names compare as written.
+    pub fn identical(&self, other: &Expr) -> bool {
+        match (self, other) {
+            (Expr::Literal(a), Expr::Literal(b)) => a.identical(b),
+            (
+                Expr::Column {
+                    qualifier: qa,
+                    name: na,
+                },
+                Expr::Column {
+                    qualifier: qb,
+                    name: nb,
+                },
+            ) => qa == qb && na == nb,
+            (
+                Expr::Cmp {
+                    op: oa,
+                    lhs: la,
+                    rhs: ra,
+                },
+                Expr::Cmp {
+                    op: ob,
+                    lhs: lb,
+                    rhs: rb,
+                },
+            ) => oa == ob && la.identical(lb) && ra.identical(rb),
+            (
+                Expr::Arith {
+                    op: oa,
+                    lhs: la,
+                    rhs: ra,
+                },
+                Expr::Arith {
+                    op: ob,
+                    lhs: lb,
+                    rhs: rb,
+                },
+            ) => oa == ob && la.identical(lb) && ra.identical(rb),
+            (Expr::And(la, ra), Expr::And(lb, rb)) | (Expr::Or(la, ra), Expr::Or(lb, rb)) => {
+                la.identical(lb) && ra.identical(rb)
+            }
+            (Expr::Not(a), Expr::Not(b)) => a.identical(b),
+            _ => false,
+        }
+    }
+
+    /// Feed `state` a hash consistent with [`Expr::identical`].
+    pub fn hash_identical<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Literal(v) => v.hash_identical(state),
+            Expr::Column { qualifier, name } => {
+                qualifier.hash(state);
+                name.hash(state);
+            }
+            Expr::Cmp { op, lhs, rhs } => {
+                op.hash(state);
+                lhs.hash_identical(state);
+                rhs.hash_identical(state);
+            }
+            Expr::Arith { op, lhs, rhs } => {
+                op.hash(state);
+                lhs.hash_identical(state);
+                rhs.hash_identical(state);
+            }
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                a.hash_identical(state);
+                b.hash_identical(state);
+            }
+            Expr::Not(e) => e.hash_identical(state),
+        }
+    }
+
     /// Infer the result type against a schema without fully binding.
     pub fn data_type(&self, schema: &Schema) -> Result<DataType> {
         Ok(match self {
@@ -466,6 +543,30 @@ mod tests {
         assert!(bound.eval_pred(&tick(1, "MSFT", 51.0)).unwrap());
         assert!(!bound.eval_pred(&tick(1, "MSFT", 49.0)).unwrap());
         assert!(!bound.eval_pred(&tick(1, "IBM", 99.0)).unwrap());
+    }
+
+    #[test]
+    fn identical_tells_literal_types_apart_where_eq_does_not() {
+        let plus = |v: Value| Expr::Arith {
+            op: ArithOp::Add,
+            lhs: Box::new(Expr::col("seq")),
+            rhs: Box::new(Expr::Literal(v)),
+        };
+        let hash = |e: &Expr| {
+            let mut h = crate::hash::Fnv1a::new();
+            e.hash_identical(&mut h);
+            h.finish()
+        };
+        assert_eq!(plus(Value::Int(1)), plus(Value::Float(1.0)));
+        assert!(!plus(Value::Int(1)).identical(&plus(Value::Float(1.0))));
+        assert!(plus(Value::Int(1)).identical(&plus(Value::Int(1))));
+        assert_eq!(hash(&plus(Value::Int(1))), hash(&plus(Value::Int(1))));
+        assert!(!Expr::col("a").identical(&Expr::qcol("s", "a")));
+        let p = Expr::col("a")
+            .cmp(CmpOp::Gt, Expr::lit(2i64))
+            .and(Expr::col("b").or(Expr::col("c")));
+        assert!(p.identical(&p.clone()));
+        assert_eq!(hash(&p), hash(&p.clone()));
     }
 
     #[test]

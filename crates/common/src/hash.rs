@@ -107,9 +107,36 @@ impl BuildHasher for IdentityBuildHasher {
     }
 }
 
+/// Heap bytes a std `HashMap`/`HashSet` reporting `capacity` holds for
+/// `slot`-byte entries: its whole bucket array (a power of two, of which
+/// `capacity` counts at most 7/8), one control byte per bucket and one
+/// trailing control group. Zero capacity allocates nothing.
+pub fn hash_table_bytes(capacity: usize, slot: usize) -> usize {
+    const GROUP: usize = 16;
+    let buckets = match capacity {
+        0 => return 0,
+        c if c < 7 => c + 1,
+        c => c / 7 * 8,
+    };
+    buckets * (slot + 1) + GROUP
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_table_bytes_counts_the_whole_bucket_array() {
+        use std::collections::HashMap;
+        let mut m: HashMap<u64, u64> = HashMap::new();
+        assert_eq!(hash_table_bytes(m.capacity(), 16), 0);
+        for i in 0..1_000 {
+            m.insert(i, i);
+            let buckets = (hash_table_bytes(m.capacity(), 16) - 16) / 17;
+            assert!(buckets.is_power_of_two(), "{} -> {buckets}", m.capacity());
+            assert!(buckets > m.capacity() && buckets <= 2 * m.capacity());
+        }
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {

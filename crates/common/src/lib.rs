@@ -27,6 +27,7 @@ pub mod error;
 pub mod expr;
 pub mod frame;
 pub mod hash;
+pub mod idlist;
 pub mod kernel;
 pub mod progress;
 pub mod rng;
@@ -43,7 +44,8 @@ pub use ckpt::{CkptReader, CkptWriter};
 pub use column::{Column, ColumnBatch, ColumnData};
 pub use error::{Result, TcqError};
 pub use expr::{ArithOp, BoundExpr, CmpOp, Expr};
-pub use hash::{hash_value, Fnv1a, IdentityBuildHasher};
+pub use hash::{hash_table_bytes, hash_value, Fnv1a, IdentityBuildHasher};
+pub use idlist::IdList;
 pub use kernel::{ColumnarScratch, Kernel, Predicate};
 pub use progress::{ChannelProbe, ChannelSnapshot, ProgressRegistry, ProgressSnapshot};
 pub use schema::{DataType, Field, Schema, SchemaRef};

@@ -63,6 +63,35 @@ impl Value {
         std::mem::size_of::<Value>() + heap
     }
 
+    /// Type-exact identity: the same variant holding the same payload,
+    /// floats by bit pattern. Unlike `==`, `Int(1)` is not identical to
+    /// `Float(1.0)` (nor `-0.0` to `0.0`), so identical values behave alike
+    /// in every expression.
+    pub fn identical(&self, other: &Value) -> bool {
+        use Value::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Bool(a), Bool(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Str(a), Str(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Feed `state` a hash consistent with [`Value::identical`].
+    pub fn hash_identical<H: std::hash::Hasher>(&self, state: &mut H) {
+        use std::hash::Hash;
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Value::Null => {}
+            Value::Bool(b) => b.hash(state),
+            Value::Int(i) => i.hash(state),
+            Value::Float(f) => f.to_bits().hash(state),
+            Value::Str(s) => s.hash(state),
+        }
+    }
+
     /// Interpret as i64, coercing floats with truncation.
     pub fn as_int(&self) -> Result<i64> {
         match self {
@@ -369,6 +398,32 @@ mod tests {
     fn hash_consistent_with_eq_across_int_float() {
         assert_eq!(Value::Int(7), Value::Float(7.0));
         assert_eq!(hash_of(&Value::Int(7)), hash_of(&Value::Float(7.0)));
+    }
+
+    #[test]
+    fn identical_is_type_exact_where_eq_is_numeric() {
+        let identical_hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash_identical(&mut h);
+            h.finish()
+        };
+        for (a, b) in [
+            (Value::Int(1), Value::Float(1.0)),
+            (Value::Float(-0.0), Value::Float(0.0)),
+        ] {
+            assert_eq!(a, b);
+            assert!(!a.identical(&b), "{a:?} vs {b:?}");
+        }
+        for v in [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(7),
+            Value::Float(f64::NAN),
+            Value::str("x"),
+        ] {
+            assert!(v.identical(&v.clone()), "{v:?}");
+            assert_eq!(identical_hash(&v), identical_hash(&v.clone()));
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ use std::sync::Arc;
 use tcq_common::sync::Mutex;
 
 use tcq_common::{
-    CkptReader, CkptWriter, ColumnBatch, FaultAction, FaultPoint, Result, SharedInjector, TcqError,
-    Tuple,
+    CkptReader, CkptWriter, ColumnBatch, FaultAction, FaultPoint, IdList, Result, SharedInjector,
+    TcqError, Tuple,
 };
 
 /// Client identifier.
@@ -269,7 +269,8 @@ struct PendingColumns {
 
 struct RouterInner {
     clients: HashMap<ClientId, ClientState>,
-    by_query: HashMap<QueryId, Vec<ClientId>>,
+    /// Each query's subscribers; a query's lone subscriber is held inline.
+    by_query: HashMap<QueryId, IdList<ClientId>>,
     stats: EgressStats,
     policy: EgressPolicy,
     injector: Option<SharedInjector>,
@@ -289,10 +290,7 @@ impl RouterInner {
     /// Remove a client and its subscriptions; true if it existed.
     fn drop_client(&mut self, client: ClientId) -> bool {
         let existed = self.clients.remove(&client).is_some();
-        self.by_query.retain(|_, subs| {
-            subs.retain(|&c| c != client);
-            !subs.is_empty()
-        });
+        self.by_query.retain(|_, subs| !subs.remove(client));
         existed
     }
 
@@ -325,7 +323,7 @@ impl RouterInner {
                 continue;
             };
             subs.clear();
-            subs.extend_from_slice(s);
+            subs.extend_from_slice(s.as_slice());
             for &cid in &subs {
                 let Some(state) = self.clients.get_mut(&cid) else {
                     continue;
@@ -746,9 +744,12 @@ impl EgressRouter {
         if !inner.clients.contains_key(&client) {
             return Err(TcqError::Executor(format!("unknown client {client}")));
         }
-        let subs = inner.by_query.entry(query).or_default();
-        if !subs.contains(&client) {
-            subs.push(client);
+        match inner.by_query.get_mut(&query) {
+            Some(subs) if !subs.as_slice().contains(&client) => subs.push(client),
+            Some(_) => {}
+            None => {
+                inner.by_query.insert(query, IdList::One(client));
+            }
         }
         Ok(())
     }
@@ -756,12 +757,24 @@ impl EgressRouter {
     /// Remove a subscription (no-op if absent).
     pub fn unsubscribe(&self, client: ClientId, query: QueryId) {
         let mut inner = self.inner.lock();
-        if let Some(subs) = inner.by_query.get_mut(&query) {
-            subs.retain(|&c| c != client);
-            if subs.is_empty() {
-                inner.by_query.remove(&query);
-            }
+        if inner
+            .by_query
+            .get_mut(&query)
+            .is_some_and(|subs| subs.remove(client))
+        {
+            inner.by_query.remove(&query);
         }
+    }
+
+    /// Drop every client's subscription to `query`: a stopped query has no
+    /// more results to route.
+    pub fn forget_query(&self, query: QueryId) {
+        self.inner.lock().by_query.remove(&query);
+    }
+
+    /// Queries with at least one subscribed client.
+    pub fn subscribed_queries(&self) -> usize {
+        self.inner.lock().by_query.len()
     }
 
     /// Drop a client and all its subscriptions.
@@ -930,7 +943,7 @@ impl DeliverySession<'_> {
         let queries = queries.into_iter();
         let needs_rows = queries.clone().any(|q| {
             self.inner.by_query.get(&q).is_some_and(|subs| {
-                subs.iter().any(|cid| {
+                subs.as_slice().iter().any(|cid| {
                     !matches!(
                         self.inner.clients.get(cid),
                         Some(ClientState::ColumnPush { .. }) | None
@@ -1064,6 +1077,21 @@ mod tests {
         let _rx = r.register_push_client(2, 4).unwrap();
         assert!(r.fetch(2, 1).is_err());
         assert!(r.subscribe(99, 1).is_err());
+    }
+
+    #[test]
+    fn forget_query_drops_every_subscription_to_it() {
+        let r = EgressRouter::new();
+        r.register_pull_client(1, 10).unwrap();
+        r.register_pull_client(2, 10).unwrap();
+        r.subscribe(1, 5).unwrap();
+        r.subscribe(2, 5).unwrap();
+        r.subscribe(1, 6).unwrap();
+        assert_eq!(r.subscribed_queries(), 2);
+        r.forget_query(5);
+        assert_eq!(r.subscribed_queries(), 1);
+        r.deliver_batch([5usize], &[t(1)]);
+        assert_eq!(r.egress_stats().offered, 0, "nobody is subscribed to 5");
     }
 
     #[test]

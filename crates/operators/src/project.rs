@@ -105,6 +105,23 @@ impl ProjectOp {
         Some(batch.project(cols, self.out_schema.clone()))
     }
 
+    /// Approximate heap footprint in bytes: bound expressions, the column
+    /// list and the output schema (top-level allocations only).
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let schema = &self.out_schema;
+        let names: usize = schema.fields().iter().map(|f| f.name.len()).sum();
+        self.exprs.capacity() * size_of::<tcq_common::BoundExpr>()
+            + self
+                .columns
+                .as_ref()
+                .map_or(0, |c| c.capacity() * size_of::<usize>())
+            + 2 * size_of::<usize>()
+            + size_of::<Schema>()
+            + schema.len() * (size_of::<Field>() + size_of::<String>())
+            + names
+    }
+
     /// Output column types.
     pub fn out_types(&self) -> Vec<DataType> {
         self.out_schema

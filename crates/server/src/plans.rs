@@ -2,7 +2,8 @@
 //!
 //! * [`FilterCqDu`] — "shared 'continuous query' mode": ALL single-stream
 //!   selection queries over one stream run in one DU, sharing a CACQ
-//!   [`QueryStem`] pass per tuple.
+//!   [`QueryStem`] pass per tuple and one projection per distinct select
+//!   list.
 //! * [`JoinCqDu`] — "single-Eddy query plan with Fjord-style operators":
 //!   a dedicated eddy (SteMs + filters) per join query.
 //! * [`AggregateCqDu`] — the window driver for aggregate queries: buffers
@@ -15,15 +16,17 @@
 //! batch's results to egress in one delivery — one router lock per batch,
 //! the ledger still charged per row.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use tcq_common::sync::Mutex;
 
 use tcq_common::{
-    CkptReader, CkptWriter, ColumnBatch, DataType, Expr, Field, Predicate, Result, Schema,
-    SchemaRef, Timestamp, Tuple, Value,
+    hash_table_bytes, CkptReader, CkptWriter, ColumnBatch, DataType, Expr, Field, Predicate,
+    Result, Schema, SchemaRef, Timestamp, Tuple, Value,
 };
 use tcq_eddy::{Eddy, Emitted};
 use tcq_egress::EgressRouter;
@@ -39,17 +42,118 @@ pub type QueryId = usize;
 
 // ---------------------------------------------------------------- filters
 
+/// A select list as an intern key: the qualifier-stripped items, compared
+/// by value with [`Expr::identical`]. Type-exact, because `Value`'s `==`
+/// equates `Int(1)` with `Float(1.0)` while `seq + 1` projects an INT and
+/// `seq + 1.0` a FLOAT; aliases count, because they name the output
+/// column; and never an allocation address, which a freed projection could
+/// pass on to the next one.
+struct ProjectionKey(Box<[(Expr, Option<String>)]>);
+
+impl PartialEq for ProjectionKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && (self.0.iter().zip(other.0.iter()))
+                .all(|((a, a_alias), (b, b_alias))| a_alias == b_alias && a.identical(b))
+    }
+}
+
+impl Eq for ProjectionKey {}
+
+impl Hash for ProjectionKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for (expr, alias) in self.0.iter() {
+            expr.hash_identical(state);
+            alias.hash(state);
+        }
+    }
+}
+
+/// One bound projection, shared by every standing query whose select list
+/// has its key. It hashes and compares as that key, so the intern set is
+/// probed with a bare [`ProjectionKey`].
+struct SharedProjection {
+    key: ProjectionKey,
+    op: ProjectOp,
+    /// Its index in [`FilterInner::projected`], reused once it is freed.
+    slot: usize,
+}
+
+impl SharedProjection {
+    /// Approximate heap footprint, the `Arc` header included.
+    fn approx_bytes(&self) -> usize {
+        let aliases: usize = (self.key.0.iter())
+            .map(|(_, alias)| alias.as_ref().map_or(0, String::len))
+            .sum();
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Self>()
+            + self.key.0.len() * std::mem::size_of::<(Expr, Option<String>)>()
+            + aliases
+            + self.op.approx_bytes()
+    }
+}
+
+impl PartialEq for SharedProjection {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for SharedProjection {}
+
+impl Hash for SharedProjection {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key.hash(state);
+    }
+}
+
+impl Borrow<ProjectionKey> for Arc<SharedProjection> {
+    fn borrow(&self) -> &ProjectionKey {
+        &self.key
+    }
+}
+
+/// A standing filter query's one entry beside its `QueryStem` registration.
+struct StandingFilter {
+    project: Arc<SharedProjection>,
+    /// Lower bound on logical time: the earliest left edge of the query's
+    /// window sequence. Tuples older than it are outside every window and
+    /// must not be delivered (paper example 2: the landmark query over
+    /// `[101, t]` never matches days 1–100).
+    min_seq: i64,
+}
+
 struct FilterInner {
     qstem: QueryStem,
     /// Reused probe state; lives under the same lock as the stem so the
     /// per-tuple matching pass allocates nothing.
     scratch: MatchScratch,
-    projections: HashMap<QueryId, ProjectOp>,
-    /// Per-query lower bound on logical time: the earliest left edge of the
-    /// query's window sequence. Tuples older than it are outside every
-    /// window and must not be delivered (paper example 2: the landmark
-    /// query over `[101, t]` never matches days 1–100).
-    min_seq: HashMap<QueryId, i64>,
+    /// Query id → projection and time floor: the one per-query table.
+    standing: HashMap<QueryId, StandingFilter>,
+    /// Every distinct projection among the standing queries; each leaves
+    /// with its last query.
+    projections: HashSet<Arc<SharedProjection>>,
+    /// Per projection slot, the row it last projected (a count of rows
+    /// seen) and that output: a projection runs once per row however many
+    /// of the row's queries share it. Slots are reused, so this is sized by
+    /// the most projections ever standing at once.
+    projected: Vec<(u64, Option<Tuple>)>,
+    free_slots: Vec<usize>,
+    rows: u64,
+}
+
+impl FilterInner {
+    fn new(schema: SchemaRef) -> Self {
+        FilterInner {
+            qstem: QueryStem::new(schema),
+            scratch: MatchScratch::new(),
+            standing: HashMap::new(),
+            projections: HashSet::new(),
+            projected: Vec::new(),
+            free_slots: Vec::new(),
+            rows: 0,
+        }
+    }
 }
 
 /// Handle shared between the server (which adds/removes queries) and the
@@ -64,17 +168,13 @@ impl FilterCqShared {
     /// kernels.
     pub fn new(schema: SchemaRef) -> Self {
         FilterCqShared {
-            inner: Arc::new(Mutex::new(FilterInner {
-                qstem: QueryStem::new(schema),
-                scratch: MatchScratch::new(),
-                projections: HashMap::new(),
-                min_seq: HashMap::new(),
-            })),
+            inner: Arc::new(Mutex::new(FilterInner::new(schema))),
         }
     }
 
     /// Register query `id`: predicate (qualifier-stripped) + projection +
     /// the earliest logical time its windows reach (`i64::MIN` = no bound).
+    /// A projection identical to a standing query's is shared, not built.
     pub fn add_query(
         &self,
         id: QueryId,
@@ -82,21 +182,50 @@ impl FilterCqShared {
         projection: &[(Expr, Option<String>)],
         min_seq: i64,
     ) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let schema = inner.qstem.schema().clone();
-        let project = ProjectOp::new(projection, &schema)?;
-        inner.qstem.insert_query(id, pred)?;
-        inner.projections.insert(id, project);
-        inner.min_seq.insert(id, min_seq);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let key = ProjectionKey(projection.into());
+        let project = match inner.projections.get(&key) {
+            Some(shared) => {
+                inner.qstem.insert_query(id, pred)?;
+                Arc::clone(shared)
+            }
+            None => {
+                let op = ProjectOp::new(projection, inner.qstem.schema())?;
+                inner.qstem.insert_query(id, pred)?;
+                let slot = inner.free_slots.pop().unwrap_or_else(|| {
+                    inner.projected.push((0, None));
+                    inner.projected.len() - 1
+                });
+                let shared = Arc::new(SharedProjection { key, op, slot });
+                inner.projections.insert(Arc::clone(&shared));
+                shared
+            }
+        };
+        inner
+            .standing
+            .insert(id, StandingFilter { project, min_seq });
         Ok(())
     }
 
-    /// Remove query `id`.
+    /// Remove query `id`. When the last standing query leaves, the filter
+    /// drops back to its fresh state, capacities included.
     pub fn remove_query(&self, id: QueryId) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.qstem.remove_query(id)?;
-        inner.projections.remove(&id);
-        inner.min_seq.remove(&id);
+        if let Some(gone) = inner.standing.remove(&id) {
+            // The set holds one reference and `gone` the other: this was
+            // the projection's last query.
+            if Arc::strong_count(&gone.project) == 2 {
+                inner.projections.remove(&gone.project.key);
+                inner.projected[gone.project.slot] = (0, None);
+                inner.free_slots.push(gone.project.slot);
+            }
+        }
+        if inner.standing.is_empty() {
+            *inner = FilterInner::new(inner.qstem.schema().clone());
+        }
         Ok(())
     }
 
@@ -105,11 +234,26 @@ impl FilterCqShared {
         self.inner.lock().qstem.len()
     }
 
-    /// Approximate heap footprint of the shared query index and its probe
-    /// scratch in bytes.
+    /// Approximate heap footprint in bytes: the shared query index and its
+    /// probe scratch, the per-query table, and the interned projections.
     pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
         let inner = self.inner.lock();
-        inner.qstem.approx_bytes() + inner.scratch.approx_bytes()
+        inner.qstem.approx_bytes()
+            + inner.scratch.approx_bytes()
+            + hash_table_bytes(
+                inner.standing.capacity(),
+                size_of::<(QueryId, StandingFilter)>(),
+            )
+            + hash_table_bytes(
+                inner.projections.capacity(),
+                size_of::<Arc<SharedProjection>>(),
+            )
+            + (inner.projections.iter())
+                .map(|p| p.approx_bytes())
+                .sum::<usize>()
+            + inner.projected.capacity() * size_of::<(u64, Option<Tuple>)>()
+            + inner.free_slots.capacity() * size_of::<usize>()
     }
 }
 
@@ -158,8 +302,10 @@ impl DispatchUnit for FilterCqDu {
             let FilterInner {
                 qstem,
                 scratch,
-                projections,
-                min_seq,
+                standing,
+                projected,
+                rows,
+                ..
             } = &mut *inner;
             let mut session = self.egress.session();
             for msg in self.input.drain() {
@@ -167,15 +313,24 @@ impl DispatchUnit for FilterCqDu {
                     continue;
                 };
                 let seq = t.timestamp().seq();
+                *rows += 1;
                 qstem.matching_into(&t, scratch)?;
+                // Ascending query ids, each handed its projection's one
+                // output for this row.
                 for &qid in scratch.matches() {
-                    if min_seq.get(&qid).is_some_and(|&m| seq < m) {
+                    let Some(q) = standing.get(&qid) else {
+                        continue;
+                    };
+                    if seq < q.min_seq {
                         continue;
                     }
-                    if let Some(project) = projections.get(&qid) {
-                        let out = project.apply(&t)?;
-                        session.deliver_rows([qid], std::slice::from_ref(&out));
+                    let (row, out) = &mut projected[q.project.slot];
+                    if *row != *rows {
+                        *out = Some(q.project.op.apply(&t)?);
+                        *row = *rows;
                     }
+                    let out = out.as_ref().expect("projected for this row above");
+                    session.deliver_rows([qid], std::slice::from_ref(out));
                 }
             }
         }
@@ -772,7 +927,7 @@ impl DispatchUnit for AggregateCqDu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcq_common::{CmpOp, DataType, Field, Schema, TupleBuilder};
+    use tcq_common::{ArithOp, CmpOp, DataType, Field, Schema, TupleBuilder};
     use tcq_fjords::{fjord, QueueKind};
     use tcq_operators::AggFunc;
     use tcq_windows::{CondOp, Condition, ForLoop, LinExpr, Step, WindowIs};
@@ -873,6 +1028,68 @@ mod tests {
         while du.run(16).unwrap() != ModuleStatus::Done {}
         let got = egress.fetch(1, 64).unwrap();
         assert_eq!(got.len(), 6, "only ts >= 5 delivered");
+    }
+
+    #[test]
+    fn identical_projections_run_once_per_row_and_leave_with_their_last_query() {
+        let shared = FilterCqShared::new(schema());
+        let item = |e: Expr, alias: Option<&str>| vec![(e, alias.map(String::from))];
+        let plus = |v: Value| Expr::Arith {
+            op: ArithOp::Add,
+            lhs: Box::new(Expr::col("v")),
+            rhs: Box::new(Expr::Literal(v)),
+        };
+        let queries = [
+            item(Expr::col("v"), None),
+            item(plus(Value::Int(1)), None),
+            item(Expr::col("v"), None),
+            item(plus(Value::Float(1.0)), None),
+            item(Expr::col("v"), Some("w")),
+        ];
+        for (id, projection) in queries.iter().enumerate() {
+            shared.add_query(id, None, projection, i64::MIN).unwrap();
+        }
+        let distinct = || shared.inner.lock().projections.len();
+        assert_eq!(distinct(), 4, "only queries 0 and 2 project alike");
+
+        let (p, c) = fjord(64, QueueKind::Push);
+        let egress = EgressRouter::new();
+        egress.register_pull_client(1, 64).unwrap();
+        for id in 0..queries.len() {
+            egress.subscribe(1, id).unwrap();
+        }
+        let mut du = FilterCqDu::new("f", Inbox::new(c, 64), shared.clone(), egress.clone());
+        for ts in 1..=2 {
+            p.enqueue(FjordMessage::Tuple(row(&schema(), ts, 40 + ts)))
+                .unwrap();
+        }
+        p.enqueue(FjordMessage::Eof).unwrap();
+        while du.run(16).unwrap() != ModuleStatus::Done {}
+        let got = egress.fetch(1, 64).unwrap();
+        let order: Vec<usize> = got.iter().map(|(q, _)| *q).collect();
+        assert_eq!(
+            order,
+            [0, 1, 2, 3, 4, 0, 1, 2, 3, 4],
+            "ascending ids per row"
+        );
+        for r in [0, 5] {
+            let (a, b) = (&got[r].1, &got[r + 2].1);
+            assert!(std::ptr::eq(a.values(), b.values()), "one output, shared");
+        }
+        assert!(!std::ptr::eq(got[0].1.values(), got[5].1.values()));
+        assert!(matches!(got[1].1.value(0), Value::Int(42)));
+        assert!(matches!(got[3].1.value(0), Value::Float(f) if *f == 42.0));
+        assert_eq!(got[4].1.schema().field(0).name, "w");
+
+        shared.remove_query(0).unwrap();
+        assert_eq!(distinct(), 4, "query 2 still projects `v`");
+        shared.remove_query(2).unwrap();
+        assert_eq!(distinct(), 3);
+        let fresh = FilterCqShared::new(schema()).approx_bytes();
+        for id in [1, 3, 4] {
+            shared.remove_query(id).unwrap();
+        }
+        assert_eq!(shared.approx_bytes(), fresh, "the last stop leaves nothing");
     }
 
     #[test]

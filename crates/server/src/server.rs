@@ -204,20 +204,22 @@ struct StreamState {
     archive_errors: Arc<AtomicI64>,
 }
 
+/// What `stop_query` undoes, two words per standing query.
 enum QueryRecord {
-    SharedFilter {
-        stream: String,
-    },
-    SharedJoin {
-        key: SharedJoinKey,
-    },
-    Dedicated {
-        dus: Vec<DuId>,
-        subscriptions: Vec<(String, u64)>,
-        /// A sequential join's eddy (its SteMs hold the join state).
-        join: Option<Arc<Mutex<Eddy>>>,
-    },
+    /// The query's entry in its stream's shared filter, reached through
+    /// the filter's handle (no per-query copy of the stream name).
+    SharedFilter(FilterCqShared),
+    SharedJoin(Box<SharedJoinKey>),
+    Dedicated(Box<DedicatedQuery>),
     Completed,
+}
+
+/// A query running on DUs of its own.
+struct DedicatedQuery {
+    dus: Vec<DuId>,
+    subscriptions: Vec<(String, u64)>,
+    /// A sequential join's eddy (its SteMs hold the join state).
+    join: Option<Arc<Mutex<Eddy>>>,
 }
 
 struct SharedJoinEntry {
@@ -763,9 +765,24 @@ impl TelegraphCQ {
     /// Subscribe an already-connected client to an already-running query
     /// (the transport layer's `Subscribe` control frame: one TCP
     /// connection fans into many standing queries through its single
-    /// egress queue).
+    /// egress queue). A query the server is not running — never issued,
+    /// or stopped — is refused, so a client cannot plant subscriptions
+    /// that nothing would ever remove.
     pub fn subscribe_client(&self, client: ClientId, query: QueryId) -> Result<()> {
+        // Held across the subscribe: a concurrent `stop_query` either ran
+        // first and is seen here, or forgets this subscription after.
+        let queries = self.queries.lock();
+        if !queries.contains_key(&query) {
+            return Err(TcqError::Executor(format!("unknown query {query}")));
+        }
         self.egress.subscribe(client, query)
+    }
+
+    /// Queries the egress router holds a subscription for. A stopped query
+    /// keeps none, so this equals [`TelegraphCQ::query_count`] while every
+    /// submitter stays connected.
+    pub fn subscribed_query_count(&self) -> usize {
+        self.egress.subscribed_queries()
     }
 
     /// Disconnect a push client whose transport is closing, handing back
@@ -791,14 +808,22 @@ impl TelegraphCQ {
         let kind = plan_kind(&aq)?;
         let qid = self.next_query.fetch_add(1, Ordering::Relaxed);
         self.egress.subscribe(client, qid)?;
-        let record = match kind {
-            PlanKind::SharedFilter => self.start_shared_filter(qid, &aq)?,
-            PlanKind::Aggregate => self.start_aggregate(qid, &aq)?,
-            PlanKind::Join => self.start_join(qid, &aq)?,
-            PlanKind::Historical => self.run_historical(qid, &aq)?,
+        let started = match kind {
+            PlanKind::SharedFilter => self.start_shared_filter(qid, &aq),
+            PlanKind::Aggregate => self.start_aggregate(qid, &aq),
+            PlanKind::Join => self.start_join(qid, &aq),
+            PlanKind::Historical => self.run_historical(qid, &aq),
         };
-        self.queries.lock().insert(qid, record);
-        Ok(qid)
+        match started {
+            Ok(record) => {
+                self.queries.lock().insert(qid, record);
+                Ok(qid)
+            }
+            Err(e) => {
+                self.egress.forget_query(qid);
+                Err(e)
+            }
+        }
     }
 
     fn start_shared_filter(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
@@ -861,9 +886,7 @@ impl TelegraphCQ {
             }
             self.egress.deliver_batch([qid], &out);
         }
-        Ok(QueryRecord::SharedFilter {
-            stream: source.name.clone(),
-        })
+        Ok(QueryRecord::SharedFilter(st.filter_shared.clone()))
     }
 
     fn start_aggregate(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
@@ -907,11 +930,11 @@ impl TelegraphCQ {
                 .push((qid, QueryStateHandle::Aggregate(state)));
         }
         let du_id = self.executor.submit(st.class, Box::new(du))?;
-        Ok(QueryRecord::Dedicated {
+        Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
             dus: vec![du_id],
             subscriptions: vec![(source.name.clone(), sub_id)],
             join: None,
-        })
+        })))
     }
 
     fn start_join(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
@@ -981,11 +1004,11 @@ impl TelegraphCQ {
                 .push((qid, QueryStateHandle::Join(Arc::clone(&handle))));
         }
         let du_id = self.executor.submit(class, Box::new(du))?;
-        Ok(QueryRecord::Dedicated {
+        Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
             dus: vec![du_id],
             subscriptions,
             join: Some(handle),
-        })
+        })))
     }
 
     /// Import a restored query's SteM groups into a freshly built eddy
@@ -1289,11 +1312,11 @@ impl TelegraphCQ {
         );
         dus.push(self.executor.submit(ingress_class, Box::new(part))?);
 
-        Ok(QueryRecord::Dedicated {
+        Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
             dus,
             subscriptions,
             join: None,
-        })
+        })))
     }
 
     /// CACQ shared-join path: queries with the same join signature share one
@@ -1404,7 +1427,7 @@ impl TelegraphCQ {
         entry
             .shared
             .add_query(qid, left_pred.as_ref(), right_pred.as_ref(), &projection)?;
-        Ok(QueryRecord::SharedJoin { key })
+        Ok(QueryRecord::SharedJoin(Box::new(key)))
     }
 
     /// Number of distinct shared-join plans currently running (tests).
@@ -1468,17 +1491,17 @@ impl TelegraphCQ {
             .lock()
             .remove(&qid)
             .ok_or_else(|| TcqError::Executor(format!("unknown query {qid}")))?;
+        // Every client's subscription goes with the query, in this call.
+        self.egress.forget_query(qid);
         self.ckpt_handles.lock().retain(|(q, _)| *q != qid);
         match record {
-            QueryRecord::SharedFilter { stream } => {
-                self.stream(&stream)?.filter_shared.remove_query(qid)?;
-            }
-            QueryRecord::SharedJoin { key } => {
+            QueryRecord::SharedFilter(filter) => filter.remove_query(qid)?,
+            QueryRecord::SharedJoin(key) => {
                 let mut joins = self.shared_joins.lock();
-                if let Some(entry) = joins.get(&key) {
+                if let Some(entry) = joins.get(&*key) {
                     let remaining = entry.shared.remove_query(qid)?;
                     if remaining == 0 {
-                        let entry = joins.remove(&key).expect("present");
+                        let entry = joins.remove(&*key).expect("present");
                         self.executor.cancel(entry.du)?;
                         for (stream, sub_id) in entry.subscriptions {
                             if let Ok(st) = self.stream(&stream) {
@@ -1488,13 +1511,11 @@ impl TelegraphCQ {
                     }
                 }
             }
-            QueryRecord::Dedicated {
-                dus, subscriptions, ..
-            } => {
-                for du in dus {
+            QueryRecord::Dedicated(query) => {
+                for &du in &query.dus {
                     self.executor.cancel(du)?;
                 }
-                for (stream, sub_id) in subscriptions {
+                for (stream, sub_id) in query.subscriptions {
                     if let Ok(st) = self.stream(&stream) {
                         st.subscribers.remove(sub_id);
                     }
@@ -1510,9 +1531,9 @@ impl TelegraphCQ {
     /// shared or partitioned joins) or an unknown query.
     pub fn join_state_rows(&self, qid: QueryId) -> Option<usize> {
         match self.queries.lock().get(&qid)? {
-            QueryRecord::Dedicated {
-                join: Some(eddy), ..
-            } => Some(eddy.lock().state_size()),
+            QueryRecord::Dedicated(query) => {
+                query.join.as_ref().map(|eddy| eddy.lock().state_size())
+            }
             _ => None,
         }
     }

@@ -24,11 +24,14 @@
 //! * else **none** — the query is a candidate for every tuple.
 //!
 //! A candidate is then checked directly: first its remaining single-column
-//! factors (`verify`: `!=`, ranges on other columns, everything beside an
-//! anchor) with SQL comparison semantics, then its *residual* conjuncts —
-//! those that are not single-column factors. A factor whose constant cannot
-//! be compared with its column's declared type is refused at registration:
-//! left in, it would fail the probe for every standing query.
+//! factors (`!=`, ranges on other columns, everything beside an anchor)
+//! with SQL comparison semantics, then its *residual* conjuncts — those
+//! that are not single-column factors. Both are kept in one exact-length
+//! list, and an anchor bucket holding one query keeps it inline, so a
+//! standing query costs its entry and a bucket slot. A factor whose
+//! constant cannot be compared with its column's declared type is refused
+//! at registration: left in, it would fail the probe for every standing
+//! query.
 //!
 //! The probe path allocates nothing: per-probe state lives in a
 //! caller-supplied [`MatchScratch`] ([`QueryStem::matching_into`]). Neither
@@ -38,7 +41,10 @@
 
 use std::collections::HashMap;
 
-use tcq_common::{BitSet, CmpOp, Expr, Predicate, Result, SchemaRef, TcqError, Tuple, Value};
+use tcq_common::{
+    hash_table_bytes, BitSet, CmpOp, Expr, IdList, Predicate, Result, SchemaRef, TcqError, Tuple,
+    Value,
+};
 
 use crate::epoch::EpochStats;
 use crate::interval_index::{Interval, IntervalIndex};
@@ -56,26 +62,33 @@ enum Access {
     Always,
 }
 
+/// One test a candidate must pass beyond its access path.
+enum Check {
+    /// A single-column factor the access path does not cover, compared
+    /// with SQL semantics.
+    Factor(usize, CmpOp, Value),
+    /// A conjunct that is not a single-column factor, lowered to a
+    /// [`Predicate`] (compiled kernel when the shape allows it).
+    Residual(Predicate),
+}
+
 struct QueryEntry {
     access: Access,
-    /// Single-column factors the access path does not cover, verified per
-    /// candidate with SQL comparison semantics.
-    verify: Vec<(usize, CmpOp, Value)>,
-    /// Conjuncts that are not single-column factors, each lowered to a
-    /// [`Predicate`] (compiled kernel when the shape allows it).
-    residual: Vec<Predicate>,
+    /// Factors first, then residuals, at their exact count: a standing
+    /// query keeps no spare capacity.
+    checks: Box<[Check]>,
 }
 
 impl QueryEntry {
     fn admits(&self, tuple: &Tuple) -> Result<bool> {
-        for (col, op, constant) in &self.verify {
-            match tuple.value(*col).sql_cmp(constant)? {
-                Some(ord) if op.matches(ord) => {}
-                _ => return Ok(false),
-            }
-        }
-        for pred in &self.residual {
-            if !pred.eval_pred(tuple)? {
+        for check in self.checks.iter() {
+            let pass = match check {
+                Check::Factor(col, op, constant) => {
+                    matches!(tuple.value(*col).sql_cmp(constant)?, Some(ord) if op.matches(ord))
+                }
+                Check::Residual(pred) => pred.eval_pred(tuple)?,
+            };
+            if !pass {
                 return Ok(false);
             }
         }
@@ -144,7 +157,7 @@ impl MatchScratch {
 pub struct QueryStem {
     schema: SchemaRef,
     /// column -> constant -> queries anchored on `column = constant`.
-    anchors: HashMap<usize, HashMap<Value, Vec<QueryId>>>,
+    anchors: HashMap<usize, HashMap<Value, IdList<QueryId>>>,
     /// column -> the intervals of queries whose access path is that column.
     intervals: HashMap<usize, IntervalIndex>,
     /// Queries with neither (always candidates).
@@ -233,8 +246,12 @@ impl QueryStem {
         }
         let access = if let Some(pos) = single.iter().position(|(_, op, _)| *op == CmpOp::Eq) {
             let (col, _, constant) = single.remove(pos);
-            let bucket = self.anchors.entry(col).or_default();
-            bucket.entry(constant.clone()).or_default().push(id);
+            self.anchors
+                .entry(col)
+                .or_default()
+                .entry(constant.clone())
+                .and_modify(|ids| ids.push(id))
+                .or_insert(IdList::One(id));
             Access::Anchor(col, constant)
         } else if let Some(col) = interval_column(&single) {
             let mut iv = Interval::default();
@@ -252,12 +269,11 @@ impl QueryStem {
             self.always.push(id);
             Access::Always
         };
-        let entry = QueryEntry {
-            access,
-            verify: single,
-            residual,
-        };
-        self.queries.insert(id, entry);
+        let checks = (single.into_iter())
+            .map(|(col, op, constant)| Check::Factor(col, op, constant))
+            .chain(residual.into_iter().map(Check::Residual))
+            .collect();
+        self.queries.insert(id, QueryEntry { access, checks });
         Ok(())
     }
 
@@ -272,11 +288,8 @@ impl QueryStem {
         match entry.access {
             Access::Anchor(col, constant) => {
                 if let Some(buckets) = self.anchors.get_mut(&col) {
-                    if let Some(cands) = buckets.get_mut(&constant) {
-                        cands.retain(|&q| q != id);
-                        if cands.is_empty() {
-                            buckets.remove(&constant);
-                        }
+                    if buckets.get_mut(&constant).is_some_and(|ids| ids.remove(id)) {
+                        buckets.remove(&constant);
                     }
                     if buckets.is_empty() {
                         self.anchors.remove(&col);
@@ -352,9 +365,10 @@ impl QueryStem {
             if v.is_null() {
                 continue;
             }
-            if let Some(cands) = buckets.get(v) {
-                *examined += cands.len();
-                candidates.extend_from_slice(cands);
+            if let Some(ids) = buckets.get(v) {
+                let ids = ids.as_slice();
+                *examined += ids.len();
+                candidates.extend_from_slice(ids);
             }
         }
         candidates.extend_from_slice(&self.always);
@@ -368,29 +382,43 @@ impl QueryStem {
         Ok(())
     }
 
-    /// Approximate heap footprint of the stem's index structures in bytes.
+    /// Approximate heap footprint of the stem's index structures in bytes,
+    /// hash tables counted by their whole bucket arrays.
     pub fn approx_bytes(&self) -> usize {
-        let mut b = 0usize;
-        b += self.intervals.capacity() * std::mem::size_of::<(usize, IntervalIndex)>();
-        for index in self.intervals.values() {
-            b += index.approx_bytes();
-        }
-        b += self.always.capacity() * std::mem::size_of::<QueryId>();
-        for buckets in self.anchors.values() {
-            b += buckets.capacity() * std::mem::size_of::<(Value, Vec<QueryId>)>();
-            for (k, cands) in buckets {
-                b += k.approx_bytes() + cands.capacity() * std::mem::size_of::<QueryId>();
-            }
-        }
-        b += self.queries.capacity() * std::mem::size_of::<(QueryId, QueryEntry)>();
+        use std::mem::size_of;
         let str_heap = |v: &Value| match v {
             Value::Str(s) => s.len(),
             _ => 0,
         };
+        let mut b = hash_table_bytes(
+            self.intervals.capacity(),
+            size_of::<(usize, IntervalIndex)>(),
+        );
+        b += self
+            .intervals
+            .values()
+            .map(IntervalIndex::approx_bytes)
+            .sum::<usize>();
+        b += self.always.capacity() * size_of::<QueryId>();
+        b += hash_table_bytes(
+            self.anchors.capacity(),
+            size_of::<(usize, HashMap<Value, IdList<QueryId>>)>(),
+        );
+        for buckets in self.anchors.values() {
+            b += hash_table_bytes(buckets.capacity(), size_of::<(Value, IdList<QueryId>)>());
+            b += (buckets.iter())
+                .map(|(k, ids)| str_heap(k) + ids.heap_bytes())
+                .sum::<usize>();
+        }
+        b += hash_table_bytes(self.queries.capacity(), size_of::<(QueryId, QueryEntry)>());
         for e in self.queries.values() {
-            b += e.residual.capacity() * std::mem::size_of::<Predicate>();
-            b += e.verify.capacity() * std::mem::size_of::<(usize, CmpOp, Value)>();
-            b += e.verify.iter().map(|(_, _, v)| str_heap(v)).sum::<usize>();
+            b += e.checks.len() * size_of::<Check>();
+            b += (e.checks.iter())
+                .map(|c| match c {
+                    Check::Factor(_, _, v) => str_heap(v),
+                    Check::Residual(_) => 0,
+                })
+                .sum::<usize>();
             b += match &e.access {
                 Access::Anchor(_, v) | Access::Interval(_, Some(v)) => str_heap(v),
                 _ => 0,
@@ -452,6 +480,23 @@ mod tests {
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 1, 3]);
         let m = qs.matching(&tick(3, "IBM", 10.0)).unwrap();
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![2, 3]);
+    }
+
+    #[test]
+    fn an_anchored_query_keeps_exact_checks_and_an_inline_bucket() {
+        // Anchored on the symbol, one factor checked beside the anchor: the
+        // shape of most standing CQs.
+        let mut qs = QueryStem::new(schema());
+        qs.insert_query(0, Some(&msft_over(50.0))).unwrap();
+        assert_eq!(qs.queries[&0].checks.len(), 1);
+        let bucket = |qs: &QueryStem| qs.anchors[&1][&Value::str("MSFT")].clone();
+        assert_eq!(bucket(&qs), IdList::One(0));
+        qs.insert_query(1, Some(&msft_over(60.0))).unwrap();
+        assert_eq!(bucket(&qs).as_slice(), &[0, 1]);
+        qs.remove_query(0).unwrap();
+        assert_eq!(bucket(&qs), IdList::One(1));
+        qs.remove_query(1).unwrap();
+        assert!(qs.anchors.is_empty());
     }
 
     #[test]

@@ -1,0 +1,118 @@
+//! What one standing filter query costs, counted. A live-heap allocator
+//! wraps the 10 000 standing CQs of the benchmark's `manycq_churn` workload
+//! (8 000 `sym = i AND price > 500` and 2 000 two-sided price ranges over
+//! one stream) and compares the heap each `submit` leaves behind with what
+//! `shared_memory_stats()` reports for the stream's shared filter. The
+//! allocator is global, so this file is its own test binary.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+use telegraphcq::prelude::*;
+
+/// Bytes currently allocated, process-wide.
+struct LiveHeap(AtomicIsize);
+
+impl LiveHeap {
+    fn track(&self, ptr: *mut u8, delta: isize) -> *mut u8 {
+        if !ptr.is_null() {
+            self.0.fetch_add(delta, Ordering::Relaxed);
+        }
+        ptr
+    }
+}
+
+// SAFETY: every operation is delegated to `System` unchanged; the counter
+// is a relaxed atomic add, which neither allocates nor locks.
+unsafe impl GlobalAlloc for LiveHeap {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.track(unsafe { System.alloc(layout) }, layout.size() as isize)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.track(
+            unsafe { System.alloc_zeroed(layout) },
+            layout.size() as isize,
+        )
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.0.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let delta = new_size as isize - layout.size() as isize;
+        self.track(unsafe { System.realloc(ptr, layout, new_size) }, delta)
+    }
+}
+
+#[global_allocator]
+static HEAP: LiveHeap = LiveHeap(AtomicIsize::new(0));
+
+/// The benchmark workload's standing queries, in its submit order.
+fn standing_cq_sql() -> Vec<String> {
+    let sym = (0..8_000).map(|s| format!("SELECT seq FROM ticks WHERE sym = {s} AND price > 500"));
+    let range = (0..2_000i64).map(|j| {
+        let a = j * 500;
+        format!(
+            "SELECT seq FROM ticks WHERE price > {a} AND price < {}",
+            a + 1_501
+        )
+    });
+    sym.chain(range).collect()
+}
+
+fn filter_bytes(server: &TelegraphCQ) -> (usize, usize) {
+    let stats = server.shared_memory_stats();
+    let stat = stats
+        .iter()
+        .find(|s| s.label == "filter:ticks")
+        .expect("the stream's shared filter reports a stat");
+    (stat.queries, stat.approx_bytes)
+}
+
+#[test]
+fn a_standing_filter_cq_costs_one_compact_entry() {
+    let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
+    let schema = Schema::new(
+        ["sym", "price", "seq"]
+            .map(|n| Field::new(n, DataType::Int))
+            .to_vec(),
+    )
+    .into_ref();
+    server.register_stream("ticks", schema).unwrap();
+    let (client, _rx) = server.connect_push_client(16).unwrap();
+    let queries = standing_cq_sql();
+    let (_, empty) = filter_bytes(&server);
+
+    let before = HEAP.0.load(Ordering::SeqCst);
+    for sql in &queries {
+        server.submit(sql, client).unwrap();
+    }
+    let after = HEAP.0.load(Ordering::SeqCst);
+
+    let n = queries.len() as f64;
+    let (standing, reported) = filter_bytes(&server);
+    assert_eq!(standing, queries.len());
+    let heap_per_submit = (after - before) as f64 / n;
+    let reported_per_query = reported as f64 / n;
+    let reported_growth = (reported - empty) as f64 / n;
+    println!(
+        "live heap per submit {heap_per_submit:.0} B, shared_memory_stats {reported_per_query:.0} \
+         B/query ({reported_growth:.0} B grown per query)"
+    );
+    assert!(
+        reported_per_query <= 360.0,
+        "shared filter reports {reported_per_query:.0} B per query"
+    );
+    assert!(
+        heap_per_submit <= 600.0,
+        "each submit leaves {heap_per_submit:.0} B of live heap"
+    );
+    assert!(
+        (heap_per_submit - reported_growth).abs() <= 0.25 * heap_per_submit,
+        "reported {reported_growth:.0} B/query against {heap_per_submit:.0} B of live heap"
+    );
+    server.shutdown().unwrap();
+}
