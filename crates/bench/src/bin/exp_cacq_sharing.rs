@@ -5,14 +5,18 @@
 //!
 //! * E3 — N selection queries over one stream: one shared QueryStem pass
 //!   per tuple vs evaluating every query's predicate separately.
+//! * E3b — N join queries on one server share one join DU: SteM rows per
+//!   input row do not grow with N, and each query gets exactly its join.
 //! * E4 — the grouped filter itself: probe cost vs naive per-factor
 //!   evaluation as the number of registered predicates grows.
 //!
 //! ```text
-//! cargo run --release -p tcq-bench --bin exp_cacq_sharing
+//! cargo run --release -p tcq-bench --bin exp_cacq_sharing [-- --smoke]
 //! ```
+//!
+//! `--smoke` runs E3b alone at reduced scale: its gates are counts.
 
-use tcq_bench::{kv, kv_schema, route_one, timed, Table};
+use tcq_bench::{kv, kv_schema, timed, Table};
 use tcq_common::rng::seeded;
 use tcq_common::{BitSet, BoundExpr, CmpOp, Expr, Value};
 use tcq_stems::{GroupedFilter, QueryStem};
@@ -154,114 +158,160 @@ fn experiment_e4() {
 }
 
 fn main() {
+    if std::env::args().any(|a| a == "--smoke") {
+        experiment_e3b(&[1, 8, 32], 2_000);
+        return;
+    }
     experiment_e3();
-    experiment_e3b();
+    experiment_e3b(&[1, 8, 32, 128], 4_000);
     experiment_e4();
 }
 
-/// E3b — shared JOIN processing: N join queries over one SharedEddy (one
-/// SteM pair, lineage-based delivery) vs N dedicated eddies (one SteM pair
-/// EACH). This is CACQ's central claim applied to stateful operators.
-fn experiment_e3b() {
-    use tcq_eddy::{Eddy, EddyConfig, FixedPolicy, ModuleSpec, SharedEddy};
-    use tcq_operators::symmetric_hash_join;
+/// Join CQ `q` of E3b: its own predicates on both sides and a band factor
+/// over both on every fourth.
+fn join_cq(q: usize) -> String {
+    let mut filters = format!("a.v >= {}", 10 + q % 40);
+    if q % 2 == 1 {
+        filters += &format!(" AND b.v < {}", 50 + q % 50);
+    }
+    if q % 4 == 3 {
+        filters += &format!(" AND a.v + b.v > {}", q % 100);
+    }
+    format!(
+        "SELECT a.k, a.v, b.v FROM L a, R b WHERE a.k = b.k AND {filters} \
+         for (t = ST; t >= 0; t++) {{ WindowIs(a, 1, t); WindowIs(b, 1, t); }}"
+    )
+}
 
-    println!("E3b — shared join: one SteM pair for all queries vs one pair each\n");
-    let l = kv_schema("L");
-    let r = kv_schema("R");
+/// CQ `q`'s own predicate on an `L` row.
+fn left_admits(q: usize, lv: i64) -> bool {
+    lv >= 10 + q as i64 % 40
+}
+
+/// CQ `q`'s own predicate on an `R` row.
+fn right_admits(q: usize, rv: i64) -> bool {
+    q.is_multiple_of(2) || rv < 50 + q as i64 % 50
+}
+
+/// Does the pair `(lv, rv)` pass CQ `q`'s predicates?
+fn join_cq_admits(q: usize, lv: i64, rv: i64) -> bool {
+    left_admits(q, lv) && right_admits(q, rv) && (q % 4 != 3 || lv + rv > q as i64 % 100)
+}
+
+/// E3b — shared JOIN processing on the server (§3.1): N join CQs on one
+/// stream pair and key run as one join group — one SteM per side, filtered
+/// at build by the OR of the members' side predicates — and each output is
+/// completed per query. Counted, not timed: the SteMs store every input
+/// row the OR admits once, whatever N (never N copies), and every query
+/// receives exactly its own join.
+fn experiment_e3b(ns: &[usize], n_rows: usize) {
+    use std::collections::BTreeMap;
+    use std::time::{Duration, Instant};
+    use tcq_server::{ServerConfig, TelegraphCQ};
+
+    println!("E3b — N join CQs on one server: one SteM per side for all of them\n");
+    let (l, r) = (kv_schema("L"), kv_schema("R"));
     let mut rng = seeded(47);
-    let n_rows = 5_000usize;
+    // (left side?, k, v), stamped in arrival order.
     let rows: Vec<(bool, i64, i64)> = (0..n_rows)
         .map(|_| {
             (
                 rng.gen_bool(0.5),
-                rng.gen_range(0..200i64),
+                rng.gen_range(0..n_rows as i64 / 4),
                 rng.gen_range(0..100i64),
             )
         })
         .collect();
+    let (lefts, rights): (Vec<_>, Vec<_>) = rows.iter().partition(|row| row.0);
 
     let mut table = Table::new(&[
         "queries",
-        "shared us",
-        "dedicated us",
-        "speedup",
-        "shared builds",
-        "dedicated builds",
+        "stem rows",
+        "per input row",
+        "delivered",
+        "member B/query",
+        "ms",
     ]);
-    for n in [1usize, 8, 32, 128] {
-        // Shared: one SharedEddy, N queries with different left filters.
-        let mut shared = SharedEddy::joined(l.clone(), "k", r.clone(), "k", None).unwrap();
-        for q in 0..n {
-            let pred = Expr::col("v").cmp(CmpOp::Ge, Expr::lit((q % 100) as i64));
-            shared.add_join_query(q, Some(&pred), None).unwrap();
-        }
-        let (shared_outs, shared_us) = timed(|| {
-            let mut outs = 0usize;
-            for (i, (left, k, v)) in rows.iter().enumerate() {
-                let out = if *left {
-                    shared.push_left(kv(&l, *k, *v, i as i64 + 1)).unwrap()
-                } else {
-                    shared.push_right(kv(&r, *k, *v, i as i64 + 1)).unwrap()
-                };
-                outs += out.iter().map(|(_, qs)| qs.len()).sum::<usize>();
-            }
-            outs
-        });
-        let shared_builds = shared.stats().builds;
-
-        // Dedicated: N separate eddies, each with its own SteM pair.
-        let mut eddies: Vec<Eddy> = (0..n)
-            .map(|q| {
-                let mut e = Eddy::new(
-                    &["L", "R"],
-                    Box::new(FixedPolicy::new(vec![0, 1, 2])),
-                    EddyConfig::default(),
-                )
-                .unwrap();
-                let (lb, rb) = (e.source_bit("L").unwrap(), e.source_bit("R").unwrap());
-                let (sl, sr) = symmetric_hash_join(&l, "L", "k", &r, "R", "k").unwrap();
-                e.add_module(ModuleSpec::stem(Box::new(sl), lb, rb))
-                    .unwrap();
-                e.add_module(ModuleSpec::stem(Box::new(sr), rb, lb))
-                    .unwrap();
-                let pred = Expr::qcol("L", "v").cmp(CmpOp::Ge, Expr::lit((q % 100) as i64));
-                let f = tcq_operators::SelectOp::new("f", &pred, &l).unwrap();
-                e.add_module(ModuleSpec::filter(Box::new(f), lb)).unwrap();
-                e
-            })
-            .collect();
-        let (dedicated_outs, dedicated_us) = timed(|| {
-            let mut outs = 0usize;
-            for (i, (left, k, v)) in rows.iter().enumerate() {
-                let row = if *left {
-                    kv(&l, *k, *v, i as i64 + 1)
-                } else {
-                    kv(&r, *k, *v, i as i64 + 1)
-                };
-                for e in &mut eddies {
-                    outs += route_one(e, row.clone());
+    for &n in ns {
+        // The reference: each CQ's join, nested loop, as (k, lv, rv).
+        let mut want: Vec<Vec<(i64, i64, i64)>> = vec![Vec::new(); n];
+        for &&(_, lk, lv) in &lefts {
+            for &&(_, rk, rv) in &rights {
+                for (q, w) in want.iter_mut().enumerate() {
+                    if lk == rk && join_cq_admits(q, lv, rv) {
+                        w.push((lk, lv, rv));
+                    }
                 }
             }
-            outs
+        }
+        let total: usize = want.iter().map(Vec::len).sum();
+
+        let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
+        server.register_stream("L", l.clone()).unwrap();
+        server.register_stream("R", r.clone()).unwrap();
+        let (client, rx) = server.connect_push_client(1 << 14).unwrap();
+        let qids: Vec<usize> = (0..n)
+            .map(|q| server.submit(&join_cq(q), client).unwrap())
+            .collect();
+        assert_eq!(server.shared_join_count(), 1, "{n} join CQs, one join DU");
+
+        let start = Instant::now();
+        let first = qids[0];
+        let (got, rx) = std::thread::scope(|scope| {
+            let receiver = scope.spawn(move || {
+                let mut got: BTreeMap<usize, Vec<(i64, i64, i64)>> = BTreeMap::new();
+                for _ in 0..total {
+                    let (qid, t) = rx.recv_timeout(Duration::from_secs(60)).unwrap();
+                    let v = |i: usize| t.value(i).as_int().unwrap();
+                    got.entry(qid - first).or_default().push((v(0), v(1), v(2)));
+                }
+                (got, rx)
+            });
+            for (i, &(left, k, v)) in rows.iter().enumerate() {
+                let (stream, schema) = if left { ("L", &l) } else { ("R", &r) };
+                server.push(stream, kv(schema, k, v, i as i64 + 1)).unwrap();
+            }
+            receiver.join().unwrap()
         });
+        let ms = start.elapsed().as_millis();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(rx.try_recv().is_err(), "deliveries beyond the reference");
+        for (q, mut w) in want.into_iter().enumerate() {
+            let mut g = got.get(&q).cloned().unwrap_or_default();
+            g.sort_unstable();
+            w.sort_unstable();
+            assert_eq!(g, w, "CQ {q} ({}) differs from its reference", join_cq(q));
+        }
+
+        let stem_rows = server.join_state_rows(qids[0]).unwrap();
+        let or_rows = (lefts.iter())
+            .filter(|row| (0..n).any(|q| left_admits(q, row.2)))
+            .count()
+            + (rights.iter())
+                .filter(|row| (0..n).any(|q| right_admits(q, row.2)))
+                .count();
         assert_eq!(
-            shared_outs, dedicated_outs,
-            "sharing must not change answers"
+            stem_rows, or_rows,
+            "the SteMs store each row the OR of the side predicates admits, once"
         );
+        let member_bytes: usize = (server.shared_memory_stats().iter())
+            .filter(|s| s.label.starts_with("join:"))
+            .map(|s| s.approx_bytes)
+            .sum();
         table.row(vec![
             n.to_string(),
-            shared_us.to_string(),
-            dedicated_us.to_string(),
-            format!("{:.1}x", dedicated_us as f64 / shared_us.max(1) as f64),
-            shared_builds.to_string(),
-            (n as u64 * shared_builds).to_string(),
+            stem_rows.to_string(),
+            format!("{:.3}", stem_rows as f64 / n_rows as f64),
+            total.to_string(),
+            (member_bytes / n).to_string(),
+            ms.to_string(),
         ]);
+        server.shutdown().unwrap();
     }
     table.print();
     println!(
-        "\n  shape check: dedicated processing replicates every build and probe N\n\
-         \x20 times; the shared eddy does the join work ONCE and fans out by\n\
-         \x20 lineage — the speedup approaches N for state-heavy plans.\n"
+        "\n  shape check: SteM rows per input row stay at or below 1 for every N\n\
+         \x20 (N dedicated joins would store up to N copies), while deliveries\n\
+         \x20 grow with N — each CQ exactly its own join.\n"
     );
 }

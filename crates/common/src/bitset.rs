@@ -154,14 +154,6 @@ impl BitSet {
             .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
     }
 
-    /// True if the two sets share any bit.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(&a, &b)| a & b != 0)
-    }
-
     /// Iterate set bits in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -232,14 +224,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_intersects() {
+    fn subsets() {
         let a: BitSet = [1, 2].into_iter().collect();
         let b: BitSet = [1, 2, 3].into_iter().collect();
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
-        assert!(a.intersects(&b));
-        let c: BitSet = [99].into_iter().collect();
-        assert!(!a.intersects(&c));
         // empty set is subset of everything
         assert!(BitSet::new().is_subset(&a));
         assert!(BitSet::new().is_subset(&BitSet::new()));

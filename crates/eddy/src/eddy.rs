@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tcq_common::rng::{seeded, TcqRng};
-use tcq_common::{ColumnBatch, Result, SchemaRef, TcqError, Tuple};
+use tcq_common::{ColumnBatch, Expr, Result, SchemaRef, TcqError, Tuple};
 use tcq_operators::{ColumnarVerdict, EddyModule, Routed};
 
 use crate::lineage::{SignatureCache, SourceSet};
@@ -556,10 +556,55 @@ impl Eddy {
         m
     }
 
-    /// Window maintenance: evict state older than `seq` in every module.
-    pub fn evict_before_seq(&mut self, seq: i64) {
+    /// The modules that store base tuples of `source`.
+    fn storing(&mut self, source: SourceSet) -> impl Iterator<Item = &mut ModuleSpec> {
+        (self.modules.iter_mut()).filter(move |spec| spec.build_exact == Some(source))
+    }
+
+    /// Drop every module that stores nothing (the filters), keeping the
+    /// SteMs and their indices: a planner registers those first.
+    pub fn remove_filters(&mut self) {
+        let stems = (self.modules.iter())
+            .take_while(|spec| spec.build_exact.is_some())
+            .count();
+        debug_assert!(self.modules[stems..]
+            .iter()
+            .all(|s| s.build_exact.is_none()));
+        self.modules.truncate(stems);
+        self.stats.truncate(stems);
+        self.batch.clear();
+    }
+
+    /// Stream time on `source` reached `seq` outside this eddy's own
+    /// builds: every module storing `source` slides its window there.
+    pub fn advance_to(&mut self, source: SourceSet, seq: i64) {
+        for spec in self.storing(source) {
+            spec.module.advance_to(seq);
+        }
+    }
+
+    /// Replace the build filter of every module storing `source`.
+    pub fn set_build_predicate(&mut self, source: SourceSet, pred: Option<&Expr>) -> Result<()> {
+        for spec in self.storing(source) {
+            spec.module.set_build_predicate(pred)?;
+        }
+        Ok(())
+    }
+
+    /// Start or stop recording each probe output's stored-row time in
+    /// every module ([`EddyModule::record_match_seqs`]).
+    pub fn record_match_seqs(&mut self, on: bool) {
         for spec in &mut self.modules {
-            spec.module.evict_before_seq(seq);
+            spec.module.record_match_seqs(on);
+        }
+    }
+
+    /// Move the recorded stored-row times onto `out`, module by module. In
+    /// a two-source eddy a run of one source probes one module, so after
+    /// routing such a run they line up with its outputs.
+    pub fn drain_match_seqs(&mut self, out: &mut Vec<i64>) {
+        for spec in &mut self.modules {
+            spec.module.drain_match_seqs(out);
         }
     }
 
@@ -586,6 +631,11 @@ impl Eddy {
     /// Total retained state across modules, in tuples.
     pub fn state_size(&self) -> usize {
         self.modules.iter().map(|m| m.module.state_size()).sum()
+    }
+
+    /// Approximate heap bytes of that state.
+    pub fn state_bytes(&self) -> usize {
+        self.modules.iter().map(|m| m.module.state_bytes()).sum()
     }
 
     /// Checkpoint export: for every module with dirty state groups,
@@ -907,26 +957,37 @@ mod tests {
         assert!(restored.import_module_group(9, 1, &[]).is_err());
     }
 
+    /// A clock carried in for S slides S's window and only S's: the T
+    /// rows stay although they are older than the new edge.
     #[test]
-    fn eviction_forwards_to_modules() {
+    fn advancing_a_source_clock_slides_only_that_sources_window() {
         let s = s_schema("S");
         let t = s_schema("T");
         let mut eddy =
             Eddy::new(&["S", "T"], Box::new(RandomPolicy), EddyConfig::default()).unwrap();
         let (sb, tb) = (eddy.source_bit("S").unwrap(), eddy.source_bit("T").unwrap());
         let (stem_s, stem_t) = symmetric_hash_join(&s, "S", "k", &t, "T", "k").unwrap();
-        eddy.add_module(ModuleSpec::stem(Box::new(stem_s), sb, tb))
-            .unwrap();
-        eddy.add_module(ModuleSpec::stem(Box::new(stem_t), tb, sb))
-            .unwrap();
+        eddy.add_module(ModuleSpec::stem(
+            Box::new(stem_s.with_window_width(10)),
+            sb,
+            tb,
+        ))
+        .unwrap();
+        eddy.add_module(ModuleSpec::stem(
+            Box::new(stem_t.with_window_width(10)),
+            tb,
+            sb,
+        ))
+        .unwrap();
         for i in 0..10 {
             route(&mut eddy, row(&s, i, 0, i));
         }
-        assert_eq!(eddy.state_size(), 10);
-        eddy.evict_before_seq(5);
-        assert_eq!(eddy.state_size(), 5);
+        route(&mut eddy, row(&t, 20, 0, 1));
+        assert_eq!(eddy.state_size(), 11);
+        eddy.advance_to(sb, 14);
+        assert_eq!(eddy.state_size(), 6, "S keeps [5, 14], T its one row");
         // A T tuple joining key 3 finds nothing (evicted), key 7 matches.
-        assert!(route(&mut eddy, row(&t, 3, 0, 11)).is_empty());
-        assert_eq!(route(&mut eddy, row(&t, 7, 0, 12)).len(), 1);
+        assert!(route(&mut eddy, row(&t, 3, 0, 2)).is_empty());
+        assert_eq!(route(&mut eddy, row(&t, 7, 0, 3)).len(), 1);
     }
 }

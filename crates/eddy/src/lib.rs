@@ -17,9 +17,10 @@
 //! * Routing policies — [`FixedPolicy`] (a static plan, the baseline),
 //!   [`RandomPolicy`], [`LotteryPolicy`] (the ticket scheme of \[AH00\]),
 //!   and [`GreedyPolicy`] (rank by observed selectivity/cost).
-//! * [`SharedEddy`] — the CACQ-mode eddy (§3.1): one eddy executes many
-//!   continuous queries over shared grouped filters and shared SteMs, with
-//!   per-tuple query lineage bitmaps.
+//!
+//! CACQ sharing (§3.1) is not a second eddy: the server's join DU runs one
+//! [`Eddy`] for every query on a stream pair and key, and completes each
+//! output per query after it leaves the eddy.
 //!
 //! ## Routing discipline
 //!
@@ -90,7 +91,6 @@
 pub mod eddy;
 pub mod lineage;
 pub mod policy;
-pub mod shared;
 
 pub use eddy::{Eddy, EddyConfig, EddyStats, Emitted, ModuleSpec};
 pub use lineage::{SignatureCache, SourceSet};
@@ -98,4 +98,3 @@ pub use policy::{
     FixedPolicy, GreedyPolicy, LotteryPolicy, ModuleObservation, ModuleStats, RandomPolicy,
     RoutingPolicy,
 };
-pub use shared::{SharedEddy, SharedEddyStats};

@@ -60,8 +60,8 @@ impl<M: EddyModule> EddyModule for RowOnly<M> {
     fn key_column_hint(&mut self, schema: &SchemaRef) -> Option<usize> {
         self.0.key_column_hint(schema)
     }
-    fn evict_before_seq(&mut self, seq: i64) {
-        self.0.evict_before_seq(seq)
+    fn advance_to(&mut self, seq: i64) {
+        self.0.advance_to(seq)
     }
     fn state_size(&self) -> usize {
         self.0.state_size()

@@ -5,7 +5,7 @@
 //! tuple t, it can generate other tuples … and send them back to the Eddy
 //! for further routing" (§2.2). [`Routed`] captures exactly that protocol.
 
-use tcq_common::{ColumnBatch, Result, SchemaRef, Tuple};
+use tcq_common::{ColumnBatch, Expr, Result, SchemaRef, Tuple};
 
 /// Tuples a module handed "back to the Eddy for further routing".
 ///
@@ -255,13 +255,38 @@ pub trait EddyModule: Send {
         None
     }
 
-    /// Window maintenance: drop internal state older than logical time
-    /// `seq`. Default: stateless, nothing to do.
-    fn evict_before_seq(&mut self, _seq: i64) {}
+    /// Window maintenance: stream time on the module's stored source has
+    /// reached `seq`, as carried in from outside the module's own builds
+    /// (a partition worker builds only its partition's rows). Default:
+    /// stateless, nothing to do.
+    fn advance_to(&mut self, _seq: i64) {}
+
+    /// Replace the build filter: a SteM that several queries share stores
+    /// the rows any of them can use. `None` stores every build. Default:
+    /// modules that store nothing have no filter to replace.
+    fn set_build_predicate(&mut self, _pred: Option<&Expr>) -> Result<()> {
+        Err(tcq_common::TcqError::Executor(format!(
+            "module {} stores no rows to filter",
+            self.name()
+        )))
+    }
+
+    /// Start (`true`) or stop recording, for each probe output, the
+    /// logical time of the stored row it joined. Default: nothing stored,
+    /// nothing to record.
+    fn record_match_seqs(&mut self, _on: bool) {}
+
+    /// Move the recorded times onto `out`, in output order.
+    fn drain_match_seqs(&mut self, _out: &mut Vec<i64>) {}
 
     /// Approximate retained state in tuples (for memory accounting and the
     /// out-of-core experiments). Default 0 for stateless modules.
     fn state_size(&self) -> usize {
+        0
+    }
+
+    /// Approximate heap bytes of that state. Default 0.
+    fn state_bytes(&self) -> usize {
         0
     }
 

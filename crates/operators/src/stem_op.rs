@@ -59,13 +59,17 @@ pub struct StemOp {
     /// Optional sliding-window width in logical time; tuples older than
     /// (latest - width) are evicted on insert.
     window_width: Option<i64>,
-    /// Newest build timestamp seen, stored or filtered out.
+    /// Newest build timestamp seen, stored or filtered out, or carried in
+    /// by [`EddyModule::advance_to`].
     latest_seq: i64,
     /// The stored source's own predicate, bound to the stored schema:
     /// build tuples failing it are dropped, not stored.
     build_predicate: Option<Predicate>,
     /// Lane buffers for evaluating it over columnar builds.
     filter_scratch: ColumnarScratch,
+    /// While recording: the stored row's logical time behind each probe
+    /// output, in output order.
+    match_seqs: Option<Vec<i64>>,
 }
 
 impl StemOp {
@@ -98,6 +102,7 @@ impl StemOp {
             latest_seq: i64::MIN,
             build_predicate: None,
             filter_scratch: ColumnarScratch::new(),
+            match_seqs: None,
         })
     }
 
@@ -120,7 +125,7 @@ impl StemOp {
     /// own predicate; it must bind to the stored schema). A failing build
     /// tuple still advances the window, then leaves the eddy here.
     pub fn with_build_predicate(mut self, pred: &Expr) -> Result<Self> {
-        self.build_predicate = Some(Predicate::new(pred, self.stem.schema())?);
+        self.set_build_predicate(Some(pred))?;
         Ok(self)
     }
 
@@ -205,13 +210,6 @@ impl StemOp {
         self.stem.slot_span()
     }
 
-    /// Heap bytes the underlying SteM holds, counted from its containers
-    /// ([`SteM::approx_bytes`]); divide by [`StemOp::len`] for the cost of
-    /// one window row.
-    pub fn state_bytes(&self) -> usize {
-        self.stem.approx_bytes()
-    }
-
     /// Slot-store chunks the underlying SteM has ever allocated
     /// ([`SteM::chunks_allocated`]).
     pub fn chunks_allocated(&self) -> u64 {
@@ -275,8 +273,12 @@ impl StemOp {
     fn probe_concat(&mut self, tuple: &Tuple, key_col: usize, joined: &SchemaRef) -> Outputs {
         let mut outputs = Outputs::None;
         let hash = tuple.key_hash(key_col);
+        let match_seqs = &mut self.match_seqs;
         self.stem
             .probe_eq_hashed_with(hash, tuple.value(key_col), |stored| {
+                if let Some(seqs) = match_seqs {
+                    seqs.push(stored.timestamp().seq());
+                }
                 let values = tuple.values().iter().cloned().chain(stored.values());
                 let ts = tuple.timestamp().join_max(&stored.timestamp());
                 outputs.push(Tuple::from_shared(
@@ -420,9 +422,13 @@ impl EddyModule for StemOp {
         // Size the concat batch for the common one-match-per-probe case;
         // high-fanout joins grow it amortized from there.
         let mut out = ColumnBatch::with_capacity(joined, batch.len());
+        let match_seqs = &mut self.match_seqs;
         for (row, &hash) in hashes.iter().enumerate() {
             let key = key_column.value(row);
             self.stem.probe_eq_hashed_with(hash, &key, |stored| {
+                if let Some(seqs) = match_seqs.as_mut() {
+                    seqs.push(stored.timestamp().seq());
+                }
                 out.push_joined(
                     batch,
                     row,
@@ -446,12 +452,42 @@ impl EddyModule for StemOp {
         }
     }
 
-    fn evict_before_seq(&mut self, seq: i64) {
-        self.stem.evict_before_seq(seq);
+    fn advance_to(&mut self, seq: i64) {
+        self.latest_seq = self.latest_seq.max(seq);
+        self.evict_window();
+    }
+
+    fn set_build_predicate(&mut self, pred: Option<&Expr>) -> Result<()> {
+        self.build_predicate = match pred {
+            Some(p) => Some(Predicate::new(p, self.stem.schema())?),
+            None => None,
+        };
+        Ok(())
+    }
+
+    fn record_match_seqs(&mut self, on: bool) {
+        if !on {
+            self.match_seqs = None;
+        } else if self.match_seqs.is_none() {
+            self.match_seqs = Some(Vec::new());
+        }
+    }
+
+    fn drain_match_seqs(&mut self, out: &mut Vec<i64>) {
+        if let Some(seqs) = &mut self.match_seqs {
+            out.append(seqs);
+        }
     }
 
     fn state_size(&self) -> usize {
         self.stem.len()
+    }
+
+    /// Heap bytes the underlying SteM holds, counted from its containers
+    /// ([`SteM::approx_bytes`]); divide by [`StemOp::len`] for the cost of
+    /// one window row.
+    fn state_bytes(&self) -> usize {
+        self.stem.approx_bytes()
     }
 
     /// Delta export: one fragment per dirty key-hash group, encoded as

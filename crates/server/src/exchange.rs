@@ -54,6 +54,15 @@
 //!    worker sees its sub-stream in canonical-order restriction, so the
 //!    multiset *and order* of outputs per run equal the sequential eddy's
 //!    outputs for the same input run.
+//!
+//!    That needs one more thing under sliding windows: a window slides on
+//!    the *stream's* clock, and a worker builds only its partition's rows.
+//!    So each run a partition receives opens with the clock of every
+//!    windowed input that moved since that worker last heard it (a `Punct`
+//!    whose physical component names the source — see `clock_punct`), and
+//!    the worker's eddy advances those SteMs before routing the run. Inside
+//!    the run every canonical tuple is the worker's own, so its builds move
+//!    the clock exactly as the sequential eddy's do.
 //! 3. **Ordered merge.** The merger replays grants from the schedule
 //!    fjord strictly in order; for each grant it drains that partition's
 //!    output fjord up to the run-closing `Punct` and hands the run to the
@@ -92,7 +101,7 @@
 use std::collections::VecDeque;
 
 use tcq_common::{FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, Timestamp, Tuple};
-use tcq_eddy::{Eddy, Emitted};
+use tcq_eddy::{Eddy, Emitted, SourceSet};
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{FjordMessage, Inbox, Producer};
@@ -159,18 +168,35 @@ pub struct ExchangeInput {
     inbox: Inbox,
     alias: SchemaRef,
     key_col: usize,
+    /// For a windowed source: its eddy source bit, the newest logical time
+    /// routed from it, and per partition the newest time carried there.
+    clock: Option<(SourceSet, i64, Vec<i64>)>,
 }
 
 impl ExchangeInput {
     /// New input draining `inbox`; tuples are re-qualified to `alias` and
-    /// hash-partitioned on `key_col` (an index into `alias`).
-    pub fn new(inbox: Inbox, alias: SchemaRef, key_col: usize) -> Self {
+    /// hash-partitioned on `key_col` (an index into `alias`). A source
+    /// that slides a window names its bit in the workers' eddies as
+    /// `clock`: its clock is carried to each worker at the start of every
+    /// run routed there.
+    pub fn new(inbox: Inbox, alias: SchemaRef, key_col: usize, clock: Option<SourceSet>) -> Self {
         ExchangeInput {
             inbox,
             alias,
             key_col,
+            clock: clock.map(|source| (source, i64::MIN, Vec::new())),
         }
     }
+}
+
+/// A run-opening clock: stream time on `source` reached `seq`. The
+/// physical component carries the source bit, which is how a worker tells
+/// it from a run-closing punct (logical only).
+fn clock_punct(source: SourceSet, seq: i64) -> FjordMessage {
+    FjordMessage::Punct(Timestamp {
+        logical: Some(seq),
+        physical: Some(source as i64),
+    })
 }
 
 /// The exchange's producer half: establishes the canonical total order,
@@ -200,12 +226,15 @@ impl PartitionDu {
     /// the sequential `JoinCqDu`.
     pub fn new(
         name: impl Into<String>,
-        inputs: Vec<ExchangeInput>,
+        mut inputs: Vec<ExchangeInput>,
         parts: Vec<Producer>,
         schedule: Producer,
         floor: i64,
         deadline: i64,
     ) -> Self {
+        for (_, _, sent) in inputs.iter_mut().filter_map(|i| i.clock.as_mut()) {
+            *sent = vec![i64::MIN; parts.len()];
+        }
         PartitionDu {
             name: name.into(),
             inputs,
@@ -243,6 +272,15 @@ impl PartitionDu {
                 Hop::Schedule,
                 FjordMessage::Punct(Timestamp::logical(p as i64)),
             ));
+            // The worker's windows catch up with the streams before the
+            // run; inside it, its own builds move them as at P = 1.
+            for (source, clock, sent) in self.inputs.iter_mut().filter_map(|i| i.clock.as_mut()) {
+                if sent[p] < *clock {
+                    sent[p] = *clock;
+                    self.outbox
+                        .push_back((Hop::Part(p), clock_punct(*source, *clock)));
+                }
+            }
         }
         self.outbox
             .push_back((Hop::Part(p), FjordMessage::Tuple(t)));
@@ -357,6 +395,9 @@ impl DispatchUnit for PartitionDu {
                 let t = t.with_schema(self.inputs[i].alias.clone())?;
                 let key_col = self.inputs[i].key_col;
                 self.route(t, key_col);
+                if let Some((_, clock, _)) = &mut self.inputs[i].clock {
+                    *clock = (*clock).max(seq);
+                }
             }
         }
         if self.inputs.iter().all(|i| i.inbox.is_done()) {
@@ -541,6 +582,14 @@ impl DispatchUnit for WorkerDu {
             did_work = true;
             match msg {
                 FjordMessage::Tuple(t) => self.batch.push(t),
+                // A run-opening clock (`clock_punct`).
+                FjordMessage::Punct(Timestamp {
+                    logical: Some(seq),
+                    physical: Some(source),
+                }) => {
+                    self.process_pending()?;
+                    self.eddy.advance_to(source as SourceSet, seq);
+                }
                 FjordMessage::Punct(ts) => self.close_run(ts)?,
                 FjordMessage::Eof => {} // an inbox ends the stream instead
             }
@@ -814,6 +863,7 @@ mod tests {
                 Inbox::new(in_cons, 8),
                 schema.clone(),
                 0,
+                None,
             )],
             parts,
             sched_p,
@@ -906,8 +956,8 @@ mod tests {
             let mut part = PartitionDu::new(
                 "part",
                 vec![
-                    ExchangeInput::new(Inbox::new(sc, 64), s.clone(), 0),
-                    ExchangeInput::new(Inbox::new(tc, 64), tt.clone(), 0),
+                    ExchangeInput::new(Inbox::new(sc, 64), s.clone(), 0, None),
+                    ExchangeInput::new(Inbox::new(tc, 64), tt.clone(), 0, None),
                 ],
                 parts,
                 sched_p,

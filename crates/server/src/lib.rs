@@ -16,8 +16,9 @@
 //!   history to a [`tcq_storage::StreamArchive`], and fans tuples out to
 //!   every standing query's input queue;
 //! * query DUs ([`plans`]) — a *shared* CACQ-style filter DU per stream
-//!   (all single-stream selection queries share one QueryStem pass), plus
-//!   dedicated eddy DUs for joins and window-driver DUs for aggregates;
+//!   (all single-stream selection queries share one QueryStem pass), an
+//!   eddy DU per join group (every join query on one stream pair and key
+//!   shares its SteMs), and window-driver DUs for aggregates;
 //! * the executor ([`tcq_executor`]) — EO threads hosting the DUs, classed
 //!   by query footprint;
 //! * egress ([`tcq_egress`]) — push/pull result delivery per client.
@@ -33,7 +34,6 @@ pub mod exchange;
 pub mod planner;
 pub mod plans;
 pub mod server;
-pub mod shared_join;
 
 pub use dispatcher::OverloadPolicy;
 pub use server::{

@@ -9,7 +9,7 @@
 use tcq_common::{Expr, Result, TcqError};
 use tcq_operators::{AggFunc, AggSpec};
 use tcq_query::AnalyzedQuery;
-use tcq_windows::{classify, LoopLength, WindowKind};
+use tcq_windows::{classify, WindowKind};
 
 use crate::plans::ResolvedAgg;
 
@@ -158,61 +158,16 @@ pub fn join_window_width(aq: &AnalyzedQuery, alias: &str) -> Result<Option<i64>>
     }
 }
 
-/// Rewrite column qualifiers per `map` (alias → stream name), leaving
-/// unqualified and unmapped references untouched. Used when a query joins
-/// a *shared* plan whose schemas are stream-name qualified.
-pub fn requalify(expr: &Expr, map: &std::collections::HashMap<String, String>) -> Expr {
-    match expr {
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Column { qualifier, name } => {
-            let qualifier = qualifier.as_ref().map(|q| {
-                map.get(&q.to_ascii_lowercase())
-                    .cloned()
-                    .unwrap_or_else(|| q.clone())
-            });
-            Expr::Column {
-                qualifier,
-                name: name.clone(),
-            }
-        }
-        Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-            op: *op,
-            lhs: Box::new(requalify(lhs, map)),
-            rhs: Box::new(requalify(rhs, map)),
-        },
-        Expr::Arith { op, lhs, rhs } => Expr::Arith {
-            op: *op,
-            lhs: Box::new(requalify(lhs, map)),
-            rhs: Box::new(requalify(rhs, map)),
-        },
-        Expr::And(a, b) => Expr::And(Box::new(requalify(a, map)), Box::new(requalify(b, map))),
-        Expr::Or(a, b) => Expr::Or(Box::new(requalify(a, map)), Box::new(requalify(b, map))),
-        Expr::Not(e) => Expr::Not(Box::new(requalify(e, map))),
-    }
-}
-
-/// Is this join query shareable under CACQ's shared-SteM assumptions?
-/// Exactly two *distinct* physical streams, one equi-join pair, no cross
-/// factors (band predicates need per-query joined-tuple filters), the
-/// same window width on both sides, and a for-loop that never ends
-/// (instantiated at start time `st`) or none: the shared DU serves every
-/// query for as long as any stands, so it has no per-query deadline to
-/// retire a finite loop at its last window the way a dedicated join does.
-pub fn shareable_join(aq: &AnalyzedQuery, st: i64) -> Result<bool> {
-    if aq.sources.len() != 2 || aq.join_pairs.len() != 1 || !aq.cross_factors.is_empty() {
-        return Ok(false);
-    }
-    if aq.sources[0].name.eq_ignore_ascii_case(&aq.sources[1].name) {
-        return Ok(false); // self-joins run dedicated
-    }
-    if let Some(w) = &aq.window {
-        if !matches!(w.extent(st)?, LoopLength::Unbounded { .. }) {
-            return Ok(false);
-        }
-    }
-    let w0 = join_window_width(aq, &aq.sources[0].alias)?;
-    let w1 = join_window_width(aq, &aq.sources[1].alias)?;
-    Ok(w0 == w1)
+/// Can this join share a DU with other join queries (CACQ, §3.1)? On an
+/// unpartitioned server, when it joins two distinct streams on one
+/// equi-join pair. Whatever else tells two such joins apart is part of the
+/// group key (windows, loop bounds) or completed per query (predicates,
+/// projection).
+pub fn shareable_join(aq: &AnalyzedQuery, partitions: usize) -> bool {
+    partitions == 1
+        && aq.sources.len() == 2
+        && aq.join_pairs.len() == 1
+        && !aq.sources[0].name.eq_ignore_ascii_case(&aq.sources[1].name)
 }
 
 #[cfg(test)]

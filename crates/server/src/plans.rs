@@ -5,7 +5,9 @@
 //!   [`QueryStem`] pass per tuple and one projection per distinct select
 //!   list.
 //! * [`JoinCqDu`] — "single-Eddy query plan with Fjord-style operators":
-//!   a dedicated eddy (SteMs + filters) per join query.
+//!   one eddy (a SteM per source) for every join query on one stream pair
+//!   and key, each output completed per query ([`JoinGroup`]); a join no
+//!   other query can share runs alone, all its predicates in the eddy.
 //! * [`AggregateCqDu`] — the window driver for aggregate queries: buffers
 //!   the windowed stream, closes each window of the §4.1 for-loop as
 //!   stream time passes it, emits one result set per window.
@@ -26,16 +28,18 @@ use tcq_common::sync::Mutex;
 
 use tcq_common::{
     hash_table_bytes, CkptReader, CkptWriter, ColumnBatch, DataType, Expr, Field, Predicate,
-    Result, Schema, SchemaRef, Timestamp, Tuple, Value,
+    Result, Schema, SchemaRef, TcqError, Timestamp, Tuple, Value,
 };
-use tcq_eddy::{Eddy, Emitted};
-use tcq_egress::EgressRouter;
+use tcq_eddy::{Eddy, Emitted, SourceSet};
+use tcq_egress::{DeliverySession, EgressRouter};
 use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{FjordMessage, Inbox};
 
 use tcq_operators::{AggSpec, GroupByAggregator, ProjectOp, WindowAggregator, WindowMode};
 use tcq_stems::{MatchScratch, QueryStem};
 use tcq_windows::{WindowAssignment, WindowSeq, WindowSeqPos};
+
+use crate::planner::strip_qualifiers;
 
 /// Query identifier (server-wide).
 pub type QueryId = usize;
@@ -395,19 +399,385 @@ pub struct JoinInput {
     pub alias_schemas: Vec<SchemaRef>,
 }
 
-/// A dedicated single-query eddy DU for a join.
+/// A join query as a group admits it.
+pub struct JoinMemberSpec {
+    /// The query.
+    pub qid: QueryId,
+    /// Its aliases for side 0 and side 1.
+    pub aliases: [String; 2],
+    /// Per side, its own predicate on that source (alias-qualified).
+    pub preds: [Option<Expr>; 2],
+    /// Its conjuncts over both sources (band predicates).
+    pub cross: Option<Expr>,
+    /// Its select list.
+    pub projection: Vec<(Expr, Option<String>)>,
+    /// The admission cut a restore recovered for it; `None` admits it at
+    /// the DU's clocks.
+    pub admitted: Option<[i64; 2]>,
+}
+
+/// One query of a join group.
+struct JoinMember {
+    /// Per side, its predicate on that source without qualifiers: what
+    /// the side's SteM filters by, under whatever alias its schema carries.
+    unqualified: [Option<Expr>; 2],
+    /// Its select list, bound to the group's joined layout under the
+    /// query's own aliases.
+    project: ProjectOp,
+    /// Per side, the DU's clock when the query was admitted: a stored row
+    /// at or before it was built before the query existed and never joins
+    /// for it. `i64::MIN` once the window has slid past it.
+    admitted: [i64; 2],
+}
+
+/// What one side's SteM filters its builds by: the OR of the members'
+/// distinct predicates on that source.
+#[derive(Default)]
+struct SideFilter {
+    /// Distinct predicates (by [`Expr::identical`]), each with how many
+    /// members hold it.
+    preds: Vec<(Expr, usize)>,
+    /// Members with no predicate here: the SteM stores every row.
+    open: usize,
+}
+
+impl SideFilter {
+    fn filter(&self) -> Option<Expr> {
+        if self.open > 0 {
+            return None;
+        }
+        (self.preds.iter())
+            .map(|(p, _)| p.clone())
+            .reduce(|a, b| Expr::Or(Box::new(a), Box::new(b)))
+    }
+
+    /// Count `pred` in (`add`) or out; returns whether the filter changed.
+    fn update(&mut self, pred: Option<&Expr>, add: bool) -> bool {
+        let before = self.filter();
+        match pred {
+            None if add => self.open += 1,
+            None => self.open -= 1,
+            Some(p) => match self.preds.iter().position(|(q, _)| q.identical(p)) {
+                Some(i) if add => self.preds[i].1 += 1,
+                Some(i) => {
+                    self.preds[i].1 -= 1;
+                    if self.preds[i].1 == 0 {
+                        self.preds.remove(i);
+                    }
+                }
+                None => self.preds.push((p.clone(), 1)),
+            },
+        }
+        match (&before, &self.filter()) {
+            (Some(a), Some(b)) => !a.identical(b),
+            (a, b) => a.is_some() != b.is_some(),
+        }
+    }
+}
+
+/// The queries one join DU serves when they share it: every join query on
+/// the same two streams and key columns, with the same windows and loop
+/// bounds. Their outputs leave the eddy once and are completed per query.
+pub struct JoinGroup {
+    /// The eddy's source bit per side.
+    bits: [SourceSet; 2],
+    /// Each side's base schema (member views re-qualify these).
+    bases: [SchemaRef; 2],
+    /// Side 0 ++ side 1 as the eddy qualifies them: the layout outputs are
+    /// completed in.
+    joined: SchemaRef,
+    /// Per side, the window width: an admission cut is moot once the
+    /// window slid past it.
+    widths: [Option<i64>; 2],
+    filters: [SideFilter; 2],
+    members: HashMap<QueryId, JoinMember>,
+    /// Each member's residual over `joined`: its side predicates and its
+    /// cross factors.
+    completion: QueryStem,
+    scratch: MatchScratch,
+    /// The stored-row times behind the batch being completed.
+    seqs: Vec<i64>,
+}
+
+impl JoinGroup {
+    /// A group over `bases[0] ⋈ bases[1]`, its eddy qualifying the sides
+    /// as `qualifiers`.
+    pub fn new(
+        bits: [SourceSet; 2],
+        bases: [SchemaRef; 2],
+        qualifiers: [&str; 2],
+        widths: [Option<i64>; 2],
+    ) -> Self {
+        let joined = view(&bases, qualifiers);
+        JoinGroup {
+            bits,
+            bases,
+            completion: QueryStem::new(joined.clone()),
+            joined,
+            widths,
+            filters: [SideFilter::default(), SideFilter::default()],
+            members: HashMap::new(),
+            scratch: MatchScratch::new(),
+            seqs: Vec::new(),
+        }
+    }
+
+    /// Push a member's side predicates in or out of the build filters,
+    /// and each changed filter into the eddy.
+    fn update_filters(
+        &mut self,
+        eddy: &mut Eddy,
+        preds: &[Option<Expr>; 2],
+        add: bool,
+    ) -> Result<()> {
+        for ((filter, &bit), pred) in self.filters.iter_mut().zip(&self.bits).zip(preds) {
+            if filter.update(pred.as_ref(), add) {
+                eddy.set_build_predicate(bit, filter.filter().as_ref())?;
+            }
+        }
+        Ok(())
+    }
+
+    fn cutting(&self) -> bool {
+        self.members.values().any(|m| m.admitted != [i64::MIN; 2])
+    }
+
+    /// Complete a routed batch from input `side`: each output row reaches
+    /// the members whose residual it passes and whose admission its stored
+    /// row postdates, through their own projections.
+    fn complete(
+        &mut self,
+        side: usize,
+        clocks: &[i64],
+        eddy: &mut Eddy,
+        emitted: &mut Vec<Emitted>,
+        session: &mut DeliverySession<'_>,
+    ) -> Result<()> {
+        self.seqs.clear();
+        eddy.drain_match_seqs(&mut self.seqs);
+        let split = self.bases[1].len();
+        let mut seqs = self.seqs.iter();
+        for e in emitted.drain(..) {
+            for row in e.into_rows() {
+                // A side-1 probe emits side 1 ++ side 0.
+                let row = if side == 0 {
+                    row
+                } else {
+                    let values = [&row.values()[split..], &row.values()[..split]].concat();
+                    Tuple::new_unchecked(self.joined.clone(), values, row.timestamp())
+                };
+                let stored_seq = seqs.next().copied().unwrap_or(i64::MAX);
+                self.completion.matching_into(&row, &mut self.scratch)?;
+                for qid in self.scratch.matches() {
+                    let m = &self.members[qid];
+                    if stored_seq > m.admitted[1 - side] {
+                        session.deliver_rows([*qid], std::slice::from_ref(&m.project.apply(&row)?));
+                    }
+                }
+            }
+        }
+        // An admission cut is moot once its side's window slid past it.
+        for m in self.members.values_mut() {
+            for ((cut, width), &clock) in m.admitted.iter_mut().zip(&self.widths).zip(clocks) {
+                if width.is_some_and(|w| clock.saturating_sub(w) >= *cut) {
+                    *cut = i64::MIN;
+                }
+            }
+        }
+        eddy.record_match_seqs(self.cutting());
+        Ok(())
+    }
+
+    /// Approximate heap bytes of the per-member structures: the completion
+    /// index and its scratch, the member table and the projections. The
+    /// SteM rows the members share are not counted.
+    pub fn approx_bytes(&self) -> usize {
+        self.completion.approx_bytes()
+            + self.scratch.approx_bytes()
+            + hash_table_bytes(
+                self.members.capacity(),
+                std::mem::size_of::<(QueryId, JoinMember)>(),
+            )
+            + (self.members.values())
+                .map(|m| m.project.approx_bytes())
+                .sum::<usize>()
+    }
+}
+
+/// `bases[0] ++ bases[1]` qualified as `qualifiers`.
+fn view(bases: &[SchemaRef; 2], qualifiers: [&str; 2]) -> SchemaRef {
+    (bases[0].with_qualifier(qualifiers[0]))
+        .concat(&bases[1].with_qualifier(qualifiers[1]))
+        .into_ref()
+}
+
+/// What a join DU locks per batch: its eddy and the queries it serves.
+pub struct JoinCore {
+    /// One SteM per source, each filtering at build.
+    pub eddy: Eddy,
+    /// Per input, the newest logical time the DU routed.
+    clocks: Vec<i64>,
+    /// The first query's projection over the eddy's own outputs, while it
+    /// is alone: its band factors then run in the eddy as filters and its
+    /// SteMs enforce its side predicates, so outputs go straight to it —
+    /// columnar runs stay columnar.
+    solo: Option<(QueryId, LazyProject)>,
+    /// The queries of a shared join; `None` for a join only its first
+    /// query can use (self-joins, three-way joins, …).
+    group: Option<JoinGroup>,
+}
+
+impl JoinCore {
+    /// A join only `qid` uses: every predicate it has runs in `eddy`.
+    pub fn solo(eddy: Eddy, qid: QueryId, projection: Vec<(Expr, Option<String>)>) -> Self {
+        JoinCore {
+            eddy,
+            clocks: Vec::new(),
+            solo: Some((qid, LazyProject::new(projection))),
+            group: None,
+        }
+    }
+
+    /// A shared join whose first member is `first`; `eddy` holds one SteM
+    /// per side, qualified by `first`'s aliases, then `first`'s band
+    /// factors as filters.
+    pub fn group(eddy: Eddy, group: JoinGroup, first: JoinMemberSpec) -> Result<Self> {
+        let mut core = JoinCore {
+            eddy,
+            clocks: vec![i64::MIN; 2],
+            solo: None,
+            group: Some(group),
+        };
+        let solo = (first.qid, LazyProject::new(first.projection.clone()));
+        core.admit(first)?;
+        core.solo = Some(solo);
+        Ok(core)
+    }
+
+    /// Admit a query to the group. It sees only rows built from now on, or
+    /// after `spec.admitted` when a restore recovered its cut; returns the
+    /// cut it got.
+    pub fn admit(&mut self, spec: JoinMemberSpec) -> Result<[i64; 2]> {
+        let group = (self.group.as_mut())
+            .ok_or_else(|| TcqError::Executor("this join serves one query".into()))?;
+        let aliases = [spec.aliases[0].as_str(), spec.aliases[1].as_str()];
+        let view = view(&group.bases, aliases);
+        let project = ProjectOp::new(&spec.projection, &view)?;
+        // A SteM holds every row some member's side predicate admitted, so
+        // each member checks its own side predicates, then its cross
+        // factors. Refused here, the query changes nothing.
+        let conjuncts = spec.preds.iter().flatten().chain(&spec.cross).cloned();
+        let residual = Expr::from_conjuncts(conjuncts.collect());
+        (group.completion).insert_query_as(spec.qid, residual.as_ref(), &view)?;
+        let member = JoinMember {
+            unqualified: spec
+                .preds
+                .each_ref()
+                .map(|p| p.as_ref().map(strip_qualifiers)),
+            project,
+            admitted: spec.admitted.unwrap_or([self.clocks[0], self.clocks[1]]),
+        };
+        group.update_filters(&mut self.eddy, &member.unqualified, true)?;
+        let cut = member.admitted;
+        group.members.insert(spec.qid, member);
+        if self.solo.take().is_some() {
+            // The first query's band factors move to its residual.
+            self.eddy.remove_filters();
+        }
+        self.eddy.record_match_seqs(group.cutting());
+        Ok(cut)
+    }
+
+    /// Imported SteM rows passed the build filter of whichever members
+    /// stood when they were built, not necessarily the first query's: it
+    /// stops running alone, so its own predicates check them.
+    pub fn imported(&mut self) {
+        if self.group.is_some() && self.solo.take().is_some() {
+            self.eddy.remove_filters();
+        }
+    }
+
+    /// Remove a query; returns how many the DU still serves.
+    pub fn remove(&mut self, qid: QueryId) -> Result<usize> {
+        if self.solo.as_ref().is_some_and(|(q, _)| *q == qid) {
+            self.solo = None;
+        }
+        let Some(group) = self.group.as_mut() else {
+            return Ok(0);
+        };
+        let Some(member) = group.members.remove(&qid) else {
+            return Ok(group.members.len());
+        };
+        group.update_filters(&mut self.eddy, &member.unqualified, false)?;
+        group.completion.remove_query(qid)?;
+        self.eddy.record_match_seqs(group.cutting());
+        Ok(group.members.len())
+    }
+
+    /// Queries the group serves; 0 for a join one query owns.
+    pub fn member_count(&self) -> usize {
+        self.group.as_ref().map_or(0, |g| g.members.len())
+    }
+
+    /// The group's per-member bytes ([`JoinGroup::approx_bytes`]); 0 for
+    /// a join one query owns.
+    pub fn member_bytes(&self) -> usize {
+        self.group.as_ref().map_or(0, JoinGroup::approx_bytes)
+    }
+
+    /// Hand a routed batch from input `side` to egress.
+    fn deliver(
+        &mut self,
+        side: usize,
+        emitted: &mut Vec<Emitted>,
+        session: &mut DeliverySession<'_>,
+    ) -> Result<()> {
+        let Some((qid, project)) = &mut self.solo else {
+            let group = self
+                .group
+                .as_mut()
+                .expect("a join without a solo query is a group");
+            return group.complete(side, &self.clocks, &mut self.eddy, emitted, session);
+        };
+        let mut row_buf: Vec<Tuple> = Vec::new();
+        for e in emitted.drain(..) {
+            match e {
+                Emitted::Rows(rows) => {
+                    row_buf.clear();
+                    for t in &rows {
+                        row_buf.push(project.apply(t)?);
+                    }
+                    session.deliver_rows([*qid], &row_buf);
+                }
+                Emitted::Columns(b) => match project.apply_columnar(&b)? {
+                    Some(out) => session.deliver_columns([*qid], &out),
+                    None => {
+                        // Expression projection: no columnar impl;
+                        // evaluate per materialized row.
+                        row_buf.clear();
+                        for t in b.to_tuples() {
+                            row_buf.push(project.apply(&t)?);
+                        }
+                        session.deliver_rows([*qid], &row_buf);
+                    }
+                },
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The eddy DU of a join: one eddy for the queries it serves.
 ///
-/// The eddy lives behind a shared mutex so the server's checkpoint path
-/// can export its dirty SteM groups between quanta; the DU itself takes
-/// the lock once per `run` call, so the hot path pays one uncontended
-/// acquisition per quantum.
+/// Its [`JoinCore`] lives behind a shared mutex so the server can admit
+/// and remove queries and export dirty SteM groups between quanta; the DU
+/// itself takes the lock once per `run` call, so the hot path pays one
+/// uncontended acquisition per quantum.
 pub struct JoinCqDu {
     name: String,
     inputs: Vec<JoinInput>,
-    eddy: Arc<Mutex<Eddy>>,
-    project: LazyProject,
+    core: Arc<Mutex<JoinCore>>,
     egress: EgressRouter,
-    qid: QueryId,
     emitted: Vec<Emitted>,
     /// Tuples before this logical time precede every window — skipped.
     floor: i64,
@@ -418,38 +788,28 @@ pub struct JoinCqDu {
 }
 
 impl JoinCqDu {
-    /// Build the DU from a wired eddy. `floor`/`deadline` bound the query's
-    /// lifetime in stream time (use `i64::MIN`/`i64::MAX` for unbounded).
-    /// Each drained input batch enters the eddy through one
-    /// [`tcq_eddy::Eddy::process_batch`] call, so routing decisions are
-    /// amortized over the batch as well.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the DU over `core`. `floor`/`deadline` bound the queries'
+    /// lifetime in stream time (use `i64::MIN`/`i64::MAX` for unbounded);
+    /// a group's inputs are its sides, in order. Each drained input batch
+    /// enters the eddy through one [`tcq_eddy::Eddy::process_batch`] call,
+    /// so routing decisions are amortized over the batch as well.
     pub fn new(
         name: impl Into<String>,
         inputs: Vec<JoinInput>,
-        eddy: Eddy,
-        project: LazyProject,
+        core: Arc<Mutex<JoinCore>>,
         egress: EgressRouter,
-        qid: QueryId,
         floor: i64,
         deadline: i64,
     ) -> Self {
         JoinCqDu {
             name: name.into(),
             inputs,
-            eddy: Arc::new(Mutex::new(eddy)),
-            project,
+            core,
             egress,
-            qid,
             emitted: Vec::new(),
             floor,
             deadline,
         }
-    }
-
-    /// Shared handle to the eddy, for checkpoint export / restore import.
-    pub fn eddy_handle(&self) -> Arc<Mutex<Eddy>> {
-        Arc::clone(&self.eddy)
     }
 }
 
@@ -466,10 +826,10 @@ impl DispatchUnit for JoinCqDu {
         if self.inputs.iter().all(|i| i.inbox.is_done()) {
             return Ok(ModuleStatus::Done);
         }
-        let eddy = &mut *self.eddy.lock();
+        let core = &mut *self.core.lock();
         let mut did_work = false;
         let per_input = quantum.div_ceil(self.inputs.len().max(1));
-        for input in &mut self.inputs {
+        for (side, input) in self.inputs.iter_mut().enumerate() {
             let mut budget = per_input;
             while input.inbox.fill(&mut budget) > 0 {
                 did_work = true;
@@ -491,6 +851,9 @@ impl DispatchUnit for JoinCqDu {
                         retired = true;
                         break;
                     }
+                    if let Some(clock) = core.clocks.get_mut(side) {
+                        *clock = (*clock).max(seq);
+                    }
                     // One entry per alias: a self-join's batch interleaves
                     // them (`t1@a1, t1@a2, t2@a1, …`) into one-tuple runs,
                     // which the eddy routes exactly as it would tuple by
@@ -506,38 +869,12 @@ impl DispatchUnit for JoinCqDu {
                     continue;
                 }
                 // The drained batch takes one row→column conversion per
-                // source run at the eddy's ingress edge, then each emitted
-                // run stays in whichever representation it left the eddy
-                // in — columnar runs take the whole-column projection and
-                // batched egress, row runs the per-tuple pair — all through
-                // one egress session per ingress batch.
+                // source run at the eddy's ingress edge; what the eddy
+                // emits goes to egress in one session per ingress batch.
                 self.emitted.clear();
-                eddy.process_batch(batch, &mut self.emitted)?;
+                core.eddy.process_batch(batch, &mut self.emitted)?;
                 let mut session = self.egress.session();
-                let mut row_buf: Vec<Tuple> = Vec::new();
-                for e in self.emitted.drain(..) {
-                    match e {
-                        Emitted::Rows(rows) => {
-                            row_buf.clear();
-                            for t in &rows {
-                                row_buf.push(self.project.apply(t)?);
-                            }
-                            session.deliver_rows([self.qid], &row_buf);
-                        }
-                        Emitted::Columns(b) => match self.project.apply_columnar(&b)? {
-                            Some(out) => session.deliver_columns([self.qid], &out),
-                            None => {
-                                // Expression projection: no columnar impl;
-                                // evaluate per materialized row.
-                                row_buf.clear();
-                                for t in b.to_tuples() {
-                                    row_buf.push(self.project.apply(&t)?);
-                                }
-                                session.deliver_rows([self.qid], &row_buf);
-                            }
-                        },
-                    }
-                }
+                core.deliver(side, &mut self.emitted, &mut session)?;
             }
         }
         if self.inputs.iter().all(|i| i.inbox.is_done()) {

@@ -35,10 +35,9 @@ use crate::planner::{
     self, plan_kind, resolve_aggregates, source_predicate, stripped_predicate, PlanKind,
 };
 use crate::plans::{
-    AggCqState, AggregateCqDu, FilterCqDu, FilterCqShared, JoinCqDu, JoinInput, LazyProject,
-    QueryId,
+    AggCqState, AggregateCqDu, FilterCqDu, FilterCqShared, JoinCore, JoinCqDu, JoinGroup,
+    JoinInput, JoinMemberSpec, LazyProject, QueryId,
 };
-use crate::shared_join::{SharedJoinDu, SharedJoinKey, SharedJoinShared};
 
 /// Pages in the buffer pool every stream archive shares.
 const POOL_PAGES: usize = 256;
@@ -209,7 +208,8 @@ enum QueryRecord {
     /// The query's entry in its stream's shared filter, reached through
     /// the filter's handle (no per-query copy of the stream name).
     SharedFilter(FilterCqShared),
-    SharedJoin(Box<SharedJoinKey>),
+    /// One of the queries a join DU serves.
+    Join(Arc<JoinEntry>),
     Dedicated(Box<DedicatedQuery>),
     Completed,
 }
@@ -218,20 +218,70 @@ enum QueryRecord {
 struct DedicatedQuery {
     dus: Vec<DuId>,
     subscriptions: Vec<(String, u64)>,
-    /// A sequential join's eddy (its SteMs hold the join state).
-    join: Option<Arc<Mutex<Eddy>>>,
 }
 
-struct SharedJoinEntry {
-    shared: SharedJoinShared,
+/// Everything that shapes a shared join's stored state and lifetime: the
+/// join queries with one key share one join DU.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct JoinGroupKey {
+    /// Stream names in name order, so `A ⋈ B` and `B ⋈ A` share.
+    streams: [String; 2],
+    /// Join-key column per side.
+    keys: [usize; 2],
+    /// Window width per side.
+    widths: [Option<i64>; 2],
+    /// The loop's deadline (`i64::MAX` for a loop that never ends).
+    deadline: i64,
+    /// The loop's floor. Only a floor still ahead of the streams' clocks
+    /// skips anything, so two floors both behind `clock` are alike.
+    floor: i64,
+}
+
+impl JoinGroupKey {
+    /// Can a query keyed `self` join a group keyed `group` while the
+    /// slower of the two streams stands at `clock`?
+    fn admits_into(&self, group: &JoinGroupKey, clock: i64) -> bool {
+        let floors = self.floor == group.floor || (self.floor <= clock && group.floor <= clock);
+        floors
+            && self.streams == group.streams
+            && (self.keys, self.widths, self.deadline) == (group.keys, group.widths, group.deadline)
+    }
+
+    /// The checkpoint component prefix of the group `first` starts: the
+    /// key without its loop bounds (a restore that re-anchors `ST`
+    /// recomputes those differently), then the query. Query ids are never
+    /// reused, and a restore that resubmits the queries in their original
+    /// order gives the group the same first query.
+    fn label(&self, first: QueryId) -> String {
+        let width = |w: Option<i64>| w.map_or_else(|| "-".to_string(), |w| w.to_string());
+        format!(
+            "join:{}.{}:{}.{}:{}:{}@q{first}",
+            self.streams[0],
+            self.keys[0],
+            self.streams[1],
+            self.keys[1],
+            width(self.widths[0]),
+            width(self.widths[1]),
+        )
+    }
+}
+
+/// A join DU and what it holds open, torn down with its last query.
+struct JoinEntry {
+    /// Its key among the join groups; `None` for a join one query owns.
+    key: Option<JoinGroupKey>,
+    /// Checkpoint component prefix: `q<qid>` for a join one query owns,
+    /// [`JoinGroupKey::label`] for a group.
+    label: String,
+    core: Arc<Mutex<JoinCore>>,
     du: DuId,
     subscriptions: Vec<(String, u64)>,
 }
 
-/// Shared handle to one query's checkpointable operator state.
+/// Shared handle to checkpointable operator state.
 enum QueryStateHandle {
-    /// A dedicated join: the eddy whose SteMs carry the join state.
-    Join(Arc<Mutex<Eddy>>),
+    /// A join DU: the eddy whose SteMs carry the join state.
+    Join(Arc<Mutex<JoinCore>>),
     /// A windowed aggregate: loop position + buffered tuples.
     Aggregate(AggCqState),
 }
@@ -268,7 +318,7 @@ pub struct TelegraphCQ {
     egress: EgressRouter,
     pool: BufferPool,
     streams: Mutex<HashMap<String, Arc<StreamState>>>,
-    shared_joins: Mutex<HashMap<SharedJoinKey, SharedJoinEntry>>,
+    join_groups: Mutex<Vec<Arc<JoinEntry>>>,
     queries: Mutex<HashMap<QueryId, QueryRecord>>,
     /// Every stream's source thread, with whether it resumes from a
     /// checkpointed cursor (`attach_supervised_source`) or cannot skip
@@ -282,9 +332,10 @@ pub struct TelegraphCQ {
     progress: Option<ProgressRegistry>,
     /// The durable checkpoint store (`ServerConfig::checkpoint_path`).
     ckpt: Option<Mutex<CheckpointStore>>,
-    /// Per-query operator state handles, registered at submit in qid order
-    /// so checkpoint fragment emission is deterministic.
-    ckpt_handles: Mutex<Vec<(QueryId, QueryStateHandle)>>,
+    /// Operator state handles by checkpoint component prefix (`q<qid>`, or
+    /// a join group's key), registered as their DUs start so checkpoint
+    /// fragment emission is deterministic.
+    ckpt_handles: Mutex<Vec<(String, QueryStateHandle)>>,
     /// Booted via [`TelegraphCQ::restore`]? When true, the recovered
     /// checkpoint image is applied as streams register, sources attach,
     /// and queries resubmit.
@@ -378,7 +429,7 @@ impl TelegraphCQ {
             egress,
             pool,
             streams: Mutex::new(HashMap::new()),
-            shared_joins: Mutex::new(HashMap::new()),
+            join_groups: Mutex::new(Vec::new()),
             queries: Mutex::new(HashMap::new()),
             supervisors: Mutex::new(Vec::new()),
             injector,
@@ -663,8 +714,9 @@ impl TelegraphCQ {
 
     /// Approximate heap footprint of every shared standing-query structure:
     /// one entry per stream (its shared filter's query index + probe
-    /// scratch) and one per shared join (query SteMs + stored join state).
-    /// Sorted by label so output is deterministic.
+    /// scratch) and one per join group (its completion index, member table
+    /// and projections — not the SteM rows its members share). Sorted by
+    /// label so output is deterministic.
     pub fn shared_memory_stats(&self) -> Vec<SharedMemoryStat> {
         let mut out = Vec::new();
         for (name, st) in self.streams.lock().iter() {
@@ -674,11 +726,13 @@ impl TelegraphCQ {
                 approx_bytes: st.filter_shared.approx_bytes(),
             });
         }
-        for (key, entry) in self.shared_joins.lock().iter() {
+        for entry in self.join_groups.lock().iter() {
+            let streams = &entry.key.as_ref().expect("a group has a key").streams;
+            let core = entry.core.lock();
             out.push(SharedMemoryStat {
-                label: format!("join:{}:{}", key.left, key.right),
-                queries: entry.shared.query_count(),
-                approx_bytes: entry.shared.approx_bytes(),
+                label: format!("join:{}:{}", streams[0], streams[1]),
+                queries: core.member_count(),
+                approx_bytes: core.member_bytes(),
             });
         }
         out.sort_by(|a, b| a.label.cmp(&b.label));
@@ -927,33 +981,25 @@ impl TelegraphCQ {
         if self.ckpt.is_some() {
             self.ckpt_handles
                 .lock()
-                .push((qid, QueryStateHandle::Aggregate(state)));
+                .push((format!("q{qid}"), QueryStateHandle::Aggregate(state)));
         }
         let du_id = self.executor.submit(st.class, Box::new(du))?;
         Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
             dus: vec![du_id],
             subscriptions: vec![(source.name.clone(), sub_id)],
-            join: None,
         })))
     }
 
     fn start_join(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
         let partitions = self.config.partitions.max(1);
-        // CACQ sharing competes with two other layouts for the same query,
-        // and the server keeps every join dedicated where either applies:
-        // on a partitioned server, so P=1 and P>1 differ only in the
-        // exchange, not the plan kind; and on a server with a checkpoint
-        // store, because a `SharedEddy` exports no state — a shared join
-        // would restart empty after `restore`.
-        if partitions == 1
-            && self.ckpt.is_none()
-            && planner::shareable_join(aq, self.start_time(aq))?
-        {
-            return self.start_shared_join(qid, aq);
+        if planner::shareable_join(aq, partitions) {
+            return self.join_group(qid, aq);
         }
         if partitions > 1 && exchange::partitionable(aq) {
             return self.start_partitioned_join(qid, aq, partitions);
         }
+        // A join no other query can share: its own eddy, with every
+        // predicate it has inside.
         let (eddy, _key_cols) = self.build_join_eddy(aq, true)?;
 
         // Inputs: one subscription per physical stream; aliases grouped.
@@ -982,46 +1028,184 @@ impl TelegraphCQ {
             });
         }
 
-        let (floor, deadline) = self.join_bounds(aq)?;
-        let project = LazyProject::new(aq.projection.clone());
-        let du = JoinCqDu::new(
-            format!("join-cq(q{qid})"),
-            inputs,
-            eddy,
-            project,
-            self.egress.clone(),
+        let entry = self.run_join_du(
             qid,
-            floor,
+            format!("q{qid}"),
+            None,
+            JoinCore::solo(eddy, qid, aq.projection.clone()),
+            inputs,
+            subscriptions,
+            class,
+            self.join_bounds(aq)?,
+        )?;
+        Ok(QueryRecord::Join(entry))
+    }
+
+    /// Admit a join to the DU of its group key, starting that DU when the
+    /// query is the key's first (CACQ, §3.1): one SteM per side, filtering
+    /// by the OR of the members' side predicates, and each output
+    /// completed per member.
+    fn join_group(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
+        let jp = aq.join_pairs[0];
+        let mut sides = [(jp.left, jp.left_col), (jp.right, jp.right_col)];
+        let name = |(s, _): (usize, usize)| aq.sources[s].name.to_ascii_lowercase();
+        if name(sides[0]) > name(sides[1]) {
+            sides.swap(0, 1);
+        }
+        let sources = sides.map(|(s, _)| &aq.sources[s]);
+        let streams = [
+            self.stream(&sources[0].name)?,
+            self.stream(&sources[1].name)?,
+        ];
+        let (floor, deadline) = self.join_bounds(aq)?;
+        let clock = (streams.iter())
+            .map(|st| st.latest_seq.load(Ordering::Acquire))
+            .min()
+            .unwrap_or(0);
+        let key = JoinGroupKey {
+            streams: sides.map(name),
+            keys: sides.map(|(_, col)| col),
+            widths: [
+                planner::join_window_width(aq, &sources[0].alias)?,
+                planner::join_window_width(aq, &sources[1].alias)?,
+            ],
             deadline,
-        );
-        let handle = du.eddy_handle();
+            floor,
+        };
+        let aliases = sources.map(|s| s.alias.clone());
+        let mut spec = JoinMemberSpec {
+            qid,
+            aliases: aliases.clone(),
+            preds: sides.map(|(s, _)| source_predicate(aq, s)),
+            cross: tcq_common::Expr::from_conjuncts(aq.cross_factors.clone()),
+            projection: aq.projection.clone(),
+            admitted: None,
+        };
+        let mut groups = self.join_groups.lock();
+        let in_group =
+            |e: &&Arc<JoinEntry>| e.key.as_ref().is_some_and(|g| key.admits_into(g, clock));
+        if let Some(entry) = groups.iter().find(in_group) {
+            // A member's admission cut is part of its answer: it is staged
+            // for the next checkpoint, and a restore admits it at that cut.
+            // A member with no stored cut arrived after the last checkpoint,
+            // so every row the group imported was built before it.
+            let component = format!("{}/cut", entry.label);
+            let qkey = (qid as u64).to_le_bytes();
+            if self.restoring {
+                spec.admitted = Some(match self.checkpoint_fragment(&component, &qkey) {
+                    Some(bytes) => {
+                        let mut r = CkptReader::new(&bytes);
+                        [r.get_i64("admission cut")?, r.get_i64("admission cut")?]
+                    }
+                    None => {
+                        let mut clocks = [i64::MIN; 2];
+                        for (clock, stream) in clocks.iter_mut().zip(&key.streams) {
+                            if let Some(bytes) = self.checkpoint_fragment("seq", stream.as_bytes())
+                            {
+                                *clock = CkptReader::new(&bytes).get_i64("stream clock")?;
+                            }
+                        }
+                        clocks
+                    }
+                });
+            }
+            let cut = entry.core.lock().admit(spec)?;
+            if let Some(store) = &self.ckpt {
+                let mut w = CkptWriter::new();
+                w.put_i64(cut[0]);
+                w.put_i64(cut[1]);
+                store.lock().put(&component, &qkey, w.as_slice());
+            }
+            return Ok(QueryRecord::Join(Arc::clone(entry)));
+        }
+        let (eddy, _) = self.build_join_eddy(aq, true)?;
+        let bits = [eddy.source_bit(&aliases[0])?, eddy.source_bit(&aliases[1])?];
+        let bases = streams.each_ref().map(|st| st.def.schema.clone());
+        let group = JoinGroup::new(bits, bases, [&aliases[0], &aliases[1]], key.widths);
+        let core = JoinCore::group(eddy, group, spec)?;
+        let mut inputs = Vec::with_capacity(2);
+        let mut subscriptions = Vec::with_capacity(2);
+        for (s, st) in streams.iter().enumerate() {
+            let stream = &key.streams[s];
+            let (p, c) =
+                self.make_fjord(format!("join(q{qid}.{stream})"), self.config.queue_capacity);
+            subscriptions.push((stream.clone(), st.subscribers.add(p)));
+            inputs.push(JoinInput {
+                inbox: c,
+                alias_schemas: vec![sources[s].schema.clone()],
+            });
+        }
+        let class = streams[0].class | streams[1].class;
+        let bounds = (floor, deadline);
+        let entry = self.run_join_du(
+            qid,
+            key.label(qid),
+            Some(key),
+            core,
+            inputs,
+            subscriptions,
+            class,
+            bounds,
+        )?;
+        groups.push(Arc::clone(&entry));
+        Ok(QueryRecord::Join(entry))
+    }
+
+    /// Start the DU of a join `qid` opened, bounded by the loop's `(floor,
+    /// deadline)`: restore its state when the server is restoring, and
+    /// register it with the checkpoint.
+    #[allow(clippy::too_many_arguments)]
+    fn run_join_du(
+        &self,
+        qid: QueryId,
+        label: String,
+        key: Option<JoinGroupKey>,
+        core: JoinCore,
+        inputs: Vec<JoinInput>,
+        subscriptions: Vec<(String, u64)>,
+        class: u64,
+        (floor, deadline): (i64, i64),
+    ) -> Result<Arc<JoinEntry>> {
+        let core = Arc::new(Mutex::new(core));
         if self.restoring {
-            self.import_join_state(qid, &handle)?;
+            self.import_join_state(&label, &core)?;
         }
         if self.ckpt.is_some() {
             self.ckpt_handles
                 .lock()
-                .push((qid, QueryStateHandle::Join(Arc::clone(&handle))));
+                .push((label.clone(), QueryStateHandle::Join(Arc::clone(&core))));
         }
-        let du_id = self.executor.submit(class, Box::new(du))?;
-        Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
-            dus: vec![du_id],
+        let du = JoinCqDu::new(
+            format!("join-cq(q{qid})"),
+            inputs,
+            Arc::clone(&core),
+            self.egress.clone(),
+            floor,
+            deadline,
+        );
+        let du = self.executor.submit(class, Box::new(du))?;
+        Ok(Arc::new(JoinEntry {
+            key,
+            label,
+            core,
+            du,
             subscriptions,
-            join: Some(handle),
-        })))
+        }))
     }
 
-    /// Import a restored query's SteM groups into a freshly built eddy
-    /// (components `q<qid>/stem/<module>`, keyed by group hash). Empty
+    /// Import a restored join's SteM groups into its freshly built eddy
+    /// (components `<label>/stem/<module>`, keyed by group hash). Empty
     /// fragments are tombstones — the group was exported after emptying —
-    /// and are skipped.
-    fn import_join_state(&self, qid: QueryId, eddy: &Arc<Mutex<Eddy>>) -> Result<()> {
+    /// and are skipped. A group that imported rows stops running its first
+    /// query alone ([`JoinCore::imported`]).
+    fn import_join_state(&self, label: &str, core: &Arc<Mutex<JoinCore>>) -> Result<()> {
         let Some(store) = &self.ckpt else {
             return Ok(());
         };
         let store = store.lock();
-        let prefix = format!("q{qid}/stem/");
-        let mut eddy = eddy.lock();
+        let prefix = format!("{label}/stem/");
+        let mut core = core.lock();
+        let mut imported = false;
         let comps: Vec<String> = store
             .components()
             .filter(|c| c.starts_with(&prefix))
@@ -1039,16 +1223,19 @@ impl TelegraphCQ {
                     u64::from_le_bytes(key.try_into().map_err(|_| {
                         TcqError::Storage(format!("malformed group key in '{comp}'"))
                     })?);
-                eddy.import_module_group(module, hash, value)?;
+                core.eddy.import_module_group(module, hash, value)?;
+                imported = true;
             }
+        }
+        if imported {
+            core.imported();
         }
         Ok(())
     }
 
-    /// Build the dedicated eddy (SteMs filtering at build + band
-    /// predicates) for a join query, returning it together with each source's join-key
-    /// column. Called once for a sequential plan and P times for a
-    /// partitioned one — every instance is identical (same policy, same
+    /// Build the eddy of a join, returning it together with each source's
+    /// join-key column. Called once for a sequential plan and P times for
+    /// a partitioned one — every instance is identical (same policy, same
     /// seed), which is half of the exchange determinism argument.
     ///
     /// `checkpointed` says whether [`TelegraphCQ::checkpoint`] exports this
@@ -1243,7 +1430,16 @@ impl TelegraphCQ {
             let (p, c) = self.make_fjord(format!("xchg-in(q{qid}.{})", source.name), cap);
             let sub_id = st.subscribers.add(p);
             subscriptions.push((source.name.to_ascii_lowercase(), sub_id));
-            inputs.push(ExchangeInput::new(c, source.schema.clone(), key_cols[i]));
+            let clock = match planner::join_window_width(aq, &source.alias)? {
+                Some(_) => Some(eddies[0].source_bit(&source.alias)?),
+                None => None,
+            };
+            inputs.push(ExchangeInput::new(
+                c,
+                source.schema.clone(),
+                key_cols[i],
+                clock,
+            ));
         }
 
         // The exchange fabric: P partition fjords, P output fjords, and a
@@ -1315,124 +1511,12 @@ impl TelegraphCQ {
         Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
             dus,
             subscriptions,
-            join: None,
         })))
     }
 
-    /// CACQ shared-join path: queries with the same join signature share one
-    /// SharedEddy DU — one pair of SteMs built/probed once per tuple, with
-    /// per-query lineage deciding delivery (§3.1).
-    fn start_shared_join(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
-        let jp = aq.join_pairs[0];
-        // Normalize side order by stream name so A⋈B and B⋈A share a key.
-        let (l_src, l_col, r_src, r_col) = {
-            let a = (jp.left, jp.left_col, jp.right, jp.right_col);
-            let name_l = aq.sources[jp.left].name.to_ascii_lowercase();
-            let name_r = aq.sources[jp.right].name.to_ascii_lowercase();
-            if name_l <= name_r {
-                a
-            } else {
-                (jp.right, jp.right_col, jp.left, jp.left_col)
-            }
-        };
-        let left_state = self.stream(&aq.sources[l_src].name)?;
-        let right_state = self.stream(&aq.sources[r_src].name)?;
-        let window_width = planner::join_window_width(aq, &aq.sources[l_src].alias)?;
-        let key = SharedJoinKey {
-            left: aq.sources[l_src].name.to_ascii_lowercase(),
-            left_col: l_col,
-            right: aq.sources[r_src].name.to_ascii_lowercase(),
-            right_col: r_col,
-            window_width,
-        };
-
-        // Per-side predicates, qualifier-stripped (each references exactly
-        // one source, and the shared schemas are stream-name qualified).
-        let side_pred = |src: usize| -> Option<tcq_common::Expr> {
-            let parts: Vec<tcq_common::Expr> = aq
-                .single_factors
-                .iter()
-                .filter(|(s, _)| *s == src)
-                .map(|(_, f)| planner::strip_qualifiers(f))
-                .collect();
-            tcq_common::Expr::from_conjuncts(parts)
-        };
-        let left_pred = side_pred(l_src);
-        let right_pred = side_pred(r_src);
-
-        // Projection over the joined (left ++ right) schema: alias
-        // qualifiers become stream names.
-        let mut alias_map = HashMap::new();
-        for s in &aq.sources {
-            alias_map.insert(s.alias.to_ascii_lowercase(), s.name.clone());
-        }
-        let projection: Vec<(tcq_common::Expr, Option<String>)> = aq
-            .projection
-            .iter()
-            .map(|(e, a)| (planner::requalify(e, &alias_map), a.clone()))
-            .collect();
-
-        let mut joins = self.shared_joins.lock();
-        if !joins.contains_key(&key) {
-            // First query with this signature: build the shared eddy + DU.
-            let left_schema = left_state
-                .def
-                .schema
-                .with_qualifier(&aq.sources[l_src].name)
-                .into_ref();
-            let right_schema = right_state
-                .def
-                .schema
-                .with_qualifier(&aq.sources[r_src].name)
-                .into_ref();
-            let left_key_name = left_schema.field(l_col).name.clone();
-            let right_key_name = right_schema.field(r_col).name.clone();
-            let shared = SharedJoinShared::new(
-                left_schema,
-                &left_key_name,
-                right_schema,
-                &right_key_name,
-                window_width,
-            )?;
-            let (lp, lc) = self.make_fjord(
-                format!("shared-join({}.l)", key.left),
-                self.config.queue_capacity,
-            );
-            let (rp, rc) = self.make_fjord(
-                format!("shared-join({}.r)", key.right),
-                self.config.queue_capacity,
-            );
-            let l_sub = left_state.subscribers.add(lp);
-            let r_sub = right_state.subscribers.add(rp);
-            let du = SharedJoinDu::new(
-                format!("shared-join({}~{})", key.left, key.right),
-                lc,
-                rc,
-                shared.clone(),
-                self.egress.clone(),
-            );
-            let du_id = self
-                .executor
-                .submit(left_state.class | right_state.class, Box::new(du))?;
-            joins.insert(
-                key.clone(),
-                SharedJoinEntry {
-                    shared,
-                    du: du_id,
-                    subscriptions: vec![(key.left.clone(), l_sub), (key.right.clone(), r_sub)],
-                },
-            );
-        }
-        let entry = joins.get(&key).expect("inserted above");
-        entry
-            .shared
-            .add_query(qid, left_pred.as_ref(), right_pred.as_ref(), &projection)?;
-        Ok(QueryRecord::SharedJoin(Box::new(key)))
-    }
-
-    /// Number of distinct shared-join plans currently running (tests).
+    /// Join groups running: one DU per key, however many queries it serves.
     pub fn shared_join_count(&self) -> usize {
-        self.shared_joins.lock().len()
+        self.join_groups.lock().len()
     }
 
     /// Snapshot/backward windows: answer from the archive now, then close.
@@ -1493,22 +1577,24 @@ impl TelegraphCQ {
             .ok_or_else(|| TcqError::Executor(format!("unknown query {qid}")))?;
         // Every client's subscription goes with the query, in this call.
         self.egress.forget_query(qid);
-        self.ckpt_handles.lock().retain(|(q, _)| *q != qid);
+        let own = format!("q{qid}");
+        self.ckpt_handles.lock().retain(|(label, _)| *label != own);
         match record {
             QueryRecord::SharedFilter(filter) => filter.remove_query(qid)?,
-            QueryRecord::SharedJoin(key) => {
-                let mut joins = self.shared_joins.lock();
-                if let Some(entry) = joins.get(&*key) {
-                    let remaining = entry.shared.remove_query(qid)?;
-                    if remaining == 0 {
-                        let entry = joins.remove(&*key).expect("present");
-                        self.executor.cancel(entry.du)?;
-                        for (stream, sub_id) in entry.subscriptions {
-                            if let Ok(st) = self.stream(&stream) {
-                                st.subscribers.remove(sub_id);
-                            }
+            QueryRecord::Join(entry) => {
+                // Held across the removal: an admission to this key either
+                // ran first or starts a fresh DU after the teardown.
+                let mut groups = self.join_groups.lock();
+                if entry.core.lock().remove(qid)? == 0 {
+                    groups.retain(|e| !Arc::ptr_eq(e, &entry));
+                    drop(groups);
+                    self.executor.cancel(entry.du)?;
+                    for (stream, sub_id) in &entry.subscriptions {
+                        if let Ok(st) = self.stream(stream) {
+                            st.subscribers.remove(*sub_id);
                         }
                     }
+                    (self.ckpt_handles.lock()).retain(|(label, _)| *label != entry.label);
                 }
             }
             QueryRecord::Dedicated(query) => {
@@ -1526,14 +1612,21 @@ impl TelegraphCQ {
         Ok(())
     }
 
-    /// Rows a sequentially planned join query holds in its SteMs, all
-    /// sources together; `None` for any other plan (filters, aggregates,
-    /// shared or partitioned joins) or an unknown query.
+    /// Rows the SteMs of the join DU serving `qid` hold, all sources
+    /// together (a group's rows serve every member); `None` for any other
+    /// plan (filters, aggregates, partitioned joins) or an unknown query.
     pub fn join_state_rows(&self, qid: QueryId) -> Option<usize> {
         match self.queries.lock().get(&qid)? {
-            QueryRecord::Dedicated(query) => {
-                query.join.as_ref().map(|eddy| eddy.lock().state_size())
-            }
+            QueryRecord::Join(entry) => Some(entry.core.lock().eddy.state_size()),
+            _ => None,
+        }
+    }
+
+    /// Heap bytes the SteMs behind [`TelegraphCQ::join_state_rows`] hold
+    /// (`StemOp::state_bytes` summed).
+    pub fn join_state_bytes(&self, qid: QueryId) -> Option<usize> {
+        match self.queries.lock().get(&qid)? {
+            QueryRecord::Join(entry) => Some(entry.core.lock().eddy.state_bytes()),
             _ => None,
         }
     }
@@ -1632,25 +1725,29 @@ impl TelegraphCQ {
         // commit lands: a tuple folded between export and clear would
         // otherwise lose its dirty bit and vanish from the next delta.
         let handles = self.ckpt_handles.lock();
-        let mut eddies = Vec::new();
+        let mut joins = Vec::new();
         let mut aggs = Vec::new();
         let mut scratch = Vec::new();
-        for (qid, handle) in handles.iter() {
+        for (label, handle) in handles.iter() {
             match handle {
-                QueryStateHandle::Join(eddy) => {
-                    let mut eddy = eddy.lock();
+                QueryStateHandle::Join(core) => {
+                    let mut core = core.lock();
                     scratch.clear();
-                    eddy.export_dirty_state(&mut scratch)?;
+                    core.eddy.export_dirty_state(&mut scratch)?;
                     for (module, hash, bytes) in &scratch {
-                        store.put(&format!("q{qid}/stem/{module}"), &hash.to_le_bytes(), bytes);
+                        store.put(
+                            &format!("{label}/stem/{module}"),
+                            &hash.to_le_bytes(),
+                            bytes,
+                        );
                     }
-                    eddies.push(eddy);
+                    joins.push(core);
                 }
                 QueryStateHandle::Aggregate(state) => {
                     let core = state.lock();
                     if core.dirty {
                         store.put(
-                            &format!("q{qid}/agg"),
+                            &format!("{label}/agg"),
                             b"",
                             &crate::plans::encode_agg_core(&core),
                         );
@@ -1662,8 +1759,8 @@ impl TelegraphCQ {
         let before = store.stats();
         let epoch = store.commit()?;
         let after = store.stats();
-        for mut eddy in eddies {
-            eddy.clear_dirty();
+        for mut core in joins {
+            core.eddy.clear_dirty();
         }
         for mut core in aggs {
             core.dirty = false;

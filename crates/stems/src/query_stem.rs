@@ -212,6 +212,20 @@ impl QueryStem {
     /// bind against the schema, or a `column <op> constant` factor's
     /// constant is not comparable with the column's declared type.
     pub fn insert_query(&mut self, id: QueryId, pred: Option<&Expr>) -> Result<()> {
+        let schema = self.schema.clone();
+        self.insert_query_as(id, pred, &schema)
+    }
+
+    /// [`QueryStem::insert_query`] with `pred`'s columns resolved against
+    /// `view`: the stem's own layout under the query's names for it (the
+    /// aliases a join query gave its sources).
+    pub fn insert_query_as(
+        &mut self,
+        id: QueryId,
+        pred: Option<&Expr>,
+        view: &SchemaRef,
+    ) -> Result<()> {
+        debug_assert_eq!(view.len(), self.schema.len(), "a view of another layout");
         if self.queries.contains_key(&id) {
             return Err(TcqError::Capacity(format!("query {id} already registered")));
         }
@@ -223,11 +237,11 @@ impl QueryStem {
             for factor in pred.conjuncts() {
                 match factor.as_single_column_factor() {
                     Some((qual, name, op, constant)) if !constant.is_null() => {
-                        let col = self.schema.index_of(qual, name)?;
+                        let col = view.index_of(qual, name)?;
                         // `verify` compares with `sql_cmp`, which fails on a
                         // class mismatch — and a failed probe stops delivery
                         // for every standing query, not just this one.
-                        let column = self.schema.field(col).data_type;
+                        let column = view.field(col).data_type;
                         let comparable = constant.data_type().is_some_and(|c| {
                             c == column || (c.is_numeric() && column.is_numeric())
                         });
@@ -239,7 +253,7 @@ impl QueryStem {
                         single.push((col, op, constant.clone()));
                     }
                     _ => {
-                        residual.push(Predicate::new(factor, &self.schema)?);
+                        residual.push(Predicate::new(factor, view)?);
                     }
                 }
             }

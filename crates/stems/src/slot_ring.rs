@@ -19,9 +19,8 @@
 //!
 //! What a chunk holds is the tenant's choice ([`Chunk`]): the data SteM's
 //! chunk is a column segment (one typed column per field, timestamps, key
-//! hashes and a live bitmap — `crate::segment`), the CACQ shared SteM's is
-//! a `Vec<Option<T>>`. The ring only appends slots, asks which are live,
-//! kills them and recycles whole chunks.
+//! hashes and a live bitmap — `crate::segment`). The ring only appends
+//! slots, asks which are live, kills them and recycles whole chunks.
 //!
 //! Ids are `u32` and wrap: an id resolves by its wrapping distance from
 //! `base`, so a store that has handed out more than 2³² ids over its
@@ -59,31 +58,6 @@ pub trait Chunk {
     fn reset(&mut self, layout: &Self::Layout);
 }
 
-/// The plain chunk: one optional value per slot.
-impl<T> Chunk for Vec<Option<T>> {
-    type Layout = ();
-
-    fn with_layout(_: &(), slots: usize) -> Self {
-        Vec::with_capacity(slots)
-    }
-
-    fn filled(&self) -> usize {
-        self.len()
-    }
-
-    fn is_live(&self, slot: usize) -> bool {
-        self[slot].is_some()
-    }
-
-    fn kill(&mut self, slot: usize) {
-        self[slot] = None;
-    }
-
-    fn reset(&mut self, _: &()) {
-        self.clear();
-    }
-}
-
 /// Chunked ring-buffer slot store: monotone wrapping ids, oldest first.
 pub struct SlotRing<C: Chunk> {
     layout: C::Layout,
@@ -99,15 +73,6 @@ pub struct SlotRing<C: Chunk> {
     /// The last chunk the front emptied, reset, for the back to reuse.
     spare: Option<C>,
     chunks_allocated: u64,
-}
-
-impl<C: Chunk> Default for SlotRing<C>
-where
-    C::Layout: Default,
-{
-    fn default() -> Self {
-        Self::new(C::Layout::default())
-    }
 }
 
 impl<C: Chunk> SlotRing<C> {
@@ -268,6 +233,31 @@ mod tests {
 
     type Ring = SlotRing<Vec<Option<u32>>>;
 
+    /// The plain chunk the tests store in: one optional value per slot.
+    impl<T> Chunk for Vec<Option<T>> {
+        type Layout = ();
+
+        fn with_layout(_: &(), slots: usize) -> Self {
+            Vec::with_capacity(slots)
+        }
+
+        fn filled(&self) -> usize {
+            self.len()
+        }
+
+        fn is_live(&self, slot: usize) -> bool {
+            self[slot].is_some()
+        }
+
+        fn kill(&mut self, slot: usize) {
+            self[slot] = None;
+        }
+
+        fn reset(&mut self, _: &()) {
+            self.clear();
+        }
+    }
+
     fn push(r: &mut Ring, v: u32) -> u32 {
         r.push(|c| c.push(Some(v)))
     }
@@ -288,7 +278,7 @@ mod tests {
 
     #[test]
     fn ids_are_insertion_order_and_front_reclaims() {
-        let mut r = Ring::default();
+        let mut r = Ring::new(());
         let ids: Vec<u32> = (0..5).map(|v| push(&mut r, v)).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         // A hole in the middle stays until the front reaches it.
@@ -327,7 +317,7 @@ mod tests {
 
     #[test]
     fn front_names_the_oldest_live_value_only() {
-        let mut r = Ring::default();
+        let mut r = Ring::new(());
         for v in 0..4 {
             push(&mut r, v);
         }
@@ -402,7 +392,7 @@ mod tests {
     /// that runs empty keeps taking pushes.
     #[test]
     fn holes_across_a_chunk_boundary_and_an_emptied_tail() {
-        let mut r = Ring::default();
+        let mut r = Ring::new(());
         let n = (CHUNK + 10) as u32;
         for v in 0..n {
             push(&mut r, v);

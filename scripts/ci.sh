@@ -72,6 +72,9 @@ bench_gate manycq_churn 12.5
 echo "== exp_eddy_adaptivity (count tripwire: lottery < random, within 5% of the oracle order, decay < none) =="
 ./target/release/exp_eddy_adaptivity
 
+echo "== exp_cacq_sharing --smoke (count tripwire: N join CQs store each admitted row once, every CQ exactly its join) =="
+./target/release/exp_cacq_sharing --smoke
+
 echo "== exp_adaptivity_knobs + exp_hybrid_join (one-tuple routing smokes) =="
 ./target/release/exp_adaptivity_knobs
 ./target/release/exp_hybrid_join

@@ -85,7 +85,7 @@ pub mod prelude {
         BitSet, Catalog, CmpOp, DataType, Expr, FaultAction, FaultPlan, FaultPoint, Field, Result,
         Schema, SchemaRef, SourceKind, TcqError, Timestamp, Tuple, TupleBuilder, Value,
     };
-    pub use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec, SharedEddy};
+    pub use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
     pub use tcq_egress::{EgressPolicy, EgressStats};
     pub use tcq_ingress::{
         ChaosSource, CsvSource, DegradePolicy, NetworkPackets, SensorReadings, Source,

@@ -346,43 +346,6 @@ fn window_sequences_well_formed() {
     });
 }
 
-/// The shared eddy delivers exactly the per-query reference answer for
-/// random query sets and streams.
-#[test]
-fn shared_eddy_matches_per_query_reference() {
-    check(0xE8, 48, |rng| {
-        let thresholds: Vec<i64> = (0..rng.gen_range(1usize..24))
-            .map(|_| rng.gen_range(0i64..20))
-            .collect();
-        let vals: Vec<i64> = (0..rng.gen_range(1usize..120))
-            .map(|_| rng.gen_range(0i64..20))
-            .collect();
-
-        let schema = kv_schema("s");
-        let mut eddy = SharedEddy::single_stream(schema.clone());
-        for (q, th) in thresholds.iter().enumerate() {
-            let pred = Expr::col("v").cmp(CmpOp::Gt, Expr::lit(*th));
-            eddy.add_select_query(q, Some(&pred)).unwrap();
-        }
-        for (i, v) in vals.iter().enumerate() {
-            let t = kv(&schema, 0, *v, i as i64 + 1);
-            let out = eddy.push_left(t).unwrap();
-            let expect: BitSet = thresholds
-                .iter()
-                .enumerate()
-                .filter(|(_, th)| *v > **th)
-                .map(|(q, _)| q)
-                .collect();
-            if expect.is_empty() {
-                assert!(out.is_empty());
-            } else {
-                assert_eq!(out.len(), 1);
-                assert_eq!(&out[0].1, &expect);
-            }
-        }
-    });
-}
-
 /// Deterministic seeds are reproducible across the whole pipeline (one
 /// fixed check).
 #[test]

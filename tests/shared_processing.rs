@@ -272,7 +272,7 @@ fn two_stream_join_via_server() {
 #[test]
 fn join_queries_share_one_stem_pair() {
     // CACQ's shared join at the server level: N join queries with the same
-    // join signature share ONE SharedEddy (one pair of SteMs), each seeing
+    // join signature share ONE join DU (one pair of SteMs), each seeing
     // exactly its own answers.
     let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
     let left = Schema::new(vec![
