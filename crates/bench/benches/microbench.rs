@@ -8,9 +8,7 @@
 //!
 //! * `F2/stem_join`      — symmetric hash join via eddy + SteMs.
 //! * `E2/routing_policy` — per-tuple cost of each routing policy.
-//! * `E4/grouped_filter` — probe cost vs registered factor count.
 //! * `E3/query_stem`     — shared matching vs standing query count.
-//! * `E5/psoup`          — materialized invoke vs recompute.
 //! * `E8/aggregates`     — landmark vs sliding MAX updates.
 //! * `E10/archive`       — append and windowed scan.
 //!
@@ -21,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use tcq_bench::{kv, kv_schema, route_one};
 use tcq_common::rng::seeded;
-use tcq_common::{BitSet, CmpOp, Expr, Value};
+use tcq_common::{CmpOp, Expr};
 use tcq_eddy::{
     Eddy, EddyConfig, FixedPolicy, GreedyPolicy, LotteryPolicy, ModuleSpec, RandomPolicy,
     RoutingPolicy,
@@ -29,8 +27,7 @@ use tcq_eddy::{
 use tcq_operators::{
     symmetric_hash_join, AggFunc, AggSpec, SelectOp, WindowAggregator, WindowMode,
 };
-use tcq_psoup::PSoup;
-use tcq_stems::{GroupedFilter, QueryStem};
+use tcq_stems::{MatchScratch, QueryStem};
 use tcq_storage::{BufferPool, StreamArchive};
 
 /// A named group of benchmarks (mirrors the criterion group API surface
@@ -220,46 +217,6 @@ fn bench_routing_policies() {
     group.finish();
 }
 
-fn bench_grouped_filter() {
-    let mut group = Group::new("E4/grouped_filter");
-    group
-        .sample_size(30)
-        .measurement_time(Duration::from_secs(2));
-    let ops = [
-        CmpOp::Eq,
-        CmpOp::Ne,
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-    ];
-    for n in [64usize, 1024, 4096] {
-        let mut gf = GroupedFilter::new();
-        for i in 0..n {
-            gf.insert(i, ops[i % 6], Value::Int((i as i64 * 7) % 1000))
-                .unwrap();
-        }
-        let mut rng = seeded(5);
-        let probes: Vec<Value> = (0..1000)
-            .map(|_| Value::Int(rng.gen_range(0..1000i64)))
-            .collect();
-        group.throughput(probes.len() as u64);
-        group.bench_function(&n.to_string(), |b| {
-            let mut out = BitSet::new();
-            b.iter(|| {
-                let mut total = 0usize;
-                for p in &probes {
-                    out.clear();
-                    gf.eval(p, &mut out);
-                    total += out.len();
-                }
-                total
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_query_stem() {
     let mut group = Group::new("E3/query_stem");
     group
@@ -281,59 +238,17 @@ fn bench_query_stem() {
             .collect();
         group.throughput(tuples.len() as u64);
         group.bench_function(&n.to_string(), |b| {
+            let mut scratch = MatchScratch::new();
             b.iter(|| {
                 let mut total = 0usize;
                 for t in &tuples {
-                    total += qstem.matching(t).unwrap().len();
+                    qstem.matching_into(t, &mut scratch).unwrap();
+                    total += scratch.matches().len();
                 }
                 total
             })
         });
     }
-    group.finish();
-}
-
-fn bench_psoup() {
-    let mut group = Group::new("E5/psoup");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    let schema = kv_schema("S");
-    let window = 2_000i64;
-    let build = || {
-        let mut ps = PSoup::new(schema.clone(), window * 2);
-        for q in 0..32usize {
-            let lo = (q as i64 * 29) % 900;
-            let pred = Expr::col("v")
-                .cmp(CmpOp::Ge, Expr::lit(lo))
-                .and(Expr::col("v").cmp(CmpOp::Lt, Expr::lit(lo + 100)));
-            ps.register(q, Some(&pred), window).unwrap();
-        }
-        let mut rng = seeded(9);
-        for i in 1..=window * 2 {
-            ps.push(kv(&schema, 0, rng.gen_range(0..1000), i)).unwrap();
-        }
-        ps
-    };
-    let mut ps = build();
-    group.bench_function("invoke_32_queries", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for q in 0..32usize {
-                total += ps.invoke(q).unwrap().len();
-            }
-            total
-        })
-    });
-    group.bench_function("recompute_32_queries", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for q in 0..32usize {
-                total += ps.recompute(q).unwrap().len();
-            }
-            total
-        })
-    });
     group.finish();
 }
 
@@ -418,9 +333,7 @@ fn main() {
     // `cargo bench` passes harness flags like `--bench`; ignore them.
     bench_stem_join();
     bench_routing_policies();
-    bench_grouped_filter();
     bench_query_stem();
-    bench_psoup();
     bench_aggregates();
     bench_archive();
 }

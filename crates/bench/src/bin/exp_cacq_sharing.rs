@@ -1,29 +1,31 @@
-//! Experiments E3 + E4 (DESIGN.md): CACQ shared processing, reproducing
-//! the shape of Madden et al. \[MSHR02\] — shared grouped-filter execution
-//! "match\[es\] or significantly exceed\[s\] the performance of existing static
-//! continuous query systems" as the number of standing queries grows.
+//! Experiments E3 + E3b (DESIGN.md): CACQ shared processing, reproducing
+//! the shape of Madden et al. \[MSHR02\] — shared execution "match\[es\] or
+//! significantly exceed\[s\] the performance of existing static continuous
+//! query systems" as the number of standing queries grows.
 //!
-//! * E3 — N selection queries over one stream: one shared QueryStem pass
-//!   per tuple vs evaluating every query's predicate separately.
+//! * E3 — N selection queries over one stream: one pass through the
+//!   [`QueryStem`] the server's shared filter uses, per tuple, vs evaluating
+//!   every query's predicate separately. [`MatchScratch::examined`] counts
+//!   the index entries each probe touched: O(log n + matches), gated at
+//!   `(matches + 1) · 2⌈log₂ n⌉ + 256` per tuple.
 //! * E3b — N join queries on one server share one join DU: SteM rows per
 //!   input row do not grow with N, and each query gets exactly its join.
-//! * E4 — the grouped filter itself: probe cost vs naive per-factor
-//!   evaluation as the number of registered predicates grows.
 //!
 //! ```text
 //! cargo run --release -p tcq-bench --bin exp_cacq_sharing [-- --smoke]
 //! ```
 //!
-//! `--smoke` runs E3b alone at reduced scale: its gates are counts.
+//! `--smoke` runs E3 at 1 024 queries and E3b at reduced scale: their gates
+//! are counts.
 
 use tcq_bench::{kv, kv_schema, timed, Table};
 use tcq_common::rng::seeded;
-use tcq_common::{BitSet, BoundExpr, CmpOp, Expr, Value};
-use tcq_stems::{GroupedFilter, QueryStem};
+use tcq_common::{BoundExpr, CmpOp, Expr};
+use tcq_stems::{MatchScratch, QueryStem};
 
 const TUPLES: usize = 20_000;
 
-fn experiment_e3() {
+fn experiment_e3(ns: &[usize]) {
     println!("E3 — N standing selection queries over one stream ({TUPLES} tuples)\n");
     let schema = kv_schema("S");
     let mut rng = seeded(31);
@@ -38,8 +40,15 @@ fn experiment_e3() {
         })
         .collect();
 
-    let mut table = Table::new(&["queries", "shared us", "per-query us", "speedup", "matches"]);
-    for n in [1usize, 4, 16, 64, 256, 1024] {
+    let mut table = Table::new(&[
+        "queries",
+        "shared us",
+        "per-query us",
+        "speedup",
+        "matches",
+        "examined/tuple",
+    ]);
+    for &n in ns {
         // Each query: v in [lo, lo+50) — selective ranges.
         let preds: Vec<Expr> = (0..n)
             .map(|q| {
@@ -50,17 +59,26 @@ fn experiment_e3() {
             })
             .collect();
 
-        // Shared: one QueryStem.
+        // Shared: one QueryStem, probed as the server's shared filter does.
         let mut qstem = QueryStem::new(schema.clone());
         for (q, p) in preds.iter().enumerate() {
             qstem.insert_query(q, Some(p)).unwrap();
         }
-        let (shared_matches, shared_us) = timed(|| {
-            let mut total = 0usize;
+        let per_match = 2 * (usize::BITS - (n - 1).leading_zeros()) as usize; // 2·⌈log2 n⌉
+        let mut scratch = MatchScratch::new();
+        let ((shared_matches, examined), shared_us) = timed(|| {
+            let (mut total, mut examined) = (0usize, 0usize);
             for t in &tuples {
-                total += qstem.matching(t).unwrap().len();
+                qstem.matching_into(t, &mut scratch).unwrap();
+                let (e, m) = (scratch.examined(), scratch.matches().len());
+                assert!(
+                    e <= (m + 1) * per_match + 256,
+                    "{n} queries: a probe examined {e} index entries for {m} matches"
+                );
+                total += m;
+                examined += e;
             }
-            total
+            (total, examined)
         });
 
         // Baseline: evaluate every query's bound predicate per tuple.
@@ -86,85 +104,26 @@ fn experiment_e3() {
             naive_us.to_string(),
             format!("{:.1}x", naive_us as f64 / shared_us.max(1) as f64),
             shared_matches.to_string(),
+            format!("{:.1}", examined as f64 / TUPLES as f64),
         ]);
     }
     table.print();
     println!(
         "\n  shape check ([MSHR02] Fig. 7 analogue): shared cost grows sub-linearly\n\
          \x20 in #queries (index probe + output size) while per-query evaluation\n\
-         \x20 grows linearly — the gap widens with query count.\n"
-    );
-}
-
-fn experiment_e4() {
-    println!("E4 — one grouped filter vs per-factor evaluation (probe cost)\n");
-    let mut rng = seeded(37);
-    let probes: Vec<Value> = (0..TUPLES)
-        .map(|_| Value::Int(rng.gen_range(0..1000)))
-        .collect();
-
-    let mut table = Table::new(&["factors", "grouped us", "naive us", "speedup"]);
-    for n in [16usize, 64, 256, 1024, 4096] {
-        let ops = [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ];
-        let factors: Vec<(usize, CmpOp, Value)> = (0..n)
-            .map(|i| (i, ops[i % 6], Value::Int((i as i64 * 7) % 1000)))
-            .collect();
-        let mut gf = GroupedFilter::new();
-        for (id, op, c) in &factors {
-            gf.insert(*id, *op, c.clone()).unwrap();
-        }
-        let (g_total, g_us) = timed(|| {
-            let mut total = 0usize;
-            let mut out = BitSet::new();
-            for p in &probes {
-                out.clear();
-                gf.eval(p, &mut out);
-                total += out.len();
-            }
-            total
-        });
-        let (n_total, n_us) = timed(|| {
-            let mut total = 0usize;
-            for p in &probes {
-                for (_, op, c) in &factors {
-                    if p.sql_cmp(c).unwrap().is_some_and(|o| op.matches(o)) {
-                        total += 1;
-                    }
-                }
-            }
-            total
-        });
-        assert_eq!(g_total, n_total);
-        table.row(vec![
-            n.to_string(),
-            g_us.to_string(),
-            n_us.to_string(),
-            format!("{:.1}x", n_us as f64 / g_us.max(1) as f64),
-        ]);
-    }
-    table.print();
-    println!(
-        "\n  shape check: the naive path is linear in #factors; the grouped filter\n\
-         \x20 pays a logarithmic probe plus output size, so speedup grows with\n\
-         \x20 the number of standing predicates.\n"
+         \x20 grows linearly — the gap widens with query count. Entries examined\n\
+         \x20 per tuple stay within (matches + 1)·2⌈log2 n⌉ + 256: O(log n + matches).\n"
     );
 }
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
+        experiment_e3(&[1024]);
         experiment_e3b(&[1, 8, 32], 2_000);
         return;
     }
-    experiment_e3();
+    experiment_e3(&[1, 4, 16, 64, 256, 1024]);
     experiment_e3b(&[1, 8, 32, 128], 4_000);
-    experiment_e4();
 }
 
 /// Join CQ `q` of E3b: its own predicates on both sides and a band factor

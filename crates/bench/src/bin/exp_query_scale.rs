@@ -1,33 +1,18 @@
 //! Experiment E-query-scale (DESIGN.md "Standing-query scale"): the
 //! shared standing-query path at 100k+ concurrent CQs.
 //!
-//! Part A probes the boundary-indexed [`GroupedFilter`] directly: n
-//! single-column factors (a CACQ-style mix of equality, inequality, and
-//! range shapes) are registered, then evaluated against a stream of
-//! constants. The range side answers each probe with one binary search
-//! plus one precomputed prefix/suffix-bitmap union instead of walking
-//! every matching factor, so probe cost grows with the *answer block*,
-//! not the factor count. A naive per-factor pass over the same probe
-//! values (same constants, same selectivity) provides the baseline the
-//! smoke tripwire holds the index against. A churn pass measures
-//! remove+insert pairs per second through the tombstone + pending-run
-//! epoch machinery.
-//!
-//! Part B sweeps the full [`QueryStem`] end to end: n anchored queries
-//! (`sensor = k AND val` band — the PSoup regime where most standing
-//! queries pin an equality) plus a fixed population of 256 range-only
-//! monitor bands (one interval each), probed via `matching_into` with a
-//! reused [`MatchScratch`]. Because probe work is bounded by the anchor
-//! bucket's candidates plus an O(log n + matches) interval stab — and
-//! scratch clearing is O(|previous matches|), not O(n) — per-tuple cost
-//! must stay within 3x while the query population grows 100x.
+//! The sweep drives the full [`QueryStem`] — the index the server's shared
+//! filter probes — end to end: n anchored queries (`sensor = k AND val`
+//! band — the regime where most standing queries pin an equality) plus a
+//! fixed population of 256 range-only monitor bands (one interval each),
+//! probed via `matching_into` with a reused [`MatchScratch`]. Because probe
+//! work is bounded by the anchor bucket's candidates plus an O(log n +
+//! matches) interval stab — and scratch clearing is O(|previous matches|),
+//! not O(n) — per-tuple cost must stay within 3x while the query population
+//! grows 100x.
 //!
 //! Claims demonstrated:
 //!
-//! * at 100k factors the indexed probe beats the naive per-factor bound
-//!   by >= 20x at matched selectivity;
-//! * register/cancel churn sustains a floor of ops/sec at 100k standing
-//!   factors (epoch rebuilds stay amortized);
 //! * the steady-state probe path performs zero heap allocations (scratch
 //!   reuse end to end), enforced with a counting global allocator;
 //! * growing 1k -> 100k standing queries raises per-tuple match cost by
@@ -42,16 +27,14 @@
 //! cargo run --release -p tcq-bench --bin exp_query_scale [-- --smoke]
 //! ```
 //!
-//! `--smoke` runs reduced probe counts and exits non-zero if any
+//! `--smoke` runs reduced probe counts and exits non-zero if either
 //! tripwire fails — the scale gate `scripts/ci.sh` relies on.
 
 use std::time::Instant;
 
 use tcq_bench::Table;
-use tcq_common::{
-    BitSet, CmpOp, DataType, Expr, Field, Schema, SchemaRef, Timestamp, Tuple, TupleBuilder, Value,
-};
-use tcq_stems::{GroupedFilter, MatchScratch, QueryStem};
+use tcq_common::{CmpOp, DataType, Expr, Field, Schema, SchemaRef, Timestamp, Tuple, TupleBuilder};
+use tcq_stems::{MatchScratch, QueryStem};
 
 /// Counting allocator for the zero-allocs-per-probe gate.
 #[global_allocator]
@@ -60,159 +43,13 @@ static ALLOC: tcq_bench::CountingAlloc = tcq_bench::CountingAlloc::new();
 /// Standing-population sweep: the headline claim is the 1k -> 100k span.
 const SIZES: &[usize] = &[1_000, 10_000, 100_000];
 
-/// Constants (and probe values) live in this domain.
-const DOMAIN: i64 = 100_000;
-
-/// Range-only monitor bands standing alongside Part B's anchored
-/// population (windowless `val` range watchers with no equality anchor).
+/// Range-only monitor bands standing alongside the anchored population
+/// (windowless `val` range watchers with no equality anchor).
 const MONITORS: usize = 256;
-
-/// Minimum indexed-over-naive probe speedup at 100k factors.
-const NAIVE_SPEEDUP_FLOOR: f64 = 20.0;
-
-/// Minimum sustained remove+insert ops/sec at 100k standing factors. The
-/// measured rate is ~90k/s at 100k (millions/s at smaller populations,
-/// where epoch rebuilds touch less bitmap state); 3x headroom keeps
-/// scheduler noise from flaking CI while still catching an accidental
-/// return to O(n)-per-op compaction, which lands around 1k/s.
-const CHURN_FLOOR: f64 = 30_000.0;
 
 /// Maximum growth of the index entries examined per tuple across the 100x
 /// population span (a count that repeats exactly).
 const SCALE_RATIO_CEIL: f64 = 3.0;
-
-fn factor_shape(i: usize) -> CmpOp {
-    match i % 8 {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 | 3 => CmpOp::Gt,
-        4 | 5 => CmpOp::Lt,
-        6 => CmpOp::Ge,
-        _ => CmpOp::Le,
-    }
-}
-
-struct FilterOutcome {
-    n: usize,
-    probe_ns: f64,
-    naive_ns: f64,
-    speedup: f64,
-    churn_ops_per_sec: f64,
-    allocs_per_probe: f64,
-    approx_bytes: usize,
-}
-
-/// Part A: direct grouped-filter probe/churn sweep at `n` factors.
-fn run_filter_scale(
-    n: usize,
-    probes: usize,
-    naive_probes: usize,
-    churn_pairs: usize,
-) -> FilterOutcome {
-    let mut rng = tcq_common::rng::seeded(0x5CA1E ^ n as u64);
-    let mut filter = GroupedFilter::new();
-    let mut model: Vec<(usize, CmpOp, Value)> = Vec::with_capacity(n);
-    for i in 0..n {
-        let op = factor_shape(i);
-        let c = Value::Int(rng.gen_range(0..DOMAIN));
-        filter.insert(i, op, c.clone()).unwrap();
-        model.push((i, op, c));
-    }
-
-    let probe_values: Vec<Value> = (0..probes.max(naive_probes))
-        .map(|_| Value::Int(rng.gen_range(0..DOMAIN)))
-        .collect();
-
-    // Warmup sizes the scratch bitset to its steady-state capacity, then
-    // the measured window must not touch the allocator at all.
-    let mut out = BitSet::new();
-    for v in probe_values.iter().take(256.min(probe_values.len())) {
-        out.clear();
-        filter.eval(v, &mut out);
-    }
-    let mut probe_ns = f64::INFINITY;
-    let mut allocs_per_probe = 0.0;
-    for _ in 0..3 {
-        let allocs_before = ALLOC.allocs();
-        let start = Instant::now();
-        let mut hits = 0usize;
-        for v in probe_values.iter().take(probes) {
-            out.clear();
-            filter.eval(v, &mut out);
-            hits += out.len();
-        }
-        let elapsed = start.elapsed().as_nanos() as f64;
-        let allocs = (ALLOC.allocs() - allocs_before) as f64;
-        std::hint::black_box(hits);
-        let per_probe = elapsed / probes as f64;
-        if per_probe < probe_ns {
-            probe_ns = per_probe;
-            allocs_per_probe = allocs / probes as f64;
-        }
-    }
-
-    // The naive bound: every factor compared on every probe — what each
-    // of n standing queries would pay without sharing. Fewer probes, the
-    // same value stream, so selectivity is matched by construction.
-    let mut naive_ns = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let mut hits = 0usize;
-        for v in probe_values.iter().take(naive_probes) {
-            out.clear();
-            for (id, op, c) in &model {
-                if let Ok(Some(ord)) = v.sql_cmp(c) {
-                    if op.matches(ord) {
-                        out.insert(*id);
-                    }
-                }
-            }
-            hits += out.len();
-        }
-        let elapsed = start.elapsed().as_nanos() as f64;
-        std::hint::black_box(hits);
-        naive_ns = naive_ns.min(elapsed / naive_probes as f64);
-    }
-
-    // Churn: cancel + re-register pairs through tombstones, the pending
-    // run, and periodic epoch rebuilds/compactions.
-    let start = Instant::now();
-    for _ in 0..churn_pairs {
-        let slot = rng.gen_range(0..n);
-        filter.remove(slot);
-        let op = factor_shape(rng.gen_range(0..8usize));
-        let c = Value::Int(rng.gen_range(0..DOMAIN));
-        filter.insert(slot, op, c.clone()).unwrap();
-        model[slot] = (slot, op, c);
-    }
-    let churn_ops_per_sec = (churn_pairs * 2) as f64 / start.elapsed().as_secs_f64().max(1e-9);
-
-    // Post-churn differential sanity: the rebuilt epochs must still
-    // agree with the naive model exactly.
-    for v in probe_values.iter().take(5) {
-        out.clear();
-        filter.eval(v, &mut out);
-        let mut naive = BitSet::new();
-        for (id, op, c) in &model {
-            if let Ok(Some(ord)) = v.sql_cmp(c) {
-                if op.matches(ord) {
-                    naive.insert(*id);
-                }
-            }
-        }
-        assert_eq!(out, naive, "post-churn probe diverged from naive at n={n}");
-    }
-
-    FilterOutcome {
-        n,
-        probe_ns,
-        naive_ns,
-        speedup: naive_ns / probe_ns,
-        churn_ops_per_sec,
-        allocs_per_probe,
-        approx_bytes: filter.approx_bytes(),
-    }
-}
 
 fn stem_schema() -> SchemaRef {
     Schema::qualified(
@@ -234,8 +71,8 @@ struct StemOutcome {
     approx_bytes: usize,
 }
 
-/// Part B: the full query SteM end to end — n anchored queries plus a
-/// fixed scan-tier monitor population, probed through `matching_into`.
+/// The full query SteM end to end — n anchored queries plus a fixed
+/// population of range-only monitors, probed through `matching_into`.
 fn run_stem_scale(n: usize, probes: usize) -> StemOutcome {
     let mut rng = tcq_common::rng::seeded(0x57E6 ^ n as u64);
     let schema = stem_schema();
@@ -316,32 +153,7 @@ fn run_stem_scale(n: usize, probes: usize) -> StemOutcome {
     }
 }
 
-fn write_json(
-    filters: &[FilterOutcome],
-    stems: &[StemOutcome],
-    speedup_100k: f64,
-    ratio: f64,
-    work_ratio: f64,
-) {
-    let filter_entries: Vec<String> = filters
-        .iter()
-        .map(|o| {
-            format!(
-                "    {{\"n\": {}, \"probe_ns\": {:.1}, \"probes_per_sec\": {:.0}, \
-                 \"naive_ns\": {:.1}, \"speedup_vs_naive\": {:.1}, \
-                 \"churn_ops_per_sec\": {:.0}, \"allocs_per_probe\": {:.4}, \
-                 \"approx_bytes\": {}}}",
-                o.n,
-                o.probe_ns,
-                1e9 / o.probe_ns,
-                o.naive_ns,
-                o.speedup,
-                o.churn_ops_per_sec,
-                o.allocs_per_probe,
-                o.approx_bytes
-            )
-        })
-        .collect();
+fn write_json(stems: &[StemOutcome], ratio: f64, work_ratio: f64) {
     let stem_entries: Vec<String> = stems
         .iter()
         .map(|o| {
@@ -360,14 +172,11 @@ fn write_json(
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"query_scale\",\n  \"pipeline\": \
-         \"boundary-indexed grouped filter + anchor/interval query stem, 1k..100k standing CQs\",\n  \
-         \"grouped_filter\": [\n{}\n  ],\n  \"query_stem\": [\n{}\n  ],\n  \
-         \"speedup_100k_vs_naive\": {:.1},\n  \
+         \"anchor/interval query stem, 1k..100k standing CQs\",\n  \
+         \"query_stem\": [\n{}\n  ],\n  \
          \"per_tuple_ratio_100k_vs_1k\": {:.2},\n  \
          \"examined_ratio_100k_vs_1k\": {:.2}\n}}\n",
-        filter_entries.join(",\n"),
         stem_entries.join(",\n"),
-        speedup_100k,
         ratio,
         work_ratio
     );
@@ -377,40 +186,11 @@ fn write_json(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (probes, naive_probes, churn_pairs, stem_probes) = if smoke {
-        (30_000, 500, 4_000, 20_000)
-    } else {
-        (200_000, 2_000, 20_000, 100_000)
-    };
+    let stem_probes = if smoke { 20_000 } else { 100_000 };
     println!(
         "E-query-scale — shared standing-query path at 1k..100k concurrent CQs\n\
-         ({probes} filter probes, {stem_probes} stem probes, {churn_pairs} churn pairs per size)\n"
+         ({stem_probes} stem probes per size)\n"
     );
-
-    let mut filter_table = Table::new(&[
-        "factors",
-        "probe ns",
-        "naive ns",
-        "speedup",
-        "churn ops/s",
-        "allocs/probe",
-        "bytes",
-    ]);
-    let mut filters = Vec::new();
-    for &n in SIZES {
-        let o = run_filter_scale(n, probes, naive_probes, churn_pairs);
-        filter_table.row(vec![
-            o.n.to_string(),
-            format!("{:.0}", o.probe_ns),
-            format!("{:.0}", o.naive_ns),
-            format!("{:.1}x", o.speedup),
-            format!("{:.0}", o.churn_ops_per_sec),
-            format!("{:.4}", o.allocs_per_probe),
-            o.approx_bytes.to_string(),
-        ]);
-        filters.push(o);
-    }
-    filter_table.print();
 
     let mut stem_table = Table::new(&[
         "queries",
@@ -433,46 +213,19 @@ fn main() {
         ]);
         stems.push(o);
     }
-    println!();
     stem_table.print();
 
-    let top = filters.last().unwrap();
     let (small, large) = (stems.first().unwrap(), stems.last().unwrap());
     let ratio = large.probe_ns / small.probe_ns;
     let work_ratio = large.examined_per_probe / small.examined_per_probe;
-    println!("\n  indexed vs naive at 100k factors: {:.1}x", top.speedup);
     println!(
-        "  per-tuple cost ratio 100k vs 1k queries: {work_ratio:.2}x entries examined \
+        "\n  per-tuple cost ratio 100k vs 1k queries: {work_ratio:.2}x entries examined \
          (ceiling {SCALE_RATIO_CEIL}x), {ratio:.2}x wall clock (reported only)"
     );
     if !smoke {
-        write_json(&filters, &stems, top.speedup, ratio, work_ratio);
+        write_json(&stems, ratio, work_ratio);
     }
 
-    if top.speedup < NAIVE_SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: indexed probe at 100k factors only {:.1}x the naive per-factor bound \
-             (floor {NAIVE_SPEEDUP_FLOOR}x)",
-            top.speedup
-        );
-        std::process::exit(1);
-    }
-    if top.churn_ops_per_sec < CHURN_FLOOR {
-        eprintln!(
-            "FAIL: churn at 100k factors sustained only {:.0} ops/s (floor {CHURN_FLOOR})",
-            top.churn_ops_per_sec
-        );
-        std::process::exit(1);
-    }
-    for o in &filters {
-        if o.allocs_per_probe > 0.0 {
-            eprintln!(
-                "FAIL: grouped-filter probe path allocated ({:.4}/probe at n={})",
-                o.allocs_per_probe, o.n
-            );
-            std::process::exit(1);
-        }
-    }
     for o in &stems {
         if o.allocs_per_probe > 0.0 {
             eprintln!(
@@ -490,7 +243,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\n  shape check: probe work rides the answer block and the anchor bucket,\n\
+        "\n  shape check: probe work rides the anchor bucket and the interval stab,\n\
          \x20 not the standing population — 100x more queries, bounded per-tuple cost,\n\
          \x20 zero probe-path allocations.\n"
     );

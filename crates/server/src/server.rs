@@ -1575,10 +1575,20 @@ impl TelegraphCQ {
             .lock()
             .remove(&qid)
             .ok_or_else(|| TcqError::Executor(format!("unknown query {qid}")))?;
-        // Every client's subscription goes with the query, in this call.
-        self.egress.forget_query(qid);
         let own = format!("q{qid}");
         self.ckpt_handles.lock().retain(|(label, _)| *label != own);
+        let released = self.release_plan(qid, record);
+        // Every client's subscription goes with the query, in this call —
+        // after its plan let go of it: a join DU holds its lock from taking
+        // a batch off its inputs until the batch is delivered, so the rows
+        // it took before the stop still reach the query's clients.
+        self.egress.forget_query(qid);
+        released
+    }
+
+    /// Take query `qid` out of the plan `record` describes, tearing down
+    /// whatever only it used.
+    fn release_plan(&self, qid: QueryId, record: QueryRecord) -> Result<()> {
         match record {
             QueryRecord::SharedFilter(filter) => filter.remove_query(qid)?,
             QueryRecord::Join(entry) => {

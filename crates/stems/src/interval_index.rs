@@ -13,17 +13,39 @@
 //! `max_hi` is below the probe, and every right subtree of an entry whose
 //! lower bound is already above it.
 //!
-//! Churn follows [`crate::epoch`]: inserts wait in a sorted `pending` buffer
-//! that probes scan linearly, removals tombstone their run *position* (so a
+//! Churn is epoch-based: inserts wait in a sorted `pending` buffer that
+//! probes scan linearly, removals tombstone their run *position* (so a
 //! recycled id can never be masked by its predecessor's tombstone, and the
 //! bitmap is sized by the run, not by the ids ever issued), and the run and
-//! `max_hi` are rebuilt when either threshold trips.
+//! `max_hi` are rebuilt only when one of the two thresholds below trips —
+//! amortized O(1) run work per registration, no O(n) `Vec::insert`/`retain`
+//! on the registration path.
 
 use std::cmp::Ordering;
 
 use tcq_common::{BitSet, CmpOp, Value};
 
-use crate::epoch::{compaction_due, EpochStats, REBUILD_PENDING};
+/// Pending (not yet merged) inserts that trigger an epoch rebuild. Probes
+/// scan the pending buffer linearly, so this also bounds mid-epoch probe
+/// overhead.
+pub(crate) const REBUILD_PENDING: usize = 256;
+
+/// Compact when a quarter of the run is tombstones (slack so tiny runs
+/// don't thrash).
+fn compaction_due(dead: usize, entries: usize) -> bool {
+    dead * 4 > entries + 64
+}
+
+/// Counts of mid-epoch state, exposed for tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpochStats {
+    /// Entries waiting in the sorted pending buffers.
+    pub pending: usize,
+    /// Removed entries still tombstoned in the compacted runs.
+    pub tombstones: usize,
+    /// Entries in the compacted runs (live + tombstoned).
+    pub entries: usize,
+}
 
 /// `lo (< | <=) x (< | <=) hi` under [`Value::total_cmp`]; a `None` bound is
 /// unbounded. `lo > hi` is a legal, empty interval.

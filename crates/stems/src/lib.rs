@@ -17,44 +17,48 @@
 //! adding a remote access method to the same plumbing yields the
 //! *hybridized* joins of \[RDH02\].
 //!
-//! This crate also contains the machinery for shared multi-query processing:
+//! The crate also holds the index behind shared multi-query processing:
+//! [`QueryStem`], PSoup's index of whole queries ("a generalization of the
+//! notion of a grouped filter", §3.2). It plays the role of CACQ's grouped
+//! filter (§3.1) for every standing filter query on a stream: insert and
+//! remove queries, and for each arriving tuple compute the exact set of
+//! queries it satisfies. Each query is reached through one access path — an
+//! equality hash anchor or an interval stabbed in O(log n + matches) — and
+//! verified directly; [`MatchScratch::examined`] counts the index entries a
+//! probe touched.
 //!
-//! * [`GroupedFilter`] — CACQ's "index for single-variable boolean factors
-//!   over the same attribute" (§3.1): one probe evaluates the corresponding
-//!   predicates of *all* standing queries on an attribute at once.
-//! * [`QueryStem`] — PSoup's index of whole queries ("a generalization of
-//!   the notion of a grouped filter", §3.2): insert/remove queries, and for
-//!   each arriving tuple compute the exact set of queries it satisfies. Each
-//!   query is reached through one access path — an equality hash anchor or
-//!   an interval stabbed in O(log n + matches) — and verified directly.
-//!
-//! # Example: one probe answers many predicates
+//! # Example: one probe answers many queries
 //!
 //! ```
-//! use tcq_common::{CmpOp, Value};
-//! use tcq_stems::GroupedFilter;
+//! use tcq_common::{CmpOp, DataType, Expr, Field, Schema, Timestamp, TupleBuilder};
+//! use tcq_stems::{MatchScratch, QueryStem};
 //!
-//! let mut filter = GroupedFilter::new();
-//! filter.insert(0, CmpOp::Gt, Value::Float(50.0)).unwrap(); // price > 50
-//! filter.insert(1, CmpOp::Gt, Value::Float(60.0)).unwrap(); // price > 60
-//! filter.insert(2, CmpOp::Le, Value::Float(55.0)).unwrap(); // price <= 55
+//! let schema = Schema::new(vec![Field::new("price", DataType::Float)]).into_ref();
+//! let price = |op, c: f64| Expr::col("price").cmp(op, Expr::lit(c));
+//! let mut stem = QueryStem::new(schema.clone());
+//! stem.insert_query(0, Some(&price(CmpOp::Gt, 50.0))).unwrap();
+//! stem.insert_query(1, Some(&price(CmpOp::Gt, 60.0))).unwrap();
+//! stem.insert_query(2, Some(&price(CmpOp::Le, 55.0))).unwrap();
 //!
-//! let satisfied = filter.eval_collect(&Value::Float(55.0));
-//! assert_eq!(satisfied.iter().collect::<Vec<_>>(), vec![0, 2]);
+//! let tick = TupleBuilder::new(schema)
+//!     .push(55.0)
+//!     .at(Timestamp::logical(1))
+//!     .build()
+//!     .unwrap();
+//! let mut scratch = MatchScratch::new();
+//! stem.matching_into(&tick, &mut scratch).unwrap();
+//! assert_eq!(scratch.matches(), &[0, 2]);
 //! ```
 
 #![warn(missing_docs)]
 
-mod epoch;
-pub mod grouped_filter;
 mod interval_index;
 pub mod query_stem;
 mod segment;
 pub mod slot_ring;
 pub mod stem;
 
-pub use epoch::EpochStats;
-pub use grouped_filter::GroupedFilter;
+pub use interval_index::EpochStats;
 pub use query_stem::{MatchScratch, QueryId, QueryStem};
 pub use segment::StoredRow;
 pub use slot_ring::{Chunk, SlotRing};

@@ -46,8 +46,7 @@ use tcq_common::{
     Value,
 };
 
-use crate::epoch::EpochStats;
-use crate::interval_index::{Interval, IntervalIndex};
+use crate::interval_index::{EpochStats, Interval, IntervalIndex};
 
 /// Identifies a standing query in a [`QueryStem`].
 pub type QueryId = usize;
@@ -445,7 +444,7 @@ impl QueryStem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::REBUILD_PENDING;
+    use crate::interval_index::REBUILD_PENDING;
     use tcq_common::{CmpOp, DataType, Field, Schema, Timestamp, TupleBuilder, Value};
 
     fn schema() -> SchemaRef {

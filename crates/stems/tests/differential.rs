@@ -1,92 +1,19 @@
-//! Differential property tests for the epoch-rebuilt grouped filter, the
-//! query SteM (anchors + interval index) and the column-segment data SteM:
-//! randomized interleaved operation sequences checked against naive
-//! per-factor (resp. per-query, per-tuple) evaluation.
+//! Differential property tests for the query SteM (anchors + interval
+//! index) and the column-segment data SteM: randomized interleaved
+//! operation sequences checked against naive per-query (resp. per-tuple)
+//! evaluation.
 //!
-//! Removals tombstone range entries and inserts buffer in a pending run
+//! Removals tombstone interval entries and inserts buffer in a pending run
 //! until a rebuild threshold trips, so interleaving guarantees many probes
 //! land *mid-epoch* — after a removal, before compaction — where a stale
-//! prefix-bitmap bit would surface instantly as a disagreement.
+//! entry would surface instantly as a disagreement.
 
 use std::collections::{BTreeSet, HashMap};
 
 use tcq_common::{
-    BitSet, CmpOp, ColumnBatch, DataType, Expr, Field, Schema, SchemaRef, Timestamp, Tuple, Value,
+    CmpOp, ColumnBatch, DataType, Expr, Field, Schema, SchemaRef, Timestamp, Tuple, Value,
 };
-use tcq_stems::{GroupedFilter, IndexKind, MatchScratch, QueryStem, SteM};
-
-const OPS: &[CmpOp] = &[
-    CmpOp::Eq,
-    CmpOp::Ne,
-    CmpOp::Lt,
-    CmpOp::Le,
-    CmpOp::Gt,
-    CmpOp::Ge,
-];
-
-fn naive_eval(model: &HashMap<usize, (CmpOp, Value)>, v: &Value) -> BitSet {
-    let mut out = BitSet::new();
-    for (&id, (op, c)) in model {
-        if let Ok(Some(ord)) = v.sql_cmp(c) {
-            if op.matches(ord) {
-                out.insert(id);
-            }
-        }
-    }
-    out
-}
-
-#[test]
-fn grouped_filter_agrees_with_naive_under_churn() {
-    let mut rng = tcq_common::rng::seeded(0x6F1_7E57);
-    let mut filter = GroupedFilter::new();
-    let mut model: HashMap<usize, (CmpOp, Value)> = HashMap::new();
-    let mut live: Vec<usize> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut next_id = 0usize;
-    let mut mid_epoch_probes = 0usize;
-
-    // 6000 ops at 45/25/30 insert/remove/probe crosses several pending
-    // rebuilds (threshold 256) and at least one tombstone compaction.
-    for step in 0..6000 {
-        let roll = rng.gen_range(0..100u32);
-        if roll < 45 || live.is_empty() {
-            // Insert, recycling ids like QueryStem does, so tombstoned ids
-            // get reused while their dead entries still sit in the run.
-            let id = free.pop().unwrap_or_else(|| {
-                next_id += 1;
-                next_id - 1
-            });
-            let op = OPS[rng.gen_range(0..OPS.len())];
-            let c = Value::Int(rng.gen_range(0..200i64));
-            filter.insert(id, op, c.clone()).unwrap();
-            model.insert(id, (op, c));
-            live.push(id);
-        } else if roll < 70 {
-            let idx = rng.gen_range(0..live.len());
-            let id = live.swap_remove(idx);
-            filter.remove(id);
-            model.remove(&id);
-            free.push(id);
-        } else {
-            let v = Value::Int(rng.gen_range(-5..205i64));
-            let stats = filter.epoch_stats();
-            if stats.pending > 0 || stats.tombstones > 0 {
-                mid_epoch_probes += 1;
-            }
-            assert_eq!(
-                filter.eval_collect(&v),
-                naive_eval(&model, &v),
-                "disagreement at step {step} probing {v:?} ({stats:?})"
-            );
-        }
-        assert_eq!(filter.len(), model.len(), "factor count drift at {step}");
-    }
-    assert!(
-        mid_epoch_probes > 100,
-        "churn schedule must actually exercise mid-epoch probes, got {mid_epoch_probes}"
-    );
-}
+use tcq_stems::{IndexKind, MatchScratch, QueryStem, SteM};
 
 fn schema() -> SchemaRef {
     Schema::qualified(
@@ -204,7 +131,7 @@ fn query_stem_churn(seed: u64, preloaded: usize, ops: usize) {
         let roll = rng.gen_range(0..100u32);
         if roll < 45 || live.is_empty() {
             // Half the time reuse a removed query id (the server's shared
-            // filter never does, but PSoup callers may).
+            // filter never does, but `QueryStem` allows it).
             let id = if !freed.is_empty() && rng.gen_range(0..2u32) == 0 {
                 freed.pop().unwrap()
             } else {

@@ -72,8 +72,11 @@ bench_gate manycq_churn 12.5
 echo "== exp_eddy_adaptivity (count tripwire: lottery < random, within 5% of the oracle order, decay < none) =="
 ./target/release/exp_eddy_adaptivity
 
-echo "== exp_cacq_sharing --smoke (count tripwire: N join CQs store each admitted row once, every CQ exactly its join) =="
+echo "== exp_cacq_sharing --smoke (count tripwire: a probe of 1024 CQs examines <= (matches + 1)*2*ceil(log2 n) + 256 index entries; N join CQs store each admitted row once, every CQ exactly its join) =="
 ./target/release/exp_cacq_sharing --smoke
+
+echo "== exp_psoup --smoke (count tripwire: every ring fetch equals its archive recompute, no ring displaces a row) =="
+./target/release/exp_psoup --smoke
 
 echo "== exp_adaptivity_knobs + exp_hybrid_join (one-tuple routing smokes) =="
 ./target/release/exp_adaptivity_knobs
@@ -91,7 +94,7 @@ echo "== exp_scaling --smoke (perf tripwire: P=4 > P=1 on >= 4 cores, else P=4 >
 echo "== exp_kernels --smoke (count tripwire: join hot path <= 3.0 allocs/tuple) =="
 ./target/release/exp_kernels --smoke
 
-echo "== exp_query_scale --smoke (scale tripwire: 100k-CQ probe >= 20x naive, churn floor, zero probe allocs, entries examined 1k -> 100k <= 3x) =="
+echo "== exp_query_scale --smoke (scale tripwire: zero probe allocs, entries examined 1k -> 100k <= 3x) =="
 ./target/release/exp_query_scale --smoke
 
 echo "== exp_recovery --smoke (robustness tripwire: kill -> restore loses nothing) =="

@@ -10,16 +10,14 @@
 //! building blocks directly:
 //!
 //! * [`fjords`] — push/pull inter-module queues (§2.3);
-//! * [`stems`] — State Modules, grouped filters, the PSoup query SteM
-//!   (§2.2, §3);
+//! * [`stems`] — State Modules and the query SteM, the index of standing
+//!   filter queries the server's shared filter probes (§2.2, §3);
 //! * [`operators`] — pipelined non-blocking query modules (§2.1);
 //! * [`eddy`] — adaptive tuple routing, routing policies, CACQ shared
 //!   processing (§2.2, §3.1);
 //! * [`windows`] — the for-loop/WindowIs window construct (§4.1);
 //! * [`query`] — the SQL-subset front-end (§4.2.1);
 //! * [`executor`] — Execution Objects and Dispatch Units (§4.2.2);
-//! * [`psoup`] — data⋈query symmetric join with materialized results
-//!   (§3.2);
 //! * [`flux`] — fault-tolerant load-balancing exchange over a simulated
 //!   cluster (§2.4);
 //! * [`storage`] — stream archives and the buffer pool (§4.3);
@@ -72,7 +70,6 @@ pub use tcq_flux as flux;
 pub use tcq_ingress as ingress;
 pub use tcq_net as net;
 pub use tcq_operators as operators;
-pub use tcq_psoup as psoup;
 pub use tcq_query as query;
 pub use tcq_server as server;
 pub use tcq_stems as stems;
@@ -93,7 +90,6 @@ pub mod prelude {
     };
     pub use tcq_net::{NetServer, TcqClient};
     pub use tcq_operators::{AggFunc, AggSpec, ProjectOp, SelectOp, StemOp};
-    pub use tcq_psoup::PSoup;
     pub use tcq_server::{
         LivenessConfig, OverloadPolicy, ServerConfig, TcpTransportConfig, TelegraphCQ,
         TransportConfig,

@@ -5,9 +5,9 @@
 //!
 //! Each property pins an algebraic contract from the paper to a reference
 //! implementation: eddies must not change query semantics no matter how
-//! they route; shared indexes must agree with per-query evaluation;
-//! spooling to disk must be lossless; repartitioning and failover must not
-//! corrupt answers.
+//! they route; a standing query's materialized answer must equal its
+//! recomputation from history; spooling to disk must be lossless;
+//! repartitioning and failover must not corrupt answers.
 
 use telegraphcq::common::rng::{derive_seed, seeded, TcqRng};
 use telegraphcq::prelude::*;
@@ -117,49 +117,6 @@ fn eddy_semantics_invariant_under_routing() {
     });
 }
 
-/// Grouped filters agree with per-factor evaluation for arbitrary
-/// mixed-op factor sets and probes.
-#[test]
-fn grouped_filter_matches_naive() {
-    use telegraphcq::stems::GroupedFilter;
-    let ops = [
-        CmpOp::Eq,
-        CmpOp::Ne,
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-    ];
-    check(0xE2, 48, |rng| {
-        let factors: Vec<(usize, i64)> = (0..rng.gen_range(0usize..64))
-            .map(|_| (rng.gen_range(0usize..6), rng.gen_range(-20i64..20)))
-            .collect();
-        let probes: Vec<i64> = (0..rng.gen_range(1usize..40))
-            .map(|_| rng.gen_range(-25i64..25))
-            .collect();
-
-        let mut gf = GroupedFilter::new();
-        for (id, (op_i, c)) in factors.iter().enumerate() {
-            gf.insert(id, ops[*op_i], Value::Int(*c)).unwrap();
-        }
-        for p in probes {
-            let v = Value::Int(p);
-            let fast = gf.eval_collect(&v);
-            let slow: BitSet = factors
-                .iter()
-                .enumerate()
-                .filter(|(_, (op_i, c))| {
-                    v.sql_cmp(&Value::Int(*c))
-                        .unwrap()
-                        .is_some_and(|o| ops[*op_i].matches(o))
-                })
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(fast, slow);
-        }
-    });
-}
-
 /// Spool-then-scan is lossless and window scans return exactly the
 /// requested range, in order.
 #[test]
@@ -235,28 +192,101 @@ fn stem_eviction_exactness() {
     });
 }
 
-/// PSoup's materialized invoke path equals predicate recomputation for
-/// arbitrary push/invoke interleavings.
+/// PSoup on the server (§3.2): a standing windowed filter CQ's answer,
+/// read from its pull client's ring, equals the same predicate recomputed
+/// from the archive over the span the read covers, for arbitrary history,
+/// window widths and push/fetch interleavings.
 #[test]
 fn psoup_invoke_equals_recompute() {
+    use std::time::{Duration, Instant};
     check(0xE5, 48, |rng| {
         let vals: Vec<i64> = (0..rng.gen_range(1usize..150))
             .map(|_| rng.gen_range(0i64..50))
             .collect();
+        let history = rng.gen_range(0..vals.len());
         let width = rng.gen_range(1i64..40);
         let threshold = rng.gen_range(0i64..50);
+        let fetch_every = rng.gen_range(1usize..20);
 
+        let dir = std::env::temp_dir().join(format!(
+            "tcq-prop-psoup-{}-{}",
+            std::process::id(),
+            rng.gen::<u64>()
+        ));
+        let server = TelegraphCQ::start(ServerConfig {
+            archive_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
         let schema = kv_schema("s");
-        let mut ps = PSoup::new(schema.clone(), 64.max(width));
-        let pred = Expr::col("v").cmp(CmpOp::Gt, Expr::lit(threshold));
-        ps.register(0, Some(&pred), width).unwrap();
-        for (i, v) in vals.iter().enumerate() {
-            ps.push(kv(&schema, 0, *v, i as i64 + 1)).unwrap();
-            if i % 13 == 0 {
-                assert_eq!(ps.invoke(0).unwrap(), ps.recompute(0).unwrap());
+        server.register_stream("s", schema.clone()).unwrap();
+        // A CQ every row passes: once it has row `i`, so has every ring.
+        let clock = server.connect_pull_client(1 << 16).unwrap();
+        server.submit("SELECT k FROM s", clock).unwrap();
+        let push_through = |from: usize, to: usize| {
+            for (i, v) in vals.iter().enumerate().take(to).skip(from) {
+                let seq = i as i64 + 1;
+                server.push("s", kv(&schema, seq, *v, seq)).unwrap();
             }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                let got = server.fetch(clock, usize::MAX).unwrap();
+                if got.last().map(|(_, t)| t.value(0).as_int().unwrap()) == Some(to as i64) {
+                    return;
+                }
+                assert!(Instant::now() < deadline, "row {to} never reached egress");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        };
+        if history > 0 {
+            push_through(0, history);
         }
-        assert_eq!(ps.invoke(0).unwrap(), ps.recompute(0).unwrap());
+
+        let pred = format!("v > {threshold}");
+        let client = server.connect_pull_client(1 << 16).unwrap();
+        server
+            .submit(
+                &format!(
+                    "SELECT k, v FROM s WHERE {pred} \
+                     for (t = ST; t >= 0; t++) {{ WindowIs(s, t - {}, t); }}",
+                    width - 1
+                ),
+                client,
+            )
+            .unwrap();
+        let mut from = (history as i64 - width + 1).max(1);
+        let mut pushed = history;
+        while pushed < vals.len() {
+            let to = (pushed + fetch_every).min(vals.len());
+            push_through(pushed, to);
+            pushed = to;
+            let materialized: Vec<Tuple> = (server.fetch(client, usize::MAX).unwrap())
+                .into_iter()
+                .map(|(_, t)| t)
+                .collect();
+            let again = server
+                .submit(
+                    &format!(
+                        "SELECT k, v FROM s WHERE {pred} \
+                         for (; t == 0; t = -1) {{ WindowIs(s, {from}, {to}); }}"
+                    ),
+                    client,
+                )
+                .unwrap();
+            let recomputed: Vec<Tuple> = (server.fetch(client, usize::MAX).unwrap())
+                .into_iter()
+                .map(|(qid, t)| {
+                    assert_eq!(qid, again);
+                    t
+                })
+                .collect();
+            server.stop_query(again).unwrap();
+            assert_eq!(materialized, recomputed, "span [{from}, {to}]");
+            from = to as i64 + 1;
+        }
+        assert_eq!(server.egress_stats_full().displaced, 0);
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(dir).ok();
     });
 }
 

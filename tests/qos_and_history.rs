@@ -133,6 +133,117 @@ fn backward_windows_browse_history() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// PSoup's disconnected clients (§3.2) on the server: each of K standing
+/// windowed filter CQs has its own pull client, which reconnects at seeded
+/// intervals. What it fetches from its ring must equal the same predicate
+/// submitted afterwards as a new query over that span, which the archive
+/// answers.
+#[test]
+fn fetched_answers_equal_their_recompute_from_the_archive() {
+    const K: usize = 8;
+    const HISTORY: i64 = 50;
+    const ROWS: i64 = 400;
+    let dir = std::env::temp_dir().join(format!("tcq-fetch-recompute-{}", std::process::id()));
+    let server = TelegraphCQ::start(Cfg {
+        archive_dir: Some(dir.clone()),
+        ..Cfg::default()
+    })
+    .unwrap();
+    server.register_stream("s", schema()).unwrap();
+    let s = schema();
+    let mut rng = telegraphcq::common::rng::seeded(0x5005);
+    // Every row passes the clock's CQ: once it has row `ts`, so has every
+    // ring, and the dispatcher archived the row before forwarding it.
+    let clock = server.connect_pull_client(1 << 16).unwrap();
+    server.submit("SELECT ts FROM s", clock).unwrap();
+    let await_row = |ts: i64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            let got = server.fetch(clock, usize::MAX).unwrap();
+            if got.last().map(|(_, t)| t.value(0).as_int().unwrap()) == Some(ts) {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "row {ts} never arrived"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    };
+    for ts in 1..=HISTORY {
+        server
+            .push("s", row(&s, ts, rng.gen_range(0.0..100.0)))
+            .unwrap();
+    }
+    await_row(HISTORY);
+
+    // (client, predicate, first row of the next span, rows between fetches)
+    let mut cqs: Vec<(u64, String, i64, i64)> = (0..K)
+        .map(|q| {
+            let pred = format!("v >= {}.0 AND v < {}.0", q * 10, q * 10 + 25);
+            let width = rng.gen_range(1..2 * HISTORY);
+            let client = server.connect_pull_client(4096).unwrap();
+            server
+                .submit(
+                    &format!(
+                        "SELECT ts, v FROM s WHERE {pred} \
+                         for (t = ST; t >= 0; t++) {{ WindowIs(s, t - {}, t); }}",
+                        width - 1
+                    ),
+                    client,
+                )
+                .unwrap();
+            let from = (HISTORY - width + 1).max(1);
+            (client, pred, from, rng.gen_range(5..60))
+        })
+        .collect();
+
+    let mut fetches = 0;
+    for ts in HISTORY + 1..=ROWS {
+        server
+            .push("s", row(&s, ts, rng.gen_range(0.0..100.0)))
+            .unwrap();
+        let due: Vec<usize> = (0..K)
+            .filter(|&q| ts == ROWS || (ts - HISTORY) % cqs[q].3 == 0)
+            .collect();
+        if due.is_empty() {
+            continue;
+        }
+        await_row(ts);
+        for q in due {
+            let (client, pred, from, _) = &mut cqs[q];
+            let fetched: Vec<Tuple> = (server.fetch(*client, 4096).unwrap())
+                .into_iter()
+                .map(|(_, t)| t)
+                .collect();
+            let again = server
+                .submit(
+                    &format!(
+                        "SELECT ts, v FROM s WHERE {pred} \
+                         for (; t == 0; t = -1) {{ WindowIs(s, {from}, {ts}); }}"
+                    ),
+                    *client,
+                )
+                .unwrap();
+            let recomputed: Vec<Tuple> = (server.fetch(*client, 4096).unwrap())
+                .into_iter()
+                .map(|(qid, t)| {
+                    assert_eq!(qid, again, "only the recompute has answered since");
+                    t
+                })
+                .collect();
+            server.stop_query(again).unwrap();
+            assert_eq!(fetched, recomputed, "CQ {q} over [{from}, {ts}]");
+            *from = ts + 1;
+            fetches += 1;
+        }
+    }
+    assert!(fetches > 4 * K, "only {fetches} fetches");
+    assert_eq!(server.egress_stats_full().displaced, 0);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn historical_query_without_archive_errors() {
     let server = TelegraphCQ::start(Cfg::default()).unwrap();

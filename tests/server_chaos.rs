@@ -802,8 +802,8 @@ fn rows_by_query(rx: &Receiver<Delivery>) -> std::collections::BTreeMap<usize, V
 
 const JOIN_Q: &str = "SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id \
      for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 9000000, t); }";
-/// `JOIN_Q` with equal window widths: shareable, were no checkpoint store
-/// open.
+/// `JOIN_Q` with equal window widths: window widths are part of a join
+/// group's key, so it runs in a second group beside `JOIN_Q`'s.
 const EQUAL_JOIN_Q: &str = "SELECT s.v, d.tag FROM s s, d d WHERE s.k = d.id \
      for (t = ST; t >= 0; t++) { WindowIs(s, t - 8000000, t); WindowIs(d, t - 8000000, t); }";
 const AGG_Q: &str =
