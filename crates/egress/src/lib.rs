@@ -8,9 +8,11 @@
 //! client-specific output queues in shared memory) and a subscription map
 //! from query ids to clients:
 //!
-//! * **push clients** get a bounded channel streamed to them; when a slow
+//! * **push clients** get a bounded queue streamed to them; when a slow
 //!   client's queue fills, results are shed and counted (the paper's QoS
-//!   stance: degrade in a controlled, observable fashion);
+//!   stance: degrade in a controlled, observable fashion). A
+//!   [`DeliveryQueue`] ([`EgressRouter::register_queue_client`]) costs the
+//!   rows it holds: its bound is a count, not a pre-allocated slab;
 //! * **pull clients** get a bounded ring of recent results they can fetch
 //!   on reconnect — the PSoup-style "disconnected operation" mode, where
 //!   computation is separated from delivery.
@@ -38,10 +40,13 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+    TrySendError,
+};
 use std::sync::Arc;
+use std::time::Duration;
 use tcq_common::sync::Mutex;
 
 use tcq_common::{
@@ -135,9 +140,144 @@ impl EgressStats {
     }
 }
 
+/// The receiving end of a push client registered with
+/// [`EgressRouter::register_queue_client`]: a bounded delivery queue whose
+/// memory follows the rows it holds.
+///
+/// Rows travel over std's unbounded `channel()`, which allocates 31-slot
+/// blocks as rows arrive and frees each block once it is drained. The bound
+/// is an occupancy count shared with the router: the router admits a row
+/// only while the count is below the capacity, and every row taken here
+/// decrements it. Nothing is allocated up front, so an idle connection
+/// costs no slab of slots, whatever its capacity.
+#[derive(Debug)]
+pub struct DeliveryQueue {
+    rx: Receiver<Delivery>,
+    queued: Arc<AtomicUsize>,
+}
+
+impl DeliveryQueue {
+    /// Take a row if one is queued.
+    pub fn try_recv(&self) -> std::result::Result<Delivery, TryRecvError> {
+        self.took(self.rx.try_recv())
+    }
+
+    /// Block until a row arrives or the router drops the client.
+    pub fn recv(&self) -> std::result::Result<Delivery, RecvError> {
+        self.took(self.rx.recv())
+    }
+
+    /// Block for at most `timeout` waiting for a row.
+    pub fn recv_timeout(
+        &self,
+        timeout: Duration,
+    ) -> std::result::Result<Delivery, RecvTimeoutError> {
+        self.took(self.rx.recv_timeout(timeout))
+    }
+
+    /// Rows in the queue now.
+    pub fn len(&self) -> usize {
+        self.queued.load(Ordering::Relaxed)
+    }
+
+    /// True when no row is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A read-only handle on this queue's occupancy count, for observers
+    /// that do not own the queue.
+    pub fn depth(&self) -> QueueDepth {
+        QueueDepth(self.queued.clone())
+    }
+
+    fn took<E>(&self, r: std::result::Result<Delivery, E>) -> std::result::Result<Delivery, E> {
+        if r.is_ok() {
+            self.queued.fetch_sub(1, Ordering::Relaxed);
+        }
+        r
+    }
+}
+
+/// Read-only view of a [`DeliveryQueue`]'s occupancy count
+/// ([`DeliveryQueue::depth`]). The default reads zero forever.
+#[derive(Debug, Clone, Default)]
+pub struct QueueDepth(Arc<AtomicUsize>);
+
+impl QueueDepth {
+    /// Rows in the queue now.
+    pub fn get(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A push client's receiving end, handed back to
+/// [`EgressRouter::disconnect_push_client`] when its transport closes.
+pub trait PushQueue {
+    /// Rows still queued. Called under the router lock after the client's
+    /// sending end is gone, so no row can arrive while it counts.
+    fn queued(&self) -> u64;
+}
+
+impl PushQueue for Receiver<Delivery> {
+    fn queued(&self) -> u64 {
+        self.try_iter().count() as u64
+    }
+}
+
+impl PushQueue for DeliveryQueue {
+    fn queued(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+/// The sending end of a push client's delivery queue.
+enum PushTx {
+    /// A [`DeliveryQueue`]'s unbounded channel, bounded by its count.
+    Counted {
+        tx: Sender<Delivery>,
+        queued: Arc<AtomicUsize>,
+        capacity: usize,
+    },
+    /// A `sync_channel`, which allocates all `capacity` slots up front.
+    /// This arm exists only because [`EgressRouter::register_push_client`]
+    /// hands out a `std::sync::mpsc::Receiver<Delivery>`, which the
+    /// benchmark binds.
+    Bounded(SyncSender<Delivery>),
+}
+
+impl PushTx {
+    fn try_send(&self, d: Delivery) -> std::result::Result<(), TrySendError<Delivery>> {
+        match self {
+            PushTx::Bounded(tx) => tx.try_send(d),
+            PushTx::Counted {
+                tx,
+                queued,
+                capacity,
+            } => {
+                // The router sends only under its lock, so it is the one
+                // producer: between this check and the increment the count
+                // can only fall, and it never exceeds `capacity`. The count
+                // publishes no other data (the channel carries the row), so
+                // Relaxed suffices.
+                if queued.load(Ordering::Relaxed) >= *capacity {
+                    return Err(TrySendError::Full(d));
+                }
+                // Counted before the send: the receiver's decrement for
+                // this row follows its receipt, which follows the send.
+                queued.fetch_add(1, Ordering::Relaxed);
+                tx.send(d).map_err(|e| {
+                    queued.fetch_sub(1, Ordering::Relaxed);
+                    TrySendError::Disconnected(e.0)
+                })
+            }
+        }
+    }
+}
+
 enum ClientState {
     Push {
-        tx: SyncSender<Delivery>,
+        tx: PushTx,
         /// Consecutive failed deliveries (reset on success).
         failures: u32,
     },
@@ -649,24 +789,57 @@ impl EgressRouter {
         self.inner.lock().progress = Some(counter);
     }
 
-    /// Register a push client with a bounded stream of `capacity` results.
-    /// Returns the receiving end.
-    pub fn register_push_client(
-        &self,
-        id: ClientId,
-        capacity: usize,
-    ) -> Result<Receiver<Delivery>> {
-        let (tx, rx) = sync_channel(capacity.max(1));
+    /// Add a client, refusing an id already registered.
+    fn register(&self, id: ClientId, state: ClientState) -> Result<()> {
         let mut inner = self.inner.lock();
         if inner.clients.contains_key(&id) {
             return Err(TcqError::Capacity(format!(
                 "client {id} already registered"
             )));
         }
-        inner
-            .clients
-            .insert(id, ClientState::Push { tx, failures: 0 });
+        inner.clients.insert(id, state);
+        Ok(())
+    }
+
+    /// Register a push client with a bounded stream of `capacity` results.
+    /// Returns the receiving end, a `sync_channel` that allocates all
+    /// `capacity` slots now; [`EgressRouter::register_queue_client`] is the
+    /// same client at the cost of the rows it holds.
+    pub fn register_push_client(
+        &self,
+        id: ClientId,
+        capacity: usize,
+    ) -> Result<Receiver<Delivery>> {
+        let (tx, rx) = sync_channel(capacity.max(1));
+        self.register(
+            id,
+            ClientState::Push {
+                tx: PushTx::Bounded(tx),
+                failures: 0,
+            },
+        )?;
         Ok(rx)
+    }
+
+    /// Register a push client whose [`DeliveryQueue`] holds at most
+    /// `capacity` results. Offers past that shed exactly as a full
+    /// [`EgressRouter::register_push_client`] channel's do, but the queue
+    /// allocates only as rows arrive and frees them as they are taken.
+    pub fn register_queue_client(&self, id: ClientId, capacity: usize) -> Result<DeliveryQueue> {
+        let (tx, rx) = channel();
+        let queued = Arc::new(AtomicUsize::new(0));
+        self.register(
+            id,
+            ClientState::Push {
+                tx: PushTx::Counted {
+                    tx,
+                    queued: queued.clone(),
+                    capacity: capacity.max(1),
+                },
+                failures: 0,
+            },
+        )?;
+        Ok(DeliveryQueue { rx, queued })
     }
 
     /// Register a column push client: a bounded stream of whole
@@ -682,15 +855,7 @@ impl EgressRouter {
         capacity: usize,
     ) -> Result<Receiver<ColumnDelivery>> {
         let (tx, rx) = sync_channel(capacity.max(1));
-        let mut inner = self.inner.lock();
-        if inner.clients.contains_key(&id) {
-            return Err(TcqError::Capacity(format!(
-                "client {id} already registered"
-            )));
-        }
-        inner
-            .clients
-            .insert(id, ClientState::ColumnPush { tx, failures: 0 });
+        self.register(id, ClientState::ColumnPush { tx, failures: 0 })?;
         Ok(rx)
     }
 
@@ -705,37 +870,23 @@ impl EgressRouter {
         capacity: usize,
         priority: Box<dyn Fn(&Tuple) -> f64 + Send>,
     ) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.clients.contains_key(&id) {
-            return Err(TcqError::Capacity(format!(
-                "client {id} already registered"
-            )));
-        }
-        inner.clients.insert(
+        self.register(
             id,
             ClientState::Prioritized {
                 buffer: PriorityBuffer::new(capacity, priority),
             },
-        );
-        Ok(())
+        )
     }
 
     /// Register a pull client buffering up to `capacity` recent results.
     pub fn register_pull_client(&self, id: ClientId, capacity: usize) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.clients.contains_key(&id) {
-            return Err(TcqError::Capacity(format!(
-                "client {id} already registered"
-            )));
-        }
-        inner.clients.insert(
+        self.register(
             id,
             ClientState::Pull {
                 buffer: VecDeque::new(),
                 capacity: capacity.max(1),
             },
-        );
-        Ok(())
+        )
     }
 
     /// Subscribe a client to a query's results.
@@ -799,12 +950,12 @@ impl EgressRouter {
     pub fn disconnect_push_client(
         &self,
         client: ClientId,
-        queue: Receiver<Delivery>,
+        queue: impl PushQueue,
         unsent: u64,
     ) -> u64 {
         let mut inner = self.inner.lock();
         let existed = inner.drop_client(client);
-        let queued = queue.try_iter().count() as u64;
+        let queued = queue.queued();
         let lost = (unsent + queued).min(inner.stats.delivered);
         if lost > 0 {
             if existed {
@@ -1157,6 +1308,85 @@ mod tests {
         assert_eq!(s.disconnected_loss, 3, "undrained queue rows are loss");
         assert_eq!(s.disconnected, 1);
         assert!(s.accounted(), "invariant survives a mid-batch drop: {s:?}");
+        assert_eq!(r.client_count(), 0);
+    }
+
+    #[test]
+    fn a_queue_client_holds_at_most_its_capacity() {
+        let r = EgressRouter::new();
+        let q = r.register_queue_client(1, 8).unwrap();
+        r.subscribe(1, 5).unwrap();
+        let rows: Vec<Tuple> = (0..20).map(t).collect();
+        r.deliver_batch([5usize], &rows);
+        let s = r.egress_stats();
+        assert_eq!(
+            (s.delivered, s.shed),
+            (8, 12),
+            "never drained: 8 in, the rest shed"
+        );
+        assert_eq!(q.len(), 8);
+        for want in 0..3 {
+            assert_eq!(q.try_recv().unwrap().1, t(want));
+        }
+        assert_eq!(q.len(), 5);
+        r.deliver_batch([5usize], &rows);
+        let s = r.egress_stats();
+        assert_eq!(
+            (s.delivered, s.shed),
+            (11, 29),
+            "3 rows taken admit exactly 3 more"
+        );
+        assert_eq!(q.len(), 8);
+        assert!(s.accounted(), "{s:?}");
+        let queued: Vec<i64> = std::iter::from_fn(|| q.try_recv().ok())
+            .map(|(_, t)| t.value(0).as_int().unwrap())
+            .collect();
+        assert_eq!(
+            queued,
+            vec![3, 4, 5, 6, 7, 0, 1, 2],
+            "FIFO across the refill"
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn disconnecting_a_queue_client_reclassifies_queued_and_unsent_rows() {
+        let r = EgressRouter::new();
+        let q = r.register_queue_client(1, 8).unwrap();
+        r.subscribe(1, 5).unwrap();
+        let rows: Vec<Tuple> = (0..10).map(t).collect();
+        r.deliver_batch([5usize], &rows);
+        // The writer takes 3 rows, writes 1 and still holds 2 when its
+        // socket dies; 5 rows remain queued.
+        for _ in 0..3 {
+            q.recv().unwrap();
+        }
+        assert_eq!(r.disconnect_push_client(1, q, 2), 5 + 2);
+        let s = r.egress_stats();
+        assert_eq!(s.offered, 10);
+        assert_eq!(s.delivered, 1, "only the row that was written");
+        assert_eq!(s.shed, 2);
+        assert_eq!(s.disconnected_loss, 7);
+        assert_eq!(s.disconnected, 1);
+        assert!(s.accounted(), "{s:?}");
+        assert_eq!(r.client_count(), 0);
+    }
+
+    #[test]
+    fn a_dropped_queue_disconnects_its_client() {
+        let r = EgressRouter::new().with_policy(EgressPolicy {
+            max_retries: 0,
+            disconnect_after: 4,
+        });
+        let q = r.register_queue_client(1, 8).unwrap();
+        r.subscribe(1, 5).unwrap();
+        let depth = q.depth();
+        drop(q);
+        r.deliver_batch([5usize], &[t(1)]);
+        let s = r.egress_stats();
+        assert_eq!((s.disconnected_loss, s.disconnected), (1, 1));
+        assert!(s.accounted());
+        assert_eq!(depth.get(), 0, "a failed send is not counted as queued");
         assert_eq!(r.client_count(), 0);
     }
 

@@ -8,16 +8,21 @@
 //!
 //! Each round races a delivering thread (one-row batches, back to back)
 //! against a writer that reads some rows and then tears the client down;
-//! afterwards `delivered` must equal the rows the writer read.
+//! afterwards `delivered` must equal the rows the writer read. The race
+//! runs against both push queues: the in-process `sync_channel` receiver
+//! and the counted [`DeliveryQueue`] a TCP connection uses.
 
 use std::sync::mpsc::Receiver;
 
 use tcq_common::{DataType, Field, Schema, Timestamp, Tuple, TupleBuilder};
-use tcq_egress::{Delivery, EgressRouter};
+use tcq_egress::{Delivery, DeliveryQueue, EgressRouter, PushQueue};
 
 const ROUNDS: i64 = 300;
 /// Rows the writer reads before it tears down.
 const READ: u64 = 50;
+/// Each queue's capacity: far more than the writer reads, so the producer
+/// is never stopped by a full queue.
+const CAPACITY: usize = 1 << 12;
 
 fn row(x: i64) -> Tuple {
     let schema = Schema::new(vec![Field::new("x", DataType::Int)]).into_ref();
@@ -28,17 +33,15 @@ fn row(x: i64) -> Tuple {
         .unwrap()
 }
 
-/// The writer's teardown: hand the queue back to the router.
-fn teardown(router: &EgressRouter, queue: Receiver<Delivery>) {
-    router.disconnect_push_client(1, queue, 0);
-}
-
-#[test]
-fn teardown_never_charges_a_row_dropped_with_the_queue() {
+/// Runs every round with a queue from `register`, reading through `take`
+/// before the writer's teardown hands the queue back to the router.
+/// Returns how many rounds charged `delivered` for a row the writer never
+/// read.
+fn lossy_rounds<Q: PushQueue>(register: impl Fn(&EgressRouter) -> Q, take: impl Fn(&Q)) -> u32 {
     let mut lossy = 0;
     for round in 0..ROUNDS {
         let router = EgressRouter::new();
-        let queue = router.register_push_client(1, 1 << 12).unwrap();
+        let queue = register(&router);
         router.subscribe(1, 7).unwrap();
         let producer = {
             let router = router.clone();
@@ -50,9 +53,9 @@ fn teardown_never_charges_a_row_dropped_with_the_queue() {
             })
         };
         for _ in 0..READ {
-            queue.recv().unwrap();
+            take(&queue);
         }
-        teardown(&router, queue);
+        router.disconnect_push_client(1, queue, 0);
         producer.join().unwrap();
         let s = router.egress_stats();
         assert!(s.accounted(), "{s:?}");
@@ -60,6 +63,31 @@ fn teardown_never_charges_a_row_dropped_with_the_queue() {
             lossy += 1;
         }
     }
+    lossy
+}
+
+#[test]
+fn teardown_never_charges_a_row_dropped_with_the_queue() {
+    let lossy = lossy_rounds(
+        |router| router.register_push_client(1, CAPACITY).unwrap(),
+        |queue: &Receiver<Delivery>| {
+            queue.recv().unwrap();
+        },
+    );
+    assert_eq!(
+        lossy, 0,
+        "{lossy} of {ROUNDS} rounds charged `delivered` for rows dropped with the queue"
+    );
+}
+
+#[test]
+fn queue_client_teardown_never_charges_a_row_dropped_with_the_queue() {
+    let lossy = lossy_rounds(
+        |router| router.register_queue_client(1, CAPACITY).unwrap(),
+        |queue: &DeliveryQueue| {
+            queue.recv().unwrap();
+        },
+    );
     assert_eq!(
         lossy, 0,
         "{lossy} of {ROUNDS} rounds charged `delivered` for rows dropped with the queue"

@@ -46,7 +46,7 @@ impl TcqClient {
             stream,
             enc: FrameWriter::new(),
             dec: FrameReader::new(),
-            inbuf: Vec::with_capacity(64 * 1024),
+            inbuf: Vec::new(),
             outbuf: Vec::new(),
             inbox: VecDeque::new(),
             conn: 0,
@@ -168,9 +168,12 @@ impl TcqClient {
     }
 
     /// Drop the connection abruptly (no `Bye`) — what a crashing or
-    /// vanishing client looks like to the server.
+    /// vanishing client looks like to the server. The socket is closed
+    /// without a shutdown first, as a dying process's kernel closes it:
+    /// with results still unread, the server sees a reset, not an orderly
+    /// end of stream after which its kernel may keep taking bytes.
     pub fn abort(self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
+        drop(self.stream);
     }
 
     fn send(&mut self, frame: &Frame) -> Result<()> {

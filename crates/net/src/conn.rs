@@ -2,10 +2,14 @@
 //!
 //! Each accepted connection gets:
 //!
-//! - one egress registration ([`TelegraphCQ::connect_push_client`]) whose
-//!   bounded `sync_channel` *is* the per-connection delivery queue: the
+//! - one egress registration ([`TelegraphCQ::connect_queue_client`]) whose
+//!   [`DeliveryQueue`] *is* the per-connection delivery queue: the
 //!   router's non-blocking send fills it and then sheds, so a slow socket
-//!   stalls only its own queue, never the router lock or other clients;
+//!   stalls only its own queue, never the router lock or other clients.
+//!   `client_queue` bounds the rows queued; it is not an allocation. The
+//!   queue holds memory only for the rows in it, and the reader's and
+//!   writer's buffers grow with the frames they carry, so an idle
+//!   connection costs a few KiB of heap;
 //! - a **reader thread** that decodes frames off the socket and dispatches
 //!   them against the engine (`Submit`, `Subscribe`, `Ingest`, `Punct`,
 //!   `Ping`, `Bye`), polling [`FaultPoint::NetRead`] once per *frame* — not
@@ -19,14 +23,15 @@
 //!   polls [`FaultPoint::NetWrite`].
 //!
 //! Dead-socket accounting: rows the router counted `delivered` that are
-//! still sitting in the connection's queue when its socket dies never
-//! reached the peer. On every exit path the writer hands its queue back
-//! through [`TelegraphCQ::disconnect_push_client`], which drops the client
-//! and reclassifies exactly those rows as `disconnected_loss` under one
-//! router lock hold — the ledger invariant `delivered + shed + displaced +
-//! disconnected_loss == offered` then describes bytes on the wire, not
-//! bytes in a doomed buffer, and no row delivered during teardown escapes
-//! the count.
+//! still sitting in the connection's queue when its socket dies, or that
+//! the writer holds (staged, or in a write that failed), never reached
+//! the kernel. On every exit path the writer hands its queue and that
+//! count back through [`TelegraphCQ::disconnect_push_client`], which drops
+//! the client and reclassifies exactly those rows as `disconnected_loss`
+//! under one router lock hold — the ledger invariant `delivered + shed +
+//! displaced + disconnected_loss == offered` then describes rows handed
+//! to the kernel (`rows_written`), not rows in a doomed buffer, and no row
+//! delivered during teardown escapes the count.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -38,7 +43,7 @@ use std::time::Duration;
 
 use tcq_common::sync::Mutex;
 use tcq_common::{FaultAction, FaultPoint, Result, SharedInjector, TcqError};
-use tcq_egress::{ClientId, Delivery};
+use tcq_egress::{ClientId, Delivery, DeliveryQueue, QueueDepth};
 use tcq_server::{TcpTransportConfig, TelegraphCQ};
 
 use crate::wire::{Frame, FrameReader, FrameWriter, WIRE_VERSION};
@@ -80,7 +85,8 @@ pub struct ConnStats {
     pub frames_written: AtomicU64,
     /// Bytes written to the socket.
     pub bytes_written: AtomicU64,
-    /// Result rows written to the socket (what the peer can observe).
+    /// Result rows handed to the kernel: counted when encoded, before the
+    /// peer can see them, and taken back if the write carrying them fails.
     pub rows_written: AtomicU64,
     /// Result rows dropped by an injected [`FaultPoint::NetWrite`] fault.
     pub rows_dropped_net: AtomicU64,
@@ -92,6 +98,8 @@ pub struct ConnStats {
     pub read_faults: AtomicU64,
     /// [`FaultPoint::NetWrite`] faults that fired on this connection.
     pub write_faults: AtomicU64,
+    /// The delivery queue's own occupancy count.
+    queue: QueueDepth,
 }
 
 /// One connection's counters, snapshotted ([`TcpTransport::conn_stats`]).
@@ -119,6 +127,9 @@ pub struct ConnSnapshot {
     pub read_faults: u64,
     /// NetWrite faults fired.
     pub write_faults: u64,
+    /// Result rows in the connection's delivery queue now: routed to it,
+    /// not yet taken by its writer.
+    pub queued: u64,
 }
 
 impl ConnStats {
@@ -135,6 +146,7 @@ impl ConnStats {
             rows_lost_disconnect: self.rows_lost_disconnect.load(Ordering::Relaxed),
             read_faults: self.read_faults.load(Ordering::Relaxed),
             write_faults: self.write_faults.load(Ordering::Relaxed),
+            queued: self.queue.get() as u64,
         }
     }
 }
@@ -330,11 +342,12 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) -> Result<()> {
     stream
         .set_read_timeout(Some(READ_TICK))
         .map_err(|e| TcqError::Ingress(format!("set_read_timeout: {e}")))?;
-    // The bounded sync_channel behind this registration is the
-    // connection's egress queue.
-    let (cid, rx) = shared.server.connect_push_client(shared.cfg.client_queue)?;
+    let (cid, rx) = shared
+        .server
+        .connect_queue_client(shared.cfg.client_queue)?;
     let stats = Arc::new(ConnStats {
         conn: conn_id,
+        queue: rx.depth(),
         ..ConnStats::default()
     });
     let (ctrl_tx, ctrl_rx) = channel::<WriterMsg>();
@@ -387,7 +400,7 @@ fn reader_loop(
 ) {
     let injector = shared.server.injector().cloned();
     let mut decoder = FrameReader::new();
-    let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
+    let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 64 * 1024];
     'conn: while !shared.shutdown.load(Ordering::SeqCst) {
         let n = match stream.read(&mut tmp) {
@@ -532,12 +545,15 @@ fn writer_loop(
     mut stream: TcpStream,
     stats: &ConnStats,
     cid: ClientId,
-    rx: Receiver<Delivery>,
+    rx: DeliveryQueue,
     ctrl: Receiver<WriterMsg>,
 ) {
     let injector = shared.server.injector().cloned();
     let mut enc = FrameWriter::new();
-    let mut out: Vec<u8> = Vec::with_capacity(WRITE_COALESCE * 2);
+    let mut out: Vec<u8> = Vec::new();
+    // Result rows encoded into `out`: unsent if the write carrying them
+    // fails.
+    let mut out_rows = 0u64;
     let mut run: Vec<tcq_common::Tuple> = Vec::new();
     let mut run_bytes = 0usize;
     let mut run_q: Option<usize> = None;
@@ -558,7 +574,7 @@ fn writer_loop(
                     query: q as u64,
                     tuples: std::mem::take(&mut run),
                 };
-                stage_frame(&mut enc, &mut out, stats, injector.as_ref(), frame, rows);
+                out_rows += stage_frame(&mut enc, &mut out, stats, injector.as_ref(), frame, rows);
             }
         };
     }
@@ -608,10 +624,12 @@ fn writer_loop(
         if !out.is_empty() && !sock_dead {
             if stream.write_all(&out).is_err() {
                 sock_dead = true;
+                stats.rows_written.fetch_sub(out_rows, Ordering::Relaxed);
             } else {
                 stats
                     .bytes_written
                     .fetch_add(out.len() as u64, Ordering::Relaxed);
+                out_rows = 0;
             }
             out.clear();
         }
@@ -641,12 +659,13 @@ fn writer_loop(
         }
     }
 
-    // Teardown accounting. Rows still queued, carried or staged were
-    // counted `delivered` by the router but never reached the wire; the
-    // router drops the client and counts its queue in one step, so no row
-    // can be delivered in between. (A client the router already dropped —
-    // stuck-client policy — has an empty, closed queue and nothing staged.)
-    let unsent = carry.is_some() as u64 + run.len() as u64;
+    // Teardown accounting. Rows still queued, carried, staged or in a
+    // write that failed were counted `delivered` by the router but never
+    // reached the kernel; the router drops the client and counts its queue
+    // in one step, so no row can be delivered in between. (A client the
+    // router already dropped — stuck-client policy — has an empty, closed
+    // queue and nothing staged.)
+    let unsent = carry.is_some() as u64 + run.len() as u64 + out_rows;
     let lost = shared.server.disconnect_push_client(cid, rx, unsent);
     stats
         .rows_lost_disconnect
@@ -670,9 +689,9 @@ fn tuple_wire_est(t: &tcq_common::Tuple) -> usize {
         .sum::<usize>()
 }
 
-/// Encode one frame into `out`, polling [`FaultPoint::NetWrite`]:
-/// `Stall` delays, any other action drops the frame (rows counted in
-/// `rows_dropped_net`).
+/// Encode one frame carrying `rows` result rows into `out`, polling
+/// [`FaultPoint::NetWrite`]: `Stall` delays, any other action drops the
+/// frame (rows counted in `rows_dropped_net`). Returns the rows encoded.
 fn stage_frame(
     enc: &mut FrameWriter,
     out: &mut Vec<u8>,
@@ -680,7 +699,7 @@ fn stage_frame(
     injector: Option<&SharedInjector>,
     frame: Frame,
     rows: u64,
-) {
+) -> u64 {
     if let Some(action) = injector.and_then(|i| i.poll(FaultPoint::NetWrite)) {
         stats.write_faults.fetch_add(1, Ordering::Relaxed);
         match action {
@@ -689,11 +708,12 @@ fn stage_frame(
             }
             _ => {
                 stats.rows_dropped_net.fetch_add(rows, Ordering::Relaxed);
-                return;
+                return 0;
             }
         }
     }
     enc.encode(&frame, out);
     stats.frames_written.fetch_add(1, Ordering::Relaxed);
     stats.rows_written.fetch_add(rows, Ordering::Relaxed);
+    rows
 }

@@ -114,12 +114,14 @@ fn submit_error_crosses_the_wire_and_connection_survives() {
 /// Satellite regression: a TCP subscriber that stops reading and then
 /// drops its socket mid-batch must leave the ledger exactly balanced —
 /// rows stuck in its per-connection queue move from `delivered` to
-/// `disconnected_loss`, never vanish. Rows are 2 KB and the total volume
-/// far exceeds the kernel's socket pipeline (~4 MB send buffer max), so
-/// the victim's writer genuinely blocks in `write_all`, its queue
-/// (capacity 8) fills behind it, and the router sheds the rest. Ingest
-/// is paced so the concurrently-draining healthy subscriber keeps up on
-/// a single core.
+/// `disconnected_loss`, never vanish. Rows are 2 KB; the victim reads
+/// nothing, so once the kernel's socket buffers are full its writer
+/// blocks in `write_all`, its queue (capacity 8) fills behind it, and the
+/// router sheds the rest. How much the socket buffers absorb varies, so
+/// before the drop the test keeps pushing until the victim's queue reads
+/// full and its `rows_written` has stopped moving: only then is the
+/// writer provably blocked with rows queued. Ingest is paced so the
+/// concurrently-draining healthy subscriber keeps up on a single core.
 #[test]
 fn mid_batch_socket_drop_keeps_ledger_exact() {
     const N: i64 = 4000;
@@ -131,8 +133,9 @@ fn mid_batch_socket_drop_keeps_ledger_exact() {
     .into_ref();
     server.engine().register_stream("big", big.clone()).unwrap();
     let pad = "x".repeat(2048);
-    let big_rows = |range: std::ops::Range<i64>| -> Vec<tcq_common::Tuple> {
-        range
+    // Eight rows from `first`.
+    let push_rows = |first: i64| {
+        let rows = (first..first + 8)
             .map(|i| {
                 TupleBuilder::new(big.clone())
                     .push(i % 100)
@@ -141,13 +144,25 @@ fn mid_batch_socket_drop_keeps_ledger_exact() {
                     .build()
                     .unwrap()
             })
-            .collect()
+            .collect();
+        server.engine().push_batch("big", rows).unwrap();
+        // Pace the burst: the healthy writer, its client, and the
+        // dispatcher share one core — give the drain side its slices.
+        std::thread::sleep(Duration::from_millis(2));
     };
 
     let mut victim = TcqClient::connect(addr).unwrap();
     victim
         .submit("SELECT k, pad FROM big WHERE k < 100")
         .unwrap();
+    let victim_conn = victim.conn_id();
+    let victim_stats = || {
+        server
+            .conn_stats()
+            .into_iter()
+            .find(|c| c.conn == victim_conn)
+            .unwrap()
+    };
 
     // A healthy subscriber to the same rows proves the drop is isolated.
     // It drains concurrently so its own small queue never backs up.
@@ -176,14 +191,25 @@ fn mid_batch_socket_drop_keeps_ledger_exact() {
         })
     };
 
-    for chunk in (0..N).step_by(8) {
-        server
-            .engine()
-            .push_batch("big", big_rows(chunk..(chunk + 8).min(N)))
-            .unwrap();
-        // Pace the burst: the healthy writer, its client, and the
-        // dispatcher share one core — give the drain side its slices.
-        std::thread::sleep(Duration::from_millis(2));
+    let mut pushed = 0i64;
+    while pushed < N {
+        push_rows(pushed);
+        pushed += 8;
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let before = victim_stats();
+        std::thread::sleep(Duration::from_millis(200));
+        let after = victim_stats();
+        if before.queued == 8 && after.queued == 8 && before.rows_written == after.rows_written {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the victim's writer never blocked with a full queue: {after:?}"
+        );
+        push_rows(pushed);
+        pushed += 8;
     }
     server.engine().finish_stream("big").unwrap();
     server.engine().quiesce(Duration::from_secs(30));
@@ -212,7 +238,8 @@ fn mid_batch_socket_drop_keeps_ledger_exact() {
 
     let e = server.engine().egress_stats_full();
     assert!(e.accounted(), "ledger must balance exactly: {e:?}");
-    assert_eq!(e.offered, 2 * N as u64, "{N} rows × 2 subscribers");
+    let pushed = pushed as u64;
+    assert_eq!(e.offered, 2 * pushed, "{pushed} rows × 2 subscribers");
     assert_eq!(e.disconnected, 1, "only the victim was forcibly dropped");
     assert!(
         e.disconnected_loss > 0,
@@ -224,7 +251,7 @@ fn mid_batch_socket_drop_keeps_ledger_exact() {
         net.rows_lost_disconnect, e.disconnected_loss,
         "transport and router agree on the loss"
     );
-    // Ledger `delivered` describes rows that reached a socket write.
+    // Ledger `delivered` describes rows handed to the kernel.
     assert_eq!(e.delivered, net.rows_written);
     // The healthy subscriber is untouched: it saw exactly what its
     // connection wrote, which is (nearly) everything.
@@ -235,8 +262,8 @@ fn mid_batch_socket_drop_keeps_ledger_exact() {
         .unwrap();
     assert_eq!(healthy_got, hsnap.rows_written);
     assert!(
-        healthy_got >= (N as u64) * 9 / 10,
-        "healthy subscriber fell behind: {healthy_got}/{N}"
+        healthy_got >= pushed * 9 / 10,
+        "healthy subscriber fell behind: {healthy_got}/{pushed}"
     );
 
     server.shutdown().unwrap();

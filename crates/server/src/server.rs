@@ -15,7 +15,10 @@ use tcq_common::{
 };
 use tcq_common::{ProgressRegistry, ProgressSnapshot};
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
-use tcq_egress::{ClientId, ColumnDelivery, Delivery, EgressPolicy, EgressRouter, EgressStats};
+use tcq_egress::{
+    ClientId, ColumnDelivery, Delivery, DeliveryQueue, EgressPolicy, EgressRouter, EgressStats,
+    PushQueue,
+};
 use tcq_executor::{DuId, Executor, ExecutorConfig, StallDiagnosis, WatchdogConfig};
 use tcq_fjords::{fjord, fjord_with_probe, Inbox, Producer, QueueKind};
 use tcq_ingress::{
@@ -128,10 +131,11 @@ pub struct TcpTransportConfig {
     /// Bind address, e.g. `"127.0.0.1:0"` (port 0 picks a free port;
     /// read the bound address back from the transport handle).
     pub addr: String,
-    /// Capacity of each connection's bounded egress queue (the
-    /// per-client delivery queue: a slow socket fills only its own
-    /// queue and then sheds, never stalling the router or other
-    /// clients).
+    /// The most result rows one connection may have queued (its
+    /// per-client delivery queue: a slow socket fills only its own queue
+    /// and then sheds, never stalling the router or other clients). A
+    /// bound, not an allocation: the queue holds memory only for the rows
+    /// in it ([`TelegraphCQ::connect_queue_client`]).
     pub client_queue: usize,
 }
 
@@ -768,11 +772,21 @@ impl TelegraphCQ {
         self.injector.as_ref().map(|i| i.log()).unwrap_or_default()
     }
 
-    /// Connect a push client; results stream into the returned receiver.
+    /// Connect a push client; results stream into the returned receiver,
+    /// a `sync_channel` of `capacity` slots allocated up front.
     pub fn connect_push_client(&self, capacity: usize) -> Result<(ClientId, Receiver<Delivery>)> {
         let id = self.next_client.fetch_add(1, Ordering::Relaxed);
         let rx = self.egress.register_push_client(id, capacity)?;
         Ok((id, rx))
+    }
+
+    /// Connect a push client whose [`DeliveryQueue`] holds at most
+    /// `capacity` results and allocates only for the rows it holds — what
+    /// a transport gives each connection.
+    pub fn connect_queue_client(&self, capacity: usize) -> Result<(ClientId, DeliveryQueue)> {
+        let id = self.next_client.fetch_add(1, Ordering::Relaxed);
+        let queue = self.egress.register_queue_client(id, capacity)?;
+        Ok((id, queue))
     }
 
     /// Connect a column client; results stream into the returned receiver
@@ -848,7 +862,7 @@ impl TelegraphCQ {
     pub fn disconnect_push_client(
         &self,
         client: ClientId,
-        queue: Receiver<Delivery>,
+        queue: impl PushQueue,
         unsent: u64,
     ) -> u64 {
         self.egress.disconnect_push_client(client, queue, unsent)
