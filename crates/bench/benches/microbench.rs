@@ -9,7 +9,6 @@
 //! * `F2/stem_join`      — symmetric hash join via eddy + SteMs.
 //! * `E2/routing_policy` — per-tuple cost of each routing policy.
 //! * `E3/query_stem`     — shared matching vs standing query count.
-//! * `E8/aggregates`     — landmark vs sliding MAX updates.
 //! * `E10/archive`       — append and windowed scan.
 //!
 //! Run with `cargo bench -p tcq-bench` (add `--features criterion` for the
@@ -24,9 +23,7 @@ use tcq_eddy::{
     Eddy, EddyConfig, FixedPolicy, GreedyPolicy, LotteryPolicy, ModuleSpec, RandomPolicy,
     RoutingPolicy,
 };
-use tcq_operators::{
-    symmetric_hash_join, AggFunc, AggSpec, SelectOp, WindowAggregator, WindowMode,
-};
+use tcq_operators::{symmetric_hash_join, SelectOp};
 use tcq_stems::{MatchScratch, QueryStem};
 use tcq_storage::{BufferPool, StreamArchive};
 
@@ -252,42 +249,6 @@ fn bench_query_stem() {
     group.finish();
 }
 
-fn bench_aggregates() {
-    let mut group = Group::new("E8/aggregates");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    let schema = kv_schema("S");
-    let mut rng = seeded(11);
-    let n = 20_000i64;
-    let tuples: Vec<_> = (1..=n)
-        .map(|i| kv(&schema, 0, rng.gen_range(0..1_000_000), i))
-        .collect();
-    group.throughput(n as u64);
-    group.bench_function("landmark_max", |b| {
-        b.iter(|| {
-            let mut agg =
-                WindowAggregator::new(vec![AggSpec::over(AggFunc::Max, 1)], WindowMode::Landmark);
-            for t in &tuples {
-                agg.update(t).unwrap();
-            }
-            agg.results().unwrap()
-        })
-    });
-    group.bench_function("sliding_max_w1000", |b| {
-        b.iter(|| {
-            let mut agg =
-                WindowAggregator::new(vec![AggSpec::over(AggFunc::Max, 1)], WindowMode::Sliding);
-            for t in &tuples {
-                agg.update(t).unwrap();
-                agg.slide_to(t.timestamp().seq() - 999).unwrap();
-            }
-            agg.results().unwrap()
-        })
-    });
-    group.finish();
-}
-
 fn bench_archive() {
     let mut group = Group::new("E10/archive");
     group
@@ -334,6 +295,5 @@ fn main() {
     bench_stem_join();
     bench_routing_policies();
     bench_query_stem();
-    bench_aggregates();
     bench_archive();
 }

@@ -9,14 +9,19 @@
 //! > window expands. On the other hand, for a sliding window, computing the
 //! > maximum requires the maintenance of the entire window."
 //!
-//! [`WindowAggregator`] implements both modes — O(1)-state incremental
-//! landmark aggregation and buffered sliding-window aggregation — so
-//! experiment E8 can measure exactly this asymmetry. [`GroupByAggregator`]
-//! adds hash grouping (the partitioned operator Flux rebalances).
+//! [`AggState`] is one aggregate's partial state: rows fold into it one at a
+//! time, and two partials over disjoint rows [`AggState::merge`] into the
+//! partial over both. That is all a window needs. The server keeps one
+//! partial per (pane, group) and answers each window by merging the panes
+//! it covers, so a landmark MAX is computed iteratively in one partial per
+//! group, and a sliding MAX over single-tick panes holds one partial per
+//! tick of the window (experiment E8 measures both on the server).
+//! [`GroupByAggregator`] folds one set of rows per group.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
-use tcq_common::{Result, TcqError, Tuple, Value};
+use tcq_common::{CkptReader, CkptWriter, Result, Tuple, Value};
 
 /// The supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,28 +80,24 @@ impl AggSpec {
     }
 }
 
-/// Window discipline for a [`WindowAggregator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowMode {
-    /// Landmark: the window only ever grows; aggregates update in O(1)
-    /// state ("computed iteratively", §4.1.2).
-    Landmark,
-    /// Sliding: the trailing edge advances; the whole window is buffered.
-    Sliding,
-}
-
-/// Incremental scalar accumulator for one aggregate.
-#[derive(Debug, Clone)]
-enum AggState {
+/// One aggregate's partial state over some set of rows: fold rows in with
+/// [`AggState::update`], combine two partials over disjoint rows with
+/// [`AggState::merge`], and read the value with [`AggState::result`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggState {
+    /// COUNT: non-NULL inputs seen.
     Count(u64),
+    /// SUM: running sum and non-NULL inputs seen.
     Sum(f64, u64),
+    /// AVG: running sum and non-NULL inputs seen.
     Avg(f64, u64),
-    /// Min/Max for landmark mode: running extremum.
-    Extremum(Option<Value>, bool /* is_max */),
+    /// MIN/MAX: the extremum so far and whether it is a maximum.
+    Extremum(Option<Value>, bool),
 }
 
 impl AggState {
-    fn new(func: AggFunc) -> AggState {
+    /// The empty partial for `func`.
+    pub fn new(func: AggFunc) -> AggState {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum(0.0, 0),
@@ -106,7 +107,25 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: &Value) -> Result<()> {
+    /// One empty partial per spec.
+    pub fn for_specs(specs: &[AggSpec]) -> Vec<AggState> {
+        specs.iter().map(|s| AggState::new(s.func)).collect()
+    }
+
+    /// Fold `tuple` into `states`, one partial per spec (`COUNT(*)` counts
+    /// every row).
+    pub fn fold(specs: &[AggSpec], states: &mut [AggState], tuple: &Tuple) -> Result<()> {
+        for (spec, st) in specs.iter().zip(states.iter_mut()) {
+            match spec.column {
+                Some(c) => st.update(tuple.value(c))?,
+                None => st.update(&Value::Bool(true))?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold one input value in; NULL is skipped.
+    pub fn update(&mut self, v: &Value) -> Result<()> {
         if v.is_null() {
             return Ok(());
         }
@@ -116,162 +135,81 @@ impl AggState {
                 *s += v.as_float()?;
                 *n += 1;
             }
-            AggState::Extremum(cur, is_max) => {
-                let better = match cur {
-                    None => true,
-                    Some(c) => {
-                        let ord = v.total_cmp(c);
-                        if *is_max {
-                            ord.is_gt()
-                        } else {
-                            ord.is_lt()
-                        }
-                    }
-                };
-                if better {
-                    *cur = Some(v.clone());
-                }
-            }
+            AggState::Extremum(cur, is_max) => offer(cur, v, *is_max),
         }
         Ok(())
     }
 
-    fn result(&self) -> Value {
+    /// Combine with the partial of the same aggregate over a disjoint set
+    /// of rows.
+    pub fn merge(&mut self, other: &AggState) {
+        match (self, other) {
+            (AggState::Count(n), AggState::Count(m)) => *n += m,
+            (AggState::Sum(s, n), AggState::Sum(t, m))
+            | (AggState::Avg(s, n), AggState::Avg(t, m)) => {
+                *s += t;
+                *n += m;
+            }
+            (AggState::Extremum(cur, is_max), AggState::Extremum(Some(v), _)) => {
+                offer(cur, v, *is_max)
+            }
+            (AggState::Extremum(..), AggState::Extremum(None, _)) => {}
+            (a, b) => unreachable!("partials of different aggregates: {a:?}, {b:?}"),
+        }
+    }
+
+    /// The aggregate's value: COUNT of nothing is 0, every other aggregate
+    /// of nothing is NULL.
+    pub fn result(&self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(*n as i64),
-            AggState::Sum(s, n) => {
-                if *n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*s)
-                }
-            }
-            AggState::Avg(s, n) => {
-                if *n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*s / *n as f64)
-                }
-            }
+            AggState::Sum(_, 0) | AggState::Avg(_, 0) => Value::Null,
+            AggState::Sum(s, _) => Value::Float(*s),
+            AggState::Avg(s, n) => Value::Float(*s / *n as f64),
             AggState::Extremum(cur, _) => cur.clone().unwrap_or(Value::Null),
         }
     }
+
+    /// Append this partial to a checkpoint payload. Its aggregate is not
+    /// written: the reader knows it from the query.
+    pub fn put(&self, w: &mut CkptWriter) {
+        match self {
+            AggState::Count(n) => w.put_u64(*n),
+            AggState::Sum(s, n) | AggState::Avg(s, n) => {
+                w.put_f64(*s);
+                w.put_u64(*n);
+            }
+            AggState::Extremum(cur, _) => w.put_value(cur.as_ref().unwrap_or(&Value::Null)),
+        }
+    }
+
+    /// Read a partial of `func` written by [`AggState::put`].
+    pub fn get(func: AggFunc, r: &mut CkptReader<'_>) -> Result<AggState> {
+        Ok(match AggState::new(func) {
+            AggState::Count(_) => AggState::Count(r.get_u64("count")?),
+            AggState::Sum(..) => AggState::Sum(r.get_f64("sum")?, r.get_u64("sum count")?),
+            AggState::Avg(..) => AggState::Avg(r.get_f64("avg sum")?, r.get_u64("avg count")?),
+            AggState::Extremum(_, is_max) => {
+                let v = r.get_value()?;
+                AggState::Extremum((!v.is_null()).then_some(v), is_max)
+            }
+        })
+    }
 }
 
-/// Aggregates over one (landmark or sliding) window of a single stream.
-///
-/// Feed tuples with [`WindowAggregator::update`]; read the current window's
-/// aggregates with [`WindowAggregator::results`]. For sliding mode, advance
-/// the trailing edge with [`WindowAggregator::slide_to`].
-pub struct WindowAggregator {
-    specs: Vec<AggSpec>,
-    mode: WindowMode,
-    /// Landmark: incremental states.
-    states: Vec<AggState>,
-    /// Sliding: the buffered window, (seq, column values needed).
-    buffer: VecDeque<(i64, Vec<Value>)>,
-    /// Peak buffered tuples — the paper's memory argument, observable.
-    peak_buffer: usize,
-}
-
-impl WindowAggregator {
-    /// Create an aggregator.
-    pub fn new(specs: Vec<AggSpec>, mode: WindowMode) -> Self {
-        let states = specs.iter().map(|s| AggState::new(s.func)).collect();
-        WindowAggregator {
-            specs,
-            mode,
-            states,
-            buffer: VecDeque::new(),
-            peak_buffer: 0,
-        }
-    }
-
-    /// Feed one tuple (must carry a logical timestamp for sliding mode).
-    pub fn update(&mut self, tuple: &Tuple) -> Result<()> {
-        match self.mode {
-            WindowMode::Landmark => {
-                for (spec, st) in self.specs.iter().zip(self.states.iter_mut()) {
-                    match spec.column {
-                        Some(c) => st.update(tuple.value(c))?,
-                        None => st.update(&Value::Bool(true))?,
-                    }
-                }
-            }
-            WindowMode::Sliding => {
-                let vals: Vec<Value> = self
-                    .specs
-                    .iter()
-                    .map(|s| match s.column {
-                        Some(c) => tuple.value(c).clone(),
-                        None => Value::Bool(true),
-                    })
-                    .collect();
-                self.buffer.push_back((tuple.timestamp().seq(), vals));
-                self.peak_buffer = self.peak_buffer.max(self.buffer.len());
-            }
-        }
-        Ok(())
-    }
-
-    /// Advance the trailing edge: drop buffered tuples with seq < `seq`.
-    /// Errors in landmark mode (whose trailing edge is fixed).
-    pub fn slide_to(&mut self, seq: i64) -> Result<usize> {
-        if self.mode != WindowMode::Sliding {
-            return Err(TcqError::InvalidWindow(
-                "slide_to on a landmark aggregator".into(),
-            ));
-        }
-        let before = self.buffer.len();
-        while let Some(&(s, _)) = self.buffer.front() {
-            if s >= seq {
-                break;
-            }
-            self.buffer.pop_front();
-        }
-        Ok(before - self.buffer.len())
-    }
-
-    /// Current aggregate values, one per spec.
-    ///
-    /// Landmark mode reads the O(1) states; sliding mode recomputes over the
-    /// buffered window — "the maintenance of the entire window" the paper
-    /// warns about.
-    pub fn results(&self) -> Result<Vec<Value>> {
-        match self.mode {
-            WindowMode::Landmark => Ok(self.states.iter().map(|s| s.result()).collect()),
-            WindowMode::Sliding => {
-                let mut states: Vec<AggState> =
-                    self.specs.iter().map(|s| AggState::new(s.func)).collect();
-                for (_, vals) in &self.buffer {
-                    for (st, v) in states.iter_mut().zip(vals.iter()) {
-                        st.update(v)?;
-                    }
-                }
-                Ok(states.iter().map(|s| s.result()).collect())
-            }
-        }
-    }
-
-    /// Tuples currently buffered (0 in landmark mode).
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Largest buffer ever held.
-    pub fn peak_buffered(&self) -> usize {
-        self.peak_buffer
-    }
-
-    /// The window discipline.
-    pub fn mode(&self) -> WindowMode {
-        self.mode
+/// Keep `v` in `cur` if it beats the extremum there.
+fn offer(cur: &mut Option<Value>, v: &Value, is_max: bool) {
+    let beats = if is_max {
+        Ordering::Greater
+    } else {
+        Ordering::Less
+    };
+    if cur.as_ref().is_none_or(|c| v.total_cmp(c) == beats) {
+        *cur = Some(v.clone());
     }
 }
 
 /// Hash-grouped aggregation: `GROUP BY key` with per-group accumulators.
-/// This is the stateful, partitionable operator of the Flux experiments —
-/// its state can be extracted per group for online repartitioning.
 pub struct GroupByAggregator {
     key_col: usize,
     specs: Vec<AggSpec>,
@@ -294,55 +232,16 @@ impl GroupByAggregator {
         let states = self
             .groups
             .entry(key.clone())
-            .or_insert_with(|| self.specs.iter().map(|s| AggState::new(s.func)).collect());
-        for (spec, st) in self.specs.iter().zip(states.iter_mut()) {
-            match spec.column {
-                Some(c) => st.update(tuple.value(c))?,
-                None => st.update(&Value::Bool(true))?,
-            }
-        }
-        Ok(())
+            .or_insert_with(|| AggState::for_specs(&self.specs));
+        AggState::fold(&self.specs, states, tuple)
     }
 
-    /// Snapshot results: (group key, aggregate values), unordered.
-    pub fn results(&self) -> Vec<(Value, Vec<Value>)> {
-        self.groups
-            .iter()
-            .map(|(k, states)| (k.clone(), states.iter().map(|s| s.result()).collect()))
-            .collect()
-    }
-
-    /// Results sorted by group key (deterministic for tests).
+    /// Results: (group key, aggregate values), sorted by group key.
     pub fn results_sorted(&self) -> Vec<(Value, Vec<Value>)> {
-        let mut out = self.results();
+        let mut out: Vec<_> = (self.groups.iter())
+            .map(|(k, states)| (k.clone(), states.iter().map(AggState::result).collect()))
+            .collect();
         out.sort_by(|a, b| a.0.total_cmp(&b.0));
-        out
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when no group exists.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Remove and return the state of groups selected by `pred` — Flux's
-    /// state-movement primitive: the selected partitions migrate to another
-    /// node. (Aggregate states move as opaque values.)
-    pub fn extract_groups(
-        &mut self,
-        mut pred: impl FnMut(&Value) -> bool,
-    ) -> Vec<(Value, Vec<Value>)> {
-        let keys: Vec<Value> = self.groups.keys().filter(|k| pred(k)).cloned().collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            if let Some(states) = self.groups.remove(&k) {
-                out.push((k, states.iter().map(|s| s.result()).collect()));
-            }
-        }
         out
     }
 }
@@ -369,128 +268,106 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn landmark_max_is_constant_state() {
-        let mut agg =
-            WindowAggregator::new(vec![AggSpec::over(AggFunc::Max, 1)], WindowMode::Landmark);
-        for ts in 1..=1000 {
-            agg.update(&tick(ts, "M", (ts % 97) as f64)).unwrap();
-        }
-        assert_eq!(agg.results().unwrap(), vec![Value::Float(96.0)]);
-        assert_eq!(agg.buffered(), 0, "landmark keeps no window buffer");
-    }
-
-    #[test]
-    fn sliding_max_requires_window_and_slides_correctly() {
-        let mut agg =
-            WindowAggregator::new(vec![AggSpec::over(AggFunc::Max, 1)], WindowMode::Sliding);
-        // prices 1..=10 at ts 1..=10
-        for ts in 1..=10 {
-            agg.update(&tick(ts, "M", ts as f64)).unwrap();
-        }
-        assert_eq!(agg.results().unwrap(), vec![Value::Float(10.0)]);
-        assert_eq!(agg.buffered(), 10);
-        // Slide so the window is [6, 10]: max still 10, but after dropping
-        // the high value...
-        agg.slide_to(6).unwrap();
-        assert_eq!(agg.buffered(), 5);
-        // feed decreasing values and slide past the old max
-        agg.update(&tick(11, "M", 2.0)).unwrap();
-        agg.slide_to(11).unwrap();
-        assert_eq!(agg.results().unwrap(), vec![Value::Float(2.0)]);
-        assert_eq!(agg.peak_buffered(), 10);
-    }
-
-    #[test]
-    fn paper_sliding_avg_example() {
-        // §4.1.1 example 3: AVG of the five most recent trading days.
-        let mut agg =
-            WindowAggregator::new(vec![AggSpec::over(AggFunc::Avg, 1)], WindowMode::Sliding);
-        for ts in 1..=10 {
-            agg.update(&tick(ts, "MSFT", ts as f64 * 10.0)).unwrap();
-        }
-        // window [6, 10]
-        agg.slide_to(6).unwrap();
-        assert_eq!(agg.results().unwrap(), vec![Value::Float(80.0)]);
-    }
-
-    #[test]
-    fn count_sum_avg_min_together() {
-        let specs = vec![
+    fn all_specs() -> Vec<AggSpec> {
+        vec![
+            AggSpec::count_star(),
             AggSpec::over(AggFunc::Count, 1),
             AggSpec::over(AggFunc::Sum, 1),
             AggSpec::over(AggFunc::Avg, 1),
             AggSpec::over(AggFunc::Min, 1),
-        ];
-        let mut agg = WindowAggregator::new(specs, WindowMode::Landmark);
-        for (ts, p) in [(1, 4.0), (2, 2.0), (3, 6.0)] {
-            agg.update(&tick(ts, "M", p)).unwrap();
+            AggSpec::over(AggFunc::Max, 1),
+        ]
+    }
+
+    fn folded(specs: &[AggSpec], rows: &[Tuple]) -> Vec<AggState> {
+        let mut states = AggState::for_specs(specs);
+        for t in rows {
+            AggState::fold(specs, &mut states, t).unwrap();
         }
-        assert_eq!(
-            agg.results().unwrap(),
-            vec![
-                Value::Int(3),
-                Value::Float(12.0),
-                Value::Float(4.0),
-                Value::Float(2.0)
-            ]
-        );
+        states
     }
 
     #[test]
-    fn empty_window_yields_null_aggregates_and_zero_count() {
-        let specs = vec![
-            AggSpec::over(AggFunc::Count, 1),
-            AggSpec::over(AggFunc::Sum, 1),
-            AggSpec::over(AggFunc::Max, 1),
-        ];
-        let agg = WindowAggregator::new(specs, WindowMode::Sliding);
+    fn merged_partials_equal_one_fold_over_all_rows() {
+        // Integer-valued prices, so the float sums are exact in any order.
+        let specs = all_specs();
+        let rows: Vec<Tuple> = (1..=40)
+            .map(|ts| tick(ts, "M", ((ts * 37) % 23) as f64))
+            .collect();
+        let whole = folded(&specs, &rows);
+        for cut in [0, 1, 17, 39, 40] {
+            let mut left = folded(&specs, &rows[..cut]);
+            let right = folded(&specs, &rows[cut..]);
+            for (l, r) in left.iter_mut().zip(&right) {
+                l.merge(r);
+            }
+            assert_eq!(left, whole, "cut at {cut}");
+        }
+        let values: Vec<Value> = whole.iter().map(AggState::result).collect();
+        assert_eq!(values[0], Value::Int(40));
+        assert_eq!(values[4], Value::Float(0.0));
+        assert_eq!(values[5], Value::Float(22.0));
+    }
+
+    #[test]
+    fn empty_partials_yield_zero_count_and_nulls() {
+        let states = AggState::for_specs(&all_specs());
+        let values: Vec<Value> = states.iter().map(AggState::result).collect();
         assert_eq!(
-            agg.results().unwrap(),
-            vec![Value::Int(0), Value::Null, Value::Null]
+            values,
+            vec![
+                Value::Int(0),
+                Value::Int(0),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null
+            ]
         );
     }
 
     #[test]
     fn nulls_are_ignored() {
         let s = Schema::new(vec![Field::new("x", DataType::Int)]).into_ref();
-        let mut agg = WindowAggregator::new(
-            vec![
-                AggSpec::over(AggFunc::Count, 0),
-                AggSpec::over(AggFunc::Sum, 0),
-            ],
-            WindowMode::Landmark,
-        );
-        agg.update(&Tuple::new(s.clone(), vec![Value::Int(5)], Timestamp::logical(1)).unwrap())
-            .unwrap();
-        agg.update(&Tuple::new(s, vec![Value::Null], Timestamp::logical(2)).unwrap())
-            .unwrap();
+        let specs = vec![
+            AggSpec::count_star(),
+            AggSpec::over(AggFunc::Count, 0),
+            AggSpec::over(AggFunc::Sum, 0),
+        ];
+        let rows = [Value::Int(5), Value::Null]
+            .map(|v| Tuple::new(s.clone(), vec![v], Timestamp::logical(1)).unwrap());
+        let values: Vec<Value> = folded(&specs, &rows).iter().map(AggState::result).collect();
         assert_eq!(
-            agg.results().unwrap(),
-            vec![Value::Int(1), Value::Float(5.0)]
+            values,
+            vec![Value::Int(2), Value::Int(1), Value::Float(5.0)]
         );
     }
 
     #[test]
-    fn slide_on_landmark_errors() {
-        let mut agg =
-            WindowAggregator::new(vec![AggSpec::over(AggFunc::Count, 0)], WindowMode::Landmark);
-        assert!(agg.slide_to(5).is_err());
+    fn partials_roundtrip_through_a_checkpoint_payload() {
+        let specs = all_specs();
+        let mut states = folded(&specs, &[tick(1, "A", 2.5), tick(2, "A", -1.0)]);
+        states.extend(AggState::for_specs(&specs));
+        let mut w = CkptWriter::new();
+        states.iter().for_each(|s| s.put(&mut w));
+        let bytes = w.into_bytes();
+        let mut r = CkptReader::new(&bytes);
+        let funcs = specs.iter().chain(&specs).map(|s| s.func);
+        let back: Vec<AggState> = funcs.map(|f| AggState::get(f, &mut r).unwrap()).collect();
+        assert_eq!(back, states);
+        assert!(r.is_empty());
     }
 
     #[test]
-    fn group_by_and_state_extraction() {
+    fn group_by_folds_each_group() {
         let mut g = GroupByAggregator::new(0, vec![AggSpec::over(AggFunc::Sum, 1)]);
         for (ts, sym, p) in [(1, "A", 1.0), (2, "B", 2.0), (3, "A", 3.0), (4, "C", 4.0)] {
             g.update(&tick(ts, sym, p)).unwrap();
         }
-        assert_eq!(g.len(), 3);
         let sorted = g.results_sorted();
+        assert_eq!(sorted.len(), 3);
         assert_eq!(sorted[0], (Value::str("A"), vec![Value::Float(4.0)]));
-        // Extract B and C (repartition them away).
-        let moved = g.extract_groups(|k| matches!(k, Value::Str(s) if s.as_ref() != "A"));
-        assert_eq!(moved.len(), 2);
-        assert_eq!(g.len(), 1);
+        assert_eq!(sorted[2], (Value::str("C"), vec![Value::Float(4.0)]));
     }
 
     #[test]

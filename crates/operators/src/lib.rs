@@ -12,8 +12,9 @@
 //!   (build/probe halves of joins) and [`RemoteIndexOp`] (the simulated
 //!   remote access method used for join hybridization).
 //! * **Consumers** — operators applied to the eddy's *output* stream, where
-//!   ordering is fixed: [`ProjectOp`] and the window aggregates
-//!   ([`WindowAggregator`], [`GroupByAggregator`]). Juggle-style
+//!   ordering is fixed: [`ProjectOp`] and the aggregate partials
+//!   ([`AggState`], which the server's window driver keeps per pane and
+//!   group, and [`GroupByAggregator`]). Juggle-style
 //!   prioritized delivery (\[RRH99\]) lives at the egress boundary, in
 //!   `tcq_egress`'s prioritized pull client.
 //!
@@ -30,7 +31,7 @@ pub mod remote_index;
 pub mod select;
 pub mod stem_op;
 
-pub use aggregate::{AggFunc, AggSpec, GroupByAggregator, WindowAggregator, WindowMode};
+pub use aggregate::{AggFunc, AggSpec, AggState, GroupByAggregator};
 pub use module::{ColumnarVerdict, EddyModule, Outputs, Routed};
 pub use project::ProjectOp;
 pub use remote_index::{RemoteIndex, RemoteIndexOp};

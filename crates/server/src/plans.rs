@@ -8,9 +8,10 @@
 //!   one eddy (a SteM per source) for every join query on one stream pair
 //!   and key, each output completed per query ([`JoinGroup`]); a join no
 //!   other query can share runs alone, all its predicates in the eddy.
-//! * [`AggregateCqDu`] — the window driver for aggregate queries: buffers
-//!   the windowed stream, closes each window of the §4.1 for-loop as
-//!   stream time passes it, emits one result set per window.
+//! * [`AggregateCqDu`] — the window driver for aggregate queries: folds
+//!   each row into partial aggregates per pane of the §4.1 for-loop,
+//!   closes each window as stream time passes it, and emits one result set
+//!   per window from the partials of the panes it covers.
 //!
 //! All three have one skeleton: read each input through an [`Inbox`]
 //! (refills of at most `io_batch` messages, bounded by the quantum, never
@@ -20,7 +21,7 @@
 
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -35,9 +36,9 @@ use tcq_egress::{DeliverySession, EgressRouter};
 use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{FjordMessage, Inbox};
 
-use tcq_operators::{AggSpec, GroupByAggregator, ProjectOp, WindowAggregator, WindowMode};
+use tcq_operators::{AggFunc, AggSpec, AggState, ProjectOp};
 use tcq_stems::{MatchScratch, QueryStem};
-use tcq_windows::{WindowAssignment, WindowSeq, WindowSeqPos};
+use tcq_windows::{Panes, WindowInstance, WindowSeq, WindowSeqPos};
 
 use crate::planner::strip_qualifiers;
 
@@ -901,130 +902,277 @@ pub struct ResolvedAgg {
     pub name: String,
 }
 
+/// One pane's partials: group key (NULL when the query has no GROUP BY)
+/// → one partial per aggregate.
+type Groups = HashMap<Value, Vec<AggState>>;
+
+/// Fold `from` into `into`, group by group.
+fn merge_groups(into: &mut Groups, from: &Groups) {
+    for (key, states) in from {
+        match into.get_mut(key) {
+            Some(acc) => acc.iter_mut().zip(states).for_each(|(a, b)| a.merge(b)),
+            None => {
+                into.insert(key.clone(), states.clone());
+            }
+        }
+    }
+}
+
+/// An aggregate query's partial aggregates, keyed by (pane, group).
+///
+/// A passing row folds into the partials of its pane and group and is then
+/// dropped; a window's answer merges the partials of the panes it covers.
+/// The live window driver cuts panes at its loop's edges ([`Panes`]); a
+/// historical window is answered as a single pane.
+pub(crate) struct AggPanes {
+    specs: Vec<AggSpec>,
+    group_by: Option<usize>,
+    out_schema: SchemaRef,
+    /// Pane start → that pane's partials.
+    panes: BTreeMap<i64, Groups>,
+}
+
+impl AggPanes {
+    /// Partials for `aggs` over rows of `input_schema`, grouped by column
+    /// `group_by` if any. Result rows are `(t, [group], aggs...)`: COUNT
+    /// is INT, MIN and MAX follow their column's type, the rest are FLOAT.
+    pub(crate) fn new(
+        input_schema: &SchemaRef,
+        aggs: &[ResolvedAgg],
+        group_by: Option<usize>,
+    ) -> Self {
+        let mut fields = vec![Field::new("t", DataType::Int)];
+        if let Some(g) = group_by {
+            let f = input_schema.field(g);
+            fields.push(Field::new(f.name.clone(), f.data_type));
+        }
+        for a in aggs {
+            let dt = match (a.spec.func, a.spec.column) {
+                (AggFunc::Count, _) => DataType::Int,
+                (AggFunc::Min | AggFunc::Max, Some(c)) => input_schema.field(c).data_type,
+                _ => DataType::Float,
+            };
+            fields.push(Field::new(a.name.clone(), dt));
+        }
+        AggPanes {
+            specs: aggs.iter().map(|a| a.spec).collect(),
+            group_by,
+            out_schema: Schema::new(fields).into_ref(),
+            panes: BTreeMap::new(),
+        }
+    }
+
+    /// Fold a passing row into the pane starting at `pane`.
+    pub(crate) fn fold(&mut self, pane: i64, t: &Tuple) -> Result<()> {
+        let key = self.group_by.map_or(Value::Null, |g| t.value(g).clone());
+        let states = (self.panes.entry(pane).or_default().entry(key))
+            .or_insert_with(|| AggState::for_specs(&self.specs));
+        AggState::fold(&self.specs, states, t)
+    }
+
+    /// Append window `t`'s result rows: the merged partials of the panes
+    /// inside `win`, one row per group in key order. An ungrouped window
+    /// always gives one row (COUNT 0 and NULLs when empty); a grouped one
+    /// gives none when empty.
+    pub(crate) fn emit(&self, t: i64, win: WindowInstance, out: &mut Vec<Tuple>) {
+        let mut merged = Groups::new();
+        for groups in self.panes.range(win.left..=win.right).map(|(_, g)| g) {
+            merge_groups(&mut merged, groups);
+        }
+        if self.group_by.is_none() && merged.is_empty() {
+            merged.insert(Value::Null, AggState::for_specs(&self.specs));
+        }
+        let mut rows: Vec<(Value, Vec<AggState>)> = merged.into_iter().collect();
+        rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (key, states) in rows {
+            let mut row = Vec::with_capacity(2 + states.len());
+            row.push(Value::Int(t));
+            if self.group_by.is_some() {
+                row.push(key);
+            }
+            row.extend(states.iter().map(AggState::result));
+            out.push(Tuple::new_unchecked(
+                self.out_schema.clone(),
+                row,
+                Timestamp::logical(t),
+            ));
+        }
+    }
+
+    /// Window `closed` has been answered and iteration `from` comes next.
+    /// A pane starting at one of `closed`'s edges that no later window
+    /// shares merges into the pane before it, or is dropped when no later
+    /// window starts at or before it. Every other pane still starts at an
+    /// edge of a later window.
+    fn retire(&mut self, grid: &Panes, from: u64, closed: WindowInstance) {
+        for edge in [closed.left, closed.right.saturating_add(1)] {
+            let into = grid.pane_of(from, edge);
+            if into == Some(edge) {
+                continue;
+            }
+            let Some(pane) = self.panes.remove(&edge) else {
+                continue;
+            };
+            if let Some(into) = into {
+                merge_groups(self.panes.entry(into).or_default(), &pane);
+            }
+        }
+    }
+
+    /// Partials held: (pane, group) entries.
+    pub(crate) fn entries(&self) -> usize {
+        self.panes.values().map(HashMap::len).sum()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.panes.clear();
+    }
+
+    fn put(&self, w: &mut CkptWriter) {
+        w.put_u32(self.panes.len() as u32);
+        for (start, groups) in &self.panes {
+            w.put_i64(*start);
+            w.put_u32(groups.len() as u32);
+            for (key, states) in groups {
+                w.put_value(key);
+                states.iter().for_each(|s| s.put(w));
+            }
+        }
+    }
+
+    fn get(&mut self, r: &mut CkptReader<'_>) -> Result<()> {
+        self.panes.clear();
+        for _ in 0..r.get_u32("agg panes")? {
+            let start = r.get_i64("agg pane start")?;
+            let groups = self.panes.entry(start).or_default();
+            for _ in 0..r.get_u32("agg pane groups")? {
+                let key = r.get_value()?;
+                let states = (self.specs.iter())
+                    .map(|s| AggState::get(s.func, r))
+                    .collect::<Result<Vec<_>>>()?;
+                groups.insert(key, states);
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The mutable, checkpointable state of an [`AggregateCqDu`]: the window
-/// loop's position and the buffered tuples it still needs. Everything else
-/// in the DU is reconstructed from the query text at resubmit.
+/// loop's position and the partials of the panes its open windows cover.
+/// Everything else in the DU is reconstructed from the query text at
+/// resubmit.
 pub(crate) struct AggCore {
-    pub(crate) windows: WindowSeq,
-    /// Manual one-slot lookahead (a `Peekable` would hide the loop
-    /// position a checkpoint needs).
-    pub(crate) peeked: Option<Result<WindowAssignment>>,
-    /// The loop position *before* `peeked` was pulled — the position a
-    /// restore must seek to so the peeked-but-unemitted window regenerates.
-    pub(crate) pos: WindowSeqPos,
-    pub(crate) schema: SchemaRef,
-    pub(crate) buffer: VecDeque<Tuple>,
-    pub(crate) latest: i64,
-    pub(crate) eof: bool,
-    pub(crate) done: bool,
+    /// Positioned at the first window not yet answered.
+    windows: WindowSeq,
+    stream_alias: String,
+    /// The loop's panes on this stream as anchored at its start time.
+    /// `None` when it has no window here, or is invalid: then the window
+    /// sequence reports the error and no row can be kept for it.
+    grid: Option<Panes>,
+    pub(crate) panes: AggPanes,
+    latest: i64,
+    eof: bool,
+    done: bool,
     /// Changed since the last successful checkpoint commit?
     pub(crate) dirty: bool,
 }
 
 impl AggCore {
-    fn peek(&mut self) -> Option<&Result<WindowAssignment>> {
-        if self.peeked.is_none() {
-            self.pos = self.windows.position();
-            self.peeked = self.windows.next();
+    /// Fold a passing row into its pane, or drop it when no window still
+    /// to come can contain it.
+    fn fold(&mut self, t: &Tuple) -> Result<()> {
+        let from = self.windows.position().iterations;
+        match (self.grid.as_ref()).and_then(|g| g.pane_of(from, t.timestamp().seq())) {
+            Some(pane) => self.panes.fold(pane, t),
+            None => Ok(()),
         }
-        self.peeked.as_ref()
     }
 
-    fn next_window(&mut self) -> Option<Result<WindowAssignment>> {
-        let out = match self.peeked.take() {
-            Some(wa) => Some(wa),
-            None => self.windows.next(),
-        };
-        self.pos = self.windows.position();
-        out
+    /// Close every window stream time has passed, appending its result
+    /// rows to `out`.
+    fn close_ready_windows(&mut self, out: &mut Vec<Tuple>) -> Result<()> {
+        while let Some(wa) = self.windows.peek() {
+            let wa = wa?;
+            if wa.close_time() > self.latest {
+                // A window closes only once stream time passes its right
+                // edge; at EOF, windows that never closed are dropped
+                // (their data ended mid-window).
+                if self.eof {
+                    self.finish();
+                }
+                return Ok(());
+            }
+            self.windows.next();
+            if let Some(win) = wa.window_for(&self.stream_alias) {
+                self.panes.emit(wa.t, win, out);
+                if let Some(grid) = &self.grid {
+                    let from = self.windows.position().iterations;
+                    self.panes.retire(grid, from, win);
+                }
+            }
+            self.dirty = true;
+        }
+        self.finish();
+        Ok(())
     }
-}
 
-/// Shared handle to an aggregate DU's checkpointable state.
-#[derive(Clone)]
-pub struct AggCqState {
-    inner: Arc<Mutex<AggCore>>,
-}
-
-impl AggCqState {
-    pub(crate) fn lock(&self) -> tcq_common::sync::MutexGuard<'_, AggCore> {
-        self.inner.lock()
-    }
-
-    /// Changed since the last checkpoint commit?
-    pub fn is_dirty(&self) -> bool {
-        self.lock().dirty
+    fn finish(&mut self) {
+        self.done = true;
+        self.panes.clear();
     }
 
     /// Serialize the window-loop position (with its `ST` anchor) and the
-    /// buffered tuples. Schema travels out of band (the restoring site
+    /// pane partials. Schema travels out of band (the restoring site
     /// rebuilds it from the resubmitted query).
-    pub fn export(&self) -> Vec<u8> {
-        encode_agg_core(&self.lock())
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        let pos = self.windows.position();
+        w.put_i64(self.windows.start_time());
+        w.put_i64(pos.t);
+        w.put_u64(pos.iterations);
+        w.put_u8(pos.done as u8);
+        w.put_i64(self.latest);
+        w.put_u8(self.done as u8);
+        self.panes.put(&mut w);
+        w.into_bytes()
     }
 
-    /// Restore from [`AggCqState::export`] bytes: re-anchor and seek the
-    /// window loop, refill the buffer. The handle must belong to a freshly
+    /// Restore from [`AggCore::encode`] bytes: re-anchor and seek the
+    /// window loop, refill the partials. The core must belong to a freshly
     /// built DU for the same query text.
-    pub fn import(&self, bytes: &[u8]) -> Result<()> {
-        let mut core = self.lock();
+    pub(crate) fn import(&mut self, bytes: &[u8]) -> Result<()> {
         let mut r = CkptReader::new(bytes);
-        core.windows.set_start_time(r.get_i64("agg start time")?);
-        let pos = WindowSeqPos {
+        self.windows.set_start_time(r.get_i64("agg start time")?);
+        self.windows.seek(WindowSeqPos {
             t: r.get_i64("agg loop t")?,
             iterations: r.get_u64("agg loop iterations")?,
             done: r.get_u8("agg loop done")? != 0,
-        };
-        core.windows.seek(pos);
-        core.pos = pos;
-        core.peeked = None;
-        core.latest = r.get_i64("agg latest seq")?;
-        core.done = r.get_u8("agg done")? != 0;
-        let n = r.get_u32("agg buffer len")?;
-        let schema = core.schema.clone();
-        core.buffer.clear();
-        for _ in 0..n {
-            core.buffer.push_back(r.get_tuple(&schema)?);
-        }
-        core.dirty = false;
+        });
+        self.grid = self.windows.panes(&self.stream_alias).ok().flatten();
+        self.latest = r.get_i64("agg latest seq")?;
+        self.done = r.get_u8("agg done")? != 0;
+        self.panes.get(&mut r)?;
+        self.dirty = false;
         Ok(())
     }
 }
 
-pub(crate) fn encode_agg_core(core: &AggCore) -> Vec<u8> {
-    let mut w = CkptWriter::new();
-    w.put_i64(core.windows.start_time());
-    w.put_i64(core.pos.t);
-    w.put_u64(core.pos.iterations);
-    w.put_u8(core.pos.done as u8);
-    w.put_i64(core.latest);
-    w.put_u8(core.done as u8);
-    w.put_u32(core.buffer.len() as u32);
-    for t in &core.buffer {
-        w.put_tuple(t);
-    }
-    w.into_bytes()
-}
-
 /// The window-driving aggregate DU for one stream.
 ///
-/// Buffers predicate-passing tuples; each time stream time reaches a window
-/// assignment's close time, computes the aggregates over that window from
-/// the buffer and emits one row (or one row per group), stamped with the
-/// loop variable `t`. The output is exactly the paper's "sequence of sets,
-/// each set being associated with an instant in time" (§4.1.1). The mutable
-/// state lives behind [`AggCqState`] so the server can checkpoint it.
+/// Folds each predicate-passing tuple into the partials of its pane; each
+/// time stream time reaches a window assignment's close time, merges the
+/// panes of that window and emits one row (or one row per group), stamped
+/// with the loop variable `t`. The output is exactly the paper's "sequence
+/// of sets, each set being associated with an instant in time" (§4.1.1).
+/// The mutable state lives behind a shared `AggCore` so the server can
+/// checkpoint it.
 pub struct AggregateCqDu {
     name: String,
     input: Inbox,
     pred: Option<Predicate>,
-    aggs: Vec<ResolvedAgg>,
-    group_by: Option<usize>,
-    stream_alias: String,
-    out_schema: SchemaRef,
     egress: EgressRouter,
     qid: QueryId,
-    core: AggCqState,
+    core: Arc<Mutex<AggCore>>,
 }
 
 impl AggregateCqDu {
@@ -1043,166 +1191,29 @@ impl AggregateCqDu {
         egress: EgressRouter,
         qid: QueryId,
     ) -> Self {
-        let mut fields = vec![Field::new("t", DataType::Int)];
-        if let Some(g) = group_by {
-            let f = input_schema.field(g);
-            fields.push(Field::new(f.name.clone(), f.data_type));
-        }
-        for a in &aggs {
-            // COUNT is Int; others are Float except MIN/MAX which follow the
-            // input column type.
-            let dt = match (a.spec.func, a.spec.column) {
-                (tcq_operators::AggFunc::Count, _) => DataType::Int,
-                (tcq_operators::AggFunc::Min | tcq_operators::AggFunc::Max, Some(c)) => {
-                    input_schema.field(c).data_type
-                }
-                _ => DataType::Float,
-            };
-            fields.push(Field::new(a.name.clone(), dt));
-        }
-        let pos = windows.position();
+        let core = AggCore {
+            grid: windows.panes(&stream_alias).ok().flatten(),
+            windows,
+            stream_alias,
+            panes: AggPanes::new(input_schema, &aggs, group_by),
+            latest: 0,
+            eof: false,
+            done: false,
+            dirty: false,
+        };
         AggregateCqDu {
             name: name.into(),
             input,
             pred,
-            aggs,
-            group_by,
-            stream_alias,
-            out_schema: Schema::new(fields).into_ref(),
             egress,
             qid,
-            core: AggCqState {
-                inner: Arc::new(Mutex::new(AggCore {
-                    windows,
-                    peeked: None,
-                    pos,
-                    schema: input_schema.clone(),
-                    buffer: VecDeque::new(),
-                    latest: 0,
-                    eof: false,
-                    done: false,
-                    dirty: false,
-                })),
-            },
+            core: Arc::new(Mutex::new(core)),
         }
     }
 
     /// Shared handle to the checkpointable state.
-    pub fn state_handle(&self) -> AggCqState {
+    pub(crate) fn state_handle(&self) -> Arc<Mutex<AggCore>> {
         self.core.clone()
-    }
-
-    /// The output row schema: `(t, [group], aggs...)`.
-    pub fn out_schema(&self) -> &SchemaRef {
-        &self.out_schema
-    }
-
-    /// Close every window stream time has passed, appending its result
-    /// rows to `out`.
-    fn close_ready_windows(&self, core: &mut AggCore, out: &mut Vec<Tuple>) -> Result<()> {
-        loop {
-            let close_time = match core.peek() {
-                Some(Ok(wa)) => wa.close_time(),
-                Some(Err(_)) => {
-                    // Surface the spec error once.
-                    let e = core.next_window().expect("peeked");
-                    e?;
-                    unreachable!("error returned above");
-                }
-                None => {
-                    core.done = true;
-                    return Ok(());
-                }
-            };
-            if close_time > core.latest {
-                // A window closes only once stream time passes its right
-                // edge; at EOF, windows that never closed are dropped
-                // (their data ended mid-window).
-                if core.eof {
-                    core.done = true;
-                }
-                return Ok(());
-            }
-            let wa = core.next_window().expect("peeked Some")?;
-            self.emit_window(core, &wa, out)?;
-            self.evict(core, &wa);
-            core.dirty = true;
-        }
-    }
-
-    fn emit_window(
-        &self,
-        core: &mut AggCore,
-        wa: &WindowAssignment,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        let Some(win) = wa.window_for(&self.stream_alias) else {
-            return Ok(());
-        };
-        let in_window = core
-            .buffer
-            .iter()
-            .filter(|t| win.contains(t.timestamp().seq()));
-        let specs: Vec<AggSpec> = self.aggs.iter().map(|a| a.spec).collect();
-        match self.group_by {
-            Some(g) => {
-                let mut agg = GroupByAggregator::new(g, specs);
-                for t in in_window {
-                    agg.update(t)?;
-                }
-                for (key, vals) in agg.results_sorted() {
-                    let mut row = Vec::with_capacity(2 + vals.len());
-                    row.push(Value::Int(wa.t));
-                    row.push(key);
-                    row.extend(vals);
-                    out.push(Tuple::new_unchecked(
-                        self.out_schema.clone(),
-                        row,
-                        Timestamp::logical(wa.t),
-                    ));
-                }
-            }
-            None => {
-                let mut agg = WindowAggregator::new(specs, WindowMode::Landmark);
-                for t in in_window {
-                    agg.update(t)?;
-                }
-                let mut row = Vec::with_capacity(1 + self.aggs.len());
-                row.push(Value::Int(wa.t));
-                row.extend(agg.results()?);
-                out.push(Tuple::new_unchecked(
-                    self.out_schema.clone(),
-                    row,
-                    Timestamp::logical(wa.t),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Evict buffered tuples that can never appear in a future window.
-    /// Only forward-moving windows shrink the buffer; landmark windows keep
-    /// everything — the paper's memory asymmetry, faithfully.
-    fn evict(&self, core: &mut AggCore, just_closed: &WindowAssignment) {
-        let next_left = match core.peek() {
-            Some(Ok(wa)) => wa.window_for(&self.stream_alias).map(|w| w.left),
-            _ => None,
-        };
-        let horizon = match next_left {
-            Some(l) => l.min(
-                just_closed
-                    .window_for(&self.stream_alias)
-                    .map(|w| w.left)
-                    .unwrap_or(l),
-            ),
-            None => return,
-        };
-        while let Some(front) = core.buffer.front() {
-            if front.timestamp().seq() >= horizon {
-                break;
-            }
-            core.buffer.pop_front();
-        }
     }
 }
 
@@ -1216,7 +1227,7 @@ impl DispatchUnit for AggregateCqDu {
     }
 
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
-        let core = &mut *self.core.inner.lock();
+        let core = &mut *self.core.lock();
         if core.done {
             return Ok(ModuleStatus::Done);
         }
@@ -1234,7 +1245,7 @@ impl DispatchUnit for AggregateCqDu {
                     None => true,
                 };
                 if passes {
-                    core.buffer.push_back(t);
+                    core.fold(&t)?;
                 }
             }
         }
@@ -1243,14 +1254,8 @@ impl DispatchUnit for AggregateCqDu {
             core.dirty = true;
         }
         let mut out = Vec::new();
-        self.close_ready_windows(core, &mut out)?;
+        core.close_ready_windows(&mut out)?;
         self.egress.deliver_batch([self.qid], &out);
-        if core.eof && !core.done {
-            // Remaining windows were handled in close_ready_windows (it
-            // closes everything reachable once eof is set); anything left
-            // means the spec is infinite with nothing more to fill it.
-            core.done = true;
-        }
         Ok(if core.done {
             ModuleStatus::Done
         } else if did_work {
@@ -1463,7 +1468,6 @@ mod tests {
             egress.clone(),
             9,
         );
-        assert_eq!(du.out_schema().len(), 2); // (t, n)
         for ts in 1..=20 {
             p.enqueue(tcq_fjords::FjordMessage::Tuple(row(&s, ts, 0)))
                 .unwrap();
@@ -1474,6 +1478,7 @@ mod tests {
         // windows close at t = 4, 8, 12, 16, 20 — 4 tuples each.
         assert_eq!(got.len(), 5);
         for (_, r) in &got {
+            assert_eq!(r.arity(), 2, "(t, n)");
             assert_eq!(r.value(1).as_int().unwrap(), 4);
         }
     }

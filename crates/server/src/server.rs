@@ -38,7 +38,7 @@ use crate::planner::{
     self, plan_kind, resolve_aggregates, source_predicate, stripped_predicate, PlanKind,
 };
 use crate::plans::{
-    AggCqState, AggregateCqDu, FilterCqDu, FilterCqShared, JoinCore, JoinCqDu, JoinGroup,
+    AggCore, AggPanes, AggregateCqDu, FilterCqDu, FilterCqShared, JoinCore, JoinCqDu, JoinGroup,
     JoinInput, JoinMemberSpec, LazyProject, QueryId,
 };
 
@@ -222,6 +222,8 @@ enum QueryRecord {
 struct DedicatedQuery {
     dus: Vec<DuId>,
     subscriptions: Vec<(String, u64)>,
+    /// An aggregate's partials ([`TelegraphCQ::aggregate_state_entries`]).
+    aggregate: Option<Arc<Mutex<AggCore>>>,
 }
 
 /// Everything that shapes a shared join's stored state and lifetime: the
@@ -286,8 +288,8 @@ struct JoinEntry {
 enum QueryStateHandle {
     /// A join DU: the eddy whose SteMs carry the join state.
     Join(Arc<Mutex<JoinCore>>),
-    /// A windowed aggregate: loop position + buffered tuples.
-    Aggregate(AggCqState),
+    /// A windowed aggregate: loop position + pane partials.
+    Aggregate(Arc<Mutex<AggCore>>),
 }
 
 /// One [`TelegraphCQ::checkpoint`] commit, summarized.
@@ -989,18 +991,20 @@ impl TelegraphCQ {
         let state = du.state_handle();
         if self.restoring {
             if let Some(bytes) = self.checkpoint_fragment(&format!("q{qid}/agg"), b"") {
-                state.import(&bytes)?;
+                state.lock().import(&bytes)?;
             }
         }
         if self.ckpt.is_some() {
-            self.ckpt_handles
-                .lock()
-                .push((format!("q{qid}"), QueryStateHandle::Aggregate(state)));
+            self.ckpt_handles.lock().push((
+                format!("q{qid}"),
+                QueryStateHandle::Aggregate(state.clone()),
+            ));
         }
         let du_id = self.executor.submit(st.class, Box::new(du))?;
         Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
             dus: vec![du_id],
             subscriptions: vec![(source.name.clone(), sub_id)],
+            aggregate: Some(state),
         })))
     }
 
@@ -1525,6 +1529,7 @@ impl TelegraphCQ {
         Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
             dus,
             subscriptions,
+            aggregate: None,
         })))
     }
 
@@ -1553,11 +1558,16 @@ impl TelegraphCQ {
             .map(|(e, a)| (planner::strip_qualifiers(e), a.clone()))
             .collect();
         let project = tcq_operators::ProjectOp::new(&projection, &base)?;
+        // Under aggregates each window's passing rows fold into one pane of
+        // partials, answered as a live window is.
+        let aggs = resolve_aggregates(aq)?;
+        let group_by = aq.group_by.map(|(_, col)| col);
+        let mut panes = (!aggs.is_empty()).then(|| AggPanes::new(&base, &aggs, group_by));
         let window = aq.window.clone().expect("historical implies window");
         let stt = st.latest_seq.load(Ordering::Acquire);
         let mut scratch = Vec::new();
         let mut out = Vec::new();
-        for wa in WindowSeq::new(window, stt.max(1)).with_max_iterations(100_000) {
+        for wa in WindowSeq::new(window, stt.max(1)).take(100_000) {
             let wa = wa?;
             let Some(win) = wa.window_for(&source.alias) else {
                 continue;
@@ -1572,9 +1582,17 @@ impl TelegraphCQ {
                     Some(p) => p.eval_pred(t)?,
                     None => true,
                 };
-                if passes {
-                    out.push(project.apply(t)?);
+                if !passes {
+                    continue;
                 }
+                match &mut panes {
+                    Some(panes) => panes.fold(win.left, t)?,
+                    None => out.push(project.apply(t)?),
+                }
+            }
+            if let Some(panes) = &mut panes {
+                panes.emit(wa.t, win, &mut out);
+                panes.clear();
             }
             // One delivery per window: the window's rows are one result set.
             self.egress.deliver_batch([qid], &out);
@@ -1642,6 +1660,15 @@ impl TelegraphCQ {
     pub fn join_state_rows(&self, qid: QueryId) -> Option<usize> {
         match self.queries.lock().get(&qid)? {
             QueryRecord::Join(entry) => Some(entry.core.lock().eddy.state_size()),
+            _ => None,
+        }
+    }
+
+    /// Partial aggregates the window driver of aggregate query `qid` holds,
+    /// one per (pane, group); `None` for any other plan or an unknown query.
+    pub fn aggregate_state_entries(&self, qid: QueryId) -> Option<usize> {
+        match self.queries.lock().get(&qid)? {
+            QueryRecord::Dedicated(query) => Some(query.aggregate.as_ref()?.lock().panes.entries()),
             _ => None,
         }
     }
@@ -1770,11 +1797,7 @@ impl TelegraphCQ {
                 QueryStateHandle::Aggregate(state) => {
                     let core = state.lock();
                     if core.dirty {
-                        store.put(
-                            &format!("{label}/agg"),
-                            b"",
-                            &crate::plans::encode_agg_core(&core),
-                        );
+                        store.put(&format!("{label}/agg"), b"", &core.encode());
                     }
                     aggs.push(core);
                 }

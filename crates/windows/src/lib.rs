@@ -22,8 +22,10 @@
 //! * [`ForLoop`] / [`WindowIs`] — the loop itself.
 //! * [`WindowSeq`] — iterate the concrete window assignments.
 //! * [`WindowKind`] / classification — snapshot / landmark / sliding /
-//!   hopping / backward, with the §4.1.2 consequences (memory bounds,
-//!   skipped stream segments) computable from the spec.
+//!   hopping / backward.
+//! * [`Panes`] — the spans between consecutive window edges, in closed
+//!   form: the unit a windowed aggregate keeps partials for, so the
+//!   §4.1.2 memory consequences of a window shape follow from its edges.
 //!
 //! # Example: the paper's sliding-window loop
 //!
@@ -52,6 +54,6 @@
 pub mod spec;
 
 pub use spec::{
-    classify, CondOp, Condition, ForLoop, LinExpr, LoopLength, Step, WindowAssignment,
+    classify, CondOp, Condition, ForLoop, LinExpr, LoopLength, Panes, Step, WindowAssignment,
     WindowInstance, WindowIs, WindowKind, WindowSeq, WindowSeqPos,
 };

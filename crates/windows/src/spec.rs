@@ -279,6 +279,43 @@ impl ForLoop {
         })
     }
 
+    /// The pane grid of `stream`'s windows when the loop is instantiated
+    /// at query start time `st` (see [`Panes`]), in closed form from
+    /// [`ForLoop::extent`]; `None` when the loop has no window on `stream`.
+    fn panes(&self, stream: &str, st: i64) -> Result<Option<Panes>> {
+        let Some(w) = self
+            .windows
+            .iter()
+            .find(|w| w.stream.eq_ignore_ascii_case(stream))
+        else {
+            return Ok(None);
+        };
+        let (first_t, iterations) = match self.extent(st)? {
+            LoopLength::Empty => (0, Some(0)),
+            LoopLength::Finite {
+                iterations,
+                first_t,
+                ..
+            } => (first_t, Some(iterations)),
+            LoopLength::Unbounded { first_t } => (first_t, None),
+        };
+        // `t` at iteration j is first_t + j·dt; a Set step runs at most
+        // twice, at `init` and then at `k`.
+        let dt = match self.step {
+            Step::Add(k) => i128::from(k),
+            Step::Set(k) => i128::from(k) - i128::from(first_t),
+        };
+        let edges = |e: &LinExpr, plus: i128| Edges {
+            first: i128::from(e.eval(first_t, st)) + plus,
+            step: i128::from(e.t_coeff).saturating_mul(dt),
+        };
+        Ok(Some(Panes {
+            lefts: edges(&w.left, 0),
+            ends: edges(&w.right, 1),
+            iterations,
+        }))
+    }
+
     /// Every stream's window at loop variable `t`, with the validity check
     /// [`WindowSeq`] applies at each iteration (`left <= right`).
     pub fn windows_at(&self, t: i64, st: i64) -> Result<WindowAssignment> {
@@ -298,6 +335,82 @@ impl ForLoop {
     }
 }
 
+/// One arithmetic progression of window edges: `first + j·step` at
+/// iteration `j`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Edges {
+    first: i128,
+    step: i128,
+}
+
+impl Edges {
+    fn at(&self, j: u64) -> i128 {
+        (self.first).saturating_add(i128::from(j).saturating_mul(self.step))
+    }
+
+    /// The largest edge at or below `seq` among iterations `from..n`.
+    fn floor(&self, from: u64, n: Option<u64>, seq: i128) -> Option<i128> {
+        let steps = |d: i128| from.saturating_add(u64::try_from(d).unwrap_or(u64::MAX));
+        let base = self.at(from);
+        let j = match self.step.signum() {
+            // Edges fall with j: the first one at or below `seq`.
+            -1 => {
+                let back = self.step.saturating_neg();
+                steps(div(
+                    base.saturating_sub(seq).max(0).saturating_add(back - 1),
+                    back,
+                ))
+            }
+            _ if base > seq => return None,
+            0 => from,
+            _ => steps(div(seq.saturating_sub(base), self.step))
+                .min(n.map_or(u64::MAX, |n| n.saturating_sub(1))),
+        };
+        (j >= from && n.is_none_or(|n| j < n)).then(|| self.at(j))
+    }
+}
+
+/// `a / b` for `a >= 0`, `b > 0`, in 64 bits when both fit: a pane lookup
+/// per row divides twice, and 128-bit division is several times slower.
+fn div(a: i128, b: i128) -> i128 {
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => (a / b).into(),
+        _ => a / b,
+    }
+}
+
+/// One stream's windows of a for-loop, cut into panes (see
+/// [`WindowSeq::panes`]).
+///
+/// Every window bound is linear in `t`, and `t` moves by a fixed step, so
+/// the left edges and the right-plus-one edges of the loop's windows are
+/// two arithmetic progressions over the iteration number. Together they
+/// cut the timeline into *panes*: the spans between consecutive edges.
+/// Every window is a run of whole panes, so partial aggregates kept per
+/// pane answer every window. Once windows have closed, only the edges of
+/// the windows still to come matter: each query here takes `from`, the
+/// first iteration not yet closed, and looks at those windows alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Panes {
+    lefts: Edges,
+    ends: Edges,
+    /// Iterations the loop runs; `None` when it never ends.
+    iterations: Option<u64>,
+}
+
+impl Panes {
+    /// The pane holding `seq` among the windows of iterations `from..`:
+    /// the start of that pane, which is the largest of their edges at or
+    /// below `seq`. `None` when none of those windows starts at or before
+    /// `seq`, so none can contain it.
+    pub fn pane_of(&self, from: u64, seq: i64) -> Option<i64> {
+        let (n, seq) = (self.iterations, i128::from(seq));
+        let left = self.lefts.floor(from, n, seq)?;
+        let start = self.ends.floor(from, n, seq).map_or(left, |e| e.max(left));
+        i64::try_from(start).ok()
+    }
+}
+
 /// One stream's concrete window at one loop iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowInstance {
@@ -305,18 +418,6 @@ pub struct WindowInstance {
     pub left: i64,
     /// Right end (inclusive).
     pub right: i64,
-}
-
-impl WindowInstance {
-    /// Does the window contain logical time `seq`?
-    pub fn contains(&self, seq: i64) -> bool {
-        self.left <= seq && seq <= self.right
-    }
-
-    /// Window width in logical time units (0 for an empty window).
-    pub fn width(&self) -> i64 {
-        (self.right - self.left + 1).max(0)
-    }
 }
 
 /// All streams' windows at one loop iteration.
@@ -355,9 +456,6 @@ pub struct WindowSeq {
     t: i64,
     done: bool,
     iterations: u64,
-    /// Safety valve for run-away specs in tests/analysis; `None` for
-    /// continuous queries which are legitimately infinite.
-    max_iterations: Option<u64>,
 }
 
 impl WindowSeq {
@@ -370,19 +468,7 @@ impl WindowSeq {
             t,
             done: false,
             iterations: 0,
-            max_iterations: None,
         }
-    }
-
-    /// Bound the number of iterations (for analysis of infinite specs).
-    pub fn with_max_iterations(mut self, max: u64) -> Self {
-        self.max_iterations = Some(max);
-        self
-    }
-
-    /// Classify this loop's first WindowIs (see [`classify`]).
-    pub fn kind(&self) -> Result<WindowKind> {
-        classify(&self.spec)
     }
 
     /// The iterator's current position — everything a checkpoint needs to
@@ -408,6 +494,24 @@ impl WindowSeq {
         self.st = st;
     }
 
+    /// The assignment the next call to `next` yields, without advancing.
+    pub fn peek(&self) -> Option<Result<WindowAssignment>> {
+        if self.done {
+            return None;
+        }
+        match self.spec.cond.holds(self.t, self.st) {
+            Err(e) => Some(Err(e)),
+            Ok(false) => None,
+            Ok(true) => Some(self.spec.windows_at(self.t, self.st)),
+        }
+    }
+
+    /// This loop's panes on `stream` at its start time; `None` when the
+    /// loop has no window on `stream`.
+    pub fn panes(&self, stream: &str) -> Result<Option<Panes>> {
+        self.spec.panes(stream, self.st)
+    }
+
     /// Jump to a previously captured position. The spec and `st` must be
     /// the ones this position was captured from (a checkpoint restores
     /// both); the sequence then continues exactly where it left off.
@@ -415,22 +519,6 @@ impl WindowSeq {
         self.t = pos.t;
         self.iterations = pos.iterations;
         self.done = pos.done;
-    }
-
-    /// Advance past `n` window assignments without keeping them, e.g. to
-    /// skip windows already finalized before a crash. Returns how many
-    /// assignments were actually consumed (fewer when the loop ends
-    /// first); errors surface as in iteration.
-    pub fn fast_forward(&mut self, n: u64) -> Result<u64> {
-        let mut consumed = 0;
-        while consumed < n {
-            match self.next() {
-                Some(Ok(_)) => consumed += 1,
-                Some(Err(e)) => return Err(e),
-                None => break,
-            }
-        }
-        Ok(consumed)
     }
 }
 
@@ -449,33 +537,11 @@ impl Iterator for WindowSeq {
     type Item = Result<WindowAssignment>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
+        let item = self.peek();
+        if !matches!(item, Some(Ok(_))) {
+            self.done = true;
+            return item;
         }
-        if let Some(max) = self.max_iterations {
-            if self.iterations >= max {
-                self.done = true;
-                return None;
-            }
-        }
-        match self.spec.cond.holds(self.t, self.st) {
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e));
-            }
-            Ok(false) => {
-                self.done = true;
-                return None;
-            }
-            Ok(true) => {}
-        }
-        let assignment = match self.spec.windows_at(self.t, self.st) {
-            Ok(assignment) => assignment,
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e));
-            }
-        };
         let t = self.t;
         self.t = self.spec.step.apply(self.t);
         self.iterations += 1;
@@ -486,7 +552,7 @@ impl Iterator for WindowSeq {
                 self.done = true;
             }
         }
-        Some(Ok(assignment))
+        item
     }
 }
 
@@ -511,20 +577,6 @@ pub enum WindowKind {
     Backward,
     /// Degenerate: a fixed window repeated (e.g. zero step).
     Fixed,
-}
-
-impl WindowKind {
-    /// Whether per-window memory is bounded by the spec alone ("if [logical
-    /// timestamps are] used, then the memory requirements of a window can
-    /// be known a priori", §4.1.2).
-    pub fn bounded_memory(&self) -> bool {
-        !matches!(self, WindowKind::Landmark)
-    }
-
-    /// Hop size exceeding width ⇒ stream segments skipped (§4.1.2).
-    pub fn skips_data(&self) -> bool {
-        matches!(self, WindowKind::Sliding { hop, width } if hop > width)
-    }
 }
 
 /// Classify a for-loop's first WindowIs.
@@ -672,7 +724,6 @@ mod tests {
         );
         let kind = classify(&landmark_spec()).unwrap();
         assert_eq!(kind, WindowKind::Landmark);
-        assert!(!kind.bounded_memory());
     }
 
     #[test]
@@ -698,15 +749,6 @@ mod tests {
         );
         let kind = classify(&sliding_spec()).unwrap();
         assert_eq!(kind, WindowKind::Sliding { hop: 5, width: 5 });
-        assert!(!kind.skips_data(), "hop == width covers the stream exactly");
-        assert!(kind.bounded_memory());
-    }
-
-    #[test]
-    fn hop_exceeding_width_skips_data() {
-        let mut spec = sliding_spec();
-        spec.step = Step::Add(10);
-        assert!(classify(&spec).unwrap().skips_data());
     }
 
     #[test]
@@ -779,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn max_iterations_bounds_infinite_specs() {
+    fn an_unbounded_loop_keeps_yielding() {
         // An unbounded continuous query: t >= 0 forever.
         let spec = ForLoop {
             init: LinExpr::constant(0),
@@ -790,7 +832,7 @@ mod tests {
             step: Step::Add(1),
             windows: vec![WindowIs::new("s", LinExpr::t(), LinExpr::t())],
         };
-        let n = WindowSeq::new(spec, 0).with_max_iterations(100).count();
+        let n = WindowSeq::new(spec, 0).take(100).count();
         assert_eq!(n, 100);
     }
 
@@ -798,7 +840,7 @@ mod tests {
     /// running it; `None` when it outlives `cap` iterations.
     fn brute_force_extent(spec: &ForLoop, st: i64, cap: u64) -> Option<LoopLength> {
         let ts: Vec<i64> = WindowSeq::new(spec.clone(), st)
-            .with_max_iterations(cap)
+            .take(cap as usize)
             .map(|wa| wa.unwrap().t)
             .collect();
         match (ts.first(), ts.last()) {
@@ -935,7 +977,114 @@ mod tests {
     }
 
     #[test]
-    fn position_seek_and_fast_forward_resume_exactly() {
+    fn panes_agree_with_the_windows_the_loop_produces() {
+        // For random finite loops (forward, backward, landmark, hopping,
+        // shrinking, Set), every closed-form answer must match the edges
+        // of the windows still to come, enumerated.
+        let mut rng = tcq_common::rng::seeded(0x9A4E);
+        let ops = [CondOp::Eq, CondOp::Lt, CondOp::Le, CondOp::Gt, CondOp::Ge];
+        let mut probes = 0;
+        for case in 0..3_000 {
+            let st = rng.gen_range(-20..20i64);
+            let mut coeff = || rng.gen_range(-2..3i64);
+            let (lt, rt) = (coeff(), coeff());
+            let spec = ForLoop {
+                init: LinExpr::st_plus(rng.gen_range(-10..10i64)),
+                cond: Condition {
+                    op: ops[rng.gen_range(0..ops.len())],
+                    bound: LinExpr::st_plus(rng.gen_range(-40..40i64)),
+                },
+                step: match rng.gen_range(0..5u32) {
+                    0 => Step::Set(rng.gen_range(-30..30i64)),
+                    _ => Step::Add(rng.gen_range(-6..7i64)),
+                },
+                windows: vec![WindowIs::new(
+                    "s",
+                    LinExpr {
+                        t_coeff: lt,
+                        st_coeff: 0,
+                        constant: rng.gen_range(-10..5i64),
+                    },
+                    LinExpr {
+                        t_coeff: rt,
+                        st_coeff: 1,
+                        constant: rng.gen_range(-5..10i64),
+                    },
+                )],
+            };
+            let n = match spec.extent(st).unwrap() {
+                LoopLength::Finite { iterations, .. } if iterations <= 200 => iterations,
+                LoopLength::Empty => 0,
+                _ => continue,
+            };
+            // Bounds as the loop evaluates them, crossed windows included.
+            let mut t = spec.init.eval(0, st);
+            let mut bounds = Vec::new();
+            let w = &spec.windows[0];
+            for _ in 0..n {
+                bounds.push((w.left.eval(t, st), w.right.eval(t, st)));
+                t = spec.step.apply(t);
+            }
+            let panes = spec.panes("S", st).unwrap().unwrap();
+            for from in 0..=n {
+                let rest = &bounds[from as usize..];
+                let edges: Vec<i64> = rest.iter().flat_map(|&(l, r)| [l, r + 1]).collect();
+                for seq in -80..80 {
+                    probes += 1;
+                    let want = (rest.iter().any(|&(l, _)| l <= seq))
+                        .then(|| edges.iter().filter(|&&e| e <= seq).max().copied())
+                        .flatten();
+                    assert_eq!(
+                        panes.pane_of(from, seq),
+                        want,
+                        "case {case}: {spec:?} from {from} seq {seq}"
+                    );
+                }
+            }
+        }
+        assert!(probes > 100_000, "only {probes} probes");
+        assert_eq!(
+            sliding_spec().panes("nope", 0).unwrap(),
+            None,
+            "no window on the stream, no panes"
+        );
+    }
+
+    #[test]
+    fn panes_of_unbounded_and_huge_loops_in_closed_form() {
+        // Landmark [101, t] by 5 forever: one left edge, ends every 5.
+        let mut landmark = landmark_spec();
+        landmark.cond = Condition {
+            op: CondOp::Ge,
+            bound: LinExpr::constant(0),
+        };
+        landmark.step = Step::Add(5);
+        let p = landmark.panes("ClosingStockPrices", 0).unwrap().unwrap();
+        assert_eq!(p.pane_of(0, 100), None);
+        assert_eq!(p.pane_of(0, 104), Some(102));
+        assert_eq!(p.pane_of(0, 107), Some(107));
+        // After 3 windows ([101,101], [101,106], [101,111]) closed, 102
+        // and 107 are no longer edges: everything below 117 is one pane.
+        assert_eq!(p.pane_of(3, 107), Some(101));
+        assert_eq!(p.pane_of(3, 116), Some(101));
+        assert_eq!(p.pane_of(3, 117), Some(117));
+        // A 10^9-iteration sliding loop, far into it.
+        let mut sliding = sliding_spec();
+        sliding.cond.bound = LinExpr::st_plus(5_000_000_000);
+        let p = sliding.panes("ClosingStockPrices", 100).unwrap().unwrap();
+        let last = 100 + 5 * 999_999_999;
+        assert_eq!(p.pane_of(999_999_999, last), Some(last - 4));
+        assert_eq!(p.pane_of(1_000_000_000, last), None, "the loop is over");
+        assert_eq!(p.pane_of(500, 100 + 5 * 500 - 2), Some(100 + 5 * 500 - 4));
+        assert_eq!(
+            p.pane_of(500, 100 + 5 * 499 - 5),
+            None,
+            "behind every left edge"
+        );
+    }
+
+    #[test]
+    fn position_and_seek_resume_exactly() {
         // Emit 4 windows, checkpoint the position, emit the rest; a fresh
         // iterator seeked to the checkpoint must produce the same tail.
         let st = 100;
@@ -951,22 +1100,6 @@ mod tests {
         restored.seek(pos);
         let resumed: Vec<_> = restored.collect::<Result<Vec<_>>>().unwrap();
         assert_eq!(resumed, tail);
-
-        // fast_forward is equivalent to discarding that many assignments,
-        // and reports early loop termination instead of over-consuming.
-        let mut ff = WindowSeq::new(sliding_spec(), st);
-        assert_eq!(ff.fast_forward(4).unwrap(), 4);
-        assert_eq!(ff.position(), pos);
-        assert_eq!(ff.fast_forward(100).unwrap(), 6, "loop ends after 10");
-        assert!(ff.position().done);
-        assert_eq!(ff.fast_forward(1).unwrap(), 0);
-    }
-
-    #[test]
-    fn window_instance_queries() {
-        let w = WindowInstance { left: 3, right: 7 };
-        assert!(w.contains(3) && w.contains(7) && !w.contains(8));
-        assert_eq!(w.width(), 5);
     }
 
     #[test]

@@ -81,6 +81,9 @@ echo "== exp_cacq_sharing --smoke (count tripwire: a probe of 1024 CQs examines 
 echo "== exp_psoup --smoke (count tripwire: every ring fetch equals its archive recompute, no ring displaces a row) =="
 ./target/release/exp_psoup --smoke
 
+echo "== exp_window_memory --smoke (count tripwire: landmark MAX holds <= 2 partials, sliding <= panes per window + 1, every window's MAX equals its recompute) =="
+./target/release/exp_window_memory --smoke
+
 echo "== exp_adaptivity_knobs + exp_hybrid_join (one-tuple routing smokes) =="
 ./target/release/exp_adaptivity_knobs
 ./target/release/exp_hybrid_join

@@ -133,6 +133,56 @@ fn backward_windows_browse_history() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+#[test]
+fn historical_windows_answer_aggregates_one_row_per_window() {
+    // Snapshot and backward windows are answered from the archive; with
+    // aggregates in the select list each window gives its `(t, aggs...)`
+    // row, as a live window would, not the raw rows it covers.
+    let dir = std::env::temp_dir().join(format!("tcq-backward-agg-{}", std::process::id()));
+    let server = TelegraphCQ::start(Cfg {
+        archive_dir: Some(dir.clone()),
+        ..Cfg::default()
+    })
+    .unwrap();
+    server.register_stream("s", schema()).unwrap();
+    let s = schema();
+    for ts in 1..=100 {
+        server.push("s", row(&s, ts, ts as f64)).unwrap();
+    }
+    while server.archive_stats("s").unwrap().unwrap().appended < 100 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let client = server.connect_pull_client(4096).unwrap();
+    server
+        .submit(
+            "SELECT COUNT(*), MAX(v) FROM s \
+             for (t = ST; t > ST - 30; t -= 10) { WindowIs(s, t - 9, t); }",
+            client,
+        )
+        .unwrap();
+    let got: Vec<Vec<Value>> = (server.fetch(client, 4096).unwrap().into_iter())
+        .map(|(_, t)| t.values().to_vec())
+        .collect();
+    let want: Vec<Vec<Value>> = [100, 90, 80]
+        .into_iter()
+        .map(|t| vec![Value::Int(t), Value::Int(10), Value::Float(t as f64)])
+        .collect();
+    assert_eq!(got, want, "one (t, count, max) row per backward window");
+
+    server
+        .submit(
+            "SELECT COUNT(*) FROM s for (; t == 0; t = -1) { WindowIs(s, 1, 5); }",
+            client,
+        )
+        .unwrap();
+    let got = server.fetch(client, 4096).unwrap();
+    assert_eq!(got.len(), 1, "a snapshot aggregate is one row");
+    assert_eq!(got[0].1.values(), &[Value::Int(0), Value::Int(5)]);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// PSoup's disconnected clients (§3.2) on the server: each of K standing
 /// windowed filter CQs has its own pull client, which reconnects at seeded
 /// intervals. What it fetches from its ring must equal the same predicate
@@ -319,9 +369,9 @@ fn aggregate_windows_close_only_when_time_passes() {
 }
 
 #[test]
-fn landmark_aggregate_grows_without_bound_until_eof() {
-    // The §4.1.2 memory story at the server level: a landmark COUNT keeps
-    // growing; each emission covers [1, t].
+fn landmark_aggregate_state_is_bounded_by_groups() {
+    // The §4.1.2 memory story at the server level: a landmark COUNT is
+    // computed iteratively; each emission covers [1, t].
     let server = TelegraphCQ::start(Cfg::default()).unwrap();
     server.register_stream("s", schema()).unwrap();
     let client = server.connect_pull_client(4096).unwrap();
@@ -343,6 +393,58 @@ fn landmark_aggregate_grows_without_bound_until_eof() {
         .map(|(_, r)| r.value(1).as_int().unwrap())
         .collect();
     assert_eq!(counts, vec![5, 10, 15, 20, 25]);
+    server.shutdown().unwrap();
+
+    // Standing queries over one stream, checked after every round of
+    // rows: landmark state stays at most two partials per group (the
+    // closed prefix and the pane still filling) however many rows went
+    // by, and a sliding window of 5 panes holds at most 6 per group.
+    const GROUPS: i64 = 4;
+    let server = TelegraphCQ::start(Cfg::default()).unwrap();
+    server.register_stream("s", schema()).unwrap();
+    let client = server.connect_pull_client(1 << 16).unwrap();
+    let landmark = "for (t = 5; t >= 0; t += 5) { WindowIs(s, 1, t); }";
+    let sliding = "for (t = 10; t >= 0; t += 10) { WindowIs(s, t - 49, t); }";
+    let bounded = [
+        (format!("SELECT COUNT(*), MAX(v) FROM s {landmark}"), 2),
+        (
+            format!("SELECT v, COUNT(*), MAX(ts) FROM s GROUP BY v {landmark}"),
+            2 * GROUPS,
+        ),
+        (
+            format!("SELECT v, MAX(ts) FROM s GROUP BY v {sliding}"),
+            GROUPS * (5 + 1),
+        ),
+    ]
+    .map(|(sql, bound)| (server.submit(&sql, client).unwrap(), bound as usize));
+    let mut ts = 0;
+    for round in 1..=8 {
+        for _ in 0..round * 150 {
+            ts += 1;
+            server.push("s", row(&s, ts, (ts % GROUPS) as f64)).unwrap();
+        }
+        settle(&server);
+        // A DU that lags behind the stream holds fewer partials, not more:
+        // every run closes all the windows it can before it returns.
+        for &(qid, bound) in &bounded {
+            let entries = server.aggregate_state_entries(qid).unwrap();
+            assert!(
+                entries <= bound,
+                "q{qid} holds {entries} partials after {ts} rows (bound {bound})"
+            );
+        }
+    }
+    server.finish_stream("s").unwrap();
+    assert!(server.quiesce(Duration::from_secs(30)));
+    let got = server.fetch(client, 1 << 16).unwrap();
+    let landmark_counts: Vec<i64> = (got.iter())
+        .filter(|(q, _)| *q == bounded[0].0)
+        .map(|(_, r)| r.value(1).as_int().unwrap())
+        .collect();
+    let closed = (ts / 5) as usize;
+    assert_eq!(landmark_counts.len(), closed, "one row per closed window");
+    assert!(landmark_counts.iter().zip(1..).all(|(&n, i)| n == 5 * i));
+    assert_eq!(server.aggregate_state_entries(9999), None);
     server.shutdown().unwrap();
 }
 

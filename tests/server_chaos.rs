@@ -868,7 +868,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
     // concatenated per-query results must equal an uninterrupted run's:
     // no tuple lost, none duplicated, and the aggregate window that
     // straddles the crash point closes with the correct count.
-    const HALF: usize = 1495; // not a window multiple: the agg buffer spans the cut
+    const HALF: usize = 1495; // not a window multiple: an open window's partials span the cut
     let dir = temp_dir("restore");
     let ckpt = dir.join("server.tcqk");
     let config = || ServerConfig {
