@@ -34,7 +34,7 @@ fn settle(server: &TelegraphCQ) {
     }
 }
 
-/// Throughput of the shared filter DU as standing-query count grows.
+/// Throughput of a stream's shared filter pass as standing-query count grows.
 fn experiment_throughput_vs_queries() {
     println!("F4 — ingest throughput as standing queries accumulate (one stream)\n");
     let mut table = Table::new(&["queries", "tuples", "ingest+process ms", "Ktuples/s"]);
@@ -162,8 +162,8 @@ fn experiment_classes() {
     }
     let stats = server.executor_stats();
     println!(
-        "  4 disjoint streams → DUs per EO: {:?} (each stream's dispatcher+filter\n\
-         \x20 pair shares one EO; different streams spread across EOs)",
+        "  4 disjoint streams → DUs per EO: {:?} (each stream's dispatcher, which\n\
+         \x20 runs its filter and aggregate queries, is one DU; streams spread across EOs)",
         stats.dus_per_eo
     );
     server.shutdown().unwrap();

@@ -6,7 +6,7 @@
 //! > the maintenance of the entire window."
 //!
 //! Each case submits one MAX query to a `TelegraphCQ` and pushes the same
-//! seeded stream through it. The aggregate DU keeps one partial per pane,
+//! seeded stream through it. The query's window driver keeps one partial per pane,
 //! the span between two window edges of its for-loop, so a landmark MAX
 //! holds one partial and a sliding MAX one per pane of its window; with
 //! hop 1 every pane is a single tick and the state is the whole window.

@@ -5,7 +5,10 @@
 //! access to a stored collection of queries" (§1.1). The dispatcher is the
 //! point of that inversion: it drains a stream's ingress Fjord through its
 //! [`Inbox`], stamps arrival order, spools history to the stream's archive,
-//! and forwards each drained batch to every standing query's input queue.
+//! runs the stream's single-stream plans ([`StreamPlans`]: its filter and
+//! aggregate queries) over each drained batch, and forwards the batch to
+//! the input queue of every plan that reads two streams (join DUs,
+//! exchanges).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -18,19 +21,27 @@ use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{EnqueueError, FjordMessage, Inbox, Producer};
 use tcq_storage::StreamArchive;
 
+use crate::plans::StreamPlans;
+
 /// One query's subscription to a stream.
-pub struct Subscription {
+struct Subscription {
     /// Where to forward tuples.
-    pub producer: Producer,
+    producer: Producer,
     /// Subscription id, for removal.
-    pub id: u64,
+    id: u64,
+}
+
+struct Subscriptions {
+    list: Vec<Subscription>,
+    /// The dispatcher broadcast the stream's Eof and retired.
+    ended: bool,
 }
 
 /// Shared handle the server uses to add/remove subscriptions while the
 /// dispatcher DU runs.
 #[derive(Clone)]
 pub struct SubscriberSet {
-    subs: Arc<Mutex<Vec<Subscription>>>,
+    subs: Arc<Mutex<Subscriptions>>,
     next_id: Arc<AtomicI64>,
 }
 
@@ -44,41 +55,43 @@ impl SubscriberSet {
     /// Empty set.
     pub fn new() -> Self {
         SubscriberSet {
-            subs: Arc::new(Mutex::new(Vec::new())),
+            subs: Arc::new(Mutex::new(Subscriptions {
+                list: Vec::new(),
+                ended: false,
+            })),
             next_id: Arc::new(AtomicI64::new(1)),
         }
     }
 
-    /// Add a subscriber; returns its id.
+    /// Add a subscriber; returns its id. Once the stream has ended, the
+    /// subscriber's queue gets the Eof at once: no dispatcher is left to
+    /// send it.
     pub fn add(&self, producer: Producer) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) as u64;
-        self.subs.lock().push(Subscription { producer, id });
+        let mut subs = self.subs.lock();
+        if subs.ended {
+            // A fresh queue has room; a disconnected one needs no Eof.
+            let _ = producer.enqueue(FjordMessage::Eof);
+        }
+        subs.list.push(Subscription { producer, id });
         id
     }
 
     /// Remove a subscriber by id.
     pub fn remove(&self, id: u64) {
-        self.subs.lock().retain(|s| s.id != id);
+        self.subs.lock().list.retain(|s| s.id != id);
     }
 
-    /// Current subscriber count.
-    pub fn len(&self) -> usize {
-        self.subs.lock().len()
+    fn len(&self) -> usize {
+        self.subs.lock().list.len()
     }
 
     /// Total tuples queued across all subscriber queues (shutdown drain
     /// bookkeeping).
     pub fn backlog(&self) -> usize {
-        self.subs
-            .lock()
-            .iter()
+        (self.subs.lock().list.iter())
             .map(|s| s.producer.stats().len)
             .sum()
-    }
-
-    /// True when nobody is subscribed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -92,7 +105,8 @@ pub enum OverloadPolicy {
     #[default]
     Backpressure,
     /// Shed: drop the slow subscriber's copy (other queries still get the
-    /// tuple) and count it — "degrade in a controlled fashion".
+    /// tuple) and count it — "degrade in a controlled fashion". The
+    /// stream's own plans never shed: nothing queues for them.
     Shed,
 }
 
@@ -100,6 +114,8 @@ pub enum OverloadPolicy {
 pub struct StreamDispatcher {
     name: String,
     input: Inbox,
+    /// The stream's filter and aggregate queries, run in place.
+    plans: StreamPlans,
     subscribers: SubscriberSet,
     /// Stream history spool; `None` disables archiving.
     archive: Option<Arc<Mutex<StreamArchive>>>,
@@ -108,8 +124,6 @@ pub struct StreamDispatcher {
     latest_seq: Arc<AtomicI64>,
     /// Arrival counter used to stamp tuples lacking logical timestamps.
     arrivals: i64,
-    /// Tuples accepted so far.
-    forwarded: u64,
     /// Tuples waiting for a full subscriber queue: (subscriber index cursor
     /// handled inside), preserving order.
     pending: VecDeque<Tuple>,
@@ -129,11 +143,13 @@ pub struct StreamDispatcher {
 
 impl StreamDispatcher {
     /// Build a dispatcher reading the stream's ingress fjord through
-    /// `input`. Faults, stamping and archiving are per message, so a
-    /// same-seed chaos run is byte-identical at any `io_batch`.
+    /// `input`, running `plans` and feeding `subscribers`. Faults, stamping
+    /// and archiving are per message, so a same-seed chaos run is
+    /// byte-identical at any `io_batch`.
     pub fn new(
         name: impl Into<String>,
         input: Inbox,
+        plans: StreamPlans,
         subscribers: SubscriberSet,
         archive: Option<Arc<Mutex<StreamArchive>>>,
         latest_seq: Arc<AtomicI64>,
@@ -141,6 +157,7 @@ impl StreamDispatcher {
         StreamDispatcher {
             name: name.into(),
             input,
+            plans,
             subscribers,
             archive,
             // A restored server seeds `latest_seq` from the checkpoint
@@ -148,7 +165,6 @@ impl StreamDispatcher {
             // past the pre-crash watermark instead of restarting at 1.
             arrivals: latest_seq.load(Ordering::Acquire),
             latest_seq,
-            forwarded: 0,
             pending: VecDeque::new(),
             overload: OverloadPolicy::Backpressure,
             shed: Arc::new(AtomicI64::new(0)),
@@ -165,11 +181,12 @@ impl StreamDispatcher {
         self
     }
 
-    /// Attach a chaos injector: each forwarded tuple polls
-    /// [`FaultPoint::FjordEnqueue`]; an `Overflow` fault drops that
-    /// tuple's fan-out (every subscriber copy sheds and is counted),
-    /// regardless of overload policy — an injected full is a full that
-    /// does not clear.
+    /// Attach a chaos injector: each fresh tuple polls
+    /// [`FaultPoint::FjordEnqueue`]; an `Overflow` fault drops the tuple
+    /// for the stream's plans and every subscriber, regardless of overload
+    /// policy — an injected full is a full that does not clear. It counts
+    /// one shed per subscriber queue, plus one for the plans while a query
+    /// stands among them.
     pub fn with_injector(mut self, injector: SharedInjector) -> Self {
         self.injector = Some(injector);
         self
@@ -202,7 +219,8 @@ impl StreamDispatcher {
         if tuples.is_empty() {
             return true;
         }
-        let subs = self.subscribers.subs.lock();
+        let guard = self.subscribers.subs.lock();
+        let subs = &guard.list;
         let mut limit = tuples.len();
         if self.overload == OverloadPolicy::Backpressure {
             for s in subs.iter() {
@@ -238,9 +256,8 @@ impl StreamDispatcher {
                     }
                 }
             }
-            self.forwarded += limit as u64;
         }
-        drop(subs);
+        drop(guard);
         if stalled.is_empty() {
             true
         } else {
@@ -259,11 +276,12 @@ impl StreamDispatcher {
     /// its final run, and the merge withholds the tail tuples forever
     /// (the P=4 `exp_scaling` 2-tuples-undelivered wedge). A disconnected
     /// subscriber counts as delivered. Returns true once every current
-    /// subscriber has its Eof.
+    /// subscriber has its Eof; the set then hands a later subscriber its
+    /// Eof itself ([`SubscriberSet::add`]).
     fn fan_out_eof(&mut self) -> bool {
-        let subs = self.subscribers.subs.lock();
+        let mut subs = self.subscribers.subs.lock();
         let mut all = true;
-        for s in subs.iter() {
+        for s in subs.list.iter() {
             if self.eof_delivered.contains(&s.id) {
                 continue;
             }
@@ -272,17 +290,20 @@ impl StreamDispatcher {
                 Err(EnqueueError::Full(_)) => all = false,
             }
         }
+        subs.ended = all;
         all
     }
 }
 
-/// Poll the injector once for a fresh tuple's fan-out. True when an
-/// injected `Overflow` drops the fan-out whole: one shed per subscriber
-/// copy, even under back-pressure — an injected full never clears, so
-/// waiting would wedge the stream. (Polled per *fresh* tuple, not per
-/// retry, so the poll count is a pure function of the tuple sequence.)
+/// Poll the injector once for a fresh tuple. True when an injected
+/// `Overflow` drops the tuple whole: one shed per subscriber copy and one
+/// for the plans while a query stands among them, even under back-pressure
+/// — an injected full never clears, so waiting would wedge the stream.
+/// (Polled per *fresh* tuple, not per retry, so the poll count is a pure
+/// function of the tuple sequence.)
 fn injected_overflow(
     injector: Option<&SharedInjector>,
+    plans: &StreamPlans,
     subscribers: &SubscriberSet,
     shed: &AtomicI64,
 ) -> bool {
@@ -293,7 +314,8 @@ fn injected_overflow(
         )
     });
     if overflow {
-        shed.fetch_add(subscribers.len() as i64, Ordering::Relaxed);
+        let copies = subscribers.len() + usize::from(plans.standing());
+        shed.fetch_add(copies as i64, Ordering::Relaxed);
     }
     overflow
 }
@@ -336,23 +358,27 @@ impl DispatchUnit for StreamDispatcher {
                 self.latest_seq.fetch_max(seq, Ordering::AcqRel);
                 if let Some(archive) = &self.archive {
                     // A failed append degrades history, not the live
-                    // path: the tuple still reaches every subscriber and
-                    // the loss is counted.
+                    // path: the tuple still reaches every query and the
+                    // loss is counted.
                     if archive.lock().append(&t).is_err() {
                         self.archive_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                if injected_overflow(self.injector.as_ref(), &self.subscribers, &self.shed) {
-                    self.forwarded += 1;
+                let injector = self.injector.as_ref();
+                if injected_overflow(injector, &self.plans, &self.subscribers, &self.shed) {
                     continue;
                 }
                 fan.push(t);
             }
+            // Fresh tuples only: a back-pressure retry above reaches the
+            // subscribers alone.
+            self.plans.run(&fan);
             if !self.forward_batch(fan) {
                 return Ok(ModuleStatus::Idle);
             }
         }
         if self.input.is_done() && self.pending.is_empty() {
+            self.plans.finish();
             if self.fan_out_eof() {
                 self.eof_sent = true;
                 return Ok(ModuleStatus::Done);
@@ -387,11 +413,16 @@ impl DispatchUnit for StreamDispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcq_common::{DataType, Field, Schema, SchemaRef, Timestamp, TupleBuilder};
+    use tcq_common::{DataType, Expr, Field, Schema, SchemaRef, Timestamp, TupleBuilder};
+    use tcq_egress::EgressRouter;
     use tcq_fjords::{fjord, Consumer, DequeueResult, QueueKind};
 
     fn schema() -> SchemaRef {
         Schema::qualified("s", vec![Field::new("x", DataType::Int)]).into_ref()
+    }
+
+    fn no_plans() -> StreamPlans {
+        StreamPlans::new(schema(), EgressRouter::new())
     }
 
     fn tick(s: &SchemaRef, x: i64) -> Tuple {
@@ -435,6 +466,7 @@ mod tests {
         let mut d = StreamDispatcher::new(
             "d",
             Inbox::new(ic, 64),
+            no_plans(),
             subs,
             None,
             Arc::new(AtomicI64::new(0)),
@@ -474,9 +506,17 @@ mod tests {
         let (narrow_p, narrow_c) = fjord(4, QueueKind::Push);
         subs.add(wide_p);
         subs.add(narrow_p);
+        let egress = EgressRouter::new();
+        egress.register_pull_client(1, 64).unwrap();
+        egress.subscribe(1, 7).unwrap();
+        let plans = StreamPlans::new(schema(), egress.clone());
+        plans
+            .add_filter(7, None, &[(Expr::col("x"), None)], i64::MIN)
+            .unwrap();
         let mut d = StreamDispatcher::new(
             "d",
             Inbox::new(ic, 8),
+            plans,
             subs,
             None,
             Arc::new(AtomicI64::new(0)),
@@ -495,5 +535,11 @@ mod tests {
         }
         assert_eq!(rest, vec![5, 6, 7, 8, 9, 10]);
         assert_eq!(drain_tuples(&wide_c), (1..=10).collect::<Vec<i64>>());
+        // The stream's own filter query saw each tuple once, however many
+        // retries the narrow queue cost.
+        let filtered: Vec<i64> = (egress.fetch(1, 64).unwrap().iter())
+            .map(|(_, t)| t.value(0).as_int().unwrap())
+            .collect();
+        assert_eq!(filtered, (1..=10).collect::<Vec<i64>>());
     }
 }

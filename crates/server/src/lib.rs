@@ -13,12 +13,14 @@
 //! * ingress ([`tcq_ingress`]) — one supervised source thread (the
 //!   streamer) per attached wrapper, feeding per-stream Fjords;
 //! * a **stream dispatcher** DU per stream — stamps arrival order, spools
-//!   history to a [`tcq_storage::StreamArchive`], and fans tuples out to
-//!   every standing query's input queue;
-//! * query DUs ([`plans`]) — a *shared* CACQ-style filter DU per stream
-//!   (all single-stream selection queries share one QueryStem pass), an
-//!   eddy DU per join group (every join query on one stream pair and key
-//!   shares its SteMs), and window-driver DUs for aggregates;
+//!   history to a [`tcq_storage::StreamArchive`], runs the stream's
+//!   single-stream plans in place ([`plans::StreamPlans`]: one *shared*
+//!   CACQ-style QueryStem pass for all its selection queries, and a
+//!   window driver per aggregate), and fans tuples out to the input queue
+//!   of every plan that reads two streams;
+//! * join DUs ([`plans`]) — an eddy DU per join group (every join query
+//!   on one stream pair and key shares its SteMs), or a partitioned
+//!   exchange ([`exchange`]);
 //! * the executor ([`tcq_executor`]) — EO threads hosting the DUs, classed
 //!   by query footprint;
 //! * egress ([`tcq_egress`]) — push/pull result delivery per client.

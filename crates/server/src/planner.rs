@@ -17,11 +17,12 @@ use crate::plans::ResolvedAgg;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
     /// Single stream, scalar projection: joins the stream's shared CACQ
-    /// filter DU.
+    /// filter pass, run by its dispatcher.
     SharedFilter,
-    /// Single stream with aggregates: a dedicated window-driver DU.
+    /// Single stream with aggregates: a window driver run by the stream's
+    /// dispatcher.
     Aggregate,
-    /// Multi-source equi-join: a dedicated eddy DU.
+    /// Multi-source equi-join: an eddy DU (its join group's, or its own).
     Join,
     /// Snapshot/backward windows over history: answered from the stream
     /// archive at submission time, then closed.

@@ -72,6 +72,14 @@ echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <=
 # or a superlinear index shows here (~18.5 MiB with private projections).
 bench_gate manycq_churn 12.5
 
+echo "== benchmark durable_agg (end-to-end tripwire: 0 failed rows, peak RSS <= 12 MiB) =="
+# A grouped tumbling-window aggregate, archived and checkpointed every
+# 64 000 rows, reads ~9.5-10.3 MiB: it runs on its stream's dispatcher and
+# holds one partial per (pane, group), freed as each window closes. State
+# that grows with the stream instead (panes never retired, rows kept per
+# window) crosses the ceiling; a window answered wrong fails result rows.
+bench_gate durable_agg 12
+
 echo "== exp_eddy_adaptivity (count tripwire: lottery < random, within 5% of the oracle order, decay < none) =="
 ./target/release/exp_eddy_adaptivity
 

@@ -14,9 +14,13 @@
 //! (`t++`), empty, 10⁹-iteration and crossed-bound loops, and snapshot and
 //! backward windows. The server answers them under `io_batch` {1, 64} ×
 //! checkpoint store on/off, and once more across a checkpoint → shutdown →
-//! restore cut taken mid-window. Columns are integers, so float sums are
-//! exact in any fold order and results compare exactly. A failure names its
-//! seed, configuration and query.
+//! restore cut taken mid-window. Under `io_batch` × checkpoint store the
+//! stream also carries two co-resident plans: a standing filter query,
+//! whose rows must equal the reference filter's as a multiset, and one more
+//! aggregate stopped mid-stream, whose windows must be a prefix of its
+//! reference. Columns are integers, so float sums are exact in any fold
+//! order and results compare exactly. A failure names its seed,
+//! configuration and query.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -91,8 +95,11 @@ struct Query {
     filter: Option<i64>,
     group: bool,
     aggs: Vec<(Func, usize)>,
-    window: ForLoop,
+    /// `None` for a plain filter query: no window and no aggregates.
+    window: Option<ForLoop>,
     historical: bool,
+    /// Row index at which the query is stopped, mid-stream.
+    stop_at: Option<usize>,
 }
 
 impl Query {
@@ -101,6 +108,9 @@ impl Query {
         let mut items: Vec<String> = Vec::new();
         if self.group {
             items.push("k".into());
+        }
+        if self.aggs.is_empty() {
+            items.extend(["k", "v", "w"].map(String::from));
         }
         for (f, c) in &self.aggs {
             items.push(match f {
@@ -119,7 +129,9 @@ impl Query {
         if self.group {
             sql += " GROUP BY k";
         }
-        let w = &self.window;
+        let Some(w) = &self.window else {
+            return sql;
+        };
         let op = match w.cond.op {
             CondOp::Eq => "==",
             CondOp::Lt => "<",
@@ -317,13 +329,36 @@ fn query(rng: &mut TcqRng, shape: &'static str, historical: bool) -> Query {
         filter: rng.gen_bool(0.4).then(|| rng.gen_range(-40..30)),
         group: rng.gen_bool(0.5),
         aggs,
-        window: if historical {
+        window: Some(if historical {
             historical_window(rng, shape)
         } else {
             live_window(rng, shape)
-        },
+        }),
         historical,
+        stop_at: None,
     }
+}
+
+/// The plans that share the stream with a seed's aggregates: a plain
+/// filter query, and an aggregate stopped somewhere in the middle of the
+/// stream.
+fn co_resident(seed: u64, rows: &[Tuple]) -> Vec<Query> {
+    let mut rng = seeded(seed ^ 0xc0_2e51);
+    let filter = Query {
+        shape: "filter",
+        filter: rng.gen_bool(0.7).then(|| rng.gen_range(-40..30)),
+        group: false,
+        aggs: Vec::new(),
+        window: None,
+        historical: false,
+        stop_at: None,
+    };
+    let shape = ["landmark", "tumbling", "sliding", "tick"][rng.gen_range(0usize..4)];
+    let stopped = Query {
+        stop_at: Some(rng.gen_range(rows.len() / 4..rows.len() * 3 / 4)),
+        ..query(&mut rng, shape, false)
+    };
+    vec![filter, stopped]
 }
 
 /// One result row as text: `Value`'s `==` equates `Int(1)` with
@@ -336,11 +371,20 @@ type Windows = BTreeMap<i64, Vec<String>>;
 
 /// The reference answer: every window of the loop, evaluated from scratch
 /// over `rows`. A live loop stops at the first window stream time never
-/// reached; a loop whose window is invalid stops there.
+/// reached; a loop whose window is invalid stops there. A plain filter's
+/// answer is its rows, as one set.
 fn reference(q: &Query, rows: &[Tuple], st: i64) -> Windows {
+    let passes = |t: &Tuple| q.filter.is_none_or(|c| t.value(1).as_int().unwrap() > c);
+    let Some(window) = &q.window else {
+        let mut set: Vec<String> = (rows.iter().filter(|t| passes(t)))
+            .map(|t| row_text(t.values()))
+            .collect();
+        set.sort();
+        return Windows::from([(0, set)]);
+    };
     let last = rows.last().map_or(0, |t| t.timestamp().seq());
     let mut out = Windows::new();
-    for wa in WindowSeq::new(q.window.clone(), st) {
+    for wa in WindowSeq::new(window.clone(), st) {
         let Ok(wa) = wa else { break };
         if !q.historical && wa.close_time() > last {
             break;
@@ -352,8 +396,7 @@ fn reference(q: &Query, rows: &[Tuple], st: i64) -> Windows {
         }
         for t in rows {
             let seq = t.timestamp().seq();
-            let passes = q.filter.is_none_or(|c| t.value(1).as_int().unwrap() > c);
-            if win.left <= seq && seq <= win.right && passes {
+            if win.left <= seq && seq <= win.right && passes(t) {
                 let key = q.group.then(|| t.value(0).as_int().unwrap());
                 groups.entry(key).or_default().push(t);
             }
@@ -388,11 +431,15 @@ fn reference(q: &Query, rows: &[Tuple], st: i64) -> Windows {
     out
 }
 
-/// The server's answer for one query, grouped by window (`t`, column 0).
-fn windows_of(rows: &[Tuple]) -> Windows {
+/// The server's answer for one query, grouped by window (`t`, column 0);
+/// a plain filter's rows as one set.
+fn windows_of(q: &Query, rows: &[Tuple]) -> Windows {
     let mut out = Windows::new();
     for t in rows {
-        let at = t.values().first().and_then(|v| v.as_int().ok());
+        let at = match q.window {
+            Some(_) => t.values().first().and_then(|v| v.as_int().ok()),
+            None => Some(0),
+        };
         out.entry(at.unwrap_or(i64::MIN))
             .or_default()
             .push(row_text(t.values()));
@@ -486,6 +533,11 @@ fn run(seed: u64, cfg: Config, rows: &[Tuple], queries: &[Query]) -> Vec<Vec<Tup
         .iter()
         .map(|q| server.submit(&q.sql(), client).unwrap())
         .collect();
+    let mut stops: Vec<(usize, usize)> = (live.iter().zip(&qids))
+        .filter_map(|(q, &qid)| Some((q.stop_at?, qid)))
+        .collect();
+    stops.sort_unstable();
+    assert!(cfg.cut.is_none() || stops.is_empty());
     let mut tail = rows;
     let mut rx = rx;
     if let Some(cut) = cfg.cut {
@@ -507,6 +559,15 @@ fn run(seed: u64, cfg: Config, rows: &[Tuple], queries: &[Query]) -> Vec<Vec<Tup
         );
         tail = &rows[cut..];
     }
+    let mut from = 0;
+    for (stop, qid) in stops {
+        // Once the dispatcher reached the stop row, or close behind it.
+        push(&server, &tail[from..stop], &mut rng, cfg.checkpoint);
+        wait_archived(&server, stop);
+        server.stop_query(qid).unwrap();
+        from = stop;
+    }
+    let tail = &tail[from..];
     push(&server, tail, &mut rng, cfg.checkpoint && cfg.cut.is_none());
     if cfg.cut.is_none() {
         wait_archived(&server, rows.len());
@@ -536,8 +597,12 @@ fn check(seed: u64, cfg: Config, rows: &[Tuple], queries: &[Query], failures: &m
     let answers = run(seed, cfg, rows, &ordered);
     let last = rows.last().unwrap().timestamp().seq();
     for (q, got) in ordered.iter().zip(answers) {
-        let want = reference(q, rows, if q.historical { last } else { 1 });
-        let got = windows_of(&got);
+        let mut want = reference(q, rows, if q.historical { last } else { 1 });
+        let got = windows_of(q, &got);
+        if q.stop_at.is_some() {
+            // A stopped query answers a prefix of its windows.
+            want = want.into_iter().take(got.len()).collect();
+        }
         if got != want {
             let t = want
                 .iter()
@@ -568,7 +633,8 @@ fn case(seed: u64) -> (Vec<Tuple>, Vec<Query>) {
 fn windowed_aggregates_equal_their_from_scratch_evaluation() {
     let mut failures = Vec::new();
     for seed in SEEDS {
-        let (rows, queries) = case(seed);
+        let (rows, mut queries) = case(seed);
+        queries.extend(co_resident(seed, &rows));
         for io_batch in [1, 64] {
             for checkpoint in [false, true] {
                 let cfg = Config {

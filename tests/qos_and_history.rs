@@ -90,6 +90,72 @@ fn shed_policy_degrades_but_reports() {
 }
 
 #[test]
+fn shed_drops_join_copies_but_never_a_streams_own_plans() {
+    // Under Shed a join's input queue drops the copies it cannot take and
+    // counts them. A filter query on the same stream runs on the stream's
+    // dispatcher, where nothing queues, so it sees every row.
+    let server = TelegraphCQ::start(Cfg {
+        queue_capacity: 1,
+        overload: OverloadPolicy::Shed,
+        eos: 1,
+        ..Cfg::default()
+    })
+    .unwrap();
+    let keyed = Schema::new(vec![
+        Field::new("ts", DataType::Int),
+        Field::new("k", DataType::Int),
+    ])
+    .into_ref();
+    server.register_stream("s", keyed.clone()).unwrap();
+    server.register_table("r", keyed.clone()).unwrap();
+    let client = server.connect_pull_client(1_000_000).unwrap();
+    let filter = server.submit("SELECT ts FROM s", client).unwrap();
+    let join = server
+        .submit(
+            "SELECT s.ts FROM s, r WHERE s.k = r.k \
+             for (t = ST; t >= 0; t++) { WindowIs(s, t - 9, t); }",
+            client,
+        )
+        .unwrap();
+    let keyed_row = |ts: i64| {
+        TupleBuilder::new(keyed.clone())
+            .push(ts)
+            .push(1i64)
+            .at(Timestamp::logical(ts))
+            .build()
+            .unwrap()
+    };
+    // The table's one row is stored before the stream starts, so every s
+    // row that reaches the join yields exactly one result.
+    server.push("r", keyed_row(1)).unwrap();
+    let stored = std::time::Instant::now();
+    while server.join_state_rows(join) != Some(1) {
+        assert!(stored.elapsed() < Duration::from_secs(10), "r never stored");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let n = 20_000;
+    for ts in 1..=n {
+        server.push("s", keyed_row(ts)).unwrap();
+    }
+    settle(&server);
+    let got = server.fetch(client, 1_000_000).unwrap();
+    let rows_of = |q| got.iter().filter(|(qid, _)| *qid == q).count() as i64;
+    let shed = server.shed_count("s").unwrap();
+    assert_eq!(
+        rows_of(join) + shed,
+        n,
+        "every join copy is either answered or counted as shed"
+    );
+    assert_eq!(
+        rows_of(filter),
+        n,
+        "the stream's own filter query sheds nothing"
+    );
+    assert_eq!(server.shed_count("r").unwrap(), 0);
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn backward_windows_browse_history() {
     // §4.1: "a browsing system where the user might want to query
     // historical portions of the stream using windows that move backwards

@@ -1,7 +1,9 @@
 //! A standing filter query leaves nothing behind: stopping it drops every
 //! egress subscription to it, a `Subscribe` frame for a query the server is
 //! not running is refused, and queries share a projection only when their
-//! select lists are identical down to literal types and aliases.
+//! select lists are identical down to literal types and aliases. Filter and
+//! aggregate queries run on their stream's dispatcher, with no DU or queue
+//! of their own.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -182,5 +184,46 @@ fn queries_share_a_projection_only_when_it_is_identical() {
         empty,
         "the last stop frees every projection"
     );
+    server.shutdown().unwrap();
+}
+
+/// A stream runs on one DU, its dispatcher, and its filter and aggregate
+/// queries run inside that DU: submitting them adds no DU and no probed
+/// channel. A join reads two streams, so it still runs on a DU of its own
+/// with one input queue per stream.
+#[test]
+fn single_stream_plans_add_no_du_and_no_channel() {
+    let server = TelegraphCQ::start(ServerConfig {
+        liveness: Some(LivenessConfig::default()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let dus = || server.executor_stats().dus_per_eo.iter().sum::<usize>();
+    let channels = || server.progress_snapshot().unwrap().channels.len();
+    let streams = ["ticks", "quotes", "trades"];
+    for (n, name) in streams.iter().enumerate() {
+        server.register_stream(name, ticks()).unwrap();
+        assert_eq!(dus(), n + 1, "one DU per registered stream");
+        assert_eq!(channels(), n + 1, "one ingress channel per stream");
+    }
+    let (client, _rx) = server.connect_push_client(16).unwrap();
+    for sql in [
+        "SELECT seq FROM ticks WHERE sym = 1",
+        "SELECT seq FROM ticks WHERE price > 100 AND price < 200",
+        "SELECT sym, COUNT(*), MAX(price) FROM ticks GROUP BY sym \
+         for (t = ST; t >= 0; t += 10) { WindowIs(ticks, t - 9, t); }",
+        "SELECT MIN(price) FROM quotes for (t = ST; t >= 0; t++) { WindowIs(quotes, 1, t); }",
+    ] {
+        server.submit(sql, client).unwrap();
+        assert_eq!((dus(), channels()), (3, 3), "{sql}");
+    }
+    server
+        .submit(
+            "SELECT a.seq, b.seq FROM ticks a, quotes b WHERE a.sym = b.sym \
+             for (t = ST; t >= 0; t++) { WindowIs(a, t - 9, t); WindowIs(b, t - 9, t); }",
+            client,
+        )
+        .unwrap();
+    assert_eq!((dus(), channels()), (4, 5), "a join: one DU, two inputs");
     server.shutdown().unwrap();
 }
