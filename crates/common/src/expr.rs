@@ -15,7 +15,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::error::{Result, TcqError};
-use crate::schema::{DataType, Schema, SchemaRef};
+use crate::schema::{DataType, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -499,15 +499,10 @@ impl BoundExpr {
     }
 }
 
-/// Bind each expression in a slice against the same schema.
-pub fn bind_all(exprs: &[Expr], schema: &SchemaRef) -> Result<Vec<BoundExpr>> {
-    exprs.iter().map(|e| e.bind(schema)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Field;
+    use crate::schema::{Field, SchemaRef};
     use crate::time::Timestamp;
     use crate::tuple::TupleBuilder;
 

@@ -133,11 +133,6 @@ impl Kernel {
         Some(Kernel { ops })
     }
 
-    /// Number of lowered ops (diagnostics).
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
     fn eval_tri(&self, tuple: &Tuple) -> Result<TriBool> {
         let mut stack = [TriBool::False; MAX_STACK];
         let mut sp = 0usize;

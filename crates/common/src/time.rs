@@ -26,18 +26,6 @@ pub enum TimeOrder {
     Incomparable,
 }
 
-impl TimeOrder {
-    /// Collapse to a total `Ordering` if comparable.
-    pub fn to_ordering(self) -> Option<Ordering> {
-        match self {
-            TimeOrder::Before => Some(Ordering::Less),
-            TimeOrder::Equal => Some(Ordering::Equal),
-            TimeOrder::After => Some(Ordering::Greater),
-            TimeOrder::Incomparable => None,
-        }
-    }
-}
-
 /// A point in (partially ordered) stream time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Timestamp {

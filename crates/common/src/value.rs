@@ -110,14 +110,6 @@ impl Value {
         }
     }
 
-    /// Interpret as bool.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(TcqError::Type(format!("expected Bool, got {other}"))),
-        }
-    }
-
     /// Interpret as &str.
     pub fn as_str(&self) -> Result<&str> {
         match self {

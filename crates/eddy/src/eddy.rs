@@ -618,16 +618,6 @@ impl Eddy {
         &self.stats
     }
 
-    /// Names of registered modules, by index.
-    pub fn module_names(&self) -> Vec<&str> {
-        self.modules.iter().map(|m| m.module.name()).collect()
-    }
-
-    /// The policy's name (for experiment reporting).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Total retained state across modules, in tuples.
     pub fn state_size(&self) -> usize {
         self.modules.iter().map(|m| m.module.state_size()).sum()

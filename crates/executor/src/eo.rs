@@ -293,11 +293,6 @@ impl Executor {
         self.watchdog.as_ref().and_then(|w| w.last_stall())
     }
 
-    /// Number of EOs.
-    pub fn eo_count(&self) -> usize {
-        self.shared.len()
-    }
-
     /// The configured quantum.
     pub fn quantum(&self) -> usize {
         self.config.quantum

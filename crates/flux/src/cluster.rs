@@ -926,11 +926,6 @@ impl FluxCluster {
         self.primary[p as usize]
     }
 
-    /// The node currently holding partition `p`'s replica, if any.
-    pub fn replica_of(&self, p: u32) -> Option<usize> {
-        self.replica[p as usize]
-    }
-
     /// Number of hash partitions.
     pub fn partitions(&self) -> u32 {
         self.config.partitions

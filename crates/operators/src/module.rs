@@ -162,14 +162,6 @@ impl Routed {
         }
     }
 
-    /// The tuple was consumed and replaced by one output (allocation-free).
-    pub fn consume_one(output: Tuple) -> Routed {
-        Routed {
-            keep: false,
-            outputs: Outputs::One(output),
-        }
-    }
-
     /// The tuple was consumed and replaced by `outputs`.
     pub fn consume_into(outputs: Vec<Tuple>) -> Routed {
         Routed {

@@ -72,11 +72,6 @@ impl ProjectOp {
         &self.out_schema
     }
 
-    /// True when this projection runs on the column-copy fast path.
-    pub fn is_column_only(&self) -> bool {
-        self.columns.is_some()
-    }
-
     /// Apply to one tuple.
     pub fn apply(&self, tuple: &Tuple) -> Result<Tuple> {
         let values: Vec<Value> = match &self.columns {

@@ -117,11 +117,6 @@ impl RemoteIndexOp {
         }
     }
 
-    /// Mutable access to the remote side (latency adjustments in tests).
-    pub fn index_mut(&mut self) -> &mut RemoteIndex {
-        &mut self.index
-    }
-
     /// Total lookups performed.
     pub fn lookups(&self) -> u64 {
         self.index.lookups()

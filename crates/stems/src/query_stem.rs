@@ -106,6 +106,8 @@ pub struct MatchScratch {
     matched: Vec<QueryId>,
     /// Candidates the access paths produced, reused across probes.
     candidates: Vec<QueryId>,
+    /// Candidates whose checks could not be evaluated on the last probe.
+    failed: Vec<QueryId>,
     examined: usize,
 }
 
@@ -118,6 +120,13 @@ impl MatchScratch {
     /// The queries matched by the last probe, ascending.
     pub fn matches(&self) -> &[QueryId] {
         &self.matched
+    }
+
+    /// The candidates of the last probe whose checks could not be
+    /// evaluated on its tuple (a residual that divides by zero, say): they
+    /// are not among [`MatchScratch::matches`].
+    pub fn failed(&self) -> &[QueryId] {
+        &self.failed
     }
 
     /// The matched set of the last probe as a bitset.
@@ -136,7 +145,7 @@ impl MatchScratch {
     /// Approximate heap footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.alive.approx_bytes()
-            + (self.matched.capacity() + self.candidates.capacity())
+            + (self.matched.capacity() + self.candidates.capacity() + self.failed.capacity())
                 * std::mem::size_of::<QueryId>()
     }
 
@@ -148,6 +157,7 @@ impl MatchScratch {
             self.alive.remove(q);
         }
         self.candidates.clear();
+        self.failed.clear();
         self.examined = 0;
     }
 }
@@ -357,12 +367,17 @@ impl QueryStem {
     /// Probe with caller-supplied scratch: after the call,
     /// [`MatchScratch::matches`] / [`MatchScratch::alive`] hold the exact
     /// satisfied query set. Allocation-free once the scratch is warm.
+    ///
+    /// A candidate whose checks cannot be evaluated on `tuple` fails alone:
+    /// it is listed in [`MatchScratch::failed`], every other candidate is
+    /// still decided, and the first such error is returned.
     pub fn matching_into(&self, tuple: &Tuple, scratch: &mut MatchScratch) -> Result<()> {
         scratch.begin();
         let MatchScratch {
             alive,
             matched,
             candidates,
+            failed,
             examined,
         } = scratch;
         // A NULL attribute satisfies no factor, so it reaches no anchor
@@ -385,14 +400,22 @@ impl QueryStem {
             }
         }
         candidates.extend_from_slice(&self.always);
+        let mut first_error = None;
         for &q in candidates.iter() {
-            if self.queries[&q].admits(tuple)? {
-                alive.insert(q);
-                matched.push(q);
+            match self.queries[&q].admits(tuple) {
+                Ok(true) => {
+                    alive.insert(q);
+                    matched.push(q);
+                }
+                Ok(false) => {}
+                Err(e) => {
+                    failed.push(q);
+                    first_error.get_or_insert(e);
+                }
             }
         }
         matched.sort_unstable();
-        Ok(())
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Approximate heap footprint of the stem's index structures in bytes,
@@ -802,6 +825,32 @@ mod tests {
         qs.insert_query(2, Some(&cmp("y", Gt, 1i64))).unwrap();
         let m = qs.matching(&xy(Value::Int(1), Value::Float(2.0))).unwrap();
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    /// A residual that cannot be evaluated on a tuple fails its own query
+    /// only: every other candidate is still decided.
+    #[test]
+    fn a_failing_residual_fails_its_query_alone() {
+        use tcq_common::ArithOp;
+        let mut qs = QueryStem::new(num_schema());
+        let ten_over_x = Expr::Arith {
+            op: ArithOp::Div,
+            lhs: Box::new(Expr::lit(10i64)),
+            rhs: Box::new(Expr::col("x")),
+        };
+        qs.insert_query(0, None).unwrap();
+        qs.insert_query(1, Some(&ten_over_x.cmp(CmpOp::Gt, Expr::lit(1i64))))
+            .unwrap();
+        qs.insert_query(2, Some(&cmp("y", CmpOp::Gt, 1.0))).unwrap();
+        let mut scratch = MatchScratch::new();
+        let err = qs.matching_into(&xy(Value::Int(0), Value::Float(2.0)), &mut scratch);
+        assert!(matches!(err, Err(TcqError::Type(_))), "{err:?}");
+        assert_eq!(scratch.matches(), [0, 2]);
+        assert_eq!(scratch.failed(), [1]);
+        qs.matching_into(&xy(Value::Int(2), Value::Float(2.0)), &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.matches(), [0, 1, 2]);
+        assert!(scratch.failed().is_empty());
     }
 
     /// A population of mixed access paths at query ids `base..base + n`.
