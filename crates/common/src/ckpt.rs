@@ -47,6 +47,14 @@ impl CkptWriter {
         CkptWriter { buf: Vec::new() }
     }
 
+    /// A writer that keeps appending to `buf`, bytes already in it
+    /// included: an encoder that reuses one buffer moves it in here and
+    /// takes it back with [`CkptWriter::into_bytes`], so its capacity
+    /// survives from one payload to the next.
+    pub fn resume(buf: Vec<u8>) -> Self {
+        CkptWriter { buf }
+    }
+
     /// The bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf

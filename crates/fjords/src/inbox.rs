@@ -26,6 +26,8 @@ pub struct Inbox {
     buf: Vec<FjordMessage>,
     head: usize,
     eof: bool,
+    /// Messages taken off the fjord so far, `Eof` included.
+    pulled: u64,
 }
 
 impl Inbox {
@@ -38,6 +40,7 @@ impl Inbox {
             buf: Vec::new(),
             head: 0,
             eof: false,
+            pulled: 0,
         }
     }
 
@@ -53,6 +56,7 @@ impl Inbox {
             match self.consumer.dequeue_batch(&mut self.buf, max) {
                 BatchDequeueResult::Msgs(n) => {
                     *budget -= n;
+                    self.pulled += n as u64;
                     if let Some(end) = self.buf.iter().position(FjordMessage::is_eof) {
                         self.buf.truncate(end);
                         self.eof = true;
@@ -97,6 +101,14 @@ impl Inbox {
     #[inline]
     pub fn is_done(&self) -> bool {
         self.eof && self.buffered() == 0
+    }
+
+    /// Messages taken off the fjord since the inbox was built, `Eof` and
+    /// anything dropped behind it included: the fjord's
+    /// [`crate::QueueStats::dequeued`] while this inbox is its only reader.
+    #[inline]
+    pub fn pulled(&self) -> u64 {
+        self.pulled
     }
 
     /// Messages pulled from the fjord and not yet taken — a DU counts

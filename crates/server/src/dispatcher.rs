@@ -8,10 +8,11 @@
 //! runs the stream's single-stream plans ([`StreamPlans`]: its filter and
 //! aggregate queries) over each drained batch, and forwards the batch to
 //! the input queue of every plan that reads two streams (join DUs,
-//! exchanges).
+//! exchanges). It then publishes how many ingress messages it has settled
+//! ([`Settled`]), the count a checkpoint's drain waits on.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tcq_common::sync::Mutex;
@@ -95,6 +96,32 @@ impl SubscriberSet {
     }
 }
 
+/// How far a stream's dispatcher has got through its ingress fjord, for
+/// the drain a checkpoint or shutdown waits on: the count of messages
+/// ([`Inbox::pulled`]) it has stamped, archived, run through its plans and
+/// forwarded with nothing left pending — or that it has retired or failed,
+/// after which nothing more will move.
+#[derive(Clone, Default)]
+pub struct Settled(Arc<AtomicU64>);
+
+impl Settled {
+    const RETIRED: u64 = u64::MAX;
+
+    /// `None` once the dispatcher has retired or failed; otherwise how
+    /// many ingress messages it has settled. The stream is drained when
+    /// that equals the fjord's `dequeued` and nothing is queued.
+    pub fn get(&self) -> Option<u64> {
+        let n = self.0.load(Ordering::Acquire);
+        (n != Self::RETIRED).then_some(n)
+    }
+
+    /// Release pairs with [`Settled::get`]'s Acquire: a drainer that sees
+    /// `n` also sees the work done on those messages.
+    fn publish(&self, n: u64) {
+        self.0.store(n, Ordering::Release);
+    }
+}
+
 /// Overload behaviour when a query's input queue is full (§4.3's QoS
 /// question: "deciding what work to drop when the system is in danger of
 /// falling behind the incoming data stream").
@@ -136,6 +163,7 @@ pub struct StreamDispatcher {
     /// Chaos injector polled at [`FaultPoint::FjordEnqueue`] per forwarded
     /// tuple.
     injector: Option<SharedInjector>,
+    settled: Settled,
     eof_sent: bool,
     /// Subscriber ids whose queues have received the stream's Eof.
     eof_delivered: Vec<u64>,
@@ -170,6 +198,7 @@ impl StreamDispatcher {
             shed: Arc::new(AtomicI64::new(0)),
             archive_errors: Arc::new(AtomicI64::new(0)),
             injector: None,
+            settled: Settled::default(),
             eof_sent: false,
             eof_delivered: Vec::new(),
         }
@@ -201,6 +230,12 @@ impl StreamDispatcher {
     /// Shared counter of failed (skipped) archive appends.
     pub fn archive_error_counter(&self) -> Arc<AtomicI64> {
         Arc::clone(&self.archive_errors)
+    }
+
+    /// Shared view of how many ingress messages this dispatcher has
+    /// settled.
+    pub fn settled(&self) -> Settled {
+        self.settled.clone()
     }
 
     /// Fan a run of stamped tuples out to every subscriber, one
@@ -320,6 +355,13 @@ fn injected_overflow(
     overflow
 }
 
+impl Drop for StreamDispatcher {
+    /// Retired, failed or shut down: no drain waits on this stream again.
+    fn drop(&mut self) {
+        self.settled.publish(Settled::RETIRED);
+    }
+}
+
 impl DispatchUnit for StreamDispatcher {
     fn name(&self) -> &str {
         &self.name
@@ -343,6 +385,9 @@ impl DispatchUnit for StreamDispatcher {
         }
         while self.input.fill(&mut budget) > 0 {
             let mut fan: Vec<Tuple> = Vec::with_capacity(self.input.buffered());
+            // One archive lock per batch; every poll, stamp and count stays
+            // per tuple, in arrival order.
+            let mut archive = self.archive.as_ref().map(|a| a.lock());
             for msg in self.input.drain() {
                 let FjordMessage::Tuple(t) = msg else {
                     continue;
@@ -356,11 +401,11 @@ impl DispatchUnit for StreamDispatcher {
                 };
                 let seq = t.timestamp().seq();
                 self.latest_seq.fetch_max(seq, Ordering::AcqRel);
-                if let Some(archive) = &self.archive {
+                if let Some(archive) = archive.as_mut() {
                     // A failed append degrades history, not the live
                     // path: the tuple still reaches every query and the
                     // loss is counted.
-                    if archive.lock().append(&t).is_err() {
+                    if archive.append(&t).is_err() {
                         self.archive_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -370,12 +415,16 @@ impl DispatchUnit for StreamDispatcher {
                 }
                 fan.push(t);
             }
+            drop(archive);
             // Fresh tuples only: a back-pressure retry above reaches the
             // subscribers alone.
             self.plans.run(&fan);
             if !self.forward_batch(fan) {
                 return Ok(ModuleStatus::Idle);
             }
+        }
+        if self.pending.is_empty() {
+            self.settled.publish(self.input.pulled());
         }
         if self.input.is_done() && self.pending.is_empty() {
             self.plans.finish();
@@ -525,15 +574,19 @@ mod tests {
         for x in 1..=10 {
             ip.enqueue(FjordMessage::Tuple(tick(&s, x))).unwrap();
         }
-        // First quantum fills the narrow queue and stalls.
+        let settled = d.settled();
+        // First quantum fills the narrow queue and stalls: the 8 messages
+        // pulled are not settled while some wait in `pending`.
         assert_eq!(d.run(64).unwrap(), ModuleStatus::Idle);
         assert_eq!(drain_tuples(&narrow_c), vec![1, 2, 3, 4]);
+        assert_eq!(settled.get(), Some(0));
         let mut rest = Vec::new();
         while rest.len() < 6 {
             let _ = d.run(64).unwrap();
             rest.extend(drain_tuples(&narrow_c));
         }
         assert_eq!(rest, vec![5, 6, 7, 8, 9, 10]);
+        assert_eq!(settled.get(), Some(10), "every message pulled is settled");
         assert_eq!(drain_tuples(&wide_c), (1..=10).collect::<Vec<i64>>());
         // The stream's own filter query saw each tuple once, however many
         // retries the narrow queue cost.
@@ -541,5 +594,7 @@ mod tests {
             .map(|(_, t)| t.value(0).as_int().unwrap())
             .collect();
         assert_eq!(filtered, (1..=10).collect::<Vec<i64>>());
+        drop(d);
+        assert_eq!(settled.get(), None, "a retired dispatcher drains");
     }
 }
