@@ -38,7 +38,9 @@ pub enum FaultPoint {
     /// Storage: one tuple appended to a stream archive. `Error` makes
     /// the append fail softly (the tuple is not archived); `Overflow`
     /// makes the *next page seal* a torn write — only a partial page
-    /// reaches disk, exercising the archive recovery path.
+    /// reaches disk, exercising the archive recovery path; `Stall`
+    /// holds the append (and its caller, mid-batch) for `ticks`
+    /// milliseconds before it proceeds normally.
     ArchiveAppend,
     /// Egress: one delivery offer to one subscribed client. `Error` and
     /// `Overflow` fail the offer (the copy is shed); `Stall` marks the
