@@ -37,8 +37,7 @@ use tcq_egress::{EgressPolicy, EgressStats};
 use tcq_fjords::{fjord, DequeueResult, FjordMessage, QueueKind};
 use tcq_flux::{FluxCluster, FluxConfig, FluxStats};
 use tcq_ingress::{
-    ChaosSource, DegradePolicy, Source, SourceFactory, SourceStatus, Supervisor, SupervisorConfig,
-    SupervisorStats,
+    ChaosSource, Source, SourceFactory, SourceStatus, Supervisor, SupervisorConfig, SupervisorStats,
 };
 use tcq_server::{ServerConfig, TelegraphCQ};
 
@@ -140,15 +139,8 @@ fn run_scenario(seed: u64, replication: bool) -> Outcome {
         })
     };
     let (producer, consumer) = fjord(4096, QueueKind::Push);
-    let supervisor = Supervisor::spawn(
-        "chaos-feed",
-        factory,
-        producer,
-        SupervisorConfig {
-            policy: DegradePolicy::Backpressure,
-            ..Default::default()
-        },
-    );
+    let supervisor =
+        Supervisor::spawn("chaos-feed", factory, producer, SupervisorConfig::default());
 
     let mut fed: u64 = 0;
     let mut replicated_after_kills = true;
@@ -397,9 +389,7 @@ fn run_server_scenario(n: i64, dir: &Path) -> ServerOutcome {
             }) as Box<dyn Source>)
         })
     };
-    server
-        .attach_supervised_source("s", factory, SupervisorConfig::default())
-        .unwrap();
+    server.attach_supervised_source("s", factory).unwrap();
 
     assert!(
         server.quiesce(Duration::from_secs(60)),

@@ -36,7 +36,7 @@ use tcq_common::{
 };
 use tcq_egress::Delivery;
 use tcq_flux::{FluxCluster, FluxConfig};
-use tcq_ingress::{Source, SourceFactory, SourceStatus, SupervisorConfig};
+use tcq_ingress::{Source, SourceFactory, SourceStatus};
 use tcq_server::{ServerConfig, TelegraphCQ};
 
 const SEED: u64 = 0x0DD_C0DE;
@@ -221,7 +221,7 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
         let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
         let (_, _, rx) = boot_topology(&server, true);
         server
-            .attach_supervised_source("s", replay_factory(&master), SupervisorConfig::default())
+            .attach_supervised_source("s", replay_factory(&master))
             .unwrap();
         assert!(server.quiesce(Duration::from_secs(120)));
         let rows = rows_by_query(&rx);
@@ -258,9 +258,7 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
                 }) as Box<dyn Source>)
             })
         };
-        server
-            .attach_supervised_source("s", factory, SupervisorConfig::default())
-            .unwrap();
+        server.attach_supervised_source("s", factory).unwrap();
         while (server.supervisor_stats()[0].1.delivered as usize) < half
             || (server.stream_time("s").unwrap() as usize) < half
         {
@@ -290,7 +288,7 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
     let restore_ms = start.elapsed().as_secs_f64() * 1e3;
     let recovery = server.checkpoint_recovery().unwrap();
     server
-        .attach_supervised_source("s", replay_factory(&master), SupervisorConfig::default())
+        .attach_supervised_source("s", replay_factory(&master))
         .unwrap();
     assert!(server.quiesce(Duration::from_secs(120)));
     let sup = server.supervisor_stats().remove(0).1;

@@ -105,9 +105,6 @@ pub struct QueueStats {
     pub dequeued: u64,
     /// Enqueue attempts rejected with `Full`.
     pub full_rejections: u64,
-    /// Buffered tuples displaced by [`Producer::enqueue_displacing`]
-    /// (shed-oldest degradation).
-    pub displaced: u64,
 }
 
 impl QueueStats {
@@ -143,23 +140,18 @@ struct State {
     enqueued: u64,
     dequeued: u64,
     full_rejections: u64,
-    displaced: u64,
 }
 
 /// Every consumer is gone: nothing put into the queue will be read.
 struct Gone;
 
 /// What [`Shared::put`] does with messages that find no room.
-enum OnFull<'a> {
+enum OnFull {
     /// Leave them with the caller, counted as `full_rejections`.
     Refuse,
     /// Leave them with the caller, uncounted: a blocking caller waits for
     /// room and offers them again.
     Wait,
-    /// Shed-oldest: make room by displacing the oldest buffered tuple into
-    /// the slot; refuse as [`OnFull::Refuse`] when only control messages
-    /// are buffered.
-    Displace(&'a mut Option<FjordMessage>),
 }
 
 /// A caller's side of a transfer: `Option` for the one-message endpoints
@@ -236,7 +228,6 @@ fn fjord_inner(
             enqueued: 0,
             dequeued: 0,
             full_rejections: 0,
-            displaced: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -277,29 +268,6 @@ impl Producer {
             .put(&mut self.shared.state.lock(), &mut slot, OnFull::Refuse);
         match (put, slot) {
             (_, None) => Ok(()),
-            (Ok(_), Some(msg)) => Err(EnqueueError::Full(msg)),
-            (Err(Gone), Some(msg)) => Err(EnqueueError::Disconnected(msg)),
-        }
-    }
-
-    /// Enqueue `msg`, displacing the oldest buffered *tuple* when the
-    /// queue is full — the shed-oldest degradation policy ("drop from the
-    /// front", keeping the freshest data). Returns the displaced message,
-    /// if any. Control messages (punctuations, Eof) are never displaced;
-    /// if the buffer holds only control messages the call fails `Full`.
-    pub fn enqueue_displacing(
-        &self,
-        msg: FjordMessage,
-    ) -> std::result::Result<Option<FjordMessage>, EnqueueError> {
-        let mut slot = Some(msg);
-        let mut victim = None;
-        let put = self.shared.put(
-            &mut self.shared.state.lock(),
-            &mut slot,
-            OnFull::Displace(&mut victim),
-        );
-        match (put, slot) {
-            (_, None) => Ok(victim),
             (Ok(_), Some(msg)) => Err(EnqueueError::Full(msg)),
             (Err(Gone), Some(msg)) => Err(EnqueueError::Disconnected(msg)),
         }
@@ -448,36 +416,17 @@ impl Consumer {
 impl Shared {
     /// The one enqueue rule, called with the queue lock held. Errs [`Gone`]
     /// when every consumer has left. Otherwise moves the longest prefix of
-    /// `msgs` that fits (after displacing one tuple under
-    /// [`OnFull::Displace`]), counts and mirrors it, wakes parked
-    /// consumers, and returns how many moved; the rest stays in `msgs`.
+    /// `msgs` that fits, counts and mirrors it, wakes parked consumers, and
+    /// returns how many moved; the rest stays in `msgs`.
     fn put(
         &self,
         state: &mut State,
         msgs: &mut impl MsgBuf,
-        on_full: OnFull<'_>,
+        on_full: OnFull,
     ) -> std::result::Result<usize, Gone> {
         if state.consumers == 0 {
             return Err(Gone);
         }
-        let count_refused = match on_full {
-            OnFull::Refuse => true,
-            OnFull::Wait => false,
-            OnFull::Displace(victim) => {
-                if state.buf.len() >= self.capacity {
-                    let oldest_tuple = state
-                        .buf
-                        .iter()
-                        .position(|m| matches!(m, FjordMessage::Tuple(_)));
-                    if let Some(i) = oldest_tuple {
-                        *victim = state.buf.remove(i);
-                        state.displaced += 1;
-                        self.probe_out(victim.as_slice());
-                    }
-                }
-                true
-            }
-        };
         let n = self
             .capacity
             .saturating_sub(state.buf.len())
@@ -485,7 +434,7 @@ impl Shared {
         self.probe_in(&msgs.msgs()[..n]);
         msgs.give(&mut state.buf, n);
         let refused = msgs.msgs().len();
-        if count_refused && refused > 0 {
+        if matches!(on_full, OnFull::Refuse) && refused > 0 {
             state.full_rejections += refused as u64;
             if let Some(p) = &self.probe {
                 p.note_reject(refused as u64);
@@ -555,7 +504,6 @@ impl Shared {
             enqueued: state.enqueued,
             dequeued: state.dequeued,
             full_rejections: state.full_rejections,
-            displaced: state.displaced,
         }
     }
 }
@@ -644,26 +592,6 @@ mod tests {
         }
         assert_eq!(c.stats().full_rejections, 1);
         assert_eq!(c.stats().len, 2);
-    }
-
-    #[test]
-    fn enqueue_displacing_sheds_oldest_tuple_only() {
-        let (p, c) = fjord(2, QueueKind::Push);
-        p.enqueue(FjordMessage::Tuple(t(1))).unwrap();
-        p.enqueue(FjordMessage::Tuple(t(2))).unwrap();
-        // Full: the oldest tuple (1) makes room for 3.
-        let displaced = p.enqueue_displacing(FjordMessage::Tuple(t(3))).unwrap();
-        assert_eq!(displaced, Some(FjordMessage::Tuple(t(1))));
-        assert_eq!(c.stats().displaced, 1);
-        assert_eq!(c.dequeue(), DequeueResult::Msg(FjordMessage::Tuple(t(2))));
-        assert_eq!(c.dequeue(), DequeueResult::Msg(FjordMessage::Tuple(t(3))));
-        // Control messages are never displaced.
-        let (p, _c2) = fjord(1, QueueKind::Push);
-        p.enqueue(FjordMessage::Eof).unwrap();
-        assert!(matches!(
-            p.enqueue_displacing(FjordMessage::Tuple(t(4))),
-            Err(EnqueueError::Full(_))
-        ));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! 1. FIFO order — the dequeued sequence equals the model's sequence, so
 //!    `Punct`/`Eof` can never be reordered past data tuples.
 //! 2. Capacity is never exceeded.
-//! 3. Exact counter accounting for `enqueued`, `dequeued`, and
-//!    `displaced`.
+//! 3. Exact counter accounting for `enqueued` and `dequeued`.
 
 use std::collections::VecDeque;
 
@@ -53,10 +52,10 @@ fn run_interleaving(seed: u64, capacity: usize, ops: usize) {
     let mut model: VecDeque<FjordMessage> = VecDeque::new();
     let mut consumed: Vec<FjordMessage> = Vec::new();
     let mut next_id: i64 = 0;
-    let (mut enq, mut deq, mut disp): (u64, u64, u64) = (0, 0, 0);
+    let (mut enq, mut deq): (u64, u64) = (0, 0);
 
     for _ in 0..ops {
-        match rng.gen_range(0..5u32) {
+        match rng.gen_range(0..4u32) {
             // Per-message enqueue.
             0 => {
                 let m = msg(&s, next_id, rng.next_u64() % 10);
@@ -85,36 +84,8 @@ fn run_interleaving(seed: u64, capacity: usize, ops: usize) {
                 next_id += accepted as i64;
                 enq += accepted as u64;
             }
-            // Displacing enqueue (sheds the oldest buffered tuple when full).
-            2 => {
-                let m = msg(&s, next_id, rng.next_u64() % 10);
-                match p.enqueue_displacing(m.clone()) {
-                    Ok(None) => {
-                        model.push_back(m);
-                        next_id += 1;
-                        enq += 1;
-                    }
-                    Ok(Some(old)) => {
-                        let idx = model
-                            .iter()
-                            .position(|x| matches!(x, FjordMessage::Tuple(_)))
-                            .expect("displaced from a control-only queue");
-                        assert_eq!(model.remove(idx).unwrap(), old, "displaced oldest tuple");
-                        model.push_back(m);
-                        next_id += 1;
-                        enq += 1;
-                        disp += 1;
-                    }
-                    Err(_) => {
-                        assert!(
-                            model.iter().all(|x| !matches!(x, FjordMessage::Tuple(_))),
-                            "Full despite a displaceable tuple"
-                        );
-                    }
-                }
-            }
             // Per-message dequeue.
-            3 => match c.dequeue() {
+            2 => match c.dequeue() {
                 DequeueResult::Msg(m) => {
                     assert_eq!(Some(&m), model.front(), "FIFO violated");
                     model.pop_front();
@@ -149,12 +120,11 @@ fn run_interleaving(seed: u64, capacity: usize, ops: usize) {
         assert_eq!(stats.len, model.len(), "length diverged from model");
         assert_eq!(stats.enqueued, enq, "enqueued counter diverged");
         assert_eq!(stats.dequeued, deq, "dequeued counter diverged");
-        assert_eq!(stats.displaced, disp, "displaced counter diverged");
     }
 
     // Control messages never jumped past data: every message's production
-    // id is visible and, minus the displaced gaps, the consumed order must
-    // be strictly increasing (Eof carries no id and is exempt).
+    // id is visible and the consumed order must be strictly increasing
+    // (Eof carries no id and is exempt).
     let ids: Vec<i64> = consumed.iter().map(id_of).filter(|&i| i >= 0).collect();
     assert!(
         ids.windows(2).all(|w| w[0] < w[1]),

@@ -19,12 +19,12 @@
 //! * [`VecSource`] / [`CsvSource`] — replay a fixed set of tuples / a CSV
 //!   file.
 //! * [`Supervisor`] — the streamer: the one wrapper-process thread that
-//!   drains any [`Source`] into a Fjord push queue, honouring
-//!   back-pressure. It catches source panics and errors and restarts the
-//!   source with capped exponential backoff (a restart budget of zero for
-//!   a source that cannot be rebuilt), filters malformed tuples, degrades
-//!   gracefully (shed/sample) under sustained overflow, and sends EOF
-//!   exactly once, with every lost tuple accounted in [`SupervisorStats`].
+//!   drains any [`Source`] into a Fjord push queue. Back-pressure is its
+//!   only answer to a full queue: the source waits, and never sheds a row.
+//!   It catches source panics and errors and restarts the source with
+//!   capped exponential backoff (a restart budget of zero for a source
+//!   that cannot be rebuilt), filters malformed tuples, and sends EOF
+//!   exactly once, counting all of it in [`SupervisorStats`].
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,4 @@ pub mod supervisor;
 
 pub use generators::{NetworkPackets, SensorReadings, StockTicks};
 pub use source::{CsvSource, Source, SourceStatus, VecSource};
-pub use supervisor::{
-    ChaosSource, DegradePolicy, OverflowGate, SourceFactory, Supervisor, SupervisorConfig,
-    SupervisorStats,
-};
+pub use supervisor::{ChaosSource, SourceFactory, Supervisor, SupervisorConfig, SupervisorStats};

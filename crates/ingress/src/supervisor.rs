@@ -5,18 +5,28 @@
 //! world": wrappers talk to network feeds and sensors that disconnect,
 //! emit garbage, or crash (§2.3 notes sensors "may have run out of power
 //! or temporarily disconnected"). A [`Supervisor`] is the streamer built
-//! for that world: it drains a source into a push Fjord, yielding under
-//! back-pressure; catches source panics and errors and restarts the source
-//! with capped exponential backoff; filters malformed tuples; applies a
-//! configurable [`DegradePolicy`] when the downstream Fjord stays full; and
-//! sends EOF exactly once — all reported through [`SupervisorStats`] so
-//! loss is *accounted*, never silent.
+//! for that world: it drains a source into a push Fjord, waiting for room
+//! under back-pressure; catches source panics and errors and restarts the
+//! source with capped exponential backoff; filters malformed tuples; and
+//! sends EOF exactly once — all reported through [`SupervisorStats`].
+//!
+//! The source never sheds. A full Fjord stalls it until the consumer
+//! catches up, so the archive and every historical query see every row
+//! the wrapper produced. Rows are dropped only downstream, where a slow
+//! consumer can be named: a dispatcher's per-subscriber overload policy
+//! and the egress ledger.
 //!
 //! The source is rebuilt by a [`SourceFactory`] closure receiving the
 //! restart attempt number and the count of tuples already delivered, so
 //! resumable sources can skip what the pipeline has already seen
 //! (exactly-once across restarts). A source that cannot be rebuilt runs
 //! with `max_restarts: 0`: its first failure ends the stream.
+//!
+//! Each read's tuples enter the Fjord under the supervisor's delivery
+//! lock, which also guards the delivered count. [`Supervisor::hold`]
+//! takes that lock: while it is held the source delivers nothing, and the
+//! count it reads is exactly the number of tuples in or past the Fjord —
+//! the resume cursor a checkpoint cut needs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,7 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tcq_common::sync::Mutex;
+use tcq_common::sync::{Mutex, MutexGuard};
 use tcq_common::{
     FaultAction, FaultPoint, Result, Schema, SharedInjector, TcqError, Timestamp, Tuple,
 };
@@ -37,119 +47,16 @@ use crate::source::{Source, SourceStatus};
 /// been delivered downstream, so a resumable source can skip them.
 pub type SourceFactory = Box<dyn FnMut(u64, u64) -> Result<Box<dyn Source>> + Send>;
 
-/// What to do with tuples when the downstream Fjord stays full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradePolicy {
-    /// Never drop: yield and retry until the consumer catches up (the
-    /// default — loss-free but the source stalls).
-    Backpressure,
-    /// Drop the *oldest* queued tuple to make room (freshest data wins —
-    /// the right policy for monitoring streams).
-    ShedOldest,
-    /// Drop the incoming tuple (cheapest; keeps the queue's history).
-    ShedNewest,
-    /// Under overflow keep one tuple in `keep_one_in`, dropping the rest
-    /// (graceful quality degradation instead of a hard stall).
-    Sample {
-        /// Keep every `keep_one_in`-th overflowing tuple (≥ 1).
-        keep_one_in: u32,
-    },
-    /// Token-bucket admission: each *offered* tuple refills `rate`
-    /// millitokens (capped at `burst` whole tokens); keeping an
-    /// overflowing tuple spends one whole token (1000 millitokens),
-    /// otherwise it sheds. Time advances per tuple, not per wall-clock
-    /// second, so drop patterns are deterministic and seed-reproducible.
-    /// Compared with [`DegradePolicy::Sample`], short bursts are absorbed
-    /// loss-free (the bucket drains instead of shedding) while sustained
-    /// overflow converges to keeping `rate / 1000` of the overflow.
-    TokenBucket {
-        /// Millitokens refilled per offered tuple (1000 keeps every
-        /// overflowing tuple; 250 converges to one in four).
-        rate: u32,
-        /// Bucket capacity in whole tokens — the number of back-to-back
-        /// overflowing tuples absorbable after a quiet spell.
-        burst: u32,
-    },
-}
+/// First restart delay; doubles per consecutive failure.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(1);
+/// Restart delay cap.
+const MAX_BACKOFF: Duration = Duration::from_millis(50);
 
-/// Deterministic overflow-admission state for one supervised run.
-///
-/// Pure bookkeeping — no threads, no clock. [`OverflowGate::offered`] is
-/// called exactly once per tuple the source hands over, advancing
-/// token-bucket time; the admit/shed decision for an overflowing tuple is
-/// then made once (never re-rolled on enqueue retries), keeping the shed
-/// pattern a pure function of the tuple sequence.
-#[derive(Debug, Clone)]
-pub struct OverflowGate {
-    /// Millitokens regained per offered tuple.
-    rate: u64,
-    /// Bucket capacity in millitokens.
-    cap: u64,
-    /// Current fill, in millitokens.
-    tokens: u64,
-    /// Overflow arrivals seen (drives [`DegradePolicy::Sample`]).
-    overflow_seq: u64,
-}
-
-/// Millitokens spent to keep one overflowing tuple.
-const TOKEN: u64 = 1000;
-
-impl OverflowGate {
-    /// Gate for `policy`; non-token-bucket policies get an inert gate.
-    pub fn new(policy: DegradePolicy) -> Self {
-        match policy {
-            DegradePolicy::TokenBucket { rate, burst } => OverflowGate {
-                rate: rate as u64,
-                cap: burst as u64 * TOKEN,
-                // Start full: the configured burst is available immediately.
-                tokens: burst as u64 * TOKEN,
-                overflow_seq: 0,
-            },
-            _ => OverflowGate {
-                rate: 0,
-                cap: 0,
-                tokens: 0,
-                overflow_seq: 0,
-            },
-        }
-    }
-
-    /// One tuple offered: refill the bucket. Call exactly once per tuple.
-    pub fn offered(&mut self) {
-        self.tokens = (self.tokens + self.rate).min(self.cap);
-    }
-
-    /// Decide an overflowing tuple's fate under the token bucket: `true`
-    /// spends a token and keeps it (back-pressure until it fits), `false`
-    /// sheds it.
-    pub fn admit_overflow(&mut self) -> bool {
-        if self.tokens >= TOKEN {
-            self.tokens -= TOKEN;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Decide an overflow arrival under [`DegradePolicy::Sample`]: `true`
-    /// keeps this one (it is the `keep_one_in`-th), `false` sheds it.
-    pub fn sample_keeps(&mut self, keep_one_in: u32) -> bool {
-        self.overflow_seq += 1;
-        keep_one_in <= 1 || self.overflow_seq.is_multiple_of(keep_one_in as u64)
-    }
-}
-
-/// Supervision knobs.
+/// Supervision settings.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Give up after this many restarts (the stream then EOFs).
     pub max_restarts: u64,
-    /// First restart delay; doubles per consecutive failure.
-    pub initial_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
-    /// Overflow behaviour.
-    pub policy: DegradePolicy,
     /// Resume cursor: tuples this stream already delivered before a
     /// restore. Seeds the delivered counter, so the first factory call
     /// sees the pre-crash total and resumable sources skip what was
@@ -161,17 +68,13 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_restarts: 8,
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            policy: DegradePolicy::Backpressure,
             initial_delivered: 0,
         }
     }
 }
 
-/// Per-stream supervision counters. Every dropped or rejected tuple shows
-/// up here: `delivered + shed + malformed` accounts for every tuple the
-/// source produced.
+/// Per-stream supervision counters: `delivered + malformed` accounts for
+/// every tuple the source produced.
 #[derive(Debug, Clone, Default)]
 pub struct SupervisorStats {
     /// Tuples delivered downstream.
@@ -183,9 +86,6 @@ pub struct SupervisorStats {
     /// Source read or build errors (each restarted unless the budget is
     /// spent).
     pub source_errors: u64,
-    /// Tuples dropped by the degradation policy (shed-oldest counts the
-    /// displaced victim, shed-newest/sample the rejected arrival).
-    pub shed: u64,
     /// Malformed (schema-arity-mismatched) tuples filtered out.
     pub malformed: u64,
     /// True once the restart budget is exhausted and the stream EOFed.
@@ -196,11 +96,11 @@ pub struct SupervisorStats {
 
 #[derive(Default)]
 struct SharedStats {
-    delivered: AtomicU64,
+    /// Tuples delivered; its lock is the delivery lock.
+    delivered: Mutex<u64>,
     restarts: AtomicU64,
     panics: AtomicU64,
     source_errors: AtomicU64,
-    shed: AtomicU64,
     malformed: AtomicU64,
     gave_up: AtomicBool,
     last_failure: Mutex<Option<String>>,
@@ -209,11 +109,10 @@ struct SharedStats {
 impl SharedStats {
     fn snapshot(&self) -> SupervisorStats {
         SupervisorStats {
-            delivered: self.delivered.load(Ordering::Relaxed),
+            delivered: *self.delivered.lock(),
             restarts: self.restarts.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
             source_errors: self.source_errors.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             gave_up: self.gave_up.load(Ordering::Relaxed),
             last_failure: self.last_failure.lock().clone(),
@@ -251,10 +150,10 @@ impl Supervisor {
     ) -> Supervisor {
         let name = name.into();
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(SharedStats::default());
-        stats
-            .delivered
-            .store(config.initial_delivered, Ordering::Relaxed);
+        let stats = Arc::new(SharedStats {
+            delivered: Mutex::new(config.initial_delivered),
+            ..SharedStats::default()
+        });
         let stop2 = Arc::clone(&stop);
         let stats2 = Arc::clone(&stats);
         let tname = name.clone();
@@ -266,7 +165,7 @@ impl Supervisor {
                     if stop2.load(Ordering::Acquire) {
                         break;
                     }
-                    let delivered = stats2.delivered.load(Ordering::Relaxed);
+                    let delivered = *stats2.delivered.lock();
                     let mut source = match factory(attempt, delivered) {
                         Ok(s) => s,
                         Err(e) => {
@@ -278,12 +177,12 @@ impl Supervisor {
                                 break;
                             }
                             stats2.restarts.fetch_add(1, Ordering::Relaxed);
-                            backoff(&config, attempt, &stop2);
+                            backoff(attempt, &stop2);
                             continue;
                         }
                     };
                     let end = catch_unwind(AssertUnwindSafe(|| {
-                        run_source(&mut source, &output, &stop2, &stats2, config.policy)
+                        run_source(&mut source, &output, &stop2, &stats2)
                     }));
                     match end {
                         Ok(RunEnd::Exhausted) | Ok(RunEnd::Stopped) => break,
@@ -308,9 +207,9 @@ impl Supervisor {
                         break;
                     }
                     stats2.restarts.fetch_add(1, Ordering::Relaxed);
-                    backoff(&config, attempt, &stop2);
+                    backoff(attempt, &stop2);
                 }
-                send_eof(&output, &stop2, config.policy);
+                send_eof(&output, &stop2);
             })
             .expect("spawn supervisor thread");
         Supervisor {
@@ -328,7 +227,15 @@ impl Supervisor {
 
     /// Tuples delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.stats.delivered.load(Ordering::Relaxed)
+        *self.stats.delivered.lock()
+    }
+
+    /// Hold delivery: until the guard drops, the source thread moves no
+    /// tuple into the Fjord (the source may finish a read; its tuples
+    /// wait), and the guard reads the delivered count — every tuple the
+    /// Fjord has taken from this supervisor, none it has not.
+    pub fn hold(&self) -> MutexGuard<'_, u64> {
+        self.stats.delivered.lock()
     }
 
     /// The supervised stream's name.
@@ -368,14 +275,11 @@ fn record_failure(stats: &SharedStats, msg: &str) {
     *stats.last_failure.lock() = Some(msg.to_string());
 }
 
-/// Sleep `initial * 2^(attempt-1)` capped at `max_backoff`, in small
-/// chunks so a stop request interrupts the wait.
-fn backoff(config: &SupervisorConfig, attempt: u64, stop: &AtomicBool) {
+/// Sleep `INITIAL_BACKOFF * 2^(attempt-1)` capped at `MAX_BACKOFF`, in
+/// small chunks so a stop request interrupts the wait.
+fn backoff(attempt: u64, stop: &AtomicBool) {
     let exp = attempt.saturating_sub(1).min(20) as u32;
-    let delay = config
-        .initial_backoff
-        .saturating_mul(1u32 << exp)
-        .min(config.max_backoff);
+    let delay = INITIAL_BACKOFF.saturating_mul(1u32 << exp).min(MAX_BACKOFF);
     let chunk = Duration::from_millis(5);
     let mut remaining = delay;
     while remaining > Duration::ZERO && !stop.load(Ordering::Acquire) {
@@ -385,13 +289,12 @@ fn backoff(config: &SupervisorConfig, attempt: u64, stop: &AtomicBool) {
     }
 }
 
-/// End the stream. Under [`DegradePolicy::Backpressure`] the EOF waits for
-/// room like any tuple, until the consumer leaves or stop is requested;
-/// a shedding policy gives it up to a full queue, as it would a tuple.
-fn send_eof(output: &Producer, stop: &AtomicBool, policy: DegradePolicy) {
+/// End the stream. The EOF waits for room like any tuple, until the
+/// consumer leaves or stop is requested.
+fn send_eof(output: &Producer, stop: &AtomicBool) {
     let mut eof = FjordMessage::Eof;
     while let Err(EnqueueError::Full(m)) = output.enqueue(eof) {
-        if policy != DegradePolicy::Backpressure || stop.load(Ordering::Acquire) {
+        if stop.load(Ordering::Acquire) {
             return;
         }
         eof = m;
@@ -399,19 +302,17 @@ fn send_eof(output: &Producer, stop: &AtomicBool, policy: DegradePolicy) {
     }
 }
 
-/// Drain `source` into `output` until it ends, honouring the degradation
-/// policy. Malformed tuples (arity != source schema arity) are filtered
-/// and counted, not delivered.
+/// Drain `source` into `output` until it ends. Malformed tuples (arity !=
+/// source schema arity) are filtered and counted, not delivered.
 fn run_source(
     source: &mut Box<dyn Source>,
     output: &Producer,
     stop: &AtomicBool,
     stats: &SharedStats,
-    policy: DegradePolicy,
 ) -> RunEnd {
     let expected_arity = source.schema().len();
     let mut batch: Vec<Tuple> = Vec::with_capacity(64);
-    let mut gate = OverflowGate::new(policy);
+    let mut msgs: Vec<FjordMessage> = Vec::with_capacity(64);
     loop {
         if stop.load(Ordering::Acquire) {
             return RunEnd::Stopped;
@@ -422,15 +323,16 @@ fn run_source(
             Err(e) => return RunEnd::Failed(e.to_string()),
         };
         for t in batch.drain(..) {
-            if t.arity() != expected_arity {
+            if t.arity() == expected_arity {
+                msgs.push(FjordMessage::Tuple(t));
+            } else {
                 stats.malformed.fetch_add(1, Ordering::Relaxed);
-                continue;
             }
-            match deliver(output, t, stop, stats, policy, &mut gate) {
-                Ok(true) => {}
-                Ok(false) => return RunEnd::Stopped,
-                Err(()) => return RunEnd::Disconnected,
-            }
+        }
+        match deliver(output, &mut msgs, stop, &stats.delivered) {
+            Ok(true) => {}
+            Ok(false) => return RunEnd::Stopped,
+            Err(()) => return RunEnd::Disconnected,
         }
         match status {
             SourceStatus::Exhausted => return RunEnd::Exhausted,
@@ -440,92 +342,29 @@ fn run_source(
     }
 }
 
-/// Deliver one tuple under `policy`. `Ok(true)` = continue, `Ok(false)` =
-/// stop requested mid-backpressure, `Err(())` = consumer disconnected.
+/// Move every tuple of `tuples` into `output`, in order, waiting for room.
+/// Each attempt runs under the delivery lock and counts what it moved in
+/// the same critical section. `Ok(true)` = all delivered, `Ok(false)` =
+/// stop requested while waiting, `Err(())` = consumer disconnected.
 fn deliver(
     output: &Producer,
-    t: Tuple,
+    tuples: &mut Vec<FjordMessage>,
     stop: &AtomicBool,
-    stats: &SharedStats,
-    policy: DegradePolicy,
-    gate: &mut OverflowGate,
+    delivered: &Mutex<u64>,
 ) -> std::result::Result<bool, ()> {
-    gate.offered();
-    let mut msg = FjordMessage::Tuple(t);
-    // The token-bucket verdict is rolled once per tuple, on its first
-    // overflow — not per retry — so shed patterns stay deterministic.
-    let mut admitted = false;
-    loop {
-        match policy {
-            DegradePolicy::ShedOldest => {
-                return match output.enqueue_displacing(msg) {
-                    Ok(displaced) => {
-                        stats.delivered.fetch_add(1, Ordering::Relaxed);
-                        if displaced.is_some() {
-                            // The victim moves from delivered to shed:
-                            // delivered + shed still equals produced.
-                            stats.delivered.fetch_sub(1, Ordering::Relaxed);
-                            stats.shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(true)
-                    }
-                    Err(EnqueueError::Full(_)) => {
-                        // Queue full of control messages: fall back to shed.
-                        stats.shed.fetch_add(1, Ordering::Relaxed);
-                        Ok(true)
-                    }
-                    Err(EnqueueError::Disconnected(_)) => Err(()),
-                };
+    while !tuples.is_empty() {
+        let mut count = delivered.lock();
+        let moved = output.enqueue_batch(tuples).map_err(drop)?;
+        *count += moved as u64;
+        drop(count);
+        if moved == 0 {
+            if stop.load(Ordering::Acquire) {
+                return Ok(false);
             }
-            _ => match output.enqueue(msg) {
-                Ok(()) => {
-                    stats.delivered.fetch_add(1, Ordering::Relaxed);
-                    return Ok(true);
-                }
-                Err(EnqueueError::Full(m)) => match policy {
-                    DegradePolicy::Backpressure => {
-                        if stop.load(Ordering::Acquire) {
-                            return Ok(false);
-                        }
-                        msg = m;
-                        std::thread::yield_now();
-                    }
-                    DegradePolicy::ShedNewest => {
-                        stats.shed.fetch_add(1, Ordering::Relaxed);
-                        return Ok(true);
-                    }
-                    DegradePolicy::Sample { keep_one_in } => {
-                        if !gate.sample_keeps(keep_one_in) {
-                            stats.shed.fetch_add(1, Ordering::Relaxed);
-                            return Ok(true);
-                        }
-                        // The kept sample waits for room (backpressure).
-                        if stop.load(Ordering::Acquire) {
-                            return Ok(false);
-                        }
-                        msg = m;
-                        std::thread::yield_now();
-                    }
-                    DegradePolicy::TokenBucket { .. } => {
-                        if !admitted && !gate.admit_overflow() {
-                            stats.shed.fetch_add(1, Ordering::Relaxed);
-                            return Ok(true);
-                        }
-                        admitted = true;
-                        // A token was spent: this tuple is kept, waiting
-                        // for room like backpressure.
-                        if stop.load(Ordering::Acquire) {
-                            return Ok(false);
-                        }
-                        msg = m;
-                        std::thread::yield_now();
-                    }
-                    DegradePolicy::ShedOldest => unreachable!("handled above"),
-                },
-                Err(EnqueueError::Disconnected(_)) => return Err(()),
-            },
+            std::thread::yield_now();
         }
     }
+    Ok(true)
 }
 
 /// Wrap a source with a chaos injector: [`FaultPoint::SourceRead`] faults
@@ -574,16 +413,6 @@ mod tests {
     use crate::source::VecSource;
     use tcq_common::{FaultPlan, SchemaRef};
     use tcq_fjords::{fjord, DequeueResult, QueueKind};
-
-    fn quick_config(policy: DegradePolicy) -> SupervisorConfig {
-        SupervisorConfig {
-            max_restarts: 8,
-            initial_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(2),
-            policy,
-            initial_delivered: 0,
-        }
-    }
 
     fn stock_tuples(n: u32) -> (SchemaRef, Vec<Tuple>) {
         let schema = StockTicks::schema_for("s");
@@ -644,12 +473,7 @@ mod tests {
             })
         };
         let (p, c) = fjord(256, QueueKind::Push);
-        let s = Supervisor::spawn(
-            "flaky",
-            factory,
-            p,
-            quick_config(DegradePolicy::Backpressure),
-        );
+        let s = Supervisor::spawn("flaky", factory, p, SupervisorConfig::default());
         let mut seqs = Vec::new();
         loop {
             match c.dequeue() {
@@ -690,8 +514,10 @@ mod tests {
                 )?))
             })
         };
-        let mut config = quick_config(DegradePolicy::Backpressure);
-        config.initial_delivered = already;
+        let config = SupervisorConfig {
+            initial_delivered: already,
+            ..SupervisorConfig::default()
+        };
         let (p, c) = fjord(256, QueueKind::Push);
         let s = Supervisor::spawn("resumed", factory, p, config);
         let mut got = 0u64;
@@ -727,8 +553,10 @@ mod tests {
         let schema = StockTicks::schema_for("s");
         let factory: SourceFactory = Box::new(move |_, _| Ok(Box::new(AlwaysErr(schema.clone()))));
         let (p, c) = fjord(8, QueueKind::Push);
-        let mut cfg = quick_config(DegradePolicy::Backpressure);
-        cfg.max_restarts = 3;
+        let cfg = SupervisorConfig {
+            max_restarts: 3,
+            ..SupervisorConfig::default()
+        };
         let s = Supervisor::spawn("doomed", factory, p, cfg);
         let stats = s.join();
         assert!(stats.gave_up);
@@ -738,225 +566,6 @@ mod tests {
         // The stream still terminates cleanly for the consumer.
         let msgs = c.drain();
         assert!(msgs.last().unwrap().is_eof());
-    }
-
-    #[test]
-    fn shed_newest_drops_arrivals_and_accounts_them() {
-        let (schema, master) = stock_tuples(50);
-        let total = master.len() as u64;
-        let factory = once(VecSource::new(schema, master).unwrap());
-        let (p, c) = fjord(4, QueueKind::Push);
-        let s = Supervisor::spawn("shed", factory, p, quick_config(DegradePolicy::ShedNewest));
-        let stats = s.join();
-        let got = c
-            .drain()
-            .iter()
-            .filter(|m| matches!(m, FjordMessage::Tuple(_)))
-            .count() as u64;
-        assert_eq!(stats.delivered + stats.shed, total, "every tuple accounted");
-        assert_eq!(
-            got, stats.delivered,
-            "delivered matches what is in the queue"
-        );
-        assert!(stats.shed > 0, "tiny queue must overflow");
-    }
-
-    #[test]
-    fn shed_oldest_keeps_the_freshest_tuples() {
-        let (schema, master) = stock_tuples(50);
-        let total = master.len() as u64;
-        let tail: Vec<i64> = master[master.len() - 4..]
-            .iter()
-            .map(|t| t.timestamp().seq())
-            .collect();
-        let factory = once(VecSource::new(schema, master).unwrap());
-        let (p, c) = fjord(4, QueueKind::Push);
-        let s = Supervisor::spawn("fresh", factory, p, quick_config(DegradePolicy::ShedOldest));
-        let stats = s.join();
-        let seqs: Vec<i64> = c
-            .drain()
-            .into_iter()
-            .filter_map(|m| match m {
-                FjordMessage::Tuple(t) => Some(t.timestamp().seq()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(seqs, tail, "queue holds exactly the 4 freshest tuples");
-        assert_eq!(stats.delivered + stats.shed, total, "every tuple accounted");
-        assert_eq!(stats.delivered, 4);
-    }
-
-    #[test]
-    fn sample_policy_degrades_instead_of_stalling() {
-        let (schema, master) = stock_tuples(200);
-        let total = master.len() as u64;
-        let factory = once(VecSource::new(schema, master).unwrap());
-        let (p, c) = fjord(2, QueueKind::Push);
-        let s = Supervisor::spawn(
-            "sampled",
-            factory,
-            p,
-            quick_config(DegradePolicy::Sample { keep_one_in: 4 }),
-        );
-        // Slow consumer: drains with a delay so the queue stays hot.
-        let consumer = std::thread::spawn(move || {
-            let mut got = 0u64;
-            loop {
-                match c.dequeue() {
-                    DequeueResult::Msg(FjordMessage::Tuple(_)) => {
-                        got += 1;
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                    DequeueResult::Msg(FjordMessage::Eof) => break,
-                    DequeueResult::Msg(FjordMessage::Punct(_)) => {}
-                    DequeueResult::Empty => std::thread::yield_now(),
-                    DequeueResult::Disconnected => break,
-                }
-            }
-            got
-        });
-        let stats = s.join();
-        let got = consumer.join().unwrap();
-        assert_eq!(stats.delivered + stats.shed, total, "every tuple accounted");
-        assert_eq!(got, stats.delivered);
-        assert!(!stats.gave_up);
-    }
-
-    /// Drive a gate over a synthetic overflow pattern: `overflows(i)` says
-    /// whether tuple `i` hits a full queue. Returns each overflowing
-    /// tuple's fate (`true` = kept) in offer order.
-    fn drive_gate(
-        policy: DegradePolicy,
-        tuples: usize,
-        overflows: impl Fn(usize) -> bool,
-    ) -> Vec<bool> {
-        let mut gate = OverflowGate::new(policy);
-        let mut fates = Vec::new();
-        for i in 0..tuples {
-            gate.offered();
-            if overflows(i) {
-                let kept = match policy {
-                    DegradePolicy::TokenBucket { .. } => gate.admit_overflow(),
-                    DegradePolicy::Sample { keep_one_in } => gate.sample_keeps(keep_one_in),
-                    _ => true,
-                };
-                fates.push(kept);
-            }
-        }
-        fates
-    }
-
-    fn longest_shed_run(fates: &[bool]) -> usize {
-        let mut worst = 0;
-        let mut run = 0;
-        for &kept in fates {
-            if kept {
-                run = 0;
-            } else {
-                run += 1;
-                worst = worst.max(run);
-            }
-        }
-        worst
-    }
-
-    #[test]
-    fn token_bucket_absorbs_intermittent_overflow_sample_sheds() {
-        // Every 10th of 1000 tuples overflows: nine quiet tuples refill
-        // 2250 millitokens between overflows, so the bucket never runs
-        // dry — zero loss. Sample{4} sheds three out of four regardless.
-        let bucket = drive_gate(
-            DegradePolicy::TokenBucket {
-                rate: 250,
-                burst: 2,
-            },
-            1000,
-            |i| i % 10 == 9,
-        );
-        let sample = drive_gate(DegradePolicy::Sample { keep_one_in: 4 }, 1000, |i| {
-            i % 10 == 9
-        });
-        assert_eq!(bucket.len(), 100);
-        assert!(bucket.iter().all(|&kept| kept), "bucket absorbs the burst");
-        let sample_shed = sample.iter().filter(|&&kept| !kept).count();
-        assert_eq!(sample_shed, 75, "sample blindly sheds 3 in 4");
-    }
-
-    #[test]
-    fn token_bucket_matches_sample_rate_under_sustained_overflow() {
-        // Every tuple overflows: both policies converge to keeping one in
-        // four, and the bucket's worst consecutive-shed run is no longer
-        // than sample's (equal smoothness at the same average rate).
-        let bucket = drive_gate(
-            DegradePolicy::TokenBucket {
-                rate: 250,
-                burst: 2,
-            },
-            1000,
-            |_| true,
-        );
-        let sample = drive_gate(DegradePolicy::Sample { keep_one_in: 4 }, 1000, |_| true);
-        let bucket_kept = bucket.iter().filter(|&&kept| kept).count();
-        let sample_kept = sample.iter().filter(|&&kept| kept).count();
-        assert!(
-            (bucket_kept as i64 - sample_kept as i64).abs() <= 3,
-            "both keep ~1 in 4: bucket {bucket_kept}, sample {sample_kept}"
-        );
-        assert!(
-            longest_shed_run(&bucket) <= longest_shed_run(&sample),
-            "token bucket is no burstier than sampling"
-        );
-    }
-
-    #[test]
-    fn overflow_gate_is_deterministic() {
-        let policy = DegradePolicy::TokenBucket {
-            rate: 333,
-            burst: 3,
-        };
-        let a = drive_gate(policy, 5000, |i| i % 7 < 3);
-        let b = drive_gate(policy, 5000, |i| i % 7 < 3);
-        assert_eq!(a, b, "same pattern, same fates");
-    }
-
-    #[test]
-    fn token_bucket_policy_degrades_instead_of_stalling() {
-        let (schema, master) = stock_tuples(200);
-        let total = master.len() as u64;
-        let factory = once(VecSource::new(schema, master).unwrap());
-        let (p, c) = fjord(2, QueueKind::Push);
-        let s = Supervisor::spawn(
-            "bucketed",
-            factory,
-            p,
-            quick_config(DegradePolicy::TokenBucket {
-                rate: 100,
-                burst: 1,
-            }),
-        );
-        // Slow consumer keeps the queue hot so the bucket actually gates.
-        let consumer = std::thread::spawn(move || {
-            let mut got = 0u64;
-            loop {
-                match c.dequeue() {
-                    DequeueResult::Msg(FjordMessage::Tuple(_)) => {
-                        got += 1;
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                    DequeueResult::Msg(FjordMessage::Eof) => break,
-                    DequeueResult::Msg(FjordMessage::Punct(_)) => {}
-                    DequeueResult::Empty => std::thread::yield_now(),
-                    DequeueResult::Disconnected => break,
-                }
-            }
-            got
-        });
-        let stats = s.join();
-        let got = consumer.join().unwrap();
-        assert_eq!(stats.delivered + stats.shed, total, "every tuple accounted");
-        assert_eq!(got, stats.delivered);
-        assert!(stats.shed > 0, "tiny queue plus slow consumer must shed");
-        assert!(!stats.gave_up);
     }
 
     #[test]
@@ -994,12 +603,7 @@ mod tests {
             })
         };
         let (p, c) = fjord(256, QueueKind::Push);
-        let s = Supervisor::spawn(
-            "chaos",
-            factory,
-            p,
-            quick_config(DegradePolicy::Backpressure),
-        );
+        let s = Supervisor::spawn("chaos", factory, p, SupervisorConfig::default());
         let mut got = 0usize;
         loop {
             match c.dequeue() {
@@ -1032,12 +636,7 @@ mod tests {
         // in order, though the queue is full whenever the source offers.
         let g = StockTicks::new("s", &["A"], 7).with_max_days(500);
         let (p, c) = fjord(2, QueueKind::Push);
-        let s = Supervisor::spawn(
-            "stocks",
-            once(g),
-            p,
-            quick_config(DegradePolicy::Backpressure),
-        );
+        let s = Supervisor::spawn("stocks", once(g), p, SupervisorConfig::default());
         let mut seqs = Vec::new();
         loop {
             match c.dequeue() {
@@ -1065,7 +664,7 @@ mod tests {
         let n = master.len();
         let (p, c) = fjord(n, QueueKind::Push);
         let src = VecSource::new(schema, master).unwrap();
-        let config = quick_config(DegradePolicy::Backpressure);
+        let config = SupervisorConfig::default();
         let s = Supervisor::spawn("full", once(src), p, config);
         while c.stats().full_rejections == 0 {
             std::thread::yield_now();
@@ -1086,7 +685,7 @@ mod tests {
     #[test]
     fn stop_and_a_dropped_consumer_both_end_an_infinite_source() {
         let infinite = || StockTicks::new("s", &["A"], 9);
-        let config = || quick_config(DegradePolicy::Backpressure);
+        let config = SupervisorConfig::default;
         let (p, c) = fjord(8, QueueKind::Push);
         let s = Supervisor::spawn("stopped", once(infinite()), p, config());
         while c.len() < 8 {
@@ -1100,5 +699,32 @@ mod tests {
         drop(c);
         // Returns: the thread noticed no one is reading.
         assert!(!s.join().gave_up);
+    }
+
+    #[test]
+    fn a_hold_reads_an_exact_count_and_delivers_nothing() {
+        let (p, c) = fjord(4096, QueueKind::Push);
+        let infinite = StockTicks::new("s", &["A"], 3);
+        let s = Supervisor::spawn("held", once(infinite), p, SupervisorConfig::default());
+        while c.len() < 64 {
+            std::thread::yield_now();
+        }
+        {
+            let count = s.hold();
+            assert_eq!(
+                *count,
+                c.stats().enqueued,
+                "the count is what the Fjord took"
+            );
+            // Room to spare, yet nothing arrives until the hold drops.
+            c.drain();
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(c.len(), 0);
+            assert_eq!(c.stats().enqueued, *count);
+        }
+        while c.is_empty() {
+            std::thread::yield_now();
+        }
+        s.stop();
     }
 }

@@ -366,8 +366,10 @@ impl TelegraphCQ {
     /// cursors, the egress ledger is seeded here, and
     /// [`TelegraphCQ::submit`] imports each query's SteM groups and window
     /// partials (queries must be resubmitted in their original order so
-    /// query ids line up). Delivery past the checkpoint watermark is
-    /// at-least-once: clients dedup replayed results by sequence.
+    /// query ids line up). Operator state resumes exactly at the cut (see
+    /// [`TelegraphCQ::checkpoint`]), but results the lost incarnation sent
+    /// after it are sent again: delivery past the checkpoint watermark is
+    /// at-least-once, and clients dedup replayed results by sequence.
     pub fn restore(config: ServerConfig) -> Result<Self> {
         if config.checkpoint_path.is_none() {
             return Err(TcqError::Storage(
@@ -604,17 +606,13 @@ impl TelegraphCQ {
     }
 
     /// Attach a supervised wrapper: like [`TelegraphCQ::attach_source`],
-    /// but the source is rebuilt by `factory` after panics and errors per
-    /// `config` — the ingress survives a flaky wrapper instead of dying
-    /// with it. On a restored server the factory's first build resumes
-    /// from the checkpointed cursor.
-    pub fn attach_supervised_source(
-        &self,
-        stream: &str,
-        factory: SourceFactory,
-        mut config: SupervisorConfig,
-    ) -> Result<()> {
-        if self.restoring && config.initial_delivered == 0 {
+    /// but the source is rebuilt by `factory` after panics and errors —
+    /// the ingress survives a flaky wrapper instead of dying with it. On a
+    /// restored server the factory's first build resumes from the
+    /// checkpointed cursor.
+    pub fn attach_supervised_source(&self, stream: &str, factory: SourceFactory) -> Result<()> {
+        let mut config = SupervisorConfig::default();
+        if self.restoring {
             // Seed the resume cursor from the checkpointed watermark: the
             // factory's first build sees the pre-crash delivered count and
             // skips what the lost incarnation already consumed.
@@ -1705,36 +1703,35 @@ impl TelegraphCQ {
     /// Take a durable, incremental checkpoint: commit one epoch-delta
     /// block holding the state dirtied since the previous call.
     ///
-    /// The cut is taken in three steps whose order carries the recovery
-    /// contract. (1) Resume cursors are read *first*: anything a source
-    /// delivers after that instant will be replayed on restore, so the
-    /// exported state may already contain it — delivery past the watermark
-    /// is at-least-once, and clients dedup by sequence. (2) In-flight
-    /// tuples are drained, on exact counts (`drain_ingress`), so exported
-    /// operator state covers everything the cursors skip. (3) Dirty state
-    /// groups are exported under their DU locks, the egress ledger and
-    /// stream clocks are staged, and the delta commits. Dirty flags are
-    /// cleared only after the commit succeeds — a failed or torn commit
-    /// (injected or real) keeps the delta staged for retry and loses
-    /// nothing.
+    /// The cut is exact: the exported state holds every row below each
+    /// resume cursor and none above it, so a restore that replays each
+    /// source from its cursor folds every row once. It is taken in three
+    /// steps. (1) Every source thread's delivery is held
+    /// ([`Supervisor::hold`]) from here until the commit lands, and each
+    /// hold reads its cursor: the tuples that source has put into its
+    /// ingress fjord. (2) In-flight tuples are drained, on exact counts
+    /// (`drain_ingress`), so operator state covers everything below the
+    /// cursors, and no source can add to it. (3) Dirty state groups are
+    /// exported under their DU locks, the egress ledger and stream clocks
+    /// are staged, and the delta commits. Dirty flags are cleared only
+    /// after the commit succeeds — a failed or torn commit (injected or
+    /// real) keeps the delta staged for retry and loses nothing.
     pub fn checkpoint(&self) -> Result<CheckpointReport> {
         let store_mutex = self.ckpt.as_ref().ok_or_else(|| {
             TcqError::Storage("checkpointing disabled (set ServerConfig::checkpoint_path)".into())
         })?;
-        let cursors: Vec<(String, u64)> = self
-            .supervisors
-            .lock()
+        let supervisors = self.supervisors.lock();
+        let held: Vec<_> = supervisors
             .iter()
-            .filter(|(_, resumable)| *resumable)
-            .map(|(s, _)| (s.name().to_ascii_lowercase(), s.stats().delivered))
+            .map(|(s, resumable)| (s.name().to_ascii_lowercase(), *resumable, s.hold()))
             .collect();
         self.drain_ingress(Duration::from_secs(2));
 
         let mut store = store_mutex.lock();
         store.put("egress", b"", &self.egress.egress_stats().encode());
-        for (name, delivered) in &cursors {
+        for (name, _, delivered) in held.iter().filter(|(_, resumable, _)| *resumable) {
             let mut w = CkptWriter::new();
-            w.put_u64(*delivered);
+            w.put_u64(**delivered);
             store.put("cursor", name.as_bytes(), w.as_slice());
         }
         {

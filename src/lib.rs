@@ -85,8 +85,8 @@ pub mod prelude {
     pub use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
     pub use tcq_egress::{EgressPolicy, EgressStats};
     pub use tcq_ingress::{
-        ChaosSource, CsvSource, DegradePolicy, NetworkPackets, SensorReadings, Source,
-        SourceFactory, SourceStatus, StockTicks, SupervisorConfig, VecSource,
+        ChaosSource, CsvSource, NetworkPackets, SensorReadings, Source, SourceFactory,
+        SourceStatus, StockTicks, VecSource,
     };
     pub use tcq_net::{NetServer, TcqClient};
     pub use tcq_operators::{AggFunc, AggSpec, ProjectOp, SelectOp, StemOp};

@@ -6,11 +6,14 @@
 //! held mid-batch. A dispatcher that has retired (EOF) or failed counts as
 //! settled, so it never holds a checkpoint or a shutdown for the drain's
 //! timeout; its subscriber queues still drain, so a shutdown delivers a
-//! join's last results.
+//! join's last results. A supervised source that keeps delivering is held
+//! for the cut, so its resume cursor equals the stream clock the
+//! checkpoint records and a restore replays from it without folding a row
+//! twice.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 
 use telegraphcq::prelude::*;
@@ -251,5 +254,169 @@ fn a_retired_dispatcher_holds_no_checkpoint_or_shutdown() {
         server.checkpoint().unwrap();
     });
     assert_quick("shutdown", || server.shutdown().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rows of the live-source tests, one per logical tick.
+const LIVE_ROWS: i64 = 40_000;
+/// A live source signals once it has read this many rows; the checkpoint
+/// follows while it keeps delivering.
+const LIVE_CUT: i64 = 10_000;
+const LIVE_SQL: &str = "SELECT COUNT(*) FROM s \
+    for (t = 10; t <= 40000; t += 10) { WindowIs(s, t - 9, t); }";
+
+/// Rows `next..=last` (`last == i64::MAX`: forever), 16 per read, never
+/// sleeping.
+struct LiveSource {
+    schema: SchemaRef,
+    next: i64,
+    last: i64,
+    signal: Option<SyncSender<()>>,
+}
+
+impl Source for LiveSource {
+    fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, _max: usize, out: &mut Vec<Tuple>) -> Result<SourceStatus> {
+        if self.next > self.last {
+            return Ok(SourceStatus::Exhausted);
+        }
+        let to = (self.next + 15).min(self.last);
+        for ts in self.next..=to {
+            out.push(
+                TupleBuilder::new(self.schema.clone())
+                    .push(ts % GROUPS)
+                    .push(ts % 13)
+                    .at(Timestamp::logical(ts))
+                    .build()?,
+            );
+        }
+        self.next = to + 1;
+        if self.next > LIVE_CUT {
+            if let Some(tx) = self.signal.take() {
+                tx.send(()).unwrap();
+            }
+        }
+        Ok(SourceStatus::Ready)
+    }
+}
+
+/// Builds a [`LiveSource`] that resumes after the rows already delivered.
+fn live_factory(last: i64, mut signal: Option<SyncSender<()>>) -> SourceFactory {
+    Box::new(move |_, delivered| {
+        Ok(Box::new(LiveSource {
+            schema: schema(),
+            next: delivered as i64 + 1,
+            last,
+            signal: signal.take(),
+        }) as Box<dyn Source>)
+    })
+}
+
+/// The committed `(resume cursor, stream clock)` of stream `s`.
+fn cursor_and_clock(server: &TelegraphCQ) -> (i64, i64) {
+    let fragment = |component| {
+        let bytes = server.checkpoint_fragment(component, b"s").unwrap();
+        i64::from_le_bytes(bytes.try_into().unwrap())
+    };
+    (fragment("cursor"), fragment("seq"))
+}
+
+/// Checkpoint while a supervised source is mid-stream, die, restore and
+/// replay from the cursor: every window the restored server closes counts
+/// exactly its 10 rows.
+fn live_cut_then_restore(queue_capacity: usize) {
+    let tag = format!("live-{queue_capacity}");
+    let dir = scratch(&tag);
+    let config = || ServerConfig {
+        queue_capacity,
+        checkpoint_path: Some(dir.join("server.tcqk")),
+        ..ServerConfig::default()
+    };
+
+    let server = TelegraphCQ::start(config()).unwrap();
+    server.register_stream("s", schema()).unwrap();
+    let (client, _lost_rx) = server.connect_push_client(1 << 16).unwrap();
+    let qid = server.submit(LIVE_SQL, client).unwrap();
+    let (tx, read_past_cut) = sync_channel(1);
+    server
+        .attach_supervised_source("s", live_factory(LIVE_ROWS, Some(tx)))
+        .unwrap();
+    read_past_cut.recv().unwrap();
+    server.checkpoint().unwrap();
+    // Die without a shutdown while the source is still delivering.
+    std::mem::forget(server);
+
+    let server = TelegraphCQ::restore(config()).unwrap();
+    let (cursor, clock) = cursor_and_clock(&server);
+    assert!(cursor < LIVE_ROWS, "{tag}: cut after the last row");
+    assert_eq!(
+        cursor, clock,
+        "{tag}: the cursor is the clock it was cut with"
+    );
+    server.register_stream("s", schema()).unwrap();
+    let (client, rx) = server.connect_push_client(1 << 16).unwrap();
+    assert_eq!(server.submit(LIVE_SQL, client).unwrap(), qid);
+    server
+        .attach_supervised_source("s", live_factory(LIVE_ROWS, None))
+        .unwrap();
+    assert!(server.quiesce(Duration::from_secs(30)));
+    let windows: Vec<(i64, i64)> = rx
+        .try_iter()
+        .map(|(_, row)| {
+            (
+                row.value(0).as_int().unwrap(),
+                row.value(1).as_int().unwrap(),
+            )
+        })
+        .collect();
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A window closes when the clock reaches its end, so the first the
+    // restored server closes is the one after the clock's.
+    let first = clock / 10 * 10 + 10;
+    let expect: Vec<(i64, i64)> = (first..=LIVE_ROWS).step_by(10).map(|t| (t, 10)).collect();
+    assert_eq!(
+        windows, expect,
+        "{tag}: restored windows after a cut at {cursor}"
+    );
+}
+
+/// With a 4-slot ingress queue the cut lands while the source waits for
+/// room.
+#[test]
+fn a_checkpoint_cuts_a_live_source_exactly() {
+    for queue_capacity in [ServerConfig::default().queue_capacity, 4] {
+        live_cut_then_restore(queue_capacity);
+    }
+}
+
+/// A source that never sleeps keeps its ingress queue busy; the
+/// checkpoint holds it instead of waiting out the drain's timeout.
+#[test]
+fn a_checkpoint_is_quick_against_a_source_that_never_sleeps() {
+    let dir = scratch("never-sleeps");
+    let server = TelegraphCQ::start(ServerConfig {
+        checkpoint_path: Some(dir.join("server.tcqk")),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    server.register_stream("s", schema()).unwrap();
+    let (client, _rx) = server.connect_push_client(1 << 16).unwrap();
+    server.submit(LIVE_SQL, client).unwrap();
+    let (tx, read_past_cut) = sync_channel(1);
+    server
+        .attach_supervised_source("s", live_factory(i64::MAX, Some(tx)))
+        .unwrap();
+    read_past_cut.recv().unwrap();
+    assert_quick("checkpoint", || {
+        server.checkpoint().unwrap();
+    });
+    let (cursor, clock) = cursor_and_clock(&server);
+    assert_eq!(cursor, clock);
+    server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

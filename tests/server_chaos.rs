@@ -138,9 +138,7 @@ fn run_scenario_with_io_batch(dir: &std::path::Path, io_batch: usize) -> Outcome
             }) as Box<dyn Source>)
         })
     };
-    server
-        .attach_supervised_source("s", factory, SupervisorConfig::default())
-        .unwrap();
+    server.attach_supervised_source("s", factory).unwrap();
 
     // 60s like every other quiesce here: a slow debug run under ambient
     // load can legitimately take tens of seconds, and a deadline miss
@@ -193,7 +191,7 @@ fn whole_server_chaos_quiesces_with_exact_accounting() {
     assert_eq!(o.sup.delivered, TUPLES as u64);
     assert_eq!(o.sup.panics, 1);
     assert_eq!(o.sup.restarts, 1);
-    assert_eq!(o.sup.shed + o.sup.malformed, 0);
+    assert_eq!(o.sup.malformed, 0);
 
     // Dispatcher: exactly one fan-out (one subscriber copy) dropped by the
     // injected enqueue overflow.
@@ -417,9 +415,7 @@ fn run_join_scenario_cfg(
             }) as Box<dyn Source>)
         })
     };
-    server
-        .attach_supervised_source("s", factory, SupervisorConfig::default())
-        .unwrap();
+    server.attach_supervised_source("s", factory).unwrap();
 
     // Periodic checkpoints racing the live run: they must be invisible to
     // the replay contract (no Checkpoint* faults are planned, and the cut
@@ -892,9 +888,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
                 }) as Box<dyn Source>)
             })
         };
-        server
-            .attach_supervised_source("s", factory, SupervisorConfig::default())
-            .unwrap();
+        server.attach_supervised_source("s", factory).unwrap();
         assert!(server.quiesce(Duration::from_secs(60)));
         let rows = rows_by_query(&rx);
         let egress = server.egress_stats_full();
@@ -922,9 +916,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
                 }) as Box<dyn Source>)
             })
         };
-        server
-            .attach_supervised_source("s", factory, SupervisorConfig::default())
-            .unwrap();
+        server.attach_supervised_source("s", factory).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while (server.supervisor_stats()[0].1.delivered as usize) < HALF
             || (server.stream_time("s").unwrap() as usize) < HALF
@@ -965,9 +957,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
             }) as Box<dyn Source>)
         })
     };
-    server
-        .attach_supervised_source("s", factory, SupervisorConfig::default())
-        .unwrap();
+    server.attach_supervised_source("s", factory).unwrap();
     assert!(
         server.quiesce(Duration::from_secs(60)),
         "restored server must quiesce"
