@@ -138,12 +138,12 @@ impl CkptWriter {
     /// Append a timestamp: a flags byte (bit 0 logical, bit 1 physical),
     /// then each present component.
     pub fn put_timestamp(&mut self, ts: Timestamp) {
-        let flags: u8 = (ts.logical.is_some() as u8) | ((ts.physical.is_some() as u8) << 1);
-        self.put_u8(flags);
-        if let Some(l) = ts.logical {
+        let (logical, physical) = (ts.logical_part(), ts.physical_part());
+        self.put_u8((logical.is_some() as u8) | ((physical.is_some() as u8) << 1));
+        if let Some(l) = logical {
             self.put_i64(l);
         }
-        if let Some(p) = ts.physical {
+        if let Some(p) = physical {
             self.put_i64(p);
         }
     }
@@ -245,17 +245,31 @@ impl<'a> CkptReader<'a> {
         })
     }
 
-    /// Read a timestamp written by [`CkptWriter::put_timestamp`].
+    /// Read a timestamp written by [`CkptWriter::put_timestamp`]. Flag
+    /// bits 2–7 and a component equal to [`Timestamp::ABSENT`] are
+    /// refused: no writer produces them.
     pub fn get_timestamp(&mut self) -> Result<Timestamp> {
         let flags = self.get_u8("timestamp flags")?;
-        let mut ts = Timestamp::unknown();
-        if flags & 1 != 0 {
-            ts.logical = Some(self.get_i64("logical ts")?);
+        if flags & !3 != 0 {
+            return Err(TcqError::Storage(format!(
+                "unknown timestamp flags {flags:#04x}"
+            )));
         }
-        if flags & 2 != 0 {
-            ts.physical = Some(self.get_i64("physical ts")?);
+        let logical = self.get_component(flags & 1 != 0, "logical ts")?;
+        let physical = self.get_component(flags & 2 != 0, "physical ts")?;
+        Ok(Timestamp::from_parts(logical, physical))
+    }
+
+    fn get_component(&mut self, present: bool, what: &str) -> Result<Option<i64>> {
+        if !present {
+            return Ok(None);
         }
-        Ok(ts)
+        match self.get_i64(what)? {
+            Timestamp::ABSENT => Err(TcqError::Storage(format!(
+                "{what} holds the reserved absent value"
+            ))),
+            v => Ok(Some(v)),
+        }
     }
 
     /// Read one tuple, rebuilt against `schema` (arity validated).
@@ -328,6 +342,68 @@ mod tests {
                 assert_eq!(&back, v);
             }
         }
+    }
+
+    /// The timestamp prefix every archive page, checkpoint block and wire
+    /// row starts with, byte for byte: a flags byte (bit 0 logical, bit 1
+    /// physical), then each present component as a little-endian `i64`.
+    #[test]
+    fn timestamp_bytes_are_pinned() {
+        let enc = |ts: Timestamp| {
+            let mut w = CkptWriter::new();
+            w.put_timestamp(ts);
+            w.into_bytes()
+        };
+        let le = |v: i64| v.to_le_bytes().to_vec();
+        let cases: Vec<(Timestamp, Vec<u8>)> = vec![
+            (Timestamp::unknown(), vec![0]),
+            (Timestamp::logical(7), [vec![1], le(7)].concat()),
+            (Timestamp::physical(-3), [vec![2], le(-3)].concat()),
+            (
+                Timestamp::both(5, 1_000),
+                [vec![3], le(5), le(1_000)].concat(),
+            ),
+            (
+                Timestamp::logical(i64::MIN + 1),
+                vec![1, 1, 0, 0, 0, 0, 0, 0, 0x80],
+            ),
+            (
+                Timestamp::physical(i64::MAX),
+                vec![2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+            ),
+            (
+                Timestamp::both(i64::MAX, i64::MIN + 1),
+                [vec![3], le(i64::MAX), le(i64::MIN + 1)].concat(),
+            ),
+        ];
+        for (ts, want) in cases {
+            assert_eq!(enc(ts), want, "{ts}");
+            let mut r = CkptReader::new(&want);
+            assert_eq!(r.get_timestamp().unwrap(), ts);
+            assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn hostile_timestamp_bytes_are_refused() {
+        for flags in [0x04u8, 0x80, 0xFC, 0xFF] {
+            let mut bytes = vec![flags];
+            bytes.extend_from_slice(&[0; 16]);
+            let err = CkptReader::new(&bytes).get_timestamp();
+            assert!(
+                matches!(err, Err(TcqError::Storage(_))),
+                "flags {flags:#04x}: {err:?}"
+            );
+        }
+        for flags in [1u8, 2] {
+            let mut bytes = vec![flags];
+            bytes.extend_from_slice(&i64::MIN.to_le_bytes());
+            assert!(CkptReader::new(&bytes).get_timestamp().is_err());
+        }
+        let mut both = vec![3u8];
+        both.extend_from_slice(&5i64.to_le_bytes());
+        both.extend_from_slice(&i64::MIN.to_le_bytes());
+        assert!(CkptReader::new(&both).get_timestamp().is_err());
     }
 
     #[test]

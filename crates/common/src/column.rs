@@ -484,17 +484,16 @@ impl ColumnBatch {
     }
 
     /// Materialize row `row` as a [`Tuple`], seeding its key-hash memo
-    /// from the batch's hash column when present.
+    /// from the batch's hash column when present, so the
+    /// row→columnar→row boundary never hashes a key twice.
     pub fn tuple_at(&self, row: usize) -> Tuple {
-        let mut values = Vec::with_capacity(self.columns.len());
-        for col in &self.columns {
-            values.push(col.value(row));
-        }
-        let t = Tuple::new_unchecked(self.schema.clone(), values, self.stamps[row]);
-        if let Some((c, hashes)) = &self.key_hashes {
-            t.prime_key_hash(*c as usize, hashes[row]);
-        }
-        t
+        // An exact-length iterator collects into one allocation.
+        let values = self.columns.iter().map(|col| col.value(row)).collect();
+        let key_hash = self
+            .key_hashes
+            .as_ref()
+            .map(|(c, hashes)| (*c as usize, hashes[row]));
+        Tuple::from_shared(self.schema.clone(), values, self.stamps[row], key_hash)
     }
 
     /// Materialize every row (the lossless inverse of

@@ -6,7 +6,8 @@
 //! tuple across many queries.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::error::{Result, TcqError};
 use crate::hash::hash_value;
@@ -14,13 +15,91 @@ use crate::schema::SchemaRef;
 use crate::time::Timestamp;
 use crate::value::Value;
 
+/// `KeyHashMemo::col` before any hash is stored.
+const MEMO_EMPTY: u32 = u32::MAX;
+/// `KeyHashMemo::col` while the one writer that claimed it stores `hash`.
+const MEMO_BUSY: u32 = u32::MAX - 1;
+
 /// A memoized join-key hash: the FNV-1a hash of the value at column
 /// `col`, computed once and carried with the tuple so partition routing,
 /// SteM build, and SteM probe all reuse one computation.
-#[derive(Debug, Clone, Copy)]
+///
+/// Twelve bytes written at most once. A writer claims `col` from
+/// `MEMO_EMPTY` to `MEMO_BUSY` by CAS, stores `hash`, then publishes the
+/// column with `Release`; a reader that loads its own column with
+/// `Acquire` therefore reads the finished hash. A reader that sees
+/// `MEMO_BUSY` hashes for itself.
 struct KeyHashMemo {
-    col: u32,
-    hash: u64,
+    hash: AtomicU64,
+    col: AtomicU32,
+    /// Sits in what would be padding. Its 255 invalid bit patterns are a
+    /// niche, so an enum wrapping a [`Tuple`] (a fjord message) keeps its
+    /// tag there instead of in a word of its own.
+    _niche: Niche,
+}
+
+/// A byte with one valid value (see `KeyHashMemo::_niche`).
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum Niche {
+    Zero = 0,
+}
+
+// The memo's methods are `#[inline]` because `Tuple`'s derived `Clone`
+// is, and a row is cloned into every subscriber queue in other crates.
+impl KeyHashMemo {
+    #[inline]
+    const fn empty() -> KeyHashMemo {
+        KeyHashMemo {
+            hash: AtomicU64::new(0),
+            col: AtomicU32::new(MEMO_EMPTY),
+            _niche: Niche::Zero,
+        }
+    }
+
+    #[inline]
+    fn published(col: usize, hash: u64) -> KeyHashMemo {
+        debug_assert!(col < MEMO_BUSY as usize);
+        KeyHashMemo {
+            hash: AtomicU64::new(hash),
+            col: AtomicU32::new(col as u32),
+            _niche: Niche::Zero,
+        }
+    }
+
+    /// The published `(col, hash)`, if any.
+    #[inline]
+    fn get(&self) -> Option<(usize, u64)> {
+        let col = self.col.load(Ordering::Acquire);
+        (col < MEMO_BUSY).then(|| (col as usize, self.hash.load(Ordering::Relaxed)))
+    }
+
+    /// Publish `(col, hash)` unless a memo is already stored or being
+    /// stored.
+    fn set(&self, col: usize, hash: u64) {
+        debug_assert!(col < MEMO_BUSY as usize);
+        // Only the claiming writer ever stores `hash`, and no reader looks
+        // at it before the `Release` below, so the claim can be relaxed.
+        if self
+            .col
+            .compare_exchange(MEMO_EMPTY, MEMO_BUSY, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.hash.store(hash, Ordering::Relaxed);
+            self.col.store(col as u32, Ordering::Release);
+        }
+    }
+}
+
+impl Clone for KeyHashMemo {
+    /// A published memo is copied; one still being written is not.
+    #[inline]
+    fn clone(&self) -> KeyHashMemo {
+        match self.get() {
+            Some((col, hash)) => KeyHashMemo::published(col, hash),
+            None => KeyHashMemo::empty(),
+        }
+    }
 }
 
 /// An immutable row flowing through the dataflow.
@@ -33,7 +112,7 @@ pub struct Tuple {
     /// [`Tuple::with_timestamp`], and [`Tuple::with_schema`] (column
     /// indexes are unchanged there); dropped by [`Tuple::concat`] and
     /// [`Tuple::project`] (indexes shift). Excluded from `PartialEq`.
-    key_hash: OnceLock<KeyHashMemo>,
+    key_hash: KeyHashMemo,
 }
 
 impl Tuple {
@@ -51,7 +130,7 @@ impl Tuple {
             values: values.into(),
             schema,
             ts,
-            key_hash: OnceLock::new(),
+            key_hash: KeyHashMemo::empty(),
         })
     }
 
@@ -63,7 +142,7 @@ impl Tuple {
             values: values.into(),
             schema,
             ts,
-            key_hash: OnceLock::new(),
+            key_hash: KeyHashMemo::empty(),
         }
     }
 
@@ -82,12 +161,9 @@ impl Tuple {
         let key_hash = match key_hash {
             Some((col, hash)) => {
                 debug_assert_eq!(hash, hash_value(&values[col]));
-                OnceLock::from(KeyHashMemo {
-                    col: col as u32,
-                    hash,
-                })
+                KeyHashMemo::published(col, hash)
             }
-            None => OnceLock::new(),
+            None => KeyHashMemo::empty(),
         };
         Tuple {
             values,
@@ -138,8 +214,7 @@ impl Tuple {
     pub fn cached_key_hash(&self, col: usize) -> Option<u64> {
         self.key_hash
             .get()
-            .filter(|m| m.col as usize == col)
-            .map(|m| m.hash)
+            .and_then(|(c, hash)| (c == col).then_some(hash))
     }
 
     /// The FNV-1a hash of the value at column `col`, memoized: the first
@@ -152,25 +227,8 @@ impl Tuple {
             return h;
         }
         let hash = hash_value(&self.values[col]);
-        let _ = self.key_hash.set(KeyHashMemo {
-            col: col as u32,
-            hash,
-        });
+        self.key_hash.set(col, hash);
         hash
-    }
-
-    /// Seed the key-hash memo with an externally computed hash of the
-    /// value at column `col`. Used when rows are materialized out of a
-    /// columnar batch whose hash column was filled (via
-    /// [`Tuple::key_hash`]) on the way in — carrying the word back means
-    /// the row→columnar→row boundary never hashes a key twice. No-op if a
-    /// memo is already present.
-    pub fn prime_key_hash(&self, col: usize, hash: u64) {
-        debug_assert_eq!(hash, hash_value(&self.values[col]));
-        let _ = self.key_hash.set(KeyHashMemo {
-            col: col as u32,
-            hash,
-        });
     }
 
     /// Re-schema the tuple (used when a stream tuple enters a query under
@@ -197,27 +255,31 @@ impl Tuple {
     /// the partial-order max of the parents (a join result "happens" when
     /// its later input arrives).
     pub fn concat(&self, other: &Tuple, joined_schema: SchemaRef) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
+        // An exact-length iterator collects into one allocation.
+        let values: Arc<[Value]> = self
+            .values
+            .iter()
+            .chain(other.values.iter())
+            .cloned()
+            .collect();
         debug_assert_eq!(values.len(), joined_schema.len());
         Tuple {
-            values: values.into(),
+            values,
             schema: joined_schema,
             ts: self.ts.join_max(&other.ts),
-            key_hash: OnceLock::new(),
+            key_hash: KeyHashMemo::empty(),
         }
     }
 
     /// Project columns by index onto a pre-computed projected schema.
     pub fn project(&self, indices: &[usize], projected_schema: SchemaRef) -> Tuple {
-        let values: Vec<Value> = indices.iter().map(|&i| self.values[i].clone()).collect();
+        let values: Arc<[Value]> = indices.iter().map(|&i| self.values[i].clone()).collect();
         debug_assert_eq!(values.len(), projected_schema.len());
         Tuple {
-            values: values.into(),
+            values,
             schema: projected_schema,
             ts: self.ts,
-            key_hash: OnceLock::new(),
+            key_hash: KeyHashMemo::empty(),
         }
     }
 
@@ -252,24 +314,33 @@ impl fmt::Debug for Tuple {
 #[derive(Clone)]
 pub struct TupleBuilder {
     schema: SchemaRef,
-    values: Vec<Value>,
+    /// The row at its final length, NULL until pushed: `push` writes each
+    /// cell in place, so a built tuple costs one allocation.
+    values: Arc<[Value]>,
+    /// Values pushed so far; past `values.len()` they are counted for the
+    /// arity error and otherwise dropped.
+    pushed: usize,
     ts: Timestamp,
 }
 
 impl TupleBuilder {
     /// Start building a tuple for `schema`.
     pub fn new(schema: SchemaRef) -> Self {
-        let cap = schema.len();
         TupleBuilder {
+            values: (0..schema.len()).map(|_| Value::Null).collect(),
             schema,
-            values: Vec::with_capacity(cap),
+            pushed: 0,
             ts: Timestamp::unknown(),
         }
     }
 
     /// Append the next column value.
     pub fn push(mut self, v: impl Into<Value>) -> Self {
-        self.values.push(v.into());
+        if self.pushed < self.values.len() {
+            // Unique unless the builder was cloned, which copies here.
+            Arc::make_mut(&mut self.values)[self.pushed] = v.into();
+        }
+        self.pushed += 1;
         self
     }
 
@@ -281,10 +352,10 @@ impl TupleBuilder {
 
     /// Finish, validating arity and column types.
     pub fn build(self) -> Result<Tuple> {
-        if self.values.len() != self.schema.len() {
+        if self.pushed != self.schema.len() {
             return Err(TcqError::SchemaMismatch(format!(
                 "builder has {} of {} values",
-                self.values.len(),
+                self.pushed,
                 self.schema.len()
             )));
         }
@@ -300,7 +371,7 @@ impl TupleBuilder {
                 }
             }
         }
-        Tuple::new(self.schema, self.values, self.ts)
+        Ok(Tuple::from_shared(self.schema, self.values, self.ts, None))
     }
 }
 
@@ -444,6 +515,41 @@ mod tests {
         assert_eq!(t.cached_key_hash(0), None);
         assert_eq!(t.key_hash(0), crate::hash::hash_value(&Value::Int(1)));
         assert_eq!(t.cached_key_hash(1), Some(h));
+    }
+
+    #[test]
+    fn a_row_handle_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<Timestamp>(), 16);
+        assert!(std::mem::size_of::<Tuple>() <= 56);
+    }
+
+    #[test]
+    fn racing_key_hashes_always_answer_their_own_column() {
+        let t = tick(1, "MSFT", 2.0);
+        let want = [hash_value(t.value(0)), hash_value(t.value(1))];
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for first in 0..2 {
+                let (t, want, start) = (&t, &want, &start);
+                s.spawn(move || {
+                    // Both threads reach their first `key_hash` together.
+                    start.wait();
+                    for i in 0..10_000 {
+                        let col = (first + i) % 2;
+                        assert_eq!(t.key_hash(col), want[col]);
+                        assert_eq!(t.key_hash(1 - col), want[1 - col]);
+                    }
+                });
+            }
+        });
+        // Exactly one column won the memo, and its clone carries it.
+        let won = (0..2).filter(|&c| t.cached_key_hash(c).is_some()).count();
+        assert_eq!(won, 1);
+        let c = t.clone();
+        assert_eq!(
+            (c.cached_key_hash(0), c.cached_key_hash(1)),
+            (t.cached_key_hash(0), t.cached_key_hash(1))
+        );
     }
 
     #[test]

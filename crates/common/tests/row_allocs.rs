@@ -1,0 +1,98 @@
+//! What materializing a row costs the allocator, counted. A row's cells
+//! live in one `Arc<[Value]>`; building it from an exact-length iterator
+//! allocates that once, where a `Vec<Value>` turned into an `Arc` pays
+//! twice and copies. The allocator is global, so this file is its own test
+//! binary.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use tcq_common::{ColumnBatch, DataType, Field, Schema, Timestamp, Tuple, TupleBuilder};
+
+/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`), process-wide.
+struct CountingAlloc(AtomicU64);
+
+// SAFETY: every operation is delegated to `System` unchanged; the counter
+// is a relaxed atomic add, which neither allocates nor locks.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCS: CountingAlloc = CountingAlloc(AtomicU64::new(0));
+
+const ROWS: usize = 64;
+
+/// Allocations `f` makes, and what it returns.
+fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.0.load(Ordering::Relaxed);
+    let r = f();
+    (ALLOCS.0.load(Ordering::Relaxed) - before, r)
+}
+
+/// Each row path allocates exactly one `Arc<[Value]>` per row; no cell of
+/// these rows allocates on its own.
+#[test]
+fn every_materialized_row_is_one_allocation() {
+    let schema = Schema::qualified(
+        "s",
+        vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Float),
+            Field::new("flag", DataType::Bool),
+        ],
+    )
+    .into_ref();
+    let mut rows = Vec::with_capacity(ROWS);
+    let (n, ()) = allocs(|| {
+        rows.extend((0..ROWS as i64).map(|i| {
+            TupleBuilder::new(schema.clone())
+                .push(i)
+                .push(i as f64 * 0.5)
+                .push(i % 2 == 0)
+                .at(Timestamp::logical(i + 1))
+                .build()
+                .unwrap()
+        }))
+    });
+    assert_eq!(n, ROWS as u64, "TupleBuilder::build");
+
+    let batch = ColumnBatch::from_tuples(schema.clone(), &rows, Some(0));
+    let mut out: Vec<Tuple> = Vec::with_capacity(ROWS);
+    let (n, ()) = allocs(|| out.extend((0..ROWS).map(|r| batch.tuple_at(r))));
+    assert_eq!(n, ROWS as u64, "ColumnBatch::tuple_at");
+    assert_eq!(out, rows);
+    assert_eq!(out[3].timestamp(), rows[3].timestamp());
+    assert_eq!(out[3].cached_key_hash(0), Some(rows[3].key_hash(0)));
+
+    let proj_schema = schema.project(&[2, 0]).into_ref();
+    out.clear();
+    let (n, ()) =
+        allocs(|| out.extend(rows.iter().map(|t| t.project(&[2, 0], proj_schema.clone()))));
+    assert_eq!(n, ROWS as u64, "Tuple::project");
+    assert_eq!(out[7].value(1), rows[7].value(0));
+
+    let joined = schema.concat(&schema).into_ref();
+    out.clear();
+    let (n, ()) = allocs(|| out.extend(rows.iter().map(|t| t.concat(&rows[0], joined.clone()))));
+    assert_eq!(n, ROWS as u64, "Tuple::concat");
+    assert_eq!(out[5].arity(), 6);
+    assert_eq!(out[5].value(3), rows[0].value(0));
+}

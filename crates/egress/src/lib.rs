@@ -805,6 +805,11 @@ impl EgressRouter {
     /// Returns the receiving end, a `sync_channel` that allocates all
     /// `capacity` slots now; [`EgressRouter::register_queue_client`] is the
     /// same client at the cost of the rows it holds.
+    ///
+    /// Registering touches `capacity × (8 + size_of::<Delivery>())` bytes
+    /// at once: each slot is an 8-byte stamp beside a 64-byte [`Delivery`]
+    /// (pinned by `a_delivery_is_at_most_64_bytes`), 2.25 MiB for 32 768
+    /// slots. A [`DeliveryQueue`] allocates only per row it holds.
     pub fn register_push_client(
         &self,
         id: ClientId,
@@ -1144,6 +1149,15 @@ mod tests {
             .at(Timestamp::logical(x))
             .build()
             .unwrap()
+    }
+
+    /// A bounded push client pre-builds one `(stamp, Delivery)` slot per
+    /// row of capacity, so this size is that client's footprint.
+    #[test]
+    fn a_delivery_is_at_most_64_bytes() {
+        assert_eq!(std::mem::size_of::<Timestamp>(), 16);
+        assert!(std::mem::size_of::<Tuple>() <= 56);
+        assert!(std::mem::size_of::<Delivery>() <= 64);
     }
 
     #[test]

@@ -571,6 +571,13 @@ mod tests {
     }
 
     #[test]
+    fn a_queued_message_is_a_56_byte_handle() {
+        assert_eq!(std::mem::size_of::<Timestamp>(), 16);
+        assert!(std::mem::size_of::<Tuple>() <= 56);
+        assert!(std::mem::size_of::<FjordMessage>() <= 56);
+    }
+
+    #[test]
     fn push_queue_nonblocking_roundtrip() {
         let (p, c) = fjord(4, QueueKind::Push);
         assert_eq!(c.dequeue(), DequeueResult::Empty);

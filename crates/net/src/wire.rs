@@ -639,6 +639,62 @@ mod tests {
         );
     }
 
+    /// A checksummed frame whose timestamp bytes no writer produces: an
+    /// unknown flag bit, or a component holding the reserved absent word.
+    /// The header is intact, so only the codec can refuse it.
+    #[test]
+    fn hostile_timestamp_bytes_are_corruption() {
+        let reframe = |tag: u32, payload: &[u8]| {
+            let mut out = Vec::new();
+            frame::encode(&mut out, WIRE_MAGIC, tag, payload);
+            out
+        };
+        let punct = |ts: &[u8]| {
+            let mut w = CkptWriter::new();
+            w.put_str("s");
+            let mut payload = w.into_bytes();
+            payload.extend_from_slice(ts);
+            reframe(KIND_PUNCT, &payload)
+        };
+        let mut r = FrameReader::new();
+        let ok = r.decode(&punct(&[0])).unwrap().unwrap().0;
+        assert_eq!(
+            ok,
+            Frame::Punct {
+                stream: "s".into(),
+                ts: Timestamp::unknown()
+            }
+        );
+        assert!(r.decode(&punct(&[0xFC])).is_err(), "flags 0xFC");
+        assert!(r.decode(&punct(&[0x04])).is_err(), "flags 0x04");
+        let absent = [&[1u8][..], &i64::MIN.to_le_bytes()].concat();
+        assert!(r.decode(&punct(&absent)).is_err(), "reserved logical word");
+
+        // The same flags byte inside a row of a batch frame.
+        let s = schema();
+        let mut w = FrameWriter::new();
+        let mut bytes = Vec::new();
+        w.encode(
+            &Frame::Ingest {
+                stream: "s".into(),
+                tuples: vec![row(&s, 1)],
+            },
+            &mut bytes,
+        );
+        let mut r = FrameReader::new();
+        let (_, schema_len) = r.decode(&bytes).unwrap().unwrap();
+        let raw = frame::decode(&bytes[schema_len..], WIRE_MAGIC, MAX_PAYLOAD)
+            .unwrap()
+            .unwrap();
+        // stream string (4 + 1), schema id (4), row count (4), then the row.
+        let flags_at = 13;
+        assert_eq!(raw.payload[flags_at], 3, "the row is stamped with both");
+        let mut hostile = raw.payload.to_vec();
+        hostile[flags_at] = 0xFF;
+        assert!(r.decode(&reframe(raw.tag, &hostile)).is_err());
+        assert!(r.decode(&reframe(raw.tag, raw.payload)).unwrap().is_some());
+    }
+
     #[test]
     fn unknown_schema_id_is_corruption() {
         let s = schema();

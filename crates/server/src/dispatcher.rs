@@ -394,7 +394,7 @@ impl DispatchUnit for StreamDispatcher {
                 };
                 did_work = true;
                 self.arrivals += 1;
-                let t = if t.timestamp().logical.is_some() {
+                let t = if t.timestamp().logical_part().is_some() {
                     t
                 } else {
                     t.with_timestamp(Timestamp::logical(self.arrivals))

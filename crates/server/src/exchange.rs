@@ -193,10 +193,7 @@ impl ExchangeInput {
 /// physical component carries the source bit, which is how a worker tells
 /// it from a run-closing punct (logical only).
 fn clock_punct(source: SourceSet, seq: i64) -> FjordMessage {
-    FjordMessage::Punct(Timestamp {
-        logical: Some(seq),
-        physical: Some(source as i64),
-    })
+    FjordMessage::Punct(Timestamp::both(seq, source as i64))
 }
 
 /// The exchange's producer half: establishes the canonical total order,
@@ -582,15 +579,14 @@ impl DispatchUnit for WorkerDu {
             did_work = true;
             match msg {
                 FjordMessage::Tuple(t) => self.batch.push(t),
-                // A run-opening clock (`clock_punct`).
-                FjordMessage::Punct(Timestamp {
-                    logical: Some(seq),
-                    physical: Some(source),
-                }) => {
-                    self.process_pending()?;
-                    self.eddy.advance_to(source as SourceSet, seq);
-                }
-                FjordMessage::Punct(ts) => self.close_run(ts)?,
+                FjordMessage::Punct(ts) => match (ts.logical_part(), ts.physical_part()) {
+                    // A run-opening clock (`clock_punct`).
+                    (Some(seq), Some(source)) => {
+                        self.process_pending()?;
+                        self.eddy.advance_to(source as SourceSet, seq);
+                    }
+                    _ => self.close_run(ts)?,
+                },
                 FjordMessage::Eof => {} // an inbox ends the stream instead
             }
         }

@@ -767,6 +767,12 @@ impl TelegraphCQ {
 
     /// Connect a push client; results stream into the returned receiver,
     /// a `sync_channel` of `capacity` slots allocated up front.
+    ///
+    /// Connecting touches `capacity × (8 + size_of::<Delivery>())` bytes
+    /// at once (an 8-byte stamp and a 64-byte `Delivery` per slot: 2.25 MiB
+    /// for 32 768 slots), whether or not a row ever arrives.
+    /// [`TelegraphCQ::connect_queue_client`] is the same client at the cost
+    /// of the rows it holds.
     pub fn connect_push_client(&self, capacity: usize) -> Result<(ClientId, Receiver<Delivery>)> {
         let id = self.next_client.fetch_add(1, Ordering::Relaxed);
         let rx = self.egress.register_push_client(id, capacity)?;

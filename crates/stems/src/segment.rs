@@ -7,7 +7,7 @@
 //! as an `Int` in a FLOAT column — is kept as a [`Value`], so a stored
 //! string shares the producer's `Arc<str>` rather than copying it, and
 //! every cell comes back as exactly the variant (and float bits) it went in
-//! as. Beside the columns sit the row's logical and physical timestamps,
+//! as. Beside the columns sit the row's timestamp (its two packed words),
 //! the key hash computed at build, and the live bitmap the [`SlotRing`]
 //! reads.
 //!
@@ -24,12 +24,7 @@ use crate::slot_ring::Chunk;
 /// Up to one slot-ring chunk of stored rows, column by column.
 pub(crate) struct Segment {
     cols: Vec<Column>,
-    /// Timestamp components; an absent one reads 0 here and is listed in
-    /// the matching `no_*` set.
-    logical: Vec<i64>,
-    physical: Vec<i64>,
-    no_logical: BitSet,
-    no_physical: BitSet,
+    stamps: Vec<Timestamp>,
     key_hash: Vec<u64>,
     live: BitSet,
 }
@@ -54,10 +49,7 @@ impl Chunk for Segment {
     fn with_layout(types: &Vec<DataType>, slots: usize) -> Segment {
         Segment {
             cols: types.iter().map(|&dt| column_for(dt, slots)).collect(),
-            logical: Vec::with_capacity(slots),
-            physical: Vec::with_capacity(slots),
-            no_logical: BitSet::new(),
-            no_physical: BitSet::new(),
+            stamps: Vec::with_capacity(slots),
             key_hash: Vec::with_capacity(slots),
             live: BitSet::with_capacity(slots),
         }
@@ -86,10 +78,7 @@ impl Chunk for Segment {
                 col.clear();
             }
         }
-        self.logical.clear();
-        self.physical.clear();
-        self.no_logical.clear();
-        self.no_physical.clear();
+        self.stamps.clear();
         self.key_hash.clear();
         self.live.clear();
     }
@@ -124,17 +113,9 @@ impl Segment {
     }
 
     fn push_meta(&mut self, ts: Timestamp, key_hash: u64) {
-        let slot = self.key_hash.len();
-        if ts.logical.is_none() {
-            self.no_logical.insert(slot);
-        }
-        if ts.physical.is_none() {
-            self.no_physical.insert(slot);
-        }
-        self.logical.push(ts.logical.unwrap_or(0));
-        self.physical.push(ts.physical.unwrap_or(0));
+        self.live.insert(self.key_hash.len());
+        self.stamps.push(ts);
         self.key_hash.push(key_hash);
-        self.live.insert(slot);
     }
 
     /// Stored row `slot`, read in place.
@@ -148,10 +129,8 @@ impl Segment {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.cols.capacity() * size_of::<Column>()
             + self.cols.iter().map(Column::heap_bytes).sum::<usize>()
-            + (self.logical.capacity() + self.physical.capacity()) * size_of::<i64>()
+            + self.stamps.capacity() * size_of::<Timestamp>()
             + self.key_hash.capacity() * size_of::<u64>()
-            + self.no_logical.approx_bytes()
-            + self.no_physical.approx_bytes()
             + self.live.approx_bytes()
     }
 }
@@ -172,11 +151,7 @@ impl<'a> StoredRow<'a> {
 
     /// The row's timestamp, both components exactly as built.
     pub fn timestamp(&self) -> Timestamp {
-        let s = self.slot;
-        Timestamp {
-            logical: (!self.seg.no_logical.contains(s)).then(|| self.seg.logical[s]),
-            physical: (!self.seg.no_physical.contains(s)).then(|| self.seg.physical[s]),
-        }
+        self.seg.stamps[self.slot]
     }
 
     /// `hash_value` of the key column, computed (or carried in) at build.

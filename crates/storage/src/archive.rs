@@ -278,7 +278,7 @@ impl StreamArchive {
         }
         let seq = tuple
             .timestamp()
-            .logical
+            .logical_part()
             .ok_or_else(|| TcqError::Storage("archived tuples need logical timestamps".into()))?;
         // Encode in place at the end of the tail: one buffer for the
         // archive's life, so an append allocates nothing.
@@ -523,7 +523,7 @@ fn validate_page(data: &[u8], schema: &SchemaRef) -> Option<(u32, i64, i64)> {
     let mut max_seq = i64::MIN;
     for _ in 0..records {
         let t = r.get_tuple(schema).ok()?;
-        let seq = t.timestamp().logical?;
+        let seq = t.timestamp().logical_part()?;
         min_seq = min_seq.min(seq);
         max_seq = max_seq.max(seq);
     }

@@ -50,35 +50,36 @@ bench_gate() {
     fi
 }
 
-echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 12 MiB) =="
+echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 11 MiB) =="
 # A windowed join's SteM holds the half of its window that passes the
-# query's own predicate, in column segments (~9.6 MiB here); storing every
-# window row, or a shared Arc<[Value]> per row again, reads ~18 MiB, and
-# history-sized state ~95 MiB.
-bench_gate join_inproc 12
+# query's own predicate, in column segments, and the push client's 32 768
+# pre-built 72-byte slots hold 2.25 MiB (~8.8 MiB here). ~9.6 MiB means the
+# row handle is 80 bytes again; storing every window row, or a shared
+# Arc<[Value]> per row again, reads ~18 MiB, and history-sized state ~95 MiB.
+bench_gate join_inproc 11
 
 echo "== benchmark join_tcp (end-to-end tripwire: 0 failed rows, peak RSS <= 10 MiB) =="
-# The same join behind the TCP front door reads ~8 MiB: each connection's
+# The same join behind the TCP front door reads ~7.8 MiB: each connection's
 # delivery queue holds memory only for the rows in it. A connection that
 # pre-allocates its client_queue = 32 768 slots again reads ~13.7 MiB (two
 # connections, 3 MiB each), and a SteM storing every window row as an
 # Arc<[Value]> ~22 MiB.
 bench_gate join_tcp 10
 
-echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <= 12.5 MiB) =="
-# 10 000 standing CQs with a submit + stop per batch read ~10.4 MiB, a
+echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <= 11.5 MiB) =="
+# 10 000 standing CQs with a submit + stop per batch read ~9.5 MiB, a
 # compact entry per CQ; a private projection per query again, a leaked
 # subscription per stopped one, state keyed by the query ids ever issued,
 # or a superlinear index shows here (~18.5 MiB with private projections).
-bench_gate manycq_churn 12.5
+bench_gate manycq_churn 11.5
 
-echo "== benchmark durable_agg (end-to-end tripwire: 0 failed rows, peak RSS <= 12 MiB) =="
+echo "== benchmark durable_agg (end-to-end tripwire: 0 failed rows, peak RSS <= 11 MiB) =="
 # A grouped tumbling-window aggregate, archived and checkpointed every
-# 64 000 rows, reads ~9.5-10.3 MiB: it runs on its stream's dispatcher and
+# 64 000 rows, reads ~8.6 MiB: it runs on its stream's dispatcher and
 # holds one partial per (pane, group), freed as each window closes. State
 # that grows with the stream instead (panes never retired, rows kept per
 # window) crosses the ceiling; a window answered wrong fails result rows.
-bench_gate durable_agg 12
+bench_gate durable_agg 11
 
 echo "== exp_eddy_adaptivity (count tripwire: lottery < random, within 5% of the oracle order, decay < none) =="
 ./target/release/exp_eddy_adaptivity
@@ -105,7 +106,7 @@ echo "== exp_throughput --smoke (perf tripwire: batched must beat per-tuple) =="
 echo "== exp_scaling --smoke (perf tripwire: P=4 > P=1 on >= 4 cores, else P=4 >= 0.4x P=1) =="
 ./target/release/exp_scaling --smoke
 
-echo "== exp_kernels --smoke (count tripwire: join hot path <= 3.0 allocs/tuple) =="
+echo "== exp_kernels --smoke (count tripwire: join hot path <= 2.0 allocs/tuple) =="
 ./target/release/exp_kernels --smoke
 
 echo "== exp_query_scale --smoke (scale tripwire: zero probe allocs, entries examined 1k -> 100k <= 3x) =="

@@ -25,12 +25,17 @@ fn reading(schema: &SchemaRef, ts: i64, id: i64, temp: f64) -> Tuple {
         .unwrap()
 }
 
+/// Wait until egress has offered nothing new for 20 polls in a row
+/// (100 ms). A single quiet poll also passes before the executor has
+/// delivered its first row, which a loaded host makes likely.
 fn settle(server: &TelegraphCQ) {
     let mut last = server.egress_stats_full();
-    for _ in 0..200 {
+    let mut quiet = 0;
+    for _ in 0..400 {
         std::thread::sleep(Duration::from_millis(5));
         let now = server.egress_stats_full();
-        if now == last {
+        quiet = if now == last { quiet + 1 } else { 0 };
+        if quiet == 20 {
             return;
         }
         last = now;
