@@ -6,10 +6,11 @@
 //! * **Kill → restore loses nothing.** A server running a dedicated join
 //!   and a windowed aggregate is killed mid-stream (no shutdown, no
 //!   flush) after a checkpoint whose *first* commit attempt fails with an
-//!   injected write fault. Restoring from the retried checkpoint and
-//!   replaying only the tail yields, per query, exactly the row sequence
-//!   of an uninterrupted run — and the restored egress ledger lands on
-//!   the same final accounting.
+//!   injected write fault. One `TelegraphCQ::restore` call brings back
+//!   both streams and both queries from the retried checkpoint; the
+//!   client re-subscribes and only the tail is replayed. That yields, per
+//!   query, exactly the row sequence of an uninterrupted run — and the
+//!   restored egress ledger lands on the same final accounting.
 //! * **Checkpoint cost scales with churn, not total state.** After a full
 //!   first epoch, each delta epoch writes fragments proportional to the
 //!   state groups actually dirtied since the previous cut.
@@ -143,30 +144,27 @@ fn rows_by_query(rx: &Receiver<Delivery>) -> BTreeMap<usize, Vec<Vec<i64>>> {
 }
 
 /// Registers both streams, submits the join + aggregate pair, and
-/// loads-then-closes the dimension stream. `feed_dim` is false on the
-/// restore path: the d-side SteM content comes from the checkpoint.
-fn boot_topology(server: &TelegraphCQ, feed_dim: bool) -> (usize, usize, Receiver<Delivery>) {
+/// loads-then-closes the dimension stream.
+fn boot_topology(server: &TelegraphCQ) -> (usize, usize, Receiver<Delivery>) {
     server.register_stream("s", hot_schema()).unwrap();
     server.register_stream("d", dim_schema()).unwrap();
     let (client, rx): (_, Receiver<Delivery>) = server.connect_push_client(1 << 17).unwrap();
     let join_q = server.submit(JOIN_Q, client).unwrap();
     let agg_q = server.submit(AGG_Q, client).unwrap();
-    if feed_dim {
-        let dims = dim_schema();
-        let batch: Vec<Tuple> = (0..DIM_ROWS)
-            .map(|id| {
-                TupleBuilder::new(dims.clone())
-                    .push(id)
-                    .push(id * 10)
-                    .at(Timestamp::logical(id + 1))
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        server.push_batch("d", batch).unwrap();
-        while server.stream_time("d").unwrap() < DIM_ROWS {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    let dims = dim_schema();
+    let batch: Vec<Tuple> = (0..DIM_ROWS)
+        .map(|id| {
+            TupleBuilder::new(dims.clone())
+                .push(id)
+                .push(id * 10)
+                .at(Timestamp::logical(id + 1))
+                .build()
+                .unwrap()
+        })
+        .collect();
+    server.push_batch("d", batch).unwrap();
+    while server.stream_time("d").unwrap() < DIM_ROWS {
+        std::thread::sleep(Duration::from_millis(1));
     }
     server.finish_stream("d").unwrap();
     std::thread::sleep(Duration::from_millis(50));
@@ -219,7 +217,7 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
     // Reference: same topology, uninterrupted, no checkpointing.
     let (ref_rows, ref_egress) = {
         let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
-        let (_, _, rx) = boot_topology(&server, true);
+        let (_, _, rx) = boot_topology(&server);
         server
             .attach_supervised_source("s", replay_factory(&master))
             .unwrap();
@@ -238,14 +236,14 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
         1,
         FaultAction::Error("disk full".into()),
     );
-    let (rows_a, commit_faults, ckpt_report) = {
+    let (rows_a, commit_faults, ckpt_report, (join_q, agg_q)) = {
         let server = TelegraphCQ::start(ServerConfig {
             checkpoint_path: Some(ckpt.clone()),
             fault_plan: Some(fault_plan),
             ..ServerConfig::default()
         })
         .unwrap();
-        let (_, _, rx) = boot_topology(&server, true);
+        let (join_q, agg_q, rx) = boot_topology(&server);
         let factory: SourceFactory = {
             let master = master.clone();
             let schema = hot_schema();
@@ -274,18 +272,25 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
         let rows = rows_by_query(&rx);
         // Crash: leak the whole server — threads never hear from us again.
         std::mem::forget(server);
-        (rows, commit_faults, report)
+        (rows, commit_faults, report, (join_q, agg_q))
     };
 
-    // Phase B: restore and replay only the tail.
+    // Phase B: restore — the streams, both queries and the d-side SteM
+    // content come back with the image — then re-subscribe, close d again
+    // (the image records no end-of-stream) and replay only the tail.
     let start = std::time::Instant::now();
     let server = TelegraphCQ::restore(ServerConfig {
         checkpoint_path: Some(ckpt.clone()),
         ..ServerConfig::default()
     })
     .unwrap();
-    let (join_q, agg_q, rx) = boot_topology(&server, false);
     let restore_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(server.query_count(), 2, "restore starts both queries");
+    let (client, rx) = server.connect_push_client(1 << 17).unwrap();
+    for qid in [join_q, agg_q] {
+        server.subscribe_client(client, qid).unwrap();
+    }
+    server.finish_stream("d").unwrap();
     let recovery = server.checkpoint_recovery().unwrap();
     server
         .attach_supervised_source("s", replay_factory(&master))

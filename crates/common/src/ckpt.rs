@@ -14,13 +14,15 @@
 //! come off a disk that may have torn mid-write or a socket that may lie.
 //! A tuple is its timestamp prefix ([`CkptWriter::put_timestamp`]), a `u32`
 //! arity and its tagged values; the schema travels out of band (one archive
-//! per stream, a schema id per wire batch, the restoring site's own).
+//! per stream, a schema id per wire batch, the checkpoint's catalog), in
+//! the one schema encoding ([`CkptWriter::put_schema`]) where it travels
+//! at all: the wire's `Schema` frame and the checkpoint's catalog.
 //! Floats travel as raw IEEE-754 bits, so NaN payloads and signed zeros
 //! survive a round trip bit-exactly; replaying a restored run must not be
 //! distinguishable from an uncheckpointed one.
 
 use crate::error::{Result, TcqError};
-use crate::schema::SchemaRef;
+use crate::schema::{DataType, Field, Schema, SchemaRef};
 use crate::time::Timestamp;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -30,6 +32,10 @@ const TAG_BOOL: u8 = 1;
 const TAG_INT: u8 = 2;
 const TAG_FLOAT: u8 = 3;
 const TAG_STR: u8 = 4;
+
+/// The most fields a decoded schema may have: a larger count is corruption,
+/// not something to allocate for.
+const MAX_SCHEMA_FIELDS: usize = 4096;
 
 fn truncated(what: &str) -> TcqError {
     TcqError::Storage(format!("truncated payload: {what}"))
@@ -145,6 +151,23 @@ impl CkptWriter {
         }
         if let Some(p) = physical {
             self.put_i64(p);
+        }
+    }
+
+    /// Append a schema: its field count, then per field its qualifier
+    /// (empty when unqualified), name and type tag (Bool 0, Int 1, Float 2,
+    /// Str 3).
+    pub fn put_schema(&mut self, schema: &Schema) {
+        self.put_u32(schema.len() as u32);
+        for (i, f) in schema.fields().iter().enumerate() {
+            self.put_str(schema.qualifier(i));
+            self.put_str(&f.name);
+            self.put_u8(match f.data_type {
+                DataType::Bool => 0,
+                DataType::Int => 1,
+                DataType::Float => 2,
+                DataType::Str => 3,
+            });
         }
     }
 
@@ -272,6 +295,37 @@ impl<'a> CkptReader<'a> {
         }
     }
 
+    /// Read a schema written by [`CkptWriter::put_schema`]. More than 4096
+    /// fields and an unknown type tag are refused.
+    pub fn get_schema(&mut self) -> Result<Schema> {
+        let n = self.get_u32("schema field count")? as usize;
+        if n > MAX_SCHEMA_FIELDS {
+            return Err(TcqError::Storage(format!("schema with {n} fields")));
+        }
+        let mut acc: Option<Schema> = None;
+        for _ in 0..n {
+            let q = self.get_str("field qualifier")?;
+            let name = self.get_str("field name")?;
+            let dt = match self.get_u8("field type")? {
+                0 => DataType::Bool,
+                1 => DataType::Int,
+                2 => DataType::Float,
+                3 => DataType::Str,
+                t => return Err(TcqError::Storage(format!("unknown field type tag {t}"))),
+            };
+            let one = if q.is_empty() {
+                Schema::new(vec![Field::new(name, dt)])
+            } else {
+                Schema::qualified(q, vec![Field::new(name, dt)])
+            };
+            acc = Some(match acc {
+                None => one,
+                Some(a) => a.concat(&one),
+            });
+        }
+        Ok(acc.unwrap_or_else(|| Schema::new(Vec::new())))
+    }
+
     /// Read one tuple, rebuilt against `schema` (arity validated).
     pub fn get_tuple(&mut self, schema: &SchemaRef) -> Result<Tuple> {
         let ts = self.get_timestamp()?;
@@ -293,7 +347,6 @@ impl<'a> CkptReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{DataType, Field, Schema};
     use crate::tuple::TupleBuilder;
 
     #[test]
@@ -470,5 +523,36 @@ mod tests {
         assert!(CkptReader::new(&[0, 1, 0, 0, 0, 99])
             .get_tuple(&narrow)
             .is_err());
+    }
+
+    #[test]
+    fn schema_roundtrip_and_hostile_bytes() {
+        let schema = Schema::qualified("s", vec![Field::new("k", DataType::Int)]).concat(
+            &Schema::new(vec![
+                Field::new("ok", DataType::Bool),
+                Field::new("x", DataType::Float),
+                Field::new("tag", DataType::Str),
+            ]),
+        );
+        let mut w = CkptWriter::new();
+        w.put_schema(&schema);
+        let bytes = w.into_bytes();
+        let mut r = CkptReader::new(&bytes);
+        let back = r.get_schema().unwrap();
+        assert!(r.is_empty());
+        assert_eq!(back.fields(), schema.fields());
+        assert_eq!(back.qualifier(0), "s");
+        assert_eq!(back.qualifier(3), "");
+        for cut in 0..bytes.len() {
+            let err = CkptReader::new(&bytes[..cut]).get_schema();
+            assert!(matches!(err, Err(TcqError::Storage(_))), "cut {cut}");
+        }
+        let mut bad_tag = bytes.clone();
+        *bad_tag.last_mut().unwrap() = 4;
+        let err = CkptReader::new(&bad_tag).get_schema();
+        assert!(matches!(err, Err(TcqError::Storage(ref m)) if m.contains("tag 4")));
+        let huge = 4097u32.to_le_bytes();
+        let err = CkptReader::new(&huge).get_schema();
+        assert!(matches!(err, Err(TcqError::Storage(ref m)) if m.contains("4097 fields")));
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! Payloads are the workspace's one codec ([`CkptWriter`]/[`CkptReader`]):
 //! tagged values, length-prefixed strings, out-of-band schemas. Schemas
-//! travel once per connection as a `Schema` frame assigning a small id;
+//! travel once per connection as a `Schema` frame assigning a small id
+//! (the id, then [`CkptWriter::put_schema`], the encoding the checkpoint's
+//! catalog uses too);
 //! every tuple-carrying frame then references the id. [`FrameReader`] keeps
 //! the id → schema table and [`FrameWriter`] keeps the reverse map, so both
 //! ends pay the schema cost once, not per batch.
@@ -26,9 +28,7 @@
 use std::collections::HashMap;
 
 use tcq_common::frame;
-use tcq_common::{
-    CkptReader, CkptWriter, DataType, Field, Result, Schema, SchemaRef, TcqError, Timestamp, Tuple,
-};
+use tcq_common::{CkptReader, CkptWriter, Result, SchemaRef, TcqError, Timestamp, Tuple};
 
 pub use tcq_common::frame::HEADER_LEN;
 
@@ -185,51 +185,6 @@ fn corrupt(what: impl Into<String>) -> TcqError {
     TcqError::Ingress(format!("wire: {}", what.into()))
 }
 
-fn put_schema(w: &mut CkptWriter, id: u32, schema: &Schema) {
-    w.put_u32(id);
-    w.put_u32(schema.len() as u32);
-    for (i, f) in schema.fields().iter().enumerate() {
-        w.put_str(schema.qualifier(i));
-        w.put_str(&f.name);
-        w.put_u8(match f.data_type {
-            DataType::Bool => 0,
-            DataType::Int => 1,
-            DataType::Float => 2,
-            DataType::Str => 3,
-        });
-    }
-}
-
-fn get_schema(r: &mut CkptReader<'_>) -> Result<(u32, Schema)> {
-    let id = r.get_u32("schema id")?;
-    let n = r.get_u32("schema field count")? as usize;
-    if n > 4096 {
-        return Err(corrupt(format!("schema with {n} fields")));
-    }
-    let mut acc: Option<Schema> = None;
-    for _ in 0..n {
-        let q = r.get_str("field qualifier")?;
-        let name = r.get_str("field name")?;
-        let dt = match r.get_u8("field type")? {
-            0 => DataType::Bool,
-            1 => DataType::Int,
-            2 => DataType::Float,
-            3 => DataType::Str,
-            t => return Err(corrupt(format!("unknown field type tag {t}"))),
-        };
-        let one = if q.is_empty() {
-            Schema::new(vec![Field::new(name, dt)])
-        } else {
-            Schema::qualified(q, vec![Field::new(name, dt)])
-        };
-        acc = Some(match acc {
-            None => one,
-            Some(a) => a.concat(&one),
-        });
-    }
-    Ok((id, acc.unwrap_or_else(|| Schema::new(Vec::new()))))
-}
-
 /// Encodes frames into a byte buffer, managing the connection's outbound
 /// schema table: the first batch under a given schema is preceded by a
 /// `Schema` frame, later batches reference the id.
@@ -260,7 +215,8 @@ impl FrameWriter {
         self.next_id += 1;
         self.ids.insert(key, (schema.clone(), id));
         let mut w = CkptWriter::new();
-        put_schema(&mut w, id, schema);
+        w.put_u32(id);
+        w.put_schema(schema);
         frame::encode(out, WIRE_MAGIC, KIND_SCHEMA, w.as_slice());
         id
     }
@@ -277,7 +233,10 @@ impl FrameWriter {
                 w.put_u32(*version);
                 w.put_u64(*conn);
             }
-            Frame::Schema { id, schema } => put_schema(&mut w, *id, schema),
+            Frame::Schema { id, schema } => {
+                w.put_u32(*id);
+                w.put_schema(schema);
+            }
             Frame::Submit { sql } => w.put_str(sql),
             Frame::SubmitOk { query } => w.put_u64(*query),
             Frame::Subscribe { query } => w.put_u64(*query),
@@ -383,8 +342,8 @@ impl FrameReader {
                 conn: r.get_u64("welcome conn")?,
             },
             KIND_SCHEMA => {
-                let (id, schema) = get_schema(&mut r)?;
-                let schema = schema.into_ref();
+                let id = r.get_u32("schema id")?;
+                let schema = r.get_schema()?.into_ref();
                 self.schemas.insert(id, schema.clone());
                 Frame::Schema { id, schema }
             }
@@ -444,7 +403,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcq_common::TupleBuilder;
+    use tcq_common::{DataType, Field, Schema, TupleBuilder};
 
     fn schema() -> SchemaRef {
         Schema::qualified(
@@ -713,5 +672,46 @@ mod tests {
         let (_, schema_len) = r.decode(&schema_and_batch).unwrap().unwrap();
         let mut fresh = FrameReader::new();
         assert!(fresh.decode(&schema_and_batch[schema_len..]).is_err());
+    }
+    /// A `Schema` frame byte for byte: the 20-byte header (magic, kind,
+    /// payload length, checksum), then the schema id, the field count and
+    /// per field its qualifier, name and type tag (Bool 0, Int 1, Float 2,
+    /// Str 3). The first field is qualified, the rest are not.
+    #[test]
+    fn schema_frame_bytes_are_pinned() {
+        let schema = Schema::qualified("s", vec![Field::new("k", DataType::Int)])
+            .concat(&Schema::new(vec![
+                Field::new("ok", DataType::Bool),
+                Field::new("x", DataType::Float),
+                Field::new("tag", DataType::Str),
+            ]))
+            .into_ref();
+        let frame = Frame::Schema { id: 3, schema };
+        let mut bytes = Vec::new();
+        FrameWriter::new().encode(&frame, &mut bytes);
+
+        let str_bytes = |s: &str| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat();
+        let field =
+            |q: &str, name: &str, tag: u8| [str_bytes(q), str_bytes(name), vec![tag]].concat();
+        let payload = [
+            3u32.to_le_bytes().to_vec(),
+            4u32.to_le_bytes().to_vec(),
+            field("s", "k", 1),
+            field("", "ok", 0),
+            field("", "x", 2),
+            field("", "tag", 3),
+        ]
+        .concat();
+        let want = [
+            &WIRE_MAGIC.to_le_bytes()[..],
+            &3u32.to_le_bytes(),
+            &(payload.len() as u32).to_le_bytes(),
+            &0x7978_EA1F_0128_EEC1u64.to_le_bytes(),
+            &payload,
+        ]
+        .concat();
+        assert_eq!(bytes, want);
+        let mut r = FrameReader::new();
+        assert_eq!(r.decode(&want).unwrap(), Some((frame, want.len())));
     }
 }

@@ -32,13 +32,15 @@
 #![warn(missing_docs)]
 
 pub mod dispatcher;
+mod durability;
 pub mod exchange;
 pub mod planner;
 pub mod plans;
 pub mod server;
 
 pub use dispatcher::OverloadPolicy;
+pub use durability::CheckpointReport;
 pub use server::{
-    CheckpointReport, LivenessConfig, ServerConfig, SharedMemoryStat, TcpTransportConfig,
-    TelegraphCQ, TransportConfig,
+    LivenessConfig, ServerConfig, SharedMemoryStat, TcpTransportConfig, TelegraphCQ,
+    TransportConfig,
 };

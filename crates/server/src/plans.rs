@@ -768,9 +768,16 @@ impl JoinCore {
 
     /// Imported SteM rows passed the build filter of whichever members
     /// stood when they were built, not necessarily the first query's: it
-    /// stops running alone, so its own predicates check them.
-    pub fn imported(&mut self) {
-        if self.group.is_some() && self.solo.take().is_some() {
+    /// stops running alone, so its own predicates check them. They were
+    /// built up to `clocks`, each input stream's restored clock, so the DU
+    /// has routed that far: a member admitted after the restore sees none
+    /// of them.
+    pub fn imported(&mut self, clocks: &[i64]) {
+        if self.group.is_none() {
+            return;
+        }
+        self.clocks = clocks.to_vec();
+        if self.solo.take().is_some() {
             self.eddy.remove_filters();
         }
     }
@@ -1136,8 +1143,8 @@ impl AggPanes {
 
 /// An aggregate query's window driver, and its checkpointable state: the
 /// window loop's position and the partials of the panes its open windows
-/// cover. Everything else is reconstructed from the query text at
-/// resubmit.
+/// cover. Everything else is rebuilt from the query text the checkpoint's
+/// catalog records.
 ///
 /// Each predicate-passing row folds into the partials of its pane; each
 /// time stream time reaches a window assignment's close time, the panes of
@@ -1240,8 +1247,8 @@ impl AggCore {
     }
 
     /// Serialize the window-loop position (with its `ST` anchor) and the
-    /// pane partials. Schema travels out of band (the restoring site
-    /// rebuilds it from the resubmitted query).
+    /// pane partials. Schema travels out of band (a restore rebuilds it
+    /// from the query text in the checkpoint's catalog).
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = CkptWriter::new();
         let pos = self.windows.position();

@@ -27,12 +27,11 @@ use tcq_ingress::{
 use tcq_operators::{SelectOp, StemOp};
 use tcq_query::{analyze, parse, AnalyzedQuery};
 use tcq_stems::IndexKind;
-use tcq_storage::{
-    BufferPool, CheckpointRecovery, CheckpointStats, CheckpointStore, StreamArchive,
-};
+use tcq_storage::{BufferPool, CheckpointStore, StreamArchive};
 use tcq_windows::{LoopLength, WindowAssignment, WindowSeq};
 
 use crate::dispatcher::{OverloadPolicy, Settled, StreamDispatcher, SubscriberSet};
+use crate::durability::QueryStateHandle;
 use crate::exchange::{self, ExchangeInput, MergeDu, PartitionDu, WorkerDu};
 use crate::planner::{
     self, plan_kind, resolve_aggregates, source_predicate, stripped_predicate, PlanKind,
@@ -192,11 +191,11 @@ impl Default for ServerConfig {
     }
 }
 
-struct StreamState {
+pub(crate) struct StreamState {
     def: tcq_common::StreamDef,
-    ingress: Producer,
-    subscribers: SubscriberSet,
-    latest_seq: Arc<AtomicI64>,
+    pub(crate) ingress: Producer,
+    pub(crate) subscribers: SubscriberSet,
+    pub(crate) latest_seq: Arc<AtomicI64>,
     archive: Option<Arc<Mutex<StreamArchive>>>,
     plans: StreamPlans,
     class: u64,
@@ -206,11 +205,11 @@ struct StreamState {
     /// Archive appends that failed (history degraded, loss counted).
     archive_errors: Arc<AtomicI64>,
     /// Ingress messages the dispatcher has finished with.
-    settled: Settled,
+    pub(crate) settled: Settled,
 }
 
 /// What `stop_query` undoes, two words per standing query.
-enum QueryRecord {
+pub(crate) enum QueryRecord {
     /// A filter or aggregate in its stream's plan set, reached through the
     /// set's handle (no per-query copy of the stream name).
     Stream(StreamPlans),
@@ -220,8 +219,18 @@ enum QueryRecord {
     Completed,
 }
 
+impl QueryRecord {
+    /// The label of the join group the query is a member of.
+    fn group_label(&self) -> Option<&str> {
+        match self {
+            QueryRecord::Join(entry) if entry.key.is_some() => Some(&entry.label),
+            _ => None,
+        }
+    }
+}
+
 /// A query running on DUs of its own.
-struct DedicatedQuery {
+pub(crate) struct DedicatedQuery {
     dus: Vec<DuId>,
     subscriptions: Vec<(String, u64)>,
 }
@@ -256,8 +265,8 @@ impl JoinGroupKey {
     /// The checkpoint component prefix of the group `first` starts: the
     /// key without its loop bounds (a restore that re-anchors `ST`
     /// recomputes those differently), then the query. Query ids are never
-    /// reused, and a restore that resubmits the queries in their original
-    /// order gives the group the same first query.
+    /// reused, so two groups never share a label; the catalog records it
+    /// with each member, and a restore rejoins the members under it.
     fn label(&self, first: QueryId) -> String {
         let width = |w: Option<i64>| w.map_or_else(|| "-".to_string(), |w| w.to_string());
         format!(
@@ -273,7 +282,7 @@ impl JoinGroupKey {
 }
 
 /// A join DU and what it holds open, torn down with its last query.
-struct JoinEntry {
+pub(crate) struct JoinEntry {
     /// Its key among the join groups; `None` for a join one query owns.
     key: Option<JoinGroupKey>,
     /// Checkpoint component prefix: `q<qid>` for a join one query owns,
@@ -282,26 +291,6 @@ struct JoinEntry {
     core: Arc<Mutex<JoinCore>>,
     du: DuId,
     subscriptions: Vec<(String, u64)>,
-}
-
-/// Shared handle to checkpointable operator state.
-enum QueryStateHandle {
-    /// A join DU: the eddy whose SteMs carry the join state.
-    Join(Arc<Mutex<JoinCore>>),
-    /// A windowed aggregate: loop position + pane partials.
-    Aggregate(Arc<Mutex<AggCore>>),
-}
-
-/// One [`TelegraphCQ::checkpoint`] commit, summarized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointReport {
-    /// The epoch this delta committed as.
-    pub epoch: u64,
-    /// Fragments in the delta (dirtied state groups + the always-written
-    /// cursor/ledger watermarks).
-    pub fragments: u64,
-    /// Bytes appended to the store (header + payload).
-    pub bytes: u64,
 }
 
 /// Memory accounting for one shared standing-query structure
@@ -319,17 +308,17 @@ pub struct SharedMemoryStat {
 /// The running TelegraphCQ instance (paper Figure 5, one process).
 pub struct TelegraphCQ {
     config: ServerConfig,
-    catalog: Catalog,
+    pub(crate) catalog: Catalog,
     executor: Executor,
-    egress: EgressRouter,
+    pub(crate) egress: EgressRouter,
     pool: BufferPool,
-    streams: Mutex<HashMap<String, Arc<StreamState>>>,
+    pub(crate) streams: Mutex<HashMap<String, Arc<StreamState>>>,
     join_groups: Mutex<Vec<Arc<JoinEntry>>>,
-    queries: Mutex<HashMap<QueryId, QueryRecord>>,
+    pub(crate) queries: Mutex<HashMap<QueryId, QueryRecord>>,
     /// Every stream's source thread, with whether it resumes from a
     /// checkpointed cursor (`attach_supervised_source`) or cannot skip
     /// rows (`attach_source`).
-    supervisors: Mutex<Vec<(Supervisor, bool)>>,
+    pub(crate) supervisors: Mutex<Vec<(Supervisor, bool)>>,
     /// One injector for the whole process, shared by every layer, so the
     /// fired-fault log is a single seed-deterministic account of the run.
     injector: Option<SharedInjector>,
@@ -337,49 +326,62 @@ pub struct TelegraphCQ {
     /// into when `ServerConfig::liveness` is set.
     progress: Option<ProgressRegistry>,
     /// The durable checkpoint store (`ServerConfig::checkpoint_path`).
-    ckpt: Option<Mutex<CheckpointStore>>,
+    pub(crate) ckpt: Option<Mutex<CheckpointStore>>,
     /// Operator state handles by checkpoint component prefix (`q<qid>`, or
     /// a join group's key), registered as their DUs start so checkpoint
     /// fragment emission is deterministic.
-    ckpt_handles: Mutex<Vec<(String, QueryStateHandle)>>,
-    /// Booted via [`TelegraphCQ::restore`]? When true, the recovered
-    /// checkpoint image is applied as streams register, sources attach,
-    /// and queries resubmit.
-    restoring: bool,
-    next_query: AtomicUsize,
+    pub(crate) ckpt_handles: Mutex<Vec<(String, QueryStateHandle)>>,
+    pub(crate) next_query: AtomicUsize,
     next_client: AtomicU64,
 }
 
 impl TelegraphCQ {
-    /// Boot the server fresh. With `ServerConfig::checkpoint_path` set the
-    /// store is opened for writing, but no recovered state is applied —
-    /// use [`TelegraphCQ::restore`] to resume a crashed incarnation.
+    /// Boot the server fresh. With `ServerConfig::checkpoint_path` set, the
+    /// store there starts empty: whatever an earlier run checkpointed to
+    /// that path is discarded, so a later [`TelegraphCQ::restore`] resumes
+    /// this run and no other. Use [`TelegraphCQ::restore`] to resume a
+    /// crashed incarnation instead.
     pub fn start(config: ServerConfig) -> Result<Self> {
-        Self::boot(config, false)
+        Self::boot(config, CheckpointStore::create_with_injector)
     }
 
-    /// Boot the server *from its checkpoint*: reopen the store at
-    /// `ServerConfig::checkpoint_path`, replay the longest valid prefix of
-    /// epoch blocks, and apply the recovered image as the caller rebuilds
-    /// the topology — [`TelegraphCQ::register_stream`] seeds stream
-    /// clocks, [`TelegraphCQ::attach_supervised_source`] seeds resume
-    /// cursors, the egress ledger is seeded here, and
-    /// [`TelegraphCQ::submit`] imports each query's SteM groups and window
-    /// partials (queries must be resubmitted in their original order so
-    /// query ids line up). Operator state resumes exactly at the cut (see
-    /// [`TelegraphCQ::checkpoint`]), but results the lost incarnation sent
-    /// after it are sent again: delivery past the checkpoint watermark is
-    /// at-least-once, and clients dedup replayed results by sequence.
+    /// Boot the server *from its checkpoint*, in one call: reopen the store
+    /// at `ServerConfig::checkpoint_path`, replay the longest valid prefix
+    /// of epoch blocks, and rebuild the topology the image holds. The
+    /// egress ledger is seeded; every stream and table is registered again
+    /// in registration order, its clock restored; and every query running
+    /// at the cut is started under its own id, in id order, with its SteM
+    /// groups, window partials and join-group admission cut. Query ids
+    /// issued afterwards are above every id in the image.
+    ///
+    /// Only code and sessions stay with the caller: re-attach each source
+    /// ([`TelegraphCQ::attach_supervised_source`] resumes from the
+    /// checkpointed cursor), push rows and call
+    /// [`TelegraphCQ::finish_stream`] where needed (the image records no
+    /// end-of-stream), and re-subscribe clients by the query ids they
+    /// already hold ([`TelegraphCQ::subscribe_client`]). Operator state
+    /// resumes exactly at the cut (see [`TelegraphCQ::checkpoint`]), but
+    /// results the lost incarnation sent after it are sent again: delivery
+    /// past the checkpoint watermark is at-least-once, and clients dedup
+    /// replayed results by sequence.
     pub fn restore(config: ServerConfig) -> Result<Self> {
         if config.checkpoint_path.is_none() {
             return Err(TcqError::Storage(
                 "restore requires ServerConfig::checkpoint_path".into(),
             ));
         }
-        Self::boot(config, true)
+        let server = Self::boot(config, CheckpointStore::open_with_injector)?;
+        server.rebuild_from_image()?;
+        Ok(server)
     }
 
-    fn boot(config: ServerConfig, restoring: bool) -> Result<Self> {
+    /// Boot with the checkpoint store `open_store` opens (it starts empty
+    /// for [`TelegraphCQ::start`] and replays its file for
+    /// [`TelegraphCQ::restore`]).
+    fn boot(
+        config: ServerConfig,
+        open_store: fn(PathBuf, Option<SharedInjector>) -> Result<CheckpointStore>,
+    ) -> Result<Self> {
         let injector = config.fault_plan.clone().map(FaultPlan::build_shared);
         let progress = config.liveness.map(|_| ProgressRegistry::new());
         let watchdog = match (&progress, &config.liveness) {
@@ -417,16 +419,7 @@ impl TelegraphCQ {
                         std::fs::create_dir_all(dir)?;
                     }
                 }
-                let store = CheckpointStore::open_with_injector(path, injector.clone())?;
-                if restoring {
-                    // The egress ledger spans the outage: offered/delivered/
-                    // shed keep counting from the pre-crash totals, so the
-                    // accounting invariant holds across incarnations.
-                    if let Some(bytes) = store.get("egress", b"") {
-                        egress.seed_stats(EgressStats::decode(bytes)?);
-                    }
-                }
-                Some(Mutex::new(store))
+                Some(Mutex::new(open_store(path.clone(), injector.clone())?))
             }
             None => None,
         };
@@ -444,29 +437,9 @@ impl TelegraphCQ {
             progress,
             ckpt,
             ckpt_handles: Mutex::new(Vec::new()),
-            restoring,
             next_query: AtomicUsize::new(1),
             next_client: AtomicU64::new(1),
         })
-    }
-
-    /// What checkpoint recovery found at boot (`None` when checkpointing
-    /// is disabled).
-    pub fn checkpoint_recovery(&self) -> Option<CheckpointRecovery> {
-        self.ckpt.as_ref().map(|s| s.lock().recovery())
-    }
-
-    /// Checkpoint write-path counters (`None` when disabled).
-    pub fn checkpoint_stats(&self) -> Option<CheckpointStats> {
-        self.ckpt.as_ref().map(|s| s.lock().stats())
-    }
-
-    /// A committed checkpoint fragment, cloned out of the store's
-    /// latest-wins image (tests, experiments).
-    pub fn checkpoint_fragment(&self, component: &str, key: &[u8]) -> Option<Vec<u8>> {
-        self.ckpt
-            .as_ref()
-            .and_then(|s| s.lock().get(component, key).map(<[u8]>::to_vec))
     }
 
     /// The catalog (for inspection).
@@ -477,7 +450,10 @@ impl TelegraphCQ {
     /// Register a stream: catalog entry, ingress queue, and the dispatcher
     /// DU that runs the stream's filter and aggregate queries. `schema` is
     /// the base schema; columns will be addressed both bare and qualified
-    /// by the stream name.
+    /// by the stream name. With a checkpoint store open the stream enters
+    /// the checkpoint's catalog, so [`TelegraphCQ::restore`] registers it
+    /// again; registering a stream the restore already registered fails
+    /// with [`TcqError::DuplicateStream`].
     pub fn register_stream(&self, name: &str, schema: SchemaRef) -> Result<()> {
         self.register_source(name, schema, SourceKind::PushStream)
     }
@@ -490,24 +466,24 @@ impl TelegraphCQ {
         self.register_source(name, schema, SourceKind::Table)
     }
 
-    fn register_source(&self, name: &str, schema: SchemaRef, kind: SourceKind) -> Result<()> {
+    pub(crate) fn register_source(
+        &self,
+        name: &str,
+        schema: SchemaRef,
+        kind: SourceKind,
+    ) -> Result<()> {
         let def = self.catalog.register(name, schema.clone(), kind)?;
         let qualified = schema.with_qualifier(name).into_ref();
         let (ingress_p, ingress_c) =
             self.make_fjord(format!("ingress({name})"), self.config.queue_capacity);
         let subscribers = SubscriberSet::new();
         let latest_seq = Arc::new(AtomicI64::new(0));
-        if self.restoring {
-            // Restore the stream clock before the dispatcher is built:
-            // window start times (`ST`), arrival stamping, and historical
-            // splits all anchor on it.
-            if let Some(store) = &self.ckpt {
-                let store = store.lock();
-                if let Some(bytes) = store.get("seq", name.to_ascii_lowercase().as_bytes()) {
-                    let seq = CkptReader::new(bytes).get_i64("stream clock")?;
-                    latest_seq.store(seq, Ordering::Release);
-                }
-            }
+        // A restored stream's clock is set before the dispatcher is built:
+        // window start times (`ST`), arrival stamping, and historical
+        // splits all anchor on it.
+        if let Some(bytes) = self.checkpoint_fragment("seq", name.to_ascii_lowercase().as_bytes()) {
+            let seq = CkptReader::new(&bytes).get_i64("stream clock")?;
+            latest_seq.store(seq, Ordering::Release);
         }
         let archive = match &self.config.archive_dir {
             Some(dir) => {
@@ -542,6 +518,7 @@ impl TelegraphCQ {
         let archive_errors = dispatcher.archive_error_counter();
         let settled = dispatcher.settled();
         self.executor.submit(class, Box::new(dispatcher))?;
+        self.stage_stream(&def);
 
         let state = StreamState {
             def,
@@ -574,7 +551,7 @@ impl TelegraphCQ {
         (producer, Inbox::new(consumer, self.config.io_batch))
     }
 
-    fn stream(&self, name: &str) -> Result<Arc<StreamState>> {
+    pub(crate) fn stream(&self, name: &str) -> Result<Arc<StreamState>> {
         self.streams
             .lock()
             .get(&name.to_ascii_lowercase())
@@ -612,16 +589,12 @@ impl TelegraphCQ {
     /// checkpointed cursor.
     pub fn attach_supervised_source(&self, stream: &str, factory: SourceFactory) -> Result<()> {
         let mut config = SupervisorConfig::default();
-        if self.restoring {
-            // Seed the resume cursor from the checkpointed watermark: the
-            // factory's first build sees the pre-crash delivered count and
-            // skips what the lost incarnation already consumed.
-            if let Some(store) = &self.ckpt {
-                let store = store.lock();
-                if let Some(bytes) = store.get("cursor", stream.to_ascii_lowercase().as_bytes()) {
-                    config.initial_delivered = CkptReader::new(bytes).get_u64("resume cursor")?;
-                }
-            }
+        // Seed the resume cursor from the checkpointed watermark: the
+        // factory's first build sees the pre-crash delivered count and
+        // skips what the lost incarnation already consumed.
+        let key = stream.to_ascii_lowercase();
+        if let Some(bytes) = self.checkpoint_fragment("cursor", key.as_bytes()) {
+            config.initial_delivered = CkptReader::new(&bytes).get_u64("resume cursor")?;
         }
         self.spawn_source(stream, factory, config, true)
     }
@@ -868,21 +841,20 @@ impl TelegraphCQ {
     }
 
     /// Parse, analyze, plan, and start a continuous query on behalf of
-    /// `client`. Returns the query id.
+    /// `client`. Returns the query id. With a checkpoint store open a
+    /// standing query enters the checkpoint's catalog, so
+    /// [`TelegraphCQ::restore`] starts it again under this id.
     pub fn submit(&self, sql: &str, client: ClientId) -> Result<QueryId> {
         let stmt = parse(sql)?;
         let aq = analyze(&stmt, &self.catalog)?;
         let kind = plan_kind(&aq)?;
         let qid = self.next_query.fetch_add(1, Ordering::Relaxed);
         self.egress.subscribe(client, qid)?;
-        let started = match kind {
-            PlanKind::SharedFilter => self.start_shared_filter(qid, &aq),
-            PlanKind::Aggregate => self.start_aggregate(qid, &aq),
-            PlanKind::Join => self.start_join(qid, &aq),
-            PlanKind::Historical => self.run_historical(qid, &aq),
-        };
-        match started {
+        match self.start_plan(qid, &aq, kind, None) {
             Ok(record) => {
+                if !matches!(record, QueryRecord::Completed) {
+                    self.stage_query(qid, Some((sql, record.group_label())));
+                }
                 self.queries.lock().insert(qid, record);
                 Ok(qid)
             }
@@ -890,6 +862,23 @@ impl TelegraphCQ {
                 self.egress.forget_query(qid);
                 Err(e)
             }
+        }
+    }
+
+    /// Start query `qid`'s plan. A join that a restore starts again rejoins
+    /// the group labelled `group`.
+    pub(crate) fn start_plan(
+        &self,
+        qid: QueryId,
+        aq: &AnalyzedQuery,
+        kind: PlanKind,
+        group: Option<&str>,
+    ) -> Result<QueryRecord> {
+        match kind {
+            PlanKind::SharedFilter => self.start_shared_filter(qid, aq),
+            PlanKind::Aggregate => self.start_aggregate(qid, aq),
+            PlanKind::Join => self.start_join(qid, aq, group),
+            PlanKind::Historical => self.run_historical(qid, aq),
         }
     }
 
@@ -973,10 +962,8 @@ impl TelegraphCQ {
         let windows = WindowSeq::new(window, stt.max(1));
         let core = AggCore::new(&base, pred, &aggs, group_by, windows, source.alias.clone());
         let state = Arc::new(Mutex::new(core));
-        if self.restoring {
-            if let Some(bytes) = self.checkpoint_fragment(&format!("q{qid}/agg"), b"") {
-                state.lock().import(&bytes)?;
-            }
+        if let Some(bytes) = self.checkpoint_fragment(&format!("q{qid}/agg"), b"") {
+            state.lock().import(&bytes)?;
         }
         if self.ckpt.is_some() {
             self.ckpt_handles.lock().push((
@@ -988,10 +975,15 @@ impl TelegraphCQ {
         Ok(QueryRecord::Stream(st.plans.clone()))
     }
 
-    fn start_join(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
+    fn start_join(
+        &self,
+        qid: QueryId,
+        aq: &AnalyzedQuery,
+        group: Option<&str>,
+    ) -> Result<QueryRecord> {
         let partitions = self.config.partitions.max(1);
         if planner::shareable_join(aq, partitions) {
-            return self.join_group(qid, aq);
+            return self.join_group(qid, aq, group);
         }
         if partitions > 1 && exchange::partitionable(aq) {
             return self.start_partitioned_join(qid, aq, partitions);
@@ -1042,8 +1034,15 @@ impl TelegraphCQ {
     /// Admit a join to the DU of its group key, starting that DU when the
     /// query is the key's first (CACQ, §3.1): one SteM per side, filtering
     /// by the OR of the members' side predicates, and each output
-    /// completed per member.
-    fn join_group(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
+    /// completed per member. A member a restore starts again joins the
+    /// group labelled `restored` instead, starting it under that label
+    /// when it is the first to.
+    fn join_group(
+        &self,
+        qid: QueryId,
+        aq: &AnalyzedQuery,
+        restored: Option<&str>,
+    ) -> Result<QueryRecord> {
         let jp = aq.join_pairs[0];
         let mut sides = [(jp.left, jp.left_col), (jp.right, jp.right_col)];
         let name = |(s, _): (usize, usize)| aq.sources[s].name.to_ascii_lowercase();
@@ -1080,33 +1079,24 @@ impl TelegraphCQ {
             admitted: None,
         };
         let mut groups = self.join_groups.lock();
-        let in_group =
-            |e: &&Arc<JoinEntry>| e.key.as_ref().is_some_and(|g| key.admits_into(g, clock));
-        if let Some(entry) = groups.iter().find(in_group) {
-            // A member's admission cut is part of its answer: it is staged
-            // for the next checkpoint, and a restore admits it at that cut.
-            // A member with no stored cut arrived after the last checkpoint,
-            // so every row the group imported was built before it.
-            let component = format!("{}/cut", entry.label);
-            let qkey = (qid as u64).to_le_bytes();
-            if self.restoring {
-                spec.admitted = Some(match self.checkpoint_fragment(&component, &qkey) {
-                    Some(bytes) => {
-                        let mut r = CkptReader::new(&bytes);
-                        [r.get_i64("admission cut")?, r.get_i64("admission cut")?]
-                    }
-                    None => {
-                        let mut clocks = [i64::MIN; 2];
-                        for (clock, stream) in clocks.iter_mut().zip(&key.streams) {
-                            if let Some(bytes) = self.checkpoint_fragment("seq", stream.as_bytes())
-                            {
-                                *clock = CkptReader::new(&bytes).get_i64("stream clock")?;
-                            }
-                        }
-                        clocks
-                    }
-                });
-            }
+        let found = groups.iter().find(|e| match restored {
+            Some(label) => e.label == label,
+            None => e.key.as_ref().is_some_and(|g| key.admits_into(g, clock)),
+        });
+        let label = match (found, restored) {
+            (Some(entry), _) => entry.label.clone(),
+            (None, Some(label)) => label.to_string(),
+            (None, None) => key.label(qid),
+        };
+        // A member's admission cut is part of its answer: it is staged for
+        // the next checkpoint, and a restore admits it at that cut.
+        let component = format!("{label}/cut");
+        let qkey = (qid as u64).to_le_bytes();
+        if let Some(bytes) = self.checkpoint_fragment(&component, &qkey) {
+            let mut r = CkptReader::new(&bytes);
+            spec.admitted = Some([r.get_i64("admission cut")?, r.get_i64("admission cut")?]);
+        }
+        if let Some(entry) = found {
             let cut = entry.core.lock().admit(spec)?;
             if let Some(store) = &self.ckpt {
                 let mut w = CkptWriter::new();
@@ -1137,7 +1127,7 @@ impl TelegraphCQ {
         let bounds = (floor, deadline);
         let entry = self.run_join_du(
             qid,
-            key.label(qid),
+            label,
             Some(key),
             core,
             inputs,
@@ -1150,7 +1140,7 @@ impl TelegraphCQ {
     }
 
     /// Start the DU of a join `qid` opened, bounded by the loop's `(floor,
-    /// deadline)`: restore its state when the server is restoring, and
+    /// deadline)`: import the state the image holds under `label`, and
     /// register it with the checkpoint.
     #[allow(clippy::too_many_arguments)]
     fn run_join_du(
@@ -1165,10 +1155,8 @@ impl TelegraphCQ {
         (floor, deadline): (i64, i64),
     ) -> Result<Arc<JoinEntry>> {
         let core = Arc::new(Mutex::new(core));
-        if self.restoring {
-            self.import_join_state(&label, &core)?;
-        }
         if self.ckpt.is_some() {
+            self.import_join_state(&label, &core, &subscriptions)?;
             self.ckpt_handles
                 .lock()
                 .push((label.clone(), QueryStateHandle::Join(Arc::clone(&core))));
@@ -1189,46 +1177,6 @@ impl TelegraphCQ {
             du,
             subscriptions,
         }))
-    }
-
-    /// Import a restored join's SteM groups into its freshly built eddy
-    /// (components `<label>/stem/<module>`, keyed by group hash). Empty
-    /// fragments are tombstones — the group was exported after emptying —
-    /// and are skipped. A group that imported rows stops running its first
-    /// query alone ([`JoinCore::imported`]).
-    fn import_join_state(&self, label: &str, core: &Arc<Mutex<JoinCore>>) -> Result<()> {
-        let Some(store) = &self.ckpt else {
-            return Ok(());
-        };
-        let store = store.lock();
-        let prefix = format!("{label}/stem/");
-        let mut core = core.lock();
-        let mut imported = false;
-        let comps: Vec<String> = store
-            .components()
-            .filter(|c| c.starts_with(&prefix))
-            .map(str::to_string)
-            .collect();
-        for comp in comps {
-            let module: usize = comp[prefix.len()..].parse().map_err(|_| {
-                TcqError::Storage(format!("malformed checkpoint component '{comp}'"))
-            })?;
-            for (key, value) in store.fragments(&comp) {
-                if value.is_empty() {
-                    continue;
-                }
-                let hash =
-                    u64::from_le_bytes(key.try_into().map_err(|_| {
-                        TcqError::Storage(format!("malformed group key in '{comp}'"))
-                    })?);
-                core.eddy.import_module_group(module, hash, value)?;
-                imported = true;
-            }
-        }
-        if imported {
-            core.imported();
-        }
-        Ok(())
     }
 
     /// Build the eddy of a join, returning it together with each source's
@@ -1579,13 +1527,19 @@ impl TelegraphCQ {
         Ok(QueryRecord::Completed)
     }
 
-    /// Stop a standing query.
+    /// Stop a standing query. With a checkpoint store open the query
+    /// leaves the checkpoint's catalog: a restore does not start it again.
     pub fn stop_query(&self, qid: QueryId) -> Result<()> {
         let record = self
             .queries
             .lock()
             .remove(&qid)
             .ok_or_else(|| TcqError::Executor(format!("unknown query {qid}")))?;
+        // Staged before its state handle goes: a checkpoint either still
+        // exports the query's state or already records it stopped.
+        if !matches!(record, QueryRecord::Completed) {
+            self.stage_query(qid, None);
+        }
         let own = format!("q{qid}");
         self.ckpt_handles.lock().retain(|(label, _)| *label != own);
         let released = self.release_plan(qid, record);
@@ -1706,98 +1660,6 @@ impl TelegraphCQ {
         self.egress.egress_stats()
     }
 
-    /// Take a durable, incremental checkpoint: commit one epoch-delta
-    /// block holding the state dirtied since the previous call.
-    ///
-    /// The cut is exact: the exported state holds every row below each
-    /// resume cursor and none above it, so a restore that replays each
-    /// source from its cursor folds every row once. It is taken in three
-    /// steps. (1) Every source thread's delivery is held
-    /// ([`Supervisor::hold`]) from here until the commit lands, and each
-    /// hold reads its cursor: the tuples that source has put into its
-    /// ingress fjord. (2) In-flight tuples are drained, on exact counts
-    /// (`drain_ingress`), so operator state covers everything below the
-    /// cursors, and no source can add to it. (3) Dirty state groups are
-    /// exported under their DU locks, the egress ledger and stream clocks
-    /// are staged, and the delta commits. Dirty flags are cleared only
-    /// after the commit succeeds — a failed or torn commit (injected or
-    /// real) keeps the delta staged for retry and loses nothing.
-    pub fn checkpoint(&self) -> Result<CheckpointReport> {
-        let store_mutex = self.ckpt.as_ref().ok_or_else(|| {
-            TcqError::Storage("checkpointing disabled (set ServerConfig::checkpoint_path)".into())
-        })?;
-        let supervisors = self.supervisors.lock();
-        let held: Vec<_> = supervisors
-            .iter()
-            .map(|(s, resumable)| (s.name().to_ascii_lowercase(), *resumable, s.hold()))
-            .collect();
-        self.drain_ingress(Duration::from_secs(2));
-
-        let mut store = store_mutex.lock();
-        store.put("egress", b"", &self.egress.egress_stats().encode());
-        for (name, _, delivered) in held.iter().filter(|(_, resumable, _)| *resumable) {
-            let mut w = CkptWriter::new();
-            w.put_u64(**delivered);
-            store.put("cursor", name.as_bytes(), w.as_slice());
-        }
-        {
-            let streams = self.streams.lock();
-            let mut names: Vec<&String> = streams.keys().collect();
-            names.sort();
-            for name in names {
-                let mut w = CkptWriter::new();
-                w.put_i64(streams[name].latest_seq.load(Ordering::Acquire));
-                store.put("seq", name.as_bytes(), w.as_slice());
-            }
-        }
-
-        // Export dirty groups holding every DU's state lock until the
-        // commit lands: a tuple folded between export and clear would
-        // otherwise lose its dirty bit and vanish from the next delta.
-        let handles = self.ckpt_handles.lock();
-        let mut joins = Vec::new();
-        let mut aggs = Vec::new();
-        let mut scratch = Vec::new();
-        for (label, handle) in handles.iter() {
-            match handle {
-                QueryStateHandle::Join(core) => {
-                    let mut core = core.lock();
-                    scratch.clear();
-                    core.eddy.export_dirty_state(&mut scratch)?;
-                    for (module, hash, bytes) in &scratch {
-                        store.put(
-                            &format!("{label}/stem/{module}"),
-                            &hash.to_le_bytes(),
-                            bytes,
-                        );
-                    }
-                    joins.push(core);
-                }
-                QueryStateHandle::Aggregate(state) => {
-                    let core = state.lock();
-                    if core.dirty {
-                        store.put(&format!("{label}/agg"), b"", &core.encode());
-                    }
-                    aggs.push(core);
-                }
-            }
-        }
-        let before = store.stats();
-        let epoch = store.commit()?;
-        let after = store.stats();
-        for mut core in joins {
-            core.eddy.clear_dirty();
-        }
-        for mut core in aggs {
-            core.dirty = false;
-        }
-        Ok(CheckpointReport {
-            epoch,
-            fragments: after.fragments_written - before.fragments_written,
-            bytes: after.bytes_written - before.bytes_written,
-        })
-    }
-
     /// Stop ingress, drain what was admitted, then stop the executor.
     ///
     /// Ordering matters: source threads stop *first* so no new
@@ -1819,28 +1681,6 @@ impl TelegraphCQ {
             }
         }
         Ok(())
-    }
-
-    /// Wait (bounded) until every stream is drained: its ingress fjord is
-    /// empty, its dispatcher has settled exactly as many messages as the
-    /// fjord has handed out (so none is mid-quantum or stalled in
-    /// `pending`), and its subscriber queues are empty. A dispatcher that
-    /// has retired or failed counts as settled, since nothing will move
-    /// through its ingress again; its subscriber queues must still empty,
-    /// because a join or exchange may hold the stream's last rows after
-    /// the dispatcher has sent Eof and retired.
-    fn drain_ingress(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let drained = |st: &StreamState| {
-            let ingress_settled = st.settled.get().is_none_or(|settled| {
-                let ingress = st.ingress.stats();
-                ingress.len == 0 && ingress.dequeued == settled
-            });
-            ingress_settled && st.subscribers.backlog() == 0
-        };
-        while !self.streams.lock().values().all(|st| drained(st)) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_micros(50));
-        }
     }
 }
 

@@ -163,6 +163,18 @@ impl CheckpointStore {
         })
     }
 
+    /// Create the store at `path` empty, discarding whatever an earlier
+    /// run left there: a store a fresh run writes holds only that run's
+    /// epochs, so a later [`CheckpointStore::open`] never replays two runs
+    /// as one image.
+    pub fn create_with_injector(
+        path: impl AsRef<Path>,
+        injector: Option<SharedInjector>,
+    ) -> Result<Self> {
+        File::create(path.as_ref())?;
+        Self::open_with_injector(path, injector)
+    }
+
     /// Attach a chaos injector polled at [`FaultPoint::CheckpointWrite`]
     /// on every commit.
     pub fn attach_injector(&mut self, injector: SharedInjector) {
@@ -351,6 +363,26 @@ mod tests {
         assert_eq!(s.len(), 3);
         let keys: Vec<&[u8]> = s.fragments("a/stem").map(|(k, _)| k).collect();
         assert_eq!(keys, vec![b"k1".as_slice(), b"k2".as_slice()]);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn create_discards_an_earlier_runs_epochs() {
+        let path = temp_path("create");
+        {
+            let mut s = CheckpointStore::open(&path).unwrap();
+            s.put("c", b"k", b"earlier run");
+            s.commit().unwrap();
+        }
+        let mut s = CheckpointStore::create_with_injector(&path, None).unwrap();
+        assert!(s.is_empty());
+        assert_eq!((s.epoch(), s.file_len()), (0, 0));
+        s.put("d", b"k", b"this run");
+        assert_eq!(s.commit().unwrap(), 1);
+        drop(s);
+        let s = CheckpointStore::open(&path).unwrap();
+        assert_eq!(s.get("c", b"k"), None);
+        assert_eq!(s.get("d", b"k"), Some(b"this run".as_slice()));
         std::fs::remove_file(path).ok();
     }
 

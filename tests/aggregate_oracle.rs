@@ -14,11 +14,12 @@
 //! (`t++`), empty, 10⁹-iteration and crossed-bound loops, and snapshot and
 //! backward windows. The server answers them under `io_batch` {1, 64} ×
 //! checkpoint store on/off, and once more across a checkpoint → shutdown →
-//! restore cut taken mid-window. Under `io_batch` × checkpoint store the
-//! stream also carries two co-resident plans: a standing filter query,
-//! whose rows must equal the reference filter's as a multiset, and one more
-//! aggregate stopped mid-stream, whose windows must be a prefix of its
-//! reference. Columns are integers, so float sums are exact in any fold
+//! restore cut taken mid-window. The stream also carries two co-resident
+//! plans: a standing filter query, whose rows must equal the reference
+//! filter's as a multiset, and one more aggregate stopped mid-stream (before
+//! the cut, on the restore run), whose windows must be a prefix of its
+//! reference. The restore alone brings every running query back under its
+//! id; the stopped one stays stopped. Columns are integers, so float sums are exact in any fold
 //! order and results compare exactly. A failure names its seed,
 //! configuration and query.
 
@@ -492,11 +493,11 @@ fn boot(dir: &Dir, cfg: &Config, restore: bool) -> TelegraphCQ {
         checkpoint_path: cfg.checkpoint.then(|| dir.0.join("server.tcqk")),
         ..ServerConfig::default()
     };
-    let server = if restore {
-        TelegraphCQ::restore(config).unwrap()
-    } else {
-        TelegraphCQ::start(config).unwrap()
-    };
+    if restore {
+        // The image registers `s` and starts the queries.
+        return TelegraphCQ::restore(config).unwrap();
+    }
+    let server = TelegraphCQ::start(config).unwrap();
     server.register_stream("s", schema()).unwrap();
     server
 }
@@ -537,11 +538,22 @@ fn run(seed: u64, cfg: Config, rows: &[Tuple], queries: &[Query]) -> Vec<Vec<Tup
         .filter_map(|(q, &qid)| Some((q.stop_at?, qid)))
         .collect();
     stops.sort_unstable();
-    assert!(cfg.cut.is_none() || stops.is_empty());
-    let mut tail = rows;
+    let checkpoints = cfg.checkpoint && cfg.cut.is_none();
+    let mut from = 0;
+    for &(stop, qid) in &stops {
+        assert!(
+            cfg.cut.is_none_or(|cut| stop < cut),
+            "stops precede the cut"
+        );
+        // Once the dispatcher reached the stop row, or close behind it.
+        push(&server, &rows[from..stop], &mut rng, checkpoints);
+        wait_archived(&server, stop);
+        server.stop_query(qid).unwrap();
+        from = stop;
+    }
     let mut rx = rx;
     if let Some(cut) = cfg.cut {
-        push(&server, &rows[..cut], &mut rng, false);
+        push(&server, &rows[from..cut], &mut rng, false);
         server.checkpoint().unwrap();
         collect(&rx, &mut got);
         server.shutdown().unwrap();
@@ -549,26 +561,29 @@ fn run(seed: u64, cfg: Config, rows: &[Tuple], queries: &[Query]) -> Vec<Vec<Tup
         server = boot(&dir, &cfg, true);
         let (client, rx2) = server.connect_push_client(1 << 16).unwrap();
         rx = rx2;
-        let again: Vec<usize> = live
-            .iter()
-            .map(|q| server.submit(&q.sql(), client).unwrap())
-            .collect();
-        assert_eq!(
-            again, qids,
-            "seed {seed}: a restore resubmits under the same ids"
+        // Every query running at the cut is back under its id; a stopped
+        // one is not, so it delivers nothing and refuses a subscription.
+        let stopped: Vec<usize> = stops.iter().map(|&(_, qid)| qid).collect();
+        assert_eq!(server.query_count(), qids.len() - stopped.len());
+        for &qid in &qids {
+            let subscribed = server.subscribe_client(client, qid);
+            assert_eq!(
+                subscribed.is_ok(),
+                !stopped.contains(&qid),
+                "seed {seed}: query {qid} after the restore: {subscribed:?}"
+            );
+        }
+        // A later query takes an id above every id in the image, the
+        // stopped ones included.
+        let later = server.submit("SELECT k FROM s", client).unwrap();
+        assert!(
+            qids.iter().all(|&qid| qid < later),
+            "seed {seed}: {later} reuses an id of {qids:?}"
         );
-        tail = &rows[cut..];
+        server.stop_query(later).unwrap();
+        from = cut;
     }
-    let mut from = 0;
-    for (stop, qid) in stops {
-        // Once the dispatcher reached the stop row, or close behind it.
-        push(&server, &tail[from..stop], &mut rng, cfg.checkpoint);
-        wait_archived(&server, stop);
-        server.stop_query(qid).unwrap();
-        from = stop;
-    }
-    let tail = &tail[from..];
-    push(&server, tail, &mut rng, cfg.checkpoint && cfg.cut.is_none());
+    push(&server, &rows[from..], &mut rng, checkpoints);
     if cfg.cut.is_none() {
         wait_archived(&server, rows.len());
         for q in queries.iter().filter(|q| q.historical) {
@@ -658,12 +673,16 @@ fn windowed_aggregates_equal_their_from_scratch_evaluation() {
 fn windowed_aggregates_survive_a_restore_cut_mid_window() {
     let mut failures = Vec::new();
     for seed in SEEDS {
-        let (rows, queries) = case(seed);
+        let (rows, mut queries) = case(seed);
         let mut rng = seeded(seed ^ 0xc0ffee);
+        let io_batch = [1, 64][rng.gen_range(0usize..2)];
+        let cut = rng.gen_range(rows.len() / 4..rows.len() * 3 / 4);
+        // Drawn over the rows before the cut, the stop precedes it.
+        queries.extend(co_resident(seed, &rows[..cut]));
         let cfg = Config {
-            io_batch: [1, 64][rng.gen_range(0usize..2)],
+            io_batch,
             checkpoint: true,
-            cut: Some(rng.gen_range(rows.len() / 4..rows.len() * 3 / 4)),
+            cut: Some(cut),
         };
         check(seed, cfg, &rows, &queries, &mut failures);
     }

@@ -142,10 +142,13 @@ fn checkpoint_then_restore(io_batch: usize, stall: Option<Duration>) {
     std::mem::forget(server);
 
     let server = TelegraphCQ::restore(config(&dir, io_batch)).unwrap();
-    server.register_stream("s", schema()).unwrap();
+    assert!(matches!(
+        server.register_stream("s", schema()),
+        Err(TcqError::DuplicateStream(_))
+    ));
     assert_eq!(server.stream_time("s").unwrap(), CUT, "the clock restored");
     let (client, rx) = server.connect_push_client(1 << 16).unwrap();
-    assert_eq!(server.submit(SQL, client).unwrap(), qid);
+    server.subscribe_client(client, qid).unwrap();
     for chunk in rows(CUT + 1, ROWS).chunks(500) {
         server.push_batch("s", chunk.to_vec()).unwrap();
     }
@@ -356,9 +359,8 @@ fn live_cut_then_restore(queue_capacity: usize) {
         cursor, clock,
         "{tag}: the cursor is the clock it was cut with"
     );
-    server.register_stream("s", schema()).unwrap();
     let (client, rx) = server.connect_push_client(1 << 16).unwrap();
-    assert_eq!(server.submit(LIVE_SQL, client).unwrap(), qid);
+    server.subscribe_client(client, qid).unwrap();
     server
         .attach_supervised_source("s", live_factory(LIVE_ROWS, None))
         .unwrap();

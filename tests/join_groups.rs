@@ -279,8 +279,8 @@ fn join_cqs_share_one_du_and_each_answers_as_if_alone() {
 /// One step of a session against a server that checkpoints.
 #[derive(Clone, Copy)]
 enum Step<'a> {
-    /// Submit a query; ids count up from 1 in every incarnation, so a
-    /// restore that replays the session's steps gets the same ids.
+    /// Submit a query; ids count up from 1, and a restored server goes on
+    /// from the ids its checkpoint holds.
     Submit(&'a str),
     /// Stop the `n`-th query the session submitted.
     Stop(usize),
@@ -341,24 +341,38 @@ fn settle(server: &TelegraphCQ, live: &[usize]) {
     }
 }
 
-/// Run `steps` on a fresh or restored server; each query's rows.
-fn run_session(server: &TelegraphCQ, steps: &[Step<'_>]) -> BTreeMap<usize, Vec<Vec<i64>>> {
+/// The queries of a session: every id it submitted, in submit order, the
+/// ones running, and the ones running at its last checkpoint.
+#[derive(Default)]
+struct Session {
+    qids: Vec<usize>,
+    live: Vec<usize>,
+    checkpointed: Vec<usize>,
+}
+
+/// Run `steps` on a fresh or restored server, with a new client
+/// subscribed to the session's running queries; each query's rows.
+fn run_session(
+    server: &TelegraphCQ,
+    session: &mut Session,
+    steps: &[Step<'_>],
+) -> BTreeMap<usize, Vec<Vec<i64>>> {
     let (l, r) = (int_schema(&["k", "lv"]), int_schema(&["k", "rv"]));
-    server.register_stream("L", l.clone()).unwrap();
-    server.register_stream("R", r.clone()).unwrap();
     let (client, rx) = server.connect_push_client(1 << 18).unwrap();
-    let mut qids = Vec::new();
-    let mut live = Vec::new();
+    for &qid in &session.live {
+        server.subscribe_client(client, qid).unwrap();
+    }
     for step in steps {
         match *step {
             Step::Submit(sql) => {
                 let qid = server.submit(sql, client).unwrap();
-                qids.push(qid);
-                live.push(qid);
+                session.qids.push(qid);
+                session.live.push(qid);
             }
             Step::Stop(n) => {
-                server.stop_query(qids[n]).unwrap();
-                live.retain(|&q| q != qids[n]);
+                let qid = session.qids[n];
+                server.stop_query(qid).unwrap();
+                session.live.retain(|&q| q != qid);
             }
             Step::Feed(from, to) => {
                 let rows = ticks(from, to);
@@ -371,10 +385,11 @@ fn run_session(server: &TelegraphCQ, steps: &[Step<'_>]) -> BTreeMap<usize, Vec<
                         server.push_batch(stream, batch).unwrap();
                     }
                 }
-                settle(server, &live);
+                settle(server, &session.live);
             }
             Step::Checkpoint => {
                 assert!(server.checkpoint().unwrap().fragments > 0);
+                session.checkpointed = session.live.clone();
             }
         }
     }
@@ -382,8 +397,9 @@ fn run_session(server: &TelegraphCQ, steps: &[Step<'_>]) -> BTreeMap<usize, Vec<
 }
 
 /// Run `before` on a server that then dies without a shutdown, restore it
-/// from its checkpoint and run `after`: each query's rows from both
-/// incarnations, by query id.
+/// from its checkpoint and run `after` with the queries running at the
+/// checkpoint subscribed: each query's rows from both incarnations, by
+/// query id.
 fn crash_and_restore(
     tag: &str,
     before: &[Step<'_>],
@@ -396,10 +412,19 @@ fn crash_and_restore(
         ..ServerConfig::default()
     };
     let server = TelegraphCQ::start(config()).unwrap();
-    let mut rows = run_session(&server, before);
+    server
+        .register_stream("L", int_schema(&["k", "lv"]))
+        .unwrap();
+    server
+        .register_stream("R", int_schema(&["k", "rv"]))
+        .unwrap();
+    let mut session = Session::default();
+    let mut rows = run_session(&server, &mut session, before);
     std::mem::forget(server);
     let server = TelegraphCQ::restore(config()).unwrap();
-    for (qid, more) in run_session(&server, after) {
+    session.live = std::mem::take(&mut session.checkpointed);
+    assert_eq!(server.query_count(), session.live.len());
+    for (qid, more) in run_session(&server, &mut session, after) {
         rows.entry(qid).or_default().extend(more);
     }
     server.shutdown().unwrap();
@@ -419,8 +444,8 @@ fn reference(sql: &str, from: i64, to: i64) -> Vec<Vec<i64>> {
 
 /// Two members of one group — one with a band factor — admitted before
 /// any input; the server dies mid-stream and restores from its last
-/// checkpoint, the group coming back when its first member is
-/// resubmitted. Both members' rows equal an uninterrupted run's.
+/// checkpoint, the group and both members coming back with it. Both
+/// members' rows equal an uninterrupted run's.
 #[test]
 fn a_join_group_restores_from_its_checkpoint_and_loses_nothing() {
     let members = [
@@ -438,7 +463,7 @@ fn a_join_group_restores_from_its_checkpoint_and_loses_nothing() {
             Step::Feed(1, 1000),
             Step::Checkpoint,
         ],
-        &[Step::Submit(m0), Step::Submit(m1), Step::Feed(1001, 2000)],
+        &[Step::Feed(1001, 2000)],
     );
     for (m, sql) in members.iter().enumerate() {
         assert_eq!(got[&(m + 1)], reference(sql, 1, 2000), "member {m}: {sql}");
@@ -464,13 +489,7 @@ fn join_groups_with_one_key_label_checkpoint_apart() {
             Step::Feed(501, 1000),
             Step::Checkpoint,
         ],
-        &[
-            Step::Submit(q1),
-            Step::Submit(q2),
-            Step::Stop(0),
-            Step::Submit(q3),
-            Step::Feed(1001, 2000),
-        ],
+        &[Step::Feed(1001, 2000)],
     );
     assert_eq!(got[&2], reference(q2, 1, 2000), "{q2}");
     assert_eq!(got[&3], reference(q3, 501, 2000), "{q3}");
@@ -493,12 +512,7 @@ fn a_join_group_started_again_restores_none_of_its_predecessors_rows() {
             Step::Feed(501, 1000),
             Step::Checkpoint,
         ],
-        &[
-            Step::Submit(&q),
-            Step::Stop(0),
-            Step::Submit(&q),
-            Step::Feed(1001, 2000),
-        ],
+        &[Step::Feed(1001, 2000)],
     );
     assert_eq!(got[&2], reference(&q, 501, 2000));
 }
@@ -522,14 +536,15 @@ fn a_restored_group_checks_its_members_own_predicates_on_imported_rows() {
             Step::Feed(601, 1000),
             Step::Checkpoint,
         ],
-        &[Step::Submit(&a), Step::Feed(1001, 2000)],
+        &[Step::Feed(1001, 2000)],
     );
     assert_eq!(got[&1], reference(&a, 1, 2000), "{a}");
 }
 
 /// A member admitted mid-stream sees only rows built after its admission,
-/// and a restore that replays the session admits it at the same cut. One
-/// admitted after the last checkpoint sees none of the imported rows.
+/// and a restore admits it at the same cut. One submitted after the last
+/// checkpoint is not in the image: resubmitted after the restore, it is
+/// admitted live and sees none of the imported rows.
 #[test]
 fn a_member_admitted_mid_stream_keeps_its_cut_across_a_restore() {
     let (a, b) = (
@@ -547,14 +562,56 @@ fn a_member_admitted_mid_stream_keeps_its_cut_across_a_restore() {
             Step::Checkpoint,
             Step::Submit(&c),
         ],
-        &[
-            Step::Submit(&a),
-            Step::Submit(&b),
-            Step::Submit(&c),
-            Step::Feed(1001, 2000),
-        ],
+        &[Step::Submit(&c), Step::Feed(1001, 2000)],
     );
     assert_eq!(got[&1], reference(&a, 1, 2000), "{a}");
     assert_eq!(got[&2], reference(&b, 501, 2000), "{b}");
     assert_eq!(got[&3], reference(&c, 1001, 2000), "{c}");
+}
+
+/// A fresh `start()` on a path an earlier run checkpointed to begins with
+/// an empty image. Run A stores `L` keys 0..10 and checkpoints; run B
+/// starts fresh on the same path, submits the same query (id 1 and group
+/// label again), stores keys 100..110, checkpoints and dies. Restored, B
+/// must join none of A's keys.
+#[test]
+fn a_fresh_start_discards_an_earlier_runs_image() {
+    let dir = temp_dir("fresh-start");
+    let config = || ServerConfig {
+        checkpoint_path: Some(dir.join("server.tcqk")),
+        liveness: Some(LivenessConfig::default()),
+        ..ServerConfig::default()
+    };
+    let q = group_query("", None);
+    let (l, r) = (int_schema(&["k", "lv"]), int_schema(&["k", "rv"]));
+    let run = |keys: std::ops::Range<i64>| {
+        let server = TelegraphCQ::start(config()).unwrap();
+        server.register_stream("L", l.clone()).unwrap();
+        server.register_stream("R", r.clone()).unwrap();
+        let (client, _rx) = server.connect_push_client(1024).unwrap();
+        assert_eq!(server.submit(&q, client).unwrap(), 1);
+        let rows = keys.map(|k| int_row(&l, &[k, k], k + 1)).collect();
+        server.push_batch("L", rows).unwrap();
+        settle(&server, &[1]);
+        server.checkpoint().unwrap();
+        server
+    };
+    run(0..10).shutdown().unwrap();
+    std::mem::forget(run(100..110));
+
+    let server = TelegraphCQ::restore(config()).unwrap();
+    let (client, rx) = server.connect_push_client(1024).unwrap();
+    server.subscribe_client(client, 1).unwrap();
+    let probes = (0..10).map(|k| int_row(&r, &[k, k], 1000 + k)).collect();
+    server.push_batch("R", probes).unwrap();
+    settle(&server, &[1]);
+    let joined: Vec<i64> = (rx.try_iter())
+        .map(|(_, t)| t.value(0).as_int().unwrap())
+        .collect();
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        joined.is_empty(),
+        "restored B joined keys only incarnation A stored: {joined:?}"
+    );
 }

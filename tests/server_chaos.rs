@@ -806,13 +806,8 @@ const AGG_Q: &str =
     "SELECT COUNT(*) FROM s for (t = ST; t >= 0; t += 10) { WindowIs(s, t - 9, t); }";
 
 /// Registers streams, submits the two joins and the aggregate, and
-/// loads-then-closes the dimension stream. `feed_dim` is false on the
-/// restore path: the d-side SteM state comes from the checkpoint, and
-/// re-feeding would double-insert it.
-fn boot_recovery_topology(
-    server: &TelegraphCQ,
-    feed_dim: bool,
-) -> (usize, usize, usize, Receiver<Delivery>) {
+/// loads-then-closes the dimension stream.
+fn boot_recovery_topology(server: &TelegraphCQ) -> (usize, usize, usize, Receiver<Delivery>) {
     server.register_stream("s", hot_schema()).unwrap();
     server.register_stream("d", dim_schema()).unwrap();
     let (client, rx): (_, Receiver<Delivery>) = server.connect_push_client(8192).unwrap();
@@ -820,22 +815,20 @@ fn boot_recovery_topology(
     let agg_q = server.submit(AGG_Q, client).unwrap();
     let equal_q = server.submit(EQUAL_JOIN_Q, client).unwrap();
 
-    if feed_dim {
-        let dims = dim_schema();
-        let batch: Vec<Tuple> = (0..DIM_ROWS)
-            .map(|id| {
-                TupleBuilder::new(dims.clone())
-                    .push(id)
-                    .push(id * 10)
-                    .at(Timestamp::logical(id + 1))
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        server.push_batch("d", batch).unwrap();
-        while server.stream_time("d").unwrap() < DIM_ROWS {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    let dims = dim_schema();
+    let batch: Vec<Tuple> = (0..DIM_ROWS)
+        .map(|id| {
+            TupleBuilder::new(dims.clone())
+                .push(id)
+                .push(id * 10)
+                .at(Timestamp::logical(id + 1))
+                .build()
+                .unwrap()
+        })
+        .collect();
+    server.push_batch("d", batch).unwrap();
+    while server.stream_time("d").unwrap() < DIM_ROWS {
+        std::thread::sleep(Duration::from_millis(1));
     }
     server.finish_stream("d").unwrap();
     std::thread::sleep(Duration::from_millis(50));
@@ -876,7 +869,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
     // Reference: the same topology, uninterrupted, no checkpointing.
     let (ref_join, ref_agg, ref_rows, ref_egress) = {
         let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
-        let (join_q, agg_q, _, rx) = boot_recovery_topology(&server, true);
+        let (join_q, agg_q, _, rx) = boot_recovery_topology(&server);
         let factory: SourceFactory = {
             let master = master.clone();
             let schema = hot_schema();
@@ -901,9 +894,9 @@ fn checkpoint_restore_after_crash_loses_nothing() {
     );
 
     // Phase A: run to HALF, checkpoint, die without shutdown.
-    let rows_a = {
+    let (rows_a, (join_q, agg_q, equal_q)) = {
         let server = TelegraphCQ::start(config()).unwrap();
-        let (_, _, _, rx) = boot_recovery_topology(&server, true);
+        let (join_q, agg_q, equal_q, rx) = boot_recovery_topology(&server);
         let factory: SourceFactory = {
             let master = master.clone();
             let schema = hot_schema();
@@ -935,7 +928,7 @@ fn checkpoint_restore_after_crash_loses_nothing() {
         // Crash: leak the whole server — no shutdown, no flush, threads
         // simply never hear from us again.
         std::mem::forget(server);
-        rows
+        (rows, (join_q, agg_q, equal_q))
     };
 
     // Phase B: restore from the checkpoint and replay only the tail.
@@ -945,7 +938,16 @@ fn checkpoint_restore_after_crash_loses_nothing() {
         recovery.epochs_recovered >= 1,
         "no checkpoint was recovered"
     );
-    let (join_q, agg_q, equal_q, rx) = boot_recovery_topology(&server, false);
+    // The streams and queries come back with the image, the d-side SteM
+    // state included (re-feeding d would double-insert it). The client
+    // re-subscribes by the ids it holds, and d, closed before the crash,
+    // is closed again: the image records no end-of-stream.
+    assert_eq!(server.query_count(), 3);
+    let (client, rx): (_, Receiver<Delivery>) = server.connect_push_client(8192).unwrap();
+    for qid in [join_q, agg_q, equal_q] {
+        server.subscribe_client(client, qid).unwrap();
+    }
+    server.finish_stream("d").unwrap();
     let factory: SourceFactory = {
         let master = master.clone();
         let schema = hot_schema();
