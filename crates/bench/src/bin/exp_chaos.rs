@@ -361,7 +361,6 @@ fn run_server_scenario(n: i64, dir: &Path) -> ServerOutcome {
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(server_plan(SEED, n as u64)),
         egress_policy: EgressPolicy {
-            max_retries: 1,
             disconnect_after: 4,
         },
         ..ServerConfig::default()

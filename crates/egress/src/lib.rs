@@ -17,11 +17,11 @@
 //!   on reconnect — the PSoup-style "disconnected operation" mode, where
 //!   computation is separated from delivery.
 //!
-//! Slow-client resilience: an [`EgressPolicy`] bounds how long the router
-//! humours a stuck client — a full push channel gets `max_retries` extra
-//! immediate attempts, and after `disconnect_after` consecutive failed
-//! deliveries the client is forcibly disconnected and counted, so one dead
-//! client can never wedge a shared eddy. Every delivery offer is accounted
+//! Slow-client resilience: a full push channel sheds the copy at once (the
+//! router never waits on a client), and under an [`EgressPolicy`] with
+//! `disconnect_after` set, a client whose deliveries fail that many times
+//! in a row is forcibly disconnected and counted, so one dead client can
+//! never wedge a shared eddy. Every delivery offer is accounted
 //! in [`EgressStats`]: `delivered + shed + displaced + disconnected_loss ==
 //! offered`, always.
 //!
@@ -70,9 +70,6 @@ pub type ColumnDelivery = (QueryId, ColumnBatch);
 /// boundary).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EgressPolicy {
-    /// Extra immediate retries (with a scheduler yield between attempts)
-    /// when a push client's channel is full, before the copy is shed.
-    pub max_retries: u32,
     /// After this many *consecutive* failed deliveries a push client is
     /// declared stuck and forcibly disconnected. `0` disables forced
     /// disconnection (the default: shed-and-keep, the pre-policy
@@ -90,13 +87,11 @@ pub struct EgressStats {
     /// Offers currently delivered (buffered or streamed). A pull-buffer
     /// victim later rotated out moves from here to `displaced`.
     pub delivered: u64,
-    /// Push copies dropped after the retry budget (full channel or
-    /// injected delivery fault).
+    /// Push copies dropped on a full channel or an injected delivery
+    /// fault.
     pub shed: u64,
     /// Pull/prioritized buffer entries rotated out to make room.
     pub displaced: u64,
-    /// Retry attempts made against full push channels.
-    pub retried: u64,
     /// Clients forcibly disconnected (stuck past `disconnect_after`, or
     /// found dead mid-delivery).
     pub disconnected: u64,
@@ -119,7 +114,6 @@ impl EgressStats {
         w.put_u64(self.delivered);
         w.put_u64(self.shed);
         w.put_u64(self.displaced);
-        w.put_u64(self.retried);
         w.put_u64(self.disconnected);
         w.put_u64(self.disconnected_loss);
         w.into_bytes()
@@ -133,7 +127,6 @@ impl EgressStats {
             delivered: r.get_u64("egress delivered")?,
             shed: r.get_u64("egress shed")?,
             displaced: r.get_u64("egress displaced")?,
-            retried: r.get_u64("egress retried")?,
             disconnected: r.get_u64("egress disconnected")?,
             disconnected_loss: r.get_u64("egress disconnected_loss")?,
         })
@@ -439,18 +432,10 @@ impl RouterInner {
     /// every session chunk replay it tuple by tuple, so fault-poll order,
     /// per-offer outcomes, and disconnection timing do not depend on how a
     /// caller splits its rows into calls.
-    ///
-    /// `stalled` carries fairness state across one batch or session: a
-    /// push client that exhausts its retry budget lands in it, and its
-    /// later offers in the same batch skip the retry-yield loop — the shed
-    /// is charged to the slow client immediately instead of taxing every
-    /// remaining subscriber with `max_retries` scheduler yields per tuple.
-    /// A successful send removes the client again.
     fn deliver_locked<I: IntoIterator<Item = QueryId>>(
         &mut self,
         queries: I,
         offer: Offer<'_>,
-        stalled: &mut Vec<ClientId>,
         pending: &mut Vec<PendingColumns>,
     ) {
         let policy = self.policy;
@@ -506,51 +491,28 @@ impl RouterInner {
                     _ => {}
                 }
                 if matches!(state, ClientState::ColumnPush { .. }) {
-                    self.offer_column(cid, q, &offer, stalled, pending, &mut dead);
+                    self.offer_column(cid, q, &offer, pending, &mut dead);
                     continue;
                 }
                 match state {
                     ClientState::Push { tx, failures } => {
-                        // A client already marked stalled this batch gets
-                        // exactly one non-blocking attempt.
-                        let budget = if stalled.contains(&cid) {
-                            0
-                        } else {
-                            policy.max_retries
-                        };
-                        let mut attempt = 0u32;
-                        loop {
-                            match tx.try_send((q, offer.to_tuple())) {
-                                Ok(()) => {
-                                    self.stats.delivered += 1;
-                                    *failures = 0;
-                                    stalled.retain(|&c| c != cid);
-                                    break;
-                                }
-                                Err(TrySendError::Full(_)) => {
-                                    if attempt < budget {
-                                        attempt += 1;
-                                        self.stats.retried += 1;
-                                        std::thread::yield_now();
-                                        continue;
-                                    }
-                                    self.stats.shed += 1;
-                                    *failures += 1;
-                                    if !stalled.contains(&cid) {
-                                        stalled.push(cid);
-                                    }
-                                    if policy.disconnect_after > 0
-                                        && *failures >= policy.disconnect_after
-                                    {
-                                        dead.push(cid);
-                                    }
-                                    break;
-                                }
-                                Err(TrySendError::Disconnected(_)) => {
-                                    self.stats.disconnected_loss += 1;
+                        match tx.try_send((q, offer.to_tuple())) {
+                            Ok(()) => {
+                                self.stats.delivered += 1;
+                                *failures = 0;
+                            }
+                            Err(TrySendError::Full(_)) => {
+                                self.stats.shed += 1;
+                                *failures += 1;
+                                if policy.disconnect_after > 0
+                                    && *failures >= policy.disconnect_after
+                                {
                                     dead.push(cid);
-                                    break;
                                 }
+                            }
+                            Err(TrySendError::Disconnected(_)) => {
+                                self.stats.disconnected_loss += 1;
+                                dead.push(cid);
                             }
                         }
                     }
@@ -609,7 +571,6 @@ impl RouterInner {
         cid: ClientId,
         q: QueryId,
         offer: &Offer<'_>,
-        stalled: &mut Vec<ClientId>,
         pending: &mut Vec<PendingColumns>,
         dead: &mut Vec<ClientId>,
     ) {
@@ -622,7 +583,7 @@ impl RouterInner {
                         return;
                     }
                     let done = pending.remove(i);
-                    self.flush_one(done, stalled, dead);
+                    self.flush_one(done, dead);
                 }
                 // Sized for the rest of the source batch: the session
                 // feeds rows in order, so at most `len - row` more
@@ -638,7 +599,7 @@ impl RouterInner {
             Offer::Row(_) => {
                 if let Some(i) = slot {
                     let done = pending.remove(i);
-                    self.flush_one(done, stalled, dead);
+                    self.flush_one(done, dead);
                 }
                 let tuple = offer.to_tuple();
                 let batch = ColumnBatch::from_tuples(
@@ -652,7 +613,6 @@ impl RouterInner {
                         query: q,
                         batch,
                     },
-                    stalled,
                     dead,
                 );
             }
@@ -661,14 +621,9 @@ impl RouterInner {
 
     /// Send one pending columnar batch to its client, charging every row
     /// in it to exactly one ledger bucket (the rows were already counted
-    /// as offered). Retry/stall/disconnect semantics mirror the row push
+    /// as offered). Shed and disconnect semantics mirror the row push
     /// client's, scaled to the batch's row count.
-    fn flush_one(
-        &mut self,
-        p: PendingColumns,
-        stalled: &mut Vec<ClientId>,
-        dead: &mut Vec<ClientId>,
-    ) {
+    fn flush_one(&mut self, p: PendingColumns, dead: &mut Vec<ClientId>) {
         let n = p.batch.len() as u64;
         if n == 0 {
             return;
@@ -681,54 +636,31 @@ impl RouterInner {
             self.stats.disconnected_loss += n;
             return;
         };
-        let budget = if stalled.contains(&cid) {
-            0
-        } else {
-            policy.max_retries
-        };
-        let mut attempt = 0u32;
-        let mut msg = (p.query, p.batch);
-        loop {
-            match tx.try_send(msg) {
-                Ok(()) => {
-                    self.stats.delivered += n;
-                    *failures = 0;
-                    stalled.retain(|&c| c != cid);
-                    break;
-                }
-                Err(TrySendError::Full(m)) => {
-                    if attempt < budget {
-                        attempt += 1;
-                        self.stats.retried += 1;
-                        std::thread::yield_now();
-                        msg = m;
-                        continue;
-                    }
-                    self.stats.shed += n;
-                    *failures += 1;
-                    if !stalled.contains(&cid) {
-                        stalled.push(cid);
-                    }
-                    if policy.disconnect_after > 0 && *failures >= policy.disconnect_after {
-                        dead.push(cid);
-                    }
-                    break;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.stats.disconnected_loss += n;
+        match tx.try_send((p.query, p.batch)) {
+            Ok(()) => {
+                self.stats.delivered += n;
+                *failures = 0;
+            }
+            Err(TrySendError::Full(_)) => {
+                self.stats.shed += n;
+                *failures += 1;
+                if policy.disconnect_after > 0 && *failures >= policy.disconnect_after {
                     dead.push(cid);
-                    break;
                 }
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                self.stats.disconnected_loss += n;
+                dead.push(cid);
             }
         }
     }
 
     /// Flush every pending columnar batch and drop clients found dead
     /// while flushing. Called when a delivery session ends.
-    fn flush_session(&mut self, pending: &mut Vec<PendingColumns>, stalled: &mut Vec<ClientId>) {
+    fn flush_session(&mut self, pending: &mut Vec<PendingColumns>) {
         let mut dead: Vec<ClientId> = Vec::new();
         for p in pending.drain(..) {
-            self.flush_one(p, stalled, &mut dead);
+            self.flush_one(p, &mut dead);
         }
         for cid in dead {
             if self.drop_client(cid) {
@@ -978,18 +910,11 @@ impl EgressRouter {
     /// (tuple, client) offer, in tuple order — fault polls, per-offer
     /// outcomes and stuck-client disconnection timing included — so how
     /// rows are split into batches never changes what a seeded run
-    /// delivers. Slow or absent clients shed (push, after the policy's
-    /// bounded retry) or rotate (pull) — delivery never blocks the
-    /// executor — and a client stuck past `disconnect_after` consecutive
-    /// failures is forcibly disconnected and counted.
-    ///
-    /// Fairness: retry-yields are a per-client, per-batch budget. Once a
-    /// push client exhausts `max_retries` on one tuple, its later offers
-    /// in this batch are charged as shed after a single non-blocking
-    /// attempt, so one stalled client cannot add `max_retries` scheduler
-    /// yields to every remaining tuple's latency for the healthy clients
-    /// behind it. (Only the `retried` counter depends on the batch split,
-    /// and only for clients that were full anyway.)
+    /// delivers. Slow or absent clients shed (push: one non-blocking
+    /// attempt per copy) or rotate (pull) — delivery never blocks the
+    /// executor, and a slow client never slows another — and a client
+    /// stuck past `disconnect_after` consecutive failures is forcibly
+    /// disconnected and counted.
     pub fn deliver_batch<I>(&self, queries: I, tuples: &[Tuple])
     where
         I: IntoIterator<Item = QueryId>,
@@ -1001,9 +926,7 @@ impl EgressRouter {
     }
 
     /// Begin a multi-chunk delivery session: the router lock is taken
-    /// once and held for the session's lifetime, the per-batch fairness
-    /// state (see [`EgressRouter::deliver_batch`]) spans every chunk, and
-    /// column clients' rows accumulate across chunks into one channel
+    /// once and held for the session's lifetime, and column clients' rows accumulate across chunks into one channel
     /// message, flushed when the session drops. A session delivering the
     /// same rows as one `deliver_batch` call charges the ledger
     /// identically, whether the rows arrive as row chunks, columnar
@@ -1011,7 +934,6 @@ impl EgressRouter {
     pub fn session(&self) -> DeliverySession<'_> {
         DeliverySession {
             inner: self.inner.lock(),
-            stalled: Vec::new(),
             pending: Vec::new(),
         }
     }
@@ -1054,12 +976,11 @@ impl EgressRouter {
 }
 
 /// A multi-chunk delivery session ([`EgressRouter::session`]): one router
-/// lock, one per-batch fairness state, and per-column-client pending
+/// lock and per-column-client pending
 /// batches spanning every chunk delivered through it. Dropping the
 /// session flushes pending columnar batches to their clients.
 pub struct DeliverySession<'a> {
     inner: tcq_common::sync::MutexGuard<'a, RouterInner>,
-    stalled: Vec<ClientId>,
     pending: Vec<PendingColumns>,
 }
 
@@ -1073,12 +994,8 @@ impl DeliverySession<'_> {
     {
         let queries = queries.into_iter();
         for tuple in tuples {
-            self.inner.deliver_locked(
-                queries.clone(),
-                Offer::Row(tuple),
-                &mut self.stalled,
-                &mut self.pending,
-            );
+            self.inner
+                .deliver_locked(queries.clone(), Offer::Row(tuple), &mut self.pending);
         }
     }
 
@@ -1120,7 +1037,6 @@ impl DeliverySession<'_> {
                     row,
                     tuple: tuple.as_ref(),
                 },
-                &mut self.stalled,
                 &mut self.pending,
             );
         }
@@ -1130,7 +1046,7 @@ impl DeliverySession<'_> {
 impl Drop for DeliverySession<'_> {
     fn drop(&mut self) {
         let mut pending = std::mem::take(&mut self.pending);
-        self.inner.flush_session(&mut pending, &mut self.stalled);
+        self.inner.flush_session(&mut pending);
     }
 }
 
@@ -1273,7 +1189,6 @@ mod tests {
     #[test]
     fn stuck_push_client_disconnected_after_threshold() {
         let r = EgressRouter::new().with_policy(EgressPolicy {
-            max_retries: 1,
             disconnect_after: 3,
         });
         let _rx = r.register_push_client(1, 1).unwrap();
@@ -1289,11 +1204,6 @@ mod tests {
         assert_eq!(s.delivered, 1);
         assert_eq!(s.shed, 3);
         assert_eq!(s.disconnected, 1);
-        assert!(
-            s.retried >= 3,
-            "each full offer retried once: {}",
-            s.retried
-        );
         assert!(s.accounted(), "every offer accounted: {s:?}");
         assert_eq!(r.client_count(), 0, "stuck client forcibly removed");
     }
@@ -1389,7 +1299,6 @@ mod tests {
     #[test]
     fn a_dropped_queue_disconnects_its_client() {
         let r = EgressRouter::new().with_policy(EgressPolicy {
-            max_retries: 0,
             disconnect_after: 4,
         });
         let q = r.register_queue_client(1, 8).unwrap();
@@ -1442,7 +1351,6 @@ mod tests {
     #[test]
     fn dead_push_client_is_disconnected_and_counted() {
         let r = EgressRouter::new().with_policy(EgressPolicy {
-            max_retries: 0,
             disconnect_after: 4,
         });
         let rx = r.register_push_client(1, 8).unwrap();
@@ -1462,7 +1370,6 @@ mod tests {
     #[test]
     fn delivery_success_resets_failure_streak() {
         let r = EgressRouter::new().with_policy(EgressPolicy {
-            max_retries: 0,
             disconnect_after: 3,
         });
         let rx = r.register_push_client(1, 1).unwrap();
@@ -1485,7 +1392,6 @@ mod tests {
     fn deliver_batch_matches_per_tuple_deliveries() {
         let mk = || {
             let r = EgressRouter::new().with_policy(EgressPolicy {
-                max_retries: 0,
                 disconnect_after: 2,
             });
             let rx = r.register_push_client(1, 3).unwrap();
@@ -1516,7 +1422,6 @@ mod tests {
     #[test]
     fn accounting_invariant_across_mixed_clients() {
         let r = EgressRouter::new().with_policy(EgressPolicy {
-            max_retries: 1,
             disconnect_after: 2,
         });
         let _rx = r.register_push_client(1, 2).unwrap();
@@ -1593,7 +1498,6 @@ mod tests {
         // produce identical client streams.
         let mk = || {
             let r = EgressRouter::new().with_policy(EgressPolicy {
-                max_retries: 1,
                 disconnect_after: 2,
             });
             let rx = r.register_push_client(1, 6).unwrap();
@@ -1647,17 +1551,13 @@ mod tests {
     #[test]
     fn stalled_client_pays_its_own_retry_budget_in_batches() {
         // One stalled push client and one healthy push client share a
-        // query. Under the per-batch fairness rule the stalled client gets
-        // `max_retries` yields *once*, not once per tuple, so it cannot
-        // inflate the healthy client's tail latency across a large batch.
+        // query. A full channel sheds the copy at once, so the stalled
+        // client costs the healthy one nothing across a large batch.
         const N: i64 = 100;
-        const RETRIES: u32 = 10;
         let r = EgressRouter::new().with_policy(EgressPolicy {
-            max_retries: RETRIES,
             disconnect_after: 0, // keep the stalled client subscribed
         });
-        // Registered (and therefore offered) first, so every tuple would
-        // pay its retries before the healthy client without the fix.
+        // Registered (and therefore offered) first.
         let _stalled_rx = r.register_push_client(1, 1).unwrap();
         let healthy_rx = r.register_push_client(2, N as usize).unwrap();
         r.subscribe(1, 9).unwrap();
@@ -1668,11 +1568,7 @@ mod tests {
         let got: Vec<_> = healthy_rx.try_iter().collect();
         assert_eq!(got.len(), N as usize, "healthy client got every tuple");
         let s = r.egress_stats();
-        // Tuple 0 fills the stalled channel; tuple 1 burns the full retry
-        // budget and marks the client stalled; tuples 2..N shed with zero
-        // retries. Without the batch-stall set this would be
-        // (N-1) * RETRIES = 990 yields charged to the shared batch.
-        assert_eq!(s.retried as u32, RETRIES, "retry budget spent once");
+        // Tuple 0 fills the stalled channel; tuples 1..N shed.
         assert_eq!(s.delivered, N as u64 + 1);
         assert_eq!(s.shed, N as u64 - 1);
         assert!(s.accounted(), "{s:?}");
@@ -1706,7 +1602,6 @@ mod chaos_tests {
             )
             .build_shared();
         let r = EgressRouter::new().with_policy(EgressPolicy {
-            max_retries: 0,
             disconnect_after: 8,
         });
         r.attach_injector(injector.clone());

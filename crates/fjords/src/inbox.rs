@@ -14,18 +14,19 @@ use crate::queue::{BatchDequeueResult, Consumer, FjordMessage};
 /// happens only when nothing is buffered. The inbox never hands out an
 /// `Eof`: a refill keeps the messages before the first one, drops it and
 /// anything behind it (nothing follows a stream's end), and latches
-/// end-of-stream — as does a fjord whose producers are all gone.
+/// end-of-stream — as does a fjord whose producers are all gone, and
+/// [`Inbox::close`]. Latching the end releases the consumer.
 /// [`Inbox::is_done`] turns true once that end is latched *and* every
 /// buffered message has been taken.
 pub struct Inbox {
-    consumer: Consumer,
+    /// `None` once the end is latched.
+    consumer: Option<Consumer>,
     io_batch: usize,
     /// The last refill; `buf[head..]` is not taken yet. A slot
     /// [`Inbox::next`] took holds an `Eof` placeholder until the next
     /// refill clears it.
     buf: Vec<FjordMessage>,
     head: usize,
-    eof: bool,
     /// Messages taken off the fjord so far, `Eof` included.
     pulled: u64,
 }
@@ -35,11 +36,10 @@ impl Inbox {
     /// to ≥ 1; 1 reads one message per lock acquisition).
     pub fn new(consumer: Consumer, io_batch: usize) -> Self {
         Inbox {
-            consumer,
+            consumer: Some(consumer),
             io_batch: io_batch.max(1),
             buf: Vec::new(),
             head: 0,
-            eof: false,
             pulled: 0,
         }
     }
@@ -49,21 +49,24 @@ impl Inbox {
     /// The refill's size is subtracted from `*budget`.
     #[inline]
     pub fn fill(&mut self, budget: &mut usize) -> usize {
-        if self.buffered() == 0 && !self.eof && *budget > 0 {
+        let Some(consumer) = &self.consumer else {
+            return self.buffered();
+        };
+        if self.buffered() == 0 && *budget > 0 {
             self.buf.clear();
             self.head = 0;
             let max = self.io_batch.min(*budget);
-            match self.consumer.dequeue_batch(&mut self.buf, max) {
+            match consumer.dequeue_batch(&mut self.buf, max) {
                 BatchDequeueResult::Msgs(n) => {
                     *budget -= n;
                     self.pulled += n as u64;
                     if let Some(end) = self.buf.iter().position(FjordMessage::is_eof) {
                         self.buf.truncate(end);
-                        self.eof = true;
+                        self.consumer = None;
                     }
                 }
                 BatchDequeueResult::Empty => {}
-                BatchDequeueResult::Disconnected => self.eof = true,
+                BatchDequeueResult::Disconnected => self.consumer = None,
             }
         }
         self.buffered()
@@ -89,18 +92,20 @@ impl Inbox {
 
     /// End the stream here: the DU's own stopping condition fired (a
     /// query's final window passed), so drop what is buffered and read
-    /// no more.
+    /// no more. The consumer is released with it: a fjord nobody reads
+    /// reports no consumers ([`crate::QueueStats::consumers`]), so its
+    /// producer stops holding back for it.
     pub fn close(&mut self) {
         self.buf.clear();
         self.head = 0;
-        self.eof = true;
+        self.consumer = None;
     }
 
     /// True once the stream has ended and every message before its end
     /// has been taken.
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.eof && self.buffered() == 0
+        self.consumer.is_none() && self.buffered() == 0
     }
 
     /// Messages taken off the fjord since the inbox was built, `Eof` and

@@ -105,6 +105,9 @@ pub struct QueueStats {
     pub dequeued: u64,
     /// Enqueue attempts rejected with `Full`.
     pub full_rejections: u64,
+    /// Consumers still attached. At 0 nothing put into the queue will be
+    /// read, so a producer owes it no back-pressure.
+    pub consumers: usize,
 }
 
 impl QueueStats {
@@ -504,6 +507,7 @@ impl Shared {
             enqueued: state.enqueued,
             dequeued: state.dequeued,
             full_rejections: state.full_rejections,
+            consumers: state.consumers,
         }
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! The source never sheds. A full Fjord stalls it until the consumer
 //! catches up, so the archive and every historical query see every row
-//! the wrapper produced. Rows are dropped only downstream, where a slow
-//! consumer can be named: a dispatcher's per-subscriber overload policy
-//! and the egress ledger.
+//! the wrapper produced. Rows are dropped only at result delivery, where
+//! a slow consumer can be named: a client's bounded buffer, counted in
+//! the egress ledger.
 //!
 //! The source is rebuilt by a [`SourceFactory`] closure receiving the
 //! restart attempt number and the count of tuples already delivered, so

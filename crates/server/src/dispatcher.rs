@@ -10,8 +10,15 @@
 //! the input queue of every plan that reads two streams (join DUs,
 //! exchanges). It then publishes how many ingress messages it has settled
 //! ([`Settled`]), the count a checkpoint's drain waits on.
+//!
+//! Overload has one rule, Fjords' back-pressure (§2.3): the dispatcher
+//! reads no more of its ingress than every subscriber queue has room for,
+//! so a forwarded batch always fits and nothing waits inside the
+//! dispatcher; a slow subscriber slows the stream, and the ingress fjord
+//! in turn holds back its source. Only a queue someone still reads exerts
+//! it: a subscriber whose reader closed its inbox is dropped. The one drop
+//! decision left is the client's, at result delivery (`tcq_egress`).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,7 +26,7 @@ use tcq_common::sync::Mutex;
 
 use tcq_common::{FaultAction, FaultPoint, Result, SharedInjector, Timestamp, Tuple};
 use tcq_executor::{DispatchUnit, ModuleStatus};
-use tcq_fjords::{EnqueueError, FjordMessage, Inbox, Producer};
+use tcq_fjords::{EnqueueError, FjordMessage, Inbox, Producer, QueueStats};
 use tcq_storage::StreamArchive;
 
 use crate::plans::StreamPlans;
@@ -34,8 +41,27 @@ struct Subscription {
 
 struct Subscriptions {
     list: Vec<Subscription>,
+    /// The id the next subscription gets; ids grow in list order.
+    next_id: u64,
     /// The dispatcher broadcast the stream's Eof and retired.
     ended: bool,
+}
+
+impl Subscriptions {
+    /// Drop every subscription whose queue nobody reads any more (its
+    /// reader closed its inbox or is gone): such a queue exerts no
+    /// back-pressure and holds nothing a drain must wait for. `f` sees the
+    /// id and queue statistics of every subscription kept.
+    fn live(&mut self, mut f: impl FnMut(u64, &QueueStats)) {
+        self.list.retain(|s| {
+            let st = s.producer.stats();
+            let read = st.consumers > 0;
+            if read {
+                f(s.id, &st);
+            }
+            read
+        });
+    }
 }
 
 /// Shared handle the server uses to add/remove subscriptions while the
@@ -43,7 +69,6 @@ struct Subscriptions {
 #[derive(Clone)]
 pub struct SubscriberSet {
     subs: Arc<Mutex<Subscriptions>>,
-    next_id: Arc<AtomicI64>,
 }
 
 impl Default for SubscriberSet {
@@ -58,18 +83,19 @@ impl SubscriberSet {
         SubscriberSet {
             subs: Arc::new(Mutex::new(Subscriptions {
                 list: Vec::new(),
+                next_id: 1,
                 ended: false,
             })),
-            next_id: Arc::new(AtomicI64::new(1)),
         }
     }
 
-    /// Add a subscriber; returns its id. Once the stream has ended, the
-    /// subscriber's queue gets the Eof at once: no dispatcher is left to
-    /// send it.
+    /// Add a subscriber; returns its id. Its queue receives the stream
+    /// from the dispatcher's next refill on. Once the stream has ended,
+    /// the queue gets the Eof at once: no dispatcher is left to send it.
     pub fn add(&self, producer: Producer) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) as u64;
         let mut subs = self.subs.lock();
+        let id = subs.next_id;
+        subs.next_id += 1;
         if subs.ended {
             // A fresh queue has room; a disconnected one needs no Eof.
             let _ = producer.enqueue(FjordMessage::Eof);
@@ -87,20 +113,54 @@ impl SubscriberSet {
         self.subs.lock().list.len()
     }
 
-    /// Total tuples queued across all subscriber queues (shutdown drain
-    /// bookkeeping).
-    pub fn backlog(&self) -> usize {
-        (self.subs.lock().list.iter())
-            .map(|s| s.producer.stats().len)
-            .sum()
+    /// Each subscription still read, by id, with the messages put into its
+    /// queue so far: what a drain waits for its reader to take
+    /// ([`SubscriberSet::has_read`]).
+    pub fn forwarded(&self) -> Vec<(u64, u64)> {
+        let mut forwarded = Vec::new();
+        self.subs
+            .lock()
+            .live(|id, st| forwarded.push((id, st.enqueued)));
+        forwarded
+    }
+
+    /// True once the reader of every subscription in `forwarded` has taken
+    /// that many messages. A subscription since removed, or whose reader
+    /// has closed, owes nothing.
+    pub fn has_read(&self, forwarded: &[(u64, u64)]) -> bool {
+        let mut read = true;
+        self.subs.lock().live(|id, st| {
+            if let Some(&(_, n)) = forwarded.iter().find(|(sub, _)| *sub == id) {
+                read &= st.dequeued >= n;
+            }
+        });
+        read
+    }
+
+    /// Refill `input` with no more messages than every live subscriber
+    /// queue has room for, and return the id bound of the subscriptions
+    /// the refill goes to (`None` when nothing is buffered). The set stays
+    /// locked across the refill, so a subscription added later starts
+    /// with the next refill. Each subscriber queue has exactly one
+    /// producer, this dispatcher, so its room can only grow until the
+    /// batch is forwarded: the forward always fits.
+    fn fill(&self, input: &mut Inbox, budget: &mut usize) -> Option<u64> {
+        let mut subs = self.subs.lock();
+        let mut room = usize::MAX;
+        subs.live(|_, st| room = room.min(st.capacity.saturating_sub(st.len)));
+        let allowed = room.min(*budget);
+        let mut left = allowed;
+        let buffered = input.fill(&mut left);
+        *budget -= allowed - left;
+        (buffered > 0).then_some(subs.next_id)
     }
 }
 
 /// How far a stream's dispatcher has got through its ingress fjord, for
 /// the drain a checkpoint or shutdown waits on: the count of messages
 /// ([`Inbox::pulled`]) it has stamped, archived, run through its plans and
-/// forwarded with nothing left pending — or that it has retired or failed,
-/// after which nothing more will move.
+/// forwarded — or that it has retired or failed, after which nothing more
+/// will move.
 #[derive(Clone, Default)]
 pub struct Settled(Arc<AtomicU64>);
 
@@ -122,21 +182,6 @@ impl Settled {
     }
 }
 
-/// Overload behaviour when a query's input queue is full (§4.3's QoS
-/// question: "deciding what work to drop when the system is in danger of
-/// falling behind the incoming data stream").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Stall the stream (lossless back-pressure, the default): slow
-    /// consumers slow the whole stream down.
-    #[default]
-    Backpressure,
-    /// Shed: drop the slow subscriber's copy (other queries still get the
-    /// tuple) and count it — "degrade in a controlled fashion". The
-    /// stream's own plans never shed: nothing queues for them.
-    Shed,
-}
-
 /// The dispatcher DU for one stream.
 pub struct StreamDispatcher {
     name: String,
@@ -151,11 +196,8 @@ pub struct StreamDispatcher {
     latest_seq: Arc<AtomicI64>,
     /// Arrival counter used to stamp tuples lacking logical timestamps.
     arrivals: i64,
-    /// Tuples waiting for a full subscriber queue: (subscriber index cursor
-    /// handled inside), preserving order.
-    pending: VecDeque<Tuple>,
-    overload: OverloadPolicy,
-    /// Per-subscriber copies shed under overload (shared for observability).
+    /// Copies dropped by an injected enqueue overflow (shared for
+    /// observability).
     shed: Arc<AtomicI64>,
     /// Archive appends that failed (the live path keeps flowing; history
     /// degrades and the loss is counted, never silent).
@@ -193,8 +235,6 @@ impl StreamDispatcher {
             // past the pre-crash watermark instead of restarting at 1.
             arrivals: latest_seq.load(Ordering::Acquire),
             latest_seq,
-            pending: VecDeque::new(),
-            overload: OverloadPolicy::Backpressure,
             shed: Arc::new(AtomicI64::new(0)),
             archive_errors: Arc::new(AtomicI64::new(0)),
             injector: None,
@@ -204,25 +244,18 @@ impl StreamDispatcher {
         }
     }
 
-    /// Select the overload policy (default: lossless back-pressure).
-    pub fn with_overload_policy(mut self, policy: OverloadPolicy) -> Self {
-        self.overload = policy;
-        self
-    }
-
     /// Attach a chaos injector: each fresh tuple polls
     /// [`FaultPoint::FjordEnqueue`]; an `Overflow` fault drops the tuple
-    /// for the stream's plans and every subscriber, regardless of overload
-    /// policy — an injected full is a full that does not clear. It counts
-    /// one shed per subscriber queue, plus one for the plans while a query
-    /// stands among them.
+    /// for the stream's plans and every subscriber — an injected full is a
+    /// full that does not clear, so back-pressure would wedge on it. It
+    /// counts one shed per subscriber queue, plus one for the plans while
+    /// a query stands among them.
     pub fn with_injector(mut self, injector: SharedInjector) -> Self {
         self.injector = Some(injector);
         self
     }
 
-    /// Shared counter of copies shed under [`OverloadPolicy::Shed`] or an
-    /// injected enqueue overflow.
+    /// Shared counter of copies dropped by an injected enqueue overflow.
     pub fn shed_counter(&self) -> Arc<AtomicI64> {
         Arc::clone(&self.shed)
     }
@@ -238,68 +271,32 @@ impl StreamDispatcher {
         self.settled.clone()
     }
 
-    /// Fan a run of stamped tuples out to every subscriber, one
-    /// `enqueue_batch` per subscriber. The final subscriber receives the
-    /// tuples by move — every earlier one gets clones — so the common
-    /// single-subscriber fan-out never copies a tuple. Under
-    /// back-pressure only the longest prefix every subscriber can accept
-    /// is forwarded (all-or-nothing per tuple, so no subscriber ever sees
-    /// reordered input); the stalled suffix returns to the *front* of
-    /// `pending` and the call reports false.
-    ///
-    /// The capacity check is race-free because each subscription queue has
-    /// exactly one producer (this dispatcher): its length can only shrink
-    /// between the check and the enqueue.
-    fn forward_batch(&mut self, mut tuples: Vec<Tuple>) -> bool {
+    /// Fan a run of stamped tuples out to every subscription older than
+    /// `bound` ([`SubscriberSet::fill`]), one `enqueue_batch` each. The
+    /// last receives the tuples by move — every earlier one gets clones —
+    /// so the common single-subscriber fan-out never copies a tuple. The
+    /// refill read no more than each of those queues had room for, so
+    /// every copy fits.
+    fn forward_batch(&self, mut tuples: Vec<Tuple>, bound: u64) {
         if tuples.is_empty() {
-            return true;
+            return;
         }
-        let guard = self.subscribers.subs.lock();
-        let subs = &guard.list;
-        let mut limit = tuples.len();
-        if self.overload == OverloadPolicy::Backpressure {
-            for s in subs.iter() {
-                let st = s.producer.stats();
-                limit = limit.min(st.capacity.saturating_sub(st.len));
+        let subs = self.subscribers.subs.lock();
+        let mut targets = subs.list.iter().filter(|s| s.id < bound).peekable();
+        while let Some(s) = targets.next() {
+            let mut batch: Vec<FjordMessage> = if targets.peek().is_none() {
+                std::mem::take(&mut tuples)
+                    .into_iter()
+                    .map(FjordMessage::Tuple)
+                    .collect()
+            } else {
+                tuples.iter().cloned().map(FjordMessage::Tuple).collect()
+            };
+            // An error means the queue's reader went away since the refill;
+            // its copies are dropped with it.
+            if s.producer.enqueue_batch(&mut batch).is_ok() {
+                debug_assert!(batch.is_empty(), "a forward outgrew its read limit");
             }
-        }
-        let stalled: Vec<Tuple> = tuples.drain(limit..).collect();
-        if !tuples.is_empty() {
-            let last = subs.len().saturating_sub(1);
-            for (i, s) in subs.iter().enumerate() {
-                let mut batch: Vec<FjordMessage> = if i == last {
-                    std::mem::take(&mut tuples)
-                        .into_iter()
-                        .map(FjordMessage::Tuple)
-                        .collect()
-                } else {
-                    tuples.iter().cloned().map(FjordMessage::Tuple).collect()
-                };
-                match s.producer.enqueue_batch(&mut batch) {
-                    Ok(_) => {
-                        // A refused suffix is only reachable under
-                        // OverloadPolicy::Shed: those copies are dropped,
-                        // other subscribers still get them.
-                        if !batch.is_empty() {
-                            self.shed.fetch_add(batch.len() as i64, Ordering::Relaxed);
-                        }
-                    }
-                    Err(_) => {
-                        // Query went away; its subscription is removed
-                        // lazily by the server. Dropping its copies is
-                        // correct.
-                    }
-                }
-            }
-        }
-        drop(guard);
-        if stalled.is_empty() {
-            true
-        } else {
-            for t in stalled.into_iter().rev() {
-                self.pending.push_front(t);
-            }
-            false
         }
     }
 
@@ -334,8 +331,8 @@ impl StreamDispatcher {
 /// `Overflow` drops the tuple whole: one shed per subscriber copy and one
 /// for the plans while a query stands among them, even under back-pressure
 /// — an injected full never clears, so waiting would wedge the stream.
-/// (Polled per *fresh* tuple, not per retry, so the poll count is a pure
-/// function of the tuple sequence.)
+/// (Polled once per tuple, so the poll count is a pure function of the
+/// tuple sequence.)
 fn injected_overflow(
     injector: Option<&SharedInjector>,
     plans: &StreamPlans,
@@ -373,17 +370,7 @@ impl DispatchUnit for StreamDispatcher {
         }
         let mut did_work = false;
         let mut budget = quantum;
-        // Deliver stalled tuples first to preserve order.
-        if !self.pending.is_empty() {
-            let take = budget.min(self.pending.len());
-            let retry: Vec<Tuple> = self.pending.drain(..take).collect();
-            budget -= take;
-            did_work = true;
-            if !self.forward_batch(retry) {
-                return Ok(ModuleStatus::Idle);
-            }
-        }
-        while self.input.fill(&mut budget) > 0 {
+        while let Some(bound) = self.subscribers.fill(&mut self.input, &mut budget) {
             let mut fan: Vec<Tuple> = Vec::with_capacity(self.input.buffered());
             // One archive lock per batch; every poll, stamp and count stays
             // per tuple, in arrival order.
@@ -416,17 +403,11 @@ impl DispatchUnit for StreamDispatcher {
                 fan.push(t);
             }
             drop(archive);
-            // Fresh tuples only: a back-pressure retry above reaches the
-            // subscribers alone.
             self.plans.run(&fan);
-            if !self.forward_batch(fan) {
-                return Ok(ModuleStatus::Idle);
-            }
+            self.forward_batch(fan, bound);
         }
-        if self.pending.is_empty() {
-            self.settled.publish(self.input.pulled());
-        }
-        if self.input.is_done() && self.pending.is_empty() {
+        self.settled.publish(self.input.pulled());
+        if self.input.is_done() {
             self.plans.finish();
             if self.fan_out_eof() {
                 self.eof_sent = true;
@@ -444,13 +425,12 @@ impl DispatchUnit for StreamDispatcher {
     }
 
     fn buffered(&self) -> usize {
-        self.pending.len() + self.input.buffered()
+        self.input.buffered()
     }
 
     fn nudge(&mut self) -> bool {
-        // Only the EOF broadcast can be withheld here; pending tuples
-        // must drain first (Eof may never overtake data).
-        if self.input.is_done() && !self.eof_sent && self.pending.is_empty() {
+        // Only the EOF broadcast can be withheld here.
+        if self.input.is_done() && !self.eof_sent {
             let before = self.eof_delivered.len();
             self.fan_out_eof();
             return self.eof_delivered.len() > before;
@@ -544,9 +524,10 @@ mod tests {
         );
     }
 
-    /// Back-pressure stalls the suffix in order: once the slow subscriber
-    /// drains, every tuple arrives exactly once, in arrival order, at
-    /// every subscriber.
+    /// Back-pressure is a read limit: the dispatcher reads no more than
+    /// the narrowest subscriber queue has room for, and once the slow
+    /// subscriber drains, every tuple arrives exactly once, in arrival
+    /// order, at every subscriber.
     #[test]
     fn backpressure_stall_preserves_order_across_batches() {
         let (ip, ic) = fjord(64, QueueKind::Push);
@@ -575,11 +556,12 @@ mod tests {
             ip.enqueue(FjordMessage::Tuple(tick(&s, x))).unwrap();
         }
         let settled = d.settled();
-        // First quantum fills the narrow queue and stalls: the 8 messages
-        // pulled are not settled while some wait in `pending`.
-        assert_eq!(d.run(64).unwrap(), ModuleStatus::Idle);
+        // The narrow queue has room for 4: the first run reads, forwards
+        // and settles 4, and holds nothing back.
+        assert_eq!(d.run(64).unwrap(), ModuleStatus::Ready);
+        assert_eq!(d.buffered(), 0);
         assert_eq!(drain_tuples(&narrow_c), vec![1, 2, 3, 4]);
-        assert_eq!(settled.get(), Some(0));
+        assert_eq!(settled.get(), Some(4));
         let mut rest = Vec::new();
         while rest.len() < 6 {
             let _ = d.run(64).unwrap();
@@ -589,12 +571,53 @@ mod tests {
         assert_eq!(settled.get(), Some(10), "every message pulled is settled");
         assert_eq!(drain_tuples(&wide_c), (1..=10).collect::<Vec<i64>>());
         // The stream's own filter query saw each tuple once, however many
-        // retries the narrow queue cost.
+        // runs the narrow queue cost.
         let filtered: Vec<i64> = (egress.fetch(1, 64).unwrap().iter())
             .map(|(_, t)| t.value(0).as_int().unwrap())
             .collect();
         assert_eq!(filtered, (1..=10).collect::<Vec<i64>>());
         drop(d);
         assert_eq!(settled.get(), None, "a retired dispatcher drains");
+    }
+
+    /// A subscriber whose reader closed its inbox holds nothing back: the
+    /// dispatcher drops it and reads on at the pace of the others.
+    #[test]
+    fn a_closed_subscriber_exerts_no_back_pressure() {
+        let (ip, ic) = fjord(64, QueueKind::Push);
+        let subs = SubscriberSet::new();
+        let (wide_p, wide_c) = fjord(64, QueueKind::Push);
+        let (narrow_p, narrow_c) = fjord(2, QueueKind::Push);
+        subs.add(wide_p);
+        subs.add(narrow_p);
+        let mut d = StreamDispatcher::new(
+            "d",
+            Inbox::new(ic, 8),
+            no_plans(),
+            subs.clone(),
+            None,
+            Arc::new(AtomicI64::new(0)),
+        );
+        let s = schema();
+        for x in 1..=10 {
+            ip.enqueue(FjordMessage::Tuple(tick(&s, x))).unwrap();
+        }
+        let settled = d.settled();
+        let _ = d.run(64).unwrap();
+        assert_eq!(settled.get(), Some(2), "the full narrow queue holds back");
+        assert_eq!(drain_tuples(&wide_c), vec![1, 2]);
+        let forwarded = subs.forwarded();
+        assert_eq!(forwarded.len(), 2);
+        assert!(!subs.has_read(&forwarded), "the narrow queue is unread");
+        let mut closed = Inbox::new(narrow_c, 8);
+        closed.close();
+        assert!(
+            subs.has_read(&forwarded),
+            "a queue nobody reads is not waited for"
+        );
+        let _ = d.run(64).unwrap();
+        assert_eq!(settled.get(), Some(10));
+        assert_eq!(subs.len(), 1);
+        assert_eq!(drain_tuples(&wide_c), (3..=10).collect::<Vec<i64>>());
     }
 }

@@ -264,7 +264,11 @@ impl TelegraphCQ {
     /// hold reads its cursor: the tuples that source has put into its
     /// ingress fjord. (2) In-flight tuples are drained, on exact counts
     /// (`drain_ingress`), so operator state covers everything below the
-    /// cursors, and no source can add to it. (3) Dirty state groups are
+    /// cursors, and no source can add to it. A drain that does not finish
+    /// within its bound fails the checkpoint with a storage error naming
+    /// the drain: the holds are released and nothing is staged or
+    /// committed, so every dirty bit stays for a retry — a cut that is not
+    /// exact is never written. (3) Dirty state groups are
     /// exported under their DU locks, the egress ledger, stream clocks and
     /// next query id are staged, and the delta commits. Dirty flags are cleared only
     /// after the commit succeeds — a failed or torn commit (injected or
@@ -278,7 +282,12 @@ impl TelegraphCQ {
             .iter()
             .map(|(s, resumable)| (s.name().to_ascii_lowercase(), *resumable, s.hold()))
             .collect();
-        self.drain_ingress(Duration::from_secs(2));
+        let drain = Duration::from_secs(2);
+        if !self.drain_ingress(drain) {
+            return Err(TcqError::Storage(format!(
+                "checkpoint abandoned: the ingress drain did not finish within {drain:?}"
+            )));
+        }
 
         let mut store = store_mutex.lock();
         store.put("egress", b"", &self.egress.egress_stats().encode());
@@ -350,26 +359,41 @@ impl TelegraphCQ {
         })
     }
 
-    /// Wait (bounded) until every stream is drained: its ingress fjord is
-    /// empty, its dispatcher has settled exactly as many messages as the
-    /// fjord has handed out (so none is mid-quantum or stalled in
-    /// `pending`), and its subscriber queues are empty. A dispatcher that
-    /// has retired or failed counts as settled, since nothing will move
-    /// through its ingress again; its subscriber queues must still empty,
-    /// because a join or exchange may hold the stream's last rows after
-    /// the dispatcher has sent Eof and retired.
-    pub(crate) fn drain_ingress(&self, timeout: Duration) {
+    /// Wait (bounded) until every stream has taken in what it had
+    /// admitted when the drain began, and report whether it has. Two
+    /// counts, and no wait for a quiet moment, so rows pushed while the
+    /// drain runs do not hold it: (1) the dispatcher has settled as many
+    /// messages as its ingress fjord had admitted (`QueueStats::enqueued`),
+    /// each stamped, archived, run through its plans and forwarded — or it
+    /// has retired or failed, after which nothing more moves through its
+    /// ingress; (2) then every subscriber queue still read has had taken
+    /// what was forwarded into it by then, because a join or exchange may
+    /// hold a stream's rows after its dispatcher has settled them, or sent
+    /// Eof and retired.
+    pub(crate) fn drain_ingress(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let drained = |st: &StreamState| {
-            let ingress_settled = st.settled.get().is_none_or(|settled| {
-                let ingress = st.ingress.stats();
-                ingress.len == 0 && ingress.dequeued == settled
-            });
-            ingress_settled && st.subscribers.backlog() == 0
-        };
-        while !self.streams.lock().values().all(|st| drained(st)) && Instant::now() < deadline {
+        let until = |done: &dyn Fn() -> bool| loop {
+            if done() {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
             std::thread::sleep(Duration::from_micros(50));
+        };
+        let admitted: Vec<(Arc<StreamState>, u64)> = (self.streams.lock().values())
+            .map(|st| (Arc::clone(st), st.ingress.stats().enqueued))
+            .collect();
+        let settled = until(&|| {
+            (admitted.iter()).all(|(st, n)| st.settled.get().is_none_or(|settled| settled >= *n))
+        });
+        if !settled {
+            return false;
         }
+        let forwarded: Vec<_> = (admitted.iter())
+            .map(|(st, _)| st.subscribers.forwarded())
+            .collect();
+        until(&|| (admitted.iter().zip(&forwarded)).all(|((st, _), f)| st.subscribers.has_read(f)))
     }
 }
 

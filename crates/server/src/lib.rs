@@ -38,7 +38,6 @@ pub mod planner;
 pub mod plans;
 pub mod server;
 
-pub use dispatcher::OverloadPolicy;
 pub use durability::CheckpointReport;
 pub use server::{
     LivenessConfig, ServerConfig, SharedMemoryStat, TcpTransportConfig, TelegraphCQ,

@@ -30,7 +30,7 @@ use tcq_stems::IndexKind;
 use tcq_storage::{BufferPool, CheckpointStore, StreamArchive};
 use tcq_windows::{LoopLength, WindowAssignment, WindowSeq};
 
-use crate::dispatcher::{OverloadPolicy, Settled, StreamDispatcher, SubscriberSet};
+use crate::dispatcher::{Settled, StreamDispatcher, SubscriberSet};
 use crate::durability::QueryStateHandle;
 use crate::exchange::{self, ExchangeInput, MergeDu, PartitionDu, WorkerDu};
 use crate::planner::{
@@ -45,14 +45,21 @@ use crate::plans::{
 const POOL_PAGES: usize = 256;
 /// Archive page size in bytes.
 const PAGE_SIZE: usize = 8192;
+/// Work a DU may do per scheduling quantum.
+const QUANTUM: usize = 128;
 
 /// Server configuration.
+///
+/// Overload has one rule and no knob: back-pressure. A full queue holds
+/// back whoever feeds it — a subscriber queue its stream's dispatcher, an
+/// ingress fjord its source — and only a queue someone still reads exerts
+/// it. The engine sheds only at a client's bounded delivery buffer
+/// ([`ServerConfig::egress_policy`]), and where a fault plan injects an
+/// overflow.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Execution Objects (threads).
     pub eos: usize,
-    /// DU scheduling quantum.
-    pub quantum: usize,
     /// Capacity of every Fjord queue.
     pub queue_capacity: usize,
     /// Directory for stream archives; `None` disables history (historical
@@ -67,8 +74,6 @@ pub struct ServerConfig {
     /// at any setting, so same-seed chaos runs are byte-identical across
     /// values.
     pub io_batch: usize,
-    /// What dispatchers do when a query's input queue is full (§4.3 QoS).
-    pub overload: OverloadPolicy,
     /// RNG seed.
     pub seed: u64,
     /// Seeded chaos schedule threaded through the whole server — the
@@ -174,12 +179,10 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             eos: 2,
-            quantum: 128,
             queue_capacity: 1024,
             archive_dir: None,
             eddy_batch: 1,
             io_batch: 64,
-            overload: OverloadPolicy::Backpressure,
             seed: 0x7E1E_C001,
             fault_plan: None,
             egress_policy: EgressPolicy::default(),
@@ -199,8 +202,7 @@ pub(crate) struct StreamState {
     archive: Option<Arc<Mutex<StreamArchive>>>,
     plans: StreamPlans,
     class: u64,
-    /// Copies shed by the dispatcher under OverloadPolicy::Shed or an
-    /// injected enqueue overflow.
+    /// Copies the dispatcher dropped on an injected enqueue overflow.
     shed: Arc<AtomicI64>,
     /// Archive appends that failed (history degraded, loss counted).
     archive_errors: Arc<AtomicI64>,
@@ -394,7 +396,7 @@ impl TelegraphCQ {
         };
         let executor = Executor::start(ExecutorConfig {
             eos: config.eos,
-            quantum: config.quantum,
+            quantum: QUANTUM,
             idle_park: Duration::from_micros(200),
             injector: injector.clone(),
             watchdog,
@@ -509,8 +511,7 @@ impl TelegraphCQ {
             subscribers.clone(),
             archive.clone(),
             Arc::clone(&latest_seq),
-        )
-        .with_overload_policy(self.config.overload);
+        );
         if let Some(inj) = &self.injector {
             dispatcher = dispatcher.with_injector(inj.clone());
         }
@@ -669,9 +670,10 @@ impl TelegraphCQ {
         Ok(self.stream(stream)?.latest_seq.load(Ordering::Acquire))
     }
 
-    /// Copies shed by a stream's dispatcher under
-    /// [`OverloadPolicy::Shed`] or an injected enqueue overflow (0 under
-    /// fault-free back-pressure).
+    /// Copies a stream's dispatcher dropped on an injected enqueue
+    /// overflow, one per subscriber queue plus one for the stream's own
+    /// plans. Always 0 without a fault plan: the dispatcher back-pressures
+    /// and never sheds.
     pub fn shed_count(&self, stream: &str) -> Result<i64> {
         Ok(self.stream(stream)?.shed.load(Ordering::Relaxed))
     }
@@ -1664,14 +1666,17 @@ impl TelegraphCQ {
     ///
     /// Ordering matters: source threads stop *first* so no new
     /// tuples arrive, then the executor keeps running until every ingress
-    /// queue and subscriber queue is empty (bounded wait), and only then
-    /// shuts down. Stopping the executor first would strand admitted
-    /// tuples in the queues — results a client was already promised.
+    /// queue and subscriber queue is empty, and only then shuts down.
+    /// Stopping the executor first would strand admitted tuples in the
+    /// queues — results a client was already promised. The wait is
+    /// bounded (2 s) and its outcome ignored, unlike a checkpoint's: a
+    /// shutdown writes no cut, and one wedged query must not keep the
+    /// whole server from stopping.
     pub fn shutdown(self) -> Result<()> {
         for (s, _) in self.supervisors.lock().drain(..) {
             let _ = s.stop();
         }
-        self.drain_ingress(Duration::from_secs(2));
+        let _ = self.drain_ingress(Duration::from_secs(2));
         self.executor.shutdown()?;
         // Executor stopped: no appends can race the final flush. Sealing
         // the tail makes every archived tuple recoverable by `open`.

@@ -1,6 +1,6 @@
 //! Slot storage sized by the live window, in fixed-size chunks.
 //!
-//! A SteM's indexes (hash buckets, ordered index, late-row index) refer to
+//! A SteM's indexes (hash buckets, late-row index) refer to
 //! stored rows by slot id. Ids are handed out in insertion order and a
 //! window evicts oldest-first, so the dead slots of a sliding window form a
 //! prefix: a ring that gives that prefix back as it dies keeps storage at

@@ -42,7 +42,7 @@
 //! manufacture a false match; with the hash/Eq coherence `tcq_common::value`
 //! pins, results are identical to a `HashMap<Value, _>` index.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::mem::size_of;
 
 use tcq_common::{
@@ -53,40 +53,12 @@ use tcq_common::{
 use crate::segment::{Segment, StoredRow};
 use crate::slot_ring::SlotRing;
 
-/// Which index a SteM maintains on its key column.
+/// Which index a SteM maintains on its key column. Every join the engine
+/// plans is an equi-join, so the hash index is the only kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     /// Hash index: O(1) equality probes (symmetric hash join, Figure 2).
     Hash,
-    /// Ordered index: supports range probes (temporal band joins, §4.1.1
-    /// example 4) in addition to equality probes.
-    Ordered,
-    /// Both indexes maintained.
-    Both,
-}
-
-impl IndexKind {
-    fn has_hash(self) -> bool {
-        matches!(self, IndexKind::Hash | IndexKind::Both)
-    }
-    fn has_ordered(self) -> bool {
-        matches!(self, IndexKind::Ordered | IndexKind::Both)
-    }
-}
-
-/// Wrapper giving [`Value`] the total order needed for `BTreeMap` keys.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct OrdValue(Value);
-
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 /// Slot ids of one index entry, in insertion order.
@@ -102,27 +74,6 @@ fn remove_id(ids: &mut Ids, slot: u32) {
     }
 }
 
-/// Visit the live rows among `ids` whose key `keep` accepts, in `ids`
-/// order; returns how many were visited.
-fn visit_ids<'a>(
-    slots: &'a SlotRing<Segment>,
-    ids: &Ids,
-    keep: impl Fn(&StoredRow<'a>) -> bool,
-    mut visit: impl FnMut(StoredRow<'a>),
-) -> usize {
-    let mut n = 0;
-    for &id in ids {
-        if let Some((seg, off)) = slots.get(id) {
-            let row = seg.row(off);
-            if keep(&row) {
-                n += 1;
-                visit(row);
-            }
-        }
-    }
-    n
-}
-
 /// A State Module: build / probe / evict over homogeneous tuples.
 ///
 /// Eviction is timestamp-ordered: sliding windows call
@@ -134,14 +85,12 @@ pub struct SteM {
     name: String,
     schema: SchemaRef,
     key_col: usize,
-    kind: IndexKind,
     /// Column-segment storage; the indexes below hold slot ids.
     slots: SlotRing<Segment>,
     /// Equality index keyed by the key value's FNV-1a hash. The identity
     /// build-hasher passes the (already well-mixed) hash straight
     /// through — no SipHash on the probe path.
     hash: HashMap<u64, Ids, IdentityBuildHasher>,
-    ordered: BTreeMap<OrdValue, Ids>,
     /// Highest logical timestamp among the rows inserted since the SteM
     /// was last empty: a row at or above it is in order.
     newest_seq: i64,
@@ -175,7 +124,7 @@ impl SteM {
         name: impl Into<String>,
         schema: SchemaRef,
         key_col: usize,
-        kind: IndexKind,
+        _index: IndexKind,
     ) -> Result<Self> {
         if key_col >= schema.len() {
             return Err(TcqError::SchemaMismatch(format!(
@@ -187,9 +136,7 @@ impl SteM {
             slots: SlotRing::new(Self::layout(&schema)),
             schema,
             key_col,
-            kind,
             hash: HashMap::default(),
-            ordered: BTreeMap::new(),
             newest_seq: i64::MIN,
             late: VecDeque::new(),
             live: 0,
@@ -294,14 +241,7 @@ impl SteM {
     fn store(&mut self, key_hash: u64, seq: i64, fill: impl FnOnce(&mut Segment)) {
         self.mark_dirty(key_hash);
         let slot = self.slots.push(fill);
-        if self.kind.has_hash() {
-            self.hash.entry(key_hash).or_default().push_back(slot);
-        }
-        if self.kind.has_ordered() {
-            let (seg, off) = self.slots.get(slot).expect("just pushed");
-            let key = OrdValue(seg.row(off).value(self.key_col));
-            self.ordered.entry(key).or_default().push_back(slot);
-        }
+        self.hash.entry(key_hash).or_default().push_back(slot);
         // Streams deliver in timestamp order, and then the slot id alone
         // orders eviction. A row below the newest timestamp (state
         // absorbed from a Flux peer, a restored group) pays a positional
@@ -326,27 +266,12 @@ impl SteM {
     /// key hash.
     fn remove(&mut self, slot: u32) -> u64 {
         let (seg, off) = self.slots.get(slot).expect("removing a live row");
-        let row = seg.row(off);
-        let key_hash = row.key_hash();
-        let ordered_key = self
-            .kind
-            .has_ordered()
-            .then(|| OrdValue(row.value(self.key_col)));
+        let key_hash = seg.row(off).key_hash();
         self.slots.kill(slot);
-        if self.kind.has_hash() {
-            if let Some(ids) = self.hash.get_mut(&key_hash) {
-                remove_id(ids, slot);
-                if ids.is_empty() {
-                    self.hash.remove(&key_hash);
-                }
-            }
-        }
-        if let Some(key) = ordered_key {
-            if let Some(ids) = self.ordered.get_mut(&key) {
-                remove_id(ids, slot);
-                if ids.is_empty() {
-                    self.ordered.remove(&key);
-                }
+        if let Some(ids) = self.hash.get_mut(&key_hash) {
+            remove_id(ids, slot);
+            if ids.is_empty() {
+                self.hash.remove(&key_hash);
             }
         }
         self.live -= 1;
@@ -357,13 +282,9 @@ impl SteM {
     /// Returns the number of matches. Computes the key's hash here; the
     /// prehashed hot path uses [`SteM::probe_eq_hashed`] instead.
     pub fn probe_eq(&mut self, key: &Value, out: &mut Vec<Tuple>) -> usize {
-        if self.kind.has_hash() {
-            self.hash_computes += 1;
-            let h = hash_value(key);
-            self.probe_eq_hashed(h, key, out)
-        } else {
-            self.probe_eq_hashed(0, key, out)
-        }
+        self.hash_computes += 1;
+        let h = hash_value(key);
+        self.probe_eq_hashed(h, key, out)
     }
 
     /// Probe with a precomputed key hash (`hash` must be
@@ -378,57 +299,25 @@ impl SteM {
 
     /// [`SteM::probe_eq_hashed`] without materializing: each match is
     /// handed to `visit`, in bucket (= insertion) order, read in place.
-    /// An ordered-only SteM answers through its ordered index and ignores
-    /// `hash`.
     pub fn probe_eq_hashed_with(
         &mut self,
         hash: u64,
         key: &Value,
-        visit: impl FnMut(StoredRow<'_>),
+        mut visit: impl FnMut(StoredRow<'_>),
     ) -> usize {
         self.probes += 1;
-        let n = if self.kind.has_hash() {
-            let key_col = self.key_col;
-            match self.hash.get(&hash) {
-                Some(ids) => visit_ids(&self.slots, ids, |r| r.value(key_col) == *key, visit),
-                None => 0,
+        let mut n = 0;
+        for &id in self.hash.get(&hash).into_iter().flatten() {
+            if let Some((seg, off)) = self.slots.get(id) {
+                let row = seg.row(off);
+                if row.value(self.key_col) == *key {
+                    n += 1;
+                    visit(row);
+                }
             }
-        } else {
-            match self.ordered.get(&OrdValue(key.clone())) {
-                Some(ids) => visit_ids(&self.slots, ids, |_| true, visit),
-                None => 0,
-            }
-        };
+        }
         self.matches += n as u64;
         n
-    }
-
-    /// Probe for tuples whose key lies in `[lo, hi]` (inclusive), appending
-    /// matches to `out`. Requires an ordered index.
-    pub fn probe_range(&mut self, lo: &Value, hi: &Value, out: &mut Vec<Tuple>) -> Result<usize> {
-        if !self.kind.has_ordered() {
-            return Err(TcqError::Executor(format!(
-                "SteM {} has no ordered index for range probes",
-                self.name
-            )));
-        }
-        self.probes += 1;
-        let (schema, key_col) = (&self.schema, self.key_col);
-        let range = self
-            .ordered
-            .range(OrdValue(lo.clone())..=OrdValue(hi.clone()));
-        let n = range
-            .map(|(_, ids)| {
-                visit_ids(
-                    &self.slots,
-                    ids,
-                    |_| true,
-                    |r| out.push(r.to_tuple(schema, key_col)),
-                )
-            })
-            .sum();
-        self.matches += n as u64;
-        Ok(n)
     }
 
     /// Iterate over all live tuples in insertion order (used for residual
@@ -487,7 +376,6 @@ impl SteM {
         }
         self.slots.clear();
         self.hash.clear();
-        self.ordered.clear();
         self.late.clear();
         self.live = 0;
         out
@@ -515,17 +403,9 @@ impl SteM {
     /// Slot ids of the live rows whose key hash is `hash`, in storage
     /// order.
     fn group_ids(&self, hash: u64) -> Vec<u32> {
-        if self.kind.has_hash() {
-            let ids = self.hash.get(&hash);
-            ids.map(|ids| ids.iter().copied().collect())
-                .unwrap_or_default()
-        } else {
-            self.slots
-                .iter()
-                .filter(|(_, seg, off)| seg.row(*off).key_hash() == hash)
-                .map(|(slot, _, _)| slot)
-                .collect()
-        }
+        let ids = self.hash.get(&hash);
+        ids.map(|ids| ids.iter().copied().collect())
+            .unwrap_or_default()
     }
 
     /// Append all live tuples whose key hash is `hash` to `out`, in
@@ -583,7 +463,7 @@ impl SteM {
     /// Heap bytes this SteM holds, counted from its containers rather than
     /// clocked from the process: every column segment by capacity (spare
     /// chunk included; string payloads behind a `Value` cell are not
-    /// followed), hash buckets and ordered index by capacity, the late-row
+    /// followed), hash buckets by capacity, the late-row
     /// index and the dirty set. Allocator rounding and headers are not
     /// included, so the process pays a little more than this.
     pub fn approx_bytes(&self) -> usize {
@@ -591,8 +471,6 @@ impl SteM {
         self.slots.chunks().map(Segment::heap_bytes).sum::<usize>()
             + self.hash.capacity() * size_of::<(u64, Ids)>()
             + self.hash.values().map(ids).sum::<usize>()
-            + self.ordered.len() * size_of::<(OrdValue, Ids)>()
-            + self.ordered.values().map(ids).sum::<usize>()
             + self.late.capacity() * size_of::<(i64, u32)>()
             + self.dirty_len() * size_of::<u64>()
     }
@@ -655,37 +533,8 @@ mod tests {
     }
 
     #[test]
-    fn range_probe_needs_ordered_index() {
-        let mut hash_only = SteM::new("S", schema(), 0, IndexKind::Hash).unwrap();
-        let mut out = Vec::new();
-        assert!(hash_only
-            .probe_range(&Value::Int(0), &Value::Int(5), &mut out)
-            .is_err());
-
-        let mut stem = SteM::new("S", schema(), 0, IndexKind::Ordered).unwrap();
-        for k in 0..10 {
-            stem.insert(t(k, "x", k)).unwrap();
-        }
-        let n = stem
-            .probe_range(&Value::Int(3), &Value::Int(6), &mut out)
-            .unwrap();
-        assert_eq!(n, 4);
-        let mut keys: Vec<i64> = out.iter().map(|t| t.value(0).as_int().unwrap()).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn ordered_index_answers_eq_probes_too() {
-        let mut stem = SteM::new("S", schema(), 0, IndexKind::Ordered).unwrap();
-        stem.insert(t(5, "x", 1)).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(stem.probe_eq(&Value::Int(5), &mut out), 1);
-    }
-
-    #[test]
     fn eviction_respects_window_edge() {
-        let mut stem = SteM::new("S", schema(), 0, IndexKind::Both).unwrap();
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash).unwrap();
         for ts in 1..=10 {
             stem.insert(t(ts % 3, "x", ts)).unwrap();
         }
@@ -693,13 +542,9 @@ mod tests {
         // Slide window: keep ts >= 6.
         assert_eq!(stem.evict_before_seq(6), 5);
         assert_eq!(stem.len(), 5);
-        // Probes no longer see evicted tuples in either index.
+        // Probes no longer see evicted tuples.
         let mut out = Vec::new();
         stem.probe_eq(&Value::Int(0), &mut out);
-        assert!(out.iter().all(|t| t.timestamp().seq() >= 6));
-        out.clear();
-        stem.probe_range(&Value::Int(0), &Value::Int(2), &mut out)
-            .unwrap();
         assert!(out.iter().all(|t| t.timestamp().seq() >= 6));
         // Idempotent.
         assert_eq!(stem.evict_before_seq(6), 0);
@@ -753,7 +598,7 @@ mod tests {
     /// with either component missing.
     #[test]
     fn stored_rows_read_back_exactly_as_built() {
-        let mut stem = SteM::new("S", schema(), 0, IndexKind::Both).unwrap();
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash).unwrap();
         let odd = [
             (Value::Int(1), Value::str("a"), Timestamp::both(1, 10)),
             (Value::str("k"), Value::Null, Timestamp::physical(20)),
@@ -790,7 +635,7 @@ mod tests {
 
     #[test]
     fn reclamation_preserves_contents_and_eviction_order() {
-        let mut stem = SteM::new("S", schema(), 0, IndexKind::Both).unwrap();
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash).unwrap();
         for ts in 1..=100 {
             stem.insert(t(ts % 5, "x", ts)).unwrap();
         }
@@ -829,50 +674,48 @@ mod tests {
     /// than 2³² of them: every operation must work across the wrap.
     #[test]
     fn slot_ids_wrap_without_aliasing() {
-        for kind in [IndexKind::Hash, IndexKind::Ordered, IndexKind::Both] {
-            let mut stem = SteM::new("S", schema(), 0, kind)
-                .unwrap()
-                .with_slot_base(u32::MAX - 100);
-            // Window of 50 sliding over 400 builds: ids run from
-            // u32::MAX - 100 through the wrap to 299.
-            for ts in 1..=400i64 {
-                stem.insert(t(ts % 7, "x", ts)).unwrap();
-                stem.evict_before_seq(ts - 49);
-                assert_eq!(stem.len(), ts.min(50) as usize);
-                assert_eq!(stem.slot_span(), stem.len(), "ts={ts}");
-                // Probe sees exactly the window's tuples of this key, in
-                // insertion order, on both sides of the wrap.
-                let mut out = Vec::new();
-                stem.probe_eq(&Value::Int(ts % 7), &mut out);
-                let got: Vec<i64> = out.iter().map(|t| t.timestamp().seq()).collect();
-                let want: Vec<i64> = ((ts - 49).max(1)..=ts)
-                    .filter(|s| s % 7 == ts % 7)
-                    .collect();
-                assert_eq!(got, want, "{kind:?} ts={ts}");
-            }
-            // import_group across the wrap: a second ring parked so the
-            // imported group itself straddles id 0.
-            let h = tcq_common::hash_value(&Value::Int(3));
-            let mut group = Vec::new();
-            stem.export_group(h, &mut group);
-            assert_eq!(group.len(), 7);
-            let mut other = SteM::new("O", schema(), 0, kind)
-                .unwrap()
-                .with_slot_base(u32::MAX - 3);
-            other.insert(t(9, "old", 1)).unwrap();
-            other.import_group(h, group.clone()).unwrap();
-            other.import_group(h, group.clone()).unwrap(); // replace in place
-            assert_eq!(other.len(), 8);
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash)
+            .unwrap()
+            .with_slot_base(u32::MAX - 100);
+        // Window of 50 sliding over 400 builds: ids run from
+        // u32::MAX - 100 through the wrap to 299.
+        for ts in 1..=400i64 {
+            stem.insert(t(ts % 7, "x", ts)).unwrap();
+            stem.evict_before_seq(ts - 49);
+            assert_eq!(stem.len(), ts.min(50) as usize);
+            assert_eq!(stem.slot_span(), stem.len(), "ts={ts}");
+            // Probe sees exactly the window's tuples of this key, in
+            // insertion order, on both sides of the wrap.
             let mut out = Vec::new();
-            assert_eq!(other.probe_eq(&Value::Int(3), &mut out), 7);
-            assert_eq!(out, group);
-            // Evicting the pre-wrap tuple lets the front run through the
-            // first import's seven dead slots to the live copy.
-            assert_eq!(other.evict_before_seq(2), 1);
-            assert_eq!((other.len(), other.slot_span()), (7, 7));
-            assert_eq!(other.drain_all(), group);
-            assert_eq!(other.slot_span(), 0);
+            stem.probe_eq(&Value::Int(ts % 7), &mut out);
+            let got: Vec<i64> = out.iter().map(|t| t.timestamp().seq()).collect();
+            let want: Vec<i64> = ((ts - 49).max(1)..=ts)
+                .filter(|s| s % 7 == ts % 7)
+                .collect();
+            assert_eq!(got, want, "ts={ts}");
         }
+        // import_group across the wrap: a second ring parked so the
+        // imported group itself straddles id 0.
+        let h = tcq_common::hash_value(&Value::Int(3));
+        let mut group = Vec::new();
+        stem.export_group(h, &mut group);
+        assert_eq!(group.len(), 7);
+        let mut other = SteM::new("O", schema(), 0, IndexKind::Hash)
+            .unwrap()
+            .with_slot_base(u32::MAX - 3);
+        other.insert(t(9, "old", 1)).unwrap();
+        other.import_group(h, group.clone()).unwrap();
+        other.import_group(h, group.clone()).unwrap(); // replace in place
+        assert_eq!(other.len(), 8);
+        let mut out = Vec::new();
+        assert_eq!(other.probe_eq(&Value::Int(3), &mut out), 7);
+        assert_eq!(out, group);
+        // Evicting the pre-wrap tuple lets the front run through the
+        // first import's seven dead slots to the live copy.
+        assert_eq!(other.evict_before_seq(2), 1);
+        assert_eq!((other.len(), other.slot_span()), (7, 7));
+        assert_eq!(other.drain_all(), group);
+        assert_eq!(other.slot_span(), 0);
     }
 
     #[test]
@@ -927,7 +770,7 @@ mod tests {
 
     #[test]
     fn eviction_and_reclamation_reuse_memoized_hashes() {
-        let mut stem = SteM::new("S", schema(), 0, IndexKind::Both).unwrap();
+        let mut stem = SteM::new("S", schema(), 0, IndexKind::Hash).unwrap();
         for ts in 1..=100 {
             stem.insert(t(ts % 5, "x", ts)).unwrap();
         }
@@ -1003,7 +846,7 @@ mod tests {
 
     #[test]
     fn export_import_group_roundtrip() {
-        let mut a = SteM::new("A", schema(), 0, IndexKind::Both).unwrap();
+        let mut a = SteM::new("A", schema(), 0, IndexKind::Hash).unwrap();
         for ts in 1..=20 {
             a.insert(t(ts % 4, "x", ts)).unwrap();
         }
@@ -1013,18 +856,12 @@ mod tests {
         assert_eq!(group.len(), 5, "seqs 2,6,10,14,18");
 
         // Import into a fresh SteM: probes agree with the source.
-        let mut b = SteM::new("B", schema(), 0, IndexKind::Both).unwrap();
+        let mut b = SteM::new("B", schema(), 0, IndexKind::Hash).unwrap();
         b.import_group(h, group.clone()).unwrap();
         assert_eq!(b.len(), 5);
         assert_eq!(b.dirty_len(), 0, "imported state is clean");
         let mut out = Vec::new();
         assert_eq!(b.probe_eq(&Value::Int(2), &mut out), 5);
-        out.clear();
-        assert_eq!(
-            b.probe_range(&Value::Int(2), &Value::Int(2), &mut out)
-                .unwrap(),
-            5
-        );
         // Re-import is idempotent (group replaced, not doubled).
         b.import_group(h, group).unwrap();
         assert_eq!(b.len(), 5);

@@ -91,8 +91,7 @@ pub mod prelude {
     pub use tcq_net::{NetServer, TcqClient};
     pub use tcq_operators::{AggFunc, AggSpec, ProjectOp, SelectOp, StemOp};
     pub use tcq_server::{
-        LivenessConfig, OverloadPolicy, ServerConfig, TcpTransportConfig, TelegraphCQ,
-        TransportConfig,
+        LivenessConfig, ServerConfig, TcpTransportConfig, TelegraphCQ, TransportConfig,
     };
     pub use tcq_windows::{ForLoop, LinExpr, WindowKind, WindowSeq};
 }

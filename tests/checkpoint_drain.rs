@@ -3,7 +3,8 @@
 //! has been stamped, archived and folded by the time it returns, so a
 //! restore from that epoch has every one of them in its windows, with no
 //! gap below the checkpointed stream clock, even when the dispatcher is
-//! held mid-batch. A dispatcher that has retired (EOF) or failed counts as
+//! held mid-batch. A drain that outlasts its bound fails the checkpoint
+//! and commits nothing; a retry commits. A dispatcher that has retired (EOF) or failed counts as
 //! settled, so it never holds a checkpoint or a shutdown for the drain's
 //! timeout; its subscriber queues still drain, so a shutdown delivers a
 //! join's last results. A supervised source that keeps delivering is held
@@ -91,16 +92,21 @@ fn config(dir: &std::path::Path, io_batch: usize) -> ServerConfig {
     }
 }
 
+/// How long a checkpoint's drain waits before the checkpoint fails.
+const DRAIN_BOUND: Duration = Duration::from_secs(2);
+
 /// Push rows `1..=CUT` and checkpoint; the server then dies without a
 /// shutdown, a restore from that epoch gets the rest, and every window
 /// must equal its from-scratch value. With `stall`, the append of row
 /// `CUT` sleeps that long (an injected `ArchiveAppend` stall), and the
-/// checkpoint must not return inside it.
+/// checkpoint must not return inside it: a stall longer than the drain's
+/// bound fails the first checkpoint, committing nothing, and a retry
+/// commits.
 fn checkpoint_then_restore(io_batch: usize, stall: Option<Duration>) {
-    let tag = format!(
-        "{}-{io_batch}",
-        if stall.is_some() { "stall" } else { "cover" }
-    );
+    let tag = match stall {
+        Some(stall) => format!("stall{}-{io_batch}", stall.as_millis()),
+        None => format!("cover-{io_batch}"),
+    };
     let dir = scratch(&tag);
     let mut got = BTreeMap::new();
 
@@ -124,6 +130,18 @@ fn checkpoint_then_restore(io_batch: usize, stall: Option<Duration>) {
     for chunk in rows(1, CUT).chunks(500) {
         last_push = Instant::now();
         server.push_batch("s", chunk.to_vec()).unwrap();
+    }
+    if stall.is_some_and(|stall| stall > DRAIN_BOUND) {
+        let before = server.checkpoint_stats().unwrap();
+        match server.checkpoint() {
+            Err(TcqError::Storage(m)) => assert!(m.contains("drain"), "{tag}: {m}"),
+            other => panic!("{tag}: a checkpoint inside the stall returned {other:?}"),
+        }
+        assert_eq!(
+            server.checkpoint_stats().unwrap(),
+            before,
+            "{tag}: a failed checkpoint commits nothing"
+        );
     }
     server.checkpoint().unwrap();
     if let Some(stall) = stall {
@@ -177,6 +195,14 @@ fn a_checkpoint_waits_for_a_batch_held_mid_quantum() {
     for io_batch in [1, 64] {
         checkpoint_then_restore(io_batch, Some(Duration::from_millis(300)));
     }
+}
+
+/// The batch is held for longer than the drain waits. Committing then
+/// would cut below the rows already pushed (the restore would miss them);
+/// instead the checkpoint errs, and the retry after the stall is exact.
+#[test]
+fn a_checkpoint_that_outlasts_its_drain_commits_nothing() {
+    checkpoint_then_restore(64, Some(DRAIN_BOUND + Duration::from_millis(500)));
 }
 
 /// A join's last results are still queued in its subscriber fjords when

@@ -171,7 +171,7 @@ fn stem_eviction_exactness() {
         let cutoff = rng.gen_range(1i64..200);
 
         let schema = kv_schema("s");
-        let mut stem = SteM::new("s", schema.clone(), 0, IndexKind::Both).unwrap();
+        let mut stem = SteM::new("s", schema.clone(), 0, IndexKind::Hash).unwrap();
         for (k, ts) in &inserts {
             stem.insert(kv(&schema, *k, 0, *ts)).unwrap();
         }

@@ -1,10 +1,11 @@
-//! QoS load shedding (§4.3), historical/backward windows over the archive,
-//! and front-end error surfaces of the server.
+//! Overload (§4.3: back-pressure is the engine's one rule, so nothing is
+//! shed before result delivery), historical/backward windows over the
+//! archive, and front-end error surfaces of the server.
 
 use std::time::Duration;
 
 use telegraphcq::prelude::*;
-use telegraphcq::server::{OverloadPolicy, ServerConfig as Cfg};
+use telegraphcq::server::ServerConfig as Cfg;
 
 fn schema() -> SchemaRef {
     Schema::new(vec![
@@ -59,13 +60,12 @@ fn backpressure_is_lossless() {
 }
 
 #[test]
-fn shed_policy_degrades_but_reports() {
-    // Overload: queue capacity 1 and a single busy EO. Under Shed the
-    // dispatcher never stalls; whatever could not be queued is counted.
-    // Invariant: pushed = delivered + shed for a single-subscriber stream.
+fn backpressure_on_one_slot_queues_degrades_nothing() {
+    // Overload: queue capacity 1 and a single busy EO. The stream slows
+    // down and sheds nothing. Invariant: pushed = delivered + shed for a
+    // single-subscriber stream, with shed = 0.
     let server = TelegraphCQ::start(Cfg {
         queue_capacity: 1,
-        overload: OverloadPolicy::Shed,
         eos: 1,
         ..Cfg::default()
     })
@@ -86,17 +86,17 @@ fn shed_policy_degrades_but_reports() {
         n,
         "every tuple is either delivered or counted as shed"
     );
+    assert_eq!(shed, 0, "back-pressure sheds nothing");
     server.shutdown().unwrap();
 }
 
 #[test]
-fn shed_drops_join_copies_but_never_a_streams_own_plans() {
-    // Under Shed a join's input queue drops the copies it cannot take and
-    // counts them. A filter query on the same stream runs on the stream's
-    // dispatcher, where nothing queues, so it sees every row.
+fn backpressure_on_a_one_slot_join_queue_drops_no_copy() {
+    // A join's one-slot input queue holds its stream back instead of
+    // dropping copies. A filter query on the same stream runs on the
+    // stream's dispatcher, where nothing queues, so it sees every row.
     let server = TelegraphCQ::start(Cfg {
         queue_capacity: 1,
-        overload: OverloadPolicy::Shed,
         eos: 1,
         ..Cfg::default()
     })
@@ -146,6 +146,7 @@ fn shed_drops_join_copies_but_never_a_streams_own_plans() {
         n,
         "every join copy is either answered or counted as shed"
     );
+    assert_eq!(shed, 0, "back-pressure sheds no join copy");
     assert_eq!(
         rows_of(filter),
         n,
@@ -153,6 +154,141 @@ fn shed_drops_join_copies_but_never_a_streams_own_plans() {
     );
     assert_eq!(server.shed_count("r").unwrap(), 0);
     server.shutdown().unwrap();
+}
+
+/// How the other side of a finished join is fed.
+#[derive(Clone, Copy, Debug)]
+enum OtherSide {
+    /// `r` is a table holding one row.
+    Table,
+    /// `r` is a stream that delivers one row and then idles, never ending.
+    IdleStream,
+}
+
+/// A join whose loop ends at `ST + 50` closes its input from `s` once `s`
+/// passes its final window, while its other input stays open. The queue
+/// nobody reads any more must not hold `s` back: a filter query on `s`
+/// sees all of its 5 000 rows, and a checkpoint is not kept waiting for
+/// the closed queue to empty.
+fn a_finished_join_leaves_its_stream_flowing(partitions: usize, other: OtherSide) {
+    const N: i64 = 5_000;
+    let tag = format!("{other:?}-p{partitions}");
+    let dir = std::env::temp_dir().join(format!("tcq-finished-join-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let server = std::sync::Arc::new(
+        TelegraphCQ::start(Cfg {
+            queue_capacity: 8,
+            partitions,
+            checkpoint_path: Some(dir.join("server.tcqk")),
+            ..Cfg::default()
+        })
+        .unwrap(),
+    );
+    let keyed = Schema::new(vec![
+        Field::new("ts", DataType::Int),
+        Field::new("k", DataType::Int),
+    ])
+    .into_ref();
+    server.register_stream("s", keyed.clone()).unwrap();
+    let r_window = match other {
+        OtherSide::Table => {
+            server.register_table("r", keyed.clone()).unwrap();
+            ""
+        }
+        OtherSide::IdleStream => {
+            server.register_stream("r", keyed.clone()).unwrap();
+            " WindowIs(r, t - 1000000, t);"
+        }
+    };
+    let filter_client = server.connect_pull_client(2 * N as usize).unwrap();
+    let join_client = server.connect_pull_client(2 * N as usize).unwrap();
+    server.submit("SELECT ts FROM s", filter_client).unwrap();
+    let join = server
+        .submit(
+            &format!(
+                "SELECT s.ts FROM s, r WHERE s.k = r.k \
+                 for (t = ST; t < ST + 50; t++) {{ WindowIs(s, t - 9, t);{r_window} }}"
+            ),
+            join_client,
+        )
+        .unwrap();
+    let keyed_row = |ts: i64| {
+        TupleBuilder::new(keyed.clone())
+            .push(ts)
+            .push(1i64)
+            .at(Timestamp::logical(ts))
+            .build()
+            .unwrap()
+    };
+    server.push("r", keyed_row(1)).unwrap();
+    if matches!(other, OtherSide::Table) && partitions == 1 {
+        let stored = std::time::Instant::now();
+        while server.join_state_rows(join) != Some(1) {
+            assert!(
+                stored.elapsed() < Duration::from_secs(10),
+                "{tag}: r never stored"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    // Ingest runs on its own thread: a wedged stream blocks the pushes
+    // once ingress fills, and the test must fail, not hang.
+    let pusher = {
+        let server = std::sync::Arc::clone(&server);
+        let rows: Vec<Tuple> = (1..=N).map(keyed_row).collect();
+        std::thread::spawn(move || {
+            for row in rows {
+                server.push("s", row).unwrap();
+            }
+        })
+    };
+    let started = std::time::Instant::now();
+    let mut filtered = 0;
+    while filtered < N as usize {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{tag}: the filter saw {filtered} of {N} rows; stream time {}",
+            server.stream_time("s").unwrap()
+        );
+        filtered += server.fetch(filter_client, 2 * N as usize).unwrap().len();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(filtered, N as usize, "{tag}");
+    pusher.join().unwrap();
+    let started = std::time::Instant::now();
+    server.checkpoint().unwrap();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "{tag}: checkpoint took {took:?}"
+    );
+    if matches!(other, OtherSide::Table) && partitions == 1 {
+        // ST is 1 (the start time is at least 1), so the loop's last window
+        // closes at 50: rows 1..=50 each meet r's one row, and the join
+        // read none past them.
+        let joined = server.fetch(join_client, 2 * N as usize).unwrap().len();
+        assert_eq!(joined, 50, "{tag}");
+    }
+    match std::sync::Arc::try_unwrap(server) {
+        Ok(server) => server.shutdown().unwrap(),
+        Err(_) => panic!("{tag}: the pusher still holds the server"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_join_past_its_final_window_leaves_its_stream_flowing() {
+    a_finished_join_leaves_its_stream_flowing(1, OtherSide::Table);
+}
+
+#[test]
+fn a_join_past_its_final_window_leaves_its_stream_flowing_while_its_other_stream_idles() {
+    a_finished_join_leaves_its_stream_flowing(1, OtherSide::IdleStream);
+}
+
+#[test]
+fn a_partitioned_join_past_its_final_window_leaves_its_stream_flowing() {
+    a_finished_join_leaves_its_stream_flowing(4, OtherSide::Table);
 }
 
 #[test]

@@ -109,7 +109,6 @@ fn run_scenario_with_io_batch(dir: &std::path::Path, io_batch: usize) -> Outcome
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(plan()),
         egress_policy: EgressPolicy {
-            max_retries: 1,
             disconnect_after: 4,
         },
         io_batch,
@@ -361,7 +360,6 @@ fn run_join_scenario_cfg(
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(plan()),
         egress_policy: EgressPolicy {
-            max_retries: 1,
             disconnect_after: 4,
         },
         partitions,
@@ -1111,7 +1109,6 @@ fn run_churn_scenario(dir: &std::path::Path) -> ChurnOutcome {
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(churn_plan()),
         egress_policy: EgressPolicy {
-            max_retries: 1,
             disconnect_after: 4,
         },
         ..ServerConfig::default()
