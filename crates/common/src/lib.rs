@@ -29,7 +29,6 @@ pub mod frame;
 pub mod hash;
 pub mod idlist;
 pub mod kernel;
-pub mod progress;
 pub mod rng;
 pub mod schema;
 pub mod sync;
@@ -47,7 +46,6 @@ pub use expr::{ArithOp, BoundExpr, CmpOp, Expr};
 pub use hash::{hash_table_bytes, hash_value, Fnv1a, IdentityBuildHasher};
 pub use idlist::IdList;
 pub use kernel::{ColumnarScratch, Kernel, Predicate};
-pub use progress::{ChannelProbe, ChannelSnapshot, ProgressRegistry, ProgressSnapshot};
 pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use time::{TimeOrder, Timestamp};
 pub use tuple::{Tuple, TupleBuilder};

@@ -40,7 +40,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TryRecvError,
     TrySendError,
@@ -407,11 +407,6 @@ struct RouterInner {
     stats: EgressStats,
     policy: EgressPolicy,
     injector: Option<SharedInjector>,
-    /// Monotone progress counter bumped once per delivery offer, so a
-    /// liveness watchdog sees egress activity as frontier advancement
-    /// (offers resolve even when the copy is shed — the router never
-    /// wedges, and the counter proves it).
-    progress: Option<Arc<AtomicU64>>,
     /// Reusable subscriber snapshot for [`RouterInner::deliver_locked`]:
     /// fanning out borrows `clients` mutably, so the subscriber list is
     /// copied here first — into a recycled buffer rather than a fresh
@@ -454,9 +449,6 @@ impl RouterInner {
                     continue;
                 };
                 self.stats.offered += 1;
-                if let Some(p) = &self.progress {
-                    p.fetch_add(1, Ordering::Relaxed);
-                }
                 let fault = self
                     .injector
                     .as_ref()
@@ -696,7 +688,6 @@ impl EgressRouter {
                 stats: EgressStats::default(),
                 policy: EgressPolicy::default(),
                 injector: None,
-                progress: None,
             })),
         }
     }
@@ -712,13 +703,6 @@ impl EgressRouter {
     /// insert polls [`FaultPoint::FjordEnqueue`].
     pub fn attach_injector(&self, injector: SharedInjector) {
         self.inner.lock().injector = Some(injector);
-    }
-
-    /// Attach a monotone progress counter bumped once per delivery offer
-    /// (see `tcq_common::progress`: registered counters advance the
-    /// liveness frontier without contributing to in-flight depth).
-    pub fn attach_progress(&self, counter: Arc<AtomicU64>) {
-        self.inner.lock().progress = Some(counter);
     }
 
     /// Add a client, refusing an id already registered.

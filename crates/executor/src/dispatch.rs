@@ -20,15 +20,15 @@ pub trait DispatchUnit: Send {
 
     /// Messages the DU is holding internally (outboxes, run buffers,
     /// staged batches). The liveness watchdog counts these toward the
-    /// in-flight total so data parked inside a DU — invisible to the
-    /// fjord probes — still keeps stall detection honest.
+    /// in-flight total so data parked inside a DU — which no fjord count
+    /// sees — still keeps stall detection honest.
     fn buffered(&self) -> usize {
         0
     }
 
     /// Liveness recovery, first rung: make any forward progress the DU
-    /// has been withholding (re-emit a pending punctuation, close an
-    /// open run, retry a refused enqueue). Must preserve the DU's output
+    /// has been withholding (re-emit a punctuation an injected fault
+    /// swallowed). Must preserve the DU's output
     /// contract exactly — a nudge may only *reschedule* work, never
     /// change what is eventually produced. Returns true if it did
     /// anything.

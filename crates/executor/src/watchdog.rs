@@ -15,7 +15,7 @@
 //!    punctuation runs, blocked producer/consumer sets), and
 //! 2. escalates through the recovery ladder: **nudge** — every EO asks
 //!    each of its DUs to make withheld progress ([`crate::DispatchUnit::nudge`]:
-//!    re-emit pending punctuation, close an open run); then after
+//!    re-emit withheld punctuation); then after
 //!    [`WatchdogConfig::escalate_ticks`] more frozen rounds, **failover**
 //!    ([`crate::DispatchUnit::escalate`]: force-drain buffered state along
 //!    the ordered-outbox path).
@@ -26,15 +26,16 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use tcq_common::progress::{ChannelSnapshot, ProgressRegistry};
 use tcq_common::sync::Mutex;
+use tcq_fjords::{ChannelSnapshot, ProgressRegistry};
 
 use crate::dispatch::DuId;
 
 /// Watchdog tuning. Ticks are detector-EO scheduling rounds.
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
-    /// The progress registry the engine's channels report into.
+    /// The registry the engine makes its fjords through: the detector
+    /// reads their frontier and depths from it.
     pub registry: ProgressRegistry,
     /// Frozen-frontier rounds (with work in flight) before a stall is
     /// declared, diagnosed, and nudged.
@@ -85,7 +86,7 @@ pub struct StallDiagnosis {
     pub channels: Vec<ChannelSnapshot>,
     /// Every DU the EOs published during the suspicion window.
     pub dus: Vec<DuDiag>,
-    /// Channels holding messages behind an un-consumed punctuation run.
+    /// Channels with punctuation queued that nobody has taken.
     pub pending_punct_channels: Vec<String>,
     /// Channels with messages nobody is draining.
     pub blocked_consumers: Vec<String>,
@@ -294,7 +295,7 @@ impl WatchdogState {
         let pending_punct_channels = snap
             .channels
             .iter()
-            .filter(|c| c.puncts > 0 && c.depth > 0)
+            .filter(|c| c.puncts > 0)
             .map(|c| c.name.clone())
             .collect();
         let blocked_consumers = snap
@@ -339,34 +340,42 @@ impl WatchdogState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcq_common::Timestamp;
+    use tcq_fjords::{Consumer, FjordMessage, Producer};
 
-    fn wd(stall: u64, escalate: u64) -> (WatchdogState, ProgressRegistry) {
+    fn wd(stall: u64, escalate: u64) -> (WatchdogState, Producer, Consumer) {
         let registry = ProgressRegistry::new();
+        let (p, c) = registry.fjord("c", 64);
         let state = WatchdogState::new(
             WatchdogConfig {
-                registry: registry.clone(),
+                registry,
                 stall_ticks: stall,
                 escalate_ticks: escalate,
             },
             1,
         );
-        (state, registry)
+        (state, p, c)
+    }
+
+    fn put(p: &Producer, n: usize) {
+        let mut msgs = vec![FjordMessage::Punct(Timestamp::logical(1)); n];
+        assert_eq!(p.enqueue_batch(&mut msgs).unwrap(), n);
     }
 
     #[test]
     fn healthy_progress_never_stalls() {
-        let (w, reg) = wd(3, 3);
-        let ch = reg.channel("c");
+        let (w, p, c) = wd(3, 3);
         for _ in 0..50 {
-            ch.note_enqueue(1); // frontier moves every tick
+            put(&p, 1); // frontier moves every tick
             w.tick();
+            c.dequeue();
         }
         assert_eq!(w.stats(), WatchdogStats::default());
     }
 
     #[test]
     fn idle_engine_never_stalls() {
-        let (w, _reg) = wd(3, 3);
+        let (w, _p, _c) = wd(3, 3);
         for _ in 0..50 {
             w.tick(); // frontier frozen but nothing in flight
         }
@@ -375,11 +384,10 @@ mod tests {
 
     #[test]
     fn frozen_frontier_with_in_flight_detects_then_escalates() {
-        let (w, reg) = wd(3, 2);
-        let ch = reg.channel("c");
-        ch.note_enqueue(5); // 5 in flight, then silence
-                            // The first tick absorbs the frontier change; detection needs
-                            // stall_ticks frozen ticks after it.
+        let (w, p, _c) = wd(3, 2);
+        // 5 in flight, then silence. The first tick absorbs the frontier
+        // change; detection needs stall_ticks frozen ticks after it.
+        put(&p, 5);
         for _ in 0..4 {
             w.tick();
         }
@@ -395,32 +403,32 @@ mod tests {
         let diag = w.last_stall().expect("diagnosis recorded");
         assert_eq!(diag.in_flight, 5);
         assert_eq!(diag.blocked_consumers, vec!["c".to_string()]);
+        assert_eq!(diag.pending_punct_channels, vec!["c".to_string()]);
         assert!(diag.render().contains("fjord c"));
     }
 
     #[test]
     fn recovery_vs_false_positive_classification() {
         // Stall that clears after the nudge reported work -> recovery.
-        let (w, reg) = wd(2, 10);
-        let ch = reg.channel("c");
-        ch.note_enqueue(1);
+        let (w, p, c) = wd(2, 10);
+        put(&p, 1);
         w.tick(); // absorbs the frontier change
         w.tick();
         w.tick();
         assert_eq!(w.stats().stalls_detected, 1);
         w.note_nudge_worked();
-        ch.note_dequeue(1);
+        c.dequeue();
         w.tick();
         assert_eq!(w.stats().recoveries, 1);
         assert_eq!(w.stats().false_positives, 0);
 
         // Stall that clears on its own -> false positive.
-        ch.note_enqueue(1);
+        put(&p, 1);
         w.tick();
         w.tick();
         w.tick();
         assert_eq!(w.stats().stalls_detected, 2);
-        ch.note_dequeue(1);
+        c.dequeue();
         w.tick();
         assert_eq!(w.stats().false_positives, 1);
     }

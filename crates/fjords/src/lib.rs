@@ -24,16 +24,22 @@
 //! read every input through an [`Inbox`] (batched refills bounded by the
 //! quantum, nothing past `Eof`, leftovers kept), and report a
 //! [`ModuleStatus`] after each quantum.
+//!
+//! A [`ProgressRegistry`] makes fjords too and reads their queue cores'
+//! own counts for progress: the monotone frontier, the messages in flight
+//! and per-fjord snapshots the liveness watchdog diagnoses stalls from.
 
 #![warn(missing_docs)]
 
 pub mod inbox;
 pub mod module;
+pub mod progress;
 pub mod queue;
 
 pub use inbox::Inbox;
 pub use module::ModuleStatus;
+pub use progress::{ChannelSnapshot, ProgressRegistry, ProgressSnapshot};
 pub use queue::{
-    fjord, fjord_with_probe, BatchDequeueResult, Consumer, DequeueResult, EnqueueError,
-    FjordMessage, Producer, QueueKind, QueueStats,
+    fjord, BatchDequeueResult, Consumer, DequeueResult, EnqueueError, FjordMessage, Producer,
+    QueueKind, QueueStats,
 };

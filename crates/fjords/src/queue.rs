@@ -4,17 +4,19 @@
 //!
 //! Every endpoint is one call to a private core — `Shared::put` or
 //! `Shared::take`, both run with the queue lock held — or a condvar loop
-//! around one. The core owns the capacity check, the counters, the probe
-//! mirror, the wake-ups and the disconnect rule: a consumer sees
-//! `Disconnected` only when, under the lock, the queue is empty and no
-//! producer is left; a producer sees it when no consumer is left.
+//! around one. The core owns the capacity check, the counters, the
+//! wake-ups and the disconnect rule: a consumer sees `Disconnected` only
+//! when, under the lock, the queue is empty and no producer is left; a
+//! producer sees it when no consumer is left.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use tcq_common::progress::ChannelProbe;
 use tcq_common::sync::{Condvar, Mutex};
+
+use crate::progress::Channels;
 
 use tcq_common::{Result, TcqError, Timestamp, Tuple};
 
@@ -121,28 +123,44 @@ impl QueueStats {
     }
 }
 
-struct Shared {
-    state: Mutex<State>,
+pub(crate) struct Shared {
+    pub(crate) state: Mutex<State>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
     kind: QueueKind,
-    probe: Option<Arc<ChannelProbe>>,
+    pub(crate) counts: Counts,
+    /// The [`crate::ProgressRegistry`] that made this fjord, told when its
+    /// last endpoint leaves.
+    registry: Option<Weak<Mutex<Channels>>>,
 }
 
 /// Everything the queue lock guards. The endpoint counts live here too,
 /// so the disconnect rule reads them in the same critical section that
 /// moves messages, and so do the waiter counts, so a transfer wakes a
 /// condvar only when a blocking endpoint is parked on it.
-struct State {
-    buf: VecDeque<FjordMessage>,
-    producers: usize,
-    consumers: usize,
+pub(crate) struct State {
+    pub(crate) buf: VecDeque<FjordMessage>,
+    pub(crate) producers: usize,
+    pub(crate) consumers: usize,
     waiting_producers: usize,
     waiting_consumers: usize,
-    enqueued: u64,
-    dequeued: u64,
-    full_rejections: u64,
+}
+
+/// The queue's cumulative counts. Only the core writes them, under the
+/// queue lock, so they agree with the messages it moves; they are atomics
+/// so the progress registry can read them without that lock.
+#[derive(Default)]
+pub(crate) struct Counts {
+    pub(crate) enqueued: AtomicU64,
+    pub(crate) dequeued: AtomicU64,
+    pub(crate) full_rejections: AtomicU64,
+}
+
+/// Add `n` to a count the queue lock serialises writes to: a plain load
+/// and store, no read-modify-write.
+fn bump(count: &AtomicU64, n: usize) {
+    count.store(count.load(Ordering::Relaxed) + n as u64, Ordering::Relaxed);
 }
 
 /// Every consumer is gone: nothing put into the queue will be read.
@@ -200,44 +218,11 @@ impl MsgBuf for Vec<FjordMessage> {
 /// Create a Fjord of the given capacity and discipline, returning its two
 /// endpoints. Capacity must be at least 1.
 pub fn fjord(capacity: usize, kind: QueueKind) -> (Producer, Consumer) {
-    fjord_inner(capacity, kind, None)
+    endpoints(Shared::new(capacity, kind, None))
 }
 
-/// Like [`fjord`], but every message movement is mirrored into `probe` so
-/// a [`tcq_common::progress::ProgressRegistry`] watchdog can observe the
-/// channel's frontier. The probe only records counters — queue behaviour
-/// is identical to an unprobed fjord.
-pub fn fjord_with_probe(
-    capacity: usize,
-    kind: QueueKind,
-    probe: Arc<ChannelProbe>,
-) -> (Producer, Consumer) {
-    fjord_inner(capacity, kind, Some(probe))
-}
-
-fn fjord_inner(
-    capacity: usize,
-    kind: QueueKind,
-    probe: Option<Arc<ChannelProbe>>,
-) -> (Producer, Consumer) {
-    assert!(capacity >= 1, "fjord capacity must be >= 1");
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            buf: VecDeque::with_capacity(capacity.min(1024)),
-            producers: 1,
-            consumers: 1,
-            waiting_producers: 0,
-            waiting_consumers: 0,
-            enqueued: 0,
-            dequeued: 0,
-            full_rejections: 0,
-        }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        capacity,
-        kind,
-        probe,
-    });
+/// The two endpoints of a fresh queue core.
+pub(crate) fn endpoints(shared: Arc<Shared>) -> (Producer, Consumer) {
     (
         Producer {
             shared: Arc::clone(&shared),
@@ -417,9 +402,34 @@ impl Consumer {
 }
 
 impl Shared {
+    /// A queue core with both endpoint counts at one; `registry`, if any,
+    /// is told when the last of them leaves.
+    pub(crate) fn new(
+        capacity: usize,
+        kind: QueueKind,
+        registry: Option<Weak<Mutex<Channels>>>,
+    ) -> Arc<Self> {
+        assert!(capacity >= 1, "fjord capacity must be >= 1");
+        Arc::new(Shared {
+            state: Mutex::new(State {
+                buf: VecDeque::with_capacity(capacity.min(1024)),
+                producers: 1,
+                consumers: 1,
+                waiting_producers: 0,
+                waiting_consumers: 0,
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            capacity,
+            kind,
+            counts: Counts::default(),
+            registry,
+        })
+    }
+
     /// The one enqueue rule, called with the queue lock held. Errs [`Gone`]
     /// when every consumer has left. Otherwise moves the longest prefix of
-    /// `msgs` that fits, counts and mirrors it, wakes parked consumers, and
+    /// `msgs` that fits, counts it, wakes parked consumers, and
     /// returns how many moved; the rest stays in `msgs`.
     fn put(
         &self,
@@ -434,16 +444,12 @@ impl Shared {
             .capacity
             .saturating_sub(state.buf.len())
             .min(msgs.msgs().len());
-        self.probe_in(&msgs.msgs()[..n]);
         msgs.give(&mut state.buf, n);
         let refused = msgs.msgs().len();
         if matches!(on_full, OnFull::Refuse) && refused > 0 {
-            state.full_rejections += refused as u64;
-            if let Some(p) = &self.probe {
-                p.note_reject(refused as u64);
-            }
+            bump(&self.counts.full_rejections, refused);
         }
-        state.enqueued += n as u64;
+        bump(&self.counts.enqueued, n);
         if n > 0 && state.waiting_consumers > 0 {
             wake(&self.not_empty, n);
         }
@@ -451,7 +457,7 @@ impl Shared {
     }
 
     /// The one dequeue rule, called with the queue lock held: moves up to
-    /// `max` buffered messages into `out`, counts and mirrors them, and
+    /// `max` buffered messages into `out`, counts them, and
     /// wakes parked producers. With nothing moved it reports `Disconnected` only
     /// if the queue is empty *and* no producer is left — both read under
     /// this lock, which every enqueue and every producer drop also takes,
@@ -465,38 +471,12 @@ impl Shared {
                 BatchDequeueResult::Empty
             };
         }
-        let before = out.msgs().len();
         out.receive(&mut state.buf, n);
-        self.probe_out(&out.msgs()[before..]);
-        state.dequeued += n as u64;
+        bump(&self.counts.dequeued, n);
         if state.waiting_producers > 0 {
             wake(&self.not_full, n);
         }
         BatchDequeueResult::Msgs(n)
-    }
-
-    #[inline]
-    fn probe_in(&self, msgs: &[FjordMessage]) {
-        if let Some(p) = &self.probe {
-            p.note_enqueue(msgs.len() as u64);
-            for m in msgs {
-                match m {
-                    FjordMessage::Punct(_) => p.note_punct(),
-                    FjordMessage::Eof => p.note_eof_in(),
-                    FjordMessage::Tuple(_) => {}
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn probe_out(&self, msgs: &[FjordMessage]) {
-        if let Some(p) = &self.probe {
-            p.note_dequeue(msgs.len() as u64);
-            if msgs.iter().any(|m| m.is_eof()) {
-                p.note_eof_out();
-            }
-        }
     }
 
     fn stats(&self) -> QueueStats {
@@ -504,10 +484,30 @@ impl Shared {
         QueueStats {
             len: state.buf.len(),
             capacity: self.capacity,
-            enqueued: state.enqueued,
-            dequeued: state.dequeued,
-            full_rejections: state.full_rejections,
+            enqueued: self.counts.enqueued.load(Ordering::Relaxed),
+            dequeued: self.counts.dequeued.load(Ordering::Relaxed),
+            full_rejections: self.counts.full_rejections.load(Ordering::Relaxed),
             consumers: state.consumers,
+        }
+    }
+
+    /// An endpoint leaves: its side's count drops, the last of a side
+    /// wakes the waiters on `wake`, and once no endpoint is left the
+    /// counts are final, so the registry (told with the queue lock
+    /// released) folds them into its retired total and forgets the queue.
+    fn leave(self: &Arc<Self>, side: fn(&mut State) -> &mut usize, wake: &Condvar) {
+        let mut state = self.state.lock();
+        let count = side(&mut state);
+        *count -= 1;
+        if *count == 0 {
+            wake.notify_all();
+        }
+        let last = state.producers == 0 && state.consumers == 0;
+        drop(state);
+        if last {
+            if let Some(channels) = self.registry.as_ref().and_then(Weak::upgrade) {
+                channels.lock().retire(self);
+            }
         }
     }
 }
@@ -541,22 +541,16 @@ impl Clone for Consumer {
 
 impl Drop for Producer {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock();
-        state.producers -= 1;
-        if state.producers == 0 {
-            // Last producer gone: wake blocked consumers so they observe it.
-            self.shared.not_empty.notify_all();
-        }
+        // The last producer wakes blocked consumers so they observe it.
+        self.shared
+            .leave(|s| &mut s.producers, &self.shared.not_empty);
     }
 }
 
 impl Drop for Consumer {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock();
-        state.consumers -= 1;
-        if state.consumers == 0 {
-            self.shared.not_full.notify_all();
-        }
+        self.shared
+            .leave(|s| &mut s.consumers, &self.shared.not_full);
     }
 }
 

@@ -427,16 +427,6 @@ impl DispatchUnit for StreamDispatcher {
     fn buffered(&self) -> usize {
         self.input.buffered()
     }
-
-    fn nudge(&mut self) -> bool {
-        // Only the EOF broadcast can be withheld here.
-        if self.input.is_done() && !self.eof_sent {
-            let before = self.eof_delivered.len();
-            self.fan_out_eof();
-            return self.eof_delivered.len() > before;
-        }
-        false
-    }
 }
 
 #[cfg(test)]

@@ -38,12 +38,12 @@
 //!    *and* std versions, unlike `DefaultHasher`). The hash is memoized on
 //!    the tuple itself, so the SteM that later builds or probes on the
 //!    same key column reuses it instead of rehashing: one hash per tuple
-//!    end to end. The tuple is appended to partition fjord `p`. Maximal
-//!    runs of
-//!    consecutive same-partition tuples are delimited by a `Punct` in the
-//!    partition fjord, and each run start emits one grant
-//!    (`Punct(logical(p))`) into the schedule fjord. The schedule is
-//!    therefore a serialization of the canonical order by run.
+//!    end to end. The tuple is appended to partition fjord `p`. A run —
+//!    consecutive same-partition tuples routed in one partitioner quantum
+//!    — is delimited by a `Punct` in the partition fjord, and each run
+//!    start emits one grant (`Punct(logical(p))`) into the schedule fjord.
+//!    The schedule is therefore a serialization of the canonical order by
+//!    run.
 //! 2. **Identical workers.** All P eddies are built by the same
 //!    `build_join_eddy` call with the same policy kind and seed, and each
 //!    partition owns its SteM state outright — per-partition ownership by
@@ -347,16 +347,6 @@ impl DispatchUnit for PartitionDu {
                 .sum::<usize>()
     }
 
-    /// Close the open run early and retry the staged tail. Run boundaries
-    /// only affect how the merger batches deliveries — tuple order and the
-    /// egress ledger are identical for any run split — so an early close
-    /// is always contract-preserving.
-    fn nudge(&mut self) -> bool {
-        let had_open = self.open_run.is_some();
-        self.close_run();
-        self.flush_outbox() > 0 || had_open
-    }
-
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
         let mut did_work = self.flush_outbox() > 0;
         if !self.outbox.is_empty() {
@@ -397,8 +387,13 @@ impl DispatchUnit for PartitionDu {
                 }
             }
         }
+        // A run ends with the quantum that routed it, so the merger can
+        // deliver it now rather than when the keys next change partition
+        // or the inputs end. Run boundaries only decide how the merger
+        // batches deliveries — tuple order and the egress ledger are the
+        // same for any run split — so closing early keeps the contract.
+        self.close_run();
         if self.inputs.iter().all(|i| i.inbox.is_done()) {
-            self.close_run();
             for p in 0..self.parts.len() {
                 self.outbox.push_back((Hop::Part(p), FjordMessage::Eof));
             }

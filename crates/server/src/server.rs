@@ -13,14 +13,13 @@ use tcq_common::{
     Catalog, CkptReader, CkptWriter, FaultPlan, FiredFault, Predicate, Result, SchemaRef,
     SharedInjector, SourceKind, TcqError, Tuple,
 };
-use tcq_common::{ProgressRegistry, ProgressSnapshot};
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
 use tcq_egress::{
     ClientId, ColumnDelivery, Delivery, DeliveryQueue, EgressPolicy, EgressRouter, EgressStats,
     PushQueue,
 };
 use tcq_executor::{DuId, Executor, ExecutorConfig, StallDiagnosis, WatchdogConfig};
-use tcq_fjords::{fjord, fjord_with_probe, Inbox, Producer, QueueKind};
+use tcq_fjords::{Inbox, Producer, ProgressRegistry, ProgressSnapshot};
 use tcq_ingress::{
     ChaosSource, Source, SourceFactory, Supervisor, SupervisorConfig, SupervisorStats,
 };
@@ -96,14 +95,12 @@ pub struct ServerConfig {
     /// [`TelegraphCQ::checkpoint`] call commits one epoch-delta block
     /// holding only the state dirtied since the previous call.
     pub checkpoint_path: Option<PathBuf>,
-    /// Progress tracking + liveness watchdog. `None` (default) runs with
-    /// no probes at all; `Some` registers a [`ChannelProbe`] on every
-    /// fjord, counts egress offers into the frontier, and arms the
-    /// executor's deterministic stall detector (see
-    /// [`tcq_executor::WatchdogConfig`]). Probes and detector only
-    /// *observe* — a healthy run behaves byte-identically either way.
-    ///
-    /// [`ChannelProbe`]: tcq_common::ChannelProbe
+    /// The liveness watchdog. `Some` arms the executor's deterministic
+    /// stall detector (see [`tcq_executor::WatchdogConfig`]), which reads
+    /// the progress registry every server keeps
+    /// ([`TelegraphCQ::progress_snapshot`]); `None` (default) runs none.
+    /// The detector only *observes* until it declares a stall — a healthy
+    /// run behaves byte-identically either way.
     pub liveness: Option<LivenessConfig>,
     /// Which transport fronts the server. The core (dispatchers, eddies,
     /// egress ledger) never looks at this: `TelegraphCQ` itself always
@@ -324,9 +321,9 @@ pub struct TelegraphCQ {
     /// One injector for the whole process, shared by every layer, so the
     /// fired-fault log is a single seed-deterministic account of the run.
     injector: Option<SharedInjector>,
-    /// The progress registry every fjord and the egress router report
-    /// into when `ServerConfig::liveness` is set.
-    progress: Option<ProgressRegistry>,
+    /// The registry every fjord of the server is made through; the
+    /// watchdog and [`TelegraphCQ::progress_snapshot`] read their counts.
+    progress: ProgressRegistry,
     /// The durable checkpoint store (`ServerConfig::checkpoint_path`).
     pub(crate) ckpt: Option<Mutex<CheckpointStore>>,
     /// Operator state handles by checkpoint component prefix (`q<qid>`, or
@@ -385,15 +382,12 @@ impl TelegraphCQ {
         open_store: fn(PathBuf, Option<SharedInjector>) -> Result<CheckpointStore>,
     ) -> Result<Self> {
         let injector = config.fault_plan.clone().map(FaultPlan::build_shared);
-        let progress = config.liveness.map(|_| ProgressRegistry::new());
-        let watchdog = match (&progress, &config.liveness) {
-            (Some(registry), Some(lv)) => Some(WatchdogConfig {
-                registry: registry.clone(),
-                stall_ticks: lv.stall_ticks,
-                escalate_ticks: lv.escalate_ticks,
-            }),
-            _ => None,
-        };
+        let progress = ProgressRegistry::new();
+        let watchdog = config.liveness.map(|lv| WatchdogConfig {
+            registry: progress.clone(),
+            stall_ticks: lv.stall_ticks,
+            escalate_ticks: lv.escalate_ticks,
+        });
         let executor = Executor::start(ExecutorConfig {
             eos: config.eos,
             quantum: QUANTUM,
@@ -408,11 +402,6 @@ impl TelegraphCQ {
         let egress = EgressRouter::new().with_policy(config.egress_policy);
         if let Some(inj) = &injector {
             egress.attach_injector(inj.clone());
-        }
-        if let Some(registry) = &progress {
-            // Egress offers advance the frontier without adding in-flight
-            // depth: delivery is the dataflow's terminal progress event.
-            egress.attach_progress(registry.counter("egress.offers"));
         }
         let ckpt = match &config.checkpoint_path {
             Some(path) => {
@@ -539,16 +528,13 @@ impl TelegraphCQ {
         Ok(())
     }
 
-    /// A fjord that reports into the progress registry when liveness
-    /// tracking is on, read through an [`Inbox`] of `io_batch` refills —
-    /// the single choke point every engine channel is created through, so
-    /// the watchdog's frontier covers them all and every DU reads its
-    /// inputs the same way.
+    /// A fjord made through the server's progress registry, read through
+    /// an [`Inbox`] of `io_batch` refills — the single choke point every
+    /// engine channel is created through, so the registry's frontier
+    /// covers them all and every DU reads its inputs the same way. The
+    /// registry forgets the fjord when its last endpoint is dropped.
     fn make_fjord(&self, name: impl Into<String>, capacity: usize) -> (Producer, Inbox) {
-        let (producer, consumer) = match &self.progress {
-            Some(registry) => fjord_with_probe(capacity, QueueKind::Push, registry.channel(name)),
-            None => fjord(capacity, QueueKind::Push),
-        };
+        let (producer, consumer) = self.progress.fjord(name, capacity);
         (producer, Inbox::new(consumer, self.config.io_batch))
     }
 
@@ -1651,10 +1637,12 @@ impl TelegraphCQ {
     }
 
     /// Point-in-time progress snapshot: the global frontier, in-flight
-    /// depth, and every probed channel (`None` without
-    /// `ServerConfig::liveness`).
+    /// depth, and every live fjord's counts, read from the fjords' own
+    /// counts on every server, watchdog or not. Always `Some`: the
+    /// `Option` stays because the benchmark binds this signature
+    /// (`benchmark/layer_api.md`).
     pub fn progress_snapshot(&self) -> Option<ProgressSnapshot> {
-        self.progress.as_ref().map(ProgressRegistry::snapshot)
+        Some(self.progress.snapshot())
     }
 
     /// Full egress accounting (per-disposition counters).

@@ -169,7 +169,9 @@ enum OtherSide {
 /// passes its final window, while its other input stays open. The queue
 /// nobody reads any more must not hold `s` back: a filter query on `s`
 /// sees all of its 5 000 rows, and a checkpoint is not kept waiting for
-/// the closed queue to empty.
+/// the closed queue to empty. With a table on the other side the join
+/// answers rows 1..=50 in full, at P = 4 too, where every row hashes to one
+/// partition and no input ever ends.
 fn a_finished_join_leaves_its_stream_flowing(partitions: usize, other: OtherSide) {
     const N: i64 = 5_000;
     let tag = format!("{other:?}-p{partitions}");
@@ -221,9 +223,20 @@ fn a_finished_join_leaves_its_stream_flowing(partitions: usize, other: OtherSide
             .unwrap()
     };
     server.push("r", keyed_row(1)).unwrap();
-    if matches!(other, OtherSide::Table) && partitions == 1 {
+    if matches!(other, OtherSide::Table) {
+        // `r`'s row must be in the join before `s`'s rows arrive: at P = 1
+        // the SteM holds it; at P > 1 the partitioner has taken it, and it
+        // reaches its worker ahead of every later row of its partition.
+        let xchg_in = format!("xchg-in(q{join}.r)");
+        let r_taken = || match partitions {
+            1 => server.join_state_rows(join) == Some(1),
+            _ => (server.progress_snapshot().expect("every server keeps one"))
+                .channels
+                .iter()
+                .any(|c| c.name == xchg_in && c.dequeued >= 1),
+        };
         let stored = std::time::Instant::now();
-        while server.join_state_rows(join) != Some(1) {
+        while !r_taken() {
             assert!(
                 stored.elapsed() < Duration::from_secs(10),
                 "{tag}: r never stored"
@@ -262,11 +275,18 @@ fn a_finished_join_leaves_its_stream_flowing(partitions: usize, other: OtherSide
         took < Duration::from_millis(500),
         "{tag}: checkpoint took {took:?}"
     );
-    if matches!(other, OtherSide::Table) && partitions == 1 {
+    if matches!(other, OtherSide::Table) {
         // ST is 1 (the start time is at least 1), so the loop's last window
         // closes at 50: rows 1..=50 each meet r's one row, and the join
-        // read none past them.
-        let joined = server.fetch(join_client, 2 * N as usize).unwrap().len();
+        // read none past them. The checkpoint drained a sequential join;
+        // a partitioned one delivers each run once the partitioner quantum
+        // that routed it ends, so its rows may still be on their way.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut joined = server.fetch(join_client, 2 * N as usize).unwrap().len();
+        while partitions > 1 && joined < 50 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            joined += server.fetch(join_client, 2 * N as usize).unwrap().len();
+        }
         assert_eq!(joined, 50, "{tag}");
     }
     match std::sync::Arc::try_unwrap(server) {

@@ -1297,7 +1297,7 @@ struct LiveOutcome {
     egress: EgressStats,
     watchdog: WatchdogStats,
     stall: Option<StallDiagnosis>,
-    progress: Option<telegraphcq::common::ProgressSnapshot>,
+    progress: Option<telegraphcq::fjords::ProgressSnapshot>,
 }
 
 /// The exchange join under direct push (no archive, no supervised
