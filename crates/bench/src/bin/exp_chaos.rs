@@ -33,7 +33,7 @@ use tcq_common::{
     DataType, FaultAction, FaultPlan, FaultPoint, Field, Result, Schema, SchemaRef, Timestamp,
     Tuple, TupleBuilder, Value,
 };
-use tcq_egress::{EgressPolicy, EgressStats};
+use tcq_egress::EgressStats;
 use tcq_fjords::{fjord, DequeueResult, FjordMessage, QueueKind};
 use tcq_flux::{FluxCluster, FluxConfig, FluxStats};
 use tcq_ingress::{
@@ -360,9 +360,6 @@ fn run_server_scenario(n: i64, dir: &Path) -> ServerOutcome {
     let server = TelegraphCQ::start(ServerConfig {
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(server_plan(SEED, n as u64)),
-        egress_policy: EgressPolicy {
-            disconnect_after: 4,
-        },
         ..ServerConfig::default()
     })
     .unwrap();

@@ -1,36 +1,33 @@
 //! Experiment E-liveness (DESIGN.md "§5f Progress tracking & liveness
-//! watchdog"): the partitioned-exchange join run under the two
-//! exchange-local liveness faults, with the deterministic watchdog armed.
+//! watchdog"): the partitioned-exchange join with the deterministic
+//! watchdog armed. The watchdog detects and diagnoses; it acts on nothing.
 //!
-//! Three scenarios, all over the same P=2 join (every hot tuple matches
+//! Two scenarios, both over the same P=2 join (every hot tuple matches
 //! exactly one dimension row, so `delivered == offered` is the zero-loss
-//! contract):
+//! contract) with the same detection budget:
 //!
 //! * `healthy` — no faults. The watchdog must be pure observation: zero
-//!   stalls, zero rungs, full delivery.
-//! * `drop-punct` — a worker drops a run-closing punctuation
-//!   ([`FaultPoint::DropPunctuation`]). The merger waits forever for the
-//!   run to close; only the watchdog's **nudge** rung (re-emit withheld
-//!   punctuation) recovers, and must do so losslessly before the failover
-//!   rung is ever reached.
-//! * `stall-consumer` — the merger refuses its scheduling grants
-//!   ([`FaultPoint::StallConsumer`]). Nudging re-emits nothing, so the
-//!   watchdog must climb to the **failover** rung (forced ordered-outbox
-//!   drain) and still finish with zero loss and canonical order.
+//!   stalls, no diagnosis, full delivery.
+//! * `wedge` — a contiguous block of [`FaultPoint::OperatorRun`] stalls
+//!   skips every DU's quanta for the first few thousand executor polls,
+//!   while the dimension rows wait in their ingress fjord. The frontier
+//!   freezes with work in flight; the watchdog must declare the stall,
+//!   and count it cleared once the DUs resume by themselves — with zero
+//!   loss and canonical order.
 //!
 //! For each scenario the run records the watchdog counters, the detector
-//! tick and in-flight depth at detection, and the wall-clock cost of the
-//! whole wedge-detect-recover-drain cycle, then writes
-//! `BENCH_liveness.json`. Detection is measured in engine ticks (detector
-//! rounds), not wall clock — the budget the operator actually configures.
+//! tick and in-flight depth at detection, and the wall-clock time from
+//! the first push to quiescence, then writes `BENCH_liveness.json`.
+//! Detection is measured in engine ticks (detector rounds), not wall
+//! clock — the budget the operator actually configures.
 //!
 //! ```text
 //! cargo run --release -p tcq-bench --bin exp_liveness [-- --smoke]
 //! ```
 //!
 //! `--smoke` runs a reduced workload as the CI tripwire; the same gates
-//! apply (healthy: silent watchdog; drop-punct: nudge recovery with no
-//! escalation; stall-consumer: escalation recovery — all with zero loss).
+//! apply (healthy: silent watchdog; wedge: detected and cleared — both
+//! with zero loss and canonical order).
 
 use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
@@ -46,6 +43,11 @@ use tcq_server::{LivenessConfig, ServerConfig, TelegraphCQ};
 
 const DIM_ROWS: i64 = 64;
 const SEED: u64 = 0x11FE_5EED;
+/// Frozen detector rounds before a stall is declared, in both scenarios.
+const STALL_TICKS: u64 = 64;
+/// Executor polls the wedge skips: every DU's quanta from the first poll
+/// on, ~300 rounds of each EO on a six-DU exchange.
+const WEDGE_POLLS: u64 = 2_000;
 
 fn dim_schema() -> SchemaRef {
     Schema::new(vec![
@@ -65,8 +67,6 @@ fn hot_schema() -> SchemaRef {
 
 struct Outcome {
     name: &'static str,
-    stall_ticks: u64,
-    escalate_ticks: u64,
     delivered: usize,
     offered: usize,
     ordered: bool,
@@ -75,25 +75,24 @@ struct Outcome {
     detect_tick: u64,
     /// Messages in flight at detection time; 0 if no stall.
     in_flight: u64,
+    /// Fjords holding messages nobody drained at detection time.
+    blocked: Vec<String>,
     wall_ms: f64,
 }
 
 /// One scenario run: the P=2 exchange join with `n` hot tuples, the
-/// watchdog armed with the given budgets, and an optional fault plan.
-/// Wall time covers first hot push to full quiescence, so a wedge's
-/// detect-and-recover cost is inside it.
-fn run_scenario(
-    name: &'static str,
-    n: usize,
-    live: LivenessConfig,
-    fault_plan: Option<FaultPlan>,
-) -> Outcome {
+/// watchdog armed with [`STALL_TICKS`], and an optional fault plan. Wall
+/// time covers the first push to full quiescence, so a wedge's cost is
+/// inside it.
+fn run_scenario(name: &'static str, n: usize, fault_plan: Option<FaultPlan>) -> Outcome {
     let server = TelegraphCQ::start(ServerConfig {
         partitions: 2,
         // Small queues so a wedge back-pressures (and freezes the
         // frontier) quickly instead of hiding behind buffering.
         queue_capacity: 64,
-        liveness: Some(live),
+        liveness: Some(LivenessConfig {
+            stall_ticks: STALL_TICKS,
+        }),
         fault_plan,
         ..ServerConfig::default()
     })
@@ -110,6 +109,7 @@ fn run_scenario(
         )
         .unwrap();
 
+    let start = Instant::now();
     let dims = dim_schema();
     let dim_batch: Vec<Tuple> = (0..DIM_ROWS)
         .map(|id| {
@@ -140,14 +140,13 @@ fn run_scenario(
         })
         .collect();
 
-    let start = Instant::now();
     server.push_batch("s", master).unwrap();
     while server.stream_time("s").unwrap() < n as i64 {
         std::thread::sleep(Duration::from_millis(1));
     }
     server.finish_stream("s").unwrap();
     if !server.quiesce(Duration::from_secs(60)) {
-        eprintln!("FAIL: scenario {name} never quiesced — liveness recovery did not fire");
+        eprintln!("FAIL: scenario {name} never quiesced");
         std::process::exit(1);
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -163,14 +162,13 @@ fn run_scenario(
 
     Outcome {
         name,
-        stall_ticks: live.stall_ticks,
-        escalate_ticks: live.escalate_ticks,
         delivered: results.len(),
         offered: n,
         ordered,
         watchdog,
         detect_tick: stall.as_ref().map_or(0, |d| d.tick),
         in_flight: stall.as_ref().map_or(0, |d| d.in_flight),
+        blocked: stall.map_or_else(Vec::new, |d| d.blocked_consumers),
         wall_ms,
     }
 }
@@ -186,30 +184,27 @@ fn write_json(path: &str, n: usize, outcomes: &[Outcome]) {
     let mut entries = Vec::new();
     for o in outcomes {
         entries.push(format!(
-            "    {{\"scenario\": \"{}\", \"stall_ticks\": {}, \"escalate_ticks\": {}, \
+            "    {{\"scenario\": \"{}\", \"stall_ticks\": {}, \
              \"delivered\": {}, \"offered\": {}, \"ordered\": {}, \
-             \"stalls_detected\": {}, \"nudges\": {}, \"escalations\": {}, \
-             \"recoveries\": {}, \"false_positives\": {}, \
-             \"detect_tick\": {}, \"in_flight_at_detection\": {}, \"wall_ms\": {:.1}}}",
+             \"stalls_detected\": {}, \"stalls_cleared\": {}, \
+             \"detect_tick\": {}, \"in_flight_at_detection\": {}, \
+             \"blocked_at_detection\": {:?}, \"wall_ms\": {:.1}}}",
             o.name,
-            o.stall_ticks,
-            o.escalate_ticks,
+            STALL_TICKS,
             o.delivered,
             o.offered,
             o.ordered,
             o.watchdog.stalls_detected,
-            o.watchdog.nudges,
-            o.watchdog.escalations,
-            o.watchdog.recoveries,
-            o.watchdog.false_positives,
+            o.watchdog.stalls_cleared,
             o.detect_tick,
             o.in_flight,
+            o.blocked,
             o.wall_ms,
         ));
     }
     let json = format!(
         "{{\n  \"bench\": \"liveness\",\n  \"pipeline\": \
-         \"P=2 exchange join under injected liveness faults, watchdog armed\",\n  \
+         \"P=2 exchange join, healthy and under a self-clearing wedge, watchdog armed\",\n  \
          \"tuples\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         n,
         entries.join(",\n"),
@@ -226,49 +221,22 @@ fn main() {
          ({n} hot tuples per scenario; detection budgets in engine ticks)\n"
     );
 
+    let wedge = (1..=WEDGE_POLLS).fold(FaultPlan::new(SEED), |plan, at| {
+        plan.at(FaultPoint::OperatorRun, at, FaultAction::Stall { ticks: 1 })
+    });
     let outcomes = vec![
-        run_scenario(
-            "healthy",
-            n,
-            LivenessConfig {
-                stall_ticks: 64,
-                escalate_ticks: 64,
-            },
-            None,
-        ),
-        run_scenario(
-            "drop-punct",
-            n,
-            LivenessConfig {
-                stall_ticks: 16,
-                escalate_ticks: 512,
-            },
-            Some(FaultPlan::new(SEED).at(FaultPoint::DropPunctuation, 3, FaultAction::Overflow)),
-        ),
-        run_scenario(
-            "stall-consumer",
-            n,
-            LivenessConfig {
-                stall_ticks: 16,
-                escalate_ticks: 16,
-            },
-            Some(FaultPlan::new(SEED).at(
-                FaultPoint::StallConsumer,
-                4,
-                FaultAction::Stall { ticks: 1 << 40 },
-            )),
-        ),
+        run_scenario("healthy", n, None),
+        run_scenario("wedge", n, Some(wedge)),
     ];
 
     let mut table = Table::new(&[
         "scenario",
         "delivered/offered",
         "stalls",
-        "nudges",
-        "escalations",
-        "recoveries",
+        "cleared",
         "detect tick",
         "in flight",
+        "blocked",
         "wall (ms)",
     ]);
     for o in &outcomes {
@@ -276,11 +244,10 @@ fn main() {
             o.name.to_string(),
             format!("{}/{}", o.delivered, o.offered),
             o.watchdog.stalls_detected.to_string(),
-            o.watchdog.nudges.to_string(),
-            o.watchdog.escalations.to_string(),
-            o.watchdog.recoveries.to_string(),
+            o.watchdog.stalls_cleared.to_string(),
             o.detect_tick.to_string(),
             o.in_flight.to_string(),
+            o.blocked.join(" "),
             format!("{:.1}", o.wall_ms),
         ]);
     }
@@ -297,42 +264,25 @@ fn main() {
     }
     let healthy = &outcomes[0];
     gate(
-        healthy.watchdog == WatchdogStats::default(),
-        "healthy: the armed watchdog must record zero activity on a clean run",
+        healthy.watchdog == WatchdogStats::default() && healthy.detect_tick == 0,
+        "healthy: the armed watchdog must record no stall and no diagnosis on a clean run",
     );
-    let drop = &outcomes[1];
+    let wedge = &outcomes[1];
     gate(
-        drop.watchdog.stalls_detected >= 1 && drop.watchdog.nudges >= 1,
-        "drop-punct: the dropped punctuation wedge was never detected",
-    );
-    gate(
-        drop.watchdog.recoveries >= 1,
-        "drop-punct: no recovery was recorded",
+        wedge.watchdog.stalls_detected >= 1 && wedge.in_flight > 0,
+        "wedge: the frozen frontier was never detected with work in flight",
     );
     gate(
-        drop.watchdog.escalations == 0,
-        "drop-punct: the nudge rung must clear a withheld punctuation before failover",
-    );
-    let stall = &outcomes[2];
-    gate(
-        stall.watchdog.stalls_detected >= 1,
-        "stall-consumer: the injected consumer stall was never detected",
-    );
-    gate(
-        stall.watchdog.escalations >= 1,
-        "stall-consumer: only the failover rung can clear an injected consumer stall",
-    );
-    gate(
-        stall.watchdog.recoveries >= 1,
-        "stall-consumer: no recovery was recorded",
+        wedge.watchdog.stalls_cleared >= 1,
+        "wedge: the stall never cleared after the DUs resumed",
     );
 
     if !smoke {
         write_json("BENCH_liveness.json", n, &outcomes);
     }
     println!(
-        "\n  shape check: a healthy run never trips the detector; a withheld\n\
-         \x20 punctuation recovers on the nudge rung, a refused consumer on the\n\
-         \x20 failover rung — both with zero loss and canonical order.\n"
+        "\n  shape check: a healthy run never trips the detector; a wedge that\n\
+         \x20 freezes the frontier is detected and counted cleared once it ends —\n\
+         \x20 both with zero loss and canonical order.\n"
     );
 }

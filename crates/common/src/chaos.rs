@@ -42,10 +42,9 @@ pub enum FaultPoint {
     /// holds the append (and its caller, mid-batch) for `ticks`
     /// milliseconds before it proceeds normally.
     ArchiveAppend,
-    /// Egress: one delivery offer to one subscribed client. `Error` and
-    /// `Overflow` fail the offer (the copy is shed); `Stall` marks the
-    /// client stuck, forcing an immediate disconnect under the router's
-    /// slow-client policy.
+    /// Egress: one delivery offer to one subscribed client. Every action
+    /// (`Error`, `Overflow` or `Stall`) fails the offer: that copy is
+    /// shed and the client stays connected.
     EgressDeliver,
     /// Storage: one checkpoint epoch about to be committed. `Error` fails
     /// the commit softly (the pending delta is kept for retry); `Overflow`
@@ -56,16 +55,6 @@ pub enum FaultPoint {
     /// makes the block unreadable, truncating recovery to the valid
     /// prefix before it.
     CheckpointRead,
-    /// Exchange merge: one schedule grant about to be consumed. `Stall`
-    /// makes the merger refuse the next `ticks` grants — a deterministic
-    /// wedged-consumer for liveness testing (the watchdog must detect it
-    /// and escalate to the outbox-drain failover).
-    StallConsumer,
-    /// Exchange worker: one run-closing punctuation about to be forwarded.
-    /// Any action drops the punctuation — the merger then waits forever
-    /// for the run to close unless the watchdog nudges the worker into
-    /// re-emitting it.
-    DropPunctuation,
     /// Network: one wire frame decoded off a TCP connection. Polled per
     /// *frame*, not per syscall, so the poll count is a deterministic
     /// function of what the peer sent regardless of how the kernel
@@ -103,7 +92,11 @@ pub enum FaultAction {
         /// Duration of the slowdown in ticks.
         ticks: u64,
     },
-    /// The component stalls for `ticks` scheduling units.
+    /// The component stalls, in the point's own unit: `ticks`
+    /// milliseconds at `ArchiveAppend`, `NetRead` and `NetWrite`, `ticks`
+    /// node ticks in Flux. A DU skips one quantum at `OperatorRun` and a
+    /// source reads nothing once at `SourceRead`. At `EgressDeliver` the
+    /// offer fails like any other action there.
     Stall {
         /// Stall length.
         ticks: u64,

@@ -18,12 +18,10 @@
 //!   computation is separated from delivery.
 //!
 //! Slow-client resilience: a full push channel sheds the copy at once (the
-//! router never waits on a client), and under an [`EgressPolicy`] with
-//! `disconnect_after` set, a client whose deliveries fail that many times
-//! in a row is forcibly disconnected and counted, so one dead client can
-//! never wedge a shared eddy. Every delivery offer is accounted
-//! in [`EgressStats`]: `delivered + shed + displaced + disconnected_loss ==
-//! offered`, always.
+//! router never waits on a client), so one slow client can never wedge a
+//! shared eddy, and a client found dead mid-delivery is dropped and
+//! counted. Every delivery offer is accounted in [`EgressStats`]:
+//! `delivered + shed + displaced + disconnected_loss == offered`, always.
 //!
 //! Producers hand the router one batch at a time: a dispatch unit opens
 //! one [`EgressRouter::session`] (or calls [`EgressRouter::deliver_batch`])
@@ -66,17 +64,6 @@ pub type Delivery = (QueryId, Tuple);
 /// and a columnar batch of result rows ([`EgressRouter::register_column_client`]).
 pub type ColumnDelivery = (QueryId, ColumnBatch);
 
-/// Slow-client handling knobs (§4.3's QoS stance applied at the egress
-/// boundary).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EgressPolicy {
-    /// After this many *consecutive* failed deliveries a push client is
-    /// declared stuck and forcibly disconnected. `0` disables forced
-    /// disconnection (the default: shed-and-keep, the pre-policy
-    /// behaviour).
-    pub disconnect_after: u32,
-}
-
 /// Exact per-router delivery accounting. Invariant (checked by
 /// [`EgressStats::accounted`]): every offer ends in exactly one bucket,
 /// `delivered + shed + displaced + disconnected_loss == offered`.
@@ -92,10 +79,10 @@ pub struct EgressStats {
     pub shed: u64,
     /// Pull/prioritized buffer entries rotated out to make room.
     pub displaced: u64,
-    /// Clients forcibly disconnected (stuck past `disconnect_after`, or
-    /// found dead mid-delivery).
+    /// Clients dropped because they were found dead mid-delivery (their
+    /// receiving end gone).
     pub disconnected: u64,
-    /// Offers lost because the client was dead or declared stuck.
+    /// Offers lost because the client was dead.
     pub disconnected_loss: u64,
 }
 
@@ -269,22 +256,14 @@ impl PushTx {
 }
 
 enum ClientState {
-    Push {
-        tx: PushTx,
-        /// Consecutive failed deliveries (reset on success).
-        failures: u32,
-    },
+    Push(PushTx),
     /// A push client that receives whole [`ColumnBatch`]es instead of
     /// per-row [`Delivery`] messages. Offers are still made (and faults
     /// polled) per row, in the same order row clients see them, but
     /// surviving rows accumulate into one pending batch per delivery
     /// session and hit the channel once — the columnar hot path never
     /// materializes per-row tuples for these clients.
-    ColumnPush {
-        tx: SyncSender<ColumnDelivery>,
-        /// Consecutive failed deliveries (reset on success).
-        failures: u32,
-    },
+    ColumnPush(SyncSender<ColumnDelivery>),
     Pull {
         buffer: VecDeque<Delivery>,
         capacity: usize,
@@ -293,7 +272,9 @@ enum ClientState {
     /// fetch returns the most *interesting* buffered results first, and
     /// overflow sheds the least interesting — user preferences pushed down
     /// into result delivery (§4.3).
-    Prioritized { buffer: PriorityBuffer },
+    Prioritized {
+        buffer: PriorityBuffer,
+    },
 }
 
 /// Monotone map from f64 to u64 (IEEE-754 total-order trick), so floats can
@@ -405,7 +386,6 @@ struct RouterInner {
     /// Each query's subscribers; a query's lone subscriber is held inline.
     by_query: HashMap<QueryId, IdList<ClientId>>,
     stats: EgressStats,
-    policy: EgressPolicy,
     injector: Option<SharedInjector>,
     /// Reusable subscriber snapshot for [`RouterInner::deliver_locked`]:
     /// fanning out borrows `clients` mutably, so the subscriber list is
@@ -433,9 +413,8 @@ impl RouterInner {
         offer: Offer<'_>,
         pending: &mut Vec<PendingColumns>,
     ) {
-        let policy = self.policy;
-        // Clients found dead or stuck during this fan-out; removed after
-        // the loop so accounting stays per-offer.
+        // Clients found dead during this fan-out; removed after the loop
+        // so accounting stays per-offer.
         let mut dead: Vec<ClientId> = Vec::new();
         let mut subs = std::mem::take(&mut self.subs_scratch);
         for q in queries {
@@ -453,62 +432,28 @@ impl RouterInner {
                     .injector
                     .as_ref()
                     .and_then(|i| i.poll(FaultPoint::EgressDeliver));
-                match fault {
-                    Some(FaultAction::Stall { .. }) => {
-                        // The client is stuck. With disconnection enabled it
-                        // is dropped immediately; otherwise the copy sheds.
-                        if policy.disconnect_after > 0 {
-                            self.stats.disconnected_loss += 1;
-                            dead.push(cid);
-                        } else {
-                            self.stats.shed += 1;
-                        }
-                        continue;
-                    }
-                    Some(FaultAction::Error(_)) | Some(FaultAction::Overflow) => {
-                        // The offer fails as if the client's buffer were
-                        // full; failure streaks still count toward
-                        // disconnection.
-                        self.stats.shed += 1;
-                        if let ClientState::Push { failures, .. }
-                        | ClientState::ColumnPush { failures, .. } = state
-                        {
-                            *failures += 1;
-                            if policy.disconnect_after > 0 && *failures >= policy.disconnect_after {
-                                dead.push(cid);
-                            }
-                        }
-                        continue;
-                    }
-                    _ => {}
+                if let Some(
+                    FaultAction::Error(_) | FaultAction::Overflow | FaultAction::Stall { .. },
+                ) = fault
+                {
+                    // The offer fails as if the client's buffer were full.
+                    self.stats.shed += 1;
+                    continue;
                 }
-                if matches!(state, ClientState::ColumnPush { .. }) {
+                if matches!(state, ClientState::ColumnPush(_)) {
                     self.offer_column(cid, q, &offer, pending, &mut dead);
                     continue;
                 }
                 match state {
-                    ClientState::Push { tx, failures } => {
-                        match tx.try_send((q, offer.to_tuple())) {
-                            Ok(()) => {
-                                self.stats.delivered += 1;
-                                *failures = 0;
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                self.stats.shed += 1;
-                                *failures += 1;
-                                if policy.disconnect_after > 0
-                                    && *failures >= policy.disconnect_after
-                                {
-                                    dead.push(cid);
-                                }
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                self.stats.disconnected_loss += 1;
-                                dead.push(cid);
-                            }
+                    ClientState::Push(tx) => match tx.try_send((q, offer.to_tuple())) {
+                        Ok(()) => self.stats.delivered += 1,
+                        Err(TrySendError::Full(_)) => self.stats.shed += 1,
+                        Err(TrySendError::Disconnected(_)) => {
+                            self.stats.disconnected_loss += 1;
+                            dead.push(cid);
                         }
-                    }
-                    ClientState::ColumnPush { .. } => unreachable!("handled above"),
+                    },
+                    ClientState::ColumnPush(_) => unreachable!("handled above"),
                     ClientState::Pull { buffer, capacity } => {
                         let forced = self.injector.as_ref().is_some_and(|i| {
                             matches!(
@@ -620,26 +565,16 @@ impl RouterInner {
         if n == 0 {
             return;
         }
-        let policy = self.policy;
         let cid = p.client;
-        let Some(ClientState::ColumnPush { tx, failures }) = self.clients.get_mut(&cid) else {
+        let Some(ClientState::ColumnPush(tx)) = self.clients.get_mut(&cid) else {
             // The client vanished mid-session (disconnected by an earlier
             // chunk, or dropped by the user); its buffered rows are lost.
             self.stats.disconnected_loss += n;
             return;
         };
         match tx.try_send((p.query, p.batch)) {
-            Ok(()) => {
-                self.stats.delivered += n;
-                *failures = 0;
-            }
-            Err(TrySendError::Full(_)) => {
-                self.stats.shed += n;
-                *failures += 1;
-                if policy.disconnect_after > 0 && *failures >= policy.disconnect_after {
-                    dead.push(cid);
-                }
-            }
+            Ok(()) => self.stats.delivered += n,
+            Err(TrySendError::Full(_)) => self.stats.shed += n,
             Err(TrySendError::Disconnected(_)) => {
                 self.stats.disconnected_loss += n;
                 dead.push(cid);
@@ -678,7 +613,7 @@ impl Default for EgressRouter {
 }
 
 impl EgressRouter {
-    /// An empty router with the default (never-disconnect) policy.
+    /// An empty router.
     pub fn new() -> Self {
         EgressRouter {
             inner: Arc::new(Mutex::new(RouterInner {
@@ -686,16 +621,9 @@ impl EgressRouter {
                 by_query: HashMap::new(),
                 subs_scratch: Vec::new(),
                 stats: EgressStats::default(),
-                policy: EgressPolicy::default(),
                 injector: None,
             })),
         }
-    }
-
-    /// Set the slow-client policy (builder form).
-    pub fn with_policy(self, policy: EgressPolicy) -> Self {
-        self.inner.lock().policy = policy;
-        self
     }
 
     /// Attach a chaos injector: every delivery offer polls
@@ -732,13 +660,7 @@ impl EgressRouter {
         capacity: usize,
     ) -> Result<Receiver<Delivery>> {
         let (tx, rx) = sync_channel(capacity.max(1));
-        self.register(
-            id,
-            ClientState::Push {
-                tx: PushTx::Bounded(tx),
-                failures: 0,
-            },
-        )?;
+        self.register(id, ClientState::Push(PushTx::Bounded(tx)))?;
         Ok(rx)
     }
 
@@ -751,14 +673,11 @@ impl EgressRouter {
         let queued = Arc::new(AtomicUsize::new(0));
         self.register(
             id,
-            ClientState::Push {
-                tx: PushTx::Counted {
-                    tx,
-                    queued: queued.clone(),
-                    capacity: capacity.max(1),
-                },
-                failures: 0,
-            },
+            ClientState::Push(PushTx::Counted {
+                tx,
+                queued: queued.clone(),
+                capacity: capacity.max(1),
+            }),
         )?;
         Ok(DeliveryQueue { rx, queued })
     }
@@ -776,7 +695,7 @@ impl EgressRouter {
         capacity: usize,
     ) -> Result<Receiver<ColumnDelivery>> {
         let (tx, rx) = sync_channel(capacity.max(1));
-        self.register(id, ClientState::ColumnPush { tx, failures: 0 })?;
+        self.register(id, ClientState::ColumnPush(tx))?;
         Ok(rx)
     }
 
@@ -892,13 +811,12 @@ impl EgressRouter {
     /// fanning each out to every subscribed client under one router lock:
     /// a one-chunk [`EgressRouter::session`]. The ledger is charged per
     /// (tuple, client) offer, in tuple order — fault polls, per-offer
-    /// outcomes and stuck-client disconnection timing included — so how
+    /// outcomes and dead-client disconnection timing included — so how
     /// rows are split into batches never changes what a seeded run
     /// delivers. Slow or absent clients shed (push: one non-blocking
     /// attempt per copy) or rotate (pull) — delivery never blocks the
     /// executor, and a slow client never slows another — and a client
-    /// stuck past `disconnect_after` consecutive failures is forcibly
-    /// disconnected and counted.
+    /// found dead is dropped and counted.
     pub fn deliver_batch<I>(&self, queries: I, tuples: &[Tuple])
     where
         I: IntoIterator<Item = QueryId>,
@@ -931,7 +849,7 @@ impl EgressRouter {
                 Ok(buffer.drain(..n).collect())
             }
             Some(ClientState::Prioritized { buffer, .. }) => Ok(buffer.fetch(max)),
-            Some(ClientState::Push { .. }) | Some(ClientState::ColumnPush { .. }) => {
+            Some(ClientState::Push(_)) | Some(ClientState::ColumnPush(_)) => {
                 Err(TcqError::Executor(format!(
                     "client {client} is a push client; fetch is for pull clients"
                 )))
@@ -1003,7 +921,7 @@ impl DeliverySession<'_> {
                 subs.as_slice().iter().any(|cid| {
                     !matches!(
                         self.inner.clients.get(cid),
-                        Some(ClientState::ColumnPush { .. }) | None
+                        Some(ClientState::ColumnPush(_)) | None
                     )
                 })
             })
@@ -1171,28 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn stuck_push_client_disconnected_after_threshold() {
-        let r = EgressRouter::new().with_policy(EgressPolicy {
-            disconnect_after: 3,
-        });
-        let _rx = r.register_push_client(1, 1).unwrap();
-        r.subscribe(1, 5).unwrap();
-        for i in 0..10 {
-            r.deliver_batch([5usize], &[t(i)]);
-        }
-        let s = r.egress_stats();
-        // Offer 1 fills the channel; offers 2-4 shed (failure streak 1..3);
-        // the 4th offer trips disconnect_after=3; offers 5-10 find no
-        // subscriber and are never offered.
-        assert_eq!(s.offered, 4);
-        assert_eq!(s.delivered, 1);
-        assert_eq!(s.shed, 3);
-        assert_eq!(s.disconnected, 1);
-        assert!(s.accounted(), "every offer accounted: {s:?}");
-        assert_eq!(r.client_count(), 0, "stuck client forcibly removed");
-    }
-
-    #[test]
     fn socket_drop_mid_batch_reclassifies_undrained_rows() {
         // A TCP client with a queue of 4 receives a 10-row batch: 4 rows
         // buffer (delivered), 6 shed. The client reads one row, then its
@@ -1282,9 +1178,7 @@ mod tests {
 
     #[test]
     fn a_dropped_queue_disconnects_its_client() {
-        let r = EgressRouter::new().with_policy(EgressPolicy {
-            disconnect_after: 4,
-        });
+        let r = EgressRouter::new();
         let q = r.register_queue_client(1, 8).unwrap();
         r.subscribe(1, 5).unwrap();
         let depth = q.depth();
@@ -1334,9 +1228,7 @@ mod tests {
 
     #[test]
     fn dead_push_client_is_disconnected_and_counted() {
-        let r = EgressRouter::new().with_policy(EgressPolicy {
-            disconnect_after: 4,
-        });
+        let r = EgressRouter::new();
         let rx = r.register_push_client(1, 8).unwrap();
         r.subscribe(1, 5).unwrap();
         drop(rx);
@@ -1352,32 +1244,9 @@ mod tests {
     }
 
     #[test]
-    fn delivery_success_resets_failure_streak() {
-        let r = EgressRouter::new().with_policy(EgressPolicy {
-            disconnect_after: 3,
-        });
-        let rx = r.register_push_client(1, 1).unwrap();
-        r.subscribe(1, 5).unwrap();
-        // Alternate fill/drain: two consecutive failures max, never three.
-        for round in 0..6 {
-            r.deliver_batch([5usize], &[t(round * 3)]); // delivered (channel empty)
-            r.deliver_batch([5usize], &[t(round * 3 + 1)]); // shed, streak 1
-            r.deliver_batch([5usize], &[t(round * 3 + 2)]); // shed, streak 2
-            let _ = rx.try_iter().count(); // client catches up
-        }
-        let s = r.egress_stats();
-        assert_eq!(s.disconnected, 0, "recovering client never disconnected");
-        assert_eq!(s.delivered, 6);
-        assert_eq!(s.shed, 12);
-        assert!(s.accounted());
-    }
-
-    #[test]
     fn deliver_batch_matches_per_tuple_deliveries() {
         let mk = || {
-            let r = EgressRouter::new().with_policy(EgressPolicy {
-                disconnect_after: 2,
-            });
+            let r = EgressRouter::new();
             let rx = r.register_push_client(1, 3).unwrap();
             r.register_pull_client(2, 4).unwrap();
             r.subscribe(1, 9).unwrap();
@@ -1405,9 +1274,7 @@ mod tests {
 
     #[test]
     fn accounting_invariant_across_mixed_clients() {
-        let r = EgressRouter::new().with_policy(EgressPolicy {
-            disconnect_after: 2,
-        });
+        let r = EgressRouter::new();
         let _rx = r.register_push_client(1, 2).unwrap();
         r.register_pull_client(2, 3).unwrap();
         let rx_dead = r.register_push_client(3, 1).unwrap();
@@ -1421,7 +1288,8 @@ mod tests {
         let s = r.egress_stats();
         assert!(s.accounted(), "invariant must hold under churn: {s:?}");
         assert!(s.displaced > 0, "pull ring rotated");
-        assert!(s.disconnected >= 2, "stuck + dead clients removed");
+        // Only the dead client is removed: the full one stays and sheds.
+        assert_eq!(s.disconnected, 1, "dead client removed");
         // Pull client survives and holds the freshest results.
         assert_eq!(r.fetch(2, 10).unwrap().len(), 3);
     }
@@ -1481,9 +1349,7 @@ mod tests {
         // session of columnar + row chunks, charge identical ledgers and
         // produce identical client streams.
         let mk = || {
-            let r = EgressRouter::new().with_policy(EgressPolicy {
-                disconnect_after: 2,
-            });
+            let r = EgressRouter::new();
             let rx = r.register_push_client(1, 6).unwrap();
             r.register_pull_client(2, 4).unwrap();
             r.subscribe(1, 9).unwrap();
@@ -1533,14 +1399,12 @@ mod tests {
     }
 
     #[test]
-    fn stalled_client_pays_its_own_retry_budget_in_batches() {
+    fn a_stalled_client_costs_a_healthy_one_nothing_in_a_batch() {
         // One stalled push client and one healthy push client share a
         // query. A full channel sheds the copy at once, so the stalled
         // client costs the healthy one nothing across a large batch.
         const N: i64 = 100;
-        let r = EgressRouter::new().with_policy(EgressPolicy {
-            disconnect_after: 0, // keep the stalled client subscribed
-        });
+        let r = EgressRouter::new();
         // Registered (and therefore offered) first.
         let _stalled_rx = r.register_push_client(1, 1).unwrap();
         let healthy_rx = r.register_push_client(2, N as usize).unwrap();
@@ -1577,33 +1441,6 @@ mod chaos_tests {
     }
 
     #[test]
-    fn injected_stall_forces_disconnect() {
-        let injector = FaultPlan::new(1)
-            .at(
-                FaultPoint::EgressDeliver,
-                3,
-                FaultAction::Stall { ticks: 5 },
-            )
-            .build_shared();
-        let r = EgressRouter::new().with_policy(EgressPolicy {
-            disconnect_after: 8,
-        });
-        r.attach_injector(injector.clone());
-        let _rx = r.register_push_client(1, 16).unwrap();
-        r.subscribe(1, 5).unwrap();
-        for i in 0..10 {
-            r.deliver_batch([5usize], &[t(i)]);
-        }
-        let s = r.egress_stats();
-        assert_eq!(s.offered, 3, "client gone after the injected stall");
-        assert_eq!(s.delivered, 2);
-        assert_eq!(s.disconnected, 1);
-        assert_eq!(s.disconnected_loss, 1);
-        assert!(s.accounted());
-        assert_eq!(injector.log().len(), 1);
-    }
-
-    #[test]
     fn injected_enqueue_overflow_displaces_pull_buffer() {
         let injector = FaultPlan::new(1)
             .at(FaultPoint::FjordEnqueue, 3, FaultAction::Overflow)
@@ -1626,26 +1463,38 @@ mod chaos_tests {
 
     #[test]
     fn injected_delivery_error_sheds_copy() {
-        let injector = FaultPlan::new(1)
-            .at(
-                FaultPoint::EgressDeliver,
-                2,
-                FaultAction::Error("wire".into()),
-            )
-            .build_shared();
-        let r = EgressRouter::new();
-        r.attach_injector(injector);
-        let rx = r.register_push_client(1, 16).unwrap();
-        r.subscribe(1, 5).unwrap();
-        for i in 0..4 {
-            r.deliver_batch([5usize], &[t(i)]);
+        // Every action at the delivery point sheds that one copy and keeps
+        // the client.
+        for action in [
+            FaultAction::Error("wire".into()),
+            FaultAction::Overflow,
+            FaultAction::Stall { ticks: 5 },
+        ] {
+            let injector = FaultPlan::new(1)
+                .at(FaultPoint::EgressDeliver, 2, action.clone())
+                .build_shared();
+            let r = EgressRouter::new();
+            r.attach_injector(injector.clone());
+            let rx = r.register_push_client(1, 16).unwrap();
+            r.subscribe(1, 5).unwrap();
+            for i in 0..4 {
+                r.deliver_batch([5usize], &[t(i)]);
+            }
+            assert_eq!(
+                r.egress_stats(),
+                EgressStats {
+                    offered: 4,
+                    delivered: 3,
+                    shed: 1,
+                    ..EgressStats::default()
+                },
+                "{action:?}"
+            );
+            let got: Vec<Tuple> = rx.try_iter().map(|(_, row)| row).collect();
+            assert_eq!(got, [t(0), t(2), t(3)], "{action:?}: the second copy shed");
+            assert_eq!(r.client_count(), 1, "{action:?}");
+            assert_eq!(injector.log().len(), 1, "{action:?}");
         }
-        let s = r.egress_stats();
-        assert_eq!(s.delivered, 3);
-        assert_eq!(s.shed, 1);
-        assert!(s.accounted());
-        assert_eq!(rx.try_iter().count(), 3);
-        assert_eq!(r.client_count(), 1, "no disconnect with policy disabled");
     }
 }
 

@@ -25,23 +25,6 @@ pub trait DispatchUnit: Send {
     fn buffered(&self) -> usize {
         0
     }
-
-    /// Liveness recovery, first rung: make any forward progress the DU
-    /// has been withholding (re-emit a punctuation an injected fault
-    /// swallowed). Must preserve the DU's output
-    /// contract exactly — a nudge may only *reschedule* work, never
-    /// change what is eventually produced. Returns true if it did
-    /// anything.
-    fn nudge(&mut self) -> bool {
-        false
-    }
-
-    /// Liveness recovery, final rung: controlled failover — force-drain
-    /// buffered state along the DU's ordered-outbox path even if the
-    /// normal protocol cannot complete. Returns true if it did anything.
-    fn escalate(&mut self) -> bool {
-        false
-    }
 }
 
 /// Wrap a closure as a DU (tests, ad hoc dataflows).

@@ -29,7 +29,7 @@ pub struct ExecutorConfig {
     pub injector: Option<SharedInjector>,
     /// Optional liveness watchdog: EO 0 runs stall detection once per
     /// scheduling round against the config's progress registry; every EO
-    /// applies the recovery ladder (nudge, then escalate) to its DUs.
+    /// publishes its DUs' buffered counts to it.
     pub watchdog: Option<WatchdogConfig>,
 }
 
@@ -333,8 +333,6 @@ fn eo_loop(
 ) {
     let mut dus: Vec<(DuId, Box<dyn DispatchUnit>)> = Vec::new();
     let mut statuses: Vec<&'static str> = Vec::new();
-    let mut applied_nudge: u64 = 0;
-    let mut applied_escalate: u64 = 0;
     loop {
         if stop.load(Ordering::Acquire) {
             return;
@@ -352,32 +350,6 @@ fn eo_loop(
                 let removed = (before - dus.len()) as u64;
                 shared.du_count.fetch_sub(removed, Ordering::Relaxed);
                 cancels.clear();
-            }
-        }
-        // Apply any pending recovery rungs before granting quanta, so a
-        // nudged DU gets to act on it this round.
-        if let Some(wd) = &watchdog {
-            let gen = wd.pending_nudge();
-            if gen > applied_nudge {
-                applied_nudge = gen;
-                let mut worked = false;
-                for (_, du) in dus.iter_mut() {
-                    worked |= du.nudge();
-                }
-                if worked {
-                    wd.note_nudge_worked();
-                }
-            }
-            let gen = wd.pending_escalate();
-            if gen > applied_escalate {
-                applied_escalate = gen;
-                let mut worked = false;
-                for (_, du) in dus.iter_mut() {
-                    worked |= du.escalate();
-                }
-                if worked {
-                    wd.note_escalate_worked();
-                }
             }
         }
         if dus.is_empty() {

@@ -1,4 +1,4 @@
-//! Deterministic liveness watchdog: stall detection, diagnosis, recovery.
+//! Deterministic liveness watchdog: stall detection and diagnosis.
 //!
 //! The dataflow's liveness invariant is "while messages are in flight,
 //! the progress frontier keeps advancing". The watchdog checks exactly
@@ -8,21 +8,13 @@
 //! healthy run detects nothing, so watchdog on/off stays byte-identical).
 //!
 //! When the global frontier has not advanced for [`WatchdogConfig::stall_ticks`]
-//! rounds while messages are in flight, the watchdog:
-//!
-//! 1. records a structured [`StallDiagnosis`] (per-fjord depths and EOF
-//!    state, per-DU buffered counts and last-run status, pending
-//!    punctuation runs, blocked producer/consumer sets), and
-//! 2. escalates through the recovery ladder: **nudge** — every EO asks
-//!    each of its DUs to make withheld progress ([`crate::DispatchUnit::nudge`]:
-//!    re-emit withheld punctuation); then after
-//!    [`WatchdogConfig::escalate_ticks`] more frozen rounds, **failover**
-//!    ([`crate::DispatchUnit::escalate`]: force-drain buffered state along
-//!    the ordered-outbox path).
-//!
-//! A stall that clears after a rung reported doing work counts as a
-//! `recovery`; one that clears with no rung having done anything counts
-//! as a `false_positive` (the system was merely slow).
+//! rounds while messages are in flight, the watchdog records a structured
+//! [`StallDiagnosis`] (per-fjord depths and EOF state, per-DU buffered
+//! counts and last-run status, pending punctuation runs, blocked
+//! producer/consumer sets). It acts on nothing: DUs are non-preemptive
+//! and hand control back through their fjords (§4.2.2), and real failure
+//! is Flux failover's to answer. A stall ends when the frontier moves or
+//! nothing is left in flight, and then counts as cleared.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -38,11 +30,8 @@ pub struct WatchdogConfig {
     /// reads their frontier and depths from it.
     pub registry: ProgressRegistry,
     /// Frozen-frontier rounds (with work in flight) before a stall is
-    /// declared, diagnosed, and nudged.
+    /// declared and diagnosed.
     pub stall_ticks: u64,
-    /// Further frozen rounds after the nudge before escalating to the
-    /// outbox-drain failover.
-    pub escalate_ticks: u64,
 }
 
 impl Default for WatchdogConfig {
@@ -53,7 +42,6 @@ impl Default for WatchdogConfig {
             // idle_park; far longer when the engine is busy (rounds are
             // then microseconds apart but the frontier is also moving).
             stall_ticks: 512,
-            escalate_ticks: 512,
         }
     }
 }
@@ -145,23 +133,16 @@ struct DetectState {
     stalled: bool,
 }
 
-/// Shared watchdog state: EO 0 detects, every EO applies recovery rungs
-/// and publishes its DUs' buffered counts.
+/// Shared watchdog state: EO 0 detects, every EO publishes its DUs'
+/// buffered counts.
 pub(crate) struct WatchdogState {
     cfg: WatchdogConfig,
     detect: Mutex<DetectState>,
-    nudge_gen: AtomicU64,
-    escalate_gen: AtomicU64,
-    nudge_worked: AtomicBool,
-    escalate_worked: AtomicBool,
     publish_details: AtomicBool,
     buffered_per_eo: Vec<AtomicUsize>,
     dus_per_eo: Vec<Mutex<Vec<DuDiag>>>,
     stalls: AtomicU64,
-    nudges: AtomicU64,
-    escalations: AtomicU64,
-    recoveries: AtomicU64,
-    false_positives: AtomicU64,
+    cleared: AtomicU64,
     last: Mutex<Option<StallDiagnosis>>,
 }
 
@@ -171,14 +152,9 @@ pub struct WatchdogStats {
     /// Stalls declared (frontier frozen `stall_ticks` rounds with work
     /// in flight).
     pub stalls_detected: u64,
-    /// Nudge rungs issued.
-    pub nudges: u64,
-    /// Failover rungs issued.
-    pub escalations: u64,
-    /// Stalls cleared after a recovery rung reported doing work.
-    pub recoveries: u64,
-    /// Stalls that cleared on their own (detection was premature).
-    pub false_positives: u64,
+    /// Declared stalls that have since ended: the frontier moved again or
+    /// nothing was left in flight.
+    pub stalls_cleared: u64,
 }
 
 impl WatchdogState {
@@ -191,36 +167,13 @@ impl WatchdogState {
                 frozen: 0,
                 stalled: false,
             }),
-            nudge_gen: AtomicU64::new(0),
-            escalate_gen: AtomicU64::new(0),
-            nudge_worked: AtomicBool::new(false),
-            escalate_worked: AtomicBool::new(false),
             publish_details: AtomicBool::new(false),
             buffered_per_eo: (0..eos).map(|_| AtomicUsize::new(0)).collect(),
             dus_per_eo: (0..eos).map(|_| Mutex::new(Vec::new())).collect(),
             stalls: AtomicU64::new(0),
-            nudges: AtomicU64::new(0),
-            escalations: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            false_positives: AtomicU64::new(0),
+            cleared: AtomicU64::new(0),
             last: Mutex::new(None),
         }
-    }
-
-    pub(crate) fn pending_nudge(&self) -> u64 {
-        self.nudge_gen.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn pending_escalate(&self) -> u64 {
-        self.escalate_gen.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn note_nudge_worked(&self) {
-        self.nudge_worked.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn note_escalate_worked(&self) {
-        self.escalate_worked.store(true, Ordering::Release);
     }
 
     pub(crate) fn publishing_details(&self) -> bool {
@@ -254,13 +207,7 @@ impl WatchdogState {
             st.frozen = 0;
             if st.stalled {
                 st.stalled = false;
-                if self.nudge_worked.load(Ordering::Acquire)
-                    || self.escalate_worked.load(Ordering::Acquire)
-                {
-                    self.recoveries.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.false_positives.fetch_add(1, Ordering::Relaxed);
-                }
+                self.cleared.fetch_add(1, Ordering::Relaxed);
             }
             self.publish_details.store(false, Ordering::Release);
             return;
@@ -273,15 +220,8 @@ impl WatchdogState {
         }
         if st.frozen == self.cfg.stall_ticks {
             st.stalled = true;
-            self.nudge_worked.store(false, Ordering::Release);
-            self.escalate_worked.store(false, Ordering::Release);
             self.stalls.fetch_add(1, Ordering::Relaxed);
             *self.last.lock() = Some(self.diagnose(st.tick, frontier, in_flight));
-            self.nudges.fetch_add(1, Ordering::Relaxed);
-            self.nudge_gen.fetch_add(1, Ordering::Release);
-        } else if st.frozen == self.cfg.stall_ticks + self.cfg.escalate_ticks {
-            self.escalations.fetch_add(1, Ordering::Relaxed);
-            self.escalate_gen.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -325,10 +265,7 @@ impl WatchdogState {
     pub(crate) fn stats(&self) -> WatchdogStats {
         WatchdogStats {
             stalls_detected: self.stalls.load(Ordering::Relaxed),
-            nudges: self.nudges.load(Ordering::Relaxed),
-            escalations: self.escalations.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            false_positives: self.false_positives.load(Ordering::Relaxed),
+            stalls_cleared: self.cleared.load(Ordering::Relaxed),
         }
     }
 
@@ -343,14 +280,13 @@ mod tests {
     use tcq_common::Timestamp;
     use tcq_fjords::{Consumer, FjordMessage, Producer};
 
-    fn wd(stall: u64, escalate: u64) -> (WatchdogState, Producer, Consumer) {
+    fn wd(stall: u64) -> (WatchdogState, Producer, Consumer) {
         let registry = ProgressRegistry::new();
         let (p, c) = registry.fjord("c", 64);
         let state = WatchdogState::new(
             WatchdogConfig {
                 registry,
                 stall_ticks: stall,
-                escalate_ticks: escalate,
             },
             1,
         );
@@ -364,7 +300,7 @@ mod tests {
 
     #[test]
     fn healthy_progress_never_stalls() {
-        let (w, p, c) = wd(3, 3);
+        let (w, p, c) = wd(3);
         for _ in 0..50 {
             put(&p, 1); // frontier moves every tick
             w.tick();
@@ -375,7 +311,7 @@ mod tests {
 
     #[test]
     fn idle_engine_never_stalls() {
-        let (w, _p, _c) = wd(3, 3);
+        let (w, _p, _c) = wd(3);
         for _ in 0..50 {
             w.tick(); // frontier frozen but nothing in flight
         }
@@ -383,23 +319,28 @@ mod tests {
     }
 
     #[test]
-    fn frozen_frontier_with_in_flight_detects_then_escalates() {
-        let (w, p, _c) = wd(3, 2);
+    fn frozen_frontier_with_in_flight_is_detected_once_and_diagnosed() {
+        let (w, p, _c) = wd(3);
         // 5 in flight, then silence. The first tick absorbs the frontier
         // change; detection needs stall_ticks frozen ticks after it.
         put(&p, 5);
-        for _ in 0..4 {
+        for _ in 0..3 {
             w.tick();
         }
+        assert_eq!(w.stats().stalls_detected, 0);
+        w.tick();
         assert_eq!(w.stats().stalls_detected, 1);
-        assert_eq!(w.stats().nudges, 1);
-        assert_eq!(w.pending_nudge(), 1);
-        assert_eq!(w.stats().escalations, 0);
-        for _ in 0..2 {
+        // A stall stays one stall however long it lasts.
+        for _ in 0..20 {
             w.tick();
         }
-        assert_eq!(w.stats().escalations, 1);
-        assert_eq!(w.pending_escalate(), 1);
+        assert_eq!(
+            w.stats(),
+            WatchdogStats {
+                stalls_detected: 1,
+                stalls_cleared: 0
+            }
+        );
         let diag = w.last_stall().expect("diagnosis recorded");
         assert_eq!(diag.in_flight, 5);
         assert_eq!(diag.blocked_consumers, vec!["c".to_string()]);
@@ -408,28 +349,30 @@ mod tests {
     }
 
     #[test]
-    fn recovery_vs_false_positive_classification() {
-        // Stall that clears after the nudge reported work -> recovery.
-        let (w, p, c) = wd(2, 10);
-        put(&p, 1);
+    fn a_stall_clears_when_the_frontier_moves_or_nothing_is_in_flight() {
+        // Cleared by the frontier moving (a dequeue advances it).
+        let (w, p, c) = wd(2);
+        put(&p, 2);
         w.tick(); // absorbs the frontier change
         w.tick();
         w.tick();
         assert_eq!(w.stats().stalls_detected, 1);
-        w.note_nudge_worked();
         c.dequeue();
         w.tick();
-        assert_eq!(w.stats().recoveries, 1);
-        assert_eq!(w.stats().false_positives, 0);
+        assert_eq!(w.stats().stalls_cleared, 1);
 
-        // Stall that clears on its own -> false positive.
-        put(&p, 1);
-        w.tick();
+        // Cleared by draining the last message in flight.
         w.tick();
         w.tick();
         assert_eq!(w.stats().stalls_detected, 2);
         c.dequeue();
         w.tick();
-        assert_eq!(w.stats().false_positives, 1);
+        assert_eq!(
+            w.stats(),
+            WatchdogStats {
+                stalls_detected: 2,
+                stalls_cleared: 2
+            }
+        );
     }
 }

@@ -559,7 +559,7 @@ fn writer_loop(
     let mut run_q: Option<usize> = None;
     let mut carry: Option<Delivery> = None;
     let mut closing = false; // reader asked us to finish
-    let mut kicked = false; // router disconnected us (stuck-client policy)
+    let mut kicked = false; // the router dropped our client
     let mut sock_dead = false;
     let mut idle_tick = WRITE_TICK;
 
@@ -663,8 +663,8 @@ fn writer_loop(
     // write that failed were counted `delivered` by the router but never
     // reached the kernel; the router drops the client and counts its queue
     // in one step, so no row can be delivered in between. (A client the
-    // router already dropped — stuck-client policy — has an empty, closed
-    // queue and nothing staged.)
+    // router already dropped has an empty, closed queue and nothing
+    // staged.)
     let unsent = carry.is_some() as u64 + run.len() as u64 + out_rows;
     let lost = shared.server.disconnect_push_client(cid, rx, unsent);
     stats

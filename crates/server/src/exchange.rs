@@ -67,26 +67,18 @@
 //!    fjord strictly in order; for each grant it drains that partition's
 //!    output fjord up to the run-closing `Punct` and hands the run to the
 //!    egress router as one batch. Egress offers therefore happen in the
-//!    canonical order, so ledger counters, retry decisions, and fault
+//!    canonical order, so ledger counters, shed decisions, and fault
 //!    polls at `EgressDeliver` fire identically for any P.
 //!
 //! All three DUs read their fjords through [`Inbox`]es like every other
 //! DU: what a refill pulled past the point a DU stops — a merger's run
-//! closing mid-refill, a worker owing a dropped punct — waits in the
-//! inbox for the DU's next step.
+//! closing mid-refill — waits in the inbox for the DU's next step.
 //!
-//! The exchange DUs poll no fault points on the data path shared with
-//! the sequential plan; every such point (SourceRead, FjordEnqueue,
-//! ArchiveAppend, EgressDeliver, …) sits upstream of the partitioner or
-//! downstream of the merger, so a seeded chaos schedule observes the same
-//! per-message poll sequence at any P (`tests/server_chaos.rs` asserts
-//! this end to end). The two liveness points are exchange-local and do
-//! not disturb that contract: a worker polls
-//! [`FaultPoint::DropPunctuation`] per run-closing punct it forwards and
-//! the merger polls [`FaultPoint::StallConsumer`] per schedule grant it
-//! consumes — per-point counters are independent and rate draws only
-//! happen for rates registered at the polled point, so plans that don't
-//! mention the liveness points replay bit-for-bit as before.
+//! The exchange DUs poll no fault point themselves; every per-message point
+//! (SourceRead, FjordEnqueue, ArchiveAppend, EgressDeliver, …) sits
+//! upstream of the partitioner or downstream of the merger, so a seeded
+//! chaos schedule observes the same per-message poll sequence at any P
+//! (`tests/server_chaos.rs` asserts this end to end).
 //!
 //! # Backpressure and deadlock freedom
 //!
@@ -100,7 +92,7 @@
 
 use std::collections::VecDeque;
 
-use tcq_common::{FaultAction, FaultPoint, Result, SchemaRef, SharedInjector, Timestamp, Tuple};
+use tcq_common::{Result, SchemaRef, Timestamp, Tuple};
 use tcq_eddy::{Eddy, Emitted, SourceSet};
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
@@ -433,14 +425,6 @@ pub struct WorkerDu {
     batch: Vec<Tuple>,
     outbox: Vec<FjordMessage>,
     finished: bool,
-    /// Run-closing punctuations an injected fault swallowed
-    /// ([`FaultPoint::DropPunctuation`]). While any are owed the worker
-    /// takes no further input — it stays in the inbox, because the punct
-    /// must land *before* the next run's outputs — so the merger wedges
-    /// waiting for the run to close until the watchdog nudges us into
-    /// re-emitting.
-    owed_puncts: Vec<Timestamp>,
-    injector: Option<SharedInjector>,
 }
 
 impl WorkerDu {
@@ -463,16 +447,7 @@ impl WorkerDu {
             batch: Vec::new(),
             outbox: Vec::new(),
             finished: false,
-            owed_puncts: Vec::new(),
-            injector: None,
         }
-    }
-
-    /// Attach the chaos injector: each run-closing punctuation about to be
-    /// forwarded polls [`FaultPoint::DropPunctuation`].
-    pub fn with_injector(mut self, injector: SharedInjector) -> Self {
-        self.injector = Some(injector);
-        self
     }
 
     /// Push the pending run prefix through the eddy; outputs join the
@@ -493,20 +468,10 @@ impl WorkerDu {
         Ok(())
     }
 
-    /// Close the open run: its outputs, then its punct — unless an
-    /// injected fault swallows the punct, which is then owed.
+    /// Close the open run: its outputs, then its punct.
     fn close_run(&mut self, ts: Timestamp) -> Result<()> {
         self.process_pending()?;
-        let dropped = self
-            .injector
-            .as_ref()
-            .and_then(|inj| inj.poll(FaultPoint::DropPunctuation))
-            .is_some();
-        if dropped {
-            self.owed_puncts.push(ts);
-        } else {
-            self.outbox.push(FjordMessage::Punct(ts));
-        }
+        self.outbox.push(FjordMessage::Punct(ts));
         Ok(())
     }
 
@@ -531,20 +496,7 @@ impl DispatchUnit for WorkerDu {
     }
 
     fn buffered(&self) -> usize {
-        self.outbox.len() + self.batch.len() + self.input.buffered() + self.owed_puncts.len()
-    }
-
-    /// Re-emit dropped run-closing punctuations. The input parked in the
-    /// inbox resumes through the normal path on the next quantum.
-    fn nudge(&mut self) -> bool {
-        if self.owed_puncts.is_empty() {
-            return false;
-        }
-        for ts in std::mem::take(&mut self.owed_puncts) {
-            self.outbox.push(FjordMessage::Punct(ts));
-        }
-        self.flush_outbox();
-        true
+        self.outbox.len() + self.batch.len() + self.input.buffered()
     }
 
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
@@ -558,19 +510,11 @@ impl DispatchUnit for WorkerDu {
                 ModuleStatus::Idle
             });
         }
-        if !self.owed_puncts.is_empty() {
-            // An injected fault swallowed a run-closing punct: the worker
-            // is wedged by design until the watchdog nudges it.
-            return Ok(ModuleStatus::Idle);
-        }
         if self.finished {
             return Ok(ModuleStatus::Done);
         }
         let mut budget = quantum;
-        while self.owed_puncts.is_empty() {
-            let Some(msg) = self.input.next(&mut budget) else {
-                break;
-            };
+        while let Some(msg) = self.input.next(&mut budget) {
             did_work = true;
             match msg {
                 FjordMessage::Tuple(t) => self.batch.push(t),
@@ -589,7 +533,7 @@ impl DispatchUnit for WorkerDu {
         // outputs precede the punct either way, so order is intact and
         // latency stays low while the run is starved.
         self.process_pending()?;
-        if self.input.is_done() && self.owed_puncts.is_empty() && !self.finished {
+        if self.input.is_done() && !self.finished {
             self.outbox.push(FjordMessage::Eof);
             self.finished = true;
             did_work = true;
@@ -621,12 +565,6 @@ pub struct MergeDu {
     run_buf: Vec<Tuple>,
     current: Option<usize>,
     done: bool,
-    /// Remaining quanta this merger refuses to work, set by an injected
-    /// [`FaultPoint::StallConsumer`] fault (a deterministic wedged
-    /// consumer). Cleared by [`DispatchUnit::escalate`] — the watchdog's
-    /// failover to the ordered-outbox drain.
-    stall_budget: u64,
-    injector: Option<SharedInjector>,
 }
 
 impl MergeDu {
@@ -648,16 +586,7 @@ impl MergeDu {
             run_buf: Vec::new(),
             current: None,
             done: false,
-            stall_budget: 0,
-            injector: None,
         }
-    }
-
-    /// Attach the chaos injector: each schedule grant consumed polls
-    /// [`FaultPoint::StallConsumer`].
-    pub fn with_injector(mut self, injector: SharedInjector) -> Self {
-        self.injector = Some(injector);
-        self
     }
 
     /// Complete the current run: one egress offer sequence in canonical
@@ -680,43 +609,18 @@ impl DispatchUnit for MergeDu {
             + self.outputs.iter().map(Inbox::buffered).sum::<usize>()
     }
 
-    /// Failover: clear an injected consumer wedge so the ordered-outbox
-    /// drain resumes exactly where it stopped (zero loss, canonical order
-    /// intact — the stall never consumed or reordered anything).
-    fn escalate(&mut self) -> bool {
-        if self.stall_budget > 0 {
-            self.stall_budget = 0;
-            true
-        } else {
-            false
-        }
-    }
-
     fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
         if self.done {
             return Ok(ModuleStatus::Done);
         }
-        if self.stall_budget > 0 {
-            // Injected wedge: refuse to touch the schedule or any output
-            // fjord. The watchdog must notice the frozen frontier.
-            self.stall_budget -= 1;
-            return Ok(ModuleStatus::Idle);
-        }
         let mut did_work = false;
         let mut budget = quantum;
-        while self.stall_budget == 0 {
+        loop {
             let Some(p) = self.current else {
                 match self.schedule.next(&mut budget) {
                     Some(FjordMessage::Punct(ts)) => {
                         did_work = true;
                         self.current = Some(ts.seq() as usize);
-                        if let Some(FaultAction::Stall { ticks }) = self
-                            .injector
-                            .as_ref()
-                            .and_then(|inj| inj.poll(FaultPoint::StallConsumer))
-                        {
-                            self.stall_budget = ticks;
-                        }
                     }
                     // The partitioner sends only grants here.
                     Some(_) => {}

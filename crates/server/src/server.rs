@@ -15,8 +15,7 @@ use tcq_common::{
 };
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
 use tcq_egress::{
-    ClientId, ColumnDelivery, Delivery, DeliveryQueue, EgressPolicy, EgressRouter, EgressStats,
-    PushQueue,
+    ClientId, ColumnDelivery, Delivery, DeliveryQueue, EgressRouter, EgressStats, PushQueue,
 };
 use tcq_executor::{DuId, Executor, ExecutorConfig, StallDiagnosis, WatchdogConfig};
 use tcq_fjords::{Inbox, Producer, ProgressRegistry, ProgressSnapshot};
@@ -52,9 +51,8 @@ const QUANTUM: usize = 128;
 /// Overload has one rule and no knob: back-pressure. A full queue holds
 /// back whoever feeds it — a subscriber queue its stream's dispatcher, an
 /// ingress fjord its source — and only a queue someone still reads exerts
-/// it. The engine sheds only at a client's bounded delivery buffer
-/// ([`ServerConfig::egress_policy`]), and where a fault plan injects an
-/// overflow.
+/// it. The engine sheds only at a client's bounded delivery buffer, and
+/// where a fault plan injects a delivery fault.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Execution Objects (threads).
@@ -79,9 +77,6 @@ pub struct ServerConfig {
     /// executor, every source thread, each stream's dispatcher
     /// and archive, and the egress router. `None` runs fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Slow-client policy for the egress router (default: never
-    /// disconnect, pure legacy behaviour).
-    pub egress_policy: EgressPolicy,
     /// Partition-parallel degree for dedicated join queries. At `1`
     /// (default) every query runs as a single sequential DU chain. At
     /// `P > 1`, eligible joins are split into a hash-partitioned
@@ -99,8 +94,9 @@ pub struct ServerConfig {
     /// stall detector (see [`tcq_executor::WatchdogConfig`]), which reads
     /// the progress registry every server keeps
     /// ([`TelegraphCQ::progress_snapshot`]); `None` (default) runs none.
-    /// The detector only *observes* until it declares a stall — a healthy
-    /// run behaves byte-identically either way.
+    /// The detector only observes: it counts and diagnoses stalls
+    /// ([`TelegraphCQ::last_stall`]) and acts on no DU, so any run
+    /// behaves byte-identically either way.
     pub liveness: Option<LivenessConfig>,
     /// Which transport fronts the server. The core (dispatchers, eddies,
     /// egress ledger) never looks at this: `TelegraphCQ` itself always
@@ -155,19 +151,14 @@ impl Default for TcpTransportConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LivenessConfig {
     /// Frozen-frontier rounds (with work in flight) before a stall is
-    /// declared, diagnosed, and every DU is nudged.
+    /// declared and diagnosed.
     pub stall_ticks: u64,
-    /// Further frozen rounds after the nudge before escalating to the
-    /// ordered-outbox drain failover.
-    pub escalate_ticks: u64,
 }
 
 impl Default for LivenessConfig {
     fn default() -> Self {
-        let wd = WatchdogConfig::default();
         LivenessConfig {
-            stall_ticks: wd.stall_ticks,
-            escalate_ticks: wd.escalate_ticks,
+            stall_ticks: WatchdogConfig::default().stall_ticks,
         }
     }
 }
@@ -182,7 +173,6 @@ impl Default for ServerConfig {
             io_batch: 64,
             seed: 0x7E1E_C001,
             fault_plan: None,
-            egress_policy: EgressPolicy::default(),
             partitions: 1,
             checkpoint_path: None,
             liveness: None,
@@ -386,7 +376,6 @@ impl TelegraphCQ {
         let watchdog = config.liveness.map(|lv| WatchdogConfig {
             registry: progress.clone(),
             stall_ticks: lv.stall_ticks,
-            escalate_ticks: lv.escalate_ticks,
         });
         let executor = Executor::start(ExecutorConfig {
             eos: config.eos,
@@ -399,7 +388,7 @@ impl TelegraphCQ {
             std::fs::create_dir_all(dir)?;
         }
         let pool = BufferPool::new(POOL_PAGES, PAGE_SIZE);
-        let egress = EgressRouter::new().with_policy(config.egress_policy);
+        let egress = EgressRouter::new();
         if let Some(inj) = &injector {
             egress.attach_injector(inj.clone());
         }
@@ -1400,31 +1389,25 @@ impl TelegraphCQ {
         for (k, ((eddy, input), output)) in
             eddies.into_iter().zip(part_cons).zip(out_prods).enumerate()
         {
-            let mut du = WorkerDu::new(
+            let du = WorkerDu::new(
                 format!("xchg-work(q{qid}.{k})"),
                 input,
                 output,
                 eddy,
                 LazyProject::new(aq.projection.clone()),
             );
-            if let Some(inj) = &self.injector {
-                du = du.with_injector(inj.clone());
-            }
             dus.push(
                 self.executor
                     .submit(exchange::du_class(qid, k), Box::new(du))?,
             );
         }
-        let mut merge = MergeDu::new(
+        let merge = MergeDu::new(
             format!("xchg-merge(q{qid})"),
             sched_cons,
             out_cons,
             self.egress.clone(),
             qid,
         );
-        if let Some(inj) = &self.injector {
-            merge = merge.with_injector(inj.clone());
-        }
         dus.push(
             self.executor
                 .submit(exchange::du_class(qid, partitions), Box::new(merge))?,

@@ -115,7 +115,7 @@ echo "== exp_query_scale --smoke (scale tripwire: zero probe allocs, entries exa
 echo "== exp_recovery --smoke (robustness tripwire: kill -> restore loses nothing) =="
 ./target/release/exp_recovery --smoke
 
-echo "== exp_liveness --smoke (robustness tripwire: watchdog detects and recovers wedges) =="
+echo "== exp_liveness --smoke (robustness tripwire: watchdog detects wedges, silent on a healthy run) =="
 ./target/release/exp_liveness --smoke
 
 echo "== exp_clients --smoke (transport tripwire: real TCP fleet, exact dead-client ledger) =="

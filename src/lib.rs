@@ -83,7 +83,7 @@ pub mod prelude {
         Schema, SchemaRef, SourceKind, TcqError, Timestamp, Tuple, TupleBuilder, Value,
     };
     pub use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
-    pub use tcq_egress::{EgressPolicy, EgressStats};
+    pub use tcq_egress::EgressStats;
     pub use tcq_ingress::{
         ChaosSource, CsvSource, NetworkPackets, SensorReadings, Source, SourceFactory,
         SourceStatus, StockTicks, VecSource,

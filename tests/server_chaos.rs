@@ -108,9 +108,6 @@ fn run_scenario_with_io_batch(dir: &std::path::Path, io_batch: usize) -> Outcome
     let server = TelegraphCQ::start(ServerConfig {
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(plan()),
-        egress_policy: EgressPolicy {
-            disconnect_after: 4,
-        },
         io_batch,
         ..ServerConfig::default()
     })
@@ -359,9 +356,6 @@ fn run_join_scenario_cfg(
     let server = TelegraphCQ::start(ServerConfig {
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(plan()),
-        egress_policy: EgressPolicy {
-            disconnect_after: 4,
-        },
         partitions,
         checkpoint_path,
         liveness,
@@ -1108,9 +1102,6 @@ fn run_churn_scenario(dir: &std::path::Path) -> ChurnOutcome {
     let server = TelegraphCQ::start(ServerConfig {
         archive_dir: Some(dir.to_path_buf()),
         fault_plan: Some(churn_plan()),
-        egress_policy: EgressPolicy {
-            disconnect_after: 4,
-        },
         ..ServerConfig::default()
     })
     .unwrap();
@@ -1342,7 +1333,7 @@ fn run_exchange_liveness(
     std::thread::sleep(Duration::from_millis(50));
 
     // Blocking batch push: back-pressure from a wedged exchange parks the
-    // pusher too, so only the watchdog can get the run moving again.
+    // pusher too, until the wedge clears.
     server.push_batch("s", hot_master()).unwrap();
     while server.stream_time("s").unwrap() < TUPLES {
         std::thread::sleep(Duration::from_millis(1));
@@ -1394,18 +1385,10 @@ fn p4_exchange_with_tiny_queues_never_wedges() {
 #[test]
 fn healthy_full_load_reports_zero_watchdog_activity() {
     // The watchdog must be observe-only on a healthy engine: a full-load
-    // partitioned run with aggressive thresholds reports zero stalls,
-    // zero rungs, no diagnosis — and the progress frontier has moved with
+    // partitioned run with aggressive thresholds reports zero stalls and
+    // no diagnosis — and the progress frontier has moved with
     // nothing left in flight.
-    let o = run_exchange_liveness(
-        2,
-        1024,
-        Some(LivenessConfig {
-            stall_ticks: 64,
-            escalate_ticks: 64,
-        }),
-        None,
-    );
+    let o = run_exchange_liveness(2, 1024, Some(LivenessConfig { stall_ticks: 64 }), None);
     assert_eq!(o.results, full_join());
     assert_eq!(
         o.watchdog,
@@ -1419,78 +1402,42 @@ fn healthy_full_load_reports_zero_watchdog_activity() {
     assert!(snap.blocked_channels().is_empty());
 }
 
+/// Every executor poll from the first to the `polls`-th skips its DU's
+/// quantum: a contiguous block of `OperatorRun` stalls. The dimension rows
+/// pushed meanwhile wait in their ingress fjord with no DU draining it, so
+/// the frontier freezes with work in flight; after the block every DU
+/// resumes by itself.
+fn operator_stall_block(polls: u64) -> FaultPlan {
+    (1..=polls).fold(FaultPlan::new(SEED), |plan, at| {
+        plan.at(FaultPoint::OperatorRun, at, FaultAction::Stall { ticks: 1 })
+    })
+}
+
 #[test]
-fn dropped_punctuation_wedge_is_detected_and_nudge_recovered() {
-    // A worker drops a run-closing punctuation: the merger waits forever
-    // for that run to close, back-pressure freezes the frontier, and only
-    // the watchdog's nudge (re-emit withheld punctuation) can recover.
-    // Recovery must be lossless: the full join still comes out in order.
-    let plan = FaultPlan::new(SEED).at(FaultPoint::DropPunctuation, 3, FaultAction::Overflow);
+fn a_self_clearing_wedge_is_detected_diagnosed_and_cleared() {
+    // The watchdog acts on nothing: it must see the frozen frontier,
+    // record where the work is stuck, and count the stall cleared once
+    // the DUs resume. The run itself is lossless and in canonical order.
     let o = run_exchange_liveness(
         2,
         64,
-        Some(LivenessConfig {
-            stall_ticks: 16,
-            escalate_ticks: 512,
-        }),
-        Some(plan),
+        Some(LivenessConfig { stall_ticks: 64 }),
+        Some(operator_stall_block(2000)),
     );
-    assert_eq!(
-        o.results,
-        full_join(),
-        "nudge recovery lost or reordered tuples"
-    );
+    assert_eq!(o.results, full_join(), "the wedge lost or reordered tuples");
+    assert!(o.egress.accounted());
     assert!(
         o.watchdog.stalls_detected >= 1,
         "the wedge was never detected"
     );
-    assert!(o.watchdog.nudges >= 1);
-    assert!(o.watchdog.recoveries >= 1, "no recovery was recorded");
-    assert_eq!(
-        o.watchdog.escalations, 0,
-        "the nudge must clear a withheld punctuation before failover"
-    );
+    assert!(o.watchdog.stalls_cleared >= 1, "the wedge never cleared");
     let d = o.stall.expect("a stall diagnosis was recorded");
     assert!(d.in_flight > 0, "diagnosis must show work in flight");
-    assert!(d.render().contains("in flight"));
-}
-
-#[test]
-fn stalled_merge_consumer_is_escalated_to_outbox_drain() {
-    // The merger refuses its quanta indefinitely: nudging re-emits
-    // nothing (no punctuation is withheld), so the watchdog must climb to
-    // the failover rung — the forced ordered-outbox drain — and the run
-    // must still finish with zero loss and canonical order.
-    let plan = FaultPlan::new(SEED).at(
-        FaultPoint::StallConsumer,
-        4,
-        FaultAction::Stall { ticks: 1 << 40 },
-    );
-    let o = run_exchange_liveness(
-        2,
-        64,
-        Some(LivenessConfig {
-            stall_ticks: 16,
-            escalate_ticks: 16,
-        }),
-        Some(plan),
-    );
-    assert_eq!(
-        o.results,
-        full_join(),
-        "escalation recovery lost or reordered tuples"
-    );
     assert!(
-        o.watchdog.stalls_detected >= 1,
-        "the stall was never detected"
+        !d.blocked_consumers.is_empty(),
+        "diagnosis must name a blocked fjord:\n{}",
+        d.render()
     );
-    assert!(
-        o.watchdog.escalations >= 1,
-        "an injected consumer stall cannot clear without the failover rung"
-    );
-    assert!(o.watchdog.recoveries >= 1, "no recovery was recorded");
-    let d = o.stall.expect("a stall diagnosis was recorded");
-    assert!(d.in_flight > 0, "diagnosis must show work in flight");
 }
 
 #[test]
