@@ -3,14 +3,16 @@
 //!
 //! Claims demonstrated:
 //!
-//! * **Kill → restore loses nothing.** A server running a dedicated join
-//!   and a windowed aggregate is killed mid-stream (no shutdown, no
-//!   flush) after a checkpoint whose *first* commit attempt fails with an
-//!   injected write fault. One `TelegraphCQ::restore` call brings back
-//!   both streams and both queries from the retried checkpoint; the
-//!   client re-subscribes and only the tail is replayed. That yields, per
-//!   query, exactly the row sequence of an uninterrupted run — and the
-//!   restored egress ledger lands on the same final accounting.
+//! * **Kill → restore loses nothing.** A server running a join and a
+//!   windowed aggregate is killed mid-stream (no shutdown, no flush) after
+//!   a checkpoint whose *first* commit attempt fails with an injected
+//!   write fault. One `TelegraphCQ::restore` call brings back both streams
+//!   and both queries from the retried checkpoint; the client
+//!   re-subscribes and only the tail is replayed. That yields, per query,
+//!   exactly the row sequence of an uninterrupted run — and the restored
+//!   egress ledger lands on the same final accounting. It holds with the
+//!   join on one core and partitioned over four (`partitions = 4`), whose
+//!   cores restore their SteM state too.
 //! * **Checkpoint cost scales with churn, not total state.** After a full
 //!   first epoch, each delta epoch writes fragments proportional to the
 //!   state groups actually dirtied since the previous cut.
@@ -202,15 +204,15 @@ struct CrashRestoreOutcome {
     zero_loss: bool,
 }
 
-fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
+fn experiment_crash_restore(n: i64, partitions: usize) -> CrashRestoreOutcome {
     // Not a window multiple: the aggregate's open buffer spans the cut.
     let half = (n / 2 + 5) as usize;
     println!(
-        "E-recovery-a — kill → restore ({n} tuples, killed at {half}): a dedicated\n\
-         join + a windowed aggregate, checkpointed under an injected commit fault,\n\
-         then the process dies with the stream still open\n"
+        "E-recovery-a — kill → restore ({n} tuples, killed at {half}): a join at\n\
+         partitions = {partitions} + a windowed aggregate, checkpointed under an injected\n\
+         commit fault, then the process dies with the stream still open\n"
     );
-    let dir = temp_dir("crash");
+    let dir = temp_dir(&format!("crash-{partitions}"));
     let ckpt = dir.join("server.tcqk");
     let master = hot_master(n);
 
@@ -240,6 +242,7 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
         let server = TelegraphCQ::start(ServerConfig {
             checkpoint_path: Some(ckpt.clone()),
             fault_plan: Some(fault_plan),
+            partitions,
             ..ServerConfig::default()
         })
         .unwrap();
@@ -281,6 +284,7 @@ fn experiment_crash_restore(n: i64) -> CrashRestoreOutcome {
     let start = std::time::Instant::now();
     let server = TelegraphCQ::restore(ServerConfig {
         checkpoint_path: Some(ckpt.clone()),
+        partitions,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -632,11 +636,9 @@ fn write_json(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let crash = if smoke {
-        experiment_crash_restore(2_000)
-    } else {
-        experiment_crash_restore(12_000)
-    };
+    let n = if smoke { 2_000 } else { 12_000 };
+    let crash = experiment_crash_restore(n, 1);
+    experiment_crash_restore(n, 4);
     let (full, deltas) = {
         let (f, b, rows) = if smoke {
             experiment_delta_checkpoints(2_048, &[16, 256, 2_048])

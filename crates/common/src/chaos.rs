@@ -171,7 +171,11 @@ pub type FiredFault = (FaultPoint, u64, FaultAction);
 #[derive(Debug)]
 pub struct FaultInjector {
     rng: TcqRng,
+    /// Scheduled events in plan order, each with whether it fired.
     events: Vec<(FaultEvent, bool)>,
+    /// `(point, at)` → the first event in plan order there, the one a
+    /// poll fires (a later one at the same `(point, at)` never does).
+    schedule: HashMap<(FaultPoint, u64), usize>,
     rates: Vec<(FaultPoint, f64, FaultAction)>,
     counters: HashMap<FaultPoint, u64>,
     log: Vec<FiredFault>,
@@ -180,9 +184,14 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Compile `plan`.
     pub fn new(plan: FaultPlan) -> Self {
+        let mut schedule = HashMap::new();
+        for (i, e) in plan.events.iter().enumerate() {
+            schedule.entry((e.point, e.at)).or_insert(i);
+        }
         FaultInjector {
             rng: seeded(plan.seed),
             events: plan.events.into_iter().map(|e| (e, false)).collect(),
+            schedule,
             rates: plan.rates,
             counters: HashMap::new(),
             log: Vec::new(),
@@ -191,18 +200,19 @@ impl FaultInjector {
 
     /// Reach `point` once. Returns the fault to apply, if any fires.
     /// Scheduled events take priority over probabilistic rates; at most
-    /// one fault fires per poll.
+    /// one fault fires per poll: of several events scheduled at one count,
+    /// the first in plan order. A poll looks up its own count, so its cost
+    /// does not grow with the schedule.
     pub fn poll(&mut self, point: FaultPoint) -> Option<FaultAction> {
         let count = self.counters.entry(point).or_insert(0);
         *count += 1;
         let count = *count;
-        for (event, fired) in &mut self.events {
-            if !*fired && event.point == point && event.at == count {
-                *fired = true;
-                let action = event.action.clone();
-                self.log.push((point, count, action.clone()));
-                return Some(action);
-            }
+        if let Some(&i) = self.schedule.get(&(point, count)) {
+            let (event, fired) = &mut self.events[i];
+            *fired = true;
+            let action = event.action.clone();
+            self.log.push((point, count, action.clone()));
+            return Some(action);
         }
         // Probabilistic rates: one RNG draw per configured rate at this
         // point, in plan order, so the stream of draws is a pure function
@@ -296,6 +306,45 @@ mod tests {
         }
         assert_eq!(inj.log().len(), 1);
         assert!(inj.pending().is_empty());
+    }
+
+    /// Two events at one `(point, at)`: the first in plan order fires and
+    /// the second never does; `pending` keeps plan order.
+    #[test]
+    fn of_events_at_one_count_the_first_in_plan_order_fires() {
+        let mut inj = FaultPlan::new(1)
+            .at(FaultPoint::Ingest, 2, FaultAction::Overflow)
+            .at(FaultPoint::Ingest, 1, FaultAction::KillNode(1))
+            .at(FaultPoint::Ingest, 2, FaultAction::KillNode(2))
+            .at(FaultPoint::ClusterTick, 2, FaultAction::KillNode(3))
+            .at(FaultPoint::Ingest, 9, FaultAction::KillNode(4))
+            .build();
+        assert_eq!(inj.poll(FaultPoint::Ingest), Some(FaultAction::KillNode(1)));
+        assert_eq!(inj.poll(FaultPoint::Ingest), Some(FaultAction::Overflow));
+        for _ in 0..5 {
+            assert_eq!(inj.poll(FaultPoint::Ingest), None);
+        }
+        assert_eq!(inj.poll(FaultPoint::ClusterTick), None);
+        let pending: Vec<(u64, FaultAction)> = inj
+            .pending()
+            .into_iter()
+            .map(|e| (e.at, e.action))
+            .collect();
+        assert_eq!(
+            pending,
+            [
+                (2, FaultAction::KillNode(2)),
+                (2, FaultAction::KillNode(3)),
+                (9, FaultAction::KillNode(4)),
+            ]
+        );
+        assert_eq!(
+            inj.log(),
+            [
+                (FaultPoint::Ingest, 1, FaultAction::KillNode(1)),
+                (FaultPoint::Ingest, 2, FaultAction::Overflow),
+            ]
+        );
     }
 
     #[test]

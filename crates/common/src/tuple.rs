@@ -503,7 +503,7 @@ mod tests {
         assert_eq!(h, crate::hash::hash_value(&Value::str("MSFT")));
         assert_eq!(t.cached_key_hash(1), Some(h));
         // The memo rides along clone, with_timestamp, and with_schema —
-        // the exact path PartitionDu → WorkerDu → StemOp takes.
+        // the exact path PartitionDu → a partition's JoinCqDu → StemOp takes.
         assert_eq!(t.clone().cached_key_hash(1), Some(h));
         assert_eq!(
             t.with_timestamp(Timestamp::logical(9)).cached_key_hash(1),

@@ -509,6 +509,8 @@ impl EddyModule for StemOp {
         Ok(())
     }
 
+    /// A restored row is stored only if the build predicate admits it, as
+    /// a live build would be.
     fn import_group(&mut self, hash: u64, bytes: &[u8]) -> Result<()> {
         let mut r = CkptReader::new(bytes);
         let n = r.get_u32("group tuple count")?;
@@ -519,7 +521,13 @@ impl EddyModule for StemOp {
             // Window eviction is driven by latest_seq; restored builds
             // must advance it exactly as live builds would have.
             self.latest_seq = self.latest_seq.max(t.timestamp().seq());
-            tuples.push(t);
+            if self
+                .build_predicate
+                .as_ref()
+                .map_or(Ok(true), |p| p.eval_pred(&t))?
+            {
+                tuples.push(t);
+            }
         }
         self.stem.import_group(hash, tuples)
     }

@@ -10,9 +10,9 @@
 //! * `catalog/stream`, keyed by catalog id (big-endian, so the image
 //!   iterates in registration order): the stream's name, kind and schema;
 //! * `catalog/query`, keyed by query id (big-endian): the query's SQL and
-//!   its join group's label (empty for none). A stopped query's fragment
-//!   is empty: a tombstone. Historical queries complete at submit and are
-//!   not recorded;
+//!   the checkpoint label of the join it runs in (empty for none). A
+//!   stopped query's fragment is empty: a tombstone. Historical queries
+//!   complete at submit and are not recorded;
 //! * `catalog/next`: the next query id at the cut.
 //!
 //! Catalog fragments are staged as streams register and queries start or
@@ -20,7 +20,8 @@
 //! no other server lock. [`TelegraphCQ::restore`] reads them back in
 //! [`TelegraphCQ::rebuild_from_image`]. Everything else is read where its
 //! state starts (a stream's clock, a source's cursor, an aggregate's core,
-//! a join's SteM groups and admission cuts): a fresh server's store starts
+//! a join's admission cuts), and a join's SteM groups, into core
+//! `hash % P`, once every query is back: a fresh server's store starts
 //! empty, so every fragment it holds came from the run being restored.
 
 use std::sync::atomic::Ordering;
@@ -33,9 +34,10 @@ use tcq_egress::EgressStats;
 use tcq_query::{analyze, parse};
 use tcq_storage::{CheckpointRecovery, CheckpointStats};
 
+use crate::exchange::ExchangeGauge;
 use crate::planner::plan_kind;
 use crate::plans::{AggCore, JoinCore, QueryId};
-use crate::server::{StreamState, TelegraphCQ};
+use crate::server::{JoinEntry, QueryRecord, StreamState, TelegraphCQ};
 
 /// Catalog fragments: one per stream or table, keyed by catalog id.
 const CATALOG_STREAMS: &str = "catalog/stream";
@@ -46,8 +48,8 @@ const CATALOG_NEXT: &str = "catalog/next";
 
 /// Shared handle to checkpointable operator state.
 pub(crate) enum QueryStateHandle {
-    /// A join DU: the eddy whose SteMs carry the join state.
-    Join(Arc<Mutex<JoinCore>>),
+    /// A join core, and a partition's exchange.
+    Join(Arc<Mutex<JoinCore>>, Option<Arc<ExchangeGauge>>),
     /// A windowed aggregate: loop position + pane partials.
     Aggregate(Arc<Mutex<AggCore>>),
 }
@@ -155,9 +157,11 @@ impl TelegraphCQ {
 
     /// Rebuild what the image holds: seed the egress ledger, register its
     /// streams in catalog-id order, and start every query running at the
-    /// cut under its stored id, in id order, a join group member in the
-    /// group its label names. Each start imports its own state from the
-    /// image. Query ids issued afterwards continue from the stored next id.
+    /// cut under its stored id, in id order, a join under the label the
+    /// catalog names. Each start imports its own state from the image; a
+    /// join's SteM groups come last, so a group's SteMs filter them by every
+    /// restored member's side predicates. Query ids issued afterwards
+    /// continue from the stored next id.
     /// A malformed catalog fragment fails with [`TcqError::Storage`] naming
     /// its component.
     pub(crate) fn rebuild_from_image(&self) -> Result<()> {
@@ -192,10 +196,19 @@ impl TelegraphCQ {
         for (name, kind, schema) in streams {
             self.register_source(&name, schema.into_ref(), kind)?;
         }
+        let mut joins: Vec<Arc<JoinEntry>> = Vec::new();
         for (qid, sql, group) in queries.into_iter().flatten() {
             let aq = analyze(&parse(&sql)?, &self.catalog)?;
             let record = self.start_plan(qid, &aq, plan_kind(&aq)?, group.as_deref())?;
+            if let QueryRecord::Join(entry) = &record {
+                if !joins.iter().any(|j| Arc::ptr_eq(j, entry)) {
+                    joins.push(Arc::clone(entry));
+                }
+            }
             self.queries.lock().insert(qid, record);
+        }
+        for entry in &joins {
+            self.import_join_state(entry)?;
         }
         if let Some(next_query) = next_query {
             self.next_query
@@ -204,27 +217,22 @@ impl TelegraphCQ {
         Ok(())
     }
 
-    /// Import a restored join's SteM groups into its freshly built eddy
-    /// (components `<label>/stem/<module>`, keyed by group hash). Empty
-    /// fragments are tombstones — the group was exported after emptying —
-    /// and are skipped. A group that imported rows stops running its first
-    /// query alone, and its DU has routed up to the clocks of `streams`,
-    /// its inputs in order ([`JoinCore::imported`]).
-    pub(crate) fn import_join_state(
-        &self,
-        label: &str,
-        core: &Arc<Mutex<JoinCore>>,
-        streams: &[(String, u64)],
-    ) -> Result<()> {
+    /// Import a restored join's SteM groups into its freshly built cores
+    /// (components `<label>/stem/<module>`, keyed by group hash), each into
+    /// core `hash % P`. Empty fragments are tombstones — the group was
+    /// exported after emptying — and are skipped. A group that imported
+    /// rows stops running its first query alone, and its DU has routed up
+    /// to the clocks of its input streams ([`JoinCore::imported`]).
+    fn import_join_state(&self, entry: &JoinEntry) -> Result<()> {
         let Some(store) = &self.ckpt else {
             return Ok(());
         };
-        let clocks = (streams.iter())
+        let clocks = (entry.subscriptions.iter())
             .map(|(name, _)| Ok(self.stream(name)?.latest_seq.load(Ordering::Acquire)))
             .collect::<Result<Vec<i64>>>()?;
         let store = store.lock();
-        let prefix = format!("{label}/stem/");
-        let mut core = core.lock();
+        let prefix = format!("{}/stem/", entry.label);
+        let mut cores: Vec<_> = entry.cores.iter().map(|c| c.lock()).collect();
         let mut imported = false;
         let comps: Vec<String> = store
             .components()
@@ -243,12 +251,13 @@ impl TelegraphCQ {
                     u64::from_le_bytes(key.try_into().map_err(|_| {
                         TcqError::Storage(format!("malformed group key in '{comp}'"))
                     })?);
-                core.eddy.import_module_group(module, hash, value)?;
+                let p = (hash % cores.len() as u64) as usize;
+                cores[p].eddy.import_module_group(module, hash, value)?;
                 imported = true;
             }
         }
         if imported {
-            core.imported(&clocks);
+            cores.iter_mut().for_each(|core| core.imported(&clocks));
         }
         Ok(())
     }
@@ -316,8 +325,12 @@ impl TelegraphCQ {
         let mut scratch = Vec::new();
         for (label, handle) in handles.iter() {
             match handle {
-                QueryStateHandle::Join(core) => {
+                QueryStateHandle::Join(core, exchange) => {
                     let mut core = core.lock();
+                    if let Some(exchange) = exchange {
+                        // Exported as the one core of P = 1 holds it.
+                        exchange.slide(&mut core.eddy);
+                    }
                     scratch.clear();
                     core.eddy.export_dirty_state(&mut scratch)?;
                     for (module, hash, bytes) in &scratch {
@@ -360,8 +373,8 @@ impl TelegraphCQ {
     }
 
     /// Wait (bounded) until every stream has taken in what it had
-    /// admitted when the drain began, and report whether it has. Two
-    /// counts, and no wait for a quiet moment, so rows pushed while the
+    /// admitted when the drain began, and report whether it has. Counts,
+    /// and no wait for a quiet moment, so rows pushed while the
     /// drain runs do not hold it: (1) the dispatcher has settled as many
     /// messages as its ingress fjord had admitted (`QueueStats::enqueued`),
     /// each stamped, archived, run through its plans and forwarded — or it
@@ -369,7 +382,11 @@ impl TelegraphCQ {
     /// ingress; (2) then every subscriber queue still read has had taken
     /// what was forwarded into it by then, because a join or exchange may
     /// hold a stream's rows after its dispatcher has settled them, or sent
-    /// Eof and retired.
+    /// Eof and retired. A join DU builds what it takes before it lets go of
+    /// its core, but a partitioner hands rows on: (3) each partitioner has
+    /// ended a run with nothing staged since, so what it took by (2) is in
+    /// its partition fjords, and (4) each worker has taken what those held
+    /// by then ([`ExchangeGauge`]).
     pub(crate) fn drain_ingress(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let until = |done: &dyn Fn() -> bool| loop {
@@ -393,7 +410,23 @@ impl TelegraphCQ {
         let forwarded: Vec<_> = (admitted.iter())
             .map(|(st, _)| st.subscribers.forwarded())
             .collect();
-        until(&|| (admitted.iter().zip(&forwarded)).all(|((st, _), f)| st.subscribers.has_read(f)))
+        if !until(&|| {
+            (admitted.iter().zip(&forwarded)).all(|((st, _), f)| st.subscribers.has_read(f))
+        }) {
+            return false;
+        }
+        let exchanges: Vec<Arc<ExchangeGauge>> = (self.queries.lock().values())
+            .filter_map(|record| match record {
+                QueryRecord::Join(entry) => entry.exchange.clone(),
+                _ => None,
+            })
+            .collect();
+        let runs: Vec<u64> = exchanges.iter().map(|gauge| gauge.runs()).collect();
+        if !until(&|| (exchanges.iter().zip(&runs)).all(|(gauge, &n)| gauge.ran_since(n))) {
+            return false;
+        }
+        let placed: Vec<_> = exchanges.iter().map(|gauge| gauge.placed()).collect();
+        until(&|| (exchanges.iter().zip(&placed)).all(|(gauge, placed)| gauge.built(placed)))
     }
 }
 

@@ -1,105 +1,83 @@
-//! Flux-style exchange: partition-parallel execution of a dedicated join
-//! (`ServerConfig::partitions > 1`).
+//! Flux-style exchange: partition-parallel execution of a join
+//! (`ServerConfig::partitions > 1`; DESIGN.md §5c).
 //!
 //! The paper's Flux modules "encapsulate adaptive state partitioning and
-//! dataflow routing" (§2.3, [SHCF03]) so one continuous query can span
-//! many processors. This module is the in-process version of that idea:
-//! an *exchange* operator in the Volcano sense, built from three DUs and
-//! 2P+1 Fjords.
+//! dataflow routing" (§2.3, \[SHCF03\]). This module is the in-process
+//! version: an *exchange* around the join that only routes and merges.
+//! Each partition's worker is the join DU a one-partition join runs
+//! ([`crate::plans::JoinCqDu`]), driving a [`crate::plans::JoinCore`] of
+//! its own over its partition fjord, with its output fjord as its sink.
 //!
 //! ```text
 //!             ingress fjords (one per stream)
 //!                     │
 //!               ┌─────▼──────┐     schedule fjord (run grants)
-//!               │ PartitionDu ├───────────────────────────┐
-//!               └┬─────┬─────┘                            │
-//!     partition  │ ... │  fjords (P)                      │
-//!        ┌───────▼┐   ┌▼───────┐                          │
-//!        │WorkerDu│   │WorkerDu│   (P cloned eddies,      │
-//!        └───────┬┘   └┬───────┘    distinct EOs)         │
-//!      output    │ ... │  fjords (P)                      │
-//!               ┌▼─────▼─────┐                            │
-//!               │  MergeDu   ◄────────────────────────────┘
+//!               │ PartitionDu ├─────────────────────────────┐
+//!               └┬─────┬─────┘                              │
+//!     partition  │ ... │  fjords (P)                        │
+//!        ┌───────▼┐   ┌▼───────┐                            │
+//!        │JoinCqDu│   │JoinCqDu│   (one JoinCore each,      │
+//!        └───────┬┘   └┬───────┘    distinct EOs)           │
+//!      output    │ ... │  fjords (P)                        │
+//!               ┌▼─────▼─────┐                              │
+//!               │  MergeDu   ◄──────────────────────────────┘
 //!               └─────┬──────┘
 //!                     ▼ egress (one offer sequence, canonical order)
 //! ```
 //!
 //! # Determinism
 //!
-//! The delivered results and the egress ledger must be byte-identical to
-//! the sequential (`P = 1`) plan for the same seed — the same contract
-//! PR 3 established for `io_batch`. Three mechanisms carry it:
+//! Delivered results and the egress ledger are byte-identical to the
+//! sequential (`P = 1`) plan for the same seed:
 //!
-//! 1. **Canonical order.** The partitioner's drain order over its input
-//!    fjords *is* the canonical total order: it is exactly the order a
-//!    sequential `JoinCqDu` with the same `io_batch` would feed its eddy.
-//!    Each tuple is hashed on its join-key value with the in-tree FNV-1a
-//!    ([`tcq_common::hash_value`] — deterministic across runs, machines,
-//!    *and* std versions, unlike `DefaultHasher`). The hash is memoized on
-//!    the tuple itself, so the SteM that later builds or probes on the
-//!    same key column reuses it instead of rehashing: one hash per tuple
-//!    end to end. The tuple is appended to partition fjord `p`. A run —
-//!    consecutive same-partition tuples routed in one partitioner quantum
-//!    — is delimited by a `Punct` in the partition fjord, and each run
-//!    start emits one grant (`Punct(logical(p))`) into the schedule fjord.
-//!    The schedule is therefore a serialization of the canonical order by
-//!    run.
-//! 2. **Identical workers.** All P eddies are built by the same
-//!    `build_join_eddy` call with the same policy kind and seed, and each
-//!    partition owns its SteM state outright — per-partition ownership by
-//!    construction (worker state lives inside the `WorkerDu`), so there
-//!    is no cross-partition locking on the probe path at all, let alone
-//!    contention. Hash partitioning on the transitively-equal join key
-//!    (see [`partitionable`]) co-locates every possible match, and each
-//!    worker sees its sub-stream in canonical-order restriction, so the
-//!    multiset *and order* of outputs per run equal the sequential eddy's
-//!    outputs for the same input run.
+//! 1. **Canonical order.** The partitioner drains its inputs in the order a
+//!    sequential `JoinCqDu` would, hashes each tuple's join key once (FNV-1a,
+//!    [`tcq_common::hash_value`], memoized on the tuple so the SteMs reuse
+//!    it) and appends it to partition fjord `hash % P`. A run — consecutive
+//!    same-partition tuples routed in one quantum — ends with a `Punct` in
+//!    the partition fjord, and opens with a grant (`Punct(logical(p))`) in
+//!    the schedule fjord.
+//! 2. **Identical workers.** All P cores come from the same
+//!    `build_join_eddy`, and hash partitioning on the transitively-equal
+//!    join key ([`partitionable`]) co-locates every match. A window slides
+//!    on its *stream's* clock, so each run opens with the clock of every
+//!    windowed input that moved since the worker last heard it (a `Punct`
+//!    whose physical component names the source — `clock_punct`).
+//! 3. **Ordered merge.** The merger replays the grants in order, draining
+//!    each granted partition's output up to its run-closing `Punct`, and
+//!    delivers each run as one batch, so egress offers and fault polls at
+//!    `EgressDeliver` happen in the canonical order for any P. The exchange
+//!    DUs poll no fault point themselves: every per-message point sits
+//!    upstream of the partitioner or downstream of the merger, so a seeded
+//!    chaos schedule sees the same poll sequence at any P.
 //!
-//!    That needs one more thing under sliding windows: a window slides on
-//!    the *stream's* clock, and a worker builds only its partition's rows.
-//!    So each run a partition receives opens with the clock of every
-//!    windowed input that moved since that worker last heard it (a `Punct`
-//!    whose physical component names the source — see `clock_punct`), and
-//!    the worker's eddy advances those SteMs before routing the run. Inside
-//!    the run every canonical tuple is the worker's own, so its builds move
-//!    the clock exactly as the sequential eddy's do.
-//! 3. **Ordered merge.** The merger replays grants from the schedule
-//!    fjord strictly in order; for each grant it drains that partition's
-//!    output fjord up to the run-closing `Punct` and hands the run to the
-//!    egress router as one batch. Egress offers therefore happen in the
-//!    canonical order, so ledger counters, shed decisions, and fault
-//!    polls at `EgressDeliver` fire identically for any P.
+//! # Checkpoints
 //!
-//! All three DUs read their fjords through [`Inbox`]es like every other
-//! DU: what a refill pulled past the point a DU stops — a merger's run
-//! closing mid-refill — waits in the inbox for the DU's next step.
-//!
-//! The exchange DUs poll no fault point themselves; every per-message point
-//! (SourceRead, FjordEnqueue, ArchiveAppend, EgressDeliver, …) sits
-//! upstream of the partitioner or downstream of the merger, so a seeded
-//! chaos schedule observes the same per-message poll sequence at any P
-//! (`tests/server_chaos.rs` asserts this end to end).
+//! A core's SteM groups are keyed by the hash the partitioner routes on, so
+//! partition `p` holds the groups with `hash % P == p`; a restore at any P
+//! imports each group into core `hash % P`. A checkpoint's drain and export
+//! read the `ExchangeGauge`.
 //!
 //! # Backpressure and deadlock freedom
 //!
-//! The partitioner stages everything through an ordered outbox and drains
-//! it strictly FIFO with non-blocking enqueues; when the head message's
-//! fjord is full it parks. FIFO matters: every message of an earlier run
-//! was *delivered* before the head blocked, so the merger can always
-//! finish the runs it has grants for, which drains worker outputs, which
-//! drains partition fjords, which unblocks the head. No cycle waits on a
-//! later message.
+//! The partitioner stages everything through an outbox drained strictly
+//! FIFO with non-blocking enqueues, parking when the head's fjord is full.
+//! Every message of an earlier run was delivered before the head blocked,
+//! so the merger can always finish the runs it has grants for, which
+//! drains worker outputs, then partition fjords, which unblocks the head.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use tcq_common::{Result, SchemaRef, Timestamp, Tuple};
-use tcq_eddy::{Eddy, Emitted, SourceSet};
+use tcq_eddy::{Eddy, SourceSet};
 use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{FjordMessage, Inbox, Producer};
 use tcq_query::AnalyzedQuery;
 
-use crate::plans::{LazyProject, QueryId};
+use crate::plans::QueryId;
 
 /// Whether a join query can run partition-parallel.
 ///
@@ -188,19 +166,71 @@ fn clock_punct(source: SourceSet, seq: i64) -> FjordMessage {
     FjordMessage::Punct(Timestamp::both(seq, source as i64))
 }
 
+/// What a checkpoint reads of a running exchange: its drain waits on
+/// `runs` and the partition fjords' counts, and its export slides each
+/// core to `clocks`.
+pub(crate) struct ExchangeGauge {
+    /// Partitioner runs that ended with nothing staged, all they took in a
+    /// partition fjord; `u64::MAX` once the partitioner is gone.
+    runs: AtomicU64,
+    /// Per windowed input, its source bit and the newest time routed.
+    clocks: Vec<(SourceSet, AtomicI64)>,
+    /// The partition fjords.
+    parts: Vec<Producer>,
+}
+
+impl ExchangeGauge {
+    /// Partitioner runs so far that ended with nothing staged.
+    pub(crate) fn runs(&self) -> u64 {
+        self.runs.load(Ordering::Acquire)
+    }
+
+    /// True once a run has ended with nothing staged since [`Self::runs`]
+    /// read `n`, or the partitioner is gone.
+    pub(crate) fn ran_since(&self, n: u64) -> bool {
+        let runs = self.runs();
+        runs > n || runs == u64::MAX
+    }
+
+    /// Messages put into each partition fjord so far.
+    pub(crate) fn placed(&self) -> Vec<u64> {
+        self.parts.iter().map(|p| p.stats().enqueued).collect()
+    }
+
+    /// True once each worker has taken its first `placed[p]` messages (and
+    /// so built them), or stopped reading.
+    pub(crate) fn built(&self, placed: &[u64]) -> bool {
+        (self.parts.iter().zip(placed)).all(|(p, &n)| {
+            let st = p.stats();
+            st.dequeued >= n || st.consumers == 0
+        })
+    }
+
+    /// Slide a partition's windows to the streams' clocks, as its next run
+    /// would, so an image holds what the one core of `P = 1` would.
+    pub(crate) fn slide(&self, eddy: &mut Eddy) {
+        for (source, clock) in &self.clocks {
+            let clock = clock.load(Ordering::Acquire);
+            if clock > i64::MIN {
+                eddy.advance_to(*source, clock);
+            }
+        }
+    }
+}
+
 /// The exchange's producer half: establishes the canonical total order,
 /// hash-splits it into P partition fjords, and journals the run order
 /// into the schedule fjord. See the module docs for the protocol.
 pub struct PartitionDu {
     name: String,
     inputs: Vec<ExchangeInput>,
-    parts: Vec<Producer>,
     schedule: Producer,
     floor: i64,
     deadline: i64,
     /// Ordered staging area; drained strictly FIFO so a full fjord can
     /// never reorder the canonical sequence.
     outbox: VecDeque<(Hop, FjordMessage)>,
+    gauge: Arc<ExchangeGauge>,
     open_run: Option<usize>,
     finished: bool,
     /// Fresh hash computations performed while routing (memo hits are
@@ -224,14 +254,21 @@ impl PartitionDu {
         for (_, _, sent) in inputs.iter_mut().filter_map(|i| i.clock.as_mut()) {
             *sent = vec![i64::MIN; parts.len()];
         }
+        let gauge = Arc::new(ExchangeGauge {
+            runs: AtomicU64::new(0),
+            clocks: (inputs.iter().filter_map(|i| i.clock.as_ref()))
+                .map(|(source, clock, _)| (*source, AtomicI64::new(*clock)))
+                .collect(),
+            parts,
+        });
         PartitionDu {
             name: name.into(),
             inputs,
-            parts,
             schedule,
             floor,
             deadline,
             outbox: VecDeque::new(),
+            gauge,
             open_run: None,
             finished: false,
             hash_computes: 0,
@@ -241,6 +278,23 @@ impl PartitionDu {
     /// Fresh key-hash computations performed while routing.
     pub fn hash_computes(&self) -> u64 {
         self.hash_computes
+    }
+
+    /// The counts a checkpoint's drain waits on.
+    pub(crate) fn gauge(&self) -> Arc<ExchangeGauge> {
+        Arc::clone(&self.gauge)
+    }
+
+    /// A run ended: with nothing staged, publish it and the clocks.
+    fn publish(&self) {
+        if !self.outbox.is_empty() {
+            return;
+        }
+        let clocks = self.inputs.iter().filter_map(|i| i.clock.as_ref());
+        for ((_, clock, _), (_, published)) in clocks.zip(&self.gauge.clocks) {
+            published.store(*clock, Ordering::Release);
+        }
+        self.gauge.runs.fetch_add(1, Ordering::AcqRel);
     }
 
     fn route(&mut self, t: Tuple, key_col: usize) {
@@ -253,7 +307,7 @@ impl PartitionDu {
                 t.key_hash(key_col)
             }
         };
-        let p = (hash % self.parts.len() as u64) as usize;
+        let p = (hash % self.gauge.parts.len() as u64) as usize;
         if self.open_run != Some(p) {
             self.close_run();
             self.open_run = Some(p);
@@ -299,7 +353,7 @@ impl PartitionDu {
                 batch.push(self.outbox.pop_front().expect("front checked").1);
             }
             let producer = match hop {
-                Hop::Part(p) => &self.parts[p],
+                Hop::Part(p) => &self.gauge.parts[p],
                 Hop::Schedule => &self.schedule,
             };
             match producer.enqueue_batch(&mut batch) {
@@ -386,7 +440,7 @@ impl DispatchUnit for PartitionDu {
         // same for any run split — so closing early keeps the contract.
         self.close_run();
         if self.inputs.iter().all(|i| i.inbox.is_done()) {
-            for p in 0..self.parts.len() {
+            for p in 0..self.gauge.parts.len() {
                 self.outbox.push_back((Hop::Part(p), FjordMessage::Eof));
             }
             self.outbox.push_back((Hop::Schedule, FjordMessage::Eof));
@@ -394,6 +448,7 @@ impl DispatchUnit for PartitionDu {
             did_work = true;
         }
         self.flush_outbox();
+        self.publish();
         if self.finished && self.outbox.is_empty() {
             return Ok(ModuleStatus::Done);
         }
@@ -402,153 +457,19 @@ impl DispatchUnit for PartitionDu {
         } else {
             ModuleStatus::Idle
         })
+    }
+}
+
+impl Drop for PartitionDu {
+    /// Finished, failed or stopped: no drain waits on this exchange again.
+    fn drop(&mut self) {
+        self.gauge.runs.store(u64::MAX, Ordering::Release);
     }
 }
 
 // (tests at the bottom of this file exercise the partition/merge protocol
-// without workers; end-to-end coverage lives in tests/server_chaos.rs.)
-
-/// One partition's worker: a full clone of the query's eddy (SteMs,
-/// filters, band predicates) plus projection, consuming partition fjord
-/// `k` and producing projected results — with run-closing `Punct`s
-/// forwarded in place — into output fjord `k`. The eddy and its SteM
-/// state are owned by value: per-partition ownership means the probe hot
-/// path takes no locks shared with any other partition.
-pub struct WorkerDu {
-    name: String,
-    input: Inbox,
-    output: Producer,
-    eddy: Eddy,
-    project: LazyProject,
-    emitted: Vec<Emitted>,
-    /// Contiguous tuples of the currently-open run awaiting the eddy.
-    batch: Vec<Tuple>,
-    outbox: Vec<FjordMessage>,
-    finished: bool,
-}
-
-impl WorkerDu {
-    /// New worker bridging `input` (partition fjord) to `output` (output
-    /// fjord) through `eddy` and `project`.
-    pub fn new(
-        name: impl Into<String>,
-        input: Inbox,
-        output: Producer,
-        eddy: Eddy,
-        project: LazyProject,
-    ) -> Self {
-        WorkerDu {
-            name: name.into(),
-            input,
-            output,
-            eddy,
-            project,
-            emitted: Vec::new(),
-            batch: Vec::new(),
-            outbox: Vec::new(),
-            finished: false,
-        }
-    }
-
-    /// Push the pending run prefix through the eddy; outputs join the
-    /// outbox ahead of the (not yet seen) run-closing punct.
-    fn process_pending(&mut self) -> Result<()> {
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        let batch = std::mem::take(&mut self.batch);
-        self.emitted.clear();
-        self.eddy.process_batch(batch, &mut self.emitted)?;
-        for e in self.emitted.drain(..) {
-            for t in e.into_rows() {
-                self.outbox
-                    .push(FjordMessage::Tuple(self.project.apply(&t)?));
-            }
-        }
-        Ok(())
-    }
-
-    /// Close the open run: its outputs, then its punct.
-    fn close_run(&mut self, ts: Timestamp) -> Result<()> {
-        self.process_pending()?;
-        self.outbox.push(FjordMessage::Punct(ts));
-        Ok(())
-    }
-
-    fn flush_outbox(&mut self) -> usize {
-        if self.outbox.is_empty() {
-            return 0;
-        }
-        match self.output.enqueue_batch(&mut self.outbox) {
-            Ok(n) => n,
-            Err(_) => {
-                // Merger gone: query teardown in progress.
-                self.outbox.clear();
-                0
-            }
-        }
-    }
-}
-
-impl DispatchUnit for WorkerDu {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn buffered(&self) -> usize {
-        self.outbox.len() + self.batch.len() + self.input.buffered()
-    }
-
-    fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
-        let mut did_work = self.flush_outbox() > 0;
-        if !self.outbox.is_empty() {
-            // Output fjord full: stop consuming until the merger catches
-            // up, or run-output order would need reassembly downstream.
-            return Ok(if did_work {
-                ModuleStatus::Ready
-            } else {
-                ModuleStatus::Idle
-            });
-        }
-        if self.finished {
-            return Ok(ModuleStatus::Done);
-        }
-        let mut budget = quantum;
-        while let Some(msg) = self.input.next(&mut budget) {
-            did_work = true;
-            match msg {
-                FjordMessage::Tuple(t) => self.batch.push(t),
-                FjordMessage::Punct(ts) => match (ts.logical_part(), ts.physical_part()) {
-                    // A run-opening clock (`clock_punct`).
-                    (Some(seq), Some(source)) => {
-                        self.process_pending()?;
-                        self.eddy.advance_to(source as SourceSet, seq);
-                    }
-                    _ => self.close_run(ts)?,
-                },
-                FjordMessage::Eof => {} // an inbox ends the stream instead
-            }
-        }
-        // A run prefix without its punct yet: process it now — its
-        // outputs precede the punct either way, so order is intact and
-        // latency stays low while the run is starved.
-        self.process_pending()?;
-        if self.input.is_done() && !self.finished {
-            self.outbox.push(FjordMessage::Eof);
-            self.finished = true;
-            did_work = true;
-        }
-        self.flush_outbox();
-        if self.finished && self.outbox.is_empty() {
-            return Ok(ModuleStatus::Done);
-        }
-        Ok(if did_work {
-            ModuleStatus::Ready
-        } else {
-            ModuleStatus::Idle
-        })
-    }
-}
+// without workers; end-to-end coverage lives in tests/server_chaos.rs and
+// tests/join_oracle.rs.)
 
 /// The exchange's consumer half: replays the schedule fjord's grants in
 /// order, drains each granted partition's output fjord up to the

@@ -19,8 +19,8 @@
 //!   window driver per aggregate), and fans tuples out to the input queue
 //!   of every plan that reads two streams;
 //! * join DUs ([`plans`]) — an eddy DU per join group (every join query
-//!   on one stream pair and key shares its SteMs), or a partitioned
-//!   exchange ([`exchange`]);
+//!   on one stream pair and key shares its SteMs), or one per partition of
+//!   a join behind an exchange ([`exchange`]);
 //! * the executor ([`tcq_executor`]) — EO threads hosting the DUs, classed
 //!   by query footprint;
 //! * egress ([`tcq_egress`]) — push/pull result delivery per client.

@@ -37,7 +37,7 @@ use tcq_common::{
 use tcq_eddy::{Eddy, Emitted, SourceSet};
 use tcq_egress::{DeliverySession, EgressRouter};
 use tcq_executor::{DispatchUnit, ModuleStatus};
-use tcq_fjords::{FjordMessage, Inbox};
+use tcq_fjords::{FjordMessage, Inbox, Producer};
 
 use tcq_operators::{AggFunc, AggSpec, AggState, ProjectOp};
 use tcq_stems::{MatchScratch, QueryStem};
@@ -468,12 +468,14 @@ impl LazyProject {
     }
 }
 
-/// One physical input of a join DU: a stream consumed under 1+ aliases.
+/// One physical input of a join DU: a stream consumed under 1+ aliases,
+/// or a partition.
 pub struct JoinInput {
-    /// The subscription queue.
+    /// The subscription queue, or the partition fjord.
     pub inbox: Inbox,
     /// Alias schemas; each arriving tuple enters the eddy once per alias
-    /// (twice for the paper's self-join).
+    /// (twice for the paper's self-join). Empty for a partition, whose
+    /// tuples arrive qualified.
     pub alias_schemas: Vec<SchemaRef>,
 }
 
@@ -629,7 +631,7 @@ impl JoinGroup {
         clocks: &[i64],
         eddy: &mut Eddy,
         emitted: &mut Vec<Emitted>,
-        session: &mut DeliverySession<'_>,
+        out: &mut impl JoinOutput,
     ) -> Result<()> {
         self.seqs.clear();
         eddy.drain_match_seqs(&mut self.seqs);
@@ -649,7 +651,7 @@ impl JoinGroup {
                 for qid in self.scratch.matches() {
                     let m = &self.members[qid];
                     if stored_seq > m.admitted[1 - side] {
-                        session.deliver_rows([*qid], std::slice::from_ref(&m.project.apply(&row)?));
+                        out.rows(*qid, std::slice::from_ref(&m.project.apply(&row)?));
                     }
                 }
             }
@@ -810,19 +812,19 @@ impl JoinCore {
         self.group.as_ref().map_or(0, JoinGroup::approx_bytes)
     }
 
-    /// Hand a routed batch from input `side` to egress.
+    /// Hand a routed batch from input `side` to `out`.
     fn deliver(
         &mut self,
         side: usize,
         emitted: &mut Vec<Emitted>,
-        session: &mut DeliverySession<'_>,
+        out: &mut impl JoinOutput,
     ) -> Result<()> {
         let Some((qid, project)) = &mut self.solo else {
             let group = self
                 .group
                 .as_mut()
                 .expect("a join without a solo query is a group");
-            return group.complete(side, &self.clocks, &mut self.eddy, emitted, session);
+            return group.complete(side, &self.clocks, &mut self.eddy, emitted, out);
         };
         let mut row_buf: Vec<Tuple> = Vec::new();
         for e in emitted.drain(..) {
@@ -832,10 +834,10 @@ impl JoinCore {
                     for t in &rows {
                         row_buf.push(project.apply(t)?);
                     }
-                    session.deliver_rows([*qid], &row_buf);
+                    out.rows(*qid, &row_buf);
                 }
                 Emitted::Columns(b) => match project.apply_columnar(&b)? {
-                    Some(out) => session.deliver_columns([*qid], &out),
+                    Some(cols) => out.columns(*qid, &cols),
                     None => {
                         // Expression projection: no columnar impl;
                         // evaluate per materialized row.
@@ -843,7 +845,7 @@ impl JoinCore {
                         for t in b.to_tuples() {
                             row_buf.push(project.apply(&t)?);
                         }
-                        session.deliver_rows([*qid], &row_buf);
+                        out.rows(*qid, &row_buf);
                     }
                 },
             }
@@ -852,17 +854,109 @@ impl JoinCore {
     }
 }
 
+/// Where a join core hands each query's results.
+trait JoinOutput {
+    fn rows(&mut self, qid: QueryId, rows: &[Tuple]);
+    fn columns(&mut self, qid: QueryId, batch: &ColumnBatch);
+}
+
+impl JoinOutput for DeliverySession<'_> {
+    fn rows(&mut self, qid: QueryId, rows: &[Tuple]) {
+        self.deliver_rows([qid], rows);
+    }
+
+    fn columns(&mut self, qid: QueryId, batch: &ColumnBatch) {
+        self.deliver_columns([qid], batch);
+    }
+}
+
+/// A partition's results, which the merger delivers under its query's id.
+impl JoinOutput for Vec<FjordMessage> {
+    fn rows(&mut self, _: QueryId, rows: &[Tuple]) {
+        self.extend(rows.iter().cloned().map(FjordMessage::Tuple));
+    }
+
+    fn columns(&mut self, _: QueryId, batch: &ColumnBatch) {
+        self.extend(batch.to_tuples().into_iter().map(FjordMessage::Tuple));
+    }
+}
+
+/// Where a join DU's results go.
+pub enum JoinSink {
+    /// To the clients of the queries its core serves.
+    Egress(EgressRouter),
+    /// A partition's: into its output fjord for the exchange's merger,
+    /// through an outbox holding what the fjord has no room for yet.
+    Fjord(Producer, Vec<FjordMessage>),
+}
+
+impl JoinSink {
+    /// Route `batch`, from input `side`, through `core`'s eddy and hand
+    /// the results on: to egress in one session, or to the outbox.
+    fn route(
+        &mut self,
+        core: &mut JoinCore,
+        side: usize,
+        batch: Vec<Tuple>,
+        emitted: &mut Vec<Emitted>,
+    ) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        emitted.clear();
+        core.eddy.process_batch(batch, emitted)?;
+        match self {
+            JoinSink::Egress(egress) => core.deliver(side, emitted, &mut egress.session()),
+            JoinSink::Fjord(_, outbox) => core.deliver(side, emitted, outbox),
+        }
+    }
+
+    /// Queue a punct or the `Eof` behind the results (a partition's only).
+    fn push(&mut self, msg: FjordMessage) {
+        if let JoinSink::Fjord(_, outbox) = self {
+            outbox.push(msg);
+        }
+    }
+
+    /// Move the outbox into the output fjord as far as it has room;
+    /// returns whether anything moved. A merger gone (the query stopping)
+    /// wants none of it.
+    fn flush(&mut self) -> bool {
+        match self {
+            JoinSink::Fjord(output, outbox) if !outbox.is_empty() => output
+                .enqueue_batch(outbox)
+                .inspect_err(|_| outbox.clear())
+                .is_ok_and(|n| n > 0),
+            _ => false,
+        }
+    }
+
+    /// Messages the output fjord had no room for yet.
+    fn backlog(&self) -> usize {
+        match self {
+            JoinSink::Fjord(_, outbox) => outbox.len(),
+            JoinSink::Egress(_) => 0,
+        }
+    }
+}
+
 /// The eddy DU of a join: one eddy for the queries it serves.
 ///
 /// Its [`JoinCore`] lives behind a shared mutex so the server can admit
 /// and remove queries and export dirty SteM groups between quanta; the DU
 /// itself takes the lock once per `run` call, so the hot path pays one
-/// uncontended acquisition per quantum.
+/// uncontended acquisition per quantum, and a batch it takes off its
+/// inputs is built and delivered before the lock is let go.
+///
+/// A partitioned join runs one per partition ([`crate::exchange`]), over
+/// the partition's fjord — its only input carrying puncts: a run-opening
+/// clock slides its source's windows, and a run's end follows the run's
+/// results out.
 pub struct JoinCqDu {
     name: String,
     inputs: Vec<JoinInput>,
     core: Arc<Mutex<JoinCore>>,
-    egress: EgressRouter,
+    sink: JoinSink,
     emitted: Vec<Emitted>,
     /// Tuples before this logical time precede every window — skipped.
     floor: i64,
@@ -882,7 +976,7 @@ impl JoinCqDu {
         name: impl Into<String>,
         inputs: Vec<JoinInput>,
         core: Arc<Mutex<JoinCore>>,
-        egress: EgressRouter,
+        sink: JoinSink,
         floor: i64,
         deadline: i64,
     ) -> Self {
@@ -890,27 +984,19 @@ impl JoinCqDu {
             name: name.into(),
             inputs,
             core,
-            egress,
+            sink,
             emitted: Vec::new(),
             floor,
             deadline,
         }
     }
-}
 
-impl DispatchUnit for JoinCqDu {
-    fn name(&self) -> &str {
-        &self.name
+    fn ended(&self) -> bool {
+        self.inputs.iter().all(|i| i.inbox.is_done())
     }
 
-    fn buffered(&self) -> usize {
-        self.inputs.iter().map(|i| i.inbox.buffered()).sum()
-    }
-
-    fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
-        if self.inputs.iter().all(|i| i.inbox.is_done()) {
-            return Ok(ModuleStatus::Done);
-        }
+    /// Route up to `quantum` input messages; returns whether there were any.
+    fn take(&mut self, quantum: usize) -> Result<bool> {
         let core = &mut *self.core.lock();
         let mut did_work = false;
         let per_input = quantum.div_ceil(self.inputs.len().max(1));
@@ -918,12 +1004,24 @@ impl DispatchUnit for JoinCqDu {
             let mut budget = per_input;
             while input.inbox.fill(&mut budget) > 0 {
                 did_work = true;
-                let aliases = input.alias_schemas.len();
+                let aliases = input.alias_schemas.len().max(1);
                 let mut batch: Vec<Tuple> = Vec::with_capacity(input.inbox.buffered() * aliases);
                 let mut retired = false;
                 for msg in input.inbox.drain() {
-                    let FjordMessage::Tuple(t) = msg else {
-                        continue;
+                    let t = match msg {
+                        FjordMessage::Tuple(t) => t,
+                        FjordMessage::Punct(ts) => {
+                            let pending = std::mem::take(&mut batch);
+                            self.sink.route(core, side, pending, &mut self.emitted)?;
+                            match (ts.logical_part(), ts.physical_part()) {
+                                (Some(seq), Some(source)) => {
+                                    core.eddy.advance_to(source as SourceSet, seq)
+                                }
+                                _ => self.sink.push(FjordMessage::Punct(ts)),
+                            }
+                            continue;
+                        }
+                        FjordMessage::Eof => continue,
                     };
                     let seq = t.timestamp().seq();
                     if seq < self.floor {
@@ -939,6 +1037,10 @@ impl DispatchUnit for JoinCqDu {
                     if let Some(clock) = core.clocks.get_mut(side) {
                         *clock = (*clock).max(seq);
                     }
+                    if input.alias_schemas.is_empty() {
+                        batch.push(t);
+                        continue;
+                    }
                     // One entry per alias: a self-join's batch interleaves
                     // them (`t1@a1, t1@a2, t2@a1, …`) into one-tuple runs,
                     // which the eddy routes exactly as it would tuple by
@@ -950,19 +1052,38 @@ impl DispatchUnit for JoinCqDu {
                 if retired {
                     input.inbox.close();
                 }
-                if batch.is_empty() {
-                    continue;
-                }
                 // The drained batch takes one row→column conversion per
                 // source run at the eddy's ingress edge; what the eddy
-                // emits goes to egress in one session per ingress batch.
-                self.emitted.clear();
-                core.eddy.process_batch(batch, &mut self.emitted)?;
-                let mut session = self.egress.session();
-                core.deliver(side, &mut self.emitted, &mut session)?;
+                // emits goes on in one session per ingress batch.
+                self.sink.route(core, side, batch, &mut self.emitted)?;
             }
         }
-        if self.inputs.iter().all(|i| i.inbox.is_done()) {
+        Ok(did_work)
+    }
+}
+
+impl DispatchUnit for JoinCqDu {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn buffered(&self) -> usize {
+        let inputs = self.inputs.iter().map(|i| i.inbox.buffered());
+        self.sink.backlog() + inputs.sum::<usize>()
+    }
+
+    fn run(&mut self, quantum: usize) -> Result<ModuleStatus> {
+        let mut did_work = self.sink.flush();
+        // With the output fjord full, take no input until the merger
+        // catches up, or run-output order would need reassembly downstream.
+        if self.sink.backlog() == 0 && !self.ended() {
+            did_work |= self.take(quantum)?;
+            if self.ended() {
+                self.sink.push(FjordMessage::Eof);
+                self.sink.flush();
+            }
+        }
+        if self.ended() && self.sink.backlog() == 0 {
             // "The Eddy shuts down its connected modules when the end of
             // all of its input streams has been reached" (§2.2).
             return Ok(ModuleStatus::Done);

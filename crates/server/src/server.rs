@@ -30,13 +30,13 @@ use tcq_windows::{LoopLength, WindowAssignment, WindowSeq};
 
 use crate::dispatcher::{Settled, StreamDispatcher, SubscriberSet};
 use crate::durability::QueryStateHandle;
-use crate::exchange::{self, ExchangeInput, MergeDu, PartitionDu, WorkerDu};
+use crate::exchange::{self, ExchangeGauge, ExchangeInput, MergeDu, PartitionDu};
 use crate::planner::{
     self, plan_kind, resolve_aggregates, source_predicate, stripped_predicate, PlanKind,
 };
 use crate::plans::{
-    AggCore, AggPanes, JoinCore, JoinCqDu, JoinGroup, JoinInput, JoinMemberSpec, LazyProject,
-    QueryId, StreamPlans,
+    AggCore, AggPanes, JoinCore, JoinCqDu, JoinGroup, JoinInput, JoinMemberSpec, JoinSink, QueryId,
+    StreamPlans,
 };
 
 /// Pages in the buffer pool every stream archive shares.
@@ -77,12 +77,12 @@ pub struct ServerConfig {
     /// executor, every source thread, each stream's dispatcher
     /// and archive, and the egress router. `None` runs fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Partition-parallel degree for dedicated join queries. At `1`
+    /// Partition-parallel degree for joins no other query shares. At `1`
     /// (default) every query runs as a single sequential DU chain. At
-    /// `P > 1`, eligible joins are split into a hash-partitioned
-    /// exchange — `PartitionDu` → P cloned eddies → `MergeDu` — whose
-    /// delivered results and egress ledger are byte-identical to `P=1`
-    /// for the same seed (see `crate::exchange`).
+    /// `P > 1`, eligible joins run as P join cores behind a hash-partitioned
+    /// exchange — `PartitionDu` → P join DUs → `MergeDu` — whose delivered
+    /// results and egress ledger are byte-identical to `P=1` for the same
+    /// seed (see `crate::exchange`); a checkpoint restores at any `P`.
     pub partitions: usize,
     /// Durable checkpoint store path; `None` disables checkpointing
     /// ([`TelegraphCQ::checkpoint`] errors, [`TelegraphCQ::restore`]
@@ -202,26 +202,9 @@ pub(crate) enum QueryRecord {
     /// A filter or aggregate in its stream's plan set, reached through the
     /// set's handle (no per-query copy of the stream name).
     Stream(StreamPlans),
-    /// One of the queries a join DU serves.
+    /// One of the queries a join serves.
     Join(Arc<JoinEntry>),
-    Dedicated(Box<DedicatedQuery>),
     Completed,
-}
-
-impl QueryRecord {
-    /// The label of the join group the query is a member of.
-    fn group_label(&self) -> Option<&str> {
-        match self {
-            QueryRecord::Join(entry) if entry.key.is_some() => Some(&entry.label),
-            _ => None,
-        }
-    }
-}
-
-/// A query running on DUs of its own.
-pub(crate) struct DedicatedQuery {
-    dus: Vec<DuId>,
-    subscriptions: Vec<(String, u64)>,
 }
 
 /// Everything that shapes a shared join's stored state and lifetime: the
@@ -250,36 +233,23 @@ impl JoinGroupKey {
             && self.streams == group.streams
             && (self.keys, self.widths, self.deadline) == (group.keys, group.widths, group.deadline)
     }
-
-    /// The checkpoint component prefix of the group `first` starts: the
-    /// key without its loop bounds (a restore that re-anchors `ST`
-    /// recomputes those differently), then the query. Query ids are never
-    /// reused, so two groups never share a label; the catalog records it
-    /// with each member, and a restore rejoins the members under it.
-    fn label(&self, first: QueryId) -> String {
-        let width = |w: Option<i64>| w.map_or_else(|| "-".to_string(), |w| w.to_string());
-        format!(
-            "join:{}.{}:{}.{}:{}:{}@q{first}",
-            self.streams[0],
-            self.keys[0],
-            self.streams[1],
-            self.keys[1],
-            width(self.widths[0]),
-            width(self.widths[1]),
-        )
-    }
 }
 
 /// A join DU and what it holds open, torn down with its last query.
 pub(crate) struct JoinEntry {
     /// Its key among the join groups; `None` for a join one query owns.
     key: Option<JoinGroupKey>,
-    /// Checkpoint component prefix: `q<qid>` for a join one query owns,
-    /// [`JoinGroupKey::label`] for a group.
-    label: String,
-    core: Arc<Mutex<JoinCore>>,
-    du: DuId,
-    subscriptions: Vec<(String, u64)>,
+    /// Checkpoint component prefix: `q<qid>` of the query that started it
+    /// (ids are never reused); the catalog records it with each member.
+    pub(crate) label: String,
+    /// One core, or one per partition, each serving the join's one query.
+    pub(crate) cores: Vec<Arc<Mutex<JoinCore>>>,
+    /// A join DU per core, then a partitioned join's merger and
+    /// partitioner.
+    dus: Vec<DuId>,
+    pub(crate) subscriptions: Vec<(String, u64)>,
+    /// A partitioned join's exchange.
+    pub(crate) exchange: Option<Arc<ExchangeGauge>>,
 }
 
 /// Memory accounting for one shared standing-query structure
@@ -685,7 +655,7 @@ impl TelegraphCQ {
         }
         for entry in self.join_groups.lock().iter() {
             let streams = &entry.key.as_ref().expect("a group has a key").streams;
-            let core = entry.core.lock();
+            let core = entry.cores[0].lock();
             out.push(SharedMemoryStat {
                 label: format!("join:{}:{}", streams[0], streams[1]),
                 queries: core.member_count(),
@@ -829,8 +799,12 @@ impl TelegraphCQ {
         self.egress.subscribe(client, qid)?;
         match self.start_plan(qid, &aq, kind, None) {
             Ok(record) => {
+                let label = match &record {
+                    QueryRecord::Join(entry) => Some(entry.label.as_str()),
+                    _ => None,
+                };
                 if !matches!(record, QueryRecord::Completed) {
-                    self.stage_query(qid, Some((sql, record.group_label())));
+                    self.stage_query(qid, Some((sql, label)));
                 }
                 self.queries.lock().insert(qid, record);
                 Ok(qid)
@@ -956,55 +930,52 @@ impl TelegraphCQ {
         &self,
         qid: QueryId,
         aq: &AnalyzedQuery,
-        group: Option<&str>,
+        restored: Option<&str>,
     ) -> Result<QueryRecord> {
         let partitions = self.config.partitions.max(1);
         if planner::shareable_join(aq, partitions) {
-            return self.join_group(qid, aq, group);
+            return self.join_group(qid, aq, restored);
         }
-        if partitions > 1 && exchange::partitionable(aq) {
-            return self.start_partitioned_join(qid, aq, partitions);
+        // A join no other query can share: its own cores, one per
+        // partition, with every predicate it has inside.
+        let partitions = if exchange::partitionable(aq) {
+            partitions
+        } else {
+            1
+        };
+        let label = restored.map_or_else(|| format!("q{qid}"), str::to_string);
+        // Admitted to a running group, the query saw only rows built after
+        // its cut, which a core of its own cannot keep.
+        let cut = self.checkpoint_fragment(&format!("{label}/cut"), &(qid as u64).to_le_bytes());
+        if partitions > 1 && cut.is_some() {
+            return Err(TcqError::Storage(format!(
+                "query {qid} joined group {label} mid-stream: it restores only at partitions = 1"
+            )));
         }
-        // A join no other query can share: its own eddy, with every
-        // predicate it has inside.
-        let (eddy, _key_cols) = self.build_join_eddy(aq, true)?;
+        let mut cores = Vec::with_capacity(partitions);
+        let mut key_cols = Vec::new();
+        for _ in 0..partitions {
+            let (eddy, kc) = self.build_join_eddy(aq)?;
+            key_cols = kc;
+            cores.push(JoinCore::solo(eddy, qid, aq.projection.clone()));
+        }
+        let bounds = self.join_bounds(aq)?;
+        if partitions > 1 {
+            let entry = self.start_exchange(qid, label, cores, aq, &key_cols, bounds)?;
+            return Ok(QueryRecord::Join(entry));
+        }
 
-        // Inputs: one subscription per physical stream; aliases grouped.
-        let mut by_stream: HashMap<String, Vec<SchemaRef>> = HashMap::new();
+        // Inputs: one per physical stream; aliases grouped.
+        let mut streams: Vec<(String, Vec<SchemaRef>)> = Vec::new();
         for source in &aq.sources {
-            by_stream
-                .entry(source.name.to_ascii_lowercase())
-                .or_default()
-                .push(source.schema.clone());
+            let name = source.name.to_ascii_lowercase();
+            match streams.iter_mut().find(|(stream, _)| *stream == name) {
+                Some((_, schemas)) => schemas.push(source.schema.clone()),
+                None => streams.push((name, vec![source.schema.clone()])),
+            }
         }
-        let mut inputs = Vec::new();
-        let mut subscriptions = Vec::new();
-        let mut class = 0u64;
-        for (stream_name, alias_schemas) in by_stream {
-            let st = self.stream(&stream_name)?;
-            class |= st.class;
-            let (p, c) = self.make_fjord(
-                format!("join(q{qid}.{stream_name})"),
-                self.config.queue_capacity,
-            );
-            let sub_id = st.subscribers.add(p);
-            subscriptions.push((stream_name.clone(), sub_id));
-            inputs.push(JoinInput {
-                inbox: c,
-                alias_schemas,
-            });
-        }
-
-        let entry = self.run_join_du(
-            qid,
-            format!("q{qid}"),
-            None,
-            JoinCore::solo(eddy, qid, aq.projection.clone()),
-            inputs,
-            subscriptions,
-            class,
-            self.join_bounds(aq)?,
-        )?;
+        let core = cores.pop().expect("one core");
+        let entry = self.run_join_du(qid, label, None, core, streams, bounds)?;
         Ok(QueryRecord::Join(entry))
     }
 
@@ -1063,7 +1034,7 @@ impl TelegraphCQ {
         let label = match (found, restored) {
             (Some(entry), _) => entry.label.clone(),
             (None, Some(label)) => label.to_string(),
-            (None, None) => key.label(qid),
+            (None, None) => format!("q{qid}"),
         };
         // A member's admission cut is part of its answer: it is staged for
         // the next checkpoint, and a restore admits it at that cut.
@@ -1074,7 +1045,7 @@ impl TelegraphCQ {
             spec.admitted = Some([r.get_i64("admission cut")?, r.get_i64("admission cut")?]);
         }
         if let Some(entry) = found {
-            let cut = entry.core.lock().admit(spec)?;
+            let cut = entry.cores[0].lock().admit(spec)?;
             if let Some(store) = &self.ckpt {
                 let mut w = CkptWriter::new();
                 w.put_i64(cut[0]);
@@ -1083,94 +1054,91 @@ impl TelegraphCQ {
             }
             return Ok(QueryRecord::Join(Arc::clone(entry)));
         }
-        let (eddy, _) = self.build_join_eddy(aq, true)?;
+        let (eddy, _) = self.build_join_eddy(aq)?;
         let bits = [eddy.source_bit(&aliases[0])?, eddy.source_bit(&aliases[1])?];
         let bases = streams.each_ref().map(|st| st.def.schema.clone());
         let group = JoinGroup::new(bits, bases, [&aliases[0], &aliases[1]], key.widths);
         let core = JoinCore::group(eddy, group, spec)?;
-        let mut inputs = Vec::with_capacity(2);
-        let mut subscriptions = Vec::with_capacity(2);
-        for (s, st) in streams.iter().enumerate() {
-            let stream = &key.streams[s];
-            let (p, c) =
-                self.make_fjord(format!("join(q{qid}.{stream})"), self.config.queue_capacity);
-            subscriptions.push((stream.clone(), st.subscribers.add(p)));
-            inputs.push(JoinInput {
-                inbox: c,
-                alias_schemas: vec![sources[s].schema.clone()],
-            });
-        }
-        let class = streams[0].class | streams[1].class;
+        let inputs = [0, 1].map(|s| (key.streams[s].clone(), vec![sources[s].schema.clone()]));
         let bounds = (floor, deadline);
-        let entry = self.run_join_du(
-            qid,
-            label,
-            Some(key),
-            core,
-            inputs,
-            subscriptions,
-            class,
-            bounds,
-        )?;
+        let entry = self.run_join_du(qid, label, Some(key), core, inputs.into(), bounds)?;
         groups.push(Arc::clone(&entry));
         Ok(QueryRecord::Join(entry))
     }
 
-    /// Start the DU of a join `qid` opened, bounded by the loop's `(floor,
-    /// deadline)`: import the state the image holds under `label`, and
-    /// register it with the checkpoint.
-    #[allow(clippy::too_many_arguments)]
+    /// Start the one DU of a join `qid` opened, reading `streams` (each
+    /// under its alias schemas) in input order, bounded by the loop's
+    /// `(floor, deadline)`.
     fn run_join_du(
         &self,
         qid: QueryId,
         label: String,
         key: Option<JoinGroupKey>,
         core: JoinCore,
-        inputs: Vec<JoinInput>,
-        subscriptions: Vec<(String, u64)>,
-        class: u64,
+        streams: Vec<(String, Vec<SchemaRef>)>,
         (floor, deadline): (i64, i64),
     ) -> Result<Arc<JoinEntry>> {
-        let core = Arc::new(Mutex::new(core));
-        if self.ckpt.is_some() {
-            self.import_join_state(&label, &core, &subscriptions)?;
-            self.ckpt_handles
-                .lock()
-                .push((label.clone(), QueryStateHandle::Join(Arc::clone(&core))));
+        let (mut inputs, mut subscriptions, mut class) = (Vec::new(), Vec::new(), 0);
+        for (stream, alias_schemas) in streams {
+            let st = self.stream(&stream)?;
+            class |= st.class;
+            let capacity = self.config.queue_capacity;
+            let (p, inbox) = self.make_fjord(format!("join(q{qid}.{stream})"), capacity);
+            subscriptions.push((stream, st.subscribers.add(p)));
+            inputs.push(JoinInput {
+                inbox,
+                alias_schemas,
+            });
         }
+        let core = Arc::new(Mutex::new(core));
         let du = JoinCqDu::new(
             format!("join-cq(q{qid})"),
             inputs,
             Arc::clone(&core),
-            self.egress.clone(),
+            JoinSink::Egress(self.egress.clone()),
             floor,
             deadline,
         );
         let du = self.executor.submit(class, Box::new(du))?;
-        Ok(Arc::new(JoinEntry {
+        Ok(self.join_entry(key, label, vec![core], vec![du], subscriptions, None))
+    }
+
+    /// A running join's entry, its cores registered with the checkpoint
+    /// under its one label.
+    fn join_entry(
+        &self,
+        key: Option<JoinGroupKey>,
+        label: String,
+        cores: Vec<Arc<Mutex<JoinCore>>>,
+        dus: Vec<DuId>,
+        subscriptions: Vec<(String, u64)>,
+        exchange: Option<Arc<ExchangeGauge>>,
+    ) -> Arc<JoinEntry> {
+        if self.ckpt.is_some() {
+            let mut handles = self.ckpt_handles.lock();
+            for core in &cores {
+                let handle = QueryStateHandle::Join(Arc::clone(core), exchange.clone());
+                handles.push((label.clone(), handle));
+            }
+        }
+        Arc::new(JoinEntry {
             key,
             label,
-            core,
-            du,
+            cores,
+            dus,
             subscriptions,
-        }))
+            exchange,
+        })
     }
 
     /// Build the eddy of a join, returning it together with each source's
     /// join-key column. Called once for a sequential plan and P times for
     /// a partitioned one — every instance is identical (same policy, same
-    /// seed), which is half of the exchange determinism argument.
-    ///
-    /// `checkpointed` says whether [`TelegraphCQ::checkpoint`] exports this
-    /// eddy (the sequential plan) or not (partition workers). SteMs keep
-    /// dirty sets only when it does *and* a checkpoint store is open:
-    /// nothing but a checkpoint drains them.
-    fn build_join_eddy(
-        &self,
-        aq: &AnalyzedQuery,
-        checkpointed: bool,
-    ) -> Result<(Eddy, Vec<usize>)> {
-        let track_dirty = checkpointed && self.ckpt.is_some();
+    /// seed), which is half of the exchange determinism argument. SteMs
+    /// keep dirty sets only when a checkpoint store is open: nothing but a
+    /// checkpoint drains them.
+    fn build_join_eddy(&self, aq: &AnalyzedQuery) -> Result<(Eddy, Vec<usize>)> {
+        let track_dirty = self.ckpt.is_some();
         // Eddy over the query's aliases.
         let aliases: Vec<String> = aq.sources.iter().map(|s| s.alias.clone()).collect();
         let mut eddy = Eddy::new(
@@ -1291,7 +1259,8 @@ impl TelegraphCQ {
                 lefts.min().unwrap_or(i64::MIN)
             };
             match w.extent(st)? {
-                LoopLength::Empty => {}
+                // No window: the query retires at its first tuple.
+                LoopLength::Empty => deadline = i64::MIN,
                 LoopLength::Unbounded { first_t } => floor = min_left(&w.windows_at(first_t, st)?),
                 // Finite loops retire the query after their final window.
                 LoopLength::Finite {
@@ -1320,28 +1289,21 @@ impl TelegraphCQ {
         now.max(1)
     }
 
-    /// Partition-parallel dedicated join (`ServerConfig::partitions > 1`):
-    /// a `PartitionDu` hash-splits the canonical input order into P
-    /// partition fjords, P cloned eddies consume them on distinct EOs, and
-    /// a `MergeDu` replays the partitioner's run order so delivery is
-    /// byte-identical to the sequential plan (see `crate::exchange`).
-    fn start_partitioned_join(
+    /// Run a join's P `cores` partition-parallel: a `PartitionDu`
+    /// hash-splits the canonical input order on the sources' `key_cols`
+    /// into P partition fjords, a join DU per core consumes each on distinct
+    /// EOs, and a `MergeDu` replays the run order (see `crate::exchange`).
+    fn start_exchange(
         &self,
         qid: QueryId,
+        label: String,
+        cores: Vec<JoinCore>,
         aq: &AnalyzedQuery,
-        partitions: usize,
-    ) -> Result<QueryRecord> {
+        key_cols: &[usize],
+        (floor, deadline): (i64, i64),
+    ) -> Result<Arc<JoinEntry>> {
+        let partitions = cores.len();
         let cap = self.config.queue_capacity;
-        // P identical eddies: same modules, same policy kind, same seed.
-        let mut eddies = Vec::with_capacity(partitions);
-        let mut key_cols = Vec::new();
-        for _ in 0..partitions {
-            let (eddy, kc) = self.build_join_eddy(aq, false)?;
-            key_cols = kc;
-            eddies.push(eddy);
-        }
-        let (floor, deadline) = self.join_bounds(aq)?;
-
         // One ingress subscription per source (`partitionable` guarantees
         // each physical stream appears under exactly one alias).
         let mut inputs = Vec::with_capacity(aq.sources.len());
@@ -1354,7 +1316,7 @@ impl TelegraphCQ {
             let sub_id = st.subscribers.add(p);
             subscriptions.push((source.name.to_ascii_lowercase(), sub_id));
             let clock = match planner::join_window_width(aq, &source.alias)? {
-                Some(_) => Some(eddies[0].source_bit(&source.alias)?),
+                Some(_) => Some(cores[0].eddy.source_bit(&source.alias)?),
                 None => None,
             };
             inputs.push(ExchangeInput::new(
@@ -1367,34 +1329,31 @@ impl TelegraphCQ {
 
         // The exchange fabric: P partition fjords, P output fjords, and a
         // schedule fjord carrying the canonical run order.
-        let mut part_prods = Vec::with_capacity(partitions);
-        let mut part_cons = Vec::with_capacity(partitions);
-        let mut out_prods = Vec::with_capacity(partitions);
-        let mut out_cons = Vec::with_capacity(partitions);
-        for k in 0..partitions {
-            let (p, c) = self.make_fjord(format!("xchg-part(q{qid}.{k})"), cap);
-            part_prods.push(p);
-            part_cons.push(c);
-            let (p, c) = self.make_fjord(format!("xchg-out(q{qid}.{k})"), cap);
-            out_prods.push(p);
-            out_cons.push(c);
-        }
+        let fjords = |hop: &str| -> (Vec<_>, Vec<_>) {
+            (0..partitions)
+                .map(|k| self.make_fjord(format!("xchg-{hop}(q{qid}.{k})"), cap))
+                .unzip()
+        };
+        let ((part_prods, part_cons), (out_prods, out_cons)) = (fjords("part"), fjords("out"));
         let (sched_prod, sched_cons) =
             self.make_fjord(format!("xchg-sched(q{qid})"), cap.saturating_mul(2).max(8));
 
         // Workers first: each fresh footprint class lands on the currently
-        // least-loaded EO, so the P clones spread across distinct EOs
-        // whenever `eos` allows it.
+        // least-loaded EO, so the P workers spread across distinct EOs
+        // whenever `eos` allows it. The partitioner bounds the loop.
+        let cores: Vec<_> = cores.into_iter().map(|c| Arc::new(Mutex::new(c))).collect();
         let mut dus = Vec::with_capacity(partitions + 2);
-        for (k, ((eddy, input), output)) in
-            eddies.into_iter().zip(part_cons).zip(out_prods).enumerate()
-        {
-            let du = WorkerDu::new(
+        for (k, ((core, input), output)) in cores.iter().zip(part_cons).zip(out_prods).enumerate() {
+            let du = JoinCqDu::new(
                 format!("xchg-work(q{qid}.{k})"),
-                input,
-                output,
-                eddy,
-                LazyProject::new(aq.projection.clone()),
+                vec![JoinInput {
+                    inbox: input,
+                    alias_schemas: Vec::new(),
+                }],
+                Arc::clone(core),
+                JoinSink::Fjord(output, Vec::new()),
+                i64::MIN,
+                i64::MAX,
             );
             dus.push(
                 self.executor
@@ -1423,12 +1382,9 @@ impl TelegraphCQ {
             floor,
             deadline,
         );
+        let gauge = part.gauge();
         dus.push(self.executor.submit(ingress_class, Box::new(part))?);
-
-        Ok(QueryRecord::Dedicated(Box::new(DedicatedQuery {
-            dus,
-            subscriptions,
-        })))
+        Ok(self.join_entry(None, label, cores, dus, subscriptions, Some(gauge)))
     }
 
     /// Join groups running: one DU per key, however many queries it serves.
@@ -1511,8 +1467,6 @@ impl TelegraphCQ {
         if !matches!(record, QueryRecord::Completed) {
             self.stage_query(qid, None);
         }
-        let own = format!("q{qid}");
-        self.ckpt_handles.lock().retain(|(label, _)| *label != own);
         let released = self.release_plan(qid, record);
         // Every client's subscription goes with the query, in this call —
         // after its plan let go of it: a join DU holds its lock from taking
@@ -1526,15 +1480,22 @@ impl TelegraphCQ {
     /// whatever only it used.
     fn release_plan(&self, qid: QueryId, record: QueryRecord) -> Result<()> {
         match record {
-            QueryRecord::Stream(plans) => plans.remove_query(qid)?,
+            QueryRecord::Stream(plans) => {
+                let own = format!("q{qid}");
+                self.ckpt_handles.lock().retain(|(label, _)| *label != own);
+                plans.remove_query(qid)?;
+            }
             QueryRecord::Join(entry) => {
                 // Held across the removal: an admission to this key either
                 // ran first or starts a fresh DU after the teardown.
                 let mut groups = self.join_groups.lock();
-                if entry.core.lock().remove(qid)? == 0 {
+                // A partitioned join's cores all serve its one query.
+                if entry.cores[0].lock().remove(qid)? == 0 {
                     groups.retain(|e| !Arc::ptr_eq(e, &entry));
                     drop(groups);
-                    self.executor.cancel(entry.du)?;
+                    for &du in &entry.dus {
+                        self.executor.cancel(du)?;
+                    }
                     for (stream, sub_id) in &entry.subscriptions {
                         if let Ok(st) = self.stream(stream) {
                             st.subscribers.remove(*sub_id);
@@ -1543,27 +1504,24 @@ impl TelegraphCQ {
                     (self.ckpt_handles.lock()).retain(|(label, _)| *label != entry.label);
                 }
             }
-            QueryRecord::Dedicated(query) => {
-                for &du in &query.dus {
-                    self.executor.cancel(du)?;
-                }
-                for (stream, sub_id) in query.subscriptions {
-                    if let Ok(st) = self.stream(&stream) {
-                        st.subscribers.remove(sub_id);
-                    }
-                }
-            }
             QueryRecord::Completed => {}
         }
         Ok(())
     }
 
-    /// Rows the SteMs of the join DU serving `qid` hold, all sources
-    /// together (a group's rows serve every member); `None` for any other
-    /// plan (filters, aggregates, partitioned joins) or an unknown query.
+    /// Rows the SteMs of the join serving `qid` hold, all sources and
+    /// partitions together (a group's rows serve every member); `None` for
+    /// any other plan (filters, aggregates) or an unknown query.
     pub fn join_state_rows(&self, qid: QueryId) -> Option<usize> {
+        self.join_state(qid, |eddy| eddy.state_size())
+    }
+
+    /// `measure` summed over the cores of the join serving `qid`.
+    fn join_state(&self, qid: QueryId, measure: impl Fn(&Eddy) -> usize) -> Option<usize> {
         match self.queries.lock().get(&qid)? {
-            QueryRecord::Join(entry) => Some(entry.core.lock().eddy.state_size()),
+            QueryRecord::Join(entry) => {
+                Some(entry.cores.iter().map(|c| measure(&c.lock().eddy)).sum())
+            }
             _ => None,
         }
     }
@@ -1580,10 +1538,7 @@ impl TelegraphCQ {
     /// Heap bytes the SteMs behind [`TelegraphCQ::join_state_rows`] hold
     /// (`StemOp::state_bytes` summed).
     pub fn join_state_bytes(&self, qid: QueryId) -> Option<usize> {
-        match self.queries.lock().get(&qid)? {
-            QueryRecord::Join(entry) => Some(entry.core.lock().eddy.state_bytes()),
-            _ => None,
-        }
+        self.join_state(qid, |eddy| eddy.state_bytes())
     }
 
     /// Standing query count (historical queries complete immediately and
@@ -1681,6 +1636,7 @@ mod tests {
             let durable = checkpoint_path.is_some();
             let server = TelegraphCQ::start(ServerConfig {
                 checkpoint_path,
+                partitions: if partitioned { 4 } else { 1 },
                 ..ServerConfig::default()
             })
             .unwrap();
@@ -1697,7 +1653,7 @@ mod tests {
             )
             .unwrap();
             let aq = analyze(&stmt, &server.catalog).unwrap();
-            let (mut eddy, _) = server.build_join_eddy(&aq, !partitioned).unwrap();
+            let (mut eddy, _) = server.build_join_eddy(&aq).unwrap();
             let mut out = Vec::new();
             for first in (0..100_000i64).step_by(64) {
                 let batch = (first..first + 64)
@@ -1714,7 +1670,7 @@ mod tests {
                 eddy.process_batch(batch, &mut out).unwrap();
             }
             assert!(eddy.state_size() <= 2 * 1025);
-            if durable && !partitioned {
+            if durable {
                 assert!(
                     eddy.dirty_len() > 0,
                     "a checkpointed join records its delta"

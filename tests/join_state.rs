@@ -141,3 +141,55 @@ fn the_benchmark_join_stores_only_the_passing_half_of_its_window() {
     assert_eq!(state_after_input(&server, qid, "s", ROWS as u64), passing);
     server.shutdown().unwrap();
 }
+
+/// A partitioned join's state is its partitions' together: at P = 4 the
+/// four cores hold exactly the rows the one core holds at P = 1 for the
+/// same input, in less than twice its bytes.
+#[test]
+fn a_partitioned_join_holds_what_the_one_core_holds() {
+    let s = int_schema(&["k", "f"]);
+    let d = int_schema(&["id", "tag"]);
+    let figures = [1, 4].map(|partitions| {
+        let server = TelegraphCQ::start(ServerConfig {
+            partitions,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        server.register_stream("s", s.clone()).unwrap();
+        server.register_table("d", d.clone()).unwrap();
+        let client = server.connect_pull_client(16).unwrap();
+        let qid = server
+            .submit(
+                "SELECT s.k, d.tag FROM s s, d d WHERE s.k = d.id AND s.f < 50 \
+                 for (t = ST; t >= 0; t++) { WindowIs(s, t - 999, t); }",
+                client,
+            )
+            .unwrap();
+        let rows = (1..=2000).map(|i| int_row(&s, &[i % 64, i % 100], i));
+        server.push_batch("s", rows.collect()).unwrap();
+        let table = (0..64).map(|id| int_row(&d, &[id, id], id + 1));
+        server.push_batch("d", table.collect()).unwrap();
+        server.finish_stream("s").unwrap();
+        server.finish_stream("d").unwrap();
+        assert!(server.quiesce(Duration::from_secs(60)));
+        let figure = (
+            server.join_state_rows(qid).unwrap(),
+            server.join_state_bytes(qid).unwrap(),
+        );
+        server.shutdown().unwrap();
+        figure
+    });
+    let passing = (1001..=2000).filter(|i| i % 100 < 50).count();
+    assert_eq!(
+        figures[0].0,
+        passing + 64,
+        "the window's passing rows and the table"
+    );
+    assert_eq!(figures[1].0, figures[0].0, "P = 4 holds what P = 1 holds");
+    // Each of the four cores' SteMs has its own containers: 66 240 B
+    // against 105 728 B when this was written.
+    assert!(
+        figures[0].1 < figures[1].1 && figures[1].1 < 2 * figures[0].1,
+        "bytes: {figures:?}"
+    );
+}
