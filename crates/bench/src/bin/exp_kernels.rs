@@ -45,7 +45,7 @@ use tcq_server::{ServerConfig, TelegraphCQ};
 
 /// Counting allocator for the allocs-per-tuple budget.
 #[global_allocator]
-static ALLOC: tcq_bench::CountingAlloc = tcq_bench::CountingAlloc::new();
+static ALLOC: tcq_common::CountingAlloc = tcq_common::CountingAlloc::new();
 
 /// Hot-path batch size for every run: the K=64 plateau E-throughput
 /// established, so the remaining per-tuple cost is evaluation and

@@ -38,7 +38,7 @@ use tcq_stems::{MatchScratch, QueryStem};
 
 /// Counting allocator for the zero-allocs-per-probe gate.
 #[global_allocator]
-static ALLOC: tcq_bench::CountingAlloc = tcq_bench::CountingAlloc::new();
+static ALLOC: tcq_common::CountingAlloc = tcq_common::CountingAlloc::new();
 
 /// Standing-population sweep: the headline claim is the 1k -> 100k span.
 const SIZES: &[usize] = &[1_000, 10_000, 100_000];

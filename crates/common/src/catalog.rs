@@ -7,12 +7,64 @@
 //! register the streams they produce.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::sync::RwLock;
 
 use crate::error::{Result, TcqError};
 use crate::schema::SchemaRef;
+
+/// A name compared and hashed ASCII-case-insensitively. A map keyed by
+/// `Box<Caseless>` is probed with a name as a query wrote it, without
+/// lowercasing it into a new string first.
+#[repr(transparent)]
+pub struct Caseless(str);
+
+impl Caseless {
+    /// View `name` as a case-insensitive key.
+    pub fn new(name: &str) -> &Caseless {
+        // SAFETY: `Caseless` is a `repr(transparent)` wrapper around `str`,
+        // so the two references have the same layout and validity.
+        unsafe { &*(name as *const str as *const Caseless) }
+    }
+
+    /// The name as written.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq for Caseless {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(&other.0)
+    }
+}
+
+impl Eq for Caseless {}
+
+impl Hash for Caseless {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut buf = [0u8; 32];
+        for chunk in self.0.as_bytes().chunks(buf.len()) {
+            let lower = &mut buf[..chunk.len()];
+            lower.copy_from_slice(chunk);
+            lower.make_ascii_lowercase();
+            state.write(lower);
+        }
+        state.write_u8(0xff);
+    }
+}
+
+impl From<String> for Box<Caseless> {
+    /// An owned case-insensitive key, as a map keyed by names stores it.
+    fn from(name: String) -> Self {
+        let name: Box<str> = name.into_boxed_str();
+        // SAFETY: `Caseless` is a `repr(transparent)` wrapper around `str`,
+        // so the box's layout and allocation carry over unchanged.
+        unsafe { Box::from_raw(Box::into_raw(name) as *mut Caseless) }
+    }
+}
 
 /// How tuples for a registered source arrive (TelegraphCQ §4.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +95,9 @@ pub struct StreamDef {
     pub name: String,
     /// Tuple shape.
     pub schema: SchemaRef,
+    /// `schema` with every column qualified by `name`: the shape a query
+    /// that names the source as registered sees, built once here.
+    pub qualified: SchemaRef,
     /// Push/pull/table.
     pub kind: SourceKind,
 }
@@ -58,7 +113,8 @@ pub struct Catalog {
 
 #[derive(Default)]
 struct CatalogInner {
-    by_name: HashMap<String, StreamDef>,
+    /// Keyed by the lowercased name; probed case-insensitively.
+    by_name: HashMap<Box<Caseless>, Arc<StreamDef>>,
     next_id: u32,
 }
 
@@ -76,28 +132,30 @@ impl Catalog {
         kind: SourceKind,
     ) -> Result<StreamDef> {
         let name = name.into();
-        let key = name.to_ascii_lowercase();
         let mut inner = self.inner.write();
-        if inner.by_name.contains_key(&key) {
+        if inner.by_name.contains_key(Caseless::new(&name)) {
             return Err(TcqError::DuplicateStream(name));
         }
         let def = StreamDef {
             id: inner.next_id,
+            qualified: schema.with_qualifier(&name).into_ref(),
             name,
             schema,
             kind,
         };
         inner.next_id += 1;
-        inner.by_name.insert(key, def.clone());
+        let key = def.name.to_ascii_lowercase().into();
+        inner.by_name.insert(key, Arc::new(def.clone()));
         Ok(def)
     }
 
-    /// Look a source up by name (case-insensitive).
-    pub fn lookup(&self, name: &str) -> Result<StreamDef> {
+    /// Look a source up by name (case-insensitive). The definition is
+    /// shared, not copied.
+    pub fn lookup(&self, name: &str) -> Result<Arc<StreamDef>> {
         self.inner
             .read()
             .by_name
-            .get(&name.to_ascii_lowercase())
+            .get(Caseless::new(name))
             .cloned()
             .ok_or_else(|| TcqError::UnknownStream(name.to_string()))
     }
@@ -107,13 +165,15 @@ impl Catalog {
         self.inner
             .write()
             .by_name
-            .remove(&name.to_ascii_lowercase())
+            .remove(Caseless::new(name))
+            .map(Arc::unwrap_or_clone)
             .ok_or_else(|| TcqError::UnknownStream(name.to_string()))
     }
 
     /// All registered definitions, ordered by id.
     pub fn list(&self) -> Vec<StreamDef> {
-        let mut v: Vec<StreamDef> = self.inner.read().by_name.values().cloned().collect();
+        let inner = self.inner.read();
+        let mut v: Vec<StreamDef> = inner.by_name.values().map(|d| (**d).clone()).collect();
         v.sort_by_key(|d| d.id);
         v
     }
@@ -146,6 +206,32 @@ mod tests {
         let def = c.lookup("closingstockprices").unwrap();
         assert_eq!(def.name, "ClosingStockPrices");
         assert!(def.kind.is_stream());
+    }
+
+    #[test]
+    fn caseless_keys_hash_and_compare_without_case() {
+        use std::collections::HashSet;
+        let mut names = HashSet::new();
+        let key = |name: &str| -> Box<Caseless> { name.to_string().into() };
+        names.insert(key("closingstockprices"));
+        assert!(names.contains(Caseless::new("ClosingStockPrices")));
+        assert!(names.contains(Caseless::new("CLOSINGSTOCKPRICES")));
+        assert!(!names.contains(Caseless::new("ClosingStockPrice")));
+        // Names longer than one hashing chunk hash as one string.
+        let long = "a_name_much_longer_than_thirty_two_bytes_in_all";
+        names.insert(key(long));
+        assert!(names.contains(Caseless::new(&long.to_ascii_uppercase())));
+        assert_eq!(Caseless::new("Ab").as_str(), "Ab");
+    }
+
+    #[test]
+    fn the_qualified_schema_names_the_source_as_registered() {
+        let c = Catalog::new();
+        c.register("Ticks", schema(), SourceKind::PushStream)
+            .unwrap();
+        let def = c.lookup("ticks").unwrap();
+        assert_eq!(def.qualified.to_string(), "(Ticks.x INT)");
+        assert_eq!(def.schema.to_string(), "(x INT)");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! single-variable factors that grouped filters can index.
 
 use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -183,17 +184,27 @@ impl Expr {
     /// Split the top-level conjunction into boolean factors, in order.
     pub fn conjuncts(&self) -> Vec<&Expr> {
         let mut out = Vec::new();
-        fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-            match e {
-                Expr::And(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                other => out.push(other),
-            }
-        }
-        walk(self, &mut out);
+        let Ok(()) = self.try_for_each_conjunct(&mut |e| {
+            out.push(e);
+            Ok::<_, Infallible>(())
+        });
         out
+    }
+
+    /// Hand each boolean factor of the top-level conjunction to `f`, in
+    /// order, stopping at the first error — [`Expr::conjuncts`] without
+    /// collecting them.
+    pub fn try_for_each_conjunct<'a, E>(
+        &'a self,
+        f: &mut impl FnMut(&'a Expr) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        match self {
+            Expr::And(a, b) => {
+                a.try_for_each_conjunct(f)?;
+                b.try_for_each_conjunct(f)
+            }
+            factor => f(factor),
+        }
     }
 
     /// Rebuild an expression from conjuncts (inverse of [`Expr::conjuncts`];
@@ -229,24 +240,40 @@ impl Expr {
     /// Every column referenced, with qualifiers, in evaluation order.
     pub fn columns(&self) -> Vec<(Option<&str>, &str)> {
         let mut out = Vec::new();
-        self.visit_columns(&mut |q, n| out.push((q, n)));
+        let Ok(()) = self.try_for_each_column(&mut |q, n| {
+            out.push((q, n));
+            Ok::<_, Infallible>(())
+        });
         out
     }
 
-    fn visit_columns<'a>(&'a self, f: &mut impl FnMut(Option<&'a str>, &'a str)) {
+    /// Hand each column reference to `f` as `(qualifier, name)`, in
+    /// evaluation order, stopping at the first error — [`Expr::columns`]
+    /// without collecting them.
+    pub fn try_for_each_column<'a, E>(
+        &'a self,
+        f: &mut impl FnMut(Option<&'a str>, &'a str) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         match self {
-            Expr::Literal(_) => {}
+            Expr::Literal(_) => Ok(()),
             Expr::Column { qualifier, name } => f(qualifier.as_deref(), name),
             Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-                lhs.visit_columns(f);
-                rhs.visit_columns(f);
+                lhs.try_for_each_column(f)?;
+                rhs.try_for_each_column(f)
             }
             Expr::And(a, b) | Expr::Or(a, b) => {
-                a.visit_columns(f);
-                b.visit_columns(f);
+                a.try_for_each_column(f)?;
+                b.try_for_each_column(f)
             }
-            Expr::Not(e) => e.visit_columns(f),
+            Expr::Not(e) => e.try_for_each_column(f),
         }
+    }
+
+    /// Resolve every column reference against `schema` as [`Expr::bind`]
+    /// does, failing with the same error on the first unknown or ambiguous
+    /// one, without building the bound tree.
+    pub fn check_columns(&self, schema: &Schema) -> Result<()> {
+        self.try_for_each_column(&mut |q, n| schema.index_of(q, n).map(|_| ()))
     }
 
     /// Bind column references against `schema`, producing an executable
@@ -278,6 +305,17 @@ impl Expr {
     /// expressions bind to the same types and evaluate to the same values.
     /// Column names compare as written.
     pub fn identical(&self, other: &Expr) -> bool {
+        self.same(other, true)
+    }
+
+    /// [`Expr::identical`] with column qualifiers ignored: the same
+    /// expression over one source, whatever name or alias the query gave
+    /// it.
+    pub fn identical_unqualified(&self, other: &Expr) -> bool {
+        self.same(other, false)
+    }
+
+    fn same(&self, other: &Expr, qualifiers: bool) -> bool {
         match (self, other) {
             (Expr::Literal(a), Expr::Literal(b)) => a.identical(b),
             (
@@ -289,7 +327,7 @@ impl Expr {
                     qualifier: qb,
                     name: nb,
                 },
-            ) => qa == qb && na == nb,
+            ) => (!qualifiers || qa == qb) && na == nb,
             (
                 Expr::Cmp {
                     op: oa,
@@ -301,7 +339,7 @@ impl Expr {
                     lhs: lb,
                     rhs: rb,
                 },
-            ) => oa == ob && la.identical(lb) && ra.identical(rb),
+            ) => oa == ob && la.same(lb, qualifiers) && ra.same(rb, qualifiers),
             (
                 Expr::Arith {
                     op: oa,
@@ -313,39 +351,50 @@ impl Expr {
                     lhs: lb,
                     rhs: rb,
                 },
-            ) => oa == ob && la.identical(lb) && ra.identical(rb),
+            ) => oa == ob && la.same(lb, qualifiers) && ra.same(rb, qualifiers),
             (Expr::And(la, ra), Expr::And(lb, rb)) | (Expr::Or(la, ra), Expr::Or(lb, rb)) => {
-                la.identical(lb) && ra.identical(rb)
+                la.same(lb, qualifiers) && ra.same(rb, qualifiers)
             }
-            (Expr::Not(a), Expr::Not(b)) => a.identical(b),
+            (Expr::Not(a), Expr::Not(b)) => a.same(b, qualifiers),
             _ => false,
         }
     }
 
     /// Feed `state` a hash consistent with [`Expr::identical`].
     pub fn hash_identical<H: Hasher>(&self, state: &mut H) {
+        self.hash_same(state, true)
+    }
+
+    /// Feed `state` a hash consistent with [`Expr::identical_unqualified`].
+    pub fn hash_identical_unqualified<H: Hasher>(&self, state: &mut H) {
+        self.hash_same(state, false)
+    }
+
+    fn hash_same<H: Hasher>(&self, state: &mut H, qualifiers: bool) {
         std::mem::discriminant(self).hash(state);
         match self {
             Expr::Literal(v) => v.hash_identical(state),
             Expr::Column { qualifier, name } => {
-                qualifier.hash(state);
+                if qualifiers {
+                    qualifier.hash(state);
+                }
                 name.hash(state);
             }
             Expr::Cmp { op, lhs, rhs } => {
                 op.hash(state);
-                lhs.hash_identical(state);
-                rhs.hash_identical(state);
+                lhs.hash_same(state, qualifiers);
+                rhs.hash_same(state, qualifiers);
             }
             Expr::Arith { op, lhs, rhs } => {
                 op.hash(state);
-                lhs.hash_identical(state);
-                rhs.hash_identical(state);
+                lhs.hash_same(state, qualifiers);
+                rhs.hash_same(state, qualifiers);
             }
             Expr::And(a, b) | Expr::Or(a, b) => {
-                a.hash_identical(state);
-                b.hash_identical(state);
+                a.hash_same(state, qualifiers);
+                b.hash_same(state, qualifiers);
             }
-            Expr::Not(e) => e.hash_identical(state),
+            Expr::Not(e) => e.hash_same(state, qualifiers),
         }
     }
 
@@ -562,6 +611,37 @@ mod tests {
             .and(Expr::col("b").or(Expr::col("c")));
         assert!(p.identical(&p.clone()));
         assert_eq!(hash(&p), hash(&p.clone()));
+    }
+
+    #[test]
+    fn unqualified_identity_ignores_only_qualifiers() {
+        let hash = |e: &Expr| {
+            let mut h = crate::hash::Fnv1a::new();
+            e.hash_identical_unqualified(&mut h);
+            h.finish()
+        };
+        let a = Expr::qcol("s", "price").cmp(CmpOp::Gt, Expr::lit(1i64));
+        let b = Expr::col("price").cmp(CmpOp::Gt, Expr::lit(1i64));
+        assert!(!a.identical(&b));
+        assert!(a.identical_unqualified(&b));
+        assert_eq!(hash(&a), hash(&b));
+        let c = Expr::col("price").cmp(CmpOp::Gt, Expr::lit(1.0));
+        assert!(!a.identical_unqualified(&c));
+        assert!(!Expr::col("price").identical_unqualified(&Expr::col("Price")));
+    }
+
+    #[test]
+    fn check_columns_fails_as_bind_does() {
+        let s = schema();
+        let ok = Expr::col("closingPrice").cmp(CmpOp::Gt, Expr::col("timestamp"));
+        assert!(ok.check_columns(&s).is_ok());
+        let bad = Expr::col("closingPrice")
+            .cmp(CmpOp::Gt, Expr::col("volume"))
+            .and(Expr::qcol("t2", "x").cmp(CmpOp::Eq, Expr::lit(1i64)));
+        assert_eq!(
+            bad.check_columns(&s).unwrap_err().to_string(),
+            bad.bind(&s).unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod catalog;
 pub mod chaos;
 pub mod ckpt;
 pub mod column;
+pub mod counting_alloc;
 pub mod error;
 pub mod expr;
 pub mod frame;
@@ -37,10 +38,11 @@ pub mod tuple;
 pub mod value;
 
 pub use bitset::BitSet;
-pub use catalog::{Catalog, SourceKind, StreamDef};
+pub use catalog::{Caseless, Catalog, SourceKind, StreamDef};
 pub use chaos::{FaultAction, FaultInjector, FaultPlan, FaultPoint, FiredFault, SharedInjector};
 pub use ckpt::{CkptReader, CkptWriter};
 pub use column::{Column, ColumnBatch, ColumnData};
+pub use counting_alloc::CountingAlloc;
 pub use error::{Result, TcqError};
 pub use expr::{ArithOp, BoundExpr, CmpOp, Expr};
 pub use hash::{hash_table_bytes, hash_value, Fnv1a, IdentityBuildHasher};

@@ -4,47 +4,18 @@
 //! twice and copies. The allocator is global, so this file is its own test
 //! binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use tcq_common::{ColumnBatch, DataType, Field, Schema, Timestamp, Tuple, TupleBuilder};
-
-/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`), process-wide.
-struct CountingAlloc(AtomicU64);
-
-// SAFETY: every operation is delegated to `System` unchanged; the counter
-// is a relaxed atomic add, which neither allocates nor locks.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use tcq_common::{
+    ColumnBatch, CountingAlloc, DataType, Field, Schema, Timestamp, Tuple, TupleBuilder,
+};
 
 #[global_allocator]
-static ALLOCS: CountingAlloc = CountingAlloc(AtomicU64::new(0));
+static ALLOCS: CountingAlloc = CountingAlloc::new();
 
 const ROWS: usize = 64;
 
 /// Allocations `f` makes, and what it returns.
 fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.0.load(Ordering::Relaxed);
-    let r = f();
-    (ALLOCS.0.load(Ordering::Relaxed) - before, r)
+    ALLOCS.count(f)
 }
 
 /// Each row path allocates exactly one `Arc<[Value]>` per row; no cell of

@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{
@@ -735,11 +736,14 @@ impl EgressRouter {
         if !inner.clients.contains_key(&client) {
             return Err(TcqError::Executor(format!("unknown client {client}")));
         }
-        match inner.by_query.get_mut(&query) {
-            Some(subs) if !subs.as_slice().contains(&client) => subs.push(client),
-            Some(_) => {}
-            None => {
-                inner.by_query.insert(query, IdList::One(client));
+        match inner.by_query.entry(query) {
+            Entry::Occupied(mut subs) => {
+                if !subs.get().as_slice().contains(&client) {
+                    subs.get_mut().push(client);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(IdList::One(client));
             }
         }
         Ok(())

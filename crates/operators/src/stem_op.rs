@@ -258,9 +258,11 @@ impl StemOp {
     }
 
     /// Evict what the newest build timestamp has pushed out of the window.
+    /// The window's oldest tick saturates at `i64::MIN`: a clock that is
+    /// unset (`i64::MIN`) or within a width of it evicts nothing.
     fn evict_window(&mut self) {
         if let Some(w) = self.window_width {
-            self.stem.evict_before_seq(self.latest_seq - w + 1);
+            (self.stem).evict_before_seq(self.latest_seq.saturating_sub(w.saturating_sub(1)));
         }
     }
 
@@ -668,6 +670,30 @@ mod tests {
         // only ts in [16, 20] retained
         assert_eq!(op.len(), 5);
         assert_eq!(op.state_size(), 5);
+    }
+
+    /// A clock at or near `i64::MIN` (an unset one, say) slides the window
+    /// nowhere, and never overflows computing its oldest tick.
+    #[test]
+    fn a_clock_at_the_bottom_of_time_evicts_nothing() {
+        let s = schema("S");
+        let mut op = StemOp::new(
+            "SteM(S)",
+            s.clone(),
+            "S",
+            0,
+            (None, "k".to_string()),
+            IndexKind::Hash,
+        )
+        .unwrap()
+        .with_window_width(5);
+        op.advance_to(i64::MIN);
+        assert_eq!(op.len(), 0);
+        op.process(&t(&s, 1, "x", i64::MIN + 2)).unwrap();
+        op.advance_to(i64::MIN + 3);
+        assert_eq!(op.len(), 1, "tick MIN + 2 is inside [MIN, MIN + 3]");
+        op.advance_to(i64::MIN + 7);
+        assert_eq!(op.len(), 0, "and outside [MIN + 3, MIN + 7]");
     }
 
     /// State follows the window, not the stream: after 64 windows the op

@@ -11,6 +11,8 @@
 //! * a **cross factor** (band predicates etc. — a filter over joined
 //!   tuples).
 
+use std::sync::Arc;
+
 use tcq_common::{Catalog, CmpOp, Expr, Result, Schema, SchemaRef, StreamDef, TcqError};
 use tcq_windows::ForLoop;
 
@@ -23,9 +25,10 @@ pub struct BoundSource {
     pub name: String,
     /// Effective qualifier (alias or name).
     pub alias: String,
-    /// Catalog entry.
-    pub def: StreamDef,
-    /// The source's schema, re-qualified by the alias.
+    /// Catalog entry, shared with the catalog.
+    pub def: Arc<StreamDef>,
+    /// The source's schema, re-qualified by the alias (the catalog's own
+    /// qualified schema when the query names the source as registered).
     pub schema: SchemaRef,
     /// Whether the query windows this source (un-windowed stream inputs
     /// default to static tables / unbounded landmark semantics, §4.1.1).
@@ -102,16 +105,20 @@ pub fn analyze(stmt: &SelectStmt, catalog: &Catalog) -> Result<AnalyzedQuery> {
     let mut sources: Vec<BoundSource> = Vec::with_capacity(stmt.from.len());
     for f in &stmt.from {
         let def = catalog.lookup(&f.name)?;
-        let alias = f.qualifier().to_string();
-        if sources.iter().any(|s| s.alias.eq_ignore_ascii_case(&alias)) {
+        let alias = f.qualifier();
+        if sources.iter().any(|s| s.alias.eq_ignore_ascii_case(alias)) {
             return Err(TcqError::Analysis(format!(
                 "duplicate source alias '{alias}' (self-joins need distinct aliases)"
             )));
         }
-        let schema = def.schema.with_qualifier(&alias).into_ref();
+        let schema = if alias == def.name {
+            Arc::clone(&def.qualified)
+        } else {
+            def.schema.with_qualifier(alias).into_ref()
+        };
         sources.push(BoundSource {
             name: f.name.clone(),
-            alias,
+            alias: alias.to_string(),
             def,
             schema,
             windowed: false,
@@ -147,34 +154,45 @@ pub fn analyze(stmt: &SelectStmt, catalog: &Catalog) -> Result<AnalyzedQuery> {
         }
     }
 
-    // 3. Combined schema.
-    let mut combined = Schema::new(vec![]);
-    for s in &sources {
-        combined = combined.concat(&s.schema);
-    }
-    let combined_schema = combined.into_ref();
+    // 3. Combined schema: a single source's own.
+    let combined_schema = match &sources[..] {
+        [one] => Arc::clone(&one.schema),
+        _ => (sources[1..].iter())
+            .fold(Schema::clone(&sources[0].schema), |acc, s| {
+                acc.concat(&s.schema)
+            })
+            .into_ref(),
+    };
 
     // 4. Classify WHERE factors.
     let mut single_factors = Vec::new();
     let mut join_pairs = Vec::new();
     let mut cross_factors = Vec::new();
     if let Some(pred) = &stmt.where_clause {
-        // The whole predicate must bind (surface type errors early).
-        pred.bind(&combined_schema)?;
-        for factor in pred.conjuncts() {
-            let mut owners: Vec<usize> = Vec::new();
-            for (q, name) in factor.columns() {
-                let idx = resolve_source(&sources, q, name)?;
-                if !owners.contains(&idx) {
-                    owners.push(idx);
+        // Every column must resolve (surface unknown names early).
+        pred.check_columns(&combined_schema)?;
+        pred.try_for_each_conjunct(&mut |factor| {
+            // The sources the factor reads: the first two, and whether
+            // there are more.
+            let mut owners = [None, None];
+            let mut more = false;
+            factor.try_for_each_column(&mut |q, name| {
+                let idx = Some(resolve_source(&sources, q, name)?);
+                if owners[0].is_none() {
+                    owners[0] = idx;
+                } else if owners[0] != idx && owners[1].is_none() {
+                    owners[1] = idx;
+                } else if owners[0] != idx && owners[1] != idx {
+                    more = true;
                 }
-            }
-            match owners.len() {
-                0 | 1 => {
+                Ok::<_, TcqError>(())
+            })?;
+            match owners {
+                [first, None] => {
                     // Constant factors attach to the first source.
-                    single_factors.push((owners.first().copied().unwrap_or(0), factor.clone()));
+                    single_factors.push((first.unwrap_or(0), factor.clone()));
                 }
-                2 => {
+                [Some(_), Some(_)] if !more => {
                     if let Some(jp) = as_join_pair(factor, &sources)? {
                         join_pairs.push(jp);
                     } else {
@@ -183,7 +201,8 @@ pub fn analyze(stmt: &SelectStmt, catalog: &Catalog) -> Result<AnalyzedQuery> {
                 }
                 _ => cross_factors.push(factor.clone()),
             }
-        }
+            Ok::<_, TcqError>(())
+        })?;
     }
     if sources.len() > 1 && join_pairs.is_empty() {
         return Err(TcqError::Analysis(
@@ -194,7 +213,7 @@ pub fn analyze(stmt: &SelectStmt, catalog: &Catalog) -> Result<AnalyzedQuery> {
     }
 
     // 5. Projection / aggregates.
-    let mut projection = Vec::new();
+    let mut projection = Vec::with_capacity(stmt.items.len());
     let mut aggregates = Vec::new();
     for (i, item) in stmt.items.iter().enumerate() {
         match item {

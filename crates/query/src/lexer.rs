@@ -1,29 +1,34 @@
 //! Tokenizer for the TelegraphCQ query dialect.
+//!
+//! Tokens borrow from the query text: an identifier is a slice of it, and
+//! so is a string literal unless it escapes a quote (`''`), the one case
+//! that needs a string of its own.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use tcq_common::{Result, TcqError};
 
 /// One token with its byte offset (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// Kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset in the source text.
     pub offset: usize,
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum TokenKind<'a> {
     /// Identifier or keyword (case preserved; compare case-insensitively).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// Single-quoted string literal (quotes stripped).
-    Str(String),
+    /// Single-quoted string literal (quotes stripped, `''` unescaped).
+    Str(Cow<'a, str>),
     /// `(`
     LParen,
     /// `)`
@@ -67,10 +72,11 @@ pub enum TokenKind {
     /// `-=`
     MinusEq,
     /// End of input.
+    #[default]
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier '{s}'"),
@@ -111,9 +117,11 @@ impl fmt::Display for TokenKind {
 
 /// Tokenize `src`. SQL-style `--` is NOT a comment here (it is the for-loop
 /// decrement); comments use `/* ... */`.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>> {
     let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
+    // A token and the space after it take about four bytes of SQL: sized
+    // so, a typical query's tokens fit the first allocation.
+    let mut tokens = Vec::with_capacity(src.len() / 4 + 2);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -301,8 +309,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 }
             }
             '\'' => {
+                // The literal is borrowed up to its first escaped quote;
+                // from there it is copied, one run between quotes at a time.
                 let mut j = i + 1;
-                let mut s = String::new();
+                let mut run = j;
+                let mut s = Cow::Borrowed("");
                 loop {
                     if j >= bytes.len() {
                         return Err(TcqError::parse_at("unterminated string literal", start));
@@ -310,14 +321,18 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                     if bytes[j] == b'\'' {
                         // '' escapes a quote
                         if bytes.get(j + 1) == Some(&b'\'') {
-                            s.push('\'');
+                            s.to_mut().push_str(&src[run..=j]);
                             j += 2;
+                            run = j;
                             continue;
                         }
                         break;
                     }
-                    s.push(bytes[j] as char);
                     j += 1;
+                }
+                match &mut s {
+                    Cow::Borrowed(_) => s = Cow::Borrowed(&src[run..j]),
+                    Cow::Owned(owned) => owned.push_str(&src[run..j]),
                 }
                 tokens.push(Token {
                     kind: TokenKind::Str(s),
@@ -369,7 +384,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                     j += 1;
                 }
                 tokens.push(Token {
-                    kind: TokenKind::Ident(src[i..j].to_string()),
+                    kind: TokenKind::Ident(&src[i..j]),
                     offset: start,
                 });
                 i = j;
@@ -393,7 +408,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -403,12 +418,12 @@ mod tests {
         assert_eq!(
             kinds("WHERE stockSymbol = 'MSFT' and closingPrice > 50.00"),
             vec![
-                Ident("WHERE".into()),
-                Ident("stockSymbol".into()),
+                Ident("WHERE"),
+                Ident("stockSymbol"),
                 Eq,
                 Str("MSFT".into()),
-                Ident("and".into()),
-                Ident("closingPrice".into()),
+                Ident("and"),
+                Ident("closingPrice"),
                 Gt,
                 Float(50.0),
                 Eof
@@ -422,32 +437,32 @@ mod tests {
         assert_eq!(
             kinds("for (t = ST; t < ST + 50; t +=5 ){ WindowIs(S, t - 4, t); }"),
             vec![
-                Ident("for".into()),
+                Ident("for"),
                 LParen,
-                Ident("t".into()),
+                Ident("t"),
                 Eq,
-                Ident("ST".into()),
+                Ident("ST"),
                 Semi,
-                Ident("t".into()),
+                Ident("t"),
                 Lt,
-                Ident("ST".into()),
+                Ident("ST"),
                 Plus,
                 Int(50),
                 Semi,
-                Ident("t".into()),
+                Ident("t"),
                 PlusEq,
                 Int(5),
                 RParen,
                 LBrace,
-                Ident("WindowIs".into()),
+                Ident("WindowIs"),
                 LParen,
-                Ident("S".into()),
+                Ident("S"),
                 Comma,
-                Ident("t".into()),
+                Ident("t"),
                 Minus,
                 Int(4),
                 Comma,
-                Ident("t".into()),
+                Ident("t"),
                 RParen,
                 Semi,
                 RBrace,
@@ -477,14 +492,24 @@ mod tests {
     }
 
     #[test]
+    fn string_literals_borrow_the_text_unless_they_escape_a_quote() {
+        let src = "'café' 'it''s'";
+        let tokens = lex(src).unwrap();
+        match &tokens[0].kind {
+            TokenKind::Str(Cow::Borrowed(s)) => assert_eq!(*s, "café"),
+            other => panic!("expected a borrowed string, got {other:?}"),
+        }
+        match &tokens[1].kind {
+            TokenKind::Str(Cow::Owned(s)) => assert_eq!(s, "it's"),
+            other => panic!("expected an unescaped string, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn comments_are_skipped() {
         assert_eq!(
             kinds("SELECT /* everything */ *"),
-            vec![
-                TokenKind::Ident("SELECT".into()),
-                TokenKind::Star,
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Ident("SELECT"), TokenKind::Star, TokenKind::Eof]
         );
         assert!(lex("/* unterminated").is_err());
     }
@@ -492,6 +517,6 @@ mod tests {
     #[test]
     fn qualified_star() {
         use TokenKind::*;
-        assert_eq!(kinds("c2.*"), vec![Ident("c2".into()), Dot, Star, Eof]);
+        assert_eq!(kinds("c2.*"), vec![Ident("c2"), Dot, Star, Eof]);
     }
 }

@@ -16,31 +16,46 @@ pub fn parse(src: &str) -> Result<SelectStmt> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Tokens are taken, never cloned: each is looked at in place and, once
+/// consumed, its identifier or literal goes straight into the AST.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
 const AGG_NAMES: [&str; 5] = ["COUNT", "SUM", "AVG", "MIN", "MAX"];
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
+    }
+
+    /// The kind of the token `n` places ahead, if there is one.
+    fn peek_at(&self, n: usize) -> Option<&TokenKind<'a>> {
+        self.tokens.get(self.pos + n).map(|t| &t.kind)
     }
 
     fn offset(&self) -> usize {
         self.tokens[self.pos].offset
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.tokens[self.pos].kind.clone();
+    /// Step past the current token (never past `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        k
     }
 
-    fn eat_if(&mut self, kind: &TokenKind) -> bool {
+    /// Move the current token's kind out and step past it. Nothing looks
+    /// back, so the slot it leaves (`Eof`) is never read again — except at
+    /// the final `Eof` itself, which stays `Eof`.
+    fn take(&mut self) -> TokenKind<'a> {
+        let kind = std::mem::take(&mut self.tokens[self.pos].kind);
+        self.bump();
+        kind
+    }
+
+    fn eat_if(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -49,7 +64,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<()> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<()> {
         if self.peek() == &kind {
             self.bump();
             Ok(())
@@ -97,14 +112,13 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
-        match self.peek() {
+    fn ident(&mut self) -> Result<&'a str> {
+        match *self.peek() {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
-            other => Err(TcqError::parse_at(
+            ref other => Err(TcqError::parse_at(
                 format!("expected identifier, found {other}"),
                 self.offset(),
             )),
@@ -154,18 +168,17 @@ impl Parser {
             return Ok(SelectItem::Star);
         }
         // alias.* ?
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Dot)
-                && self.tokens.get(self.pos + 2).map(|t| &t.kind) == Some(&TokenKind::Star)
+        if let TokenKind::Ident(name) = *self.peek() {
+            if self.peek_at(1) == Some(&TokenKind::Dot) && self.peek_at(2) == Some(&TokenKind::Star)
             {
                 self.bump();
                 self.bump();
                 self.bump();
-                return Ok(SelectItem::QualifiedStar(name));
+                return Ok(SelectItem::QualifiedStar(name.to_string()));
             }
             // aggregate?
             if AGG_NAMES.iter().any(|a| name.eq_ignore_ascii_case(a))
-                && self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::LParen)
+                && self.peek_at(1) == Some(&TokenKind::LParen)
             {
                 self.bump(); // func
                 self.bump(); // (
@@ -196,7 +209,7 @@ impl Parser {
 
     fn opt_alias(&mut self) -> Result<Option<String>> {
         if self.eat_kw("AS") {
-            Ok(Some(self.ident()?))
+            Ok(Some(self.ident()?.to_string()))
         } else {
             Ok(None)
         }
@@ -211,18 +224,18 @@ impl Parser {
     }
 
     fn parse_from_source(&mut self) -> Result<FromSource> {
-        let name = self.ident()?;
+        let name = self.ident()?.to_string();
         // "S as c1" or bare "S c1"; stop at clause keywords.
         let alias = if self.eat_kw("AS") {
-            Some(self.ident()?)
-        } else if let TokenKind::Ident(next) = self.peek() {
+            Some(self.ident()?.to_string())
+        } else if let TokenKind::Ident(next) = *self.peek() {
             let kw = ["WHERE", "GROUP", "FOR"]
                 .iter()
                 .any(|k| next.eq_ignore_ascii_case(k));
             if kw {
                 None
             } else {
-                Some(self.ident()?)
+                Some(self.ident()?.to_string())
             }
         } else {
             None
@@ -234,9 +247,9 @@ impl Parser {
         let first = self.ident()?;
         if self.eat_if(&TokenKind::Dot) {
             let second = self.ident()?;
-            Ok((Some(first), second))
+            Ok((Some(first.to_string()), second.to_string()))
         } else {
-            Ok((None, first))
+            Ok((None, first.to_string()))
         }
     }
 
@@ -342,39 +355,26 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::lit(v))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::lit(v))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::lit(s.as_str()))
-            }
+        let offset = self.offset();
+        match self.take() {
+            TokenKind::Int(v) => Ok(Expr::lit(v)),
+            TokenKind::Float(v) => Ok(Expr::lit(v)),
+            TokenKind::Str(s) => Ok(Expr::lit(&*s)),
             TokenKind::LParen => {
-                self.bump();
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
             TokenKind::Ident(name) => {
                 if name.eq_ignore_ascii_case("TRUE") {
-                    self.bump();
                     return Ok(Expr::lit(true));
                 }
                 if name.eq_ignore_ascii_case("FALSE") {
-                    self.bump();
                     return Ok(Expr::lit(false));
                 }
                 if name.eq_ignore_ascii_case("NULL") {
-                    self.bump();
                     return Ok(Expr::Literal(Value::Null));
                 }
-                self.bump();
                 if self.eat_if(&TokenKind::Dot) {
                     let col = self.ident()?;
                     Ok(Expr::qcol(name, col))
@@ -384,7 +384,7 @@ impl Parser {
             }
             other => Err(TcqError::parse_at(
                 format!("expected expression, found {other}"),
-                self.offset(),
+                offset,
             )),
         }
     }
@@ -406,7 +406,7 @@ impl Parser {
         };
         // condition: "t <op> <linexpr>"
         self.expect_kw("t")?;
-        let op = match self.bump() {
+        let op = match self.take() {
             TokenKind::Eq => CondOp::Eq,
             TokenKind::Lt => CondOp::Lt,
             TokenKind::Le => CondOp::Le,
@@ -423,7 +423,7 @@ impl Parser {
         self.expect(TokenKind::Semi)?;
         // change: t++ / t-- / t += k / t -= k / t = k
         self.expect_kw("t")?;
-        let step = match self.bump() {
+        let step = match self.take() {
             TokenKind::PlusPlus => Step::Add(1),
             TokenKind::MinusMinus => Step::Add(-1),
             TokenKind::PlusEq => Step::Add(self.int_literal()?),
@@ -466,7 +466,7 @@ impl Parser {
 
     fn int_literal(&mut self) -> Result<i64> {
         let neg = self.eat_if(&TokenKind::Minus);
-        match self.bump() {
+        match self.take() {
             TokenKind::Int(v) => Ok(if neg { -v } else { v }),
             other => Err(TcqError::parse_at(
                 format!("expected integer, found {other}"),
@@ -504,7 +504,7 @@ impl Parser {
     fn lin_term(&mut self, allow_t: bool) -> Result<LinExpr> {
         // [int *] var | int
         let neg = self.eat_if(&TokenKind::Minus);
-        let base = match self.bump() {
+        let base = match self.take() {
             TokenKind::Int(v) => {
                 if self.eat_if(&TokenKind::Star) {
                     let var = self.lin_var(allow_t)?;
@@ -517,7 +517,7 @@ impl Parser {
                     LinExpr::constant(v)
                 }
             }
-            TokenKind::Ident(name) => self.lin_var_named(&name, allow_t)?,
+            TokenKind::Ident(name) => self.lin_var_named(name, allow_t)?,
             other => {
                 return Err(TcqError::parse_at(
                     format!("expected window expression term, found {other}"),
@@ -537,8 +537,8 @@ impl Parser {
     }
 
     fn lin_var(&mut self, allow_t: bool) -> Result<LinExpr> {
-        match self.bump() {
-            TokenKind::Ident(name) => self.lin_var_named(&name, allow_t),
+        match self.take() {
+            TokenKind::Ident(name) => self.lin_var_named(name, allow_t),
             other => Err(TcqError::parse_at(
                 format!("expected t or ST, found {other}"),
                 self.offset(),

@@ -531,7 +531,7 @@ mod tests {
         egress.subscribe(1, 7).unwrap();
         let plans = StreamPlans::new(schema(), egress.clone());
         plans
-            .add_filter(7, None, &[(Expr::col("x"), None)], i64::MIN)
+            .add_filter(7, None, &[(Expr::col("x"), None)], &schema(), i64::MIN)
             .unwrap();
         let mut d = StreamDispatcher::new(
             "d",

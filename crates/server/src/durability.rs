@@ -29,7 +29,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tcq_common::sync::Mutex;
-use tcq_common::{CkptReader, CkptWriter, Result, Schema, SourceKind, StreamDef, TcqError};
+use tcq_common::{
+    Caseless, CkptReader, CkptWriter, Result, Schema, SourceKind, StreamDef, TcqError,
+};
 use tcq_egress::EgressStats;
 use tcq_query::{analyze, parse};
 use tcq_storage::{CheckpointRecovery, CheckpointStats};
@@ -307,12 +309,12 @@ impl TelegraphCQ {
         }
         {
             let streams = self.streams.lock();
-            let mut names: Vec<&String> = streams.keys().collect();
-            names.sort();
+            let mut names: Vec<&Box<Caseless>> = streams.keys().collect();
+            names.sort_by(|a, b| a.as_str().cmp(b.as_str()));
             for name in names {
                 let mut w = CkptWriter::new();
                 w.put_i64(streams[name].latest_seq.load(Ordering::Acquire));
-                store.put("seq", name.as_bytes(), w.as_slice());
+                store.put("seq", name.as_str().as_bytes(), w.as_slice());
             }
         }
 

@@ -50,19 +50,31 @@ pub type QueryId = usize;
 
 // ----------------------------------------------------------- stream plans
 
-/// A select list as an intern key: the qualifier-stripped items, compared
-/// by value with [`Expr::identical`]. Type-exact, because `Value`'s `==`
-/// equates `Int(1)` with `Float(1.0)` while `seq + 1` projects an INT and
-/// `seq + 1.0` a FLOAT; aliases count, because they name the output
-/// column; and never an allocation address, which a freed projection could
-/// pass on to the next one.
-struct ProjectionKey(Box<[(Expr, Option<String>)]>);
+/// A select list as an intern key, compared by value with
+/// [`Expr::identical_unqualified`]: qualifiers do not count, since a filter
+/// query reads one stream whatever it calls it. Type-exact, because
+/// `Value`'s `==` equates `Int(1)` with `Float(1.0)` while `seq + 1`
+/// projects an INT and `seq + 1.0` a FLOAT; aliases count, because they
+/// name the output column; and never an allocation address, which a freed
+/// projection could pass on to the next one. It is the select list itself
+/// (unsized), so a query's projection probes the intern set as it stands.
+#[repr(transparent)]
+struct ProjectionKey([(Expr, Option<String>)]);
+
+impl ProjectionKey {
+    fn new(items: &[(Expr, Option<String>)]) -> &ProjectionKey {
+        // SAFETY: `ProjectionKey` is a `repr(transparent)` wrapper around
+        // the slice, so the two references have the same layout.
+        unsafe { &*(items as *const [(Expr, Option<String>)] as *const ProjectionKey) }
+    }
+}
 
 impl PartialEq for ProjectionKey {
     fn eq(&self, other: &Self) -> bool {
         self.0.len() == other.0.len()
-            && (self.0.iter().zip(other.0.iter()))
-                .all(|((a, a_alias), (b, b_alias))| a_alias == b_alias && a.identical(b))
+            && (self.0.iter().zip(other.0.iter())).all(|((a, a_alias), (b, b_alias))| {
+                a_alias == b_alias && a.identical_unqualified(b)
+            })
     }
 }
 
@@ -71,7 +83,7 @@ impl Eq for ProjectionKey {}
 impl Hash for ProjectionKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for (expr, alias) in self.0.iter() {
-            expr.hash_identical(state);
+            expr.hash_identical_unqualified(state);
             alias.hash(state);
         }
     }
@@ -81,7 +93,8 @@ impl Hash for ProjectionKey {
 /// has its key. It hashes and compares as that key, so the intern set is
 /// probed with a bare [`ProjectionKey`].
 struct SharedProjection {
-    key: ProjectionKey,
+    /// The select list of the first query that stood with it.
+    key: Box<[(Expr, Option<String>)]>,
     op: ProjectOp,
     /// Its index in [`FilterPass::projected`], reused once it is freed.
     slot: usize,
@@ -90,12 +103,12 @@ struct SharedProjection {
 impl SharedProjection {
     /// Approximate heap footprint, the `Arc` header included.
     fn approx_bytes(&self) -> usize {
-        let aliases: usize = (self.key.0.iter())
+        let aliases: usize = (self.key.iter())
             .map(|(_, alias)| alias.as_ref().map_or(0, String::len))
             .sum();
         2 * std::mem::size_of::<usize>()
             + std::mem::size_of::<Self>()
-            + self.key.0.len() * std::mem::size_of::<(Expr, Option<String>)>()
+            + self.key.len() * std::mem::size_of::<(Expr, Option<String>)>()
             + aliases
             + self.op.approx_bytes()
     }
@@ -103,7 +116,7 @@ impl SharedProjection {
 
 impl PartialEq for SharedProjection {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+        ProjectionKey::new(&self.key) == ProjectionKey::new(&other.key)
     }
 }
 
@@ -111,13 +124,13 @@ impl Eq for SharedProjection {}
 
 impl Hash for SharedProjection {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key.hash(state);
+        ProjectionKey::new(&self.key).hash(state);
     }
 }
 
 impl Borrow<ProjectionKey> for Arc<SharedProjection> {
     fn borrow(&self) -> &ProjectionKey {
-        &self.key
+        ProjectionKey::new(&self.key)
     }
 }
 
@@ -165,26 +178,32 @@ impl FilterPass {
         }
     }
 
-    fn add(
+    fn add<'e>(
         &mut self,
         id: QueryId,
-        pred: Option<&Expr>,
+        factors: impl IntoIterator<Item = &'e Expr>,
         projection: &[(Expr, Option<String>)],
+        view: &SchemaRef,
         min_seq: i64,
     ) -> Result<()> {
-        let key = ProjectionKey(projection.into());
-        let project = match self.projections.get(&key) {
+        let project = match self.projections.get(ProjectionKey::new(projection)) {
             Some(shared) => {
-                self.qstem.insert_query(id, pred)?;
+                // The shared projection was bound once; this query's names
+                // for its columns must still resolve against its view.
+                for (e, _) in projection {
+                    e.check_columns(view)?;
+                }
+                self.qstem.insert_query_as(id, factors, view)?;
                 Arc::clone(shared)
             }
             None => {
-                let op = ProjectOp::new(projection, self.qstem.schema())?;
-                self.qstem.insert_query(id, pred)?;
+                let op = ProjectOp::new(projection, view)?;
+                self.qstem.insert_query_as(id, factors, view)?;
                 let slot = self.free_slots.pop().unwrap_or_else(|| {
                     self.projected.push((0, None));
                     self.projected.len() - 1
                 });
+                let key = projection.into();
                 let shared = Arc::new(SharedProjection { key, op, slot });
                 self.projections.insert(Arc::clone(&shared));
                 shared
@@ -201,7 +220,8 @@ impl FilterPass {
             // The set holds one reference and `gone` the other: this was
             // the projection's last query.
             if Arc::strong_count(&gone.project) == 2 {
-                self.projections.remove(&gone.project.key);
+                self.projections
+                    .remove(ProjectionKey::new(&gone.project.key));
                 self.projected[gone.project.slot] = (0, None);
                 self.free_slots.push(gone.project.slot);
             }
@@ -308,18 +328,20 @@ impl StreamPlans {
         }
     }
 
-    /// Register filter query `id`: predicate (qualifier-stripped) +
-    /// projection + the earliest logical time its windows reach
-    /// (`i64::MIN` = no bound). A projection identical to a standing
-    /// query's is shared, not built.
-    pub fn add_filter(
+    /// Register filter query `id`: the conjunction of `factors` (none:
+    /// every row) + projection, both resolved against `view` (the stream's
+    /// layout under the query's name for it), + the earliest logical time
+    /// its windows reach (`i64::MIN` = no bound). A projection identical to
+    /// a standing query's, qualifiers aside, is shared, not built.
+    pub fn add_filter<'e>(
         &self,
         id: QueryId,
-        pred: Option<&Expr>,
+        factors: impl IntoIterator<Item = &'e Expr>,
         projection: &[(Expr, Option<String>)],
+        view: &SchemaRef,
         min_seq: i64,
     ) -> Result<()> {
-        self.inner.lock().filters.add(id, pred, projection, min_seq)
+        (self.inner.lock().filters).add(id, factors, projection, view, min_seq)
     }
 
     /// Register aggregate query `qid`, driven by `core`.
@@ -746,9 +768,8 @@ impl JoinCore {
         // A SteM holds every row some member's side predicate admitted, so
         // each member checks its own side predicates, then its cross
         // factors. Refused here, the query changes nothing.
-        let conjuncts = spec.preds.iter().flatten().chain(&spec.cross).cloned();
-        let residual = Expr::from_conjuncts(conjuncts.collect());
-        (group.completion).insert_query_as(spec.qid, residual.as_ref(), &view)?;
+        let conjuncts = spec.preds.iter().flatten().chain(&spec.cross);
+        (group.completion).insert_query_as(spec.qid, conjuncts, &view)?;
         let member = JoinMember {
             unqualified: spec
                 .preds
@@ -1493,13 +1514,35 @@ mod tests {
         egress.subscribe(1, 0).unwrap();
         let plans = StreamPlans::new(schema(), egress.clone());
         plans
-            .add_filter(0, None, &[(Expr::col("ts"), None)], 5)
+            .add_filter(0, None, &[(Expr::col("ts"), None)], &schema(), 5)
             .unwrap();
         let s = schema();
         let rows: Vec<Tuple> = (1..=10).map(|ts| row(&s, ts, 0)).collect();
         plans.run(&rows);
         let got = egress.fetch(1, 64).unwrap();
         assert_eq!(got.len(), 6, "only ts >= 5 delivered");
+    }
+
+    #[test]
+    fn a_select_list_is_shared_whatever_the_query_calls_its_stream() {
+        let egress = EgressRouter::new();
+        let plans = StreamPlans::new(schema(), egress);
+        let aliased = (schema().with_qualifier("t")).into_ref();
+        let pred = Expr::qcol("t", "v").cmp(CmpOp::Gt, Expr::lit(1i64));
+        let view_of = |id| if id == 0 { schema() } else { aliased.clone() };
+        // Column names count as written: they name the output column.
+        let items = [Expr::col("v"), Expr::qcol("t", "v"), Expr::qcol("T", "v")];
+        for (id, e) in items.into_iter().enumerate() {
+            let factors = (id > 0).then_some(&pred);
+            (plans.add_filter(id, factors, &[(e, None)], &view_of(id), i64::MIN)).unwrap();
+        }
+        assert_eq!(plans.inner.lock().filters.projections.len(), 1);
+        let renamed = [(Expr::col("V"), None)];
+        (plans.add_filter(3, None, &renamed, &schema(), i64::MIN)).unwrap();
+        assert_eq!(plans.inner.lock().filters.projections.len(), 2);
+        let unknown = [(Expr::qcol("s", "v"), None)];
+        assert!(plans.add_filter(4, None, &unknown, &aliased, 0).is_err());
+        assert_eq!(plans.filter_count(), 4, "a refused query changes nothing");
     }
 
     #[test]
@@ -1520,7 +1563,7 @@ mod tests {
             item(Expr::col("v"), Some("w")),
         ];
         for (id, projection) in queries.iter().enumerate() {
-            shared.add_filter(id, None, projection, i64::MIN).unwrap();
+            (shared.add_filter(id, None, projection, &schema(), i64::MIN)).unwrap();
         }
         let distinct = || shared.inner.lock().filters.projections.len();
         assert_eq!(distinct(), 4, "only queries 0 and 2 project alike");

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use tcq_common::sync::Mutex;
 
 use tcq_common::{
-    Catalog, CkptReader, CkptWriter, FaultPlan, FiredFault, Predicate, Result, SchemaRef,
+    Caseless, Catalog, CkptReader, CkptWriter, FaultPlan, FiredFault, Predicate, Result, SchemaRef,
     SharedInjector, SourceKind, TcqError, Tuple,
 };
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
@@ -271,7 +271,8 @@ pub struct TelegraphCQ {
     executor: Executor,
     pub(crate) egress: EgressRouter,
     pool: BufferPool,
-    pub(crate) streams: Mutex<HashMap<String, Arc<StreamState>>>,
+    /// Keyed by the lowercased name; probed case-insensitively.
+    pub(crate) streams: Mutex<HashMap<Box<Caseless>, Arc<StreamState>>>,
     join_groups: Mutex<Vec<Arc<JoinEntry>>>,
     pub(crate) queries: Mutex<HashMap<QueryId, QueryRecord>>,
     /// Every stream's source thread, with whether it resumes from a
@@ -423,7 +424,7 @@ impl TelegraphCQ {
         kind: SourceKind,
     ) -> Result<()> {
         let def = self.catalog.register(name, schema.clone(), kind)?;
-        let qualified = schema.with_qualifier(name).into_ref();
+        let qualified = Arc::clone(&def.qualified);
         let (ingress_p, ingress_c) =
             self.make_fjord(format!("ingress({name})"), self.config.queue_capacity);
         let subscribers = SubscriberSet::new();
@@ -483,7 +484,7 @@ impl TelegraphCQ {
         };
         self.streams
             .lock()
-            .insert(name.to_ascii_lowercase(), Arc::new(state));
+            .insert(name.to_ascii_lowercase().into(), Arc::new(state));
         Ok(())
     }
 
@@ -500,7 +501,7 @@ impl TelegraphCQ {
     pub(crate) fn stream(&self, name: &str) -> Result<Arc<StreamState>> {
         self.streams
             .lock()
-            .get(&name.to_ascii_lowercase())
+            .get(Caseless::new(name))
             .cloned()
             .ok_or_else(|| TcqError::UnknownStream(name.to_string()))
     }
@@ -648,7 +649,7 @@ impl TelegraphCQ {
         let mut out = Vec::new();
         for (name, st) in self.streams.lock().iter() {
             out.push(SharedMemoryStat {
-                label: format!("filter:{name}"),
+                label: format!("filter:{}", name.as_str()),
                 queries: st.plans.filter_count(),
                 approx_bytes: st.plans.filter_bytes(),
             });
@@ -836,12 +837,9 @@ impl TelegraphCQ {
     fn start_shared_filter(&self, qid: QueryId, aq: &AnalyzedQuery) -> Result<QueryRecord> {
         let source = &aq.sources[0];
         let st = self.stream(&source.name)?;
-        let pred = stripped_predicate(aq);
-        let projection: Vec<(tcq_common::Expr, Option<String>)> = aq
-            .projection
-            .iter()
-            .map(|(e, a)| (planner::strip_qualifiers(e), a.clone()))
-            .collect();
+        // The factors and the projection are resolved against the stream's
+        // layout under the query's name for it: nothing is copied.
+        let factors = aq.single_factors.iter().map(|(_, f)| f);
 
         // Windowed filter queries: the earliest window left edge bounds
         // which live tuples qualify, and the part of the window sequence
@@ -866,17 +864,15 @@ impl TelegraphCQ {
         } else {
             min_seq
         };
-        st.plans
-            .add_filter(qid, pred.as_ref(), &projection, live_floor)?;
+        (st.plans).add_filter(qid, factors, &aq.projection, &source.schema, live_floor)?;
 
         if replay_until > i64::MIN {
             let archive = st.archive.as_ref().expect("checked above");
-            let base = st.def.schema.with_qualifier(&source.name).into_ref();
-            let bound = match &pred {
-                Some(p) => Some(Predicate::new(p, &base)?),
+            let bound = match source_predicate(aq, 0) {
+                Some(p) => Some(Predicate::new(&p, &source.schema)?),
                 None => None,
             };
-            let project = tcq_operators::ProjectOp::new(&projection, &base)?;
+            let project = tcq_operators::ProjectOp::new(&aq.projection, &source.schema)?;
             let mut scratch = Vec::new();
             archive
                 .lock()

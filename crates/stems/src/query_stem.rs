@@ -39,6 +39,7 @@
 //! issued (a server never reuses one), only by the standing population —
 //! except the scratch's result bitset, at one bit per id.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use tcq_common::{
@@ -225,25 +226,26 @@ impl QueryStem {
         self.insert_query_as(id, pred, &schema)
     }
 
-    /// [`QueryStem::insert_query`] with `pred`'s columns resolved against
-    /// `view`: the stem's own layout under the query's names for it (the
-    /// aliases a join query gave its sources).
-    pub fn insert_query_as(
+    /// [`QueryStem::insert_query`] for the conjunction of `preds` (none:
+    /// matches everything), with their columns resolved against `view`: the
+    /// stem's own layout under the query's names for it (the alias a query
+    /// gave its stream, the aliases a join query gave its sources).
+    pub fn insert_query_as<'e>(
         &mut self,
         id: QueryId,
-        pred: Option<&Expr>,
+        preds: impl IntoIterator<Item = &'e Expr>,
         view: &SchemaRef,
     ) -> Result<()> {
         debug_assert_eq!(view.len(), self.schema.len(), "a view of another layout");
-        if self.queries.contains_key(&id) {
+        let Entry::Vacant(slot) = self.queries.entry(id) else {
             return Err(TcqError::Capacity(format!("query {id} already registered")));
-        }
+        };
         // Decompose fully (and fallibly) before registering anything, so a
         // bad predicate leaves the stem untouched.
         let mut single: Vec<(usize, CmpOp, Value)> = Vec::new();
         let mut residual = Vec::new();
-        if let Some(pred) = pred {
-            for factor in pred.conjuncts() {
+        for pred in preds {
+            pred.try_for_each_conjunct(&mut |factor| {
                 match factor.as_single_column_factor() {
                     Some((qual, name, op, constant)) if !constant.is_null() => {
                         let col = view.index_of(qual, name)?;
@@ -261,11 +263,10 @@ impl QueryStem {
                         }
                         single.push((col, op, constant.clone()));
                     }
-                    _ => {
-                        residual.push(Predicate::new(factor, view)?);
-                    }
+                    _ => residual.push(Predicate::new(factor, view)?),
                 }
-            }
+                Ok(())
+            })?;
         }
         let access = if let Some(pos) = single.iter().position(|(_, op, _)| *op == CmpOp::Eq) {
             let (col, _, constant) = single.remove(pos);
@@ -296,7 +297,7 @@ impl QueryStem {
             .map(|(col, op, constant)| Check::Factor(col, op, constant))
             .chain(residual.into_iter().map(Check::Residual))
             .collect();
-        self.queries.insert(id, QueryEntry { access, checks });
+        slot.insert(QueryEntry { access, checks });
         Ok(())
     }
 

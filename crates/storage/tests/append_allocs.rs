@@ -5,40 +5,11 @@
 //! never per row. The allocator is global, so this file is its own test
 //! binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use tcq_common::{DataType, Field, Schema, Timestamp, Tuple, TupleBuilder};
+use tcq_common::{CountingAlloc, DataType, Field, Schema, Timestamp, Tuple, TupleBuilder};
 use tcq_storage::{BufferPool, StreamArchive};
 
-/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`), process-wide.
-struct CountingAlloc(AtomicU64);
-
-// SAFETY: every operation is delegated to `System` unchanged; the counter
-// is a relaxed atomic add, which neither allocates nor locks.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCS: CountingAlloc = CountingAlloc(AtomicU64::new(0));
+static ALLOCS: CountingAlloc = CountingAlloc::new();
 
 const ROWS: i64 = 100_000;
 
@@ -67,11 +38,11 @@ fn appends_allocate_per_sealed_page_not_per_row() {
     let path = std::env::temp_dir().join(format!("tcq-append-allocs-{}.seg", std::process::id()));
     let mut archive = StreamArchive::create(&path, schema, BufferPool::new(256, 8192)).unwrap();
 
-    let before = ALLOCS.0.load(Ordering::Relaxed);
+    let before = ALLOCS.allocs();
     for t in &rows {
         archive.append(t).unwrap();
     }
-    let allocs = ALLOCS.0.load(Ordering::Relaxed) - before;
+    let allocs = ALLOCS.allocs() - before;
 
     let pages = archive.sealed_pages() as u64;
     assert!(pages > 100, "the run seals pages ({pages})");

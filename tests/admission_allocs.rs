@@ -1,0 +1,89 @@
+//! What admitting a standing query costs the allocator, counted. With the
+//! first 1 000 of the benchmark's `manycq_churn` queries standing on one
+//! stream, each of its query shapes is submitted again — a `sym = i AND
+//! price > 500` filter, a two-sided price range, and a churned `sym` the
+//! stream never carries — and then stopped, under a counting allocator.
+//!
+//! `submit` lexes, parses and analyzes the text, plans the filter and
+//! inserts it into the stream's query SteM. Before the front end and the
+//! filter planner stopped copying, that was 92 allocations per submit (91
+//! for a range): lexer 11, parser 21, analyzer 43, qualifier stripping 11,
+//! query SteM ≈ 3, the rest ≈ 3. It is 27 now (26 for a range): lexer 1,
+//! parser 12, analyzer 12, query SteM 2. `stop_query` made 2 then and
+//! makes 2 now. The allocator is global, so this file is its own test
+//! binary.
+
+use tcq_common::CountingAlloc;
+use telegraphcq::prelude::*;
+
+#[global_allocator]
+static ALLOCS: CountingAlloc = CountingAlloc::new();
+
+/// Allocations one standing submit may make.
+const SUBMIT_BUDGET: u64 = 35;
+/// Allocations one `stop_query` of a standing filter may make.
+const STOP_BUDGET: u64 = 2;
+/// Samples per shape; the median is compared, so a hash table growing
+/// under one sample or a background thread's allocation does not count.
+const SAMPLES: usize = 7;
+
+fn sym_sql(s: i64) -> String {
+    format!("SELECT seq FROM ticks WHERE sym = {s} AND price > 500")
+}
+
+fn range_sql(j: i64) -> String {
+    let a = j * 500;
+    format!(
+        "SELECT seq FROM ticks WHERE price > {a} AND price < {}",
+        a + 1_501
+    )
+}
+
+fn median(mut v: Vec<u64>) -> u64 {
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
+#[test]
+fn a_standing_submit_makes_at_most_35_allocations() {
+    let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
+    let schema = Schema::new(
+        ["sym", "price", "seq"]
+            .map(|n| Field::new(n, DataType::Int))
+            .to_vec(),
+    )
+    .into_ref();
+    server.register_stream("ticks", schema).unwrap();
+    let (client, _rx) = server.connect_push_client(16).unwrap();
+    for sql in (0..800).map(sym_sql).chain((0..200).map(range_sql)) {
+        server.submit(&sql, client).unwrap();
+    }
+
+    for shape in ["sym", "range", "churn"] {
+        let (mut submits, mut stops) = (Vec::new(), Vec::new());
+        for i in 0..SAMPLES as i64 {
+            let sql = match shape {
+                "sym" => sym_sql(800 + i),
+                "range" => range_sql(200 + i),
+                _ => sym_sql(1_000_000 + i),
+            };
+            let (n, qid) = ALLOCS.count(|| server.submit(&sql, client).unwrap());
+            submits.push(n);
+            let (n, stopped) = ALLOCS.count(|| server.stop_query(qid));
+            stopped.unwrap();
+            stops.push(n);
+        }
+        println!("{shape}: submit allocations {submits:?}, stop allocations {stops:?}");
+        let (submit, stop) = (median(submits), median(stops));
+        assert!(
+            submit <= SUBMIT_BUDGET,
+            "a {shape} submit makes {submit} allocations (budget {SUBMIT_BUDGET})"
+        );
+        assert!(
+            stop <= STOP_BUDGET,
+            "a {shape} stop_query makes {stop} allocations (budget {STOP_BUDGET})"
+        );
+    }
+    assert_eq!(server.query_count(), 1_000);
+    server.shutdown().unwrap();
+}

@@ -5,50 +5,11 @@
 //! `shared_memory_stats()` reports for the stream's shared filter. The
 //! allocator is global, so this file is its own test binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-
+use tcq_common::CountingAlloc;
 use telegraphcq::prelude::*;
 
-/// Bytes currently allocated, process-wide.
-struct LiveHeap(AtomicIsize);
-
-impl LiveHeap {
-    fn track(&self, ptr: *mut u8, delta: isize) -> *mut u8 {
-        if !ptr.is_null() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
-        ptr
-    }
-}
-
-// SAFETY: every operation is delegated to `System` unchanged; the counter
-// is a relaxed atomic add, which neither allocates nor locks.
-unsafe impl GlobalAlloc for LiveHeap {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.track(unsafe { System.alloc(layout) }, layout.size() as isize)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.track(
-            unsafe { System.alloc_zeroed(layout) },
-            layout.size() as isize,
-        )
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.0.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let delta = new_size as isize - layout.size() as isize;
-        self.track(unsafe { System.realloc(ptr, layout, new_size) }, delta)
-    }
-}
-
 #[global_allocator]
-static HEAP: LiveHeap = LiveHeap(AtomicIsize::new(0));
+static HEAP: CountingAlloc = CountingAlloc::new();
 
 /// The benchmark workload's standing queries, in its submit order.
 fn standing_cq_sql() -> Vec<String> {
@@ -86,11 +47,11 @@ fn a_standing_filter_cq_costs_one_compact_entry() {
     let queries = standing_cq_sql();
     let (_, empty) = filter_bytes(&server);
 
-    let before = HEAP.0.load(Ordering::SeqCst);
+    let before = HEAP.live_bytes();
     for sql in &queries {
         server.submit(sql, client).unwrap();
     }
-    let after = HEAP.0.load(Ordering::SeqCst);
+    let after = HEAP.live_bytes();
 
     let n = queries.len() as f64;
     let (standing, reported) = filter_bytes(&server);

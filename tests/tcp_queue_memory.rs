@@ -7,52 +7,14 @@
 //! counted per connection covers the client too. The allocator is global,
 //! so this file is its own test binary, and its tests take turns.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use tcq_common::CountingAlloc;
 use telegraphcq::prelude::*;
 
-/// Bytes currently allocated, process-wide.
-struct LiveHeap(AtomicIsize);
-
-impl LiveHeap {
-    fn track(&self, ptr: *mut u8, delta: isize) -> *mut u8 {
-        if !ptr.is_null() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
-        ptr
-    }
-}
-
-// SAFETY: every operation is delegated to `System` unchanged; the counter
-// is a relaxed atomic add, which neither allocates nor locks.
-unsafe impl GlobalAlloc for LiveHeap {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.track(unsafe { System.alloc(layout) }, layout.size() as isize)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.track(
-            unsafe { System.alloc_zeroed(layout) },
-            layout.size() as isize,
-        )
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.0.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let delta = new_size as isize - layout.size() as isize;
-        self.track(unsafe { System.realloc(ptr, layout, new_size) }, delta)
-    }
-}
-
 #[global_allocator]
-static HEAP: LiveHeap = LiveHeap(AtomicIsize::new(0));
+static HEAP: CountingAlloc = CountingAlloc::new();
 
 /// The heap count is process-wide: one test measures at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -125,7 +87,7 @@ fn an_idle_connection_costs_kilobytes_not_its_queue_capacity() {
         .unwrap();
     wait_offered(&server, 1);
 
-    let before = HEAP.0.load(Ordering::SeqCst);
+    let before = HEAP.live_bytes();
     let mut ingest = TcqClient::connect(addr).unwrap();
     let mut subscribers = vec![TcqClient::connect(addr).unwrap()];
     let query = subscribers[0].submit(NOTHING).unwrap();
@@ -136,7 +98,7 @@ fn an_idle_connection_costs_kilobytes_not_its_queue_capacity() {
     }
     ingest.ingest("s", int_rows(&schema, 256..512)).unwrap();
     wait_offered(&server, 1 + 256);
-    let after = HEAP.0.load(Ordering::SeqCst);
+    let after = HEAP.live_bytes();
 
     let connections = 1 + subscribers.len();
     assert_eq!(server.net_stats().accepted, connections as u64);
