@@ -1,6 +1,6 @@
 //! Columnar batches: one typed contiguous buffer per column.
 //!
-//! The row path moves `Vec<Tuple>` — an `Arc<[Value]>` per row — so every
+//! The row path moves `Vec<Tuple>` — one heap block per row — so every
 //! kernel loop pays per-tuple `Value` enum dispatch and every operator
 //! output allocates per row. [`ColumnBatch`] is the columnar alternative:
 //! each column is one flat buffer ([`ColumnData`]) plus a validity bitmap,
@@ -487,13 +487,13 @@ impl ColumnBatch {
     /// from the batch's hash column when present, so the
     /// row→columnar→row boundary never hashes a key twice.
     pub fn tuple_at(&self, row: usize) -> Tuple {
-        // An exact-length iterator collects into one allocation.
-        let values = self.columns.iter().map(|col| col.value(row)).collect();
+        // The cells go straight into the row's block: one allocation.
+        let values = self.columns.iter().map(|col| col.value(row));
         let key_hash = self
             .key_hashes
             .as_ref()
             .map(|(c, hashes)| (*c as usize, hashes[row]));
-        Tuple::from_shared(self.schema.clone(), values, self.stamps[row], key_hash)
+        Tuple::from_cells(self.schema.clone(), values, self.stamps[row], key_hash)
     }
 
     /// Materialize every row (the lossless inverse of

@@ -652,8 +652,8 @@ impl EgressRouter {
     /// same client at the cost of the rows it holds.
     ///
     /// Registering touches `capacity × (8 + size_of::<Delivery>())` bytes
-    /// at once: each slot is an 8-byte stamp beside a 64-byte [`Delivery`]
-    /// (pinned by `a_delivery_is_at_most_64_bytes`), 2.25 MiB for 32 768
+    /// at once: each slot is an 8-byte stamp beside a 16-byte [`Delivery`]
+    /// (pinned by `a_delivery_is_at_most_16_bytes`), 0.75 MiB for 32 768
     /// slots. A [`DeliveryQueue`] allocates only per row it holds.
     pub fn register_push_client(
         &self,
@@ -976,10 +976,9 @@ mod tests {
     /// A bounded push client pre-builds one `(stamp, Delivery)` slot per
     /// row of capacity, so this size is that client's footprint.
     #[test]
-    fn a_delivery_is_at_most_64_bytes() {
-        assert_eq!(std::mem::size_of::<Timestamp>(), 16);
-        assert!(std::mem::size_of::<Tuple>() <= 56);
-        assert!(std::mem::size_of::<Delivery>() <= 64);
+    fn a_delivery_is_at_most_16_bytes() {
+        assert_eq!(std::mem::size_of::<Tuple>(), 8);
+        assert!(std::mem::size_of::<Delivery>() <= 16);
     }
 
     #[test]

@@ -569,10 +569,10 @@ mod tests {
     }
 
     #[test]
-    fn a_queued_message_is_a_56_byte_handle() {
+    fn a_queued_message_is_at_most_24_bytes() {
         assert_eq!(std::mem::size_of::<Timestamp>(), 16);
-        assert!(std::mem::size_of::<Tuple>() <= 56);
-        assert!(std::mem::size_of::<FjordMessage>() <= 56);
+        assert_eq!(std::mem::size_of::<Tuple>(), 8);
+        assert!(std::mem::size_of::<FjordMessage>() <= 24);
     }
 
     #[test]

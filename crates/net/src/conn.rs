@@ -493,8 +493,8 @@ fn dispatch(
             // fjord holds this reader, TCP flow control holds the peer.
             let res = server.catalog().lookup(&stream).and_then(|def| {
                 let rows: Result<Vec<_>> = tuples
-                    .iter()
-                    .map(|t| t.with_schema(def.schema.clone()))
+                    .into_iter()
+                    .map(|t| t.reschema(def.schema.clone()))
                     .collect();
                 server.push_batch(&stream, rows?)
             });

@@ -267,7 +267,7 @@ impl StemOp {
     }
 
     /// Probe with `tuple`'s key column and concatenate each match onto it:
-    /// one output value vector per match, collected straight from the
+    /// one output row per match, its block collected straight from the
     /// probe row plus the stored cells. The tuple's memoized key hash
     /// (computed at most once in its lifetime, possibly upstream at the
     /// partitioner) feeds the hashed index directly; the empty and
@@ -283,12 +283,7 @@ impl StemOp {
                 }
                 let values = tuple.values().iter().cloned().chain(stored.values());
                 let ts = tuple.timestamp().join_max(&stored.timestamp());
-                outputs.push(Tuple::from_shared(
-                    joined.clone(),
-                    values.collect(),
-                    ts,
-                    None,
-                ));
+                outputs.push(Tuple::from_cells(joined.clone(), values, ts, None));
             });
         outputs
     }
@@ -1105,8 +1100,8 @@ mod tests {
     /// 3-`Int` row is 24 B of cells in its column segment, 16 B of
     /// timestamp and 8 B of key hash; the chunks at both ragged ends, the
     /// spare and the hash buckets' slot ids bring it to about 56 B. The
-    /// layout this replaced — the producer's `Arc<[Value]>` (88 B) behind a
-    /// 56 B slot — read 153 B/row under the same accounting.
+    /// layout this replaced — a shared value array (88 B) behind a 56 B
+    /// row handle in each slot — read 153 B/row under the same accounting.
     #[test]
     fn a_window_row_costs_at_most_64_bytes_and_a_warm_window_allocates_no_chunks() {
         const WIDTH: i64 = 65_537;

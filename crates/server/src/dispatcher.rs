@@ -384,7 +384,7 @@ impl DispatchUnit for StreamDispatcher {
                 let t = if t.timestamp().logical_part().is_some() {
                     t
                 } else {
-                    t.with_timestamp(Timestamp::logical(self.arrivals))
+                    t.restamp(Timestamp::logical(self.arrivals))
                 };
                 let seq = t.timestamp().seq();
                 self.latest_seq.fetch_max(seq, Ordering::AcqRel);
@@ -491,25 +491,27 @@ mod tests {
             Arc::new(AtomicI64::new(0)),
         );
         let s = schema();
-        let base = Arc::strong_count(&s);
-        for x in 1..=5 {
-            ip.enqueue(FjordMessage::Tuple(tick(&s, x))).unwrap();
+        // The test keeps one handle to each row and counts the others.
+        let rows: Vec<Tuple> = (1..=5).map(|x| tick(&s, x)).collect();
+        let held = || {
+            rows.iter()
+                .map(|t| t.handle_count() - 1)
+                .collect::<Vec<_>>()
+        };
+        for t in &rows {
+            ip.enqueue(FjordMessage::Tuple(t.clone())).unwrap();
         }
-        assert_eq!(
-            Arc::strong_count(&s),
-            base + 5,
-            "5 tuples queued at ingress"
-        );
+        assert_eq!(held(), [1; 5], "5 tuples queued at ingress");
         assert_eq!(d.run(64).unwrap(), ModuleStatus::Ready);
         assert_eq!(
-            Arc::strong_count(&s),
-            base + 15,
+            held(),
+            [3; 5],
             "one copy per (tuple, subscriber), nothing retained"
         );
         assert_eq!(drain_tuples(&consumers[2]), vec![1, 2, 3, 4, 5]);
         assert_eq!(
-            Arc::strong_count(&s),
-            base + 10,
+            held(),
+            [2; 5],
             "draining one subscriber frees exactly its copies"
         );
     }

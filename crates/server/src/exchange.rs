@@ -425,7 +425,7 @@ impl DispatchUnit for PartitionDu {
                     self.inputs[i].inbox.close();
                     break;
                 }
-                let t = t.with_schema(self.inputs[i].alias.clone())?;
+                let t = t.reschema(self.inputs[i].alias.clone())?;
                 let key_col = self.inputs[i].key_col;
                 self.route(t, key_col);
                 if let Some((_, clock, _)) = &mut self.inputs[i].clock {

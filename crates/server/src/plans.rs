@@ -1058,17 +1058,18 @@ impl JoinCqDu {
                     if let Some(clock) = core.clocks.get_mut(side) {
                         *clock = (*clock).max(seq);
                     }
-                    if input.alias_schemas.is_empty() {
-                        batch.push(t);
-                        continue;
-                    }
                     // One entry per alias: a self-join's batch interleaves
                     // them (`t1@a1, t1@a2, t2@a1, …`) into one-tuple runs,
                     // which the eddy routes exactly as it would tuple by
-                    // tuple.
-                    for alias in &input.alias_schemas {
+                    // tuple. The last alias takes the row itself.
+                    let Some((last, rest)) = input.alias_schemas.split_last() else {
+                        batch.push(t);
+                        continue;
+                    };
+                    for alias in rest {
                         batch.push(t.with_schema(alias.clone())?);
                     }
+                    batch.push(t.reschema(last.clone())?);
                 }
                 if retired {
                     input.inbox.close();

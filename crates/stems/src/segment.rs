@@ -170,7 +170,7 @@ impl<'a> StoredRow<'a> {
     }
 
     /// The row's cells in column order. The iterator's length is exact,
-    /// so collecting it into an `Arc<[Value]>` allocates once.
+    /// so [`Tuple::from_cells`] moves it into one block.
     pub fn values(&self) -> impl ExactSizeIterator<Item = Value> + 'a {
         let slot = self.slot;
         self.seg.cols.iter().map(move |c| c.value(slot))
@@ -179,9 +179,9 @@ impl<'a> StoredRow<'a> {
     /// Materialize the row as a tuple of `schema`, its key hash memoized
     /// on `key_col`.
     pub fn to_tuple(&self, schema: &SchemaRef, key_col: usize) -> Tuple {
-        Tuple::from_shared(
+        Tuple::from_cells(
             schema.clone(),
-            self.values().collect(),
+            self.values(),
             self.timestamp(),
             Some((key_col, self.key_hash())),
         )

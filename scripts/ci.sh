@@ -50,36 +50,37 @@ bench_gate() {
     fi
 }
 
-echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 11 MiB) =="
+echo "== benchmark join_inproc (end-to-end tripwire: 0 failed rows, peak RSS <= 9.4 MiB) =="
 # A windowed join's SteM holds the half of its window that passes the
 # query's own predicate, in column segments, and the push client's 32 768
-# pre-built 72-byte slots hold 2.25 MiB (~8.8 MiB here). ~9.6 MiB means the
-# row handle is 80 bytes again; storing every window row, or a shared
-# Arc<[Value]> per row again, reads ~18 MiB, and history-sized state ~95 MiB.
-bench_gate join_inproc 11
+# pre-built 24-byte slots hold 0.75 MiB (~7.1 MiB here). ~8.7 MiB means the
+# row handle is 56 bytes again (~9.6 MiB: 80 bytes); storing every window
+# row, or a row object per stored row again, reads ~18 MiB, and
+# history-sized state ~95 MiB.
+bench_gate join_inproc 9.4
 
-echo "== benchmark join_tcp (end-to-end tripwire: 0 failed rows, peak RSS <= 10 MiB) =="
-# The same join behind the TCP front door reads ~7.8 MiB: each connection's
+echo "== benchmark join_tcp (end-to-end tripwire: 0 failed rows, peak RSS <= 9.7 MiB) =="
+# The same join behind the TCP front door reads ~7.4 MiB: each connection's
 # delivery queue holds memory only for the rows in it. A connection that
 # pre-allocates its client_queue = 32 768 slots again reads ~13.7 MiB (two
 # connections, 3 MiB each), and a SteM storing every window row as an
 # Arc<[Value]> ~22 MiB.
-bench_gate join_tcp 10
+bench_gate join_tcp 9.7
 
-echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <= 11.5 MiB) =="
-# 10 000 standing CQs with a submit + stop per batch read ~9.5 MiB, a
+echo "== benchmark manycq_churn (end-to-end tripwire: 0 failed rows, peak RSS <= 10.1 MiB) =="
+# 10 000 standing CQs with a submit + stop per batch read ~8.2 MiB, a
 # compact entry per CQ; a private projection per query again, a leaked
 # subscription per stopped one, state keyed by the query ids ever issued,
 # or a superlinear index shows here (~18.5 MiB with private projections).
-bench_gate manycq_churn 11.5
+bench_gate manycq_churn 10.1
 
-echo "== benchmark durable_agg (end-to-end tripwire: 0 failed rows, peak RSS <= 11 MiB) =="
+echo "== benchmark durable_agg (end-to-end tripwire: 0 failed rows, peak RSS <= 9.3 MiB) =="
 # A grouped tumbling-window aggregate, archived and checkpointed every
-# 64 000 rows, reads ~8.6 MiB: it runs on its stream's dispatcher and
+# 64 000 rows, reads ~7.1 MiB: it runs on its stream's dispatcher and
 # holds one partial per (pane, group), freed as each window closes. State
 # that grows with the stream instead (panes never retired, rows kept per
 # window) crosses the ceiling; a window answered wrong fails result rows.
-bench_gate durable_agg 11
+bench_gate durable_agg 9.3
 
 echo "== exp_eddy_adaptivity (count tripwire: lottery < random, within 5% of the oracle order, decay < none) =="
 ./target/release/exp_eddy_adaptivity
