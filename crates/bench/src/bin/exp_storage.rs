@@ -13,7 +13,7 @@ use tcq_storage::{BufferPool, StreamArchive};
 const N: i64 = 500_000;
 
 fn main() {
-    println!("E10 — stream archive: {N} tuples spooled through an 8 MiB buffer pool\n");
+    println!("E10 — stream archive: {N} tuples spooled around an 8 MiB buffer pool\n");
     let schema = kv_schema("S");
     let dir = std::env::temp_dir();
     let path = dir.join(format!("tcq-exp-storage-{}.seg", std::process::id()));
@@ -82,9 +82,10 @@ fn main() {
         100.0 * pool.stats().hits as f64 / (pool.stats().hits + pool.stats().misses) as f64
     );
     println!(
-        "\n  shape check (§4.3): writes are strictly sequential; windowed reads\n\
-         \x20 touch only overlapping pages (pages-read scales with window width,\n\
-         \x20 not archive size); re-reads are served from the pool.\n"
+        "\n  shape check (§4.3): writes are strictly sequential and go around the\n\
+         \x20 pool; windowed reads touch only overlapping pages (pages-read\n\
+         \x20 scales with window width, not archive size); re-reads are served\n\
+         \x20 from the pool.\n"
     );
     std::fs::remove_file(path).ok();
 }

@@ -8,16 +8,20 @@
 //! values). The archive's recovery policy: a full page that fails
 //! validation is skipped, a trailing partial page is truncated.
 //!
-//! The write path costs per page, not per record: [`StreamArchive::append`]
-//! encodes each record in place at the end of the open (tail) page's one
-//! buffer, kept for the archive's life, and a record that overflows the
-//! page moves to the front of that buffer once the records before it seal.
-//! An append allocates nothing; a seal allocates the page it hands to the
-//! [`BufferPool`]. A stream's dispatcher takes the archive's lock once per
-//! drained batch and appends the batch's records under it one by one.
+//! The write path allocates nothing: [`StreamArchive::append`] encodes
+//! each record in place at the end of the open (tail) page's one buffer,
+//! and a record that overflows the page moves to the front of that buffer
+//! once the records before it seal. A seal frames them into the archive's
+//! one page buffer and writes it around the [`BufferPool`], which holds
+//! only what [`StreamArchive::scan_window`] reads; recovery and compaction
+//! read through the page buffer too. No pool frame goes stale, because an
+//! archive id writes each page number at most once: a torn seal still
+//! advances `next_page`, `open` resumes past the last full page under a
+//! fresh id, and `compact` takes a fresh id. A stream's dispatcher takes
+//! the archive's lock once per drained batch and appends under it.
 
 use std::fs::File;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,7 +97,7 @@ pub struct CompactionReport {
 
 /// Append-only on-disk history of one stream, windowed-readable.
 ///
-/// Writes go to an in-memory tail page, sealed (written through the shared
+/// Writes go to an in-memory tail page, sealed (written around the shared
 /// [`BufferPool`]) when full, so disk writes are strictly sequential.
 /// Reads serve window scans: each sealed page records its logical-timestamp
 /// range, and [`StreamArchive::scan_window`] touches only overlapping pages.
@@ -113,6 +117,8 @@ pub struct StreamArchive {
     /// during recovery or torn by chaos).
     next_page: u64,
     tail: Vec<u8>,
+    /// The page buffer seals, recovery and compaction go through.
+    page: Vec<u8>,
     tail_records: u32,
     tail_min: i64,
     tail_max: i64,
@@ -138,6 +144,7 @@ impl StreamArchive {
         Ok(StreamArchive {
             id: NEXT_ARCHIVE_ID.fetch_add(1, Ordering::Relaxed),
             schema,
+            page: vec![0; pool.page_size()],
             pool,
             path,
             file,
@@ -180,12 +187,13 @@ impl StreamArchive {
         let full_pages = file_len / page_size;
         let id = NEXT_ARCHIVE_ID.fetch_add(1, Ordering::Relaxed);
 
+        let mut page = vec![0; pool.page_size()];
         let mut pages = Vec::new();
         let mut total_records = 0u64;
         let mut skipped = 0usize;
         for page_no in 0..full_pages {
-            let data = pool.read_page(&mut file, (id, page_no))?;
-            match validate_page(&data, &schema) {
+            file.read_exact(&mut page)?;
+            match validate_page(&page, &schema) {
                 Some((records, min_seq, max_seq)) => {
                     pages.push(PageMeta {
                         page_no,
@@ -218,6 +226,7 @@ impl StreamArchive {
             pages,
             next_page: full_pages,
             tail: Vec::new(),
+            page,
             tail_records: 0,
             tail_min: i64::MAX,
             tail_max: i64::MIN,
@@ -320,29 +329,30 @@ impl StreamArchive {
         if self.tail_records == 0 {
             return Ok(());
         }
-        let payload = &self.tail[..len];
-        let mut page = Vec::with_capacity(self.pool.page_size());
-        frame::encode(&mut page, PAGE_MAGIC, self.tail_records, payload);
+        let size = self.pool.page_size();
+        self.page.clear();
+        let (page, payload) = (&mut self.page, &self.tail[..len]);
+        frame::encode(page, PAGE_MAGIC, self.tail_records, payload);
+        page.resize(size, 0);
+        // Injected torn write: only a prefix reaches disk — the crash
+        // model for "power lost mid-write".
+        let torn = std::mem::take(&mut self.torn_pending);
+        let written = if torn { HEADER_LEN + len / 2 } else { size };
         let page_no = self.next_page;
         self.next_page += 1;
-        if self.torn_pending {
-            // Injected torn write: only part of the page reaches disk —
-            // the crash model for "power lost mid-write". The page gets no
-            // index entry (live scans skip it) and its records move from
-            // readable to lost; recovery on reopen detects the bad
-            // checksum and skips or truncates it.
-            self.torn_pending = false;
+        let offset = page_no * size as u64;
+        // Never written before (module docs), so no pool frame holds it.
+        debug_assert!(self.file.metadata().map_or(true, |m| m.len() <= offset));
+        self.file.seek(SeekFrom::Start(offset))?;
+        self.file.write_all(&self.page[..written])?;
+        if torn {
+            // The page gets no index entry (live scans skip it) and its
+            // records move from readable to lost; recovery on reopen
+            // detects the bad checksum and skips or truncates it.
             self.stats.torn_pages += 1;
             self.stats.lost_records += self.tail_records as u64;
             self.total_records -= self.tail_records as u64;
-            page.truncate(HEADER_LEN + len / 2);
-            self.file
-                .seek(SeekFrom::Start(page_no * self.pool.page_size() as u64))?;
-            self.file.write_all(&page)?;
         } else {
-            page.resize(self.pool.page_size(), 0);
-            self.pool
-                .write_page(&mut self.file, (self.id, page_no), page)?;
             self.pages.push(PageMeta {
                 page_no,
                 min_seq: self.tail_min,
@@ -376,10 +386,10 @@ impl StreamArchive {
     /// truncates the file to exactly `live_pages * page_size`, and
     /// renumbers the index densely.
     ///
-    /// The rewritten slots are cached under a **fresh archive id**, so any
-    /// stale [`BufferPool`] entry keyed by the old `(id, page_no)` can
-    /// never alias a slot whose contents moved. Readable contents are
-    /// unchanged — only dead bytes are dropped — and a subsequent
+    /// Pages are copied around the [`BufferPool`], and the segment is read
+    /// back under a **fresh archive id**, so a pool entry keyed by the old
+    /// `(id, page_no)` can never alias a slot whose contents moved. Readable
+    /// contents are unchanged — only dead bytes are dropped — and a subsequent
     /// [`StreamArchive::open`] sees a hole-free segment
     /// (`pages_skipped == 0`, `truncated_bytes == 0`).
     ///
@@ -402,12 +412,10 @@ impl StreamArchive {
             .truncate(true)
             .open(&tmp)?;
         let new_id = NEXT_ARCHIVE_ID.fetch_add(1, Ordering::Relaxed);
-        for (slot, meta) in self.pages.iter().enumerate() {
-            let data = self
-                .pool
-                .read_page(&mut self.file, (self.id, meta.page_no))?;
-            self.pool
-                .write_page(&mut tmp_file, (new_id, slot as u64), data.to_vec())?;
+        for meta in &self.pages {
+            self.file.seek(SeekFrom::Start(meta.page_no * page_size))?;
+            self.file.read_exact(&mut self.page)?;
+            tmp_file.write_all(&self.page)?;
         }
         tmp_file.sync_data()?;
         if let Some(injector) = &self.injector {
@@ -745,6 +753,87 @@ mod tests {
     }
 
     #[test]
+    fn appends_write_around_the_pool_and_reads_fill_it() {
+        let pool = BufferPool::new(8, 512);
+        let path = temp_path("write-around");
+        let mut a = StreamArchive::create(&path, schema(), pool.clone()).unwrap();
+        for seq in 1..=500 {
+            a.append(&tuple(seq)).unwrap();
+        }
+        assert!(
+            a.sealed_pages() > 8,
+            "more pages sealed than the pool holds"
+        );
+        assert_eq!(
+            pool.cached_pages(),
+            0,
+            "an append-only archive caches nothing"
+        );
+        let st = pool.stats();
+        assert_eq!((st.hits, st.misses, st.evictions), (0, 0, 0));
+        // The first read of a sealed page misses and caches it; the second
+        // hits.
+        let mut out = Vec::new();
+        assert_eq!(a.scan_window(1, 5, &mut out).unwrap(), 5);
+        assert_eq!((pool.stats().hits, pool.stats().misses), (0, 1));
+        assert_eq!(a.scan_window(1, 5, &mut out).unwrap(), 5);
+        assert_eq!((pool.stats().hits, pool.stats().misses), (1, 1));
+        assert_eq!(pool.cached_pages(), 1);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_scan_right_after_a_seal_reads_the_sealed_rows_from_the_file() {
+        let pool = BufferPool::new(8, 512);
+        let path = temp_path("read-after-seal");
+        let mut a = StreamArchive::create(&path, schema(), pool.clone()).unwrap();
+        let mut seq = 0;
+        while a.sealed_pages() == 0 {
+            seq += 1;
+            a.append(&tuple(seq)).unwrap();
+        }
+        // Rows 1..seq-1 sealed; row `seq` opened the new tail.
+        let sealed = a.pages[0].records as i64;
+        assert_eq!(sealed, seq - 1);
+        let mut out = Vec::new();
+        assert_eq!(a.scan_window(1, sealed, &mut out).unwrap() as i64, sealed);
+        assert_eq!(out, (1..=sealed).map(tuple).collect::<Vec<_>>());
+        assert_eq!(pool.stats().misses, 1, "read back from the file");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn open_and_compact_leave_the_pool_empty() {
+        let pool = BufferPool::new(4, 512);
+        let path = temp_path("cold-restore");
+        {
+            let mut a = StreamArchive::create(&path, schema(), pool.clone()).unwrap();
+            for seq in 1..=300 {
+                a.append(&tuple(seq)).unwrap();
+            }
+            a.flush().unwrap();
+            assert!(a.sealed_pages() > 4, "more pages than the pool holds");
+        }
+        {
+            // A corrupt page is skipped and not cached either.
+            let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            f.seek(SeekFrom::Start(512 + HEADER_LEN as u64)).unwrap();
+            f.write_all(&[0xFF; 32]).unwrap();
+        }
+        let mut b = StreamArchive::open(&path, schema(), pool.clone()).unwrap();
+        assert_eq!(b.recovery().unwrap().pages_skipped, 1);
+        assert_eq!(pool.cached_pages(), 0, "recovery reads around the pool");
+        let report = b.compact().unwrap();
+        assert_eq!(report.pages_before, report.pages_after + 1);
+        assert_eq!(pool.cached_pages(), 0, "compaction copies around the pool");
+        assert_eq!(pool.stats().misses, 0);
+        let mut out = Vec::new();
+        let n = b.scan_window(1, 300, &mut out).unwrap() as u64;
+        assert_eq!(n, b.recovery().unwrap().records_recovered);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn bounded_memory_via_shared_pool() {
         // Many archives share one small pool; total cached pages stays at
         // the pool capacity regardless of data volume.
@@ -988,6 +1077,39 @@ mod tests {
         assert_eq!(before, reopened, "reopen-after-compact scan agrees");
         let mut late = Vec::new();
         assert_eq!(c.scan_window(1000, 1000, &mut late).unwrap(), 1);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn compact_after_a_torn_seal_copies_whole_pages() {
+        // The last seal is torn and wrote a prefix of the page buffer;
+        // compaction copies through the same buffer, whole pages.
+        let pool = BufferPool::new(8, 512);
+        let path = temp_path("compact-torn");
+        let injector = FaultPlan::new(9)
+            .at(FaultPoint::ArchiveAppend, 300, FaultAction::Overflow)
+            .build_shared();
+        let mut a = StreamArchive::create(&path, schema(), pool.clone()).unwrap();
+        a.attach_injector(injector);
+        for seq in 1..=300 {
+            a.append(&tuple(seq)).unwrap();
+        }
+        a.flush().unwrap();
+        assert_eq!(a.stats().torn_pages, 1);
+        assert_eq!(a.pages.last().unwrap().page_no + 2, a.next_page);
+        let mut before = Vec::new();
+        a.scan_window(1, 300, &mut before).unwrap();
+        let report = a.compact().unwrap();
+        assert_eq!(report.pages_before, report.pages_after + 1);
+        let mut after = Vec::new();
+        a.scan_window(1, 300, &mut after).unwrap();
+        assert_eq!(before, after);
+        drop(a);
+        let mut b = StreamArchive::open(&path, schema(), pool).unwrap();
+        assert_eq!(b.recovery().unwrap().pages_skipped, 0);
+        let mut reopened = Vec::new();
+        b.scan_window(1, 300, &mut reopened).unwrap();
+        assert_eq!(before, reopened);
         std::fs::remove_file(path).ok();
     }
 

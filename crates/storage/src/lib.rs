@@ -13,8 +13,8 @@
 //!   would enhance write performance"); each sealed page records its
 //!   logical-timestamp range so windowed reads touch only relevant pages
 //!   (the "broadcast-disk style read behavior" the paper wants).
-//! * [`BufferPool`] — a shared page cache with CLOCK eviction between the
-//!   archives and the disk, with hit/miss counters for the experiments.
+//! * [`BufferPool`] — a shared read cache with CLOCK eviction for archive
+//!   scans (writes go around it), with hit/miss counters for experiments.
 //! * [`CheckpointStore`] — a durable, incrementally written store of
 //!   checkpoint fragments (SteM groups, aggregate partials, egress
 //!   ledgers, ingress cursors), for crash recovery of operator state.

@@ -2,18 +2,20 @@
 //!
 //! The paper (§4.3): "The buffer pool manager must be tuned to both accept
 //! new bursty streaming data, as well as service queries that access
-//! historical data." Archives write sealed pages through the pool and read
-//! historical pages back through it; the pool bounds total memory across
-//! all streams and evicts with a second-chance (CLOCK) policy.
+//! historical data." New data is written around the pool; the pool holds
+//! what reads bring in, so a burst of appends evicts nothing that
+//! historical queries read. The first read of a just-sealed page is thus a
+//! miss served from the file (the OS page cache). The pool bounds the
+//! cache across all streams and evicts with a second-chance (CLOCK) policy.
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::sync::Arc;
 
 use tcq_common::sync::Mutex;
 
-use tcq_common::{Result, TcqError};
+use tcq_common::Result;
 
 /// Identifies a page: (archive id, page number).
 pub type PageKey = (u64, u64);
@@ -27,8 +29,6 @@ pub struct PoolStats {
     pub misses: u64,
     /// Pages evicted.
     pub evictions: u64,
-    /// Pages written to disk.
-    pub writes: u64,
 }
 
 struct Frame {
@@ -72,26 +72,6 @@ impl BufferPool {
     /// The configured page size.
     pub fn page_size(&self) -> usize {
         self.page_size
-    }
-
-    /// Write a sealed page through the pool to `file` at the page's offset,
-    /// and cache it.
-    pub fn write_page(&self, file: &mut File, key: PageKey, data: Vec<u8>) -> Result<()> {
-        if data.len() != self.page_size {
-            return Err(TcqError::Storage(format!(
-                "page size {} != pool page size {}",
-                data.len(),
-                self.page_size
-            )));
-        }
-        let offset = key.1 * self.page_size as u64;
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(&data)?;
-        let mut inner = self.inner.lock();
-        inner.stats.writes += 1;
-        let data = Arc::new(data);
-        Self::install(&mut inner, key, data);
-        Ok(())
     }
 
     /// Read a page, through the cache.
@@ -191,20 +171,12 @@ mod tests {
         (path, file)
     }
 
-    fn page(fill: u8, size: usize) -> Vec<u8> {
-        vec![fill; size]
-    }
-
-    #[test]
-    fn write_then_read_hits_cache() {
-        let pool = BufferPool::new(4, 64);
-        let (path, mut f) = temp_file();
-        pool.write_page(&mut f, (1, 0), page(7, 64)).unwrap();
-        let data = pool.read_page(&mut f, (1, 0)).unwrap();
-        assert_eq!(data[0], 7);
-        let st = pool.stats();
-        assert_eq!((st.hits, st.misses), (1, 0));
-        std::fs::remove_file(path).ok();
+    /// Write page `page_no` of `f` (64 bytes of `fill`) straight to the
+    /// file, as an archive's seal does.
+    fn put(f: &mut File, page_no: u64, fill: u8) {
+        use std::io::Write;
+        f.seek(SeekFrom::Start(page_no * 64)).unwrap();
+        f.write_all(&[fill; 64]).unwrap();
     }
 
     #[test]
@@ -212,7 +184,8 @@ mod tests {
         let pool = BufferPool::new(2, 64);
         let (path, mut f) = temp_file();
         for p in 0..4u64 {
-            pool.write_page(&mut f, (1, p), page(p as u8, 64)).unwrap();
+            put(&mut f, p, p as u8);
+            pool.read_page(&mut f, (1, p)).unwrap();
         }
         assert_eq!(pool.cached_pages(), 2);
         assert!(pool.stats().evictions >= 2);
@@ -224,10 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn wrong_page_size_rejected() {
+    fn a_failed_read_caches_nothing() {
         let pool = BufferPool::new(2, 64);
         let (path, mut f) = temp_file();
-        assert!(pool.write_page(&mut f, (1, 0), page(0, 32)).is_err());
+        put(&mut f, 0, 1);
+        // Page 1 is past the end of the file.
+        assert!(pool.read_page(&mut f, (1, 1)).is_err());
+        assert_eq!(pool.cached_pages(), 0);
         std::fs::remove_file(path).ok();
     }
 
@@ -235,15 +211,18 @@ mod tests {
     fn clock_gives_second_chance() {
         let pool = BufferPool::new(2, 64);
         let (path, mut f) = temp_file();
-        pool.write_page(&mut f, (1, 0), page(0, 64)).unwrap();
-        pool.write_page(&mut f, (1, 1), page(1, 64)).unwrap();
+        for p in 0..4u64 {
+            put(&mut f, p, p as u8);
+        }
+        pool.read_page(&mut f, (1, 0)).unwrap();
+        pool.read_page(&mut f, (1, 1)).unwrap();
         // Installing page 2 sweeps: clears both reference bits, evicts the
         // frame the hand lands on second time (page 0). State afterwards:
         // [page2 referenced, page1 unreferenced].
-        pool.write_page(&mut f, (1, 2), page(2, 64)).unwrap();
+        pool.read_page(&mut f, (1, 2)).unwrap();
         // Installing page 3 must choose the UNreferenced page 1 and give
         // the referenced page 2 its second chance.
-        pool.write_page(&mut f, (1, 3), page(3, 64)).unwrap();
+        pool.read_page(&mut f, (1, 3)).unwrap();
         let before = pool.stats().hits;
         pool.read_page(&mut f, (1, 2)).unwrap();
         assert_eq!(
@@ -259,7 +238,8 @@ mod tests {
         let pool = BufferPool::new(4, 64);
         let pool2 = pool.clone();
         let (path, mut f) = temp_file();
-        pool.write_page(&mut f, (9, 0), page(9, 64)).unwrap();
+        put(&mut f, 0, 9);
+        pool.read_page(&mut f, (9, 0)).unwrap();
         let d = pool2.read_page(&mut f, (9, 0)).unwrap();
         assert_eq!(d[0], 9);
         assert_eq!(pool2.stats().hits, 1);
