@@ -157,7 +157,7 @@ fn run_scenario(name: &'static str, n: usize, fault_plan: Option<FaultPlan>) -> 
         .collect();
     let ordered = results.iter().copied().eq(1..=n as i64);
     let watchdog = server.executor_stats().watchdog;
-    let stall = server.last_stall();
+    let stall = server.first_stall();
     server.shutdown().unwrap();
 
     Outcome {

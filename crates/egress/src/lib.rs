@@ -49,8 +49,8 @@ use std::time::Duration;
 use tcq_common::sync::Mutex;
 
 use tcq_common::{
-    CkptReader, CkptWriter, ColumnBatch, FaultAction, FaultPoint, IdList, Result, SharedInjector,
-    TcqError, Tuple,
+    hash_table_bytes, CkptReader, CkptWriter, ColumnBatch, FaultAction, FaultPoint, IdList, Result,
+    SharedInjector, TcqError, Tuple,
 };
 
 /// Client identifier.
@@ -770,6 +770,20 @@ impl EgressRouter {
     /// Queries with at least one subscribed client.
     pub fn subscribed_queries(&self) -> usize {
         self.inner.lock().by_query.len()
+    }
+
+    /// Approximate heap bytes of the query → subscribers table, its whole
+    /// bucket array counted.
+    pub fn subscription_bytes(&self) -> usize {
+        let inner = self.inner.lock();
+        hash_table_bytes(
+            inner.by_query.capacity(),
+            std::mem::size_of::<(QueryId, IdList<ClientId>)>(),
+        ) + inner
+            .by_query
+            .values()
+            .map(IdList::heap_bytes)
+            .sum::<usize>()
     }
 
     /// Drop a client and all its subscriptions.

@@ -288,9 +288,9 @@ impl Executor {
         }
     }
 
-    /// The most recent stall diagnosis, if the watchdog has declared one.
-    pub fn last_stall(&self) -> Option<StallDiagnosis> {
-        self.watchdog.as_ref().and_then(|w| w.last_stall())
+    /// The diagnosis of the first stall the watchdog declared, if any.
+    pub fn first_stall(&self) -> Option<StallDiagnosis> {
+        self.watchdog.as_ref().and_then(|w| w.first_stall())
     }
 
     /// The configured quantum.

@@ -143,7 +143,9 @@ pub(crate) struct WatchdogState {
     dus_per_eo: Vec<Mutex<Vec<DuDiag>>>,
     stalls: AtomicU64,
     cleared: AtomicU64,
-    last: Mutex<Option<StallDiagnosis>>,
+    /// The diagnosis of the run's first stall: a later stall, perhaps one
+    /// the first left behind, does not replace it.
+    first: Mutex<Option<StallDiagnosis>>,
 }
 
 /// Watchdog counter snapshot, merged into [`crate::ExecutorStats`].
@@ -172,7 +174,7 @@ impl WatchdogState {
             dus_per_eo: (0..eos).map(|_| Mutex::new(Vec::new())).collect(),
             stalls: AtomicU64::new(0),
             cleared: AtomicU64::new(0),
-            last: Mutex::new(None),
+            first: Mutex::new(None),
         }
     }
 
@@ -221,7 +223,10 @@ impl WatchdogState {
         if st.frozen == self.cfg.stall_ticks {
             st.stalled = true;
             self.stalls.fetch_add(1, Ordering::Relaxed);
-            *self.last.lock() = Some(self.diagnose(st.tick, frontier, in_flight));
+            let mut first = self.first.lock();
+            if first.is_none() {
+                *first = Some(self.diagnose(st.tick, frontier, in_flight));
+            }
         }
     }
 
@@ -269,8 +274,8 @@ impl WatchdogState {
         }
     }
 
-    pub(crate) fn last_stall(&self) -> Option<StallDiagnosis> {
-        self.last.lock().clone()
+    pub(crate) fn first_stall(&self) -> Option<StallDiagnosis> {
+        self.first.lock().clone()
     }
 }
 
@@ -341,7 +346,7 @@ mod tests {
                 stalls_cleared: 0
             }
         );
-        let diag = w.last_stall().expect("diagnosis recorded");
+        let diag = w.first_stall().expect("diagnosis recorded");
         assert_eq!(diag.in_flight, 5);
         assert_eq!(diag.blocked_consumers, vec!["c".to_string()]);
         assert_eq!(diag.pending_punct_channels, vec!["c".to_string()]);
@@ -374,5 +379,31 @@ mod tests {
                 stalls_cleared: 2
             }
         );
+    }
+
+    #[test]
+    fn a_second_stall_keeps_the_first_diagnosis() {
+        let (w, p, c) = wd(2);
+        put(&p, 3);
+        for _ in 0..3 {
+            w.tick();
+        }
+        let first = w.first_stall().expect("first stall diagnosed");
+        assert_eq!((first.in_flight, first.tick), (3, 3));
+        // The frontier moves (one dequeue), then freezes again with less
+        // in flight: a second stall, declared and counted, not recorded.
+        c.dequeue();
+        for _ in 0..3 {
+            w.tick();
+        }
+        assert_eq!(
+            w.stats(),
+            WatchdogStats {
+                stalls_detected: 2,
+                stalls_cleared: 1
+            }
+        );
+        let kept = w.first_stall().expect("diagnosis kept");
+        assert_eq!((kept.in_flight, kept.tick), (3, 3));
     }
 }

@@ -134,7 +134,8 @@ impl Borrow<ProjectionKey> for Arc<SharedProjection> {
     }
 }
 
-/// A standing filter query's one entry beside its `QueryStem` registration.
+/// What a standing filter query carries in its `QueryStem` entry.
+/// Queries that share their factors, projection and floor share one copy.
 struct StandingFilter {
     project: Arc<SharedProjection>,
     /// Lower bound on logical time: the earliest left edge of the query's
@@ -144,15 +145,33 @@ struct StandingFilter {
     min_seq: i64,
 }
 
+/// By projection address: equal select lists share one interned
+/// projection, and a stem entry holding it keeps it alive, so its address
+/// cannot pass on to another projection while the entry is compared.
+impl PartialEq for StandingFilter {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.project, &other.project) && self.min_seq == other.min_seq
+    }
+}
+
+impl Eq for StandingFilter {}
+
+impl Hash for StandingFilter {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Arc::as_ptr(&self.project).hash(state);
+        self.min_seq.hash(state);
+    }
+}
+
 /// The stream's filter queries: one `QueryStem` pass per row for all of
 /// them.
 struct FilterPass {
-    qstem: QueryStem,
+    /// The one per-query table: each query's entry carries its projection
+    /// and time floor.
+    qstem: QueryStem<StandingFilter>,
     /// Reused probe state; lives under the same lock as the stem so the
     /// per-tuple matching pass allocates nothing.
     scratch: MatchScratch,
-    /// Query id → projection and time floor: the one per-query table.
-    standing: HashMap<QueryId, StandingFilter>,
     /// Every distinct projection among the standing queries; each leaves
     /// with its last query.
     projections: HashSet<Arc<SharedProjection>>,
@@ -168,9 +187,8 @@ struct FilterPass {
 impl FilterPass {
     fn new(schema: SchemaRef) -> Self {
         FilterPass {
-            qstem: QueryStem::new(schema),
+            qstem: QueryStem::with_payloads(schema),
             scratch: MatchScratch::new(),
-            standing: HashMap::new(),
             projections: HashSet::new(),
             projected: Vec::new(),
             free_slots: Vec::new(),
@@ -193,40 +211,41 @@ impl FilterPass {
                 for (e, _) in projection {
                     e.check_columns(view)?;
                 }
-                self.qstem.insert_query_as(id, factors, view)?;
                 Arc::clone(shared)
             }
             None => {
                 let op = ProjectOp::new(projection, view)?;
-                self.qstem.insert_query_as(id, factors, view)?;
-                let slot = self.free_slots.pop().unwrap_or_else(|| {
-                    self.projected.push((0, None));
-                    self.projected.len() - 1
-                });
+                let slot = (self.free_slots.last().copied()).unwrap_or(self.projected.len());
                 let key = projection.into();
-                let shared = Arc::new(SharedProjection { key, op, slot });
-                self.projections.insert(Arc::clone(&shared));
-                shared
+                Arc::new(SharedProjection { key, op, slot })
             }
         };
-        self.standing
-            .insert(id, StandingFilter { project, min_seq });
+        let fresh = Arc::strong_count(&project) == 1;
+        let payload = StandingFilter {
+            project: Arc::clone(&project),
+            min_seq,
+        };
+        self.qstem.insert_query_with(id, factors, view, payload)?;
+        if fresh {
+            if self.free_slots.pop().is_none() {
+                self.projected.push((0, None));
+            }
+            self.projections.insert(project);
+        }
         Ok(())
     }
 
     fn remove(&mut self, id: QueryId) -> Result<()> {
+        let project = (self.qstem.payload(id)).map(|q| Arc::clone(&q.project));
         self.qstem.remove_query(id)?;
-        if let Some(gone) = self.standing.remove(&id) {
-            // The set holds one reference and `gone` the other: this was
-            // the projection's last query.
-            if Arc::strong_count(&gone.project) == 2 {
-                self.projections
-                    .remove(ProjectionKey::new(&gone.project.key));
-                self.projected[gone.project.slot] = (0, None);
-                self.free_slots.push(gone.project.slot);
-            }
+        // The set holds one reference and `project` the other: this was
+        // the projection's last query.
+        if let Some(gone) = project.filter(|p| Arc::strong_count(p) == 2) {
+            self.projections.remove(ProjectionKey::new(&gone.key));
+            self.projected[gone.slot] = (0, None);
+            self.free_slots.push(gone.slot);
         }
-        if self.standing.is_empty() {
+        if self.qstem.is_empty() {
             *self = FilterPass::new(self.qstem.schema().clone());
         }
         Ok(())
@@ -236,10 +255,6 @@ impl FilterPass {
         use std::mem::size_of;
         self.qstem.approx_bytes()
             + self.scratch.approx_bytes()
-            + hash_table_bytes(
-                self.standing.capacity(),
-                size_of::<(QueryId, StandingFilter)>(),
-            )
             + hash_table_bytes(
                 self.projections.capacity(),
                 size_of::<Arc<SharedProjection>>(),
@@ -263,25 +278,32 @@ impl FilterPass {
         session: &mut Option<DeliverySession<'a>>,
         errors: &mut u64,
     ) {
+        let FilterPass {
+            qstem,
+            scratch,
+            projected,
+            rows,
+            ..
+        } = self;
         for t in batch {
             let seq = t.timestamp().seq();
-            self.rows += 1;
+            *rows += 1;
             // The matches are exact even when some candidate failed.
-            let _ = self.qstem.matching_into(t, &mut self.scratch);
-            *errors += (self.scratch.failed().iter())
-                .filter(|q| self.standing.get(q).is_some_and(|q| seq >= q.min_seq))
+            let _ = qstem.matching_into(t, scratch);
+            *errors += (scratch.failed().iter())
+                .filter(|&&q| qstem.payload(q).is_some_and(|q| seq >= q.min_seq))
                 .count() as u64;
-            for &qid in self.scratch.matches() {
-                let Some(q) = self.standing.get(&qid) else {
+            for &qid in scratch.matches() {
+                let Some(q) = qstem.payload(qid) else {
                     continue;
                 };
                 if seq < q.min_seq {
                     continue;
                 }
-                let (row, out) = &mut self.projected[q.project.slot];
-                if *row != self.rows {
+                let (row, out) = &mut projected[q.project.slot];
+                if *row != *rows {
                     *out = q.project.op.apply(t).ok();
-                    *row = self.rows;
+                    *row = *rows;
                 }
                 match out {
                     Some(out) => (session.get_or_insert_with(|| egress.session()))
@@ -365,7 +387,7 @@ impl StreamPlans {
     /// Does any query stand in the set?
     pub fn standing(&self) -> bool {
         let set = self.inner.lock();
-        !set.filters.standing.is_empty() || !set.aggregates.is_empty()
+        !set.filters.qstem.is_empty() || !set.aggregates.is_empty()
     }
 
     /// Query errors so far: a row a filter query missed because its
@@ -381,7 +403,7 @@ impl StreamPlans {
     }
 
     /// Approximate heap footprint of the filter pass in bytes: the shared
-    /// query index and its probe scratch, the per-query table, and the
+    /// query index (the one per-query table) and its probe scratch, and the
     /// interned projections.
     pub fn filter_bytes(&self) -> usize {
         self.inner.lock().filters.approx_bytes()
@@ -431,7 +453,7 @@ impl StreamPlans {
             }
         }
         let mut session = None;
-        if !filters.standing.is_empty() {
+        if !filters.qstem.is_empty() {
             filters.run(batch, egress, &mut session, errors);
         }
         for (qid, out) in answered {
@@ -1522,6 +1544,65 @@ mod tests {
         plans.run(&rows);
         let got = egress.fetch(1, 64).unwrap();
         assert_eq!(got.len(), 6, "only ts >= 5 delivered");
+    }
+
+    /// `manycq_churn`'s standing population, then 100 000 submit + stop
+    /// pairs of three shapes: one that shares the standing queries' tail,
+    /// one with a tail of its own and one with a projection of its own.
+    /// Every stop hands back what its submit interned.
+    #[test]
+    fn churn_leaves_shared_tails_and_projections_at_their_standing_level() {
+        let plans = StreamPlans::new(schema(), EgressRouter::new());
+        let s = schema();
+        let gt = |col: &str, c: i64| Expr::col(col).cmp(CmpOp::Gt, Expr::lit(c));
+        let anchored = |v: i64, floor: i64| {
+            Expr::col("v")
+                .cmp(CmpOp::Eq, Expr::lit(v))
+                .and(gt("ts", floor))
+        };
+        let ts = [(Expr::col("ts"), None)];
+        for i in 0..8_000 {
+            let pred = anchored(i, 500);
+            (plans.add_filter(i as usize, Some(&pred), &ts, &s, i64::MIN)).unwrap();
+        }
+        for j in 0..2_000 {
+            let a = j * 500;
+            let pred = gt("v", a).and(Expr::col("v").cmp(CmpOp::Lt, Expr::lit(a + 1_501)));
+            (plans.add_filter(8_000 + j as usize, Some(&pred), &ts, &s, i64::MIN)).unwrap();
+        }
+        let level = || {
+            let set = plans.inner.lock();
+            (
+                set.filters.qstem.shared_tails(),
+                set.filters.projections.len(),
+            )
+        };
+        assert_eq!(level(), (2, 1));
+        let standing_bytes = plans.filter_bytes();
+        for n in 0..100_000i64 {
+            let id = 10_000 + n as usize;
+            let v = 100_000 + n;
+            let added = match n % 3 {
+                0 => plans.add_filter(id, Some(&anchored(v, 500)), &ts, &s, i64::MIN),
+                1 => plans.add_filter(id, Some(&anchored(v, n)), &ts, &s, i64::MIN),
+                _ => plans.add_filter(
+                    id,
+                    Some(&anchored(v, 500)),
+                    &[(Expr::col("v"), None)],
+                    &s,
+                    n,
+                ),
+            };
+            added.unwrap();
+            plans.remove_query(id).unwrap();
+            assert_eq!(level(), (2, 1), "after pair {n}");
+        }
+        assert_eq!(plans.filter_count(), 10_000);
+        let churned_bytes = plans.filter_bytes();
+        assert!(
+            churned_bytes <= standing_bytes,
+            "{standing_bytes} B standing, {churned_bytes} B after the churn"
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 use tcq_common::sync::Mutex;
 
 use tcq_common::{
-    Caseless, Catalog, CkptReader, CkptWriter, FaultPlan, FiredFault, Predicate, Result, SchemaRef,
-    SharedInjector, SourceKind, TcqError, Tuple,
+    hash_table_bytes, Caseless, Catalog, CkptReader, CkptWriter, FaultPlan, FiredFault, Predicate,
+    Result, SchemaRef, SharedInjector, SourceKind, TcqError, Tuple,
 };
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
 use tcq_egress::{
@@ -95,7 +95,7 @@ pub struct ServerConfig {
     /// the progress registry every server keeps
     /// ([`TelegraphCQ::progress_snapshot`]); `None` (default) runs none.
     /// The detector only observes: it counts and diagnoses stalls
-    /// ([`TelegraphCQ::last_stall`]) and acts on no DU, so any run
+    /// ([`TelegraphCQ::first_stall`]) and acts on no DU, so any run
     /// behaves byte-identically either way.
     pub liveness: Option<LivenessConfig>,
     /// Which transport fronts the server. The core (dispatchers, eddies,
@@ -665,6 +665,19 @@ impl TelegraphCQ {
         }
         out.sort_by(|a, b| a.label.cmp(&b.label));
         out
+    }
+
+    /// Approximate heap bytes of the two per-query tables every query kind
+    /// keeps beside its plan: the server's query records and the egress
+    /// router's subscriber lists, whole bucket arrays counted. With
+    /// [`TelegraphCQ::shared_memory_stats`] it accounts for what a filter
+    /// query's `submit` leaves on the heap.
+    pub fn query_table_bytes(&self) -> usize {
+        let records = hash_table_bytes(
+            self.queries.lock().capacity(),
+            std::mem::size_of::<(QueryId, QueryRecord)>(),
+        );
+        records + self.egress.subscription_bytes()
     }
 
     /// A stream archive's counters (`None` when archiving is disabled).
@@ -1568,10 +1581,11 @@ impl TelegraphCQ {
         self.executor.stats()
     }
 
-    /// The most recent stall diagnosis the liveness watchdog recorded
-    /// (`None` without `ServerConfig::liveness`, or on a healthy run).
-    pub fn last_stall(&self) -> Option<StallDiagnosis> {
-        self.executor.last_stall()
+    /// The diagnosis of the first stall the liveness watchdog declared
+    /// (`None` without `ServerConfig::liveness`, or on a healthy run). A
+    /// later stall does not replace it.
+    pub fn first_stall(&self) -> Option<StallDiagnosis> {
+        self.executor.first_stall()
     }
 
     /// Point-in-time progress snapshot: the global frontier, in-flight

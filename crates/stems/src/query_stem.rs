@@ -9,9 +9,11 @@
 //! registered queries, each query gets exactly **one access path**, chosen
 //! at registration from its single-column factors (`col <op> const`):
 //!
-//! * its first **equality** — a hash *anchor* (`column → constant →
-//!   candidate list`): a probe touches only the candidates in the probed
-//!   value's bucket, O(bucket);
+//! * its first **equality** — a hash *anchor* (`column → key hash of the
+//!   constant → candidate list`): a probe touches only the candidates in
+//!   the bucket of the probed value's hash, O(bucket), and re-checks each
+//!   against its own constant with `Value`'s `==`, so two constants whose
+//!   hashes collide never answer for each other;
 //! * else its **interval** — every `>`/`>=`/`<`/`<=` factor on one column,
 //!   intersected into one `(lo, lo_strict, hi, hi_strict)` over
 //!   [`Value::total_cmp`] and registered in that column's interval index:
@@ -27,8 +29,13 @@
 //! factors (`!=`, ranges on other columns, everything beside an anchor)
 //! with SQL comparison semantics, then its *residual* conjuncts — those
 //! that are not single-column factors. Both are kept in one exact-length
-//! list, and an anchor bucket holding one query keeps it inline, so a
-//! standing query costs its entry and a bucket slot. A factor whose
+//! list, the query's *tail*, together with a payload its caller attached
+//! (a server's filter pass keeps the query's projection and time floor
+//! there). Queries whose factors and payload are the same share one
+//! refcounted tail, interned in the stem and dropped with its last query;
+//! a tail with a residual stays private. So a standing query costs its
+//! entry — the access path and one pointer — and a bucket slot, and an
+//! anchor bucket holding one query keeps it inline. A factor whose
 //! constant cannot be compared with its column's declared type is refused
 //! at registration: left in, it would fail the probe for every standing
 //! query.
@@ -36,15 +43,16 @@
 //! The probe path allocates nothing: per-probe state lives in a
 //! caller-supplied [`MatchScratch`] ([`QueryStem::matching_into`]). Neither
 //! the stem nor the scratch keeps anything sized by the query ids ever
-//! issued (a server never reuses one), only by the standing population —
-//! except the scratch's result bitset, at one bit per id.
+//! issued (a server never reuses one), only by the standing population.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use tcq_common::{
-    hash_table_bytes, BitSet, CmpOp, Expr, IdList, Predicate, Result, SchemaRef, TcqError, Tuple,
-    Value,
+    hash_table_bytes, hash_value, BitSet, CmpOp, Expr, IdList, IdentityBuildHasher, Predicate,
+    Result, SchemaRef, TcqError, Tuple, Value,
 };
 
 use crate::interval_index::{EpochStats, Interval, IntervalIndex};
@@ -52,12 +60,16 @@ use crate::interval_index::{EpochStats, Interval, IntervalIndex};
 /// Identifies a standing query in a [`QueryStem`].
 pub type QueryId = usize;
 
-/// Where a query is registered, i.e. what `remove_query` must undo.
+/// Where a query is registered, i.e. what `remove_query` must undo. The
+/// column is a `u32`, so it packs beside the tag and the access path is
+/// four words.
 enum Access {
-    /// Bucketed under `column = constant` in `anchors`.
-    Anchor(usize, Value),
+    /// Bucketed under `column = constant` in `anchors`, by the constant's
+    /// key hash; the constant itself is what a candidate is re-checked
+    /// against.
+    Anchor(u32, Value),
     /// In `intervals[column]`, keyed by this lower bound.
-    Interval(usize, Option<Value>),
+    Interval(u32, Option<Value>),
     /// Listed in `always`.
     Always,
 }
@@ -72,14 +84,22 @@ enum Check {
     Residual(Predicate),
 }
 
-struct QueryEntry {
-    access: Access,
+/// A query's checks and its caller's payload: shared by every query whose
+/// factors and payload are the same, private when it holds a residual.
+struct Tail<P> {
     /// Factors first, then residuals, at their exact count: a standing
     /// query keeps no spare capacity.
     checks: Box<[Check]>,
+    payload: P,
 }
 
-impl QueryEntry {
+impl<P> Tail<P> {
+    /// Only factor lists are interned: a compiled residual has no
+    /// equality to intern it by.
+    fn shareable(&self) -> bool {
+        self.checks.iter().all(|c| matches!(c, Check::Factor(..)))
+    }
+
     fn admits(&self, tuple: &Tuple) -> Result<bool> {
         for check in self.checks.iter() {
             let pass = match check {
@@ -94,6 +114,77 @@ impl QueryEntry {
         }
         Ok(true)
     }
+
+    /// Heap bytes of the tail, the `Arc` header included; the payload's own
+    /// heap is its owner's to count.
+    fn approx_bytes(&self) -> usize {
+        let constants: usize = (self.checks.iter())
+            .map(|c| match c {
+                Check::Factor(_, _, v) => str_heap(v),
+                Check::Residual(_) => 0,
+            })
+            .sum();
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Self>()
+            + self.checks.len() * std::mem::size_of::<Check>()
+            + constants
+    }
+}
+
+/// Factor lists compare type-exact: `Value`'s `==` equates `Int(500)` with
+/// `Float(500.0)`, while `sql_cmp` orders a large INT against each
+/// differently. A tail with a residual never enters the intern set, so it
+/// is never compared.
+impl<P: Eq> PartialEq for Tail<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.payload == other.payload
+            && self.checks.len() == other.checks.len()
+            && (self.checks.iter().zip(other.checks.iter())).all(|pair| match pair {
+                (Check::Factor(a, a_op, a_v), Check::Factor(b, b_op, b_v)) => {
+                    a == b && a_op == b_op && a_v.data_type() == b_v.data_type() && a_v == b_v
+                }
+                _ => false,
+            })
+    }
+}
+
+impl<P: Eq> Eq for Tail<P> {}
+
+impl<P: Hash> Hash for Tail<P> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.payload.hash(state);
+        for check in self.checks.iter() {
+            if let Check::Factor(col, op, constant) = check {
+                col.hash(state);
+                op.hash(state);
+                constant.hash_key(state);
+            }
+        }
+    }
+}
+
+struct QueryEntry<P> {
+    access: Access,
+    tail: Arc<Tail<P>>,
+}
+
+impl<P> QueryEntry<P> {
+    fn admits(&self, tuple: &Tuple) -> Result<bool> {
+        // An anchor bucket holds every constant with the bucket's hash.
+        if let Access::Anchor(col, constant) = &self.access {
+            if tuple.value(*col as usize) != constant {
+                return Ok(false);
+            }
+        }
+        self.tail.admits(tuple)
+    }
+}
+
+fn str_heap(v: &Value) -> usize {
+    match v {
+        Value::Str(s) => s.len(),
+        _ => 0,
+    }
 }
 
 /// Reusable per-probe state for [`QueryStem::matching_into`]. Keeping it
@@ -101,8 +192,6 @@ impl QueryEntry {
 /// pipeline; after warm-up no probe allocates.
 #[derive(Default)]
 pub struct MatchScratch {
-    /// Result set; only bits listed in `matched` are ever set.
-    alive: BitSet,
     /// Matching query ids, sorted ascending after a successful probe.
     matched: Vec<QueryId>,
     /// Candidates the access paths produced, reused across probes.
@@ -130,11 +219,6 @@ impl MatchScratch {
         &self.failed
     }
 
-    /// The matched set of the last probe as a bitset.
-    pub fn alive(&self) -> &BitSet {
-        &self.alive
-    }
-
     /// Index entries the last probe touched: interval-tree nodes visited,
     /// pending intervals scanned and anchor-bucket candidates checked. A
     /// deterministic stand-in for probe time: O(log n + matches) per
@@ -145,34 +229,34 @@ impl MatchScratch {
 
     /// Approximate heap footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.alive.approx_bytes()
-            + (self.matched.capacity() + self.candidates.capacity() + self.failed.capacity())
-                * std::mem::size_of::<QueryId>()
+        (self.matched.capacity() + self.candidates.capacity() + self.failed.capacity())
+            * std::mem::size_of::<QueryId>()
     }
 
-    /// Clear the previous probe's result in O(|matches|) — the alive bitset
-    /// is never swept whole, so probe cost does not pick up an O(queries/64)
-    /// memset as the registered population grows.
     fn begin(&mut self) {
-        for q in self.matched.drain(..) {
-            self.alive.remove(q);
-        }
+        self.matched.clear();
         self.candidates.clear();
         self.failed.clear();
         self.examined = 0;
     }
 }
 
-/// An index over standing queries: probe with a tuple, get satisfied queries.
-pub struct QueryStem {
+/// An index over standing queries: probe with a tuple, get satisfied
+/// queries. Each query carries a payload of type `P` (none by default),
+/// which [`QueryStem::payload`] hands back.
+pub struct QueryStem<P = ()> {
     schema: SchemaRef,
-    /// column -> constant -> queries anchored on `column = constant`.
-    anchors: HashMap<usize, HashMap<Value, IdList<QueryId>>>,
+    /// column -> key hash of a constant -> queries anchored on
+    /// `column = constant` for every constant with that hash.
+    anchors: HashMap<usize, HashMap<u64, IdList<QueryId>, IdentityBuildHasher>>,
     /// column -> the intervals of queries whose access path is that column.
     intervals: HashMap<usize, IntervalIndex>,
     /// Queries with neither (always candidates).
     always: Vec<QueryId>,
-    queries: HashMap<QueryId, QueryEntry>,
+    /// The one per-query table.
+    queries: HashMap<QueryId, QueryEntry<P>>,
+    /// Every shareable tail, once; each leaves with its last query.
+    tails: HashSet<Arc<Tail<P>>>,
 }
 
 fn is_lower(op: CmpOp) -> bool {
@@ -199,22 +283,16 @@ fn interval_column(single: &[(usize, CmpOp, Value)]) -> Option<usize> {
         .or_else(|| ranged.next())
 }
 
+/// A column index as an access path stores it.
+fn column_u32(col: usize) -> u32 {
+    u32::try_from(col).expect("a schema has fewer than 2^32 columns")
+}
+
 impl QueryStem {
     /// An empty query SteM over tuples of `schema`, with residual
     /// predicates compiled to kernels where possible.
     pub fn new(schema: SchemaRef) -> Self {
-        QueryStem {
-            schema,
-            anchors: HashMap::new(),
-            intervals: HashMap::new(),
-            always: Vec::new(),
-            queries: HashMap::new(),
-        }
-    }
-
-    /// The stream schema queries are registered against.
-    pub fn schema(&self) -> &SchemaRef {
-        &self.schema
+        Self::with_payloads(schema)
     }
 
     /// Register query `id` with predicate `pred` (`None` = no WHERE clause,
@@ -235,6 +313,39 @@ impl QueryStem {
         id: QueryId,
         preds: impl IntoIterator<Item = &'e Expr>,
         view: &SchemaRef,
+    ) -> Result<()> {
+        self.insert_query_with(id, preds, view, ())
+    }
+}
+
+impl<P: Hash + Eq> QueryStem<P> {
+    /// An empty query SteM over tuples of `schema` whose queries each carry
+    /// a `P`.
+    pub fn with_payloads(schema: SchemaRef) -> Self {
+        QueryStem {
+            schema,
+            anchors: HashMap::new(),
+            intervals: HashMap::new(),
+            always: Vec::new(),
+            queries: HashMap::new(),
+            tails: HashSet::new(),
+        }
+    }
+
+    /// The stream schema queries are registered against.
+    pub fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+
+    /// [`QueryStem::insert_query_as`], the query carrying `payload`.
+    /// Queries with the same factors and an equal payload share one copy of
+    /// both.
+    pub fn insert_query_with<'e>(
+        &mut self,
+        id: QueryId,
+        preds: impl IntoIterator<Item = &'e Expr>,
+        view: &SchemaRef,
+        payload: P,
     ) -> Result<()> {
         debug_assert_eq!(view.len(), self.schema.len(), "a view of another layout");
         let Entry::Vacant(slot) = self.queries.entry(id) else {
@@ -273,10 +384,10 @@ impl QueryStem {
             self.anchors
                 .entry(col)
                 .or_default()
-                .entry(constant.clone())
+                .entry(hash_value(&constant))
                 .and_modify(|ids| ids.push(id))
                 .or_insert(IdList::One(id));
-            Access::Anchor(col, constant)
+            Access::Anchor(column_u32(col), constant)
         } else if let Some(col) = interval_column(&single) {
             let mut iv = Interval::default();
             single.retain(|(c, op, constant)| {
@@ -288,7 +399,7 @@ impl QueryStem {
             });
             let lo = iv.lo.clone();
             self.intervals.entry(col).or_default().insert(id, iv);
-            Access::Interval(col, lo)
+            Access::Interval(column_u32(col), lo)
         } else {
             self.always.push(id);
             Access::Always
@@ -297,23 +408,45 @@ impl QueryStem {
             .map(|(col, op, constant)| Check::Factor(col, op, constant))
             .chain(residual.into_iter().map(Check::Residual))
             .collect();
-        slot.insert(QueryEntry { access, checks });
+        let tail = Tail { checks, payload };
+        let tail = if !tail.shareable() {
+            Arc::new(tail)
+        } else if let Some(shared) = self.tails.get(&tail) {
+            Arc::clone(shared)
+        } else {
+            let tail = Arc::new(tail);
+            self.tails.insert(Arc::clone(&tail));
+            tail
+        };
+        slot.insert(QueryEntry { access, tail });
         Ok(())
+    }
+
+    /// The payload query `id` was registered with.
+    pub fn payload(&self, id: QueryId) -> Option<&P> {
+        self.queries.get(&id).map(|e| &e.tail.payload)
     }
 
     /// Remove query `id`; errors if unknown. O(own bucket) for an anchored
     /// query, amortised O(log n) for an interval, never O(registered
     /// queries).
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let entry = self
+        let QueryEntry { access, tail } = self
             .queries
             .remove(&id)
             .ok_or_else(|| TcqError::Executor(format!("query {id} not registered")))?;
-        match entry.access {
+        // The intern set holds one reference and `tail` the other: this was
+        // the tail's last query.
+        if Arc::strong_count(&tail) == 2 && tail.shareable() {
+            self.tails.remove(&*tail);
+        }
+        match access {
             Access::Anchor(col, constant) => {
+                let col = col as usize;
                 if let Some(buckets) = self.anchors.get_mut(&col) {
-                    if buckets.get_mut(&constant).is_some_and(|ids| ids.remove(id)) {
-                        buckets.remove(&constant);
+                    let hash = hash_value(&constant);
+                    if buckets.get_mut(&hash).is_some_and(|ids| ids.remove(id)) {
+                        buckets.remove(&hash);
                     }
                     if buckets.is_empty() {
                         self.anchors.remove(&col);
@@ -321,6 +454,7 @@ impl QueryStem {
                 }
             }
             Access::Interval(col, lo) => {
+                let col = col as usize;
                 if let Some(index) = self.intervals.get_mut(&col) {
                     index.remove(id, &lo);
                     if index.len() == 0 {
@@ -343,6 +477,12 @@ impl QueryStem {
         self.queries.is_empty()
     }
 
+    /// Distinct interned tails: one per distinct factor list and payload
+    /// among the standing queries that have no residual.
+    pub fn shared_tails(&self) -> usize {
+        self.tails.len()
+    }
+
     /// Mid-epoch bookkeeping counts of the interval indexes combined.
     pub fn epoch_stats(&self) -> EpochStats {
         let mut total = EpochStats::default();
@@ -362,12 +502,12 @@ impl QueryStem {
     pub fn matching(&self, tuple: &Tuple) -> Result<BitSet> {
         let mut scratch = MatchScratch::new();
         self.matching_into(tuple, &mut scratch)?;
-        Ok(scratch.alive.clone())
+        Ok(scratch.matched.iter().copied().collect())
     }
 
     /// Probe with caller-supplied scratch: after the call,
-    /// [`MatchScratch::matches`] / [`MatchScratch::alive`] hold the exact
-    /// satisfied query set. Allocation-free once the scratch is warm.
+    /// [`MatchScratch::matches`] holds the exact satisfied query set,
+    /// ascending. Allocation-free once the scratch is warm.
     ///
     /// A candidate whose checks cannot be evaluated on `tuple` fails alone:
     /// it is listed in [`MatchScratch::failed`], every other candidate is
@@ -375,7 +515,6 @@ impl QueryStem {
     pub fn matching_into(&self, tuple: &Tuple, scratch: &mut MatchScratch) -> Result<()> {
         scratch.begin();
         let MatchScratch {
-            alive,
             matched,
             candidates,
             failed,
@@ -394,7 +533,10 @@ impl QueryStem {
             if v.is_null() {
                 continue;
             }
-            if let Some(ids) = buckets.get(v) {
+            // A row routed on this column already carries the hash; the
+            // probe reads the memo but never claims it for its column.
+            let hash = tuple.cached_key_hash(col).unwrap_or_else(|| hash_value(v));
+            if let Some(ids) = buckets.get(&hash) {
                 let ids = ids.as_slice();
                 *examined += ids.len();
                 candidates.extend_from_slice(ids);
@@ -404,10 +546,7 @@ impl QueryStem {
         let mut first_error = None;
         for &q in candidates.iter() {
             match self.queries[&q].admits(tuple) {
-                Ok(true) => {
-                    alive.insert(q);
-                    matched.push(q);
-                }
+                Ok(true) => matched.push(q),
                 Ok(false) => {}
                 Err(e) => {
                     failed.push(q);
@@ -420,13 +559,10 @@ impl QueryStem {
     }
 
     /// Approximate heap footprint of the stem's index structures in bytes,
-    /// hash tables counted by their whole bucket arrays.
+    /// hash tables counted by their whole bucket arrays and each shared
+    /// tail once.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let str_heap = |v: &Value| match v {
-            Value::Str(s) => s.len(),
-            _ => 0,
-        };
         let mut b = hash_table_bytes(
             self.intervals.capacity(),
             size_of::<(usize, IntervalIndex)>(),
@@ -439,29 +575,27 @@ impl QueryStem {
         b += self.always.capacity() * size_of::<QueryId>();
         b += hash_table_bytes(
             self.anchors.capacity(),
-            size_of::<(usize, HashMap<Value, IdList<QueryId>>)>(),
+            size_of::<(usize, HashMap<u64, IdList<QueryId>, IdentityBuildHasher>)>(),
         );
         for buckets in self.anchors.values() {
-            b += hash_table_bytes(buckets.capacity(), size_of::<(Value, IdList<QueryId>)>());
-            b += (buckets.iter())
-                .map(|(k, ids)| str_heap(k) + ids.heap_bytes())
-                .sum::<usize>();
+            b += hash_table_bytes(buckets.capacity(), size_of::<(u64, IdList<QueryId>)>());
+            b += buckets.values().map(IdList::heap_bytes).sum::<usize>();
         }
-        b += hash_table_bytes(self.queries.capacity(), size_of::<(QueryId, QueryEntry)>());
+        b += hash_table_bytes(
+            self.queries.capacity(),
+            size_of::<(QueryId, QueryEntry<P>)>(),
+        );
         for e in self.queries.values() {
-            b += e.checks.len() * size_of::<Check>();
-            b += (e.checks.iter())
-                .map(|c| match c {
-                    Check::Factor(_, _, v) => str_heap(v),
-                    Check::Residual(_) => 0,
-                })
-                .sum::<usize>();
             b += match &e.access {
                 Access::Anchor(_, v) | Access::Interval(_, Some(v)) => str_heap(v),
                 _ => 0,
             };
+            if !e.tail.shareable() {
+                b += e.tail.approx_bytes();
+            }
         }
-        b
+        b += hash_table_bytes(self.tails.capacity(), size_of::<Arc<Tail<P>>>());
+        b + self.tails.iter().map(|t| t.approx_bytes()).sum::<usize>()
     }
 }
 
@@ -525,8 +659,8 @@ mod tests {
         // shape of most standing CQs.
         let mut qs = QueryStem::new(schema());
         qs.insert_query(0, Some(&msft_over(50.0))).unwrap();
-        assert_eq!(qs.queries[&0].checks.len(), 1);
-        let bucket = |qs: &QueryStem| qs.anchors[&1][&Value::str("MSFT")].clone();
+        assert_eq!(qs.queries[&0].tail.checks.len(), 1);
+        let bucket = |qs: &QueryStem| qs.anchors[&1][&hash_value(&Value::str("MSFT"))].clone();
         assert_eq!(bucket(&qs), IdList::One(0));
         qs.insert_query(1, Some(&msft_over(60.0))).unwrap();
         assert_eq!(bucket(&qs).as_slice(), &[0, 1]);
@@ -717,7 +851,6 @@ mod tests {
             let t = tick(i, syms[rng.gen_range(0..3usize)], rng.gen_range(0.0..120.0));
             qs.matching_into(&t, &mut scratch).unwrap();
             let fresh = qs.matching(&t).unwrap();
-            assert_eq!(*scratch.alive(), fresh, "scratch diverged on probe {i}");
             assert_eq!(
                 scratch.matches().to_vec(),
                 fresh.iter().collect::<Vec<_>>(),
@@ -870,8 +1003,7 @@ mod tests {
     fn churn_at_constant_population_keeps_footprint_flat() {
         // The server never reuses a query id (`next_query.fetch_add`), so
         // anything sized by the highest id ever issued grows forever on a
-        // workload that submits and stops one query per batch. Only the
-        // id-indexed result bitset may grow, at 1 bit per id.
+        // workload that submits and stops one query per batch.
         const STANDING: usize = 1_000;
         const PAIRS: usize = 200_000;
         let mut qs = QueryStem::new(schema());
@@ -990,5 +1122,102 @@ mod tests {
             "the interval run must be counted: {small}"
         );
         assert!(large <= 11 * small, "10k: {small} B, 100k: {large} B");
+    }
+
+    #[test]
+    fn an_entry_is_its_access_path_and_one_pointer() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Access>(), 32);
+        assert_eq!(size_of::<QueryEntry<()>>(), size_of::<Access>() + 8);
+        assert!(size_of::<(QueryId, QueryEntry<()>)>() <= 56);
+        assert_eq!(size_of::<(u64, IdList<QueryId>)>(), 24, "an anchor bucket");
+    }
+
+    #[test]
+    fn identical_factor_lists_share_one_tail_until_the_last_leaves() {
+        let mut qs = QueryStem::new(schema());
+        for id in 0..100 {
+            let anchored = cmp("stockSymbol", CmpOp::Eq, format!("S{id}").as_str()).and(cmp(
+                "closingPrice",
+                CmpOp::Gt,
+                500.0,
+            ));
+            qs.insert_query(id, Some(&anchored)).unwrap();
+        }
+        // Range-only queries leave no factor: they share the empty list.
+        for id in 100..150 {
+            let band = id as f64;
+            let pred = cmp("closingPrice", CmpOp::Gt, band).and(cmp(
+                "closingPrice",
+                CmpOp::Lt,
+                band + 2.0,
+            ));
+            qs.insert_query(id, Some(&pred)).unwrap();
+        }
+        assert_eq!(qs.shared_tails(), 2);
+        // An INT constant is another factor, though `Value`'s `==` equates
+        // it with the FLOAT one.
+        let int_over =
+            cmp("stockSymbol", CmpOp::Eq, "S7").and(cmp("closingPrice", CmpOp::Gt, 500i64));
+        qs.insert_query(150, Some(&int_over)).unwrap();
+        assert_eq!(qs.shared_tails(), 3);
+        // A residual keeps its tail private.
+        let residual = Expr::col("timestamp").cmp(CmpOp::Gt, Expr::col("closingPrice"));
+        qs.insert_query(151, Some(&residual)).unwrap();
+        assert_eq!(qs.shared_tails(), 3);
+        let t = tick(1, "S7", 600.0);
+        let m = qs.matching(&t).unwrap();
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![7, 150]);
+        for id in 0..99 {
+            qs.remove_query(id).unwrap();
+        }
+        assert_eq!(qs.shared_tails(), 3, "query 99 still holds the tail");
+        qs.remove_query(99).unwrap();
+        assert_eq!(qs.shared_tails(), 2);
+        for id in 100..152 {
+            qs.remove_query(id).unwrap();
+        }
+        assert_eq!(qs.shared_tails(), 0);
+    }
+
+    #[test]
+    fn payloads_share_a_tail_only_when_equal() {
+        let mut qs: QueryStem<i64> = QueryStem::with_payloads(schema());
+        let over = cmp("closingPrice", CmpOp::Gt, 10.0);
+        let view = schema();
+        for (id, floor) in [(0, 5), (1, 5), (2, 9)] {
+            qs.insert_query_with(id, Some(&over), &view, floor).unwrap();
+        }
+        assert_eq!(qs.shared_tails(), 2);
+        assert_eq!(qs.payload(1), Some(&5));
+        assert_eq!(qs.payload(2), Some(&9));
+        assert_eq!(qs.payload(3), None);
+        // A refused query takes nothing: its payload is dropped with it.
+        assert!(qs
+            .insert_query_with(3, Some(&cmp("volume", CmpOp::Gt, 1i64)), &view, 7)
+            .is_err());
+        assert_eq!((qs.len(), qs.shared_tails()), (3, 2));
+    }
+
+    #[test]
+    fn anchor_candidates_are_rechecked_against_their_constant() {
+        use CmpOp::*;
+        let mut qs = QueryStem::new(num_schema());
+        qs.insert_query(0, Some(&cmp("x", Eq, 1i64))).unwrap();
+        qs.insert_query(1, Some(&cmp("x", Eq, 2i64))).unwrap();
+        // Force a collision: query 1 joins constant 1's bucket, as it would
+        // if the two constants' key hashes were equal.
+        let buckets = qs.anchors.get_mut(&0).unwrap();
+        buckets.remove(&hash_value(&Value::Int(2)));
+        buckets
+            .get_mut(&hash_value(&Value::Int(1)))
+            .unwrap()
+            .push(1);
+        let m = qs.matching(&xy(Value::Int(1), Value::Float(0.0))).unwrap();
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![0]);
+        // An INT anchor on a FLOAT column still meets an equal FLOAT.
+        qs.insert_query(2, Some(&cmp("y", Eq, 3i64))).unwrap();
+        let m = qs.matching(&xy(Value::Int(5), Value::Float(3.0))).unwrap();
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![2]);
     }
 }

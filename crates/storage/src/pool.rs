@@ -6,7 +6,9 @@
 //! what reads bring in, so a burst of appends evicts nothing that
 //! historical queries read. The first read of a just-sealed page is thus a
 //! miss served from the file (the OS page cache). The pool bounds the
-//! cache across all streams and evicts with a second-chance (CLOCK) policy.
+//! cache across all streams and evicts with a second-chance (CLOCK) policy;
+//! an evicted page no reader holds leaves its buffer to the next miss, so a
+//! full pool reads without allocating.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -42,6 +44,9 @@ struct PoolInner {
     frames: Vec<Frame>,
     by_key: HashMap<PageKey, usize>,
     clock_hand: usize,
+    /// The buffer of the last page evicted while no reader held it, for
+    /// the next miss to read into.
+    spare: Option<Arc<Vec<u8>>>,
     stats: PoolStats,
 }
 
@@ -63,6 +68,7 @@ impl BufferPool {
                 frames: Vec::with_capacity(capacity),
                 by_key: HashMap::new(),
                 clock_hand: 0,
+                spare: None,
                 stats: PoolStats::default(),
             })),
             page_size,
@@ -76,7 +82,7 @@ impl BufferPool {
 
     /// Read a page, through the cache.
     pub fn read_page(&self, file: &mut File, key: PageKey) -> Result<Arc<Vec<u8>>> {
-        {
+        let spare = {
             let mut inner = self.inner.lock();
             if let Some(&idx) = inner.by_key.get(&key) {
                 inner.stats.hits += 1;
@@ -84,13 +90,15 @@ impl BufferPool {
                 return Ok(Arc::clone(&inner.frames[idx].data));
             }
             inner.stats.misses += 1;
-        }
-        // Miss: read outside the lock, then install.
-        let mut data = vec![0u8; self.page_size];
+            inner.spare.take()
+        };
+        // Miss: read outside the lock, into the spare buffer if an eviction
+        // left one, then install.
+        let mut data = spare.unwrap_or_else(|| Arc::new(vec![0u8; self.page_size]));
+        let buf = Arc::get_mut(&mut data).expect("a spare buffer is unshared");
         let offset = key.1 * self.page_size as u64;
         file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(&mut data)?;
-        let data = Arc::new(data);
+        file.read_exact(buf)?;
         let mut inner = self.inner.lock();
         Self::install(&mut inner, key, Arc::clone(&data));
         Ok(data)
@@ -119,15 +127,18 @@ impl BufferPool {
             if inner.frames[idx].referenced {
                 inner.frames[idx].referenced = false;
             } else {
-                let old = inner.frames[idx].key;
-                inner.by_key.remove(&old);
-                inner.stats.evictions += 1;
-                inner.frames[idx] = Frame {
+                let frame = Frame {
                     key,
                     data,
                     referenced: true,
                 };
+                let mut old = std::mem::replace(&mut inner.frames[idx], frame);
+                inner.by_key.remove(&old.key);
+                inner.stats.evictions += 1;
                 inner.by_key.insert(key, idx);
+                if Arc::get_mut(&mut old.data).is_some() {
+                    inner.spare = Some(old.data);
+                }
                 return;
             }
         }

@@ -2,8 +2,10 @@
 //! wraps the 10 000 standing CQs of the benchmark's `manycq_churn` workload
 //! (8 000 `sym = i AND price > 500` and 2 000 two-sided price ranges over
 //! one stream) and compares the heap each `submit` leaves behind with what
-//! `shared_memory_stats()` reports for the stream's shared filter. The
-//! allocator is global, so this file is its own test binary.
+//! the server reports: `shared_memory_stats()` for the stream's shared
+//! filter, plus `query_table_bytes()` for the query-id tables every query
+//! kind keeps. The allocator is global, so this file is its own test
+//! binary.
 
 use tcq_common::CountingAlloc;
 use telegraphcq::prelude::*;
@@ -46,6 +48,7 @@ fn a_standing_filter_cq_costs_one_compact_entry() {
     let (client, _rx) = server.connect_push_client(16).unwrap();
     let queries = standing_cq_sql();
     let (_, empty) = filter_bytes(&server);
+    let empty_tables = server.query_table_bytes();
 
     let before = HEAP.live_bytes();
     for sql in &queries {
@@ -58,17 +61,19 @@ fn a_standing_filter_cq_costs_one_compact_entry() {
     assert_eq!(standing, queries.len());
     let heap_per_submit = (after - before) as f64 / n;
     let reported_per_query = reported as f64 / n;
-    let reported_growth = (reported - empty) as f64 / n;
+    let tables_growth = (server.query_table_bytes() - empty_tables) as f64 / n;
+    let reported_growth = (reported - empty) as f64 / n + tables_growth;
     println!(
         "live heap per submit {heap_per_submit:.0} B, shared_memory_stats {reported_per_query:.0} \
-         B/query ({reported_growth:.0} B grown per query)"
+         B/query, {reported_growth:.0} B reported per submit ({tables_growth:.0} B of it the \
+         query-id tables)"
     );
     assert!(
-        reported_per_query <= 360.0,
+        reported_per_query <= 250.0,
         "shared filter reports {reported_per_query:.0} B per query"
     );
     assert!(
-        heap_per_submit <= 600.0,
+        heap_per_submit <= 250.0,
         "each submit leaves {heap_per_submit:.0} B of live heap"
     );
     assert!(

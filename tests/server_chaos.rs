@@ -1351,7 +1351,7 @@ fn run_exchange_liveness(
             .collect(),
         egress: server.egress_stats_full(),
         watchdog: server.executor_stats().watchdog,
-        stall: server.last_stall(),
+        stall: server.first_stall(),
         progress: server.progress_snapshot(),
     };
     server.shutdown().unwrap();
