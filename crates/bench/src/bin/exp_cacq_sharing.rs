@@ -208,7 +208,10 @@ fn experiment_e3b(ns: &[usize], n_rows: usize) {
         let server = TelegraphCQ::start(ServerConfig::default()).unwrap();
         server.register_stream("L", l.clone()).unwrap();
         server.register_stream("R", r.clone()).unwrap();
-        let (client, rx) = server.connect_push_client(1 << 14).unwrap();
+        // Room for every reference row: egress never waits on a client, so
+        // a smaller channel sheds whenever the receiver is descheduled and
+        // the count below never completes.
+        let (client, rx) = server.connect_push_client(total).unwrap();
         let qids: Vec<usize> = (0..n)
             .map(|q| server.submit(&join_cq(q), client).unwrap())
             .collect();

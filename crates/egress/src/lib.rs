@@ -27,6 +27,11 @@
 //! one [`EgressRouter::session`] (or calls [`EgressRouter::deliver_batch`])
 //! per drained input batch, so the router lock is taken once per batch
 //! while the ledger is still charged per (row, client) offer, in row order.
+//! A push client's accepted rows wait in its session buffer and are handed
+//! over in one tight send loop when the session ends, so its receiving
+//! thread wakes about twice per batch, not once per row. A row client's
+//! first offer in each session is sent at once: a receiver gone since the
+//! last session is found dead at that offer, however the rows are batched.
 //!
 //! Teardown ledger rule: a transport closing a push client hands its
 //! delivery queue back through [`EgressRouter::disconnect_push_client`].
@@ -227,7 +232,17 @@ enum PushTx {
     Bounded(SyncSender<Delivery>),
 }
 
-impl PushTx {
+/// A push client's channel, as the hand-over at the end of a delivery
+/// session sees it: one message type, and the rows each message carries.
+trait Outbox {
+    type Msg;
+    fn try_send(&self, m: Self::Msg) -> std::result::Result<(), TrySendError<Self::Msg>>;
+    fn rows(m: &Self::Msg) -> u64;
+}
+
+impl Outbox for PushTx {
+    type Msg = Delivery;
+
     fn try_send(&self, d: Delivery) -> std::result::Result<(), TrySendError<Delivery>> {
         match self {
             PushTx::Bounded(tx) => tx.try_send(d),
@@ -254,17 +269,89 @@ impl PushTx {
             }
         }
     }
+
+    fn rows(_: &Delivery) -> u64 {
+        1
+    }
+}
+
+impl Outbox for SyncSender<ColumnDelivery> {
+    type Msg = ColumnDelivery;
+
+    fn try_send(&self, m: ColumnDelivery) -> std::result::Result<(), TrySendError<ColumnDelivery>> {
+        SyncSender::try_send(self, m)
+    }
+
+    fn rows(m: &ColumnDelivery) -> u64 {
+        m.1.len() as u64
+    }
+}
+
+/// A push client: its channel, and its session buffer — what the open
+/// delivery session accepted for it, in offer order. The buffer is empty
+/// outside a session: [`PushClient::hand_over`] empties it when the
+/// session ends.
+struct PushClient<T: Outbox> {
+    tx: T,
+    held: Vec<T::Msg>,
+}
+
+impl<T: Outbox> PushClient<T> {
+    fn new(tx: T) -> Self {
+        PushClient {
+            tx,
+            held: Vec::new(),
+        }
+    }
+
+    /// Send every held message in order, charging each of its rows
+    /// `delivered`, `shed` or `disconnected_loss` (they were counted
+    /// `offered` when accepted). The loop only sends: a receiver woken by
+    /// the first message finds the rest queued behind it. Returns true when
+    /// the receiver is gone.
+    fn hand_over(&mut self, stats: &mut EgressStats) -> bool {
+        let mut gone = false;
+        let mut msgs = self.held.drain(..);
+        while let Some(m) = msgs.next() {
+            let n = T::rows(&m);
+            match self.tx.try_send(m) {
+                Ok(()) => stats.delivered += n,
+                Err(TrySendError::Full(_)) => stats.shed += n,
+                Err(TrySendError::Disconnected(_)) => {
+                    stats.disconnected_loss += n + msgs.by_ref().map(|m| T::rows(&m)).sum::<u64>();
+                    gone = true;
+                }
+            }
+        }
+        gone
+    }
+
+    /// Rows held for the open session.
+    fn held_rows(&self) -> u64 {
+        self.held.iter().map(T::rows).sum()
+    }
 }
 
 enum ClientState {
-    Push(PushTx),
+    /// A row push client. Its first offer in a session (`in_session` still
+    /// false) is sent at once, so a receiver gone since the last session is
+    /// found dead at that offer, exactly where sending every row as it is
+    /// offered would find it; every later accepted row of the session
+    /// waits in the session buffer.
+    Push {
+        client: PushClient<PushTx>,
+        in_session: bool,
+    },
     /// A push client that receives whole [`ColumnBatch`]es instead of
     /// per-row [`Delivery`] messages. Offers are still made (and faults
     /// polled) per row, in the same order row clients see them, but
-    /// surviving rows accumulate into one pending batch per delivery
-    /// session and hit the channel once — the columnar hot path never
-    /// materializes per-row tuples for these clients.
-    ColumnPush(SyncSender<ColumnDelivery>),
+    /// accepted rows accumulate in the session buffer as one batch per
+    /// query (and schema) and reach the channel as one message each — the
+    /// columnar hot path never materializes per-row tuples for these
+    /// clients. Nothing is sent before the hand-over, so a receiver gone
+    /// since the last session is found dead there, after the session's
+    /// offers to it.
+    ColumnPush(PushClient<SyncSender<ColumnDelivery>>),
     Pull {
         buffer: VecDeque<Delivery>,
         capacity: usize,
@@ -273,9 +360,7 @@ enum ClientState {
     /// fetch returns the most *interesting* buffered results first, and
     /// overflow sheds the least interesting — user preferences pushed down
     /// into result delivery (§4.3).
-    Prioritized {
-        buffer: PriorityBuffer,
-    },
+    Prioritized { buffer: PriorityBuffer },
 }
 
 /// Monotone map from f64 to u64 (IEEE-754 total-order trick), so floats can
@@ -373,13 +458,35 @@ impl Offer<'_> {
     }
 }
 
-/// Rows accumulated for one column client during a delivery session,
-/// flushed as a single channel message when the session ends (or earlier,
-/// if a row-shaped chunk or a schema change forces the order to be kept).
-struct PendingColumns {
-    client: ClientId,
-    query: QueryId,
-    batch: ColumnBatch,
+/// Append one accepted column-client offer to its session buffer: to the
+/// client's last batch for query `q` when it has the offer's schema, else
+/// as a new batch. Rows of one query keep their order, and a schema change
+/// starts a new message.
+fn hold_columns(held: &mut Vec<ColumnDelivery>, q: QueryId, offer: &Offer<'_>) {
+    let last = held.iter_mut().rev().find(|(hq, _)| *hq == q);
+    match offer {
+        Offer::Col { batch, row, .. } => {
+            if let Some((_, b)) = last.filter(|(_, b)| Arc::ptr_eq(b.schema(), batch.schema())) {
+                b.push_row_from(batch, *row);
+                return;
+            }
+            // Sized for the rest of the source batch: the session feeds
+            // rows in order, so at most `len - row` more appends land here
+            // from it.
+            let mut b = ColumnBatch::with_capacity(batch.schema().clone(), batch.len() - *row);
+            b.push_row_from(batch, *row);
+            held.push((q, b));
+        }
+        Offer::Row(_) => {
+            let tuple = offer.to_tuple();
+            let b = ColumnBatch::from_tuples(
+                tuple.schema().clone(),
+                std::slice::from_ref(&tuple),
+                None,
+            );
+            held.push((q, b));
+        }
+    }
 }
 
 struct RouterInner {
@@ -388,49 +495,58 @@ struct RouterInner {
     by_query: HashMap<QueryId, IdList<ClientId>>,
     stats: EgressStats,
     injector: Option<SharedInjector>,
-    /// Reusable subscriber snapshot for [`RouterInner::deliver_locked`]:
-    /// fanning out borrows `clients` mutably, so the subscriber list is
-    /// copied here first — into a recycled buffer rather than a fresh
-    /// `Vec` per offer (one offer per *row* on the hot path).
-    subs_scratch: Vec<ClientId>,
+    /// Push clients the open delivery session has offered a row, in the
+    /// order of their first offer; emptied when it ends.
+    held_by: Vec<ClientId>,
 }
 
 impl RouterInner {
-    /// Remove a client and its subscriptions; true if it existed.
+    /// Remove a client and its subscriptions; true if it existed. Rows
+    /// held for it in the open session are lost with it.
     fn drop_client(&mut self, client: ClientId) -> bool {
-        let existed = self.clients.remove(&client).is_some();
+        let gone = self.clients.remove(&client);
         self.by_query.retain(|_, subs| !subs.remove(client));
-        existed
+        self.stats.disconnected_loss += match &gone {
+            Some(ClientState::Push { client, .. }) => client.held_rows(),
+            Some(ClientState::ColumnPush(client)) => client.held_rows(),
+            _ => 0,
+        };
+        gone.is_some()
     }
 
     /// One tuple's full fan-out, under an already-held router lock. This is
     /// the single definition of delivery semantics: `deliver_batch` and
     /// every session chunk replay it tuple by tuple, so fault-poll order,
-    /// per-offer outcomes, and disconnection timing do not depend on how a
-    /// caller splits its rows into calls.
-    fn deliver_locked<I: IntoIterator<Item = QueryId>>(
-        &mut self,
-        queries: I,
-        offer: Offer<'_>,
-        pending: &mut Vec<PendingColumns>,
-    ) {
+    /// per-offer outcomes, and a row client's disconnection timing do not
+    /// depend on how a caller splits its rows into calls. Each offer is
+    /// decided here, in order: the fault poll, the subscriber lookup,
+    /// `offered`, and the removal of clients found dead. A push client's
+    /// accepted row goes to its session buffer, which
+    /// [`RouterInner::end_session`] hands over. A row client's first offer
+    /// in the session is sent at once: a receiver that went away while no
+    /// session was open is found dead at that offer, so the session makes
+    /// it no further offer and polls no fault for it.
+    fn deliver_locked<I: IntoIterator<Item = QueryId>>(&mut self, queries: I, offer: Offer<'_>) {
         // Clients found dead during this fan-out; removed after the loop
         // so accounting stays per-offer.
         let mut dead: Vec<ClientId> = Vec::new();
-        let mut subs = std::mem::take(&mut self.subs_scratch);
+        let RouterInner {
+            clients,
+            by_query,
+            stats,
+            injector,
+            held_by,
+        } = self;
         for q in queries {
-            let Some(s) = self.by_query.get(&q) else {
+            let Some(subs) = by_query.get(&q) else {
                 continue;
             };
-            subs.clear();
-            subs.extend_from_slice(s.as_slice());
-            for &cid in &subs {
-                let Some(state) = self.clients.get_mut(&cid) else {
+            for &cid in subs.as_slice() {
+                let Some(state) = clients.get_mut(&cid) else {
                     continue;
                 };
-                self.stats.offered += 1;
-                let fault = self
-                    .injector
+                stats.offered += 1;
+                let fault = injector
                     .as_ref()
                     .and_then(|i| i.poll(FaultPoint::EgressDeliver));
                 if let Some(
@@ -438,25 +554,28 @@ impl RouterInner {
                 ) = fault
                 {
                     // The offer fails as if the client's buffer were full.
-                    self.stats.shed += 1;
-                    continue;
-                }
-                if matches!(state, ClientState::ColumnPush(_)) {
-                    self.offer_column(cid, q, &offer, pending, &mut dead);
+                    stats.shed += 1;
                     continue;
                 }
                 match state {
-                    ClientState::Push(tx) => match tx.try_send((q, offer.to_tuple())) {
-                        Ok(()) => self.stats.delivered += 1,
-                        Err(TrySendError::Full(_)) => self.stats.shed += 1,
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.stats.disconnected_loss += 1;
-                            dead.push(cid);
+                    ClientState::Push { client, in_session } => {
+                        client.held.push((q, offer.to_tuple()));
+                        if !*in_session {
+                            *in_session = true;
+                            held_by.push(cid);
+                            if client.hand_over(stats) {
+                                dead.push(cid);
+                            }
                         }
-                    },
-                    ClientState::ColumnPush(_) => unreachable!("handled above"),
+                    }
+                    ClientState::ColumnPush(client) => {
+                        if client.held.is_empty() {
+                            held_by.push(cid);
+                        }
+                        hold_columns(&mut client.held, q, &offer);
+                    }
                     ClientState::Pull { buffer, capacity } => {
-                        let forced = self.injector.as_ref().is_some_and(|i| {
+                        let forced = injector.as_ref().is_some_and(|i| {
                             matches!(
                                 i.poll(FaultPoint::FjordEnqueue),
                                 Some(FaultAction::Overflow)
@@ -465,33 +584,32 @@ impl RouterInner {
                         if buffer.len() >= *capacity || (forced && !buffer.is_empty()) {
                             buffer.pop_front();
                             // The victim moves from delivered to displaced.
-                            self.stats.displaced += 1;
-                            self.stats.delivered -= 1;
+                            stats.displaced += 1;
+                            stats.delivered -= 1;
                         }
                         buffer.push_back((q, offer.to_tuple()));
-                        self.stats.delivered += 1;
+                        stats.delivered += 1;
                     }
                     ClientState::Prioritized { buffer } => {
-                        let forced = self.injector.as_ref().is_some_and(|i| {
+                        let forced = injector.as_ref().is_some_and(|i| {
                             matches!(
                                 i.poll(FaultPoint::FjordEnqueue),
                                 Some(FaultAction::Overflow)
                             )
                         });
                         if forced && buffer.evict_worst() {
-                            self.stats.displaced += 1;
-                            self.stats.delivered -= 1;
+                            stats.displaced += 1;
+                            stats.delivered -= 1;
                         }
                         if buffer.insert((q, offer.to_tuple())) {
-                            self.stats.displaced += 1;
-                            self.stats.delivered -= 1;
+                            stats.displaced += 1;
+                            stats.delivered -= 1;
                         }
-                        self.stats.delivered += 1;
+                        stats.delivered += 1;
                     }
                 }
             }
         }
-        self.subs_scratch = subs;
         for cid in dead {
             if self.drop_client(cid) {
                 self.stats.disconnected += 1;
@@ -499,102 +617,26 @@ impl RouterInner {
         }
     }
 
-    /// One already-offered row for a column client: append it to the
-    /// client's pending batch (started lazily, flushed when the session
-    /// ends). A row-shaped offer, or a columnar offer whose schema differs
-    /// from the pending batch, flushes first so the client's stream stays
-    /// in delivery order.
-    fn offer_column(
-        &mut self,
-        cid: ClientId,
-        q: QueryId,
-        offer: &Offer<'_>,
-        pending: &mut Vec<PendingColumns>,
-        dead: &mut Vec<ClientId>,
-    ) {
-        let slot = pending.iter().position(|p| p.client == cid && p.query == q);
-        match offer {
-            Offer::Col { batch, row, .. } => {
-                if let Some(i) = slot {
-                    if Arc::ptr_eq(pending[i].batch.schema(), batch.schema()) {
-                        pending[i].batch.push_row_from(batch, *row);
-                        return;
-                    }
-                    let done = pending.remove(i);
-                    self.flush_one(done, dead);
+    /// End a delivery session: hand every session buffer over to its
+    /// channel, clients in the order the session first offered them a row,
+    /// and drop the clients found dead doing so.
+    fn end_session(&mut self) {
+        let mut held_by = std::mem::take(&mut self.held_by);
+        for &cid in &held_by {
+            let gone = match self.clients.get_mut(&cid) {
+                Some(ClientState::Push { client, in_session }) => {
+                    *in_session = false;
+                    client.hand_over(&mut self.stats)
                 }
-                // Sized for the rest of the source batch: the session
-                // feeds rows in order, so at most `len - row` more
-                // appends land here before the flush.
-                let mut b = ColumnBatch::with_capacity(batch.schema().clone(), batch.len() - *row);
-                b.push_row_from(batch, *row);
-                pending.push(PendingColumns {
-                    client: cid,
-                    query: q,
-                    batch: b,
-                });
-            }
-            Offer::Row(_) => {
-                if let Some(i) = slot {
-                    let done = pending.remove(i);
-                    self.flush_one(done, dead);
-                }
-                let tuple = offer.to_tuple();
-                let batch = ColumnBatch::from_tuples(
-                    tuple.schema().clone(),
-                    std::slice::from_ref(&tuple),
-                    None,
-                );
-                self.flush_one(
-                    PendingColumns {
-                        client: cid,
-                        query: q,
-                        batch,
-                    },
-                    dead,
-                );
-            }
-        }
-    }
-
-    /// Send one pending columnar batch to its client, charging every row
-    /// in it to exactly one ledger bucket (the rows were already counted
-    /// as offered). Shed and disconnect semantics mirror the row push
-    /// client's, scaled to the batch's row count.
-    fn flush_one(&mut self, p: PendingColumns, dead: &mut Vec<ClientId>) {
-        let n = p.batch.len() as u64;
-        if n == 0 {
-            return;
-        }
-        let cid = p.client;
-        let Some(ClientState::ColumnPush(tx)) = self.clients.get_mut(&cid) else {
-            // The client vanished mid-session (disconnected by an earlier
-            // chunk, or dropped by the user); its buffered rows are lost.
-            self.stats.disconnected_loss += n;
-            return;
-        };
-        match tx.try_send((p.query, p.batch)) {
-            Ok(()) => self.stats.delivered += n,
-            Err(TrySendError::Full(_)) => self.stats.shed += n,
-            Err(TrySendError::Disconnected(_)) => {
-                self.stats.disconnected_loss += n;
-                dead.push(cid);
-            }
-        }
-    }
-
-    /// Flush every pending columnar batch and drop clients found dead
-    /// while flushing. Called when a delivery session ends.
-    fn flush_session(&mut self, pending: &mut Vec<PendingColumns>) {
-        let mut dead: Vec<ClientId> = Vec::new();
-        for p in pending.drain(..) {
-            self.flush_one(p, &mut dead);
-        }
-        for cid in dead {
-            if self.drop_client(cid) {
+                Some(ClientState::ColumnPush(client)) => client.hand_over(&mut self.stats),
+                _ => false,
+            };
+            if gone && self.drop_client(cid) {
                 self.stats.disconnected += 1;
             }
         }
+        held_by.clear();
+        self.held_by = held_by;
     }
 }
 
@@ -620,7 +662,7 @@ impl EgressRouter {
             inner: Arc::new(Mutex::new(RouterInner {
                 clients: HashMap::new(),
                 by_query: HashMap::new(),
-                subs_scratch: Vec::new(),
+                held_by: Vec::new(),
                 stats: EgressStats::default(),
                 injector: None,
             })),
@@ -661,7 +703,13 @@ impl EgressRouter {
         capacity: usize,
     ) -> Result<Receiver<Delivery>> {
         let (tx, rx) = sync_channel(capacity.max(1));
-        self.register(id, ClientState::Push(PushTx::Bounded(tx)))?;
+        self.register(
+            id,
+            ClientState::Push {
+                client: PushClient::new(PushTx::Bounded(tx)),
+                in_session: false,
+            },
+        )?;
         Ok(rx)
     }
 
@@ -674,11 +722,14 @@ impl EgressRouter {
         let queued = Arc::new(AtomicUsize::new(0));
         self.register(
             id,
-            ClientState::Push(PushTx::Counted {
-                tx,
-                queued: queued.clone(),
-                capacity: capacity.max(1),
-            }),
+            ClientState::Push {
+                client: PushClient::new(PushTx::Counted {
+                    tx,
+                    queued: queued.clone(),
+                    capacity: capacity.max(1),
+                }),
+                in_session: false,
+            },
         )?;
         Ok(DeliveryQueue { rx, queued })
     }
@@ -686,8 +737,8 @@ impl EgressRouter {
     /// Register a column push client: a bounded stream of whole
     /// [`ColumnBatch`]es. Delivery offers (and fault polls, and the
     /// ledger) are still per row — identical to a row push client's — but
-    /// surviving rows reach the channel as one batch per delivery session
-    /// instead of one message per row, and no per-row [`Tuple`] is ever
+    /// accepted rows reach the channel as one batch per query and delivery
+    /// session instead of one message per row, and no per-row [`Tuple`] is ever
     /// materialized for this client. The columnar hot path's terminal
     /// stage.
     pub fn register_column_client(
@@ -696,7 +747,7 @@ impl EgressRouter {
         capacity: usize,
     ) -> Result<Receiver<ColumnDelivery>> {
         let (tx, rx) = sync_channel(capacity.max(1));
-        self.register(id, ClientState::ColumnPush(tx))?;
+        self.register(id, ClientState::ColumnPush(PushClient::new(tx)))?;
         Ok(rx)
     }
 
@@ -829,7 +880,7 @@ impl EgressRouter {
     /// fanning each out to every subscribed client under one router lock:
     /// a one-chunk [`EgressRouter::session`]. The ledger is charged per
     /// (tuple, client) offer, in tuple order — fault polls, per-offer
-    /// outcomes and dead-client disconnection timing included — so how
+    /// outcomes and a row client's disconnection timing included — so how
     /// rows are split into batches never changes what a seeded run
     /// delivers. Slow or absent clients shed (push: one non-blocking
     /// attempt per copy) or rotate (pull) — delivery never blocks the
@@ -846,15 +897,18 @@ impl EgressRouter {
     }
 
     /// Begin a multi-chunk delivery session: the router lock is taken
-    /// once and held for the session's lifetime, and column clients' rows accumulate across chunks into one channel
-    /// message, flushed when the session drops. A session delivering the
-    /// same rows as one `deliver_batch` call charges the ledger
-    /// identically, whether the rows arrive as row chunks, columnar
-    /// chunks, or a mix.
+    /// once and held for the session's lifetime. A row client's first
+    /// accepted row is sent at once; its later ones, and all of a column
+    /// client's (as one batch per query), wait in the client's session
+    /// buffer and are handed over when the session drops, each row then
+    /// charged `delivered`, `shed` or `disconnected_loss`. The lock is
+    /// held throughout, so nobody sees the ledger in between. A
+    /// session delivering the same rows as one `deliver_batch` call charges
+    /// the ledger identically, whether the rows arrive as row chunks,
+    /// columnar chunks, or a mix.
     pub fn session(&self) -> DeliverySession<'_> {
         DeliverySession {
             inner: self.inner.lock(),
-            pending: Vec::new(),
         }
     }
 
@@ -867,7 +921,7 @@ impl EgressRouter {
                 Ok(buffer.drain(..n).collect())
             }
             Some(ClientState::Prioritized { buffer, .. }) => Ok(buffer.fetch(max)),
-            Some(ClientState::Push(_)) | Some(ClientState::ColumnPush(_)) => {
+            Some(ClientState::Push { .. }) | Some(ClientState::ColumnPush(_)) => {
                 Err(TcqError::Executor(format!(
                     "client {client} is a push client; fetch is for pull clients"
                 )))
@@ -896,12 +950,11 @@ impl EgressRouter {
 }
 
 /// A multi-chunk delivery session ([`EgressRouter::session`]): one router
-/// lock and per-column-client pending
-/// batches spanning every chunk delivered through it. Dropping the
-/// session flushes pending columnar batches to their clients.
+/// lock and each push client's session buffer, spanning every chunk
+/// delivered through it. Dropping the session hands every buffer over to
+/// its client.
 pub struct DeliverySession<'a> {
     inner: tcq_common::sync::MutexGuard<'a, RouterInner>,
-    pending: Vec<PendingColumns>,
 }
 
 impl DeliverySession<'_> {
@@ -915,7 +968,7 @@ impl DeliverySession<'_> {
         let queries = queries.into_iter();
         for tuple in tuples {
             self.inner
-                .deliver_locked(queries.clone(), Offer::Row(tuple), &mut self.pending);
+                .deliver_locked(queries.clone(), Offer::Row(tuple));
         }
     }
 
@@ -957,7 +1010,6 @@ impl DeliverySession<'_> {
                     row,
                     tuple: tuple.as_ref(),
                 },
-                &mut self.pending,
             );
         }
     }
@@ -965,8 +1017,7 @@ impl DeliverySession<'_> {
 
 impl Drop for DeliverySession<'_> {
     fn drop(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        self.inner.flush_session(&mut pending);
+        self.inner.end_session();
     }
 }
 
@@ -1437,6 +1488,169 @@ mod tests {
         assert_eq!(s.delivered, N as u64 + 1);
         assert_eq!(s.shed, N as u64 - 1);
         assert!(s.accounted(), "{s:?}");
+    }
+
+    /// A push client and a queue client on query 9, each served a first
+    /// row (`t(-1)`) in an earlier session and taken off its channel.
+    fn served_clients() -> (EgressRouter, Receiver<Delivery>, DeliveryQueue) {
+        let r = EgressRouter::new();
+        let rx = r.register_push_client(1, 128).unwrap();
+        let q = r.register_queue_client(2, 128).unwrap();
+        r.subscribe(1, 9).unwrap();
+        r.subscribe(2, 9).unwrap();
+        r.deliver_batch([9usize], &[t(-1)]);
+        assert_eq!(rx.try_recv().unwrap().1, t(-1));
+        assert_eq!(q.try_recv().unwrap().1, t(-1));
+        (r, rx, q)
+    }
+
+    #[test]
+    fn a_session_hands_each_push_client_its_rows_when_it_ends() {
+        let rows: Vec<Tuple> = (0..64).map(t).collect();
+        let (r, rx, q) = served_clients();
+        let mut got = Vec::new();
+        let mut queued = Vec::new();
+        {
+            let mut session = r.session();
+            session.deliver_rows([9usize], &rows);
+            got.extend(rx.try_iter().map(|(_, row)| row));
+            queued.extend(std::iter::from_fn(|| q.try_recv().ok()).map(|(_, row)| row));
+            assert_eq!(got, rows[..1], "only the first row is sent at once");
+            assert_eq!(queued, rows[..1], "only the first row is queued at once");
+        }
+        got.extend(rx.try_iter().map(|(_, row)| row));
+        assert_eq!(got, rows, "the push client gets all 64 rows, in order");
+        queued.extend(std::iter::from_fn(|| q.try_recv().ok()).map(|(_, row)| row));
+        assert_eq!(queued, rows, "the queue client gets all 64 rows, in order");
+
+        let (one, _rx, _q) = served_clients();
+        for row in &rows {
+            one.deliver_batch([9usize], std::slice::from_ref(row));
+        }
+        assert_eq!(r.egress_stats(), one.egress_stats(), "64 one-row sessions");
+        assert_eq!(r.egress_stats().delivered, 2 * 65);
+    }
+
+    #[test]
+    fn a_receiver_gone_before_its_first_row_is_dropped_at_that_offer() {
+        let rows: Vec<Tuple> = (0..64).map(t).collect();
+        let gone = || {
+            let r = EgressRouter::new();
+            drop(r.register_push_client(1, 128).unwrap());
+            drop(r.register_queue_client(2, 128).unwrap());
+            r.subscribe(1, 9).unwrap();
+            r.subscribe(2, 9).unwrap();
+            r
+        };
+        let session = gone();
+        session.deliver_batch([9usize], &rows);
+        let one = gone();
+        for row in &rows {
+            one.deliver_batch([9usize], std::slice::from_ref(row));
+        }
+        let want = EgressStats {
+            offered: 2,
+            disconnected_loss: 2,
+            disconnected: 2,
+            ..EgressStats::default()
+        };
+        assert_eq!(session.egress_stats(), want, "one offer each, then dropped");
+        assert_eq!(one.egress_stats(), want, "64 one-row sessions");
+        assert_eq!(session.client_count(), 0);
+
+        // Found dead at its first offer, the client still takes the row's
+        // offer for its other query before it is removed.
+        let r = EgressRouter::new();
+        drop(r.register_push_client(1, 128).unwrap());
+        r.subscribe(1, 9).unwrap();
+        r.subscribe(1, 10).unwrap();
+        r.deliver_batch([9usize, 10], &rows);
+        let want = EgressStats {
+            offered: 2,
+            disconnected_loss: 2,
+            disconnected: 1,
+            ..EgressStats::default()
+        };
+        assert_eq!(r.egress_stats(), want, "both offers of the first row");
+
+        // A receiver that goes away between sessions is found dead at the
+        // next session's first offer, as 64 one-row sessions find it.
+        let (r, rx, q) = served_clients();
+        drop((rx, q));
+        r.deliver_batch([9usize], &rows);
+        let (one, rx, q) = served_clients();
+        drop((rx, q));
+        for row in &rows {
+            one.deliver_batch([9usize], std::slice::from_ref(row));
+        }
+        let want = EgressStats {
+            offered: 2 + 2,
+            delivered: 2,
+            disconnected_loss: 2,
+            disconnected: 2,
+            ..EgressStats::default()
+        };
+        assert_eq!(r.egress_stats(), want, "one offer each, then dropped");
+        assert_eq!(one.egress_stats(), want, "64 one-row sessions");
+        assert_eq!(r.client_count(), 0);
+    }
+
+    #[test]
+    fn a_receiver_gone_mid_session_loses_what_the_session_held() {
+        let rows: Vec<Tuple> = (0..8).map(t).collect();
+        let r = EgressRouter::new();
+        let rx = r.register_push_client(1, 128).unwrap();
+        r.subscribe(1, 9).unwrap();
+        {
+            let mut session = r.session();
+            session.deliver_rows([9usize], &rows[..4]);
+            drop(rx);
+            session.deliver_rows([9usize], &rows[4..]);
+        }
+        let s = r.egress_stats();
+        assert_eq!((s.offered, s.delivered), (8, 1), "the first row was sent");
+        assert_eq!((s.disconnected_loss, s.disconnected), (7, 1));
+        assert!(s.accounted(), "{s:?}");
+        assert_eq!(r.client_count(), 0);
+    }
+
+    #[test]
+    fn mixed_clients_in_one_session_match_one_deliver_batch() {
+        let mk = || {
+            let r = EgressRouter::new();
+            let row_rx = r.register_push_client(1, 6).unwrap();
+            let col_rx = r.register_column_client(2, 64).unwrap();
+            r.register_pull_client(3, 4).unwrap();
+            for c in 1..=3 {
+                r.subscribe(c, 9).unwrap();
+            }
+            (r, row_rx, col_rx)
+        };
+        let tuples: Vec<Tuple> = (0..12).map(t).collect();
+        let (plain, plain_rows, plain_cols) = mk();
+        plain.deliver_batch([9usize], &tuples);
+        let (ses, ses_rows, ses_cols) = mk();
+        {
+            let mut session = ses.session();
+            let head = ColumnBatch::from_tuples(schema(), &tuples[..7], None);
+            session.deliver_columns([9usize], &head);
+            session.deliver_rows([9usize], &tuples[7..]);
+        }
+        assert_eq!(plain.egress_stats(), ses.egress_stats());
+        assert!(ses.egress_stats().accounted());
+        assert_eq!(ses.egress_stats().shed, 6, "the row client holds 6");
+        let a: Vec<_> = plain_rows.try_iter().collect();
+        let b: Vec<_> = ses_rows.try_iter().collect();
+        assert_eq!(a, b, "row push stream identical");
+        let flat = |rx: &Receiver<ColumnDelivery>| -> Vec<(QueryId, Tuple)> {
+            (rx.try_iter())
+                .flat_map(|(q, b)| (0..b.len()).map(move |i| (q, b.tuple_at(i))))
+                .collect()
+        };
+        let cols = flat(&ses_cols);
+        assert_eq!(flat(&plain_cols), cols, "column stream identical");
+        assert_eq!(cols.len(), tuples.len());
+        assert_eq!(plain.fetch(3, 10).unwrap(), ses.fetch(3, 10).unwrap());
     }
 }
 

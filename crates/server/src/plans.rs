@@ -289,16 +289,13 @@ impl FilterPass {
             let seq = t.timestamp().seq();
             *rows += 1;
             // The matches are exact even when some candidate failed.
-            let _ = qstem.matching_into(t, scratch);
-            *errors += (scratch.failed().iter())
-                .filter(|&&q| qstem.payload(q).is_some_and(|q| seq >= q.min_seq))
-                .count() as u64;
-            for &qid in scratch.matches() {
-                let Some(q) = qstem.payload(qid) else {
-                    continue;
-                };
+            let _ = qstem.visit_matches(t, scratch, |qid, q, matched| {
                 if seq < q.min_seq {
-                    continue;
+                    return;
+                }
+                if !matched {
+                    *errors += 1;
+                    return;
                 }
                 let (row, out) = &mut projected[q.project.slot];
                 if *row != *rows {
@@ -310,7 +307,7 @@ impl FilterPass {
                         .deliver_rows([qid], std::slice::from_ref(out)),
                     None => *errors += 1,
                 }
-            }
+            });
         }
     }
 }

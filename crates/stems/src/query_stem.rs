@@ -513,12 +513,77 @@ impl<P: Hash + Eq> QueryStem<P> {
     /// it is listed in [`MatchScratch::failed`], every other candidate is
     /// still decided, and the first such error is returned.
     pub fn matching_into(&self, tuple: &Tuple, scratch: &mut MatchScratch) -> Result<()> {
-        scratch.begin();
+        self.gather(tuple, scratch);
         let MatchScratch {
             matched,
             candidates,
             failed,
+            ..
+        } = scratch;
+        let mut first_error = None;
+        for &q in candidates.iter() {
+            match self.queries[&q].admits(tuple) {
+                Ok(true) => matched.push(q),
+                Ok(false) => {}
+                Err(e) => {
+                    failed.push(q);
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        matched.sort_unstable();
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// [`QueryStem::matching_into`] that also hands each decided query's
+    /// payload to `visit`, ascending by id: `visit(id, payload, true)` for
+    /// a match, `visit(id, payload, false)` for a candidate listed in
+    /// [`MatchScratch::failed`]. Each candidate's entry is looked up once,
+    /// so a caller needs no [`QueryStem::payload`] lookup per match; the
+    /// price is sorting the candidates, not just the matches.
+    pub fn visit_matches(
+        &self,
+        tuple: &Tuple,
+        scratch: &mut MatchScratch,
+        mut visit: impl FnMut(QueryId, &P, bool),
+    ) -> Result<()> {
+        self.gather(tuple, scratch);
+        let MatchScratch {
+            matched,
+            candidates,
+            failed,
+            ..
+        } = scratch;
+        candidates.sort_unstable();
+        // Every query has one access path, so no id is a candidate twice.
+        debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
+        let mut first_error = None;
+        for &q in candidates.iter() {
+            let entry = &self.queries[&q];
+            match entry.admits(tuple) {
+                Ok(true) => {
+                    matched.push(q);
+                    visit(q, &entry.tail.payload, true);
+                }
+                Ok(false) => {}
+                Err(e) => {
+                    failed.push(q);
+                    visit(q, &entry.tail.payload, false);
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// Reset `scratch` and fill its candidates: every query whose access
+    /// path `tuple` reaches, in no particular order.
+    fn gather(&self, tuple: &Tuple, scratch: &mut MatchScratch) {
+        scratch.begin();
+        let MatchScratch {
+            candidates,
             examined,
+            ..
         } = scratch;
         // A NULL attribute satisfies no factor, so it reaches no anchor
         // bucket and no interval.
@@ -543,19 +608,6 @@ impl<P: Hash + Eq> QueryStem<P> {
             }
         }
         candidates.extend_from_slice(&self.always);
-        let mut first_error = None;
-        for &q in candidates.iter() {
-            match self.queries[&q].admits(tuple) {
-                Ok(true) => matched.push(q),
-                Ok(false) => {}
-                Err(e) => {
-                    failed.push(q);
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        matched.sort_unstable();
-        first_error.map_or(Ok(()), Err)
     }
 
     /// Approximate heap footprint of the stem's index structures in bytes,

@@ -308,6 +308,79 @@ fn batched_and_per_tuple_dispatch_replay_identically() {
     );
 }
 
+/// A healthy push client and a victim on the same result, under one seeded
+/// schedule that fails delivery offers on both sides of the victim's end.
+/// The victim's receiver is dropped while the server is idle between two
+/// pushes, so the first offer of the second push finds it gone.
+fn run_victim_scenario(io_batch: usize) -> (Vec<i64>, EgressStats, Vec<FiredFault>) {
+    let reset = || FaultAction::Error("socket reset".into());
+    let server = TelegraphCQ::start(ServerConfig {
+        fault_plan: Some(
+            FaultPlan::new(SEED)
+                .at(FaultPoint::EgressDeliver, 300, reset())
+                .at(FaultPoint::EgressDeliver, 2_100, reset())
+                .at(FaultPoint::EgressDeliver, 2_300, reset()),
+        ),
+        io_batch,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    server.register_stream("s", schema()).unwrap();
+    let (healthy, rx): (_, Receiver<Delivery>) = server.connect_push_client(4096).unwrap();
+    let (victim, victim_rx): (_, Receiver<Delivery>) = server.connect_push_client(4096).unwrap();
+    server.submit("SELECT v FROM s", healthy).unwrap();
+    server.submit("SELECT v FROM s", victim).unwrap();
+
+    let rows = workload();
+    let (before, after) = rows.split_at(1_000);
+    server.push_batch("s", before.to_vec()).unwrap();
+    // Idle once both clients were offered every row of the first push: the
+    // ledger is read under the router lock, so no session is open.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while server.egress_stats_full().offered < 2 * before.len() as u64 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the first push drains"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(victim_rx.try_iter().count() > 0, "the victim was served");
+    drop(victim_rx);
+    server.push_batch("s", after.to_vec()).unwrap();
+    server.finish_stream("s").unwrap();
+    assert!(server.quiesce(Duration::from_secs(60)));
+
+    let results = rx
+        .try_iter()
+        .map(|(_, t)| t.value(0).as_int().unwrap())
+        .collect();
+    let outcome = (results, server.egress_stats_full(), server.fired_faults());
+    server.shutdown().unwrap();
+    outcome
+}
+
+#[test]
+fn a_receiver_dropped_between_pushes_replays_identically_across_batch_sizes() {
+    // The victim is found dead at its first offer after the drop whatever
+    // the batch size: no later offer is made to it, so no fault poll moves
+    // and no other client's stream changes.
+    let (rows_a, egress_a, log_a) = run_victim_scenario(1);
+    let (rows_b, egress_b, log_b) = run_victim_scenario(64);
+    assert_eq!(
+        (egress_a.disconnected, egress_a.disconnected_loss),
+        (1, 1),
+        "one offer to the victim after the drop: {egress_a:?}"
+    );
+    assert!(egress_a.accounted(), "{egress_a:?}");
+    assert_eq!(egress_a, egress_b, "egress accounting diverged");
+    assert_eq!(rows_a, rows_b, "the healthy stream diverged");
+    assert_eq!(
+        normalised(log_a),
+        normalised(log_b),
+        "fired-fault logs diverged across batch sizes"
+    );
+}
+
 fn hot_schema() -> SchemaRef {
     Schema::new(vec![
         Field::new("k", DataType::Int),
