@@ -5,7 +5,7 @@
 //! dataflow routing" (§2.3, \[SHCF03\]). This module is the in-process
 //! version: an *exchange* around the join that only routes and merges.
 //! Each partition's worker is the join DU a one-partition join runs
-//! ([`crate::plans::JoinCqDu`]), driving a [`crate::plans::JoinCore`] of
+//! ([`crate::join::JoinCqDu`]), driving a [`crate::join::JoinCore`] of
 //! its own over its partition fjord, with its output fjord as its sink.
 //!
 //! ```text
