@@ -13,6 +13,13 @@
 //! named the query's checkpoint handle to drop it, also on a server with
 //! no checkpoint store. It makes none now. The allocator is global, so
 //! this file is its own test binary.
+//!
+//! The query SteM insert and removal run on the stream's dispatcher, which
+//! applies the control `submit` or `stop_query` queued for it after the
+//! call returns. So each counted region ends with a stat read, which the
+//! dispatcher answers only after every control queued before it: the
+//! region holds the whole admission or removal. The read's own
+//! allocations, counted alone beside each sample, are taken off.
 
 use tcq_common::CountingAlloc;
 use telegraphcq::prelude::*;
@@ -40,6 +47,11 @@ fn range_sql(j: i64) -> String {
     )
 }
 
+/// A stat read queued behind every control sent to the stream before it.
+fn settle(server: &TelegraphCQ) {
+    let _ = server.shared_memory_stats();
+}
+
 fn median(mut v: Vec<u64>) -> u64 {
     v.sort_unstable();
     v[v.len() / 2]
@@ -59,6 +71,7 @@ fn a_standing_submit_makes_at_most_35_allocations() {
     for sql in (0..800).map(sym_sql).chain((0..200).map(range_sql)) {
         server.submit(&sql, client).unwrap();
     }
+    settle(&server);
 
     for shape in ["sym", "range", "churn"] {
         let (mut submits, mut stops) = (Vec::new(), Vec::new());
@@ -68,11 +81,20 @@ fn a_standing_submit_makes_at_most_35_allocations() {
                 "range" => range_sql(200 + i),
                 _ => sym_sql(1_000_000 + i),
             };
-            let (n, qid) = ALLOCS.count(|| server.submit(&sql, client).unwrap());
-            submits.push(n);
-            let (n, stopped) = ALLOCS.count(|| server.stop_query(qid));
+            let (read, ()) = ALLOCS.count(|| settle(&server));
+            let (n, qid) = ALLOCS.count(|| {
+                let qid = server.submit(&sql, client).unwrap();
+                settle(&server);
+                qid
+            });
+            submits.push(n.saturating_sub(read));
+            let (n, stopped) = ALLOCS.count(|| {
+                let stopped = server.stop_query(qid);
+                settle(&server);
+                stopped
+            });
             stopped.unwrap();
-            stops.push(n);
+            stops.push(n.saturating_sub(read));
         }
         println!("{shape}: submit allocations {submits:?}, stop allocations {stops:?}");
         let (submit, stop) = (median(submits), median(stops));

@@ -4,8 +4,10 @@
 //! one stream) and compares the heap each `submit` leaves behind with what
 //! the server reports: `shared_memory_stats()` for the stream's shared
 //! filter, plus `query_table_bytes()` for the query-id tables every query
-//! kind keeps. The allocator is global, so this file is its own test
-//! binary.
+//! kind keeps. The query SteM insert runs on the stream's dispatcher after
+//! `submit` returns, so the counted region ends with a stat read, which
+//! the dispatcher answers only after every submit's control. The
+//! allocator is global, so this file is its own test binary.
 
 use tcq_common::CountingAlloc;
 use telegraphcq::prelude::*;
@@ -54,6 +56,7 @@ fn a_standing_filter_cq_costs_one_compact_entry() {
     for sql in &queries {
         server.submit(sql, client).unwrap();
     }
+    let _ = server.shared_memory_stats();
     let after = HEAP.live_bytes();
 
     let n = queries.len() as f64;
