@@ -220,8 +220,8 @@ impl CheckpointStore {
 
     /// Durably commit the staged delta as the next epoch. Returns the new
     /// epoch number. On failure (injected or real I/O) the staged delta is
-    /// kept, so the caller can retry — and must not mark upstream state
-    /// clean until a commit succeeds.
+    /// kept and carried by the next commit, so upstream state may be marked
+    /// clean as soon as it is staged: a later epoch's puts win over it.
     pub fn commit(&mut self) -> Result<u64> {
         let mut torn = false;
         if let Some(inj) = self.injector.clone() {
