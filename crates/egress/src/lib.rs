@@ -5,8 +5,9 @@
 //! > may log data and support intermittent retrieval of results."
 //!
 //! The [`EgressRouter`] owns per-client output queues (Figure 5's
-//! client-specific output queues in shared memory) and a subscription map
-//! from query ids to clients:
+//! client-specific output queues in shared memory) and the query table:
+//! one entry per query, holding its subscribers and its plan handle, that
+//! outlives the clients leaving it until [`EgressRouter::forget_query`]:
 //!
 //! * **push clients** get a bounded queue streamed to them; when a slow
 //!   client's queue fills, results are shed and counted (the paper's QoS
@@ -489,10 +490,20 @@ fn hold_columns(held: &mut Vec<ColumnDelivery>, q: QueryId, offer: &Offer<'_>) {
     }
 }
 
-struct RouterInner {
+/// One query's entry in the router's query table.
+struct QueryEntry<P> {
+    /// The clients its results go to; a lone subscriber is held inline.
+    subscribers: Option<IdList<ClientId>>,
+    /// Its owner's plan handle; `None` while the query starts or stops.
+    plan: Option<P>,
+}
+
+struct RouterInner<P> {
     clients: HashMap<ClientId, ClientState>,
-    /// Each query's subscribers; a query's lone subscriber is held inline.
-    by_query: HashMap<QueryId, IdList<ClientId>>,
+    queries: HashMap<QueryId, QueryEntry<P>>,
+    /// The most `queries.capacity()` has read after an insert: its bucket
+    /// array's, as removals' tombstones lower `capacity()` alone.
+    query_capacity: usize,
     stats: EgressStats,
     injector: Option<SharedInjector>,
     /// Push clients the open delivery session has offered a row, in the
@@ -500,12 +511,29 @@ struct RouterInner {
     held_by: Vec<ClientId>,
 }
 
-impl RouterInner {
+impl<P> RouterInner<P> {
+    /// Query `query`'s entry, opened empty if the table has none.
+    fn entry(&mut self, query: QueryId) -> &mut QueryEntry<P> {
+        if let Entry::Vacant(slot) = self.queries.entry(query) {
+            slot.insert(QueryEntry {
+                subscribers: None,
+                plan: None,
+            });
+            self.query_capacity = self.query_capacity.max(self.queries.capacity());
+        }
+        self.queries.get_mut(&query).expect("opened above")
+    }
+
     /// Remove a client and its subscriptions; true if it existed. Rows
-    /// held for it in the open session are lost with it.
+    /// held for it in the open session are lost with it. Every query's
+    /// entry stays: a query outlives the clients that leave it.
     fn drop_client(&mut self, client: ClientId) -> bool {
         let gone = self.clients.remove(&client);
-        self.by_query.retain(|_, subs| !subs.remove(client));
+        for entry in self.queries.values_mut() {
+            if entry.subscribers.as_mut().is_some_and(|s| s.remove(client)) {
+                entry.subscribers = None;
+            }
+        }
         self.stats.disconnected_loss += match &gone {
             Some(ClientState::Push { client, .. }) => client.held_rows(),
             Some(ClientState::ColumnPush(client)) => client.held_rows(),
@@ -532,13 +560,14 @@ impl RouterInner {
         let mut dead: Vec<ClientId> = Vec::new();
         let RouterInner {
             clients,
-            by_query,
+            queries: table,
             stats,
             injector,
             held_by,
+            ..
         } = self;
         for q in queries {
-            let Some(subs) = by_query.get(&q) else {
+            let Some(subs) = table.get(&q).and_then(|e| e.subscribers.as_ref()) else {
                 continue;
             };
             for &cid in subs.as_slice() {
@@ -640,35 +669,39 @@ impl RouterInner {
     }
 }
 
-/// Routes `(tuple, query ids)` outputs to subscribed clients.
+/// Routes `(tuple, query ids)` outputs to subscribed clients, and holds
+/// each query's entry: its subscribers and its owner's plan handle `P`.
 ///
 /// Clonable handle; clones share the router (listener thread and executor
 /// thread both touch it, as in Figure 5).
 #[derive(Clone)]
-pub struct EgressRouter {
-    inner: Arc<Mutex<RouterInner>>,
+pub struct EgressRouter<P = ()> {
+    inner: Arc<Mutex<RouterInner<P>>>,
 }
 
-impl Default for EgressRouter {
+impl<P> Default for EgressRouter<P> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EgressRouter {
-    /// An empty router.
-    pub fn new() -> Self {
         EgressRouter {
             inner: Arc::new(Mutex::new(RouterInner {
                 clients: HashMap::new(),
-                by_query: HashMap::new(),
+                queries: HashMap::new(),
+                query_capacity: 0,
                 held_by: Vec::new(),
                 stats: EgressStats::default(),
                 injector: None,
             })),
         }
     }
+}
 
+impl EgressRouter {
+    /// An empty router whose entries hold no plan handle.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<P> EgressRouter<P> {
     /// Attach a chaos injector: every delivery offer polls
     /// [`FaultPoint::EgressDeliver`], and every pull/prioritized buffer
     /// insert polls [`FaultPoint::FjordEnqueue`].
@@ -781,60 +814,89 @@ impl EgressRouter {
         )
     }
 
-    /// Subscribe a client to a query's results.
+    /// Subscribe a client to a query's results, opening the query's entry
+    /// if the table has none.
     pub fn subscribe(&self, client: ClientId, query: QueryId) -> Result<()> {
+        self.add_subscriber(client, query, true)
+    }
+
+    /// Subscribe a client to a query the table holds, refusing one it does
+    /// not (never opened, or forgotten), so a client cannot plant a
+    /// subscription that nothing would ever remove.
+    pub fn subscribe_open(&self, client: ClientId, query: QueryId) -> Result<()> {
+        self.add_subscriber(client, query, false)
+    }
+
+    fn add_subscriber(&self, client: ClientId, query: QueryId, open: bool) -> Result<()> {
         let mut inner = self.inner.lock();
         if !inner.clients.contains_key(&client) {
             return Err(TcqError::Executor(format!("unknown client {client}")));
         }
-        match inner.by_query.entry(query) {
-            Entry::Occupied(mut subs) => {
-                if !subs.get().as_slice().contains(&client) {
-                    subs.get_mut().push(client);
-                }
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(IdList::One(client));
-            }
+        let entry = match open {
+            true => inner.entry(query),
+            false => (inner.queries.get_mut(&query))
+                .ok_or_else(|| TcqError::Executor(format!("unknown query {query}")))?,
+        };
+        match &mut entry.subscribers {
+            Some(subs) if subs.as_slice().contains(&client) => {}
+            Some(subs) => subs.push(client),
+            None => entry.subscribers = Some(IdList::One(client)),
         }
         Ok(())
     }
 
-    /// Remove a subscription (no-op if absent).
-    pub fn unsubscribe(&self, client: ClientId, query: QueryId) {
-        let mut inner = self.inner.lock();
-        if inner
-            .by_query
-            .get_mut(&query)
-            .is_some_and(|subs| subs.remove(client))
-        {
-            inner.by_query.remove(&query);
-        }
+    /// Give query `query`'s entry its plan handle, opening the entry if
+    /// the table has none.
+    pub fn set_plan(&self, query: QueryId, plan: P) {
+        self.inner.lock().entry(query).plan = Some(plan);
     }
 
-    /// Drop every client's subscription to `query`: a stopped query has no
-    /// more results to route.
+    /// Take query `query`'s plan handle out, leaving its entry and its
+    /// subscribers: the query's last results still reach its clients until
+    /// [`EgressRouter::forget_query`]. `None` if it holds none.
+    pub fn take_plan(&self, query: QueryId) -> Option<P> {
+        self.inner.lock().queries.get_mut(&query)?.plan.take()
+    }
+
+    /// A copy of query `query`'s plan handle, returned after the router
+    /// lock is let go.
+    pub fn plan(&self, query: QueryId) -> Option<P>
+    where
+        P: Clone,
+    {
+        self.inner.lock().queries.get(&query)?.plan.clone()
+    }
+
+    /// Remove query `query`'s entry and every subscription to it: a
+    /// stopped query has no more results to route.
     pub fn forget_query(&self, query: QueryId) {
-        self.inner.lock().by_query.remove(&query);
+        self.inner.lock().queries.remove(&query);
+    }
+
+    /// Entries in the query table.
+    pub fn query_count(&self) -> usize {
+        self.inner.lock().queries.len()
     }
 
     /// Queries with at least one subscribed client.
     pub fn subscribed_queries(&self) -> usize {
-        self.inner.lock().by_query.len()
+        let inner = self.inner.lock();
+        (inner.queries.values())
+            .filter(|e| e.subscribers.is_some())
+            .count()
     }
 
-    /// Approximate heap bytes of the query → subscribers table, its whole
-    /// bucket array counted.
-    pub fn subscription_bytes(&self) -> usize {
+    /// Heap bytes of the query table: its bucket array, counted from its
+    /// largest capacity as it never shrinks, and each subscriber list.
+    pub fn query_table_bytes(&self) -> usize {
         let inner = self.inner.lock();
+        let lists: usize = (inner.queries.values())
+            .filter_map(|e| e.subscribers.as_ref().map(IdList::heap_bytes))
+            .sum();
         hash_table_bytes(
-            inner.by_query.capacity(),
-            std::mem::size_of::<(QueryId, IdList<ClientId>)>(),
-        ) + inner
-            .by_query
-            .values()
-            .map(IdList::heap_bytes)
-            .sum::<usize>()
+            inner.query_capacity,
+            std::mem::size_of::<(QueryId, QueryEntry<P>)>(),
+        ) + lists
     }
 
     /// Drop a client and all its subscriptions.
@@ -906,7 +968,7 @@ impl EgressRouter {
     /// session delivering the same rows as one `deliver_batch` call charges
     /// the ledger identically, whether the rows arrive as row chunks,
     /// columnar chunks, or a mix.
-    pub fn session(&self) -> DeliverySession<'_> {
+    pub fn session(&self) -> DeliverySession<'_, P> {
         DeliverySession {
             inner: self.inner.lock(),
         }
@@ -953,11 +1015,11 @@ impl EgressRouter {
 /// lock and each push client's session buffer, spanning every chunk
 /// delivered through it. Dropping the session hands every buffer over to
 /// its client.
-pub struct DeliverySession<'a> {
-    inner: tcq_common::sync::MutexGuard<'a, RouterInner>,
+pub struct DeliverySession<'a, P = ()> {
+    inner: tcq_common::sync::MutexGuard<'a, RouterInner<P>>,
 }
 
-impl DeliverySession<'_> {
+impl<P> DeliverySession<'_, P> {
     /// Deliver a chunk of row results, exactly as
     /// [`EgressRouter::deliver_batch`] would.
     pub fn deliver_rows<I>(&mut self, queries: I, tuples: &[Tuple])
@@ -988,7 +1050,8 @@ impl DeliverySession<'_> {
         }
         let queries = queries.into_iter();
         let needs_rows = queries.clone().any(|q| {
-            self.inner.by_query.get(&q).is_some_and(|subs| {
+            let subs = (self.inner.queries.get(&q)).and_then(|e| e.subscribers.as_ref());
+            subs.is_some_and(|subs| {
                 subs.as_slice().iter().any(|cid| {
                     !matches!(
                         self.inner.clients.get(cid),
@@ -1015,7 +1078,7 @@ impl DeliverySession<'_> {
     }
 }
 
-impl Drop for DeliverySession<'_> {
+impl<P> Drop for DeliverySession<'_, P> {
     fn drop(&mut self) {
         self.inner.end_session();
     }
@@ -1143,17 +1206,6 @@ mod tests {
         assert_eq!(r.subscribed_queries(), 1);
         r.deliver_batch([5usize], &[t(1)]);
         assert_eq!(r.egress_stats().offered, 0, "nobody is subscribed to 5");
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery() {
-        let r = EgressRouter::new();
-        r.register_pull_client(1, 10).unwrap();
-        r.subscribe(1, 5).unwrap();
-        r.deliver_batch([5usize], &[t(1)]);
-        r.unsubscribe(1, 5);
-        r.deliver_batch([5usize], &[t(2)]);
-        assert_eq!(r.fetch(1, 10).unwrap().len(), 1);
     }
 
     #[test]

@@ -455,8 +455,8 @@ impl DispatchUnit for StreamDispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Router;
     use tcq_common::{DataType, Expr, Field, Schema, SchemaRef, Timestamp, TupleBuilder};
-    use tcq_egress::EgressRouter;
     use tcq_fjords::{fjord, Consumer, DequeueResult, QueueKind};
 
     fn schema() -> SchemaRef {
@@ -464,7 +464,7 @@ mod tests {
     }
 
     fn no_plans() -> PlanSet {
-        PlanSet::new(schema(), EgressRouter::new())
+        PlanSet::new(schema(), Router::default())
     }
 
     /// A control queue nobody sends on.
@@ -557,7 +557,7 @@ mod tests {
         let (narrow_p, narrow_c) = fjord(4, QueueKind::Push);
         subs.add(wide_p);
         subs.add(narrow_p);
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         egress.register_pull_client(1, 64).unwrap();
         egress.subscribe(1, 7).unwrap();
         let mut plans = PlanSet::new(schema(), egress.clone());

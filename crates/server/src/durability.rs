@@ -199,7 +199,9 @@ impl TelegraphCQ {
                     joins.push(Arc::clone(entry));
                 }
             }
-            self.queries.lock().insert(qid, record);
+            // Its entry opens with no subscriber: clients subscribe again
+            // by the ids they hold.
+            self.egress.set_plan(qid, record);
         }
         for entry in &joins {
             self.import_join_state(entry)?;

@@ -72,12 +72,12 @@ use std::sync::Arc;
 
 use tcq_common::{Result, SchemaRef, Timestamp, Tuple};
 use tcq_eddy::{Eddy, SourceSet};
-use tcq_egress::EgressRouter;
 use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{FjordMessage, Inbox, Producer};
 use tcq_query::AnalyzedQuery;
 
 use crate::plans::QueryId;
+use crate::server::Router;
 
 /// Whether a join query can run partition-parallel.
 ///
@@ -481,7 +481,7 @@ pub struct MergeDu {
     name: String,
     schedule: Inbox,
     outputs: Vec<Inbox>,
-    egress: EgressRouter,
+    egress: Router,
     qid: QueryId,
     run_buf: Vec<Tuple>,
     current: Option<usize>,
@@ -491,11 +491,11 @@ pub struct MergeDu {
 impl MergeDu {
     /// New merger over `outputs.len()` partitions, delivering to `egress`
     /// under query `qid`.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         schedule: Inbox,
         outputs: Vec<Inbox>,
-        egress: EgressRouter,
+        egress: Router,
         qid: QueryId,
     ) -> Self {
         MergeDu {
@@ -686,7 +686,7 @@ mod tests {
             i64::MIN,
             i64::MAX,
         );
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         egress.register_pull_client(1, 4096).unwrap();
         egress.subscribe(1, 7).unwrap();
         let outs = outs.into_iter().map(|c| Inbox::new(c, 8)).collect();

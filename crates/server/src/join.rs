@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use tcq_common::{hash_table_bytes, ColumnBatch, Expr, Result, SchemaRef, TcqError, Tuple};
 use tcq_eddy::{Eddy, Emitted, SourceSet};
-use tcq_egress::{DeliverySession, EgressRouter};
+use tcq_egress::DeliverySession;
 use tcq_executor::{DispatchUnit, ModuleStatus};
 use tcq_fjords::{FjordMessage, Inbox, Producer};
 
@@ -24,6 +24,7 @@ use crate::control::{self, Control, Reply};
 use crate::exchange::ExchangeGauge;
 use crate::planner::strip_qualifiers;
 use crate::plans::QueryId;
+use crate::server::Router;
 /// A projection that binds lazily per input schema — join outputs arrive
 /// with column orders that depend on which side probed. Bindings are keyed
 /// by schema address and hold the schema, so the address cannot be handed
@@ -448,7 +449,7 @@ trait JoinOutput {
     fn columns(&mut self, qid: QueryId, batch: &ColumnBatch);
 }
 
-impl JoinOutput for DeliverySession<'_> {
+impl<P> JoinOutput for DeliverySession<'_, P> {
     fn rows(&mut self, qid: QueryId, rows: &[Tuple]) {
         self.deliver_rows([qid], rows);
     }
@@ -470,9 +471,9 @@ impl JoinOutput for Vec<FjordMessage> {
 }
 
 /// Where a join DU's results go.
-pub enum JoinSink {
+pub(crate) enum JoinSink {
     /// To the clients of the queries its core serves.
-    Egress(EgressRouter),
+    Egress(Router),
     /// A partition's: into its output fjord for the exchange's merger,
     /// through an outbox holding what the fjord has no room for yet.
     Fjord(Producer, Vec<FjordMessage>),

@@ -28,13 +28,14 @@ use tcq_common::{
     hash_table_bytes, CkptReader, CkptWriter, DataType, Expr, Field, Predicate, Result, Schema,
     SchemaRef, Timestamp, Tuple, Value,
 };
-use tcq_egress::{DeliverySession, EgressRouter};
+use tcq_egress::DeliverySession;
 
 use tcq_operators::{AggFunc, AggSpec, AggState, ProjectOp};
 use tcq_stems::{MatchScratch, PreparedQuery, QueryStem};
 use tcq_windows::{Panes, WindowInstance, WindowSeq, WindowSeqPos};
 
 use crate::control::Reply;
+use crate::server::{QueryRecord, Router};
 
 /// Query identifier (server-wide).
 pub type QueryId = usize;
@@ -268,8 +269,8 @@ impl FilterPass {
     fn run<'a>(
         &mut self,
         batch: &[Tuple],
-        egress: &'a EgressRouter,
-        session: &mut Option<DeliverySession<'a>>,
+        egress: &'a Router,
+        session: &mut Option<DeliverySession<'a, QueryRecord>>,
         errors: &mut u64,
     ) {
         let FilterPass {
@@ -358,12 +359,12 @@ pub(crate) struct PlanSet {
     /// because they failed on a row. Shared with the server, so the count
     /// outlives the dispatcher.
     errors: Arc<AtomicU64>,
-    egress: EgressRouter,
+    egress: Router,
 }
 
 impl PlanSet {
     /// An empty set over a stream's schema, delivering through `egress`.
-    pub(crate) fn new(schema: SchemaRef, egress: EgressRouter) -> Self {
+    pub(crate) fn new(schema: SchemaRef, egress: Router) -> Self {
         PlanSet {
             filters: FilterPass::new(schema),
             aggregates: Vec::new(),
@@ -913,7 +914,7 @@ mod tests {
 
     #[test]
     fn filter_cq_shared_respects_min_seq() {
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         egress.register_pull_client(1, 64).unwrap();
         egress.subscribe(1, 0).unwrap();
         let mut plans = PlanSet::new(schema(), egress.clone());
@@ -933,7 +934,7 @@ mod tests {
     /// Every stop hands back what its submit interned.
     #[test]
     fn churn_leaves_shared_tails_and_projections_at_their_standing_level() {
-        let mut plans = PlanSet::new(schema(), EgressRouter::new());
+        let mut plans = PlanSet::new(schema(), Router::default());
         let s = schema();
         let gt = |col: &str, c: i64| Expr::col(col).cmp(CmpOp::Gt, Expr::lit(c));
         let anchored = |v: i64, floor: i64| {
@@ -987,7 +988,7 @@ mod tests {
 
     #[test]
     fn a_select_list_is_shared_whatever_the_query_calls_its_stream() {
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         let mut plans = PlanSet::new(schema(), egress);
         let aliased = (schema().with_qualifier("t")).into_ref();
         let pred = Expr::qcol("t", "v").cmp(CmpOp::Gt, Expr::lit(1i64));
@@ -1009,7 +1010,7 @@ mod tests {
 
     #[test]
     fn identical_projections_run_once_per_row_and_leave_with_their_last_query() {
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         let mut shared = PlanSet::new(schema(), egress.clone());
         let item = |e: Expr, alias: Option<&str>| vec![(e, alias.map(String::from))];
         let plus = |v: Value| Expr::Arith {
@@ -1066,7 +1067,7 @@ mod tests {
     #[test]
     fn aggregate_du_emits_one_row_per_closed_window() {
         let s = schema();
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         egress.register_pull_client(1, 256).unwrap();
         egress.subscribe(1, 9).unwrap();
         let windows = WindowSeq::new(
@@ -1103,7 +1104,7 @@ mod tests {
     #[test]
     fn aggregate_du_respects_predicate_and_group() {
         let s = schema();
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         egress.register_pull_client(1, 256).unwrap();
         egress.subscribe(1, 3).unwrap();
         let windows = WindowSeq::new(

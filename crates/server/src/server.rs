@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 use tcq_common::sync::Mutex;
 
 use tcq_common::{
-    hash_table_bytes, Caseless, Catalog, CkptReader, CkptWriter, FaultPlan, FiredFault, Predicate,
-    Result, SchemaRef, SharedInjector, SourceKind, TcqError, Tuple,
+    Caseless, Catalog, CkptReader, CkptWriter, FaultPlan, FiredFault, Predicate, Result, SchemaRef,
+    SharedInjector, SourceKind, TcqError, Tuple,
 };
 use tcq_eddy::{Eddy, EddyConfig, LotteryPolicy, ModuleSpec};
 use tcq_egress::{
@@ -200,7 +200,9 @@ pub(crate) struct StreamState {
     pub(crate) settled: Settled,
 }
 
-/// What `stop_query` undoes, two words per standing query.
+/// What `stop_query` undoes, two words per standing query: the plan handle
+/// its entry in the router's query table holds.
+#[derive(Clone)]
 pub(crate) enum QueryRecord {
     /// A filter in its stream's plans, reached through the stream (no
     /// per-query copy of the stream name).
@@ -211,6 +213,10 @@ pub(crate) enum QueryRecord {
     Join(Arc<JoinEntry>),
     Completed,
 }
+
+/// The egress router, whose query table is the server's: each entry holds
+/// the query's subscribers and its [`QueryRecord`].
+pub(crate) type Router = EgressRouter<QueryRecord>;
 
 /// Everything that shapes a shared join's stored state and lifetime: the
 /// join queries with one key share one join DU.
@@ -275,14 +281,13 @@ pub struct TelegraphCQ {
     config: ServerConfig,
     pub(crate) catalog: Catalog,
     executor: Executor,
-    pub(crate) egress: EgressRouter,
+    pub(crate) egress: Router,
     pool: BufferPool,
     /// Keyed by the lowercased name; probed case-insensitively.
     pub(crate) streams: Mutex<HashMap<Box<Caseless>, Arc<StreamState>>>,
     /// Every running join, in start order (a checkpoint exports them in
     /// it).
     pub(crate) joins: Mutex<Vec<Arc<JoinEntry>>>,
-    pub(crate) queries: Mutex<HashMap<QueryId, QueryRecord>>,
     /// Every stream's source thread, with whether it resumes from a
     /// checkpointed cursor (`attach_supervised_source`) or cannot skip
     /// rows (`attach_source`).
@@ -363,7 +368,7 @@ impl TelegraphCQ {
             std::fs::create_dir_all(dir)?;
         }
         let pool = BufferPool::new(POOL_PAGES, PAGE_SIZE);
-        let egress = EgressRouter::new();
+        let egress = Router::default();
         if let Some(inj) = &injector {
             egress.attach_injector(inj.clone());
         }
@@ -386,7 +391,6 @@ impl TelegraphCQ {
             pool,
             streams: Mutex::new(HashMap::new()),
             joins: Mutex::new(Vec::new()),
-            queries: Mutex::new(HashMap::new()),
             supervisors: Mutex::new(Vec::new()),
             injector,
             progress,
@@ -683,17 +687,12 @@ impl TelegraphCQ {
         out
     }
 
-    /// Approximate heap bytes of the two per-query tables every query kind
-    /// keeps beside its plan: the server's query records and the egress
-    /// router's subscriber lists, whole bucket arrays counted. With
+    /// Heap bytes of the query table every query kind keeps beside its
+    /// plan, the egress router's, whole bucket array counted. With
     /// [`TelegraphCQ::shared_memory_stats`] it accounts for what a filter
     /// query's `submit` leaves on the heap.
     pub fn query_table_bytes(&self) -> usize {
-        let records = hash_table_bytes(
-            self.queries.lock().capacity(),
-            std::mem::size_of::<(QueryId, QueryRecord)>(),
-        );
-        records + self.egress.subscription_bytes()
+        self.egress.query_table_bytes()
     }
 
     /// A stream archive's counters (`None` when archiving is disabled).
@@ -786,18 +785,14 @@ impl TelegraphCQ {
     /// or stopped — is refused, so a client cannot plant subscriptions
     /// that nothing would ever remove.
     pub fn subscribe_client(&self, client: ClientId, query: QueryId) -> Result<()> {
-        // Held across the subscribe: a concurrent `stop_query` either ran
-        // first and is seen here, or forgets this subscription after.
-        let queries = self.queries.lock();
-        if !queries.contains_key(&query) {
-            return Err(TcqError::Executor(format!("unknown query {query}")));
-        }
-        self.egress.subscribe(client, query)
+        // One router call: a concurrent `stop_query` either forgot the
+        // query first and is seen here, or forgets this subscription after.
+        self.egress.subscribe_open(client, query)
     }
 
-    /// Queries the egress router holds a subscription for. A stopped query
-    /// keeps none, so this equals [`TelegraphCQ::query_count`] while every
-    /// submitter stays connected.
+    /// Queries with a subscribed client. A stopped query keeps none, so
+    /// this equals [`TelegraphCQ::query_count`] while every submitter stays
+    /// connected.
     pub fn subscribed_query_count(&self) -> usize {
         self.egress.subscribed_queries()
     }
@@ -826,6 +821,8 @@ impl TelegraphCQ {
         let aq = analyze(&stmt, &self.catalog)?;
         let kind = plan_kind(&aq)?;
         let qid = self.next_query.fetch_add(1, Ordering::Relaxed);
+        // The entry opens subscribed before the plan starts, so the rows an
+        // archive replay delivers while it starts reach the client.
         self.egress.subscribe(client, qid)?;
         match self.start_plan(qid, aq, kind, None) {
             Ok(record) => {
@@ -836,7 +833,7 @@ impl TelegraphCQ {
                 if !matches!(record, QueryRecord::Completed) {
                     self.stage_query(qid, Some((sql, label)));
                 }
-                self.queries.lock().insert(qid, record);
+                self.egress.set_plan(qid, record);
                 Ok(qid)
             }
             Err(e) => {
@@ -1493,10 +1490,7 @@ impl TelegraphCQ {
     /// Stop a standing query. With a checkpoint store open the query
     /// leaves the checkpoint's catalog: a restore does not start it again.
     pub fn stop_query(&self, qid: QueryId) -> Result<()> {
-        let record = self
-            .queries
-            .lock()
-            .remove(&qid)
+        let record = (self.egress.take_plan(qid))
             .ok_or_else(|| TcqError::Executor(format!("unknown query {qid}")))?;
         // Staged before its plan goes: a checkpoint either still exports
         // the query's state or already records it stopped.
@@ -1504,10 +1498,10 @@ impl TelegraphCQ {
             self.stage_query(qid, None);
         }
         self.release_plan(qid, record);
-        // Every client's subscription goes with the query, in this call —
-        // after its plan let go of it: a join DU answers the removal
-        // between batches, so the rows it took before the stop still reach
-        // the query's clients.
+        // The entry and every subscription in it go with the query, in
+        // this call — after its plan let go of it: a join DU answers the
+        // removal between batches, so the rows it took before the stop
+        // still reach the query's clients.
         self.egress.forget_query(qid);
         Ok(())
     }
@@ -1563,9 +1557,8 @@ impl TelegraphCQ {
     /// `measure` summed over the cores of the join serving `qid`; `None`
     /// also when a DU does not answer within the bound.
     fn join_state(&self, qid: QueryId, measure: impl Fn(JoinStats) -> usize) -> Option<usize> {
-        let entry = match self.queries.lock().get(&qid)? {
-            QueryRecord::Join(entry) => Arc::clone(entry),
-            _ => return None,
+        let QueryRecord::Join(entry) = self.egress.plan(qid)? else {
+            return None;
         };
         (entry.cores.iter())
             .map(|core| core.stats().ok().map(&measure))
@@ -1577,9 +1570,8 @@ impl TelegraphCQ {
     /// any other plan or an unknown query. An aggregate whose dispatcher
     /// has gone holds none.
     pub fn aggregate_state_entries(&self, qid: QueryId) -> Option<usize> {
-        let st = match self.queries.lock().get(&qid)? {
-            QueryRecord::Aggregate(st) => Arc::clone(st),
-            _ => return None,
+        let QueryRecord::Aggregate(st) = self.egress.plan(qid)? else {
+            return None;
         };
         let stats = st.plans.ask(PlanControl::Read).ok()?.unwrap_or_default();
         let entries = stats.entries.iter().find(|(id, _)| *id == qid);
@@ -1595,7 +1587,7 @@ impl TelegraphCQ {
     /// Standing query count (historical queries complete immediately and
     /// still count until stopped).
     pub fn query_count(&self) -> usize {
-        self.queries.lock().len()
+        self.egress.query_count()
     }
 
     /// Wait until every DU has retired (finite-stream runs) or the timeout
